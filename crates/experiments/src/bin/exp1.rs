@@ -1,8 +1,7 @@
 //! E1 — Theorem 1 validation sweep.
+use experiments::cli;
+
 fn main() {
-    let seeds = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50);
-    print!("{}", experiments::e1::run(seeds, 0).render());
+    let seeds = cli::parse_or_exit("exp1", cli::SEEDS).opt_u64("SEEDS");
+    print!("{}", experiments::e1::run(seeds.unwrap_or(50), 0).render());
 }

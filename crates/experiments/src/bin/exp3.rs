@@ -1,8 +1,7 @@
 //! E3 — Theorem 3 weak-protocol sweep.
+use experiments::cli;
+
 fn main() {
-    let seeds = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    print!("{}", experiments::e3::run(seeds, 0).render());
+    let seeds = cli::parse_or_exit("exp3", cli::SEEDS).opt_u64("SEEDS");
+    print!("{}", experiments::e3::run(seeds.unwrap_or(20), 0).render());
 }

@@ -1,89 +1,15 @@
 //! E4 — Figures 1 & 2 regeneration, plus exhaustive/reduced exploration.
 //!
-//! Modes:
-//!
-//! * no flags — the classic E4 report (figures, cross-check, small
-//!   exploration); add `--dot` to dump Graphviz sources;
-//! * `--explore N` — explore the n = N chain instance with the reduced
-//!   (DPOR-style) explorer and print the exploration summary. Options:
-//!   `--sigma B` (σ buckets, default 1), `--threads T` (default 0 = all
-//!   cores), `--max-runs R` (executed-schedule budget, default 10M),
-//!   `--differential` (run full enumeration too and compare verdicts —
-//!   exits non-zero on mismatch), `--full` (full enumeration instead of
-//!   reduced), `--telemetry FILE` (append JSONL telemetry), `--quick`
-//!   (shrink the budget to 200k for CI smoke runs).
+//! With no flags: the classic E4 report (figures, cross-check, small
+//! exploration); `--dot` also dumps the Graphviz sources. `--explore N`
+//! explores the n = N chain instance with the reduced (DPOR-style)
+//! explorer — or with `--full` enumeration, or with both under
+//! `--differential` — and prints the exploration summary. The flags are
+//! declared in [`experiments::cli::EXP4`]; a verdict mismatch or a
+//! violating schedule exits 1, a refused command line exits 2.
 
+use experiments::cli::{self, Gates};
 use experiments::e4;
-use telemetry::{JsonlSink, NullSink, TelemetrySink};
-
-struct Args {
-    dot: bool,
-    explore: Option<usize>,
-    sigma: usize,
-    threads: usize,
-    max_runs: usize,
-    differential: bool,
-    full: bool,
-    telemetry: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        dot: false,
-        explore: None,
-        sigma: 1,
-        threads: 0,
-        max_runs: 10_000_000,
-        differential: false,
-        full: false,
-        telemetry: None,
-    };
-    let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dot" => args.dot = true,
-            "--explore" => {
-                args.explore = Some(
-                    it.next()
-                        .expect("--explore needs a chain size")
-                        .parse()
-                        .expect("chain size"),
-                )
-            }
-            "--sigma" => {
-                args.sigma = it
-                    .next()
-                    .expect("--sigma needs a bucket count")
-                    .parse()
-                    .expect("sigma buckets")
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("thread count")
-            }
-            "--max-runs" => {
-                args.max_runs = it
-                    .next()
-                    .expect("--max-runs needs a budget")
-                    .parse()
-                    .expect("run budget")
-            }
-            "--differential" => args.differential = true,
-            "--full" => args.full = true,
-            "--telemetry" => args.telemetry = Some(it.next().expect("--telemetry needs a file")),
-            "--quick" => quick = true,
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    if quick {
-        args.max_runs = args.max_runs.min(200_000);
-    }
-    args
-}
 
 fn print_report(label: &str, r: &anta::explore::ExploreReport, wall_s: f64) {
     let attempted = r.runs + r.dedup_hits;
@@ -111,11 +37,11 @@ fn print_report(label: &str, r: &anta::explore::ExploreReport, wall_s: f64) {
 }
 
 fn main() {
-    let args = parse_args();
-    let Some(n) = args.explore else {
+    let args = cli::parse_or_exit("exp4", cli::EXP4);
+    let Some(n) = args.opt_u64("--explore").map(|n| n as usize) else {
         let r = e4::run(3);
         print!("{}", r.render());
-        if args.dot {
+        if args.flag("--dot") {
             println!("{}", r.figure1_dot);
             for (name, dot) in &r.figure2_dots {
                 println!("// {name}\n{dot}");
@@ -123,61 +49,49 @@ fn main() {
         }
         return;
     };
+    let (sigma, threads) = (args.usize("--sigma"), args.usize("--threads"));
+    let mut max_runs = args.usize("--max-runs");
+    if args.flag("--quick") {
+        max_runs = max_runs.min(200_000);
+    }
 
-    let mut sink: Box<dyn TelemetrySink> = match &args.telemetry {
-        Some(path) => {
-            Box::new(JsonlSink::create(std::path::Path::new(path)).expect("create telemetry file"))
+    let mut sink = match telemetry::sink::open(args.str("--telemetry"), "") {
+        Ok(sink) => sink,
+        Err(e) => {
+            eprintln!("exp4: --telemetry: {e}");
+            std::process::exit(1);
         }
-        None => Box::new(NullSink),
     };
     println!(
-        "E4 exploration: n = {n}, sigma_buckets = {}, threads = {}, max_runs = {}",
-        args.sigma, args.threads, args.max_runs
+        "E4 exploration: n = {n}, sigma_buckets = {sigma}, threads = {threads}, \
+         max_runs = {max_runs}"
     );
+    let mut gates = Gates::new();
     let started = std::time::Instant::now();
-    if args.differential {
-        let diff = e4::explore_instance_differential(
-            n,
-            args.threads,
-            args.max_runs,
-            args.sigma,
-            sink.as_mut(),
-        );
+    if args.flag("--differential") {
+        let diff = e4::explore_instance_differential(n, threads, max_runs, sigma, sink.as_mut());
         print_report("full", &diff.full, 0.0);
         print_report("reduced", &diff.reduced, 0.0);
         println!("differential wall: {:.2}s", started.elapsed().as_secs_f64());
         match &diff.mismatch {
             None => println!("differential: AGREE"),
-            Some(m) => {
-                println!("differential: MISMATCH — {m}");
-                std::process::exit(1);
-            }
+            Some(m) => println!("differential: MISMATCH — {m}"),
         }
-        if !diff.full.all_ok() {
-            std::process::exit(2);
-        }
+        gates.check(diff.mismatch.is_none());
+        gates.check(diff.full.all_ok());
     } else {
-        let r = if args.full {
-            e4::explore_instance_opts_with(
-                n,
-                args.threads,
-                args.max_runs,
-                args.sigma,
-                sink.as_mut(),
-            )
+        let full = args.flag("--full");
+        let r = if full {
+            e4::explore_instance_opts_with(n, threads, max_runs, sigma, sink.as_mut())
         } else {
-            e4::explore_instance_dpor_with(
-                n,
-                args.threads,
-                args.max_runs,
-                args.sigma,
-                sink.as_mut(),
-            )
+            e4::explore_instance_dpor_with(n, threads, max_runs, sigma, sink.as_mut())
         };
         let wall = started.elapsed().as_secs_f64();
-        print_report(if args.full { "full" } else { "reduced" }, &r, wall);
-        if !r.all_ok() {
-            std::process::exit(2);
-        }
+        print_report(if full { "full" } else { "reduced" }, &r, wall);
+        gates.check(r.all_ok());
     }
+    if let Err(e) = sink.flush() {
+        eprintln!("exp4: telemetry flush failed: {e}");
+    }
+    std::process::exit(gates.finish("E4"));
 }

@@ -1,8 +1,7 @@
 //! E5 — baseline comparison (drift sweep + HTLC griefing).
+use experiments::cli;
+
 fn main() {
-    let seeds = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-    print!("{}", experiments::e5::run(seeds, 0).render());
+    let seeds = cli::parse_or_exit("exp5", cli::SEEDS).opt_u64("SEEDS");
+    print!("{}", experiments::e5::run(seeds.unwrap_or(10), 0).render());
 }

@@ -1,8 +1,9 @@
 //! Runs every experiment at a moderate seed budget (EXPERIMENTS.md data).
+use experiments::cli;
+
 fn main() {
-    let seeds = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
+    let seeds = cli::parse_or_exit("expall", cli::SEEDS)
+        .opt_u64("SEEDS")
         .unwrap_or(20);
     println!("{}", experiments::e1::run(seeds, 0).render());
     println!("{}", experiments::e2::run().render());

@@ -14,17 +14,20 @@
 //! | E6 | timeout-calculus ablation ("d_i calculated in \[5\]") | [`e6`] |
 //! | E7 | §5 relation with cross-chain deals \[3\] | [`e7`] |
 //! | P  | engineering performance | [`perf`] |
-//! | E8 | Monte-Carlo traffic simulation | `xchain-sim` (binary `exp8`) |
+//! | E8–E11 | Monte-Carlo traffic, protocol comparison, liquidity, routing | `xchain-sim` (binaries `exp8`…`exp11`) |
 //!
 //! Binaries `exp1`…`exp7`, `expperf` and `expall` print the tables that
-//! EXPERIMENTS.md records (E8 lives in the `xchain-sim` crate, which
-//! builds on this one). Sweeps parallelise over seeds/parameters with
-//! crossbeam scoped threads ([`sweep`]; re-exported as
-//! [`parallel_map`]/[`grid`] for downstream crates).
+//! EXPERIMENTS.md records (E8–E11 live in the `xchain-sim` crate, which
+//! builds on this one). Every experiment binary of the workspace parses
+//! its command line against a declared flag table and reports its exit
+//! criteria through one ledger — both in [`cli`]. Sweeps parallelise over
+//! seeds/parameters with crossbeam scoped threads ([`sweep`]; re-exported
+//! as [`parallel_map`]/[`grid`] for downstream crates).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod digest;
 pub mod e1;
 pub mod e2;

@@ -102,6 +102,30 @@ impl FaultPlan {
     }
 }
 
+/// The `none / byz / byz+net` fault ladder the traffic grids (E8, E9)
+/// sweep: no faults; 15% Byzantine substitutions; the same plus message
+/// drops and bucketed extra delay.
+pub fn ladder() -> [(&'static str, FaultPlan); 3] {
+    let byz = FaultPlan {
+        crash_permille: 60,
+        late_bob_permille: 30,
+        forging_chloe_permille: 30,
+        thieving_escrow_permille: 30,
+        net: NetFaults::NONE,
+    };
+    let net = NetFaults {
+        drop_permille: 20,
+        delay_permille: 150,
+        extra_delay: SimDuration::from_millis(5),
+        delay_buckets: 4,
+    };
+    [
+        ("none", FaultPlan::NONE),
+        ("byz", byz),
+        ("byz+net", FaultPlan { net, ..byz }),
+    ]
+}
+
 /// The concrete faults injected into one instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstanceFaults {

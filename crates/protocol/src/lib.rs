@@ -47,6 +47,56 @@ pub mod outcome;
 pub mod timebounded;
 pub mod workload;
 
+/// The label of every built-in harness — each one's
+/// [`ProtocolHarness::name`] — in the order reports list them. Binaries
+/// take a protocol as a one-of-these flag and dispatch on it with
+/// [`with_harness!`].
+pub const HARNESS_LABELS: [&str; 5] = ["timebounded", "htlc", "ilp-untuned", "ilp-atomic", "deals"];
+
+/// Evaluates `$body` with `$h` bound to the harness labelled `$label`.
+/// The harness trait has associated types, so this cannot be a table of
+/// trait objects: the body is instantiated once per harness type.
+///
+/// ```
+/// use protocol::ProtocolHarness;
+/// let name = protocol::with_harness!("htlc", |h| h.name());
+/// assert_eq!(name, "htlc");
+/// ```
+///
+/// Panics on a label outside [`HARNESS_LABELS`]; validate user input
+/// against that list first (the experiment flag tables do).
+#[macro_export]
+macro_rules! with_harness {
+    ($label:expr, |$h:ident| $body:expr) => {
+        match $label {
+            "timebounded" => {
+                let $h = $crate::TimeBoundedHarness;
+                $body
+            }
+            "htlc" => {
+                let $h = $crate::HtlcHarness;
+                $body
+            }
+            "ilp-untuned" => {
+                let $h = $crate::InterledgerHarness::untuned();
+                $body
+            }
+            "ilp-atomic" => {
+                let $h = $crate::InterledgerHarness::atomic();
+                $body
+            }
+            "deals" => {
+                let $h = $crate::DealsHarness;
+                $body
+            }
+            other => panic!(
+                "harness label {other:?} is not in HARNESS_LABELS: labels reach \
+                 with_harness! only from that list or a flag validated against it"
+            ),
+        }
+    };
+}
+
 pub use deals::DealsHarness;
 pub use explore::explore_harness;
 pub use faults::{ByzFault, FaultPlan, InstanceFaults};

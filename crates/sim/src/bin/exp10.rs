@@ -33,235 +33,25 @@
 //! * **the sweep bites** — the tightest budget at the highest load must
 //!   actually reject payments, or the frontier degenerates.
 //!
-//! Usage: `cargo run --release -p xchain-sim --bin exp10 --
-//! [--quick] [--threads N] [--seed S] [--payments N] [--json FILE | --out DIR]`.
-//! `--json FILE` names the artifact directly (the flag every experiment
-//! binary now shares); `--out DIR` is the historical spelling and writes
-//! `DIR/EXP10_liquidity.json`.
+//! Flags are declared in [`sim::driver::EXP10`] (README "Experiment
+//! flags"); CI writes the artifact with `--json
+//! bench-out/EXP10_liquidity.json`.
 //!
 //! **Campaign mode** (`--campaign N`): stream `N` payments through the
 //! open-system engine in crash-safe epochs — each epoch an independent
 //! admission timeline against fresh per-venue budgets (`--budget`), the
 //! campaign carrying the cumulative collateral audit and wait sketches
-//! across checkpoints (`--resume PATH`, `--stop-after-epoch K`; see
-//! README "Campaigns & recovery").
+//! across checkpoints (see README "Campaigns & recovery").
 
 use anta::time::SimDuration;
-use experiments::table::{check, Table};
-use sim::campaign::{peak_rss_mb, telemetry_sink, CampaignConfig, CampaignRunner};
+use experiments::cli::{self, Gates};
+use experiments::table::Table;
+use protocol::{with_harness, HARNESS_LABELS};
+use sim::campaign::CampaignConfig;
+use sim::driver::{self, Grid};
 use sim::prelude::*;
-use std::time::Instant;
 
-struct Args {
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    /// Payments per grid cell (0 ⇒ the mode's default).
-    payments: usize,
-    /// Directory to write `EXP10_liquidity.json` into (empty ⇒ none).
-    out: String,
-    /// File to write the JSON artifact into (empty ⇒ use `out`).
-    json: String,
-    /// Total payments for campaign mode (0 ⇒ grid mode).
-    campaign: u64,
-    /// Payments per campaign epoch.
-    epoch: usize,
-    /// Per-venue collateral budget for campaign mode (0 ⇒ unbounded).
-    budget: u64,
-    /// Checkpoint path (write after every epoch; resume if it exists).
-    resume: String,
-    /// Exit cleanly once this epoch index completes (campaign mode).
-    stop_after_epoch: Option<u64>,
-    /// Fail the process if peak RSS exceeds this many MiB (campaign mode).
-    max_rss_mb: Option<u64>,
-    /// Telemetry JSONL file (empty ⇒ NullSink).
-    telemetry: String,
-    /// Emit campaign telemetry every N epochs.
-    telemetry_interval: u64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        threads: 0,
-        seed: 0xE10,
-        payments: 0,
-        out: String::new(),
-        json: String::new(),
-        campaign: 0,
-        epoch: 50_000,
-        budget: 30_000,
-        resume: String::new(),
-        stop_after_epoch: None,
-        max_rss_mb: None,
-        telemetry: String::new(),
-        telemetry_interval: 1,
-    };
-    let mut it = std::env::args().skip(1);
-    let need = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--threads" => args.threads = need("--threads", &mut it).parse().expect("thread count"),
-            "--seed" => args.seed = need("--seed", &mut it).parse().expect("seed"),
-            "--payments" => {
-                args.payments = need("--payments", &mut it).parse().expect("payment count")
-            }
-            "--out" => args.out = need("--out", &mut it),
-            "--json" => args.json = need("--json", &mut it),
-            "--campaign" => {
-                args.campaign = need("--campaign", &mut it).parse().expect("campaign size")
-            }
-            "--epoch" => args.epoch = need("--epoch", &mut it).parse().expect("epoch size"),
-            "--budget" => args.budget = need("--budget", &mut it).parse().expect("budget"),
-            "--resume" | "--checkpoint" => args.resume = need("--resume", &mut it),
-            "--stop-after-epoch" => {
-                args.stop_after_epoch = Some(
-                    need("--stop-after-epoch", &mut it)
-                        .parse()
-                        .expect("epoch index"),
-                )
-            }
-            "--max-rss-mb" => {
-                args.max_rss_mb = Some(need("--max-rss-mb", &mut it).parse().expect("MiB limit"))
-            }
-            "--telemetry" => args.telemetry = need("--telemetry", &mut it),
-            "--telemetry-interval" => {
-                args.telemetry_interval = need("--telemetry-interval", &mut it)
-                    .parse()
-                    .expect("interval")
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: exp10 [--quick] [--threads N] [--seed S] [--payments N]\n\
-                     \x20             [--json FILE | --out DIR] [--telemetry FILE] \
-                     [--telemetry-interval N]\n\
-                     campaign mode: exp10 --campaign N [--epoch M] [--budget B] [--resume CKPT]\n\
-                     \x20              [--stop-after-epoch K] [--max-rss-mb M] [--json FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-/// Campaign mode: a streamed open-system hub campaign under finite
-/// per-venue collateral with a 20 ms queueing gate.
-fn run_campaign(args: &Args) {
-    let mut workload = WorkloadConfig::new(TopologyFamily::HubAndSpoke { spokes: 8 }, 0, args.seed);
-    workload.max_rho_ppm = (0, 0);
-    let liq = if args.budget == 0 {
-        LiquidityConfig::UNBOUNDED
-    } else {
-        LiquidityConfig::queue(args.budget, SimDuration::from_millis(20))
-    };
-    let cfg = CampaignConfig {
-        threads: args.threads,
-        liquidity: Some(liq),
-        ..CampaignConfig::new(workload, args.campaign, args.epoch)
-    };
-    let ckpt = (!args.resume.is_empty()).then(|| std::path::PathBuf::from(&args.resume));
-    let mut runner = CampaignRunner::resume_or_new(
-        TimeBoundedHarness,
-        cfg,
-        ckpt.as_deref().unwrap_or(std::path::Path::new("")),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot resume campaign: {e}");
-        std::process::exit(1);
-    });
-    if runner.next_epoch() > 0 {
-        eprintln!(
-            "resumed from checkpoint at epoch {}/{}",
-            runner.next_epoch(),
-            cfg.epochs()
-        );
-    }
-    let mut sink = telemetry_sink(&args.telemetry).unwrap_or_else(|e| {
-        eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-        std::process::exit(1);
-    });
-    let mut last_rss = None;
-    runner
-        .run_to_end_with_telemetry(
-            ckpt.as_deref(),
-            args.stop_after_epoch,
-            sink.as_mut(),
-            args.telemetry_interval,
-            |e| {
-                last_rss = e.peak_rss_mb;
-                eprintln!("{}", e.progress_line());
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("checkpoint write failed: {e}");
-            std::process::exit(1);
-        });
-    let report = runner.report();
-    print!("{}", report.render());
-    let rss = last_rss.or_else(peak_rss_mb);
-    if !args.json.is_empty() {
-        let extra = [
-            (
-                "peak_rss_mb",
-                rss.map(|m| m.to_string())
-                    .unwrap_or_else(|| "null".to_owned()),
-            ),
-            ("phase_ms", runner.profile().to_json_object()),
-        ];
-        if let Some(dir) = std::path::Path::new(&args.json).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create --json directory");
-            }
-        }
-        std::fs::write(&args.json, report.to_json("exp10", &extra)).expect("write --json file");
-        println!("{}", args.json);
-    }
-    let audit = report
-        .tally
-        .liquidity
-        .as_ref()
-        .expect("open campaign carries a liquidity tally");
-    let audit_ok = audit.budget_violations == 0 && audit.drained_all;
-    println!(
-        "collateral conserved across all epochs (locked <= budget, venues drain): {}",
-        check(audit_ok)
-    );
-    if let (Some(limit), Some(peak)) = (args.max_rss_mb, rss) {
-        println!(
-            "RSS gate: peak {peak} MiB {} limit {limit} MiB",
-            if peak <= limit { "within" } else { "EXCEEDS" }
-        );
-        if peak > limit {
-            std::process::exit(1);
-        }
-    }
-    if !audit_ok || report.tally.violations > 0 || report.tally.failed > 0 {
-        std::process::exit(1);
-    }
-}
-
-/// One measured cell, kept for the JSON artifact.
-struct Cell {
-    protocol: &'static str,
-    policy: &'static str,
-    budget: u64,
-    offered_per_sec: u64,
-    offered: usize,
-    admitted: usize,
-    rejected: usize,
-    queued: usize,
-    success: usize,
-    violations: usize,
-    budget_violations: usize,
-    drained: bool,
-    utilization_ppm: u64,
-    goodput_per_sec: f64,
-}
+const HUB: TopologyFamily = TopologyFamily::HubAndSpoke { spokes: 8 };
 
 fn render_budget(b: u64) -> String {
     if b == u64::MAX {
@@ -271,27 +61,32 @@ fn render_budget(b: u64) -> String {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    if args.campaign > 0 {
-        run_campaign(&args);
-        return;
+fn run(args: &cli::Parsed) -> std::io::Result<i32> {
+    if args.u64("--campaign") > 0 {
+        // A streamed hub campaign under finite per-venue collateral with
+        // a 20 ms queueing gate.
+        let mut workload = WorkloadConfig::new(HUB, 0, args.u64("--seed"));
+        workload.max_rho_ppm = (0, 0);
+        let liquidity = match args.u64("--budget") {
+            0 => LiquidityConfig::UNBOUNDED,
+            budget => LiquidityConfig::queue(budget, SimDuration::from_millis(20)),
+        };
+        let cfg = CampaignConfig {
+            liquidity: Some(liquidity),
+            ..driver::campaign_config(args, workload)
+        };
+        let audit = driver::audit_collateral;
+        return driver::drive(TimeBoundedHarness, cfg, args, "exp10", "", audit);
     }
-    let per_cell = if args.payments > 0 {
-        args.payments
-    } else if args.quick {
-        300
-    } else {
-        2_000
-    };
 
+    let mut grid = Grid::open("exp10", args, (300, 2_000), "")?;
     // Offered-load axis: the same seeded traffic with compressed
     // arrival gaps (ticks are µs, so 2 000 µs ⇒ 500 pay/s offered).
     let loads: [(u64, u64); 3] = [(2_000, 500), (500, 2_000), (125, 8_000)];
     // Liquidity axis: per-venue budgets over the 8 gateway venues, with
     // the unbounded book as the E8/E9 baseline and a queueing variant
     // to price patience.
-    let variants: [(&'static str, LiquidityConfig); 4] = [
+    let variants: [(&str, LiquidityConfig); 4] = [
         ("unbounded", LiquidityConfig::UNBOUNDED),
         ("reject", LiquidityConfig::reject(30_000)),
         ("reject", LiquidityConfig::reject(15_000)),
@@ -300,7 +95,6 @@ fn main() {
             LiquidityConfig::queue(15_000, SimDuration::from_millis(20)),
         ),
     ];
-
     let mut table = Table::new(
         "E10 — shared-liquidity frontier: offered load × collateral budget × protocol \
          (hub of 8 gateway venues, faultless, drift-free)",
@@ -322,31 +116,18 @@ fn main() {
             "colviol",
         ],
     );
-
-    let t_all = Instant::now();
-    let mut sink = telemetry_sink(&args.telemetry).unwrap_or_else(|e| {
-        eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-        std::process::exit(1);
-    });
     let mut cell_id = 0u64;
-    let mut cells: Vec<Cell> = Vec::new();
     let mut tb_colviol = 0usize;
     let mut tb_undrained = 0usize;
     let mut monotone_ok = true;
     let mut tightest_rejected = 0usize;
     let mut total_instances = 0usize;
 
-    let protocols: [&'static str; 5] =
-        ["timebounded", "htlc", "ilp-untuned", "ilp-atomic", "deals"];
-    for protocol in protocols {
+    for protocol in HARNESS_LABELS {
         for (vi, (plabel, liq)) in variants.iter().enumerate() {
             let mut prev_rate = f64::INFINITY;
             for &(gap_us, offered_per_sec) in &loads {
-                let mut workload = WorkloadConfig::new(
-                    TopologyFamily::HubAndSpoke { spokes: 8 },
-                    per_cell,
-                    args.seed,
-                );
+                let mut workload = WorkloadConfig::new(HUB, grid.per_cell, grid.seed);
                 workload.arrivals = ArrivalProcess::Uniform {
                     mean_gap: SimDuration::from_ticks(gap_us),
                 };
@@ -354,48 +135,39 @@ fn main() {
                 // admitted payments successful.
                 workload.max_rho_ppm = (0, 0);
                 let cfg = SimConfig {
-                    threads: args.threads,
+                    threads: grid.threads,
                     lock_profile: false,
                     ..SimConfig::new(workload)
                 };
-                let (open, ot) = match protocol {
-                    "timebounded" => sim::run_open_with_telemetry(&TimeBoundedHarness, &cfg, liq),
-                    "htlc" => sim::run_open_with_telemetry(&HtlcHarness, &cfg, liq),
-                    "ilp-untuned" => {
-                        sim::run_open_with_telemetry(&InterledgerHarness::untuned(), &cfg, liq)
-                    }
-                    "ilp-atomic" => {
-                        sim::run_open_with_telemetry(&InterledgerHarness::atomic(), &cfg, liq)
-                    }
-                    "deals" => sim::run_open_with_telemetry(&DealsHarness, &cfg, liq),
-                    _ => unreachable!(),
-                };
+                let (open, ot) =
+                    with_harness!(protocol, |h| sim::run_open_with_telemetry(&h, &cfg, liq));
                 let f = open.sim.families.first().expect("one family per cell");
                 let l = &open.liquidity;
                 total_instances += open.sim.instances;
 
                 cell_id += 1;
-                let mut cell_event = telemetry::Event::new("cell")
-                    .with_u64("cell", cell_id)
-                    .with_str("protocol", protocol)
-                    .with_str("policy", liq.policy.label())
-                    .with_u64("offered_per_sec", offered_per_sec)
-                    .with_u64("offered", l.offered as u64)
-                    .with_u64("admitted", l.admitted as u64)
-                    .with_u64("rejected", l.rejected as u64)
-                    .with_u64("queued", l.queued as u64)
-                    .with_u64("success", f.success.hits as u64)
-                    .with_u64("violations", open.sim.violations as u64)
-                    .with_u64("budget_violations", l.budget_violations as u64)
-                    .with_bool("drained", l.drained)
-                    .with_f64("goodput_per_sec", l.goodput_per_sec());
-                // Unbounded budgets are u64::MAX internally — omit the
-                // field rather than emit a sentinel.
-                if liq.budget != u64::MAX {
-                    cell_event = cell_event.with_u64("budget", liq.budget);
-                }
-                sink.emit(&cell_event);
-                ot.emit(&[("cell", cell_id)], sink.as_mut());
+                grid.record(
+                    cell_id,
+                    telemetry::Event::new("cell")
+                        .with_str("protocol", protocol)
+                        .with_str("policy", liq.policy.label())
+                        // Unbounded budgets are u64::MAX internally — not
+                        // representable as a JSON double, so null.
+                        .with_opt_u64("budget", (liq.budget != u64::MAX).then_some(liq.budget))
+                        .with_u64("offered_per_sec", offered_per_sec)
+                        .with_u64("offered", l.offered as u64)
+                        .with_u64("admitted", l.admitted as u64)
+                        .with_u64("rejected", l.rejected as u64)
+                        .with_u64("queued", l.queued as u64)
+                        .with_u64("success", f.success.hits as u64)
+                        .with_u64("violations", open.sim.violations as u64)
+                        .with_u64("budget_violations", l.budget_violations as u64)
+                        .with_bool("drained", l.drained)
+                        .with_u64("utilization_ppm", l.utilization_ppm.unwrap_or(0))
+                        .with_f64("goodput_per_sec", l.goodput_per_sec()),
+                    None,
+                );
+                ot.emit(&[("cell", cell_id)], grid.sink());
 
                 // The monotonicity gate runs on the Reject frontier: with
                 // fixed collateral and no patience, raising the offered
@@ -423,14 +195,7 @@ fn main() {
                     tightest_rejected += l.rejected;
                 }
 
-                let lat = match &f.latency {
-                    None => "-".to_owned(),
-                    Some(s) => format!(
-                        "{:.1}/{:.1}",
-                        s.p50 as f64 / 1_000.0,
-                        s.p99 as f64 / 1_000.0
-                    ),
-                };
+                let ms = |ticks: u64| ticks as f64 / 1_000.0;
                 table.push(&[
                     protocol.to_owned(),
                     plabel.to_string(),
@@ -441,136 +206,49 @@ fn main() {
                     l.rejected.to_string(),
                     l.queued.to_string(),
                     f.success.render(),
-                    lat,
+                    f.latency.as_ref().map_or("-".to_owned(), |s| {
+                        format!("{:.1}/{:.1}", ms(s.p50), ms(s.p99))
+                    }),
                     l.wait
                         .as_ref()
-                        .map(|w| format!("{:.1}", w.p99 as f64 / 1_000.0))
-                        .unwrap_or_else(|| "-".to_owned()),
+                        .map_or("-".to_owned(), |w| format!("{:.1}", ms(w.p99))),
                     l.utilization_ppm
-                        .map(|u| format!("{:.1}%", u as f64 / 10_000.0))
-                        .unwrap_or_else(|| "-".to_owned()),
+                        .map_or("-".to_owned(), |u| format!("{:.1}%", u as f64 / 10_000.0)),
                     l.peak_locked_venue.to_string(),
                     format!("{:.0}", l.goodput_per_sec()),
                     l.budget_violations.to_string(),
                 ]);
-                cells.push(Cell {
-                    protocol,
-                    policy: liq.policy.label(),
-                    budget: liq.budget,
-                    offered_per_sec,
-                    offered: l.offered,
-                    admitted: l.admitted,
-                    rejected: l.rejected,
-                    queued: l.queued,
-                    success: f.success.hits,
-                    violations: open.sim.violations,
-                    budget_violations: l.budget_violations,
-                    drained: l.drained,
-                    utilization_ppm: l.utilization_ppm.unwrap_or(0),
-                    goodput_per_sec: l.goodput_per_sec(),
-                });
             }
         }
     }
 
-    if let Err(e) = sink.flush() {
-        eprintln!("telemetry flush failed: {e}");
-    }
-
-    println!("{}", table.render());
-    println!(
-        "instances: {total_instances} in {:.2} s ({} threads requested, {} cores)",
-        t_all.elapsed().as_secs_f64(),
-        args.threads,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    grid.report(&table, total_instances, "");
+    let mut gates = Gates::new();
+    gates.require(
+        "time-bounded collateral conserved (locked <= budget, all venues drain)",
+        tb_colviol == 0 && tb_undrained == 0,
+        &format!("{tb_colviol} violations, {tb_undrained} undrained cells"),
     );
-    println!(
-        "time-bounded collateral conserved (locked <= budget, all venues drain): {} \
-         ({} violations, {} undrained cells)",
-        check(tb_colviol == 0 && tb_undrained == 0),
-        tb_colviol,
-        tb_undrained
-    );
-    println!(
+    gates.require(
         "success monotonically non-increasing in offered load \
-         (every protocol, Reject frontier): {}",
-        check(monotone_ok)
+         (every protocol, Reject frontier)",
+        monotone_ok,
+        "",
     );
-    println!(
-        "tightest budget at highest load sheds payments: {} ({} rejections)",
-        check(tightest_rejected > 0),
-        tightest_rejected
+    gates.require(
+        "tightest budget at highest load sheds payments",
+        tightest_rejected > 0,
+        &format!("{tightest_rejected} rejections"),
     );
     println!(
         "Claims: finite collateral turns success into a function of offered load; \
          queueing buys admissions with latency; the guaranteed protocol pays its \
          locked-value cost without ever breaking the collateral budget."
     );
+    grid.write_artifact(&[])?;
+    Ok(gates.finish("E10"))
+}
 
-    if !args.out.is_empty() || !args.json.is_empty() {
-        let config_digest = experiments::digest::hex16(experiments::digest::fnv1a64(
-            format!("exp10 seed={} per_cell={}", args.seed, per_cell).as_bytes(),
-        ));
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"schema_version\": 1,\n");
-        json.push_str("  \"experiment\": \"exp10\",\n");
-        json.push_str(&format!("  \"config_digest\": \"{config_digest}\",\n"));
-        json.push_str(&format!("  \"quick\": {},\n", args.quick));
-        json.push_str(&format!("  \"seed\": {},\n", args.seed));
-        json.push_str(&format!("  \"payments_per_cell\": {per_cell},\n"));
-        json.push_str("  \"cells\": [\n");
-        for (i, c) in cells.iter().enumerate() {
-            // Unbounded budgets are u64::MAX internally — not
-            // representable as a JSON double, so emit null.
-            let budget_json = if c.budget == u64::MAX {
-                "null".to_owned()
-            } else {
-                c.budget.to_string()
-            };
-            json.push_str(&format!(
-                "    {{\"protocol\": \"{}\", \"policy\": \"{}\", \"budget\": {}, \
-                 \"offered_per_sec\": {}, \"offered\": {}, \"admitted\": {}, \
-                 \"rejected\": {}, \"queued\": {}, \"success\": {}, \"violations\": {}, \
-                 \"budget_violations\": {}, \"drained\": {}, \"utilization_ppm\": {}, \
-                 \"goodput_per_sec\": {:.1}}}{}\n",
-                c.protocol,
-                c.policy,
-                budget_json,
-                c.offered_per_sec,
-                c.offered,
-                c.admitted,
-                c.rejected,
-                c.queued,
-                c.success,
-                c.violations,
-                c.budget_violations,
-                c.drained,
-                c.utilization_ppm,
-                c.goodput_per_sec,
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        let path = if !args.json.is_empty() {
-            if let Some(dir) = std::path::Path::new(&args.json).parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).expect("create --json directory");
-                }
-            }
-            std::path::PathBuf::from(&args.json)
-        } else {
-            std::fs::create_dir_all(&args.out).expect("create --out directory");
-            std::path::Path::new(&args.out).join("EXP10_liquidity.json")
-        };
-        std::fs::write(&path, &json).expect("write JSON artifact");
-        println!("{}", path.display());
-    }
-
-    if tb_colviol > 0 || tb_undrained > 0 || !monotone_ok || tightest_rejected == 0 {
-        eprintln!("E10 exit criteria FAILED");
-        std::process::exit(1);
-    }
+fn main() {
+    cli::run_main("exp10", driver::EXP10, run)
 }

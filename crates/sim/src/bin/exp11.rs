@@ -35,136 +35,32 @@
 //! * **rebalancing bites** — every nonzero-period cell executes at least
 //!   one rebalancing flow and restores liquidity.
 //!
-//! Usage: `cargo run --release -p xchain-sim --bin exp11 --
-//! [--quick] [--threads N] [--seed S] [--payments N]
-//! [--json FILE | --out DIR] [--telemetry FILE]`.
+//! Flags are declared in [`sim::driver::EXP11`] (README "Experiment
+//! flags"); CI writes the artifact with `--json
+//! bench-out/EXP11_network.json`.
 //!
 //! The telemetry stream's header declares `requires =
-//! "venues,route,rebalance"` ([`sim::campaign::telemetry_sink_with_requires`]):
+//! "venues,route,rebalance"` ([`telemetry::sink::open`]):
 //! `telemetry_check` then gates on the routing event series without a new
 //! flag. Full per-venue series are emitted for the smallest network only
 //! (4k-venue cells would dominate the artifact); every cell emits its
 //! `route`/`rebalance` counters.
 //!
 //! **Campaign mode** (`--campaign N`): stream `N` payments through the
-//! routed open system over a scale-free network (`--venues`, default
-//! 4096) with rebalancing every `--rebalance-ms` (default 10), in
-//! crash-safe epochs with the usual checkpoint/resume and RSS gates
-//! (`--resume`, `--stop-after-epoch`, `--max-rss-mb`).
+//! routed open system over a scale-free network (`--venues`) with
+//! rebalancing every `--rebalance-ms`, in crash-safe epochs via
+//! [`sim::driver::drive`] (see README "Campaigns & recovery").
 
 use anta::time::SimDuration;
-use experiments::table::{check, Table};
-use sim::campaign::{peak_rss_mb, telemetry_sink_with_requires, CampaignConfig, CampaignRunner};
+use experiments::cli::{self, Gates};
+use experiments::table::Table;
+use protocol::{with_harness, HARNESS_LABELS};
+use sim::campaign::CampaignConfig;
+use sim::driver::{self, Grid};
 use sim::prelude::*;
-use std::time::Instant;
 
-struct Args {
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    /// Payments per grid cell (0 ⇒ the mode's default).
-    payments: usize,
-    /// Directory to write `EXP11_network.json` into (empty ⇒ none).
-    out: String,
-    /// File to write the JSON artifact into (empty ⇒ use `out`).
-    json: String,
-    /// Total payments for campaign mode (0 ⇒ grid mode).
-    campaign: u64,
-    /// Payments per campaign epoch.
-    epoch: usize,
-    /// Per-venue collateral budget.
-    budget: u64,
-    /// Scale-free venue count for campaign mode.
-    venues: usize,
-    /// Rebalancing period in ms for campaign mode (0 ⇒ off).
-    rebalance_ms: u64,
-    /// Checkpoint path (write after every epoch; resume if it exists).
-    resume: String,
-    /// Exit cleanly once this epoch index completes (campaign mode).
-    stop_after_epoch: Option<u64>,
-    /// Fail the process if peak RSS exceeds this many MiB (campaign mode).
-    max_rss_mb: Option<u64>,
-    /// Telemetry JSONL file (empty ⇒ NullSink).
-    telemetry: String,
-    /// Emit campaign telemetry every N epochs.
-    telemetry_interval: u64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        threads: 0,
-        seed: 0xE11,
-        payments: 0,
-        out: String::new(),
-        json: String::new(),
-        campaign: 0,
-        epoch: 50_000,
-        budget: 2_500,
-        venues: 4_096,
-        rebalance_ms: 10,
-        resume: String::new(),
-        stop_after_epoch: None,
-        max_rss_mb: None,
-        telemetry: String::new(),
-        telemetry_interval: 1,
-    };
-    let mut it = std::env::args().skip(1);
-    let need = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--threads" => args.threads = need("--threads", &mut it).parse().expect("thread count"),
-            "--seed" => args.seed = need("--seed", &mut it).parse().expect("seed"),
-            "--payments" => {
-                args.payments = need("--payments", &mut it).parse().expect("payment count")
-            }
-            "--out" => args.out = need("--out", &mut it),
-            "--json" => args.json = need("--json", &mut it),
-            "--campaign" => {
-                args.campaign = need("--campaign", &mut it).parse().expect("campaign size")
-            }
-            "--epoch" => args.epoch = need("--epoch", &mut it).parse().expect("epoch size"),
-            "--budget" => args.budget = need("--budget", &mut it).parse().expect("budget"),
-            "--venues" => args.venues = need("--venues", &mut it).parse().expect("venue count"),
-            "--rebalance-ms" => {
-                args.rebalance_ms = need("--rebalance-ms", &mut it).parse().expect("period ms")
-            }
-            "--resume" | "--checkpoint" => args.resume = need("--resume", &mut it),
-            "--stop-after-epoch" => {
-                args.stop_after_epoch = Some(
-                    need("--stop-after-epoch", &mut it)
-                        .parse()
-                        .expect("epoch index"),
-                )
-            }
-            "--max-rss-mb" => {
-                args.max_rss_mb = Some(need("--max-rss-mb", &mut it).parse().expect("MiB limit"))
-            }
-            "--telemetry" => args.telemetry = need("--telemetry", &mut it),
-            "--telemetry-interval" => {
-                args.telemetry_interval = need("--telemetry-interval", &mut it)
-                    .parse()
-                    .expect("interval")
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: exp11 [--quick] [--threads N] [--seed S] [--payments N]\n\
-                     \x20             [--json FILE | --out DIR] [--telemetry FILE] \
-                     [--telemetry-interval N]\n\
-                     campaign mode: exp11 --campaign N [--epoch M] [--budget B] [--venues V]\n\
-                     \x20              [--rebalance-ms P] [--resume CKPT] [--stop-after-epoch K]\n\
-                     \x20              [--max-rss-mb M] [--json FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
+/// The event series every E11 telemetry stream promises in its header.
+const REQUIRES: &str = "venues,route,rebalance";
 
 /// The tight-budget routed workload over one network family: bursty
 /// arrivals, uniform plans (the router's feasibility math is per-hop
@@ -181,162 +77,50 @@ fn network_workload(family: TopologyFamily, payments: usize, seed: u64) -> Workl
     w
 }
 
-/// Campaign mode: a streamed routed open-system campaign over one
-/// scale-free network with periodic rebalancing.
-fn run_campaign(args: &Args) {
-    let workload = network_workload(
-        TopologyFamily::ScaleFree {
-            venues: args.venues,
-            attach: 2,
-        },
-        0,
-        args.seed,
-    );
-    let liq = LiquidityConfig::queue(args.budget, SimDuration::from_millis(20));
-    let routing = if args.rebalance_ms > 0 {
-        RoutingConfig::with_rebalance(SimDuration::from_millis(args.rebalance_ms))
-    } else {
-        RoutingConfig::new()
-    };
-    let cfg = CampaignConfig {
-        threads: args.threads,
-        liquidity: Some(liq),
-        routing: Some(routing),
-        ..CampaignConfig::new(workload, args.campaign, args.epoch)
-    };
-    let ckpt = (!args.resume.is_empty()).then(|| std::path::PathBuf::from(&args.resume));
-    let mut runner = CampaignRunner::resume_or_new(
-        TimeBoundedHarness,
-        cfg,
-        ckpt.as_deref().unwrap_or(std::path::Path::new("")),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot resume campaign: {e}");
-        std::process::exit(1);
-    });
-    if runner.next_epoch() > 0 {
-        eprintln!(
-            "resumed from checkpoint at epoch {}/{}",
-            runner.next_epoch(),
-            cfg.epochs()
-        );
+fn routing_every(period_ms: u64) -> RoutingConfig {
+    match period_ms {
+        0 => RoutingConfig::new(),
+        ms => RoutingConfig::with_rebalance(SimDuration::from_millis(ms)),
     }
-    let mut sink = telemetry_sink_with_requires(&args.telemetry, "venues,route,rebalance")
-        .unwrap_or_else(|e| {
-            eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-            std::process::exit(1);
-        });
-    let mut last_rss = None;
-    runner
-        .run_to_end_with_telemetry(
-            ckpt.as_deref(),
-            args.stop_after_epoch,
-            sink.as_mut(),
-            args.telemetry_interval,
-            |e| {
-                last_rss = e.peak_rss_mb;
-                eprintln!("{}", e.progress_line());
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("checkpoint write failed: {e}");
-            std::process::exit(1);
-        });
-    let report = runner.report();
-    print!("{}", report.render());
-    let rss = last_rss.or_else(peak_rss_mb);
-    if !args.json.is_empty() {
-        let extra = [
-            (
-                "peak_rss_mb",
-                rss.map(|m| m.to_string())
-                    .unwrap_or_else(|| "null".to_owned()),
-            ),
-            ("phase_ms", runner.profile().to_json_object()),
-        ];
-        if let Some(dir) = std::path::Path::new(&args.json).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create --json directory");
-            }
-        }
-        std::fs::write(&args.json, report.to_json("exp11", &extra)).expect("write --json file");
-        println!("{}", args.json);
-    }
-    let audit = report
-        .tally
-        .liquidity
-        .as_ref()
-        .expect("open campaign carries a liquidity tally");
-    let audit_ok = audit.budget_violations == 0 && audit.drained_all;
-    println!(
-        "collateral conserved across all epochs (locked <= budget, venues drain): {}",
-        check(audit_ok)
-    );
-    if let (Some(limit), Some(peak)) = (args.max_rss_mb, rss) {
-        println!(
-            "RSS gate: peak {peak} MiB {} limit {limit} MiB",
-            if peak <= limit { "within" } else { "EXCEEDS" }
-        );
-        if peak > limit {
-            std::process::exit(1);
-        }
-    }
-    if !audit_ok || report.tally.violations > 0 || report.tally.failed > 0 {
-        std::process::exit(1);
-    }
-}
-
-/// One measured grid cell, kept for the JSON artifact.
-struct Cell {
-    protocol: &'static str,
-    family: &'static str,
-    venues: usize,
-    period_ms: u64,
-    offered: usize,
-    admitted: usize,
-    rejected: usize,
-    success: usize,
-    static_success: usize,
-    routing: RoutingStats,
-    violations: usize,
-    griefed: usize,
-    budget_violations: usize,
-    drained: bool,
-    goodput_per_sec: f64,
 }
 
 fn successes(r: &OpenReport) -> usize {
     r.sim.families.iter().map(|f| f.success.hits).sum()
 }
 
-fn main() {
-    let args = parse_args();
-    if args.campaign > 0 {
-        run_campaign(&args);
-        return;
+fn run(args: &cli::Parsed) -> std::io::Result<i32> {
+    let budget = args.u64("--budget");
+    if args.u64("--campaign") > 0 {
+        // A streamed routed campaign over one scale-free network with
+        // periodic rebalancing and a 20 ms queueing gate.
+        let family = TopologyFamily::ScaleFree {
+            venues: args.usize("--venues"),
+            attach: 2,
+        };
+        let workload = network_workload(family, 0, args.u64("--seed"));
+        let queue = LiquidityConfig::queue(budget, SimDuration::from_millis(20));
+        let cfg = CampaignConfig {
+            liquidity: Some(queue),
+            routing: Some(routing_every(args.u64("--rebalance-ms"))),
+            ..driver::campaign_config(args, workload)
+        };
+        let audit = driver::audit_collateral;
+        return driver::drive(TimeBoundedHarness, cfg, args, "exp11", REQUIRES, audit);
     }
-    let per_cell = if args.payments > 0 {
-        args.payments
-    } else if args.quick {
-        250
-    } else {
-        1_500
-    };
-    let sizes: &[usize] = if args.quick {
+
+    let quick = args.flag("--quick");
+    let mut grid = Grid::open("exp11", args, (250, 1_500), REQUIRES)?;
+    let sizes: &[usize] = if quick {
         &[256, 1_024]
     } else {
         &[256, 1_024, 4_096]
     };
-    let periods_ms: &[u64] = if args.quick { &[0, 10] } else { &[0, 50, 10] };
-    let protocols: &[&'static str] = if args.quick {
-        &["timebounded", "htlc"]
-    } else {
-        &["timebounded", "htlc", "ilp-untuned", "ilp-atomic", "deals"]
-    };
+    let periods_ms: &[u64] = if quick { &[0, 10] } else { &[0, 50, 10] };
+    let protocols = &HARNESS_LABELS[..if quick { 2 } else { HARNESS_LABELS.len() }];
     // Tight per-venue budget relative to the (100, 2000) amount range:
     // a drained hub venue blocks static routes outright, so the router's
     // ability to divert is exactly what the sweep prices.
-    let liq = LiquidityConfig::reject(args.budget);
+    let liq = LiquidityConfig::reject(budget);
 
     let mut table = Table::new(
         "E11 — liquidity-aware routing over random venue networks: size × rebalancing \
@@ -360,15 +144,7 @@ fn main() {
             "colviol",
         ],
     );
-
-    let t_all = Instant::now();
-    let mut sink = telemetry_sink_with_requires(&args.telemetry, "venues,route,rebalance")
-        .unwrap_or_else(|e| {
-            eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-            std::process::exit(1);
-        });
     let mut cell_id = 0u64;
-    let mut cells: Vec<Cell> = Vec::new();
     let mut tb_violations = 0usize;
     let mut tb_griefed = 0usize;
     let mut tb_colviol = 0usize;
@@ -396,10 +172,10 @@ fn main() {
             },
         ];
         for family in families {
-            let workload = network_workload(family, per_cell, args.seed);
+            let workload = network_workload(family, grid.per_cell, grid.seed);
             let specs = sim::workload::generate(&workload);
             let cfg = SimConfig {
-                threads: args.threads,
+                threads: grid.threads,
                 lock_profile: false,
                 ..SimConfig::new(workload)
             };
@@ -407,78 +183,26 @@ fn main() {
                 // The static baseline runs the same specs over their
                 // generation-time shortest paths — one run per
                 // (size, family, protocol), shared by every period.
-                let run_static = |cfg: &SimConfig| match protocol {
-                    "timebounded" => {
-                        sim::run_open_specs_with(&TimeBoundedHarness, &specs, cfg, &liq)
-                    }
-                    "htlc" => sim::run_open_specs_with(&HtlcHarness, &specs, cfg, &liq),
-                    "ilp-untuned" => {
-                        sim::run_open_specs_with(&InterledgerHarness::untuned(), &specs, cfg, &liq)
-                    }
-                    "ilp-atomic" => {
-                        sim::run_open_specs_with(&InterledgerHarness::atomic(), &specs, cfg, &liq)
-                    }
-                    "deals" => sim::run_open_specs_with(&DealsHarness, &specs, cfg, &liq),
-                    _ => unreachable!(),
-                };
-                let static_report = run_static(&cfg);
+                let static_report = with_harness!(protocol, |h| sim::run_open_specs_with(
+                    &h, &specs, &cfg, &liq
+                ));
                 let static_success = successes(&static_report);
                 total_instances += static_report.sim.instances;
 
                 for &period_ms in periods_ms {
-                    let routing = if period_ms > 0 {
-                        RoutingConfig::with_rebalance(SimDuration::from_millis(period_ms))
-                    } else {
-                        RoutingConfig::new()
-                    };
-                    let run_routed = |cfg: &SimConfig| match protocol {
-                        "timebounded" => sim::run_open_specs_routed_with_telemetry(
-                            &TimeBoundedHarness,
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        "htlc" => sim::run_open_specs_routed_with_telemetry(
-                            &HtlcHarness,
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        "ilp-untuned" => sim::run_open_specs_routed_with_telemetry(
-                            &InterledgerHarness::untuned(),
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        "ilp-atomic" => sim::run_open_specs_routed_with_telemetry(
-                            &InterledgerHarness::atomic(),
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        "deals" => sim::run_open_specs_routed_with_telemetry(
-                            &DealsHarness,
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        _ => unreachable!(),
-                    };
-                    let (open, ot) = run_routed(&cfg);
+                    let routing = routing_every(period_ms);
+                    let (open, ot) = with_harness!(protocol, |h| {
+                        sim::run_open_specs_routed_with_telemetry(&h, &specs, &cfg, &liq, &routing)
+                    });
                     let l = &open.liquidity;
                     let rs = open.routing.expect("routed runs report routing stats");
                     let success = successes(&open);
                     total_instances += open.sim.instances;
 
                     cell_id += 1;
-                    sink.emit(
-                        &telemetry::Event::new("cell")
-                            .with_u64("cell", cell_id)
+                    grid.record(
+                        cell_id,
+                        telemetry::Event::new("cell")
                             .with_str("protocol", protocol)
                             .with_str("family", workload.family.label())
                             .with_u64("venues", size as u64)
@@ -488,19 +212,28 @@ fn main() {
                             .with_u64("rejected", l.rejected as u64)
                             .with_u64("success", success as u64)
                             .with_u64("static_success", static_success as u64)
+                            .with_u64("routed", rs.routed)
+                            .with_u64("rerouted", rs.rerouted)
+                            .with_u64("split", rs.split)
+                            .with_u64("no_path", rs.no_path)
+                            .with_u64("pathfind_calls", rs.pathfind_calls)
+                            .with_u64("rebalances", rs.rebalances)
+                            .with_u64("restored_value", rs.restored_value)
                             .with_u64("violations", open.sim.violations as u64)
+                            .with_u64("griefed", open.sim.griefed as u64)
                             .with_u64("budget_violations", l.budget_violations as u64)
                             .with_bool("drained", l.drained)
                             .with_f64("goodput_per_sec", l.goodput_per_sec()),
+                        None,
                     );
                     // The full per-venue series only for the smallest
                     // network — a 4k-venue series per cell would dominate
                     // the artifact; routing counters are cheap and global,
                     // so every cell emits those.
                     if size == sizes[0] {
-                        ot.emit(&[("cell", cell_id)], sink.as_mut());
+                        ot.emit(&[("cell", cell_id)], grid.sink());
                     } else {
-                        ot.emit_routing(&[("cell", cell_id)], sink.as_mut());
+                        ot.emit_routing(&[("cell", cell_id)], grid.sink());
                     }
 
                     if protocol == "timebounded" {
@@ -546,147 +279,50 @@ fn main() {
                         format!("{:.0}", l.goodput_per_sec()),
                         l.budget_violations.to_string(),
                     ]);
-                    cells.push(Cell {
-                        protocol,
-                        family: workload.family.label(),
-                        venues: size,
-                        period_ms,
-                        offered: l.offered,
-                        admitted: l.admitted,
-                        rejected: l.rejected,
-                        success,
-                        static_success,
-                        routing: rs,
-                        violations: open.sim.violations,
-                        griefed: open.sim.griefed,
-                        budget_violations: l.budget_violations,
-                        drained: l.drained,
-                        goodput_per_sec: l.goodput_per_sec(),
-                    });
                 }
             }
         }
     }
 
-    if let Err(e) = sink.flush() {
-        eprintln!("telemetry flush failed: {e}");
-    }
-
-    println!("{}", table.render());
-    println!(
-        "instances: {total_instances} in {:.2} s ({} threads requested, {} cores)",
-        t_all.elapsed().as_secs_f64(),
-        args.threads,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    let safety_ok = tb_violations == 0 && tb_griefed == 0 && tb_colviol == 0 && tb_undrained == 0;
-    println!(
+    grid.report(&table, total_instances, "");
+    let mut gates = Gates::new();
+    gates.require(
         "time-bounded safety at every network size (0 violations, 0 griefed, \
-         collateral conserved): {} ({} violations, {} griefed, {} colviol, {} undrained)",
-        check(safety_ok),
-        tb_violations,
-        tb_griefed,
-        tb_colviol,
-        tb_undrained
+         collateral conserved)",
+        tb_violations == 0 && tb_griefed == 0 && tb_colviol == 0 && tb_undrained == 0,
+        &format!(
+            "{tb_violations} violations, {tb_griefed} griefed, {tb_colviol} colviol, \
+             {tb_undrained} undrained"
+        ),
     );
-    let mut routing_wins = true;
     for (si, &size) in sizes.iter().enumerate() {
-        let ok = size_routed[si] >= size_static[si];
-        routing_wins &= ok;
-        println!(
-            "dynamic routing + rebalancing >= static routes at {size} venues: {} ({} vs {})",
-            check(ok),
-            size_routed[si],
-            size_static[si]
+        gates.require(
+            &format!("dynamic routing + rebalancing >= static routes at {size} venues"),
+            size_routed[si] >= size_static[si],
+            &format!("{} vs {}", size_routed[si], size_static[si]),
         );
     }
     let agg_routed: usize = size_routed.iter().sum();
     let agg_static: usize = size_static.iter().sum();
-    let strictly_better = agg_routed > agg_static;
-    println!(
-        "dynamic routing + rebalancing strictly beats static routes in aggregate: {} ({} vs {})",
-        check(strictly_better),
-        agg_routed,
-        agg_static
+    gates.require(
+        "dynamic routing + rebalancing strictly beats static routes in aggregate",
+        agg_routed > agg_static,
+        &format!("{agg_routed} vs {agg_static}"),
     );
-    println!(
-        "rebalancing flows fire and restore liquidity in every periodic cell: {} \
-         ({} dead cells)",
-        check(rebal_dead_cells == 0),
-        rebal_dead_cells
+    gates.require(
+        "rebalancing flows fire and restore liquidity in every periodic cell",
+        rebal_dead_cells == 0,
+        &format!("{rebal_dead_cells} dead cells"),
     );
     println!(
         "Claims: admission-time pathfinding converts stranded liquidity into admitted \
          payments; rebalancing compounds the gain; the guaranteed protocol keeps its \
          zero-violation, zero-griefing guarantees on every network size."
     );
+    grid.write_artifact(&[("budget", budget)])?;
+    Ok(gates.finish("E11"))
+}
 
-    if !args.out.is_empty() || !args.json.is_empty() {
-        let config_digest = experiments::digest::hex16(experiments::digest::fnv1a64(
-            format!("exp11 seed={} per_cell={}", args.seed, per_cell).as_bytes(),
-        ));
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"schema_version\": 1,\n");
-        json.push_str("  \"experiment\": \"exp11\",\n");
-        json.push_str(&format!("  \"config_digest\": \"{config_digest}\",\n"));
-        json.push_str(&format!("  \"quick\": {},\n", args.quick));
-        json.push_str(&format!("  \"seed\": {},\n", args.seed));
-        json.push_str(&format!("  \"payments_per_cell\": {per_cell},\n"));
-        json.push_str(&format!("  \"budget\": {},\n", args.budget));
-        json.push_str("  \"cells\": [\n");
-        for (i, c) in cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"protocol\": \"{}\", \"family\": \"{}\", \"venues\": {}, \
-                 \"rebalance_ms\": {}, \"offered\": {}, \"admitted\": {}, \"rejected\": {}, \
-                 \"success\": {}, \"static_success\": {}, \"routed\": {}, \"rerouted\": {}, \
-                 \"split\": {}, \"no_path\": {}, \"pathfind_calls\": {}, \"rebalances\": {}, \
-                 \"restored_value\": {}, \"violations\": {}, \"griefed\": {}, \
-                 \"budget_violations\": {}, \"drained\": {}, \"goodput_per_sec\": {:.1}}}{}\n",
-                c.protocol,
-                c.family,
-                c.venues,
-                c.period_ms,
-                c.offered,
-                c.admitted,
-                c.rejected,
-                c.success,
-                c.static_success,
-                c.routing.routed,
-                c.routing.rerouted,
-                c.routing.split,
-                c.routing.no_path,
-                c.routing.pathfind_calls,
-                c.routing.rebalances,
-                c.routing.restored_value,
-                c.violations,
-                c.griefed,
-                c.budget_violations,
-                c.drained,
-                c.goodput_per_sec,
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        let path = if !args.json.is_empty() {
-            if let Some(dir) = std::path::Path::new(&args.json).parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).expect("create --json directory");
-                }
-            }
-            std::path::PathBuf::from(&args.json)
-        } else {
-            std::fs::create_dir_all(&args.out).expect("create --out directory");
-            std::path::Path::new(&args.out).join("EXP11_network.json")
-        };
-        std::fs::write(&path, &json).expect("write JSON artifact");
-        println!("{}", path.display());
-    }
-
-    if !safety_ok || !routing_wins || !strictly_better || rebal_dead_cells > 0 {
-        eprintln!("E11 exit criteria FAILED");
-        std::process::exit(1);
-    }
+fn main() {
+    cli::run_main("exp11", driver::EXP11, run)
 }

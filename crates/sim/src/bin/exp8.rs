@@ -7,280 +7,47 @@
 //! and payments/sec. The money-conservation assertion is checked on every
 //! instance; any violation fails the process.
 //!
-//! Usage: `cargo run --release -p xchain-sim --bin exp8 --
-//! [--quick] [--threads N] [--seed S] [--payments N] [--json FILE]`.
-//! `--json` writes the per-cell summary as a machine-readable artifact
-//! (the nightly CI uploads it).
+//! Flags are declared in [`sim::driver::EXP8`] (README "Experiment
+//! flags"). `--json` writes the per-cell summary as a machine-readable
+//! artifact (the nightly CI uploads it).
 //!
 //! **Campaign mode** (`--campaign N`): instead of the grid, stream `N`
 //! payments of one `--family` through the crash-safe
-//! [`sim::campaign::CampaignRunner`] in `--epoch`-sized epochs, with
-//! `--resume PATH` checkpoint/resume (see README "Campaigns & recovery"),
-//! `--stop-after-epoch K` to exit cleanly mid-campaign, and
-//! `--max-rss-mb M` as the constant-memory gate the nightly enforces.
+//! [`sim::campaign::CampaignRunner`] via [`sim::driver::drive`] (see
+//! README "Campaigns & recovery").
 
-use anta::net::NetFaults;
-use anta::time::SimDuration;
-use experiments::table::{check, Table};
-use sim::campaign::{peak_rss_mb, telemetry_sink, CampaignConfig, CampaignRunner};
+use experiments::cli::{self, Gates};
+use sim::driver::{self, Grid, TRAFFIC_FAMILIES};
 use sim::prelude::*;
 use std::time::Instant;
 
-struct Args {
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    /// Payments per grid cell (0 ⇒ the mode's default).
-    payments: usize,
-    /// File to write the per-cell JSON summary into (empty ⇒ none).
-    json: String,
-    /// Total payments for campaign mode (0 ⇒ grid mode).
-    campaign: u64,
-    /// Payments per campaign epoch.
-    epoch: usize,
-    /// Campaign family label.
-    family: String,
-    /// Checkpoint path (write after every epoch; resume if it exists).
-    resume: String,
-    /// Exit cleanly once this epoch index completes (campaign mode).
-    stop_after_epoch: Option<u64>,
-    /// Fail the process if peak RSS exceeds this many MiB (campaign mode).
-    max_rss_mb: Option<u64>,
-    /// JSONL telemetry file (empty ⇒ no telemetry).
-    telemetry: String,
-    /// Emit campaign epoch events every N epochs.
-    telemetry_interval: u64,
+fn dash<T: ToString>(v: Option<T>) -> String {
+    v.map_or("-".to_owned(), |v| v.to_string())
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        threads: 0,
-        seed: 0xE8,
-        payments: 0,
-        json: String::new(),
-        campaign: 0,
-        epoch: 50_000,
-        family: "linear".to_owned(),
-        resume: String::new(),
-        stop_after_epoch: None,
-        max_rss_mb: None,
-        telemetry: String::new(),
-        telemetry_interval: 1,
-    };
-    let mut it = std::env::args().skip(1);
-    let need = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--threads" => args.threads = need("--threads", &mut it).parse().expect("thread count"),
-            "--seed" => args.seed = need("--seed", &mut it).parse().expect("seed"),
-            "--payments" => {
-                args.payments = need("--payments", &mut it).parse().expect("payment count")
-            }
-            "--json" => args.json = need("--json", &mut it),
-            "--campaign" => {
-                args.campaign = need("--campaign", &mut it).parse().expect("campaign size")
-            }
-            "--epoch" => args.epoch = need("--epoch", &mut it).parse().expect("epoch size"),
-            "--family" => args.family = need("--family", &mut it),
-            "--resume" | "--checkpoint" => args.resume = need("--resume", &mut it),
-            "--stop-after-epoch" => {
-                args.stop_after_epoch = Some(
-                    need("--stop-after-epoch", &mut it)
-                        .parse()
-                        .expect("epoch index"),
-                )
-            }
-            "--max-rss-mb" => {
-                args.max_rss_mb = Some(need("--max-rss-mb", &mut it).parse().expect("MiB limit"))
-            }
-            "--telemetry" => args.telemetry = need("--telemetry", &mut it),
-            "--telemetry-interval" => {
-                args.telemetry_interval = need("--telemetry-interval", &mut it)
-                    .parse()
-                    .expect("epoch interval")
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: exp8 [--quick] [--threads N] [--seed S] [--payments N] [--json FILE]\n\
-                     \x20      [--telemetry FILE] [--telemetry-interval N]\n\
-                     campaign mode: exp8 --campaign N [--epoch M] [--family F] [--resume CKPT]\n\
-                     \x20              [--stop-after-epoch K] [--max-rss-mb M] [--json FILE]"
+fn run(args: &cli::Parsed) -> std::io::Result<i32> {
+    if args.u64("--campaign") > 0 {
+        let family = driver::traffic_family(args.str("--family"));
+        let workload = WorkloadConfig::new(family, 0, args.u64("--seed"));
+        let cfg = driver::campaign_config(args, workload);
+        return driver::drive(
+            TimeBoundedHarness,
+            cfg,
+            args,
+            "exp8",
+            "",
+            |report, gates| {
+                gates.require(
+                    "money conserved in every instance",
+                    report.tally.violations == 0,
+                    "",
                 );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn family_by_label(label: &str) -> TopologyFamily {
-    match label {
-        "linear" => TopologyFamily::Linear { n: 4 },
-        "hub" => TopologyFamily::HubAndSpoke { spokes: 16 },
-        "tree" => TopologyFamily::RandomTree { nodes: 48 },
-        "packet" => TopologyFamily::Packetized { paths: 4, hops: 2 },
-        other => {
-            eprintln!("unknown --family {other} (want linear|hub|tree|packet)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Campaign mode: stream `--campaign N` payments through the
-/// checkpointing runner and render/emit the campaign report.
-fn run_campaign(args: &Args) {
-    let workload = WorkloadConfig::new(family_by_label(&args.family), 0, args.seed);
-    let cfg = CampaignConfig {
-        threads: args.threads,
-        ..CampaignConfig::new(workload, args.campaign, args.epoch)
-    };
-    let ckpt = (!args.resume.is_empty()).then(|| std::path::PathBuf::from(&args.resume));
-    let mut runner = CampaignRunner::resume_or_new(
-        TimeBoundedHarness,
-        cfg,
-        ckpt.as_deref().unwrap_or(std::path::Path::new("")),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot resume campaign: {e}");
-        std::process::exit(1);
-    });
-    let resumed_at = runner.next_epoch();
-    if resumed_at > 0 {
-        eprintln!(
-            "resumed from checkpoint at epoch {resumed_at}/{}",
-            cfg.epochs()
-        );
-    }
-    let mut sink = telemetry_sink(&args.telemetry).unwrap_or_else(|e| {
-        eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-        std::process::exit(1);
-    });
-    let t0 = Instant::now();
-    let mut last_rss = None;
-    runner
-        .run_to_end_with_telemetry(
-            ckpt.as_deref(),
-            args.stop_after_epoch,
-            sink.as_mut(),
-            args.telemetry_interval,
-            |e| {
-                last_rss = e.peak_rss_mb;
-                eprintln!("{}", e.progress_line());
             },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("checkpoint write failed: {e}");
-            std::process::exit(1);
-        });
-    let wall = t0.elapsed();
-    let report = runner.report();
-    print!("{}", report.render());
-    let rss = last_rss.or_else(peak_rss_mb);
-    println!(
-        "wall: {:.2} s ({:.0} pay/s)  peak RSS: {}",
-        wall.as_secs_f64(),
-        (report.tally.instances.saturating_sub(0)) as f64 / wall.as_secs_f64().max(1e-9),
-        rss.map(|m| format!("{m} MiB"))
-            .unwrap_or_else(|| "n/a".to_owned())
-    );
-    if !args.json.is_empty() {
-        let extra = [
-            (
-                "peak_rss_mb",
-                rss.map(|m| m.to_string())
-                    .unwrap_or_else(|| "null".to_owned()),
-            ),
-            ("phase_ms", runner.profile().to_json_object()),
-        ];
-        write_json_file(&args.json, &report.to_json("exp8", &extra));
-        println!("{}", args.json);
-    }
-    let conserved = report.tally.violations == 0;
-    println!("money conserved in every instance: {}", check(conserved));
-    if let (Some(limit), Some(peak)) = (args.max_rss_mb, rss) {
-        println!(
-            "RSS gate: peak {peak} MiB {} limit {limit} MiB",
-            if peak <= limit { "within" } else { "EXCEEDS" }
         );
-        if peak > limit {
-            std::process::exit(1);
-        }
     }
-    if !conserved || report.tally.failed > 0 {
-        std::process::exit(1);
-    }
-}
 
-fn write_json_file(path: &str, json: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create --json directory");
-        }
-    }
-    std::fs::write(path, json).expect("write --json file");
-}
-
-fn fault_levels() -> Vec<(&'static str, FaultPlan)> {
-    let byz = FaultPlan {
-        crash_permille: 60,
-        late_bob_permille: 30,
-        forging_chloe_permille: 30,
-        thieving_escrow_permille: 30,
-        net: NetFaults::NONE,
-    };
-    let net = NetFaults {
-        drop_permille: 20,
-        delay_permille: 150,
-        extra_delay: SimDuration::from_millis(5),
-        delay_buckets: 4,
-    };
-    vec![
-        ("none", FaultPlan::NONE),
-        ("byz", byz),
-        ("byz+net", FaultPlan { net, ..byz }),
-    ]
-}
-
-/// One cell of the `--json` artifact.
-struct JsonCell {
-    family: String,
-    rho: u64,
-    faults: String,
-    payments: usize,
-    success: usize,
-    refunds: usize,
-    stuck: usize,
-    violations: usize,
-}
-
-fn main() {
-    let args = parse_args();
-    if args.campaign > 0 {
-        run_campaign(&args);
-        return;
-    }
-    let per_cell = if args.payments > 0 {
-        args.payments
-    } else if args.quick {
-        200
-    } else {
-        4_400
-    };
-
-    let families = [
-        TopologyFamily::Linear { n: 4 },
-        TopologyFamily::HubAndSpoke { spokes: 16 },
-        TopologyFamily::RandomTree { nodes: 48 },
-        TopologyFamily::Packetized { paths: 4, hops: 2 },
-    ];
-    let drifts: [u64; 2] = [0, 100_000];
-
-    let mut table = Table::new(
+    let mut grid = Grid::open("exp8", args, (200, 4_400), "")?;
+    let mut table = experiments::table::Table::new(
         "E8 — Monte Carlo traffic simulation (time-bounded protocol)",
         &[
             "family",
@@ -300,50 +67,33 @@ fn main() {
             "pay/s",
         ],
     );
-
-    let t_all = Instant::now();
-    let mut sink = telemetry_sink(&args.telemetry).unwrap_or_else(|e| {
-        eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-        std::process::exit(1);
-    });
     let mut total_instances = 0usize;
     let mut total_violations = 0usize;
     let mut cell = 0u64;
-    let mut json_cells: Vec<JsonCell> = Vec::new();
-    for family in families {
-        for rho in drifts {
-            for (flabel, faults) in fault_levels() {
+    for family in TRAFFIC_FAMILIES {
+        for rho in [0u64, 100_000] {
+            for (flabel, faults) in protocol::faults::ladder() {
                 cell += 1;
                 let mut workload = WorkloadConfig::new(
                     family,
-                    per_cell,
-                    args.seed.wrapping_mul(0x9E37_79B9).wrapping_add(cell),
+                    grid.per_cell,
+                    grid.seed.wrapping_mul(0x9E37_79B9).wrapping_add(cell),
                 );
                 workload.max_rho_ppm = (0, rho);
                 let cfg = SimConfig {
                     faults,
-                    threads: args.threads,
+                    threads: grid.threads,
                     ..SimConfig::new(workload)
                 };
                 let t0 = Instant::now();
                 let report = sim::run(&cfg);
-                let wall = t0.elapsed();
+                let wall = t0.elapsed().as_secs_f64();
                 total_instances += report.instances;
                 total_violations += report.violations;
                 let f = report.families.first().expect("one family per cell");
-                json_cells.push(JsonCell {
-                    family: f.family.to_owned(),
-                    rho,
-                    faults: flabel.to_owned(),
-                    payments: f.instances,
-                    success: f.success.hits,
-                    refunds: f.refunds,
-                    stuck: f.stuck,
-                    violations: f.violations,
-                });
-                sink.emit(
-                    &telemetry::Event::new("cell")
-                        .with_u64("cell", cell)
+                grid.record(
+                    cell,
+                    telemetry::Event::new("cell")
                         .with_str("family", f.family)
                         .with_u64("rho_ppm", rho)
                         .with_str("faults", flabel)
@@ -351,17 +101,9 @@ fn main() {
                         .with_u64("success", f.success.hits as u64)
                         .with_u64("refunds", f.refunds as u64)
                         .with_u64("stuck", f.stuck as u64)
-                        .with_u64("violations", f.violations as u64)
-                        .with_f64("wall_s", wall.as_secs_f64())
-                        .with_f64(
-                            "payments_per_sec",
-                            report.instances as f64 / wall.as_secs_f64().max(1e-9),
-                        ),
+                        .with_u64("violations", f.violations as u64),
+                    Some((wall, report.instances)),
                 );
-                let packets = match f.packets {
-                    None => "-".to_owned(),
-                    Some(p) => format!("{}/{}/{}", p.complete, p.partial, p.total),
-                };
                 table.push(&[
                     f.family.to_owned(),
                     rho.to_string(),
@@ -372,87 +114,35 @@ fn main() {
                     f.stuck.to_string(),
                     f.violations.to_string(),
                     sim::metrics::render_latency_ms(&f.latency),
-                    f.peak_locked
-                        .as_ref()
-                        .map(|s| s.p99.to_string())
-                        .unwrap_or_else(|| "-".to_owned()),
-                    report
-                        .peak_locked_global
-                        .map(|g| g.to_string())
-                        .unwrap_or_else(|| "-".to_owned()),
+                    dash(f.peak_locked.as_ref().map(|s| s.p99)),
+                    dash(report.peak_locked_global),
                     report.peak_in_flight.to_string(),
-                    f.spoke_load
-                        .as_ref()
-                        .map(|s| s.max.to_string())
-                        .unwrap_or_else(|| "-".to_owned()),
-                    packets,
-                    format!(
-                        "{:.0}",
-                        report.instances as f64 / wall.as_secs_f64().max(1e-9)
+                    dash(f.spoke_load.as_ref().map(|s| s.max)),
+                    dash(
+                        f.packets
+                            .map(|p| format!("{}/{}/{}", p.complete, p.partial, p.total)),
                     ),
+                    format!("{:.0}", report.instances as f64 / wall.max(1e-9)),
                 ]);
             }
         }
     }
 
-    if let Err(e) = sink.flush() {
-        eprintln!("telemetry flush failed: {e}");
-    }
-
-    println!("{}", table.render());
-    println!(
-        "instances: {total_instances} in {:.2} s ({} threads requested, {} cores)",
-        t_all.elapsed().as_secs_f64(),
-        args.threads,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    println!(
-        "money conserved in every instance: {}",
-        check(total_violations == 0)
+    grid.report(&table, total_instances, "");
+    let mut gates = Gates::new();
+    gates.require(
+        "money conserved in every instance",
+        total_violations == 0,
+        "",
     );
     println!(
         "Claims: no-fault cells succeed 100%; faults cost liveness, never \
          conservation; drift within the envelope costs nothing."
     );
+    grid.write_artifact(&[("violations_total", total_violations as u64)])?;
+    Ok(gates.finish("E8"))
+}
 
-    if !args.json.is_empty() {
-        let mut json = String::new();
-        let config_digest = experiments::digest::hex16(experiments::digest::fnv1a64(
-            format!("exp8 seed={} per_cell={}", args.seed, per_cell).as_bytes(),
-        ));
-        json.push_str("{\n");
-        json.push_str("  \"schema_version\": 1,\n");
-        json.push_str("  \"experiment\": \"exp8\",\n");
-        json.push_str(&format!("  \"config_digest\": \"{config_digest}\",\n"));
-        json.push_str(&format!("  \"quick\": {},\n", args.quick));
-        json.push_str(&format!("  \"seed\": {},\n", args.seed));
-        json.push_str(&format!("  \"payments_per_cell\": {per_cell},\n"));
-        json.push_str(&format!("  \"violations_total\": {total_violations},\n"));
-        json.push_str("  \"cells\": [\n");
-        for (i, c) in json_cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"family\": \"{}\", \"rho_ppm\": {}, \"faults\": \"{}\", \
-                 \"payments\": {}, \"success\": {}, \"refunds\": {}, \
-                 \"stuck\": {}, \"violations\": {}}}{}\n",
-                c.family,
-                c.rho,
-                c.faults,
-                c.payments,
-                c.success,
-                c.refunds,
-                c.stuck,
-                c.violations,
-                if i + 1 < json_cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        write_json_file(&args.json, &json);
-        println!("{}", args.json);
-    }
-
-    if total_violations > 0 {
-        std::process::exit(1);
-    }
+fn main() {
+    cli::run_main("exp8", driver::EXP8, run)
 }

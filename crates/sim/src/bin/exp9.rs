@@ -18,302 +18,53 @@
 //! guarantees are worst-case claims, and Theorem 1's schedule tolerates
 //! exactly that adversary.
 //!
-//! Usage: `cargo run --release -p xchain-sim --bin exp9 --
-//! [--quick] [--threads N] [--seed S] [--payments N] [--json FILE]`.
-//! `--json` writes the per-cell comparison summary as a machine-readable
-//! artifact (the nightly CI uploads it).
+//! Flags are declared in [`sim::driver::EXP9`] (README "Experiment
+//! flags"). `--json` writes the per-cell comparison summary as a
+//! machine-readable artifact (the nightly CI uploads it).
 //!
 //! **Campaign mode** (`--campaign N --protocol P`): stream `N` payments
-//! of one `--family` through one protocol harness via the crash-safe
-//! [`sim::campaign::CampaignRunner`], with `--resume PATH`
-//! checkpoint/resume and `--stop-after-epoch K` (see README "Campaigns &
-//! recovery").
+//! of one `--family` through one protocol harness via
+//! [`sim::driver::drive`] (see README "Campaigns & recovery"). The
+//! checkpoint digest is keyed by the harness name, so each protocol's
+//! campaign is its own resume lineage.
 
-use anta::net::NetFaults;
-use anta::time::SimDuration;
-use experiments::table::{check, Table};
-use sim::campaign::{peak_rss_mb, telemetry_sink, CampaignConfig, CampaignRunner};
+use experiments::cli::{self, CliError, Gates};
+use experiments::table::Table;
+use protocol::{with_harness, HARNESS_LABELS};
+use sim::driver::{self, Grid, TRAFFIC_FAMILIES};
 use sim::prelude::*;
 use std::time::Instant;
 
-struct Args {
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    /// Payments per grid cell (0 ⇒ the mode's default).
-    payments: usize,
-    /// File to write the per-cell JSON summary into (empty ⇒ none).
-    json: String,
-    /// Total payments for campaign mode (0 ⇒ grid mode).
-    campaign: u64,
-    /// Payments per campaign epoch.
-    epoch: usize,
-    /// Campaign family label.
-    family: String,
-    /// Campaign protocol harness.
-    protocol: String,
-    /// Checkpoint path (write after every epoch; resume if it exists).
-    resume: String,
-    /// Exit cleanly once this epoch index completes (campaign mode).
-    stop_after_epoch: Option<u64>,
-    /// Telemetry JSONL file (empty ⇒ NullSink).
-    telemetry: String,
-    /// Emit campaign telemetry every N epochs.
-    telemetry_interval: u64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        threads: 0,
-        seed: 0xE9,
-        payments: 0,
-        json: String::new(),
-        campaign: 0,
-        epoch: 50_000,
-        family: "linear".to_owned(),
-        protocol: "timebounded".to_owned(),
-        resume: String::new(),
-        stop_after_epoch: None,
-        telemetry: String::new(),
-        telemetry_interval: 1,
-    };
-    let mut it = std::env::args().skip(1);
-    let need = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--threads" => args.threads = need("--threads", &mut it).parse().expect("thread count"),
-            "--seed" => args.seed = need("--seed", &mut it).parse().expect("seed"),
-            "--payments" => {
-                args.payments = need("--payments", &mut it).parse().expect("payment count")
-            }
-            "--json" => args.json = need("--json", &mut it),
-            "--campaign" => {
-                args.campaign = need("--campaign", &mut it).parse().expect("campaign size")
-            }
-            "--epoch" => args.epoch = need("--epoch", &mut it).parse().expect("epoch size"),
-            "--family" => args.family = need("--family", &mut it),
-            "--protocol" => args.protocol = need("--protocol", &mut it),
-            "--resume" | "--checkpoint" => args.resume = need("--resume", &mut it),
-            "--stop-after-epoch" => {
-                args.stop_after_epoch = Some(
-                    need("--stop-after-epoch", &mut it)
-                        .parse()
-                        .expect("epoch index"),
-                )
-            }
-            "--telemetry" => args.telemetry = need("--telemetry", &mut it),
-            "--telemetry-interval" => {
-                args.telemetry_interval = need("--telemetry-interval", &mut it)
-                    .parse()
-                    .expect("interval")
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: exp9 [--quick] [--threads N] [--seed S] [--payments N] [--json FILE]\n\
-                     \x20      [--telemetry FILE] [--telemetry-interval N]\n\
-                     campaign mode: exp9 --campaign N --protocol P [--epoch M] [--family F]\n\
-                     \x20              [--resume CKPT] [--stop-after-epoch K] [--json FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn campaign_family(label: &str) -> TopologyFamily {
-    match label {
-        "linear" => TopologyFamily::Linear { n: 4 },
-        "hub" => TopologyFamily::HubAndSpoke { spokes: 16 },
-        "tree" => TopologyFamily::RandomTree { nodes: 48 },
-        "packet" => TopologyFamily::Packetized { paths: 4, hops: 2 },
-        other => {
-            eprintln!("unknown --family {other} (want linear|hub|tree|packet)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Campaign mode over one concrete harness (the checkpoint digest is
-/// keyed by `harness.name()`, so each protocol's campaign is its own
-/// resume lineage).
-fn run_campaign_with<H: ProtocolHarness>(harness: H, args: &Args) {
-    let workload = WorkloadConfig::new(campaign_family(&args.family), 0, args.seed);
-    if !harness.supports(&workload) {
-        eprintln!(
-            "{} does not support the {} family; pick another --protocol/--family",
-            harness.name(),
-            args.family
-        );
-        std::process::exit(2);
-    }
-    let cfg = CampaignConfig {
-        threads: args.threads,
-        ..CampaignConfig::new(workload, args.campaign, args.epoch)
-    };
-    let ckpt = (!args.resume.is_empty()).then(|| std::path::PathBuf::from(&args.resume));
-    let mut runner = CampaignRunner::resume_or_new(
-        harness,
-        cfg,
-        ckpt.as_deref().unwrap_or(std::path::Path::new("")),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot resume campaign: {e}");
-        std::process::exit(1);
-    });
-    if runner.next_epoch() > 0 {
-        eprintln!(
-            "resumed from checkpoint at epoch {}/{}",
-            runner.next_epoch(),
-            cfg.epochs()
-        );
-    }
-    let mut sink = telemetry_sink(&args.telemetry).unwrap_or_else(|e| {
-        eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-        std::process::exit(1);
-    });
-    let mut last_rss = None;
-    runner
-        .run_to_end_with_telemetry(
-            ckpt.as_deref(),
-            args.stop_after_epoch,
-            sink.as_mut(),
-            args.telemetry_interval,
-            |e| {
-                last_rss = e.peak_rss_mb;
-                eprintln!("{}", e.progress_line());
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("checkpoint write failed: {e}");
-            std::process::exit(1);
-        });
-    let report = runner.report();
-    print!("{}", report.render());
-    if !args.json.is_empty() {
-        let rss = last_rss.or_else(peak_rss_mb);
-        let extra = [
-            (
-                "peak_rss_mb",
-                rss.map(|m| m.to_string())
-                    .unwrap_or_else(|| "null".to_owned()),
-            ),
-            ("phase_ms", runner.profile().to_json_object()),
-        ];
-        if let Some(dir) = std::path::Path::new(&args.json).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create --json directory");
-            }
-        }
-        std::fs::write(&args.json, report.to_json("exp9", &extra)).expect("write --json file");
-        println!("{}", args.json);
-    }
-    if report.tally.failed > 0 {
-        std::process::exit(1);
-    }
-}
-
-fn run_campaign(args: &Args) {
-    match args.protocol.as_str() {
-        "timebounded" => run_campaign_with(TimeBoundedHarness, args),
-        "htlc" => run_campaign_with(HtlcHarness, args),
-        "ilp-untuned" => run_campaign_with(InterledgerHarness::untuned(), args),
-        "ilp-atomic" => run_campaign_with(InterledgerHarness::atomic(), args),
-        "deals" => run_campaign_with(DealsHarness, args),
-        other => {
-            eprintln!(
-                "unknown --protocol {other} \
-                 (want timebounded|htlc|ilp-untuned|ilp-atomic|deals)"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-fn fault_levels() -> Vec<(&'static str, FaultPlan)> {
-    let byz = FaultPlan {
-        crash_permille: 60,
-        late_bob_permille: 30,
-        forging_chloe_permille: 30,
-        thieving_escrow_permille: 30,
-        net: NetFaults::NONE,
-    };
-    let net = NetFaults {
-        drop_permille: 20,
-        delay_permille: 150,
-        extra_delay: SimDuration::from_millis(5),
-        delay_buckets: 4,
-    };
-    vec![
-        ("none", FaultPlan::NONE),
-        ("byz", byz),
-        ("byz+net", FaultPlan { net, ..byz }),
-    ]
-}
-
-/// One cell of the `--json` artifact.
-struct JsonCell {
-    protocol: String,
-    family: String,
-    rho: u64,
-    faults: String,
-    payments: usize,
-    success: usize,
-    griefed: usize,
-    violations: usize,
-}
-
 /// Accumulated per-protocol tallies for the exit criteria.
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 struct ProtocolTally {
-    instances: usize,
     violations: usize,
     griefed: usize,
     /// Violations restricted to faulty cells (drift > 0 or fault mix on).
     faulty_cell_violations: usize,
 }
 
-/// Runs one protocol over the cell's pre-generated specs. Generation
-/// happens once per cell, outside the timed region, so every protocol
-/// sees the identical spec list and the pay/s column measures the
-/// parallel runner only (the same discipline as the bench binary).
-fn run_protocol_cell<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[sim::PaymentSpec],
-    cfg: &SimConfig,
-) -> (SimReport, f64) {
-    let t0 = Instant::now();
-    let report = sim::run_specs_with(harness, specs, cfg);
-    (report, t0.elapsed().as_secs_f64())
+fn campaign<H: ProtocolHarness>(harness: H, args: &cli::Parsed) -> std::io::Result<i32> {
+    let family = driver::traffic_family(args.str("--family"));
+    let workload = WorkloadConfig::new(family, 0, args.u64("--seed"));
+    if !harness.supports(&workload) {
+        let refusal = CliError(format!(
+            "{} does not support the {} family; pick another --protocol/--family",
+            harness.name(),
+            args.str("--family")
+        ));
+        cli::exit_usage("exp9", driver::EXP9, &refusal);
+    }
+    let cfg = driver::campaign_config(args, workload);
+    driver::drive(harness, cfg, args, "exp9", "", |_, _| {})
 }
 
-fn main() {
-    let args = parse_args();
-    if args.campaign > 0 {
-        run_campaign(&args);
-        return;
+fn run(args: &cli::Parsed) -> std::io::Result<i32> {
+    if args.u64("--campaign") > 0 {
+        return with_harness!(args.str("--protocol"), |h| campaign(h, args));
     }
-    let per_cell = if args.payments > 0 {
-        args.payments
-    } else if args.quick {
-        120
-    } else {
-        1_000
-    };
 
-    let families = [
-        TopologyFamily::Linear { n: 4 },
-        TopologyFamily::HubAndSpoke { spokes: 16 },
-        TopologyFamily::RandomTree { nodes: 48 },
-        TopologyFamily::Packetized { paths: 4, hops: 2 },
-    ];
-    let drifts: [u64; 2] = [0, 100_000];
-
+    let mut grid = Grid::open("exp9", args, (120, 1_000), "")?;
     let mut table = Table::new(
         "E9 — cross-protocol Monte Carlo comparison (same workload, same fault draws)",
         &[
@@ -332,60 +83,44 @@ fn main() {
             "pay/s",
         ],
     );
-
-    let t_all = Instant::now();
-    let mut sink = telemetry_sink(&args.telemetry).unwrap_or_else(|e| {
-        eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-        std::process::exit(1);
-    });
-    let mut tb = ProtocolTally::default();
-    let mut htlc = ProtocolTally::default();
-    let mut untuned = ProtocolTally::default();
-    let mut atomic = ProtocolTally::default();
-    let mut deals = ProtocolTally::default();
+    let mut tallies = [ProtocolTally::default(); HARNESS_LABELS.len()];
     let mut total_instances = 0usize;
     let mut cell = 0u64;
-    let mut json_cells: Vec<JsonCell> = Vec::new();
-    for family in families {
-        for rho in drifts {
-            for (flabel, faults) in fault_levels() {
+    for family in TRAFFIC_FAMILIES {
+        for rho in [0u64, 100_000] {
+            for (flabel, faults) in protocol::faults::ladder() {
                 cell += 1;
                 let mut workload = WorkloadConfig::new(
                     family,
-                    per_cell,
-                    args.seed.wrapping_mul(0x9E37_79B9).wrapping_add(cell),
+                    grid.per_cell,
+                    grid.seed.wrapping_mul(0x9E37_79B9).wrapping_add(cell),
                 );
                 workload.max_rho_ppm = (0, rho);
                 let cfg = SimConfig {
                     faults,
-                    threads: args.threads,
+                    threads: grid.threads,
                     lock_profile: false,
                     ..SimConfig::new(workload)
                 };
                 let faulty_cell = rho > 0 || !faults.is_none();
+                // Generated once per cell, outside the timed region: every
+                // protocol sees the identical spec list and the pay/s
+                // column measures the parallel runner only.
                 let specs = sim::workload::generate(&cfg.workload);
 
-                // Each protocol's report for the identical cell. The
-                // closure keeps row formatting and tallying uniform
-                // without erasing the harness types.
-                let mut row = |name: &str,
-                               tally: &mut ProtocolTally,
-                               report: SimReport,
-                               wall: f64| {
+                for (name, tally) in HARNESS_LABELS.into_iter().zip(&mut tallies) {
+                    let t0 = Instant::now();
+                    let Some(report) = with_harness!(name, |h| h
+                        .supports(&cfg.workload)
+                        .then(|| sim::run_specs_with(&h, &specs, &cfg)))
+                    else {
+                        continue;
+                    };
+                    let wall = t0.elapsed().as_secs_f64();
                     let f = report.families.first().expect("one family per cell");
-                    json_cells.push(JsonCell {
-                        protocol: name.to_owned(),
-                        family: f.family.to_owned(),
-                        rho,
-                        faults: flabel.to_owned(),
-                        payments: f.instances,
-                        success: f.success.hits,
-                        griefed: f.griefed,
-                        violations: f.violations,
-                    });
-                    sink.emit(
-                        &telemetry::Event::new("cell")
-                            .with_u64("cell", cell)
+                    grid.record(
+                        cell,
+                        telemetry::Event::new("cell")
                             .with_str("protocol", name)
                             .with_str("family", f.family)
                             .with_u64("rho_ppm", rho)
@@ -393,25 +128,16 @@ fn main() {
                             .with_u64("payments", f.instances as u64)
                             .with_u64("success", f.success.hits as u64)
                             .with_u64("griefed", f.griefed as u64)
-                            .with_u64("violations", f.violations as u64)
-                            .with_f64("wall_s", wall)
-                            .with_f64("payments_per_sec", report.instances as f64 / wall.max(1e-9)),
+                            .with_u64("violations", f.violations as u64),
+                        Some((wall, report.instances)),
                     );
-                    tally.instances += report.instances;
                     tally.violations += report.violations;
                     tally.griefed += report.griefed;
                     if faulty_cell {
                         tally.faulty_cell_violations += report.violations;
                     }
                     total_instances += report.instances;
-                    let lat = match &f.latency {
-                        None => "-".to_owned(),
-                        Some(s) => format!(
-                            "{:.1}/{:.1}",
-                            s.p50 as f64 / 1_000.0,
-                            s.p99 as f64 / 1_000.0
-                        ),
-                    };
+                    let ms = |ticks: u64| ticks as f64 / 1_000.0;
                     table.push(&[
                         name.to_owned(),
                         f.family.to_owned(),
@@ -423,122 +149,59 @@ fn main() {
                         f.refunds.to_string(),
                         f.stuck.to_string(),
                         f.violations.to_string(),
-                        lat,
+                        f.latency.as_ref().map_or("-".to_owned(), |s| {
+                            format!("{:.1}/{:.1}", ms(s.p50), ms(s.p99))
+                        }),
                         f.peak_locked
                             .as_ref()
-                            .map(|s| s.p99.to_string())
-                            .unwrap_or_else(|| "-".to_owned()),
+                            .map_or("-".to_owned(), |s| s.p99.to_string()),
                         format!("{:.0}", report.instances as f64 / wall.max(1e-9)),
                     ]);
-                };
-
-                let (r, w) = run_protocol_cell(&TimeBoundedHarness, &specs, &cfg);
-                row("timebounded", &mut tb, r, w);
-                if HtlcHarness.supports(&cfg.workload) {
-                    let (r, w) = run_protocol_cell(&HtlcHarness, &specs, &cfg);
-                    row("htlc", &mut htlc, r, w);
                 }
-                let (r, w) = run_protocol_cell(&InterledgerHarness::untuned(), &specs, &cfg);
-                row("ilp-untuned", &mut untuned, r, w);
-                let (r, w) = run_protocol_cell(&InterledgerHarness::atomic(), &specs, &cfg);
-                row("ilp-atomic", &mut atomic, r, w);
-                let (r, w) = run_protocol_cell(&DealsHarness, &specs, &cfg);
-                row("deals", &mut deals, r, w);
             }
         }
     }
 
-    if let Err(e) = sink.flush() {
-        eprintln!("telemetry flush failed: {e}");
-    }
-
-    println!("{}", table.render());
-    println!(
-        "instances: {total_instances} in {:.2} s ({} threads requested, {} cores); \
-         htlc skips packetized cells (supports() gate)",
-        t_all.elapsed().as_secs_f64(),
-        args.threads,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    grid.report(
+        &table,
+        total_instances,
+        "; htlc skips packetized cells (supports() gate)",
     );
+    // Every printed criterion is an exit criterion: the comparison is
+    // meaningless if the guaranteed protocol breaks, if a baseline stops
+    // demonstrating its documented defect, or if a safe baseline breaks
+    // conservation. (`tallies` is in `HARNESS_LABELS` order.)
+    let [tb, htlc, untuned, atomic, deals] = tallies;
+    let mut gates = Gates::new();
     println!(
         "time-bounded: zero griefing: {} | zero violations: {}",
-        check(tb.griefed == 0),
-        check(tb.violations == 0)
+        gates.check(tb.griefed == 0),
+        gates.check(tb.violations == 0)
     );
-    println!(
-        "HTLC griefs under faults: {} ({} griefed instances)",
-        check(htlc.griefed > 0),
-        htlc.griefed
+    gates.require(
+        "HTLC griefs under faults",
+        htlc.griefed > 0,
+        &format!("{} griefed instances", htlc.griefed),
     );
-    println!(
-        "untuned Interledger loses money in faulty cells: {} ({} violations)",
-        check(untuned.faulty_cell_violations > 0),
-        untuned.faulty_cell_violations
+    gates.require(
+        "untuned Interledger loses money in faulty cells",
+        untuned.faulty_cell_violations > 0,
+        &format!("{} violations", untuned.faulty_cell_violations),
     );
     println!(
         "atomic Interledger & deals stay safe (no violations): {} / {}",
-        check(atomic.violations == 0),
-        check(deals.violations == 0)
+        gates.check(atomic.violations == 0),
+        gates.check(deals.violations == 0)
     );
     println!(
         "Claims: the time-bounded protocol alone combines guaranteed success \
          with bounded refunds; HTLC griefs, untuned Interledger loses money, \
          atomic Interledger and certified deals abort honest runs."
     );
+    grid.write_artifact(&[])?;
+    Ok(gates.finish("E9"))
+}
 
-    if !args.json.is_empty() {
-        let mut json = String::new();
-        let config_digest = experiments::digest::hex16(experiments::digest::fnv1a64(
-            format!("exp9 seed={} per_cell={}", args.seed, per_cell).as_bytes(),
-        ));
-        json.push_str("{\n");
-        json.push_str("  \"schema_version\": 1,\n");
-        json.push_str("  \"experiment\": \"exp9\",\n");
-        json.push_str(&format!("  \"config_digest\": \"{config_digest}\",\n"));
-        json.push_str(&format!("  \"quick\": {},\n", args.quick));
-        json.push_str(&format!("  \"seed\": {},\n", args.seed));
-        json.push_str(&format!("  \"payments_per_cell\": {per_cell},\n"));
-        json.push_str("  \"cells\": [\n");
-        for (i, c) in json_cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"protocol\": \"{}\", \"family\": \"{}\", \
-                 \"rho_ppm\": {}, \"faults\": \"{}\", \"payments\": {}, \
-                 \"success\": {}, \"griefed\": {}, \"violations\": {}}}{}\n",
-                c.protocol,
-                c.family,
-                c.rho,
-                c.faults,
-                c.payments,
-                c.success,
-                c.griefed,
-                c.violations,
-                if i + 1 < json_cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        if let Some(dir) = std::path::Path::new(&args.json).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create --json directory");
-            }
-        }
-        std::fs::write(&args.json, &json).expect("write --json file");
-        println!("{}", args.json);
-    }
-
-    // Every printed criterion is an exit criterion: the comparison is
-    // meaningless if the guaranteed protocol breaks, if a baseline stops
-    // demonstrating its documented defect, or if a safe baseline breaks
-    // conservation.
-    let gate_failed = tb.griefed > 0
-        || tb.violations > 0
-        || htlc.griefed == 0
-        || untuned.faulty_cell_violations == 0
-        || atomic.violations > 0
-        || deals.violations > 0;
-    if gate_failed {
-        eprintln!("E9 exit criteria FAILED");
-        std::process::exit(1);
-    }
+fn main() {
+    cli::run_main("exp9", driver::EXP9, run)
 }

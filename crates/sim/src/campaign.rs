@@ -68,6 +68,7 @@ use protocol::liquidity::LiquidityConfig;
 use std::fs;
 use std::io;
 use std::path::Path;
+use telemetry::json::{round_to, JsonObject};
 use telemetry::{MetricsRegistry, NullSink, PhaseProfile, TelemetrySink};
 
 /// Checkpoint schema version; bumped on any wire-format change.
@@ -1168,134 +1169,66 @@ impl CampaignReport {
         out
     }
 
-    /// Renders the machine-readable campaign artifact the nightly CI
-    /// uploads. `experiment` names the producing binary (`"exp8"`…);
-    /// `extra` appends binary-specific top-level fields (already
-    /// JSON-encoded values).
-    pub fn to_json(&self, experiment: &str, extra: &[(&str, String)]) -> String {
+    /// The machine-readable campaign artifact the nightly CI uploads, as
+    /// a [`JsonObject`] the caller may extend before rendering.
+    /// `experiment` names the producing binary (`"exp8"`…).
+    pub fn to_json(&self, experiment: &str) -> JsonObject {
         let t = &self.tally;
-        let sketch_json = |s: &MergeableSketch| {
-            match s.summary() {
-            None => "null".to_owned(),
-            Some(sm) => format!(
-                "{{\"n\": {}, \"min\": {}, \"mean\": {:.3}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-                sm.n, sm.min, sm.mean, sm.p50, sm.p99, sm.max
-            ),
-        }
+        let sketch = |s: &MergeableSketch| {
+            s.summary().map(|sm| {
+                JsonObject::new()
+                    .with("n", sm.n as u64)
+                    .with("min", sm.min)
+                    .with("mean", round_to(sm.mean, 3))
+                    .with("p50", sm.p50)
+                    .with("p99", sm.p99)
+                    .with("max", sm.max)
+            })
         };
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"schema_version\": 1,\n");
-        json.push_str(&format!("  \"experiment\": \"{experiment}-campaign\",\n"));
-        json.push_str(&format!("  \"harness\": \"{}\",\n", self.harness));
-        json.push_str(&format!("  \"family\": \"{}\",\n", self.family));
-        json.push_str(&format!(
-            "  \"config_digest\": \"{}\",\n",
-            self.config_digest
-        ));
-        json.push_str(&format!("  \"report_digest\": \"{}\",\n", self.digest));
-        json.push_str(&format!("  \"epochs_run\": {},\n", self.epochs_run));
-        json.push_str(&format!("  \"epochs\": {},\n", self.epochs));
-        json.push_str(&format!("  \"instances\": {},\n", t.instances));
-        json.push_str(&format!(
-            "  \"outcomes\": {{\"success\": {}, \"refunds\": {}, \"stuck\": {}, \
-             \"violations\": {}, \"rejected\": {}, \"failed\": {}, \"griefed\": {}, \
-             \"byzantine\": {}}},\n",
-            t.success,
-            t.refunds,
-            t.stuck,
-            t.violations,
-            t.rejected,
-            t.failed,
-            t.griefed,
-            t.byzantine
-        ));
-        json.push_str(&format!("  \"events\": {},\n", t.events));
-        json.push_str(&format!(
-            "  \"failed_seeds\": [{}],\n",
-            t.failed_seeds
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        json.push_str(&format!(
-            "  \"latency_ticks\": {},\n",
-            sketch_json(&t.latency)
-        ));
-        json.push_str(&format!(
-            "  \"peak_locked\": {},\n",
-            sketch_json(&t.peak_locked)
-        ));
-        match &t.liquidity {
-            None => json.push_str("  \"liquidity\": null"),
-            Some(l) => json.push_str(&format!(
-                "  \"liquidity\": {{\"offered\": {}, \"admitted\": {}, \"rejected\": {}, \
-                 \"queued\": {}, \"budget_violations\": {}, \"drained_all\": {}, \
-                 \"peak_locked_venue\": {}, \"peak_reserved_venue\": {}, \
-                 \"goodput_value\": {}, \"offered_value\": {}, \
-                 \"wait_ticks\": {}, \"rejected_wait_ticks\": {}}}",
-                l.offered,
-                l.admitted,
-                l.rejected,
-                l.queued,
-                l.budget_violations,
-                l.drained_all,
-                l.peak_locked_venue,
-                l.peak_reserved_venue,
-                l.goodput_value,
-                l.offered_value,
-                sketch_json(&l.wait),
-                sketch_json(&l.rejected_wait)
-            )),
-        }
-        for (k, v) in extra {
-            json.push_str(&format!(",\n  \"{k}\": {v}"));
-        }
-        json.push_str("\n}\n");
-        json
+        // Sums of u64 samples; a campaign that overflowed u64 would have
+        // run for centuries, so saturating loses nothing real.
+        let sat = |x: u128| u64::try_from(x).unwrap_or(u64::MAX);
+        let outcomes = JsonObject::new()
+            .with("success", t.success)
+            .with("refunds", t.refunds)
+            .with("stuck", t.stuck)
+            .with("violations", t.violations)
+            .with("rejected", t.rejected)
+            .with("failed", t.failed)
+            .with("griefed", t.griefed)
+            .with("byzantine", t.byzantine);
+        let liquidity = t.liquidity.as_ref().map(|l| {
+            JsonObject::new()
+                .with("offered", l.offered)
+                .with("admitted", l.admitted)
+                .with("rejected", l.rejected)
+                .with("queued", l.queued)
+                .with("budget_violations", l.budget_violations)
+                .with("drained_all", l.drained_all)
+                .with("peak_locked_venue", l.peak_locked_venue)
+                .with("peak_reserved_venue", l.peak_reserved_venue)
+                .with("goodput_value", sat(l.goodput_value))
+                .with("offered_value", sat(l.offered_value))
+                .with("wait_ticks", sketch(&l.wait))
+                .with("rejected_wait_ticks", sketch(&l.rejected_wait))
+        });
+        JsonObject::new()
+            .with("schema_version", 1u64)
+            .with("experiment", format!("{experiment}-campaign").as_str())
+            .with("harness", self.harness)
+            .with("family", self.family)
+            .with("config_digest", self.config_digest.as_str())
+            .with("report_digest", self.digest.as_str())
+            .with("epochs_run", self.epochs_run)
+            .with("epochs", self.epochs)
+            .with("instances", t.instances)
+            .with("outcomes", outcomes)
+            .with("events", sat(t.events))
+            .with("failed_seeds", t.failed_seeds.clone())
+            .with("latency_ticks", sketch(&t.latency))
+            .with("peak_locked", sketch(&t.peak_locked))
+            .with("liquidity", liquidity)
     }
-}
-
-/// Opens the `--telemetry FILE` sink the experiment binaries share: a
-/// buffered JSONL file sink at `path` (parent directories created as
-/// needed), or a no-op [`NullSink`] when `path` is empty. Boxed so the
-/// binaries hold either variant behind one type.
-pub fn telemetry_sink(path: &str) -> io::Result<Box<dyn TelemetrySink>> {
-    if path.is_empty() {
-        return Ok(Box::new(NullSink));
-    }
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    Ok(Box::new(telemetry::JsonlSink::create(Path::new(path))?))
-}
-
-/// [`telemetry_sink`] with a header that *promises* event series: the
-/// comma-separated `requires` tokens (e.g. `"venues,route,rebalance"`)
-/// land in the stream header, and `telemetry_check` fails validation
-/// when a promised series is absent — producers gate their own streams
-/// without the validator growing a flag per experiment. An empty `path`
-/// still yields a [`NullSink`].
-pub fn telemetry_sink_with_requires(
-    path: &str,
-    requires: &str,
-) -> io::Result<Box<dyn TelemetrySink>> {
-    if path.is_empty() {
-        return Ok(Box::new(NullSink));
-    }
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    let header = telemetry::Event::header().with_str("requires", requires);
-    Ok(Box::new(telemetry::JsonlSink::create_with_header(
-        Path::new(path),
-        &header,
-    )?))
 }
 
 /// Peak resident-set size of this process in MiB, or `None` where it
@@ -1306,8 +1239,8 @@ pub fn telemetry_sink_with_requires(
 /// procfs file — macOS, Windows, BSDs — this returns `None` cleanly and
 /// every consumer renders `n/a` instead. The campaign runner is the one
 /// place that reads it: the value flows into [`EpochEvent::peak_rss_mb`]
-/// and the `peak_rss_mb` registry gauge, which is where the exp binaries
-/// take it from (they no longer parse procfs themselves). The nightly
+/// and the `peak_rss_mb` registry gauge, which is where
+/// [`crate::driver::drive`] takes it from. The nightly
 /// bounded-RSS gate reads it after a 1M-payment campaign:
 /// constant-memory metrics are a claim about this number.
 pub fn peak_rss_mb() -> Option<u64> {

@@ -54,20 +54,18 @@
 //! spent liquidity ([`protocol::RoutingConfig`]). Routed reports carry
 //! [`metrics::RoutingStats`] and stay bit-identical across threads.
 //!
-//! The `exp8` binary sweeps success-rate × drift × faults across the
+//! Four experiment binaries sit on top, each only its grid and its exit
+//! gates — flag tables, campaign mode ([`driver::drive`]), grid
+//! bookkeeping and artifact writing ([`driver::Grid`]) are shared in
+//! [`driver`]: `exp8` sweeps success-rate × drift × faults across the
 //! families for the time-bounded protocol (E8); `exp9` runs the same grid
 //! through **all** protocol harnesses and prints the paper-style
 //! comparison table (E9); `exp10` sweeps offered load × collateral
 //! budget × protocol and prints the utilization/success/goodput frontier
 //! (E10); `exp11` sweeps success/goodput vs network size × rebalancing
 //! period × protocol with dynamic routing against the static baseline
-//! (E11). The workspace `bench` binary's `sim` section measures
-//! payments/sec per thread count into `BENCH_sim.json`, its
-//! `protocols` section measures per-harness throughput into
-//! `BENCH_protocols.json`, its `open` section measures the sharded
-//! open-system engine at 1/2/4 workers into `BENCH_open.json`, and its
-//! `routing` section measures routed-vs-static throughput and
-//! pathfinding rate into `BENCH_routing.json`.
+//! (E11). Every one of them streams a crash-safe [`campaign`] instead
+//! with `--campaign N`.
 //!
 //! ```
 //! use sim::prelude::*;
@@ -89,6 +87,7 @@
 
 pub mod campaign;
 mod des;
+pub mod driver;
 pub mod faults;
 pub mod metrics;
 pub mod runner;
@@ -104,10 +103,9 @@ pub use metrics::{
     PacketStats, RoutingStats, SimReport, VenueEvents,
 };
 pub use runner::{
-    run, run_instance, run_instance_with, run_open, run_open_routed_with,
-    run_open_specs_routed_with, run_open_specs_routed_with_telemetry, run_open_specs_with,
-    run_open_specs_with_telemetry, run_open_with, run_open_with_telemetry, run_specs,
-    run_specs_with, run_with, SimConfig,
+    run, run_instance, run_instance_with, run_open, run_open_specs_routed_with,
+    run_open_specs_routed_with_telemetry, run_open_specs_with, run_open_specs_with_telemetry,
+    run_open_with, run_open_with_telemetry, run_specs, run_specs_with, run_with, SimConfig,
 };
 pub use sketch::MergeableSketch;
 pub use workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
@@ -128,10 +126,9 @@ pub mod prelude {
         PacketStats, RoutingStats, SimReport, VenueEvents,
     };
     pub use crate::runner::{
-        run, run_instance, run_instance_with, run_open, run_open_routed_with,
-        run_open_specs_routed_with, run_open_specs_routed_with_telemetry, run_open_specs_with,
-        run_open_specs_with_telemetry, run_open_with, run_open_with_telemetry, run_specs,
-        run_specs_with, run_with, SimConfig,
+        run, run_instance, run_instance_with, run_open, run_open_specs_routed_with,
+        run_open_specs_routed_with_telemetry, run_open_specs_with, run_open_specs_with_telemetry,
+        run_open_with, run_open_with_telemetry, run_specs, run_specs_with, run_with, SimConfig,
     };
     pub use crate::workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
     pub use anta::net::NetFaults;

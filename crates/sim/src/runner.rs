@@ -335,17 +335,6 @@ pub fn run_open_specs_routed_with_telemetry<H: ProtocolHarness>(
     crate::des::run_open_specs_des_telemetry(harness, specs, cfg, liq, Some(routing))
 }
 
-/// [`run_open_specs_routed_with`] over freshly generated specs.
-pub fn run_open_routed_with<H: ProtocolHarness>(
-    harness: &H,
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-    routing: &protocol::RoutingConfig,
-) -> OpenReport {
-    let specs = workload::generate(&cfg.workload);
-    run_open_specs_routed_with(harness, &specs, cfg, liq, routing)
-}
-
 /// The retired two-phase open-system sweep, kept as a **differential
 /// oracle**: phase one simulates every instance in isolation on the
 /// worker pool, phase two replays the lock events through one sequential

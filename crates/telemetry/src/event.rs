@@ -36,6 +36,11 @@ pub enum FieldValue {
     Bool(bool),
     /// String label.
     Str(String),
+    /// An absent optional value (e.g. an unbounded budget). JSON
+    /// artifacts render it as `null`; the JSONL wire **omits** the field
+    /// rather than carry a sentinel, so streams never contain it and a
+    /// parsed event never holds one.
+    Null,
 }
 
 /// One structured telemetry event: a `kind` tag plus ordered named
@@ -94,6 +99,14 @@ impl Event {
         self
     }
 
+    /// Appends an optional unsigned-integer field: `None` is recorded as
+    /// [`FieldValue::Null`] (omitted on the wire, `null` in artifacts).
+    pub fn with_opt_u64(mut self, name: &str, v: Option<u64>) -> Self {
+        let v = v.map_or(FieldValue::Null, FieldValue::U64);
+        self.fields.push((name.to_owned(), v));
+        self
+    }
+
     /// The event kind tag.
     pub fn kind(&self) -> &str {
         &self.kind
@@ -145,37 +158,28 @@ impl Event {
     }
 
     /// Encodes the event as one JSON object on one line (no trailing
-    /// newline). The `kind` tag is always the first key.
+    /// newline). The `kind` tag is always the first key;
+    /// [`FieldValue::Null`] fields are omitted.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
         out.push_str("{\"kind\":");
         push_json_string(&mut out, &self.kind);
         for (k, v) in &self.fields {
+            if matches!(v, FieldValue::Null) {
+                continue;
+            }
             out.push(',');
             push_json_string(&mut out, k);
             out.push(':');
-            match v {
-                FieldValue::U64(n) => out.push_str(&n.to_string()),
-                FieldValue::I64(n) => out.push_str(&n.to_string()),
-                FieldValue::F64(x) => {
-                    let s = format!("{x}");
-                    out.push_str(&s);
-                    // Keep floats self-describing on the wire: `3` would
-                    // parse back as an integer, `3.0` will not.
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                }
-                FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                FieldValue::Str(s) => push_json_string(&mut out, s),
-            }
+            push_json_scalar(&mut out, v);
         }
         out.push('}');
         out
     }
 
     /// Parses one line produced by [`to_json`](Event::to_json).
-    /// `parse(e.to_json()) == e` for every event this crate can build.
+    /// `parse(e.to_json()) == e` for every event without
+    /// [`FieldValue::Null`] fields (those are not on the wire).
     pub fn parse(line: &str) -> Result<Event, String> {
         let mut p = Parser {
             bytes: line.trim().as_bytes(),
@@ -216,8 +220,29 @@ impl Event {
     }
 }
 
+/// Appends one scalar in the encoding the JSONL wire and the JSON
+/// artifacts ([`crate::json`]) share.
+pub(crate) fn push_json_scalar(out: &mut String, v: &FieldValue) {
+    match v {
+        FieldValue::U64(n) => out.push_str(&n.to_string()),
+        FieldValue::I64(n) => out.push_str(&n.to_string()),
+        FieldValue::F64(x) => {
+            let s = format!("{x}");
+            out.push_str(&s);
+            // Keep floats self-describing: `3` would parse back as an
+            // integer, `3.0` will not.
+            if !s.contains(['.', 'e', 'E']) {
+                out.push_str(".0");
+            }
+        }
+        FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        FieldValue::Str(s) => push_json_string(out, s),
+        FieldValue::Null => out.push_str("null"),
+    }
+}
+
 /// Appends `s` as a JSON string literal (quotes, escapes).
-fn push_json_string(out: &mut String, s: &str) {
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

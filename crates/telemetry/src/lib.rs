@@ -16,6 +16,8 @@
 //!   sinks: [`sink::NullSink`] (off, <5% overhead by bench gate),
 //!   [`sink::RingSink`] (bounded memory), [`sink::JsonlSink`] (buffered
 //!   file).
+//! * [`json::JsonObject`] — the one writer behind every `--json`
+//!   artifact, sharing the event layer's scalar encoding and escaping.
 //! * [`timer::PhaseProfile`] / [`timer::TimerGuard`] — scoped wall-clock
 //!   phase timers whose readings flow only into events and artifacts,
 //!   never into digests.
@@ -34,12 +36,14 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod registry;
 pub mod sink;
 pub mod sketch;
 pub mod timer;
 
 pub use event::{parse_jsonl, parse_jsonl_with_header, Event, FieldValue, EVENT_SCHEMA_VERSION};
+pub use json::{Json, JsonObject};
 pub use registry::MetricsRegistry;
 pub use sink::{JsonlSink, NullSink, RingSink, TelemetrySink};
 pub use sketch::{MergeableSketch, SketchSummary};

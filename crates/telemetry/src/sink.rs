@@ -173,6 +173,31 @@ impl Drop for JsonlSink {
     }
 }
 
+/// Opens the sink behind a `--telemetry FILE` flag: a [`JsonlSink`] at
+/// `path` (parent directories created as needed), or a [`NullSink`] when
+/// `path` is empty. A non-empty `requires` (comma-separated tokens, e.g.
+/// `"venues,route,rebalance"`) lands in the stream header as a *promise*
+/// of event series: `telemetry_check` fails a stream that lacks one, so
+/// producers gate their own streams.
+pub fn open(path: &str, requires: &str) -> io::Result<Box<dyn TelemetrySink>> {
+    if path.is_empty() {
+        return Ok(Box::new(NullSink));
+    }
+    let mut header = Event::header();
+    if !requires.is_empty() {
+        header = header.with_str("requires", requires);
+    }
+    let create = || {
+        if let Some(dir) = Path::new(path).parent() {
+            fs::create_dir_all(dir)?;
+        }
+        JsonlSink::create_with_header(Path::new(path), &header)
+    };
+    let sink =
+        create().map_err(|e| io::Error::new(e.kind(), format!("cannot open {path}: {e}")))?;
+    Ok(Box::new(sink))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

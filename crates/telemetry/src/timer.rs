@@ -20,6 +20,7 @@
 //! report digests or checkpoint payloads.
 
 use crate::event::Event;
+use crate::json::{round_to, JsonObject};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
@@ -101,21 +102,17 @@ impl PhaseProfile {
         e
     }
 
-    /// Renders the profile as a JSON object value (`{"generation_ms":
-    /// 1.2, ...}`) for embedding into campaign artifacts.
-    pub fn to_json_object(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, stat)) in self.phases.borrow().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{name}_ms\": {:.3}",
-                stat.total.as_secs_f64() * 1e3
-            ));
-        }
-        out.push('}');
-        out
+    /// Renders the profile as a JSON object (`{"generation_ms": 1.2,
+    /// ...}`, milliseconds to three decimals) for embedding into campaign
+    /// artifacts.
+    pub fn to_json_object(&self) -> JsonObject {
+        self.phases
+            .borrow()
+            .iter()
+            .fold(JsonObject::new(), |object, (name, stat)| {
+                let ms = round_to(stat.total.as_secs_f64() * 1e3, 3);
+                object.with(&format!("{name}_ms"), ms)
+            })
     }
 }
 
@@ -168,10 +165,10 @@ mod tests {
         assert_eq!(e.kind(), "phase_profile");
         assert_eq!(e.u64_field("generation_count"), Some(2));
         assert!((e.f64_field("generation_ms").unwrap() - 12.0).abs() < 1e-6);
-        let json = profile.to_json_object();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"generation_ms\": 12.000"), "{json}");
-        assert!(json.contains("\"merge_ms\": 0.250"), "{json}");
+        assert_eq!(
+            profile.to_json_object().render(),
+            "{\n  \"generation_ms\": 12.0,\n  \"merge_ms\": 0.25\n}\n"
+        );
         assert_eq!(profile.total("merge"), Duration::from_micros(250));
         assert_eq!(profile.total("absent"), Duration::ZERO);
     }
