@@ -1,12 +1,13 @@
-//! **P — engineering performance measurements** (complements the
-//! criterion benches with simulated-time metrics the benches cannot see).
+//! **P — engineering performance measurements** in simulated time and
+//! event counts: deterministic tables, no wall-clock (host-time cost is
+//! the repo benchmark's job, `benchmark/`).
 //!
 //! * protocol cost: messages and simulated completion time per payment,
 //!   as functions of chain length — the μ-benchmarks behind the paper's
 //!   "2n+1 participants" scaling;
 //! * consensus: decision round and message count vs committee size;
-//! * engine: events processed for a fixed workload (the denominator for
-//!   wall-clock events/sec measured by criterion).
+//! * engine: events processed for a fixed workload (the denominator of
+//!   the benchmark's `anta.engine_ns_per_event_*`).
 
 use crate::table::Table;
 use anta::net::SyncNet;
@@ -47,8 +48,8 @@ pub fn chain_cost(n: usize) -> ChainCost {
     }
 }
 
-/// The engine-throughput workload behind the `engine_10k_messages`
-/// criterion bench and the `bench` binary: a two-process ping-pong of
+/// The engine-throughput workload (`expperf`'s events table and the
+/// benchmark's `anta.engine_ns_per_event_*`): a two-process ping-pong of
 /// `messages` messages under a 16-bucket synchronous network. Returns the
 /// number of dispatched events (identical across trace modes — the mode
 /// affects only what the trace stores, never the schedule).

@@ -53,6 +53,9 @@ use sim::prelude::*;
 
 const HUB: TopologyFamily = TopologyFamily::HubAndSpoke { spokes: 8 };
 
+/// The event series every E10 telemetry stream promises in its header.
+const REQUIRES: &str = "venues";
+
 fn render_budget(b: u64) -> String {
     if b == u64::MAX {
         "inf".to_owned()
@@ -76,10 +79,10 @@ fn run(args: &cli::Parsed) -> std::io::Result<i32> {
             ..driver::campaign_config(args, workload)
         };
         let audit = driver::audit_collateral;
-        return driver::drive(TimeBoundedHarness, cfg, args, "exp10", "", audit);
+        return driver::drive(TimeBoundedHarness, cfg, args, "exp10", REQUIRES, audit);
     }
 
-    let mut grid = Grid::open("exp10", args, (300, 2_000), "")?;
+    let mut grid = Grid::open("exp10", args, (300, 2_000), REQUIRES)?;
     // Offered-load axis: the same seeded traffic with compressed
     // arrival gaps (ticks are µs, so 2 000 µs ⇒ 500 pay/s offered).
     let loads: [(u64, u64); 3] = [(2_000, 500), (500, 2_000), (125, 8_000)];

@@ -5,18 +5,22 @@
 //! question at scale — and, since the `protocol` abstraction layer,
 //! answers it for **every protocol in the workspace**: what success rate,
 //! end-to-end latency and locked-value cost does a protocol deliver under
-//! realistic traffic, drift and adversaries? Three layers:
+//! realistic traffic, drift and adversaries? The traffic and fault
+//! models are the layers below, re-exported under their historical
+//! `sim::…` paths; the measurements are this crate's:
 //!
-//! * [`workload`] — parameterized topology families (the paper's linear
-//!   `n`-escrow path, Boros-style hub-and-spoke, random routing trees,
-//!   packetized payments split across parallel paths), arrival processes
-//!   (uniform / bursty), and per-instance `payment::ValuePlan` /
-//!   `payment::SyncParams` sampling from a seeded RNG (re-exported from
-//!   [`protocol::workload`]);
-//! * [`faults`] — a [`faults::FaultPlan`] composing the
-//!   `payment::byzantine` strategies with clock-drift sampling and
-//!   bounded message delay/drop injected at the `anta` network layer
-//!   (re-exported from [`protocol::faults`]);
+//! * [`workload`] (= [`protocol::workload`]) — parameterized topology
+//!   families (the paper's linear `n`-escrow path, Boros-style
+//!   hub-and-spoke, random routing trees, packetized payments split
+//!   across parallel paths), arrival processes (uniform / bursty), and
+//!   per-instance `payment::ValuePlan` / `payment::SyncParams` sampling
+//!   from a seeded RNG;
+//! * [`faults`] (= [`protocol::faults`]) — a [`faults::FaultPlan`]
+//!   composing the `payment::byzantine` strategies with clock-drift
+//!   sampling and bounded message delay/drop injected at the `anta`
+//!   network layer;
+//! * [`sketch`] (= [`telemetry::sketch`]) — the constant-memory
+//!   mergeable quantile sketch campaigns aggregate into;
 //! * [`metrics`] — per-instance outcome (success / refund / stuck /
 //!   conservation **violation**, plus the HTLC-style *griefed* flag),
 //!   latency, peak locked value and lock-concurrency profiles, aggregated
@@ -88,11 +92,12 @@
 pub mod campaign;
 mod des;
 pub mod driver;
-pub mod faults;
 pub mod metrics;
 pub mod runner;
-pub mod sketch;
-pub mod workload;
+
+// The layers below, under the simulator's historical paths.
+pub use protocol::{faults, workload};
+pub use telemetry::sketch;
 
 pub use campaign::{
     CampaignConfig, CampaignReport, CampaignRunner, CampaignTally, EpochEvent, EpochSummary,

@@ -1,33 +1,41 @@
-//! Validator for the `--telemetry` JSONL artifacts the experiment
-//! binaries write.
+//! `telemetry_check` — validator for the `--telemetry` JSONL artifacts
+//! the experiment binaries write.
 //!
-//! CI runs the `telemetry_check` binary over the stream produced by
-//! `exp10 --quick --telemetry FILE` and fails the build when the
-//! artifact is structurally broken: a missing or version-skewed header,
-//! progress ids (`epoch` / `cell`) that run backwards, or an empty
-//! per-venue series. The checks are deliberately structural — they
-//! assert the *shape* every downstream consumer relies on, not the
-//! measured values, so the gate never flakes on timing noise.
+//! Reads each file argument, runs [`validate`] over it, and exits
+//! non-zero on the first structurally broken stream: a missing or
+//! version-skewed header, an unparsable line, progress ids (`epoch` /
+//! `cell`) that run backwards, or an event series the header promised
+//! (`requires=venues,route,rebalance`) that never shows up. CI points it
+//! at the streams `exp10`, `exp11` and `exp4 --explore` write, so a
+//! schema drift between the emitters and the consumers fails the build
+//! instead of silently producing unreadable artifacts. The checks are
+//! deliberately structural — they assert the *shape* every downstream
+//! consumer relies on, not the measured values, so the gate never flakes
+//! on timing noise.
+//!
+//! Usage: `telemetry_check FILE...` — exit **0** every stream valid,
+//! **1** a stream is invalid or unreadable, **2** the command line was
+//! refused.
 
 use std::fmt;
 
 /// What a valid stream contained, for the one-line CLI summary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TelemetrySummary {
+struct TelemetrySummary {
     /// Events after the header line.
-    pub events: usize,
+    events: usize,
     /// Campaign `epoch` progress events.
-    pub epochs: usize,
+    epochs: usize,
     /// Grid `cell` progress events.
-    pub cells: usize,
+    cells: usize,
     /// Per-venue series points (`venue` + `venue_des` events).
-    pub venue_points: usize,
+    venue_points: usize,
     /// Reduced-explorer progress events (`dpor` + `dpor_worker`).
-    pub dpor_events: usize,
+    dpor_events: usize,
     /// Pathfinder counter events (`route`).
-    pub route_events: usize,
+    route_events: usize,
     /// Rebalancing counter events (`rebalance`).
-    pub rebalance_events: usize,
+    rebalance_events: usize,
 }
 
 impl fmt::Display for TelemetrySummary {
@@ -63,13 +71,11 @@ impl fmt::Display for TelemetrySummary {
 /// `"venues,route,rebalance"`) declares what the producer promises, and
 /// validation fails when a promised series is absent — so new producers
 /// (like `exp11`'s routing events) gate themselves without growing this
-/// binary another flag. Recognized tokens: `venues` (per-venue series),
-/// `route`, `rebalance`. The legacy `require_venues` knob is OR-ed with
-/// the header's `venues` token for streams written before headers
-/// carried requirements.
-pub fn validate(text: &str, require_venues: bool) -> Result<TelemetrySummary, String> {
+/// binary a flag. Recognized tokens: `venues` (per-venue series),
+/// `route`, `rebalance`.
+fn validate(text: &str) -> Result<TelemetrySummary, String> {
     let (header, events) = telemetry::parse_jsonl_with_header(text)?;
-    let mut need_venues = require_venues;
+    let mut need_venues = false;
     let mut need_route = false;
     let mut need_rebalance = false;
     if let Some(requires) = header.str_field("requires") {
@@ -163,19 +169,60 @@ pub fn validate(text: &str, require_venues: bool) -> Result<TelemetrySummary, St
     Ok(summary)
 }
 
+const USAGE: &str = "usage: telemetry_check FILE...";
+
+fn main() {
+    let mut files: Vec<String> = Vec::new();
+    for a in std::env::args().skip(1) {
+        if a.starts_with("--") {
+            eprintln!("unknown argument: {a}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+        files.push(a);
+    }
+    if files.is_empty() {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
+            eprintln!("{file}: cannot read: {e}");
+            std::process::exit(1);
+        });
+        match validate(&text) {
+            Ok(summary) => println!("{file}: OK — {summary}"),
+            Err(e) => {
+                eprintln!("{file}: INVALID — {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use telemetry::Event;
 
-    fn stream(events: &[Event]) -> String {
-        let mut text = Event::header().to_json();
+    /// A stream whose header promises the series in `requires` (none
+    /// when empty).
+    fn stream_requiring(requires: &str, events: &[Event]) -> String {
+        let mut header = Event::header();
+        if !requires.is_empty() {
+            header = header.with_str("requires", requires);
+        }
+        let mut text = header.to_json();
         text.push('\n');
         for e in events {
             text.push_str(&e.to_json());
             text.push('\n');
         }
         text
+    }
+
+    fn stream(events: &[Event]) -> String {
+        stream_requiring("", events)
     }
 
     fn epoch(id: u64) -> Event {
@@ -194,8 +241,8 @@ mod tests {
 
     #[test]
     fn accepts_well_formed_open_stream() {
-        let text = stream(&[cell(1), venue(0), venue(1), cell(2), venue(0)]);
-        let s = validate(&text, true).unwrap();
+        let text = stream_requiring("venues", &[cell(1), venue(0), venue(1), cell(2), venue(0)]);
+        let s = validate(&text).unwrap();
         assert_eq!(s.cells, 2);
         assert_eq!(s.venue_points, 3);
     }
@@ -203,24 +250,23 @@ mod tests {
     #[test]
     fn accepts_equal_cell_ids_but_not_backwards() {
         let ok = stream(&[cell(1), cell(1), cell(2)]);
-        assert!(validate(&ok, false).is_ok());
+        assert!(validate(&ok).is_ok());
         let bad = stream(&[cell(2), cell(1)]);
-        assert!(validate(&bad, false).unwrap_err().contains("backwards"));
+        assert!(validate(&bad).unwrap_err().contains("backwards"));
     }
 
     #[test]
     fn rejects_non_increasing_epochs() {
         let bad = stream(&[epoch(0), epoch(0)]);
-        assert!(validate(&bad, false)
-            .unwrap_err()
-            .contains("strictly increasing"));
+        assert!(validate(&bad).unwrap_err().contains("strictly increasing"));
     }
 
     #[test]
     fn rejects_missing_venue_series_when_required() {
-        let text = stream(&[epoch(0), epoch(1)]);
-        assert!(validate(&text, false).is_ok());
-        assert!(validate(&text, true).unwrap_err().contains("venue"));
+        let events = [epoch(0), epoch(1)];
+        assert!(validate(&stream(&events)).is_ok());
+        let promised = stream_requiring("venues", &events);
+        assert!(validate(&promised).unwrap_err().contains("venue"));
     }
 
     #[test]
@@ -233,11 +279,11 @@ mod tests {
             .with_u64("runs", 42)
             .with_u64("dedup_hits", 7);
         let text = stream(&[worker, summary]);
-        let s = validate(&text, false).unwrap();
+        let s = validate(&text).unwrap();
         assert_eq!(s.dpor_events, 2);
 
         let bad = stream(&[Event::new("dpor").with_u64("threads", 1)]);
-        assert!(validate(&bad, false).unwrap_err().contains("runs"));
+        assert!(validate(&bad).unwrap_err().contains("runs"));
     }
 
     /// The header's `requires` field drives which series must be
@@ -251,36 +297,21 @@ mod tests {
         let rebalance = Event::new("rebalance")
             .with_u64("cell", 1)
             .with_u64("count", 3);
-        let with_header = |requires: &str, events: &[Event]| {
-            let mut text = Event::header().with_str("requires", requires).to_json();
-            text.push('\n');
-            for e in events {
-                text.push_str(&e.to_json());
-                text.push('\n');
-            }
-            text
-        };
-
-        let ok = with_header(
+        let ok = stream_requiring(
             "venues,route,rebalance",
             &[cell(1), venue(0), route.clone(), rebalance.clone()],
         );
-        let s = validate(&ok, false).unwrap();
+        let s = validate(&ok).unwrap();
         assert_eq!((s.route_events, s.rebalance_events), (1, 1));
 
-        // A promised series that never shows up fails, even though the
-        // legacy flag is off.
-        let missing_route = with_header("venues,route", &[cell(1), venue(0)]);
-        assert!(validate(&missing_route, false)
-            .unwrap_err()
-            .contains("route"));
-        let missing_venues = with_header("venues", &[cell(1)]);
-        assert!(validate(&missing_venues, false)
-            .unwrap_err()
-            .contains("venue"));
+        // A promised series that never shows up fails.
+        let missing_route = stream_requiring("venues,route", &[cell(1), venue(0)]);
+        assert!(validate(&missing_route).unwrap_err().contains("route"));
+        let missing_venues = stream_requiring("venues", &[cell(1)]);
+        assert!(validate(&missing_venues).unwrap_err().contains("venue"));
         // Unknown tokens are a producer bug, not a silent pass.
-        let unknown = with_header("quux", &[cell(1)]);
-        assert!(validate(&unknown, false).unwrap_err().contains("quux"));
+        let unknown = stream_requiring("quux", &[cell(1)]);
+        assert!(validate(&unknown).unwrap_err().contains("quux"));
     }
 
     /// Route and rebalance events must carry their counter field even
@@ -288,18 +319,16 @@ mod tests {
     #[test]
     fn route_and_rebalance_events_need_their_counters() {
         let bad_route = stream(&[cell(1), Event::new("route").with_u64("cell", 1)]);
-        assert!(validate(&bad_route, false).unwrap_err().contains("routed"));
+        assert!(validate(&bad_route).unwrap_err().contains("routed"));
         let bad_rebalance = stream(&[cell(1), Event::new("rebalance").with_u64("cell", 1)]);
-        assert!(validate(&bad_rebalance, false)
-            .unwrap_err()
-            .contains("count"));
+        assert!(validate(&bad_rebalance).unwrap_err().contains("count"));
     }
 
     #[test]
     fn rejects_missing_progress_and_bad_header() {
-        let empty = stream(&[venue(0)]);
-        assert!(validate(&empty, true).unwrap_err().contains("progress"));
-        assert!(validate("", true).is_err());
-        assert!(validate("{\"kind\":\"cell\",\"cell\":1}\n", true).is_err());
+        let empty = stream_requiring("venues", &[venue(0)]);
+        assert!(validate(&empty).unwrap_err().contains("progress"));
+        assert!(validate("").is_err());
+        assert!(validate("{\"kind\":\"cell\",\"cell\":1}\n").is_err());
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! A JSONL stream opens with a header event
 //! ([`Event::header`]) carrying [`EVENT_SCHEMA_VERSION`]; consumers
-//! (the bench validator, the round-trip tests) refuse streams whose
-//! version they do not know.
+//! (the `telemetry_check` validator, the round-trip tests) refuse
+//! streams whose version they do not know.
 //!
 //! Field values are integers, floats, booleans or strings. Floats are
 //! encoded with Rust's shortest round-trip `Display` (a `.0` is appended

@@ -13,9 +13,9 @@
 //!   histograms, sharded per worker and merged **in input order**.
 //! * [`event::Event`] + [`sink`] — structured events with a versioned
 //!   JSONL wire format ([`event::EVENT_SCHEMA_VERSION`]) and three
-//!   sinks: [`sink::NullSink`] (off, <5% overhead by bench gate),
-//!   [`sink::RingSink`] (bounded memory), [`sink::JsonlSink`] (buffered
-//!   file).
+//!   sinks: [`sink::NullSink`] (off, free), [`sink::RingSink`]
+//!   (bounded memory), [`sink::JsonlSink`] (buffered file) — the repo
+//!   benchmark prices the latter two as `telemetry.*_ns_per_event`.
 //! * [`json::JsonObject`] — the one writer behind every `--json`
 //!   artifact, sharing the event layer's scalar encoding and escaping.
 //! * [`timer::PhaseProfile`] / [`timer::TimerGuard`] — scoped wall-clock
@@ -29,8 +29,9 @@
 //! digest preimage.
 //!
 //! This crate is deliberately dependency-free (std only): it sits below
-//! `anta`, `protocol`, `sim` and `bench` in the crate graph, all of
-//! which emit through it.
+//! `anta`, `protocol` and `sim` in the crate graph, all of which emit
+//! through it. Its one binary, `telemetry_check`, validates the JSONL
+//! streams the format and parser here define.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
