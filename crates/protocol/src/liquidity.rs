@@ -28,12 +28,20 @@
 //!
 //! Routed open-system runs (see `protocol::network`) add a third
 //! account, **spent**: liquidity a *successful* payment permanently
-//! moved through a venue ([`LiquidityBook::consume`]). Spent liquidity
+//! moved through a venue (the `consume` part of
+//! [`LiquidityBook::settle`]). Spent liquidity
 //! counts against the budget in [`LiquidityBook::fits`] — a drained
 //! venue stays drained and the pathfinder routes around it — until a
 //! rebalancing flow calls [`LiquidityBook::restore_all`]. Non-routed
 //! runs never consume, so the account stays zero and admission behaves
 //! exactly as before.
+//!
+//! Admission reads a venue only through its **committed load**,
+//! `reserved + spent` ([`LiquidityBook::load_at`]; [`LiquidityBook::fits`]
+//! compares it to the budget). [`LiquidityBook::load_version`] moves
+//! whenever some venue's load does, so a gate whose last poll failed
+//! can skip re-polling until it moves: no change in credit, no change in
+//! feasibility.
 
 use anta::time::{SimDuration, SimTime};
 use payment::VenueId;
@@ -187,8 +195,10 @@ pub struct LiquidityBook {
     bounded: bool,
     reserved: Vec<u64>,
     /// Liquidity consumed by settled routed payments; see
-    /// [`LiquidityBook::consume`]. Always zero in non-routed runs.
+    /// [`LiquidityBook::settle`]. Always zero in non-routed runs.
     spent: Vec<u64>,
+    /// See [`LiquidityBook::load_version`].
+    load_version: u64,
     locked: Vec<i64>,
     peak_locked: Vec<i64>,
     peak_reserved: Vec<u64>,
@@ -210,6 +220,7 @@ impl LiquidityBook {
             bounded: cfg.policy.bounded(),
             reserved: vec![0; venues],
             spent: vec![0; venues],
+            load_version: 0,
             locked: vec![0; venues],
             peak_locked: vec![0; venues],
             peak_reserved: vec![0; venues],
@@ -264,6 +275,20 @@ impl LiquidityBook {
         !self.bounded || demand.iter().all(|&(_, amount)| amount <= self.budget)
     }
 
+    /// A counter that moves whenever some venue's committed load
+    /// ([`LiquidityBook::load_at`]) does. [`LiquidityBook::fits`] and
+    /// `load_at` are the only book state admission reads, so any
+    /// admission decision — a single demand or a whole pathfinder search —
+    /// that failed at one version fails identically for as long as the
+    /// version stands. It stands across everything that leaves loads
+    /// alone: audit events, a rebalance with nothing to restore and —
+    /// the case that matters — a successful routed settlement (`settle`
+    /// with `consume == amount`), which turns a reservation into spend
+    /// without moving the load.
+    pub fn load_version(&self) -> u64 {
+        self.load_version
+    }
+
     /// Sets `amount` of collateral aside at `venue`.
     ///
     /// Admission controllers check [`LiquidityBook::fits`] against a
@@ -278,25 +303,25 @@ impl LiquidityBook {
         let i = self.slot(venue);
         self.reserved[i] += amount;
         self.peak_reserved[i] = self.peak_reserved[i].max(self.reserved[i]);
+        self.load_version += u64::from(amount > 0);
     }
 
-    /// Returns `amount` of reserved collateral at `venue`.
-    pub fn unreserve(&mut self, venue: VenueId, amount: u64) {
+    /// Returns `amount` of reserved collateral at `venue`, of which
+    /// `consume` is *spent*: liquidity a settled routed payment moved
+    /// through the venue. Spent liquidity counts against the budget in
+    /// [`LiquidityBook::fits`] until a rebalancing flow returns it via
+    /// [`LiquidityBook::restore_all`]. The routed DES settles a
+    /// successful payment with `consume == amount` — the reservation
+    /// converts into spend, so the venue's usable budget does not bounce
+    /// back on settlement — and everything else with `consume == 0`:
+    /// collateral returns intact.
+    pub fn settle(&mut self, venue: VenueId, amount: u64, consume: u64) {
         let i = self.slot(venue);
-        debug_assert!(self.reserved[i] >= amount, "unreserve exceeds reservation");
+        debug_assert!(self.reserved[i] >= amount, "settle exceeds reservation");
+        let before = self.load_at(venue);
         self.reserved[i] = self.reserved[i].saturating_sub(amount);
-    }
-
-    /// Marks `amount` of `venue`'s budget as *spent*: liquidity a settled
-    /// routed payment moved through the venue. Spent liquidity counts
-    /// against the budget in [`LiquidityBook::fits`] until a rebalancing
-    /// flow returns it via [`LiquidityBook::restore_all`]. The routed DES
-    /// calls this when a payment's reservation is released after a
-    /// successful run — the reservation converts into spend, so the
-    /// venue's usable budget does not bounce back on settlement.
-    pub fn consume(&mut self, venue: VenueId, amount: u64) {
-        let i = self.slot(venue);
-        self.spent[i] = self.spent[i].saturating_add(amount);
+        self.spent[i] = self.spent[i].saturating_add(consume);
+        self.load_version += u64::from(self.load_at(venue) != before);
     }
 
     /// Liquidity spent at `venue` since the last rebalance.
@@ -320,6 +345,7 @@ impl LiquidityBook {
             restored = restored.saturating_add(*s);
             *s = 0;
         }
+        self.load_version += u64::from(restored > 0);
         restored
     }
 
@@ -456,6 +482,7 @@ impl LiquidityBook {
             bounded: self.bounded,
             reserved: vec![0; self.reserved.len()],
             spent: vec![0; self.spent.len()],
+            load_version: 0,
             locked: vec![0; self.locked.len()],
             peak_locked: vec![0; self.peak_locked.len()],
             peak_reserved: vec![0; self.peak_reserved.len()],
@@ -492,6 +519,7 @@ impl LiquidityBook {
             self.peak_locked[i] = self.peak_locked[i].max(other.peak_locked[i]);
             self.peak_reserved[i] = self.peak_reserved[i].max(other.peak_reserved[i]);
         }
+        self.load_version += 1;
         self.violations += other.violations;
         self.locked_total += other.locked_total;
         self.locked_integral += other.locked_integral;
@@ -517,7 +545,7 @@ mod tests {
         assert!(book.try_admit(&[(0, 40), (2, 100)]));
         assert_eq!(book.reserved_at(0), 100);
         assert_eq!(book.peak_reserved_venue(), 100);
-        book.unreserve(0, 60);
+        book.settle(0, 60, 0);
         assert!(book.try_admit(&[(0, 50)]));
     }
 
@@ -591,13 +619,13 @@ mod tests {
         assert!(a.try_admit(&[(0, 60), (1, 40)]));
         a.apply_lock(t(0), 0, 60);
         a.apply_lock(t(10), 0, -60);
-        a.unreserve(0, 60);
-        a.unreserve(1, 40);
+        a.settle(0, 60, 0);
+        a.settle(1, 40, 0);
         a.finish(t(10));
         assert!(b.try_admit(&[(2, 90)]));
         b.apply_lock(t(5), 2, 90);
         b.apply_lock(t(25), 2, -90);
-        b.unreserve(2, 90);
+        b.settle(2, 90, 0);
         b.finish(t(25));
         root.merge(&a);
         root.merge(&b);
@@ -633,7 +661,7 @@ mod tests {
         assert!(book.try_admit(&[(0, 60)]));
         book.apply_lock(t(0), 0, 60);
         book.apply_lock(t(8), 0, -60);
-        book.unreserve(0, 60);
+        book.settle(0, 60, 0);
         let samples = book.venue_samples();
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].venue, 0);
@@ -665,8 +693,7 @@ mod tests {
         assert!(book.try_admit(&[(0, 70)]));
         // Settlement converts the reservation into spend: the budget
         // stays consumed even though nothing is reserved any more.
-        book.unreserve(0, 70);
-        book.consume(0, 70);
+        book.settle(0, 70, 70);
         assert_eq!(book.spent_at(0), 70);
         assert_eq!(book.load_at(0), 70);
         assert!(!book.fits(&[(0, 40)]));
@@ -680,13 +707,43 @@ mod tests {
     }
 
     #[test]
+    fn load_version_moves_exactly_when_a_committed_load_does() {
+        let mut book = LiquidityBook::new(&LiquidityConfig::reject(100), 2);
+        let v0 = book.load_version();
+        book.reserve(0, 70);
+        let v1 = book.load_version();
+        assert_ne!(v1, v0, "a reservation raises the load");
+        // A successful settlement turns the whole reservation into spend:
+        // same load, same version, same admission answers.
+        book.settle(0, 70, 70);
+        assert_eq!(book.load_version(), v1);
+        assert_eq!(book.load_at(0), 70);
+        // Audit events and empty rebalances do not touch loads either.
+        book.apply_lock(t(1), 0, 5);
+        book.apply_lock(t(2), 0, -5);
+        assert_eq!(book.load_version(), v1);
+        // A failed payment returns collateral intact, a partial spend
+        // returns part of it, a rebalance returns spend: all lower a load.
+        book.reserve(1, 40);
+        let v2 = book.load_version();
+        book.settle(1, 30, 0);
+        let v3 = book.load_version();
+        book.settle(1, 10, 4);
+        let v4 = book.load_version();
+        assert_eq!(book.restore_all(), 74);
+        let v5 = book.load_version();
+        assert!(v1 != v2 && v2 != v3 && v3 != v4 && v4 != v5);
+        assert_eq!(book.restore_all(), 0);
+        assert_eq!(book.load_version(), v5, "nothing left to restore");
+    }
+
+    #[test]
     fn merge_sums_spent_liquidity() {
         let cfg = LiquidityConfig::reject(100);
         let mut root = LiquidityBook::new(&cfg, 2);
         let mut shard = root.shard_view();
         assert!(shard.try_admit(&[(1, 50)]));
-        shard.unreserve(1, 50);
-        shard.consume(1, 50);
+        shard.settle(1, 50, 50);
         root.merge(&shard);
         assert_eq!(root.spent_at(1), 50);
         assert!(!root.fits(&[(1, 60)]));

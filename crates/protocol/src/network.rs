@@ -257,20 +257,20 @@ impl Default for RoutingConfig {
     }
 }
 
-/// Label entry of the layered shortest-path scratch; `stamp` versioning
-/// makes reuse O(1) — no per-call clearing.
-const UNSET: u32 = u32::MAX;
-
 /// Bounded-hop cheapest-feasible-path search with reusable scratch.
 ///
-/// The router runs a layered relaxation (Bellman–Ford over path length):
-/// layer `k` holds the cheapest feasible walk of exactly `k` hops from
-/// the source to each node, and the search stops at the first layer that
-/// reaches the destination. An edge is *feasible* when the liquidity
-/// book can cover the payment's per-hop amount at that venue right now
-/// ([`LiquidityBook::fits`]); its *cost* is the venue's committed load
+/// The router runs a level-synchronous breadth-first search with cost
+/// labels over the *feasible subgraph*: an edge is feasible when the
+/// liquidity book can cover the payment's per-hop amount at that venue
+/// right now ([`LiquidityBook::fits`]) and the venue is not banned by an
+/// earlier leg of a split; its *cost* is the venue's committed load
 /// ([`LiquidityBook::load_at`]), so among feasible routes the search
-/// prefers idle venues.
+/// prefers idle venues. Level `k` holds the nodes at feasible distance
+/// exactly `k` from the source, each labelled with its cheapest `k`-hop
+/// path; the search stops at the first level that contains the
+/// destination, or when a level comes up empty. Every edge is relaxed
+/// at most twice (once from each endpoint's level), so a search — a
+/// failing one included — costs O(E) whatever the hop cap.
 ///
 /// # Deterministic tie-breaking contract
 ///
@@ -278,28 +278,53 @@ const UNSET: u32 = u32::MAX;
 /// choice is a pure function of `(graph, book, src, dst, amount)` under
 /// a total preference order:
 ///
-/// 1. **fewest hops** — the search examines layers in increasing path
-///    length and returns at the first layer containing the destination;
-/// 2. **minimal total committed load** — within a layer, labels keep the
+/// 1. **fewest hops** — the search examines levels in increasing path
+///    length and returns at the first level containing the destination;
+/// 2. **minimal total committed load** — within a level, labels keep the
 ///    cheapest predecessor (sum of [`LiquidityBook::load_at`] over the
 ///    path's venues);
 /// 3. **scan order** — exact cost ties keep the *first* label found by
-///    the deterministic relaxation sweep: source-layer nodes in
+///    the deterministic relaxation sweep: the previous level's nodes in
 ///    ascending node id, each adjacency list in ascending
 ///    `(neighbour, venue)` order, and strictly-better-only updates.
 ///
 /// Rule 3 makes the choice independent of anything but the inputs —
 /// no hashing, no iteration-order dependence — which is what the
 /// 1-vs-4-thread digest tests pin.
+///
+/// **Why one label per node is the same search as one per (hop count,
+/// node).** A relaxation over walks of exactly `k` hops (Bellman–Ford
+/// over path length, which this search replaced) returns at the first
+/// `K` with a `K`-hop walk to the destination, so the walk it returns is
+/// a shortest path and its `k`-th node lies at distance exactly `k`.
+/// The label of such a node is only ever improved from nodes at distance
+/// exactly `k − 1` (a closer predecessor would put it closer), scanned
+/// in ascending id — which is the sorted previous level — through the
+/// same adjacency order with the same strictly-better rule. Labels the
+/// walk relaxation also kept for nodes *closer* than their hop count
+/// are never on a returned route, so dropping them changes no route and
+/// no tie-break; the `#[cfg(test)]` reference keeps that relaxation and
+/// a differential proptest holds the two equal.
 #[derive(Debug, Default)]
 pub struct Router {
+    /// Per-node label of the running search: cost of the cheapest
+    /// shortest feasible path found so far, and its last hop.
     cost: Vec<u64>,
     prev_node: Vec<u32>,
     prev_venue: Vec<u32>,
+    /// The tick at which the node was labelled. Ticks only grow — one
+    /// per search plus one per level — so a stamp below the running
+    /// search's first tick means "unlabelled", and a stamp equal to the
+    /// level being built means "still improvable": no per-call clearing.
     stamp: Vec<u64>,
     tick: u64,
-    nodes: usize,
-    layers: usize,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+    /// `banned[venue] == ban_epoch` marks a venue taken by an earlier leg
+    /// of the running [`Router::route_multi`]; every entry point starts a
+    /// new epoch, which lifts all bans at once.
+    banned: Vec<u64>,
+    ban_epoch: u64,
 }
 
 impl Router {
@@ -309,22 +334,26 @@ impl Router {
         Router::default()
     }
 
-    fn ensure(&mut self, nodes: usize, layers: usize) {
-        if nodes > self.nodes || layers > self.layers {
-            self.nodes = nodes.max(self.nodes);
-            self.layers = layers.max(self.layers);
-            let len = self.nodes * self.layers;
-            self.cost = vec![0; len];
-            self.prev_node = vec![UNSET; len];
-            self.prev_venue = vec![UNSET; len];
-            self.stamp = vec![0; len];
+    fn ensure_nodes(&mut self, nodes: usize) {
+        if nodes > self.stamp.len() {
+            self.cost.resize(nodes, 0);
+            self.prev_node.resize(nodes, 0);
+            self.prev_venue.resize(nodes, 0);
+            self.stamp.resize(nodes, 0);
         }
     }
 
-    /// The layered relaxation core. `book == None` means "empty
-    /// network" (every edge feasible at zero cost), which is how static
-    /// shortest paths are computed at workload-generation time.
-    #[allow(clippy::too_many_arguments)]
+    /// Lifts every ban and makes sure each of `g`'s venues has a slot.
+    fn lift_bans(&mut self, g: &VenueGraph) {
+        self.ban_epoch += 1;
+        if g.venues() > self.banned.len() {
+            self.banned.resize(g.venues(), 0);
+        }
+    }
+
+    /// The search core. `book == None` means "empty network" (every edge
+    /// feasible at zero cost), which is how static shortest paths are
+    /// computed at workload-generation time.
     fn search(
         &mut self,
         g: &VenueGraph,
@@ -333,28 +362,27 @@ impl Router {
         amount: u64,
         max_hops: usize,
         book: Option<&LiquidityBook>,
-        banned: &[bool],
     ) -> Option<VenueRoute> {
         let nodes = g.nodes();
         if src == dst || max_hops == 0 || src as usize >= nodes || dst as usize >= nodes {
             return None;
         }
-        self.ensure(nodes, max_hops + 1);
+        self.ensure_nodes(nodes);
         self.tick += 1;
-        let t = self.tick;
-        let stride = self.nodes;
-        self.stamp[src as usize] = t;
+        let first_tick = self.tick;
+        self.stamp[src as usize] = first_tick;
         self.cost[src as usize] = 0;
-        for k in 0..max_hops {
-            let mut layer_alive = false;
-            for u in 0..nodes {
-                let iu = k * stride + u;
-                if self.stamp[iu] != t {
-                    continue;
-                }
-                let cu = self.cost[iu];
-                for &(nbr, venue) in g.neighbors(u as u32) {
-                    if banned.get(venue as usize).copied().unwrap_or(false) {
+        self.frontier.clear();
+        self.frontier.push(src);
+        for hops in 1..=max_hops {
+            self.tick += 1;
+            let level = self.tick;
+            self.next.clear();
+            for i in 0..self.frontier.len() {
+                let u = self.frontier[i];
+                let cu = self.cost[u as usize];
+                for &(nbr, venue) in g.neighbors(u) {
+                    if self.banned[venue as usize] == self.ban_epoch {
                         continue;
                     }
                     let step = match book {
@@ -366,34 +394,35 @@ impl Router {
                         }
                         None => 0,
                     };
-                    let iv = (k + 1) * stride + nbr as usize;
+                    let v = nbr as usize;
                     let nc = cu.saturating_add(step);
-                    if self.stamp[iv] != t || nc < self.cost[iv] {
-                        self.stamp[iv] = t;
-                        self.cost[iv] = nc;
-                        self.prev_node[iv] = u as u32;
-                        self.prev_venue[iv] = venue;
-                        layer_alive = true;
+                    let unlabelled = self.stamp[v] < first_tick;
+                    if unlabelled {
+                        self.stamp[v] = level;
+                        self.next.push(nbr);
+                    }
+                    if unlabelled || (self.stamp[v] == level && nc < self.cost[v]) {
+                        self.cost[v] = nc;
+                        self.prev_node[v] = u;
+                        self.prev_venue[v] = venue;
                     }
                 }
             }
-            let id = (k + 1) * stride + dst as usize;
-            if self.stamp[id] == t {
-                let mut venues = Vec::with_capacity(k + 1);
+            if self.stamp[dst as usize] == level {
+                let mut venues = vec![0; hops];
                 let mut node = dst as usize;
-                let mut layer = k + 1;
-                while layer > 0 {
-                    let i = layer * stride + node;
-                    venues.push(self.prev_venue[i]);
-                    node = self.prev_node[i] as usize;
-                    layer -= 1;
+                for slot in venues.iter_mut().rev() {
+                    *slot = self.prev_venue[node];
+                    node = self.prev_node[node] as usize;
                 }
-                venues.reverse();
+                debug_assert_eq!(node, src as usize, "labels chain back to the source");
                 return Some(VenueRoute::new(venues));
             }
-            if !layer_alive {
+            if self.next.is_empty() {
                 return None;
             }
+            self.next.sort_unstable();
+            std::mem::swap(&mut self.frontier, &mut self.next);
         }
         None
     }
@@ -401,9 +430,7 @@ impl Router {
     /// The cheapest feasible path from `src` to `dst` for a payment
     /// carrying `amount` per hop, under the tie-breaking contract above.
     /// `None` when no path of at most `max_hops` venues fits the book at
-    /// this instant. The returned route's *aggregate* demand is verified
-    /// against the book (a minimal-cost walk can revisit a venue; such
-    /// walks are rejected rather than over-admitted).
+    /// this instant.
     pub fn route(
         &mut self,
         g: &VenueGraph,
@@ -413,15 +440,12 @@ impl Router {
         max_hops: usize,
         book: &LiquidityBook,
     ) -> Option<VenueRoute> {
-        let path = self.search(g, src, dst, amount, max_hops, Some(book), &[])?;
-        let mut demand: Vec<(VenueId, u64)> = Vec::with_capacity(path.hops());
-        for &v in &path.venues {
-            match demand.iter_mut().find(|(dv, _)| *dv == v) {
-                Some((_, a)) => *a += amount,
-                None => demand.push((v, amount)),
-            }
-        }
-        book.fits(&demand).then_some(path)
+        self.lift_bans(g);
+        let path = self.search(g, src, dst, amount, max_hops, Some(book))?;
+        // A shortest path is simple, so it crosses each venue once and the
+        // per-edge `fits` the search ran already is the aggregate demand.
+        debug_assert!(book.fits(&path.demand(&payment::ValuePlan::uniform(path.hops(), amount))));
+        Some(path)
     }
 
     /// Splits the payment over `parts` venue-disjoint feasible paths:
@@ -444,18 +468,18 @@ impl Router {
         if parts < 2 || amount < parts as u64 {
             return None;
         }
+        self.lift_bans(g);
         let base = amount / parts as u64;
         let rem = (amount % parts as u64) as usize;
-        let mut banned = vec![false; g.venues()];
         let mut out = Vec::with_capacity(parts);
         for j in 0..parts {
             let share = base + u64::from(j < rem);
-            let path = self.search(g, src, dst, share, max_hops, Some(book), &banned)?;
+            let path = self.search(g, src, dst, share, max_hops, Some(book))?;
             for &v in &path.venues {
-                if std::mem::replace(&mut banned[v as usize], true) {
-                    // The walk revisited a venue — reject the split.
-                    return None;
-                }
+                // Earlier legs' venues were banned from this search, and a
+                // shortest path is simple: no venue can come up twice.
+                debug_assert_ne!(self.banned[v as usize], self.ban_epoch);
+                self.banned[v as usize] = self.ban_epoch;
             }
             out.push((path, share));
         }
@@ -474,7 +498,8 @@ impl Router {
         dst: u32,
         max_hops: usize,
     ) -> Option<VenueRoute> {
-        self.search(g, src, dst, 0, max_hops, None, &[])
+        self.lift_bans(g);
+        self.search(g, src, dst, 0, max_hops, None)
     }
 
     /// Fills `out` with every node reachable from `src` within
@@ -487,7 +512,7 @@ impl Router {
         if src as usize >= nodes {
             return;
         }
-        self.ensure(nodes, 1);
+        self.ensure_nodes(nodes);
         self.tick += 1;
         let t = self.tick;
         self.stamp[src as usize] = t;
@@ -517,6 +542,228 @@ impl Router {
 mod tests {
     use super::*;
     use crate::liquidity::LiquidityConfig;
+    use proptest::prelude::*;
+
+    /// The search [`Router`] ran before it became one breadth-first
+    /// sweep: Bellman–Ford over path length, one label per (hop count,
+    /// node), every node swept for every layer — and, around it, the
+    /// aggregate-demand re-check and the revisited-venue rejection that
+    /// a shortest path makes unreachable. Kept only as the reference of
+    /// `bfs_search_equals_the_layered_relaxation`.
+    #[derive(Default)]
+    struct LayeredRouter {
+        cost: Vec<u64>,
+        prev_node: Vec<u32>,
+        prev_venue: Vec<u32>,
+        stamp: Vec<u64>,
+        tick: u64,
+    }
+
+    impl LayeredRouter {
+        #[allow(clippy::too_many_arguments)]
+        fn search(
+            &mut self,
+            g: &VenueGraph,
+            src: u32,
+            dst: u32,
+            amount: u64,
+            max_hops: usize,
+            book: Option<&LiquidityBook>,
+            banned: &[bool],
+        ) -> Option<VenueRoute> {
+            let nodes = g.nodes();
+            if src == dst || max_hops == 0 || src as usize >= nodes || dst as usize >= nodes {
+                return None;
+            }
+            let len = nodes * (max_hops + 1);
+            if len > self.stamp.len() {
+                self.cost.resize(len, 0);
+                self.prev_node.resize(len, 0);
+                self.prev_venue.resize(len, 0);
+                self.stamp.resize(len, 0);
+            }
+            self.tick += 1;
+            let t = self.tick;
+            self.stamp[src as usize] = t;
+            self.cost[src as usize] = 0;
+            for k in 0..max_hops {
+                let mut layer_alive = false;
+                for u in 0..nodes {
+                    let iu = k * nodes + u;
+                    if self.stamp[iu] != t {
+                        continue;
+                    }
+                    let cu = self.cost[iu];
+                    for &(nbr, venue) in g.neighbors(u as u32) {
+                        if banned.get(venue as usize).copied().unwrap_or(false) {
+                            continue;
+                        }
+                        let step = match book {
+                            Some(b) => {
+                                if !b.fits(&[(venue, amount)]) {
+                                    continue;
+                                }
+                                b.load_at(venue)
+                            }
+                            None => 0,
+                        };
+                        let iv = (k + 1) * nodes + nbr as usize;
+                        let nc = cu.saturating_add(step);
+                        if self.stamp[iv] != t || nc < self.cost[iv] {
+                            self.stamp[iv] = t;
+                            self.cost[iv] = nc;
+                            self.prev_node[iv] = u as u32;
+                            self.prev_venue[iv] = venue;
+                            layer_alive = true;
+                        }
+                    }
+                }
+                if self.stamp[(k + 1) * nodes + dst as usize] == t {
+                    let mut venues = Vec::with_capacity(k + 1);
+                    let mut node = dst as usize;
+                    for layer in (1..=k + 1).rev() {
+                        let i = layer * nodes + node;
+                        venues.push(self.prev_venue[i]);
+                        node = self.prev_node[i] as usize;
+                    }
+                    venues.reverse();
+                    return Some(VenueRoute::new(venues));
+                }
+                if !layer_alive {
+                    return None;
+                }
+            }
+            None
+        }
+
+        fn route(
+            &mut self,
+            g: &VenueGraph,
+            src: u32,
+            dst: u32,
+            amount: u64,
+            max_hops: usize,
+            book: &LiquidityBook,
+        ) -> Option<VenueRoute> {
+            let path = self.search(g, src, dst, amount, max_hops, Some(book), &[])?;
+            let mut demand: Vec<(VenueId, u64)> = Vec::with_capacity(path.hops());
+            for &v in &path.venues {
+                match demand.iter_mut().find(|(dv, _)| *dv == v) {
+                    Some((_, a)) => *a += amount,
+                    None => demand.push((v, amount)),
+                }
+            }
+            book.fits(&demand).then_some(path)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn route_multi(
+            &mut self,
+            g: &VenueGraph,
+            src: u32,
+            dst: u32,
+            amount: u64,
+            parts: usize,
+            max_hops: usize,
+            book: &LiquidityBook,
+        ) -> Option<Vec<(VenueRoute, u64)>> {
+            if parts < 2 || amount < parts as u64 {
+                return None;
+            }
+            let base = amount / parts as u64;
+            let rem = (amount % parts as u64) as usize;
+            let mut banned = vec![false; g.venues()];
+            let mut out = Vec::with_capacity(parts);
+            for j in 0..parts {
+                let share = base + u64::from(j < rem);
+                let path = self.search(g, src, dst, share, max_hops, Some(book), &banned)?;
+                for &v in &path.venues {
+                    if std::mem::replace(&mut banned[v as usize], true) {
+                        return None;
+                    }
+                }
+                out.push((path, share));
+            }
+            Some(out)
+        }
+    }
+
+    /// A xorshift step: the differential test's cheap per-venue dice.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    proptest! {
+        /// The breadth-first search and the layered relaxation it replaced
+        /// return the identical route — same venues in the same order, same
+        /// shares, same `None`s — for `route`, `route_multi`, `shortest`
+        /// and the bare search under arbitrary bans, on both graph
+        /// families, under random reservations and spends, with amounts on
+        /// both sides of what the budget can still cover and every hop cap.
+        #[test]
+        fn bfs_search_equals_the_layered_relaxation(
+            small_world in any::<bool>(),
+            size in 12usize..80,
+            graph_seed in 0u64..10_000,
+            load_seed in 1u64..u64::MAX,
+            amount in 1u64..5_000,
+            max_hops in 1usize..9,
+        ) {
+            const BUDGET: u64 = 4_000;
+            let family = if small_world {
+                GraphFamily::SmallWorld { nodes: size / 2, rewire_permille: 150 }
+            } else {
+                GraphFamily::ScaleFree { venues: size, attach: 1 + size % 3 }
+            };
+            let g = VenueGraph::generate(family, graph_seed);
+            let mut book = LiquidityBook::new(&LiquidityConfig::reject(BUDGET), g.venues());
+            let mut x = load_seed;
+            let mut banned = vec![false; g.venues()];
+            for v in 0..g.venues() as u32 {
+                let roll = xorshift(&mut x);
+                match roll % 4 {
+                    0 => book.reserve(v, roll % BUDGET),
+                    1 => book.settle(v, 0, roll % BUDGET),
+                    // Equal loads, so rule 3's scan order has ties to break.
+                    2 => book.reserve(v, 1_000),
+                    _ => {}
+                }
+                banned[v as usize] = xorshift(&mut x) % 5 == 0;
+            }
+            let mut bfs = Router::new();
+            let mut layered = LayeredRouter::default();
+            let nodes = g.nodes() as u32;
+            for _ in 0..12 {
+                let src = (xorshift(&mut x) % nodes as u64) as u32;
+                let dst = (xorshift(&mut x) % nodes as u64) as u32;
+                prop_assert_eq!(
+                    bfs.route(&g, src, dst, amount, max_hops, &book),
+                    layered.route(&g, src, dst, amount, max_hops, &book)
+                );
+                for parts in 2..=3 {
+                    prop_assert_eq!(
+                        bfs.route_multi(&g, src, dst, amount, parts, max_hops, &book),
+                        layered.route_multi(&g, src, dst, amount, parts, max_hops, &book)
+                    );
+                }
+                prop_assert_eq!(
+                    bfs.shortest(&g, src, dst, max_hops),
+                    layered.search(&g, src, dst, 0, max_hops, None, &[])
+                );
+                bfs.lift_bans(&g);
+                for (v, _) in banned.iter().enumerate().filter(|(_, &b)| b) {
+                    bfs.banned[v] = bfs.ban_epoch;
+                }
+                prop_assert_eq!(
+                    bfs.search(&g, src, dst, amount, max_hops, Some(&book)),
+                    layered.search(&g, src, dst, amount, max_hops, Some(&book), &banned)
+                );
+            }
+        }
+    }
 
     fn scalefree(venues: usize, seed: u64) -> VenueGraph {
         VenueGraph::generate(GraphFamily::ScaleFree { venues, attach: 2 }, seed)
@@ -614,8 +861,7 @@ mod tests {
         book.reserve(2, 95);
         assert!(router.route(&g, 0, 2, 10, 4, &book).is_none());
         // Spent liquidity blocks identically until restored.
-        book.unreserve(2, 95);
-        book.consume(2, 95);
+        book.settle(2, 95, 95);
         assert!(router.route(&g, 0, 2, 10, 4, &book).is_none());
         book.restore_all();
         assert!(router.route(&g, 0, 2, 10, 4, &book).is_some());

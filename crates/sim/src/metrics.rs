@@ -399,7 +399,10 @@ pub struct RoutingStats {
     /// Admission attempts for which no feasible path (single or split)
     /// existed at that instant.
     pub no_path: u64,
-    /// Pathfinder invocations (single-path and split searches).
+    /// Pathfinder searches executed (single-path and split searches).
+    /// Re-polls the admission gate elides — the head already failed
+    /// against a book whose venue loads have not moved since — are not
+    /// counted: no search ran.
     pub pathfind_calls: u64,
     /// Rebalancing flows executed.
     pub rebalances: u64,

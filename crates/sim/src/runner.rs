@@ -371,7 +371,7 @@ pub(crate) mod legacy {
             }
             heap.pop();
             match ev.kind {
-                EventKind::Unreserve { venue, amount, .. } => book.unreserve(venue, amount),
+                EventKind::Unreserve { venue, amount, .. } => book.settle(venue, amount, 0),
                 EventKind::Book { venue, delta } => book.apply_lock(ev.time, venue, delta),
                 _ => unreachable!("the two-phase sweep only schedules book events"),
             }

@@ -82,17 +82,7 @@ fn routed_digest(
 fn assert_threads_identical(family: TopologyFamily, seed: u64) {
     let routing = RoutingConfig::with_rebalance(SimDuration::from_millis(20));
     let liq = LiquidityConfig::queue(2_500, SimDuration::from_millis(25));
-    let run = |threads: usize| {
-        let cfg = routed_cfg(family, 160, seed, threads);
-        let specs = crosschain::sim::workload::generate(&cfg.workload);
-        crosschain::sim::run_open_specs_routed_with(
-            &TimeBoundedHarness,
-            &specs,
-            &cfg,
-            &liq,
-            &routing,
-        )
-    };
+    let run = |threads: usize| run_routed(&routed_cfg(family, 160, seed, threads), &liq, &routing);
     let serial = run(1);
     let two = run(2);
     let parallel = run(4);
@@ -147,18 +137,9 @@ fn rebalancing_restores_spent_liquidity() {
         attach: 2,
     };
     let cfg = routed_cfg(family, 200, 0x51EE7, 0);
-    let specs = crosschain::sim::workload::generate(&cfg.workload);
     let liq = LiquidityConfig::queue(2_500, SimDuration::from_millis(25));
-    let still = crosschain::sim::run_open_specs_routed_with(
-        &TimeBoundedHarness,
-        &specs,
-        &cfg,
-        &liq,
-        &RoutingConfig::new(),
-    );
-    let rebalanced = crosschain::sim::run_open_specs_routed_with(
-        &TimeBoundedHarness,
-        &specs,
+    let still = run_routed(&cfg, &liq, &RoutingConfig::new());
+    let rebalanced = run_routed(
         &cfg,
         &liq,
         &RoutingConfig::with_rebalance(SimDuration::from_millis(10)),
@@ -177,6 +158,124 @@ fn rebalancing_restores_spent_liquidity() {
     );
     assert_eq!(rebalanced.liquidity.budget_violations, 0);
     assert!(rebalanced.liquidity.drained);
+}
+
+/// FNV-1a of a routed report's `Debug` rendering with `pathfind_calls`
+/// zeroed: the gate memo elides searches whose result is already known,
+/// so that counter is the one report field it may move.
+fn digest_sans_pathfind_calls(report: &crosschain::sim::OpenReport) -> u64 {
+    let mut report = report.clone();
+    if let Some(rs) = report.routing.as_mut() {
+        rs.pathfind_calls = 0;
+    }
+    crosschain::experiments::digest::fnv1a64(format!("{report:?}").as_bytes())
+}
+
+fn run_routed(
+    cfg: &SimConfig,
+    liq: &LiquidityConfig,
+    routing: &RoutingConfig,
+) -> crosschain::sim::OpenReport {
+    let specs = crosschain::sim::workload::generate(&cfg.workload);
+    crosschain::sim::run_open_specs_routed_with(&TimeBoundedHarness, &specs, cfg, liq, routing)
+}
+
+/// Three routed reports pinned to the digests the parent commit (layered
+/// relaxation, every release re-polls the gate) produced: queueing with
+/// rebalancing, reject-on-full on the other family, and queueing under
+/// faults. Everything but the search count is bit-identical.
+#[test]
+fn routed_reports_match_the_digests_pinned_before_the_gate_memo() {
+    let scalefree = TopologyFamily::ScaleFree {
+        venues: 96,
+        attach: 2,
+    };
+    let smallworld = TopologyFamily::SmallWorld {
+        nodes: 48,
+        rewire_permille: 100,
+    };
+    let queue = LiquidityConfig::queue(2_500, SimDuration::from_millis(25));
+    let rebalance = RoutingConfig::with_rebalance(SimDuration::from_millis(20));
+
+    let report = run_routed(&routed_cfg(scalefree, 160, 0xE11A, 1), &queue, &rebalance);
+    assert_eq!(digest_sans_pathfind_calls(&report), PINNED[0]);
+
+    let report = run_routed(
+        &routed_cfg(smallworld, 160, 0xE11B, 1),
+        &LiquidityConfig::reject(2_500),
+        &RoutingConfig::new(),
+    );
+    assert_eq!(digest_sans_pathfind_calls(&report), PINNED[1]);
+
+    // The `byz` rung of the fault ladder fails 15% of instances. A failed
+    // routed payment returns its collateral intact (`consume == 0`), which
+    // lowers a venue's load, so the gate must re-poll after it; the
+    // successes around it settle with `consume == amount` and must not
+    // cost a search. Both gate branches run, and debug builds re-run
+    // every skipped search to check it still fails. Same report at 1 and
+    // 4 threads, search count included.
+    let faulty = |threads| SimConfig {
+        faults: crosschain::sim::faults::ladder()[1].1,
+        ..routed_cfg(scalefree, 240, 0xFA17, threads)
+    };
+    let serial = run_routed(&faulty(1), &queue, &rebalance);
+    let parallel = run_routed(&faulty(4), &queue, &rebalance);
+    assert_eq!(digest_sans_pathfind_calls(&serial), PINNED[2]);
+    assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+    let failed = serial.sim.instances - successes(&serial) - serial.liquidity.rejected;
+    assert!(failed > 0, "some admitted payments must fail");
+    assert!(
+        serial.liquidity.queued > 0,
+        "the gate must have held payments"
+    );
+}
+
+/// See `routed_reports_match_the_digests_pinned_before_the_gate_memo`.
+const PINNED: [u64; 3] = [
+    0x1baf_85e4_655a_4270,
+    0xe6c7_6f2e_acce_7d4b,
+    0x6e77_7d6a_7d74_e778,
+];
+
+/// One campaign of the benchmark's `routed_net` shape — 400 bursty
+/// payments over a 1 024-venue scale-free network, queueing with 10 ms
+/// rebalancing — with its routing work counters gated at zero tolerance.
+/// `pathfind_calls` counts searches executed: before the gate memo this
+/// campaign ran 2 426 of them for the same admissions.
+#[test]
+fn routed_campaign_work_counters_are_pinned_exactly() {
+    let family = TopologyFamily::ScaleFree {
+        venues: 1_024,
+        attach: 2,
+    };
+    let mut workload = WorkloadConfig::new(family, 400, 42);
+    workload.amount = (100, 2_000);
+    workload.max_commission = 0;
+    workload.arrivals = ArrivalProcess::Bursty {
+        burst: 32,
+        gap: SimDuration::from_millis(20),
+    };
+    let cfg = SimConfig {
+        threads: 1,
+        ..SimConfig::new(workload)
+    };
+    let report = run_routed(
+        &cfg,
+        &LiquidityConfig::queue(2_500, SimDuration::from_millis(25)),
+        &RoutingConfig::with_rebalance(SimDuration::from_millis(10)),
+    );
+    assert_eq!(
+        report.routing,
+        Some(RoutingStats {
+            routed: 388,
+            rerouted: 216,
+            split: 16,
+            no_path: 2,
+            pathfind_calls: 460,
+            rebalances: 26,
+            restored_value: 1_196_685,
+        })
+    );
 }
 
 /// Successful payments across every family of a report.
@@ -229,7 +328,7 @@ proptest! {
             x ^= x << 17;
             match x % 4 {
                 0 => book.reserve(v, x % 4_000),
-                1 => book.consume(v, x % 4_000),
+                1 => book.settle(v, 0, x % 4_000),
                 _ => {}
             }
         }
