@@ -48,11 +48,12 @@
 //!   ([`EngineConfig::prune_dead_sends`](crate::engine::EngineConfig::prune_dead_sends)
 //!   documents the independence argument and its `end_time` caveat).
 //!
-//! Budget semantics: [`ExploreLimits::max_runs`] / [`ExploreConfig::max_runs`]
-//! count **executed** schedules — runs cut by the deduplicator are refunded,
-//! so the same budget buys the same number of complete, checked runs in both
-//! modes. Deduplicated cuts are reported separately
-//! ([`ExploreReport::dedup_hits`]).
+//! Budget semantics: `max_runs` ([`explore`]'s argument,
+//! [`ExploreConfig::max_runs`]) counts **executed** schedules — runs cut by
+//! the deduplicator are refunded, so the same budget buys the same number of
+//! complete, checked runs in both modes. Deduplicated cuts are reported
+//! separately ([`ExploreReport::dedup_hits`]). An exploration is
+//! `exhausted` unless an unvisited path remained when the budget ran out.
 //!
 //! Correctness insurance: [`explore_differential`] runs full and reduced
 //! exploration back to back and compares exhaustion, verdict, and the
@@ -63,29 +64,32 @@
 //! ## Parallel exploration
 //!
 //! Schedules are independent runs, so the tree is embarrassingly parallel
-//! once partitioned. In full mode, [`explore_parallel`] first enumerates the
-//! choice tree down to a configurable *split depth* (each frontier node
-//! discovered with one run, its leftmost leaf), then farms the resulting
-//! disjoint subtree prefixes to scoped worker threads over a work-stealing
-//! cursor — the same no-unsafe pattern as the experiment sweeps. Every
-//! worker runs the plain serial DFS restricted to its prefix, so when the
-//! tree is exhausted the result is **bit-identical** to the serial explorer:
-//! same run count, same violations, merged back in lexicographic (serial
-//! DFS) order. When the run budget intervenes, the run *count* still matches
-//! the serial explorer but which schedules got visited may differ between
-//! thread counts.
+//! once partitioned — but subtree sizes are wildly uneven (in reduced mode a
+//! subtree can collapse to a single deduplicated cut), so no static
+//! partition balances. [`explore_parallel`] therefore runs **one scheduler
+//! for both modes**: a shared work queue of subtree prefixes, seeded with
+//! the root, plus **dynamic re-splitting** — whenever a worker notices an
+//! idle peer, it donates the unvisited sibling subtrees at the shallowest
+//! still-open level of its own DFS position and deepens its own prefix
+//! ([`ExploreReport::resplits`] counts donations). Donated subtrees are
+//! disjoint and together cover everything the donor gave up, so every leaf
+//! is still executed exactly once. [`ExploreMode`] decides only whether
+//! fingerprints and the dedup probe are armed on each run.
 //!
-//! Reduced mode makes subtree sizes wildly uneven (a subtree can collapse
-//! to a single deduplicated cut), so it replaces the fixed frontier with a
-//! shared work queue plus **dynamic re-splitting**: whenever a worker
-//! notices an idle peer, it donates the unvisited sibling subtrees at the
-//! shallowest still-open level of its own DFS position and deepens its own
-//! prefix ([`ExploreReport::resplits`] counts donations). Deduplication
-//! uses per-worker local caches backed by a sharded global seen-set, so the
-//! hot path takes at most one shard lock per fresh state. Reduced-mode
-//! reports are deterministic in verdict (exhaustion, distinct violations)
-//! but — unlike full mode — *which* representative schedule reaches a state
-//! first depends on thread timing; violations are merged in path order.
+//! In full mode, when the tree is exhausted the result is **bit-identical**
+//! to the serial [`explore`] at every thread count: same run count, same
+//! violations, merged back in path (= serial DFS) order. When the run budget
+//! intervenes, the run *count* still matches the serial explorer but which
+//! schedules got visited depends on thread timing. The serial DFS shares
+//! only the [`ReplayOracle`] with the queue worker and stays as the
+//! independent reference: serial ≡ queue-full (bit-identical) ≡-in-verdict
+//! queue-reduced ([`explore_differential`]).
+//!
+//! Reduced-mode deduplication uses per-worker local caches backed by a
+//! sharded global seen-set, so the hot path takes at most one shard lock per
+//! fresh state. Reduced-mode reports are deterministic in verdict
+//! (exhaustion, distinct violations) but — unlike full mode — *which*
+//! representative schedule reaches a state first depends on thread timing.
 
 use crate::engine::{Engine, RunReport};
 use crate::oracle::{Oracle, ReplayOracle};
@@ -94,26 +98,8 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use telemetry::{Event, NullSink, TelemetrySink};
-
-/// Budget for an exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct ExploreLimits {
-    /// Maximum number of complete runs (tree leaves) to **execute**. Runs
-    /// cut short by state-hash deduplication do not count against this
-    /// budget (their slot is refunded), so the limit means the same thing
-    /// in full and reduced modes: how many complete schedules get checked.
-    pub max_runs: usize,
-}
-
-impl Default for ExploreLimits {
-    fn default() -> Self {
-        ExploreLimits {
-            max_runs: 1_000_000,
-        }
-    }
-}
 
 /// Exploration strategy: every schedule, or one representative per
 /// distinct behaviour (see the module docs).
@@ -123,9 +109,9 @@ pub enum ExploreMode {
     /// thread counts; the reference reduced mode is checked against.
     #[default]
     Full,
-    /// State-hash deduplication + dead-branch elision + dynamic
-    /// re-splitting. Same exhaustion verdict and distinct violation set as
-    /// [`ExploreMode::Full`], at a fraction of the executed runs.
+    /// State-hash deduplication + dead-branch elision. Same exhaustion
+    /// verdict and distinct violation set as [`ExploreMode::Full`], at a
+    /// fraction of the executed runs.
     Reduced,
 }
 
@@ -133,19 +119,13 @@ pub enum ExploreMode {
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
     /// Maximum number of complete runs (tree leaves) to **execute**, across
-    /// all threads; deduplicated cuts are refunded (see
-    /// [`ExploreLimits::max_runs`]).
+    /// all threads. Runs cut short by state-hash deduplication do not count
+    /// against this budget (their slot is refunded), so the limit means the
+    /// same thing in full and reduced modes: how many complete schedules
+    /// get checked.
     pub max_runs: usize,
-    /// Worker threads. `0` ⇒ all available cores; `1` ⇒ the serial
-    /// explorer, unchanged.
+    /// Worker threads. `0` ⇒ all available cores.
     pub threads: usize,
-    /// Full mode only: choice-tree depth at which the tree is split into
-    /// per-worker subtrees. Small depths give few, large subtrees (poor
-    /// balance); large depths make the serial discovery phase enumerate
-    /// more frontier nodes (one run each). With `b`-way branching expect
-    /// about `b^split_depth` subtrees; the default suits 2-bucket
-    /// instances. Reduced mode ignores it and re-splits dynamically.
-    pub split_depth: usize,
     /// Exploration strategy.
     pub mode: ExploreMode,
     /// Reduced mode only: additionally pin choices that only affect
@@ -158,9 +138,8 @@ pub struct ExploreConfig {
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
-            max_runs: ExploreLimits::default().max_runs,
+            max_runs: 1_000_000,
             threads: 1,
-            split_depth: 4,
             mode: ExploreMode::Full,
             prune_dead_sends: false,
         }
@@ -200,7 +179,7 @@ pub struct Violation {
 }
 
 /// Outcome of an exploration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExploreReport {
     /// Complete runs executed (checked). Deduplicated cuts excluded.
     pub runs: usize,
@@ -214,7 +193,7 @@ pub struct ExploreReport {
     /// Reduced mode: oracle choices elided as dead branches
     /// (see [`ExploreConfig::prune_dead_sends`]).
     pub dead_branch_prunes: u64,
-    /// Reduced mode: dynamic re-splits (work donations to idle workers).
+    /// Dynamic re-splits (work donations to idle workers).
     pub resplits: usize,
     /// Set by [`explore_differential`]: the executed-run count of the full
     /// enumeration this reduced report was checked against, enabling
@@ -274,18 +253,6 @@ impl Oracle for SharedOracle {
     }
 }
 
-/// Result of exploring one subtree (or, for the serial explorer, the whole
-/// tree).
-struct SubtreeOutcome {
-    runs: usize,
-    violations: Vec<Violation>,
-    exhausted: bool,
-    /// Wall-clock seconds the subtree's DFS took on its worker.
-    /// Observability-only — it feeds the `subtree` telemetry event and
-    /// never the report.
-    wall_s: f64,
-}
-
 /// Tracks engine scaffolding sizes across runs so rebuilt engines can be
 /// pre-sized (queue and trace skip their grow-by-doubling phase).
 #[derive(Default, Clone, Copy)]
@@ -301,90 +268,13 @@ impl Sizing {
     }
 }
 
-/// Serial DFS over the subtree of schedules whose choice paths start with
-/// `prefix` (the whole tree for an empty prefix). `budget` is the shared
-/// run counter; a slot index at or past `max_runs` aborts with
-/// `exhausted = false`.
-fn explore_subtree<M: Message>(
-    build: &mut impl FnMut(Box<dyn Oracle>) -> Engine<M>,
-    check: &mut impl FnMut(&Engine<M>, &RunReport) -> Result<(), String>,
-    prefix: &[usize],
-    budget: &AtomicUsize,
-    max_runs: usize,
-) -> SubtreeOutcome {
-    let started = std::time::Instant::now();
-    let mut path: Vec<usize> = prefix.to_vec();
-    let mut runs = 0usize;
-    let mut violations = Vec::new();
-    let mut sizing = Sizing::default();
-    loop {
-        let slot = budget.fetch_add(1, Ordering::Relaxed);
-        if slot >= max_runs {
-            return SubtreeOutcome {
-                runs,
-                violations,
-                exhausted: false,
-                wall_s: started.elapsed().as_secs_f64(),
-            };
-        }
-        let oracle = Rc::new(RefCell::new(ReplayOracle::new(path.clone())));
-        let mut engine = build(Box::new(SharedOracle(oracle.clone())));
-        engine.reserve_capacity(sizing.queue, sizing.trace);
-        let report = engine.run();
-        runs += 1;
-        if let Err(message) = check(&engine, &report) {
-            let taken: Vec<usize> = oracle.borrow().log.iter().map(|&(c, _)| c).collect();
-            violations.push(Violation {
-                path: taken,
-                message,
-            });
-        }
-        sizing.observe(&engine);
-        if slot + 1 >= max_runs {
-            return SubtreeOutcome {
-                runs,
-                violations,
-                exhausted: false,
-                wall_s: started.elapsed().as_secs_f64(),
-            };
-        }
-        let next = oracle.borrow().next_path();
-        match next {
-            // A longer next path cannot have bumped a choice inside the
-            // prefix, so it still starts with it: stay in the subtree.
-            Some(p) if p.len() > prefix.len() => path = p,
-            _ => {
-                return SubtreeOutcome {
-                    runs,
-                    violations,
-                    exhausted: true,
-                    wall_s: started.elapsed().as_secs_f64(),
-                }
-            }
-        }
-    }
+/// The choices a finished run took — the path that replays it.
+fn taken_path(oracle: &ReplayOracle) -> Vec<usize> {
+    oracle.log.iter().map(|&(c, _)| c).collect()
 }
 
-/// Renders one `subtree` telemetry event: which frontier slot, how many
-/// runs/violations it contributed, whether it exhausted, and its
-/// worker-side throughput.
-fn subtree_event(index: usize, prefix_len: usize, out: &SubtreeOutcome) -> Event {
-    let runs_per_sec = if out.wall_s > 0.0 {
-        out.runs as f64 / out.wall_s
-    } else {
-        0.0
-    };
-    Event::new("subtree")
-        .with_u64("index", index as u64)
-        .with_u64("prefix_len", prefix_len as u64)
-        .with_u64("runs", out.runs as u64)
-        .with_u64("violations", out.violations.len() as u64)
-        .with_bool("exhausted", out.exhausted)
-        .with_f64("wall_s", out.wall_s)
-        .with_f64("runs_per_sec", runs_per_sec)
-}
-
-/// Exhaustively explores the schedule tree of a simulation, serially.
+/// Exhaustively explores the schedule tree of a simulation, serially:
+/// plain lexicographic DFS, executing at most `max_runs` schedules.
 ///
 /// * `build` — constructs a fresh engine wired to the given oracle; it must
 ///   be deterministic (same oracle behaviour ⇒ same run).
@@ -392,28 +282,46 @@ fn subtree_event(index: usize, prefix_len: usize, out: &SubtreeOutcome) -> Event
 ///   `Err(description)` to record a violation for that schedule.
 ///
 /// See [`explore_parallel`] for the multi-threaded variant; this function
-/// remains the `threads = 1` full-enumeration reference both the parallel
-/// and the reduced explorers are checked against.
+/// shares nothing with its scheduler but the [`ReplayOracle`], and remains
+/// the full-enumeration reference both the parallel and the reduced
+/// explorers are checked against.
 pub fn explore<M: Message>(
     mut build: impl FnMut(Box<dyn Oracle>) -> Engine<M>,
     mut check: impl FnMut(&Engine<M>, &RunReport) -> Result<(), String>,
-    limits: ExploreLimits,
+    max_runs: usize,
 ) -> ExploreReport {
-    let budget = AtomicUsize::new(0);
-    let out = explore_subtree(&mut build, &mut check, &[], &budget, limits.max_runs);
-    ExploreReport {
-        runs: out.runs,
-        exhausted: out.exhausted,
-        violations: out.violations,
-        dedup_hits: 0,
-        dead_branch_prunes: 0,
-        resplits: 0,
-        full_tree_runs: None,
+    let mut report = ExploreReport::default();
+    let mut path: Vec<usize> = Vec::new();
+    let mut sizing = Sizing::default();
+    while report.runs < max_runs {
+        let oracle = Rc::new(RefCell::new(ReplayOracle::new(path)));
+        let mut engine = build(Box::new(SharedOracle(oracle.clone())));
+        engine.reserve_capacity(sizing.queue, sizing.trace);
+        let run = engine.run();
+        report.runs += 1;
+        if let Err(message) = check(&engine, &run) {
+            report.violations.push(Violation {
+                path: taken_path(&oracle.borrow()),
+                message,
+            });
+        }
+        sizing.observe(&engine);
+        // Ask for the next path *before* consulting the budget: spending
+        // the last slot on the last leaf is exhaustion, not a budget hit.
+        let next = oracle.borrow().next_path();
+        match next {
+            Some(p) => path = p,
+            None => {
+                report.exhausted = true;
+                break;
+            }
+        }
     }
+    report
 }
 
 // ---------------------------------------------------------------------------
-// Reduced exploration
+// The parallel scheduler
 // ---------------------------------------------------------------------------
 
 /// Global seen-set cap: past this many distinct fingerprints the set stops
@@ -421,6 +329,9 @@ pub fn explore<M: Message>(
 /// longer recorded — still sound, just less reduction). Bounds worst-case
 /// memory to a few hundred MB.
 const SEEN_CAP: usize = 1 << 23;
+
+/// Why locking a [`Seen`] shard cannot fail.
+const SEEN_LOCK: &str = "seen shard: no code that can panic runs under this lock";
 
 /// Sharded global fingerprint set. Workers consult their local cache first;
 /// a fresh state costs one shard lock.
@@ -452,10 +363,10 @@ impl Seen {
             return true;
         }
         if self.full.load(Ordering::Relaxed) {
-            return self.shard(fp).lock().expect("seen shard").contains(&fp);
+            return self.shard(fp).lock().expect(SEEN_LOCK).contains(&fp);
         }
         local.insert(fp);
-        let fresh = self.shard(fp).lock().expect("seen shard").insert(fp);
+        let fresh = self.shard(fp).lock().expect(SEEN_LOCK).insert(fp);
         if fresh && self.count.fetch_add(1, Ordering::Relaxed) + 1 >= SEEN_CAP {
             self.full.store(true, Ordering::Relaxed);
         }
@@ -463,8 +374,11 @@ impl Seen {
     }
 }
 
-/// Shared work queue of subtree prefixes for the reduced explorer.
-/// Seeded with the root prefix; grows by donation (dynamic re-splits).
+/// Why locking the [`WorkQueue`] state cannot fail.
+const QUEUE_LOCK: &str = "work queue: build/check run outside this lock, so it is never poisoned";
+
+/// Shared work queue of subtree prefixes. Seeded with the root prefix;
+/// grows by donation (dynamic re-splits).
 struct WorkQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
@@ -496,7 +410,7 @@ impl WorkQueue {
     /// `workers` are idle with an empty queue (global completion) or after
     /// [`WorkQueue::shutdown`].
     fn pop(&self, workers: usize) -> Option<Vec<usize>> {
-        let mut st = self.state.lock().expect("work queue");
+        let mut st = self.state.lock().expect(QUEUE_LOCK);
         loop {
             if st.shutdown {
                 return None;
@@ -511,28 +425,63 @@ impl WorkQueue {
                 return None;
             }
             self.idle_hint.fetch_add(1, Ordering::Relaxed);
-            st = self.cv.wait(st).expect("work queue");
+            st = self.cv.wait(st).expect(QUEUE_LOCK);
             self.idle_hint.fetch_sub(1, Ordering::Relaxed);
             st.idle -= 1;
         }
     }
 
     fn push_many(&self, donated: Vec<Vec<usize>>) {
-        let mut st = self.state.lock().expect("work queue");
+        let mut st = self.state.lock().expect(QUEUE_LOCK);
         st.items.extend(donated);
         drop(st);
         self.cv.notify_all();
     }
 
+    /// Wakes every parked worker and makes all further pops return `None`.
+    /// Also runs from [`ShutdownOnPanic`]'s `Drop`, so it must not panic:
+    /// setting the flag is valid whatever state a poisoned lock guards.
     fn shutdown(&self) {
-        self.state.lock().expect("work queue").shutdown = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
         self.cv.notify_all();
     }
 }
 
-/// Per-worker tallies from the reduced explorer.
+/// Held by every worker: a worker that dies (a panicking `build` or `check`)
+/// never counts as idle, so without this its peers would park on the
+/// condvar forever waiting for `idle == workers`. Shutting the queue down
+/// lets them drain and the scope's join re-raise the panic.
+struct ShutdownOnPanic<'a>(&'a WorkQueue);
+
+impl Drop for ShutdownOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.shutdown();
+        }
+    }
+}
+
+/// What all workers of one exploration share.
+struct Shared {
+    q: WorkQueue,
+    workers: usize,
+    /// Executed-run slots handed out so far (dedup cuts are refunded).
+    budget: AtomicUsize,
+    max_runs: usize,
+    /// Set by the worker that found the budget spent with a path still to
+    /// run — the only way an exploration ends un-exhausted.
+    budget_hit: AtomicBool,
+    /// `Some` in reduced mode: arms fingerprints and the dedup probe.
+    seen: Option<Arc<Seen>>,
+    prune_dead: bool,
+}
+
+/// Per-worker tallies.
 #[derive(Default)]
-struct ReducedTotals {
+struct WorkerTotals {
     runs: usize,
     dedup_hits: usize,
     dead_prunes: u64,
@@ -541,49 +490,40 @@ struct ReducedTotals {
     wall_s: f64,
 }
 
-/// One reduced-mode worker: drains the work queue, DFS-ing each subtree
-/// with dedup probes armed and donating sibling subtrees to idle peers.
-#[allow(clippy::too_many_arguments)]
-fn reduced_worker<M, B, C>(
-    build: &B,
-    check: &C,
-    q: &WorkQueue,
-    workers: usize,
-    seen: &Arc<Seen>,
-    budget: &AtomicUsize,
-    max_runs: usize,
-    budget_hit: &AtomicBool,
-    prune_dead: bool,
-) -> ReducedTotals
+/// One worker: drains the work queue, DFS-ing each subtree (with dedup
+/// probes armed in reduced mode) and donating sibling subtrees to idle
+/// peers.
+fn queue_worker<M, B, C>(build: &B, check: &C, sh: &Shared) -> WorkerTotals
 where
     M: Message,
     B: Fn(Box<dyn Oracle>) -> Engine<M>,
     C: Fn(&Engine<M>, &RunReport) -> Result<(), String>,
 {
     let started = std::time::Instant::now();
-    let mut totals = ReducedTotals::default();
+    let _guard = ShutdownOnPanic(&sh.q);
+    let mut totals = WorkerTotals::default();
     // States this worker has already recorded — probed lock-free before
     // the sharded global set. Shared across all this worker's runs.
     let local: Rc<RefCell<HashSet<u64>>> = Rc::new(RefCell::new(HashSet::new()));
     let mut sizing = Sizing::default();
-    'items: while let Some(item) = q.pop(workers) {
+    'items: while let Some(item) = sh.q.pop(sh.workers) {
         let mut prefix_len = item.len();
         let mut path = item;
         loop {
             // Reserve an executed-run slot; refunded if the run dedups.
-            let slot = budget.fetch_add(1, Ordering::Relaxed);
-            if slot >= max_runs {
-                budget_hit.store(true, Ordering::Relaxed);
-                q.shutdown();
+            let slot = sh.budget.fetch_add(1, Ordering::Relaxed);
+            if slot >= sh.max_runs {
+                sh.budget_hit.store(true, Ordering::Relaxed);
+                sh.q.shutdown();
                 break 'items;
             }
-            let oracle = Rc::new(RefCell::new(ReplayOracle::new(path.clone())));
+            let oracle = Rc::new(RefCell::new(ReplayOracle::new(path)));
             let mut engine = build(Box::new(SharedOracle(oracle.clone())));
-            if prune_dead {
+            if sh.prune_dead {
                 engine.set_prune_dead_sends(true);
             }
-            engine.enable_fingerprints();
-            {
+            if let Some(seen) = &sh.seen {
+                engine.enable_fingerprints();
                 // Probe armed only once the run has left replayed
                 // territory: states visited *while replaying* were inserted
                 // by the runs that opened this branch, and pruning on them
@@ -603,14 +543,13 @@ where
             sizing.observe(&engine);
             totals.dead_prunes += engine.dead_branch_prunes();
             if engine.was_deduped() {
-                budget.fetch_sub(1, Ordering::Relaxed);
+                sh.budget.fetch_sub(1, Ordering::Relaxed);
                 totals.dedup_hits += 1;
             } else {
                 totals.runs += 1;
                 if let Err(message) = check(&engine, &report) {
-                    let taken: Vec<usize> = oracle.borrow().log.iter().map(|&(c, _)| c).collect();
                     totals.violations.push(Violation {
-                        path: taken,
+                        path: taken_path(&oracle.borrow()),
                         message,
                     });
                 }
@@ -618,47 +557,67 @@ where
             // The truncated log of a deduplicated run prunes exactly the
             // subtree below the convergence point: every schedule with this
             // log as prefix passes through the already-covered state.
-            let next = oracle.borrow().next_path();
-            let mut p = match next {
+            path = match oracle.borrow().next_path() {
+                // A longer next path cannot have bumped a choice inside the
+                // prefix, so it still starts with it: stay in the subtree.
                 Some(p) if p.len() > prefix_len => p,
                 _ => break,
             };
             // Dynamic re-split: a parked peer means the queue is dry —
             // donate every unvisited sibling at the shallowest still-open
             // level of our position and deepen our own prefix past it.
-            if q.idle_hint.load(Ordering::Relaxed) > 0 {
-                let log = oracle.borrow().log.clone();
-                let mut donated: Vec<Vec<usize>> = Vec::new();
-                for i in prefix_len..p.len() {
-                    let options = log[i].1;
-                    if p[i] + 1 < options {
-                        for c in p[i] + 1..options {
-                            let mut d = p[..i].to_vec();
-                            d.push(c);
-                            donated.push(d);
-                        }
-                        prefix_len = i + 1;
-                        break;
-                    }
-                }
-                if !donated.is_empty() {
+            if sh.q.idle_hint.load(Ordering::Relaxed) > 0 {
+                let orc = oracle.borrow();
+                let open = (prefix_len..path.len()).find(|&i| path[i] + 1 < orc.log[i].1);
+                if let Some(i) = open {
+                    let donated = (path[i] + 1..orc.log[i].1)
+                        .map(|c| [&path[..i], &[c]].concat())
+                        .collect();
+                    prefix_len = i + 1;
                     totals.resplits += 1;
-                    q.push_many(donated);
+                    sh.q.push_many(donated);
                 }
             }
-            std::mem::swap(&mut path, &mut p);
         }
     }
     totals.wall_s = started.elapsed().as_secs_f64();
     totals
 }
 
-/// Reduced exploration over `threads` workers; emits `dpor` telemetry.
-fn explore_reduced_with<M, B, C>(
-    build: &B,
-    check: &C,
+/// Explores the schedule tree using `cfg.threads` worker threads, with the
+/// strategy selected by `cfg.mode` (see the module docs).
+///
+/// In [`ExploreMode::Full`], identical in observable behaviour to
+/// [`explore`] whenever the tree is exhausted within budget: same `runs`,
+/// same `exhausted`, and the same violations in the same (serial DFS)
+/// order, regardless of thread count. In [`ExploreMode::Reduced`], the
+/// exhaustion verdict and the distinct violation set match full
+/// enumeration; executed-run counts and representative paths don't (that is
+/// the point). `build` and `check` must be thread-safe (`Sync`) because
+/// workers invoke them concurrently; runs themselves stay single-threaded
+/// and deterministic. A panic in either closure is re-raised here once
+/// every worker has stopped.
+pub fn explore_parallel<M, B, C>(build: B, check: C, cfg: ExploreConfig) -> ExploreReport
+where
+    M: Message,
+    B: Fn(Box<dyn Oracle>) -> Engine<M> + Sync,
+    C: Fn(&Engine<M>, &RunReport) -> Result<(), String> + Sync,
+{
+    explore_parallel_with(build, check, cfg, &mut NullSink)
+}
+
+/// [`explore_parallel`] with a telemetry sink attached.
+///
+/// Both modes emit one `dpor_worker` event per worker (in worker-index
+/// order) and a closing `dpor` summary (runs, dedup hits, dead-branch
+/// prunes, re-splits, prune rate), each carrying a `mode` field (`"full"`
+/// / `"reduced"`). The sink is only touched from the calling thread, and
+/// only wall-clock fields depend on the machine: the report is the same
+/// object [`explore_parallel`] returns.
+pub fn explore_parallel_with<M, B, C>(
+    build: B,
+    check: C,
     cfg: ExploreConfig,
-    threads: usize,
     sink: &mut dyn TelemetrySink,
 ) -> ExploreReport
 where
@@ -667,83 +626,57 @@ where
     C: Fn(&Engine<M>, &RunReport) -> Result<(), String> + Sync,
 {
     let started = std::time::Instant::now();
-    let workers = threads.max(1);
-    let seen = Arc::new(Seen::new(if workers > 1 { 64 } else { 1 }));
-    let q = WorkQueue::new(vec![Vec::new()]);
-    let budget = AtomicUsize::new(0);
-    let budget_hit = AtomicBool::new(false);
-    let per_worker: Vec<ReducedTotals> = if workers == 1 {
-        vec![reduced_worker(
-            build,
-            check,
-            &q,
-            1,
-            &seen,
-            &budget,
-            cfg.max_runs,
-            &budget_hit,
-            cfg.prune_dead_sends,
-        )]
-    } else {
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let q = &q;
-                    let seen = &seen;
-                    let budget = &budget;
-                    let budget_hit = &budget_hit;
-                    scope.spawn(move |_| {
-                        reduced_worker(
-                            build,
-                            check,
-                            q,
-                            workers,
-                            seen,
-                            budget,
-                            cfg.max_runs,
-                            budget_hit,
-                            cfg.prune_dead_sends,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reduced explorer worker panicked"))
-                .collect()
-        })
-        .expect("reduced explorer worker panicked")
+    let workers = match cfg.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     };
+    let reduced = cfg.mode == ExploreMode::Reduced;
+    let sh = Shared {
+        q: WorkQueue::new(vec![Vec::new()]),
+        workers,
+        budget: AtomicUsize::new(0),
+        max_runs: cfg.max_runs,
+        budget_hit: AtomicBool::new(false),
+        seen: reduced.then(|| Arc::new(Seen::new(if workers > 1 { 64 } else { 1 }))),
+        prune_dead: reduced && cfg.prune_dead_sends,
+    };
+    let per_worker: Vec<WorkerTotals> = crossbeam::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| scope.spawn(|_| queue_worker(&build, &check, &sh)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("explorer worker panicked"))
+            .collect()
+    })
+    .expect("explorer worker panicked");
 
+    let mode = if reduced { "reduced" } else { "full" };
     let mut report = ExploreReport {
-        runs: 0,
-        exhausted: !budget_hit.load(Ordering::Relaxed),
-        violations: Vec::new(),
-        dedup_hits: 0,
-        dead_branch_prunes: 0,
-        resplits: 0,
-        full_tree_runs: None,
+        exhausted: !sh.budget_hit.load(Ordering::Relaxed),
+        ..Default::default()
     };
-    for (i, t) in per_worker.iter().enumerate() {
+    for (i, t) in per_worker.into_iter().enumerate() {
         report.runs += t.runs;
         report.dedup_hits += t.dedup_hits;
         report.dead_branch_prunes += t.dead_prunes;
         report.resplits += t.resplits;
         sink.emit(
             &Event::new("dpor_worker")
+                .with_str("mode", mode)
                 .with_u64("index", i as u64)
                 .with_u64("runs", t.runs as u64)
                 .with_u64("dedup_hits", t.dedup_hits as u64)
                 .with_u64("resplits", t.resplits as u64)
                 .with_f64("wall_s", t.wall_s),
         );
-    }
-    for t in per_worker {
         report.violations.extend(t.violations);
     }
-    // Which worker executed a violating representative first is timing-
-    // dependent; path order makes the merged report deterministic in
-    // content for a fixed set of executed schedules.
+    // Path order is serial DFS order, so an exhausted full exploration
+    // reports exactly what `explore` does; in reduced mode (which worker
+    // executed a violating representative first is timing-dependent) it
+    // makes the merged report deterministic in content for a fixed set of
+    // executed schedules.
     report
         .violations
         .sort_by(|a, b| a.path.cmp(&b.path).then_with(|| a.message.cmp(&b.message)));
@@ -751,6 +684,7 @@ where
     let attempted = report.runs + report.dedup_hits;
     sink.emit(
         &Event::new("dpor")
+            .with_str("mode", mode)
             .with_u64("threads", workers as u64)
             .with_u64("runs", report.runs as u64)
             .with_u64("dedup_hits", report.dedup_hits as u64)
@@ -770,227 +704,6 @@ where
             ),
     );
     report
-}
-
-/// One frontier node of the split tree: either a complete schedule shorter
-/// than the split depth (explored during discovery), or the prefix of a
-/// subtree handed to a worker.
-enum FrontierItem {
-    Leaf(Option<Violation>),
-    Subtree(Vec<usize>),
-}
-
-/// Explores the schedule tree using `cfg.threads` worker threads, with the
-/// strategy selected by `cfg.mode` (see the module docs).
-///
-/// In [`ExploreMode::Full`], identical in observable behaviour to
-/// [`explore`] whenever the tree is exhausted within budget: same `runs`,
-/// same `exhausted`, and the same violations in the same (serial DFS)
-/// order, regardless of thread count. In [`ExploreMode::Reduced`], the
-/// exhaustion verdict and the distinct violation set match full
-/// enumeration; executed-run counts and representative paths don't (that is
-/// the point). `build` and `check` must be thread-safe (`Sync`) because
-/// workers invoke them concurrently; runs themselves stay single-threaded
-/// and deterministic.
-pub fn explore_parallel<M, B, C>(build: B, check: C, cfg: ExploreConfig) -> ExploreReport
-where
-    M: Message,
-    B: Fn(Box<dyn Oracle>) -> Engine<M> + Sync,
-    C: Fn(&Engine<M>, &RunReport) -> Result<(), String> + Sync,
-{
-    explore_parallel_with(build, check, cfg, &mut NullSink)
-}
-
-/// [`explore_parallel`] with a telemetry sink attached.
-///
-/// Full mode emits one `frontier` event after the discovery phase (split
-/// depth, frontier size, how many nodes were complete leaves vs subtrees,
-/// and whether discovery stayed within budget) and one `subtree` event per
-/// subtree work item — runs, violations, exhaustion and worker-side
-/// throughput — **in frontier (= serial DFS) order** after the
-/// deterministic merge, whatever thread interleaving executed them.
-/// Reduced mode emits one `dpor_worker` event per worker (in worker-index
-/// order) and a closing `dpor` summary (runs, dedup hits, dead-branch
-/// prunes, re-splits, prune rate). In both modes the sink is only touched
-/// from the calling thread, and only wall-clock fields depend on the
-/// machine: the report is the same object [`explore_parallel`] returns.
-pub fn explore_parallel_with<M, B, C>(
-    build: B,
-    check: C,
-    cfg: ExploreConfig,
-    sink: &mut dyn TelemetrySink,
-) -> ExploreReport
-where
-    M: Message,
-    B: Fn(Box<dyn Oracle>) -> Engine<M> + Sync,
-    C: Fn(&Engine<M>, &RunReport) -> Result<(), String> + Sync,
-{
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    };
-    if cfg.mode == ExploreMode::Reduced {
-        return explore_reduced_with(&build, &check, cfg, threads, sink);
-    }
-    let budget = AtomicUsize::new(0);
-    if threads <= 1 {
-        let mut b = &build;
-        let mut c = &check;
-        let out = explore_subtree(&mut b, &mut c, &[], &budget, cfg.max_runs);
-        // Serial fallback: the whole tree is one subtree rooted at the
-        // empty prefix; the frontier event records the degenerate split.
-        sink.emit(
-            &Event::new("frontier")
-                .with_u64("split_depth", 0)
-                .with_u64("frontier", 1)
-                .with_u64("leaves", 0)
-                .with_u64("subtrees", 1)
-                .with_bool("discovery_complete", true),
-        );
-        sink.emit(&subtree_event(0, 0, &out));
-        return ExploreReport {
-            runs: out.runs,
-            exhausted: out.exhausted,
-            violations: out.violations,
-            dedup_hits: 0,
-            dead_branch_prunes: 0,
-            resplits: 0,
-            full_tree_runs: None,
-        };
-    }
-
-    // Phase 1 — serial frontier discovery: enumerate the tree truncated at
-    // `split_depth`. Each iteration executes one run (the leftmost leaf of
-    // the frontier node); complete runs at depth ≤ split_depth are leaves
-    // and count immediately, deeper ones yield a subtree work item whose
-    // leftmost leaf the owning worker re-runs (the only duplicated work).
-    let mut items: Vec<FrontierItem> = Vec::new();
-    let mut discovery_complete = true;
-    let mut sizing = Sizing::default();
-    let mut path: Vec<usize> = Vec::new();
-    loop {
-        if items.len() >= cfg.max_runs {
-            // Every item costs ≥ 1 run: the budget is already committed.
-            discovery_complete = false;
-            break;
-        }
-        let oracle = Rc::new(RefCell::new(ReplayOracle::new(path.clone())));
-        let mut engine = build(Box::new(SharedOracle(oracle.clone())));
-        engine.reserve_capacity(sizing.queue, sizing.trace);
-        let report = engine.run();
-        sizing.observe(&engine);
-        let taken: Vec<usize> = oracle.borrow().log.iter().map(|&(c, _)| c).collect();
-        if taken.len() <= cfg.split_depth {
-            let slot = budget.fetch_add(1, Ordering::Relaxed);
-            if slot >= cfg.max_runs {
-                discovery_complete = false;
-                break;
-            }
-            let violation = check(&engine, &report).err().map(|message| Violation {
-                path: taken.clone(),
-                message,
-            });
-            items.push(FrontierItem::Leaf(violation));
-            if slot + 1 >= cfg.max_runs {
-                discovery_complete = false;
-                break;
-            }
-        } else {
-            items.push(FrontierItem::Subtree(taken[..cfg.split_depth].to_vec()));
-        }
-        let next = oracle.borrow().next_path_bounded(cfg.split_depth);
-        match next {
-            Some(p) => path = p,
-            None => break,
-        }
-    }
-
-    // Phase 2 — workers drain the subtree items via a work-stealing cursor,
-    // each writing into its own buffer (no shared locks on the hot path).
-    let subtrees: Vec<(usize, &[usize])> = items
-        .iter()
-        .enumerate()
-        .filter_map(|(i, it)| match it {
-            FrontierItem::Subtree(p) => Some((i, p.as_slice())),
-            FrontierItem::Leaf(_) => None,
-        })
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.min(subtrees.len().max(1));
-    let gathered: Vec<(usize, SubtreeOutcome)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut local: Vec<(usize, SubtreeOutcome)> = Vec::new();
-                    let mut b = &build;
-                    let mut c = &check;
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= subtrees.len() {
-                            break;
-                        }
-                        let (idx, prefix) = subtrees[k];
-                        local.push((
-                            idx,
-                            explore_subtree(&mut b, &mut c, prefix, &budget, cfg.max_runs),
-                        ));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("explorer worker panicked"))
-            .collect()
-    })
-    .expect("explorer worker panicked");
-
-    // Phase 3 — deterministic merge in frontier (= serial DFS) order.
-    // Telemetry piggybacks on the same order: the frontier summary first,
-    // then one `subtree` event per work item as it merges.
-    let mut per_item: Vec<Option<SubtreeOutcome>> = items.iter().map(|_| None).collect();
-    for (idx, out) in gathered {
-        per_item[idx] = Some(out);
-    }
-    sink.emit(
-        &Event::new("frontier")
-            .with_u64("split_depth", cfg.split_depth as u64)
-            .with_u64("frontier", items.len() as u64)
-            .with_u64("leaves", (items.len() - subtrees.len()) as u64)
-            .with_u64("subtrees", subtrees.len() as u64)
-            .with_bool("discovery_complete", discovery_complete),
-    );
-    let mut runs = 0usize;
-    let mut exhausted = discovery_complete;
-    let mut violations = Vec::new();
-    for (i, item) in items.into_iter().enumerate() {
-        match item {
-            FrontierItem::Leaf(violation) => {
-                runs += 1;
-                violations.extend(violation);
-            }
-            FrontierItem::Subtree(prefix) => {
-                let out = per_item[i].take().expect("every subtree visited");
-                sink.emit(&subtree_event(i, prefix.len(), &out));
-                runs += out.runs;
-                violations.extend(out.violations);
-                exhausted &= out.exhausted;
-            }
-        }
-    }
-    ExploreReport {
-        runs,
-        exhausted,
-        violations,
-        dedup_hits: 0,
-        dead_branch_prunes: 0,
-        resplits: 0,
-        full_tree_runs: None,
-    }
 }
 
 /// Result of [`explore_differential`]: full enumeration vs reduced
@@ -1214,7 +927,7 @@ mod tests {
                 winners.insert(judge.first);
                 Ok(())
             },
-            ExploreLimits::default(),
+            usize::MAX,
         );
         assert!(report.exhausted);
         assert!(report.all_ok());
@@ -1226,7 +939,7 @@ mod tests {
 
     #[test]
     fn explorer_reports_violations_with_replayable_paths() {
-        let report = explore(build_race, racer2_wins_check, ExploreLimits::default());
+        let report = explore(build_race, racer2_wins_check, usize::MAX);
         assert!(report.exhausted);
         assert!(!report.all_ok());
         assert!(!report.violations.is_empty());
@@ -1240,96 +953,147 @@ mod tests {
 
     #[test]
     fn run_budget_respected() {
-        let report = explore(build_race, |_, _| Ok(()), ExploreLimits { max_runs: 2 });
+        let report = explore(build_race, |_, _| Ok(()), 2);
         assert_eq!(report.runs, 2);
         assert!(!report.exhausted);
     }
 
+    fn paths(r: &ExploreReport) -> Vec<(Vec<usize>, String)> {
+        r.violations
+            .iter()
+            .map(|v| (v.path.clone(), v.message.clone()))
+            .collect()
+    }
+
     /// Serial vs parallel equivalence on the race example, across thread
-    /// counts and split depths (including the degenerate 0 and a depth far
-    /// beyond the tree).
+    /// counts (1 worker is the queue scheduler too, not the serial DFS).
     #[test]
     fn parallel_matches_serial_on_race() {
-        let serial = explore(build_race, racer2_wins_check, ExploreLimits::default());
+        let serial = explore(build_race, racer2_wins_check, usize::MAX);
         assert!(serial.exhausted);
-        for threads in [2usize, 4, 8] {
-            for split_depth in [0usize, 1, 2, 16] {
-                let par = explore_parallel(
-                    build_race,
-                    racer2_wins_check,
-                    ExploreConfig {
-                        threads,
-                        split_depth,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(par.runs, serial.runs, "t={threads} d={split_depth}");
-                assert_eq!(par.exhausted, serial.exhausted);
-                let paths = |r: &ExploreReport| {
-                    r.violations
-                        .iter()
-                        .map(|v| (v.path.clone(), v.message.clone()))
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(
-                    paths(&par),
-                    paths(&serial),
-                    "violations in serial DFS order, t={threads} d={split_depth}"
-                );
-            }
+        for threads in [1usize, 2, 4, 8] {
+            let par = explore_parallel(
+                build_race,
+                racer2_wins_check,
+                ExploreConfig::with_threads(threads),
+            );
+            assert_eq!(par.runs, serial.runs, "t={threads}");
+            assert_eq!(par.exhausted, serial.exhausted);
+            assert_eq!(
+                paths(&par),
+                paths(&serial),
+                "violations in serial DFS order, t={threads}"
+            );
         }
     }
 
-    /// The instrumented explorer returns the same report as the plain one
-    /// and emits `frontier` + `subtree` events in frontier order, with
-    /// run counts that add up to the report's.
+    /// Full mode runs on the same scheduler as reduced mode and reports
+    /// through the same event family: one `dpor_worker` per worker, then
+    /// the `dpor` summary, with nothing deduplicated.
     #[test]
-    fn instrumented_explorer_emits_frontier_ordered_events() {
+    fn full_exploration_emits_the_dpor_event_family() {
         let mut ring = telemetry::RingSink::new(64);
         let par = explore_parallel_with(
             build_race,
             |_, _| Ok(()),
-            ExploreConfig {
-                threads: 4,
-                split_depth: 1,
-                ..Default::default()
-            },
+            ExploreConfig::with_threads(4),
             &mut ring,
         );
         assert!(par.exhausted);
         assert_eq!(par.runs, 4);
         let events: Vec<_> = ring.events().collect();
-        assert_eq!(events[0].kind(), "frontier");
-        assert_eq!(events[0].u64_field("split_depth"), Some(1));
-        assert_eq!(events[0].bool_field("discovery_complete"), Some(true));
-        let subtrees: Vec<_> = events.iter().filter(|e| e.kind() == "subtree").collect();
-        assert_eq!(events[0].u64_field("subtrees"), Some(subtrees.len() as u64));
-        let leaves = events[0].u64_field("leaves").unwrap();
-        let indices: Vec<u64> = subtrees
+        let (summary, per_worker) = events.split_last().unwrap();
+        assert_eq!(per_worker.len(), 4);
+        assert!(per_worker.iter().all(|e| e.kind() == "dpor_worker"));
+        let worker_runs: u64 = per_worker
             .iter()
-            .map(|e| e.u64_field("index").unwrap())
-            .collect();
-        let mut sorted = indices.clone();
-        sorted.sort_unstable();
-        assert_eq!(indices, sorted, "subtree events in frontier order");
-        let subtree_runs: u64 = subtrees.iter().map(|e| e.u64_field("runs").unwrap()).sum();
-        assert_eq!(subtree_runs + leaves, par.runs as u64);
+            .map(|e| e.u64_field("runs").unwrap())
+            .sum();
+        assert_eq!(worker_runs, par.runs as u64);
+        assert_eq!(summary.kind(), "dpor");
+        assert_eq!(summary.u64_field("threads"), Some(4));
+        assert_eq!(summary.bool_field("exhausted"), Some(true));
+        for e in &events {
+            assert_eq!(e.str_field("mode"), Some("full"));
+            assert_eq!(e.u64_field("dedup_hits"), Some(0));
+        }
+    }
+
+    /// A budget-limited full run reports exactly `max_runs` runs at every
+    /// thread count.
+    #[test]
+    fn parallel_respects_run_budget() {
+        for threads in [1usize, 2, 4, 8] {
+            let par = explore_parallel(
+                build_race,
+                |_, _| Ok(()),
+                ExploreConfig {
+                    max_runs: 2,
+                    ..ExploreConfig::with_threads(threads)
+                },
+            );
+            assert_eq!(par.runs, 2, "t={threads}");
+            assert!(!par.exhausted, "t={threads}");
+        }
+    }
+
+    /// `exhausted` is false only when an unvisited path remained: a budget
+    /// equal to the leaf count exhausts the 4-leaf race tree, one less does
+    /// not — in the serial DFS and in the queue scheduler.
+    #[test]
+    fn budget_equal_to_leaf_count_is_exhaustion() {
+        let ok = |_: &Engine<u32>, _: &RunReport| Ok(());
+        let verdict = |r: ExploreReport| (r.runs, r.exhausted);
+        assert_eq!(verdict(explore(build_race, ok, 4)), (4, true));
+        assert_eq!(verdict(explore(build_race, ok, 3)), (3, false));
+        for threads in [1usize, 2] {
+            let queue = |max_runs, mode| {
+                let cfg = ExploreConfig {
+                    max_runs,
+                    mode,
+                    ..ExploreConfig::with_threads(threads)
+                };
+                verdict(explore_parallel(build_race, ok, cfg))
+            };
+            assert_eq!(queue(4, ExploreMode::Full), (4, true), "t={threads}");
+            assert_eq!(queue(3, ExploreMode::Full), (3, false), "t={threads}");
+            // Reduced mode needs one representative per winner: the same
+            // boundary sits at 2 executed runs, and a budget of 4 never
+            // binds.
+            assert_eq!(queue(4, ExploreMode::Reduced), (2, true), "t={threads}");
+            assert_eq!(queue(1, ExploreMode::Reduced), (1, false), "t={threads}");
+        }
+    }
+
+    /// A checker that panics on its second call, whichever worker makes it.
+    fn panics_on_second_call() -> impl Fn(&Engine<u32>, &RunReport) -> Result<(), String> + Sync {
+        let calls = AtomicUsize::new(0);
+        move |_, _| {
+            assert!(calls.fetch_add(1, Ordering::Relaxed) < 1, "checker died");
+            Ok(())
+        }
+    }
+
+    /// A dead worker never counts as idle; without the worker's shutdown
+    /// guard its peers would park forever and this test would hang.
+    #[test]
+    #[should_panic(expected = "explorer worker panicked")]
+    fn worker_panic_propagates_in_full_mode() {
+        explore_parallel(
+            build_race_colliding,
+            panics_on_second_call(),
+            ExploreConfig::with_threads(4),
+        );
     }
 
     #[test]
-    fn parallel_respects_run_budget() {
-        let par = explore_parallel(
-            build_race,
-            |_, _| Ok(()),
-            ExploreConfig {
-                max_runs: 2,
-                threads: 4,
-                split_depth: 1,
-                ..Default::default()
-            },
+    #[should_panic(expected = "explorer worker panicked")]
+    fn worker_panic_propagates_in_reduced_mode() {
+        explore_parallel(
+            build_race_colliding,
+            panics_on_second_call(),
+            ExploreConfig::reduced(4),
         );
-        assert_eq!(par.runs, 2);
-        assert!(!par.exhausted);
     }
 
     #[test]
@@ -1354,7 +1118,7 @@ mod tests {
                 eng
             },
             |_, _| Ok(()),
-            ExploreLimits::default(),
+            usize::MAX,
         );
         assert!(report.exhausted);
         assert_eq!(report.runs, 1);
@@ -1370,11 +1134,7 @@ mod tests {
         // pair with the same *winner* (delivery order is all the judge
         // observes). 2 distinct behaviours; the reduced explorer must
         // execute exactly those and cut the rest.
-        let full = explore(
-            build_race_colliding,
-            |_, _| Ok(()),
-            ExploreLimits::default(),
-        );
+        let full = explore(build_race_colliding, |_, _| Ok(()), usize::MAX);
         assert!(full.exhausted);
         assert_eq!(full.runs, 16);
         let winners = std::sync::Mutex::new(std::collections::HashSet::new());
@@ -1432,7 +1192,7 @@ mod tests {
     #[test]
     fn reduced_matches_full_across_threads() {
         for build in [build_race, build_race_colliding] {
-            let full = explore(build, racer2_wins_check, ExploreLimits::default());
+            let full = explore(build, racer2_wins_check, usize::MAX);
             assert!(full.exhausted);
             for threads in [1usize, 2, 4] {
                 let reduced = explore_parallel(
@@ -1490,6 +1250,27 @@ mod tests {
         let kinds: Vec<_> = ring.events().map(|e| e.kind().to_owned()).collect();
         assert!(kinds.iter().any(|k| k == "dpor"), "{kinds:?}");
         assert!(kinds.iter().any(|k| k == "dpor_worker"), "{kinds:?}");
+    }
+
+    /// A budget-limited full reference makes the two reports incomparable —
+    /// never a mismatch, even though reduced mode exhausts the 16-leaf tree
+    /// (2 representatives) within the budget that leaves full enumeration
+    /// truncated.
+    #[test]
+    fn differential_with_a_budget_limited_reference_is_never_a_mismatch() {
+        let diff = explore_differential(
+            build_race_colliding,
+            racer2_wins_check,
+            ExploreConfig {
+                max_runs: 3,
+                ..Default::default()
+            },
+            &mut NullSink,
+        );
+        assert_eq!((diff.full.runs, diff.full.exhausted), (3, false));
+        assert!(diff.reduced.exhausted);
+        assert!(diff.agree(), "{:?}", diff.mismatch);
+        assert_eq!(diff.reduced.full_tree_runs, None, "no full count known");
     }
 
     #[test]
@@ -1550,7 +1331,7 @@ mod tests {
             );
             eng
         };
-        let full = explore(build, |_, _| Ok(()), ExploreLimits::default());
+        let full = explore(build, |_, _| Ok(()), usize::MAX);
         assert!(full.exhausted);
         let reduced = explore_parallel(
             build,

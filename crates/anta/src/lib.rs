@@ -89,8 +89,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EngineConfig, RunReport};
     pub use crate::explore::{
         explore, explore_differential, explore_parallel, explore_parallel_with, replay,
-        replay_pruned, DifferentialReport, ExploreConfig, ExploreLimits, ExploreMode,
-        ExploreReport, Violation,
+        replay_pruned, DifferentialReport, ExploreConfig, ExploreMode, ExploreReport, Violation,
     };
     pub use crate::fingerprint::{debug_digest, Fnv64};
     pub use crate::net::{

@@ -201,16 +201,7 @@ impl ReplayOracle {
     /// find the deepest step that can still be incremented, bump it, drop
     /// the suffix.
     pub fn next_path(&self) -> Option<Vec<usize>> {
-        self.next_path_bounded(usize::MAX)
-    }
-
-    /// Like [`ReplayOracle::next_path`], but considering only the first
-    /// `depth` steps of the log — i.e. the next path in the tree truncated
-    /// at `depth`. The parallel explorer uses this to enumerate disjoint
-    /// subtree prefixes without walking whole subtrees.
-    pub fn next_path_bounded(&self, depth: usize) -> Option<Vec<usize>> {
-        let upto = self.log.len().min(depth);
-        let mut path: Vec<usize> = self.log[..upto].iter().map(|&(c, _)| c).collect();
+        let mut path: Vec<usize> = self.log.iter().map(|&(c, _)| c).collect();
         loop {
             let (last_choice, last_options) = match path.len() {
                 0 => return None,
@@ -317,30 +308,6 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), 8, "all leaves distinct");
-    }
-
-    #[test]
-    fn next_path_bounded_enumerates_prefixes() {
-        // 3 binary steps; bounding at depth 2 must enumerate exactly the
-        // four length-2 prefixes, skipping the third level entirely.
-        let mut prefixes = Vec::new();
-        let mut path: Vec<usize> = Vec::new();
-        loop {
-            let mut o = ReplayOracle::new(path.clone());
-            let _: Vec<usize> = (0..3).map(|_| o.choose(2)).collect();
-            prefixes.push(o.log.iter().take(2).map(|&(c, _)| c).collect::<Vec<_>>());
-            match o.next_path_bounded(2) {
-                Some(p) => {
-                    assert!(p.len() <= 2);
-                    path = p;
-                }
-                None => break,
-            }
-        }
-        assert_eq!(
-            prefixes,
-            vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]
-        );
     }
 
     #[test]

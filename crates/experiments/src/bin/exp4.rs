@@ -8,6 +8,7 @@
 //! declared in [`experiments::cli::EXP4`]; a verdict mismatch or a
 //! violating schedule exits 1, a refused command line exits 2.
 
+use anta::explore::ExploreConfig;
 use experiments::cli::{self, Gates};
 use experiments::e4;
 
@@ -81,11 +82,15 @@ fn main() {
         gates.check(diff.full.all_ok());
     } else {
         let full = args.flag("--full");
-        let r = if full {
-            e4::explore_instance_opts_with(n, threads, max_runs, sigma, sink.as_mut())
-        } else {
-            e4::explore_instance_dpor_with(n, threads, max_runs, sigma, sink.as_mut())
+        let cfg = ExploreConfig {
+            max_runs,
+            ..if full {
+                ExploreConfig::with_threads(threads)
+            } else {
+                ExploreConfig::reduced(threads)
+            }
         };
+        let r = e4::explore_instance_with(n, sigma, cfg, sink.as_mut());
         let wall = started.elapsed().as_secs_f64();
         print_report(if full { "full" } else { "reduced" }, &r, wall);
         gates.check(r.all_ok());

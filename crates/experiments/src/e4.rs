@@ -13,7 +13,9 @@ use crate::table::{check, Table};
 use anta::automaton::AutomatonProcess;
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig, RunReport};
-use anta::explore::{explore_differential, explore_parallel, DifferentialReport, ExploreConfig};
+use anta::explore::{
+    explore_differential, explore_parallel_with, DifferentialReport, ExploreConfig, ExploreReport,
+};
 use anta::net::SyncNet;
 use anta::oracle::{FixedOracle, Oracle};
 use anta::trace::{TraceKind, TraceMode};
@@ -22,7 +24,7 @@ use payment::timebounded::fig2::{all_specs, Fig2Params};
 use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use payment::{ChainKeys, ChainTopology, SyncParams, TimeoutSchedule, ValuePlan};
 use std::sync::Arc;
-use telemetry::TelemetrySink;
+use telemetry::{NullSink, TelemetrySink};
 
 /// Builds the declarative Figure 2 parameters matching a `ChainSetup`-like
 /// configuration (fresh keys from the same seed recipe).
@@ -87,107 +89,61 @@ pub fn cross_check(n: usize) -> (Skeleton, Skeleton) {
     (message_skeleton(&exec_eng), message_skeleton(&decl_eng))
 }
 
-/// Exhaustive schedule exploration of an `n`-escrow instance: every
-/// combination of 2-bucket delays for every message (and 4-bucket σ for
-/// every sending handler). Checks ES/CS safety clauses on each complete
-/// schedule. `threads` is the explorer's worker count (0 ⇒ all cores,
-/// 1 ⇒ serial); the report is bit-identical across thread counts whenever
-/// the tree is exhausted within `max_runs`.
+/// Explores every schedule of an `n`-escrow instance — 2-bucket delays for
+/// every message, `sigma_buckets` σ buckets for every sending handler —
+/// under `cfg`, checking the ES/CS safety clauses on each complete
+/// schedule. The one entry point behind the presets below; telemetry
+/// (`dpor_worker` per worker, then a `dpor` summary) lands in `sink`.
 ///
 /// Engines run with [`TraceMode::CountersOnly`]: the Definition 1 checkers
 /// read only halts, marks and final process/ledger states, so the trace
 /// never clones a message — this does not change the schedule tree.
-pub fn explore_instance(n: usize, threads: usize, max_runs: usize) -> anta::explore::ExploreReport {
-    explore_instance_opts(n, threads, max_runs, 4)
+pub fn explore_instance_with(
+    n: usize,
+    sigma_buckets: usize,
+    cfg: ExploreConfig,
+    sink: &mut dyn TelemetrySink,
+) -> ExploreReport {
+    let (build, chk) = instance_closures(n, sigma_buckets);
+    explore_parallel_with(build, chk, cfg, sink)
 }
 
-/// [`explore_instance`] with an explicit σ quantisation. `sigma_buckets = 1`
-/// pins every computation delay to σ_max, shrinking the tree to delay
-/// choices only — that is what makes the n = 2 instance exhaustible (the
-/// 4-bucket tree at n = 2 exceeds 10⁷ schedules).
+/// Full enumeration of the instance on `threads` workers (0 ⇒ all cores);
+/// the report is bit-identical across thread counts whenever the tree is
+/// exhausted within `max_runs`. `sigma_buckets = 1` pins every computation
+/// delay to σ_max, shrinking the tree to delay choices only — that is what
+/// makes the n = 2 instance exhaustible (the 4-bucket tree at n = 2 exceeds
+/// 10⁷ schedules).
 pub fn explore_instance_opts(
     n: usize,
     threads: usize,
     max_runs: usize,
     sigma_buckets: usize,
-) -> anta::explore::ExploreReport {
-    let (build, chk) = instance_closures(n, sigma_buckets);
-    explore_parallel(
-        build,
-        chk,
-        ExploreConfig {
-            max_runs,
-            threads,
-            split_depth: 4,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`explore_instance_opts`] with a telemetry sink attached: full mode
-/// emits one `frontier` event plus per-`subtree` throughput events.
-pub fn explore_instance_opts_with(
-    n: usize,
-    threads: usize,
-    max_runs: usize,
-    sigma_buckets: usize,
-    sink: &mut dyn TelemetrySink,
-) -> anta::explore::ExploreReport {
-    let (build, chk) = instance_closures(n, sigma_buckets);
-    anta::explore::explore_parallel_with(
-        build,
-        chk,
-        ExploreConfig {
-            max_runs,
-            threads,
-            split_depth: 4,
-            ..Default::default()
-        },
-        sink,
-    )
+) -> ExploreReport {
+    let cfg = ExploreConfig {
+        max_runs,
+        ..ExploreConfig::with_threads(threads)
+    };
+    explore_instance_with(n, sigma_buckets, cfg, &mut NullSink)
 }
 
 /// Reduced (DPOR-style) exploration of the same instance: state-hash
-/// deduplication plus dead-branch elision, with dynamic re-splitting across
-/// `threads` workers. Same exhaustion verdict and distinct violation set as
-/// [`explore_instance_opts`] (checked by [`explore_instance_differential`]
-/// and CI), at a fraction of the executed runs — this is what makes n = 3
-/// at σ ≥ 2 buckets and n = 4 at σ = 1 exhaustible.
+/// deduplication plus dead-branch elision. Same exhaustion verdict and
+/// distinct violation set as [`explore_instance_opts`] (checked by
+/// [`explore_instance_differential`] and CI), at a fraction of the executed
+/// runs — this is what makes n = 3 at σ ≥ 2 buckets and n = 4 at σ = 1
+/// exhaustible.
 pub fn explore_instance_dpor(
     n: usize,
     threads: usize,
     max_runs: usize,
     sigma_buckets: usize,
-) -> anta::explore::ExploreReport {
-    explore_instance_dpor_with(
-        n,
-        threads,
+) -> ExploreReport {
+    let cfg = ExploreConfig {
         max_runs,
-        sigma_buckets,
-        &mut telemetry::NullSink,
-    )
-}
-
-/// [`explore_instance_dpor`] with a telemetry sink attached: the reduced
-/// explorer emits one `dpor_worker` event per worker and a closing `dpor`
-/// summary (the stream the nightly uploads and `telemetry_check` gates).
-pub fn explore_instance_dpor_with(
-    n: usize,
-    threads: usize,
-    max_runs: usize,
-    sigma_buckets: usize,
-    sink: &mut dyn TelemetrySink,
-) -> anta::explore::ExploreReport {
-    let (build, chk) = instance_closures(n, sigma_buckets);
-    anta::explore::explore_parallel_with(
-        build,
-        chk,
-        ExploreConfig {
-            max_runs,
-            ..ExploreConfig::reduced(threads)
-        },
-        sink,
-    )
+        ..ExploreConfig::reduced(threads)
+    };
+    explore_instance_with(n, sigma_buckets, cfg, &mut NullSink)
 }
 
 /// Runs full and reduced exploration of the instance back to back and
@@ -271,12 +227,6 @@ fn instance_closures(
     )
 }
 
-/// Exhaustive schedule exploration of the n = 1 instance (serial), as
-/// reported by E4.
-pub fn explore_small_instance() -> anta::explore::ExploreReport {
-    explore_instance(1, 1, 100_000)
-}
-
 /// The E4 report.
 pub struct E4Report {
     /// Figure 1 rendered as ASCII.
@@ -307,8 +257,9 @@ pub fn run(n: usize) -> E4Report {
         .map(|s| (s.name.clone(), s.to_dot()))
         .collect();
     let (exec_skel, decl_skel) = cross_check(n);
-    // All cores: bit-identical to the serial exploration, just faster.
-    let exploration = explore_instance(1, 0, 100_000);
+    // n = 1 at 4 σ buckets, on all cores: bit-identical to the serial
+    // exploration, just faster.
+    let exploration = explore_instance_opts(1, 0, 100_000, 4);
     E4Report {
         figure1_ascii: topo.render_figure1(),
         figure1_dot: topo.to_dot(),
@@ -382,7 +333,7 @@ mod tests {
 
     #[test]
     fn exploration_is_exhaustive_and_clean() {
-        let r = explore_small_instance();
+        let r = explore_instance_opts(1, 1, 100_000, 4);
         assert!(r.exhausted, "ran {} schedules", r.runs);
         assert!(r.all_ok(), "violations: {:?}", r.violations.first());
         assert!(r.runs > 16, "nontrivial schedule space, got {}", r.runs);
@@ -390,10 +341,10 @@ mod tests {
 
     #[test]
     fn parallel_exploration_is_bit_identical_to_serial() {
-        let serial = explore_instance(1, 1, 100_000);
+        let serial = explore_instance_opts(1, 1, 100_000, 4);
         assert!(serial.exhausted);
         for threads in [2usize, 4] {
-            let par = explore_instance(1, threads, 100_000);
+            let par = explore_instance_opts(1, threads, 100_000, 4);
             assert_eq!(par.runs, serial.runs, "threads = {threads}");
             assert_eq!(par.exhausted, serial.exhausted);
             assert_eq!(par.violations.len(), serial.violations.len());

@@ -4,8 +4,7 @@
 use crosschain::anta::clock::DriftClock;
 use crosschain::anta::engine::{Engine, EngineConfig};
 use crosschain::anta::explore::{
-    explore, explore_parallel, replay, replay_pruned, ExploreConfig, ExploreLimits, ExploreMode,
-    ExploreReport,
+    explore, explore_parallel, replay, replay_pruned, ExploreConfig, ExploreMode, ExploreReport,
 };
 use crosschain::anta::net::SyncNet;
 use crosschain::anta::oracle::Oracle;
@@ -52,7 +51,7 @@ fn every_schedule_of_small_timebounded_chain_is_safe_and_live() {
             }
             Ok(())
         },
-        ExploreLimits { max_runs: 200_000 },
+        200_000,
     );
     assert!(report.exhausted, "only ran {} schedules", report.runs);
     assert!(
@@ -101,7 +100,7 @@ fn every_schedule_of_small_weak_instance_keeps_cc_and_conservation() {
             }
             Ok(())
         },
-        ExploreLimits { max_runs: 200_000 },
+        200_000,
     );
     assert!(report.exhausted, "only ran {} schedules", report.runs);
     assert!(
@@ -175,14 +174,13 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Parallel exploration with 2/4/8 threads is bit-identical to serial
-    /// (runs, exhaustion, violation path set in DFS order) on race systems
-    /// of varying tree shape and at varying split depths.
+    /// Parallel full exploration with 1/2/4/8 workers is bit-identical to
+    /// the serial DFS (runs, exhaustion, violation path list in DFS order)
+    /// on race systems of varying tree shape.
     #[test]
     fn parallel_explorer_equivalent_to_serial_on_races(
         racers in 2usize..4,
         buckets in 1usize..4,
-        split_depth in 0usize..5,
     ) {
         let checker = |eng: &Engine<u32>, _: &crosschain::anta::engine::RunReport| {
             let judge = eng.process_as::<Judge>(0).unwrap();
@@ -196,14 +194,14 @@ proptest! {
         let serial = explore(
             |oracle| build_race(racers, buckets, oracle),
             checker,
-            ExploreLimits::default(),
+            usize::MAX,
         );
         prop_assert!(serial.exhausted);
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             let par = explore_parallel(
                 |oracle| build_race(racers, buckets, oracle),
                 checker,
-                ExploreConfig { max_runs: 1_000_000, threads, split_depth, ..Default::default() },
+                ExploreConfig::with_threads(threads),
             );
             prop_assert_eq!(key(&par), key(&serial));
         }
@@ -238,7 +236,7 @@ proptest! {
         let full = explore(
             |oracle| build_race(racers, buckets, oracle),
             checker,
-            ExploreLimits::default(),
+            usize::MAX,
         );
         prop_assert!(full.exhausted);
         for threads in [1usize, 4] {
@@ -313,11 +311,11 @@ fn differential_full_vs_reduced_on_e4_small_instance() {
 
 #[test]
 fn parallel_explorer_equivalent_to_serial_on_e4_small_instance() {
-    let serial = crosschain::experiments::e4::explore_instance(1, 1, 200_000);
+    let serial = crosschain::experiments::e4::explore_instance_opts(1, 1, 200_000, 4);
     assert!(serial.exhausted);
     assert!(serial.all_ok());
     for threads in [2usize, 4, 8] {
-        let par = crosschain::experiments::e4::explore_instance(1, threads, 200_000);
+        let par = crosschain::experiments::e4::explore_instance_opts(1, threads, 200_000, 4);
         assert_eq!(key(&par), key(&serial), "threads = {threads}");
     }
 }
@@ -355,7 +353,7 @@ fn violating_paths_replay_deterministically() {
                 Ok(())
             }
         },
-        ExploreLimits { max_runs: 64 },
+        64,
     );
     assert!(!report.violations.is_empty());
     let path = &report.violations[0].path;
