@@ -33,7 +33,7 @@ pub enum ProtocolOutcome {
     /// The admission controller refused the payment before any value
     /// locked: the escrows on its route could not set aside the requested
     /// collateral within the policy's patience. Produced only by the
-    /// finite-liquidity simulator (`sim::run_open_with`), never by a
+    /// finite-liquidity simulator (`sim::run_open`), never by a
     /// harness's `classify` — a rejected payment has no run to classify.
     Rejected,
     /// The harness itself panicked while running this instance — twice,

@@ -202,8 +202,8 @@ impl WorkloadConfig {
     }
 }
 
-/// One generated payment instance — everything `run_instance` needs to
-/// rebuild the run deterministically.
+/// One generated payment instance — everything `sim::run_instance_with`
+/// needs to rebuild the run deterministically.
 #[derive(Debug, Clone)]
 pub struct PaymentSpec {
     /// Dense instance id (generation order).

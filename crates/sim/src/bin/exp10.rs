@@ -4,7 +4,7 @@
 //! E8/E9 measured that cost against *unbounded* escrows, so lock pressure
 //! never fed back into outcomes. E10 closes the loop: a hub-and-spoke
 //! network whose gateway escrows hold **finite collateral budgets** runs
-//! as an open system (`sim::run_open_with`) while the sweep raises the
+//! as an open system (`sim::run_open`) while the sweep raises the
 //! offered load and tightens the budget across every protocol harness.
 //! Success rate becomes a function of offered load — the
 //! utilization/success/goodput frontier — instead of a constant of the
@@ -15,7 +15,7 @@
 //! `success = admitted` and the frontier is pure admission economics.
 //!
 //! The open system is a discrete-event simulation sharded by venue
-//! (`sim::run_open_with`): arrivals, admission, queueing and patience
+//! (`sim::run_open`): arrivals, admission, queueing and patience
 //! expiry are in-band events against the collateral book. A hub
 //! workload couples every payment through the gateway venues, so each
 //! E10 cell is a single shard — the per-cell numbers are exactly the
@@ -142,8 +142,9 @@ fn run(args: &cli::Parsed) -> std::io::Result<i32> {
                     lock_profile: false,
                     ..SimConfig::new(workload)
                 };
+                let specs = sim::workload::generate(&cfg.workload);
                 let (open, ot) =
-                    with_harness!(protocol, |h| sim::run_open_with_telemetry(&h, &cfg, liq));
+                    with_harness!(protocol, |h| sim::run_open(&h, &specs, &cfg, liq, None));
                 let f = open.sim.families.first().expect("one family per cell");
                 let l = &open.liquidity;
                 total_instances += open.sim.instances;

@@ -183,16 +183,15 @@ fn run(args: &cli::Parsed) -> std::io::Result<i32> {
                 // The static baseline runs the same specs over their
                 // generation-time shortest paths — one run per
                 // (size, family, protocol), shared by every period.
-                let static_report = with_harness!(protocol, |h| sim::run_open_specs_with(
-                    &h, &specs, &cfg, &liq
-                ));
+                let (static_report, _) =
+                    with_harness!(protocol, |h| sim::run_open(&h, &specs, &cfg, &liq, None));
                 let static_success = successes(&static_report);
                 total_instances += static_report.sim.instances;
 
                 for &period_ms in periods_ms {
                     let routing = routing_every(period_ms);
                     let (open, ot) = with_harness!(protocol, |h| {
-                        sim::run_open_specs_routed_with_telemetry(&h, &specs, &cfg, &liq, &routing)
+                        sim::run_open(&h, &specs, &cfg, &liq, Some(&routing))
                     });
                     let l = &open.liquidity;
                     let rs = open.routing.expect("routed runs report routing stats");

@@ -86,7 +86,8 @@ fn run(args: &cli::Parsed) -> std::io::Result<i32> {
                     ..SimConfig::new(workload)
                 };
                 let t0 = Instant::now();
-                let report = sim::run(&cfg);
+                let specs = sim::workload::generate(&cfg.workload);
+                let report = sim::run_closed(&TimeBoundedHarness, &specs, &cfg);
                 let wall = t0.elapsed().as_secs_f64();
                 total_instances += report.instances;
                 total_violations += report.violations;

@@ -112,7 +112,7 @@ fn run(args: &cli::Parsed) -> std::io::Result<i32> {
                     let t0 = Instant::now();
                     let Some(report) = with_harness!(name, |h| h
                         .supports(&cfg.workload)
-                        .then(|| sim::run_specs_with(&h, &specs, &cfg)))
+                        .then(|| sim::run_closed(&h, &specs, &cfg)))
                     else {
                         continue;
                     };

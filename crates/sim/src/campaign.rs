@@ -2,21 +2,23 @@
 //! memory, atomic checkpoints, bit-identical resume.
 //!
 //! A *campaign* runs a huge seeded workload (millions to tens of millions
-//! of payments) that no single [`crate::run_with`] call should hold in
-//! memory or be allowed to lose to a crash. [`CampaignRunner`] chunks the
-//! workload into **epochs** — each a self-contained seeded
-//! [`WorkloadConfig`] derived from the campaign seed and the epoch index
-//! — and folds every epoch's per-instance rows into a
-//! [`CampaignTally`] of exact counters and constant-memory
+//! of payments) that no single [`crate::run_closed`] / [`crate::run_open`]
+//! call should hold in memory or be allowed to lose to a crash.
+//! [`CampaignRunner`] chunks the workload into **epochs** — each a
+//! self-contained seeded [`WorkloadConfig`] derived from the campaign
+//! seed and the epoch index — and folds every epoch's per-instance rows
+//! into a [`CampaignTally`] of exact counters and constant-memory
 //! [`MergeableSketch`]es instead of collected `Vec`s. Memory is bounded
 //! by one epoch, never by the campaign.
 //!
 //! ## Checkpoint format
 //!
 //! After each epoch the runner can write a checkpoint — a small text
-//! file, schema-versioned and CRC-guarded, written to `<path>.tmp` and
-//! **renamed into place** so a SIGKILL at any instant leaves either the
-//! previous checkpoint or the new one, never a torn file:
+//! file, schema-versioned and CRC-guarded, written to `<path>.tmp` (the
+//! suffix appended to the whole file name, so `run.linear` and `run.hub`
+//! never share a temp file) and **renamed into place** so a SIGKILL at
+//! any instant leaves either the previous checkpoint or the new one,
+//! never a torn file:
 //!
 //! ```text
 //! xchain-campaign-checkpoint v1
@@ -29,6 +31,9 @@
 //! config digest before adopting the carried state; a config digest
 //! mismatch (different workload, faults, liquidity, totals or harness)
 //! refuses to resume rather than silently fusing incompatible campaigns.
+//! A CRC is not a MAC, so the decoded state is checked against the
+//! resuming configuration too: a payload whose `liquidity` flag disagrees
+//! with [`CampaignConfig::liquidity`] is refused, not adopted.
 //! Thread count and batch size are deliberately **not** part of the
 //! digest: they are performance knobs, and the workspace invariant is
 //! that they never change a report.
@@ -57,17 +62,16 @@
 use crate::des;
 use crate::faults::FaultPlan;
 use crate::metrics::{InstanceOutcome, InstanceResult, OpenTelemetry};
-use crate::runner::{run_instance_isolated, SimConfig};
+use crate::runner::{simulate_specs, SimConfig};
 use crate::sketch::MergeableSketch;
 use crate::workload::{self, PaymentSpec, WorkloadConfig};
 use experiments::digest::{crc32, fnv1a64, hex16};
-use experiments::parallel_map;
 use experiments::stats::Summary;
 use protocol::harness::ProtocolHarness;
 use protocol::liquidity::LiquidityConfig;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use telemetry::json::{round_to, JsonObject};
 use telemetry::{MetricsRegistry, NullSink, PhaseProfile, TelemetrySink};
 
@@ -107,8 +111,8 @@ pub struct CampaignConfig {
     /// collateral (see the module docs); `None` is the closed world.
     pub liquidity: Option<LiquidityConfig>,
     /// `Some` switches open-system epochs of network families to
-    /// liquidity-aware dynamic routing with optional rebalancing (see
-    /// [`crate::run_open_specs_routed_with`]). Ignored for non-network
+    /// liquidity-aware dynamic routing with optional rebalancing (the
+    /// `routing` argument of [`crate::run_open`]). Ignored for non-network
     /// families and closed-world campaigns.
     pub routing: Option<protocol::RoutingConfig>,
 }
@@ -622,6 +626,13 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                 runner.cfg.epochs()
             )));
         }
+        // The CRC only catches accidents. `step` relies on the tally's
+        // liquidity side existing exactly when the campaign is open.
+        if tally.liquidity.is_some() != runner.cfg.liquidity.is_some() {
+            return Err(bad(
+                "checkpoint's liquidity flag disagrees with this campaign's config".to_owned(),
+            ));
+        }
         runner.next_epoch = next_epoch;
         runner.tally = tally;
         Ok(runner)
@@ -657,45 +668,35 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         let rows = specs.len() as u64;
         match self.cfg.liquidity {
             None => {
-                // Closed world: per-worker partial tallies over spec
-                // chunks, merged in chunk order (bit-identical across
-                // thread counts — and any order, the merge commutes).
-                // Each worker also fills a per-chunk metrics-registry
-                // shard; those merge in the same chunk order, so the
-                // registry is as thread-count-independent as the tally.
-                let chunks: Vec<&[PaymentSpec]> = specs.chunks(self.cfg.batch.max(1)).collect();
-                let harness = &self.harness;
-                let faults = &self.cfg.faults;
+                // Closed world: the shared batch loop, each chunk folded
+                // to a partial tally and a metrics-registry shard on the
+                // worker that ran it. Both merge in chunk order — and the
+                // tally in any order, its merge commutes — so tally and
+                // registry are bit-identical across thread counts.
                 let parts: Vec<(CampaignTally, MetricsRegistry)> = {
                     let _t = self.profile.time("simulation");
-                    parallel_map(&chunks, self.cfg.threads, |chunk| {
-                        let mut part = CampaignTally::new(false);
-                        let mut shard = MetricsRegistry::new();
-                        let mut queue_high = 0usize;
-                        for spec in *chunk {
-                            let r = run_instance_isolated(
-                                harness,
-                                spec,
-                                faults,
-                                false,
-                                &mut queue_high,
-                            );
-                            part.fold_row(spec, &r);
-                        }
-                        shard.counter_add("rows", chunk.len() as u64);
-                        shard.counter_add("engine_events", part.events as u64);
-                        shard.histogram_record("chunk_queue_high", queue_high as u64);
-                        (part, shard)
-                    })
+                    simulate_specs(
+                        &self.harness,
+                        &specs,
+                        &sim_cfg,
+                        |chunk, rows, queue_high| {
+                            let mut part = CampaignTally::new(false);
+                            for (spec, r) in chunk.iter().zip(&rows) {
+                                part.fold_row(spec, r);
+                            }
+                            let mut shard = MetricsRegistry::new();
+                            shard.counter_add("rows", chunk.len() as u64);
+                            shard.counter_add("engine_events", part.events as u64);
+                            shard.histogram_record("chunk_queue_high", queue_high as u64);
+                            (part, shard)
+                        },
+                    )
                 };
                 let _t = self.profile.time("merge");
-                let mut shards = Vec::with_capacity(parts.len());
                 for (part, shard) in parts {
                     self.tally.absorb(part);
-                    shards.push(shard);
+                    self.registry.merge_from(&shard);
                 }
-                self.registry
-                    .merge_from(&MetricsRegistry::merge_shards(&shards));
                 self.last_open = None;
             }
             Some(liq) => {
@@ -720,22 +721,18 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                 self.tally
                     .liquidity
                     .as_mut()
-                    .expect("open campaign has a liquidity tally")
+                    .expect("`new` and `resume` set `tally.liquidity` iff `cfg.liquidity` is set")
                     .fold_epoch(&raw);
                 self.registry.counter_add("rows", rows);
                 self.registry
                     .counter_add("admitted", raw.liquidity.admitted as u64);
                 self.registry
                     .counter_add("rejected", raw.liquidity.rejected as u64);
-                if let Some(rs) = &raw.routing {
+                if let Some(rs) = &raw.telemetry.routing {
                     self.registry.counter_add("routed", rs.routed);
                     self.registry.counter_add("rebalances", rs.rebalances);
                 }
-                self.last_open = Some(OpenTelemetry {
-                    venues: raw.venues,
-                    venue_events: raw.venue_events,
-                    routing: raw.routing,
-                });
+                self.last_open = Some(raw.telemetry);
             }
         }
         self.next_epoch += 1;
@@ -872,14 +869,18 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         self.last_open.as_ref()
     }
 
-    /// Atomically writes the checkpoint: full state to `<path>.tmp`,
-    /// fsync, rename into place.
+    /// Atomically writes the checkpoint: full state to `<path>.tmp` (the
+    /// whole file name plus `.tmp`), fsync, rename into place.
     pub fn checkpoint_to(&self, path: &Path) -> io::Result<()> {
         let payload = self.state_payload();
         let mut text = format!("{MAGIC} v{CHECKPOINT_SCHEMA_VERSION}\n");
         text.push_str(&format!("crc32 {:08x}\n", crc32(payload.as_bytes())));
         text.push_str(&payload);
-        let tmp = path.with_extension("ckpt-tmp");
+        // Appended, not `with_extension`: `run.linear` and `run.hub` in
+        // one directory must not share a temp file.
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
         {
             use std::io::Write;
             let mut f = fs::File::create(&tmp)?;

@@ -60,10 +60,7 @@
 //! instance, run inline on the DES thread at admission.
 
 use crate::faults::FaultPlan;
-use crate::metrics::{
-    BatchMetrics, InstanceResult, LiquidityStats, OpenReport, OpenTelemetry, RoutingStats,
-    SimReport, VenueEvents,
-};
+use crate::metrics::{InstanceResult, LiquidityStats, OpenTelemetry, RoutingStats, VenueEvents};
 use crate::runner::{run_instance_isolated, SimConfig};
 use crate::workload::{PaymentSpec, ValuePlan, VenueRoute};
 use anta::time::{SimDuration, SimTime};
@@ -415,7 +412,12 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 .members
                 .iter()
                 .zip(self.results)
-                .map(|(&si, r)| (si, r.expect("every member decided")))
+                .map(|(&si, r)| {
+                    (
+                        si,
+                        r.expect("the heap drained: every arrival admitted, rejected or expired"),
+                    )
+                })
                 .collect(),
             book: self.book,
             admitted: self.admitted,
@@ -449,22 +451,11 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             self.admit(local, t);
             return;
         }
-        // Queue only when waiting could ever help: the payer must have
-        // patience and the demand must fit an *idle* venue. A demand no
-        // budget can satisfy is refused on the spot with zero wasted wait.
-        let can_wait =
-            !self.policy.max_wait().is_zero() && self.book.could_ever_fit(&self.demands[li]);
-        if can_wait {
-            self.queue.push_back(local);
-            let deadline = SimTime::from_ticks(
-                spec.arrival
-                    .ticks()
-                    .saturating_add(self.policy.max_wait().ticks()),
-            );
-            self.push(deadline, RANK_EXPIRY, EventKind::Expiry { local });
-        } else {
-            self.reject(local, t);
-        }
+        // Queue only when waiting could ever help: the demand must fit an
+        // *idle* venue. A demand no budget can satisfy is refused on the
+        // spot with zero wasted wait.
+        let can_wait = self.book.could_ever_fit(&self.demands[li]);
+        self.enqueue_or_reject(local, t, can_wait);
     }
 
     /// Routed admission: ask the pathfinder instead of checking the
@@ -479,26 +470,30 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             }
             // Should it queue, this arrival is the head and has had its poll.
             let version = self.book.load_version();
-            self.routed.as_mut().expect("routed arrival").blocked = Some((local, version));
+            self.routed_mut().blocked = Some((local, version));
         }
-        let spec = &self.specs[self.members[li]];
-        let amount = delivered(spec);
-        let rt = self.routed.as_ref().expect("routed arrival");
+        let amount = delivered(&self.specs[self.members[li]]);
+        let rt = self.routed_mut();
         let min_share = amount.div_ceil(rt.cfg.max_split.max(1) as u64);
         let rebalancing = !rt.cfg.rebalance_period.is_zero();
         // Waiting can only help when capacity can come back — a
         // reservation return (bounded gate) or a rebalancing flow — and
         // when even the smallest split share could ever fit a venue.
-        let can_wait = !self.policy.max_wait().is_zero()
-            && (self.policy.bounded() || rebalancing)
-            && self.book.could_ever_fit(&[(0, min_share)]);
-        if can_wait {
+        let can_wait =
+            (self.policy.bounded() || rebalancing) && self.book.could_ever_fit(&[(0, min_share)]);
+        self.enqueue_or_reject(local, t, can_wait);
+    }
+
+    /// The tail of every arrival that was not admitted on the spot: when
+    /// waiting `can_help` and the payer has any patience, join the FIFO
+    /// gate with an expiry at arrival + patience; otherwise be refused
+    /// now, with zero wasted wait.
+    fn enqueue_or_reject(&mut self, local: u32, t: SimTime, can_help: bool) {
+        let patience = self.policy.max_wait();
+        if can_help && !patience.is_zero() {
             self.queue.push_back(local);
-            let deadline = SimTime::from_ticks(
-                spec.arrival
-                    .ticks()
-                    .saturating_add(self.policy.max_wait().ticks()),
-            );
+            let arrival = self.specs[self.members[local as usize]].arrival;
+            let deadline = SimTime::from_ticks(arrival.ticks().saturating_add(patience.ticks()));
             self.push(deadline, RANK_EXPIRY, EventKind::Expiry { local });
         } else {
             self.reject(local, t);
@@ -537,9 +532,15 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     /// now, and the number of searches that took.
     fn find_route(&mut self, li: usize) -> (Option<Vec<(VenueRoute, u64)>>, u64) {
         let spec = &self.specs[self.members[li]];
-        let (src, dst) = spec.endpoints.expect("routed specs carry endpoints");
+        let (src, dst) = spec.endpoints.expect(
+            "routing is armed only for network families, whose generated specs all carry endpoints",
+        );
         let amount = delivered(spec);
-        let rt = self.routed.as_mut().expect("routed mode");
+        // Not `routed_mut`: the router borrows `self.book` beside it.
+        let rt = self
+            .routed
+            .as_mut()
+            .expect("only routed arrivals and routed gate polls search for a route");
         let (g, hops, book) = (&rt.graph, rt.cfg.max_hops, &self.book);
         if let Some(path) = rt.router.route(g, src, dst, amount, hops, book) {
             return (Some(vec![(path, amount)]), 1);
@@ -562,7 +563,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     /// gate re-polls (not counted).
     fn try_route(&mut self, li: usize, at_arrival: bool) -> Option<Vec<(VenueRoute, u64)>> {
         let (found, searches) = self.find_route(li);
-        let rt = self.routed.as_mut().expect("routed mode");
+        let rt = self.routed_mut();
         rt.stats.pathfind_calls += searches;
         if found.is_none() && at_arrival {
             rt.stats.no_path += 1;
@@ -577,16 +578,9 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     /// Only then are the book events scheduled, because the settlement's
     /// `consume` depends on the merged outcome.
     fn admit_routed(&mut self, local: u32, t: SimTime, paths: Vec<(VenueRoute, u64)>) {
-        let li = local as usize;
-        self.decided[li] = true;
-        self.admitted += 1;
-        self.horizon = self.horizon.max(t);
-        self.note_decided();
-        let specs = self.specs;
-        let spec = &specs[self.members[li]];
-        let wait = t.saturating_since(spec.arrival);
+        let spec = &self.specs[self.members[local as usize]];
         {
-            let rt = self.routed.as_mut().expect("routed admission");
+            let rt = self.routed_mut();
             rt.stats.routed += 1;
             if paths.len() > 1 {
                 rt.stats.split += 1;
@@ -596,8 +590,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         }
         // Per-leg salted seeds keep legs independent; salt 0 for leg 0.
         const SPLIT_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-        let harness = self.harness;
-        let plan = self.plan;
         let mut runs: Vec<(VenueRoute, InstanceResult)> = Vec::with_capacity(paths.len());
         for (j, (path, share)) in paths.into_iter().enumerate() {
             let sub = PaymentSpec {
@@ -613,7 +605,8 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 venues: path,
                 endpoints: spec.endpoints,
             };
-            let r = run_instance_isolated(harness, &sub, plan, true, &mut self.queue_high);
+            let r =
+                run_instance_isolated(self.harness, &sub, self.plan, true, &mut self.queue_high);
             runs.push((sub.venues, r));
         }
         // Merge: conjunction of legs. Latency is the slowest leg, peaks
@@ -652,56 +645,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             all_venues.extend(path.venues.iter().copied());
         }
         let route_all = VenueRoute::new(all_venues);
-        if !wait.is_zero() {
-            self.queued += 1;
-            self.waits.push(wait.ticks());
-            for ev in lock_profile.iter_mut() {
-                ev.0 += wait;
-            }
-            latency += wait;
-        }
-        // Schedule the audit stream and measure the per-venue footprint,
-        // exactly as static admission does.
-        let mut per_venue: BTreeMap<u32, (i64, i64, SimTime)> = BTreeMap::new();
-        for &(te, hop, dv) in lock_profile.iter() {
-            let Some(venue) = route_all.venue(hop as usize) else {
-                continue;
-            };
-            let e = per_venue.entry(venue).or_insert((0, 0, te));
-            e.0 += dv;
-            e.1 = e.1.max(e.0);
-            e.2 = e.2.max(te);
-            let rank = if dv < 0 { RANK_UNLOCK } else { RANK_LOCK };
-            self.push(te, rank, EventKind::Book { venue, delta: dv });
-        }
-        let success = outcome == ProtocolOutcome::Success;
-        for &venue in per_venue.keys() {
-            let ve = self.venue_events.entry(venue).or_default();
-            ve.admitted += 1;
-            if !wait.is_zero() {
-                ve.queued += 1;
-            }
-        }
-        if self.policy.bounded() {
-            for (&venue, &(_, peak, last)) in &per_venue {
-                if peak > 0 {
-                    self.book.reserve(venue, peak as u64);
-                    self.push(
-                        last,
-                        RANK_UNRESERVE,
-                        EventKind::Unreserve {
-                            venue,
-                            amount: peak as u64,
-                            consume: if success { peak as u64 } else { 0 },
-                        },
-                    );
-                }
-            }
-        }
-        if success {
-            self.goodput_value += delivered(spec);
-        }
-        self.results[li] = Some(InstanceResult {
+        let merged = InstanceResult {
             id: spec.id,
             family: spec.family,
             outcome,
@@ -713,7 +657,110 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             packet: spec.packet,
             route: spec.route,
             lock_profile,
-        });
+        };
+        // A successful routed payment moved value off its venues; and the
+        // gate decided on the chosen legs, not on the spec's static
+        // demand, so the venues that saw a lock event count the admission.
+        self.commit_admission(local, t, &route_all, merged, true, false);
+    }
+
+    /// What every admission does once the payment's run is in hand:
+    /// count it, shift the run by its gate wait, schedule one
+    /// [`EventKind::Book`] event per lock event, and — under a bounded
+    /// policy — reserve each venue's measured peak until its last lock
+    /// event. `route` maps the profile's hops to venues.
+    ///
+    /// The two inputs are where static and routed admission legitimately
+    /// differ. `consume_on_success`: a settled reservation of a
+    /// *successful* payment stays spent (routed) or returns intact
+    /// (static). `count_demanded`: the admission counts in
+    /// [`VenueEvents`] at every venue of the spec's static demand — what
+    /// the static gate decided on — or at every venue that saw a lock
+    /// event.
+    fn commit_admission(
+        &mut self,
+        local: u32,
+        t: SimTime,
+        route: &VenueRoute,
+        mut r: InstanceResult,
+        consume_on_success: bool,
+        count_demanded: bool,
+    ) {
+        let li = local as usize;
+        self.decided[li] = true;
+        self.admitted += 1;
+        self.horizon = self.horizon.max(t);
+        self.note_decided();
+        let spec = &self.specs[self.members[li]];
+        let wait = t.saturating_since(spec.arrival);
+        let waited = !wait.is_zero();
+        if waited {
+            self.queued += 1;
+            self.waits.push(wait.ticks());
+            // A delayed start shifts the whole (deterministic) run by the
+            // wait, payer-visible latency included.
+            for ev in r.lock_profile.iter_mut() {
+                ev.0 += wait;
+            }
+            r.latency += wait;
+        }
+        // Schedule the audit stream and measure the per-venue footprint:
+        // net and peak locked (the reservation) and last event (its
+        // release).
+        let mut per_venue: BTreeMap<u32, (i64, i64, SimTime)> = BTreeMap::new();
+        for &(te, hop, dv) in r.lock_profile.iter() {
+            let Some(venue) = route.venue(hop as usize) else {
+                continue;
+            };
+            let e = per_venue.entry(venue).or_insert((0, 0, te));
+            e.0 += dv;
+            e.1 = e.1.max(e.0);
+            e.2 = e.2.max(te);
+            let rank = if dv < 0 { RANK_UNLOCK } else { RANK_LOCK };
+            self.push(te, rank, EventKind::Book { venue, delta: dv });
+        }
+        let mut count = |venue: u32| {
+            let ve = self.venue_events.entry(venue).or_default();
+            ve.admitted += 1;
+            if waited {
+                ve.queued += 1;
+            }
+        };
+        if count_demanded {
+            self.demands[li].iter().for_each(|&(venue, _)| count(venue));
+        } else {
+            per_venue.keys().for_each(|&venue| count(venue));
+        }
+        let success = r.outcome == ProtocolOutcome::Success;
+        let spends = success && consume_on_success;
+        if self.policy.bounded() {
+            for (&venue, &(_, peak, last)) in &per_venue {
+                if peak > 0 {
+                    self.book.reserve(venue, peak as u64);
+                    self.push(
+                        last,
+                        RANK_UNRESERVE,
+                        EventKind::Unreserve {
+                            venue,
+                            amount: peak as u64,
+                            consume: if spends { peak as u64 } else { 0 },
+                        },
+                    );
+                }
+            }
+        }
+        if success {
+            self.goodput_value += delivered(spec);
+        }
+        self.results[li] = Some(r);
+    }
+
+    /// The live-routing state, for the routed branches only.
+    fn routed_mut(&mut self) -> &mut RoutedState {
+        self.routed.as_mut().expect(
+            "`on_arrival` and `drain_queue` enter their routed branch — the only way to \
+             `try_route` and `admit_routed` — after checking `self.routed.is_some()`",
+        )
     }
 
     /// Routed mode tracks how many payments are still undecided so the
@@ -743,7 +790,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         if self.routed.is_some() {
             while let Some(&head) = self.queue.front() {
                 let poll = Some((head, self.book.load_version()));
-                if self.routed.as_ref().expect("routed mode").blocked == poll {
+                if self.routed_mut().blocked == poll {
                     debug_assert!(
                         self.find_route(head as usize).0.is_none(),
                         "the book's loads did not move, so the head's search must fail again"
@@ -756,7 +803,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                         self.admit_routed(head, t, paths);
                     }
                     None => {
-                        self.routed.as_mut().expect("routed mode").blocked = poll;
+                        self.routed_mut().blocked = poll;
                         break;
                     }
                 }
@@ -773,66 +820,11 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     }
 
     fn admit(&mut self, local: u32, t: SimTime) {
-        let li = local as usize;
-        self.decided[li] = true;
-        self.admitted += 1;
-        self.horizon = self.horizon.max(t);
-        self.note_decided();
-        let spec = &self.specs[self.members[li]];
-        let wait = t.saturating_since(spec.arrival);
-        for &(venue, _) in &self.demands[li] {
-            let ve = self.venue_events.entry(venue).or_default();
-            ve.admitted += 1;
-            if !wait.is_zero() {
-                ve.queued += 1;
-            }
-        }
-        let mut r =
-            run_instance_isolated(self.harness, spec, self.plan, true, &mut self.queue_high);
-        if !wait.is_zero() {
-            self.queued += 1;
-            self.waits.push(wait.ticks());
-            // A delayed start shifts the whole (deterministic) run by the
-            // wait, payer-visible latency included.
-            for ev in r.lock_profile.iter_mut() {
-                ev.0 += wait;
-            }
-            r.latency += wait;
-        }
-        // Schedule the audit stream and measure the per-venue footprint:
-        // peak locked (the reservation) and last event (its release).
-        let mut per_venue: BTreeMap<u32, (i64, i64, SimTime)> = BTreeMap::new();
-        for &(te, hop, dv) in r.lock_profile.iter() {
-            let Some(venue) = spec.venues.venue(hop as usize) else {
-                continue;
-            };
-            let e = per_venue.entry(venue).or_insert((0, 0, te));
-            e.0 += dv;
-            e.1 = e.1.max(e.0);
-            e.2 = e.2.max(te);
-            let rank = if dv < 0 { RANK_UNLOCK } else { RANK_LOCK };
-            self.push(te, rank, EventKind::Book { venue, delta: dv });
-        }
-        if self.policy.bounded() {
-            for (&venue, &(_, peak, last)) in &per_venue {
-                if peak > 0 {
-                    self.book.reserve(venue, peak as u64);
-                    self.push(
-                        last,
-                        RANK_UNRESERVE,
-                        EventKind::Unreserve {
-                            venue,
-                            amount: peak as u64,
-                            consume: 0,
-                        },
-                    );
-                }
-            }
-        }
-        if r.outcome == ProtocolOutcome::Success {
-            self.goodput_value += delivered(spec);
-        }
-        self.results[li] = Some(r);
+        let spec = &self.specs[self.members[local as usize]];
+        let r = run_instance_isolated(self.harness, spec, self.plan, true, &mut self.queue_high);
+        // Static collateral returns intact, and the gate decided on the
+        // spec's demand: every demanded venue counts the admission.
+        self.commit_admission(local, t, &spec.venues, r, false, true);
     }
 
     fn reject(&mut self, local: u32, t: SimTime) {
@@ -869,53 +861,10 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     }
 }
 
-/// Open-system steady state over pre-generated specs: shards the venue
-/// set, runs one discrete-event simulation per shard on the worker pool,
-/// and merges deterministically (see the module docs; the public surface
-/// is [`crate::runner::run_open_specs_with`]).
-pub(crate) fn run_open_specs_des<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[PaymentSpec],
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-    routing: Option<&RoutingConfig>,
-) -> OpenReport {
-    run_open_specs_des_telemetry(harness, specs, cfg, liq, routing).0
-}
-
-/// [`run_open_specs_des`] plus the per-venue telemetry sidecar (the
-/// public surface is [`crate::runner::run_open_specs_with_telemetry`]).
-/// The sidecar is derived from the same merged shard outcomes as the
-/// report, so it costs nothing extra and matches it bit-for-bit.
-pub(crate) fn run_open_specs_des_telemetry<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[PaymentSpec],
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-    routing: Option<&RoutingConfig>,
-) -> (OpenReport, OpenTelemetry) {
-    let raw = run_open_specs_raw(harness, specs, cfg, liq, routing);
-    let telemetry = OpenTelemetry {
-        venues: raw.venues.clone(),
-        venue_events: raw.venue_events.clone(),
-        routing: raw.routing,
-    };
-    let mut batch = BatchMetrics::with_capacity(raw.results.len());
-    for r in raw.results {
-        batch.push(r);
-    }
-    let report = OpenReport {
-        sim: SimReport::merge(vec![batch], true),
-        liquidity: raw.liquidity,
-        routing: raw.routing,
-    };
-    (report, telemetry)
-}
-
 /// The unaggregated outcome of one open-system run: spec-ordered rows,
 /// the liquidity stats, and the raw wait samples the stats summarized —
 /// the campaign layer folds all of these into its streaming sketches
-/// instead of materializing a [`SimReport`] per epoch.
+/// instead of materializing a [`crate::metrics::SimReport`] per epoch.
 pub(crate) struct OpenRaw {
     /// Per-instance rows, in spec order.
     pub results: Vec<InstanceResult>,
@@ -925,16 +874,16 @@ pub(crate) struct OpenRaw {
     pub waits: Vec<u64>,
     /// Wasted waits of rejected payments (ticks), merge order.
     pub rejected_waits: Vec<u64>,
-    /// Per-venue end-of-run samples (venue-id order) — the raw material
-    /// of the campaign's per-epoch venue time-series.
-    pub venues: Vec<protocol::VenueSample>,
-    /// Per-venue DES activity counters (venue-id order).
-    pub venue_events: Vec<(u32, VenueEvents)>,
-    /// Pathfinder counters (routed runs only).
-    pub routing: Option<RoutingStats>,
+    /// The per-venue sidecar (end-of-run samples, DES activity counters,
+    /// pathfinder counters): what `run_open` returns beside the report
+    /// and the campaign keeps for its per-epoch venue series.
+    pub telemetry: OpenTelemetry,
 }
 
-/// The engine behind [`run_open_specs_des`] (see [`OpenRaw`]).
+/// The engine behind [`crate::runner::run_open`] and the campaign
+/// layer's open epochs: shards the venue set, runs one discrete-event
+/// simulation per shard on the worker pool, and merges deterministically
+/// (see the module docs and [`OpenRaw`]).
 ///
 /// `routing` switches on liquidity-aware admission-time pathfinding; it
 /// only takes effect for workloads whose family carries a venue network
@@ -1040,17 +989,18 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
     };
     let results: Vec<InstanceResult> = per_spec
         .into_iter()
-        .map(|r| r.expect("every spec decided"))
+        .map(|r| r.expect("the shards partition the specs and each decides all its members"))
         .collect();
-    let venues_series = book.venue_samples();
     OpenRaw {
         results,
         liquidity,
         waits,
         rejected_waits,
-        venues: venues_series,
-        venue_events: venue_events.into_iter().collect(),
-        routing: routing_stats,
+        telemetry: OpenTelemetry {
+            venues: book.venue_samples(),
+            venue_events: venue_events.into_iter().collect(),
+            routing: routing_stats,
+        },
     }
 }
 

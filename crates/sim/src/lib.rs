@@ -1,95 +1,94 @@
 //! # xchain-sim — Monte Carlo cross-chain traffic simulator
 //!
+//! ## Purpose
+//!
 //! E4's exhaustive explorer answers "does *one* payment satisfy the
 //! theorem under *every* schedule?". This crate answers the operational
-//! question at scale — and, since the `protocol` abstraction layer,
-//! answers it for **every protocol in the workspace**: what success rate,
-//! end-to-end latency and locked-value cost does a protocol deliver under
-//! realistic traffic, drift and adversaries? The traffic and fault
-//! models are the layers below, re-exported under their historical
-//! `sim::…` paths; the measurements are this crate's:
+//! question at scale, for **every protocol in the workspace**: what
+//! success rate, end-to-end latency and locked-value cost does a protocol
+//! deliver under realistic traffic, drift and adversaries? The unit of
+//! work is one deterministic run of one payment instance
+//! ([`run_instance_with`]), and there are exactly two ways to run a batch:
 //!
-//! * [`workload`] (= [`protocol::workload`]) — parameterized topology
-//!   families (the paper's linear `n`-escrow path, Boros-style
-//!   hub-and-spoke, random routing trees, packetized payments split
-//!   across parallel paths), arrival processes (uniform / bursty), and
-//!   per-instance `payment::ValuePlan` / `payment::SyncParams` sampling
-//!   from a seeded RNG;
-//! * [`faults`] (= [`protocol::faults`]) — a [`faults::FaultPlan`]
-//!   composing the `payment::byzantine` strategies with clock-drift
-//!   sampling and bounded message delay/drop injected at the `anta`
-//!   network layer;
-//! * [`sketch`] (= [`telemetry::sketch`]) — the constant-memory
-//!   mergeable quantile sketch campaigns aggregate into;
-//! * [`metrics`] — per-instance outcome (success / refund / stuck /
-//!   conservation **violation**, plus the HTLC-style *griefed* flag),
-//!   latency, peak locked value and lock-concurrency profiles, aggregated
-//!   contention-free across crossbeam workers into percentile summaries.
+//! * [`run_closed`]`(harness, specs, cfg)` → [`SimReport`]: every
+//!   instance in isolation, batched onto [`experiments::parallel_map`]
+//!   workers.
+//! * [`run_open`]`(harness, specs, cfg, liq, routing)` → ([`OpenReport`],
+//!   [`OpenTelemetry`]): one discrete-event simulation against finite
+//!   per-venue collateral, sharded by venue, in which over-committed
+//!   escrows reject or queue payments ([`InstanceOutcome::Rejected`]) and
+//!   success becomes a function of offered load; with `routing: Some(_)`
+//!   on a network family ([`TopologyFamily::ScaleFree`] /
+//!   [`TopologyFamily::SmallWorld`]) arrivals are routed over the live
+//!   book and the report carries [`RoutingStats`].
 //!
-//! The driver is [`runner::run_with`]: instances are batched onto
-//! [`experiments::parallel_map`] workers, every engine runs in
-//! counters-only trace mode, and batch workers carry queue high-water
-//! marks forward so rebuilt engines skip reallocation. Reports are
-//! **bit-identical across thread counts**. [`runner::run`] is the
-//! historical time-bounded entry point (a [`TimeBoundedHarness`]
-//! campaign), bit-identical to the pre-refactor simulator.
+//! [`SimConfig`], [`LiquidityConfig`] and [`RoutingConfig`] are all the
+//! options there are, and every report is **bit-identical across thread
+//! counts**.
 //!
-//! Since the shared-liquidity layer ([`protocol::liquidity`]), the
-//! simulator also runs **open-system** campaigns:
-//! [`runner::run_open_with`] is a discrete-event simulation over a
-//! global event queue — arrivals, admission, queueing, lock/release
-//! replay and patience expiry are all in-band events executed in
-//! `(time, rank, seq)` order against the carried
-//! [`protocol::LiquidityBook`] — so over-committed escrows reject or
-//! queue payments ([`InstanceOutcome::Rejected`]) and success becomes
-//! a function of offered load. The event queue is **sharded by
-//! venue**: payments touching disjoint venue sets run on parallel
-//! workers and merge deterministically, keeping the [`OpenReport`]
-//! (with its admission and collateral audit, [`LiquidityStats`])
-//! bit-identical across thread counts.
+//! ## Responsibility boundaries
 //!
-//! For the **network families** ([`TopologyFamily::ScaleFree`] /
-//! [`TopologyFamily::SmallWorld`] — random venue graphs instead of fixed
-//! routes), [`runner::run_open_specs_routed_with`] switches admission to
-//! **liquidity-aware dynamic routing**: every arrival is routed by a
-//! deterministic bounded-hop pathfinder ([`protocol::Router`]) over the
-//! live book, splitting across venue-disjoint paths when one path cannot
-//! carry the value, with optional periodic rebalancing flows restoring
-//! spent liquidity ([`protocol::RoutingConfig`]). Routed reports carry
-//! [`metrics::RoutingStats`] and stay bit-identical across threads.
+//! **In scope:**
+//! - batching instances onto workers, panic isolation, and the
+//!   deterministic merge of per-batch buffers ([`runner`]);
+//! - the open-system admission gate: its event order, venue sharding,
+//!   queueing and the collateral audit (private `des`, behind
+//!   [`run_open`]);
+//! - per-instance outcome (success / refund / stuck / conservation
+//!   **violation**, plus the HTLC-style *griefed* flag), latency, peak
+//!   locked value and lock-concurrency profiles, aggregated into
+//!   percentile summaries ([`metrics`]);
+//! - crash-safe streaming of workloads too large to hold: epochs,
+//!   checkpoints, bit-identical resume ([`campaign`]);
+//! - what the `exp8`–`exp11` binaries share — flag tables, campaign
+//!   mode, grid bookkeeping, artifact writing ([`driver`]) — so that each
+//!   binary is only its grid and its exit gates.
 //!
-//! Four experiment binaries sit on top, each only its grid and its exit
-//! gates — flag tables, campaign mode ([`driver::drive`]), grid
-//! bookkeeping and artifact writing ([`driver::Grid`]) are shared in
-//! [`driver`]: `exp8` sweeps success-rate × drift × faults across the
-//! families for the time-bounded protocol (E8); `exp9` runs the same grid
-//! through **all** protocol harnesses and prints the paper-style
-//! comparison table (E9); `exp10` sweeps offered load × collateral
-//! budget × protocol and prints the utilization/success/goodput frontier
-//! (E10); `exp11` sweeps success/goodput vs network size × rebalancing
-//! period × protocol with dynamic routing against the static baseline
-//! (E11). Every one of them streams a crash-safe [`campaign`] instead
-//! with `--campaign N`.
+//! **Out of scope** (re-exported here, owned below):
+//! - what a payment is and how one runs: [`ProtocolHarness`] and the
+//!   five harnesses;
+//! - traffic and faults: [`workload`] (= [`protocol::workload`]) and
+//!   [`faults`] (= [`protocol::faults`]) — a caller without a spec list
+//!   calls [`workload::generate`] itself;
+//! - collateral accounting and pathfinding: [`protocol::liquidity`],
+//!   [`protocol::network`];
+//! - the quantile [`sketch`] (= [`telemetry::sketch`]), metrics registry
+//!   and event sinks: [`telemetry`];
+//! - exhaustive schedule exploration (`anta::explore`,
+//!   `protocol::explore`) and wall-clock measurement (`benchmark/`).
+//!
+//! ## Example
 //!
 //! ```
 //! use sim::prelude::*;
 //!
 //! let workload = WorkloadConfig::new(TopologyFamily::HubAndSpoke { spokes: 8 }, 200, 42);
-//! let report = sim::run(&SimConfig::new(workload));
+//! let cfg = SimConfig::new(workload);
+//! let specs = sim::workload::generate(&cfg.workload);
+//!
+//! let report = run_closed(&TimeBoundedHarness, &specs, &cfg);
 //! let hub = report.family("hub").unwrap();
 //! assert!(hub.success.is_perfect());          // no faults ⇒ Theorem 1
 //! assert!(report.conserved());                // money conservation
 //! assert!(report.peak_in_flight > 1);         // genuinely concurrent
 //!
-//! // The same campaign through a baseline:
-//! let htlc = sim::run_with(&HtlcHarness, &SimConfig::new(workload));
+//! // The same specs through a baseline:
+//! let htlc = run_closed(&HtlcHarness, &specs, &cfg);
 //! assert_eq!(htlc.instances, report.instances);
+//!
+//! // ... and against 12 000 units of collateral per venue, refused on
+//! // the spot when they do not fit:
+//! let liq = LiquidityConfig::reject(12_000);
+//! let (open, _venues) = run_open(&TimeBoundedHarness, &specs, &cfg, &liq, None);
+//! assert_eq!(open.liquidity.admitted + open.liquidity.rejected, 200);
+//! assert_eq!(open.liquidity.budget_violations, 0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
+mod compat;
 mod des;
 pub mod driver;
 pub mod metrics;
@@ -107,11 +106,7 @@ pub use metrics::{
     FamilyStats, InstanceOutcome, InstanceResult, LiquidityStats, OpenReport, OpenTelemetry,
     PacketStats, RoutingStats, SimReport, VenueEvents,
 };
-pub use runner::{
-    run, run_instance, run_instance_with, run_open, run_open_specs_routed_with,
-    run_open_specs_routed_with_telemetry, run_open_specs_with, run_open_specs_with_telemetry,
-    run_open_with, run_open_with_telemetry, run_specs, run_specs_with, run_with, SimConfig,
-};
+pub use runner::{run_closed, run_instance_with, run_open, SimConfig};
 pub use sketch::MergeableSketch;
 pub use workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
 
@@ -123,6 +118,13 @@ pub use protocol::{
     LiquidityConfig, ProtocolHarness, Router, RoutingConfig, TimeBoundedHarness, VenueGraph,
 };
 
+// `benchmark/` only (see `compat.rs`); goes with it in ROADMAP 1(iii).
+#[doc(hidden)]
+pub use compat::{
+    run_open_specs_routed_with, run_open_specs_routed_with_telemetry, run_open_specs_with,
+    run_open_specs_with_telemetry, run_specs_with,
+};
+
 /// One-stop imports for simulation campaigns.
 pub mod prelude {
     pub use crate::faults::{ByzFault, FaultPlan, InstanceFaults};
@@ -130,11 +132,7 @@ pub mod prelude {
         FamilyStats, InstanceOutcome, InstanceResult, LiquidityStats, OpenReport, OpenTelemetry,
         PacketStats, RoutingStats, SimReport, VenueEvents,
     };
-    pub use crate::runner::{
-        run, run_instance, run_instance_with, run_open, run_open_specs_routed_with,
-        run_open_specs_routed_with_telemetry, run_open_specs_with, run_open_specs_with_telemetry,
-        run_open_with, run_open_with_telemetry, run_specs, run_specs_with, run_with, SimConfig,
-    };
+    pub use crate::runner::{run_closed, run_instance_with, run_open, SimConfig};
     pub use crate::workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
     pub use anta::net::NetFaults;
     pub use protocol::{

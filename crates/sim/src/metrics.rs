@@ -299,7 +299,7 @@ impl SimReport {
 }
 
 /// Liquidity-side statistics of one open-system campaign (see
-/// [`crate::run_open_with`]): what the admission controller did, how hard
+/// [`crate::run_open`]): what the admission controller did, how hard
 /// the collateral budgets were driven, and whether the accounting stayed
 /// sound.
 #[derive(Debug, Clone)]
@@ -473,11 +473,10 @@ impl VenueEvents {
 /// Deterministic telemetry sidecar of one open-system run: the per-venue
 /// end-state samples and DES activity counters, in venue-id order.
 ///
-/// Produced next to the [`OpenReport`] by
-/// [`crate::runner::run_open_specs_with_telemetry`] and by the campaign
-/// runner on every open-system epoch. The sidecar is derived from the same
-/// merged shard outcomes as the report, so it is bit-identical across
-/// thread counts — and it never feeds back into any digest preimage.
+/// Produced next to the [`OpenReport`] by [`crate::run_open`] and by the
+/// campaign runner on every open-system epoch. The sidecar is derived from
+/// the same merged shard outcomes as the report, so it is bit-identical
+/// across thread counts — and it never feeds back into any digest preimage.
 #[derive(Debug, Clone, Default)]
 pub struct OpenTelemetry {
     /// Per-venue end-of-run samples (utilization, peaks, drain), in

@@ -1,5 +1,5 @@
 //! The Monte-Carlo driver: thousands-to-millions of concurrent payment
-//! instances, farmed to crossbeam workers in batches — generic over the
+//! instances, run in batches on the worker pool — generic over the
 //! protocol under test.
 //!
 //! Each instance is one deterministic engine run — a pure function of its
@@ -12,19 +12,20 @@
 //! [`anta::trace::TraceMode::CountersOnly`] so no message payload is ever
 //! cloned into a trace.
 //!
-//! The protocol-agnostic entry points are [`run_with`] /
-//! [`run_specs_with`] / [`run_instance_with`]; the historical
-//! [`run`] / [`run_specs`] / [`run_instance`] functions drive the
-//! time-bounded protocol through its [`TimeBoundedHarness`] and produce
-//! the same reports the pre-refactor simulator did, bit for bit.
+//! There are two batch entry points, [`run_closed`] and [`run_open`], and
+//! one per-instance entry point, [`run_instance_with`]. All three are
+//! generic over the harness and take a pre-generated spec list; a caller
+//! that has only a [`SimConfig`] passes
+//! `&workload::generate(&cfg.workload)`.
 
+use crate::des;
 use crate::faults::FaultPlan;
 use crate::metrics::{BatchMetrics, InstanceResult, OpenReport, OpenTelemetry, SimReport};
-use crate::workload::{self, PaymentSpec, WorkloadConfig};
+use crate::workload::{PaymentSpec, WorkloadConfig};
 use experiments::parallel_map;
 use protocol::harness::{run_harness_instance, ProtocolHarness};
 use protocol::liquidity::LiquidityConfig;
-use protocol::timebounded::TimeBoundedHarness;
+use protocol::network::RoutingConfig;
 
 /// One simulation campaign.
 #[derive(Debug, Clone, Copy)]
@@ -57,36 +58,42 @@ impl SimConfig {
     }
 }
 
-/// Generates the workload and simulates every instance through `harness`.
+/// Simulates `specs` through `harness` as a **closed system**: every
+/// instance runs in isolation, whatever the others lock.
 ///
 /// Panics if the harness does not support the configured workload (check
 /// [`ProtocolHarness::supports`] first when sweeping protocol × workload
 /// grids).
-pub fn run_with<H: ProtocolHarness>(harness: &H, cfg: &SimConfig) -> SimReport {
-    let specs = workload::generate(&cfg.workload);
-    run_specs_with(harness, &specs, cfg)
-}
-
-/// Simulates pre-generated specs through `harness` (callers that need the
-/// spec list too).
-pub fn run_specs_with<H: ProtocolHarness>(
+pub fn run_closed<H: ProtocolHarness>(
     harness: &H,
     specs: &[PaymentSpec],
     cfg: &SimConfig,
 ) -> SimReport {
-    let buffers = simulate_specs(harness, specs, cfg, cfg.lock_profile);
+    let buffers = simulate_specs(harness, specs, cfg, |_, results, _| BatchMetrics {
+        results,
+    });
     SimReport::merge(buffers, cfg.lock_profile)
 }
 
-/// The shared parallel phase: every instance simulated independently on
-/// the worker pool, per-batch buffers returned in spec order
-/// (bit-identical across thread counts).
-fn simulate_specs<H: ProtocolHarness>(
+/// The one batch loop: `specs` chunked by `cfg.batch`, every instance of
+/// a chunk simulated in order on one worker (panic-isolated, the engine
+/// queue's high-water mark carried from instance to instance), and the
+/// chunk handed to `fold` **on that worker** as `(specs, their results,
+/// final high-water mark)`. Folded chunks come back in spec order, so
+/// whatever the caller builds from them is bit-identical across thread
+/// counts — and a caller that folds to a tally never holds more than one
+/// chunk of rows per worker.
+pub(crate) fn simulate_specs<H, T, F>(
     harness: &H,
     specs: &[PaymentSpec],
     cfg: &SimConfig,
-    lock_profile: bool,
-) -> Vec<BatchMetrics> {
+    fold: F,
+) -> Vec<T>
+where
+    H: ProtocolHarness,
+    T: Send,
+    F: Fn(&[PaymentSpec], Vec<InstanceResult>, usize) -> T + Sync,
+{
     assert!(
         harness.supports(&cfg.workload),
         "{} does not support this workload ({:?}); gate on supports()",
@@ -95,18 +102,20 @@ fn simulate_specs<H: ProtocolHarness>(
     );
     let batches: Vec<&[PaymentSpec]> = specs.chunks(cfg.batch.max(1)).collect();
     parallel_map(&batches, cfg.threads, |chunk| {
-        let mut metrics = BatchMetrics::with_capacity(chunk.len());
         let mut queue_high = 0usize;
-        for spec in *chunk {
-            metrics.push(run_instance_isolated(
-                harness,
-                spec,
-                &cfg.faults,
-                lock_profile,
-                &mut queue_high,
-            ));
-        }
-        metrics
+        let results = chunk
+            .iter()
+            .map(|spec| {
+                run_instance_isolated(
+                    harness,
+                    spec,
+                    &cfg.faults,
+                    cfg.lock_profile,
+                    &mut queue_high,
+                )
+            })
+            .collect();
+        fold(chunk, results, queue_high)
     })
 }
 
@@ -125,7 +134,7 @@ fn simulate_specs<H: ProtocolHarness>(
 /// high-water mark into the next instance's pre-sizing.
 ///
 /// [`InstanceOutcome::Failed`]: crate::metrics::InstanceOutcome::Failed
-pub fn run_instance_isolated<H: ProtocolHarness>(
+pub(crate) fn run_instance_isolated<H: ProtocolHarness>(
     harness: &H,
     spec: &PaymentSpec,
     plan: &FaultPlan,
@@ -187,32 +196,12 @@ pub fn run_instance_with<H: ProtocolHarness>(
     }
 }
 
-/// Generates the workload and simulates every instance of the time-bounded
-/// protocol (the historical entry point; equivalent to [`run_with`] with a
-/// [`TimeBoundedHarness`]).
-pub fn run(cfg: &SimConfig) -> SimReport {
-    run_with(&TimeBoundedHarness, cfg)
-}
-
-/// Simulates pre-generated specs of the time-bounded protocol.
-pub fn run_specs(specs: &[PaymentSpec], cfg: &SimConfig) -> SimReport {
-    run_specs_with(&TimeBoundedHarness, specs, cfg)
-}
-
-/// Runs one time-bounded payment instance end to end.
-pub fn run_instance(
-    spec: &PaymentSpec,
-    plan: &FaultPlan,
-    lock_profile: bool,
-    queue_high: &mut usize,
-) -> InstanceResult {
-    run_instance_with(&TimeBoundedHarness, spec, plan, lock_profile, queue_high)
-}
-
-/// Generates the workload and runs it as an **open system** against
+/// Simulates `specs` through `harness` as an **open system** against
 /// finite escrow liquidity: payments are admitted in arrival order
 /// against per-venue collateral budgets, so success becomes a function of
-/// offered load, not only of faults and drift.
+/// offered load, not only of faults and drift. `specs` must be in
+/// nondecreasing arrival order — [`crate::workload::generate`] produces
+/// exactly that.
 ///
 /// The campaign is one **discrete-event simulation**: arrivals, FIFO
 /// admission/queueing, the lock/release audit stream and patience
@@ -241,98 +230,47 @@ pub fn run_instance(
 /// `locked ≤ budget` must hold at every venue at every instant
 /// ([`LiquidityStats::budget_violations`] counts the exceptions) and
 /// every venue must drain to zero by the end
-/// ([`LiquidityStats::drained`]).
+/// ([`LiquidityStats::drained`]). Rejected payments record their *actual*
+/// wasted wait in [`LiquidityStats::rejected_wait`].
 ///
-/// Compared to the retired two-phase sweep (isolated simulation + a
-/// sequential admission replay): `Unbounded` and `Reject` campaigns are
-/// **identical** — decisions happen at arrival instants either way — but
-/// `Queue`-policy numbers may shift, because the gate is now FIFO *per
-/// liquidity shard* rather than one global head-of-line queue, and
-/// never-satisfiable demands are refused immediately (zero wasted wait)
-/// instead of draining the release heap first. Rejected payments record
-/// their *actual* wasted wait in [`LiquidityStats::rejected_wait`].
+/// **`routing: Some(_)`** switches admission to liquidity-aware dynamic
+/// routing (network families only —
+/// [`crate::workload::TopologyFamily::ScaleFree`] /
+/// [`crate::workload::TopologyFamily::SmallWorld`]): each arrival is
+/// routed by a [`protocol::Router`] over the live book instead of its
+/// pinned static path, optionally splitting across venue-disjoint paths
+/// and with periodic rebalancing flows restoring spent liquidity (see
+/// [`RoutingConfig`]). For non-network families the routing knobs are
+/// ignored and the run is identical to `None`. A routed run is one shard
+/// and route choice is deterministic by construction, so routed reports
+/// too are bit-identical across thread counts.
+///
+/// The second return value is the deterministic per-venue telemetry
+/// sidecar: end-of-run venue samples and DES activity counters (and the
+/// report's routing counters), taken from the same merged shard outcomes
+/// as the report. It costs no simulation work; callers that do not emit
+/// venue series drop it.
 ///
 /// [`LiquidityStats::budget_violations`]: crate::metrics::LiquidityStats::budget_violations
 /// [`LiquidityStats::drained`]: crate::metrics::LiquidityStats::drained
 /// [`LiquidityStats::rejected_wait`]: crate::metrics::LiquidityStats::rejected_wait
-pub fn run_open_with<H: ProtocolHarness>(
-    harness: &H,
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-) -> OpenReport {
-    let specs = workload::generate(&cfg.workload);
-    run_open_specs_with(harness, &specs, cfg, liq)
-}
-
-/// Open-system steady state over pre-generated specs (see
-/// [`run_open_with`]). `specs` must be in nondecreasing arrival order —
-/// [`workload::generate`] produces exactly that.
-pub fn run_open_specs_with<H: ProtocolHarness>(
+pub fn run_open<H: ProtocolHarness>(
     harness: &H,
     specs: &[PaymentSpec],
     cfg: &SimConfig,
     liq: &LiquidityConfig,
-) -> OpenReport {
-    crate::des::run_open_specs_des(harness, specs, cfg, liq, None)
-}
-
-/// [`run_open_specs_with`] plus the deterministic per-venue telemetry
-/// sidecar ([`crate::metrics::OpenTelemetry`]): end-of-run venue samples
-/// and DES activity counters, derived from the same merged shard
-/// outcomes as the report. The sidecar adds no simulation work and is
-/// bit-identical across thread counts; it exists so grid binaries (e.g.
-/// `exp10 --telemetry`) can emit venue series per cell without the
-/// campaign layer.
-pub fn run_open_specs_with_telemetry<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[PaymentSpec],
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
+    routing: Option<&RoutingConfig>,
 ) -> (OpenReport, OpenTelemetry) {
-    crate::des::run_open_specs_des_telemetry(harness, specs, cfg, liq, None)
-}
-
-/// [`run_open_with`] plus the per-venue telemetry sidecar (see
-/// [`run_open_specs_with_telemetry`]).
-pub fn run_open_with_telemetry<H: ProtocolHarness>(
-    harness: &H,
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-) -> (OpenReport, OpenTelemetry) {
-    let specs = workload::generate(&cfg.workload);
-    run_open_specs_with_telemetry(harness, &specs, cfg, liq)
-}
-
-/// Open-system steady state with **liquidity-aware dynamic routing**
-/// (network families only — [`workload::TopologyFamily::ScaleFree`] /
-/// [`workload::TopologyFamily::SmallWorld`]): each arrival is routed by
-/// a [`protocol::Router`] over the live book instead of its pinned
-/// static path, optionally splitting across venue-disjoint paths and
-/// with periodic rebalancing flows restoring spent liquidity (see
-/// [`protocol::RoutingConfig`]). For non-network families the `routing`
-/// knobs are ignored and the run is identical to [`run_open_specs_with`].
-/// Routed reports are bit-identical across thread counts — a routed run
-/// is one shard, and route choice is deterministic by construction.
-pub fn run_open_specs_routed_with<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[PaymentSpec],
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-    routing: &protocol::RoutingConfig,
-) -> OpenReport {
-    crate::des::run_open_specs_des(harness, specs, cfg, liq, Some(routing))
-}
-
-/// [`run_open_specs_routed_with`] plus the telemetry sidecar, whose
-/// `routing` counters mirror the report's.
-pub fn run_open_specs_routed_with_telemetry<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[PaymentSpec],
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-    routing: &protocol::RoutingConfig,
-) -> (OpenReport, OpenTelemetry) {
-    crate::des::run_open_specs_des_telemetry(harness, specs, cfg, liq, Some(routing))
+    let raw = des::run_open_specs_raw(harness, specs, cfg, liq, routing);
+    let rows = BatchMetrics {
+        results: raw.results,
+    };
+    let report = OpenReport {
+        sim: SimReport::merge(vec![rows], true),
+        liquidity: raw.liquidity,
+        routing: raw.telemetry.routing,
+    };
+    (report, raw.telemetry)
 }
 
 /// The retired two-phase open-system sweep, kept as a **differential
@@ -392,9 +330,15 @@ pub(crate) mod legacy {
         );
         // Phase 1: parallel simulation, lock profiles always collected
         // (the admission sweep is driven by them).
-        let buffers = simulate_specs(harness, specs, cfg, true);
+        let profiled = SimConfig {
+            lock_profile: true,
+            ..*cfg
+        };
         let mut results: Vec<InstanceResult> =
-            buffers.into_iter().flat_map(|b| b.results).collect();
+            simulate_specs(harness, specs, &profiled, |_, rows, _| rows)
+                .into_iter()
+                .flatten()
+                .collect();
         assert_eq!(results.len(), specs.len(), "one result per spec");
 
         // Phase 2: arrival-ordered admission sweep with carried
@@ -565,20 +509,26 @@ pub(crate) mod legacy {
     }
 }
 
-/// Open-system campaign of the time-bounded protocol (see
-/// [`run_open_with`]).
-pub fn run_open(cfg: &SimConfig, liq: &LiquidityConfig) -> OpenReport {
-    run_open_with(&TimeBoundedHarness, cfg, liq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::InstanceOutcome;
-    use crate::workload::{ArrivalProcess, TopologyFamily};
+    use crate::workload::{self, ArrivalProcess, TopologyFamily};
     use anta::net::NetFaults;
     use anta::time::SimDuration;
-    use protocol::{DealsHarness, HtlcHarness, InterledgerHarness};
+    use protocol::{DealsHarness, HtlcHarness, InterledgerHarness, TimeBoundedHarness};
+
+    /// `cfg`'s own workload through `harness`, closed.
+    fn closed_run<H: ProtocolHarness>(harness: &H, cfg: &SimConfig) -> SimReport {
+        run_closed(harness, &workload::generate(&cfg.workload), cfg)
+    }
+
+    /// `cfg`'s own workload through the time-bounded protocol, open, on
+    /// its static routes.
+    fn open_run(cfg: &SimConfig, liq: &LiquidityConfig) -> OpenReport {
+        let specs = workload::generate(&cfg.workload);
+        run_open(&TimeBoundedHarness, &specs, cfg, liq, None).0
+    }
 
     fn small(family: TopologyFamily, payments: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -590,7 +540,7 @@ mod tests {
     #[test]
     fn faultless_linear_workload_all_succeed() {
         let cfg = small(TopologyFamily::Linear { n: 3 }, 64, 1);
-        let report = run(&cfg);
+        let report = closed_run(&TimeBoundedHarness, &cfg);
         assert_eq!(report.instances, 64);
         let f = report.family("linear").unwrap();
         assert!(f.success.is_perfect(), "{:?}", f.success);
@@ -624,7 +574,7 @@ mod tests {
                 faults: plan,
                 ..base
             };
-            run(&cfg)
+            closed_run(&TimeBoundedHarness, &cfg)
         };
         let a = run_with_threads(1);
         let b = run_with_threads(4);
@@ -648,7 +598,7 @@ mod tests {
     #[test]
     fn packetized_packets_complete_without_faults() {
         let cfg = small(TopologyFamily::Packetized { paths: 3, hops: 2 }, 30, 9);
-        let report = run(&cfg);
+        let report = closed_run(&TimeBoundedHarness, &cfg);
         let f = report.family("packetized").unwrap();
         assert!(f.success.is_perfect());
         let p = f.packets.unwrap();
@@ -673,7 +623,7 @@ mod tests {
             },
             ..small(TopologyFamily::HubAndSpoke { spokes: 6 }, 128, 3)
         };
-        let report = run(&cfg);
+        let report = closed_run(&TimeBoundedHarness, &cfg);
         let f = report.family("hub").unwrap();
         assert!(f.byzantine > 0, "the mix must actually inject faults");
         assert!(
@@ -689,7 +639,13 @@ mod tests {
             workload::generate(&WorkloadConfig::new(TopologyFamily::Linear { n: 2 }, 4, 11));
         let mut queue_high = 0;
         for spec in &specs {
-            let r = run_instance(spec, &FaultPlan::NONE, false, &mut queue_high);
+            let r = run_instance_with(
+                &TimeBoundedHarness,
+                spec,
+                &FaultPlan::NONE,
+                false,
+                &mut queue_high,
+            );
             assert_eq!(r.outcome, InstanceOutcome::Success);
             assert!(r.lock_profile.is_empty(), "profiling off");
             assert!(r.events > 0);
@@ -704,13 +660,19 @@ mod tests {
             cfg.workload.arrivals = arrivals;
             cfg
         };
-        let spread = run(&mk(ArrivalProcess::Uniform {
-            mean_gap: SimDuration::from_secs(5),
-        }));
-        let burst = run(&mk(ArrivalProcess::Bursty {
-            burst: 64,
-            gap: SimDuration::from_secs(5),
-        }));
+        let spread = closed_run(
+            &TimeBoundedHarness,
+            &mk(ArrivalProcess::Uniform {
+                mean_gap: SimDuration::from_secs(5),
+            }),
+        );
+        let burst = closed_run(
+            &TimeBoundedHarness,
+            &mk(ArrivalProcess::Bursty {
+                burst: 64,
+                gap: SimDuration::from_secs(5),
+            }),
+        );
         assert!(
             burst.peak_in_flight > spread.peak_in_flight,
             "burst {} vs spread {}",
@@ -727,11 +689,11 @@ mod tests {
         // clocks, and this test is about the shared driver, not the
         // baselines' failure regions.
         cfg.workload.max_rho_ppm = (0, 0);
-        let tb = run_with(&TimeBoundedHarness, &cfg);
-        let htlc = run_with(&HtlcHarness, &cfg);
-        let untuned = run_with(&InterledgerHarness::untuned(), &cfg);
-        let atomic = run_with(&InterledgerHarness::atomic(), &cfg);
-        let deals = run_with(&DealsHarness, &cfg);
+        let tb = closed_run(&TimeBoundedHarness, &cfg);
+        let htlc = closed_run(&HtlcHarness, &cfg);
+        let untuned = closed_run(&InterledgerHarness::untuned(), &cfg);
+        let atomic = closed_run(&InterledgerHarness::atomic(), &cfg);
+        let deals = closed_run(&DealsHarness, &cfg);
         for (name, report) in [
             ("timebounded", &tb),
             ("htlc", &htlc),
@@ -753,7 +715,7 @@ mod tests {
     #[should_panic(expected = "does not support")]
     fn unsupported_workload_panics_loudly() {
         let cfg = small(TopologyFamily::Packetized { paths: 3, hops: 2 }, 6, 1);
-        let _ = run_with(&HtlcHarness, &cfg);
+        let _ = closed_run(&HtlcHarness, &cfg);
     }
 
     fn bursty_hub(payments: usize, seed: u64) -> SimConfig {
@@ -768,8 +730,8 @@ mod tests {
     #[test]
     fn open_unbounded_matches_the_closed_world() {
         let cfg = bursty_hub(64, 41);
-        let open = run_open(&cfg, &LiquidityConfig::UNBOUNDED);
-        let closed = run(&cfg);
+        let open = open_run(&cfg, &LiquidityConfig::UNBOUNDED);
+        let closed = closed_run(&TimeBoundedHarness, &cfg);
         assert_eq!(open.liquidity.offered, 64);
         assert_eq!(open.liquidity.admitted, 64);
         assert_eq!(open.liquidity.rejected, 0);
@@ -791,7 +753,7 @@ mod tests {
         // Each payment locks ≤ 10_000 at each of its two venues; a
         // 16-burst over 4 spokes must overrun a 12_000 budget.
         let liq = LiquidityConfig::reject(12_000);
-        let open = run_open(&cfg, &liq);
+        let open = open_run(&cfg, &liq);
         let l = &open.liquidity;
         assert_eq!(l.offered, 96);
         assert!(l.rejected > 0, "burst must overrun the budget");
@@ -813,8 +775,8 @@ mod tests {
     #[test]
     fn queue_policy_trades_waits_for_admissions() {
         let cfg = bursty_hub(96, 43);
-        let reject = run_open(&cfg, &LiquidityConfig::reject(12_000));
-        let queue = run_open(
+        let reject = open_run(&cfg, &LiquidityConfig::reject(12_000));
+        let queue = open_run(
             &cfg,
             &LiquidityConfig::queue(12_000, SimDuration::from_millis(200)),
         );
@@ -875,7 +837,7 @@ mod tests {
                 gap: SimDuration::from_millis(50),
             };
             let specs = workload::generate(&cfg.workload);
-            let a = run_open_specs_with(&TimeBoundedHarness, &specs, &cfg, &liq);
+            let a = run_open(&TimeBoundedHarness, &specs, &cfg, &liq, None).0;
             let b = legacy::run_open_specs_two_phase(&TimeBoundedHarness, &specs, &cfg, &liq);
             let (la, lb) = (&a.liquidity, &b.liquidity);
             let ctx = format!("{family:?} under {}", liq.policy.label());
@@ -929,7 +891,7 @@ mod tests {
         // generous patience (the retired sweep charged the full patience
         // for every rejection).
         let cfg = bursty_hub(32, 51);
-        let starved = run_open(
+        let starved = open_run(
             &cfg,
             &LiquidityConfig::queue(50, SimDuration::from_millis(40)),
         );
@@ -943,7 +905,7 @@ mod tests {
         // With a workable budget, a queue-policy rejection only happens
         // at its patience expiry: the wasted wait is exactly the
         // patience, not more.
-        let tight = run_open(
+        let tight = open_run(
             &cfg,
             &LiquidityConfig::queue(12_000, SimDuration::from_millis(2)),
         );
@@ -988,7 +950,7 @@ mod tests {
                 cfg.workload.arrivals = ArrivalProcess::Uniform {
                     mean_gap: SimDuration::from_ticks(gap_us),
                 };
-                let open = run_open(&cfg, &LiquidityConfig::reject(20_000));
+                let open = open_run(&cfg, &LiquidityConfig::reject(20_000));
                 assert_eq!(open.liquidity.budget_violations, 0);
                 open.liquidity.admission_rate()
             })

@@ -14,8 +14,8 @@ use crosschain::protocol::{
 };
 use crosschain::sim::prelude::*;
 
-fn shoot<H: ProtocolHarness>(harness: &H, cfg: &SimConfig) {
-    let report = crosschain::sim::run_with(harness, cfg);
+fn shoot<H: ProtocolHarness>(harness: &H, specs: &[PaymentSpec], cfg: &SimConfig) {
+    let report = run_closed(harness, specs, cfg);
     let f = &report.families[0];
     let lat = f
         .latency
@@ -55,15 +55,17 @@ fn main() {
         ..SimConfig::new(workload)
     };
 
+    let specs = crosschain::sim::workload::generate(&cfg.workload);
+
     println!(
         "protocol shootout — {} payments, 4-hop chains, drift ≤ 10%, light fault mix\n",
         1_000
     );
-    shoot(&TimeBoundedHarness, &cfg);
-    shoot(&HtlcHarness, &cfg);
-    shoot(&InterledgerHarness::untuned(), &cfg);
-    shoot(&InterledgerHarness::atomic(), &cfg);
-    shoot(&DealsHarness, &cfg);
+    shoot(&TimeBoundedHarness, &specs, &cfg);
+    shoot(&HtlcHarness, &specs, &cfg);
+    shoot(&InterledgerHarness::untuned(), &specs, &cfg);
+    shoot(&InterledgerHarness::atomic(), &specs, &cfg);
+    shoot(&DealsHarness, &specs, &cfg);
     println!(
         "\nReading: only the time-bounded protocol combines high success with \
          zero griefing and zero violations; HTLC griefs, the untuned schedule \

@@ -30,7 +30,7 @@
 //! * [`sim`] — Monte Carlo traffic simulator: workload generation, fault
 //!   injection, success/latency/locked-value metrics at scale, generic
 //!   over the protocol harness, with an open-system finite-liquidity
-//!   mode ([`sim::run_open_with`]) where success is a function of
+//!   mode ([`sim::run_open`]) where success is a function of
 //!   offered load.
 pub use anta;
 pub use consensus;

@@ -3,16 +3,20 @@
 //! epochs — the checkpoint file is all that survives either way), and
 //! resumed from disk must produce a report **bit-identical** to an
 //! uninterrupted run, at any thread count. Plus: checkpoint corruption
-//! and config drift are refused, sketch merges are order-independent,
-//! and sketch quantiles stay within their documented 1/64 envelope of
-//! the exact percentiles.
+//! and config drift are refused, hostile checkpoints with a valid CRC
+//! error out instead of panicking, two campaigns in one directory never
+//! share a temp file, sketch merges are order-independent, and a campaign
+//! epoch agrees with `run_closed` on the same specs — exactly on every
+//! counter, within the documented 1/64 envelope on sketch quantiles.
 
 use crosschain::anta::time::SimDuration;
-use crosschain::sim::campaign::{CampaignConfig, CampaignRunner};
+use crosschain::experiments::digest::crc32;
+use crosschain::sim::campaign::{CampaignConfig, CampaignRunner, CHECKPOINT_SCHEMA_VERSION};
 use crosschain::sim::prelude::*;
 use crosschain::sim::MergeableSketch;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// A scratch path unique to this test; removed on drop so parallel test
 /// binaries never collide.
@@ -32,7 +36,47 @@ impl ScratchCkpt {
 impl Drop for ScratchCkpt {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
-        std::fs::remove_file(self.0.with_extension("ckpt-tmp")).ok();
+        std::fs::remove_file(tmp_of(&self.0)).ok();
+    }
+}
+
+/// `<path>.tmp`: where `checkpoint_to(path)` stages its write.
+fn tmp_of(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// A checkpoint file around `payload` with the CRC line computed over
+/// it — what an attacker (or a bug) that can write the file produces. A
+/// CRC is not a MAC: this passes every integrity check `resume` has, so
+/// whatever it decodes to must be refused or be safe to step.
+fn sealed(payload: &[u8]) -> Vec<u8> {
+    let mut file = format!(
+        "xchain-campaign-checkpoint v{CHECKPOINT_SCHEMA_VERSION}\ncrc32 {:08x}\n",
+        crc32(payload)
+    )
+    .into_bytes();
+    file.extend_from_slice(payload);
+    file
+}
+
+/// The payload of the checkpoint at `path` (everything after the header
+/// and CRC lines).
+fn payload_of(path: &Path) -> Vec<u8> {
+    let bytes = std::fs::read(path).unwrap();
+    let mut newlines = bytes.iter().enumerate().filter(|(_, &b)| b == b'\n');
+    let (end_of_crc_line, _) = newlines.nth(1).expect("header and crc32 lines");
+    bytes[end_of_crc_line + 1..].to_vec()
+}
+
+/// A small open-system campaign (finite collateral, queueing gate).
+fn open_cfg(total: u64, epoch: usize) -> CampaignConfig {
+    let mut workload = WorkloadConfig::new(TopologyFamily::HubAndSpoke { spokes: 8 }, 0, 0xE10);
+    workload.max_rho_ppm = (0, 0);
+    CampaignConfig {
+        liquidity: Some(LiquidityConfig::queue(15_000, SimDuration::from_millis(20))),
+        ..CampaignConfig::new(workload, total, epoch)
     }
 }
 
@@ -121,14 +165,7 @@ fn resume_across_thread_counts_is_bit_identical() {
 /// cumulative liquidity audit through the checkpoint bit-identically.
 #[test]
 fn open_system_campaign_resumes_bit_identical() {
-    let open_cfg = || {
-        let mut workload = WorkloadConfig::new(TopologyFamily::HubAndSpoke { spokes: 8 }, 0, 0xE10);
-        workload.max_rho_ppm = (0, 0);
-        CampaignConfig {
-            liquidity: Some(LiquidityConfig::queue(15_000, SimDuration::from_millis(20))),
-            ..CampaignConfig::new(workload, 1_200, 400)
-        }
-    };
+    let open_cfg = || open_cfg(1_200, 400);
     let mut oneshot = CampaignRunner::new(TimeBoundedHarness, open_cfg());
     oneshot.run_to_end(None, None, |_| {}).unwrap();
     let expect = oneshot.report();
@@ -166,6 +203,120 @@ fn corrupt_checkpoint_is_refused() {
         .err()
         .expect("corrupted checkpoint must not resume");
     assert!(err.to_string().contains("CRC"), "unexpected error: {err}");
+}
+
+/// A CRC-valid checkpoint whose `liquidity` flag disagrees with the
+/// resuming config is refused, in both directions. Adopted, the first
+/// would make a closed campaign carry `lq_*` lines into its report
+/// digest, and the second would panic the next `step()` of an open one.
+#[test]
+fn checkpoint_with_flipped_liquidity_flag_is_refused() {
+    let empty = MergeableSketch::new().encode();
+    let lq_lines = format!(
+        "liquidity 1\nlq_counts 0 0 0 0\nlq_audit 0 1 0 0\nlq_value 0 0 0\n\
+         lq_wait {empty}\nlq_rejected_wait {empty}\n"
+    );
+
+    // Closed campaign, checkpoint forged to carry a liquidity tally.
+    let closed = cfg(TopologyFamily::Linear { n: 4 }, 1);
+    let ckpt = ScratchCkpt::new("flag-closed");
+    let mut runner = CampaignRunner::new(TimeBoundedHarness, closed);
+    runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
+    let payload = String::from_utf8(payload_of(&ckpt.0)).unwrap();
+    assert!(payload.ends_with("liquidity 0\n"), "{payload}");
+    let forged = payload.replace("liquidity 0\n", &lq_lines);
+    std::fs::write(&ckpt.0, sealed(forged.as_bytes())).unwrap();
+    let err = CampaignRunner::resume(TimeBoundedHarness, closed, &ckpt.0)
+        .err()
+        .expect("a closed campaign must not adopt a liquidity tally");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("liquidity"), "{err}");
+
+    // Open campaign, checkpoint forged to carry none.
+    let open = open_cfg(120, 40);
+    let ckpt = ScratchCkpt::new("flag-open");
+    let mut runner = CampaignRunner::new(TimeBoundedHarness, open);
+    runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
+    let payload = String::from_utf8(payload_of(&ckpt.0)).unwrap();
+    let cut = payload.find("liquidity 1\n").expect("open payload");
+    let forged = format!("{}liquidity 0\n", &payload[..cut]);
+    std::fs::write(&ckpt.0, sealed(forged.as_bytes())).unwrap();
+    let err = CampaignRunner::resume(TimeBoundedHarness, open, &ckpt.0)
+        .err()
+        .expect("an open campaign must not adopt a tally without a liquidity side");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("liquidity"), "{err}");
+
+    // The untouched payload, re-sealed the same way, still resumes: the
+    // refusals above are about the flag, not about `sealed`.
+    std::fs::write(&ckpt.0, sealed(payload.as_bytes())).unwrap();
+    let resumed = CampaignRunner::resume(TimeBoundedHarness, open, &ckpt.0).unwrap();
+    assert_eq!(resumed.next_epoch(), 1);
+}
+
+/// `--resume run.linear` and `--resume run.hub` in one directory: each
+/// checkpoint stages through its own `<path>.tmp`. Blocking one
+/// campaign's temp name (a directory cannot be opened for writing) stops
+/// that campaign's checkpoint and leaves the other's alone — so the two
+/// names are really the ones in use, and really distinct.
+#[test]
+fn checkpoints_sharing_a_stem_never_share_a_temp_file() {
+    let dir =
+        std::env::temp_dir().join(format!("xchain-campaign-test-{}-stem", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (linear, hub) = (dir.join("run.linear"), dir.join("run.hub"));
+    assert_ne!(tmp_of(&linear), tmp_of(&hub));
+
+    let mut a = CampaignRunner::new(TimeBoundedHarness, cfg(TopologyFamily::Linear { n: 4 }, 1));
+    let mut b = CampaignRunner::new(
+        TimeBoundedHarness,
+        cfg(TopologyFamily::HubAndSpoke { spokes: 8 }, 1),
+    );
+    a.step();
+    b.step();
+
+    std::fs::create_dir(tmp_of(&linear)).unwrap();
+    assert!(
+        a.checkpoint_to(&linear).is_err(),
+        "run.linear stages in run.linear.tmp"
+    );
+    b.checkpoint_to(&hub)
+        .expect("run.hub does not touch run.linear.tmp");
+    std::fs::remove_dir(tmp_of(&linear)).unwrap();
+
+    std::fs::create_dir(tmp_of(&hub)).unwrap();
+    assert!(
+        b.checkpoint_to(&hub).is_err(),
+        "run.hub stages in run.hub.tmp"
+    );
+    a.checkpoint_to(&linear)
+        .expect("run.linear does not touch run.hub.tmp");
+    std::fs::remove_dir(tmp_of(&hub)).unwrap();
+
+    // Both checkpoints are whole, each its own campaign's, and no temp
+    // file outlives its rename.
+    let a2 = CampaignRunner::resume(
+        TimeBoundedHarness,
+        cfg(TopologyFamily::Linear { n: 4 }, 1),
+        &linear,
+    )
+    .unwrap();
+    let b2 = CampaignRunner::resume(
+        TimeBoundedHarness,
+        cfg(TopologyFamily::HubAndSpoke { spokes: 8 }, 1),
+        &hub,
+    )
+    .unwrap();
+    assert_eq!(a2.report().digest, a.report().digest);
+    assert_eq!(b2.report().digest, b.report().digest);
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["run.hub", "run.linear"]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A checkpoint from a different campaign config (here: another seed)
@@ -208,44 +359,102 @@ fn resume_or_new_starts_fresh_without_checkpoint() {
     assert_eq!(runner.tally().instances, 0);
 }
 
-/// Sketch p50/p99 vs. the exact nearest-rank percentiles of the same
-/// rows: the sketch may overshoot by at most 1/64th (one sub-bucket),
-/// never undershoot. Exercised on a real workload's latency profile.
+/// One epoch through both callers of the shared batch loop — the
+/// campaign's closed arm (chunks folded to tallies on the workers) and
+/// `run_closed` (chunks kept as rows) — under every fault class, at 1 and
+/// 4 threads: every outcome counter and the summed engine events agree
+/// **exactly**, and the sketch's p50/p99 overshoot the exact nearest-rank
+/// percentiles of the same rows by at most 1/64th (one sub-bucket), never
+/// undershoot.
 #[test]
 fn sketch_quantiles_match_exact_percentiles_within_bound() {
-    let campaign = cfg(TopologyFamily::Linear { n: 4 }, 1);
-    let wl = campaign.epoch_workload(0);
-    let specs = crosschain::sim::workload::generate(&wl);
-    let report = crosschain::sim::run_specs_with(
-        &TimeBoundedHarness,
-        &specs,
-        &SimConfig {
-            faults: campaign.faults,
-            threads: 1,
-            ..SimConfig::new(wl)
-        },
-    );
-    let exact = report.families[0]
-        .latency
-        .as_ref()
-        .expect("successful payments exist")
-        .clone();
-
-    let mut runner = CampaignRunner::new(TimeBoundedHarness, campaign);
-    runner.run_to_end(None, Some(0), |_| {}).unwrap();
-    let sketch = runner.tally().latency_summary().expect("non-empty sketch");
-
-    assert_eq!(sketch.n, exact.n);
-    assert_eq!(sketch.min, exact.min);
-    assert_eq!(sketch.max, exact.max);
-    for (name, got, want) in [
-        ("p50", sketch.p50, exact.p50),
-        ("p99", sketch.p99, exact.p99),
-    ] {
-        assert!(
-            got >= want && got <= want + want / 64 + 1,
-            "{name}: sketch {got} outside [{want}, {want} + 1/64]"
+    for threads in [1, 4] {
+        let mut campaign = cfg(TopologyFamily::Linear { n: 4 }, threads);
+        campaign.faults = FaultPlan {
+            crash_permille: 80,
+            late_bob_permille: 40,
+            forging_chloe_permille: 40,
+            thieving_escrow_permille: 40,
+            net: NetFaults {
+                drop_permille: 20,
+                delay_permille: 100,
+                extra_delay: SimDuration::from_millis(3),
+                delay_buckets: 4,
+            },
+        };
+        let wl = campaign.epoch_workload(0);
+        let specs = crosschain::sim::workload::generate(&wl);
+        let report = crosschain::sim::run_closed(
+            &TimeBoundedHarness,
+            &specs,
+            &SimConfig {
+                faults: campaign.faults,
+                threads,
+                batch: campaign.batch,
+                ..SimConfig::new(wl)
+            },
         );
+        let f = &report.families[0];
+        let exact = f.latency.as_ref().expect("successful payments exist");
+        // Engine events are not on the report: sum them over the
+        // per-instance entry point, outside any batch loop.
+        let events: u128 = specs
+            .iter()
+            .map(|spec| {
+                run_instance_with(&TimeBoundedHarness, spec, &campaign.faults, false, &mut 0).events
+                    as u128
+            })
+            .sum();
+
+        let mut runner = CampaignRunner::new(TimeBoundedHarness, campaign);
+        runner.run_to_end(None, Some(0), |_| {}).unwrap();
+        let t = runner.tally();
+
+        assert_eq!(t.instances, report.instances as u64, "threads {threads}");
+        assert_eq!(
+            [
+                t.success,
+                t.refunds,
+                t.stuck,
+                t.violations,
+                t.failed,
+                t.griefed,
+                t.byzantine
+            ],
+            [
+                f.success.hits,
+                f.refunds,
+                f.stuck,
+                f.violations,
+                f.failed,
+                f.griefed,
+                f.byzantine
+            ]
+            .map(|n| n as u64),
+            "threads {threads}"
+        );
+        assert!(
+            t.refunds > 0 && t.byzantine > 0 && t.success > 0,
+            "the fault plan must bite for the equalities to mean much: {t:?}"
+        );
+        assert_eq!(t.events, events, "threads {threads}");
+        // The per-chunk registry shard is folded on the worker too.
+        assert_eq!(runner.registry().counter("rows"), t.instances);
+        assert_eq!(runner.registry().counter("engine_events") as u128, events);
+
+        let sketch = t.latency_summary().expect("non-empty sketch");
+        assert_eq!(sketch.n, exact.n);
+        assert_eq!(sketch.min, exact.min);
+        assert_eq!(sketch.max, exact.max);
+        for (name, got, want) in [
+            ("p50", sketch.p50, exact.p50),
+            ("p99", sketch.p99, exact.p99),
+        ] {
+            assert!(
+                got >= want && got <= want + want / 64 + 1,
+                "{name}: sketch {got} outside [{want}, {want} + 1/64]"
+            );
+        }
     }
 }
 
@@ -287,6 +496,62 @@ proptest! {
         prop_assert_eq!(merged.encode(), sequential.encode());
         for p in [0u32, 25, 50, 90, 99, 100] {
             prop_assert_eq!(merged.quantile(p), sequential.quantile(p));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Hostile bytes in a checkpoint produce an error, never a panic or
+    /// a hang. Up to three byte-level mutations (flip, insert, delete,
+    /// truncate) of a valid payload — closed or open — are **re-sealed
+    /// under a fresh CRC**, so they get past the integrity check and
+    /// reach `parse_payload` and `MergeableSketch::decode`. Whatever
+    /// `resume` adopts must also survive one `step()`.
+    #[test]
+    fn prop_mutated_checkpoint_never_panics(
+        open in any::<bool>(),
+        edits in proptest::collection::vec((0u8..4, any::<u64>(), any::<u8>()), 1..4),
+    ) {
+        let (campaign, tag) = if open {
+            (open_cfg(120, 40), "mut-open")
+        } else {
+            let mut c = cfg(TopologyFamily::Linear { n: 3 }, 1);
+            (c.total_payments, c.epoch_payments) = (120, 40);
+            (c, "mut-closed")
+        };
+        let ckpt = ScratchCkpt::new(tag);
+        // The valid payload is the same for every case of a kind: one
+        // epoch, checkpointed once.
+        static VALID: [OnceLock<Vec<u8>>; 2] = [OnceLock::new(), OnceLock::new()];
+        let mut payload = VALID[open as usize]
+            .get_or_init(|| {
+                let mut runner = CampaignRunner::new(TimeBoundedHarness, campaign);
+                runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
+                payload_of(&ckpt.0)
+            })
+            .clone();
+        for (kind, at, byte) in edits {
+            if payload.is_empty() {
+                break;
+            }
+            let at = (at % payload.len() as u64) as usize;
+            // Mostly ASCII, so most cases get past `read_to_string` and
+            // reach the decoder; one in eight may break UTF-8 instead.
+            let byte = if byte >= 224 { byte } else { byte & 0x7f };
+            match kind {
+                0 => payload[at] ^= byte | 1,
+                1 => payload.insert(at, byte),
+                2 => drop(payload.remove(at)),
+                _ => payload.truncate(at),
+            }
+        }
+        std::fs::write(&ckpt.0, sealed(&payload)).unwrap();
+        if let Ok(mut resumed) = CampaignRunner::resume(TimeBoundedHarness, campaign, &ckpt.0) {
+            if !resumed.is_done() {
+                resumed.step();
+            }
         }
     }
 }

@@ -21,6 +21,15 @@ use crosschain::sim::prelude::*;
 use crosschain::sim::FamilyStats;
 use proptest::prelude::*;
 
+/// `cfg`'s own workload through `harness`, closed.
+fn closed_run<H: ProtocolHarness>(harness: &H, cfg: &SimConfig) -> SimReport {
+    run_closed(
+        harness,
+        &crosschain::sim::workload::generate(&cfg.workload),
+        cfg,
+    )
+}
+
 fn digest(f: &FamilyStats) -> (usize, usize, usize, usize, usize, usize, Option<u64>) {
     (
         f.instances,
@@ -71,24 +80,18 @@ fn every_protocol_report_is_identical_across_thread_counts() {
     let harnesses: Vec<(&str, HarnessRunner)> = vec![
         (
             "timebounded",
-            Box::new(|cfg| crosschain::sim::run_with(&TimeBoundedHarness, cfg)),
+            Box::new(|cfg| closed_run(&TimeBoundedHarness, cfg)),
         ),
-        (
-            "htlc",
-            Box::new(|cfg| crosschain::sim::run_with(&HtlcHarness, cfg)),
-        ),
+        ("htlc", Box::new(|cfg| closed_run(&HtlcHarness, cfg))),
         (
             "ilp-untuned",
-            Box::new(|cfg| crosschain::sim::run_with(&InterledgerHarness::untuned(), cfg)),
+            Box::new(|cfg| closed_run(&InterledgerHarness::untuned(), cfg)),
         ),
         (
             "ilp-atomic",
-            Box::new(|cfg| crosschain::sim::run_with(&InterledgerHarness::atomic(), cfg)),
+            Box::new(|cfg| closed_run(&InterledgerHarness::atomic(), cfg)),
         ),
-        (
-            "deals",
-            Box::new(|cfg| crosschain::sim::run_with(&DealsHarness, cfg)),
-        ),
+        ("deals", Box::new(|cfg| closed_run(&DealsHarness, cfg))),
     ];
     for (name, harness) in &harnesses {
         let serial = run_one(harness, 1);
@@ -120,12 +123,12 @@ fn comparative_claims_hold_on_a_faulty_cell() {
         lock_profile: false,
         ..SimConfig::new(workload)
     };
-    let tb = crosschain::sim::run_with(&TimeBoundedHarness, &cfg);
+    let tb = closed_run(&TimeBoundedHarness, &cfg);
     assert_eq!(tb.griefed, 0, "time-bounded never griefs");
     assert_eq!(tb.violations, 0, "time-bounded never violates");
-    let htlc = crosschain::sim::run_with(&HtlcHarness, &cfg);
+    let htlc = closed_run(&HtlcHarness, &cfg);
     assert!(htlc.griefed > 0, "HTLC must grief under abandonment faults");
-    let untuned = crosschain::sim::run_with(&InterledgerHarness::untuned(), &cfg);
+    let untuned = closed_run(&InterledgerHarness::untuned(), &cfg);
     assert!(
         untuned.violations > 0,
         "the untuned schedule must lose money under drift"

@@ -177,7 +177,7 @@ fn run_routed(
     routing: &RoutingConfig,
 ) -> crosschain::sim::OpenReport {
     let specs = crosschain::sim::workload::generate(&cfg.workload);
-    crosschain::sim::run_open_specs_routed_with(&TimeBoundedHarness, &specs, cfg, liq, routing)
+    crosschain::sim::run_open(&TimeBoundedHarness, &specs, cfg, liq, Some(routing)).0
 }
 
 /// Three routed reports pinned to the digests the parent commit (layered

@@ -17,6 +17,19 @@ fn campaign(family: TopologyFamily, payments: usize, seed: u64) -> SimConfig {
     }
 }
 
+/// `cfg`'s own workload through the time-bounded protocol, closed.
+fn closed_run(cfg: &SimConfig) -> SimReport {
+    let specs = crosschain::sim::workload::generate(&cfg.workload);
+    run_closed(&TimeBoundedHarness, &specs, cfg)
+}
+
+/// `cfg`'s own workload through the time-bounded protocol, open, on its
+/// static routes.
+fn open_run(cfg: &SimConfig, liq: &LiquidityConfig) -> OpenReport {
+    let specs = crosschain::sim::workload::generate(&cfg.workload);
+    run_open(&TimeBoundedHarness, &specs, cfg, liq, None).0
+}
+
 fn digest(f: &FamilyStats) -> (usize, usize, usize, usize, usize, Option<u64>) {
     (
         f.instances,
@@ -36,7 +49,7 @@ fn all_families_succeed_without_faults() {
         TopologyFamily::RandomTree { nodes: 32 },
         TopologyFamily::Packetized { paths: 3, hops: 2 },
     ] {
-        let report = crosschain::sim::run(&campaign(family, 48, 17));
+        let report = closed_run(&campaign(family, 48, 17));
         assert_eq!(report.families.len(), 1);
         let f = &report.families[0];
         assert!(f.success.is_perfect(), "{}: {:?}", f.family, f.success);
@@ -66,7 +79,7 @@ fn report_identical_across_thread_counts_and_seeded() {
             faults: faulty,
             ..campaign(TopologyFamily::RandomTree { nodes: 20 }, 96, seed)
         };
-        crosschain::sim::run(&cfg)
+        closed_run(&cfg)
     };
     let serial = run_with(1, 23);
     let parallel = run_with(4, 23);
@@ -95,7 +108,7 @@ fn hub_concurrency_is_visible_in_the_lock_profile() {
         burst: 32,
         gap: SimDuration::from_secs(2),
     };
-    let report = crosschain::sim::run(&cfg);
+    let report = closed_run(&cfg);
     assert!(
         report.peak_in_flight >= 16,
         "a 32-burst must overlap: {}",
@@ -179,7 +192,7 @@ fn open_system_report_identical_across_thread_counts() {
             burst: 24,
             gap: SimDuration::from_millis(40),
         };
-        crosschain::sim::run_open(
+        open_run(
             &cfg,
             &LiquidityConfig::queue(18_000, SimDuration::from_millis(30)),
         )
@@ -230,7 +243,7 @@ fn multi_shard_open_report_identical_across_thread_counts() {
             burst: 20,
             gap: SimDuration::from_millis(30),
         };
-        crosschain::sim::run_open(
+        open_run(
             &cfg,
             &LiquidityConfig::queue(9_000, SimDuration::from_millis(25)),
         )
@@ -284,7 +297,7 @@ proptest! {
         } else {
             LiquidityConfig::queue(budget, SimDuration::from_millis(patience_ms))
         };
-        let open = crosschain::sim::run_open(&cfg, &liq);
+        let open = open_run(&cfg, &liq);
         let l = &open.liquidity;
         prop_assert_eq!(l.budget_violations, 0, "locked exceeded a venue budget");
         prop_assert!(l.drained, "collateral not fully returned");
@@ -334,7 +347,7 @@ proptest! {
             burst,
             gap: SimDuration::from_millis(8),
         };
-        let open = crosschain::sim::run_open(&cfg, &LiquidityConfig::reject(budget));
+        let open = open_run(&cfg, &LiquidityConfig::reject(budget));
         let l = &open.liquidity;
         prop_assert_eq!(l.shards, paths, "one shard per disjoint path");
         prop_assert_eq!(l.budget_violations, 0, "locked exceeded a venue budget");

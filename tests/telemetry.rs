@@ -31,7 +31,10 @@ impl Scratch {
 impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
-        std::fs::remove_file(self.0.with_extension("ckpt-tmp")).ok();
+        // `checkpoint_to` stages in `<path>.tmp`.
+        let mut tmp = self.0.clone().into_os_string();
+        tmp.push(".tmp");
+        std::fs::remove_file(tmp).ok();
     }
 }
 
