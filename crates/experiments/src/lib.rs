@@ -22,7 +22,7 @@
 //! its command line against a declared flag table and reports its exit
 //! criteria through one ledger — both in [`cli`]. Sweeps parallelise over
 //! seeds/parameters with crossbeam scoped threads ([`sweep`]; re-exported
-//! as [`parallel_map`]/[`grid`] for downstream crates).
+//! as [`parallel_map`] for downstream crates).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,4 +45,4 @@ pub mod table;
 // crates (`xchain-sim`'s Monte-Carlo runner, future sweep harnesses) depend
 // on it as a normal dependency rather than re-growing their own thread
 // pools or taking a dev-dependency cycle through the umbrella crate.
-pub use sweep::{grid, parallel_map, try_parallel_map, ItemPanic};
+pub use sweep::parallel_map;

@@ -8,38 +8,12 @@
 //! buffer, and the buffers are merged into input order after the join.
 //!
 //! Workers are **panic-isolated**: every `f(&item)` call runs under
-//! [`std::panic::catch_unwind`] with retry-once semantics, so one poisoned
-//! item degrades to an [`ItemPanic`] in [`try_parallel_map`]'s result
-//! instead of tearing down the whole sweep mid-merge. [`parallel_map`]
-//! keeps the infallible signature for callers whose items must never fail;
-//! it reports the first poisoned item *after* the join, with its index and
-//! panic message, rather than aborting from inside a worker.
+//! [`std::panic::catch_unwind`], so one poisoned item cannot tear down the
+//! sweep mid-merge. [`parallel_map`] lets every other item finish, then
+//! reports the first poisoned item with its index and panic message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// One item whose closure panicked twice (the initial call and the retry).
-///
-/// The `index` names the poisoned input; callers that sweep seeded
-/// instances map it back to the failing seed for the campaign report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ItemPanic {
-    /// Index of the poisoned item in the input slice.
-    pub index: usize,
-    /// The panic payload, when it was a string (the usual `panic!` case);
-    /// `"non-string panic payload"` otherwise.
-    pub message: String,
-}
-
-impl std::fmt::Display for ItemPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "item {} panicked twice (retry exhausted): {}",
-            self.index, self.message
-        )
-    }
-}
 
 fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -55,39 +29,12 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// all available cores). Results are returned in input order. `f` must be
 /// deterministic per item for reproducible sweeps.
 ///
-/// A panicking item is retried once ([`try_parallel_map`]); if it panics
-/// again, `parallel_map` itself panics *after* every other item finished
-/// and merged — a deliberate double-panic can no longer abort sibling
-/// work mid-merge, and the error names the poisoned index. Callers that
-/// must survive poisoned items use [`try_parallel_map`] directly.
+/// A panicking item does not stop its siblings: every other item still
+/// runs to completion and merges, and only then does `parallel_map` panic,
+/// naming the lowest poisoned index and its panic message. Callers that
+/// must survive a poisoned item catch its panic inside `f` (as
+/// `sim`'s batch loop does per instance).
 pub fn parallel_map<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    try_parallel_map(items, threads, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(o) => o,
-            Err(p) => panic!("sweep worker poisoned: {p}"),
-        })
-        .collect()
-}
-
-/// The panic-isolated executor under [`parallel_map`]: identical work
-/// distribution (atomic cursor, disjoint per-worker buffers, input-order
-/// merge), but each `f(&item)` call is wrapped in
-/// [`std::panic::catch_unwind`]. A panicking item is retried **once** —
-/// transient poison (e.g. an allocation blip) heals silently; an item
-/// that panics twice yields `Err(ItemPanic)` in its slot while every
-/// other item completes normally.
-///
-/// `f` is re-invoked on the same input after a caught panic, so it must
-/// not leave shared captured state half-mutated across unwinding (the
-/// sweeps in this workspace pass pure per-item closures, which satisfy
-/// this trivially — hence the `AssertUnwindSafe` inside).
-pub fn try_parallel_map<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<Result<O, ItemPanic>>
 where
     I: Sync,
     O: Send,
@@ -102,27 +49,18 @@ where
     };
     let threads = threads.min(items.len().max(1));
     let cursor = AtomicUsize::new(0);
-    let run_item = |i: usize| -> Result<O, ItemPanic> {
-        match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-            Ok(o) => Ok(o),
-            // Retry once: a deterministic panic repeats, a transient one
-            // heals. Either way the sweep continues.
-            Err(_) => match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                Ok(o) => Ok(o),
-                Err(payload) => Err(ItemPanic {
-                    index: i,
-                    message: payload_message(payload.as_ref()),
-                }),
-            },
-        }
+    // The sweeps in this workspace pass pure per-item closures, so
+    // unwinding out of `f` leaves no shared state half-mutated.
+    let run_item = |i: usize| -> Result<O, String> {
+        catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|p| payload_message(p.as_ref()))
     };
-    let gathered: Vec<(usize, Result<O, ItemPanic>)> = crossbeam::scope(|scope| {
+    let gathered: Vec<(usize, Result<O, String>)> = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|_| {
                     // Disjoint per-worker buffer: no result-side contention,
                     // items are claimed via the lock-free cursor only.
-                    let mut local: Vec<(usize, Result<O, ItemPanic>)> = Vec::new();
+                    let mut local: Vec<(usize, Result<O, String>)> = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
@@ -140,32 +78,23 @@ where
             .collect()
     })
     .expect("sweep worker died outside an item");
-    let mut results: Vec<Option<Result<O, ItemPanic>>> = (0..items.len()).map(|_| None).collect();
+    let mut results: Vec<Option<Result<O, String>>> = (0..items.len()).map(|_| None).collect();
     for (i, o) in gathered {
         results[i] = Some(o);
     }
     results
         .into_iter()
-        .map(|o| o.expect("every index visited"))
+        .enumerate()
+        .map(|(i, o)| match o.expect("every index visited") {
+            Ok(o) => o,
+            Err(msg) => panic!("sweep worker poisoned: item {i} panicked: {msg}"),
+        })
         .collect()
-}
-
-/// Cartesian product of two parameter slices, cloned into pairs — the
-/// usual shape of a sweep grid.
-pub fn grid<A: Clone, B: Clone>(xs: &[A], ys: &[B]) -> Vec<(A, B)> {
-    let mut out = Vec::with_capacity(xs.len() * ys.len());
-    for x in xs {
-        for y in ys {
-            out.push((x.clone(), y.clone()));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn maps_in_order() {
@@ -197,14 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_product() {
-        let g = grid(&[1, 2], &["a", "b", "c"]);
-        assert_eq!(g.len(), 6);
-        assert_eq!(g[0], (1, "a"));
-        assert_eq!(g[5], (2, "c"));
-    }
-
-    #[test]
     fn contention_shaped_many_tiny_items() {
         // Worst case for the old once-per-item results mutex: a large
         // number of near-zero-cost items across many workers. Output must
@@ -233,54 +154,32 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Satellite regression: a deliberately panicking item must degrade to
-    /// a counted error slot — with its index and message — while every
-    /// sibling item still completes, at any thread count.
+    /// A deliberately panicking item lets every sibling item run to
+    /// completion, at any thread count, and the panic that follows names
+    /// its index and message.
     #[test]
     fn poisoned_item_degrades_instead_of_aborting() {
         let items: Vec<u64> = (0..50).collect();
         for threads in [1usize, 4] {
-            let out = try_parallel_map(&items, threads, |&x| {
-                if x == 17 {
-                    panic!("poisoned seed {x}");
-                }
-                x * 2
-            });
-            assert_eq!(out.len(), items.len());
-            for (i, r) in out.iter().enumerate() {
-                if i == 17 {
-                    let p = r.as_ref().expect_err("item 17 must fail");
-                    assert_eq!(p.index, 17);
-                    assert!(p.message.contains("poisoned seed 17"), "{}", p.message);
-                } else {
-                    assert_eq!(*r, Ok(i as u64 * 2));
-                }
-            }
+            let finished = AtomicUsize::new(0);
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                parallel_map(&items, threads, |&x| {
+                    if x == 17 {
+                        panic!("poisoned seed {x}");
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    x * 2
+                })
+            }));
+            let msg = payload_message(r.expect_err("must propagate").as_ref());
+            assert!(msg.contains("item 17"), "{msg}");
+            assert!(msg.contains("poisoned seed 17"), "{msg}");
+            assert_eq!(finished.load(Ordering::SeqCst), 49, "threads {threads}");
         }
     }
 
-    /// A panic that does not repeat is healed by the retry: the item lands
-    /// in the `Ok` column and nothing is lost.
-    #[test]
-    fn transient_panic_is_retried_once() {
-        let items = vec![0u64, 1, 2, 3];
-        let first_attempt = AtomicUsize::new(0);
-        let out = try_parallel_map(&items, 2, |&x| {
-            if x == 2 && first_attempt.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            x + 100
-        });
-        assert_eq!(
-            out,
-            vec![Ok(100), Ok(101), Ok(102), Ok(103)],
-            "the retry must have healed item 2"
-        );
-        assert_eq!(first_attempt.load(Ordering::SeqCst), 2, "one retry");
-    }
-
-    /// The infallible wrapper still fails on a double panic, but only
-    /// after the full merge, with the poisoned index in the message.
+    /// A panicking item fails the sweep, but only after the full merge,
+    /// with the poisoned index in the message.
     #[test]
     fn parallel_map_reports_poisoned_index_after_merge() {
         let items: Vec<u64> = (0..8).collect();

@@ -36,8 +36,8 @@ pub enum ProtocolOutcome {
     /// finite-liquidity simulator (`sim::run_open`), never by a
     /// harness's `classify` — a rejected payment has no run to classify.
     Rejected,
-    /// The harness itself panicked while running this instance — twice,
-    /// because panic-isolated workers retry once before giving up. The
+    /// The harness itself panicked while running this instance (a run is
+    /// a pure function of its spec, so it is not retried). The
     /// instance is counted (never silently dropped) but measured nothing:
     /// a `Failed` row carries zero latency, zero locked value and no lock
     /// profile. Produced only by the simulator's panic isolation

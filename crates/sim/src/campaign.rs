@@ -66,14 +66,13 @@ use crate::runner::{simulate_specs, SimConfig};
 use crate::sketch::MergeableSketch;
 use crate::workload::{self, PaymentSpec, WorkloadConfig};
 use experiments::digest::{crc32, fnv1a64, hex16};
-use experiments::stats::Summary;
 use protocol::harness::ProtocolHarness;
 use protocol::liquidity::LiquidityConfig;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use telemetry::json::{round_to, JsonObject};
-use telemetry::{MetricsRegistry, NullSink, PhaseProfile, TelemetrySink};
+use telemetry::{NullSink, PhaseProfile, TelemetrySink};
 
 /// Checkpoint schema version; bumped on any wire-format change.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
@@ -284,7 +283,7 @@ pub struct CampaignTally {
     /// Admission rejections (open-system mode only).
     pub rejected: u64,
     /// Panic-isolated instances ([`InstanceOutcome::Failed`]): the
-    /// harness died twice on these. Their seeds are in `failed_seeds`.
+    /// harness panicked on these. Their seeds are in `failed_seeds`.
     pub failed: u64,
     /// Instances that griefed a compliant party.
     pub griefed: u64,
@@ -373,45 +372,6 @@ impl CampaignTally {
         self.failed_seeds.dedup();
         self.failed_seeds.truncate(FAILED_SEEDS_CAP);
     }
-
-    /// Latency summary view (sketch-backed: `p50`/`p99` within the
-    /// documented 1/64 overshoot, the rest exact).
-    pub fn latency_summary(&self) -> Option<Summary> {
-        self.latency.summary().map(summary_from_sketch)
-    }
-
-    /// Peak-locked summary view (same sketch guarantees).
-    pub fn peak_locked_summary(&self) -> Option<Summary> {
-        self.peak_locked.summary().map(summary_from_sketch)
-    }
-}
-
-/// Bridges the telemetry crate's sketch summary into the workspace's
-/// exact-stats [`Summary`] shape, field for field (`stddev` reads 0; the
-/// sketch does not track second moments).
-fn summary_from_sketch(s: telemetry::SketchSummary) -> Summary {
-    Summary {
-        n: s.n,
-        min: s.min,
-        max: s.max,
-        mean: s.mean,
-        stddev: s.stddev,
-        p50: s.p50,
-        p99: s.p99,
-    }
-}
-
-/// Progress of one completed epoch, for log lines.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochSummary {
-    /// The epoch that just completed (0-based).
-    pub epoch: u64,
-    /// Total epochs in the campaign.
-    pub epochs: u64,
-    /// Rows simulated in this epoch.
-    pub rows: u64,
-    /// Cumulative rows simulated so far.
-    pub total_rows: u64,
 }
 
 /// Everything one completed epoch reports: progress, throughput,
@@ -458,16 +418,6 @@ pub struct EpochEvent {
 }
 
 impl EpochEvent {
-    /// The digest-safe progress subset (the legacy callback payload).
-    pub fn summary(&self) -> EpochSummary {
-        EpochSummary {
-            epoch: self.epoch,
-            epochs: self.epochs,
-            rows: self.rows,
-            total_rows: self.total_rows,
-        }
-    }
-
     /// The standardized one-line progress render every campaign binary
     /// prints (to stderr; stdout stays machine-readable):
     ///
@@ -539,10 +489,6 @@ pub struct CampaignRunner<H> {
     /// Scoped phase timers (generation / simulation / merge / checkpoint).
     /// Observability-only: never checkpointed, never in any digest.
     profile: PhaseProfile,
-    /// Metrics registry: per-worker shards merged in chunk order each
-    /// epoch, plus orchestrator-side counters and gauges. Same
-    /// disclaimer as `profile`.
-    registry: MetricsRegistry,
     /// The last open-system epoch's per-venue telemetry sidecar, for the
     /// epoch-boundary venue series.
     last_open: Option<OpenTelemetry>,
@@ -569,7 +515,6 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
             next_epoch: 0,
             tally: CampaignTally::new(open),
             profile: PhaseProfile::new(),
-            registry: MetricsRegistry::new(),
             last_open: None,
         }
     }
@@ -653,10 +598,11 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         self.next_epoch >= self.cfg.epochs()
     }
 
-    /// Runs the next epoch and folds it into the tally.
+    /// Runs the next epoch, folds it into the tally and returns the
+    /// epoch's row count.
     ///
     /// Panics when the campaign [`is_done`](Self::is_done).
-    pub fn step(&mut self) -> EpochSummary {
+    pub fn step(&mut self) -> u64 {
         assert!(!self.is_done(), "campaign already complete");
         let e = self.next_epoch;
         let wl = self.cfg.epoch_workload(e);
@@ -669,33 +615,22 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         match self.cfg.liquidity {
             None => {
                 // Closed world: the shared batch loop, each chunk folded
-                // to a partial tally and a metrics-registry shard on the
-                // worker that ran it. Both merge in chunk order — and the
-                // tally in any order, its merge commutes — so tally and
-                // registry are bit-identical across thread counts.
-                let parts: Vec<(CampaignTally, MetricsRegistry)> = {
+                // to a partial tally on the worker that ran it. The merge
+                // commutes, so the tally is bit-identical across thread
+                // counts.
+                let parts = {
                     let _t = self.profile.time("simulation");
-                    simulate_specs(
-                        &self.harness,
-                        &specs,
-                        &sim_cfg,
-                        |chunk, rows, queue_high| {
-                            let mut part = CampaignTally::new(false);
-                            for (spec, r) in chunk.iter().zip(&rows) {
-                                part.fold_row(spec, r);
-                            }
-                            let mut shard = MetricsRegistry::new();
-                            shard.counter_add("rows", chunk.len() as u64);
-                            shard.counter_add("engine_events", part.events as u64);
-                            shard.histogram_record("chunk_queue_high", queue_high as u64);
-                            (part, shard)
-                        },
-                    )
+                    simulate_specs(&self.harness, &specs, &sim_cfg, |chunk, rows| {
+                        let mut part = CampaignTally::new(false);
+                        for (spec, r) in chunk.iter().zip(&rows) {
+                            part.fold_row(spec, r);
+                        }
+                        part
+                    })
                 };
                 let _t = self.profile.time("merge");
-                for (part, shard) in parts {
+                for part in parts {
                     self.tally.absorb(part);
-                    self.registry.merge_from(&shard);
                 }
                 self.last_open = None;
             }
@@ -723,25 +658,11 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                     .as_mut()
                     .expect("`new` and `resume` set `tally.liquidity` iff `cfg.liquidity` is set")
                     .fold_epoch(&raw);
-                self.registry.counter_add("rows", rows);
-                self.registry
-                    .counter_add("admitted", raw.liquidity.admitted as u64);
-                self.registry
-                    .counter_add("rejected", raw.liquidity.rejected as u64);
-                if let Some(rs) = &raw.telemetry.routing {
-                    self.registry.counter_add("routed", rs.routed);
-                    self.registry.counter_add("rebalances", rs.rebalances);
-                }
                 self.last_open = Some(raw.telemetry);
             }
         }
         self.next_epoch += 1;
-        EpochSummary {
-            epoch: e,
-            epochs: self.cfg.epochs(),
-            rows,
-            total_rows: self.tally.instances,
-        }
+        rows
     }
 
     /// Steps to completion. After every epoch: `progress` is called and,
@@ -750,20 +671,16 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
     /// completed (0-based) — the programmatic stand-in for a kill between
     /// epochs, used by the resume smoke tests.
     ///
-    /// Thin adapter over [`run_to_end_with_telemetry`] with a
-    /// [`NullSink`]: the legacy callback API, kept for callers that only
-    /// want the digest-safe [`EpochSummary`].
+    /// [`run_to_end_with_telemetry`] with a [`NullSink`], every epoch.
     ///
     /// [`run_to_end_with_telemetry`]: Self::run_to_end_with_telemetry
-    pub fn run_to_end<F: FnMut(&EpochSummary)>(
+    pub fn run_to_end<F: FnMut(&EpochEvent)>(
         &mut self,
         checkpoint: Option<&Path>,
         stop_after_epoch: Option<u64>,
-        mut progress: F,
+        progress: F,
     ) -> io::Result<()> {
-        self.run_to_end_with_telemetry(checkpoint, stop_after_epoch, &mut NullSink, 1, |e| {
-            progress(&e.summary())
-        })
+        self.run_to_end_with_telemetry(checkpoint, stop_after_epoch, &mut NullSink, 1, progress)
     }
 
     /// [`run_to_end`](Self::run_to_end) with a telemetry sink attached.
@@ -773,8 +690,7 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
     /// every `interval`-th epoch (and always the last) the event — plus,
     /// for open-system campaigns, the per-venue `venue` / `venue_des`
     /// series scoped by `epoch` — is emitted into `sink`. When the loop
-    /// ends, the registry snapshot and the `phase_profile` event follow,
-    /// and the sink is flushed.
+    /// ends, the `phase_profile` event follows and the sink is flushed.
     ///
     /// The sink lives on this (orchestrating) thread only and every event
     /// is rendered from already-merged state, so any sink — including a
@@ -791,9 +707,11 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         let interval = interval.max(1);
         let mut wall_total = 0.0f64;
         let mut epochs_timed = 0u64;
+        let epochs = self.cfg.epochs();
         while !self.is_done() {
+            let epoch = self.next_epoch;
             let t0 = std::time::Instant::now();
-            let summary = self.step();
+            let rows = self.step();
             let wall = t0.elapsed().as_secs_f64();
             wall_total += wall;
             epochs_timed += 1;
@@ -801,46 +719,35 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                 let _t = self.profile.time("checkpoint");
                 self.checkpoint_to(path)?;
             }
-            let rss = peak_rss_mb();
-            if let Some(mb) = rss {
-                self.registry.gauge_set("peak_rss_mb", mb as i64);
-            }
-            let remaining = summary.epochs.saturating_sub(summary.epoch + 1);
+            let remaining = epochs.saturating_sub(epoch + 1);
             let t = &self.tally;
             let event = EpochEvent {
-                epoch: summary.epoch,
-                epochs: summary.epochs,
-                rows: summary.rows,
-                total_rows: summary.total_rows,
+                epoch,
+                epochs,
+                rows,
+                total_rows: t.instances,
                 epoch_wall_s: wall,
-                payments_per_sec: if wall > 0.0 {
-                    summary.rows as f64 / wall
-                } else {
-                    0.0
-                },
+                payments_per_sec: if wall > 0.0 { rows as f64 / wall } else { 0.0 },
                 success: t.success,
                 refunds: t.refunds,
                 stuck: t.stuck,
                 violations: t.violations,
                 rejected: t.rejected,
                 failed: t.failed,
-                peak_rss_mb: rss,
+                peak_rss_mb: peak_rss_mb(),
                 eta_s: (wall_total / epochs_timed as f64) * remaining as f64,
             };
-            let stopping = stop_after_epoch.is_some_and(|k| summary.epoch >= k);
-            if (summary.epoch + 1) % interval == 0 || self.is_done() || stopping {
+            let stopping = stop_after_epoch.is_some_and(|k| epoch >= k);
+            if (epoch + 1) % interval == 0 || self.is_done() || stopping {
                 sink.emit(&event.to_event());
                 if let Some(open) = &self.last_open {
-                    open.emit(&[("epoch", summary.epoch)], sink);
+                    open.emit(&[("epoch", epoch)], sink);
                 }
             }
             progress(&event);
             if stopping {
                 break;
             }
-        }
-        for e in self.registry.snapshot_events(&[]) {
-            sink.emit(&e);
         }
         sink.emit(&self.profile.to_event());
         sink.flush()
@@ -855,18 +762,6 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
     /// checkpoint write) accumulated by this process. Observability-only.
     pub fn profile(&self) -> &PhaseProfile {
         &self.profile
-    }
-
-    /// The metrics registry accumulated by this process (per-worker
-    /// shards merged in chunk order plus orchestrator gauges).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// The last open-system epoch's per-venue telemetry sidecar (`None`
-    /// for closed campaigns or before the first epoch).
-    pub fn open_telemetry(&self) -> Option<&OpenTelemetry> {
-        self.last_open.as_ref()
     }
 
     /// Atomically writes the checkpoint: full state to `<path>.tmp` (the
@@ -1239,9 +1134,8 @@ impl CampaignReport {
 /// mark") line of `/proc/self/status`, so on any platform without that
 /// procfs file — macOS, Windows, BSDs — this returns `None` cleanly and
 /// every consumer renders `n/a` instead. The campaign runner is the one
-/// place that reads it: the value flows into [`EpochEvent::peak_rss_mb`]
-/// and the `peak_rss_mb` registry gauge, which is where
-/// [`crate::driver::drive`] takes it from. The nightly
+/// place that reads it: the value flows into [`EpochEvent::peak_rss_mb`],
+/// which is where [`crate::driver::drive`] takes it from. The nightly
 /// bounded-RSS gate reads it after a 1M-payment campaign:
 /// constant-memory metrics are a claim about this number.
 pub fn peak_rss_mb() -> Option<u64> {

@@ -29,8 +29,9 @@
 //! ## Responsibility boundaries
 //!
 //! **In scope:**
-//! - batching instances onto workers, panic isolation, and the
-//!   deterministic merge of per-batch buffers ([`runner`]);
+//! - batching instances onto workers, panic isolation (a harness that
+//!   panics costs one [`InstanceOutcome::Failed`] row, not the batch),
+//!   and the deterministic merge of per-chunk rows ([`runner`]);
 //! - the open-system admission gate: its event order, venue sharding,
 //!   queueing and the collateral audit (private `des`, behind
 //!   [`run_open`]);
@@ -38,8 +39,9 @@
 //!   **violation**, plus the HTLC-style *griefed* flag), latency, peak
 //!   locked value and lock-concurrency profiles, aggregated into
 //!   percentile summaries ([`metrics`]);
-//! - crash-safe streaming of workloads too large to hold: epochs,
-//!   checkpoints, bit-identical resume ([`campaign`]);
+//! - crash-safe streaming of workloads too large to hold: epochs folded
+//!   into one [`CampaignTally`] — the campaign's only tally, checkpointed
+//!   and bit-identical across resumes ([`campaign`]);
 //! - what the `exp8`–`exp11` binaries share — flag tables, campaign
 //!   mode, grid bookkeeping, artifact writing ([`driver`]) — so that each
 //!   binary is only its grid and its exit gates.
@@ -52,8 +54,8 @@
 //!   calls [`workload::generate`] itself;
 //! - collateral accounting and pathfinding: [`protocol::liquidity`],
 //!   [`protocol::network`];
-//! - the quantile [`sketch`] (= [`telemetry::sketch`]), metrics registry
-//!   and event sinks: [`telemetry`];
+//! - the quantile [`sketch`] (= [`telemetry::sketch`]) and event sinks:
+//!   [`telemetry`];
 //! - exhaustive schedule exploration (`anta::explore`,
 //!   `protocol::explore`) and wall-clock measurement (`benchmark/`).
 //!
@@ -98,9 +100,7 @@ pub mod runner;
 pub use protocol::{faults, workload};
 pub use telemetry::sketch;
 
-pub use campaign::{
-    CampaignConfig, CampaignReport, CampaignRunner, CampaignTally, EpochEvent, EpochSummary,
-};
+pub use campaign::{CampaignConfig, CampaignReport, CampaignRunner, CampaignTally, EpochEvent};
 pub use faults::{ByzFault, FaultPlan, InstanceFaults};
 pub use metrics::{
     FamilyStats, InstanceOutcome, InstanceResult, LiquidityStats, OpenReport, OpenTelemetry,

@@ -7,8 +7,8 @@
 //! vocabulary is the protocol layer's [`protocol::ProtocolOutcome`]
 //! ([`InstanceOutcome`] is the same type), so the same aggregation serves
 //! every [`protocol::ProtocolHarness`]. Aggregation is contention-free:
-//! each worker accumulates into its own [`BatchMetrics`] buffer and the
-//! buffers are merged deterministically (in input order) after the
+//! each worker returns its chunk's rows as a plain `Vec` and
+//! [`SimReport::merge`] reads the chunks in input order after the
 //! parallel phase — the same discipline as [`experiments::parallel_map`],
 //! which the runner drives.
 
@@ -53,28 +53,6 @@ pub struct InstanceResult {
     pub lock_profile: Vec<(SimTime, u32, i64)>,
 }
 
-/// Per-worker metrics buffer: owned by exactly one worker while the
-/// parallel phase runs, merged afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct BatchMetrics {
-    /// The instance records, in spec order within the batch.
-    pub results: Vec<InstanceResult>,
-}
-
-impl BatchMetrics {
-    /// An empty buffer with room for `cap` instances.
-    pub fn with_capacity(cap: usize) -> Self {
-        BatchMetrics {
-            results: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Records one instance.
-    pub fn push(&mut self, r: InstanceResult) {
-        self.results.push(r);
-    }
-}
-
 /// Aggregated statistics for one topology family.
 #[derive(Debug, Clone)]
 pub struct FamilyStats {
@@ -94,7 +72,7 @@ pub struct FamilyStats {
     /// only; always zero for closed-world campaigns). Rejected payments
     /// count in the success denominator: they were offered, not served.
     pub rejected: usize,
-    /// Instances whose harness panicked twice under the runner's panic
+    /// Instances whose harness panicked under the runner's panic
     /// isolation ([`InstanceOutcome::Failed`]): counted here so a poisoned
     /// instance is never silently dropped, but measured nothing.
     pub failed: usize,
@@ -154,12 +132,13 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Merges per-batch buffers (already in input order) into the report.
-    pub fn merge(batches: Vec<BatchMetrics>, with_lock_profile: bool) -> SimReport {
+    /// Merges per-chunk rows (chunks and rows in input order) into the
+    /// report.
+    pub fn merge(chunks: &[Vec<InstanceResult>], with_lock_profile: bool) -> SimReport {
         let mut by_family: BTreeMap<&'static str, Vec<&InstanceResult>> = BTreeMap::new();
         let mut instances = 0usize;
-        for b in &batches {
-            for r in &b.results {
+        for rows in chunks {
+            for r in rows {
                 instances += 1;
                 by_family.entry(r.family).or_default().push(r);
             }
@@ -245,8 +224,8 @@ impl SimReport {
 
         let (peak_locked_global, peak_in_flight) = if with_lock_profile {
             let mut deltas: Vec<(SimTime, i64, i64)> = Vec::new();
-            for b in &batches {
-                for r in &b.results {
+            for rows in chunks {
+                for r in rows {
                     for &(t, _hop, dv) in &r.lock_profile {
                         deltas.push((t, dv, 0));
                     }
@@ -593,13 +572,15 @@ mod tests {
 
     #[test]
     fn merge_groups_by_family_and_counts() {
-        let mut a = BatchMetrics::with_capacity(2);
-        a.push(res(0, "linear", InstanceOutcome::Success, 100, 50, None));
-        a.push(res(1, "hub", InstanceOutcome::Refund, 200, 60, None));
-        let mut b = BatchMetrics::default();
-        b.push(res(2, "linear", InstanceOutcome::Stuck, 300, 70, None));
-        b.push(res(3, "linear", InstanceOutcome::Violation, 400, 80, None));
-        let report = SimReport::merge(vec![a, b], false);
+        let a = vec![
+            res(0, "linear", InstanceOutcome::Success, 100, 50, None),
+            res(1, "hub", InstanceOutcome::Refund, 200, 60, None),
+        ];
+        let b = vec![
+            res(2, "linear", InstanceOutcome::Stuck, 300, 70, None),
+            res(3, "linear", InstanceOutcome::Violation, 400, 80, None),
+        ];
+        let report = SimReport::merge(&[a, b], false);
         assert_eq!(report.instances, 4);
         assert_eq!(report.violations, 1);
         assert!(!report.conserved());
@@ -616,27 +597,25 @@ mod tests {
 
     #[test]
     fn griefed_instances_are_counted_per_family_and_globally() {
-        let mut m = BatchMetrics::default();
         let mut a = res(0, "linear", InstanceOutcome::Refund, 100, 50, None);
         a.griefed = true;
         let mut b = res(1, "linear", InstanceOutcome::Stuck, 100, 50, None);
         b.griefed = true;
-        m.push(a);
-        m.push(b);
-        m.push(res(2, "linear", InstanceOutcome::Success, 100, 50, None));
-        let report = SimReport::merge(vec![m], false);
+        let c = res(2, "linear", InstanceOutcome::Success, 100, 50, None);
+        let report = SimReport::merge(&[vec![a, b, c]], false);
         assert_eq!(report.families[0].griefed, 2);
         assert_eq!(report.griefed, 2);
     }
 
     #[test]
-    fn latency_summary_edge_cases_empty_and_single_sample() {
+    fn latency_edge_cases_empty_and_single_sample() {
         // A family with zero successes has no latency summary at all —
         // the percentile pipeline must not be fed an empty vector.
-        let mut none = BatchMetrics::default();
-        none.push(res(0, "linear", InstanceOutcome::Refund, 500, 1, None));
-        none.push(res(1, "linear", InstanceOutcome::Stuck, 600, 1, None));
-        let report = SimReport::merge(vec![none], false);
+        let none = vec![
+            res(0, "linear", InstanceOutcome::Refund, 500, 1, None),
+            res(1, "linear", InstanceOutcome::Stuck, 600, 1, None),
+        ];
+        let report = SimReport::merge(&[none], false);
         let f = report.family("linear").unwrap();
         assert!(f.latency.is_none());
         assert_eq!(render_latency_ms(&f.latency), "-");
@@ -644,10 +623,11 @@ mod tests {
         // Exactly one success: every percentile collapses onto the sample
         // (nearest-rank p99 of a singleton is the sample, not a panic or
         // an out-of-range index).
-        let mut one = BatchMetrics::default();
-        one.push(res(0, "hub", InstanceOutcome::Success, 7_000, 1, None));
-        one.push(res(1, "hub", InstanceOutcome::Refund, 9_000, 1, None));
-        let report = SimReport::merge(vec![one], false);
+        let one = vec![
+            res(0, "hub", InstanceOutcome::Success, 7_000, 1, None),
+            res(1, "hub", InstanceOutcome::Refund, 9_000, 1, None),
+        ];
+        let report = SimReport::merge(&[one], false);
         let s = report.family("hub").unwrap().latency.as_ref().unwrap();
         assert_eq!(
             (s.n, s.min, s.p50, s.p99, s.max),
@@ -658,57 +638,22 @@ mod tests {
 
     #[test]
     fn packet_accounting_complete_vs_partial() {
-        let mut m = BatchMetrics::default();
         // Packet 0: both paths succeed; packet 1: one of two; packet 2: none.
-        m.push(res(
-            0,
-            "packetized",
-            InstanceOutcome::Success,
-            1,
-            1,
-            Some((0, 2)),
-        ));
-        m.push(res(
-            1,
-            "packetized",
-            InstanceOutcome::Success,
-            1,
-            1,
-            Some((0, 2)),
-        ));
-        m.push(res(
-            2,
-            "packetized",
-            InstanceOutcome::Success,
-            1,
-            1,
-            Some((1, 2)),
-        ));
-        m.push(res(
-            3,
-            "packetized",
-            InstanceOutcome::Refund,
-            1,
-            1,
-            Some((1, 2)),
-        ));
-        m.push(res(
-            4,
-            "packetized",
-            InstanceOutcome::Refund,
-            1,
-            1,
-            Some((2, 2)),
-        ));
-        m.push(res(
-            5,
-            "packetized",
-            InstanceOutcome::Stuck,
-            1,
-            1,
-            Some((2, 2)),
-        ));
-        let report = SimReport::merge(vec![m], false);
+        let m: Vec<InstanceResult> = [
+            (0, InstanceOutcome::Success),
+            (0, InstanceOutcome::Success),
+            (1, InstanceOutcome::Success),
+            (1, InstanceOutcome::Refund),
+            (2, InstanceOutcome::Refund),
+            (2, InstanceOutcome::Stuck),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(id, (packet, outcome))| {
+            res(id as u64, "packetized", outcome, 1, 1, Some((packet, 2)))
+        })
+        .collect();
+        let report = SimReport::merge(&[m], false);
         let p = report.family("packetized").unwrap().packets.unwrap();
         assert_eq!(
             p,
@@ -723,46 +668,36 @@ mod tests {
     #[test]
     fn global_lock_profile_peaks() {
         let t = SimTime::from_ticks;
-        let mut m = BatchMetrics::default();
         let mut r1 = res(0, "hub", InstanceOutcome::Success, 10, 100, None);
         r1.lock_profile = vec![(t(0), 0, 100), (t(10), 0, -100)];
         let mut r2 = res(1, "hub", InstanceOutcome::Success, 10, 70, None);
         r2.lock_profile = vec![(t(5), 0, 70), (t(15), 0, -70)];
-        m.push(r1);
-        m.push(r2);
-        let report = SimReport::merge(vec![m], true);
+        let report = SimReport::merge(&[vec![r1, r2]], true);
         assert_eq!(report.peak_locked_global, Some(170), "overlap at t=5..10");
         assert_eq!(report.peak_in_flight, 2);
         // Unlock-before-lock at equal instants: back-to-back runs don't
         // double-count.
-        let mut m2 = BatchMetrics::default();
         let mut r3 = res(0, "hub", InstanceOutcome::Success, 10, 100, None);
         r3.lock_profile = vec![(t(0), 0, 100), (t(10), 0, -100)];
         let mut r4 = res(1, "hub", InstanceOutcome::Success, 10, 100, None);
         r4.lock_profile = vec![(t(10), 0, 100), (t(20), 0, -100)];
-        m2.push(r3);
-        m2.push(r4);
-        let report2 = SimReport::merge(vec![m2], true);
+        let report2 = SimReport::merge(&[vec![r3, r4]], true);
         assert_eq!(report2.peak_locked_global, Some(100));
     }
 
     #[test]
     fn spoke_load_counts_both_endpoints() {
-        let mut m = BatchMetrics::default();
         let mut a = res(0, "hub", InstanceOutcome::Success, 1, 1, None);
         a.route = Some((0, 1));
         let mut b = res(1, "hub", InstanceOutcome::Success, 1, 1, None);
         b.route = Some((1, 2));
-        m.push(a);
-        m.push(b);
-        let report = SimReport::merge(vec![m], false);
+        let report = SimReport::merge(&[vec![a, b]], false);
         let load = report.family("hub").unwrap().spoke_load.clone().unwrap();
         // Spoke 1 served both payments; spokes 0 and 2 one each.
         assert_eq!((load.min, load.max, load.n), (1, 2, 3));
         // Routeless families have no spoke summary.
-        let mut m2 = BatchMetrics::default();
-        m2.push(res(0, "linear", InstanceOutcome::Success, 1, 1, None));
-        assert!(SimReport::merge(vec![m2], false).families[0]
+        let routeless = vec![res(0, "linear", InstanceOutcome::Success, 1, 1, None)];
+        assert!(SimReport::merge(&[routeless], false).families[0]
             .spoke_load
             .is_none());
     }

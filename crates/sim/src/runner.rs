@@ -20,7 +20,7 @@
 
 use crate::des;
 use crate::faults::FaultPlan;
-use crate::metrics::{BatchMetrics, InstanceResult, OpenReport, OpenTelemetry, SimReport};
+use crate::metrics::{InstanceResult, OpenReport, OpenTelemetry, SimReport};
 use crate::workload::{PaymentSpec, WorkloadConfig};
 use experiments::parallel_map;
 use protocol::harness::{run_harness_instance, ProtocolHarness};
@@ -69,20 +69,17 @@ pub fn run_closed<H: ProtocolHarness>(
     specs: &[PaymentSpec],
     cfg: &SimConfig,
 ) -> SimReport {
-    let buffers = simulate_specs(harness, specs, cfg, |_, results, _| BatchMetrics {
-        results,
-    });
-    SimReport::merge(buffers, cfg.lock_profile)
+    let chunks = simulate_specs(harness, specs, cfg, |_, rows| rows);
+    SimReport::merge(&chunks, cfg.lock_profile)
 }
 
 /// The one batch loop: `specs` chunked by `cfg.batch`, every instance of
 /// a chunk simulated in order on one worker (panic-isolated, the engine
 /// queue's high-water mark carried from instance to instance), and the
-/// chunk handed to `fold` **on that worker** as `(specs, their results,
-/// final high-water mark)`. Folded chunks come back in spec order, so
-/// whatever the caller builds from them is bit-identical across thread
-/// counts — and a caller that folds to a tally never holds more than one
-/// chunk of rows per worker.
+/// chunk handed to `fold` **on that worker** as `(specs, their rows)`.
+/// Folded chunks come back in spec order, so whatever the caller builds
+/// from them is bit-identical across thread counts — and a caller that
+/// folds to a tally never holds more than one chunk of rows per worker.
 pub(crate) fn simulate_specs<H, T, F>(
     harness: &H,
     specs: &[PaymentSpec],
@@ -92,7 +89,7 @@ pub(crate) fn simulate_specs<H, T, F>(
 where
     H: ProtocolHarness,
     T: Send,
-    F: Fn(&[PaymentSpec], Vec<InstanceResult>, usize) -> T + Sync,
+    F: Fn(&[PaymentSpec], Vec<InstanceResult>) -> T + Sync,
 {
     assert!(
         harness.supports(&cfg.workload),
@@ -103,7 +100,7 @@ where
     let batches: Vec<&[PaymentSpec]> = specs.chunks(cfg.batch.max(1)).collect();
     parallel_map(&batches, cfg.threads, |chunk| {
         let mut queue_high = 0usize;
-        let results = chunk
+        let rows = chunk
             .iter()
             .map(|spec| {
                 run_instance_isolated(
@@ -115,22 +112,21 @@ where
                 )
             })
             .collect();
-        fold(chunk, results, queue_high)
+        fold(chunk, rows)
     })
 }
 
-/// [`run_instance_with`] under panic isolation: a harness that panics is
-/// retried **once** (transient poison heals), and a second panic degrades
-/// the instance to a counted [`InstanceOutcome::Failed`] row instead of
-/// tearing down the whole campaign. The failing instance is identified by
-/// its spec (`spec.id` is kept on the row; `spec.seed` names the seed to
-/// replay the poison under a debugger); the campaign layer surfaces those
-/// seeds in its report.
+/// [`run_instance_with`] under panic isolation: a harness that panics
+/// degrades the instance to a counted [`InstanceOutcome::Failed`] row
+/// instead of tearing down the whole campaign. There is no retry: a run
+/// is a pure function of `(spec, plan)`, so a second attempt would panic
+/// again. The failing instance is identified by its spec (`spec.id` is
+/// kept on the row; `spec.seed` names the seed to replay the panic under
+/// a debugger); the campaign layer surfaces those seeds in its report.
 ///
 /// Everything the run would have measured is zeroed on the `Failed` row:
-/// no latency, no locked value, no lock profile, no fault attribution —
-/// the instance existed, ran twice, and died both times. `queue_high` is
-/// reset before each attempt so a poisoned engine cannot leak a bogus
+/// no latency, no locked value, no lock profile, no fault attribution.
+/// `queue_high` is reset so a poisoned engine cannot leak a bogus
 /// high-water mark into the next instance's pre-sizing.
 ///
 /// [`InstanceOutcome::Failed`]: crate::metrics::InstanceOutcome::Failed
@@ -143,29 +139,25 @@ pub(crate) fn run_instance_isolated<H: ProtocolHarness>(
 ) -> InstanceResult {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let entry_high = *queue_high;
-    for _attempt in 0..2 {
+    catch_unwind(AssertUnwindSafe(|| {
+        run_instance_with(harness, spec, plan, lock_profile, queue_high)
+    }))
+    .unwrap_or_else(|_| {
         *queue_high = entry_high;
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            run_instance_with(harness, spec, plan, lock_profile, queue_high)
-        }));
-        if let Ok(result) = r {
-            return result;
+        InstanceResult {
+            id: spec.id,
+            family: spec.family,
+            outcome: protocol::ProtocolOutcome::Failed,
+            griefed: false,
+            faults: crate::faults::InstanceFaults::NONE,
+            latency: anta::time::SimDuration::ZERO,
+            peak_locked: 0,
+            events: 0,
+            packet: spec.packet,
+            route: spec.route,
+            lock_profile: Vec::new(),
         }
-    }
-    *queue_high = entry_high;
-    InstanceResult {
-        id: spec.id,
-        family: spec.family,
-        outcome: protocol::ProtocolOutcome::Failed,
-        griefed: false,
-        faults: crate::faults::InstanceFaults::NONE,
-        latency: anta::time::SimDuration::ZERO,
-        peak_locked: 0,
-        events: 0,
-        packet: spec.packet,
-        route: spec.route,
-        lock_profile: Vec::new(),
-    }
+    })
 }
 
 /// Runs one payment instance end to end through `harness` and extracts its
@@ -262,11 +254,8 @@ pub fn run_open<H: ProtocolHarness>(
     routing: Option<&RoutingConfig>,
 ) -> (OpenReport, OpenTelemetry) {
     let raw = des::run_open_specs_raw(harness, specs, cfg, liq, routing);
-    let rows = BatchMetrics {
-        results: raw.results,
-    };
     let report = OpenReport {
-        sim: SimReport::merge(vec![rows], true),
+        sim: SimReport::merge(std::slice::from_ref(&raw.results), true),
         liquidity: raw.liquidity,
         routing: raw.telemetry.routing,
     };
@@ -335,7 +324,7 @@ pub(crate) mod legacy {
             ..*cfg
         };
         let mut results: Vec<InstanceResult> =
-            simulate_specs(harness, specs, &profiled, |_, rows, _| rows)
+            simulate_specs(harness, specs, &profiled, |_, rows| rows)
                 .into_iter()
                 .flatten()
                 .collect();
@@ -497,12 +486,8 @@ pub(crate) mod legacy {
             goodput_value,
             offered_value,
         };
-        let mut batch = BatchMetrics::with_capacity(results.len());
-        for r in results {
-            batch.push(r);
-        }
         OpenReport {
-            sim: SimReport::merge(vec![batch], true),
+            sim: SimReport::merge(&[results], true),
             liquidity,
             routing: None,
         }

@@ -406,14 +406,23 @@ impl Parser<'_> {
         if tok.is_empty() {
             return Err("expected a value".to_owned());
         }
+        // Only numbers `to_json` can write back are accepted, so every
+        // parsed event re-encodes to JSON that parses to itself.
+        if tok.starts_with('+') {
+            return Err(format!("bad number {tok:?}: JSON has no leading '+'"));
+        }
         if tok.contains(['.', 'e', 'E']) {
-            tok.parse::<f64>()
-                .map(FieldValue::F64)
-                .map_err(|e| format!("bad float {tok:?}: {e}"))
+            match tok.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(FieldValue::F64(x)),
+                Ok(_) => Err(format!("bad float {tok:?}: overflows to infinity")),
+                Err(e) => Err(format!("bad float {tok:?}: {e}")),
+            }
         } else if tok.starts_with('-') {
-            tok.parse::<i64>()
-                .map(FieldValue::I64)
-                .map_err(|e| format!("bad integer {tok:?}: {e}"))
+            match tok.parse::<i64>() {
+                Ok(0) => Err(format!("bad integer {tok:?}: negative zero")),
+                Ok(n) => Ok(FieldValue::I64(n)),
+                Err(e) => Err(format!("bad integer {tok:?}: {e}")),
+            }
         } else {
             tok.parse::<u64>()
                 .map(FieldValue::U64)
@@ -471,6 +480,11 @@ mod tests {
             "{\"kind\":\"a\",\"kind\":\"b\"}", // duplicate kind
             "{\"kind\":\"a\",\"x\":1,}",       // trailing comma
             "{\"kind\":\"a\",\"x\":\"unterm}", // unterminated string
+            "{\"kind\":\"a\",\"x\":1e999}",    // would re-encode as `inf`
+            "{\"kind\":\"a\",\"x\":-1e999}",   // would re-encode as `-inf`
+            "{\"kind\":\"a\",\"x\":+5}",       // leading '+'
+            "{\"kind\":\"a\",\"x\":+5.0}",     // leading '+' on a float
+            "{\"kind\":\"a\",\"x\":-0}",       // would re-encode as unsigned 0
         ] {
             assert!(Event::parse(bad).is_err(), "accepted {bad:?}");
         }

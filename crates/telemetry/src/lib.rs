@@ -9,8 +9,6 @@
 //!   quantile sketch (moved here from `sim` so every layer can share
 //!   it); merging is commutative and associative, so per-worker sketches
 //!   collapse to the same bytes whatever the thread count.
-//! * [`registry::MetricsRegistry`] — counters, gauges and sketch-backed
-//!   histograms, sharded per worker and merged **in input order**.
 //! * [`event::Event`] + [`sink`] — structured events with a versioned
 //!   JSONL wire format ([`event::EVENT_SCHEMA_VERSION`]) and three
 //!   sinks: [`sink::NullSink`] (off, free), [`sink::RingSink`]
@@ -38,14 +36,12 @@
 
 pub mod event;
 pub mod json;
-pub mod registry;
 pub mod sink;
 pub mod sketch;
 pub mod timer;
 
 pub use event::{parse_jsonl, parse_jsonl_with_header, Event, FieldValue, EVENT_SCHEMA_VERSION};
 pub use json::{Json, JsonObject};
-pub use registry::MetricsRegistry;
 pub use sink::{JsonlSink, NullSink, RingSink, TelemetrySink};
 pub use sketch::{MergeableSketch, SketchSummary};
 pub use timer::{PhaseProfile, PhaseStat, TimerGuard};

@@ -60,7 +60,7 @@ fn bucket_top(b: usize) -> u64 {
 /// The `(n, min, max, mean, p50, p99)` view report tables print. Field
 /// names and nearest-rank convention match `experiments::stats::Summary`
 /// (which this crate cannot depend on — telemetry sits below everything);
-/// `stddev` is not tracked by the sketch and reads 0.
+/// the sketch does not track second moments, so there is no `stddev`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SketchSummary {
     /// Sample count.
@@ -71,8 +71,6 @@ pub struct SketchSummary {
     pub max: u64,
     /// Exact arithmetic mean.
     pub mean: f64,
-    /// Always 0: the sketch does not track second moments.
-    pub stddev: f64,
     /// Median (nearest rank, ≤ 1/64 overshoot).
     pub p50: u64,
     /// 99th percentile (nearest rank, ≤ 1/64 overshoot).
@@ -198,7 +196,6 @@ impl MergeableSketch {
             min: self.min,
             max: self.max,
             mean: self.sum as f64 / self.count as f64,
-            stddev: 0.0,
             p50: self.quantile(50).unwrap_or(0),
             p99: self.quantile(99).unwrap_or(0),
         })

@@ -23,9 +23,9 @@
 //!   workload/fault models, harness-generic schedule exploration, and
 //!   the shared-liquidity layer ([`protocol::LiquidityBook`],
 //!   [`protocol::AdmissionPolicy`]).
-//! * [`telemetry`] — deterministic observability: mergeable metrics
-//!   registry, structured event sinks (null / ring / JSONL), scoped
-//!   phase timers, and the constant-memory quantile sketch.
+//! * [`telemetry`] — deterministic observability: structured event
+//!   sinks (null / ring / JSONL), scoped phase timers, and the
+//!   constant-memory quantile sketch.
 //! * [`experiments`] — the harness regenerating every paper artefact.
 //! * [`sim`] — Monte Carlo traffic simulator: workload generation, fault
 //!   injection, success/latency/locked-value metrics at scale, generic

@@ -4,8 +4,13 @@
 //! honours Theorem 1 when no faults are injected, and the open-system
 //! (finite-liquidity) mode keeps its collateral accounting sound.
 
+use crosschain::anta::engine::Engine;
 use crosschain::anta::net::NetFaults;
+use crosschain::anta::oracle::Oracle;
 use crosschain::anta::time::SimDuration;
+use crosschain::anta::trace::TraceMode;
+use crosschain::protocol::{ByzSupport, LockProfile, ProtocolOutcome};
+use crosschain::sim::campaign::{CampaignConfig, CampaignRunner};
 use crosschain::sim::prelude::*;
 use crosschain::sim::FamilyStats;
 use proptest::prelude::*;
@@ -262,6 +267,154 @@ fn multi_shard_open_report_identical_across_thread_counts() {
         assert_eq!(a.rejected, b.rejected);
     }
     assert!(serial.liquidity.admitted > 0);
+}
+
+/// The instance every [`PoisonedHarness`] run panics on.
+const POISONED_ID: u64 = 0;
+
+/// The time-bounded harness, except that building instance
+/// [`POISONED_ID`]'s context panics — every time, as a harness bug would.
+struct PoisonedHarness;
+
+impl ProtocolHarness for PoisonedHarness {
+    type Msg = <TimeBoundedHarness as ProtocolHarness>::Msg;
+    type Instance = <TimeBoundedHarness as ProtocolHarness>::Instance;
+
+    fn name(&self) -> &'static str {
+        "poisoned-timebounded"
+    }
+
+    fn supports(&self, workload: &WorkloadConfig) -> bool {
+        TimeBoundedHarness.supports(workload)
+    }
+
+    fn byz_support(&self) -> ByzSupport {
+        TimeBoundedHarness.byz_support()
+    }
+
+    fn instance(&self, spec: &PaymentSpec, faults: &InstanceFaults) -> Self::Instance {
+        assert_ne!(spec.id, POISONED_ID, "poisoned instance");
+        TimeBoundedHarness.instance(spec, faults)
+    }
+
+    fn build_engine(
+        &self,
+        inst: &Self::Instance,
+        spec: &PaymentSpec,
+        oracle: Box<dyn Oracle>,
+        trace_mode: TraceMode,
+    ) -> Engine<Self::Msg> {
+        TimeBoundedHarness.build_engine(inst, spec, oracle, trace_mode)
+    }
+
+    fn classify(
+        &self,
+        eng: &Engine<Self::Msg>,
+        inst: &Self::Instance,
+        spec: &PaymentSpec,
+        quiescent: bool,
+        truncated: bool,
+    ) -> ProtocolOutcome {
+        TimeBoundedHarness.classify(eng, inst, spec, quiescent, truncated)
+    }
+
+    fn griefed(
+        &self,
+        eng: &Engine<Self::Msg>,
+        inst: &Self::Instance,
+        outcome: ProtocolOutcome,
+    ) -> bool {
+        TimeBoundedHarness.griefed(eng, inst, outcome)
+    }
+
+    fn latency(
+        &self,
+        eng: &Engine<Self::Msg>,
+        inst: &Self::Instance,
+        spec: &PaymentSpec,
+        outcome: ProtocolOutcome,
+    ) -> SimDuration {
+        TimeBoundedHarness.latency(eng, inst, spec, outcome)
+    }
+
+    fn lock_events(
+        &self,
+        eng: &Engine<Self::Msg>,
+        inst: &Self::Instance,
+        spec: &PaymentSpec,
+    ) -> LockProfile {
+        TimeBoundedHarness.lock_events(eng, inst, spec)
+    }
+}
+
+/// A harness that panics on one instance costs exactly that instance,
+/// through every way into `sim`: the closed batch loop, a campaign epoch
+/// (at any thread count, with the seed named in the report) and the open
+/// system's DES, whose collateral audit stays sound around the dead row.
+#[test]
+fn a_panicking_instance_degrades_to_one_failed_row_everywhere() {
+    let cfg = campaign(TopologyFamily::Linear { n: 3 }, 40, 71);
+    let specs = crosschain::sim::workload::generate(&cfg.workload);
+
+    let clean = run_closed(&TimeBoundedHarness, &specs, &cfg);
+    let poisoned = run_closed(&PoisonedHarness, &specs, &cfg);
+    let (c, p) = (&clean.families[0], &poisoned.families[0]);
+    assert_eq!((clean.failed, poisoned.failed, p.failed), (0, 1, 1));
+    assert!(c.success.is_perfect(), "faultless: the dead row would pay");
+    assert_eq!(p.success.hits + 1, c.success.hits);
+    let others = |r: &SimReport| {
+        let f = &r.families[0];
+        [
+            r.instances,
+            r.violations,
+            r.rejected,
+            r.griefed,
+            f.refunds,
+            f.stuck,
+            f.byzantine,
+        ]
+    };
+    assert_eq!(others(&poisoned), others(&clean));
+
+    let one_epoch = |threads: usize| {
+        let epoch_cfg = CampaignConfig {
+            threads,
+            batch: 8,
+            ..CampaignConfig::new(cfg.workload, 40, 40)
+        };
+        let poisoned_seed = crosschain::sim::workload::generate(&epoch_cfg.epoch_workload(0))
+            [POISONED_ID as usize]
+            .seed;
+        let mut runner = CampaignRunner::new(PoisonedHarness, epoch_cfg);
+        runner.run_to_end(None, None, |_| {}).unwrap();
+        let report = runner.report();
+        assert_eq!(report.tally.failed, 1, "threads {threads}");
+        assert_eq!(
+            report.tally.failed_seeds,
+            [poisoned_seed],
+            "threads {threads}"
+        );
+        assert_eq!(report.tally.success, 39, "threads {threads}");
+        report.digest
+    };
+    assert_eq!(one_epoch(1), one_epoch(4));
+
+    // The poisoned spec arrives first, at an empty book: the gate admits
+    // it whatever the budget refuses later.
+    let (open, _) = run_open(
+        &PoisonedHarness,
+        &specs,
+        &cfg,
+        &LiquidityConfig::reject(12_000),
+        None,
+    );
+    assert_eq!(open.sim.failed, 1, "one Failed row");
+    assert!(open.liquidity.rejected > 0, "the budget must bite");
+    assert_eq!(open.liquidity.budget_violations, 0);
+    assert!(
+        open.liquidity.drained,
+        "the dead row locked nothing and held nothing"
+    );
 }
 
 proptest! {

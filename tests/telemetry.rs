@@ -3,15 +3,17 @@
 //! `run_to_end` adapter), draining to a `NullSink`, or writing a real
 //! JSONL file — at 1 and 4 worker threads, for closed campaigns,
 //! open-system campaigns, and campaigns killed and resumed mid-run.
-//! Plus: the JSONL stream round-trips through the parser exactly, and
-//! the structured events carry the progress/venue series downstream
-//! consumers rely on.
+//! Plus: the JSONL stream round-trips through the parser exactly, hostile
+//! bytes in a stream are an error and never a panic, and the structured
+//! events carry the progress/venue series downstream consumers rely on.
 
 use crosschain::anta::time::SimDuration;
 use crosschain::sim::campaign::{CampaignConfig, CampaignRunner};
 use crosschain::sim::prelude::*;
 use crosschain::telemetry::{parse_jsonl, Event, JsonlSink, NullSink, RingSink};
+use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// A scratch path unique to this test; removed on drop so parallel test
 /// binaries never collide.
@@ -205,4 +207,58 @@ fn jsonl_schema_round_trips_exactly() {
     }
     assert_eq!(rewritten, text, "serialize(parse(stream)) == stream");
     assert_eq!(parse_jsonl(&rewritten).unwrap(), events);
+}
+
+/// The bytes of a real open-system campaign stream: `epoch`, `venue`,
+/// `venue_des` and `phase_profile` events — integers, floats, booleans
+/// and strings.
+fn campaign_stream() -> Vec<u8> {
+    let file = Scratch::new("mutation-source", "jsonl");
+    let mut sink = JsonlSink::create(&file.0).unwrap();
+    let mut runner = CampaignRunner::new(TimeBoundedHarness, open_cfg(1));
+    runner
+        .run_to_end_with_telemetry(None, None, &mut sink, 1, |_| {})
+        .unwrap();
+    drop(sink);
+    std::fs::read(&file.0).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Hostile bytes in a telemetry stream produce an error, never a panic
+    /// or a hang. Up to three byte-level mutations (flip, insert, delete,
+    /// truncate) of a valid campaign stream, read back as lossy UTF-8:
+    /// `parse_jsonl` returns, and every line the parser accepts re-encodes
+    /// to a line that parses back to the same event.
+    #[test]
+    fn prop_mutated_jsonl_never_panics_and_round_trips(
+        edits in proptest::collection::vec((0u8..4, any::<u64>(), any::<u8>()), 1..4),
+    ) {
+        static VALID: OnceLock<Vec<u8>> = OnceLock::new();
+        let mut bytes = VALID.get_or_init(campaign_stream).clone();
+        for (kind, at, byte) in edits {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = (at % bytes.len() as u64) as usize;
+            // Mostly ASCII, so most edits stay valid UTF-8 and reach the
+            // number, string and structure paths of the parser.
+            let byte = if byte >= 224 { byte } else { byte & 0x7f };
+            match kind {
+                0 => bytes[at] ^= byte | 1,
+                1 => bytes.insert(at, byte),
+                2 => drop(bytes.remove(at)),
+                _ => bytes.truncate(at),
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = parse_jsonl(&text);
+        // Line by line, so one refused line does not hide the edited lines
+        // that still parse.
+        for e in text.lines().filter_map(|l| Event::parse(l).ok()) {
+            let line = e.to_json();
+            prop_assert_eq!(Event::parse(&line), Ok(e.clone()), "{}", line);
+        }
+    }
 }
