@@ -578,14 +578,6 @@ impl<M: Message> Process<M> for AutomatonProcess<M> {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn box_clone(&self) -> Box<dyn Process<M>> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]
@@ -705,7 +697,6 @@ mod tests {
             }
             fn on_message(&mut self, _f: Pid, _m: TMsg, _c: &mut Ctx<TMsg>) {}
             fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<TMsg>) {}
-            crate::impl_process_boilerplate!(TMsg);
         }
         let mut b = AutomatonBuilder::new("orderly");
         let s1 = b.input_state("want_one");

@@ -225,20 +225,13 @@ impl<M: Message> Engine<M> {
         self.procs.is_empty()
     }
 
-    /// Current real simulation time.
-    pub fn real_now(&self) -> SimTime {
-        self.now
-    }
-
-    /// `pid`'s local clock reading at the current real time.
-    pub fn local_now(&self, pid: Pid) -> SimTime {
-        self.procs[pid].clock.local_at(self.now)
-    }
-
     /// Immutable access to a process, downcast to its concrete type.
     /// Returns `None` for a wrong type; panics on a bad pid.
     pub fn process_as<T: 'static>(&self, pid: Pid) -> Option<&T> {
-        self.procs[pid].proc.as_any().downcast_ref::<T>()
+        // Deref to the `dyn Process` first: wherever `AsAny` is in scope,
+        // `.as_any()` on the `Box` picks the blanket impl for the `Box`
+        // itself, and no downcast would ever succeed.
+        (*self.procs[pid].proc).as_any().downcast_ref::<T>()
     }
 
     /// Whether `pid` has halted.
@@ -249,11 +242,6 @@ impl<M: Message> Engine<M> {
     /// The trace recorded so far.
     pub fn trace(&self) -> &Trace<M> {
         &self.trace
-    }
-
-    /// Consumes the engine, yielding the trace.
-    pub fn into_trace(self) -> Trace<M> {
-        self.trace
     }
 
     /// Largest number of events the queue held at any point so far — the
@@ -712,7 +700,6 @@ impl<M: Message> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::impl_process_boilerplate;
     use crate::net::SyncNet;
     use crate::oracle::RandomOracle;
 
@@ -741,7 +728,6 @@ mod tests {
             }
         }
         fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<u32>) {}
-        impl_process_boilerplate!(u32);
     }
 
     fn ping_pong_engine_mode(seed: u64, sigma: SimDuration, trace_mode: TraceMode) -> Engine<u32> {
@@ -884,7 +870,6 @@ mod tests {
                 ctx.halt();
             }
         }
-        impl_process_boilerplate!(u32);
     }
 
     #[test]
@@ -925,7 +910,6 @@ mod tests {
                     ctx.mark("fired", 0);
                     ctx.halt();
                 }
-                impl_process_boilerplate!(u32);
             }
             let pid = eng.add_process(Box::new(OneTimer), clock);
             eng.run();
@@ -948,7 +932,6 @@ mod tests {
             fn on_timer(&mut self, _id: TimerId, ctx: &mut Ctx<u32>) {
                 ctx.set_timer_after(0, SimDuration::from_ticks(10));
             }
-            impl_process_boilerplate!(u32);
         }
         let mut eng = Engine::<u32>::new(
             Box::new(SyncNet::new(SimDuration::ZERO, 1)),
@@ -981,7 +964,6 @@ mod tests {
                 ctx.send(0, m + 1);
             }
             fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<u32>) {}
-            impl_process_boilerplate!(u32);
         }
         let mut eng = Engine::<u32>::new(
             Box::new(SyncNet::new(SimDuration::ZERO, 1)),
@@ -1011,7 +993,6 @@ mod tests {
                 self.got_after_halt = true;
             }
             fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<u32>) {}
-            impl_process_boilerplate!(u32);
         }
         #[derive(Debug, Clone, Default)]
         struct Sender;
@@ -1021,7 +1002,6 @@ mod tests {
             }
             fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
             fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<u32>) {}
-            impl_process_boilerplate!(u32);
         }
         let mut eng = Engine::<u32>::new(
             Box::new(SyncNet::new(SimDuration::from_ticks(10), 1)),
@@ -1115,7 +1095,6 @@ mod tests {
             }
             fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
             fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<u32>) {}
-            impl_process_boilerplate!(u32);
         }
         #[derive(Debug, Clone, Default)]
         struct SendsToDead;
@@ -1125,7 +1104,6 @@ mod tests {
             }
             fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
             fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<u32>) {}
-            impl_process_boilerplate!(u32);
         }
 
         let run_one = |prune: bool| {
@@ -1173,7 +1151,6 @@ mod tests {
                 self.fired_at = Some(ctx.now());
                 ctx.halt();
             }
-            impl_process_boilerplate!(u32);
         }
         let mut eng = Engine::<u32>::new(
             Box::new(SyncNet::new(SimDuration::ZERO, 1)),

@@ -382,6 +382,13 @@ const QUEUE_LOCK: &str = "work queue: build/check run outside this lock, so it i
 struct WorkQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
+    /// Shutdown flag. Set only while holding `state`'s lock, so `pop`
+    /// reading it under that lock never misses a wake-up; workers
+    /// mid-subtree read it lock-free before each run, so peers of a
+    /// panicked or budget-stopped worker stop at their next run, not at
+    /// the end of their subtree. `Relaxed`: the flag publishes no data, and
+    /// a late lock-free read costs one more run.
+    stopped: AtomicBool,
     /// Workers currently parked waiting for work — the cheap "does anyone
     /// need a donation" signal read on the hot path.
     idle_hint: AtomicUsize,
@@ -390,7 +397,6 @@ struct WorkQueue {
 struct QueueState {
     items: Vec<Vec<usize>>,
     idle: usize,
-    shutdown: bool,
 }
 
 impl WorkQueue {
@@ -399,9 +405,9 @@ impl WorkQueue {
             state: Mutex::new(QueueState {
                 items: seed,
                 idle: 0,
-                shutdown: false,
             }),
             cv: Condvar::new(),
+            stopped: AtomicBool::new(false),
             idle_hint: AtomicUsize::new(0),
         }
     }
@@ -412,7 +418,7 @@ impl WorkQueue {
     fn pop(&self, workers: usize) -> Option<Vec<usize>> {
         let mut st = self.state.lock().expect(QUEUE_LOCK);
         loop {
-            if st.shutdown {
+            if self.stopped.load(Ordering::Relaxed) {
                 return None;
             }
             if let Some(p) = st.items.pop() {
@@ -420,7 +426,7 @@ impl WorkQueue {
             }
             st.idle += 1;
             if st.idle == workers {
-                st.shutdown = true;
+                self.stopped.store(true, Ordering::Relaxed);
                 self.cv.notify_all();
                 return None;
             }
@@ -442,10 +448,9 @@ impl WorkQueue {
     /// Also runs from [`ShutdownOnPanic`]'s `Drop`, so it must not panic:
     /// setting the flag is valid whatever state a poisoned lock guards.
     fn shutdown(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shutdown = true;
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.stopped.store(true, Ordering::Relaxed);
+        drop(st);
         self.cv.notify_all();
     }
 }
@@ -510,6 +515,9 @@ where
         let mut prefix_len = item.len();
         let mut path = item;
         loop {
+            if sh.q.stopped.load(Ordering::Relaxed) {
+                break 'items;
+            }
             // Reserve an executed-run slot; refunded if the run dedups.
             let slot = sh.budget.fetch_add(1, Ordering::Relaxed);
             if slot >= sh.max_runs {
@@ -846,7 +854,6 @@ mod tests {
     use super::*;
     use crate::clock::DriftClock;
     use crate::engine::EngineConfig;
-    use crate::impl_process_boilerplate;
     use crate::net::SyncNet;
     use crate::process::{Ctx, Pid, Process, TimerId};
     use crate::time::SimDuration;
@@ -865,7 +872,6 @@ mod tests {
             }
         }
         fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
-        impl_process_boilerplate!(u32);
     }
 
     #[derive(Debug, Clone)]
@@ -878,7 +884,6 @@ mod tests {
         }
         fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
         fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
-        impl_process_boilerplate!(u32);
     }
 
     fn build_race(oracle: Box<dyn Oracle>) -> Engine<u32> {
@@ -1096,6 +1101,83 @@ mod tests {
         );
     }
 
+    /// A judge and 14 racers under 2 delay buckets: a 2¹⁴-leaf tree, so
+    /// each of two workers holds a subtree of thousands of runs.
+    fn build_wide_race(oracle: Box<dyn Oracle>) -> Engine<u32> {
+        let mut eng = Engine::new(
+            Box::new(SyncNet::new(SimDuration::from_ticks(100), 2)),
+            oracle,
+            EngineConfig::default(),
+        );
+        eng.add_process(Box::new(Judge::default()), DriftClock::perfect());
+        for _ in 0..14 {
+            eng.add_process(Box::new(Racer { judge: 0 }), DriftClock::perfect());
+        }
+        eng
+    }
+
+    /// Sets its flag when dropped. Parked in a thread-local by a panicking
+    /// checker, it fires only once that worker has unwound and its thread
+    /// is exiting — after its shutdown guard ran.
+    struct SignalOnExit(Arc<(Mutex<bool>, Condvar)>);
+
+    impl Drop for SignalOnExit {
+        fn drop(&mut self) {
+            let (exited, cv) = &*self.0;
+            *exited.lock().expect("no panic under this lock") = true;
+            cv.notify_all();
+        }
+    }
+
+    thread_local! {
+        static ON_EXIT: RefCell<Option<SignalOnExit>> = const { RefCell::new(None) };
+    }
+
+    /// The peer of a worker whose checker panics stops at its next run —
+    /// at most 2 builds follow the panic — instead of finishing its
+    /// subtree first. Builds after the panic wait for the panicked thread
+    /// to exit, so the bound holds however slowly it unwinds.
+    #[test]
+    fn peers_of_a_panicked_worker_stop_at_their_next_run() {
+        for mode in [ExploreMode::Full, ExploreMode::Reduced] {
+            let builds = AtomicUsize::new(0);
+            let at_panic = AtomicUsize::new(0);
+            let calls = AtomicUsize::new(0);
+            let exited = Arc::new((Mutex::new(false), Condvar::new()));
+            let cfg = ExploreConfig {
+                mode,
+                ..ExploreConfig::with_threads(2)
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                explore_parallel(
+                    |oracle| {
+                        builds.fetch_add(1, Ordering::SeqCst);
+                        if at_panic.load(Ordering::SeqCst) > 0 {
+                            let (done, cv) = &*exited;
+                            let guard = done.lock().expect("no panic under this lock");
+                            let wait = std::time::Duration::from_secs(30);
+                            drop(cv.wait_timeout_while(guard, wait, |done| !*done));
+                        }
+                        build_wide_race(oracle)
+                    },
+                    |_, _| {
+                        if calls.fetch_add(1, Ordering::SeqCst) == 200 {
+                            at_panic.store(builds.load(Ordering::SeqCst), Ordering::SeqCst);
+                            let signal = SignalOnExit(exited.clone());
+                            ON_EXIT.with(|slot| *slot.borrow_mut() = Some(signal));
+                            panic!("checker died");
+                        }
+                        Ok(())
+                    },
+                    cfg,
+                )
+            }));
+            assert!(outcome.is_err(), "{mode:?}: the panic is re-raised");
+            let after = builds.load(Ordering::SeqCst) - at_panic.load(Ordering::SeqCst);
+            assert!(after <= 2, "{mode:?}: {after} builds followed the panic");
+        }
+    }
+
     #[test]
     fn parallel_zero_threads_uses_all_cores() {
         let par = explore_parallel(build_race, |_, _| Ok(()), ExploreConfig::with_threads(0));
@@ -1292,7 +1374,6 @@ mod tests {
                 }
             }
             fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
-            impl_process_boilerplate!(u32);
         }
         // Racers send only after a timer, so the judge's halt can precede
         // the *send* of the loser's message on some schedules.
@@ -1309,7 +1390,6 @@ mod tests {
             fn on_timer(&mut self, _i: TimerId, ctx: &mut Ctx<u32>) {
                 ctx.send(self.judge, 1);
             }
-            impl_process_boilerplate!(u32);
         }
         let build = |oracle: Box<dyn Oracle>| {
             let mut eng = Engine::new(

@@ -48,18 +48,14 @@ pub enum Delivery {
 /// A network timing model. `M` is the message type; models may inspect
 /// payloads (an adversary sees everything on the wire — signatures, not
 /// secrecy, protect the protocols).
+///
+/// A model is its `route` decision and nothing else. Every nondeterministic
+/// choice goes through the oracle, so the schedule explorer replays a path
+/// by building a fresh engine (and a fresh model) and feeding it the
+/// recorded choices; nothing ever clones a model.
 pub trait NetModel<M>: 'static {
     /// Decides when (if ever) the message in `meta` is delivered.
     fn route(&mut self, meta: &EnvelopeMeta, msg: &M, oracle: &mut dyn Oracle) -> Delivery;
-
-    /// Clone into a box (the schedule explorer forks simulations).
-    fn box_clone(&self) -> Box<dyn NetModel<M>>;
-}
-
-impl<M: 'static> Clone for Box<dyn NetModel<M>> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
 }
 
 /// Picks a delay in `[min, max]` quantised into `buckets` steps via the
@@ -125,10 +121,6 @@ impl<M: 'static> NetModel<M> for SyncNet {
             meta.to,
         );
         Delivery::At(meta.sent_at + d)
-    }
-
-    fn box_clone(&self) -> Box<dyn NetModel<M>> {
-        Box::new(self.clone())
     }
 }
 
@@ -234,25 +226,13 @@ impl<M: 'static> NetModel<M> for PartialSyncNet {
         };
         Delivery::At(at)
     }
-
-    fn box_clone(&self) -> Box<dyn NetModel<M>> {
-        Box::new(self.clone())
-    }
 }
 
 /// Fully programmable adversary; used for impossibility witnesses and
 /// failure injection. The rule may delay arbitrarily or drop.
 pub struct AdversarialNet<M> {
     #[allow(clippy::type_complexity)]
-    rule: std::sync::Arc<dyn Fn(&EnvelopeMeta, &M, &mut dyn Oracle) -> Delivery + Send + Sync>,
-}
-
-impl<M> Clone for AdversarialNet<M> {
-    fn clone(&self) -> Self {
-        AdversarialNet {
-            rule: self.rule.clone(),
-        }
-    }
+    rule: Box<dyn Fn(&EnvelopeMeta, &M, &mut dyn Oracle) -> Delivery + Send + Sync>,
 }
 
 impl<M> AdversarialNet<M> {
@@ -261,7 +241,7 @@ impl<M> AdversarialNet<M> {
         rule: impl Fn(&EnvelopeMeta, &M, &mut dyn Oracle) -> Delivery + Send + Sync + 'static,
     ) -> Self {
         AdversarialNet {
-            rule: std::sync::Arc::new(rule),
+            rule: Box::new(rule),
         }
     }
 
@@ -300,10 +280,6 @@ impl<M> AdversarialNet<M> {
 impl<M: 'static> NetModel<M> for AdversarialNet<M> {
     fn route(&mut self, meta: &EnvelopeMeta, msg: &M, oracle: &mut dyn Oracle) -> Delivery {
         (self.rule)(meta, msg, oracle)
-    }
-
-    fn box_clone(&self) -> Box<dyn NetModel<M>> {
-        Box::new(self.clone())
     }
 }
 
@@ -410,13 +386,6 @@ impl<M: 'static> NetModel<M> for FaultyNet<M> {
             return Delivery::At(at + extra);
         }
         Delivery::At(at)
-    }
-
-    fn box_clone(&self) -> Box<dyn NetModel<M>> {
-        Box::new(FaultyNet {
-            inner: self.inner.clone(),
-            faults: self.faults,
-        })
     }
 }
 

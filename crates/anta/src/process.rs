@@ -1,11 +1,18 @@
 //! The process interface between protocol code and the simulation engine.
 //!
-//! A [`Process`] sees the world exactly as an ANTA automaton does:
+//! A [`Process`] is its three handlers — the transitions of an ANTA
+//! automaton — and sees the world exactly as the automaton does:
 //!
 //! * its **local clock** (`ctx.now()`), never real simulation time;
 //! * incoming messages (`on_message`) — the `r(id, m)` transitions;
 //! * its own timers (`on_timer`) — the `now ≥ x + d` time-out transitions;
 //! * the ability to send (`ctx.send`) — the `s(id, m)` transitions.
+//!
+//! Implementing `on_start`, `on_message` and `on_timer` (and deriving
+//! `Debug`) is the whole job; downcasting for post-run inspection comes from
+//! the blanket [`AsAny`] impl, and the optional `fp_*` hooks only sharpen the
+//! reduced explorer's state fingerprints. Nothing clones a process: the
+//! explorer replays a schedule by rebuilding the engine.
 //!
 //! Protocol implementations (the Figure 2 automata, the weak-liveness
 //! participants, the consensus notaries, Byzantine strategies) all implement
@@ -126,7 +133,22 @@ impl<M> Ctx<M> {
     }
 }
 
-/// A participant in the simulated network.
+/// Downcasting hook so property checkers can inspect a process's final
+/// state (see [`crate::engine::Engine::process_as`]). Implemented for every
+/// `'static` type; no process writes it.
+pub trait AsAny {
+    /// `self` as `&dyn Any`.
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: 'static> AsAny for T {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// A participant in the simulated network: three handlers, plus optional
+/// fingerprint hooks.
 ///
 /// `Debug` is a supertrait because the reduced schedule explorer
 /// fingerprints engine states: a process's protocol-relevant state is
@@ -135,7 +157,10 @@ impl<M> Ctx<M> {
 /// therefore cover every field that can influence the process's future
 /// behaviour; shared immutable configuration (specs, key registries) may be
 /// elided from manual impls, mutable state may not.
-pub trait Process<M>: std::fmt::Debug + 'static {
+///
+/// A process is never cloned: the explorer replays a schedule by building a
+/// fresh engine and feeding it the recorded choices.
+pub trait Process<M>: AsAny + std::fmt::Debug + 'static {
     /// Invoked once at simulation start (time 0 on the local clock modulo
     /// offset). ANTA automata use this to leave their initial grey states.
     fn on_start(&mut self, ctx: &mut Ctx<M>);
@@ -145,13 +170,6 @@ pub trait Process<M>: std::fmt::Debug + 'static {
 
     /// A timer set earlier has fired (local clock ≥ its deadline).
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<M>);
-
-    /// Downcasting hook so property checkers can inspect final states.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Clones the process into a fresh box — required by the schedule
-    /// explorer, which forks simulations at choice points.
-    fn box_clone(&self) -> Box<dyn Process<M>>;
 
     /// Digest of the process's **time-free** mutable state, folded into the
     /// engine's state fingerprint. Default: the full `Debug` rendering.
@@ -187,26 +205,6 @@ pub trait Process<M>: std::fmt::Debug + 'static {
     fn fp_times(&self, _out: &mut Vec<SimTime>) {}
 }
 
-impl<M: 'static> Clone for Box<dyn Process<M>> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-/// Implements the `as_any`/`box_clone` boilerplate for a `Process` impl that
-/// is `Clone`.
-#[macro_export]
-macro_rules! impl_process_boilerplate {
-    ($msg:ty) => {
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn box_clone(&self) -> Box<dyn $crate::process::Process<$msg>> {
-            Box::new(self.clone())
-        }
-    };
-}
-
 /// A process that does nothing — useful as a crash-from-start fault and in
 /// engine tests.
 #[derive(Debug, Clone, Default)]
@@ -216,7 +214,6 @@ impl<M: Message> Process<M> for InertProcess {
     fn on_start(&mut self, _ctx: &mut Ctx<M>) {}
     fn on_message(&mut self, _from: Pid, _msg: M, _ctx: &mut Ctx<M>) {}
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<M>) {}
-    impl_process_boilerplate!(M);
 }
 
 #[cfg(test)]
@@ -266,11 +263,5 @@ mod tests {
             Effect::SetTimer { at_local, .. } => assert_eq!(*at_local, SimTime::MAX),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn boxed_process_clone_works() {
-        let p: Box<dyn Process<u32>> = Box::new(InertProcess);
-        let _q = p.clone();
     }
 }

@@ -93,14 +93,6 @@ impl<V: ConsensusValue> Process<ConsMsg<V>> for NotaryProcess<V> {
         let out = self.core.on_timeout(id);
         self.apply(out, ctx);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn box_clone(&self) -> Box<dyn Process<ConsMsg<V>>> {
-        Box::new(self.clone())
-    }
 }
 
 /// A crashed notary: participates in nothing. Counts towards `f`.
@@ -111,12 +103,6 @@ impl<V: ConsensusValue> Process<ConsMsg<V>> for SilentNotary {
     fn on_start(&mut self, _ctx: &mut Ctx<ConsMsg<V>>) {}
     fn on_message(&mut self, _f: Pid, _m: ConsMsg<V>, _c: &mut Ctx<ConsMsg<V>>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<ConsMsg<V>>) {}
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<ConsMsg<V>>> {
-        Box::new(self.clone())
-    }
 }
 
 /// An equivocating Byzantine notary: sends conflicting prevotes and
@@ -208,12 +194,6 @@ impl<V: ConsensusValue> Process<ConsMsg<V>> for EquivocatorNotary<V> {
     }
     fn on_message(&mut self, _f: Pid, _m: ConsMsg<V>, _c: &mut Ctx<ConsMsg<V>>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<ConsMsg<V>>) {}
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<ConsMsg<V>>> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -41,16 +41,6 @@ impl CrashAfter {
     }
 }
 
-impl Clone for CrashAfter {
-    fn clone(&self) -> Self {
-        CrashAfter {
-            inner: self.inner.box_clone(),
-            at: self.at,
-            crashed: self.crashed,
-        }
-    }
-}
-
 impl Process<PMsg> for CrashAfter {
     fn on_start(&mut self, ctx: &mut Ctx<PMsg>) {
         ctx.set_timer_after(CRASH_TIMER, self.at);
@@ -72,13 +62,6 @@ impl Process<PMsg> for CrashAfter {
         if !self.crashed {
             self.inner.on_timer(id, ctx);
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
     }
 }
 
@@ -127,13 +110,6 @@ impl Process<PMsg> for LateBob {
             ctx.mark("late_bob_sent_chi", 0);
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// A connector that tries to fabricate χ (signing it herself) instead of
@@ -174,13 +150,6 @@ impl Process<PMsg> for ForgingChloe {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// An escrow that takes the money and does nothing else — theft by a
@@ -236,13 +205,6 @@ impl Process<PMsg> for ThievingEscrow {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// Weak protocol: a customer who forges abort requests *in other
@@ -296,13 +258,6 @@ impl Process<PMsg> for ImpersonatingAborter {
 
     fn on_message(&mut self, _f: Pid, _m: PMsg, _c: &mut Ctx<PMsg>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<PMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -160,25 +160,28 @@ impl Process<PMsg> for AliceProcess {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
-
     /// Mutable state only — the wiring (pids, keys, bounds) is per-run
     /// constant. `sent_money_at` is excluded entirely: her future behaviour
     /// never reads it (it exists for the post-run `T`-clause check, which
     /// the timeout calculus guarantees uniformly across schedules — the
     /// time-robust checker contract on `Engine::enable_fingerprints`).
+    /// The destructuring is exhaustive: a new field does not compile until
+    /// it is digested here or named as wiring (`field: _`).
     fn fp_digest(&self) -> u64 {
-        anta::fingerprint::debug_digest(&(
-            self.sent_money,
-            self.sent_money_at.is_some(),
-            self.outcome,
-            &self.receipt,
-        ))
+        let AliceProcess {
+            escrow: _,
+            escrow_key: _,
+            bob_key: _,
+            pki: _,
+            payment: _,
+            asset: _,
+            expected_d: _,
+            sent_money,
+            sent_money_at,
+            outcome,
+            receipt,
+        } = self;
+        anta::fingerprint::debug_digest(&(sent_money, sent_money_at.is_some(), outcome, receipt))
     }
 }
 
@@ -352,13 +355,6 @@ impl Process<PMsg> for ChloeProcess {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// Bob — customer `c_n`.
@@ -451,11 +447,4 @@ impl Process<PMsg> for BobProcess {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }

@@ -237,20 +237,32 @@ impl Process<PMsg> for EscrowProcess {
         }
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
-
     /// Digests the mutable state only — the wiring (pids, keys, bounds,
     /// payment id) is per-run constant, and `u` goes through
     /// [`Process::fp_times`] so the `now ≥ u + a_i` race fingerprints as a
-    /// clock residue rather than an absolute instant.
+    /// clock residue rather than an absolute instant. The destructuring is
+    /// exhaustive: a new field does not compile until it is digested here
+    /// or named as wiring (`field: _`).
     fn fp_digest(&self) -> u64 {
-        anta::fingerprint::debug_digest(&(&self.ledger, self.state, self.deal, self.u.is_some()))
+        let EscrowProcess {
+            index: _,
+            up: _,
+            down: _,
+            up_key: _,
+            down_key: _,
+            bob_key: _,
+            signer: _,
+            pki: _,
+            payment: _,
+            asset: _,
+            a_i: _,
+            d_i: _,
+            ledger,
+            state,
+            deal,
+            u,
+        } = self;
+        anta::fingerprint::debug_digest(&(ledger, state, deal, u.is_some()))
     }
 
     /// `u` is future-relevant only while the `now ≥ u + a_i` race is live;
@@ -355,7 +367,6 @@ mod tests {
             let (_, to, msg) = self.sends[id as usize].clone();
             ctx.send(to, msg);
         }
-        anta::impl_process_boilerplate!(PMsg);
     }
 
     fn run(r: &Rig, up: Script, down: Script) -> Engine<PMsg> {

@@ -334,11 +334,6 @@ impl ChainKeys {
         }
     }
 
-    /// Key of customer `c_i`.
-    pub fn customer_key(&self, i: usize) -> KeyId {
-        self.customers[i].id()
-    }
-
     /// Key of escrow `e_i`.
     pub fn escrow_key(&self, i: usize) -> KeyId {
         self.escrows[i].id()

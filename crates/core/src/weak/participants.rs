@@ -262,13 +262,6 @@ impl Process<PMsg> for WeakCustomer {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// An escrow in the weak protocol: locks on the customer's instruction,
@@ -423,13 +416,6 @@ impl Process<PMsg> for WeakEscrow {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -214,13 +214,6 @@ impl Process<PMsg> for TrustedTm {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// One member of the notary-committee transaction manager. Gathers the
@@ -403,13 +396,6 @@ impl Process<PMsg> for NotaryTm {
             let out = core.on_timeout(id);
             self.apply(out, ctx);
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
     }
 }
 

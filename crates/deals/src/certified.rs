@@ -119,13 +119,6 @@ impl Process<DMsg> for CertifiedChain {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<DMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// An arc escrow under the certified protocol: no deadline — it settles
@@ -219,13 +212,6 @@ impl Process<DMsg> for CertifiedEscrow {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<DMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 const TIMER_PATIENCE: TimerId = 5;
@@ -314,13 +300,6 @@ impl Process<DMsg> for CertifiedParty {
             ctx.send(self.cbc, DMsg::AbortVote { sig });
             ctx.mark("party_aborted", self.me as i64);
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<DMsg>> {
-        Box::new(self.clone())
     }
 }
 

@@ -243,13 +243,6 @@ impl Process<DMsg> for TimelockEscrow {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<DMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// A compliant party under the timelock protocol.
@@ -328,13 +321,6 @@ impl Process<DMsg> for TimelockParty {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<DMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 /// Extracts the [`DealOutcome`] from a finished timelock run.

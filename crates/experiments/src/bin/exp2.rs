@@ -1,5 +1,12 @@
 //! E2 — Theorem 2 impossibility witnesses.
+use experiments::cli::{self, Gates};
+
 fn main() {
-    experiments::cli::parse_or_exit("exp2", experiments::cli::NO_FLAGS);
-    print!("{}", experiments::e2::run().render());
+    cli::parse_or_exit("exp2", cli::NO_FLAGS);
+    let r = experiments::e2::run();
+    print!("{}", r.render());
+    let mut gates = Gates::new();
+    gates.check(r.rows.iter().all(|row| !row.violated.is_empty()));
+    gates.check(r.indistinguishability_ok);
+    std::process::exit(gates.finish("E2"));
 }

@@ -5,8 +5,9 @@
 //! explores the n = N chain instance with the reduced (DPOR-style)
 //! explorer — or with `--full` enumeration, or with both under
 //! `--differential` — and prints the exploration summary. The flags are
-//! declared in [`experiments::cli::EXP4`]; a verdict mismatch or a
-//! violating schedule exits 1, a refused command line exits 2.
+//! declared in [`experiments::cli::EXP4`]; a skeleton mismatch, an
+//! unexhausted default exploration, a verdict mismatch or a violating
+//! schedule exits 1, a refused command line exits 2.
 
 use anta::explore::ExploreConfig;
 use experiments::cli::{self, Gates};
@@ -48,7 +49,10 @@ fn main() {
                 println!("// {name}\n{dot}");
             }
         }
-        return;
+        let mut gates = Gates::new();
+        gates.check(r.skeletons_match);
+        gates.check(r.exploration_exhausted && r.exploration_violations == 0);
+        std::process::exit(gates.finish("E4"));
     };
     let (sigma, threads) = (args.usize("--sigma"), args.usize("--threads"));
     let mut max_runs = args.usize("--max-runs");

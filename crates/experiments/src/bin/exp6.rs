@@ -1,7 +1,11 @@
 //! E6 — timeout-calculus ablation.
-use experiments::cli;
+use experiments::cli::{self, Gates};
 
 fn main() {
     let seeds = cli::parse_or_exit("exp6", cli::SEEDS).opt_u64("SEEDS");
-    print!("{}", experiments::e6::run(seeds.unwrap_or(10), 0).render());
+    let r = experiments::e6::run(seeds.unwrap_or(10), 0);
+    print!("{}", r.render());
+    let mut gates = Gates::new();
+    gates.check(r.calculus_sound() && r.calculus_tight());
+    std::process::exit(gates.finish("E6"));
 }

@@ -1,5 +1,11 @@
 //! E7 — relation with cross-chain deals.
+use experiments::cli::{self, Gates};
+
 fn main() {
-    experiments::cli::parse_or_exit("exp7", experiments::cli::NO_FLAGS);
-    print!("{}", experiments::e7::run().render());
+    cli::parse_or_exit("exp7", cli::NO_FLAGS);
+    let r = experiments::e7::run();
+    print!("{}", r.render());
+    let mut gates = Gates::new();
+    gates.check(r.claims_hold());
+    std::process::exit(gates.finish("E7"));
 }

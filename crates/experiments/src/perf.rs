@@ -79,7 +79,6 @@ pub fn engine_events_workload(messages: u32, trace_mode: TraceMode) -> u64 {
             }
         }
         fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
-        anta::impl_process_boilerplate!(u32);
     }
 
     let mut eng: Engine<u32> = Engine::new(

@@ -146,13 +146,6 @@ impl Process<HMsg> for ChainProcess {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<HMsg>) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<HMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 const TIMER_RECLAIM: TimerId = 1;
@@ -261,12 +254,33 @@ impl Process<HMsg> for SwapInitiator {
             ctx.halt();
         }
     }
+}
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+/// An initiator who locks on chain A and then abandons the swap: she
+/// tracks her own contract (to reclaim at `2T`) but never claims Bob's
+/// counter-lock, so `s` is never revealed — the crash-fault interpretation
+/// for Alice.
+#[derive(Debug, Clone)]
+pub struct LockOnlyInitiator(
+    /// The initiator whose chain-B reactions are suppressed.
+    pub SwapInitiator,
+);
+
+impl Process<HMsg> for LockOnlyInitiator {
+    fn on_start(&mut self, ctx: &mut Ctx<HMsg>) {
+        self.0.on_start(ctx);
     }
-    fn box_clone(&self) -> Box<dyn Process<HMsg>> {
-        Box::new(self.clone())
+
+    fn on_message(&mut self, from: Pid, msg: HMsg, ctx: &mut Ctx<HMsg>) {
+        // Only observe her own chain (to learn the contract id); never
+        // react to chain B.
+        if from == self.0.chain_a && matches!(msg, HMsg::Opened { .. }) {
+            self.0.on_message(from, msg, ctx);
+        }
+    }
+
+    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
+        self.0.on_timer(id, ctx);
     }
 }
 
@@ -375,13 +389,6 @@ impl Process<HMsg> for SwapResponder {
             // observation of chain A (we can replay any time before 2T).
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<HMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]
@@ -436,11 +443,7 @@ mod tests {
                 eng.add_process(Box::new(alice), DriftClock::perfect());
             }
             None => {
-                // Alice locks but never claims (crashes after locking):
-                // modelled by an initiator whose "claim" path is disabled
-                // via an impossible hash — she locks under H(s) but the
-                // responder-side claim will never reveal; simplest: use a
-                // SwapInitiator and crash it right after start.
+                // Alice locks but never claims (crashes after locking).
                 let alice = SwapInitiator::new(
                     ALICE,
                     BOB,
@@ -450,37 +453,7 @@ mod tests {
                     b"never-revealed".to_vec(),
                     SimTime::from_millis(2 * t),
                 );
-                #[derive(Debug)]
-                struct LockOnly(SwapInitiator);
-                impl Clone for LockOnly {
-                    fn clone(&self) -> Self {
-                        LockOnly(self.0.clone())
-                    }
-                }
-                impl Process<HMsg> for LockOnly {
-                    fn on_start(&mut self, ctx: &mut Ctx<HMsg>) {
-                        self.0.on_start(ctx);
-                    }
-                    fn on_message(&mut self, from: Pid, msg: HMsg, ctx: &mut Ctx<HMsg>) {
-                        // Track her own contract and reclaim on expiry, but
-                        // never claim on chain B.
-                        if let HMsg::Opened { .. } = &msg {
-                            if from == 2 {
-                                self.0.on_message(from, msg, ctx);
-                            }
-                        }
-                    }
-                    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
-                        self.0.on_timer(id, ctx);
-                    }
-                    fn as_any(&self) -> &dyn std::any::Any {
-                        self
-                    }
-                    fn box_clone(&self) -> Box<dyn Process<HMsg>> {
-                        Box::new(self.clone())
-                    }
-                }
-                eng.add_process(Box::new(LockOnly(alice)), DriftClock::perfect());
+                eng.add_process(Box::new(LockOnlyInitiator(alice)), DriftClock::perfect());
             }
         }
         let mut bob = SwapResponder::new(

@@ -104,13 +104,6 @@ impl Process<PMsg> for DeadlineTm {
             self.decide(Verdict::Abort, ctx);
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<PMsg>> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -17,16 +17,16 @@
 //! a CBC that verifies signatures, and are declared unsupported.
 
 use crate::faults::{ByzFault, InstanceFaults};
-use crate::harness::{layered_net, ByzSupport, ProtocolHarness};
+use crate::harness::{layered_net, plan_lock_events, ByzSupport, ProtocolHarness};
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::PaymentSpec;
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
 use anta::net::{NetFaults, SyncNet};
 use anta::oracle::Oracle;
-use anta::process::Pid;
+use anta::process::{InertProcess, Pid};
 use anta::time::{SimDuration, SimTime};
-use anta::trace::{TraceKind, TraceMode};
+use anta::trace::TraceMode;
 use deals::certified::{CertifiedChain, CertifiedEscrow, CertifiedParty};
 use deals::matrix::{DealMatrix, Party};
 use deals::timelock::DealInstance;
@@ -128,8 +128,10 @@ impl ProtocolHarness for DealsHarness {
             let clock = DriftClock::sample(spec.params.rho_ppm, spec.params.hop(), &mut rng);
             if ctx.withholds == Some(p) {
                 // A crashed party neither deposits nor votes — without its
-                // commit vote the CBC can only ever certify ABORT.
-                eng.add_process(Box::new(CrashedParty), clock);
+                // commit vote the CBC can only ever certify ABORT. (The
+                // stock `CertifiedParty::participate` flag only skips the
+                // deposits; it still votes commit.)
+                eng.add_process(Box::new(InertProcess), clock);
                 continue;
             }
             let mut party = CertifiedParty::new(&ctx.inst, p, signer.clone(), cbc_pid);
@@ -237,58 +239,17 @@ impl ProtocolHarness for DealsHarness {
     fn lock_events(
         &self,
         eng: &Engine<Self::Msg>,
-        ctx: &DealCtx,
-        _spec: &PaymentSpec,
+        _ctx: &DealCtx,
+        spec: &PaymentSpec,
     ) -> LockProfile {
-        let arcs = ctx.inst.deal.arcs();
-        let mut profile = LockProfile::new();
-        for e in &eng.trace().events {
-            if let TraceKind::Mark { label, value, .. } = e.kind {
-                let sign = match label {
-                    "arc_escrowed" => 1,
-                    "arc_released" | "arc_returned" => -1,
-                    _ => continue,
-                };
-                // Arc k escrows hop k's value (`instance` adds one arc
-                // per plan hop), so the arc index is the hop index.
-                profile.push(
-                    e.real,
-                    value as u32,
-                    sign * arcs[value as usize].asset.amount as i64,
-                );
-            }
-        }
-        profile
-    }
-}
-
-/// A fail-stopped party: deposits nothing, votes for nothing, says
-/// nothing. (The stock `CertifiedParty::participate` flag only skips the
-/// deposits — it still votes commit once everything is escrowed, which is
-/// not what a crash means.)
-#[derive(Debug, Clone, Copy)]
-struct CrashedParty;
-
-impl anta::process::Process<deals::timelock::DMsg> for CrashedParty {
-    fn on_start(&mut self, _ctx: &mut anta::process::Ctx<deals::timelock::DMsg>) {}
-    fn on_message(
-        &mut self,
-        _from: Pid,
-        _msg: deals::timelock::DMsg,
-        _ctx: &mut anta::process::Ctx<deals::timelock::DMsg>,
-    ) {
-    }
-    fn on_timer(
-        &mut self,
-        _id: anta::process::TimerId,
-        _ctx: &mut anta::process::Ctx<deals::timelock::DMsg>,
-    ) {
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn anta::process::Process<deals::timelock::DMsg>> {
-        Box::new(*self)
+        // `instance` adds one arc per plan hop, so arc k escrows hop k's
+        // value and the arc index is the hop index.
+        plan_lock_events(
+            eng,
+            &spec.plan.amounts,
+            "arc_escrowed",
+            ["arc_released", "arc_returned"],
+        )
     }
 }
 

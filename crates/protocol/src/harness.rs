@@ -24,9 +24,10 @@ use crate::workload::{PaymentSpec, WorkloadConfig};
 use anta::engine::Engine;
 use anta::net::{FaultyNet, NetFaults, NetModel};
 use anta::oracle::{Oracle, RandomOracle};
-use anta::process::Message;
+use anta::process::{Message, Pid};
 use anta::time::{SimDuration, SimTime};
-use anta::trace::TraceMode;
+use anta::trace::{TraceKind, TraceMode};
+use ledger::Asset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -219,6 +220,48 @@ pub fn layered_net<M: 'static>(
     } else {
         Box::new(FaultyNet::new(base, faults))
     }
+}
+
+/// End-to-end latency of a plan-indexed chain: the payee's halt time on
+/// success (the run's last event if the payee never halted), otherwise the
+/// run's last event.
+pub(crate) fn payee_halt_latency<M: Message>(
+    eng: &Engine<M>,
+    payee: Pid,
+    outcome: ProtocolOutcome,
+) -> SimDuration {
+    let end = eng.trace().end_time();
+    let at = match outcome {
+        ProtocolOutcome::Success => eng.trace().halt_time(payee).unwrap_or(end),
+        _ => end,
+    };
+    at.saturating_since(SimTime::ZERO)
+}
+
+/// Reconstructs a plan-indexed instance's locked-value time series from its
+/// escrow marks (retained in counters-only traces): a mark's value is the
+/// hop index, `lock` adds and either of `unlocks` removes `amounts[hop]`.
+pub(crate) fn plan_lock_events<M: Message>(
+    eng: &Engine<M>,
+    amounts: &[Asset],
+    lock: &str,
+    unlocks: [&str; 2],
+) -> LockProfile {
+    let mut profile = LockProfile::new();
+    for e in &eng.trace().events {
+        if let TraceKind::Mark { label, value, .. } = e.kind {
+            let sign = if label == lock {
+                1
+            } else if unlocks.contains(&label) {
+                -1
+            } else {
+                continue;
+            };
+            let amount = amounts[value as usize].amount as i64;
+            profile.push(e.real, value as u32, sign * amount);
+        }
+    }
+    profile
 }
 
 /// Draws the fault assignment for one instance from its own seed after

@@ -28,11 +28,11 @@ use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
 use anta::net::{NetFaults, SyncNet};
 use anta::oracle::Oracle;
-use anta::process::{Ctx, Pid, Process, TimerId};
+use anta::process::{Pid, Process};
 use anta::time::{SimDuration, SimTime};
 use anta::trace::{TraceKind, TraceMode};
 use htlc::contract::{HtlcChain, HtlcState};
-use htlc::swap::{ChainProcess, HMsg, SwapInitiator, SwapResponder};
+use htlc::swap::{ChainProcess, HMsg, LockOnlyInitiator, SwapInitiator, SwapResponder};
 use ledger::Asset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -316,45 +316,6 @@ impl ProtocolHarness for HtlcHarness {
             }
         }
         profile
-    }
-}
-
-/// An initiator who locks on chain A and then abandons the swap: she
-/// tracks her own contract (to reclaim at `2T`) but never claims Bob's
-/// counter-lock — the crash-fault interpretation for Alice.
-#[derive(Debug)]
-struct LockOnlyInitiator(SwapInitiator);
-
-impl Clone for LockOnlyInitiator {
-    fn clone(&self) -> Self {
-        LockOnlyInitiator(self.0.clone())
-    }
-}
-
-impl Process<HMsg> for LockOnlyInitiator {
-    fn on_start(&mut self, ctx: &mut Ctx<HMsg>) {
-        self.0.on_start(ctx);
-    }
-
-    fn on_message(&mut self, from: Pid, msg: HMsg, ctx: &mut Ctx<HMsg>) {
-        // Only observe her own chain (to learn the contract id); never
-        // react to chain B, so `s` is never revealed.
-        if from == CHAIN_A_PID {
-            if let HMsg::Opened { .. } = &msg {
-                self.0.on_message(from, msg, ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
-        self.0.on_timer(id, ctx);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn box_clone(&self) -> Box<dyn Process<HMsg>> {
-        Box::new(self.clone())
     }
 }
 

@@ -21,16 +21,18 @@
 //!   honest run abort ([`ProtocolOutcome::Refund`]).
 
 use crate::faults::{ByzFault, InstanceFaults};
-use crate::harness::{layered_net, ByzSupport, ProtocolHarness};
+use crate::harness::{
+    layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness,
+};
 use crate::outcome::{LockProfile, ProtocolOutcome};
-use crate::timebounded::{chain_latency, chain_lock_events, classify_chain, ChainInstance};
+use crate::timebounded::{classify_chain, ChainInstance, TimeBoundedHarness};
 use crate::workload::PaymentSpec;
 use anta::engine::Engine;
 use anta::net::SyncNet;
 use anta::oracle::Oracle;
 use anta::process::{Pid, Process};
 use anta::time::{SimDuration, SimTime};
-use anta::trace::{TraceKind, TraceMode};
+use anta::trace::TraceMode;
 use interledger::atomic::DeadlineTm;
 use interledger::untuned_schedule;
 use payment::byzantine::CrashAfter;
@@ -176,15 +178,10 @@ impl ProtocolHarness for InterledgerHarness {
         outcome: ProtocolOutcome,
     ) -> SimDuration {
         match inst {
-            IlpInstance::Untuned(chain) => chain_latency(eng, &chain.setup, spec, outcome),
-            IlpInstance::Atomic(atomic) => match outcome {
-                ProtocolOutcome::Success => eng
-                    .trace()
-                    .halt_time(atomic.setup.topo.customer_pid(spec.n))
-                    .unwrap_or_else(|| eng.trace().end_time())
-                    .saturating_since(SimTime::ZERO),
-                _ => eng.trace().end_time().saturating_since(SimTime::ZERO),
-            },
+            IlpInstance::Untuned(chain) => TimeBoundedHarness.latency(eng, chain, spec, outcome),
+            IlpInstance::Atomic(atomic) => {
+                payee_halt_latency(eng, atomic.setup.topo.customer_pid(spec.n), outcome)
+            }
         }
     }
 
@@ -195,23 +192,13 @@ impl ProtocolHarness for InterledgerHarness {
         spec: &PaymentSpec,
     ) -> LockProfile {
         match inst {
-            IlpInstance::Untuned(chain) => chain_lock_events(eng, &chain.setup),
-            IlpInstance::Atomic(_) => {
-                let mut profile = LockProfile::new();
-                for e in &eng.trace().events {
-                    if let TraceKind::Mark { label, value, .. } = e.kind {
-                        let delta = match label {
-                            "weak_escrow_locked" => spec.plan.amounts[value as usize].amount as i64,
-                            "weak_escrow_released" | "weak_escrow_refunded" => {
-                                -(spec.plan.amounts[value as usize].amount as i64)
-                            }
-                            _ => continue,
-                        };
-                        profile.push(e.real, value as u32, delta);
-                    }
-                }
-                profile
-            }
+            IlpInstance::Untuned(chain) => TimeBoundedHarness.lock_events(eng, chain, spec),
+            IlpInstance::Atomic(_) => plan_lock_events(
+                eng,
+                &spec.plan.amounts,
+                "weak_escrow_locked",
+                ["weak_escrow_released", "weak_escrow_refunded"],
+            ),
         }
     }
 }

@@ -8,14 +8,16 @@
 //! same seed — the refactor invariant the workspace tests pin down.
 
 use crate::faults::InstanceFaults;
-use crate::harness::{layered_net, ByzSupport, ProtocolHarness};
+use crate::harness::{
+    layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness,
+};
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::PaymentSpec;
 use anta::engine::Engine;
 use anta::net::SyncNet;
 use anta::oracle::Oracle;
-use anta::time::{SimDuration, SimTime};
-use anta::trace::{TraceKind, TraceMode};
+use anta::time::SimDuration;
+use anta::trace::TraceMode;
 use payment::msg::PMsg;
 use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan, CustomerOutcome};
 
@@ -79,16 +81,21 @@ impl ProtocolHarness for TimeBoundedHarness {
         spec: &PaymentSpec,
         outcome: ProtocolOutcome,
     ) -> SimDuration {
-        chain_latency(eng, &inst.setup, spec, outcome)
+        payee_halt_latency(eng, inst.setup.topo.customer_pid(spec.n), outcome)
     }
 
     fn lock_events(
         &self,
         eng: &Engine<PMsg>,
-        inst: &ChainInstance,
-        _spec: &PaymentSpec,
+        _inst: &ChainInstance,
+        spec: &PaymentSpec,
     ) -> LockProfile {
-        chain_lock_events(eng, &inst.setup)
+        plan_lock_events(
+            eng,
+            &spec.plan.amounts,
+            "escrow_locked",
+            ["escrow_released", "escrow_refunded"],
+        )
     }
 }
 
@@ -145,44 +152,6 @@ pub(crate) fn classify_chain(outcome: &ChainOutcome, truncated: bool) -> Protoco
         return ProtocolOutcome::Stuck;
     }
     ProtocolOutcome::Refund
-}
-
-/// End-to-end latency: Bob's halt time on success, otherwise the run's
-/// last event.
-pub(crate) fn chain_latency(
-    eng: &Engine<PMsg>,
-    setup: &ChainSetup,
-    spec: &PaymentSpec,
-    outcome: ProtocolOutcome,
-) -> SimDuration {
-    match outcome {
-        ProtocolOutcome::Success => eng
-            .trace()
-            .halt_time(setup.topo.customer_pid(spec.n))
-            .unwrap_or_else(|| eng.trace().end_time())
-            .saturating_since(SimTime::ZERO),
-        _ => eng.trace().end_time().saturating_since(SimTime::ZERO),
-    }
-}
-
-/// Reconstructs the instance's locked-value time series from the escrow
-/// marks (`escrow_locked` / `escrow_released` / `escrow_refunded`, all
-/// retained in counters-only traces) and the value plan.
-pub(crate) fn chain_lock_events(eng: &Engine<PMsg>, setup: &ChainSetup) -> LockProfile {
-    let mut profile = LockProfile::new();
-    for e in &eng.trace().events {
-        if let TraceKind::Mark { label, value, .. } = e.kind {
-            let delta = match label {
-                "escrow_locked" => setup.plan.amounts[value as usize].amount as i64,
-                "escrow_released" | "escrow_refunded" => {
-                    -(setup.plan.amounts[value as usize].amount as i64)
-                }
-                _ => continue,
-            };
-            profile.push(e.real, value as u32, delta);
-        }
-    }
-    profile
 }
 
 #[cfg(test)]

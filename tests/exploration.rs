@@ -126,7 +126,6 @@ impl Process<u32> for Judge {
         }
     }
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
-    crosschain::anta::impl_process_boilerplate!(u32);
 }
 
 #[derive(Debug, Clone)]
@@ -137,7 +136,6 @@ impl Process<u32> for Racer {
     }
     fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
-    crosschain::anta::impl_process_boilerplate!(u32);
 }
 
 fn build_race(racers: usize, buckets: usize, oracle: Box<dyn Oracle>) -> Engine<u32> {
