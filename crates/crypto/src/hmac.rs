@@ -4,6 +4,12 @@
 //! [`crate::sig`]: within the simulation, a signature by key `k` over message
 //! `m` is `HMAC(secret_k, m)`, with the secret held exclusively by the PKI
 //! (see `sig.rs` for the unforgeability argument).
+//!
+//! An [`HmacKey`] is a key with its two keyed chaining states precomputed:
+//! SHA-256's state after the one block `key ⊕ ipad`, and after `key ⊕ opad`.
+//! Deriving them costs two compressions; every MAC [`HmacKey::begin`] starts
+//! afterwards skips both, so a key that is used more than once pays them
+//! once. [`hmac_sha256`] is the one-shot form and derives them per call.
 
 use crate::sha256::{Digest, Sha256, DIGEST_LEN};
 
@@ -11,17 +17,18 @@ const BLOCK_LEN: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
-/// Incremental HMAC-SHA256.
+/// An HMAC-SHA256 key, held as its inner and outer keyed midstates.
 #[derive(Clone)]
-pub struct HmacSha256 {
-    inner: Sha256,
-    /// Key XOR opad, retained for the outer pass.
-    outer_key: [u8; BLOCK_LEN],
+pub struct HmacKey {
+    /// SHA-256 state after absorbing `key ⊕ ipad`.
+    inner: [u32; 8],
+    /// SHA-256 state after absorbing `key ⊕ opad`.
+    outer: [u32; 8],
 }
 
-impl HmacSha256 {
-    /// Creates an HMAC instance keyed with `key` (any length; keys longer
-    /// than one block are hashed first, per the RFC).
+impl HmacKey {
+    /// Derives the midstates of `key` (any length; keys longer than one
+    /// block are hashed first, per the RFC): two compressions.
     pub fn new(key: &[u8]) -> Self {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
@@ -30,30 +37,39 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ikey = [0u8; BLOCK_LEN];
-        let mut okey = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ikey[i] = k[i] ^ IPAD;
-            okey[i] = k[i] ^ OPAD;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ikey);
-        HmacSha256 {
-            inner,
-            outer_key: okey,
+        HmacKey {
+            inner: Sha256::block_midstate(&k.map(|b| b ^ IPAD)),
+            outer: Sha256::block_midstate(&k.map(|b| b ^ OPAD)),
         }
     }
 
+    /// Starts one MAC under this key; the key is reusable.
+    pub fn begin(&self) -> HmacSha256 {
+        HmacSha256 {
+            inner: Sha256::resume_after_block(self.inner),
+            outer: self.outer,
+        }
+    }
+}
+
+/// One incremental HMAC-SHA256 computation, started by [`HmacKey::begin`].
+#[derive(Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    /// The key's outer midstate, resumed for the outer pass.
+    outer: [u32; 8],
+}
+
+impl HmacSha256 {
     /// Absorbs message bytes.
     pub fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
-    /// Completes the MAC computation.
+    /// Completes the MAC computation: one compression for the outer pass.
     pub fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
+        let mut outer = Sha256::resume_after_block(self.outer);
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -61,7 +77,7 @@ impl HmacSha256 {
 
 /// One-shot HMAC-SHA256.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
-    let mut h = HmacSha256::new(key);
+    let mut h = HmacKey::new(key).begin();
     h.update(msg);
     h.finalize()
 }
@@ -143,11 +159,80 @@ mod tests {
         let key = b"incremental-key";
         let msg = b"part one / part two / part three";
         let oneshot = hmac_sha256(key, msg);
-        let mut h = HmacSha256::new(key);
+        let mut h = HmacKey::new(key).begin();
         h.update(b"part one / ");
         h.update(b"part two / ");
         h.update(b"part three");
         assert_eq!(h.finalize(), oneshot);
+    }
+
+    /// HMAC straight from RFC 2104's definition, over plain SHA-256.
+    fn textbook_hmac(key: &[u8], msg: &[u8]) -> Digest {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..DIGEST_LEN].copy_from_slice(&crate::sha256::sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let inner = crate::sha256::sha256_concat(&[&k.map(|b| b ^ IPAD), msg]);
+        crate::sha256::sha256_concat(&[&k.map(|b| b ^ OPAD), &inner])
+    }
+
+    #[test]
+    fn reused_key_equals_oneshot_for_every_key_length() {
+        for key_len in [0usize, 1, 63, 64, 65, 131] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 13 % 256) as u8).collect();
+            let hk = HmacKey::new(&key);
+            for msg_len in [0usize, 1, 23, 55, 56, 64, 119, 120, 200] {
+                let msg = vec![msg_len as u8; msg_len];
+                let mut h = hk.begin();
+                h.update(&msg);
+                let tag = h.finalize();
+                assert_eq!(tag, hmac_sha256(&key, &msg), "key {key_len}, msg {msg_len}");
+                assert_eq!(
+                    tag,
+                    textbook_hmac(&key, &msg),
+                    "key {key_len}, msg {msg_len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reused_key_reproduces_rfc4231_vectors() {
+        let cases: [(&[u8], &[u8], &str); 4] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, msg, want) in cases {
+            let hk = HmacKey::new(key);
+            for _ in 0..3 {
+                let mut other = hk.begin();
+                other.update(b"an unrelated message in between");
+                other.finalize();
+                let mut h = hk.begin();
+                h.update(msg);
+                assert_eq!(to_hex(&h.finalize()), want);
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@ pub struct WireWriter {
 }
 
 impl WireWriter {
-    /// Starts an encoding under a domain label (e.g. `b"xchain/receipt"`).
+    /// Starts an encoding under a domain label (e.g. `b"xchain/receipt"`),
+    /// with room for the label, its length prefix and a 64-byte body.
     pub fn new(domain: &[u8]) -> Self {
         let mut w = WireWriter {
-            buf: Vec::with_capacity(64 + domain.len()),
+            buf: Vec::with_capacity(8 + domain.len() + 64),
         };
         w.put_bytes(domain);
         w
@@ -105,5 +106,31 @@ mod tests {
         w.put_u8(1).put_u32(2).put_u64(3).put_i64(-4);
         // 8 (domain len) + 1 + 4 + 8 + 8
         assert_eq!(w.as_slice().len(), 8 + 1 + 4 + 8 + 8);
+    }
+
+    #[test]
+    fn a_64_byte_body_never_grows_the_buffer() {
+        for domain in [
+            &b""[..],
+            b"d",
+            b"xchain/cert/receipt",
+            &[b'x'; 22],
+            &[b'y'; 100],
+        ] {
+            let mut w = WireWriter::new(domain);
+            let start = w.buf.capacity();
+            w.put_bytes(&[7u8; 32])
+                .put_u64(1)
+                .put_u64(2)
+                .put_u32(3)
+                .put_u32(4);
+            assert_eq!(w.as_slice().len(), 8 + domain.len() + 64);
+            assert_eq!(
+                w.finish().capacity(),
+                start,
+                "domain of {} bytes",
+                domain.len()
+            );
+        }
     }
 }
