@@ -42,9 +42,8 @@
 //!   time-robustness contract on checkers lives on
 //!   [`Engine::enable_fingerprints`];
 //! * **dead-branch elision** — choices that only affect messages addressed
-//!   to already-halted processes decide nothing observable; with
-//!   [`ExploreConfig::prune_dead_sends`] the engine pins them instead of
-//!   branching
+//!   to already-halted processes decide nothing observable, so the engine
+//!   pins them instead of branching
 //!   ([`EngineConfig::prune_dead_sends`](crate::engine::EngineConfig::prune_dead_sends)
 //!   documents the independence argument and its `end_time` caveat).
 //!
@@ -128,11 +127,6 @@ pub struct ExploreConfig {
     pub threads: usize,
     /// Exploration strategy.
     pub mode: ExploreMode,
-    /// Reduced mode only: additionally pin choices that only affect
-    /// messages to already-halted processes
-    /// ([`EngineConfig::prune_dead_sends`](crate::engine::EngineConfig::prune_dead_sends)).
-    /// Ignored in full mode (full enumeration is the unpruned reference).
-    pub prune_dead_sends: bool,
 }
 
 impl Default for ExploreConfig {
@@ -141,7 +135,6 @@ impl Default for ExploreConfig {
             max_runs: 1_000_000,
             threads: 1,
             mode: ExploreMode::Full,
-            prune_dead_sends: false,
         }
     }
 }
@@ -155,12 +148,11 @@ impl ExploreConfig {
         }
     }
 
-    /// Reduced exploration with dead-branch elision on — the configuration
-    /// E4 uses for instances full enumeration cannot exhaust.
+    /// Reduced exploration — the configuration E4 uses for instances full
+    /// enumeration cannot exhaust.
     pub fn reduced(threads: usize) -> Self {
         ExploreConfig {
             mode: ExploreMode::Reduced,
-            prune_dead_sends: true,
             ..Self::with_threads(threads)
         }
     }
@@ -170,9 +162,8 @@ impl ExploreConfig {
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// The oracle choice path reproducing the failing schedule. Paths from
-    /// reduced explorations with [`ExploreConfig::prune_dead_sends`] must
-    /// be replayed with [`replay_pruned`] (elided choices are absent from
-    /// the path).
+    /// reduced explorations must be replayed with [`replay_pruned`] (elided
+    /// dead-branch choices are absent from the path).
     pub path: Vec<usize>,
     /// Checker-provided description.
     pub message: String,
@@ -191,7 +182,7 @@ pub struct ExploreReport {
     /// schedule had already covered (each cut skips a whole subtree).
     pub dedup_hits: usize,
     /// Reduced mode: oracle choices elided as dead branches
-    /// (see [`ExploreConfig::prune_dead_sends`]).
+    /// (see [`EngineConfig::prune_dead_sends`](crate::engine::EngineConfig::prune_dead_sends)).
     pub dead_branch_prunes: u64,
     /// Dynamic re-splits (work donations to idle workers).
     pub resplits: usize,
@@ -479,9 +470,9 @@ struct Shared {
     /// Set by the worker that found the budget spent with a path still to
     /// run — the only way an exploration ends un-exhausted.
     budget_hit: AtomicBool,
-    /// `Some` in reduced mode: arms fingerprints and the dedup probe.
+    /// `Some` in reduced mode: arms dead-branch elision, fingerprints and
+    /// the dedup probe.
     seen: Option<Arc<Seen>>,
-    prune_dead: bool,
 }
 
 /// Per-worker tallies.
@@ -527,10 +518,8 @@ where
             }
             let oracle = Rc::new(RefCell::new(ReplayOracle::new(path)));
             let mut engine = build(Box::new(SharedOracle(oracle.clone())));
-            if sh.prune_dead {
-                engine.set_prune_dead_sends(true);
-            }
             if let Some(seen) = &sh.seen {
+                engine.set_prune_dead_sends(true);
                 engine.enable_fingerprints();
                 // Probe armed only once the run has left replayed
                 // territory: states visited *while replaying* were inserted
@@ -646,7 +635,6 @@ where
         max_runs: cfg.max_runs,
         budget_hit: AtomicBool::new(false),
         seen: reduced.then(|| Arc::new(Seen::new(if workers > 1 { 64 } else { 1 }))),
-        prune_dead: reduced && cfg.prune_dead_sends,
     };
     let per_worker: Vec<WorkerTotals> = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -815,7 +803,7 @@ where
 /// Re-runs a single schedule (e.g. a violating path from a previous
 /// exploration) and returns the engine for inspection.
 ///
-/// Paths recorded under [`ExploreConfig::prune_dead_sends`] omit the elided
+/// Paths recorded by a reduced exploration omit the elided dead-branch
 /// choices — replay those with [`replay_pruned`] so the choice indices line
 /// up.
 pub fn replay<M: Message>(
@@ -826,8 +814,7 @@ pub fn replay<M: Message>(
 }
 
 /// [`replay`] with [`EngineConfig::prune_dead_sends`](crate::engine::EngineConfig::prune_dead_sends)
-/// enabled — required for paths recorded by a reduced exploration that had
-/// [`ExploreConfig::prune_dead_sends`] on.
+/// enabled — required for paths recorded by a reduced exploration.
 pub fn replay_pruned<M: Message>(
     build: impl FnMut(Box<dyn Oracle>) -> Engine<M>,
     path: &[usize],
@@ -1251,7 +1238,6 @@ mod tests {
                 racer2_wins_check,
                 ExploreConfig {
                     mode: ExploreMode::Reduced,
-                    prune_dead_sends: true,
                     threads,
                     ..Default::default()
                 },
@@ -1358,8 +1344,8 @@ mod tests {
     #[test]
     fn reduced_with_dead_send_elision_prunes_choices() {
         // A judge that halts after the first arrival: the second racer's
-        // delivery is dead, so its delay choice is elided under
-        // prune_dead_sends and the tree shrinks further.
+        // delivery is dead, so its delay choice is elided and the tree
+        // shrinks further.
         #[derive(Debug, Clone, Default)]
         struct HaltingJudge {
             first: Option<Pid>,
@@ -1418,7 +1404,6 @@ mod tests {
             |_, _| Ok(()),
             ExploreConfig {
                 mode: ExploreMode::Reduced,
-                prune_dead_sends: true,
                 ..Default::default()
             },
         );

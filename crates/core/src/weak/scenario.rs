@@ -119,12 +119,6 @@ impl WeakSetup {
     /// Signer of manager process `i` — exposed so baseline variants (e.g.
     /// the Interledger atomic manager) can substitute a manager that
     /// still signs under the authority this setup's participants verify.
-    pub fn tm_signer_for_tests(&self, i: usize) -> &Signer {
-        self.tm_signer(i)
-    }
-
-    /// Signer of manager process `i` (the production-facing name;
-    /// see [`WeakSetup::tm_signer_for_tests`]).
     pub fn tm_signer(&self, i: usize) -> &Signer {
         &self.tms[i]
     }

@@ -163,7 +163,6 @@ pub fn explore_instance_differential(
         chk,
         ExploreConfig {
             max_runs,
-            prune_dead_sends: true,
             ..ExploreConfig::with_threads(threads)
         },
         sink,

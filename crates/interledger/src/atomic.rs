@@ -124,23 +124,11 @@ mod tests {
         seed: u64,
     ) -> (WeakOutcome, WeakSetup) {
         let s = WeakSetup::new(n, ValuePlan::uniform(n, 100), TmKind::Trusted, 50 + seed);
-        let signerless = s.tm_pids();
-        let _ = signerless;
         let evidence = Evidence::new(s.payment, s.escrow_keys(), s.customer_keys());
         let pki = s.pki.clone();
-        // Reuse the trusted TM's registered signer key by rebuilding the
-        // authority's signer — WeakSetup keeps it private, so we
-        // re-register a TM on the same seed is not possible; instead use
-        // override_tm with a DeadlineTm signed by a fresh key and rebuild
-        // the setup authority around it. Simpler: pull the signer from
-        // the default TrustedTm by constructing our own with the same
-        // authority — WeakSetup exposes nothing, so we go through
-        // the public path: swap the process and keep the authority by
-        // signing with the same key is impossible; hence WeakSetup for
-        // atomic runs is built with TmKind::Trusted and the DeadlineTm
-        // must sign with that key. The setup exposes it via
-        // `tm_signer_for_tests`.
-        let tm_signer = s.tm_signer_for_tests(0).clone();
+        // The DeadlineTm signs under the trusted manager's key, which is
+        // the authority the setup's participants verify.
+        let tm_signer = s.tm_signer(0).clone();
         let participants: Vec<Pid> = (0..s.topo.participants()).collect();
         let mut eng = s.build_engine_with(
             net,

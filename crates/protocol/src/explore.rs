@@ -160,7 +160,6 @@ mod tests {
                 &InstanceFaults::NONE,
                 ExploreConfig {
                     max_runs: 60_000,
-                    prune_dead_sends: true,
                     ..ExploreConfig::with_threads(threads)
                 },
                 &mut telemetry::NullSink,

@@ -37,15 +37,17 @@
 //! exactly as before.
 //!
 //! Admission reads a venue only through its **committed load**,
-//! `reserved + spent` ([`LiquidityBook::load_at`]; [`LiquidityBook::fits`]
-//! compares it to the budget). [`LiquidityBook::load_version`] moves
-//! whenever some venue's load does, so a gate whose last poll failed
-//! can skip re-polling until it moves: no change in credit, no change in
-//! feasibility.
+//! `reserved + spent` ([`LiquidityBook::load_at`]): a static-route poll
+//! through [`LiquidityBook::fits`], which compares it to the budget, and
+//! a routed poll through the pathfinder, which filters and ranks paths
+//! by it. [`LiquidityBook::load_version`] moves whenever some venue's
+//! load does, so the open-system gate — one gate for both kinds of poll
+//! — skips re-polling a head whose last poll failed until it moves: no
+//! change in credit, no change in feasibility.
 
 use anta::time::{SimDuration, SimTime};
 use payment::VenueId;
-use telemetry::{Event, TelemetrySink};
+use telemetry::Event;
 
 /// One venue's account state at a sampling instant — the unit of the
 /// telemetry venue series the campaign layer emits on epoch boundaries.
@@ -450,16 +452,6 @@ impl LiquidityBook {
             .collect()
     }
 
-    /// Emits one `venue` telemetry event per venue (in venue-id order)
-    /// carrying the [`VenueSample`] fields; `scope` fields (e.g. the
-    /// epoch index) are prepended to every event so consumers can stitch
-    /// the per-epoch samples into a time series.
-    pub fn emit_venue_series(&self, scope: &[(&str, u64)], sink: &mut dyn TelemetrySink) {
-        for s in self.venue_samples() {
-            sink.emit(&s.to_event(scope));
-        }
-    }
-
     /// Convenience: would this route+demand pair be admitted right now,
     /// and if so, reserve it — a test-visible single-step admission.
     pub fn try_admit(&mut self, demand: &[(VenueId, u64)]) -> bool {
@@ -672,11 +664,8 @@ mod tests {
         assert_eq!(samples[1].peak_locked, 0);
         assert!(samples[1].drained);
 
-        // The event series mirrors the samples, scoped by epoch.
-        let mut ring = telemetry::RingSink::new(8);
-        book.emit_venue_series(&[("epoch", 4)], &mut ring);
-        assert_eq!(ring.len(), 2);
-        let first = ring.events().next().unwrap();
+        // Each sample's event mirrors it, scoped by epoch.
+        let first = samples[0].to_event(&[("epoch", 4)]);
         assert_eq!(first.kind(), "venue");
         assert_eq!(first.u64_field("epoch"), Some(4));
         assert_eq!(first.u64_field("peak_locked"), Some(60));

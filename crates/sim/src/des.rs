@@ -30,31 +30,35 @@
 //! order, never in venue/amount order (see
 //! `same_tick_same_rank_pops_in_insertion_order`).
 //!
-//! **Routed mode.** For the network families
-//! ([`TopologyFamily::ScaleFree`] / [`TopologyFamily::SmallWorld`],
-//! see `crate::workload`), passing a [`RoutingConfig`] switches
-//! admission from the spec's pinned static route to live pathfinding:
-//! each arrival asks a [`Router`] for the cheapest feasible path (then
-//! for a venue-disjoint split) against the *current* book, so payments
-//! route around drained venues. Successful payments *consume* spent
-//! liquidity at their venues; an optional periodic [`EventKind::
-//! Rebalance`] event models circular rebalancing flows that restore it.
-//! Dynamic routes destroy venue-disjointness, so a routed run is one
-//! shard — trivially bit-identical across thread counts, with the
-//! router's deterministic tie-breaking keeping route choice a pure
-//! function of the inputs.
+//! **One gate, two ways to poll it.** An arrival at an empty gate, and
+//! the gate's head on every reservation return, expiry and rebalance,
+//! *polls* the book: which legs would the payment run if admitted now?
+//! A static-route payment has one leg, its own spec, whenever its demand
+//! [`LiquidityBook::fits`]. For the network families
+//! ([`TopologyFamily::ScaleFree`] / [`TopologyFamily::SmallWorld`], see
+//! `crate::workload`), passing a [`RoutingConfig`] makes the poll live
+//! pathfinding instead: a [`Router`] looks for the cheapest feasible
+//! path against the *current* book, then for a venue-disjoint split, so
+//! payments route around drained venues, and each path is a leg.
+//! Everything after the poll is shared — an admission runs one protocol
+//! instance per leg and folds them onto the first, a failed poll queues
+//! or rejects. The mode still decides settlement: a successful routed
+//! payment *consumes* the liquidity it moved, until an optional periodic
+//! [`EventKind::Rebalance`] flow restores it. Dynamic routes destroy
+//! venue-disjointness, so a routed run is one shard — trivially
+//! bit-identical across thread counts, with the router's deterministic
+//! tie-breaking keeping route choice a pure function of the inputs.
 //!
-//! **The routed gate polls only when its inputs changed.** Every
-//! reservation return and every rebalance gives the gate's head a shot
-//! at the book, but a search reads the book only through venue loads
-//! (`reserved + spent`), and a successful settlement turns a
-//! reservation into spend and leaves every load where it was — 81 % of
-//! the searches the benchmark's `routed_net` workload used to run came
-//! from those. The shard remembers the head whose poll last failed and
-//! the [`LiquidityBook::load_version`] it failed at, and skips the
-//! search while both stand: no change in credit, no change in
-//! feasibility — exact for splits too, and cross-checked by a
-//! `debug_assert!` that re-runs every skipped search.
+//! **The gate polls only when its inputs changed.** Either poll reads
+//! the book only through venue loads (`reserved + spent`), and a
+//! successful routed settlement turns a reservation into spend and
+//! leaves every load where it was — 81 % of the searches the
+//! benchmark's `routed_net` workload used to run came from those. The
+//! shard remembers the head whose poll last failed and the
+//! [`LiquidityBook::load_version`] it failed at, and skips the poll
+//! while both stand: no change in credit, no change in feasibility —
+//! exact in both modes and for splits, and cross-checked by a
+//! `debug_assert!` that re-runs every skipped poll.
 //! [`RoutingStats::pathfind_calls`] therefore counts searches executed.
 //! What a routed run still pays beyond a static one is the protocol
 //! instance, run inline on the DES thread at admission.
@@ -63,13 +67,14 @@ use crate::faults::FaultPlan;
 use crate::metrics::{InstanceResult, LiquidityStats, OpenTelemetry, RoutingStats, VenueEvents};
 use crate::runner::{run_instance_isolated, SimConfig};
 use crate::workload::{PaymentSpec, ValuePlan, VenueRoute};
-use anta::time::{SimDuration, SimTime};
+use anta::time::SimTime;
 use experiments::parallel_map;
 use experiments::stats::Summary;
 use protocol::harness::{sample_instance_faults, ProtocolHarness};
 use protocol::liquidity::{AdmissionPolicy, LiquidityBook, LiquidityConfig};
 use protocol::network::{GraphFamily, Router, RoutingConfig, VenueGraph};
 use protocol::ProtocolOutcome;
+use std::borrow::Cow;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -204,27 +209,51 @@ pub(crate) fn shard_specs(specs: &[PaymentSpec], venues_hint: usize) -> Vec<Vec<
     members
 }
 
-/// Everything one shard reports back for the deterministic merge.
-pub(crate) struct ShardOutcome {
-    /// `(spec index, result)` for every member, in spec order.
-    pub(crate) results: Vec<(usize, InstanceResult)>,
-    /// The shard's liquidity columns (zeros outside its venues).
-    pub(crate) book: LiquidityBook,
-    pub(crate) admitted: usize,
-    pub(crate) rejected: usize,
-    pub(crate) queued: usize,
+/// What the admission gate counts: one per shard, folded in shard order
+/// by [`GateTally::absorb`] for the run.
+#[derive(Default)]
+struct GateTally {
+    admitted: usize,
+    rejected: usize,
+    queued: usize,
     /// Gate waits of admitted queued payments (ticks).
-    pub(crate) waits: Vec<u64>,
+    waits: Vec<u64>,
     /// Wasted waits of rejected payments (ticks).
-    pub(crate) rejected_waits: Vec<u64>,
-    /// Last event or decision instant in this shard.
-    pub(crate) horizon: SimTime,
-    pub(crate) goodput_value: u64,
-    pub(crate) offered_value: u64,
-    /// Per-venue activity counters (this shard's venues only).
-    pub(crate) venue_events: BTreeMap<u32, VenueEvents>,
+    rejected_waits: Vec<u64>,
+    /// Last event or decision instant.
+    horizon: SimTime,
+    goodput_value: u64,
+    offered_value: u64,
+    /// Per-venue activity counters, keyed by global venue id. Shards are
+    /// venue-disjoint, so absorbing one is a plain union.
+    venue_events: BTreeMap<u32, VenueEvents>,
+}
+
+impl GateTally {
+    fn absorb(&mut self, other: GateTally) {
+        self.admitted += other.admitted;
+        self.rejected += other.rejected;
+        self.queued += other.queued;
+        self.waits.extend(other.waits);
+        self.rejected_waits.extend(other.rejected_waits);
+        self.horizon = self.horizon.max(other.horizon);
+        self.goodput_value += other.goodput_value;
+        self.offered_value += other.offered_value;
+        for (venue, ev) in other.venue_events {
+            self.venue_events.entry(venue).or_default().absorb(&ev);
+        }
+    }
+}
+
+/// Everything one shard reports back for the deterministic merge.
+struct ShardOutcome {
+    /// `(spec index, result)` for every member, in spec order.
+    results: Vec<(usize, InstanceResult)>,
+    /// The shard's liquidity columns (zeros outside its venues).
+    book: LiquidityBook,
+    tally: GateTally,
     /// Pathfinder counters (routed mode only).
-    pub(crate) routing: Option<RoutingStats>,
+    routing: Option<RoutingStats>,
 }
 
 /// The live-routing side of a shard: the venue network, the pathfinder
@@ -237,13 +266,6 @@ struct RoutedState {
     /// Payments not yet admitted or rejected.
     undecided: usize,
     stats: RoutingStats,
-    /// The gate memo: the head whose poll last failed, and the book's
-    /// [`LiquidityBook::load_version`] it failed at. A search reads the
-    /// book only through venue loads, so while that head still leads the
-    /// queue and the version stands, polling again must fail again —
-    /// `drain_queue` skips it. A decided payment never re-enters the
-    /// queue, so a stale entry can never match a later head.
-    blocked: Option<(u32, u64)>,
 }
 
 impl RoutedState {
@@ -256,7 +278,6 @@ impl RoutedState {
             cfg,
             undecided,
             stats: RoutingStats::default(),
-            blocked: None,
         }
     }
 }
@@ -275,22 +296,19 @@ struct ShardSim<'a, H: ProtocolHarness> {
     seq: u64,
     /// FIFO admission gate: shard-local indices of waiting payments.
     queue: VecDeque<u32>,
+    /// The gate memo: the head whose poll last failed, and the book's
+    /// [`LiquidityBook::load_version`] it failed at. A poll reads the
+    /// book only through venue loads, so while that head still leads the
+    /// queue and the version stands, polling again must fail again —
+    /// `drain_queue` skips it. A decided payment never re-enters the
+    /// queue, so a stale entry can never match a later head.
+    blocked: Option<(u32, u64)>,
     decided: Vec<bool>,
     /// Per-member collateral demand (`VenueRoute::demand`).
     demands: Vec<Vec<(u32, u64)>>,
     results: Vec<Option<InstanceResult>>,
     queue_high: usize,
-    admitted: usize,
-    rejected: usize,
-    queued: usize,
-    waits: Vec<u64>,
-    rejected_waits: Vec<u64>,
-    horizon: SimTime,
-    goodput_value: u64,
-    offered_value: u64,
-    /// Per-venue activity counters, keyed by global venue id. Shards are
-    /// venue-disjoint, so the post-run merge is a plain union.
-    venue_events: BTreeMap<u32, VenueEvents>,
+    tally: GateTally,
     /// Live-routing state (`None` for static-route runs).
     routed: Option<RoutedState>,
 }
@@ -320,6 +338,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             heap: BinaryHeap::with_capacity(members.len() * 4),
             seq: 0,
             queue: VecDeque::new(),
+            blocked: None,
             decided: vec![false; members.len()],
             demands: members
                 .iter()
@@ -327,15 +346,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 .collect(),
             results: members.iter().map(|_| None).collect(),
             queue_high: 0,
-            admitted: 0,
-            rejected: 0,
-            queued: 0,
-            waits: Vec::new(),
-            rejected_waits: Vec::new(),
-            horizon: SimTime::ZERO,
-            goodput_value: 0,
-            offered_value: 0,
-            venue_events: BTreeMap::new(),
+            tally: GateTally::default(),
             routed,
         };
         for (local, &si) in members.iter().enumerate() {
@@ -376,13 +387,13 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             match ev.kind {
                 EventKind::Book { venue, delta } => {
                     self.book.apply_lock(ev.time, venue, delta);
-                    let ve = self.venue_events.entry(venue).or_default();
+                    let ve = self.tally.venue_events.entry(venue).or_default();
                     if delta < 0 {
                         ve.releases += 1;
                     } else {
                         ve.locks += 1;
                     }
-                    self.horizon = self.horizon.max(ev.time);
+                    self.tally.horizon = self.tally.horizon.max(ev.time);
                 }
                 EventKind::Unreserve {
                     venue,
@@ -393,7 +404,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                     // venue: `consume` of it stays spent until a
                     // rebalancing flow restores it.
                     self.book.settle(venue, amount, consume);
-                    self.horizon = self.horizon.max(ev.time);
+                    self.tally.horizon = self.tally.horizon.max(ev.time);
                     // Capacity may have come back: the gate's head may now fit.
                     self.drain_queue(ev.time);
                 }
@@ -406,7 +417,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             self.queue.is_empty(),
             "every queued payment decides by its expiry event"
         );
-        self.book.finish(self.horizon);
+        self.book.finish(self.tally.horizon);
         ShardOutcome {
             results: self
                 .members
@@ -420,68 +431,42 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 })
                 .collect(),
             book: self.book,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            queued: self.queued,
-            waits: self.waits,
-            rejected_waits: self.rejected_waits,
-            horizon: self.horizon,
-            goodput_value: self.goodput_value,
-            offered_value: self.offered_value,
-            venue_events: self.venue_events,
+            tally: self.tally,
             routing: self.routed.as_ref().map(|rt| rt.stats),
         }
     }
 
+    /// FIFO gate: an arrival at an empty gate polls the book and is
+    /// admitted on the spot if the poll finds legs; a non-empty gate
+    /// means the head gets the next shot at the book, not this arrival.
     fn on_arrival(&mut self, local: u32, t: SimTime) {
         let li = local as usize;
-        let spec = &self.specs[self.members[li]];
-        self.offered_value += delivered(spec);
-        if self.routed.is_some() {
-            self.on_arrival_routed(local, t);
-            return;
-        }
-        if !self.policy.bounded() {
-            self.admit(local, t);
-            return;
-        }
-        // FIFO gate: an empty queue and a fitting demand admit on the
-        // spot; head-of-line blocking otherwise.
-        if self.queue.is_empty() && self.book.fits(&self.demands[li]) {
-            self.admit(local, t);
-            return;
-        }
-        // Queue only when waiting could ever help: the demand must fit an
-        // *idle* venue. A demand no budget can satisfy is refused on the
-        // spot with zero wasted wait.
-        let can_wait = self.book.could_ever_fit(&self.demands[li]);
-        self.enqueue_or_reject(local, t, can_wait);
-    }
-
-    /// Routed admission: ask the pathfinder instead of checking the
-    /// spec's static demand. FIFO fairness is kept — a non-empty gate
-    /// means the head gets the next shot at the book, not this arrival.
-    fn on_arrival_routed(&mut self, local: u32, t: SimTime) {
-        let li = local as usize;
+        self.tally.offered_value += delivered(&self.specs[self.members[li]]);
         if self.queue.is_empty() {
-            if let Some(paths) = self.try_route(li, true) {
-                self.admit_routed(local, t, paths);
+            if let Some(legs) = self.poll(li, true) {
+                self.admit(local, t, legs);
                 return;
             }
             // Should it queue, this arrival is the head and has had its poll.
-            let version = self.book.load_version();
-            self.routed_mut().blocked = Some((local, version));
+            self.blocked = Some((local, self.book.load_version()));
         }
-        let amount = delivered(&self.specs[self.members[li]]);
-        let rt = self.routed_mut();
-        let min_share = amount.div_ceil(rt.cfg.max_split.max(1) as u64);
-        let rebalancing = !rt.cfg.rebalance_period.is_zero();
-        // Waiting can only help when capacity can come back — a
-        // reservation return (bounded gate) or a rebalancing flow — and
-        // when even the smallest split share could ever fit a venue.
-        let can_wait =
-            (self.policy.bounded() || rebalancing) && self.book.could_ever_fit(&[(0, min_share)]);
+        let can_wait = self.can_wait(li);
         self.enqueue_or_reject(local, t, can_wait);
+    }
+
+    /// Whether waiting could ever admit member `li`: capacity must be
+    /// able to come back — a reservation return (bounded gate) or a
+    /// rebalancing flow — and the least a poll could ask of one venue
+    /// must fit it *idle*: a static demand, or the smallest split share
+    /// of a routed payment.
+    fn can_wait(&self, li: usize) -> bool {
+        let Some(rt) = &self.routed else {
+            return self.policy.bounded() && self.book.could_ever_fit(&self.demands[li]);
+        };
+        let amount = delivered(&self.specs[self.members[li]]);
+        let min_share = amount.div_ceil(rt.cfg.max_split.max(1) as u64);
+        (self.policy.bounded() || !rt.cfg.rebalance_period.is_zero())
+            && self.book.could_ever_fit(&[(0, min_share)])
     }
 
     /// The tail of every arrival that was not admitted on the spot: when
@@ -525,94 +510,96 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         );
     }
 
-    /// Asks the router for a feasible admission of member `li` against
-    /// the current book: a single cheapest path first, then
-    /// venue-disjoint splits of increasing width. Returns the
-    /// `(path, per-hop share)` legs, or `None` when nothing fits right
-    /// now, and the number of searches that took.
-    fn find_route(&mut self, li: usize) -> (Option<Vec<(VenueRoute, u64)>>, u64) {
-        let spec = &self.specs[self.members[li]];
+    /// The legs member `li` would run if admitted against the current
+    /// book, or `None` when nothing fits right now, and the number of
+    /// pathfinder searches that took. A static payment's one leg is its
+    /// own spec, borrowed, when its demand fits. A routed payment asks
+    /// the router for a single cheapest path first, then venue-disjoint
+    /// splits of increasing width, and runs one sub-spec per path.
+    fn find_legs(&mut self, li: usize) -> (Option<Vec<Cow<'a, PaymentSpec>>>, u64) {
+        let specs = self.specs;
+        let spec = &specs[self.members[li]];
+        let Some(rt) = self.routed.as_mut() else {
+            let fits = self.book.fits(&self.demands[li]);
+            return (fits.then(|| vec![Cow::Borrowed(spec)]), 0);
+        };
         let (src, dst) = spec.endpoints.expect(
             "routing is armed only for network families, whose generated specs all carry endpoints",
         );
         let amount = delivered(spec);
-        // Not `routed_mut`: the router borrows `self.book` beside it.
-        let rt = self
-            .routed
-            .as_mut()
-            .expect("only routed arrivals and routed gate polls search for a route");
         let (g, hops, book) = (&rt.graph, rt.cfg.max_hops, &self.book);
-        if let Some(path) = rt.router.route(g, src, dst, amount, hops, book) {
-            return (Some(vec![(path, amount)]), 1);
-        }
         let mut searches = 1;
+        let mut paths = rt
+            .router
+            .route(g, src, dst, amount, hops, book)
+            .map(|path| vec![(path, amount)]);
         for parts in 2..=rt.cfg.max_split {
+            if paths.is_some() {
+                break;
+            }
             searches += 1;
-            let split = rt
+            paths = rt
                 .router
                 .route_multi(g, src, dst, amount, parts, hops, book);
-            if split.is_some() {
-                return (split, searches);
+        }
+        // Per-leg salted seeds keep legs independent; salt 0 for leg 0,
+        // so a single-path admission replays the exact static-route faults.
+        const SPLIT_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+        let legs = paths.map(|paths| {
+            paths
+                .into_iter()
+                .enumerate()
+                .map(|(j, (path, share))| {
+                    Cow::Owned(PaymentSpec {
+                        id: spec.id,
+                        family: spec.family,
+                        arrival: spec.arrival,
+                        n: path.hops(),
+                        plan: ValuePlan::uniform(path.hops(), share),
+                        params: spec.params,
+                        seed: spec.seed ^ SPLIT_SEED_SALT.wrapping_mul(j as u64),
+                        packet: spec.packet,
+                        route: spec.route,
+                        venues: path,
+                        endpoints: spec.endpoints,
+                    })
+                })
+                .collect()
+        });
+        (legs, searches)
+    }
+
+    /// One counted poll of the gate. `at_arrival` distinguishes a
+    /// payment's first attempt (counted as `no_path` on a failed routed
+    /// poll) from gate re-polls (not counted).
+    fn poll(&mut self, li: usize, at_arrival: bool) -> Option<Vec<Cow<'a, PaymentSpec>>> {
+        let (legs, searches) = self.find_legs(li);
+        if let Some(rt) = self.routed.as_mut() {
+            rt.stats.pathfind_calls += searches;
+            if legs.is_none() && at_arrival {
+                rt.stats.no_path += 1;
             }
         }
-        (None, searches)
+        legs
     }
 
-    /// One counted poll of the pathfinder. `at_arrival` distinguishes a
-    /// payment's first attempt (counted as `no_path` on failure) from
-    /// gate re-polls (not counted).
-    fn try_route(&mut self, li: usize, at_arrival: bool) -> Option<Vec<(VenueRoute, u64)>> {
-        let (found, searches) = self.find_route(li);
-        let rt = self.routed_mut();
-        rt.stats.pathfind_calls += searches;
-        if found.is_none() && at_arrival {
-            rt.stats.no_path += 1;
-        }
-        found
-    }
-
-    /// Runs an admitted routed payment: one deterministic instance per
-    /// leg (leg 0 keeps the spec's seed, so a single-path admission
-    /// replays the exact static-route faults), merged into one result —
-    /// Success only when every leg succeeds, worst outcome otherwise.
-    /// Only then are the book events scheduled, because the settlement's
-    /// `consume` depends on the merged outcome.
-    fn admit_routed(&mut self, local: u32, t: SimTime, paths: Vec<(VenueRoute, u64)>) {
-        let spec = &self.specs[self.members[local as usize]];
-        {
-            let rt = self.routed_mut();
+    /// Runs an admitted payment: one deterministic instance per leg,
+    /// folded onto the first leg's result — Success only when every leg
+    /// succeeds, worst outcome otherwise; latency is the slowest leg,
+    /// peaks and event counts sum, lock events concatenate with each
+    /// leg's hops offset past the previous legs' (matching the combined
+    /// route, so the venue lookup stays a plain index). A single leg is
+    /// its own result. Only then are the book events scheduled, because
+    /// the settlement's `consume` depends on the folded outcome.
+    fn admit(&mut self, local: u32, t: SimTime, legs: Vec<Cow<'a, PaymentSpec>>) {
+        if let Some(rt) = self.routed.as_mut() {
             rt.stats.routed += 1;
-            if paths.len() > 1 {
+            if legs.len() > 1 {
                 rt.stats.split += 1;
-            } else if paths[0].0 != spec.venues {
+            } else if legs[0].venues != self.specs[self.members[local as usize]].venues {
                 rt.stats.rerouted += 1;
             }
         }
-        // Per-leg salted seeds keep legs independent; salt 0 for leg 0.
-        const SPLIT_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut runs: Vec<(VenueRoute, InstanceResult)> = Vec::with_capacity(paths.len());
-        for (j, (path, share)) in paths.into_iter().enumerate() {
-            let sub = PaymentSpec {
-                id: spec.id,
-                family: spec.family,
-                arrival: spec.arrival,
-                n: path.hops(),
-                plan: ValuePlan::uniform(path.hops(), share),
-                params: spec.params,
-                seed: spec.seed ^ SPLIT_SEED_SALT.wrapping_mul(j as u64),
-                packet: spec.packet,
-                route: spec.route,
-                venues: path,
-                endpoints: spec.endpoints,
-            };
-            let r =
-                run_instance_isolated(self.harness, &sub, self.plan, true, &mut self.queue_high);
-            runs.push((sub.venues, r));
-        }
-        // Merge: conjunction of legs. Latency is the slowest leg, peaks
-        // and event counts sum, lock events concatenate with each leg's
-        // hops offset past the previous legs' (matching the combined
-        // route below, so the venue lookup stays a plain index).
         fn severity(o: ProtocolOutcome) -> u8 {
             match o {
                 ProtocolOutcome::Violation => 4,
@@ -622,46 +609,34 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 _ => 0,
             }
         }
-        let faults = runs[0].1.faults;
-        let mut outcome = ProtocolOutcome::Success;
-        let mut griefed = false;
-        let mut latency = SimDuration::ZERO;
-        let mut peak_locked = 0u64;
-        let mut events = 0u64;
-        let mut lock_profile: Vec<(SimTime, u32, i64)> = Vec::new();
-        let mut all_venues: Vec<u32> = Vec::new();
-        for (path, r) in &runs {
-            if severity(r.outcome) > severity(outcome) {
-                outcome = r.outcome;
-            }
-            griefed |= r.griefed;
-            latency = latency.max(r.latency);
-            peak_locked += r.peak_locked;
-            events += r.events;
-            let offset = all_venues.len() as u32;
-            for &(te, hop, dv) in &r.lock_profile {
-                lock_profile.push((te, hop + offset, dv));
-            }
-            all_venues.extend(path.venues.iter().copied());
-        }
-        let route_all = VenueRoute::new(all_venues);
-        let merged = InstanceResult {
-            id: spec.id,
-            family: spec.family,
-            outcome,
-            griefed,
-            faults,
-            latency,
-            peak_locked,
-            events,
-            packet: spec.packet,
-            route: spec.route,
-            lock_profile,
+        let mut legs = legs.into_iter();
+        let first = legs.next().expect("a poll that admits yields a leg");
+        let mut r =
+            run_instance_isolated(self.harness, &first, self.plan, true, &mut self.queue_high);
+        let mut route = match first {
+            Cow::Borrowed(spec) => Cow::Borrowed(&spec.venues),
+            Cow::Owned(spec) => Cow::Owned(spec.venues),
         };
-        // A successful routed payment moved value off its venues; and the
-        // gate decided on the chosen legs, not on the spec's static
-        // demand, so the venues that saw a lock event count the admission.
-        self.commit_admission(local, t, &route_all, merged, true, false);
+        for leg in legs {
+            let lr =
+                run_instance_isolated(self.harness, &leg, self.plan, true, &mut self.queue_high);
+            if severity(lr.outcome) > severity(r.outcome) {
+                r.outcome = lr.outcome;
+            }
+            r.griefed |= lr.griefed;
+            r.latency = r.latency.max(lr.latency);
+            r.peak_locked += lr.peak_locked;
+            r.events += lr.events;
+            let venues = &mut route.to_mut().venues;
+            let offset = venues.len() as u32;
+            let shifted = lr
+                .lock_profile
+                .iter()
+                .map(|&(te, hop, dv)| (te, hop + offset, dv));
+            r.lock_profile.extend(shifted);
+            venues.extend_from_slice(&leg.venues.venues);
+        }
+        self.commit_admission(local, t, &route, r);
     }
 
     /// What every admission does once the payment's run is in hand:
@@ -670,33 +645,30 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     /// policy — reserve each venue's measured peak until its last lock
     /// event. `route` maps the profile's hops to venues.
     ///
-    /// The two inputs are where static and routed admission legitimately
-    /// differ. `consume_on_success`: a settled reservation of a
-    /// *successful* payment stays spent (routed) or returns intact
-    /// (static). `count_demanded`: the admission counts in
-    /// [`VenueEvents`] at every venue of the spec's static demand — what
-    /// the static gate decided on — or at every venue that saw a lock
-    /// event.
+    /// The mode decides the rest. A settled reservation of a *successful*
+    /// payment stays spent (routed) or returns intact (static). The
+    /// admission counts in [`VenueEvents`] at every venue of the spec's
+    /// static demand — what a static poll decided on — or, routed, at
+    /// every venue that saw a lock event.
     fn commit_admission(
         &mut self,
         local: u32,
         t: SimTime,
         route: &VenueRoute,
         mut r: InstanceResult,
-        consume_on_success: bool,
-        count_demanded: bool,
     ) {
         let li = local as usize;
+        let routed = self.routed.is_some();
         self.decided[li] = true;
-        self.admitted += 1;
-        self.horizon = self.horizon.max(t);
+        self.tally.admitted += 1;
+        self.tally.horizon = self.tally.horizon.max(t);
         self.note_decided();
         let spec = &self.specs[self.members[li]];
         let wait = t.saturating_since(spec.arrival);
         let waited = !wait.is_zero();
         if waited {
-            self.queued += 1;
-            self.waits.push(wait.ticks());
+            self.tally.queued += 1;
+            self.tally.waits.push(wait.ticks());
             // A delayed start shifts the whole (deterministic) run by the
             // wait, payer-visible latency included.
             for ev in r.lock_profile.iter_mut() {
@@ -720,19 +692,19 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             self.push(te, rank, EventKind::Book { venue, delta: dv });
         }
         let mut count = |venue: u32| {
-            let ve = self.venue_events.entry(venue).or_default();
+            let ve = self.tally.venue_events.entry(venue).or_default();
             ve.admitted += 1;
             if waited {
                 ve.queued += 1;
             }
         };
-        if count_demanded {
-            self.demands[li].iter().for_each(|&(venue, _)| count(venue));
-        } else {
+        if routed {
             per_venue.keys().for_each(|&venue| count(venue));
+        } else {
+            self.demands[li].iter().for_each(|&(venue, _)| count(venue));
         }
         let success = r.outcome == ProtocolOutcome::Success;
-        let spends = success && consume_on_success;
+        let spends = success && routed;
         if self.policy.bounded() {
             for (&venue, &(_, peak, last)) in &per_venue {
                 if peak > 0 {
@@ -750,17 +722,9 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             }
         }
         if success {
-            self.goodput_value += delivered(spec);
+            self.tally.goodput_value += delivered(spec);
         }
         self.results[li] = Some(r);
-    }
-
-    /// The live-routing state, for the routed branches only.
-    fn routed_mut(&mut self) -> &mut RoutedState {
-        self.routed.as_mut().expect(
-            "`on_arrival` and `drain_queue` enter their routed branch — the only way to \
-             `try_route` and `admit_routed` — after checking `self.routed.is_some()`",
-        )
     }
 
     /// Routed mode tracks how many payments are still undecided so the
@@ -781,70 +745,51 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         self.drain_queue(t);
     }
 
-    /// Admits from the gate's head while capacity lasts (FIFO: a blocked
-    /// head blocks everyone behind it, whatever they demand). In routed
-    /// mode the head's shot is a fresh pathfinding attempt against the
-    /// current book rather than its static demand — unless the gate memo
-    /// says that head already failed against this very book.
+    /// Admits from the gate's head while its polls find legs (FIFO: a
+    /// blocked head blocks everyone behind it, whatever they demand) —
+    /// unless the gate memo says that head already failed against this
+    /// very book.
     fn drain_queue(&mut self, t: SimTime) {
-        if self.routed.is_some() {
-            while let Some(&head) = self.queue.front() {
-                let poll = Some((head, self.book.load_version()));
-                if self.routed_mut().blocked == poll {
-                    debug_assert!(
-                        self.find_route(head as usize).0.is_none(),
-                        "the book's loads did not move, so the head's search must fail again"
-                    );
-                    break;
-                }
-                match self.try_route(head as usize, false) {
-                    Some(paths) => {
-                        self.queue.pop_front();
-                        self.admit_routed(head, t, paths);
-                    }
-                    None => {
-                        self.routed_mut().blocked = poll;
-                        break;
-                    }
-                }
-            }
-            return;
-        }
         while let Some(&head) = self.queue.front() {
-            if !self.book.fits(&self.demands[head as usize]) {
+            let poll = Some((head, self.book.load_version()));
+            if self.blocked == poll {
+                debug_assert!(
+                    self.find_legs(head as usize).0.is_none(),
+                    "the book's loads did not move, so the head's poll must fail again"
+                );
                 break;
             }
-            self.queue.pop_front();
-            self.admit(head, t);
+            match self.poll(head as usize, false) {
+                Some(legs) => {
+                    self.queue.pop_front();
+                    self.admit(head, t, legs);
+                }
+                None => {
+                    self.blocked = poll;
+                    break;
+                }
+            }
         }
-    }
-
-    fn admit(&mut self, local: u32, t: SimTime) {
-        let spec = &self.specs[self.members[local as usize]];
-        let r = run_instance_isolated(self.harness, spec, self.plan, true, &mut self.queue_high);
-        // Static collateral returns intact, and the gate decided on the
-        // spec's demand: every demanded venue counts the admission.
-        self.commit_admission(local, t, &spec.venues, r, false, true);
     }
 
     fn reject(&mut self, local: u32, t: SimTime) {
         let li = local as usize;
         self.decided[li] = true;
-        self.rejected += 1;
-        self.horizon = self.horizon.max(t);
+        self.tally.rejected += 1;
+        self.tally.horizon = self.tally.horizon.max(t);
         self.note_decided();
         let spec = &self.specs[self.members[li]];
         // The payment never starts: no locks, no run, only the payer's
         // *actual* wasted patience (zero for an on-the-spot refusal).
         let wasted = t.saturating_since(spec.arrival).min(self.policy.max_wait());
         for &(venue, _) in &self.demands[li] {
-            let ve = self.venue_events.entry(venue).or_default();
+            let ve = self.tally.venue_events.entry(venue).or_default();
             ve.rejected += 1;
             if !wasted.is_zero() {
                 ve.expired += 1;
             }
         }
-        self.rejected_waits.push(wasted.ticks());
+        self.tally.rejected_waits.push(wasted.ticks());
         self.results[li] = Some(InstanceResult {
             id: spec.id,
             family: spec.family,
@@ -937,25 +882,10 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
     // venue-disjoint book columns sum.
     let mut book = template;
     let mut per_spec: Vec<Option<InstanceResult>> = specs.iter().map(|_| None).collect();
-    let (mut admitted, mut rejected, mut queued) = (0usize, 0usize, 0usize);
-    let mut waits: Vec<u64> = Vec::new();
-    let mut rejected_waits: Vec<u64> = Vec::new();
-    let mut horizon_end = SimTime::ZERO;
-    let (mut goodput_value, mut offered_value) = (0u64, 0u64);
-    let mut venue_events: BTreeMap<u32, VenueEvents> = BTreeMap::new();
+    let mut tally = GateTally::default();
     let mut routing_stats: Option<RoutingStats> = routed_cfg.map(|_| RoutingStats::default());
     for shard in outcomes {
-        admitted += shard.admitted;
-        rejected += shard.rejected;
-        queued += shard.queued;
-        waits.extend(shard.waits);
-        rejected_waits.extend(shard.rejected_waits);
-        horizon_end = horizon_end.max(shard.horizon);
-        goodput_value += shard.goodput_value;
-        offered_value += shard.offered_value;
-        for (venue, ev) in shard.venue_events {
-            venue_events.entry(venue).or_default().absorb(&ev);
-        }
+        tally.absorb(shard.tally);
         if let (Some(acc), Some(rs)) = (routing_stats.as_mut(), shard.routing.as_ref()) {
             acc.absorb(rs);
         }
@@ -965,16 +895,16 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
             per_spec[si] = Some(r);
         }
     }
-    book.finish(horizon_end);
+    book.finish(tally.horizon);
 
-    let horizon = horizon_end.saturating_since(SimTime::ZERO);
+    let horizon = tally.horizon.saturating_since(SimTime::ZERO);
     let liquidity = LiquidityStats {
         offered: specs.len(),
-        admitted,
-        rejected,
-        queued,
-        wait: Summary::of(&waits),
-        rejected_wait: Summary::of(&rejected_waits),
+        admitted: tally.admitted,
+        rejected: tally.rejected,
+        queued: tally.queued,
+        wait: Summary::of(&tally.waits),
+        rejected_wait: Summary::of(&tally.rejected_waits),
         shards: members.len(),
         horizon,
         budget: book.budget(),
@@ -984,8 +914,8 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
         utilization_ppm: book.utilization_ppm(horizon),
         budget_violations: book.violations(),
         drained: book.drained(),
-        goodput_value,
-        offered_value,
+        goodput_value: tally.goodput_value,
+        offered_value: tally.offered_value,
     };
     let results: Vec<InstanceResult> = per_spec
         .into_iter()
@@ -994,11 +924,11 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
     OpenRaw {
         results,
         liquidity,
-        waits,
-        rejected_waits,
+        waits: tally.waits,
+        rejected_waits: tally.rejected_waits,
         telemetry: OpenTelemetry {
             venues: book.venue_samples(),
-            venue_events: venue_events.into_iter().collect(),
+            venue_events: tally.venue_events.into_iter().collect(),
             routing: routing_stats,
         },
     }

@@ -469,8 +469,8 @@ pub struct OpenTelemetry {
 
 impl OpenTelemetry {
     /// Emit the sidecar as structured events: one `venue` event per sample
-    /// (see [`protocol::liquidity::LiquidityBook::emit_venue_series`] for
-    /// the schema), one `venue_des` event per counter row, and — for
+    /// (see [`protocol::liquidity::VenueSample::to_event`] for the
+    /// schema), one `venue_des` event per counter row, and — for
     /// routed runs — the `route`/`rebalance` events of
     /// [`OpenTelemetry::emit_routing`], each prefixed with the caller's
     /// `scope` fields (e.g. `epoch`, `cell`).

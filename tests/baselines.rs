@@ -135,7 +135,7 @@ fn run_atomic(deadline: SimDuration, net: Box<dyn NetModel<PMsg>>, seed: u64) ->
     let s = WeakSetup::new(2, ValuePlan::uniform(2, 100), TmKind::Trusted, 90 + seed);
     let evidence = Evidence::new(s.payment, s.escrow_keys(), s.customer_keys());
     let pki = s.pki.clone();
-    let tm_signer = s.tm_signer_for_tests(0).clone();
+    let tm_signer = s.tm_signer(0).clone();
     let participants: Vec<Pid> = (0..s.topo.participants()).collect();
     let mut eng = s.build_engine_with(
         net,

@@ -221,7 +221,6 @@ proptest! {
     fn reduced_explorer_equivalent_to_full_on_races(
         racers in 2usize..4,
         buckets in 1usize..5,
-        prune_dead in any::<bool>(),
     ) {
         let checker = |eng: &Engine<u32>, _: &crosschain::anta::engine::RunReport| {
             let judge = eng.process_as::<Judge>(0).unwrap();
@@ -243,7 +242,6 @@ proptest! {
                 checker,
                 ExploreConfig {
                     mode: ExploreMode::Reduced,
-                    prune_dead_sends: prune_dead,
                     threads,
                     ..Default::default()
                 },

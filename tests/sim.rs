@@ -269,6 +269,70 @@ fn multi_shard_open_report_identical_across_thread_counts() {
     assert!(serial.liquidity.admitted > 0);
 }
 
+/// The static-route `Queue` gate under faults, pinned bit for bit: bursty
+/// arrivals over a budget that makes payments wait and some expire, on a
+/// one-shard hub and on a three-shard packetized workload, at 1 and 4
+/// threads. The digests were captured before static admission became
+/// the one-leg case of routed admission.
+#[test]
+fn static_queue_gate_reports_match_the_pinned_digests() {
+    let faulty = FaultPlan {
+        crash_permille: 80,
+        thieving_escrow_permille: 40,
+        net: NetFaults {
+            drop_permille: 30,
+            delay_permille: 80,
+            extra_delay: SimDuration::from_millis(2),
+            delay_buckets: 4,
+        },
+        ..FaultPlan::NONE
+    };
+    let cases = [
+        (
+            TopologyFamily::HubAndSpoke { spokes: 4 },
+            12_000,
+            0x2286_4c8f_da49_ae60,
+        ),
+        (
+            TopologyFamily::Packetized { paths: 3, hops: 2 },
+            6_000,
+            0x35bc_d3e3_b648_6c26,
+        ),
+    ];
+    for (family, budget, pinned) in cases {
+        let open_with_threads = |threads: usize| {
+            let mut cfg = SimConfig {
+                threads,
+                faults: faulty,
+                ..campaign(family, 160, 0x5747)
+            };
+            cfg.workload.arrivals = ArrivalProcess::Bursty {
+                burst: 16,
+                gap: SimDuration::from_millis(50),
+            };
+            open_run(
+                &cfg,
+                &LiquidityConfig::queue(budget, SimDuration::from_millis(35)),
+            )
+        };
+        let serial = open_with_threads(1);
+        let fnv =
+            |r: &OpenReport| crosschain::experiments::digest::fnv1a64(format!("{r:?}").as_bytes());
+        assert_eq!(fnv(&serial), pinned, "{family:?}");
+        assert_eq!(
+            fnv(&open_with_threads(4)),
+            pinned,
+            "{family:?} at 4 threads"
+        );
+        let l = &serial.liquidity;
+        assert!(l.queued > 0, "{family:?}: the gate must hold payments");
+        assert!(
+            l.rejected_wait.as_ref().is_some_and(|w| w.max > 0),
+            "{family:?}: some queued payment must expire"
+        );
+    }
+}
+
 /// The instance every [`PoisonedHarness`] run panics on.
 const POISONED_ID: u64 = 0;
 
