@@ -46,25 +46,6 @@ pub struct EngineConfig {
     /// exhaustive exploration and sweeps, where only counters, marks and
     /// halts are read back.
     pub trace_mode: TraceMode,
-    /// Dead-branch elision for the reduced schedule explorer.
-    ///
-    /// A delivery to a process that has already **halted** is a no-op: the
-    /// engine discards the event before the handler or the trace sees it.
-    /// The delay bucket chosen for such a message (and the σ bucket of a
-    /// handler *all* of whose sends are dead) therefore decides nothing the
-    /// run can observe — except the real time at which the dead event is
-    /// popped, which only moves `RunReport::end_time`/`events` for the dead
-    /// tail of the run. With this flag on, those choices are pinned to the
-    /// worst case (the same convention as `buckets = 1`) instead of being
-    /// drawn from the oracle, so an exploring oracle never logs — and the
-    /// explorer never branches on — choices whose subtrees are pairwise
-    /// identical.
-    ///
-    /// Off by default: pinning removes oracle draws, so seeded Monte-Carlo
-    /// runs would see a shifted choice stream. Checkers that read
-    /// `end_time`/`events` of post-halt tails, or that distinguish runs
-    /// truncated *inside* a dead tail, should not enable it.
-    pub prune_dead_sends: bool,
 }
 
 impl Default for EngineConfig {
@@ -75,7 +56,6 @@ impl Default for EngineConfig {
             sigma_max: SimDuration::ZERO,
             sigma_buckets: 1,
             trace_mode: TraceMode::Full,
-            prune_dead_sends: false,
         }
     }
 }
@@ -177,7 +157,27 @@ pub struct Engine<M: Message> {
     queue_high: usize,
     /// Fingerprinting state (reduced explorer); `None` ⇒ zero overhead.
     fp: Option<FpState>,
-    /// Choices elided under [`EngineConfig::prune_dead_sends`].
+    /// Dead-branch elision, set only by the reduced explorer and
+    /// `replay_pruned` ([`Engine::set_prune_dead_sends`]).
+    ///
+    /// A delivery to a process that has already **halted** is a no-op: the
+    /// engine discards the event before the handler or the trace sees it.
+    /// The delay bucket chosen for such a message (and the σ bucket of a
+    /// handler *all* of whose sends are dead) therefore decides nothing the
+    /// run can observe — except the real time at which the dead event is
+    /// popped, which only moves `RunReport::end_time`/`events` for the dead
+    /// tail of the run. With elision on, those choices are pinned to the
+    /// worst case (the same convention as `buckets = 1`) instead of being
+    /// drawn from the oracle, so an exploring oracle never logs — and the
+    /// explorer never branches on — choices whose subtrees are pairwise
+    /// identical.
+    ///
+    /// Off for every other run: pinning removes oracle draws, so seeded
+    /// Monte-Carlo runs would see a shifted choice stream. Checkers that
+    /// read `end_time`/`events` of post-halt tails, or that distinguish runs
+    /// truncated *inside* a dead tail, do not hold under it.
+    prune_dead_sends: bool,
+    /// Choices elided under `prune_dead_sends`.
     dead_branch_prunes: u64,
 }
 
@@ -198,6 +198,7 @@ impl<M: Message> Engine<M> {
             fx_buf: Vec::new(),
             queue_high: 0,
             fp: None,
+            prune_dead_sends: false,
             dead_branch_prunes: 0,
         }
     }
@@ -320,8 +321,8 @@ impl<M: Message> Engine<M> {
     /// * **[`EngineConfig::max_real_time`]** — a run near the horizon has
     ///   less slack than its earlier twin. Explorer horizons are sized as a
     ///   many-multiples-of-worst-deadline backstop that quiescent runs
-    ///   never reach (same documented-caveat class as
-    ///   [`EngineConfig::prune_dead_sends`]); a run truncated by the
+    ///   never reach (same documented-caveat class as the explorer's
+    ///   dead-branch elision); a run truncated by the
     ///   horizon reports `truncated` and fails verdicts loudly rather than
     ///   silently.
     ///
@@ -367,12 +368,13 @@ impl<M: Message> Engine<M> {
         fp.probe = Some(probe);
     }
 
-    /// Sets [`EngineConfig::prune_dead_sends`] after construction — the
-    /// reduced explorer flips it on engines built by mode-agnostic `build`
-    /// closures. Must be called before the first `run()`.
-    pub fn set_prune_dead_sends(&mut self, on: bool) {
+    /// Turns dead-branch elision on or off (see the `prune_dead_sends`
+    /// field) — the reduced explorer flips it on engines built by
+    /// mode-agnostic `build` closures. Must be called before the first
+    /// `run()`.
+    pub(crate) fn set_prune_dead_sends(&mut self, on: bool) {
         assert!(!self.started, "set_prune_dead_sends() before run()");
-        self.cfg.prune_dead_sends = on;
+        self.prune_dead_sends = on;
     }
 
     /// True if the last `run()` was cut short by the fingerprint probe.
@@ -380,8 +382,8 @@ impl<M: Message> Engine<M> {
         self.fp.as_ref().is_some_and(|fp| fp.deduped)
     }
 
-    /// Oracle choices elided by [`EngineConfig::prune_dead_sends`] so far.
-    pub fn dead_branch_prunes(&self) -> u64 {
+    /// Oracle choices elided as dead branches so far.
+    pub(crate) fn dead_branch_prunes(&self) -> u64 {
         self.dead_branch_prunes
     }
 
@@ -606,7 +608,7 @@ impl<M: Message> Engine<M> {
         // Charge the grey-state computation time once per handler that
         // sends; timers and marks are bookkeeping on the transition itself.
         let has_sends = effects.iter().any(|e| matches!(e, Effect::Send { .. }));
-        let prune = self.cfg.prune_dead_sends;
+        let prune = self.prune_dead_sends;
         // Under dead-branch elision, a handler whose every send is addressed
         // to an already-halted process gets its σ draw pinned too: the draw
         // would only shift dead delivery times.
@@ -646,8 +648,7 @@ impl<M: Message> Engine<M> {
                     let delivery = if prune && self.procs[to].halted {
                         // Delivery to a halted process is a no-op; route
                         // with a pinned worst-case oracle so no branchable
-                        // choice is consumed (see
-                        // `EngineConfig::prune_dead_sends`).
+                        // choice is consumed (see `prune_dead_sends`).
                         self.dead_branch_prunes += 1;
                         let mut pinned = FixedOracle::maximal();
                         self.net.route(&meta, &msg, &mut pinned)
@@ -1115,10 +1116,10 @@ mod tests {
                 EngineConfig {
                     sigma_max: SimDuration::from_ticks(8),
                     sigma_buckets: 2,
-                    prune_dead_sends: prune,
                     ..Default::default()
                 },
             );
+            eng.set_prune_dead_sends(prune);
             // Pid 0 halts before pid 1's start sends to it (Start events
             // dispatch in registration order at equal time).
             eng.add_process(Box::new(HaltsAtStart), DriftClock::perfect());

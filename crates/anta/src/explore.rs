@@ -43,9 +43,10 @@
 //!   [`Engine::enable_fingerprints`];
 //! * **dead-branch elision** — choices that only affect messages addressed
 //!   to already-halted processes decide nothing observable, so the engine
-//!   pins them instead of branching
-//!   ([`EngineConfig::prune_dead_sends`](crate::engine::EngineConfig::prune_dead_sends)
-//!   documents the independence argument and its `end_time` caveat).
+//!   pins them instead of branching. It is on for every reduced run and
+//!   for [`replay_pruned`], and off everywhere else; the engine's private
+//!   `prune_dead_sends` flag documents the independence argument and its
+//!   `end_time` caveat.
 //!
 //! Budget semantics: `max_runs` ([`explore`]'s argument,
 //! [`ExploreConfig::max_runs`]) counts **executed** schedules — runs cut by
@@ -181,8 +182,8 @@ pub struct ExploreReport {
     /// Reduced mode: runs cut short because they re-entered a state some
     /// schedule had already covered (each cut skips a whole subtree).
     pub dedup_hits: usize,
-    /// Reduced mode: oracle choices elided as dead branches
-    /// (see [`EngineConfig::prune_dead_sends`](crate::engine::EngineConfig::prune_dead_sends)).
+    /// Reduced mode: oracle choices elided as dead branches (see the
+    /// module docs).
     pub dead_branch_prunes: u64,
     /// Dynamic re-splits (work donations to idle workers).
     pub resplits: usize,
@@ -813,8 +814,8 @@ pub fn replay<M: Message>(
     replay_inner(build, path, false)
 }
 
-/// [`replay`] with [`EngineConfig::prune_dead_sends`](crate::engine::EngineConfig::prune_dead_sends)
-/// enabled — required for paths recorded by a reduced exploration.
+/// [`replay`] with dead-branch elision on (see the module docs) —
+/// required for paths recorded by a reduced exploration.
 pub fn replay_pruned<M: Message>(
     build: impl FnMut(Box<dyn Oracle>) -> Engine<M>,
     path: &[usize],

@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 /// "which pid does choice `i` touch" query the reduced explorer needs: it
 /// can tell that a delay choice for a message addressed to an
 /// already-halted process decides nothing, without replaying anything
-/// (see [`crate::engine::EngineConfig::prune_dead_sends`]).
+/// (the dead-branch elision described in [`crate::explore`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChoiceKind {
     /// Network delay bucket for a message addressed to the tagged pid.

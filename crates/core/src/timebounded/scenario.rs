@@ -17,7 +17,6 @@ use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Pid, Process};
 use anta::time::{SimDuration, SimTime};
-use ledger::Ledger;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -173,12 +172,6 @@ impl ChainSetup {
             Role::Escrow(i) => {
                 let up_key = self.keys.customers[i].id();
                 let down_key = self.keys.customers[i + 1].id();
-                let mut book = Ledger::new();
-                book.open_account(up_key).expect("fresh ledger");
-                book.open_account(down_key).expect("fresh ledger");
-                // The upstream customer's working capital lives here.
-                book.mint(up_key, self.plan.amounts[i])
-                    .expect("fresh ledger");
                 Box::new(EscrowProcess::new(
                     i,
                     self.topo.customer_pid(i),
@@ -191,7 +184,7 @@ impl ChainSetup {
                     self.payment,
                     self.plan.amounts[i],
                     &self.schedule,
-                    book,
+                    self.plan.escrow_book(i, up_key, down_key),
                 ))
             }
         }
@@ -359,34 +352,10 @@ impl ChainOutcome {
                 }
             }
         }
-        // Net positions: initial capital is plan.amounts[i] minted for c_i
-        // at e_i (i < n); final worth is c_i's balances at e_{i-1} and e_i.
-        let mut net_positions = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            let key = setup.keys.customers[i].id();
-            let mut known = true;
-            let mut worth: i64 = 0;
-            if i < n {
-                match eng.process_as::<EscrowProcess>(topo.escrow_pid(i)) {
-                    Some(e) => {
-                        let cur = setup.plan.amounts[i].currency;
-                        worth += e.ledger().balance(key, cur) as i64;
-                        worth -= setup.plan.amounts[i].amount as i64; // initial capital
-                    }
-                    None => known = false,
-                }
-            }
-            if i > 0 {
-                match eng.process_as::<EscrowProcess>(topo.escrow_pid(i - 1)) {
-                    Some(e) => {
-                        let cur = setup.plan.amounts[i - 1].currency;
-                        worth += e.ledger().balance(key, cur) as i64;
-                    }
-                    None => known = false,
-                }
-            }
-            net_positions.push(known.then_some(worth));
-        }
+        let net_positions = setup.plan.net_positions(&setup.keys.customers, |i| {
+            eng.process_as::<EscrowProcess>(topo.escrow_pid(i))
+                .map(EscrowProcess::ledger)
+        });
         ChainOutcome {
             n,
             customers,

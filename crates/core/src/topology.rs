@@ -15,7 +15,7 @@
 //! (experiment E4).
 
 use anta::process::Pid;
-use ledger::{Asset, CurrencyId};
+use ledger::{Asset, CurrencyId, Ledger};
 use xcrypto::{KeyId, PaymentId, Pki, Signer};
 
 /// A participant role in the chain.
@@ -264,6 +264,41 @@ impl ValuePlan {
     /// Number of hops (escrows).
     pub fn hops(&self) -> usize {
         self.amounts.len()
+    }
+
+    /// Escrow `e_i`'s opening book: accounts for `c_i` (`up`) and `c_{i+1}`
+    /// (`down`), with `v_i` minted to `c_i` — the upstream customer's
+    /// working capital lives at her downstream escrow.
+    pub fn escrow_book(&self, i: usize, up: KeyId, down: KeyId) -> Ledger {
+        Ledger::funded(&[up, down], up, self.amounts[i])
+    }
+
+    /// Net value change of every customer `c_0..=c_n` (signers in index
+    /// order), read from the escrows' final books: `c_i`'s balances at
+    /// `e_{i-1}` and `e_i`, less the capital [`ValuePlan::escrow_book`]
+    /// minted to her at `e_i`. `book(i)` is `e_i`'s ledger, `None` where the
+    /// escrow was substituted; a position next to such an escrow is `None`.
+    /// Only meaningful for single-currency plans.
+    pub fn net_positions<'a>(
+        &self,
+        customers: &[Signer],
+        book: impl Fn(usize) -> Option<&'a Ledger>,
+    ) -> Vec<Option<i64>> {
+        let n = self.hops();
+        (0..=n)
+            .map(|i| {
+                let key = customers[i].id();
+                let mut worth: i64 = 0;
+                if i < n {
+                    worth += book(i)?.balance(key, self.amounts[i].currency) as i64;
+                    worth -= self.amounts[i].amount as i64;
+                }
+                if i > 0 {
+                    worth += book(i - 1)?.balance(key, self.amounts[i - 1].currency) as i64;
+                }
+                Some(worth)
+            })
+            .collect()
     }
 
     /// Splits the plan into `k` parallel sub-plans carrying the same total

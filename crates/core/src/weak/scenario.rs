@@ -12,7 +12,6 @@ use anta::oracle::Oracle;
 use anta::process::{Pid, Process};
 use anta::time::{SimDuration, SimTime};
 use consensus::Config as ConsConfig;
-use ledger::Ledger;
 use std::sync::Arc;
 use xcrypto::{Authority, KeyId, PaymentId, Pki, Signer, Verdict};
 
@@ -133,12 +132,14 @@ impl WeakSetup {
         self.customers.iter().map(|s| s.id()).collect()
     }
 
-    fn evidence(&self) -> Evidence {
+    /// A fresh evidence collector for this payment — what every manager,
+    /// including a baseline's substitute, decides on.
+    pub fn evidence(&self) -> Evidence {
         Evidence::new(self.payment, self.escrow_keys(), self.customer_keys())
     }
 
     /// Everyone who must learn the decision.
-    fn participant_pids(&self) -> Vec<Pid> {
+    pub fn participant_pids(&self) -> Vec<Pid> {
         (0..self.topo.participants()).collect()
     }
 
@@ -181,11 +182,6 @@ impl WeakSetup {
             Role::Escrow(i) => {
                 let up_key = self.customers[i].id();
                 let down_key = self.customers[i + 1].id();
-                let mut book = Ledger::new();
-                book.open_account(up_key).expect("fresh ledger");
-                book.open_account(down_key).expect("fresh ledger");
-                book.mint(up_key, self.plan.amounts[i])
-                    .expect("fresh ledger");
                 Box::new(WeakEscrow::new(
                     i,
                     self.topo.customer_pid(i),
@@ -198,7 +194,7 @@ impl WeakSetup {
                     self.payment,
                     self.plan.amounts[i],
                     self.authority.clone(),
-                    book,
+                    self.plan.escrow_book(i, up_key, down_key),
                 ))
             }
         }
@@ -373,33 +369,10 @@ impl WeakOutcome {
                 }
             }
         }
-        // Net positions, as in the time-bounded scenario.
-        let mut net_positions = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            let key = setup.customers[i].id();
-            let mut known = true;
-            let mut worth: i64 = 0;
-            if i < n {
-                match eng.process_as::<WeakEscrow>(topo.escrow_pid(i)) {
-                    Some(e) => {
-                        let cur = setup.plan.amounts[i].currency;
-                        worth += e.ledger().balance(key, cur) as i64;
-                        worth -= setup.plan.amounts[i].amount as i64;
-                    }
-                    None => known = false,
-                }
-            }
-            if i > 0 {
-                match eng.process_as::<WeakEscrow>(topo.escrow_pid(i - 1)) {
-                    Some(e) => {
-                        let cur = setup.plan.amounts[i - 1].currency;
-                        worth += e.ledger().balance(key, cur) as i64;
-                    }
-                    None => known = false,
-                }
-            }
-            net_positions.push(known.then_some(worth));
-        }
+        let net_positions = setup.plan.net_positions(&setup.customers, |i| {
+            eng.process_as::<WeakEscrow>(topo.escrow_pid(i))
+                .map(WeakEscrow::ledger)
+        });
         let bob_paid = eng
             .process_as::<WeakEscrow>(topo.escrow_pid(n - 1))
             .map(|e| {

@@ -13,12 +13,51 @@
 
 use crate::matrix::{DealOutcome, Party};
 use crate::timelock::{commit_payload, DMsg, DealInstance, DOM_DEAL_COMMIT};
+use anta::clock::DriftClock;
+use anta::engine::{Engine, EngineConfig};
+use anta::net::NetModel;
+use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
 use ledger::{DealId, Ledger, SimChain};
 use std::sync::Arc as StdArc;
 use xcrypto::wire::WireWriter;
 use xcrypto::{KeyId, PaymentId, Pki, Signer};
+
+impl DealInstance {
+    /// Builds the certified protocol: the parties (signing with `signers`,
+    /// in party order), then one [`CertifiedEscrow`] per arc, then the
+    /// certified blockchain at [`DealInstance::next_free_pid`], which sends
+    /// its verdict to every party and escrow. Party `p` runs on
+    /// `party_clock(p)` — patience is a local policy — while escrows and
+    /// the chain settle on messages and keep perfect clocks. `party(p,
+    /// compliant)` turns the compliant party into the process registered
+    /// at its pid: it may set the party's patience, or replace it outright.
+    pub fn certified_engine(
+        &self,
+        signers: &[Signer],
+        net: Box<dyn NetModel<DMsg>>,
+        oracle: Box<dyn Oracle>,
+        cfg: EngineConfig,
+        mut party_clock: impl FnMut(Party) -> DriftClock,
+        mut party: impl FnMut(Party, CertifiedParty) -> Box<dyn Process<DMsg>>,
+    ) -> Engine<DMsg> {
+        let mut eng = Engine::new(net, oracle, cfg);
+        for (p, signer) in signers.iter().enumerate() {
+            let clock = party_clock(p);
+            let compliant = CertifiedParty::new(self, p, signer.clone());
+            eng.add_process(party(p, compliant), clock);
+        }
+        for k in 0..self.deal.arcs().len() {
+            eng.add_process(
+                Box::new(CertifiedEscrow::new(self, k)),
+                DriftClock::perfect(),
+            );
+        }
+        eng.add_process(Box::new(CertifiedChain::new(self)), DriftClock::perfect());
+        eng
+    }
+}
 
 /// Domain label for abort votes on deals.
 pub const DOM_DEAL_ABORT: &[u8] = b"xchain/deals/abort";
@@ -45,13 +84,14 @@ pub struct CertifiedChain {
 }
 
 impl CertifiedChain {
-    /// Builds the CBC for a deal instance; `subscribers` learn the verdict.
-    pub fn new(inst: &DealInstance, subscribers: Vec<Pid>) -> Self {
+    /// Builds the CBC for a deal instance; every party and escrow learns
+    /// the verdict.
+    pub fn new(inst: &DealInstance) -> Self {
         CertifiedChain {
             deal_id: inst.deal_id,
             pki: inst.pki.clone(),
             party_keys: inst.party_keys.clone(),
-            subscribers,
+            subscribers: (0..inst.next_free_pid()).collect(),
             votes: Vec::new(),
             verdict: None,
             log: SimChain::new(),
@@ -141,20 +181,14 @@ impl CertifiedEscrow {
     /// Builds the escrow for `arc` of `inst`, funding the depositor.
     pub fn new(inst: &DealInstance, arc: usize) -> Self {
         let a = inst.deal.arcs()[arc];
-        let depositor_key = inst.party_keys[a.from];
-        let beneficiary_key = inst.party_keys[a.to];
-        let mut ledger = Ledger::new();
-        ledger.open_account(depositor_key).expect("fresh");
-        ledger.open_account(beneficiary_key).expect("fresh");
-        ledger.mint(depositor_key, a.asset).expect("fresh");
         CertifiedEscrow {
             arc,
             asset: a.asset,
-            depositor_key,
-            beneficiary_key,
+            depositor_key: inst.party_keys[a.from],
+            beneficiary_key: inst.party_keys[a.to],
             depositor_pid: inst.party_pid(a.from),
             party_pids: (0..inst.deal.parties()).collect(),
-            ledger,
+            ledger: inst.arc_book(arc),
             deal: None,
             settled: None,
         }
@@ -236,8 +270,9 @@ pub struct CertifiedParty {
 }
 
 impl CertifiedParty {
-    /// Builds party `me`; `cbc` is the certified chain's pid.
-    pub fn new(inst: &DealInstance, me: Party, signer: Signer, cbc: Pid) -> Self {
+    /// Builds party `me`, who votes to the certified chain at
+    /// [`DealInstance::next_free_pid`].
+    pub fn new(inst: &DealInstance, me: Party, signer: Signer) -> Self {
         let my_deposits: Vec<(usize, Pid)> = inst
             .deal
             .outgoing(me)
@@ -248,7 +283,7 @@ impl CertifiedParty {
             signer,
             deal_id: inst.deal_id,
             my_deposits,
-            cbc,
+            cbc: inst.next_free_pid(),
             escrowed_seen: vec![false; inst.deal.arcs().len()],
             voted: false,
             patience: None,
@@ -322,8 +357,6 @@ pub fn extract_certified_outcome(
 mod tests {
     use super::*;
     use crate::matrix::DealMatrix;
-    use anta::clock::DriftClock;
-    use anta::engine::{Engine, EngineConfig};
     use anta::net::{PartialSyncNet, SyncNet};
     use anta::oracle::RandomOracle;
     use anta::time::SimTime;
@@ -342,27 +375,16 @@ mod tests {
         tweak: impl Fn(usize, &mut CertifiedParty),
     ) -> (Engine<DMsg>, DealInstance) {
         let (inst, signers) = DealInstance::generate(deal, 17);
-        let cbc_pid = inst.next_free_pid();
-        let mut eng = Engine::new(
+        let mut eng = inst.certified_engine(
+            &signers,
             net,
             Box::new(RandomOracle::seeded(2)),
             EngineConfig::default(),
-        );
-        for (p, s) in signers.iter().enumerate() {
-            let mut party = CertifiedParty::new(&inst, p, s.clone(), cbc_pid);
-            tweak(p, &mut party);
-            eng.add_process(Box::new(party), DriftClock::perfect());
-        }
-        for k in 0..inst.deal.arcs().len() {
-            eng.add_process(
-                Box::new(CertifiedEscrow::new(&inst, k)),
-                DriftClock::perfect(),
-            );
-        }
-        let subscribers: Vec<Pid> = (0..cbc_pid).collect();
-        eng.add_process(
-            Box::new(CertifiedChain::new(&inst, subscribers)),
-            DriftClock::perfect(),
+            |_| DriftClock::perfect(),
+            |p, mut party| {
+                tweak(p, &mut party);
+                Box::new(party)
+            },
         );
         eng.run_until(SimTime::from_secs(120));
         (eng, inst)

@@ -1,16 +1,32 @@
 //! # xchain-deals — cross-chain deals (Herlihy, Liskov, Shrira \[3\])
 //!
-//! §5 of the paper relates cross-chain *payments* to cross-chain *deals*.
-//! This crate implements the deal side so the comparison is executable:
+//! ## Purpose
 //!
-//! * [`matrix`] — the deal matrix / digraph model, Tarjan well-formedness
-//!   (strong connectivity), and the acceptable-payoff predicate;
-//! * [`timelock`] — the timelock commit protocol (requires synchrony;
-//!   Safety + Termination + Strong liveness);
-//! * [`certified`] — the certified-blockchain commit protocol (partial
-//!   synchrony; Safety + Termination, no strong liveness);
-//! * [`relation`] — §5 itself: payment↔deal encodings and the executable
-//!   counterexamples showing neither subsumes the other.
+//! §5 of the paper relates cross-chain *payments* to cross-chain *deals*.
+//! This crate implements the deal side so the comparison is executable.
+//!
+//! ## Responsibility boundaries
+//!
+//! **In scope:**
+//! - the deal matrix / digraph model, Tarjan well-formedness (strong
+//!   connectivity) and the acceptable-payoff predicate ([`matrix`]);
+//! - the timelock commit protocol — requires synchrony; Safety,
+//!   Termination and Strong liveness ([`timelock`]);
+//! - the certified-blockchain commit protocol — partial synchrony;
+//!   Safety and Termination, no strong liveness ([`certified`]);
+//! - assembling either protocol: [`DealInstance::timelock_engine`] and
+//!   [`DealInstance::certified_engine`] are the one place that decides
+//!   the pids, the registration order, the funded arc books and the
+//!   clocks. The `deals` harness, experiments E2 and E7 and the tests all
+//!   build through them;
+//! - §5 itself: payment↔deal encodings and the executable
+//!   counterexamples showing neither subsumes the other ([`relation`]).
+//!
+//! **Out of scope:**
+//! - mapping a sampled fault onto a party's behaviour, and classifying a
+//!   finished run: the harness owns both (`protocol::deals`);
+//! - Byzantine escrows and chains: they are reliable here, and the
+//!   harness declares forging and thieving faults unsupported.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

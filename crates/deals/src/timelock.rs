@@ -20,6 +20,10 @@
 //! sides; experiment E7 tabulates them.
 
 use crate::matrix::{DealMatrix, DealOutcome, Party};
+use anta::clock::DriftClock;
+use anta::engine::{Engine, EngineConfig};
+use anta::net::NetModel;
+use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
 use ledger::{DealId, Ledger};
@@ -112,6 +116,43 @@ impl DealInstance {
     pub fn next_free_pid(&self) -> Pid {
         self.deal.parties() + self.deal.arcs().len()
     }
+
+    /// Arc `k`'s escrow book: accounts for its depositor and beneficiary,
+    /// with the arc's asset minted to the depositor.
+    pub(crate) fn arc_book(&self, k: usize) -> Ledger {
+        let a = self.deal.arcs()[k];
+        let (from, to) = (self.party_keys[a.from], self.party_keys[a.to]);
+        Ledger::funded(&[from, to], from, a.asset)
+    }
+
+    /// Builds the timelock protocol: the parties (signing with `signers`,
+    /// in party order), then one [`TimelockEscrow`] per arc with a
+    /// `timelock` of local patience after its deposit, all on perfect
+    /// clocks. `tweak` adjusts each compliant party before it registers
+    /// (a withholding or silent party).
+    pub fn timelock_engine(
+        &self,
+        signers: &[Signer],
+        timelock: SimDuration,
+        net: Box<dyn NetModel<DMsg>>,
+        oracle: Box<dyn Oracle>,
+        cfg: EngineConfig,
+        mut tweak: impl FnMut(Party, &mut TimelockParty),
+    ) -> Engine<DMsg> {
+        let mut eng = Engine::new(net, oracle, cfg);
+        for (p, signer) in signers.iter().enumerate() {
+            let mut party = TimelockParty::new(self, p, signer.clone());
+            tweak(p, &mut party);
+            eng.add_process(Box::new(party), DriftClock::perfect());
+        }
+        for k in 0..self.deal.arcs().len() {
+            eng.add_process(
+                Box::new(TimelockEscrow::new(self, k, timelock)),
+                DriftClock::perfect(),
+            );
+        }
+        eng
+    }
 }
 
 const TIMER_DEADLINE: TimerId = 1;
@@ -142,10 +183,7 @@ impl TimelockEscrow {
         let a = inst.deal.arcs()[arc];
         let depositor_key = inst.party_keys[a.from];
         let beneficiary_key = inst.party_keys[a.to];
-        let mut ledger = Ledger::new();
-        ledger.open_account(depositor_key).expect("fresh");
-        ledger.open_account(beneficiary_key).expect("fresh");
-        ledger.mint(depositor_key, a.asset).expect("fresh");
+        let ledger = inst.arc_book(arc);
         TimelockEscrow {
             arc,
             asset: a.asset,
@@ -341,8 +379,6 @@ pub fn extract_timelock_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anta::clock::DriftClock;
-    use anta::engine::{Engine, EngineConfig};
     use anta::net::{AdversarialNet, Delivery, EnvelopeMeta, SyncNet};
     use anta::oracle::RandomOracle;
     use anta::time::SimTime;
@@ -370,26 +406,14 @@ mod tests {
         tweak: impl Fn(usize, &mut TimelockParty),
     ) -> (Engine<DMsg>, DealInstance) {
         let (inst, signers) = DealInstance::generate(deal, 9);
-        let mut eng = Engine::new(
+        let mut eng = inst.timelock_engine(
+            &signers,
+            SimDuration::from_millis(timelock_ms),
             net,
             Box::new(RandomOracle::seeded(4)),
             EngineConfig::default(),
+            tweak,
         );
-        for (p, s) in signers.iter().enumerate() {
-            let mut party = TimelockParty::new(&inst, p, s.clone());
-            tweak(p, &mut party);
-            eng.add_process(Box::new(party), DriftClock::perfect());
-        }
-        for k in 0..inst.deal.arcs().len() {
-            eng.add_process(
-                Box::new(TimelockEscrow::new(
-                    &inst,
-                    k,
-                    SimDuration::from_millis(timelock_ms),
-                )),
-                DriftClock::perfect(),
-            );
-        }
         eng.run_until(SimTime::from_secs(60));
         (eng, inst)
     }

@@ -6,10 +6,11 @@
 //! cannot tell apart, with contradictory obligations).
 
 use crate::table::{check, Table};
-use anta::net::{AdversarialNet, Delivery, EnvelopeMeta, SyncNet};
+use anta::engine::EngineConfig;
+use anta::net::{AdversarialNet, Delivery, EnvelopeMeta, NetModel, SyncNet};
 use anta::oracle::RandomOracle;
 use anta::time::{SimDuration, SimTime};
-use deals::timelock::{DMsg, DealInstance, TimelockEscrow, TimelockParty};
+use deals::timelock::{extract_timelock_outcome, DMsg, DealInstance};
 use deals::{DealMatrix, DealOutcome};
 use ledger::{Asset, CurrencyId};
 use payment::impossibility::{
@@ -22,8 +23,10 @@ use payment::impossibility::{
 pub struct ViolationRow {
     /// Which candidate protocol was attacked.
     pub candidate: &'static str,
-    /// Which property broke.
+    /// Which property the attack targets.
     pub violated: &'static str,
+    /// Whether the run actually broke that property.
+    pub witnessed: bool,
     /// Human-readable account of the witness run.
     pub description: String,
 }
@@ -33,6 +36,7 @@ impl From<WitnessReport> for ViolationRow {
         ViolationRow {
             candidate: w.candidate,
             violated: w.violated,
+            witnessed: w.witnessed,
             description: w.description,
         }
     }
@@ -42,82 +46,77 @@ impl From<WitnessReport> for ViolationRow {
 /// delayed to one escrow) — its Safety falls, completing the matrix with
 /// a non-payment candidate.
 pub fn timelock_deal_violation() -> ViolationRow {
-    let mut deal = DealMatrix::new(2);
-    deal.add(0, 1, Asset::new(CurrencyId(0), 5));
-    deal.add(1, 0, Asset::new(CurrencyId(1), 7));
-    let (inst, signers) = DealInstance::generate(deal, 0xE2);
-    let target = inst.escrow_pid(1);
-    let net = AdversarialNet::new(move |m: &EnvelopeMeta, msg: &DMsg, _o| {
-        let base = SimDuration::from_millis(2);
-        match msg {
-            DMsg::CommitVote { .. } if m.to == target => {
-                Delivery::At(m.sent_at + SimDuration::from_secs(100))
-            }
-            _ => Delivery::At(m.sent_at + base),
-        }
-    });
-    let mut eng = anta::engine::Engine::new(
-        Box::new(net),
-        Box::new(RandomOracle::seeded(1)),
-        anta::engine::EngineConfig::default(),
-    );
-    for (p, s) in signers.iter().enumerate() {
-        eng.add_process(
-            Box::new(TimelockParty::new(&inst, p, s.clone())),
-            anta::clock::DriftClock::perfect(),
-        );
-    }
-    for k in 0..2 {
-        eng.add_process(
-            Box::new(TimelockEscrow::new(&inst, k, SimDuration::from_millis(200))),
-            anta::clock::DriftClock::perfect(),
-        );
-    }
-    eng.run_until(SimTime::from_secs(300));
-    let outcome = deals::timelock::extract_timelock_outcome(&eng, &inst);
-    assert!(
-        !outcome.safe_for(&inst.deal, &[0, 1]),
-        "expected a safety violation: {outcome:?}"
-    );
-    let victim = (0..2)
-        .find(|&p| !outcome.acceptable_for(&inst.deal, p))
-        .expect("victim");
-    ViolationRow {
-        candidate: "HLS timelock commit (deal protocol)",
-        violated: "Safety [3]",
-        description: format!(
-            "pre-GST delay of one commit-vote split the escrows ({:?}); compliant \
-             party {victim} ended with an unacceptable payoff",
-            outcome.executed
-        ),
-    }
+    timelock_deal_witness(|inst| {
+        let target = inst.escrow_pid(1);
+        Box::new(AdversarialNet::new(
+            move |m: &EnvelopeMeta, msg: &DMsg, _o| {
+                let base = SimDuration::from_millis(2);
+                match msg {
+                    DMsg::CommitVote { .. } if m.to == target => {
+                        Delivery::At(m.sent_at + SimDuration::from_secs(100))
+                    }
+                    _ => Delivery::At(m.sent_at + base),
+                }
+            },
+        ))
+    })
 }
 
 /// Sanity control: the same timelock deal commits under synchrony.
 pub fn timelock_deal_control() -> DealOutcome {
+    run_timelock_deal(synchronous).1
+}
+
+fn synchronous(_: &DealInstance) -> Box<dyn NetModel<DMsg>> {
+    Box::new(SyncNet::new(SimDuration::from_millis(2), 8))
+}
+
+/// The timelock-deal witness over the network `net` builds for the
+/// instance: witnessed iff some compliant party ends with an unacceptable
+/// payoff.
+fn timelock_deal_witness(
+    net: impl FnOnce(&DealInstance) -> Box<dyn NetModel<DMsg>>,
+) -> ViolationRow {
+    let (inst, outcome) = run_timelock_deal(net);
+    let victim = (0..2).find(|&p| !outcome.acceptable_for(&inst.deal, p));
+    ViolationRow {
+        candidate: "HLS timelock commit (deal protocol)",
+        violated: "Safety [3]",
+        witnessed: victim.is_some(),
+        description: match victim {
+            Some(victim) => format!(
+                "pre-GST delay of one commit-vote split the escrows ({:?}); compliant \
+                 party {victim} ended with an unacceptable payoff",
+                outcome.executed
+            ),
+            None => format!(
+                "no witness: every compliant payoff stayed acceptable ({:?})",
+                outcome.executed
+            ),
+        },
+    }
+}
+
+/// Runs E2's timelock deal — the two-party swap with a 200 ms timelock —
+/// over the network `net` builds for the instance.
+fn run_timelock_deal(
+    net: impl FnOnce(&DealInstance) -> Box<dyn NetModel<DMsg>>,
+) -> (DealInstance, DealOutcome) {
     let mut deal = DealMatrix::new(2);
     deal.add(0, 1, Asset::new(CurrencyId(0), 5));
     deal.add(1, 0, Asset::new(CurrencyId(1), 7));
     let (inst, signers) = DealInstance::generate(deal, 0xE2);
-    let mut eng = anta::engine::Engine::new(
-        Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
+    let mut eng = inst.timelock_engine(
+        &signers,
+        SimDuration::from_millis(200),
+        net(&inst),
         Box::new(RandomOracle::seeded(1)),
-        anta::engine::EngineConfig::default(),
+        EngineConfig::default(),
+        |_, _| {},
     );
-    for (p, s) in signers.iter().enumerate() {
-        eng.add_process(
-            Box::new(TimelockParty::new(&inst, p, s.clone())),
-            anta::clock::DriftClock::perfect(),
-        );
-    }
-    for k in 0..2 {
-        eng.add_process(
-            Box::new(TimelockEscrow::new(&inst, k, SimDuration::from_millis(200))),
-            anta::clock::DriftClock::perfect(),
-        );
-    }
-    eng.run_until(SimTime::from_secs(60));
-    deals::timelock::extract_timelock_outcome(&eng, &inst)
+    eng.run_until(SimTime::from_secs(300));
+    let outcome = extract_timelock_outcome(&eng, &inst);
+    (inst, outcome)
 }
 
 /// The full E2 report.
@@ -178,6 +177,7 @@ mod tests {
     fn all_witnesses_materialise() {
         let r = run();
         assert_eq!(r.rows.len(), 4);
+        assert!(r.rows.iter().all(|row| row.witnessed), "{}", r.render());
         assert!(r.indistinguishability_ok);
         let rendered = r.render();
         assert!(rendered.contains("CS2"));
@@ -188,5 +188,11 @@ mod tests {
     #[test]
     fn timelock_control_commits_under_synchrony() {
         assert!(timelock_deal_control().is_full_commit());
+    }
+
+    #[test]
+    fn timelock_witness_over_synchrony_witnesses_nothing() {
+        let row = timelock_deal_witness(synchronous);
+        assert!(!row.witnessed, "{row:?}");
     }
 }

@@ -96,62 +96,25 @@ pub struct HtlcComparison {
 /// latency under the same network.
 pub fn htlc_comparison() -> HtlcComparison {
     use anta::time::{SimDuration, SimTime};
-    use htlc::contract::HtlcChain;
-    use htlc::swap::{ChainProcess, SwapInitiator, SwapResponder};
+    use htlc::swap::{SwapBehaviour, SwapSetup};
     use ledger::{Asset, CurrencyId};
-    use xcrypto::KeyId;
 
     // HTLC griefing run: responder refuses; initiator's 100 units stay
     // locked until 2T.
     let t_ms = 500u64;
-    let mut chain_a = HtlcChain::new();
-    chain_a.ledger_mut().open_account(KeyId(0)).unwrap();
-    chain_a.ledger_mut().open_account(KeyId(1)).unwrap();
-    chain_a
-        .ledger_mut()
-        .mint(KeyId(0), Asset::new(CurrencyId(0), 100))
-        .unwrap();
-    let mut chain_b = HtlcChain::new();
-    chain_b.ledger_mut().open_account(KeyId(0)).unwrap();
-    chain_b.ledger_mut().open_account(KeyId(1)).unwrap();
-    chain_b
-        .ledger_mut()
-        .mint(KeyId(1), Asset::new(CurrencyId(1), 100))
-        .unwrap();
-    let mut eng = anta::engine::Engine::new(
+    let swap = SwapSetup {
+        offer_a: Asset::new(CurrencyId(0), 100),
+        offer_b: Asset::new(CurrencyId(1), 100),
+        secret: b"secret".to_vec(),
+        timelock_a: SimTime::from_millis(2 * t_ms),
+        timelock_b: SimTime::from_millis(t_ms),
+    };
+    let mut eng = swap.build_engine(
         Box::new(SyncNet::worst_case(SimDuration::from_millis(2))),
         Box::new(RandomOracle::seeded(5)),
         anta::engine::EngineConfig::default(),
-    );
-    eng.add_process(
-        Box::new(SwapInitiator::new(
-            KeyId(0),
-            KeyId(1),
-            2,
-            3,
-            Asset::new(CurrencyId(0), 100),
-            b"secret".to_vec(),
-            SimTime::from_millis(2 * t_ms),
-        )),
         anta::clock::DriftClock::perfect(),
-    );
-    let mut bob = SwapResponder::new(
-        KeyId(1),
-        KeyId(0),
-        2,
-        3,
-        Asset::new(CurrencyId(1), 100),
-        SimTime::from_millis(t_ms),
-    );
-    bob.participate = false; // the griefer
-    eng.add_process(Box::new(bob), anta::clock::DriftClock::perfect());
-    eng.add_process(
-        Box::new(ChainProcess::new(chain_a, vec![0, 1])),
-        anta::clock::DriftClock::perfect(),
-    );
-    eng.add_process(
-        Box::new(ChainProcess::new(chain_b, vec![0, 1])),
-        anta::clock::DriftClock::perfect(),
+        SwapBehaviour::BobGriefs,
     );
     eng.run_until(SimTime::from_secs(30));
     let reclaim = eng

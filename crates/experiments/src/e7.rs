@@ -13,9 +13,7 @@ use crate::table::{check, Table};
 use anta::net::{PartialSyncNet, SyncNet};
 use anta::oracle::RandomOracle;
 use anta::time::{SimDuration, SimTime};
-use deals::certified::{
-    extract_certified_outcome, CertifiedChain, CertifiedEscrow, CertifiedParty,
-};
+use deals::certified::{extract_certified_outcome, CertifiedChain};
 use deals::relation::{deal_as_payment, payment_as_deal, property_correspondence, NotAPayment};
 use deals::timelock::DealInstance;
 use deals::{DealMatrix, DealOutcome};
@@ -35,7 +33,6 @@ pub fn run_certified(
     impatient: bool,
 ) -> (DealOutcome, bool /* log integrity */) {
     let (inst, signers) = DealInstance::generate(swap_deal(), 0xE7);
-    let cbc_pid = inst.next_free_pid();
     let net: Box<dyn anta::net::NetModel<deals::DMsg>> = if partial_sync {
         Box::new(PartialSyncNet::new(
             SimTime::from_millis(1_500),
@@ -44,33 +41,23 @@ pub fn run_certified(
     } else {
         Box::new(SyncNet::new(SimDuration::from_millis(2), 8))
     };
-    let mut eng = anta::engine::Engine::new(
+    let mut eng = inst.certified_engine(
+        &signers,
         net,
         Box::new(RandomOracle::seeded(3)),
         anta::engine::EngineConfig::default(),
-    );
-    for (p, s) in signers.iter().enumerate() {
-        let mut party = CertifiedParty::new(&inst, p, s.clone(), cbc_pid);
-        if impatient && p == 0 {
-            party.patience = Some(SimDuration::from_millis(50));
-        }
-        eng.add_process(Box::new(party), anta::clock::DriftClock::perfect());
-    }
-    for k in 0..inst.deal.arcs().len() {
-        eng.add_process(
-            Box::new(CertifiedEscrow::new(&inst, k)),
-            anta::clock::DriftClock::perfect(),
-        );
-    }
-    let subscribers: Vec<usize> = (0..cbc_pid).collect();
-    eng.add_process(
-        Box::new(CertifiedChain::new(&inst, subscribers)),
-        anta::clock::DriftClock::perfect(),
+        |_| anta::clock::DriftClock::perfect(),
+        |p, mut party| {
+            if impatient && p == 0 {
+                party.patience = Some(SimDuration::from_millis(50));
+            }
+            Box::new(party)
+        },
     );
     eng.run_until(SimTime::from_secs(120));
     let outcome = extract_certified_outcome(&eng, &inst);
     let integrity = eng
-        .process_as::<CertifiedChain>(cbc_pid)
+        .process_as::<CertifiedChain>(inst.next_free_pid())
         .map(|c| c.log().verify_integrity().is_ok())
         .unwrap_or(false);
     (outcome, integrity)
@@ -126,7 +113,7 @@ pub fn run() -> E7Report {
         protocol: "timelock commit [3]",
         network: "partially synchronous",
         scenario: tl_psync.violated,
-        safety: false,
+        safety: !tl_psync.witnessed,
         termination: true,
         strong_liveness: false,
     });

@@ -72,22 +72,20 @@ impl From<LedgerError> for HtlcError {
 /// A chain (ledger) extended with HTLC semantics. Time is supplied by the
 /// caller — in the simulation, the chain's escrow process passes its local
 /// clock, modelling per-chain clocks that need not agree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HtlcChain {
     ledger: Ledger,
     contracts: Vec<Htlc>,
 }
 
 impl HtlcChain {
-    /// A fresh chain.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Access to the underlying ledger (accounts must be opened and funded
-    /// through it).
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.ledger
+    /// A chain over `ledger`, the book in which the parties' accounts are
+    /// already opened and funded.
+    pub fn new(ledger: Ledger) -> Self {
+        HtlcChain {
+            ledger,
+            contracts: Vec::new(),
+        }
     }
 
     /// Read access to the ledger.
@@ -181,11 +179,7 @@ mod tests {
     const CUR: CurrencyId = CurrencyId(0);
 
     fn chain_with(alice: KeyId, bob: KeyId, fund: u64) -> HtlcChain {
-        let mut c = HtlcChain::new();
-        c.ledger_mut().open_account(alice).unwrap();
-        c.ledger_mut().open_account(bob).unwrap();
-        c.ledger_mut().mint(alice, Asset::new(CUR, fund)).unwrap();
-        c
+        HtlcChain::new(Ledger::funded(&[alice, bob], alice, Asset::new(CUR, fund)))
     }
 
     fn t(x: u64) -> SimTime {

@@ -8,13 +8,96 @@
 //! never guaranteed — either side can stop and grief the other into
 //! waiting out a timelock with capital frozen. Experiment E5 measures
 //! those locked-capital windows against the paper's protocols.
+//!
+//! [`SwapSetup::build_engine`] is the one place a swap is assembled: the
+//! registration order that puts each process at its pid constant, the
+//! funded books and the parties' behaviour are decided there and nowhere
+//! else.
 
 use crate::contract::HtlcChain;
+use anta::clock::DriftClock;
+use anta::engine::{Engine, EngineConfig};
+use anta::net::NetModel;
+use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimTime;
-use ledger::Asset;
+use ledger::{Asset, Ledger};
 use xcrypto::sha256::{sha256, Digest};
 use xcrypto::KeyId;
+
+// The swap processes address each other and name their accounts by these
+// constants; `SwapSetup::build_engine` registers them to match.
+
+/// Alice's process id in every swap engine.
+pub const ALICE_PID: Pid = 0;
+/// Bob's process id.
+pub const BOB_PID: Pid = 1;
+/// Chain A's process id (holds Alice's lock).
+pub const CHAIN_A_PID: Pid = 2;
+/// Chain B's process id (holds Bob's counter-lock).
+pub const CHAIN_B_PID: Pid = 3;
+/// Alice's account on both chains.
+pub const ALICE_KEY: KeyId = KeyId(0);
+/// Bob's account on both chains.
+pub const BOB_KEY: KeyId = KeyId(1);
+
+/// How the two parties behave in a swap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwapBehaviour {
+    /// Everyone follows the protocol.
+    Honest,
+    /// Alice locks on chain A but never claims on chain B — both sides
+    /// wait out their timelocks.
+    AliceAbandons,
+    /// Bob never counter-locks — Alice's capital is stranded until `2T`.
+    BobGriefs,
+}
+
+/// One two-chain swap: what each side offers, Alice's secret, and both
+/// timelocks.
+#[derive(Debug, Clone)]
+pub struct SwapSetup {
+    /// Alice's offer, locked on chain A.
+    pub offer_a: Asset,
+    /// Bob's offer, locked on chain B.
+    pub offer_b: Asset,
+    /// Alice's secret `s`; the hashlock is `SHA-256(s)`.
+    pub secret: Vec<u8>,
+    /// Alice's timelock `2T` (chain-local).
+    pub timelock_a: SimTime,
+    /// Bob's timelock `T` (chain-local).
+    pub timelock_b: SimTime,
+}
+
+impl SwapSetup {
+    /// Builds the swap: Alice, Bob, chain A and chain B, registered at
+    /// [`ALICE_PID`]…[`CHAIN_B_PID`] in that order, all on `clock`. Each
+    /// chain's book opens accounts for [`ALICE_KEY`] and [`BOB_KEY`] and
+    /// holds its owner's offer; both parties watch both chains.
+    pub fn build_engine(
+        &self,
+        net: Box<dyn NetModel<HMsg>>,
+        oracle: Box<dyn Oracle>,
+        cfg: EngineConfig,
+        clock: DriftClock,
+        behaviour: SwapBehaviour,
+    ) -> Engine<HMsg> {
+        let mut alice = SwapInitiator::new(self.offer_a, self.secret.clone(), self.timelock_a);
+        alice.abandons = behaviour == SwapBehaviour::AliceAbandons;
+        let mut bob = SwapResponder::new(self.offer_b, self.timelock_b);
+        bob.participate = behaviour != SwapBehaviour::BobGriefs;
+        let chain = |holder: KeyId, offer: Asset| -> Box<dyn Process<HMsg>> {
+            let book = Ledger::funded(&[ALICE_KEY, BOB_KEY], holder, offer);
+            Box::new(ChainProcess::new(HtlcChain::new(book)))
+        };
+        let mut eng = Engine::new(net, oracle, cfg);
+        eng.add_process(Box::new(alice), clock);
+        eng.add_process(Box::new(bob), clock);
+        eng.add_process(chain(ALICE_KEY, self.offer_a), clock);
+        eng.add_process(chain(BOB_KEY, self.offer_b), clock);
+        eng
+    }
+}
 
 /// Messages between swap parties and chains. Chain events are broadcast to
 /// both parties, modelling public on-chain state.
@@ -69,17 +152,16 @@ pub enum HMsg {
 }
 
 /// A chain process: executes HTLC operations on its own clock and
-/// broadcasts resulting events to the watchers.
+/// broadcasts resulting events to both parties.
 #[derive(Debug, Clone)]
 pub struct ChainProcess {
     chain: HtlcChain,
-    watchers: Vec<Pid>,
 }
 
 impl ChainProcess {
-    /// Wraps a funded [`HtlcChain`]; `watchers` receive all events.
-    pub fn new(chain: HtlcChain, watchers: Vec<Pid>) -> Self {
-        ChainProcess { chain, watchers }
+    /// Wraps a funded [`HtlcChain`].
+    pub fn new(chain: HtlcChain) -> Self {
+        ChainProcess { chain }
     }
 
     /// The chain state (for assertions).
@@ -88,8 +170,8 @@ impl ChainProcess {
     }
 
     fn broadcast(&self, msg: HMsg, ctx: &mut Ctx<HMsg>) {
-        for &w in &self.watchers {
-            ctx.send(w, msg.clone());
+        for watcher in [ALICE_PID, BOB_PID] {
+            ctx.send(watcher, msg.clone());
         }
     }
 }
@@ -153,41 +235,29 @@ const TIMER_RECLAIM: TimerId = 1;
 /// Alice (initiator): locks on chain A with `2T`, claims on chain B.
 #[derive(Debug, Clone)]
 pub struct SwapInitiator {
-    key: KeyId,
-    counterparty: KeyId,
-    chain_a: Pid,
-    chain_b: Pid,
     offer: Asset,
     secret: Vec<u8>,
     timelock_a: SimTime,
     my_contract: Option<usize>,
     claimed_b: bool,
     done: bool,
+    /// An abandoning initiator locks on chain A (and reclaims at `2T`) but
+    /// never claims Bob's counter-lock, so `s` is never revealed — the
+    /// crash-fault interpretation for Alice.
+    abandons: bool,
 }
 
 impl SwapInitiator {
-    /// Builds Alice with her secret.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        key: KeyId,
-        counterparty: KeyId,
-        chain_a: Pid,
-        chain_b: Pid,
-        offer: Asset,
-        secret: Vec<u8>,
-        timelock_a: SimTime,
-    ) -> Self {
+    /// Builds Alice with her offer, her secret and her timelock.
+    pub fn new(offer: Asset, secret: Vec<u8>, timelock_a: SimTime) -> Self {
         SwapInitiator {
-            key,
-            counterparty,
-            chain_a,
-            chain_b,
             offer,
             secret,
             timelock_a,
             my_contract: None,
             claimed_b: false,
             done: false,
+            abandons: false,
         }
     }
 
@@ -200,10 +270,10 @@ impl SwapInitiator {
 impl Process<HMsg> for SwapInitiator {
     fn on_start(&mut self, ctx: &mut Ctx<HMsg>) {
         ctx.send(
-            self.chain_a,
+            CHAIN_A_PID,
             HMsg::Open {
-                depositor: self.key,
-                beneficiary: self.counterparty,
+                depositor: ALICE_KEY,
+                beneficiary: BOB_KEY,
                 asset: self.offer,
                 hashlock: self.hashlock(),
                 timelock: self.timelock_a,
@@ -215,20 +285,20 @@ impl Process<HMsg> for SwapInitiator {
     fn on_message(&mut self, from: Pid, msg: HMsg, ctx: &mut Ctx<HMsg>) {
         match msg {
             HMsg::Opened { id, hashlock, .. }
-                if from == self.chain_a
+                if from == CHAIN_A_PID
                     && self.my_contract.is_none()
                     && hashlock == self.hashlock() =>
             {
                 self.my_contract = Some(id);
             }
             HMsg::Opened { id, hashlock, .. }
-                if from == self.chain_b
+                if from == CHAIN_B_PID && !self.abandons
                 // Bob's counter-lock under my hash: claim it (revealing s).
                 && !self.claimed_b && hashlock == self.hashlock() =>
             {
                 self.claimed_b = true;
                 ctx.send(
-                    self.chain_b,
+                    CHAIN_B_PID,
                     HMsg::Claim {
                         id,
                         preimage: self.secret.clone(),
@@ -236,7 +306,7 @@ impl Process<HMsg> for SwapInitiator {
                 );
                 ctx.mark("alice_claimed_b", id as i64);
             }
-            HMsg::Claimed { .. } if from == self.chain_b && !self.done => {
+            HMsg::Claimed { .. } if from == CHAIN_B_PID && !self.abandons && !self.done => {
                 self.done = true;
                 ctx.mark("alice_swap_done", 0);
                 ctx.halt();
@@ -248,7 +318,7 @@ impl Process<HMsg> for SwapInitiator {
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
         if id == TIMER_RECLAIM && !self.done {
             if let Some(cid) = self.my_contract {
-                ctx.send(self.chain_a, HMsg::Reclaim { id: cid });
+                ctx.send(CHAIN_A_PID, HMsg::Reclaim { id: cid });
                 ctx.mark("alice_reclaimed", cid as i64);
             }
             ctx.halt();
@@ -256,42 +326,10 @@ impl Process<HMsg> for SwapInitiator {
     }
 }
 
-/// An initiator who locks on chain A and then abandons the swap: she
-/// tracks her own contract (to reclaim at `2T`) but never claims Bob's
-/// counter-lock, so `s` is never revealed — the crash-fault interpretation
-/// for Alice.
-#[derive(Debug, Clone)]
-pub struct LockOnlyInitiator(
-    /// The initiator whose chain-B reactions are suppressed.
-    pub SwapInitiator,
-);
-
-impl Process<HMsg> for LockOnlyInitiator {
-    fn on_start(&mut self, ctx: &mut Ctx<HMsg>) {
-        self.0.on_start(ctx);
-    }
-
-    fn on_message(&mut self, from: Pid, msg: HMsg, ctx: &mut Ctx<HMsg>) {
-        // Only observe her own chain (to learn the contract id); never
-        // react to chain B.
-        if from == self.0.chain_a && matches!(msg, HMsg::Opened { .. }) {
-            self.0.on_message(from, msg, ctx);
-        }
-    }
-
-    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
-        self.0.on_timer(id, ctx);
-    }
-}
-
 /// Bob (responder): counter-locks on chain B with `T < 2T`, learns `s`
 /// from Alice's claim, replays it on chain A.
 #[derive(Debug, Clone)]
 pub struct SwapResponder {
-    key: KeyId,
-    counterparty: KeyId,
-    chain_a: Pid,
-    chain_b: Pid,
     offer: Asset,
     timelock_b: SimTime,
     my_contract: Option<usize>,
@@ -299,25 +337,13 @@ pub struct SwapResponder {
     claimed_a: bool,
     done: bool,
     /// A griefing responder never counter-locks.
-    pub participate: bool,
+    participate: bool,
 }
 
 impl SwapResponder {
-    /// Builds Bob.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        key: KeyId,
-        counterparty: KeyId,
-        chain_a: Pid,
-        chain_b: Pid,
-        offer: Asset,
-        timelock_b: SimTime,
-    ) -> Self {
+    /// Builds Bob with his offer and his timelock.
+    pub fn new(offer: Asset, timelock_b: SimTime) -> Self {
         SwapResponder {
-            key,
-            counterparty,
-            chain_a,
-            chain_b,
             offer,
             timelock_b,
             my_contract: None,
@@ -337,31 +363,31 @@ impl Process<HMsg> for SwapResponder {
     fn on_message(&mut self, from: Pid, msg: HMsg, ctx: &mut Ctx<HMsg>) {
         match msg {
             HMsg::Opened { id, hashlock, .. }
-                if from == self.chain_a
+                if from == CHAIN_A_PID
                 // Alice's lock appeared: counter-lock under the same hash.
                 && self.their_contract.is_none() && self.participate =>
             {
                 self.their_contract = Some(id);
                 ctx.send(
-                    self.chain_b,
+                    CHAIN_B_PID,
                     HMsg::Open {
-                        depositor: self.key,
-                        beneficiary: self.counterparty,
+                        depositor: BOB_KEY,
+                        beneficiary: ALICE_KEY,
                         asset: self.offer,
                         hashlock,
                         timelock: self.timelock_b,
                     },
                 );
             }
-            HMsg::Opened { id, .. } if from == self.chain_b && self.my_contract.is_none() => {
+            HMsg::Opened { id, .. } if from == CHAIN_B_PID && self.my_contract.is_none() => {
                 self.my_contract = Some(id);
             }
-            HMsg::Claimed { preimage, .. } if from == self.chain_b && !self.claimed_a => {
+            HMsg::Claimed { preimage, .. } if from == CHAIN_B_PID && !self.claimed_a => {
                 // Alice revealed s: replay it on chain A.
                 if let Some(their) = self.their_contract {
                     self.claimed_a = true;
                     ctx.send(
-                        self.chain_a,
+                        CHAIN_A_PID,
                         HMsg::Claim {
                             id: their,
                             preimage,
@@ -370,7 +396,7 @@ impl Process<HMsg> for SwapResponder {
                     ctx.mark("bob_claimed_a", their as i64);
                 }
             }
-            HMsg::Claimed { .. } if from == self.chain_a && self.claimed_a && !self.done => {
+            HMsg::Claimed { .. } if from == CHAIN_A_PID && self.claimed_a && !self.done => {
                 self.done = true;
                 ctx.mark("bob_swap_done", 0);
                 ctx.halt();
@@ -382,7 +408,7 @@ impl Process<HMsg> for SwapResponder {
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
         if id == TIMER_RECLAIM && !self.done && !self.claimed_a {
             if let Some(cid) = self.my_contract {
-                ctx.send(self.chain_b, HMsg::Reclaim { id: cid });
+                ctx.send(CHAIN_B_PID, HMsg::Reclaim { id: cid });
                 ctx.mark("bob_reclaimed", cid as i64);
             }
             // Keep listening: Alice might still claim late-ish within our
@@ -395,8 +421,6 @@ impl Process<HMsg> for SwapResponder {
 mod tests {
     use super::*;
     use crate::contract::HtlcState;
-    use anta::clock::DriftClock;
-    use anta::engine::{Engine, EngineConfig};
     use anta::net::SyncNet;
     use anta::oracle::RandomOracle;
     use anta::time::SimDuration;
@@ -404,88 +428,42 @@ mod tests {
 
     const CUR_A: CurrencyId = CurrencyId(0);
     const CUR_B: CurrencyId = CurrencyId(1);
-    const ALICE: KeyId = KeyId(0);
-    const BOB: KeyId = KeyId(1);
 
-    /// pids: 0 = Alice, 1 = Bob, 2 = chain A, 3 = chain B.
-    fn build(t: u64, participate: bool, alice_secret: Option<Vec<u8>>) -> Engine<HMsg> {
-        let mut chain_a = HtlcChain::new();
-        chain_a.ledger_mut().open_account(ALICE).unwrap();
-        chain_a.ledger_mut().open_account(BOB).unwrap();
-        chain_a
-            .ledger_mut()
-            .mint(ALICE, Asset::new(CUR_A, 100))
-            .unwrap();
-        let mut chain_b = HtlcChain::new();
-        chain_b.ledger_mut().open_account(ALICE).unwrap();
-        chain_b.ledger_mut().open_account(BOB).unwrap();
-        chain_b
-            .ledger_mut()
-            .mint(BOB, Asset::new(CUR_B, 200))
-            .unwrap();
-
-        let mut eng = Engine::new(
+    /// Alice's 100 A against Bob's 200 B, with timelocks `2t` / `t` ms.
+    fn build(t: u64, secret: &[u8], behaviour: SwapBehaviour) -> Engine<HMsg> {
+        SwapSetup {
+            offer_a: Asset::new(CUR_A, 100),
+            offer_b: Asset::new(CUR_B, 200),
+            secret: secret.to_vec(),
+            timelock_a: SimTime::from_millis(2 * t),
+            timelock_b: SimTime::from_millis(t),
+        }
+        .build_engine(
             Box::new(SyncNet::worst_case(SimDuration::from_millis(2))),
             Box::new(RandomOracle::seeded(1)),
             EngineConfig::default(),
-        );
-        match alice_secret {
-            Some(secret) => {
-                let alice = SwapInitiator::new(
-                    ALICE,
-                    BOB,
-                    2,
-                    3,
-                    Asset::new(CUR_A, 100),
-                    secret,
-                    SimTime::from_millis(2 * t),
-                );
-                eng.add_process(Box::new(alice), DriftClock::perfect());
-            }
-            None => {
-                // Alice locks but never claims (crashes after locking).
-                let alice = SwapInitiator::new(
-                    ALICE,
-                    BOB,
-                    2,
-                    3,
-                    Asset::new(CUR_A, 100),
-                    b"never-revealed".to_vec(),
-                    SimTime::from_millis(2 * t),
-                );
-                eng.add_process(Box::new(LockOnlyInitiator(alice)), DriftClock::perfect());
-            }
-        }
-        let mut bob = SwapResponder::new(
-            BOB,
-            ALICE,
-            2,
-            3,
-            Asset::new(CUR_B, 200),
-            SimTime::from_millis(t),
-        );
-        bob.participate = participate;
-        eng.add_process(Box::new(bob), DriftClock::perfect());
-        eng.add_process(
-            Box::new(ChainProcess::new(chain_a, vec![0, 1])),
             DriftClock::perfect(),
-        );
-        eng.add_process(
-            Box::new(ChainProcess::new(chain_b, vec![0, 1])),
-            DriftClock::perfect(),
-        );
-        eng
+            behaviour,
+        )
+    }
+
+    fn chains(eng: &Engine<HMsg>) -> (&HtlcChain, &HtlcChain) {
+        let chain = |pid| eng.process_as::<ChainProcess>(pid).unwrap().chain();
+        (chain(CHAIN_A_PID), chain(CHAIN_B_PID))
     }
 
     #[test]
     fn happy_swap_exchanges_both_assets() {
-        let mut eng = build(1_000, true, Some(b"swap-secret".to_vec()));
+        let mut eng = build(1_000, b"swap-secret", SwapBehaviour::Honest);
         eng.run_until(SimTime::from_secs(10));
-        let a = eng.process_as::<ChainProcess>(2).unwrap().chain();
-        let b = eng.process_as::<ChainProcess>(3).unwrap().chain();
-        assert_eq!(a.ledger().balance(BOB, CUR_A), 100, "Bob got Alice's asset");
+        let (a, b) = chains(&eng);
         assert_eq!(
-            b.ledger().balance(ALICE, CUR_B),
+            a.ledger().balance(BOB_KEY, CUR_A),
+            100,
+            "Bob got Alice's asset"
+        );
+        assert_eq!(
+            b.ledger().balance(ALICE_KEY, CUR_B),
             200,
             "Alice got Bob's asset"
         );
@@ -498,12 +476,12 @@ mod tests {
     #[test]
     fn griefing_responder_strands_alice_capital_until_2t() {
         let t = 500u64;
-        let mut eng = build(t, false, Some(b"secret".to_vec()));
+        let mut eng = build(t, b"secret", SwapBehaviour::BobGriefs);
         eng.run_until(SimTime::from_secs(10));
-        let a = eng.process_as::<ChainProcess>(2).unwrap().chain();
+        let (a, _) = chains(&eng);
         // Alice reclaimed, but only after 2T.
         assert_eq!(a.contract(0).unwrap().state, HtlcState::Reclaimed);
-        assert_eq!(a.ledger().balance(ALICE, CUR_A), 100);
+        assert_eq!(a.ledger().balance(ALICE_KEY, CUR_A), 100);
         let reclaim_time = eng
             .trace()
             .marks("alice_reclaimed")
@@ -519,13 +497,13 @@ mod tests {
     #[test]
     fn unrevealing_initiator_both_reclaim() {
         let t = 500u64;
-        let mut eng = build(t, true, None);
+        // Alice locks but never claims (crashes after locking).
+        let mut eng = build(t, b"never-revealed", SwapBehaviour::AliceAbandons);
         eng.run_until(SimTime::from_secs(10));
-        let a = eng.process_as::<ChainProcess>(2).unwrap().chain();
-        let b = eng.process_as::<ChainProcess>(3).unwrap().chain();
+        let (a, b) = chains(&eng);
         assert_eq!(a.contract(0).unwrap().state, HtlcState::Reclaimed);
         assert_eq!(b.contract(0).unwrap().state, HtlcState::Reclaimed);
-        assert_eq!(a.ledger().balance(ALICE, CUR_A), 100);
-        assert_eq!(b.ledger().balance(BOB, CUR_B), 200);
+        assert_eq!(a.ledger().balance(ALICE_KEY, CUR_A), 100);
+        assert_eq!(b.ledger().balance(BOB_KEY, CUR_B), 200);
     }
 }

@@ -18,7 +18,7 @@
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
 use payment::msg::PMsg;
-use payment::weak::Evidence;
+use payment::weak::{Evidence, WeakSetup};
 use std::sync::Arc;
 use xcrypto::{DecisionCert, Pki, Signer, Verdict};
 
@@ -39,19 +39,16 @@ pub struct DeadlineTm {
 }
 
 impl DeadlineTm {
-    /// Builds the deadline manager.
-    pub fn new(
-        signer: Signer,
-        pki: Arc<Pki>,
-        evidence: Evidence,
-        participants: Vec<Pid>,
-        deadline: SimDuration,
-    ) -> Self {
+    /// The deadline manager for `setup`'s payment, in place of its manager
+    /// process 0: it signs under that manager's key — the authority the
+    /// setup's participants verify — decides on the setup's evidence, and
+    /// sends its certificate to every participant.
+    pub fn new(setup: &WeakSetup, deadline: SimDuration) -> Self {
         DeadlineTm {
-            signer,
-            pki,
-            evidence,
-            participants,
+            signer: setup.tm_signer(0).clone(),
+            pki: setup.pki.clone(),
+            evidence: setup.evidence(),
+            participants: setup.participant_pids(),
             deadline,
             decided: None,
         }
@@ -124,27 +121,11 @@ mod tests {
         seed: u64,
     ) -> (WeakOutcome, WeakSetup) {
         let s = WeakSetup::new(n, ValuePlan::uniform(n, 100), TmKind::Trusted, 50 + seed);
-        let evidence = Evidence::new(s.payment, s.escrow_keys(), s.customer_keys());
-        let pki = s.pki.clone();
-        // The DeadlineTm signs under the trusted manager's key, which is
-        // the authority the setup's participants verify.
-        let tm_signer = s.tm_signer(0).clone();
-        let participants: Vec<Pid> = (0..s.topo.participants()).collect();
         let mut eng = s.build_engine_with(
             net,
             Box::new(RandomOracle::seeded(seed)),
             |_| None,
-            |i| {
-                (i == 0).then(|| {
-                    Box::new(DeadlineTm::new(
-                        tm_signer.clone(),
-                        pki.clone(),
-                        evidence.clone(),
-                        participants.clone(),
-                        deadline,
-                    )) as Box<dyn Process<PMsg>>
-                })
-            },
+            |i| (i == 0).then(|| Box::new(DeadlineTm::new(&s, deadline)) as Box<dyn Process<PMsg>>),
         );
         eng.run();
         let o = WeakOutcome::extract(&eng, &s);

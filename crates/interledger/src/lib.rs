@@ -1,20 +1,35 @@
 //! # xchain-interledger — the Thomas–Schwartz baselines \[4\]
 //!
+//! ## Purpose
+//!
 //! The paper's Theorem 1 protocol *is* the Interledger **universal**
 //! protocol "fine-tuned to work correctly in the presence of clock drift";
 //! §1 criticises \[4\] because "the synchronous solutions … do not consider
 //! clock drift, and for their partially synchronous solutions no success
 //! guarantees are established". This crate provides both baselines so the
-//! experiments can reproduce those two criticisms quantitatively:
+//! experiments can reproduce those two criticisms quantitatively.
 //!
-//! * [`untuned`] — the universal protocol with its drift-oblivious timeout
-//!   schedule (`ρ = 0`, no safety margin). Experiment E5 sweeps drift ×
-//!   chain length and exhibits the failure region that the paper's
-//!   fine-tuning removes.
-//! * [`atomic`] — the atomic protocol: transfers commit or roll back on
-//!   the say-so of a notary set holding a receipt-before-deadline rule.
-//!   It is safe under partial synchrony but aborts spuriously — "no
-//!   success guarantees".
+//! ## Responsibility boundaries
+//!
+//! **In scope:**
+//! - the universal protocol's drift-oblivious timeout schedule (`ρ = 0`,
+//!   no safety margin) ([`untuned`]). Experiment E5 sweeps drift × chain
+//!   length and exhibits the failure region that the paper's fine-tuning
+//!   removes;
+//! - the atomic protocol's notary: transfers commit or roll back on a
+//!   receipt-before-deadline rule ([`atomic`]). It is safe under partial
+//!   synchrony but aborts spuriously — "no success guarantees".
+//!   [`DeadlineTm::new`] is the one place that decides how the notary
+//!   joins a weak-protocol setup: whose key it signs under, what evidence
+//!   it decides on and whom it tells.
+//!
+//! **Out of scope:**
+//! - the chain participants: both baselines reuse the paper's automata
+//!   unchanged (`payment::timebounded`, `payment::weak`), so only a
+//!   schedule or a manager differs;
+//! - fault mapping and classification: the harness owns both
+//!   (`protocol::interledger`);
+//! - a notary committee: the deadline rule runs in one trusted process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -159,6 +159,21 @@ impl Ledger {
         Self::default()
     }
 
+    /// A fresh book with one account per key of `owners`, opened in that
+    /// order, and `asset` minted to `holder` — the funded escrow book every
+    /// protocol starts from. Panics if `owners` repeats a key or does not
+    /// contain `holder`: both are assembly bugs, not runtime conditions.
+    pub fn funded(owners: &[KeyId], holder: KeyId, asset: Asset) -> Self {
+        let mut book = Ledger::new();
+        for &owner in owners {
+            book.open_account(owner)
+                .expect("funded book: owners are distinct");
+        }
+        book.mint(holder, asset)
+            .expect("funded book: holder is one of the owners");
+        book
+    }
+
     /// Opens an account for `owner`.
     pub fn open_account(&mut self, owner: KeyId) -> Result<(), LedgerError> {
         if self.accounts.contains(&owner) {
@@ -363,12 +378,8 @@ mod tests {
     const CUR: CurrencyId = CurrencyId(0);
 
     fn setup() -> (Ledger, KeyId, KeyId) {
-        let mut l = Ledger::new();
-        let alice = KeyId(0);
-        let bob = KeyId(1);
-        l.open_account(alice).unwrap();
-        l.open_account(bob).unwrap();
-        l.mint(alice, Asset::new(CUR, 100)).unwrap();
+        let (alice, bob) = (KeyId(0), KeyId(1));
+        let l = Ledger::funded(&[alice, bob], alice, Asset::new(CUR, 100));
         (l, alice, bob)
     }
 
@@ -378,7 +389,7 @@ mod tests {
         assert!(l.has_account(alice));
         assert_eq!(l.balance(alice, CUR), 100);
         assert_eq!(l.balance(bob, CUR), 0);
-        assert_eq!(l.accounts().len(), 2);
+        assert_eq!(l.accounts(), &[alice, bob]);
         l.check_conservation().unwrap();
     }
 

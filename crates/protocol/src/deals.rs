@@ -24,10 +24,10 @@ use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
 use anta::net::{NetFaults, SyncNet};
 use anta::oracle::Oracle;
-use anta::process::{InertProcess, Pid};
+use anta::process::{InertProcess, Process};
 use anta::time::{SimDuration, SimTime};
 use anta::trace::TraceMode;
-use deals::certified::{CertifiedChain, CertifiedEscrow, CertifiedParty};
+use deals::certified::CertifiedEscrow;
 use deals::matrix::{DealMatrix, Party};
 use deals::timelock::DealInstance;
 use rand::rngs::StdRng;
@@ -118,42 +118,35 @@ impl ProtocolHarness for DealsHarness {
             trace_mode,
             ..EngineConfig::default()
         };
-        let mut eng = Engine::new(net, oracle, cfg);
-        let cbc_pid = ctx.inst.next_free_pid();
         // Parties keep drifting local clocks (patience is a local policy);
         // escrows and the CBC settle on messages, not clocks.
-        for (p, signer) in ctx.signers.iter().enumerate() {
+        let party_clock = |p: Party| {
             let mut rng =
                 StdRng::seed_from_u64(spec.seed.wrapping_mul(0x9E37_79B9).wrapping_add(p as u64));
-            let clock = DriftClock::sample(spec.params.rho_ppm, spec.params.hop(), &mut rng);
-            if ctx.withholds == Some(p) {
-                // A crashed party neither deposits nor votes — without its
-                // commit vote the CBC can only ever certify ABORT. (The
-                // stock `CertifiedParty::participate` flag only skips the
-                // deposits; it still votes commit.)
-                eng.add_process(Box::new(InertProcess), clock);
-                continue;
-            }
-            let mut party = CertifiedParty::new(&ctx.inst, p, signer.clone(), cbc_pid);
-            party.patience = Some(if ctx.impatient == Some(p) {
-                spec.params.hop()
-            } else {
-                ctx.patience
-            });
-            eng.add_process(Box::new(party), clock);
-        }
-        for k in 0..ctx.inst.deal.arcs().len() {
-            eng.add_process(
-                Box::new(CertifiedEscrow::new(&ctx.inst, k)),
-                DriftClock::perfect(),
-            );
-        }
-        let subscribers: Vec<Pid> = (0..cbc_pid).collect();
-        eng.add_process(
-            Box::new(CertifiedChain::new(&ctx.inst, subscribers)),
-            DriftClock::perfect(),
-        );
-        eng
+            DriftClock::sample(spec.params.rho_ppm, spec.params.hop(), &mut rng)
+        };
+        ctx.inst.certified_engine(
+            &ctx.signers,
+            net,
+            oracle,
+            cfg,
+            party_clock,
+            |p, mut party| -> Box<dyn Process<Self::Msg>> {
+                if ctx.withholds == Some(p) {
+                    // A crashed party neither deposits nor votes — without
+                    // its commit vote the CBC can only ever certify ABORT.
+                    // (The stock `CertifiedParty::participate` flag only
+                    // skips the deposits; it still votes commit.)
+                    return Box::new(InertProcess);
+                }
+                party.patience = Some(if ctx.impatient == Some(p) {
+                    spec.params.hop()
+                } else {
+                    ctx.patience
+                });
+                Box::new(party)
+            },
+        )
     }
 
     fn classify(

@@ -28,80 +28,45 @@ use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
 use anta::net::{NetFaults, SyncNet};
 use anta::oracle::Oracle;
-use anta::process::{Pid, Process};
 use anta::time::{SimDuration, SimTime};
 use anta::trace::{TraceKind, TraceMode};
-use htlc::contract::{HtlcChain, HtlcState};
-use htlc::swap::{ChainProcess, HMsg, LockOnlyInitiator, SwapInitiator, SwapResponder};
-use ledger::Asset;
+use htlc::contract::HtlcState;
+use htlc::swap::{ChainProcess, HMsg, SwapBehaviour, SwapSetup};
+pub use htlc::swap::{ALICE_PID, BOB_PID, CHAIN_A_PID, CHAIN_B_PID};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xcrypto::KeyId;
 
-/// Alice's process id in every swap engine.
-pub const ALICE_PID: Pid = 0;
-/// Bob's process id.
-pub const BOB_PID: Pid = 1;
-/// Chain A's process id (holds Alice's lock).
-pub const CHAIN_A_PID: Pid = 2;
-/// Chain B's process id (holds Bob's counter-lock).
-pub const CHAIN_B_PID: Pid = 3;
-
-const ALICE_KEY: KeyId = KeyId(0);
-const BOB_KEY: KeyId = KeyId(1);
-
-/// How the sampled Byzantine fault manifests in a swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwapFault {
-    /// Everyone follows the protocol.
-    None,
-    /// Alice locks on chain A but never claims on chain B — both sides
-    /// wait out their timelocks.
-    AliceAbandons,
-    /// Bob never counter-locks — Alice's capital is stranded until `2T`.
-    BobGriefs,
-}
-
-impl SwapFault {
-    /// Maps a sampled chain fault onto the nearest swap behaviour.
-    pub fn from_byz(byz: ByzFault) -> SwapFault {
-        match byz {
-            ByzFault::None => SwapFault::None,
-            ByzFault::CrashCustomer(0) => SwapFault::AliceAbandons,
-            ByzFault::CrashCustomer(_) | ByzFault::LateBob | ByzFault::ForgingChloe(_) => {
-                SwapFault::BobGriefs
-            }
-            // Chains are reliable in the HTLC model; an escrow fault
-            // degrades to abandonment by the nearer party.
-            ByzFault::CrashEscrow(i) => {
-                if i % 2 == 0 {
-                    SwapFault::AliceAbandons
-                } else {
-                    SwapFault::BobGriefs
-                }
-            }
-            ByzFault::ThievingEscrow(_) => SwapFault::AliceAbandons,
+/// Maps a sampled chain fault onto the nearest swap behaviour.
+fn swap_behaviour(byz: ByzFault) -> SwapBehaviour {
+    match byz {
+        ByzFault::None => SwapBehaviour::Honest,
+        ByzFault::CrashCustomer(0) => SwapBehaviour::AliceAbandons,
+        ByzFault::CrashCustomer(_) | ByzFault::LateBob | ByzFault::ForgingChloe(_) => {
+            SwapBehaviour::BobGriefs
         }
+        // Chains are reliable in the HTLC model; an escrow fault
+        // degrades to abandonment by the nearer party.
+        ByzFault::CrashEscrow(i) => {
+            if i % 2 == 0 {
+                SwapBehaviour::AliceAbandons
+            } else {
+                SwapBehaviour::BobGriefs
+            }
+        }
+        ByzFault::ThievingEscrow(_) => SwapBehaviour::AliceAbandons,
     }
 }
 
 /// Per-instance swap context.
 pub struct SwapInstance {
     /// The interpreted fault.
-    pub fault: SwapFault,
+    pub behaviour: SwapBehaviour,
     /// Network faults for this instance.
     pub net: NetFaults,
-    /// Alice's offer on chain A.
-    pub offer_a: Asset,
-    /// Bob's offer on chain B.
-    pub offer_b: Asset,
-    /// Bob's timelock `T` (chain-local).
-    pub timelock_b: SimTime,
-    /// Alice's timelock `2T` (chain-local).
-    pub timelock_a: SimTime,
+    /// The swap itself: offers, secret and timelocks.
+    pub setup: SwapSetup,
     /// Engine horizon.
     pub horizon: SimTime,
-    secret: Vec<u8>,
 }
 
 /// The HTLC atomic swap as a [`ProtocolHarness`].
@@ -135,17 +100,17 @@ impl ProtocolHarness for HtlcHarness {
         // T covers many sequential worst-case hops; the swap itself needs
         // about six messages end to end.
         let t = spec.params.hop().saturating_mul(16);
-        let timelock_b = SimTime::ZERO + t;
-        let timelock_a = SimTime::ZERO + t.saturating_mul(2);
         SwapInstance {
-            fault: SwapFault::from_byz(faults.byz),
+            behaviour: swap_behaviour(faults.byz),
             net: faults.net,
-            offer_a: spec.plan.amounts[0],
-            offer_b: spec.plan.amounts[spec.plan.hops() - 1],
-            timelock_b,
-            timelock_a,
+            setup: SwapSetup {
+                offer_a: spec.plan.amounts[0],
+                offer_b: spec.plan.amounts[spec.plan.hops() - 1],
+                secret: spec.seed.to_le_bytes().to_vec(),
+                timelock_a: SimTime::ZERO + t.saturating_mul(2),
+                timelock_b: SimTime::ZERO + t,
+            },
             horizon: SimTime::ZERO + t.saturating_mul(12) + SimDuration::from_secs(10),
-            secret: spec.seed.to_le_bytes().to_vec(),
         }
     }
 
@@ -164,47 +129,6 @@ impl ProtocolHarness for HtlcHarness {
             trace_mode,
             ..EngineConfig::default()
         };
-        let mut eng = Engine::new(net, oracle, cfg);
-
-        let mut chain_a = HtlcChain::new();
-        chain_a.ledger_mut().open_account(ALICE_KEY).expect("fresh");
-        chain_a.ledger_mut().open_account(BOB_KEY).expect("fresh");
-        chain_a
-            .ledger_mut()
-            .mint(ALICE_KEY, inst.offer_a)
-            .expect("fresh");
-        let mut chain_b = HtlcChain::new();
-        chain_b.ledger_mut().open_account(ALICE_KEY).expect("fresh");
-        chain_b.ledger_mut().open_account(BOB_KEY).expect("fresh");
-        chain_b
-            .ledger_mut()
-            .mint(BOB_KEY, inst.offer_b)
-            .expect("fresh");
-
-        let alice = SwapInitiator::new(
-            ALICE_KEY,
-            BOB_KEY,
-            CHAIN_A_PID,
-            CHAIN_B_PID,
-            inst.offer_a,
-            inst.secret.clone(),
-            inst.timelock_a,
-        );
-        let alice: Box<dyn Process<HMsg>> = if inst.fault == SwapFault::AliceAbandons {
-            Box::new(LockOnlyInitiator(alice))
-        } else {
-            Box::new(alice)
-        };
-        let mut bob = SwapResponder::new(
-            BOB_KEY,
-            ALICE_KEY,
-            CHAIN_A_PID,
-            CHAIN_B_PID,
-            inst.offer_b,
-            inst.timelock_b,
-        );
-        bob.participate = inst.fault != SwapFault::BobGriefs;
-
         // One drifting clock shared by parties and chains, sampled from
         // the instance seed: absolute time uncertainty within the drift
         // envelope. (The stock swap processes never retry a rejected
@@ -214,17 +138,8 @@ impl ProtocolHarness for HtlcHarness {
         // drift.)
         let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0x9E37_79B9));
         let clock = DriftClock::sample(spec.params.rho_ppm, spec.params.hop(), &mut rng);
-        eng.add_process(alice, clock);
-        eng.add_process(Box::new(bob), clock);
-        eng.add_process(
-            Box::new(ChainProcess::new(chain_a, vec![ALICE_PID, BOB_PID])),
-            clock,
-        );
-        eng.add_process(
-            Box::new(ChainProcess::new(chain_b, vec![ALICE_PID, BOB_PID])),
-            clock,
-        );
-        eng
+        inst.setup
+            .build_engine(net, oracle, cfg, clock, inst.behaviour)
     }
 
     fn classify(
@@ -235,13 +150,15 @@ impl ProtocolHarness for HtlcHarness {
         _quiescent: bool,
         truncated: bool,
     ) -> ProtocolOutcome {
+        // `SwapSetup` registers both chains at these pids, and no swap
+        // behaviour substitutes a chain.
         let a = eng
             .process_as::<ChainProcess>(CHAIN_A_PID)
-            .expect("chain A present")
+            .expect("SwapSetup registers chain A, never substituted")
             .chain();
         let b = eng
             .process_as::<ChainProcess>(CHAIN_B_PID)
-            .expect("chain B present")
+            .expect("SwapSetup registers chain B, never substituted")
             .chain();
         // Money conservation first: the chains' books must balance.
         if a.ledger().check_conservation().is_err() || b.ledger().check_conservation().is_err() {
@@ -303,8 +220,8 @@ impl ProtocolHarness for HtlcHarness {
             if let TraceKind::Mark { pid, label, .. } = e.kind {
                 // Chain A is the swap's first hop, chain B its second.
                 let (hop, amount) = match pid {
-                    CHAIN_A_PID => (0, inst.offer_a.amount as i64),
-                    CHAIN_B_PID => (1, inst.offer_b.amount as i64),
+                    CHAIN_A_PID => (0, inst.setup.offer_a.amount as i64),
+                    CHAIN_B_PID => (1, inst.setup.offer_b.amount as i64),
                     _ => continue,
                 };
                 let delta = match label {
@@ -386,7 +303,7 @@ mod tests {
         for spec in &specs(2, 32, 11) {
             let r = run_harness_instance(&HtlcHarness, spec, &plan, false, &mut queue_high);
             assert_ne!(r.outcome, ProtocolOutcome::Success);
-            if SwapFault::from_byz(r.faults.byz) == SwapFault::AliceAbandons {
+            if swap_behaviour(r.faults.byz) == SwapBehaviour::AliceAbandons {
                 seen_abandon = true;
             }
         }

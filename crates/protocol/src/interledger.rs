@@ -30,7 +30,7 @@ use crate::workload::PaymentSpec;
 use anta::engine::Engine;
 use anta::net::SyncNet;
 use anta::oracle::Oracle;
-use anta::process::{Pid, Process};
+use anta::process::Process;
 use anta::time::{SimDuration, SimTime};
 use anta::trace::TraceMode;
 use interledger::atomic::DeadlineTm;
@@ -39,7 +39,7 @@ use payment::byzantine::CrashAfter;
 use payment::msg::PMsg;
 use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use payment::topology::Role;
-use payment::weak::{Evidence, TmKind, WeakSetup};
+use payment::weak::{TmKind, WeakSetup};
 
 /// Which Interledger baseline the harness executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,17 +287,11 @@ fn build_atomic_engine(
     cfg.max_real_time =
         SimTime::ZERO + inst.deadline.saturating_mul(8) + SimDuration::from_secs(10);
 
-    let evidence = Evidence::new(setup.payment, setup.escrow_keys(), setup.customer_keys());
-    let pki = setup.pki.clone();
-    let tm_signer = setup.tm_signer(0).clone();
-    let participants: Vec<Pid> = (0..setup.topo.participants()).collect();
-    let deadline = inst.deadline;
-
     let crash_role = match inst.faults.byz {
         ByzFault::CrashCustomer(_) | ByzFault::CrashEscrow(_) => inst.faults.byz.role(setup.n()),
         _ => None,
     };
-    let crash_at = SimDuration::from_ticks(deadline.ticks() / 4);
+    let crash_at = SimDuration::from_ticks(inst.deadline.ticks() / 4);
 
     setup.build_engine_cfg(
         net,
@@ -310,15 +304,8 @@ fn build_atomic_engine(
             })
         },
         |i| {
-            (i == 0).then(|| {
-                Box::new(DeadlineTm::new(
-                    tm_signer.clone(),
-                    pki.clone(),
-                    evidence.clone(),
-                    participants.clone(),
-                    deadline,
-                )) as Box<dyn Process<PMsg>>
-            })
+            (i == 0)
+                .then(|| Box::new(DeadlineTm::new(setup, inst.deadline)) as Box<dyn Process<PMsg>>)
         },
     )
 }

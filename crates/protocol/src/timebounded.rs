@@ -1,11 +1,7 @@
 //! [`TimeBoundedHarness`] — the paper's Theorem 1 protocol behind the
-//! unified harness interface.
-//!
-//! Extracted verbatim from the previously hard-wired `sim::runner` path:
-//! engine construction, outcome classification and locked-value
-//! extraction are the same code, so a Monte-Carlo report produced through
-//! this harness is **bit-identical** to the pre-refactor simulator for the
-//! same seed — the refactor invariant the workspace tests pin down.
+//! unified harness interface. `ChainSetup` assembles the chain; the
+//! harness adds the network, the clocks and the Byzantine substitutions,
+//! and classifies the finished run.
 
 use crate::faults::InstanceFaults;
 use crate::harness::{
@@ -99,10 +95,10 @@ impl ProtocolHarness for TimeBoundedHarness {
     }
 }
 
-/// Builds the chain engine exactly as the pre-refactor simulator did:
-/// synchronous base network (16 delay buckets), fault layer only when the
-/// instance carries network faults, counters-only-capable config derived
-/// from the setup, sampled clocks, Byzantine substitution per role.
+/// Builds the chain engine: synchronous base network (16 delay buckets),
+/// fault layer only when the instance carries network faults,
+/// counters-only-capable config derived from the setup, sampled clocks,
+/// Byzantine substitution per role.
 pub(crate) fn build_chain_engine(
     inst: &ChainInstance,
     spec: &PaymentSpec,

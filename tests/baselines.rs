@@ -8,94 +8,62 @@ use crosschain::anta::clock::DriftClock;
 use crosschain::anta::engine::{Engine, EngineConfig};
 use crosschain::anta::net::{NetModel, PartialSyncNet, SyncNet};
 use crosschain::anta::oracle::RandomOracle;
-use crosschain::anta::process::{Pid, Process};
+use crosschain::anta::process::Process;
 use crosschain::anta::time::{SimDuration, SimTime};
 use crosschain::htlc::contract::{HtlcChain, HtlcState};
-use crosschain::htlc::swap::{ChainProcess, HMsg, SwapInitiator, SwapResponder};
+use crosschain::htlc::swap::{
+    ChainProcess, HMsg, SwapBehaviour, SwapSetup, ALICE_KEY, BOB_KEY, CHAIN_A_PID, CHAIN_B_PID,
+};
 use crosschain::interledger::{untuned_schedule, DeadlineTm};
 use crosschain::ledger::{Asset, CurrencyId};
 use crosschain::payment::msg::PMsg;
 use crosschain::payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
-use crosschain::payment::weak::{Evidence, TmKind, WeakOutcome, WeakSetup};
+use crosschain::payment::weak::{TmKind, WeakOutcome, WeakSetup};
 use crosschain::payment::{SyncParams, ValuePlan};
-use crosschain::xcrypto::{KeyId, Verdict};
+use crosschain::xcrypto::Verdict;
 
 const CUR_A: CurrencyId = CurrencyId(0);
 const CUR_B: CurrencyId = CurrencyId(1);
-const ALICE: KeyId = KeyId(0);
-const BOB: KeyId = KeyId(1);
 
-/// Two funded chains and the two swap parties; pids: 0 = Alice, 1 = Bob,
-/// 2 = chain A, 3 = chain B.
-fn swap_engine(t_ms: u64, bob_participates: bool) -> Engine<HMsg> {
-    let mut chain_a = HtlcChain::new();
-    chain_a.ledger_mut().open_account(ALICE).unwrap();
-    chain_a.ledger_mut().open_account(BOB).unwrap();
-    chain_a
-        .ledger_mut()
-        .mint(ALICE, Asset::new(CUR_A, 100))
-        .unwrap();
-    let mut chain_b = HtlcChain::new();
-    chain_b.ledger_mut().open_account(ALICE).unwrap();
-    chain_b.ledger_mut().open_account(BOB).unwrap();
-    chain_b
-        .ledger_mut()
-        .mint(BOB, Asset::new(CUR_B, 200))
-        .unwrap();
-
-    let mut eng = Engine::new(
+/// Alice's 100 A against Bob's 200 B with timelocks `2·t_ms` / `t_ms`.
+fn swap_engine(t_ms: u64, behaviour: SwapBehaviour) -> Engine<HMsg> {
+    SwapSetup {
+        offer_a: Asset::new(CUR_A, 100),
+        offer_b: Asset::new(CUR_B, 200),
+        secret: b"baseline-secret".to_vec(),
+        timelock_a: SimTime::from_millis(2 * t_ms),
+        timelock_b: SimTime::from_millis(t_ms),
+    }
+    .build_engine(
         Box::new(SyncNet::worst_case(SimDuration::from_millis(2))),
         Box::new(RandomOracle::seeded(7)),
         EngineConfig::default(),
-    );
-    let alice = SwapInitiator::new(
-        ALICE,
-        BOB,
-        2,
-        3,
-        Asset::new(CUR_A, 100),
-        b"baseline-secret".to_vec(),
-        SimTime::from_millis(2 * t_ms),
-    );
-    eng.add_process(Box::new(alice), DriftClock::perfect());
-    let mut bob = SwapResponder::new(
-        BOB,
-        ALICE,
-        2,
-        3,
-        Asset::new(CUR_B, 200),
-        SimTime::from_millis(t_ms),
-    );
-    bob.participate = bob_participates;
-    eng.add_process(Box::new(bob), DriftClock::perfect());
-    eng.add_process(
-        Box::new(ChainProcess::new(chain_a, vec![0, 1])),
         DriftClock::perfect(),
-    );
-    eng.add_process(
-        Box::new(ChainProcess::new(chain_b, vec![0, 1])),
-        DriftClock::perfect(),
-    );
-    eng
+        behaviour,
+    )
+}
+
+fn chains(eng: &Engine<HMsg>) -> (&HtlcChain, &HtlcChain) {
+    let chain = |pid| eng.process_as::<ChainProcess>(pid).unwrap().chain();
+    (chain(CHAIN_A_PID), chain(CHAIN_B_PID))
 }
 
 /// HTLC happy path: both contracts claimed, assets exchanged, both chains
 /// conserve value.
 #[test]
 fn htlc_swap_happy_path() {
-    let mut eng = swap_engine(1_000, true);
+    let mut eng = swap_engine(1_000, SwapBehaviour::Honest);
     eng.run_until(SimTime::from_secs(10));
-    let a = eng.process_as::<ChainProcess>(2).unwrap().chain();
-    let b = eng.process_as::<ChainProcess>(3).unwrap().chain();
+    let (a, b) = chains(&eng);
     assert_eq!(a.contract(0).unwrap().state, HtlcState::Claimed);
     assert_eq!(b.contract(0).unwrap().state, HtlcState::Claimed);
     assert_eq!(
-        a.ledger().balance(BOB, CUR_A),
+        a.ledger().balance(BOB_KEY, CUR_A),
         100,
         "Bob received Alice's asset"
     );
     assert_eq!(
-        b.ledger().balance(ALICE, CUR_B),
+        b.ledger().balance(ALICE_KEY, CUR_B),
         200,
         "Alice received Bob's asset"
     );
@@ -109,13 +77,16 @@ fn htlc_swap_happy_path() {
 #[test]
 fn htlc_griefing_timeout_refund() {
     let t_ms = 500u64;
-    let mut eng = swap_engine(t_ms, false);
+    let mut eng = swap_engine(t_ms, SwapBehaviour::BobGriefs);
     eng.run_until(SimTime::from_secs(10));
-    let a = eng.process_as::<ChainProcess>(2).unwrap().chain();
-    let b = eng.process_as::<ChainProcess>(3).unwrap().chain();
+    let (a, b) = chains(&eng);
     assert_eq!(a.contract(0).unwrap().state, HtlcState::Reclaimed);
     assert!(b.is_empty(), "the griefer never locked anything");
-    assert_eq!(a.ledger().balance(ALICE, CUR_A), 100, "capital came back");
+    assert_eq!(
+        a.ledger().balance(ALICE_KEY, CUR_A),
+        100,
+        "capital came back"
+    );
     a.ledger().check_conservation().unwrap();
     let reclaimed_at = eng
         .trace()
@@ -133,25 +104,11 @@ fn htlc_griefing_timeout_refund() {
 /// Interledger atomic-mode deadline manager.
 fn run_atomic(deadline: SimDuration, net: Box<dyn NetModel<PMsg>>, seed: u64) -> WeakOutcome {
     let s = WeakSetup::new(2, ValuePlan::uniform(2, 100), TmKind::Trusted, 90 + seed);
-    let evidence = Evidence::new(s.payment, s.escrow_keys(), s.customer_keys());
-    let pki = s.pki.clone();
-    let tm_signer = s.tm_signer(0).clone();
-    let participants: Vec<Pid> = (0..s.topo.participants()).collect();
     let mut eng = s.build_engine_with(
         net,
         Box::new(RandomOracle::seeded(seed)),
         |_| None,
-        |i| {
-            (i == 0).then(|| {
-                Box::new(DeadlineTm::new(
-                    tm_signer.clone(),
-                    pki.clone(),
-                    evidence.clone(),
-                    participants.clone(),
-                    deadline,
-                )) as Box<dyn Process<PMsg>>
-            })
-        },
+        |i| (i == 0).then(|| Box::new(DeadlineTm::new(&s, deadline)) as Box<dyn Process<PMsg>>),
     );
     eng.run();
     WeakOutcome::extract(&eng, &s)

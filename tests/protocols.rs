@@ -105,6 +105,54 @@ fn every_protocol_report_is_identical_across_thread_counts() {
     }
 }
 
+/// The three baseline harnesses, pinned bit for bit under the `closed_mix`
+/// benchmark's mixed fault plan (crash, late Bob, forging Chloe, thieving
+/// escrow, drops, extra delay) at 1 and 4 threads. Each baseline is
+/// assembled in one place — `SwapSetup`, `DealInstance::certified_engine`,
+/// `DeadlineTm::new` — so moving a pid, a registration or a clock there
+/// moves these digests.
+#[test]
+fn baseline_harness_reports_match_the_pinned_digests() {
+    fn check<H: ProtocolHarness>(harness: &H, family: TopologyFamily, pinned: u64) {
+        let mixed = FaultPlan {
+            crash_permille: 50,
+            late_bob_permille: 25,
+            forging_chloe_permille: 25,
+            thieving_escrow_permille: 25,
+            net: NetFaults {
+                drop_permille: 10,
+                delay_permille: 100,
+                extra_delay: SimDuration::from_millis(2),
+                delay_buckets: 4,
+            },
+        };
+        for threads in [1, 4] {
+            let cfg = SimConfig {
+                threads,
+                faults: mixed,
+                lock_profile: false,
+                ..SimConfig::new(WorkloadConfig::new(family, 400, 0xBA5E))
+            };
+            let report = format!("{:?}", closed_run(harness, &cfg));
+            let fnv = crosschain::experiments::digest::fnv1a64(report.as_bytes());
+            let name = harness.name();
+            assert_eq!(
+                fnv, pinned,
+                "{name} on {family:?} at {threads} threads: {fnv:#018x}"
+            );
+        }
+    }
+    let linear = TopologyFamily::Linear { n: 3 };
+    check(&HtlcHarness, linear, 0x6a13_728a_10b7_8723);
+    check(
+        &HtlcHarness,
+        TopologyFamily::HubAndSpoke { spokes: 4 },
+        0xeb7d_8688_c0ab_8633,
+    );
+    check(&DealsHarness, linear, 0x9357_4c26_d8a5_3bdd);
+    check(&InterledgerHarness::atomic(), linear, 0x9b95_bf97_abb4_f5f1);
+}
+
 /// The comparative claims as workspace assertions on a faulty drifted
 /// grid cell: time-bounded shows neither griefing nor violations; HTLC
 /// griefs; the untuned schedule loses money.
