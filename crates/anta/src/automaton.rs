@@ -28,10 +28,10 @@
 //! destroy messages because the receiver is momentarily elsewhere; see e.g.
 //! Chloe, who may receive `G(d_i)` and `P(a_{i-1})` in either order).
 
+use crate::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
 use crate::process::{Ctx, Message, Pid, Process, TimerId};
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::Arc;
 
 /// Index of a state within an automaton.
@@ -406,23 +406,6 @@ pub struct AutomatonProcess<M> {
     halted: bool,
 }
 
-/// Manual impl: the spec holds guard/payload closures, which are shared
-/// immutable configuration — identified by the spec name, elided otherwise
-/// (see the [`Process`] fingerprinting contract). All mutable state (control
-/// state, store, pending queue, epoch, halted) is rendered.
-impl<M: Message> fmt::Debug for AutomatonProcess<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AutomatonProcess")
-            .field("spec", &self.spec.name)
-            .field("state", &self.state)
-            .field("store", &self.store)
-            .field("pending", &self.pending)
-            .field("epoch", &self.epoch)
-            .field("halted", &self.halted)
-            .finish()
-    }
-}
-
 impl<M: Message> AutomatonProcess<M> {
     /// Instantiates the automaton in its initial state.
     pub fn new(spec: Arc<AutomatonSpec<M>>) -> Self {
@@ -578,6 +561,24 @@ impl<M: Message> Process<M> for AutomatonProcess<M> {
             }
         }
     }
+
+    /// The spec (guard and payload closures) is shared wiring. Everything
+    /// else is state; clock variables are hashed as absolute instants,
+    /// which is sound and forfeits only time-translation merges.
+    fn fp_digest(&self) -> u64 {
+        let AutomatonProcess {
+            spec: _,
+            state,
+            store: VarStore { clocks, regs },
+            pending,
+            epoch,
+            halted,
+        } = self;
+        let mut h = Fnv64::new();
+        (state.0, clocks, regs, epoch, halted).fingerprint(&mut h);
+        fingerprint_seq(pending.iter(), &mut h);
+        h.finish()
+    }
 }
 
 #[cfg(test)]
@@ -594,6 +595,16 @@ mod tests {
         Ping,
         Pong,
         Value(i64),
+    }
+
+    impl Fingerprint for TMsg {
+        fn fingerprint(&self, h: &mut Fnv64) {
+            match self {
+                TMsg::Ping => 0u8.fingerprint(h),
+                TMsg::Pong => 1u8.fingerprint(h),
+                TMsg::Value(v) => (2u8, v).fingerprint(h),
+            }
+        }
     }
 
     /// requester(0): send Ping to 1; await Pong with timeout; halt.
@@ -697,6 +708,9 @@ mod tests {
             }
             fn on_message(&mut self, _f: Pid, _m: TMsg, _c: &mut Ctx<TMsg>) {}
             fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<TMsg>) {}
+            fn fp_digest(&self) -> u64 {
+                0
+            }
         }
         let mut b = AutomatonBuilder::new("orderly");
         let s1 = b.input_state("want_one");

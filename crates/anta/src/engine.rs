@@ -19,7 +19,7 @@
 //! the same oracle; all randomness flows through [`Oracle`].
 
 use crate::clock::DriftClock;
-use crate::fingerprint::{debug_digest, Fnv64};
+use crate::fingerprint::Fnv64;
 use crate::net::{Delivery, EnvelopeMeta, NetModel};
 use crate::oracle::{ChoiceTag, FixedOracle, Oracle};
 use crate::process::{Ctx, Effect, Message, Pid, Process, TimerId};
@@ -269,18 +269,20 @@ impl<M: Message> Engine<M> {
     /// After every dispatched event the engine folds into one 64-bit FNV-1a
     /// digest everything the run's *future* is a function of:
     ///
-    /// * **per-process state** — each process's [`Process::fp_digest`]
-    ///   (default: its `Debug` rendering; cached, recomputed only for the
-    ///   pid the event touched) plus its engine-side `halted` flag, plus
-    ///   any [`Process::fp_times`] instants folded as signed residues
-    ///   against the process's *current* local clock;
+    /// * **per-process state** — each process's hand-written
+    ///   [`Process::fp_digest`] over its mutable fields (cached, recomputed
+    ///   only for the pid the event touched) plus its engine-side `halted`
+    ///   flag, plus any [`Process::fp_times`] instants folded as signed
+    ///   residues against the process's *current* local clock;
     /// * **in-flight events** — every queued `(at, seq, content-hash)`
     ///   triple, folded in `(at, seq)` order as `(at − now, content-hash)`.
     ///   The content hash excludes `seq` (so differently-ordered histories
     ///   can converge) but the fold order *is* the dispatch order,
     ///   including `seq` tie-breaks among equal times — two states with
     ///   equal folds dispatch equal events in the same order. Message
-    ///   payloads enter via their `Debug` digest; timers via `(pid, id)`;
+    ///   payloads enter field by field via their
+    ///   [`Fingerprint`](crate::fingerprint::Fingerprint) impl (a bound of
+    ///   [`Message`]); timers via `(pid, id)`;
     /// * **the observable trace** — counters (sent / delivered / per-pid
     ///   delivered / dropped) plus the rolling
     ///   [`Trace::obs_digest`](crate::trace::Trace::obs_digest) over
@@ -409,7 +411,7 @@ impl<M: Message> Engine<M> {
                 h.write_u64(2);
                 h.write_usize(*from);
                 h.write_usize(*to);
-                h.write_u64(debug_digest(msg));
+                msg.fingerprint(&mut h);
             }
             EventKind::Timer { pid, id } => {
                 h.write_u64(3);
@@ -701,6 +703,7 @@ impl<M: Message> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::fingerprint;
     use crate::net::SyncNet;
     use crate::oracle::RandomOracle;
 
@@ -729,6 +732,9 @@ mod tests {
             }
         }
         fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<u32>) {}
+        fn fp_digest(&self) -> u64 {
+            fingerprint(&self.last_seen)
+        }
     }
 
     fn ping_pong_engine_mode(seed: u64, sigma: SimDuration, trace_mode: TraceMode) -> Engine<u32> {
@@ -871,6 +877,9 @@ mod tests {
                 ctx.halt();
             }
         }
+        fn fp_digest(&self) -> u64 {
+            fingerprint(&self.fired)
+        }
     }
 
     #[test]
@@ -911,6 +920,9 @@ mod tests {
                     ctx.mark("fired", 0);
                     ctx.halt();
                 }
+                fn fp_digest(&self) -> u64 {
+                    0
+                }
             }
             let pid = eng.add_process(Box::new(OneTimer), clock);
             eng.run();
@@ -932,6 +944,9 @@ mod tests {
             fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
             fn on_timer(&mut self, _id: TimerId, ctx: &mut Ctx<u32>) {
                 ctx.set_timer_after(0, SimDuration::from_ticks(10));
+            }
+            fn fp_digest(&self) -> u64 {
+                0
             }
         }
         let mut eng = Engine::<u32>::new(
@@ -965,6 +980,9 @@ mod tests {
                 ctx.send(0, m + 1);
             }
             fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<u32>) {}
+            fn fp_digest(&self) -> u64 {
+                0
+            }
         }
         let mut eng = Engine::<u32>::new(
             Box::new(SyncNet::new(SimDuration::ZERO, 1)),
@@ -994,6 +1012,9 @@ mod tests {
                 self.got_after_halt = true;
             }
             fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<u32>) {}
+            fn fp_digest(&self) -> u64 {
+                fingerprint(&self.got_after_halt)
+            }
         }
         #[derive(Debug, Clone, Default)]
         struct Sender;
@@ -1003,6 +1024,9 @@ mod tests {
             }
             fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
             fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<u32>) {}
+            fn fp_digest(&self) -> u64 {
+                0
+            }
         }
         let mut eng = Engine::<u32>::new(
             Box::new(SyncNet::new(SimDuration::from_ticks(10), 1)),
@@ -1096,6 +1120,9 @@ mod tests {
             }
             fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
             fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<u32>) {}
+            fn fp_digest(&self) -> u64 {
+                0
+            }
         }
         #[derive(Debug, Clone, Default)]
         struct SendsToDead;
@@ -1105,6 +1132,9 @@ mod tests {
             }
             fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
             fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<u32>) {}
+            fn fp_digest(&self) -> u64 {
+                0
+            }
         }
 
         let run_one = |prune: bool| {
@@ -1151,6 +1181,9 @@ mod tests {
             fn on_timer(&mut self, _id: TimerId, ctx: &mut Ctx<u32>) {
                 self.fired_at = Some(ctx.now());
                 ctx.halt();
+            }
+            fn fp_digest(&self) -> u64 {
+                fingerprint(&self.fired_at)
             }
         }
         let mut eng = Engine::<u32>::new(

@@ -842,6 +842,7 @@ mod tests {
     use super::*;
     use crate::clock::DriftClock;
     use crate::engine::EngineConfig;
+    use crate::fingerprint::fingerprint;
     use crate::net::SyncNet;
     use crate::process::{Ctx, Pid, Process, TimerId};
     use crate::time::SimDuration;
@@ -860,6 +861,9 @@ mod tests {
             }
         }
         fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
+        fn fp_digest(&self) -> u64 {
+            fingerprint(&self.first)
+        }
     }
 
     #[derive(Debug, Clone)]
@@ -872,6 +876,9 @@ mod tests {
         }
         fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
         fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
+        fn fp_digest(&self) -> u64 {
+            0
+        }
     }
 
     fn build_race(oracle: Box<dyn Oracle>) -> Engine<u32> {
@@ -1361,6 +1368,9 @@ mod tests {
                 }
             }
             fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
+            fn fp_digest(&self) -> u64 {
+                fingerprint(&self.first)
+            }
         }
         // Racers send only after a timer, so the judge's halt can precede
         // the *send* of the loser's message on some schedules.
@@ -1376,6 +1386,9 @@ mod tests {
             fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
             fn on_timer(&mut self, _i: TimerId, ctx: &mut Ctx<u32>) {
                 ctx.send(self.judge, 1);
+            }
+            fn fp_digest(&self) -> u64 {
+                0
             }
         }
         let build = |oracle: Box<dyn Oracle>| {

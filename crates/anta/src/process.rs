@@ -8,17 +8,18 @@
 //! * its own timers (`on_timer`) — the `now ≥ x + d` time-out transitions;
 //! * the ability to send (`ctx.send`) — the `s(id, m)` transitions.
 //!
-//! Implementing `on_start`, `on_message` and `on_timer` (and deriving
-//! `Debug`) is the whole job; downcasting for post-run inspection comes from
-//! the blanket [`AsAny`] impl, and the optional `fp_*` hooks only sharpen the
-//! reduced explorer's state fingerprints. Nothing clones a process: the
-//! explorer replays a schedule by rebuilding the engine.
+//! Implementing `on_start`, `on_message` and `on_timer` plus the state
+//! digest `fp_digest` is the whole job; downcasting for post-run inspection
+//! comes from the blanket [`AsAny`] impl, and the optional `fp_times` hook
+//! sharpens the reduced explorer's state fingerprints. Nothing clones a
+//! process: the explorer replays a schedule by rebuilding the engine.
 //!
 //! Protocol implementations (the Figure 2 automata, the weak-liveness
 //! participants, the consensus notaries, Byzantine strategies) all implement
 //! this trait; the data-driven [`crate::automaton`] interpreter is itself
 //! just one more `Process`.
 
+use crate::fingerprint::Fingerprint;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
 
@@ -30,9 +31,11 @@ pub type Pid = usize;
 /// Identifier for a timer registered by a process (process-local meaning).
 pub type TimerId = u64;
 
-/// Messages must be cheaply clonable values.
-pub trait Message: Clone + std::fmt::Debug + 'static {}
-impl<T: Clone + std::fmt::Debug + 'static> Message for T {}
+/// Messages must be cheaply clonable values that can feed their fields into
+/// the reduced explorer's state fingerprint (in-flight payloads are part of
+/// the state).
+pub trait Message: Clone + std::fmt::Debug + Fingerprint + 'static {}
+impl<T: Clone + std::fmt::Debug + Fingerprint + 'static> Message for T {}
 
 /// Effects a process can request during a handler invocation. Collected by
 /// the [`Ctx`] and applied by the engine after the handler returns, so
@@ -147,20 +150,21 @@ impl<T: 'static> AsAny for T {
     }
 }
 
-/// A participant in the simulated network: three handlers, plus optional
-/// fingerprint hooks.
+/// A participant in the simulated network: three handlers plus the digest
+/// of its state.
 ///
-/// `Debug` is a supertrait because the reduced schedule explorer
-/// fingerprints engine states: a process's protocol-relevant state is
-/// digested from its `Debug` rendering (see
-/// [`crate::engine::Engine::enable_fingerprints`]). The rendering must
-/// therefore cover every field that can influence the process's future
-/// behaviour; shared immutable configuration (specs, key registries) may be
-/// elided from manual impls, mutable state may not.
+/// The reduced schedule explorer fingerprints engine states (see
+/// [`crate::engine::Engine::enable_fingerprints`]), so every process writes
+/// [`Process::fp_digest`] by hand: there is no default, and a process
+/// without one does not compile. The idiom is to destructure `self`
+/// exhaustively, name wiring (pids, keys, bounds, shared registries — fixed
+/// from registration on) as `field: _`, and [`Fingerprint`] every field the
+/// process's future behaviour can read. A new field then does not compile
+/// until it is either hashed or named as wiring.
 ///
 /// A process is never cloned: the explorer replays a schedule by building a
 /// fresh engine and feeding it the recorded choices.
-pub trait Process<M>: AsAny + std::fmt::Debug + 'static {
+pub trait Process<M>: AsAny + 'static {
     /// Invoked once at simulation start (time 0 on the local clock modulo
     /// offset). ANTA automata use this to leave their initial grey states.
     fn on_start(&mut self, ctx: &mut Ctx<M>);
@@ -172,36 +176,39 @@ pub trait Process<M>: AsAny + std::fmt::Debug + 'static {
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<M>);
 
     /// Digest of the process's **time-free** mutable state, folded into the
-    /// engine's state fingerprint. Default: the full `Debug` rendering.
+    /// engine's state fingerprint — typically
+    /// [`fingerprint`](crate::fingerprint::fingerprint) of a tuple of the
+    /// behaviour-bearing fields. Hashing a field that cannot matter is
+    /// always sound (extra distinctions never merge states wrongly; they
+    /// only forfeit reduction), so when in doubt a field goes in. A
+    /// stateless process returns a constant.
     ///
-    /// Override (together with [`Process::fp_times`]) when the process
-    /// stores absolute local-clock instants (`ctx.now()` snapshots). The
-    /// override must digest every behaviour-bearing field **except** those
-    /// instants (including an `is_some()` flag for optional ones), and then
-    /// for each instant either:
+    /// Absolute local-clock instants (`ctx.now()` snapshots) need care: the
+    /// digest hashes whether they are set (an `is_some()` flag for optional
+    /// ones), and then each instant is either
     ///
-    /// * push it to `fp_times`, in a fixed order, if the process's *future*
-    ///   behaviour still reads it (a live `now ≥ u + d` timeout race). The
-    ///   engine folds it as a residue against the current local clock, so
-    ///   states with the same pending-timeout structure reached earlier or
-    ///   later fingerprint identically and deduplicate; or
-    /// * omit it entirely if it is kept only for post-run checkers (a
+    /// * pushed to [`Process::fp_times`], in a fixed order, if the
+    ///   process's *future* behaviour still reads it (a live `now ≥ u + d`
+    ///   timeout race). The engine folds it as a residue against the
+    ///   current local clock, so states with the same pending-timeout
+    ///   structure reached earlier or later fingerprint identically and
+    ///   deduplicate; or
+    /// * omitted entirely if it is kept only for post-run checkers (a
     ///   recorded "when did I pay" instant). Past times are deliberately
     ///   abstracted out of the fingerprint — see the time-robust checker
     ///   contract on
     ///   [`Engine::enable_fingerprints`](crate::engine::Engine::enable_fingerprints).
     ///
-    /// Keeping an absolute instant in the default `Debug` digest is always
-    /// *sound* (extra distinctions never merge states wrongly); it only
-    /// forfeits reduction.
-    fn fp_digest(&self) -> u64 {
-        crate::fingerprint::debug_digest(self)
-    }
+    /// Hashing an instant absolutely instead is sound too; it only forfeits
+    /// reduction. A wrapper process forwards both the inner digest and the
+    /// inner [`Process::fp_times`]: dropping the latter would lose a live
+    /// timeout anchor, which is unsound.
+    fn fp_digest(&self) -> u64;
 
     /// Absolute local-clock instants this process's **future** behaviour
     /// still reads, pushed in a fixed order; folded into the state
     /// fingerprint as residues against the local clock. See
-    /// [`Process::fp_digest`] for the override contract. Default: none.
+    /// [`Process::fp_digest`] for the contract. Default: none.
     fn fp_times(&self, _out: &mut Vec<SimTime>) {}
 }
 
@@ -214,6 +221,9 @@ impl<M: Message> Process<M> for InertProcess {
     fn on_start(&mut self, _ctx: &mut Ctx<M>) {}
     fn on_message(&mut self, _from: Pid, _msg: M, _ctx: &mut Ctx<M>) {}
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<M>) {}
+    fn fp_digest(&self) -> u64 {
+        0
+    }
 }
 
 #[cfg(test)]

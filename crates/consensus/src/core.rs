@@ -31,9 +31,10 @@
 //! crate both drive this same core — one implementation, two transports.
 
 use crate::msg::{
-    propose_payload, sign_propose, sign_vote, vote_payload, ConsMsg, ConsensusValue, ProofOfLock,
-    VoteKind, DOM_VOTE,
+    fingerprint_sigs, propose_payload, sign_propose, sign_vote, vote_payload, ConsMsg,
+    ConsensusValue, ProofOfLock, VoteKind, DOM_VOTE,
 };
+use anta::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
 use anta::time::SimDuration;
 use std::sync::Arc;
 use xcrypto::{KeyId, Pki, Signature, Signer};
@@ -161,10 +162,9 @@ pub struct NotaryCore<V> {
     decision_broadcast: bool,
 }
 
-/// Manual impl for the engine's fingerprinting contract: all mutable
-/// protocol state is rendered; `cfg`, `signer`, and `pki` are shared
-/// immutable configuration (and hold closures/secret keys) so they are
-/// elided — secrets must never reach a Debug rendering.
+/// Manual impl: all mutable protocol state is rendered; `cfg`, `signer`,
+/// and `pki` are shared immutable configuration (and hold closures/secret
+/// keys) so they are elided — secrets must never reach a Debug rendering.
 impl<V: ConsensusValue> std::fmt::Debug for NotaryCore<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NotaryCore")
@@ -179,6 +179,60 @@ impl<V: ConsensusValue> std::fmt::Debug for NotaryCore<V> {
             .field("decided", &self.decided)
             .field("decision_broadcast", &self.decision_broadcast)
             .finish()
+    }
+}
+
+impl<V: ConsensusValue> Fingerprint for VoteRec<V> {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        let VoteRec {
+            round,
+            signer,
+            value,
+            sig,
+        } = self;
+        let value = value.as_ref().map(V::encode);
+        (round, signer.0, value, sig.signer.0, sig.tag).fingerprint(h);
+    }
+}
+
+impl<V: ConsensusValue> Fingerprint for Lock<V> {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        let Lock { round, value, sigs } = self;
+        (round, value.encode()).fingerprint(h);
+        fingerprint_sigs(sigs, h);
+    }
+}
+
+/// The configuration, signer and key registry are wiring; every other
+/// field is protocol state. Values enter through their canonical
+/// [`ConsensusValue::encode`] bytes.
+impl<V: ConsensusValue> Fingerprint for NotaryCore<V> {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        let NotaryCore {
+            cfg: _,
+            signer: _,
+            pki: _,
+            input,
+            round,
+            locked,
+            proposals,
+            prevotes,
+            precommits,
+            prevoted_rounds,
+            precommitted_rounds,
+            decided,
+            decision_broadcast,
+        } = self;
+        (input.encode(), round, locked, prevotes, precommits).fingerprint(h);
+        fingerprint_seq(proposals.iter().map(|(r, v)| (r, v.encode())), h);
+        let decided = decided.as_ref().map(|(r, v)| (r, v.encode()));
+        (
+            prevoted_rounds,
+            precommitted_rounds,
+            decided,
+            decision_broadcast,
+        )
+            .fingerprint(h);
     }
 }
 

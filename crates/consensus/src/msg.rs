@@ -4,6 +4,7 @@
 //! signatures, which doubles as the transferable certificate the
 //! transaction manager turns into χc/χa.
 
+use anta::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
 use xcrypto::wire::WireWriter;
 use xcrypto::{Signature, Signer};
 
@@ -145,6 +146,20 @@ pub struct ProofOfLock<V> {
     pub sigs: Vec<Signature>,
 }
 
+/// Feeds a signature list through each signature's public fields
+/// (`xcrypto` does not depend on `anta`).
+pub fn fingerprint_sigs(sigs: &[Signature], h: &mut Fnv64) {
+    fingerprint_seq(sigs.iter().map(|s| (s.signer.0, s.tag)), h);
+}
+
+impl<V: ConsensusValue> Fingerprint for ProofOfLock<V> {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        let ProofOfLock { round, value, sigs } = self;
+        (round, value.encode()).fingerprint(h);
+        fingerprint_sigs(sigs, h);
+    }
+}
+
 /// Consensus wire messages for one instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsMsg<V> {
@@ -186,6 +201,32 @@ pub enum ConsMsg<V> {
         /// Justifying signatures.
         sigs: Vec<Signature>,
     },
+}
+
+/// Values enter through their canonical [`ConsensusValue::encode`] bytes.
+impl<V: ConsensusValue> Fingerprint for ConsMsg<V> {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        match self {
+            ConsMsg::Propose {
+                round,
+                value,
+                pol,
+                sig,
+            } => (0u8, round, value.encode(), pol, sig.signer.0, sig.tag).fingerprint(h),
+            ConsMsg::Prevote { round, value, sig } => {
+                let value = value.as_ref().map(V::encode);
+                (1u8, round, value, sig.signer.0, sig.tag).fingerprint(h)
+            }
+            ConsMsg::Precommit { round, value, sig } => {
+                let value = value.as_ref().map(V::encode);
+                (2u8, round, value, sig.signer.0, sig.tag).fingerprint(h)
+            }
+            ConsMsg::Decided { round, value, sigs } => {
+                (3u8, round, value.encode()).fingerprint(h);
+                fingerprint_sigs(sigs, h);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! experiments, adversarial for failure injection.
 
 use crate::core::{NotaryCore, Output};
-use crate::msg::{ConsMsg, ConsensusValue};
+use crate::msg::{fingerprint_sigs, ConsMsg, ConsensusValue};
+use anta::fingerprint::{Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
 use xcrypto::Signature;
 
@@ -18,18 +19,6 @@ pub struct NotaryProcess<V> {
     peers: Vec<Pid>,
     /// The decision, once reached: `(round, value, justifying sigs)`.
     decision: Option<(u32, V, Vec<Signature>)>,
-}
-
-/// Manual impl: mutable state (`core`, `decision`) rendered in full, the
-/// static peer list included for context.
-impl<V: ConsensusValue> std::fmt::Debug for NotaryProcess<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NotaryProcess")
-            .field("core", &self.core)
-            .field("peers", &self.peers)
-            .field("decision", &self.decision)
-            .finish()
-    }
 }
 
 impl<V: ConsensusValue> NotaryProcess<V> {
@@ -93,6 +82,23 @@ impl<V: ConsensusValue> Process<ConsMsg<V>> for NotaryProcess<V> {
         let out = self.core.on_timeout(id);
         self.apply(out, ctx);
     }
+
+    /// The peer list is wiring; the core and the decision record are state.
+    fn fp_digest(&self) -> u64 {
+        let NotaryProcess {
+            core,
+            peers: _,
+            decision,
+        } = self;
+        let mut h = Fnv64::new();
+        core.fingerprint(&mut h);
+        h.write_bool(decision.is_some());
+        if let Some((round, value, sigs)) = decision {
+            (round, value.encode()).fingerprint(&mut h);
+            fingerprint_sigs(sigs, &mut h);
+        }
+        h.finish()
+    }
 }
 
 /// A crashed notary: participates in nothing. Counts towards `f`.
@@ -103,6 +109,9 @@ impl<V: ConsensusValue> Process<ConsMsg<V>> for SilentNotary {
     fn on_start(&mut self, _ctx: &mut Ctx<ConsMsg<V>>) {}
     fn on_message(&mut self, _f: Pid, _m: ConsMsg<V>, _c: &mut Ctx<ConsMsg<V>>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<ConsMsg<V>>) {}
+    fn fp_digest(&self) -> u64 {
+        0
+    }
 }
 
 /// An equivocating Byzantine notary: sends conflicting prevotes and
@@ -117,20 +126,6 @@ pub struct EquivocatorNotary<V> {
     value_a: V,
     value_b: V,
     rounds: u32,
-}
-
-/// Manual impl: the equivocator is stateless after `on_start`; its static
-/// configuration is rendered except the signer (secret key material).
-impl<V: ConsensusValue> std::fmt::Debug for EquivocatorNotary<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EquivocatorNotary")
-            .field("instance", &self.instance)
-            .field("peers", &self.peers)
-            .field("value_a", &self.value_a)
-            .field("value_b", &self.value_b)
-            .field("rounds", &self.rounds)
-            .finish()
-    }
 }
 
 impl<V: ConsensusValue> EquivocatorNotary<V> {
@@ -194,6 +189,19 @@ impl<V: ConsensusValue> Process<ConsMsg<V>> for EquivocatorNotary<V> {
     }
     fn on_message(&mut self, _f: Pid, _m: ConsMsg<V>, _c: &mut Ctx<ConsMsg<V>>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<ConsMsg<V>>) {}
+
+    /// Stateless after `on_start`: every field is wiring.
+    fn fp_digest(&self) -> u64 {
+        let EquivocatorNotary {
+            signer: _,
+            instance: _,
+            peers: _,
+            value_a: _,
+            value_b: _,
+            rounds: _,
+        } = self;
+        0
+    }
 }
 
 #[cfg(test)]

@@ -12,15 +12,15 @@
 //! guarantees.
 
 use crate::msg::{PMsg, TmInput, TmInputKind};
+use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
-use anta::time::SimDuration;
+use anta::time::{SimDuration, SimTime};
 use std::sync::Arc;
 use xcrypto::{PaymentId, Pki, Receipt, Signer};
 
 /// Wraps any process and crashes it (silently drops all events) once the
 /// local clock passes `at`. Models fail-stop at an arbitrary protocol
 /// step.
-#[derive(Debug)]
 pub struct CrashAfter {
     inner: Box<dyn Process<PMsg>>,
     at: SimDuration,
@@ -61,6 +61,25 @@ impl Process<PMsg> for CrashAfter {
         }
         if !self.crashed {
             self.inner.on_timer(id, ctx);
+        }
+    }
+
+    /// `at` is wiring (the pending crash is a queued timer). The inner
+    /// digest is forwarded as it is, and so are the inner timeout anchors
+    /// while the inner process can still act: dropping them would merge
+    /// states whose live timeout races differ.
+    fn fp_digest(&self) -> u64 {
+        let CrashAfter {
+            inner,
+            at: _,
+            crashed,
+        } = self;
+        fingerprint(&(inner.fp_digest(), crashed))
+    }
+
+    fn fp_times(&self, out: &mut Vec<SimTime>) {
+        if !self.crashed {
+            self.inner.fp_times(out);
         }
     }
 }
@@ -110,6 +129,17 @@ impl Process<PMsg> for LateBob {
             ctx.mark("late_bob_sent_chi", 0);
         }
     }
+
+    fn fp_digest(&self) -> u64 {
+        let LateBob {
+            escrow: _,
+            signer: _,
+            payment: _,
+            delay: _,
+            issued,
+        } = self;
+        fingerprint(issued)
+    }
 }
 
 /// A connector that tries to fabricate χ (signing it herself) instead of
@@ -150,6 +180,16 @@ impl Process<PMsg> for ForgingChloe {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
+
+    fn fp_digest(&self) -> u64 {
+        let ForgingChloe {
+            up_escrow: _,
+            signer: _,
+            payment: _,
+            fired,
+        } = self;
+        fingerprint(fired)
+    }
 }
 
 /// An escrow that takes the money and does nothing else — theft by a
@@ -205,6 +245,18 @@ impl Process<PMsg> for ThievingEscrow {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
+
+    /// Stateless: every field is wiring.
+    fn fp_digest(&self) -> u64 {
+        let ThievingEscrow {
+            up: _,
+            signer: _,
+            payment: _,
+            index: _,
+            d_bound: _,
+        } = self;
+        0
+    }
 }
 
 /// Weak protocol: a customer who forges abort requests *in other
@@ -258,6 +310,18 @@ impl Process<PMsg> for ImpersonatingAborter {
 
     fn on_message(&mut self, _f: Pid, _m: PMsg, _c: &mut Ctx<PMsg>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<PMsg>) {}
+
+    /// Stateless: every field is wiring.
+    fn fp_digest(&self) -> u64 {
+        let ImpersonatingAborter {
+            tm_pids: _,
+            signer: _,
+            pki: _,
+            payment: _,
+            victim_index: _,
+        } = self;
+        0
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //! customer-security analysis, so an abiding customer refuses to proceed
 //! and (safely) never sends money.
 
-use crate::msg::{PMsg, PromiseKind};
+use crate::msg::{receipt_fields, PMsg, PromiseKind};
+use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimTime;
 use ledger::Asset;
@@ -38,6 +39,12 @@ pub enum CustomerOutcome {
     Paid,
     /// Refused to participate (bad promise / mismatched parameters).
     Refused,
+}
+
+impl Fingerprint for CustomerOutcome {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        (*self as u8).fingerprint(h);
+    }
 }
 
 /// Alice — customer `c_0`.
@@ -181,7 +188,8 @@ impl Process<PMsg> for AliceProcess {
             outcome,
             receipt,
         } = self;
-        anta::fingerprint::debug_digest(&(sent_money, sent_money_at.is_some(), outcome, receipt))
+        let receipt = receipt.as_ref().map(receipt_fields);
+        fingerprint(&(sent_money, sent_money_at.is_some(), outcome, receipt))
     }
 }
 
@@ -355,6 +363,32 @@ impl Process<PMsg> for ChloeProcess {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
+
+    /// Mutable state only: the wiring (index, pids, keys, assets, bounds)
+    /// is per-run constant. The destructuring is exhaustive: a new field
+    /// does not compile until it is digested here or named as wiring.
+    fn fp_digest(&self) -> u64 {
+        let ChloeProcess {
+            index: _,
+            up_escrow: _,
+            down_escrow: _,
+            up_escrow_key: _,
+            down_escrow_key: _,
+            bob_key: _,
+            pki: _,
+            payment: _,
+            send_asset: _,
+            recv_asset: _,
+            expected_d: _,
+            expected_a_up: _,
+            got_g,
+            got_p,
+            sent_money,
+            forwarded_chi,
+            outcome,
+        } = self;
+        fingerprint(&(got_g, got_p, sent_money, forwarded_chi, outcome))
+    }
 }
 
 /// Bob — customer `c_n`.
@@ -447,4 +481,21 @@ impl Process<PMsg> for BobProcess {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
+
+    /// Mutable state only; the destructuring is exhaustive (see
+    /// [`ChloeProcess`]'s digest).
+    fn fp_digest(&self) -> u64 {
+        let BobProcess {
+            escrow: _,
+            escrow_key: _,
+            signer: _,
+            pki: _,
+            payment: _,
+            asset: _,
+            expected_a: _,
+            issued_chi,
+            outcome,
+        } = self;
+        fingerprint(&(issued_chi, outcome))
+    }
 }

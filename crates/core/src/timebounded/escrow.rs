@@ -15,7 +15,8 @@
 //! The control structure is mirrored one-for-one by the declarative
 //! automaton in [`super::fig2`]; the integration tests cross-check the two.
 
-use crate::msg::{PMsg, PromiseKind, SignedPromise};
+use crate::msg::{fingerprint_book, PMsg, PromiseKind, SignedPromise};
+use anta::fingerprint::{Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimTime;
 use ledger::{Asset, DealId, Ledger};
@@ -38,6 +39,12 @@ pub enum EscrowState {
     Paid,
     /// Timed out: money refunded upstream.
     Refunded,
+}
+
+impl Fingerprint for EscrowState {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        (*self as u8).fingerprint(h);
+    }
 }
 
 const TIMER_CHI: TimerId = 1;
@@ -262,7 +269,10 @@ impl Process<PMsg> for EscrowProcess {
             deal,
             u,
         } = self;
-        anta::fingerprint::debug_digest(&(ledger, state, deal, u.is_some()))
+        let mut h = Fnv64::new();
+        fingerprint_book(ledger, &mut h);
+        (state, deal.map(|d| d.0), u.is_some()).fingerprint(&mut h);
+        h.finish()
     }
 
     /// `u` is future-relevant only while the `now ≥ u + a_i` race is live;
@@ -366,6 +376,9 @@ mod tests {
         fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<PMsg>) {
             let (_, to, msg) = self.sends[id as usize].clone();
             ctx.send(to, msg);
+        }
+        fn fp_digest(&self) -> u64 {
+            anta::fingerprint::fingerprint(&self.received)
         }
     }
 

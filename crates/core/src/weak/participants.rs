@@ -21,9 +21,11 @@
 //! exactly the weakening that makes the problem solvable under partial
 //! synchrony: no step depends on a wall-clock deadline.
 
-use crate::msg::{PMsg, TmInput, TmInputKind};
+use crate::msg::{fingerprint_book, PMsg, TmInput, TmInputKind};
+use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
+use consensus::msg::fingerprint_sigs;
 use ledger::{Asset, DealId, Ledger};
 use std::sync::Arc;
 use xcrypto::{
@@ -75,6 +77,19 @@ impl CertCollector {
     /// The verdict this participant accepted, if any.
     pub fn accepted(&self) -> Option<Verdict> {
         self.accepted
+    }
+}
+
+impl Fingerprint for CertCollector {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        let CertCollector {
+            commit,
+            abort,
+            accepted,
+        } = self;
+        fingerprint_sigs(commit, h);
+        fingerprint_sigs(abort, h);
+        accepted.map(|v| v == Verdict::Commit).fingerprint(h);
     }
 }
 
@@ -262,6 +277,28 @@ impl Process<PMsg> for WeakCustomer {
             _ => {}
         }
     }
+
+    /// The wiring (index, pids, keys, asset, authority, patience) is fixed
+    /// from registration on; the progress flags and the collected
+    /// certificate shares are state.
+    fn fp_digest(&self) -> u64 {
+        let WeakCustomer {
+            index: _,
+            n: _,
+            own_escrow: _,
+            tm_pids: _,
+            signer: _,
+            pki: _,
+            payment: _,
+            asset: _,
+            authority: _,
+            patience: _,
+            acted,
+            abort_requested,
+            certs,
+        } = self;
+        fingerprint(&(acted, abort_requested, certs))
+    }
 }
 
 /// An escrow in the weak protocol: locks on the customer's instruction,
@@ -416,6 +453,31 @@ impl Process<PMsg> for WeakEscrow {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
+
+    /// The book, the deal and the collected shares are state; everything
+    /// else is wiring.
+    fn fp_digest(&self) -> u64 {
+        let WeakEscrow {
+            index: _,
+            up: _,
+            down: _,
+            up_key: _,
+            down_key: _,
+            tm_pids: _,
+            signer: _,
+            pki: _,
+            payment: _,
+            asset: _,
+            authority: _,
+            ledger,
+            deal,
+            certs,
+        } = self;
+        let mut h = Fnv64::new();
+        fingerprint_book(ledger, &mut h);
+        (deal.map(|d| d.0), certs).fingerprint(&mut h);
+        h.finish()
+    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //! * at most one certificate is ever issued (property **CC**).
 
 use crate::msg::{PMsg, TmInput, TmInputKind};
+use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
 use consensus::{Config as ConsConfig, ConsMsg, NotaryCore, Output as ConsOutput};
 use ledger::SimChain;
@@ -101,6 +102,23 @@ impl Evidence {
         } else {
             None
         }
+    }
+}
+
+/// The payment and the keys are wiring; the evidence gathered so far is
+/// state.
+impl Fingerprint for Evidence {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        let Evidence {
+            payment: _,
+            escrow_keys: _,
+            customer_keys: _,
+            bob_key: _,
+            locks,
+            accept,
+            abort,
+        } = self;
+        (locks, accept, abort).fingerprint(h);
     }
 }
 
@@ -214,6 +232,22 @@ impl Process<PMsg> for TrustedTm {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
+
+    /// The signer, key registry and participant list are wiring. The
+    /// contract log enters through its head hash, which chains every entry.
+    fn fp_digest(&self) -> u64 {
+        let TrustedTm {
+            signer: _,
+            pki: _,
+            evidence,
+            participants: _,
+            decided,
+            chain,
+        } = self;
+        let decided = decided.map(|v| v == Verdict::Commit);
+        let head = chain.as_ref().map(|c| c.head());
+        fingerprint(&(evidence, decided, head))
+    }
 }
 
 /// One member of the notary-committee transaction manager. Gathers the
@@ -396,6 +430,26 @@ impl Process<PMsg> for NotaryTm {
             let out = core.on_timeout(id);
             self.apply(out, ctx);
         }
+    }
+
+    /// The signer, key registry, pid lists and consensus configuration are
+    /// wiring; the evidence, the consensus core and both message buffers
+    /// are state.
+    fn fp_digest(&self) -> u64 {
+        let NotaryTm {
+            signer: _,
+            pki: _,
+            evidence,
+            participants: _,
+            peers: _,
+            cons_cfg: _,
+            core,
+            buffered,
+            pending_props,
+            decided,
+        } = self;
+        let decided = decided.map(|v| v == Verdict::Commit);
+        fingerprint(&(evidence, core, buffered, pending_props, decided))
     }
 }
 

@@ -12,9 +12,12 @@
 //! which is why §5 calls the two lines of work related.
 
 use crate::matrix::{DealOutcome, Party};
-use crate::timelock::{commit_payload, DMsg, DealInstance, DOM_DEAL_COMMIT};
+use crate::timelock::{
+    commit_payload, fingerprint_book, fingerprint_keys, DMsg, DealInstance, DOM_DEAL_COMMIT,
+};
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
+use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
@@ -159,6 +162,25 @@ impl Process<DMsg> for CertifiedChain {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
+
+    /// The deal id, keys and subscribers are wiring; the votes, the verdict
+    /// and the public log (through its head hash, which chains every
+    /// entry) are state.
+    fn fp_digest(&self) -> u64 {
+        let CertifiedChain {
+            deal_id: _,
+            pki: _,
+            party_keys: _,
+            subscribers: _,
+            votes,
+            verdict,
+            log,
+        } = self;
+        let mut h = Fnv64::new();
+        fingerprint_keys(votes, &mut h);
+        (verdict, log.head()).fingerprint(&mut h);
+        h.finish()
+    }
 }
 
 /// An arc escrow under the certified protocol: no deadline — it settles
@@ -246,6 +268,26 @@ impl Process<DMsg> for CertifiedEscrow {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
+
+    /// The arc, keys and pids are wiring; the book, the deal and the
+    /// settlement are state.
+    fn fp_digest(&self) -> u64 {
+        let CertifiedEscrow {
+            arc: _,
+            asset: _,
+            depositor_key: _,
+            beneficiary_key: _,
+            depositor_pid: _,
+            party_pids: _,
+            ledger,
+            deal,
+            settled,
+        } = self;
+        let mut h = Fnv64::new();
+        fingerprint_book(ledger, &mut h);
+        (deal.map(|d| d.0), settled).fingerprint(&mut h);
+        h.finish()
+    }
 }
 
 const TIMER_PATIENCE: TimerId = 5;
@@ -335,6 +377,25 @@ impl Process<DMsg> for CertifiedParty {
             ctx.send(self.cbc, DMsg::AbortVote { sig });
             ctx.mark("party_aborted", self.me as i64);
         }
+    }
+
+    /// Identity, pids and the `patience` / `participate` policy are fixed
+    /// from registration on (a pending patience expiry is a queued timer);
+    /// what the party has seen, voted and learnt is state.
+    fn fp_digest(&self) -> u64 {
+        let CertifiedParty {
+            me: _,
+            signer: _,
+            deal_id: _,
+            my_deposits: _,
+            cbc: _,
+            escrowed_seen,
+            voted,
+            patience: _,
+            participate: _,
+            decided,
+        } = self;
+        fingerprint(&(escrowed_seen, voted, decided))
     }
 }
 

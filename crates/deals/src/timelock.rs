@@ -22,11 +22,12 @@
 use crate::matrix::{DealMatrix, DealOutcome, Party};
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
+use anta::fingerprint::{fingerprint, fingerprint_seq, Fingerprint, Fnv64};
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
-use ledger::{DealId, Ledger};
+use ledger::{AuditEntry, DealId, Ledger};
 use std::sync::Arc as StdArc;
 use xcrypto::wire::WireWriter;
 use xcrypto::{KeyId, PaymentId, Pki, Signature, Signer};
@@ -70,6 +71,32 @@ pub enum DMsg {
         /// True for COMMIT, false for ABORT.
         commit: bool,
     },
+}
+
+/// Signatures enter through their public fields (`xcrypto` does not
+/// depend on `anta`).
+impl Fingerprint for DMsg {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        match self {
+            DMsg::Deposit { arc } => (0u8, arc).fingerprint(h),
+            DMsg::Escrowed { arc } => (1u8, arc).fingerprint(h),
+            DMsg::CommitVote { sig } => (2u8, sig.signer.0, sig.tag).fingerprint(h),
+            DMsg::AbortVote { sig } => (3u8, sig.signer.0, sig.tag).fingerprint(h),
+            DMsg::CbcDecision { commit } => (4u8, commit).fingerprint(h),
+        }
+    }
+}
+
+/// Feeds an escrow's book through its audit log: the log records every
+/// mutation in order, so equal logs mean equal books (`ledger` does not
+/// depend on `anta`).
+pub(crate) fn fingerprint_book(book: &Ledger, h: &mut Fnv64) {
+    fingerprint_seq(book.audit().iter().map(AuditEntry::fields), h);
+}
+
+/// Feeds a list of keys (a vote record) by their ids.
+pub(crate) fn fingerprint_keys(keys: &[KeyId], h: &mut Fnv64) {
+    fingerprint_seq(keys.iter().map(|k| k.0), h);
 }
 
 /// Shared immutable description of a deal instance.
@@ -281,6 +308,32 @@ impl Process<DMsg> for TimelockEscrow {
             }
         }
     }
+
+    /// The arc, keys, pids and timelock are wiring (the pending deadline
+    /// is a queued timer); the book, the deal, the votes and the
+    /// settlement are state.
+    fn fp_digest(&self) -> u64 {
+        let TimelockEscrow {
+            arc: _,
+            asset: _,
+            depositor_key: _,
+            beneficiary_key: _,
+            party_pids: _,
+            party_keys: _,
+            pki: _,
+            deal_id: _,
+            timelock: _,
+            ledger,
+            deal,
+            votes,
+            settled,
+        } = self;
+        let mut h = Fnv64::new();
+        fingerprint_book(ledger, &mut h);
+        fingerprint_keys(votes, &mut h);
+        (deal.map(|d| d.0), settled).fingerprint(&mut h);
+        h.finish()
+    }
 }
 
 /// A compliant party under the timelock protocol.
@@ -359,6 +412,25 @@ impl Process<DMsg> for TimelockParty {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
+
+    /// Identity, pids and the `deposit` / `vote` policy are fixed from
+    /// registration on; what the party has seen and whether it voted are
+    /// state.
+    fn fp_digest(&self) -> u64 {
+        let TimelockParty {
+            me: _,
+            signer: _,
+            deal_id: _,
+            my_deposits: _,
+            all_escrows: _,
+            n_arcs: _,
+            escrowed_seen,
+            voted,
+            deposit: _,
+            vote: _,
+        } = self;
+        fingerprint(&(escrowed_seen, voted))
+    }
 }
 
 /// Extracts the [`DealOutcome`] from a finished timelock run.

@@ -14,16 +14,14 @@
 //!   checkpoint **corruption** detection: a torn or bit-flipped payload
 //!   fails the CRC and the campaign falls back to the previous epoch.
 
-/// 64-bit FNV-1a over `bytes`.
+use anta::fingerprint::Fnv64;
+
+/// 64-bit FNV-1a over `bytes` — the explorer's state hasher
+/// ([`anta::fingerprint::Fnv64`]) fed one byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.write_bytes(bytes);
+    h.finish()
 }
 
 /// Renders a 64-bit digest as fixed-width lowercase hex (16 chars).

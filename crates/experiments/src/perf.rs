@@ -79,6 +79,9 @@ pub fn engine_events_workload(messages: u32, trace_mode: TraceMode) -> u64 {
             }
         }
         fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
+        fn fp_digest(&self) -> u64 {
+            0
+        }
     }
 
     let mut eng: Engine<u32> = Engine::new(

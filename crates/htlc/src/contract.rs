@@ -8,8 +8,9 @@
 //! comparison experiments quantify the difference (griefing windows,
 //! locked-capital time, no χ-style receipt for the payer).
 
+use anta::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
 use anta::time::SimTime;
-use ledger::{Asset, DealId, Ledger, LedgerError};
+use ledger::{Asset, AuditEntry, DealId, Ledger, LedgerError};
 use xcrypto::sha256::{sha256, Digest};
 use xcrypto::KeyId;
 
@@ -167,6 +168,32 @@ impl HtlcChain {
     /// True if no contracts were opened.
     pub fn is_empty(&self) -> bool {
         self.contracts.is_empty()
+    }
+}
+
+/// The book enters through its audit log, which records every mutation in
+/// order; `ledger` and `xcrypto` do not depend on `anta`, so their types
+/// are hashed through their public fields.
+impl Fingerprint for HtlcChain {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        let HtlcChain { ledger, contracts } = self;
+        fingerprint_seq(ledger.audit().iter().map(AuditEntry::fields), h);
+        h.write_usize(contracts.len());
+        for c in contracts {
+            let Htlc {
+                deal,
+                depositor,
+                beneficiary,
+                asset,
+                hashlock,
+                timelock,
+                state,
+                revealed,
+            } = c;
+            let asset = (asset.currency.0, asset.amount);
+            let ids = (deal.0, depositor.0, beneficiary.0);
+            (ids, asset, hashlock, timelock, *state as u8, revealed).fingerprint(h);
+        }
     }
 }
 

@@ -17,6 +17,7 @@
 use crate::contract::HtlcChain;
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
+use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
@@ -151,6 +152,34 @@ pub enum HMsg {
     },
 }
 
+/// Keys and assets enter through their public fields (`ledger` and
+/// `xcrypto` do not depend on `anta`).
+impl Fingerprint for HMsg {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        match self {
+            HMsg::Open {
+                depositor,
+                beneficiary,
+                asset,
+                hashlock,
+                timelock,
+            } => {
+                let asset = (asset.currency.0, asset.amount);
+                (0u8, depositor.0, beneficiary.0, asset, hashlock, timelock).fingerprint(h)
+            }
+            HMsg::Opened {
+                id,
+                hashlock,
+                timelock,
+            } => (1u8, id, hashlock, timelock).fingerprint(h),
+            HMsg::Claim { id, preimage } => (2u8, id, preimage).fingerprint(h),
+            HMsg::Claimed { id, preimage } => (3u8, id, preimage).fingerprint(h),
+            HMsg::Reclaim { id } => (4u8, id).fingerprint(h),
+            HMsg::Reclaimed { id } => (5u8, id).fingerprint(h),
+        }
+    }
+}
+
 /// A chain process: executes HTLC operations on its own clock and
 /// broadcasts resulting events to both parties.
 #[derive(Debug, Clone)]
@@ -228,6 +257,11 @@ impl Process<HMsg> for ChainProcess {
     }
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<HMsg>) {}
+
+    fn fp_digest(&self) -> u64 {
+        let ChainProcess { chain } = self;
+        fingerprint(chain)
+    }
 }
 
 const TIMER_RECLAIM: TimerId = 1;
@@ -324,6 +358,21 @@ impl Process<HMsg> for SwapInitiator {
             ctx.halt();
         }
     }
+
+    /// Her offer, secret, timelock and behaviour are wiring (the pending
+    /// reclaim is a queued timer); her progress is state.
+    fn fp_digest(&self) -> u64 {
+        let SwapInitiator {
+            offer: _,
+            secret: _,
+            timelock_a: _,
+            my_contract,
+            claimed_b,
+            done,
+            abandons: _,
+        } = self;
+        fingerprint(&(my_contract, claimed_b, done))
+    }
 }
 
 /// Bob (responder): counter-locks on chain B with `T < 2T`, learns `s`
@@ -414,6 +463,21 @@ impl Process<HMsg> for SwapResponder {
             // Keep listening: Alice might still claim late-ish within our
             // observation of chain A (we can replay any time before 2T).
         }
+    }
+
+    /// His offer, timelock and behaviour are wiring (the pending reclaim is
+    /// a queued timer); his progress is state.
+    fn fp_digest(&self) -> u64 {
+        let SwapResponder {
+            offer: _,
+            timelock_b: _,
+            my_contract,
+            their_contract,
+            claimed_a,
+            done,
+            participate: _,
+        } = self;
+        fingerprint(&(my_contract, their_contract, claimed_a, done))
     }
 }
 

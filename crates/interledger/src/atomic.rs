@@ -15,6 +15,7 @@
 //! difference to Theorem 3's manager is exactly one line of semantics:
 //! a clock in the decision rule.
 
+use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
 use payment::msg::PMsg;
@@ -100,6 +101,21 @@ impl Process<PMsg> for DeadlineTm {
             // Deadline passed without complete evidence: roll back.
             self.decide(Verdict::Abort, ctx);
         }
+    }
+
+    /// The signer, key registry, participants and deadline are wiring (the
+    /// pending deadline is a queued timer); the evidence and the decision
+    /// are state.
+    fn fp_digest(&self) -> u64 {
+        let DeadlineTm {
+            signer: _,
+            pki: _,
+            evidence,
+            participants: _,
+            deadline: _,
+            decided,
+        } = self;
+        fingerprint(&(evidence, decided.map(|v| v == Verdict::Commit)))
     }
 }
 

@@ -97,6 +97,36 @@ pub enum AuditEntry {
     },
 }
 
+impl AuditEntry {
+    /// The entry as one flat tuple — variant tag, deal id, first and second
+    /// key, currency, amount, with 0 where the variant has no such field —
+    /// so a book can be hashed entry by entry without knowing the variants.
+    pub fn fields(&self) -> (u8, u64, u32, u32, u32, u64) {
+        match *self {
+            AuditEntry::OpenAccount { owner } => (0, 0, owner.0, 0, 0, 0),
+            AuditEntry::Mint { to, asset } => (1, 0, to.0, 0, asset.currency.0, asset.amount),
+            AuditEntry::Transfer { from, to, asset } => {
+                (2, 0, from.0, to.0, asset.currency.0, asset.amount)
+            }
+            AuditEntry::Lock {
+                deal,
+                depositor,
+                beneficiary,
+                asset,
+            } => (
+                3,
+                deal.0,
+                depositor.0,
+                beneficiary.0,
+                asset.currency.0,
+                asset.amount,
+            ),
+            AuditEntry::Release { deal } => (4, deal.0, 0, 0, 0, 0),
+            AuditEntry::Refund { deal } => (5, deal.0, 0, 0, 0, 0),
+        }
+    }
+}
+
 /// Ledger operation errors. The protocols treat these as *refusals* — an
 /// abiding escrow never performs an invalid operation, and a Byzantine
 /// customer's invalid request bounces off harmlessly.

@@ -169,6 +169,13 @@ mod tests {
             assert!(diff.reduced.dedup_hits > 0, "cuts were taken");
             let ratio = diff.reduced.reduction_ratio().expect("full exhausted");
             assert!(ratio < 1.0, "representatives, not schedules: {ratio}");
+            if threads == 1 {
+                // Exact work at one worker: a state digest that dropped a
+                // behaviour-bearing field would merge more (fewer runs or
+                // more cuts), one that folded an absolute time fewer.
+                let r = &diff.reduced;
+                assert_eq!((r.runs, r.dedup_hits), (1, 87), "reduced work moved");
+            }
         }
     }
 

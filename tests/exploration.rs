@@ -6,15 +6,20 @@ use crosschain::anta::engine::{Engine, EngineConfig};
 use crosschain::anta::explore::{
     explore, explore_parallel, replay, replay_pruned, ExploreConfig, ExploreMode, ExploreReport,
 };
+use crosschain::anta::fingerprint::fingerprint;
 use crosschain::anta::net::SyncNet;
 use crosschain::anta::oracle::Oracle;
 use crosschain::anta::process::{Ctx, Pid, Process, TimerId};
 use crosschain::anta::time::SimDuration;
+use crosschain::consensus::ConsMsg;
+use crosschain::ledger::{Asset, CurrencyId};
+use crosschain::payment::msg::{PMsg, PromiseKind, SignedPromise, TmInput, TmInputKind};
 use crosschain::payment::properties::{check_definition1, check_definition2, Compliance};
 use crosschain::payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use crosschain::payment::weak::{TmKind, WeakOutcome, WeakSetup};
 use crosschain::payment::{SyncParams, ValuePlan};
 use crosschain::telemetry::NullSink;
+use crosschain::xcrypto::{DecisionCert, KeyId, PaymentId, Receipt, Signature, Verdict};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -126,6 +131,9 @@ impl Process<u32> for Judge {
         }
     }
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
+    fn fp_digest(&self) -> u64 {
+        fingerprint(&self.first)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -136,6 +144,9 @@ impl Process<u32> for Racer {
     }
     fn on_message(&mut self, _f: Pid, _m: u32, _c: &mut Ctx<u32>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<u32>) {}
+    fn fp_digest(&self) -> u64 {
+        0
+    }
 }
 
 fn build_race(racers: usize, buckets: usize, oracle: Box<dyn Oracle>) -> Engine<u32> {
@@ -303,6 +314,110 @@ fn differential_full_vs_reduced_on_e4_small_instance() {
         .reduction_ratio()
         .expect("full count known after exhaustion");
     assert!(ratio <= 1.0);
+}
+
+/// Exact reduced work on the E4 n = 2, σ = 1 instance at one worker (full
+/// enumeration is 4 096 schedules). Every process and message digest feeds
+/// these counts: a digest that dropped a behaviour-bearing field would merge
+/// more states, one that folded an absolute time would merge fewer.
+#[test]
+fn reduced_e4_n2_work_is_pinned() {
+    let r = crosschain::experiments::e4::explore_instance_dpor(2, 1, 200_000, 1);
+    assert!(r.exhausted && r.all_ok());
+    assert_eq!((r.runs, r.dedup_hits), (8, 368));
+}
+
+/// One `PMsg` from a kind and four small field values; fields a kind does
+/// not use are ignored, so distinct draws can build equal messages.
+fn pmsg_from(kind: u8, f: (u8, u8, u8, u8)) -> PMsg {
+    let (a, b, c, d) = f;
+    let payment = PaymentId([a; 32]);
+    let sig = Signature {
+        signer: KeyId(b as u32),
+        tag: [c; 32],
+    };
+    let verdict = if d % 2 == 0 {
+        Verdict::Commit
+    } else {
+        Verdict::Abort
+    };
+    match kind {
+        0 => PMsg::Promise(SignedPromise {
+            kind: if d % 2 == 0 {
+                PromiseKind::Guarantee
+            } else {
+                PromiseKind::Promise
+            },
+            payment,
+            escrow_index: b as usize,
+            bound: SimDuration::from_ticks(c as u64),
+            sig,
+        }),
+        1 => PMsg::Money {
+            payment,
+            asset: Asset::new(CurrencyId(b as u32), c as u64 + 256 * d as u64),
+        },
+        2 => PMsg::Receipt(Receipt { payment, sig }),
+        3 => PMsg::TmInput(TmInput {
+            kind: if d % 2 == 0 {
+                TmInputKind::Locked
+            } else {
+                TmInputKind::AbortRequest
+            },
+            payment,
+            index: b as u64,
+            sig,
+        }),
+        4 => PMsg::Accept(Receipt { payment, sig }),
+        5 => PMsg::Decision(DecisionCert {
+            payment,
+            verdict,
+            sigs: vec![sig; b as usize],
+        }),
+        _ => PMsg::Cons(match d {
+            0 => ConsMsg::Prevote {
+                round: a as u32,
+                value: None,
+                sig,
+            },
+            1 => ConsMsg::Prevote {
+                round: a as u32,
+                value: Some(Verdict::Commit),
+                sig,
+            },
+            _ => ConsMsg::Precommit {
+                round: a as u32,
+                value: Some(verdict),
+                sig,
+            },
+        }),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Message fingerprints distinguish exactly what `==` distinguishes.
+    /// The second message is the first with at most one field or the kind
+    /// redrawn from a domain of three, so equal pairs and pairs one field
+    /// apart both occur often.
+    #[test]
+    fn pmsg_fingerprint_equal_iff_messages_equal(
+        kind in 0u8..7,
+        f in (0u8..3, 0u8..3, 0u8..3, 0u8..3),
+        redraw in 0usize..5,
+        v in 0u8..3,
+    ) {
+        let a = pmsg_from(kind, f);
+        let mut g = [f.0, f.1, f.2, f.3];
+        let mut kind_b = kind;
+        match redraw {
+            4 => kind_b = (kind + v) % 7,
+            i => g[i] = v,
+        }
+        let b = pmsg_from(kind_b, (g[0], g[1], g[2], g[3]));
+        prop_assert_eq!(a == b, fingerprint(&a) == fingerprint(&b), "{:?} vs {:?}", a, b);
+    }
 }
 
 #[test]
