@@ -21,7 +21,7 @@
 use crate::clock::DriftClock;
 use crate::fingerprint::Fnv64;
 use crate::net::{Delivery, EnvelopeMeta, NetModel};
-use crate::oracle::{ChoiceTag, FixedOracle, Oracle};
+use crate::oracle::{FixedOracle, Oracle};
 use crate::process::{Ctx, Effect, Message, Pid, Process, TimerId};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceKind, TraceMode};
@@ -122,10 +122,6 @@ impl<M> Ord for Event<M> {
 /// [`Engine::enable_fingerprints`]. Kept out of the hot path entirely when
 /// absent.
 struct FpState {
-    /// Seen-set probe installed by the reduced explorer: called with the
-    /// state fingerprint after every dispatched event; returning `true`
-    /// means "this state is already covered — stop the run".
-    probe: Option<Box<dyn FnMut(u64) -> bool>>,
     /// Cached per-process [`Process::fp_digest`] values; only the dispatched
     /// pid's entry is recomputed per event.
     proc_digests: Vec<u64>,
@@ -135,8 +131,6 @@ struct FpState {
     scratch: Vec<(SimTime, u64, u64)>,
     /// Scratch buffer for [`Process::fp_times`] residues.
     times_scratch: Vec<SimTime>,
-    /// Set when the probe cut the run short.
-    deduped: bool,
 }
 
 /// The simulator.
@@ -252,9 +246,8 @@ impl<M: Message> Engine<M> {
     }
 
     /// Pre-sizes the event queue and (in [`TraceMode::Full`]) the trace
-    /// buffer. The schedule explorer calls this between runs with the
-    /// previous run's high-water marks so rebuilt engines skip the
-    /// grow-by-doubling phase.
+    /// buffer. Batch runners call this with an earlier comparable run's
+    /// high-water marks so rebuilt engines skip the grow-by-doubling phase.
     pub fn reserve_capacity(&mut self, queue_events: usize, trace_events: usize) {
         self.queue
             .reserve(queue_events.saturating_sub(self.queue.len()));
@@ -349,25 +342,12 @@ impl<M: Message> Engine<M> {
         if self.fp.is_none() {
             self.trace.enable_digest();
             self.fp = Some(FpState {
-                probe: None,
                 proc_digests: Vec::new(),
                 dispatched: 0,
                 scratch: Vec::new(),
                 times_scratch: Vec::new(),
-                deduped: false,
             });
         }
-    }
-
-    /// Installs the seen-set probe consulted after every dispatched event
-    /// (requires [`Engine::enable_fingerprints`]). Returning `true` from the
-    /// probe stops the run; [`Engine::was_deduped`] reports the cut.
-    pub fn set_fingerprint_probe(&mut self, probe: Box<dyn FnMut(u64) -> bool>) {
-        let fp = self
-            .fp
-            .as_mut()
-            .expect("set_fingerprint_probe requires enable_fingerprints()");
-        fp.probe = Some(probe);
     }
 
     /// Turns dead-branch elision on or off (see the `prune_dead_sends`
@@ -377,11 +357,6 @@ impl<M: Message> Engine<M> {
     pub(crate) fn set_prune_dead_sends(&mut self, on: bool) {
         assert!(!self.started, "set_prune_dead_sends() before run()");
         self.prune_dead_sends = on;
-    }
-
-    /// True if the last `run()` was cut short by the fingerprint probe.
-    pub fn was_deduped(&self) -> bool {
-        self.fp.as_ref().is_some_and(|fp| fp.deduped)
     }
 
     /// Oracle choices elided as dead branches so far.
@@ -513,9 +488,28 @@ impl<M: Message> Engine<M> {
         self.queue_high = self.queue_high.max(self.queue.len());
     }
 
-    /// Runs to quiescence (or horizon / event cap / fingerprint-probe cut —
-    /// see [`Engine::was_deduped`]).
+    /// Runs to quiescence (or to the horizon / event cap).
     pub fn run(&mut self) -> RunReport {
+        self.run_loop(None)
+            .expect("a run without a probe is never cut")
+    }
+
+    /// [`Engine::run`], calling `probe` with the state fingerprint after
+    /// every dispatched event. A probe that returns `true` ("this state is
+    /// already covered") stops the run, and the result is `None`.
+    ///
+    /// # Panics
+    ///
+    /// Unless [`Engine::enable_fingerprints`] was called first.
+    pub fn run_probed(&mut self, probe: &mut dyn FnMut(u64) -> bool) -> Option<RunReport> {
+        assert!(
+            self.fp.is_some(),
+            "run_probed requires enable_fingerprints()"
+        );
+        self.run_loop(Some(probe))
+    }
+
+    fn run_loop(&mut self, mut probe: Option<&mut dyn FnMut(u64) -> bool>) -> Option<RunReport> {
         if !self.started {
             self.started = true;
             self.refresh_proc_digests();
@@ -543,26 +537,21 @@ impl<M: Message> Engine<M> {
                 let fp = self.fp.as_mut().expect("fp present");
                 fp.dispatched += 1;
                 fp.proc_digests[pid] = digest;
-                let state = self.compute_fingerprint();
-                let fp = self.fp.as_mut().expect("fp present");
-                let hit = match fp.probe.as_mut() {
-                    Some(probe) => probe(state),
-                    None => false,
-                };
-                if hit {
-                    fp.deduped = true;
-                    break;
+                if let Some(probe) = probe.as_mut() {
+                    if probe(self.compute_fingerprint()) {
+                        return None;
+                    }
                 }
             }
         }
         let all_halted = self.procs.iter().all(|p| p.halted);
-        RunReport {
+        Some(RunReport {
             events,
             end_time: self.now,
             quiescent: self.queue.is_empty(),
             all_halted,
             truncated,
-        }
+        })
     }
 
     /// Extends the horizon and continues the run — used to distinguish
@@ -621,7 +610,7 @@ impl<M: Message> Engine<M> {
         let compute = if has_sends && !self.cfg.sigma_max.is_zero() {
             let buckets = self.cfg.sigma_buckets.max(1);
             let idx = if live_sends {
-                self.oracle.choose_for(buckets, ChoiceTag::sigma(pid))
+                self.oracle.choose(buckets)
             } else {
                 self.dead_branch_prunes += 1;
                 buckets - 1
@@ -1062,11 +1051,12 @@ mod tests {
         let mut cut = ping_pong_engine(5, SimDuration::from_ticks(7));
         cut.enable_fingerprints();
         let mut calls = 0u32;
-        cut.set_fingerprint_probe(Box::new(move |_| {
+        let run = cut.run_probed(&mut |_| {
             calls += 1;
             calls >= 3
-        }));
-        cut.run();
+        });
+        assert!(run.is_none(), "the probe cut the run");
+        assert_eq!(calls, 3);
         assert_ne!(
             cut.state_fingerprint().unwrap(),
             fp_of(5),
@@ -1088,15 +1078,21 @@ mod tests {
         let mut eng = ping_pong_engine(1, SimDuration::ZERO);
         eng.enable_fingerprints();
         let mut calls = 0u32;
-        eng.set_fingerprint_probe(Box::new(move |_| {
+        let run = eng.run_probed(&mut |_| {
             calls += 1;
             calls >= 3
-        }));
-        let r = eng.run();
-        assert!(eng.was_deduped());
-        assert_eq!(r.events, 3, "cut after the third dispatch");
-        assert!(!r.quiescent);
-        assert!(!r.truncated);
+        });
+        assert_eq!(run, None, "cut after the third dispatch");
+        assert_eq!(calls, 3);
+        // The cut left work behind: a probe that never fires resumes it.
+        assert!(eng.run_probed(&mut |_| false).is_some_and(|r| r.quiescent));
+    }
+
+    #[test]
+    #[should_panic(expected = "run_probed requires enable_fingerprints()")]
+    fn run_probed_without_fingerprints_panics() {
+        let mut eng = ping_pong_engine(1, SimDuration::ZERO);
+        eng.run_probed(&mut |_| false);
     }
 
     #[test]

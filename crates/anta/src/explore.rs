@@ -85,11 +85,11 @@
 //! independent reference: serial ≡ queue-full (bit-identical) ≡-in-verdict
 //! queue-reduced ([`explore_differential`]).
 //!
-//! Reduced-mode deduplication uses per-worker local caches backed by a
-//! sharded global seen-set, so the hot path takes at most one shard lock per
-//! fresh state. Reduced-mode reports are deterministic in verdict
-//! (exhaustion, distinct violations) but — unlike full mode — *which*
-//! representative schedule reaches a state first depends on thread timing.
+//! Reduced-mode deduplication probes one sharded seen-set shared by all
+//! workers, one shard lock per probed state. Reduced-mode reports are
+//! deterministic in verdict (exhaustion, distinct violations) but — unlike
+//! full mode — *which* representative schedule reaches a state first
+//! depends on thread timing.
 
 use crate::engine::{Engine, RunReport};
 use crate::oracle::{Oracle, ReplayOracle};
@@ -98,7 +98,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use telemetry::{Event, NullSink, TelemetrySink};
 
 /// Exploration strategy: every schedule, or one representative per
@@ -239,25 +239,6 @@ impl Oracle for SharedOracle {
     fn choose(&mut self, options: usize) -> usize {
         self.0.borrow_mut().choose(options)
     }
-
-    fn choose_for(&mut self, options: usize, tag: crate::oracle::ChoiceTag) -> usize {
-        self.0.borrow_mut().choose_for(options, tag)
-    }
-}
-
-/// Tracks engine scaffolding sizes across runs so rebuilt engines can be
-/// pre-sized (queue and trace skip their grow-by-doubling phase).
-#[derive(Default, Clone, Copy)]
-struct Sizing {
-    queue: usize,
-    trace: usize,
-}
-
-impl Sizing {
-    fn observe<M: Message>(&mut self, eng: &Engine<M>) {
-        self.queue = self.queue.max(eng.queue_high_water());
-        self.trace = self.trace.max(eng.trace().events.len());
-    }
 }
 
 /// The choices a finished run took — the path that replays it.
@@ -284,11 +265,9 @@ pub fn explore<M: Message>(
 ) -> ExploreReport {
     let mut report = ExploreReport::default();
     let mut path: Vec<usize> = Vec::new();
-    let mut sizing = Sizing::default();
     while report.runs < max_runs {
         let oracle = Rc::new(RefCell::new(ReplayOracle::new(path)));
         let mut engine = build(Box::new(SharedOracle(oracle.clone())));
-        engine.reserve_capacity(sizing.queue, sizing.trace);
         let run = engine.run();
         report.runs += 1;
         if let Err(message) = check(&engine, &run) {
@@ -297,7 +276,6 @@ pub fn explore<M: Message>(
                 message,
             });
         }
-        sizing.observe(&engine);
         // Ask for the next path *before* consulting the budget: spending
         // the last slot on the last leaf is exhaustion, not a budget hit.
         let next = oracle.borrow().next_path();
@@ -325,8 +303,7 @@ const SEEN_CAP: usize = 1 << 23;
 /// Why locking a [`Seen`] shard cannot fail.
 const SEEN_LOCK: &str = "seen shard: no code that can panic runs under this lock";
 
-/// Sharded global fingerprint set. Workers consult their local cache first;
-/// a fresh state costs one shard lock.
+/// Sharded global fingerprint set: every probe takes one shard lock.
 struct Seen {
     shards: Vec<Mutex<HashSet<u64>>>,
     count: AtomicUsize,
@@ -348,16 +325,12 @@ impl Seen {
         &self.shards[(fp as usize) % self.shards.len()]
     }
 
-    /// Records `fp` and reports whether it was already known (globally or in
-    /// the worker's local cache). At capacity it degrades to lookups only.
-    fn probe_insert(&self, fp: u64, local: &mut HashSet<u64>) -> bool {
-        if local.contains(&fp) {
-            return true;
-        }
+    /// Records `fp` and reports whether it was already known. At capacity
+    /// it degrades to lookups only.
+    fn probe_insert(&self, fp: u64) -> bool {
         if self.full.load(Ordering::Relaxed) {
             return self.shard(fp).lock().expect(SEEN_LOCK).contains(&fp);
         }
-        local.insert(fp);
         let fresh = self.shard(fp).lock().expect(SEEN_LOCK).insert(fp);
         if fresh && self.count.fetch_add(1, Ordering::Relaxed) + 1 >= SEEN_CAP {
             self.full.store(true, Ordering::Relaxed);
@@ -473,7 +446,7 @@ struct Shared {
     budget_hit: AtomicBool,
     /// `Some` in reduced mode: arms dead-branch elision, fingerprints and
     /// the dedup probe.
-    seen: Option<Arc<Seen>>,
+    seen: Option<Seen>,
 }
 
 /// Per-worker tallies.
@@ -499,10 +472,6 @@ where
     let started = std::time::Instant::now();
     let _guard = ShutdownOnPanic(&sh.q);
     let mut totals = WorkerTotals::default();
-    // States this worker has already recorded — probed lock-free before
-    // the sharded global set. Shared across all this worker's runs.
-    let local: Rc<RefCell<HashSet<u64>>> = Rc::new(RefCell::new(HashSet::new()));
-    let mut sizing = Sizing::default();
     'items: while let Some(item) = sh.q.pop(sh.workers) {
         let mut prefix_len = item.len();
         let mut path = item;
@@ -519,31 +488,22 @@ where
             }
             let oracle = Rc::new(RefCell::new(ReplayOracle::new(path)));
             let mut engine = build(Box::new(SharedOracle(oracle.clone())));
-            if let Some(seen) = &sh.seen {
-                engine.set_prune_dead_sends(true);
-                engine.enable_fingerprints();
-                // Probe armed only once the run has left replayed
-                // territory: states visited *while replaying* were inserted
-                // by the runs that opened this branch, and pruning on them
-                // would wrongly discard the branch being opened.
-                let orc = oracle.clone();
-                let local = local.clone();
-                let seen = seen.clone();
-                engine.set_fingerprint_probe(Box::new(move |fp| {
-                    if !orc.borrow().replay_done() {
-                        return false;
-                    }
-                    seen.probe_insert(fp, &mut local.borrow_mut())
-                }));
-            }
-            engine.reserve_capacity(sizing.queue, sizing.trace);
-            let report = engine.run();
-            sizing.observe(&engine);
+            let run = match &sh.seen {
+                Some(seen) => {
+                    engine.set_prune_dead_sends(true);
+                    engine.enable_fingerprints();
+                    // Probe only once the run has left replayed territory:
+                    // states visited *while replaying* were inserted by the
+                    // runs that opened this branch, and pruning on them
+                    // would wrongly discard the branch being opened.
+                    engine.run_probed(&mut |fp| {
+                        oracle.borrow().replay_done() && seen.probe_insert(fp)
+                    })
+                }
+                None => Some(engine.run()),
+            };
             totals.dead_prunes += engine.dead_branch_prunes();
-            if engine.was_deduped() {
-                sh.budget.fetch_sub(1, Ordering::Relaxed);
-                totals.dedup_hits += 1;
-            } else {
+            if let Some(report) = run {
                 totals.runs += 1;
                 if let Err(message) = check(&engine, &report) {
                     totals.violations.push(Violation {
@@ -551,6 +511,9 @@ where
                         message,
                     });
                 }
+            } else {
+                sh.budget.fetch_sub(1, Ordering::Relaxed);
+                totals.dedup_hits += 1;
             }
             // The truncated log of a deduplicated run prunes exactly the
             // subtree below the convergence point: every schedule with this
@@ -635,7 +598,7 @@ where
         budget: AtomicUsize::new(0),
         max_runs: cfg.max_runs,
         budget_hit: AtomicBool::new(false),
-        seen: reduced.then(|| Arc::new(Seen::new(if workers > 1 { 64 } else { 1 }))),
+        seen: reduced.then(|| Seen::new(if workers > 1 { 64 } else { 1 })),
     };
     let per_worker: Vec<WorkerTotals> = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -846,6 +809,7 @@ mod tests {
     use crate::net::SyncNet;
     use crate::process::{Ctx, Pid, Process, TimerId};
     use crate::time::SimDuration;
+    use std::sync::Arc;
 
     /// Two racers send to a judge; the judge records who arrived first.
     #[derive(Debug, Clone, Default)]

@@ -21,6 +21,23 @@
 //! * [`trace`] — run traces consumed by the property checkers;
 //! * [`explore`] — exhaustive schedule enumeration on small instances.
 //!
+//! ## Responsibility boundaries
+//!
+//! **In scope:**
+//! - deterministic runs: every nondeterministic choice is one
+//!   [`oracle::Oracle`] draw, and events dispatch in `(time, seq)` order;
+//! - the engine owns dead-branch elision (it pins a choice that can only
+//!   reach halted processes before drawing it) and state fingerprints,
+//!   which it hands to the probe of [`engine::Engine::run_probed`];
+//! - the explorer owns the seen-set: one sharded set of every fingerprint
+//!   a run has left, and a run that re-enters one is cut ([`explore`]).
+//!
+//! **Out of scope:**
+//! - protocols, their processes and violation checkers (`payment` and the
+//!   baseline crates; `protocol::explore` points the explorer at a
+//!   harness), the E4 instances (`experiments`) and wall-clock
+//!   measurement (`benchmark/`).
+//!
 //! ## Example: two automata under a synchronous network
 //!
 //! ```
@@ -105,9 +122,7 @@ pub mod prelude {
         AdversarialNet, Delivery, EnvelopeMeta, FaultyNet, NetFaults, NetModel, PartialSyncNet,
         PreGstPolicy, SyncNet,
     };
-    pub use crate::oracle::{
-        ChoiceKind, ChoiceTag, FixedOracle, Oracle, RandomOracle, ReplayOracle,
-    };
+    pub use crate::oracle::{FixedOracle, Oracle, RandomOracle, ReplayOracle};
     pub use crate::process::{Ctx, Effect, Message, Pid, Process, TimerId};
     pub use crate::time::{SimDuration, SimTime, MILLI, SECOND};
     pub use crate::trace::{Trace, TraceEvent, TraceKind, TraceMode};

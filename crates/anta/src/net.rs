@@ -18,7 +18,7 @@
 //! serves Monte-Carlo runs (many buckets, random oracle) and exhaustive
 //! schedule exploration (two or three buckets, replay oracle).
 
-use crate::oracle::{ChoiceTag, Oracle};
+use crate::oracle::Oracle;
 use crate::process::Pid;
 use crate::time::{SimDuration, SimTime};
 
@@ -60,22 +60,19 @@ pub trait NetModel<M>: 'static {
 
 /// Picks a delay in `[min, max]` quantised into `buckets` steps via the
 /// oracle. `buckets = 1` always yields `max` (the worst case — pessimistic
-/// by default). The choice is tagged with the recipient pid (`to`) so
-/// recording oracles can answer "which process does this choice touch"
-/// without replaying (the reduced explorer's dead-branch query).
+/// by default), and so does `min == max`: neither draws from the oracle.
 fn quantised_delay(
     min: SimDuration,
     max: SimDuration,
     buckets: usize,
     oracle: &mut dyn Oracle,
-    to: usize,
 ) -> SimDuration {
     debug_assert!(min <= max);
     if min == max || buckets <= 1 {
         return max;
     }
     let span = max - min;
-    let idx = oracle.choose_for(buckets, ChoiceTag::delay(to)) as u64;
+    let idx = oracle.choose(buckets) as u64;
     // idx = buckets-1 ⇒ exactly max; idx = 0 ⇒ exactly min.
     min + SimDuration::from_ticks(span.ticks() * idx / (buckets as u64 - 1))
 }
@@ -113,13 +110,7 @@ impl SyncNet {
 
 impl<M: 'static> NetModel<M> for SyncNet {
     fn route(&mut self, meta: &EnvelopeMeta, _msg: &M, oracle: &mut dyn Oracle) -> Delivery {
-        let d = quantised_delay(
-            self.delta_min,
-            self.delta_max,
-            self.buckets,
-            oracle,
-            meta.to,
-        );
+        let d = quantised_delay(self.delta_min, self.delta_max, self.buckets, oracle);
         Delivery::At(meta.sent_at + d)
     }
 }
@@ -200,26 +191,20 @@ impl<M: 'static> NetModel<M> for PartialSyncNet {
         let deadline = self.deadline(meta.sent_at);
         if meta.sent_at >= self.gst {
             // After GST the network is synchronous with bound δ.
-            let d = quantised_delay(SimDuration::ZERO, self.delta, self.buckets, oracle, meta.to);
+            let d = quantised_delay(SimDuration::ZERO, self.delta, self.buckets, oracle);
             return Delivery::At(meta.sent_at + d);
         }
         let at = match &self.policy {
             PreGstPolicy::MaxDelay => deadline,
             PreGstPolicy::Quantised { buckets } => {
                 let span = deadline - meta.sent_at;
-                meta.sent_at + quantised_delay(SimDuration::ZERO, span, *buckets, oracle, meta.to)
+                meta.sent_at + quantised_delay(SimDuration::ZERO, span, *buckets, oracle)
             }
             PreGstPolicy::TargetPairs { pairs } => {
                 if pairs.contains(&(meta.from, meta.to)) {
                     deadline
                 } else {
-                    let d = quantised_delay(
-                        SimDuration::ZERO,
-                        self.delta,
-                        self.buckets,
-                        oracle,
-                        meta.to,
-                    );
+                    let d = quantised_delay(SimDuration::ZERO, self.delta, self.buckets, oracle);
                     meta.sent_at + d
                 }
             }
@@ -381,7 +366,6 @@ impl<M: 'static> NetModel<M> for FaultyNet<M> {
                 self.faults.extra_delay,
                 self.faults.delay_buckets.max(1),
                 oracle,
-                meta.to,
             );
             return Delivery::At(at + extra);
         }
@@ -434,12 +418,12 @@ mod tests {
         let max = SimDuration::from_ticks(20);
         let mut lo = FixedOracle::minimal();
         let mut hi = FixedOracle::maximal();
-        assert_eq!(quantised_delay(min, max, 3, &mut lo, 1), min);
-        assert_eq!(quantised_delay(min, max, 3, &mut hi, 1), max);
+        assert_eq!(quantised_delay(min, max, 3, &mut lo), min);
+        assert_eq!(quantised_delay(min, max, 3, &mut hi), max);
         // Middle bucket of 3 is the midpoint.
         let mut mid = FixedOracle::new(1);
         assert_eq!(
-            quantised_delay(min, max, 3, &mut mid, 1),
+            quantised_delay(min, max, 3, &mut mid),
             SimDuration::from_ticks(15)
         );
     }

@@ -19,74 +19,16 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// What a nondeterministic choice decides, and which process it touches.
-///
-/// The engine and network models tag every `choose` call with the process
-/// the choice affects — the *recipient* for a message-delay bucket, the
-/// *handler's* process for a σ computation-time draw. This is the cheap
-/// "which pid does choice `i` touch" query the reduced explorer needs: it
-/// can tell that a delay choice for a message addressed to an
-/// already-halted process decides nothing, without replaying anything
-/// (the dead-branch elision described in [`crate::explore`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChoiceKind {
-    /// Network delay bucket for a message addressed to the tagged pid.
-    Delay,
-    /// σ computation-time bucket charged to the tagged pid's handler.
-    Sigma,
-    /// Anything else (fault draws, adversarial reorderings, …).
-    Other,
-}
-
-/// Tag carried by [`Oracle::choose_for`]: the choice's kind and, when
-/// known, the process it touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChoiceTag {
-    /// What the choice decides.
-    pub kind: ChoiceKind,
-    /// The process the choice touches, when attributable to one.
-    pub pid: Option<usize>,
-}
-
-impl ChoiceTag {
-    /// A delay-bucket choice for a message addressed to `to`.
-    pub fn delay(to: usize) -> Self {
-        ChoiceTag {
-            kind: ChoiceKind::Delay,
-            pid: Some(to),
-        }
-    }
-
-    /// A σ-bucket choice charged to `pid`'s handler.
-    pub fn sigma(pid: usize) -> Self {
-        ChoiceTag {
-            kind: ChoiceKind::Sigma,
-            pid: Some(pid),
-        }
-    }
-
-    /// An untagged choice.
-    pub fn other() -> Self {
-        ChoiceTag {
-            kind: ChoiceKind::Other,
-            pid: None,
-        }
-    }
-}
-
 /// Source of all scheduler-level nondeterminism.
+///
+/// An oracle sees only how many options a choice has, never what the
+/// choice decides or which process it touches. Under dead-branch elision
+/// (reduced exploration) the engine pins the choices that cannot matter,
+/// such as the delay of a message to a halted process, before drawing, so
+/// the oracle never sees them.
 pub trait Oracle {
     /// Chooses an index in `0..options`. `options` must be ≥ 1.
     fn choose(&mut self, options: usize) -> usize;
-
-    /// [`Oracle::choose`] with a [`ChoiceTag`] saying what the choice
-    /// decides and which process it touches. The default ignores the tag;
-    /// recording oracles ([`ReplayOracle`]) keep it alongside the log so
-    /// explorers can query per-choice pids without replaying.
-    fn choose_for(&mut self, options: usize, tag: ChoiceTag) -> usize {
-        let _ = tag;
-        self.choose(options)
-    }
 }
 
 /// Seeded pseudo-random choices.
@@ -151,8 +93,6 @@ pub struct ReplayOracle {
     prefix: Vec<usize>,
     /// `(chosen, options)` for every step of the current run.
     pub log: Vec<(usize, usize)>,
-    /// The [`ChoiceTag`] of every logged step, aligned with `log`.
-    tags: Vec<ChoiceTag>,
 }
 
 impl ReplayOracle {
@@ -160,7 +100,6 @@ impl ReplayOracle {
     pub fn new(prefix: Vec<usize>) -> Self {
         ReplayOracle {
             log: Vec::with_capacity(prefix.len() + 16),
-            tags: Vec::with_capacity(prefix.len() + 16),
             prefix,
         }
     }
@@ -172,28 +111,6 @@ impl ReplayOracle {
     /// probing them would falsely prune the branch being opened.
     pub fn replay_done(&self) -> bool {
         self.log.len() >= self.prefix.len()
-    }
-
-    /// The [`ChoiceTag`] recorded for logged step `i` (the "which pid does
-    /// choice `i` touch" query).
-    pub fn tag(&self, i: usize) -> Option<ChoiceTag> {
-        self.tags.get(i).copied()
-    }
-
-    fn pick(&mut self, options: usize, tag: ChoiceTag) -> usize {
-        debug_assert!(options >= 1);
-        let step = self.log.len();
-        let choice = if step < self.prefix.len() {
-            // Replay can meet a smaller option set than when recorded if the
-            // schedule diverged; clamp defensively (explorer treats the run
-            // as a fresh leaf either way).
-            self.prefix[step].min(options - 1)
-        } else {
-            0
-        };
-        self.log.push((choice, options));
-        self.tags.push(tag);
-        choice
     }
 
     /// Computes the lexicographically next path after this run's log, or
@@ -222,11 +139,18 @@ impl ReplayOracle {
 
 impl Oracle for ReplayOracle {
     fn choose(&mut self, options: usize) -> usize {
-        self.pick(options, ChoiceTag::other())
-    }
-
-    fn choose_for(&mut self, options: usize, tag: ChoiceTag) -> usize {
-        self.pick(options, tag)
+        debug_assert!(options >= 1);
+        let step = self.log.len();
+        let choice = if step < self.prefix.len() {
+            // Replay can meet a smaller option set than when recorded if the
+            // schedule diverged; clamp defensively (explorer treats the run
+            // as a fresh leaf either way).
+            self.prefix[step].min(options - 1)
+        } else {
+            0
+        };
+        self.log.push((choice, options));
+        choice
     }
 }
 
@@ -268,25 +192,6 @@ mod tests {
         assert!(o.replay_done());
         assert_eq!(o.choose(3), 0);
         assert_eq!(o.log, vec![(2, 4), (1, 3), (0, 3)]);
-    }
-
-    #[test]
-    fn replay_records_choice_tags() {
-        let mut o = ReplayOracle::new(vec![1]);
-        assert_eq!(o.choose_for(2, ChoiceTag::delay(7)), 1);
-        assert_eq!(o.choose_for(4, ChoiceTag::sigma(3)), 0);
-        assert_eq!(o.choose(2), 0);
-        assert_eq!(o.tag(0), Some(ChoiceTag::delay(7)));
-        assert_eq!(o.tag(0).unwrap().pid, Some(7));
-        assert_eq!(o.tag(1), Some(ChoiceTag::sigma(3)));
-        assert_eq!(o.tag(2), Some(ChoiceTag::other()));
-        assert_eq!(o.tag(3), None);
-    }
-
-    #[test]
-    fn default_choose_for_delegates() {
-        let mut o = FixedOracle::maximal();
-        assert_eq!(o.choose_for(4, ChoiceTag::delay(0)), 3);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! explorer — or with `--full` enumeration, or with both under
 //! `--differential` — and prints the exploration summary. The flags are
 //! declared in [`experiments::cli::EXP4`]; a skeleton mismatch, an
-//! unexhausted default exploration, a verdict mismatch or a violating
-//! schedule exits 1, a refused command line exits 2.
+//! unexhausted exploration, a verdict mismatch or a violating schedule
+//! exits 1, a refused command line exits 2.
 
 use anta::explore::ExploreConfig;
 use experiments::cli::{self, Gates};
@@ -97,6 +97,7 @@ fn main() {
         let r = e4::explore_instance_with(n, sigma, cfg, sink.as_mut());
         let wall = started.elapsed().as_secs_f64();
         print_report(if full { "full" } else { "reduced" }, &r, wall);
+        gates.require("choice tree covered within --max-runs", r.exhausted, "");
         gates.check(r.all_ok());
     }
     if let Err(e) = sink.flush() {

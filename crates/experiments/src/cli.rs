@@ -111,7 +111,7 @@ pub const RSS_GATE: &[Flag] = &[Flag::new(
 pub const EXP4: &FlagTable = &[&[
     Flag::new("--dot", Kind::Bool, "classic report: also dump the Graphviz sources"),
     Flag::new("--explore", Kind::size(None, 1), "explore the n = N chain instance instead of the classic report"),
-    Flag::new("--sigma", Kind::size(Some(1), 1), "delay buckets per message"),
+    Flag::new("--sigma", Kind::size(Some(1), 1), "σ (computation-time) buckets per sending handler; message delays take 2 buckets"),
     Flag::new("--threads", Kind::size(Some(0), 0), "worker threads (0 = all cores)"),
     Flag::new("--max-runs", Kind::size(Some(10_000_000), 0), "executed-schedule budget"),
     Flag::new("--differential", Kind::Bool, "run full and reduced exploration and compare verdicts"),
