@@ -12,8 +12,8 @@
 //!   round timeouts (the DLS recipe for unknown GST), value locking with
 //!   verifiable proof-of-lock re-proposals; safety for `f < n/3` under any
 //!   timing, liveness once the network stabilises;
-//! * [`process`] — the ANTA engine adapter plus Byzantine test doubles
-//!   (silent and equivocating notaries).
+//! * [`process`] — the ANTA engine adapter plus an equivocating Byzantine
+//!   notary (a crashed notary is `anta::process::InertProcess`).
 //!
 //! The same [`core::NotaryCore`] is embedded by the payment crate's
 //! notary-committee transaction manager; here it is exercised in isolation.
@@ -27,4 +27,4 @@ pub mod process;
 
 pub use crate::core::{Config, NotaryCore, Output};
 pub use msg::{ConsMsg, ConsensusValue, ProofOfLock, VoteKind};
-pub use process::{EquivocatorNotary, NotaryProcess, SilentNotary};
+pub use process::{EquivocatorNotary, NotaryProcess};

@@ -101,19 +101,6 @@ impl<V: ConsensusValue> Process<ConsMsg<V>> for NotaryProcess<V> {
     }
 }
 
-/// A crashed notary: participates in nothing. Counts towards `f`.
-#[derive(Debug, Clone, Default)]
-pub struct SilentNotary;
-
-impl<V: ConsensusValue> Process<ConsMsg<V>> for SilentNotary {
-    fn on_start(&mut self, _ctx: &mut Ctx<ConsMsg<V>>) {}
-    fn on_message(&mut self, _f: Pid, _m: ConsMsg<V>, _c: &mut Ctx<ConsMsg<V>>) {}
-    fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<ConsMsg<V>>) {}
-    fn fp_digest(&self) -> u64 {
-        0
-    }
-}
-
 /// An equivocating Byzantine notary: sends conflicting prevotes and
 /// precommits for the first rounds to different halves of the committee.
 /// Counts towards `f`; with honest quorums of `2f+1` its double votes can
@@ -212,6 +199,7 @@ mod tests {
     use anta::engine::{Engine, EngineConfig};
     use anta::net::{PartialSyncNet, SyncNet};
     use anta::oracle::RandomOracle;
+    use anta::process::InertProcess;
     use anta::time::{SimDuration, SimTime};
     use std::sync::Arc;
     use xcrypto::{KeyId, Pki, Signer};
@@ -288,7 +276,7 @@ mod tests {
             EngineConfig::default(),
         );
         // pid 0 (round-0 leader) is crashed.
-        eng.add_process(Box::new(SilentNotary), DriftClock::perfect());
+        eng.add_process(Box::new(InertProcess), DriftClock::perfect());
         for i in 1..4 {
             let core = NotaryCore::new(
                 cfg.clone(),

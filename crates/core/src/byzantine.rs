@@ -12,11 +12,12 @@
 //! guarantees.
 
 use crate::msg::{PMsg, TmInput, TmInputKind};
+use crate::timebounded::ChainSetup;
+use crate::weak::WeakSetup;
 use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::{SimDuration, SimTime};
-use std::sync::Arc;
-use xcrypto::{PaymentId, Pki, Receipt, Signer};
+use xcrypto::{PaymentId, Receipt, Signer};
 
 /// Wraps any process and crashes it (silently drops all events) once the
 /// local clock passes `at`. Models fail-stop at an arbitrary protocol
@@ -100,12 +101,13 @@ pub struct LateBob {
 const LATE_TIMER: TimerId = 7;
 
 impl LateBob {
-    /// Builds a Bob who sits on χ for `delay`.
-    pub fn new(escrow: Pid, signer: Signer, payment: PaymentId, delay: SimDuration) -> Self {
+    /// Builds `setup`'s Bob, sitting on χ for `delay`.
+    pub fn new(setup: &ChainSetup, delay: SimDuration) -> Self {
+        let n = setup.n();
         LateBob {
-            escrow,
-            signer,
-            payment,
+            escrow: setup.topo.escrow_pid(n - 1),
+            signer: setup.customer_signer(n).clone(),
+            payment: setup.payment,
             delay,
             issued: false,
         }
@@ -154,12 +156,13 @@ pub struct ForgingChloe {
 }
 
 impl ForgingChloe {
-    /// Builds the forger (she targets her upstream escrow directly).
-    pub fn new(up_escrow: Pid, signer: Signer, payment: PaymentId) -> Self {
+    /// Builds `setup`'s connector `c_i` as the forger (she targets her
+    /// upstream escrow `e_{i-1}` directly).
+    pub fn new(setup: &ChainSetup, i: usize) -> Self {
         ForgingChloe {
-            up_escrow,
-            signer,
-            payment,
+            up_escrow: setup.topo.escrow_pid(i - 1),
+            signer: setup.customer_signer(i).clone(),
+            payment: setup.payment,
             fired: false,
         }
     }
@@ -206,21 +209,15 @@ pub struct ThievingEscrow {
 }
 
 impl ThievingEscrow {
-    /// Builds the thief; it issues a perfectly normal-looking `G(d)` so
-    /// the upstream customer engages.
-    pub fn new(
-        up: Pid,
-        signer: Signer,
-        payment: PaymentId,
-        index: usize,
-        d_bound: SimDuration,
-    ) -> Self {
+    /// Builds `setup`'s escrow `e_i` as the thief; it issues a perfectly
+    /// normal-looking `G(d_i)` so the upstream customer engages.
+    pub fn new(setup: &ChainSetup, i: usize) -> Self {
         ThievingEscrow {
-            up,
-            signer,
-            payment,
-            index,
-            d_bound,
+            up: setup.topo.customer_pid(i),
+            signer: setup.escrow_signer(i).clone(),
+            payment: setup.payment,
+            index: i,
+            d_bound: setup.schedule.d[i],
         }
     }
 }
@@ -266,36 +263,28 @@ impl Process<PMsg> for ThievingEscrow {
 pub struct ImpersonatingAborter {
     tm_pids: Vec<Pid>,
     signer: Signer,
-    pki: Arc<Pki>,
     payment: PaymentId,
     /// The customer index she pretends to be.
     victim_index: u64,
 }
 
 impl ImpersonatingAborter {
-    /// Builds the impersonator.
-    pub fn new(
-        tm_pids: Vec<Pid>,
-        signer: Signer,
-        pki: Arc<Pki>,
-        payment: PaymentId,
-        victim_index: u64,
-    ) -> Self {
+    /// Builds `setup`'s customer `c_i` as the impersonator of customer
+    /// `c_victim`.
+    pub fn new(setup: &WeakSetup, i: usize, victim: usize) -> Self {
         ImpersonatingAborter {
-            tm_pids,
-            signer,
-            pki,
-            payment,
-            victim_index,
+            tm_pids: setup.tm_pids(),
+            signer: setup.customer_signer(i).clone(),
+            payment: setup.payment,
+            victim_index: victim as u64,
         }
     }
 }
 
 impl Process<PMsg> for ImpersonatingAborter {
     fn on_start(&mut self, ctx: &mut Ctx<PMsg>) {
-        let _ = &self.pki; // kept: a real attacker could probe it too
-                           // Signed with HER key but claiming the victim's index: the
-                           // evidence verifier checks index-vs-key binding and drops it.
+        // Signed with HER key but claiming the victim's index: the
+        // evidence verifier checks index-vs-key binding and drops it.
         let forged = TmInput::issue(
             &self.signer,
             TmInputKind::AbortRequest,
@@ -316,7 +305,6 @@ impl Process<PMsg> for ImpersonatingAborter {
         let ImpersonatingAborter {
             tm_pids: _,
             signer: _,
-            pki: _,
             payment: _,
             victim_index: _,
         } = self;
@@ -389,14 +377,9 @@ mod tests {
     fn late_bob_hurts_only_himself() {
         let setup = tb_setup(2);
         let delay = setup.schedule.a[1] + setup.params.delta * 4;
-        let bob_escrow = setup.topo.escrow_pid(1);
-        let signer = setup.customer_signer(2).clone();
-        let payment = setup.payment;
-        let (outcome, compliance) = run_with(&setup, 2, vec![Role::Bob], move |role| {
-            (role == Role::Bob).then(|| {
-                Box::new(LateBob::new(bob_escrow, signer.clone(), payment, delay))
-                    as Box<dyn Process<PMsg>>
-            })
+        let (outcome, compliance) = run_with(&setup, 2, vec![Role::Bob], |role| {
+            (role == Role::Bob)
+                .then(|| Box::new(LateBob::new(&setup, delay)) as Box<dyn Process<PMsg>>)
         });
         let v = check_definition1(&outcome, &setup, &compliance);
         assert!(v.all_ok(), "{:?}", v.violations());
@@ -425,14 +408,9 @@ mod tests {
     #[test]
     fn forging_chloe_steals_nothing() {
         let setup = tb_setup(3);
-        let up_escrow = setup.topo.escrow_pid(0);
-        let signer = setup.customer_signer(1).clone();
-        let payment = setup.payment;
-        let (outcome, compliance) = run_with(&setup, 4, vec![Role::Chloe(1)], move |role| {
-            (role == Role::Chloe(1)).then(|| {
-                Box::new(ForgingChloe::new(up_escrow, signer.clone(), payment))
-                    as Box<dyn Process<PMsg>>
-            })
+        let (outcome, compliance) = run_with(&setup, 4, vec![Role::Chloe(1)], |role| {
+            (role == Role::Chloe(1))
+                .then(|| Box::new(ForgingChloe::new(&setup, 1)) as Box<dyn Process<PMsg>>)
         });
         let v = check_definition1(&outcome, &setup, &compliance);
         assert!(v.all_ok(), "{:?}", v.violations());
@@ -450,15 +428,9 @@ mod tests {
         // she trusted e_1, exactly the paper's trust assumption — but
         // everyone else ends whole.
         let setup = tb_setup(3);
-        let up = setup.topo.customer_pid(1);
-        let signer = setup.escrow_signer(1).clone();
-        let payment = setup.payment;
-        let d1 = setup.schedule.d[1];
-        let (outcome, compliance) = run_with(&setup, 5, vec![Role::Escrow(1)], move |role| {
-            (role == Role::Escrow(1)).then(|| {
-                Box::new(ThievingEscrow::new(up, signer.clone(), payment, 1, d1))
-                    as Box<dyn Process<PMsg>>
-            })
+        let (outcome, compliance) = run_with(&setup, 5, vec![Role::Escrow(1)], |role| {
+            (role == Role::Escrow(1))
+                .then(|| Box::new(ThievingEscrow::new(&setup, 1)) as Box<dyn Process<PMsg>>)
         });
         let v = check_definition1(&outcome, &setup, &compliance);
         assert!(v.all_ok(), "{:?}", v.violations());
@@ -522,22 +494,13 @@ mod tests {
         // TM must ignore it: no χa on forged evidence. (With the forger
         // not staging money, no commit forms either.)
         let s = WeakSetup::new(2, ValuePlan::uniform(2, 60), TmKind::Trusted, 31);
-        let tm_pids = s.tm_pids();
-        let signer = s.customer_signer(1).clone();
-        let pki = s.pki.clone();
-        let payment = s.payment;
         let mut eng = s.build_engine_with(
             Box::new(SyncNet::new(SimDuration::from_millis(5), 8)),
             Box::new(RandomOracle::seeded(7)),
             |role| {
+                // Chloe1 pretends to be Alice.
                 (role == Role::Chloe(1)).then(|| {
-                    Box::new(ImpersonatingAborter::new(
-                        tm_pids.clone(),
-                        signer.clone(),
-                        pki.clone(),
-                        payment,
-                        0, // pretends to be Alice
-                    )) as Box<dyn Process<PMsg>>
+                    Box::new(ImpersonatingAborter::new(&s, 1, 0)) as Box<dyn Process<PMsg>>
                 })
             },
             |_| None,

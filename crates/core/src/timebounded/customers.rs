@@ -16,6 +16,7 @@
 //! customer-security analysis, so an abiding customer refuses to proceed
 //! and (safely) never sends money.
 
+use super::scenario::ChainSetup;
 use crate::msg::{receipt_fields, PMsg, PromiseKind};
 use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
@@ -65,24 +66,16 @@ pub struct AliceProcess {
 }
 
 impl AliceProcess {
-    /// Builds Alice.
-    pub fn new(
-        escrow: Pid,
-        escrow_key: KeyId,
-        bob_key: KeyId,
-        pki: Arc<Pki>,
-        payment: PaymentId,
-        asset: Asset,
-        expected_d: anta::time::SimDuration,
-    ) -> Self {
+    /// Builds Alice, who pays `v_0` into `e_0` against `G(d_0)`.
+    pub fn new(setup: &ChainSetup) -> Self {
         AliceProcess {
-            escrow,
-            escrow_key,
-            bob_key,
-            pki,
-            payment,
-            asset,
-            expected_d,
+            escrow: setup.topo.escrow_pid(0),
+            escrow_key: setup.escrow_signer(0).id(),
+            bob_key: setup.bob_key(),
+            pki: setup.pki.clone(),
+            payment: setup.payment,
+            asset: setup.plan.amounts[0],
+            expected_d: setup.schedule.d[0],
             sent_money: false,
             sent_money_at: None,
             outcome: CustomerOutcome::Pending,
@@ -219,35 +212,21 @@ pub struct ChloeProcess {
 }
 
 impl ChloeProcess {
-    /// Builds Chloe_i.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        index: usize,
-        up_escrow: Pid,
-        down_escrow: Pid,
-        up_escrow_key: KeyId,
-        down_escrow_key: KeyId,
-        bob_key: KeyId,
-        pki: Arc<Pki>,
-        payment: PaymentId,
-        send_asset: Asset,
-        recv_asset: Asset,
-        expected_d: anta::time::SimDuration,
-        expected_a_up: anta::time::SimDuration,
-    ) -> Self {
+    /// Builds Chloe_i (`0 < i < n`), between `e_{i-1}` and `e_i`.
+    pub fn new(setup: &ChainSetup, i: usize) -> Self {
         ChloeProcess {
-            index,
-            up_escrow,
-            down_escrow,
-            up_escrow_key,
-            down_escrow_key,
-            bob_key,
-            pki,
-            payment,
-            send_asset,
-            recv_asset,
-            expected_d,
-            expected_a_up,
+            index: i,
+            up_escrow: setup.topo.escrow_pid(i - 1),
+            down_escrow: setup.topo.escrow_pid(i),
+            up_escrow_key: setup.escrow_signer(i - 1).id(),
+            down_escrow_key: setup.escrow_signer(i).id(),
+            bob_key: setup.bob_key(),
+            pki: setup.pki.clone(),
+            payment: setup.payment,
+            send_asset: setup.plan.amounts[i],
+            recv_asset: setup.plan.amounts[i - 1],
+            expected_d: setup.schedule.d[i],
+            expected_a_up: setup.schedule.a[i - 1],
             got_g: false,
             got_p: false,
             sent_money: false,
@@ -406,24 +385,17 @@ pub struct BobProcess {
 }
 
 impl BobProcess {
-    /// Builds Bob.
-    pub fn new(
-        escrow: Pid,
-        escrow_key: KeyId,
-        signer: Signer,
-        pki: Arc<Pki>,
-        payment: PaymentId,
-        asset: Asset,
-        expected_a: anta::time::SimDuration,
-    ) -> Self {
+    /// Builds Bob, who issues χ against `P(a_{n-1})` from `e_{n-1}`.
+    pub fn new(setup: &ChainSetup) -> Self {
+        let n = setup.n();
         BobProcess {
-            escrow,
-            escrow_key,
-            signer,
-            pki,
-            payment,
-            asset,
-            expected_a,
+            escrow: setup.topo.escrow_pid(n - 1),
+            escrow_key: setup.escrow_signer(n - 1).id(),
+            signer: setup.customer_signer(n).clone(),
+            pki: setup.pki.clone(),
+            payment: setup.payment,
+            asset: setup.plan.amounts[n - 1],
+            expected_a: setup.schedule.a[n - 1],
             issued_chi: false,
             outcome: CustomerOutcome::Pending,
         }

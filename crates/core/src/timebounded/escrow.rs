@@ -15,6 +15,7 @@
 //! The control structure is mirrored one-for-one by the declarative
 //! automaton in [`super::fig2`]; the integration tests cross-check the two.
 
+use super::scenario::ChainSetup;
 use crate::msg::{fingerprint_book, PMsg, PromiseKind, SignedPromise};
 use anta::fingerprint::{Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
@@ -22,8 +23,6 @@ use anta::time::SimTime;
 use ledger::{Asset, DealId, Ledger};
 use std::sync::Arc;
 use xcrypto::{KeyId, PaymentId, Pki, Signer};
-
-use crate::timing::TimeoutSchedule;
 
 /// Escrow control states (Figure 2's white states; the grey states are
 /// transient within a single handler).
@@ -79,36 +78,23 @@ pub struct EscrowProcess {
 }
 
 impl EscrowProcess {
-    /// Builds escrow `e_i`. `ledger` must already hold accounts for both
-    /// customers, with the upstream customer funded to cover `asset`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        index: usize,
-        up: Pid,
-        down: Pid,
-        up_key: KeyId,
-        down_key: KeyId,
-        bob_key: KeyId,
-        signer: Signer,
-        pki: Arc<Pki>,
-        payment: PaymentId,
-        asset: Asset,
-        schedule: &TimeoutSchedule,
-        ledger: Ledger,
-    ) -> Self {
+    /// Builds escrow `e_i` of `setup`'s chain. `ledger` must already hold
+    /// accounts for `c_i` and `c_{i+1}`; an abiding `c_i` is funded to
+    /// cover `v_i` ([`ChainSetup::escrow_book`]).
+    pub fn new(setup: &ChainSetup, i: usize, ledger: Ledger) -> Self {
         EscrowProcess {
-            index,
-            up,
-            down,
-            up_key,
-            down_key,
-            bob_key,
-            signer,
-            pki,
-            payment,
-            asset,
-            a_i: schedule.a[index],
-            d_i: schedule.d[index],
+            index: i,
+            up: setup.topo.customer_pid(i),
+            down: setup.topo.customer_pid(i + 1),
+            up_key: setup.customer_signer(i).id(),
+            down_key: setup.customer_signer(i + 1).id(),
+            bob_key: setup.bob_key(),
+            signer: setup.escrow_signer(i).clone(),
+            pki: setup.pki.clone(),
+            payment: setup.payment,
+            asset: setup.plan.amounts[i],
+            a_i: setup.schedule.a[i],
+            d_i: setup.schedule.d[i],
             ledger,
             state: EscrowState::AwaitMoney,
             deal: None,
@@ -288,6 +274,7 @@ impl Process<PMsg> for EscrowProcess {
 mod tests {
     use super::*;
     use crate::timing::SyncParams;
+    use crate::topology::ValuePlan;
     use anta::clock::DriftClock;
     use anta::engine::{Engine, EngineConfig};
     use anta::net::SyncNet;
@@ -297,54 +284,30 @@ mod tests {
     use ledger::CurrencyId;
     use xcrypto::Receipt;
 
-    /// Harness: escrow at pid 2, scripted customers at pids 0 (up) and
-    /// 1 (down).
+    /// Harness: a one-escrow chain carrying 50 — the escrow `e_0` at
+    /// pid 2, its customers scripted at pids 0 (up, Alice) and 1 (down,
+    /// Bob).
     struct Rig {
-        pki: Arc<Pki>,
-        escrow_signer: Signer,
+        setup: ChainSetup,
         up_signer: Signer,
         down_signer: Signer,
         payment: PaymentId,
         asset: Asset,
-        schedule: TimeoutSchedule,
     }
 
     fn rig() -> Rig {
-        let mut pki = Pki::new(11);
-        let (_, up_signer) = pki.register();
-        let (_, down_signer) = pki.register();
-        let (_, escrow_signer) = pki.register();
-        let payment = PaymentId::derive(3, &[up_signer.id(), down_signer.id()]);
+        let setup = ChainSetup::new(1, ValuePlan::uniform(1, 50), SyncParams::baseline(), 11);
         Rig {
-            pki: Arc::new(pki),
-            escrow_signer,
-            up_signer,
-            down_signer,
-            payment,
-            asset: Asset::new(CurrencyId(0), 50),
-            schedule: TimeoutSchedule::derive(1, &SyncParams::baseline()),
+            up_signer: setup.customer_signer(0).clone(),
+            down_signer: setup.customer_signer(1).clone(),
+            payment: setup.payment,
+            asset: setup.plan.amounts[0],
+            setup,
         }
     }
 
     fn escrow_of(r: &Rig) -> EscrowProcess {
-        let mut book = Ledger::new();
-        book.open_account(r.up_signer.id()).unwrap();
-        book.open_account(r.down_signer.id()).unwrap();
-        book.mint(r.up_signer.id(), r.asset).unwrap();
-        EscrowProcess::new(
-            0,
-            0,
-            1,
-            r.up_signer.id(),
-            r.down_signer.id(),
-            r.down_signer.id(), // downstream customer doubles as Bob here
-            r.escrow_signer.clone(),
-            r.pki.clone(),
-            r.payment,
-            r.asset,
-            &r.schedule,
-            book,
-        )
+        EscrowProcess::new(&r.setup, 0, r.setup.escrow_book(0))
     }
 
     /// A scripted customer that sends a canned sequence of messages at
@@ -452,7 +415,7 @@ mod tests {
     fn late_chi_is_refused() {
         let r = rig();
         let chi = Receipt::issue(&r.down_signer, r.payment);
-        let a0 = r.schedule.a[0].ticks();
+        let a0 = r.setup.schedule.a[0].ticks();
         let up = Script::new(vec![(
             0,
             2,
@@ -551,20 +514,7 @@ mod tests {
         let mut book = Ledger::new();
         book.open_account(r.up_signer.id()).unwrap();
         book.open_account(r.down_signer.id()).unwrap();
-        let escrow = EscrowProcess::new(
-            0,
-            0,
-            1,
-            r.up_signer.id(),
-            r.down_signer.id(),
-            r.down_signer.id(),
-            r.escrow_signer.clone(),
-            r.pki.clone(),
-            r.payment,
-            r.asset,
-            &r.schedule,
-            book,
-        );
+        let escrow = EscrowProcess::new(&r.setup, 0, book);
         let mut eng = Engine::new(
             Box::new(SyncNet::worst_case(SimDuration::from_millis(1))),
             Box::new(RandomOracle::seeded(0)),

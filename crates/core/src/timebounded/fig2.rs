@@ -2,41 +2,22 @@
 //!
 //! These specs mirror the executable processes of [`super::escrow`] and
 //! [`super::customers`] state-for-state, but carry no ledger — they are the
-//! paper's diagram, executable as automata. Experiment E4 uses them to
+//! paper's diagram, executable as automata. Each is built from the same
+//! [`ChainSetup`] as the executable chain and the participant's index, so
+//! the two share every pid, key, value and bound. Experiment E4 uses them to
 //! (a) regenerate Figure 2 as Graphviz DOT and (b) cross-check the
 //! executable protocol: under identical deterministic schedules, the
 //! message-kind sequences of the two implementations must coincide, and
 //! under exhaustive schedule exploration on small chains the automata
 //! satisfy the same safety outcomes.
 
+use super::scenario::ChainSetup;
 use crate::msg::{PMsg, PromiseKind, SignedPromise};
-use crate::timing::TimeoutSchedule;
-use crate::topology::ChainTopology;
 use anta::automaton::{AutomatonBuilder, AutomatonSpec, VarStore};
 use anta::process::Pid;
 use ledger::Asset;
 use std::sync::Arc;
-use xcrypto::{KeyId, PaymentId, Pki, Receipt, Signer};
-
-/// Everything the spec builders need about one payment instance.
-pub struct Fig2Params {
-    /// The Figure 1 chain topology.
-    pub topo: ChainTopology,
-    /// The payment instance this belongs to.
-    pub payment: PaymentId,
-    /// Shared verification registry.
-    pub pki: Arc<Pki>,
-    /// Bob's signing key (the receipt must verify against it).
-    pub bob_key: KeyId,
-    /// The derived timeout schedule.
-    pub schedule: TimeoutSchedule,
-    /// Value at each hop.
-    pub amounts: Vec<Asset>,
-    /// Escrow signers (for issuing promises) and Bob's signer (for χ).
-    pub escrow_signers: Vec<Signer>,
-    /// Bob's signer (issues the receipt).
-    pub bob_signer: Signer,
-}
+use xcrypto::{KeyId, PaymentId, Pki, Receipt};
 
 fn is_money(m: &PMsg, payment: PaymentId, asset: Asset) -> bool {
     matches!(m, PMsg::Money { payment: p, asset: a } if *p == payment && *a == asset)
@@ -60,17 +41,17 @@ fn is_promise(m: &PMsg, kind: PromiseKind, payment: PaymentId) -> bool {
 ///                                      ● send $ to c_{i+1}      ○ refunded
 ///                                      ○ done
 /// ```
-pub fn escrow_spec(p: &Fig2Params, i: usize) -> AutomatonSpec<PMsg> {
-    let up: Pid = p.topo.customer_pid(i);
-    let down: Pid = p.topo.customer_pid(i + 1);
-    let payment = p.payment;
-    let asset = p.amounts[i];
-    let a_i = p.schedule.a[i];
-    let d_i = p.schedule.d[i];
-    let signer = p.escrow_signers[i].clone();
+pub fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
+    let up: Pid = setup.topo.customer_pid(i);
+    let down: Pid = setup.topo.customer_pid(i + 1);
+    let payment = setup.payment;
+    let asset = setup.plan.amounts[i];
+    let a_i = setup.schedule.a[i];
+    let d_i = setup.schedule.d[i];
+    let signer = setup.escrow_signer(i).clone();
     let signer2 = signer.clone();
-    let pki = p.pki.clone();
-    let bob = p.bob_key;
+    let pki = setup.pki.clone();
+    let bob = setup.bob_key();
 
     let mut b = AutomatonBuilder::new(format!("escrow_{i}"));
     let send_g = b.output_state("send_G");
@@ -144,7 +125,7 @@ pub fn escrow_spec(p: &Fig2Params, i: usize) -> AutomatonSpec<PMsg> {
     // declarative layer has no message store; we model the forwarded χ as a
     // fresh `Receipt` value signed by Bob's key, which is byte-identical to
     // the real one (deterministic signature over the same payload).
-    let bob_signer = p.bob_signer.clone();
+    let bob_signer = setup.customer_signer(setup.n()).clone();
     b.send(
         fwd_chi,
         pay_down,
@@ -171,14 +152,14 @@ pub fn escrow_spec(p: &Fig2Params, i: usize) -> AutomatonSpec<PMsg> {
 }
 
 /// Alice's automaton (`c_0`).
-pub fn alice_spec(p: &Fig2Params) -> AutomatonSpec<PMsg> {
-    let escrow = p.topo.escrow_pid(0);
-    let payment = p.payment;
-    let asset = p.amounts[0];
-    let pki = p.pki.clone();
-    let pki2 = p.pki.clone();
-    let bob = p.bob_key;
-    let e0_key = p.escrow_signers[0].id();
+pub fn alice_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
+    let escrow = setup.topo.escrow_pid(0);
+    let payment = setup.payment;
+    let asset = setup.plan.amounts[0];
+    let pki = setup.pki.clone();
+    let pki2 = setup.pki.clone();
+    let bob = setup.bob_key();
+    let e0_key = setup.escrow_signer(0).id();
 
     let mut b = AutomatonBuilder::new("alice");
     let await_g = b.input_state("await_G");
@@ -223,14 +204,14 @@ pub fn alice_spec(p: &Fig2Params) -> AutomatonSpec<PMsg> {
 
 /// Chloe_i's automaton (`c_i`, `0 < i < n`). Promises may arrive in either
 /// order (diamond at the start).
-pub fn chloe_spec(p: &Fig2Params, i: usize) -> AutomatonSpec<PMsg> {
-    let up_escrow = p.topo.escrow_pid(i - 1);
-    let down_escrow = p.topo.escrow_pid(i);
-    let payment = p.payment;
-    let send_asset = p.amounts[i];
-    let recv_asset = p.amounts[i - 1];
-    let pki = p.pki.clone();
-    let bob = p.bob_key;
+pub fn chloe_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
+    let up_escrow = setup.topo.escrow_pid(i - 1);
+    let down_escrow = setup.topo.escrow_pid(i);
+    let payment = setup.payment;
+    let send_asset = setup.plan.amounts[i];
+    let recv_asset = setup.plan.amounts[i - 1];
+    let pki = setup.pki.clone();
+    let bob = setup.bob_key();
 
     let mut b = AutomatonBuilder::new(format!("chloe_{i}"));
     let start = b.input_state("await_promises");
@@ -275,7 +256,7 @@ pub fn chloe_spec(p: &Fig2Params, i: usize) -> AutomatonSpec<PMsg> {
         move |m, _| is_valid_chi(m, payment, &pki3, bob),
         None,
     );
-    let bob_signer = p.bob_signer.clone();
+    let bob_signer = setup.customer_signer(setup.n()).clone();
     b.send(
         fwd,
         await_reimb,
@@ -294,12 +275,12 @@ pub fn chloe_spec(p: &Fig2Params, i: usize) -> AutomatonSpec<PMsg> {
 }
 
 /// Bob's automaton (`c_n`).
-pub fn bob_spec(p: &Fig2Params) -> AutomatonSpec<PMsg> {
-    let n = p.topo.n;
-    let escrow = p.topo.escrow_pid(n - 1);
-    let payment = p.payment;
-    let asset = p.amounts[n - 1];
-    let bob_signer = p.bob_signer.clone();
+pub fn bob_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
+    let n = setup.n();
+    let escrow = setup.topo.escrow_pid(n - 1);
+    let payment = setup.payment;
+    let asset = setup.plan.amounts[n - 1];
+    let bob_signer = setup.customer_signer(n).clone();
 
     let mut b = AutomatonBuilder::new("bob");
     let await_p = b.input_state("await_P");
@@ -333,16 +314,16 @@ pub fn bob_spec(p: &Fig2Params) -> AutomatonSpec<PMsg> {
 
 /// Builds all Figure 2 specs for a chain, in pid order
 /// (customers `c_0..=c_n`, then escrows `e_0..e_{n-1}`).
-pub fn all_specs(p: &Fig2Params) -> Vec<AutomatonSpec<PMsg>> {
-    let n = p.topo.n;
+pub fn all_specs(setup: &ChainSetup) -> Vec<AutomatonSpec<PMsg>> {
+    let n = setup.n();
     let mut specs = Vec::with_capacity(2 * n + 1);
-    specs.push(alice_spec(p));
+    specs.push(alice_spec(setup));
     for i in 1..n {
-        specs.push(chloe_spec(p, i));
+        specs.push(chloe_spec(setup, i));
     }
-    specs.push(bob_spec(p));
+    specs.push(bob_spec(setup));
     for i in 0..n {
-        specs.push(escrow_spec(p, i));
+        specs.push(escrow_spec(setup, i));
     }
     specs
 }
@@ -351,7 +332,7 @@ pub fn all_specs(p: &Fig2Params) -> Vec<AutomatonSpec<PMsg>> {
 mod tests {
     use super::*;
     use crate::timing::SyncParams;
-    use crate::topology::{ChainKeys, ValuePlan};
+    use crate::topology::ValuePlan;
     use anta::automaton::AutomatonProcess;
     use anta::clock::DriftClock;
     use anta::engine::{Engine, EngineConfig};
@@ -359,23 +340,11 @@ mod tests {
     use anta::oracle::RandomOracle;
     use anta::time::SimTime;
 
-    fn params(n: usize) -> Fig2Params {
-        let topo = ChainTopology::new(n);
-        let keys = ChainKeys::generate(&topo, 5);
-        let plan = ValuePlan::uniform(n, 100);
-        Fig2Params {
-            payment: keys.payment,
-            bob_key: keys.customers[n].id(),
-            schedule: TimeoutSchedule::derive(n, &SyncParams::baseline()),
-            amounts: plan.amounts,
-            bob_signer: keys.customers[n].clone(),
-            escrow_signers: keys.escrows.clone(),
-            pki: Arc::new(keys.pki),
-            topo,
-        }
+    fn params(n: usize) -> ChainSetup {
+        ChainSetup::new(n, ValuePlan::uniform(n, 100), SyncParams::baseline(), 5)
     }
 
-    fn build_engine(p: &Fig2Params, seed: u64) -> Engine<PMsg> {
+    fn build_engine(p: &ChainSetup, seed: u64) -> Engine<PMsg> {
         let mut eng = Engine::new(
             Box::new(SyncNet::new(SyncParams::baseline().delta, 8)),
             Box::new(RandomOracle::seeded(seed)),

@@ -8,6 +8,8 @@
 //!   Figure 2, used for diagram regeneration and cross-checking;
 //!
 //! plus [`scenario`] — engine assembly, clock plans and outcome extraction.
+//! Both implementations build each participant from one [`ChainSetup`] and
+//! the participant's index.
 
 pub mod customers;
 pub mod escrow;

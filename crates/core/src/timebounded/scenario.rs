@@ -121,8 +121,7 @@ impl ChainSetup {
         self.keys.customers[self.topo.n].id()
     }
 
-    /// Signer of customer `c_i` (used by Byzantine strategies that need an
-    /// authentic identity).
+    /// Signer of customer `c_i`.
     pub fn customer_signer(&self, i: usize) -> &xcrypto::Signer {
         &self.keys.customers[i]
     }
@@ -132,61 +131,20 @@ impl ChainSetup {
         &self.keys.escrows[i]
     }
 
+    /// Escrow `e_i`'s opening book: accounts for `c_i` and `c_{i+1}`, with
+    /// `c_i` funded to cover `v_i`.
+    pub fn escrow_book(&self, i: usize) -> ledger::Ledger {
+        let key = |c: usize| self.keys.customers[c].id();
+        self.plan.escrow_book(i, key(i), key(i + 1))
+    }
+
     /// The default (compliant) process for a role.
     pub fn default_process(&self, role: Role) -> Box<dyn Process<PMsg>> {
-        let n = self.topo.n;
-        let bob_key = self.bob_key();
         match role {
-            Role::Alice => Box::new(AliceProcess::new(
-                self.topo.escrow_pid(0),
-                self.keys.escrows[0].id(),
-                bob_key,
-                self.pki.clone(),
-                self.payment,
-                self.plan.amounts[0],
-                self.schedule.d[0],
-            )),
-            Role::Chloe(i) => Box::new(ChloeProcess::new(
-                i,
-                self.topo.escrow_pid(i - 1),
-                self.topo.escrow_pid(i),
-                self.keys.escrows[i - 1].id(),
-                self.keys.escrows[i].id(),
-                bob_key,
-                self.pki.clone(),
-                self.payment,
-                self.plan.amounts[i],
-                self.plan.amounts[i - 1],
-                self.schedule.d[i],
-                self.schedule.a[i - 1],
-            )),
-            Role::Bob => Box::new(BobProcess::new(
-                self.topo.escrow_pid(n - 1),
-                self.keys.escrows[n - 1].id(),
-                self.keys.customers[n].clone(),
-                self.pki.clone(),
-                self.payment,
-                self.plan.amounts[n - 1],
-                self.schedule.a[n - 1],
-            )),
-            Role::Escrow(i) => {
-                let up_key = self.keys.customers[i].id();
-                let down_key = self.keys.customers[i + 1].id();
-                Box::new(EscrowProcess::new(
-                    i,
-                    self.topo.customer_pid(i),
-                    self.topo.customer_pid(i + 1),
-                    up_key,
-                    down_key,
-                    bob_key,
-                    self.keys.escrows[i].clone(),
-                    self.pki.clone(),
-                    self.payment,
-                    self.plan.amounts[i],
-                    &self.schedule,
-                    self.plan.escrow_book(i, up_key, down_key),
-                ))
-            }
+            Role::Alice => Box::new(AliceProcess::new(self)),
+            Role::Chloe(i) => Box::new(ChloeProcess::new(self, i)),
+            Role::Bob => Box::new(BobProcess::new(self)),
+            Role::Escrow(i) => Box::new(EscrowProcess::new(self, i, self.escrow_book(i))),
         }
     }
 

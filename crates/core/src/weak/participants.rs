@@ -21,6 +21,7 @@
 //! exactly the weakening that makes the problem solvable under partial
 //! synchrony: no step depends on a wall-clock deadline.
 
+use super::scenario::WeakSetup;
 use crate::msg::{fingerprint_book, PMsg, TmInput, TmInputKind};
 use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
@@ -156,31 +157,23 @@ pub struct WeakCustomer {
 }
 
 impl WeakCustomer {
-    /// Builds customer `c_index` of a chain with `n` escrows.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        index: usize,
-        n: usize,
-        own_escrow: Pid,
-        tm_pids: Vec<Pid>,
-        signer: Signer,
-        pki: Arc<Pki>,
-        payment: PaymentId,
-        asset: Asset,
-        authority: Authority,
-        patience: Patience,
-    ) -> Self {
+    /// Builds customer `c_i` of `setup`'s chain, with her patience from
+    /// the setup.
+    pub fn new(setup: &WeakSetup, i: usize) -> Self {
+        let n = setup.n();
+        // Bob stages nothing; his escrow and asset are never read.
+        let hop = i.min(n - 1);
         WeakCustomer {
-            index,
+            index: i,
             n,
-            own_escrow,
-            tm_pids,
-            signer,
-            pki,
-            payment,
-            asset,
-            authority,
-            patience,
+            own_escrow: setup.topo.escrow_pid(hop),
+            tm_pids: setup.tm_pids(),
+            signer: setup.customer_signer(i).clone(),
+            pki: setup.pki.clone(),
+            payment: setup.payment,
+            asset: setup.plan.amounts[hop],
+            authority: setup.authority.clone(),
+            patience: setup.patience[i],
             acted: false,
             abort_requested: false,
             certs: CertCollector::default(),
@@ -322,36 +315,24 @@ pub struct WeakEscrow {
 }
 
 impl WeakEscrow {
-    /// Builds weak escrow `e_i`. The ledger must hold both customer
-    /// accounts with the upstream one funded.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        index: usize,
-        up: Pid,
-        down: Pid,
-        up_key: KeyId,
-        down_key: KeyId,
-        tm_pids: Vec<Pid>,
-        signer: Signer,
-        pki: Arc<Pki>,
-        payment: PaymentId,
-        asset: Asset,
-        authority: Authority,
-        ledger: Ledger,
-    ) -> Self {
+    /// Builds weak escrow `e_i` of `setup`'s chain, its book holding both
+    /// customer accounts with the upstream one funded.
+    pub fn new(setup: &WeakSetup, i: usize) -> Self {
+        let up_key = setup.customer_signer(i).id();
+        let down_key = setup.customer_signer(i + 1).id();
         WeakEscrow {
-            index,
-            up,
-            down,
+            index: i,
+            up: setup.topo.customer_pid(i),
+            down: setup.topo.customer_pid(i + 1),
             up_key,
             down_key,
-            tm_pids,
-            signer,
-            pki,
-            payment,
-            asset,
-            authority,
-            ledger,
+            tm_pids: setup.tm_pids(),
+            signer: setup.escrow_signer(i).clone(),
+            pki: setup.pki.clone(),
+            payment: setup.payment,
+            asset: setup.plan.amounts[i],
+            authority: setup.authority.clone(),
+            ledger: setup.plan.escrow_book(i, up_key, down_key),
             deal: None,
             certs: CertCollector::default(),
         }

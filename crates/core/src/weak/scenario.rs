@@ -11,7 +11,6 @@ use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Pid, Process};
 use anta::time::{SimDuration, SimTime};
-use consensus::Config as ConsConfig;
 use std::sync::Arc;
 use xcrypto::{Authority, KeyId, PaymentId, Pki, Signer, Verdict};
 
@@ -110,9 +109,14 @@ impl WeakSetup {
         (0..self.tm_count()).map(|i| base + i).collect()
     }
 
-    /// Signer of customer `c_i` (for Byzantine strategies).
+    /// Signer of customer `c_i`.
     pub fn customer_signer(&self, i: usize) -> &Signer {
         &self.customers[i]
+    }
+
+    /// Signer of escrow `e_i`.
+    pub fn escrow_signer(&self, i: usize) -> &Signer {
+        &self.escrows[i]
     }
 
     /// Signer of manager process `i` — exposed so baseline variants (e.g.
@@ -145,103 +149,21 @@ impl WeakSetup {
 
     /// The default (compliant) process for a chain role.
     pub fn default_process(&self, role: Role) -> Box<dyn Process<PMsg>> {
-        let n = self.topo.n;
-        let tm_pids = self.tm_pids();
         match role {
-            Role::Alice | Role::Chloe(_) | Role::Bob => {
-                let i = match role {
-                    Role::Alice => 0,
-                    Role::Chloe(i) => i,
-                    Role::Bob => n,
-                    Role::Escrow(_) => unreachable!(),
-                };
-                // Bob stages nothing; his escrow pid is unused.
-                let own_escrow = if i < n {
-                    self.topo.escrow_pid(i)
-                } else {
-                    self.topo.escrow_pid(n - 1)
-                };
-                let asset = if i < n {
-                    self.plan.amounts[i]
-                } else {
-                    self.plan.amounts[n - 1]
-                };
-                Box::new(WeakCustomer::new(
-                    i,
-                    n,
-                    own_escrow,
-                    tm_pids,
-                    self.customers[i].clone(),
-                    self.pki.clone(),
-                    self.payment,
-                    asset,
-                    self.authority.clone(),
-                    self.patience[i],
-                ))
-            }
-            Role::Escrow(i) => {
-                let up_key = self.customers[i].id();
-                let down_key = self.customers[i + 1].id();
-                Box::new(WeakEscrow::new(
-                    i,
-                    self.topo.customer_pid(i),
-                    self.topo.customer_pid(i + 1),
-                    up_key,
-                    down_key,
-                    tm_pids,
-                    self.escrows[i].clone(),
-                    self.pki.clone(),
-                    self.payment,
-                    self.plan.amounts[i],
-                    self.authority.clone(),
-                    self.plan.escrow_book(i, up_key, down_key),
-                ))
-            }
+            Role::Alice => Box::new(WeakCustomer::new(self, 0)),
+            Role::Chloe(i) => Box::new(WeakCustomer::new(self, i)),
+            Role::Bob => Box::new(WeakCustomer::new(self, self.n())),
+            Role::Escrow(i) => Box::new(WeakEscrow::new(self, i)),
         }
     }
 
     /// The manager process(es).
     pub fn tm_processes(&self) -> Vec<Box<dyn Process<PMsg>>> {
-        let participants = self.participant_pids();
         match self.tm_kind {
-            TmKind::Trusted => vec![Box::new(TrustedTm::new(
-                self.tms[0].clone(),
-                self.pki.clone(),
-                self.evidence(),
-                participants,
-            ))],
-            TmKind::Contract => vec![Box::new(TrustedTm::contract(
-                self.tms[0].clone(),
-                self.pki.clone(),
-                self.evidence(),
-                participants,
-            ))],
-            TmKind::Committee { k } => {
-                let members: Vec<KeyId> = self.tms.iter().map(|s| s.id()).collect();
-                let f = k.saturating_sub(1) / 3;
-                let pids = self.tm_pids();
-                (0..k)
-                    .map(|i| {
-                        let peers: Vec<Pid> =
-                            pids.iter().copied().filter(|&p| p != pids[i]).collect();
-                        let cfg = ConsConfig {
-                            instance: 0,
-                            members: members.clone(),
-                            f,
-                            base_timeout: self.cons_base_timeout,
-                            validity: Arc::new(|_: &Verdict| true),
-                        };
-                        Box::new(NotaryTm::new(
-                            self.tms[i].clone(),
-                            self.pki.clone(),
-                            self.evidence(),
-                            self.participant_pids(),
-                            peers,
-                            cfg,
-                        )) as Box<dyn Process<PMsg>>
-                    })
-                    .collect()
-            }
+            TmKind::Trusted | TmKind::Contract => vec![Box::new(TrustedTm::new(self))],
+            TmKind::Committee { k } => (0..k)
+                .map(|i| Box::new(NotaryTm::new(self, i)) as Box<dyn Process<PMsg>>)
+                .collect(),
         }
     }
 

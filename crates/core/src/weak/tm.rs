@@ -13,6 +13,7 @@
 //!   arrives before a commit;
 //! * at most one certificate is ever issued (property **CC**).
 
+use super::scenario::{TmKind, WeakSetup};
 use crate::msg::{PMsg, TmInput, TmInputKind};
 use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
 use anta::process::{Ctx, Pid, Process, TimerId};
@@ -137,33 +138,17 @@ pub struct TrustedTm {
 }
 
 impl TrustedTm {
-    /// A plain trusted party.
-    pub fn new(signer: Signer, pki: Arc<Pki>, evidence: Evidence, participants: Vec<Pid>) -> Self {
+    /// `setup`'s manager process 0. Under [`TmKind::Contract`] it is the
+    /// smart-contract variant: identical logic, but every input and the
+    /// decision are published on a verifiable chain log.
+    pub fn new(setup: &WeakSetup) -> Self {
         TrustedTm {
-            signer,
-            pki,
-            evidence,
-            participants,
+            signer: setup.tm_signer(0).clone(),
+            pki: setup.pki.clone(),
+            evidence: setup.evidence(),
+            participants: setup.participant_pids(),
             decided: None,
-            chain: None,
-        }
-    }
-
-    /// The smart-contract variant: identical logic, but every input and
-    /// the decision are published on a verifiable chain log.
-    pub fn contract(
-        signer: Signer,
-        pki: Arc<Pki>,
-        evidence: Evidence,
-        participants: Vec<Pid>,
-    ) -> Self {
-        TrustedTm {
-            signer,
-            pki,
-            evidence,
-            participants,
-            decided: None,
-            chain: Some(SimChain::new()),
+            chain: (setup.tm_kind == TmKind::Contract).then(SimChain::new),
         }
     }
 
@@ -274,22 +259,24 @@ pub struct NotaryTm {
 }
 
 impl NotaryTm {
-    /// Builds one notary of the committee.
-    pub fn new(
-        signer: Signer,
-        pki: Arc<Pki>,
-        evidence: Evidence,
-        participants: Vec<Pid>,
-        peers: Vec<Pid>,
-        cons_cfg: ConsConfig<Verdict>,
-    ) -> Self {
+    /// Builds notary `i` of `setup`'s committee: its consensus instance
+    /// spans every manager process and tolerates `f = ⌊(k−1)/3⌋` of them.
+    pub fn new(setup: &WeakSetup, i: usize) -> Self {
+        let k = setup.tm_count();
+        let pids = setup.tm_pids();
         NotaryTm {
-            signer,
-            pki,
-            evidence,
-            participants,
-            peers,
-            cons_cfg,
+            signer: setup.tm_signer(i).clone(),
+            pki: setup.pki.clone(),
+            evidence: setup.evidence(),
+            participants: setup.participant_pids(),
+            peers: pids.iter().copied().filter(|&p| p != pids[i]).collect(),
+            cons_cfg: ConsConfig {
+                instance: 0,
+                members: (0..k).map(|j| setup.tm_signer(j).id()).collect(),
+                f: k.saturating_sub(1) / 3,
+                base_timeout: setup.cons_base_timeout,
+                validity: Arc::new(|_: &Verdict| true),
+            },
             core: None,
             buffered: Vec::new(),
             pending_props: Vec::new(),

@@ -7,9 +7,7 @@
 //!   in the time-bounded protocol of Figure 2.
 //! * **χc (commit certificate)** and **χa (abort certificate)** — issued by
 //!   the *transaction manager* of the weak-liveness protocol (Definition 2).
-//!   Property **CC** requires that the two can never both be issued; the
-//!   [`DecisionLog`] below is the executable form of that clause used by the
-//!   property checkers.
+//!   Property **CC** requires that the two can never both be issued.
 //!
 //! The transaction manager may be a single trusted party, a smart contract,
 //! or a committee of notaries (< 1/3 unreliable) — hence a decision
@@ -193,57 +191,6 @@ impl DecisionCert {
     }
 }
 
-/// Executable form of property **CC (certificate consistency)**: records
-/// every certificate observed in a run and reports a violation if both χc
-/// and χa ever exist for the same payment.
-#[derive(Debug, Default)]
-pub struct DecisionLog {
-    seen: Vec<(PaymentId, Verdict)>,
-}
-
-impl DecisionLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a certificate; returns `Err` with the conflicting verdict if
-    /// CC is violated (both χc and χa observed for one payment).
-    pub fn record(&mut self, cert: &DecisionCert) -> Result<(), Verdict> {
-        for (p, v) in &self.seen {
-            if *p == cert.payment && *v != cert.verdict {
-                return Err(*v);
-            }
-        }
-        if !self
-            .seen
-            .iter()
-            .any(|(p, v)| *p == cert.payment && *v == cert.verdict)
-        {
-            self.seen.push((cert.payment, cert.verdict));
-        }
-        Ok(())
-    }
-
-    /// The verdict recorded for `payment`, if any.
-    pub fn verdict_for(&self, payment: PaymentId) -> Option<Verdict> {
-        self.seen
-            .iter()
-            .find(|(p, _)| *p == payment)
-            .map(|(_, v)| *v)
-    }
-
-    /// Number of distinct (payment, verdict) records.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,29 +308,5 @@ mod tests {
         ];
         let c = DecisionCert::assemble(pid(3), Verdict::Commit, sigs);
         assert!(!c.verify(&pki, &auth));
-    }
-
-    #[test]
-    fn decision_log_detects_cc_violation() {
-        let (_, s) = setup();
-        let mut log = DecisionLog::new();
-        let c1 = DecisionCert::issue_single(&s[0], pid(5), Verdict::Commit);
-        let c2 = DecisionCert::issue_single(&s[0], pid(5), Verdict::Abort);
-        assert!(log.record(&c1).is_ok());
-        assert!(log.record(&c1).is_ok(), "same verdict twice is fine");
-        assert_eq!(log.record(&c2), Err(Verdict::Commit));
-        assert_eq!(log.verdict_for(pid(5)), Some(Verdict::Commit));
-        assert_eq!(log.len(), 1);
-    }
-
-    #[test]
-    fn decision_log_independent_payments() {
-        let (_, s) = setup();
-        let mut log = DecisionLog::new();
-        let c1 = DecisionCert::issue_single(&s[0], pid(1), Verdict::Commit);
-        let c2 = DecisionCert::issue_single(&s[0], pid(2), Verdict::Abort);
-        assert!(log.record(&c1).is_ok());
-        assert!(log.record(&c2).is_ok(), "different payments never conflict");
-        assert_eq!(log.len(), 2);
     }
 }

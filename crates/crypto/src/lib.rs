@@ -10,9 +10,9 @@
 //! * [`sig`] — the simulated PKI: structural unforgeability inside the
 //!   simulation (secrets never leave the crate; Byzantine code only ever
 //!   holds a [`sig::Signer`] for its *own* identity);
-//! * [`cert`] — the paper's certificates: χ (Bob's receipt), χc/χa
+//! * [`cert`] — the paper's certificates: χ (Bob's receipt) and χc/χa
 //!   (commit/abort decision certificates with single or committee
-//!   authority), and the executable **CC** checker [`cert::DecisionLog`].
+//!   authority).
 //!
 //! ## Example
 //!
@@ -36,6 +36,6 @@ pub mod sha256;
 pub mod sig;
 pub mod wire;
 
-pub use cert::{Authority, DecisionCert, DecisionLog, PaymentId, Receipt, Verdict};
+pub use cert::{Authority, DecisionCert, PaymentId, Receipt, Verdict};
 pub use sha256::{sha256, Digest};
 pub use sig::{KeyId, Pki, Signature, Signer};

@@ -3,8 +3,9 @@
 //! * renders Figure 1 (the chain topology) as ASCII and DOT for any `n`;
 //! * renders every Figure 2 automaton as DOT;
 //! * cross-checks the declarative Figure 2 automata against the executable
-//!   protocol: under identical deterministic schedules the two produce the
-//!   same message-kind sequence;
+//!   protocol: both are built from one [`ChainSetup`] ([`e4_setup`]), and
+//!   under identical deterministic schedules the two produce the same
+//!   message-kind sequence;
 //! * exhaustively explores all schedules of a small instance (n = 1,
 //!   two delay buckets per message) and checks the safety clauses on every
 //!   single one.
@@ -20,28 +21,17 @@ use anta::net::SyncNet;
 use anta::oracle::{FixedOracle, Oracle};
 use anta::trace::{TraceKind, TraceMode};
 use payment::msg::PMsg;
-use payment::timebounded::fig2::{all_specs, Fig2Params};
+use payment::timebounded::fig2::all_specs;
 use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
-use payment::{ChainKeys, ChainTopology, SyncParams, TimeoutSchedule, ValuePlan};
+use payment::{SyncParams, ValuePlan};
 use std::sync::Arc;
 use telemetry::{NullSink, TelemetrySink};
 
-/// Builds the declarative Figure 2 parameters matching a `ChainSetup`-like
-/// configuration (fresh keys from the same seed recipe).
-fn fig2_params(n: usize, seed: u64) -> Fig2Params {
-    let topo = ChainTopology::new(n);
-    let keys = ChainKeys::generate(&topo, seed);
-    let plan = ValuePlan::uniform(n, 100);
-    Fig2Params {
-        payment: keys.payment,
-        bob_key: keys.customers[n].id(),
-        schedule: TimeoutSchedule::derive(n, &SyncParams::baseline()),
-        amounts: plan.amounts,
-        bob_signer: keys.customers[n].clone(),
-        escrow_signers: keys.escrows.clone(),
-        pki: Arc::new(keys.pki),
-        topo,
-    }
+/// The one E4 instance of `n` escrows: 100 per hop, baseline synchrony,
+/// keys from seed `0xE4`. The figures, the cross-check and the
+/// exploration all build from it.
+pub fn e4_setup(n: usize) -> ChainSetup {
+    ChainSetup::new(n, ValuePlan::uniform(n, 100), SyncParams::baseline(), 0xE4)
 }
 
 /// A trace's `(from, to, kind)` send sequence — the protocol's observable
@@ -61,25 +51,23 @@ fn message_skeleton(eng: &Engine<PMsg>) -> Skeleton {
         .collect()
 }
 
-/// Cross-check: executable vs declarative protocol under the identical
-/// deterministic schedule. Returns both skeletons.
+/// Cross-check: the executable and the declarative protocol, both built
+/// from [`e4_setup`]`(n)`, under the identical worst-case deterministic
+/// schedule. Returns both skeletons.
 pub fn cross_check(n: usize) -> (Skeleton, Skeleton) {
-    // Executable chain.
-    let setup = ChainSetup::new(n, ValuePlan::uniform(n, 100), SyncParams::baseline(), 0xE4);
+    let setup = e4_setup(n);
     let mut exec_eng = setup.build_engine(
         Box::new(SyncNet::worst_case(setup.params.delta)),
         Box::new(FixedOracle::maximal()),
         ClockPlan::Perfect,
     );
     exec_eng.run();
-    // Declarative chain (same seed recipe, same worst-case schedule).
-    let p = fig2_params(n, 0xE4);
     let mut decl_eng = Engine::new(
-        Box::new(SyncNet::worst_case(SyncParams::baseline().delta)),
+        Box::new(SyncNet::worst_case(setup.params.delta)),
         Box::new(FixedOracle::maximal()),
         EngineConfig::default(),
     );
-    for spec in all_specs(&p) {
+    for spec in all_specs(&setup) {
         decl_eng.add_process(
             Box::new(AutomatonProcess::new(Arc::new(spec))),
             DriftClock::perfect(),
@@ -170,7 +158,7 @@ pub fn explore_instance_differential(
 }
 
 /// The build/check closure pair shared by all E4 exploration entry points:
-/// an `n`-escrow chain over a 2-bucket synchronous network with the given σ
+/// [`e4_setup`]`(n)` over a 2-bucket synchronous network with the given σ
 /// quantisation, checked against the Definition 1 safety clauses plus
 /// strong liveness (Bob paid on every synchronous schedule).
 #[allow(clippy::type_complexity)]
@@ -181,12 +169,7 @@ fn instance_closures(
     impl Fn(Box<dyn Oracle>) -> Engine<PMsg> + Sync,
     impl Fn(&Engine<PMsg>, &RunReport) -> Result<(), String> + Sync,
 ) {
-    let setup = Arc::new(ChainSetup::new(
-        n,
-        ValuePlan::uniform(n, 100),
-        SyncParams::baseline(),
-        0xE4,
-    ));
+    let setup = Arc::new(e4_setup(n));
     let build_setup = setup.clone();
     let check_setup = setup;
     (
@@ -249,9 +232,8 @@ pub struct E4Report {
 /// Runs E4 for a chain of `n` escrows (figures) and the fixed small
 /// instance (exploration).
 pub fn run(n: usize) -> E4Report {
-    let topo = ChainTopology::new(n);
-    let p = fig2_params(n, 0xE4);
-    let figure2_dots: Vec<(String, String)> = all_specs(&p)
+    let setup = e4_setup(n);
+    let figure2_dots: Vec<(String, String)> = all_specs(&setup)
         .into_iter()
         .map(|s| (s.name.clone(), s.to_dot()))
         .collect();
@@ -260,8 +242,8 @@ pub fn run(n: usize) -> E4Report {
     // exploration, just faster.
     let exploration = explore_instance_opts(1, 0, 100_000, 4);
     E4Report {
-        figure1_ascii: topo.render_figure1(),
-        figure1_dot: topo.to_dot(),
+        figure1_ascii: setup.topo.render_figure1(),
+        figure1_dot: setup.topo.to_dot(),
         figure2_dots,
         skeletons_match: exec_skel == decl_skel,
         exec_skeleton_len: exec_skel.len(),

@@ -193,25 +193,10 @@ impl ByzFault {
             }
             ByzFault::LateBob => {
                 let delay = setup.schedule.a[n - 1] + setup.params.delta * 4;
-                Box::new(LateBob::new(
-                    setup.topo.escrow_pid(n - 1),
-                    setup.customer_signer(n).clone(),
-                    setup.payment,
-                    delay,
-                ))
+                Box::new(LateBob::new(setup, delay))
             }
-            ByzFault::ForgingChloe(i) => Box::new(ForgingChloe::new(
-                setup.topo.escrow_pid(i - 1),
-                setup.customer_signer(i).clone(),
-                setup.payment,
-            )),
-            ByzFault::ThievingEscrow(i) => Box::new(ThievingEscrow::new(
-                setup.topo.customer_pid(i),
-                setup.escrow_signer(i).clone(),
-                setup.payment,
-                i,
-                setup.schedule.d[i],
-            )),
+            ByzFault::ForgingChloe(i) => Box::new(ForgingChloe::new(setup, i)),
+            ByzFault::ThievingEscrow(i) => Box::new(ThievingEscrow::new(setup, i)),
         })
     }
 }

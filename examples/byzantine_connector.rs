@@ -23,17 +23,11 @@ fn main() {
     println!("{}", setup.topo.render_figure1());
     println!("Chloe1 is Byzantine: she will forge χ instead of paying.\n");
 
-    let up_escrow = setup.topo.escrow_pid(0);
-    let signer = setup.customer_signer(1).clone();
-    let payment = setup.payment;
     let mut engine = setup.build_engine_with(
         Box::new(SyncNet::new(setup.params.delta, 16)),
         Box::new(RandomOracle::seeded(2)),
         ClockPlan::Sampled { seed: 2 },
-        |role| {
-            (role == Role::Chloe(1))
-                .then(|| Box::new(ForgingChloe::new(up_escrow, signer.clone(), payment)) as Box<_>)
-        },
+        |role| (role == Role::Chloe(1)).then(|| Box::new(ForgingChloe::new(&setup, 1)) as Box<_>),
     );
     let report = engine.run();
     let forgeries = engine.trace().marks("forged_chi_sent").count();

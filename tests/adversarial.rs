@@ -87,17 +87,11 @@ fn message_dropping_network_cannot_break_safety() {
 fn late_bob_plus_drift_still_safe_for_chain() {
     let s = setup(2);
     let delay = s.schedule.a[1] + s.params.delta * 10;
-    let escrow = s.topo.escrow_pid(1);
-    let signer = s.customer_signer(2).clone();
-    let payment = s.payment;
     let mut eng = s.build_engine_with(
         Box::new(SyncNet::new(s.params.delta, 8)),
         Box::new(RandomOracle::seeded(4)),
         ClockPlan::Extremes,
-        move |r| {
-            (r == Role::Bob)
-                .then(|| Box::new(LateBob::new(escrow, signer.clone(), payment, delay)) as Box<_>)
-        },
+        |r| (r == Role::Bob).then(|| Box::new(LateBob::new(&s, delay)) as Box<_>),
     );
     let report = eng.run();
     let o = ChainOutcome::extract(&eng, &s, report.quiescent);

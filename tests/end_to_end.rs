@@ -44,11 +44,15 @@ fn time_bounded_protocol_many_seeds_many_sizes() {
 
 #[test]
 fn weak_protocol_all_tm_kinds_under_partial_synchrony() {
-    for kind in [
-        TmKind::Trusted,
-        TmKind::Contract,
-        TmKind::Committee { k: 4 },
+    // Each kind's five runs — report, send count and outcome — fold into
+    // one digest, so a change in how `WeakSetup` wires the customers,
+    // escrows or managers cannot pass unseen.
+    for (kind, pinned) in [
+        (TmKind::Trusted, 0xb52c_e8c0_c55e_86f7),
+        (TmKind::Contract, 0x563d_5df8_68d4_efa4),
+        (TmKind::Committee { k: 4 }, 0xa1bc_5c9d_0e8e_12d4),
     ] {
+        let mut runs = String::new();
         for seed in 0..5u64 {
             let setup = WeakSetup::new(3, ValuePlan::uniform(3, 777), kind, 23 + seed);
             let gst = SimTime::from_millis(100 + 50 * seed);
@@ -60,7 +64,7 @@ fn weak_protocol_all_tm_kinds_under_partial_synchrony() {
                 )),
                 Box::new(RandomOracle::seeded(seed)),
             );
-            eng.run();
+            let report = eng.run();
             let o = WeakOutcome::extract(&eng, &setup);
             assert_eq!(
                 o.verdict(),
@@ -70,7 +74,10 @@ fn weak_protocol_all_tm_kinds_under_partial_synchrony() {
             assert!(o.bob_paid, "{kind:?} seed={seed}");
             let v = check_definition2(&o, &Compliance::all_compliant(), true);
             assert!(v.all_ok(), "{kind:?} seed={seed}: {:?}", v.violations());
+            runs += &format!("{report:?} {} {o:?}\n", eng.trace().sent_count());
         }
+        let fnv = crosschain::experiments::digest::fnv1a64(runs.as_bytes());
+        assert_eq!(fnv, pinned, "{kind:?}: {fnv:#018x}");
     }
 }
 

@@ -105,12 +105,12 @@ fn every_protocol_report_is_identical_across_thread_counts() {
     }
 }
 
-/// The three baseline harnesses, pinned bit for bit under the `closed_mix`
+/// Every harness, pinned bit for bit under the `closed_mix`
 /// benchmark's mixed fault plan (crash, late Bob, forging Chloe, thieving
-/// escrow, drops, extra delay) at 1 and 4 threads. Each baseline is
-/// assembled in one place — `SwapSetup`, `DealInstance::certified_engine`,
-/// `DeadlineTm::new` — so moving a pid, a registration or a clock there
-/// moves these digests.
+/// escrow, drops, extra delay) at 1 and 4 threads. Each protocol is
+/// assembled in one place — `ChainSetup` with `ByzFault::substitute`,
+/// `SwapSetup`, `DealInstance::certified_engine`, `DeadlineTm::new` — so
+/// moving a pid, a registration or a clock there moves these digests.
 #[test]
 fn baseline_harness_reports_match_the_pinned_digests() {
     fn check<H: ProtocolHarness>(harness: &H, family: TopologyFamily, pinned: u64) {
@@ -143,6 +143,12 @@ fn baseline_harness_reports_match_the_pinned_digests() {
         }
     }
     let linear = TopologyFamily::Linear { n: 3 };
+    check(&TimeBoundedHarness, linear, 0x7418_d066_711f_bcfa);
+    check(
+        &InterledgerHarness::untuned(),
+        linear,
+        0x5b81_215b_9782_23fe,
+    );
     check(&HtlcHarness, linear, 0x6a13_728a_10b7_8723);
     check(
         &HtlcHarness,
