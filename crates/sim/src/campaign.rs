@@ -13,28 +13,33 @@
 //!
 //! ## Checkpoint format
 //!
-//! After each epoch the runner can write a checkpoint — a small text
-//! file, schema-versioned and CRC-guarded, written to `<path>.tmp` (the
-//! suffix appended to the whole file name, so `run.linear` and `run.hub`
-//! never share a temp file) and **renamed into place** so a SIGKILL at
-//! any instant leaves either the previous checkpoint or the new one,
-//! never a torn file:
+//! After each epoch the runner can write a checkpoint — a small file,
+//! schema-versioned and CRC-guarded, written to `<path>.tmp` (the suffix
+//! appended to the whole file name, so `run.linear` and `run.hub` never
+//! share a temp file) and **renamed into place** so a SIGKILL at any
+//! instant leaves either the previous checkpoint or the new one, never a
+//! torn file. The payload is one [`telemetry::Event`] JSON line per
+//! record, the JSONL stream's codec (`u128`s ride as decimal strings):
 //!
 //! ```text
-//! xchain-campaign-checkpoint v1
+//! xchain-campaign-checkpoint v2
 //! crc32 <8 hex chars over the payload below>
-//! config <16 hex chars: FNV-1a of the canonical campaign config>
-//! next_epoch <e> ... (counters, failed seeds, sketch dumps)
+//! {"kind":"campaign","config":"<FNV-1a of the campaign config>","next_epoch":2,"instances":10000,"events":"5240000"}
+//! {"kind":"outcomes","success":9960,"refunds":40,"stuck":0,…,"byzantine":0}
+//! {"kind":"failed_seed","seed":…}   one per carried seed, at most 16
+//! {"kind":"latency","count":9960,"sum":"…","min":…,"max":…,"<bucket>":<count>,…}
+//! {"kind":"peak_locked",…}          then, open campaigns only: liquidity, lq_wait, lq_rejected_wait
 //! ```
 //!
-//! [`CampaignRunner::resume`] verifies the magic, schema version, CRC and
-//! config digest before adopting the carried state; a config digest
-//! mismatch (different workload, faults, liquidity, totals or harness)
-//! refuses to resume rather than silently fusing incompatible campaigns.
-//! A CRC is not a MAC, so the decoded state is checked against the
-//! resuming configuration too: a payload whose `liquidity` flag disagrees
-//! with [`CampaignConfig::liquidity`] is refused, not adopted.
-//! Thread count and batch size are deliberately **not** part of the
+//! [`CampaignRunner::resume`] verifies the magic, schema version (a v1
+//! file is refused), CRC and config digest before adopting the carried
+//! state; a config digest mismatch (different workload, faults,
+//! liquidity, totals or harness) refuses to resume rather than silently
+//! fusing incompatible campaigns. A CRC is not a MAC, so the decoded
+//! state is checked too: outcome counters must sum to `instances`, at
+//! most 16 and at most `failed` seeds may be carried, and a `liquidity`
+//! record must be present exactly when [`CampaignConfig::liquidity`] is
+//! set. Thread count and batch size are deliberately **not** part of the
 //! digest: they are performance knobs, and the workspace invariant is
 //! that they never change a report.
 //!
@@ -72,14 +77,14 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use telemetry::json::{round_to, JsonObject};
-use telemetry::{NullSink, PhaseProfile, TelemetrySink};
+use telemetry::{Event, NullSink, PhaseProfile, TelemetrySink};
 
 /// Checkpoint schema version; bumped on any wire-format change.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 const MAGIC: &str = "xchain-campaign-checkpoint";
-/// At most this many poisoned seeds are carried in the report (sorted;
-/// enough to replay, bounded so a catastrophically broken harness cannot
-/// grow the "constant-memory" state).
+/// At most this many poisoned seeds are carried in the report (enough to
+/// replay, bounded so a catastrophically broken harness cannot grow the
+/// "constant-memory" state).
 const FAILED_SEEDS_CAP: usize = 16;
 
 /// One streaming campaign: the workload template, its scale, and how to
@@ -242,6 +247,23 @@ impl Default for LiquidityTally {
 }
 
 impl LiquidityTally {
+    /// The `liquidity` checkpoint record; the two wait sketches are
+    /// records of their own.
+    fn to_event(&self) -> Event {
+        Event::new("liquidity")
+            .with_u64("offered", self.offered)
+            .with_u64("admitted", self.admitted)
+            .with_u64("rejected", self.rejected)
+            .with_u64("queued", self.queued)
+            .with_u64("budget_violations", self.budget_violations)
+            .with_bool("drained_all", self.drained_all)
+            .with_u64("peak_locked_venue", self.peak_locked_venue)
+            .with_u64("peak_reserved_venue", self.peak_reserved_venue)
+            .with_u128("goodput_value", self.goodput_value)
+            .with_u128("offered_value", self.offered_value)
+            .with_u128("horizon_ticks", self.horizon_ticks)
+    }
+
     fn fold_epoch(&mut self, raw: &des::OpenRaw) {
         let l = &raw.liquidity;
         self.offered += l.offered as u64;
@@ -267,7 +289,7 @@ impl LiquidityTally {
 /// The campaign's whole aggregated state: exact outcome counters plus
 /// constant-memory sketches. This — not a `Vec` of instances — is what
 /// the checkpoint persists and the final report renders.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignTally {
     /// Rows simulated (≥ `total_payments` only through the documented
     /// packetized overshoot).
@@ -295,31 +317,27 @@ pub struct CampaignTally {
     pub latency: MergeableSketch,
     /// Peak-locked-value sketch across instances.
     pub peak_locked: MergeableSketch,
-    /// Seeds of up to 16 poisoned instances, sorted —
-    /// enough to replay the panic under a debugger.
+    /// Seeds of up to 16 poisoned instances — enough to replay the panic
+    /// under a debugger. Closed campaigns keep them sorted (the worker
+    /// merge sorts); open campaigns keep spec order.
     pub failed_seeds: Vec<u64>,
     /// Liquidity-side tally (open-system campaigns only).
     pub liquidity: Option<LiquidityTally>,
 }
 
 impl CampaignTally {
-    fn new(open: bool) -> Self {
-        CampaignTally {
-            instances: 0,
-            success: 0,
-            refunds: 0,
-            stuck: 0,
-            violations: 0,
-            rejected: 0,
-            failed: 0,
-            griefed: 0,
-            byzantine: 0,
-            events: 0,
-            latency: MergeableSketch::new(),
-            peak_locked: MergeableSketch::new(),
-            failed_seeds: Vec::new(),
-            liquidity: open.then(LiquidityTally::default),
-        }
+    /// The outcome counters as one `outcomes` event: the checkpoint's
+    /// record and the `--json` artifact's `outcomes` object.
+    fn outcomes(&self) -> Event {
+        Event::new("outcomes")
+            .with_u64("success", self.success)
+            .with_u64("refunds", self.refunds)
+            .with_u64("stuck", self.stuck)
+            .with_u64("violations", self.violations)
+            .with_u64("rejected", self.rejected)
+            .with_u64("failed", self.failed)
+            .with_u64("griefed", self.griefed)
+            .with_u64("byzantine", self.byzantine)
     }
 
     fn fold_row(&mut self, spec: &PaymentSpec, r: &InstanceResult) {
@@ -513,7 +531,10 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
             harness,
             cfg,
             next_epoch: 0,
-            tally: CampaignTally::new(open),
+            tally: CampaignTally {
+                liquidity: open.then(LiquidityTally::default),
+                ..CampaignTally::default()
+            },
             profile: PhaseProfile::new(),
             last_open: None,
         }
@@ -536,25 +557,19 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
     pub fn resume(harness: H, cfg: CampaignConfig, path: &Path) -> io::Result<Self> {
         let text = fs::read_to_string(path)?;
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or("");
+        let (header, rest) = text.split_once('\n').unwrap_or((&text, ""));
         let expect_header = format!("{MAGIC} v{CHECKPOINT_SCHEMA_VERSION}");
         if header != expect_header {
             return Err(bad(format!(
                 "checkpoint header {header:?}, expected {expect_header:?}"
             )));
         }
-        let crc_line = lines.next().unwrap_or("");
+        let (crc_line, payload) = rest.split_once('\n').unwrap_or((rest, ""));
         let crc_hex = crc_line
             .strip_prefix("crc32 ")
             .ok_or_else(|| bad(format!("missing crc32 line, got {crc_line:?}")))?;
         let stored_crc = u32::from_str_radix(crc_hex, 16)
             .map_err(|e| bad(format!("unparseable crc32 {crc_hex:?}: {e}")))?;
-        let payload_start = text
-            .find("crc32 ")
-            .and_then(|i| text[i..].find('\n').map(|j| i + j + 1))
-            .ok_or_else(|| bad("checkpoint has no payload".to_owned()))?;
-        let payload = &text[payload_start..];
         let actual_crc = crc32(payload.as_bytes());
         if actual_crc != stored_crc {
             return Err(bad(format!(
@@ -564,7 +579,7 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         }
         let mut runner = Self::new(harness, cfg);
         let (next_epoch, tally) =
-            parse_payload(payload, runner.cfg.digest(runner.harness.name())).map_err(bad)?;
+            read_state(payload, runner.cfg.digest(runner.harness.name())).map_err(bad)?;
         if next_epoch > runner.cfg.epochs() {
             return Err(bad(format!(
                 "checkpoint is at epoch {next_epoch} of a {}-epoch campaign",
@@ -575,7 +590,7 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         // liquidity side existing exactly when the campaign is open.
         if tally.liquidity.is_some() != runner.cfg.liquidity.is_some() {
             return Err(bad(
-                "checkpoint's liquidity flag disagrees with this campaign's config".to_owned(),
+                "checkpoint's liquidity record disagrees with this campaign's config".to_owned(),
             ));
         }
         runner.next_epoch = next_epoch;
@@ -621,7 +636,7 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                 let parts = {
                     let _t = self.profile.time("simulation");
                     simulate_specs(&self.harness, &specs, &sim_cfg, |chunk, rows| {
-                        let mut part = CampaignTally::new(false);
+                        let mut part = CampaignTally::default();
                         for (spec, r) in chunk.iter().zip(&rows) {
                             part.fold_row(spec, r);
                         }
@@ -799,80 +814,60 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         }
     }
 
-    /// The checkpoint payload: every carried bit of campaign state, in a
-    /// canonical line format. Doubles as the report-digest preimage, so
-    /// "same payload" and "same report" are the same statement.
+    /// The checkpoint payload: every carried bit of campaign state, one
+    /// event per line (see the module docs). Doubles as the report-digest
+    /// preimage, so "same payload" and "same report" are the same
+    /// statement.
     fn state_payload(&self) -> String {
         let t = &self.tally;
-        let mut p = String::new();
-        p.push_str(&format!(
-            "config {}\n",
-            hex16(self.cfg.digest(self.harness.name()))
-        ));
-        p.push_str(&format!("next_epoch {}\n", self.next_epoch));
-        p.push_str(&format!("instances {}\n", t.instances));
-        p.push_str(&format!(
-            "counts {} {} {} {} {} {} {} {}\n",
-            t.success,
-            t.refunds,
-            t.stuck,
-            t.violations,
-            t.rejected,
-            t.failed,
-            t.griefed,
-            t.byzantine
-        ));
-        p.push_str(&format!("events {}\n", t.events));
-        p.push_str(&format!(
-            "failed_seeds {}{}\n",
-            t.failed_seeds.len(),
-            t.failed_seeds
-                .iter()
-                .map(|s| format!(" {s}"))
-                .collect::<String>()
-        ));
-        p.push_str(&format!("latency {}\n", t.latency.encode()));
-        p.push_str(&format!("peak_locked {}\n", t.peak_locked.encode()));
-        match &t.liquidity {
-            None => p.push_str("liquidity 0\n"),
-            Some(l) => {
-                p.push_str("liquidity 1\n");
-                p.push_str(&format!(
-                    "lq_counts {} {} {} {}\n",
-                    l.offered, l.admitted, l.rejected, l.queued
-                ));
-                p.push_str(&format!(
-                    "lq_audit {} {} {} {}\n",
-                    l.budget_violations,
-                    u8::from(l.drained_all),
-                    l.peak_locked_venue,
-                    l.peak_reserved_venue
-                ));
-                p.push_str(&format!(
-                    "lq_value {} {} {}\n",
-                    l.goodput_value, l.offered_value, l.horizon_ticks
-                ));
-                p.push_str(&format!("lq_wait {}\n", l.wait.encode()));
-                p.push_str(&format!("lq_rejected_wait {}\n", l.rejected_wait.encode()));
-            }
+        let mut records = vec![
+            Event::new("campaign")
+                .with_str("config", &hex16(self.cfg.digest(self.harness.name())))
+                .with_u64("next_epoch", self.next_epoch)
+                .with_u64("instances", t.instances)
+                .with_u128("events", t.events),
+            t.outcomes(),
+        ];
+        let seeds = t.failed_seeds.iter();
+        records.extend(seeds.map(|&seed| Event::new("failed_seed").with_u64("seed", seed)));
+        records.push(t.latency.to_event("latency"));
+        records.push(t.peak_locked.to_event("peak_locked"));
+        if let Some(l) = &t.liquidity {
+            records.push(l.to_event());
+            records.push(l.wait.to_event("lq_wait"));
+            records.push(l.rejected_wait.to_event("lq_rejected_wait"));
         }
-        p
+        records.iter().map(|e| e.to_json() + "\n").collect()
     }
 }
 
-/// Parses a CRC-verified checkpoint payload; `expected_config` is the
-/// resuming configuration's digest.
-fn parse_payload(payload: &str, expected_config: u64) -> Result<(u64, CampaignTally), String> {
-    let mut lines = payload.lines();
-    let mut next = |key: &str| -> Result<String, String> {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("checkpoint truncated before {key}"))?;
-        line.strip_prefix(key)
-            .map(|r| r.trim_start().to_owned())
-            .ok_or_else(|| format!("expected {key} line, got {line:?}"))
-    };
-    let config = next("config")?;
+type Records = std::iter::Peekable<std::vec::IntoIter<Event>>;
+
+/// The next record, which must be of `kind`.
+fn next_record(records: &mut Records, kind: &str) -> Result<Event, String> {
+    let next = records.next_if(|e| e.kind() == kind);
+    next.ok_or_else(|| format!("expected a {kind} record"))
+}
+
+fn sketch(records: &mut Records, kind: &str) -> Result<MergeableSketch, String> {
+    MergeableSketch::from_event(&next_record(records, kind)?)
+}
+
+/// Field `name` of `e`, read by the typed accessor `get`.
+fn field<T>(e: &Event, name: &str, get: fn(&Event, &str) -> Option<T>) -> Result<T, String> {
+    get(e, name).ok_or_else(|| format!("{}: missing or malformed {name}", e.kind()))
+}
+
+/// Reads a CRC-verified checkpoint payload back; `expected_config` is the
+/// resuming configuration's digest. Refuses a tally no run can produce.
+fn read_state(payload: &str, expected_config: u64) -> Result<(u64, CampaignTally), String> {
+    let records = payload.lines().map(Event::parse);
+    let mut r = records
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .peekable();
+    let c = next_record(&mut r, "campaign")?;
+    let config = field(&c, "config", |e, name| e.str_field(name).map(str::to_owned))?;
     if config != hex16(expected_config) {
         return Err(format!(
             "checkpoint was written by a different campaign config \
@@ -880,101 +875,59 @@ fn parse_payload(payload: &str, expected_config: u64) -> Result<(u64, CampaignTa
             hex16(expected_config)
         ));
     }
-    let next_epoch: u64 = next("next_epoch")?
-        .parse()
-        .map_err(|e| format!("next_epoch: {e}"))?;
-    let instances: u64 = next("instances")?
-        .parse()
-        .map_err(|e| format!("instances: {e}"))?;
-    let counts_line = next("counts")?;
-    let counts: Vec<u64> = counts_line
-        .split_ascii_whitespace()
-        .map(|f| f.parse::<u64>().map_err(|e| format!("counts: {e}")))
-        .collect::<Result<_, _>>()?;
-    if counts.len() != 8 {
-        return Err(format!("counts line has {} fields, want 8", counts.len()));
+    let next_epoch = field(&c, "next_epoch", Event::u64_field)?;
+    let o = next_record(&mut r, "outcomes")?;
+    let mut t = CampaignTally {
+        instances: field(&c, "instances", Event::u64_field)?,
+        success: field(&o, "success", Event::u64_field)?,
+        refunds: field(&o, "refunds", Event::u64_field)?,
+        stuck: field(&o, "stuck", Event::u64_field)?,
+        violations: field(&o, "violations", Event::u64_field)?,
+        rejected: field(&o, "rejected", Event::u64_field)?,
+        failed: field(&o, "failed", Event::u64_field)?,
+        griefed: field(&o, "griefed", Event::u64_field)?,
+        byzantine: field(&o, "byzantine", Event::u64_field)?,
+        events: field(&c, "events", Event::u128_field)?,
+        failed_seeds: std::iter::from_fn(|| r.next_if(|e| e.kind() == "failed_seed"))
+            .map(|e| field(&e, "seed", Event::u64_field))
+            .collect::<Result<_, _>>()?,
+        latency: sketch(&mut r, "latency")?,
+        peak_locked: sketch(&mut r, "peak_locked")?,
+        liquidity: None,
+    };
+    if let Some(l) = r.next_if(|e| e.kind() == "liquidity") {
+        t.liquidity = Some(LiquidityTally {
+            offered: field(&l, "offered", Event::u64_field)?,
+            admitted: field(&l, "admitted", Event::u64_field)?,
+            rejected: field(&l, "rejected", Event::u64_field)?,
+            queued: field(&l, "queued", Event::u64_field)?,
+            budget_violations: field(&l, "budget_violations", Event::u64_field)?,
+            drained_all: field(&l, "drained_all", Event::bool_field)?,
+            peak_locked_venue: field(&l, "peak_locked_venue", Event::u64_field)?,
+            peak_reserved_venue: field(&l, "peak_reserved_venue", Event::u64_field)?,
+            goodput_value: field(&l, "goodput_value", Event::u128_field)?,
+            offered_value: field(&l, "offered_value", Event::u128_field)?,
+            horizon_ticks: field(&l, "horizon_ticks", Event::u128_field)?,
+            wait: sketch(&mut r, "lq_wait")?,
+            rejected_wait: sketch(&mut r, "lq_rejected_wait")?,
+        });
     }
-    let events: u128 = next("events")?
-        .parse()
-        .map_err(|e| format!("events: {e}"))?;
-    let seeds_line = next("failed_seeds")?;
-    let mut seed_fields = seeds_line.split_ascii_whitespace();
-    let nseeds: usize = seed_fields
-        .next()
-        .ok_or("failed_seeds missing count")?
-        .parse()
-        .map_err(|e| format!("failed_seeds count: {e}"))?;
-    let failed_seeds: Vec<u64> = seed_fields
-        .map(|f| f.parse::<u64>().map_err(|e| format!("failed seed: {e}")))
-        .collect::<Result<_, _>>()?;
-    if failed_seeds.len() != nseeds {
+    if let Some(e) = r.next() {
+        return Err(format!("unexpected {:?} record after the last", e.kind()));
+    }
+    let rows = [t.refunds, t.stuck, t.violations, t.rejected, t.failed]
+        .iter()
+        .try_fold(t.success, |sum, &n| sum.checked_add(n));
+    if rows != Some(t.instances) {
+        return Err("outcomes: the six outcome counters do not sum to instances".to_owned());
+    }
+    let seeds = t.failed_seeds.len();
+    if seeds > FAILED_SEEDS_CAP || seeds as u64 > t.failed {
         return Err(format!(
-            "failed_seeds header says {nseeds}, found {}",
-            failed_seeds.len()
+            "failed_seed: {seeds} records, over {FAILED_SEEDS_CAP} or failed"
         ));
     }
-    let latency =
-        MergeableSketch::decode(&next("latency")?).map_err(|e| format!("latency: {e}"))?;
-    let peak_locked =
-        MergeableSketch::decode(&next("peak_locked")?).map_err(|e| format!("peak_locked: {e}"))?;
-    let liquidity = match next("liquidity")?.as_str() {
-        "0" => None,
-        "1" => {
-            let lc: Vec<u64> = next("lq_counts")?
-                .split_ascii_whitespace()
-                .map(|f| f.parse::<u64>().map_err(|e| format!("lq_counts: {e}")))
-                .collect::<Result<_, _>>()?;
-            let la: Vec<u64> = next("lq_audit")?
-                .split_ascii_whitespace()
-                .map(|f| f.parse::<u64>().map_err(|e| format!("lq_audit: {e}")))
-                .collect::<Result<_, _>>()?;
-            let lv: Vec<u128> = next("lq_value")?
-                .split_ascii_whitespace()
-                .map(|f| f.parse::<u128>().map_err(|e| format!("lq_value: {e}")))
-                .collect::<Result<_, _>>()?;
-            if lc.len() != 4 || la.len() != 4 || lv.len() != 3 {
-                return Err("liquidity lines have wrong field counts".to_owned());
-            }
-            Some(LiquidityTally {
-                offered: lc[0],
-                admitted: lc[1],
-                rejected: lc[2],
-                queued: lc[3],
-                budget_violations: la[0],
-                drained_all: la[1] != 0,
-                peak_locked_venue: la[2],
-                peak_reserved_venue: la[3],
-                goodput_value: lv[0],
-                offered_value: lv[1],
-                horizon_ticks: lv[2],
-                wait: MergeableSketch::decode(&next("lq_wait")?)
-                    .map_err(|e| format!("lq_wait: {e}"))?,
-                rejected_wait: MergeableSketch::decode(&next("lq_rejected_wait")?)
-                    .map_err(|e| format!("lq_rejected_wait: {e}"))?,
-            })
-        }
-        other => return Err(format!("liquidity flag {other:?}")),
-    };
-    if lines.next().is_some() {
-        return Err("trailing lines after checkpoint payload".to_owned());
-    }
-    let tally = CampaignTally {
-        instances,
-        success: counts[0],
-        refunds: counts[1],
-        stuck: counts[2],
-        violations: counts[3],
-        rejected: counts[4],
-        failed: counts[5],
-        griefed: counts[6],
-        byzantine: counts[7],
-        events,
-        latency,
-        peak_locked,
-        failed_seeds,
-        liquidity,
-    };
-    Ok((next_epoch, tally))
+    Ok((next_epoch, t))
 }
 
 /// The campaign's final aggregates plus its canonical digest — two runs
@@ -1084,15 +1037,6 @@ impl CampaignReport {
         // Sums of u64 samples; a campaign that overflowed u64 would have
         // run for centuries, so saturating loses nothing real.
         let sat = |x: u128| u64::try_from(x).unwrap_or(u64::MAX);
-        let outcomes = JsonObject::new()
-            .with("success", t.success)
-            .with("refunds", t.refunds)
-            .with("stuck", t.stuck)
-            .with("violations", t.violations)
-            .with("rejected", t.rejected)
-            .with("failed", t.failed)
-            .with("griefed", t.griefed)
-            .with("byzantine", t.byzantine);
         let liquidity = t.liquidity.as_ref().map(|l| {
             JsonObject::new()
                 .with("offered", l.offered)
@@ -1118,7 +1062,7 @@ impl CampaignReport {
             .with("epochs_run", self.epochs_run)
             .with("epochs", self.epochs)
             .with("instances", t.instances)
-            .with("outcomes", outcomes)
+            .with("outcomes", JsonObject::from_event(&t.outcomes()))
             .with("events", sat(t.events))
             .with("failed_seeds", t.failed_seeds.clone())
             .with("latency_ticks", sketch(&t.latency))

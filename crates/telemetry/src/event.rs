@@ -15,7 +15,8 @@
 //! (the `telemetry_check` validator, the round-trip tests) refuse
 //! streams whose version they do not know.
 //!
-//! Field values are integers, floats, booleans or strings. Floats are
+//! Field values are integers, floats, booleans or strings; a `u128`,
+//! wider than the wire's integers, is a decimal string. Floats are
 //! encoded with Rust's shortest round-trip `Display` (a `.0` is appended
 //! when the result would look like an integer), so `parse(encode(e))`
 //! reconstructs the exact same [`Event`].
@@ -99,6 +100,13 @@ impl Event {
         self
     }
 
+    /// Appends a `u128` field as its decimal string: the wire's integers
+    /// are `u64`, and a sum of `u64` samples may not fit one. Read it back
+    /// with [`u128_field`](Event::u128_field).
+    pub fn with_u128(self, name: &str, v: u128) -> Self {
+        self.with_str(name, &v.to_string())
+    }
+
     /// Appends an optional unsigned-integer field: `None` is recorded as
     /// [`FieldValue::Null`] (omitted on the wire, `null` in artifacts).
     pub fn with_opt_u64(mut self, name: &str, v: Option<u64>) -> Self {
@@ -128,6 +136,12 @@ impl Event {
             FieldValue::U64(v) => Some(*v),
             _ => None,
         }
+    }
+
+    /// Accessor for a field written by [`with_u128`](Event::with_u128)
+    /// (`None` if absent, not a string, or not a decimal `u128`).
+    pub fn u128_field(&self, name: &str) -> Option<u128> {
+        self.str_field(name)?.parse().ok()
     }
 
     /// Float field accessor; integer fields coerce losslessly-enough for
@@ -402,7 +416,8 @@ impl Parser<'_> {
                 break;
             }
         }
-        let tok = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let tok = std::str::from_utf8(&self.bytes[start..self.pos])
+            .expect("the loop above admits only ASCII digits and `-+.eE`");
         if tok.is_empty() {
             return Err("expected a value".to_owned());
         }
@@ -465,6 +480,11 @@ mod tests {
         assert_eq!(back.f64_field("util"), Some(0.285));
         assert_eq!(back.bool_field("drained"), Some(true));
         assert_eq!(back.str_field("note"), Some("π ≤ 1/64 \\ \"quoted\""));
+        let big = Event::new("sum").with_u128("sum", u128::MAX);
+        let back = Event::parse(&big.to_json()).expect("round-trips");
+        assert_eq!(back.u128_field("sum"), Some(u128::MAX));
+        assert_eq!(back.u64_field("sum"), None, "not a wire integer");
+        assert_eq!(back.u128_field("missing"), None);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! breaking that invariant:
 //!
 //! * [`sketch::MergeableSketch`] — the fixed-comb constant-memory
-//!   quantile sketch (moved here from `sim` so every layer can share
-//!   it); merging is commutative and associative, so per-worker sketches
-//!   collapse to the same bytes whatever the thread count.
+//!   quantile sketch; merging is commutative and associative, so
+//!   per-worker sketches collapse to the same bytes whatever the thread
+//!   count. It serialises as one event (`to_event` / `from_event`).
 //! * [`event::Event`] + [`sink`] — structured events with a versioned
-//!   JSONL wire format ([`event::EVENT_SCHEMA_VERSION`]) and three
+//!   JSONL wire format ([`event::EVENT_SCHEMA_VERSION`]; a `u128` rides
+//!   as a decimal string, [`event::Event::with_u128`]) and three
 //!   sinks: [`sink::NullSink`] (off, free), [`sink::RingSink`]
 //!   (bounded memory), [`sink::JsonlSink`] (buffered file) — the repo
 //!   benchmark prices the latter two as `telemetry.*_ns_per_event`.

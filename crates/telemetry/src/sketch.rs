@@ -27,6 +27,8 @@
 //! `1/64` (≈ 1.6%) relative. `min`/`max`/`count`/`mean` are exact, and
 //! quantiles are clamped into `[min, max]`.
 
+use crate::event::{Event, FieldValue};
+
 /// Sub-bucket resolution: 2^6 = 64 buckets per octave ⇒ ≤ 1/64 relative
 /// quantile overshoot.
 const LOG_SUB: u32 = 6;
@@ -201,60 +203,46 @@ impl MergeableSketch {
         })
     }
 
-    /// Encodes the full sketch state as one line of the checkpoint wire
-    /// format: `count sum min max k b1:c1 … bk:ck` (sparse — only
-    /// non-zero buckets). Lossless: `decode(encode(s)) == s`.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        let nz = self.counts.iter().filter(|&&c| c > 0).count();
-        out.push_str(&format!(
-            "{} {} {} {} {}",
-            self.count, self.sum, self.min, self.max, nz
-        ));
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                out.push_str(&format!(" {b}:{c}"));
-            }
-        }
-        out
+    /// The full sketch state as one event of `kind`: `count`, `sum` (a
+    /// [`with_u128`](Event::with_u128) string), `min` and `max`, then one
+    /// field per non-zero bucket, named by its index. Lossless:
+    /// `from_event(&s.to_event(k)) == Ok(s)`.
+    pub fn to_event(&self, kind: &str) -> Event {
+        let head = Event::new(kind)
+            .with_u64("count", self.count)
+            .with_u128("sum", self.sum)
+            .with_u64("min", self.min)
+            .with_u64("max", self.max);
+        let buckets = self.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        buckets.fold(head, |e, (b, &c)| e.with_u64(&b.to_string(), c))
     }
 
-    /// Parses a line produced by [`encode`](MergeableSketch::encode).
-    pub fn decode(line: &str) -> Result<MergeableSketch, String> {
-        let mut it = line.split_ascii_whitespace();
-        let mut field = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("sketch line truncated before {name}"))
+    /// Reads an event written by [`to_event`](MergeableSketch::to_event),
+    /// refusing buckets that do not sum to `count` and aggregates no
+    /// sequence of [`record`](MergeableSketch::record) calls produces.
+    pub fn from_event(e: &Event) -> Result<MergeableSketch, String> {
+        let bad = |what: &str| format!("{} sketch: {what}", e.kind());
+        let field = |name: &str| e.u64_field(name).ok_or_else(|| bad(name));
+        let mut s = MergeableSketch {
+            count: field("count")?,
+            sum: e.u128_field("sum").ok_or_else(|| bad("sum"))?,
+            min: field("min")?,
+            max: field("max")?,
+            ..MergeableSketch::new()
         };
-        let count: u64 = field("count")?.parse().map_err(|e| format!("count: {e}"))?;
-        let sum: u128 = field("sum")?.parse().map_err(|e| format!("sum: {e}"))?;
-        let min: u64 = field("min")?.parse().map_err(|e| format!("min: {e}"))?;
-        let max: u64 = field("max")?.parse().map_err(|e| format!("max: {e}"))?;
-        let nz: usize = field("nz")?.parse().map_err(|e| format!("nz: {e}"))?;
-        let mut s = MergeableSketch::new();
-        s.count = count;
-        s.sum = sum;
-        s.min = if count == 0 { u64::MAX } else { min };
-        s.max = max;
-        let mut total = 0u128;
-        for _ in 0..nz {
-            let pair = field("bucket")?;
-            let (b, c) = pair
-                .split_once(':')
-                .ok_or_else(|| format!("malformed bucket pair {pair:?}"))?;
-            let b: usize = b.parse().map_err(|e| format!("bucket index: {e}"))?;
-            let c: u64 = c.parse().map_err(|e| format!("bucket count: {e}"))?;
-            if b >= NUM_BUCKETS {
-                return Err(format!("bucket index {b} out of range"));
+        // The buckets follow the four aggregates, as `to_event` writes them.
+        for (name, value) in e.fields().iter().skip(4) {
+            let b = name.parse::<usize>().ok().filter(|&b| b < NUM_BUCKETS);
+            match (b, value) {
+                (Some(b), &FieldValue::U64(c)) => s.counts[b] = c,
+                _ => return Err(bad(&format!("no bucket {name:?}"))),
             }
-            s.counts[b] = c;
-            total += c as u128;
         }
-        if it.next().is_some() {
-            return Err("trailing fields after sketch buckets".to_owned());
-        }
-        if total != count as u128 {
-            return Err(format!("bucket counts sum to {total}, header says {count}"));
+        let total: u128 = s.counts.iter().map(|&c| u128::from(c)).sum();
+        let empty = (s.sum, s.min, s.max) == (0, u64::MAX, 0);
+        let consistent = if s.count == 0 { empty } else { s.min <= s.max };
+        if total != u128::from(s.count) || !consistent {
+            return Err(bad("buckets, count, sum, min and max disagree"));
         }
         Ok(s)
     }
@@ -385,21 +373,54 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
+        let back = |s: &MergeableSketch| {
+            let line = s.to_event("latency").to_json();
+            MergeableSketch::from_event(&Event::parse(&line).expect("parses"))
+        };
         let mut s = MergeableSketch::new();
         for v in [0u64, 1, 63, 64, 1_000_000, u64::MAX, 42, 42, 42] {
             s.record(v);
         }
-        let line = s.encode();
-        let back = MergeableSketch::decode(&line).expect("decodes");
-        assert_eq!(back, s);
-        // Empty sketch round-trips too.
+        assert_eq!(back(&s), Ok(s));
         let e = MergeableSketch::new();
-        assert_eq!(MergeableSketch::decode(&e.encode()).unwrap(), e);
-        assert!(MergeableSketch::decode("1 2 3").is_err(), "truncated");
-        assert!(
-            MergeableSketch::decode("2 10 5 5 1 0:1").is_err(),
-            "count mismatch"
-        );
+        assert_eq!(back(&e), Ok(e), "empty sketch");
+
+        let forged = |tail: &str| {
+            let line = format!(r#"{{"kind":"latency",{tail}}}"#);
+            MergeableSketch::from_event(&Event::parse(&line).expect("parses"))
+        };
+        assert!(forged(r#""count":1,"sum":"5","min":5,"max":5,"5":1"#).is_ok());
+        let out_of_range = format!(r#""count":1,"sum":"5","min":5,"max":5,"{NUM_BUCKETS}":1"#);
+        for (bad, why) in [
+            (
+                r#""count":2,"sum":"10","min":5,"max":5,"0":1"#,
+                "count mismatch",
+            ),
+            (&out_of_range, "bucket index ≥ NUM_BUCKETS"),
+            (
+                r#""count":1,"sum":"5","min":5,"max":5,"b5":1"#,
+                "non-numeric bucket",
+            ),
+            (r#""count":1,"min":5,"max":5,"5":1"#, "missing sum"),
+            (
+                r#""count":1,"sum":5,"min":5,"max":5,"5":1"#,
+                "sum not a string",
+            ),
+            (
+                r#""count":1,"sum":"5","min":6,"max":5,"5":1"#,
+                "min above max",
+            ),
+            (
+                r#""count":1,"sum":"5","min":5,"max":5,"5":1,"5":0"#,
+                "duplicate",
+            ),
+            (
+                r#""count":1,"sum":"5","min":5,"max":5,"5":true"#,
+                "bool count",
+            ),
+        ] {
+            assert!(forged(bad).is_err(), "{why}: accepted {bad}");
+        }
     }
 
     #[test]

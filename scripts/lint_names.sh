@@ -1,0 +1,77 @@
+#!/usr/bin/env bash
+# Name lints: names the repo has retired, and names only their owning
+# crate may use. Each row of the table below is
+#
+#   row PATTERN SCOPE ALLOWED REASON
+#
+#   PATTERN  extended regex searched for (grep -rnE)
+#   SCOPE    the paths searched, space-separated
+#   ALLOWED  extended regex over grep's `path:line:text` hits that may
+#            match anyway ('' = none)
+#   REASON   printed under the hits
+#
+# Exits 1 if any row has a hit, after printing every row's hits. Run from
+# anywhere: `bash scripts/lint_names.sh`.
+set -u
+cd "$(dirname "$0")/.."
+bad=0
+
+row() {
+    local hits
+    hits=$(grep -rnE "$1" $2 | grep -vE "${3:-^\$}")
+    if [ -n "$hits" ]; then
+        printf '%s\n' "$hits"
+        echo "lint: $4"
+        bad=1
+    fi
+}
+
+code='crates src tests examples'
+
+# sim keeps two batch entry points: run_closed, run_open,
+# run_instance_with and at most one more.
+n=$(grep -c "pub fn run" crates/sim/src/runner.rs)
+if [ "$n" -gt 4 ]; then
+    echo "lint: runner.rs has $n 'pub fn run' (max 4)"
+    bad=1
+fi
+
+row '\b(run_specs_with|run_open_specs_with|run_open_specs_with_telemetry|run_open_specs_routed_with|run_open_specs_routed_with_telemetry)\b' \
+    "$code" \
+    '^crates/sim/src/compat.rs:|^crates/sim/src/lib.rs:[0-9]+: +(run_[a-z_]+, ?)+$' \
+    "only benchmark/ may name the compat presets (ROADMAP 1(iii) deletes them)"
+
+# Each baseline is assembled in its own crate: SwapSetup,
+# DealInstance::{timelock,certified}_engine and DeadlineTm::new.
+row 'ChainProcess::new\(|SwapInitiator::new\(|SwapResponder::new\(|HtlcChain::new\(' \
+    "$code" '^crates/htlc/src/' \
+    "only crates/htlc/src builds the HTLC processes and chains; use htlc::SwapSetup"
+row 'CertifiedParty::new\(|CertifiedEscrow::new\(|CertifiedChain::new\(|TimelockParty::new\(|TimelockEscrow::new\(' \
+    "$code" '^crates/deals/src/' \
+    "only crates/deals/src builds the deal processes; use DealInstance::{timelock,certified}_engine"
+row 'Evidence::new\(' \
+    "$code" '^(crates/core/src|crates/interledger/src)/' \
+    "only crates/core/src and crates/interledger/src build Evidence"
+
+# Each chain participant is built from its setup and its index.
+row 'too_many_arguments' 'crates/core crates/consensus' '' \
+    "build the participant from its setup and its index"
+row '\b(Fig2Params|DecisionLog|SilentNotary)\b' crates '' \
+    "deleted: Fig2Params (use ChainSetup), DecisionLog (CC is WeakOutcome::cc_ok), SilentNotary (use InertProcess)"
+
+# Explorer states are hashed by their fields, and an oracle draw is an
+# option count and nothing else. Sleep sets, which need to know which
+# process a choice touches, bring a tag back with the code that reads it.
+row 'debug_digest' crates '' \
+    "hash fields through anta::fingerprint::Fingerprint instead"
+row 'ChoiceTag|ChoiceKind|choose_for|set_fingerprint_probe|was_deduped' crates '' \
+    "draw with Oracle::choose and probe through Engine::run_probed"
+
+# Campaign checkpoints are telemetry events: one JSON codec reads
+# everything the repo writes and reads back.
+row '\bparse_payload\b' "$code" '' \
+    "deleted: a checkpoint payload is read back with telemetry::Event::parse"
+row 'fn (encode|decode)\b' 'crates/telemetry crates/sim' '' \
+    "no private text codecs in telemetry or sim: serialise as a telemetry::Event (MergeableSketch::to_event)"
+
+exit $bad

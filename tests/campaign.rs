@@ -2,18 +2,20 @@
 //! epoch `k`, dropped (the programmatic stand-in for SIGKILL between
 //! epochs — the checkpoint file is all that survives either way), and
 //! resumed from disk must produce a report **bit-identical** to an
-//! uninterrupted run, at any thread count. Plus: checkpoint corruption
-//! and config drift are refused, hostile checkpoints with a valid CRC
-//! error out instead of panicking, two campaigns in one directory never
-//! share a temp file, sketch merges are order-independent, and a campaign
-//! epoch agrees with `run_closed` on the same specs — exactly on every
-//! counter, within the documented 1/64 envelope on sketch quantiles.
+//! uninterrupted run, at any thread count. Plus: checkpoint corruption,
+//! config drift, v1 files and tallies no run can produce are refused,
+//! hostile checkpoints with a valid CRC error out instead of panicking,
+//! two campaigns in one directory never share a temp file, sketch merges
+//! are order-independent, and a campaign epoch agrees with `run_closed`
+//! on the same specs — exactly on every counter, within the documented
+//! 1/64 envelope on sketch quantiles.
 
 use crosschain::anta::time::SimDuration;
 use crosschain::experiments::digest::crc32;
 use crosschain::sim::campaign::{CampaignConfig, CampaignRunner, CHECKPOINT_SCHEMA_VERSION};
 use crosschain::sim::prelude::*;
 use crosschain::sim::MergeableSketch;
+use crosschain::telemetry::Event;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -205,17 +207,29 @@ fn corrupt_checkpoint_is_refused() {
     assert!(err.to_string().contains("CRC"), "unexpected error: {err}");
 }
 
-/// A CRC-valid checkpoint whose `liquidity` flag disagrees with the
+/// A CRC-valid checkpoint whose `liquidity` record disagrees with the
 /// resuming config is refused, in both directions. Adopted, the first
-/// would make a closed campaign carry `lq_*` lines into its report
+/// would make a closed campaign carry liquidity records into its report
 /// digest, and the second would panic the next `step()` of an open one.
 #[test]
 fn checkpoint_with_flipped_liquidity_flag_is_refused() {
-    let empty = MergeableSketch::new().encode();
-    let lq_lines = format!(
-        "liquidity 1\nlq_counts 0 0 0 0\nlq_audit 0 1 0 0\nlq_value 0 0 0\n\
-         lq_wait {empty}\nlq_rejected_wait {empty}\n"
-    );
+    // An open campaign's payload ends in its three liquidity records.
+    let open = open_cfg(120, 40);
+    let open_ckpt = ScratchCkpt::new("flag-open");
+    let mut runner = CampaignRunner::new(TimeBoundedHarness, open);
+    runner
+        .run_to_end(Some(&open_ckpt.0), Some(0), |_| {})
+        .unwrap();
+    let open_payload = String::from_utf8(payload_of(&open_ckpt.0)).unwrap();
+    let cut = open_payload
+        .find("{\"kind\":\"liquidity\"")
+        .expect("open payload");
+    let (open_head, lq_records) = open_payload.split_at(cut);
+    let kinds: Vec<String> = lq_records
+        .lines()
+        .map(|l| Event::parse(l).unwrap().kind().to_owned())
+        .collect();
+    assert_eq!(kinds, ["liquidity", "lq_wait", "lq_rejected_wait"]);
 
     // Closed campaign, checkpoint forged to carry a liquidity tally.
     let closed = cfg(TopologyFamily::Linear { n: 4 }, 1);
@@ -223,35 +237,124 @@ fn checkpoint_with_flipped_liquidity_flag_is_refused() {
     let mut runner = CampaignRunner::new(TimeBoundedHarness, closed);
     runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
     let payload = String::from_utf8(payload_of(&ckpt.0)).unwrap();
-    assert!(payload.ends_with("liquidity 0\n"), "{payload}");
-    let forged = payload.replace("liquidity 0\n", &lq_lines);
+    assert!(!payload.contains("liquidity"), "{payload}");
+    let forged = format!("{payload}{lq_records}");
     std::fs::write(&ckpt.0, sealed(forged.as_bytes())).unwrap();
     let err = CampaignRunner::resume(TimeBoundedHarness, closed, &ckpt.0)
         .err()
         .expect("a closed campaign must not adopt a liquidity tally");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("liquidity"), "{err}");
+    assert!(
+        err.to_string().contains("liquidity record disagrees"),
+        "{err}"
+    );
 
     // Open campaign, checkpoint forged to carry none.
-    let open = open_cfg(120, 40);
-    let ckpt = ScratchCkpt::new("flag-open");
-    let mut runner = CampaignRunner::new(TimeBoundedHarness, open);
-    runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
-    let payload = String::from_utf8(payload_of(&ckpt.0)).unwrap();
-    let cut = payload.find("liquidity 1\n").expect("open payload");
-    let forged = format!("{}liquidity 0\n", &payload[..cut]);
-    std::fs::write(&ckpt.0, sealed(forged.as_bytes())).unwrap();
-    let err = CampaignRunner::resume(TimeBoundedHarness, open, &ckpt.0)
+    std::fs::write(&open_ckpt.0, sealed(open_head.as_bytes())).unwrap();
+    let err = CampaignRunner::resume(TimeBoundedHarness, open, &open_ckpt.0)
         .err()
         .expect("an open campaign must not adopt a tally without a liquidity side");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("liquidity"), "{err}");
+    assert!(
+        err.to_string().contains("liquidity record disagrees"),
+        "{err}"
+    );
 
     // The untouched payload, re-sealed the same way, still resumes: the
-    // refusals above are about the flag, not about `sealed`.
-    std::fs::write(&ckpt.0, sealed(payload.as_bytes())).unwrap();
-    let resumed = CampaignRunner::resume(TimeBoundedHarness, open, &ckpt.0).unwrap();
+    // refusals above are about the records, not about `sealed`.
+    std::fs::write(&open_ckpt.0, sealed(open_payload.as_bytes())).unwrap();
+    let resumed = CampaignRunner::resume(TimeBoundedHarness, open, &open_ckpt.0).unwrap();
     assert_eq!(resumed.next_epoch(), 1);
+}
+
+/// `payload` (a closed campaign's) with `moved` successes re-counted as
+/// failures, `extra` successes no row produced, and one `failed_seed`
+/// record per seed after the `outcomes` record.
+fn forge_outcomes(payload: &str, moved: u64, extra: u64, seeds: &[u64]) -> Vec<u8> {
+    let mut out = String::new();
+    for line in payload.lines() {
+        let e = Event::parse(line).unwrap();
+        if e.kind() != "outcomes" {
+            out.push_str(line);
+            out.push('\n');
+            continue;
+        }
+        let mut o = Event::new("outcomes");
+        for (name, _) in e.fields() {
+            let v = e.u64_field(name).unwrap();
+            let v = match name.as_str() {
+                "success" => v - moved + extra,
+                "failed" => v + moved,
+                _ => v,
+            };
+            o = o.with_u64(name, v);
+        }
+        out.push_str(&o.to_json());
+        out.push('\n');
+        for &seed in seeds {
+            out.push_str(&Event::new("failed_seed").with_u64("seed", seed).to_json());
+            out.push('\n');
+        }
+    }
+    out.into_bytes()
+}
+
+/// A CRC is not a MAC: a sealed checkpoint whose tally no run can produce
+/// — outcome counters that do not sum to `instances`, more than 16 failed
+/// seeds, more seeds than failures — is refused with an error naming the
+/// field. Unsorted seeds are legal: open campaigns keep spec order.
+#[test]
+fn checkpoint_with_impossible_tally_is_refused() {
+    let closed = cfg(TopologyFamily::Linear { n: 4 }, 1);
+    let ckpt = ScratchCkpt::new("impossible");
+    let mut runner = CampaignRunner::new(TimeBoundedHarness, closed);
+    runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
+    let payload = String::from_utf8(payload_of(&ckpt.0)).unwrap();
+    assert_eq!(runner.tally().failed, 0);
+    assert!(runner.tally().success > 20);
+
+    let seventeen: Vec<u64> = (1..=17).collect();
+    for (forged, field) in [
+        (forge_outcomes(&payload, 0, 1, &[]), "outcomes"),
+        (forge_outcomes(&payload, 17, 0, &seventeen), "failed_seed"),
+        (forge_outcomes(&payload, 1, 0, &[5, 6]), "failed_seed"),
+    ] {
+        std::fs::write(&ckpt.0, sealed(&forged)).unwrap();
+        let err = CampaignRunner::resume(TimeBoundedHarness, closed, &ckpt.0)
+            .err()
+            .expect("an impossible tally must not resume");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with(field), "{err}");
+    }
+
+    std::fs::write(&ckpt.0, sealed(&forge_outcomes(&payload, 2, 0, &[9, 3]))).unwrap();
+    let resumed = CampaignRunner::resume(TimeBoundedHarness, closed, &ckpt.0).unwrap();
+    assert_eq!(resumed.tally().failed_seeds, [9, 3]);
+}
+
+/// A checkpoint of the older schema is refused with a one-line reason
+/// naming both versions — never decoded, never a silent fresh start.
+#[test]
+fn v1_checkpoint_is_refused() {
+    let closed = cfg(TopologyFamily::Linear { n: 4 }, 1);
+    let ckpt = ScratchCkpt::new("v1");
+    let mut runner = CampaignRunner::new(TimeBoundedHarness, closed);
+    runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
+    assert_eq!(CHECKPOINT_SCHEMA_VERSION, 2);
+    let v1 = String::from_utf8(sealed(&payload_of(&ckpt.0)))
+        .unwrap()
+        .replacen(" v2\n", " v1\n", 1);
+    assert!(v1.starts_with("xchain-campaign-checkpoint v1\n"));
+    std::fs::write(&ckpt.0, v1).unwrap();
+    let err = CampaignRunner::resume_or_new(TimeBoundedHarness, closed, &ckpt.0)
+        .err()
+        .expect("a v1 checkpoint must not resume");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(
+        !msg.contains('\n') && msg.contains("v1") && msg.contains("v2"),
+        "{msg}"
+    );
 }
 
 /// `--resume run.linear` and `--resume run.hub` in one directory: each
@@ -490,7 +593,7 @@ proptest! {
         for p in &parts {
             merged.merge(p);
         }
-        prop_assert_eq!(merged.encode(), sequential.encode());
+        prop_assert_eq!(&merged, &sequential);
         for p in [0u32, 25, 50, 90, 99, 100] {
             prop_assert_eq!(merged.quantile(p), sequential.quantile(p));
         }
@@ -504,8 +607,9 @@ proptest! {
     /// a hang. Up to three byte-level mutations (flip, insert, delete,
     /// truncate) of a valid payload — closed or open — are **re-sealed
     /// under a fresh CRC**, so they get past the integrity check and
-    /// reach `parse_payload` and `MergeableSketch::decode`. Whatever
-    /// `resume` adopts must also survive one `step()`.
+    /// reach `Event::parse`, the record reader and
+    /// `MergeableSketch::from_event`. Whatever `resume` adopts must also
+    /// survive one `step()`.
     #[test]
     fn prop_mutated_checkpoint_never_panics(
         open in any::<bool>(),

@@ -229,7 +229,7 @@ fn campaign_driver_resumes_the_exp8_smoke_to_the_pinned_digest() {
         ],
         &config,
         "",
-        ("1ab7c4663284edf6", "6fb587f18eb35b0d"),
+        ("1ab7c4663284edf6", "b95f4f332b063e09"),
     );
 }
 
@@ -262,7 +262,7 @@ fn campaign_driver_resumes_the_exp11_smoke_to_the_pinned_digest() {
         &["--campaign", "4000", "--epoch", "1000", "--venues", "512"],
         &config,
         "venues,route,rebalance",
-        ("4170b1836296584b", "4f0c52401ced31ad"),
+        ("4170b1836296584b", "1ba92bb748825e2f"),
     );
 }
 
