@@ -186,7 +186,11 @@ pub trait ProtocolHarness: Sync {
     ) -> LockProfile;
 }
 
-/// Everything the Monte-Carlo driver needs from one harness run.
+/// One payment's row: everything the run measured, and the only
+/// per-payment record the simulator keeps. Every report and tally folds
+/// these rows together with the spec each came from, which supplies the
+/// family, packet and route. A new per-payment measurement is one field
+/// here plus the folds that read it.
 #[derive(Debug, Clone)]
 pub struct HarnessRun {
     /// Outcome class.
@@ -205,6 +209,27 @@ pub struct HarnessRun {
     /// Arrival-shifted `(time, hop, delta)` lock/unlock events (empty
     /// unless collected).
     pub lock_profile: Vec<(SimTime, u32, i64)>,
+}
+
+impl HarnessRun {
+    /// The row of a payment that never ran (refused at an admission gate,
+    /// or its harness panicked): only its outcome, faults and the time it
+    /// cost.
+    pub fn never_ran(
+        outcome: ProtocolOutcome,
+        faults: InstanceFaults,
+        latency: SimDuration,
+    ) -> HarnessRun {
+        HarnessRun {
+            outcome,
+            griefed: false,
+            faults,
+            latency,
+            peak_locked: 0,
+            events: 0,
+            lock_profile: Vec::new(),
+        }
+    }
 }
 
 /// Layers an instance's network faults over a base network model — the

@@ -115,9 +115,17 @@ impl TopologyFamily {
             TopologyFamily::HubAndSpoke { spokes } => spokes.max(2),
             TopologyFamily::RandomTree { nodes } => nodes.max(2) - 1,
             TopologyFamily::Packetized { paths, hops } => paths.max(1) * hops.max(1),
-            TopologyFamily::ScaleFree { .. } | TopologyFamily::SmallWorld { .. } => {
-                self.graph().expect("network family").venues()
+            TopologyFamily::ScaleFree { venues, attach } => {
+                GraphFamily::ScaleFree { venues, attach }.venues()
             }
+            TopologyFamily::SmallWorld {
+                nodes,
+                rewire_permille,
+            } => GraphFamily::SmallWorld {
+                nodes,
+                rewire_permille,
+            }
+            .venues(),
         }
     }
 
@@ -202,8 +210,9 @@ impl WorkloadConfig {
     }
 }
 
-/// One generated payment instance — everything `sim::run_instance_with`
-/// needs to rebuild the run deterministically.
+/// One generated payment instance — everything
+/// [`run_harness_instance`](crate::harness::run_harness_instance) needs to
+/// rebuild the run deterministically.
 #[derive(Debug, Clone)]
 pub struct PaymentSpec {
     /// Dense instance id (generation order).
@@ -400,7 +409,7 @@ pub fn generate(cfg: &WorkloadConfig) -> Vec<PaymentSpec> {
                         (2, VenueRoute::new(vec![s as VenueId, r as VenueId]))
                     }
                     TopologyFamily::RandomTree { nodes } => {
-                        let tree = tree.as_ref().expect("tree family built one");
+                        let tree = tree.as_ref().expect("sampled up front for RandomTree");
                         let nodes = nodes.max(2);
                         let a = rng.gen_range(0..nodes);
                         let mut b = rng.gen_range(0..nodes - 1);
@@ -419,7 +428,7 @@ pub fn generate(cfg: &WorkloadConfig) -> Vec<PaymentSpec> {
                         (edges.len(), venues)
                     }
                     TopologyFamily::ScaleFree { .. } | TopologyFamily::SmallWorld { .. } => {
-                        let g = graph.as_ref().expect("network family built a graph");
+                        let g = graph.as_ref().expect("built up front: graph() is Some");
                         let nodes = g.nodes();
                         let a = rng.gen_range(0..nodes) as u32;
                         let mut b = rng.gen_range(0..nodes - 1) as u32;
@@ -437,7 +446,7 @@ pub fn generate(cfg: &WorkloadConfig) -> Vec<PaymentSpec> {
                                 b = b2;
                                 router
                                     .shortest(g, a, b2, MAX_NET_HOPS)
-                                    .expect("node drawn from the reachable ball")
+                                    .expect("b2 is within MAX_NET_HOPS of a: reachable() drew it")
                             }
                         };
                         endpoints = Some((a, b));

@@ -66,12 +66,12 @@
 
 use crate::des;
 use crate::faults::FaultPlan;
-use crate::metrics::{InstanceOutcome, InstanceResult, OpenTelemetry};
+use crate::metrics::{InstanceOutcome, OpenTelemetry};
 use crate::runner::{simulate_specs, SimConfig};
 use crate::sketch::MergeableSketch;
 use crate::workload::{self, PaymentSpec, WorkloadConfig};
 use experiments::digest::{crc32, fnv1a64, hex16};
-use protocol::harness::ProtocolHarness;
+use protocol::harness::{HarnessRun, ProtocolHarness};
 use protocol::liquidity::LiquidityConfig;
 use std::fs;
 use std::io;
@@ -181,8 +181,9 @@ impl CampaignConfig {
             "campaign harness={} workload={:?} total={} epoch={} faults={:?} liquidity={:?}",
             harness_name, wl, self.total_payments, self.epoch_payments, self.faults, self.liquidity
         );
-        // Appended only when set, so pre-routing checkpoints keep their
-        // digests and remain resumable.
+        // Appended only when set, so an unrouted campaign keeps the
+        // digest it had before routing existed (the exp8 `config_digest`
+        // pinned in `tests/driver.rs`).
         if let Some(routing) = &self.routing {
             canon.push_str(&format!(" routing={routing:?}"));
         }
@@ -340,7 +341,7 @@ impl CampaignTally {
             .with_u64("byzantine", self.byzantine)
     }
 
-    fn fold_row(&mut self, spec: &PaymentSpec, r: &InstanceResult) {
+    fn fold_row(&mut self, spec: &PaymentSpec, r: &HarnessRun) {
         self.instances += 1;
         match r.outcome {
             InstanceOutcome::Success => {

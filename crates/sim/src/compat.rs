@@ -1,5 +1,6 @@
 //! The five batch names `benchmark/` still calls, each one call into
-//! [`run_closed`] or [`run_open`].
+//! [`run_closed`] or [`run_open`], and its old name for
+//! [`protocol::run_harness_instance`].
 //!
 //! This file exists **only** for `benchmark/`, which a change to library
 //! code may not edit. Nothing else may name these functions (CI greps
@@ -12,6 +13,9 @@ use crate::workload::PaymentSpec;
 use protocol::harness::ProtocolHarness;
 use protocol::liquidity::LiquidityConfig;
 use protocol::network::RoutingConfig;
+
+#[doc(hidden)]
+pub use protocol::harness::run_harness_instance as run_instance_with;
 
 #[doc(hidden)]
 pub fn run_specs_with<H: ProtocolHarness>(

@@ -1,13 +1,9 @@
 //! The sharded discrete-event open-system engine.
 //!
-//! The legacy open-system path simulated every payment in isolation and
-//! replayed the lock events through a sequential admission sweep
-//! afterwards, so contention was an accounting afterthought and the
-//! sweep serialized the whole campaign. This module replaces it with a
-//! single discrete-event simulation: arrivals, admission/queueing,
-//! lock/release and patience expiry are all in-band events against the
-//! carried [`LiquidityBook`], so payments genuinely interleave on shared
-//! escrows.
+//! One discrete-event simulation per shard: arrivals,
+//! admission/queueing, lock/release and patience expiry are all in-band
+//! events against the carried [`LiquidityBook`], so payments genuinely
+//! interleave on shared escrows.
 //!
 //! Parallelism comes from **venue sharding**. Two payments can only
 //! contend when their routes share a venue, so the venue set is
@@ -64,13 +60,13 @@
 //! instance, run inline on the DES thread at admission.
 
 use crate::faults::FaultPlan;
-use crate::metrics::{InstanceResult, LiquidityStats, OpenTelemetry, RoutingStats, VenueEvents};
+use crate::metrics::{LiquidityStats, OpenTelemetry, RoutingStats, VenueEvents};
 use crate::runner::{run_instance_isolated, SimConfig};
 use crate::workload::{PaymentSpec, ValuePlan, VenueRoute};
 use anta::time::SimTime;
 use experiments::parallel_map;
 use experiments::stats::Summary;
-use protocol::harness::{sample_instance_faults, ProtocolHarness};
+use protocol::harness::{sample_instance_faults, HarnessRun, ProtocolHarness};
 use protocol::liquidity::{AdmissionPolicy, LiquidityBook, LiquidityConfig};
 use protocol::network::{GraphFamily, Router, RoutingConfig, VenueGraph};
 use protocol::ProtocolOutcome;
@@ -248,7 +244,7 @@ impl GateTally {
 /// Everything one shard reports back for the deterministic merge.
 struct ShardOutcome {
     /// `(spec index, result)` for every member, in spec order.
-    results: Vec<(usize, InstanceResult)>,
+    results: Vec<(usize, HarnessRun)>,
     /// The shard's liquidity columns (zeros outside its venues).
     book: LiquidityBook,
     tally: GateTally,
@@ -306,7 +302,7 @@ struct ShardSim<'a, H: ProtocolHarness> {
     decided: Vec<bool>,
     /// Per-member collateral demand (`VenueRoute::demand`).
     demands: Vec<Vec<(u32, u64)>>,
-    results: Vec<Option<InstanceResult>>,
+    results: Vec<Option<HarnessRun>>,
     queue_high: usize,
     tally: GateTally,
     /// Live-routing state (`None` for static-route runs).
@@ -650,13 +646,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     /// admission counts in [`VenueEvents`] at every venue of the spec's
     /// static demand — what a static poll decided on — or, routed, at
     /// every venue that saw a lock event.
-    fn commit_admission(
-        &mut self,
-        local: u32,
-        t: SimTime,
-        route: &VenueRoute,
-        mut r: InstanceResult,
-    ) {
+    fn commit_admission(&mut self, local: u32, t: SimTime, route: &VenueRoute, mut r: HarnessRun) {
         let li = local as usize;
         let routed = self.routed.is_some();
         self.decided[li] = true;
@@ -790,19 +780,11 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             }
         }
         self.tally.rejected_waits.push(wasted.ticks());
-        self.results[li] = Some(InstanceResult {
-            id: spec.id,
-            family: spec.family,
-            outcome: ProtocolOutcome::Rejected,
-            griefed: false,
-            faults: sample_instance_faults(self.harness, spec, self.plan),
-            latency: wasted,
-            peak_locked: 0,
-            events: 0,
-            packet: spec.packet,
-            route: spec.route,
-            lock_profile: Vec::new(),
-        });
+        self.results[li] = Some(HarnessRun::never_ran(
+            ProtocolOutcome::Rejected,
+            sample_instance_faults(self.harness, spec, self.plan),
+            wasted,
+        ));
     }
 }
 
@@ -812,7 +794,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
 /// instead of materializing a [`crate::metrics::SimReport`] per epoch.
 pub(crate) struct OpenRaw {
     /// Per-instance rows, in spec order.
-    pub results: Vec<InstanceResult>,
+    pub results: Vec<HarnessRun>,
     /// The epoch's liquidity-side statistics.
     pub liquidity: LiquidityStats,
     /// Gate waits of admitted-but-queued payments (ticks), merge order.
@@ -881,7 +863,7 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
     // the thread count, per-spec results go back to spec order, and the
     // venue-disjoint book columns sum.
     let mut book = template;
-    let mut per_spec: Vec<Option<InstanceResult>> = specs.iter().map(|_| None).collect();
+    let mut per_spec: Vec<Option<HarnessRun>> = specs.iter().map(|_| None).collect();
     let mut tally = GateTally::default();
     let mut routing_stats: Option<RoutingStats> = routed_cfg.map(|_| RoutingStats::default());
     for shard in outcomes {
@@ -917,7 +899,7 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
         goodput_value: tally.goodput_value,
         offered_value: tally.offered_value,
     };
-    let results: Vec<InstanceResult> = per_spec
+    let results: Vec<HarnessRun> = per_spec
         .into_iter()
         .map(|r| r.expect("the shards partition the specs and each decides all its members"))
         .collect();

@@ -8,7 +8,9 @@
 //! success rate, end-to-end latency and locked-value cost does a protocol
 //! deliver under realistic traffic, drift and adversaries? The unit of
 //! work is one deterministic run of one payment instance
-//! ([`run_instance_with`]), and there are exactly two ways to run a batch:
+//! ([`protocol::run_harness_instance`]), whose [`protocol::HarnessRun`]
+//! is the only per-payment row: every report and tally folds it with the
+//! spec it came from. There are exactly two ways to run a batch:
 //!
 //! * [`run_closed`]`(harness, specs, cfg)` → [`SimReport`]: every
 //!   instance in isolation, batched onto [`experiments::parallel_map`]
@@ -103,10 +105,10 @@ pub use telemetry::sketch;
 pub use campaign::{CampaignConfig, CampaignReport, CampaignRunner, CampaignTally, EpochEvent};
 pub use faults::{ByzFault, FaultPlan, InstanceFaults};
 pub use metrics::{
-    FamilyStats, InstanceOutcome, InstanceResult, LiquidityStats, OpenReport, OpenTelemetry,
-    PacketStats, RoutingStats, SimReport, VenueEvents,
+    FamilyStats, InstanceOutcome, LiquidityStats, OpenReport, OpenTelemetry, PacketStats,
+    RoutingStats, SimReport, VenueEvents,
 };
-pub use runner::{run_closed, run_instance_with, run_open, SimConfig};
+pub use runner::{run_closed, run_open, SimConfig};
 pub use sketch::MergeableSketch;
 pub use workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
 
@@ -121,18 +123,18 @@ pub use protocol::{
 // `benchmark/` only (see `compat.rs`); goes with it in ROADMAP 1(iii).
 #[doc(hidden)]
 pub use compat::{
-    run_open_specs_routed_with, run_open_specs_routed_with_telemetry, run_open_specs_with,
-    run_open_specs_with_telemetry, run_specs_with,
+    run_instance_with, run_open_specs_routed_with, run_open_specs_routed_with_telemetry,
+    run_open_specs_with, run_open_specs_with_telemetry, run_specs_with,
 };
 
 /// One-stop imports for simulation campaigns.
 pub mod prelude {
     pub use crate::faults::{ByzFault, FaultPlan, InstanceFaults};
     pub use crate::metrics::{
-        FamilyStats, InstanceOutcome, InstanceResult, LiquidityStats, OpenReport, OpenTelemetry,
-        PacketStats, RoutingStats, SimReport, VenueEvents,
+        FamilyStats, InstanceOutcome, LiquidityStats, OpenReport, OpenTelemetry, PacketStats,
+        RoutingStats, SimReport, VenueEvents,
     };
-    pub use crate::runner::{run_closed, run_instance_with, run_open, SimConfig};
+    pub use crate::runner::{run_closed, run_open, SimConfig};
     pub use crate::workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
     pub use anta::net::NetFaults;
     pub use protocol::{

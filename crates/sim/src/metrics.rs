@@ -1,57 +1,28 @@
-//! The metrics pipeline: per-instance outcome extraction and workload-wide
-//! aggregation into percentile summaries.
+//! The metrics pipeline: workload-wide aggregation of per-payment rows
+//! into percentile summaries.
 //!
-//! Per instance the pipeline records outcome (success / refund / stuck /
-//! **violation** — the money-conservation assertion), end-to-end latency,
-//! peak locked value, and the lock/unlock event profile. The outcome
-//! vocabulary is the protocol layer's [`protocol::ProtocolOutcome`]
-//! ([`InstanceOutcome`] is the same type), so the same aggregation serves
-//! every [`protocol::ProtocolHarness`]. Aggregation is contention-free:
-//! each worker returns its chunk's rows as a plain `Vec` and
-//! [`SimReport::merge`] reads the chunks in input order after the
+//! A payment's row is the harness's own [`protocol::HarnessRun`]:
+//! outcome (success / refund / stuck / **violation** — the
+//! money-conservation assertion), end-to-end latency, peak locked value
+//! and the lock/unlock event profile. The outcome vocabulary is the
+//! protocol layer's [`protocol::ProtocolOutcome`] ([`InstanceOutcome`] is
+//! the same type), so the same aggregation serves every
+//! [`protocol::ProtocolHarness`]. Aggregation is contention-free: each
+//! worker returns its chunk's rows as a plain `Vec`, and the runner folds
+//! them with their specs, in spec order, into a [`SimReport`] after the
 //! parallel phase — the same discipline as [`experiments::parallel_map`],
 //! which the runner drives.
 
-use crate::faults::{ByzFault, InstanceFaults};
+use crate::faults::ByzFault;
+use crate::workload::PaymentSpec;
 use anta::time::{SimDuration, SimTime};
 use experiments::stats::{Rate, Summary};
+use protocol::HarnessRun;
 use std::collections::BTreeMap;
 
 /// How one payment instance ended — the protocol layer's shared outcome
 /// vocabulary (see [`protocol::ProtocolOutcome`] for the semantics).
 pub use protocol::ProtocolOutcome as InstanceOutcome;
-
-/// The per-instance measurement record.
-#[derive(Debug, Clone)]
-pub struct InstanceResult {
-    /// The spec's instance id.
-    pub id: u64,
-    /// Family label.
-    pub family: &'static str,
-    /// Outcome class.
-    pub outcome: InstanceOutcome,
-    /// Whether the run griefed a compliant party (capital stranded for a
-    /// full timelock window by counterparty abandonment — see
-    /// [`protocol::ProtocolHarness::griefed`]).
-    pub griefed: bool,
-    /// Faults that were injected.
-    pub faults: InstanceFaults,
-    /// End-to-end latency: Bob's payment time on success, otherwise the
-    /// time of the run's last event (when everything settled).
-    pub latency: SimDuration,
-    /// Peak value simultaneously locked across this instance's escrows.
-    pub peak_locked: u64,
-    /// Events the engine dispatched.
-    pub events: u64,
-    /// Packet membership, from the spec.
-    pub packet: Option<(u64, usize)>,
-    /// Hub spoke route `(sender, receiver)`, from the spec.
-    pub route: Option<(usize, usize)>,
-    /// `(time, hop, delta)` lock/unlock events in arrival-shifted real
-    /// time, for the workload-wide concurrency profile and the
-    /// shared-liquidity audit (empty unless profiling is on).
-    pub lock_profile: Vec<(SimTime, u32, i64)>,
-}
 
 /// Aggregated statistics for one topology family.
 #[derive(Debug, Clone)]
@@ -132,38 +103,39 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Merges per-chunk rows (chunks and rows in input order) into the
-    /// report.
-    pub fn merge(chunks: &[Vec<InstanceResult>], with_lock_profile: bool) -> SimReport {
-        let mut by_family: BTreeMap<&'static str, Vec<&InstanceResult>> = BTreeMap::new();
-        let mut instances = 0usize;
-        for rows in chunks {
-            for r in rows {
-                instances += 1;
-                by_family.entry(r.family).or_default().push(r);
-            }
+    /// Folds per-payment rows, each with the spec it came from, into the
+    /// report. The spec supplies the family, packet and route; the lock
+    /// profiles are read only when `with_lock_profile` is set.
+    pub(crate) fn merge<'a>(
+        rows: impl IntoIterator<Item = (&'a PaymentSpec, &'a HarnessRun)>,
+        with_lock_profile: bool,
+    ) -> SimReport {
+        let mut by_family: BTreeMap<&'static str, Vec<(&PaymentSpec, &HarnessRun)>> =
+            BTreeMap::new();
+        for (spec, r) in rows {
+            by_family.entry(spec.family).or_default().push((spec, r));
         }
 
         let mut families = Vec::with_capacity(by_family.len());
-        let mut violations = 0usize;
-        let mut rejected_total = 0usize;
-        let mut griefed_total = 0usize;
-        let mut failed_total = 0usize;
+        // `(time, locked delta, in-flight delta)` over every row, for the
+        // workload-wide concurrency peaks.
+        let mut deltas: Vec<(SimTime, i64, i64)> = Vec::new();
         for (family, rs) in by_family {
             let mut success = Rate::default();
-            let (mut refunds, mut stuck, mut viols, mut byz) = (0usize, 0usize, 0usize, 0usize);
+            let (mut refunds, mut stuck, mut violations, mut byz) =
+                (0usize, 0usize, 0usize, 0usize);
             let (mut griefed, mut rejected, mut failed) = (0usize, 0usize, 0usize);
             let mut latencies: Vec<u64> = Vec::new();
             let mut peaks: Vec<u64> = Vec::with_capacity(rs.len());
             let mut packets: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
             let mut spokes: BTreeMap<usize, u64> = BTreeMap::new();
-            for r in &rs {
+            for &(spec, r) in &rs {
                 success.record(r.outcome == InstanceOutcome::Success);
                 match r.outcome {
                     InstanceOutcome::Success => latencies.push(r.latency.ticks()),
                     InstanceOutcome::Refund => refunds += 1,
                     InstanceOutcome::Stuck => stuck += 1,
-                    InstanceOutcome::Violation => viols += 1,
+                    InstanceOutcome::Violation => violations += 1,
                     InstanceOutcome::Rejected => rejected += 1,
                     InstanceOutcome::Failed => failed += 1,
                 }
@@ -174,19 +146,27 @@ impl SimReport {
                     byz += 1;
                 }
                 peaks.push(r.peak_locked);
-                if let Some((pid, paths)) = r.packet {
+                if let Some((pid, paths)) = spec.packet {
                     let e = packets.entry(pid).or_insert((0, paths));
                     e.0 += usize::from(r.outcome == InstanceOutcome::Success);
                 }
-                if let Some((snd, rcv)) = r.route {
+                if let Some((snd, rcv)) = spec.route {
                     *spokes.entry(snd).or_insert(0) += 1;
                     *spokes.entry(rcv).or_insert(0) += 1;
                 }
+                if with_lock_profile {
+                    for &(t, _hop, dv) in &r.lock_profile {
+                        deltas.push((t, dv, 0));
+                    }
+                    // In-flight interval: arrival-shifted [first, last] event.
+                    if let (Some(first), Some(last)) =
+                        (r.lock_profile.first(), r.lock_profile.last())
+                    {
+                        deltas.push((first.0, 0, 1));
+                        deltas.push((last.0, 0, -1));
+                    }
+                }
             }
-            violations += viols;
-            rejected_total += rejected;
-            griefed_total += griefed;
-            failed_total += failed;
             let packet_stats = (!packets.is_empty()).then(|| {
                 let mut complete = 0;
                 let mut partial = 0;
@@ -210,7 +190,7 @@ impl SimReport {
                 success,
                 refunds,
                 stuck,
-                violations: viols,
+                violations,
                 rejected,
                 failed,
                 griefed,
@@ -223,23 +203,10 @@ impl SimReport {
         }
 
         let (peak_locked_global, peak_in_flight) = if with_lock_profile {
-            let mut deltas: Vec<(SimTime, i64, i64)> = Vec::new();
-            for rows in chunks {
-                for r in rows {
-                    for &(t, _hop, dv) in &r.lock_profile {
-                        deltas.push((t, dv, 0));
-                    }
-                    // In-flight interval: arrival-shifted [first, last] event.
-                    if let (Some(first), Some(last)) =
-                        (r.lock_profile.first(), r.lock_profile.last())
-                    {
-                        deltas.push((first.0, 0, 1));
-                        deltas.push((last.0, 0, -1));
-                    }
-                }
-            }
             // Unlocks at the same instant settle before locks (never
-            // overstate the peak), and in-flight exits before entries.
+            // overstate the peak), and in-flight exits before entries. The
+            // key is the whole tuple, so the order rows arrive in does not
+            // matter.
             deltas.sort_unstable_by_key(|&(t, dv, df)| (t, dv, df));
             let (mut locked, mut peak) = (0i64, 0i64);
             let (mut flight, mut peak_flight) = (0i64, 0i64);
@@ -254,15 +221,16 @@ impl SimReport {
             (None, 0)
         };
 
+        let total = |count: fn(&FamilyStats) -> usize| families.iter().map(count).sum();
         SimReport {
-            families,
-            instances,
-            violations,
-            rejected: rejected_total,
-            failed: failed_total,
-            griefed: griefed_total,
+            instances: total(|f| f.instances),
+            violations: total(|f| f.violations),
+            rejected: total(|f| f.rejected),
+            failed: total(|f| f.failed),
+            griefed: total(|f| f.griefed),
             peak_locked_global,
             peak_in_flight,
+            families,
         }
     }
 
@@ -546,7 +514,10 @@ pub fn render_latency_ms(s: &Option<Summary>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::InstanceFaults;
+    use crate::workload::{self, TopologyFamily, WorkloadConfig};
 
+    /// One row and the spec it came from.
     fn res(
         id: u64,
         family: &'static str,
@@ -554,20 +525,26 @@ mod tests {
         latency: u64,
         peak: u64,
         packet: Option<(u64, usize)>,
-    ) -> InstanceResult {
-        InstanceResult {
+    ) -> (PaymentSpec, HarnessRun) {
+        let wl = WorkloadConfig::new(TopologyFamily::Linear { n: 1 }, 1, id);
+        let spec = PaymentSpec {
             id,
             family,
-            outcome,
-            griefed: false,
-            faults: InstanceFaults::NONE,
-            latency: SimDuration::from_ticks(latency),
-            peak_locked: peak,
-            events: 10,
             packet,
-            route: None,
-            lock_profile: Vec::new(),
-        }
+            ..workload::generate(&wl).remove(0)
+        };
+        let mut run = HarnessRun::never_ran(
+            outcome,
+            InstanceFaults::NONE,
+            SimDuration::from_ticks(latency),
+        );
+        run.peak_locked = peak;
+        run.events = 10;
+        (spec, run)
+    }
+
+    fn merge(rows: &[(PaymentSpec, HarnessRun)], with_lock_profile: bool) -> SimReport {
+        SimReport::merge(rows.iter().map(|(s, r)| (s, r)), with_lock_profile)
     }
 
     #[test]
@@ -580,7 +557,7 @@ mod tests {
             res(2, "linear", InstanceOutcome::Stuck, 300, 70, None),
             res(3, "linear", InstanceOutcome::Violation, 400, 80, None),
         ];
-        let report = SimReport::merge(&[a, b], false);
+        let report = merge(&[a, b].concat(), false);
         assert_eq!(report.instances, 4);
         assert_eq!(report.violations, 1);
         assert!(!report.conserved());
@@ -598,11 +575,11 @@ mod tests {
     #[test]
     fn griefed_instances_are_counted_per_family_and_globally() {
         let mut a = res(0, "linear", InstanceOutcome::Refund, 100, 50, None);
-        a.griefed = true;
+        a.1.griefed = true;
         let mut b = res(1, "linear", InstanceOutcome::Stuck, 100, 50, None);
-        b.griefed = true;
+        b.1.griefed = true;
         let c = res(2, "linear", InstanceOutcome::Success, 100, 50, None);
-        let report = SimReport::merge(&[vec![a, b, c]], false);
+        let report = merge(&[a, b, c], false);
         assert_eq!(report.families[0].griefed, 2);
         assert_eq!(report.griefed, 2);
     }
@@ -615,7 +592,7 @@ mod tests {
             res(0, "linear", InstanceOutcome::Refund, 500, 1, None),
             res(1, "linear", InstanceOutcome::Stuck, 600, 1, None),
         ];
-        let report = SimReport::merge(&[none], false);
+        let report = merge(&none, false);
         let f = report.family("linear").unwrap();
         assert!(f.latency.is_none());
         assert_eq!(render_latency_ms(&f.latency), "-");
@@ -627,7 +604,7 @@ mod tests {
             res(0, "hub", InstanceOutcome::Success, 7_000, 1, None),
             res(1, "hub", InstanceOutcome::Refund, 9_000, 1, None),
         ];
-        let report = SimReport::merge(&[one], false);
+        let report = merge(&one, false);
         let s = report.family("hub").unwrap().latency.as_ref().unwrap();
         assert_eq!(
             (s.n, s.min, s.p50, s.p99, s.max),
@@ -639,7 +616,7 @@ mod tests {
     #[test]
     fn packet_accounting_complete_vs_partial() {
         // Packet 0: both paths succeed; packet 1: one of two; packet 2: none.
-        let m: Vec<InstanceResult> = [
+        let m: Vec<_> = [
             (0, InstanceOutcome::Success),
             (0, InstanceOutcome::Success),
             (1, InstanceOutcome::Success),
@@ -653,7 +630,7 @@ mod tests {
             res(id as u64, "packetized", outcome, 1, 1, Some((packet, 2)))
         })
         .collect();
-        let report = SimReport::merge(&[m], false);
+        let report = merge(&m, false);
         let p = report.family("packetized").unwrap().packets.unwrap();
         assert_eq!(
             p,
@@ -669,37 +646,35 @@ mod tests {
     fn global_lock_profile_peaks() {
         let t = SimTime::from_ticks;
         let mut r1 = res(0, "hub", InstanceOutcome::Success, 10, 100, None);
-        r1.lock_profile = vec![(t(0), 0, 100), (t(10), 0, -100)];
+        r1.1.lock_profile = vec![(t(0), 0, 100), (t(10), 0, -100)];
         let mut r2 = res(1, "hub", InstanceOutcome::Success, 10, 70, None);
-        r2.lock_profile = vec![(t(5), 0, 70), (t(15), 0, -70)];
-        let report = SimReport::merge(&[vec![r1, r2]], true);
+        r2.1.lock_profile = vec![(t(5), 0, 70), (t(15), 0, -70)];
+        let report = merge(&[r1, r2], true);
         assert_eq!(report.peak_locked_global, Some(170), "overlap at t=5..10");
         assert_eq!(report.peak_in_flight, 2);
         // Unlock-before-lock at equal instants: back-to-back runs don't
         // double-count.
         let mut r3 = res(0, "hub", InstanceOutcome::Success, 10, 100, None);
-        r3.lock_profile = vec![(t(0), 0, 100), (t(10), 0, -100)];
+        r3.1.lock_profile = vec![(t(0), 0, 100), (t(10), 0, -100)];
         let mut r4 = res(1, "hub", InstanceOutcome::Success, 10, 100, None);
-        r4.lock_profile = vec![(t(10), 0, 100), (t(20), 0, -100)];
-        let report2 = SimReport::merge(&[vec![r3, r4]], true);
+        r4.1.lock_profile = vec![(t(10), 0, 100), (t(20), 0, -100)];
+        let report2 = merge(&[r3, r4], true);
         assert_eq!(report2.peak_locked_global, Some(100));
     }
 
     #[test]
     fn spoke_load_counts_both_endpoints() {
         let mut a = res(0, "hub", InstanceOutcome::Success, 1, 1, None);
-        a.route = Some((0, 1));
+        a.0.route = Some((0, 1));
         let mut b = res(1, "hub", InstanceOutcome::Success, 1, 1, None);
-        b.route = Some((1, 2));
-        let report = SimReport::merge(&[vec![a, b]], false);
+        b.0.route = Some((1, 2));
+        let report = merge(&[a, b], false);
         let load = report.family("hub").unwrap().spoke_load.clone().unwrap();
         // Spoke 1 served both payments; spokes 0 and 2 one each.
         assert_eq!((load.min, load.max, load.n), (1, 2, 3));
         // Routeless families have no spoke summary.
         let routeless = vec![res(0, "linear", InstanceOutcome::Success, 1, 1, None)];
-        assert!(SimReport::merge(&[routeless], false).families[0]
-            .spoke_load
-            .is_none());
+        assert!(merge(&routeless, false).families[0].spoke_load.is_none());
     }
 
     #[test]

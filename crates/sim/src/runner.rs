@@ -12,18 +12,19 @@
 //! [`anta::trace::TraceMode::CountersOnly`] so no message payload is ever
 //! cloned into a trace.
 //!
-//! There are two batch entry points, [`run_closed`] and [`run_open`], and
-//! one per-instance entry point, [`run_instance_with`]. All three are
-//! generic over the harness and take a pre-generated spec list; a caller
-//! that has only a [`SimConfig`] passes
-//! `&workload::generate(&cfg.workload)`.
+//! There are two batch entry points, [`run_closed`] and [`run_open`].
+//! Both are generic over the harness and take a pre-generated spec list; a
+//! caller that has only a [`SimConfig`] passes
+//! `&workload::generate(&cfg.workload)`. One payment runs through
+//! [`protocol::run_harness_instance`], and its [`protocol::HarnessRun`] is
+//! the row every report and tally folds, beside the spec it came from.
 
 use crate::des;
 use crate::faults::FaultPlan;
-use crate::metrics::{InstanceResult, OpenReport, OpenTelemetry, SimReport};
+use crate::metrics::{OpenReport, OpenTelemetry, SimReport};
 use crate::workload::{PaymentSpec, WorkloadConfig};
 use experiments::parallel_map;
-use protocol::harness::{run_harness_instance, ProtocolHarness};
+use protocol::harness::{run_harness_instance, HarnessRun, ProtocolHarness};
 use protocol::liquidity::LiquidityConfig;
 use protocol::network::RoutingConfig;
 
@@ -69,8 +70,8 @@ pub fn run_closed<H: ProtocolHarness>(
     specs: &[PaymentSpec],
     cfg: &SimConfig,
 ) -> SimReport {
-    let chunks = simulate_specs(harness, specs, cfg, |_, rows| rows);
-    SimReport::merge(&chunks, cfg.lock_profile)
+    let rows = simulate_specs(harness, specs, cfg, |_, rows| rows);
+    SimReport::merge(specs.iter().zip(rows.iter().flatten()), cfg.lock_profile)
 }
 
 /// The one batch loop: `specs` chunked by `cfg.batch`, every instance of
@@ -89,7 +90,7 @@ pub(crate) fn simulate_specs<H, T, F>(
 where
     H: ProtocolHarness,
     T: Send,
-    F: Fn(&[PaymentSpec], Vec<InstanceResult>) -> T + Sync,
+    F: Fn(&[PaymentSpec], Vec<HarnessRun>) -> T + Sync,
 {
     assert!(
         harness.supports(&cfg.workload),
@@ -116,18 +117,18 @@ where
     })
 }
 
-/// [`run_instance_with`] under panic isolation: a harness that panics
+/// [`run_harness_instance`] under panic isolation: a harness that panics
 /// degrades the instance to a counted [`InstanceOutcome::Failed`] row
 /// instead of tearing down the whole campaign. There is no retry: a run
 /// is a pure function of `(spec, plan)`, so a second attempt would panic
-/// again. The failing instance is identified by its spec (`spec.id` is
-/// kept on the row; `spec.seed` names the seed to replay the panic under
-/// a debugger); the campaign layer surfaces those seeds in its report.
+/// again. The failing instance is identified by its spec (`spec.seed`
+/// names the seed to replay the panic under a debugger); the campaign
+/// layer surfaces those seeds in its report.
 ///
-/// Everything the run would have measured is zeroed on the `Failed` row:
-/// no latency, no locked value, no lock profile, no fault attribution.
-/// `queue_high` is reset so a poisoned engine cannot leak a bogus
-/// high-water mark into the next instance's pre-sizing.
+/// The `Failed` row is [`HarnessRun::never_ran`]: no latency, no locked
+/// value, no lock profile, no fault attribution. `queue_high` is reset so
+/// a poisoned engine cannot leak a bogus high-water mark into the next
+/// instance's pre-sizing.
 ///
 /// [`InstanceOutcome::Failed`]: crate::metrics::InstanceOutcome::Failed
 pub(crate) fn run_instance_isolated<H: ProtocolHarness>(
@@ -136,56 +137,20 @@ pub(crate) fn run_instance_isolated<H: ProtocolHarness>(
     plan: &FaultPlan,
     lock_profile: bool,
     queue_high: &mut usize,
-) -> InstanceResult {
+) -> HarnessRun {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let entry_high = *queue_high;
     catch_unwind(AssertUnwindSafe(|| {
-        run_instance_with(harness, spec, plan, lock_profile, queue_high)
+        run_harness_instance(harness, spec, plan, lock_profile, queue_high)
     }))
     .unwrap_or_else(|_| {
         *queue_high = entry_high;
-        InstanceResult {
-            id: spec.id,
-            family: spec.family,
-            outcome: protocol::ProtocolOutcome::Failed,
-            griefed: false,
-            faults: crate::faults::InstanceFaults::NONE,
-            latency: anta::time::SimDuration::ZERO,
-            peak_locked: 0,
-            events: 0,
-            packet: spec.packet,
-            route: spec.route,
-            lock_profile: Vec::new(),
-        }
+        HarnessRun::never_ran(
+            protocol::ProtocolOutcome::Failed,
+            crate::faults::InstanceFaults::NONE,
+            anta::time::SimDuration::ZERO,
+        )
     })
-}
-
-/// Runs one payment instance end to end through `harness` and extracts its
-/// metrics.
-///
-/// `queue_high` carries the engine-queue high-water mark between
-/// consecutive instances of a batch (pass `&mut 0` for a one-off run).
-pub fn run_instance_with<H: ProtocolHarness>(
-    harness: &H,
-    spec: &PaymentSpec,
-    plan: &FaultPlan,
-    lock_profile: bool,
-    queue_high: &mut usize,
-) -> InstanceResult {
-    let run = run_harness_instance(harness, spec, plan, lock_profile, queue_high);
-    InstanceResult {
-        id: spec.id,
-        family: spec.family,
-        outcome: run.outcome,
-        griefed: run.griefed,
-        faults: run.faults,
-        latency: run.latency,
-        peak_locked: run.peak_locked,
-        events: run.events,
-        packet: spec.packet,
-        route: spec.route,
-        lock_profile: run.lock_profile,
-    }
 }
 
 /// Simulates `specs` through `harness` as an **open system** against
@@ -255,7 +220,7 @@ pub fn run_open<H: ProtocolHarness>(
 ) -> (OpenReport, OpenTelemetry) {
     let raw = des::run_open_specs_raw(harness, specs, cfg, liq, routing);
     let report = OpenReport {
-        sim: SimReport::merge(std::slice::from_ref(&raw.results), true),
+        sim: SimReport::merge(specs.iter().zip(&raw.results), true),
         liquidity: raw.liquidity,
         routing: raw.telemetry.routing,
     };
@@ -323,7 +288,7 @@ pub(crate) mod legacy {
             lock_profile: true,
             ..*cfg
         };
-        let mut results: Vec<InstanceResult> =
+        let mut results: Vec<HarnessRun> =
             simulate_specs(harness, specs, &profiled, |_, rows| rows)
                 .into_iter()
                 .flatten()
@@ -487,7 +452,7 @@ pub(crate) mod legacy {
             offered_value,
         };
         OpenReport {
-            sim: SimReport::merge(&[results], true),
+            sim: SimReport::merge(specs.iter().zip(&results), true),
             liquidity,
             routing: None,
         }
@@ -624,7 +589,7 @@ mod tests {
             workload::generate(&WorkloadConfig::new(TopologyFamily::Linear { n: 2 }, 4, 11));
         let mut queue_high = 0;
         for spec in &specs {
-            let r = run_instance_with(
+            let r = run_harness_instance(
                 &TimeBoundedHarness,
                 spec,
                 &FaultPlan::NONE,

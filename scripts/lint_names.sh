@@ -28,18 +28,23 @@ row() {
 
 code='crates src tests examples'
 
-# sim keeps two batch entry points: run_closed, run_open,
-# run_instance_with and at most one more.
+# sim keeps two batch entry points, run_closed and run_open; one payment
+# runs through protocol::run_harness_instance.
 n=$(grep -c "pub fn run" crates/sim/src/runner.rs)
-if [ "$n" -gt 4 ]; then
-    echo "lint: runner.rs has $n 'pub fn run' (max 4)"
+if [ "$n" -gt 2 ]; then
+    echo "lint: runner.rs has $n 'pub fn run' (max 2: run_closed, run_open)"
     bad=1
 fi
 
-row '\b(run_specs_with|run_open_specs_with|run_open_specs_with_telemetry|run_open_specs_routed_with|run_open_specs_routed_with_telemetry)\b' \
+row '\b(run_instance_with|run_specs_with|run_open_specs_with|run_open_specs_with_telemetry|run_open_specs_routed_with|run_open_specs_routed_with_telemetry)\b' \
     "$code" \
     '^crates/sim/src/compat.rs:|^crates/sim/src/lib.rs:[0-9]+: +(run_[a-z_]+, ?)+$' \
     "only benchmark/ may name the compat presets (ROADMAP 1(iii) deletes them)"
+
+# One row per payment: the harness's HarnessRun is what every report and
+# tally folds, beside the spec it came from.
+row '\bInstanceResult\b' "$code" '' \
+    "deleted: a payment's row is protocol::HarnessRun, folded with its PaymentSpec"
 
 # Each baseline is assembled in its own crate: SwapSetup,
 # DealInstance::{timelock,certified}_engine and DeadlineTm::new.

@@ -12,6 +12,7 @@
 
 use crosschain::anta::time::SimDuration;
 use crosschain::experiments::digest::crc32;
+use crosschain::protocol::run_harness_instance;
 use crosschain::sim::campaign::{CampaignConfig, CampaignRunner, CHECKPOINT_SCHEMA_VERSION};
 use crosschain::sim::prelude::*;
 use crosschain::sim::MergeableSketch;
@@ -504,8 +505,8 @@ fn sketch_quantiles_match_exact_percentiles_within_bound() {
         let events: u128 = specs
             .iter()
             .map(|spec| {
-                run_instance_with(&TimeBoundedHarness, spec, &campaign.faults, false, &mut 0).events
-                    as u128
+                run_harness_instance(&TimeBoundedHarness, spec, &campaign.faults, false, &mut 0)
+                    .events as u128
             })
             .sum();
 

@@ -134,7 +134,7 @@ proptest! {
         let specs = workload::generate(&config);
         let mut queue_high = 0;
         for spec in &specs {
-            let r = crosschain::sim::run_instance_with(
+            let r = crosschain::protocol::run_harness_instance(
                 &TimeBoundedHarness,
                 spec,
                 &faults,

@@ -184,6 +184,10 @@ fn run_routed(
 /// relaxation, every release re-polls the gate) produced: queueing with
 /// rebalancing, reject-on-full on the other family, and queueing under
 /// faults. Everything but the search count is bit-identical.
+///
+/// These are the only pins through the DES's fold of a split payment's
+/// legs into one row (worst outcome, slowest latency, summed peaks and
+/// events, offset lock profiles), so the queueing cases must split.
 #[test]
 fn routed_reports_match_the_digests_pinned_before_the_gate_memo() {
     let scalefree = TopologyFamily::ScaleFree {
@@ -199,6 +203,10 @@ fn routed_reports_match_the_digests_pinned_before_the_gate_memo() {
 
     let report = run_routed(&routed_cfg(scalefree, 160, 0xE11A, 1), &queue, &rebalance);
     assert_eq!(digest_sans_pathfind_calls(&report), PINNED[0]);
+    assert!(
+        report.routing.unwrap().split > 0,
+        "the pin must cover split legs"
+    );
 
     let report = run_routed(
         &routed_cfg(smallworld, 160, 0xE11B, 1),
@@ -221,6 +229,10 @@ fn routed_reports_match_the_digests_pinned_before_the_gate_memo() {
     let serial = run_routed(&faulty(1), &queue, &rebalance);
     let parallel = run_routed(&faulty(4), &queue, &rebalance);
     assert_eq!(digest_sans_pathfind_calls(&serial), PINNED[2]);
+    assert!(
+        serial.routing.unwrap().split > 0,
+        "faulty legs must split too"
+    );
     assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
     let failed = serial.sim.instances - successes(&serial) - serial.liquidity.rejected;
     assert!(failed > 0, "some admitted payments must fail");
