@@ -240,14 +240,18 @@ impl<M: Message> Engine<M> {
     }
 
     /// Largest number of events the queue held at any point so far — the
-    /// capacity a repeat of a comparable run needs.
+    /// capacity a repeat of a comparable run needs. Its only caller is the
+    /// repo benchmark (`benchmark/`), until ROADMAP item 1(ii) ports it;
+    /// the simulator builds every engine fresh.
     pub fn queue_high_water(&self) -> usize {
         self.queue_high
     }
 
     /// Pre-sizes the event queue and (in [`TraceMode::Full`]) the trace
-    /// buffer. Batch runners call this with an earlier comparable run's
-    /// high-water marks so rebuilt engines skip the grow-by-doubling phase.
+    /// buffer with an earlier comparable run's high-water marks, so a
+    /// rebuilt engine skips the grow-by-doubling phase. Like
+    /// [`queue_high_water`](Self::queue_high_water), only `benchmark/`
+    /// calls it.
     pub fn reserve_capacity(&mut self, queue_events: usize, trace_events: usize) {
         self.queue
             .reserve(queue_events.saturating_sub(self.queue.len()));

@@ -263,10 +263,8 @@ mod tests {
 
     #[test]
     fn faultless_deals_fully_commit() {
-        let mut queue_high = 0;
         for spec in &specs(3, 10, 21) {
-            let r =
-                run_harness_instance(&DealsHarness, spec, &FaultPlan::NONE, true, &mut queue_high);
+            let r = run_harness_instance(&DealsHarness, spec, &FaultPlan::NONE, true);
             assert_eq!(r.outcome, ProtocolOutcome::Success, "spec {}", spec.id);
             assert!(!r.griefed, "deal aborts are patience-bounded");
             let total: u64 = spec.plan.amounts.iter().map(|a| a.amount).sum();
@@ -280,10 +278,9 @@ mod tests {
             crash_permille: 1000,
             ..FaultPlan::NONE
         };
-        let mut queue_high = 0;
         let mut refunds = 0usize;
         for spec in &specs(2, 24, 22) {
-            let r = run_harness_instance(&DealsHarness, spec, &plan, false, &mut queue_high);
+            let r = run_harness_instance(&DealsHarness, spec, &plan, false);
             assert_ne!(
                 r.outcome,
                 ProtocolOutcome::Success,
@@ -303,9 +300,8 @@ mod tests {
             late_bob_permille: 1000,
             ..FaultPlan::NONE
         };
-        let mut queue_high = 0;
         for spec in &specs(2, 8, 23) {
-            let r = run_harness_instance(&DealsHarness, spec, &plan, false, &mut queue_high);
+            let r = run_harness_instance(&DealsHarness, spec, &plan, false);
             assert!(
                 matches!(
                     r.outcome,

@@ -308,15 +308,11 @@ pub fn sample_instance_faults<H: ProtocolHarness>(
 /// after restricting `plan` to the harness's supported strategies, so the
 /// draw — and therefore the whole run — is a pure function of
 /// `(harness, spec, plan)`.
-///
-/// `queue_high` carries the engine-queue high-water mark between
-/// consecutive instances of a batch (pass `&mut 0` for a one-off run).
 pub fn run_harness_instance<H: ProtocolHarness>(
     harness: &H,
     spec: &PaymentSpec,
     plan: &FaultPlan,
     collect_lock_profile: bool,
-    queue_high: &mut usize,
 ) -> HarnessRun {
     let faults = sample_instance_faults(harness, spec, plan);
     debug_assert!(
@@ -332,9 +328,7 @@ pub fn run_harness_instance<H: ProtocolHarness>(
         Box::new(RandomOracle::seeded(spec.seed)),
         TraceMode::CountersOnly,
     );
-    eng.reserve_capacity(*queue_high, 0);
     let report = eng.run();
-    *queue_high = (*queue_high).max(eng.queue_high_water());
 
     let outcome = harness.classify(&eng, &inst, spec, report.quiescent, report.truncated);
     let griefed = harness.griefed(&eng, &inst, outcome);

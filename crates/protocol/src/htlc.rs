@@ -253,10 +253,8 @@ mod tests {
 
     #[test]
     fn faultless_swaps_succeed() {
-        let mut queue_high = 0;
         for spec in &specs(3, 12, 5) {
-            let r =
-                run_harness_instance(&HtlcHarness, spec, &FaultPlan::NONE, false, &mut queue_high);
+            let r = run_harness_instance(&HtlcHarness, spec, &FaultPlan::NONE, false);
             assert_eq!(r.outcome, ProtocolOutcome::Success, "spec {}", spec.id);
             assert!(!r.griefed);
             assert!(r.peak_locked >= spec.plan.amounts[0].amount);
@@ -270,9 +268,8 @@ mod tests {
             ..FaultPlan::NONE
         };
         let mut griefed = 0usize;
-        let mut queue_high = 0;
         for spec in &specs(2, 16, 7) {
-            let r = run_harness_instance(&HtlcHarness, spec, &plan, false, &mut queue_high);
+            let r = run_harness_instance(&HtlcHarness, spec, &plan, false);
             assert_ne!(
                 r.outcome,
                 ProtocolOutcome::Success,
@@ -298,10 +295,9 @@ mod tests {
             crash_permille: 1000,
             ..FaultPlan::NONE
         };
-        let mut queue_high = 0;
         let mut seen_abandon = false;
         for spec in &specs(2, 32, 11) {
-            let r = run_harness_instance(&HtlcHarness, spec, &plan, false, &mut queue_high);
+            let r = run_harness_instance(&HtlcHarness, spec, &plan, false);
             assert_ne!(r.outcome, ProtocolOutcome::Success);
             if swap_behaviour(r.faults.byz) == SwapBehaviour::AliceAbandons {
                 seen_abandon = true;

@@ -364,14 +364,12 @@ mod tests {
     fn untuned_succeeds_without_drift() {
         let mut w = cfg(3, 10, 3);
         w.max_rho_ppm = (0, 0);
-        let mut queue_high = 0;
         for spec in &workload::generate(&w) {
             let r = run_harness_instance(
                 &InterledgerHarness::untuned(),
                 spec,
                 &FaultPlan::NONE,
                 false,
-                &mut queue_high,
             );
             assert_eq!(r.outcome, ProtocolOutcome::Success, "spec {}", spec.id);
         }
@@ -381,7 +379,6 @@ mod tests {
     fn untuned_violates_under_heavy_drift() {
         let mut w = cfg(4, 48, 4);
         w.max_rho_ppm = (100_000, 200_000);
-        let mut queue_high = 0;
         let mut violations = 0usize;
         let mut successes = 0usize;
         for spec in &workload::generate(&w) {
@@ -390,7 +387,6 @@ mod tests {
                 spec,
                 &FaultPlan::NONE,
                 false,
-                &mut queue_high,
             );
             match r.outcome {
                 ProtocolOutcome::Violation => violations += 1,
@@ -410,15 +406,8 @@ mod tests {
         use crate::timebounded::TimeBoundedHarness;
         let mut w = cfg(4, 24, 4);
         w.max_rho_ppm = (100_000, 200_000);
-        let mut queue_high = 0;
         for spec in &workload::generate(&w) {
-            let r = run_harness_instance(
-                &TimeBoundedHarness,
-                spec,
-                &FaultPlan::NONE,
-                false,
-                &mut queue_high,
-            );
+            let r = run_harness_instance(&TimeBoundedHarness, spec, &FaultPlan::NONE, false);
             assert_eq!(
                 r.outcome,
                 ProtocolOutcome::Success,
@@ -430,15 +419,9 @@ mod tests {
 
     #[test]
     fn atomic_commits_when_faultless_and_stays_safe_under_net_faults() {
-        let mut queue_high = 0;
         for spec in &workload::generate(&cfg(2, 8, 9)) {
-            let r = run_harness_instance(
-                &InterledgerHarness::atomic(),
-                spec,
-                &FaultPlan::NONE,
-                false,
-                &mut queue_high,
-            );
+            let r =
+                run_harness_instance(&InterledgerHarness::atomic(), spec, &FaultPlan::NONE, false);
             assert_eq!(r.outcome, ProtocolOutcome::Success, "spec {}", spec.id);
         }
         let plan = FaultPlan {
@@ -452,13 +435,7 @@ mod tests {
         };
         let mut aborted = 0usize;
         for spec in &workload::generate(&cfg(3, 48, 10)) {
-            let r = run_harness_instance(
-                &InterledgerHarness::atomic(),
-                spec,
-                &plan,
-                false,
-                &mut queue_high,
-            );
+            let r = run_harness_instance(&InterledgerHarness::atomic(), spec, &plan, false);
             assert_ne!(
                 r.outcome,
                 ProtocolOutcome::Violation,

@@ -160,21 +160,13 @@ mod tests {
     #[test]
     fn faultless_instances_succeed_with_zero_griefing() {
         let specs = workload::generate(&WorkloadConfig::new(TopologyFamily::Linear { n: 3 }, 8, 2));
-        let mut queue_high = 0;
         for spec in &specs {
-            let r = run_harness_instance(
-                &TimeBoundedHarness,
-                spec,
-                &FaultPlan::NONE,
-                true,
-                &mut queue_high,
-            );
+            let r = run_harness_instance(&TimeBoundedHarness, spec, &FaultPlan::NONE, true);
             assert_eq!(r.outcome, ProtocolOutcome::Success);
             assert!(!r.griefed, "time-bounded never griefs");
             assert!(r.peak_locked >= spec.plan.amounts[0].amount);
             assert!(!r.lock_profile.is_empty());
             assert!(r.latency > SimDuration::ZERO);
         }
-        assert!(queue_high > 0, "high-water mark carried across runs");
     }
 }

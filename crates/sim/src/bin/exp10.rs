@@ -139,7 +139,6 @@ fn run(args: &cli::Parsed) -> std::io::Result<i32> {
                 workload.max_rho_ppm = (0, 0);
                 let cfg = SimConfig {
                     threads: grid.threads,
-                    lock_profile: false,
                     ..SimConfig::new(workload)
                 };
                 let specs = sim::workload::generate(&cfg.workload);

@@ -176,7 +176,6 @@ fn run(args: &cli::Parsed) -> std::io::Result<i32> {
             let specs = sim::workload::generate(&workload);
             let cfg = SimConfig {
                 threads: grid.threads,
-                lock_profile: false,
                 ..SimConfig::new(workload)
             };
             for &protocol in protocols {

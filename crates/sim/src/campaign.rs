@@ -39,9 +39,9 @@
 //! state is checked too: outcome counters must sum to `instances`, at
 //! most 16 and at most `failed` seeds may be carried, and a `liquidity`
 //! record must be present exactly when [`CampaignConfig::liquidity`] is
-//! set. Thread count and batch size are deliberately **not** part of the
-//! digest: they are performance knobs, and the workspace invariant is
-//! that they never change a report.
+//! set. The thread count is deliberately **not** part of the digest: it
+//! is a performance knob, and the workspace invariant is that it never
+//! changes a report. Neither does how an epoch is chunked onto workers.
 //!
 //! ## Resume is bit-identical
 //!
@@ -109,8 +109,6 @@ pub struct CampaignConfig {
     /// Worker threads (0 ⇒ all cores). Not part of the config digest:
     /// reports are bit-identical across thread counts.
     pub threads: usize,
-    /// Instances per worker batch (perf knob, also digest-exempt).
-    pub batch: usize,
     /// `Some` runs every epoch as an open system against finite per-venue
     /// collateral (see the module docs); `None` is the closed world.
     pub liquidity: Option<LiquidityConfig>,
@@ -131,7 +129,6 @@ impl CampaignConfig {
             epoch_payments,
             faults: FaultPlan::NONE,
             threads: 0,
-            batch: 64,
             liquidity: None,
             routing: None,
         }
@@ -165,7 +162,6 @@ impl CampaignConfig {
             workload: wl,
             faults: self.faults,
             threads: self.threads,
-            batch: self.batch,
             lock_profile: false,
         }
     }
@@ -173,7 +169,7 @@ impl CampaignConfig {
     /// FNV-1a digest of the canonical campaign identity under `harness`:
     /// everything that changes what the campaign *computes* (workload
     /// template, scale, epoch size, faults, liquidity, harness), nothing
-    /// that only changes how fast (threads, batch).
+    /// that only changes how fast (the thread count).
     pub fn digest(&self, harness_name: &str) -> u64 {
         let mut wl = self.workload;
         wl.payments = 0; // template: scale lives in total/epoch
@@ -319,19 +315,19 @@ pub struct CampaignTally {
     /// Peak-locked-value sketch across instances.
     pub peak_locked: MergeableSketch,
     /// Seeds of up to 16 poisoned instances — enough to replay the panic
-    /// under a debugger. Closed campaigns keep them sorted (the worker
-    /// merge sorts); open campaigns keep spec order.
+    /// under a debugger: the 16 smallest, sorted, in closed and open
+    /// campaigns alike, so how an epoch is chunked never changes them.
     pub failed_seeds: Vec<u64>,
     /// Liquidity-side tally (open-system campaigns only).
     pub liquidity: Option<LiquidityTally>,
 }
 
 impl CampaignTally {
-    /// The outcome counters as one `outcomes` event: the checkpoint's
-    /// record and the `--json` artifact's `outcomes` object.
-    fn outcomes(&self) -> Event {
-        Event::new("outcomes")
-            .with_u64("success", self.success)
+    /// `e` with the outcome counters appended: on `Event::new("outcomes")`
+    /// the checkpoint's record and the `--json` artifact's `outcomes`
+    /// object, and the tail of every `epoch` event.
+    fn outcomes(&self, e: Event) -> Event {
+        e.with_u64("success", self.success)
             .with_u64("refunds", self.refunds)
             .with_u64("stuck", self.stuck)
             .with_u64("violations", self.violations)
@@ -354,9 +350,7 @@ impl CampaignTally {
             InstanceOutcome::Rejected => self.rejected += 1,
             InstanceOutcome::Failed => {
                 self.failed += 1;
-                if self.failed_seeds.len() < FAILED_SEEDS_CAP {
-                    self.failed_seeds.push(spec.seed);
-                }
+                self.keep_failed_seeds([spec.seed]);
             }
         }
         if r.griefed {
@@ -369,10 +363,22 @@ impl CampaignTally {
         self.events += r.events as u128;
     }
 
+    /// The one `failed_seeds` rule: keep the [`FAILED_SEEDS_CAP`]
+    /// smallest distinct seeds, sorted. A row and a part's seeds go
+    /// through it alike, so the result does not depend on where the
+    /// chunk boundaries fell.
+    fn keep_failed_seeds(&mut self, seeds: impl IntoIterator<Item = u64>) {
+        self.failed_seeds.extend(seeds);
+        self.failed_seeds.sort_unstable();
+        self.failed_seeds.dedup();
+        self.failed_seeds.truncate(FAILED_SEEDS_CAP);
+    }
+
     /// Folds a per-worker partial tally in. All fields merge by exact
-    /// commutative arithmetic (sketch merges included), so the combined
-    /// tally is independent of worker count and merge order; only
-    /// `failed_seeds` needs the sort-and-cap below to stay canonical.
+    /// commutative arithmetic (sketch merges included), and
+    /// `failed_seeds` by [`keep_failed_seeds`](Self::keep_failed_seeds),
+    /// so the combined tally is independent of worker count, chunking and
+    /// merge order.
     fn absorb(&mut self, part: CampaignTally) {
         self.instances += part.instances;
         self.success += part.success;
@@ -386,19 +392,16 @@ impl CampaignTally {
         self.events += part.events;
         self.latency.merge(&part.latency);
         self.peak_locked.merge(&part.peak_locked);
-        self.failed_seeds.extend(part.failed_seeds);
-        self.failed_seeds.sort_unstable();
-        self.failed_seeds.dedup();
-        self.failed_seeds.truncate(FAILED_SEEDS_CAP);
+        self.keep_failed_seeds(part.failed_seeds);
     }
 }
 
-/// Everything one completed epoch reports: progress, throughput,
-/// cumulative outcome counters, peak memory and the ETA. This is the
-/// payload of the `epoch` telemetry event and of the standardized
-/// [`progress_line`] every exp binary prints. The wall-clock and memory
-/// fields are observability-only — they never reach a checkpoint, a
-/// report digest or any other digest preimage.
+/// Everything one completed epoch reports: progress, throughput, peak
+/// memory and the ETA. This is the payload of the `epoch` telemetry event
+/// (which adds the tally's cumulative outcome counters) and of the
+/// standardized [`progress_line`] every exp binary prints. The wall-clock
+/// and memory fields are observability-only — they never reach a
+/// checkpoint, a report digest or any other digest preimage.
 ///
 /// [`progress_line`]: EpochEvent::progress_line
 #[derive(Debug, Clone, Copy)]
@@ -416,18 +419,6 @@ pub struct EpochEvent {
     pub epoch_wall_s: f64,
     /// This epoch's rows over its wall time (0 when unmeasurable).
     pub payments_per_sec: f64,
-    /// Cumulative successful payments.
-    pub success: u64,
-    /// Cumulative clean refunds.
-    pub refunds: u64,
-    /// Cumulative stuck instances.
-    pub stuck: u64,
-    /// Cumulative conservation violations.
-    pub violations: u64,
-    /// Cumulative admission rejections.
-    pub rejected: u64,
-    /// Cumulative panic-isolated instances.
-    pub failed: u64,
     /// Peak RSS of the process so far ([`peak_rss_mb`]; Linux-only,
     /// `None` elsewhere).
     pub peak_rss_mb: Option<u64>,
@@ -460,22 +451,18 @@ impl EpochEvent {
         )
     }
 
-    /// Renders the `epoch` telemetry event.
-    pub fn to_event(&self) -> telemetry::Event {
-        let mut e = telemetry::Event::new("epoch")
+    /// Renders the `epoch` telemetry event, with `tally`'s cumulative
+    /// outcome counters (the checkpoint's `outcomes` record) after the
+    /// throughput.
+    pub fn to_event(&self, tally: &CampaignTally) -> Event {
+        let e = Event::new("epoch")
             .with_u64("epoch", self.epoch)
             .with_u64("epochs", self.epochs)
             .with_u64("rows", self.rows)
             .with_u64("total_rows", self.total_rows)
             .with_f64("epoch_wall_s", self.epoch_wall_s)
-            .with_f64("payments_per_sec", self.payments_per_sec)
-            .with_u64("success", self.success)
-            .with_u64("refunds", self.refunds)
-            .with_u64("stuck", self.stuck)
-            .with_u64("violations", self.violations)
-            .with_u64("rejected", self.rejected)
-            .with_u64("failed", self.failed)
-            .with_f64("eta_s", self.eta_s);
+            .with_f64("payments_per_sec", self.payments_per_sec);
+        let mut e = tally.outcomes(e).with_f64("eta_s", self.eta_s);
         if let Some(mb) = self.peak_rss_mb {
             e = e.with_u64("peak_rss_mb", mb);
         }
@@ -702,11 +689,12 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
     /// [`run_to_end`](Self::run_to_end) with a telemetry sink attached.
     ///
     /// After every epoch the runner builds an [`EpochEvent`] (throughput,
-    /// cumulative outcomes, peak RSS, ETA) and hands it to `progress`;
-    /// every `interval`-th epoch (and always the last) the event — plus,
-    /// for open-system campaigns, the per-venue `venue` / `venue_des`
-    /// series scoped by `epoch` — is emitted into `sink`. When the loop
-    /// ends, the `phase_profile` event follows and the sink is flushed.
+    /// peak RSS, ETA) and hands it to `progress`; every `interval`-th
+    /// epoch (and always the last) the event with the cumulative outcome
+    /// counters — plus, for open-system campaigns, the per-venue `venue` /
+    /// `venue_des` series scoped by `epoch` — is emitted into `sink`. When
+    /// the loop ends, the `phase_profile` event follows and the sink is
+    /// flushed.
     ///
     /// The sink lives on this (orchestrating) thread only and every event
     /// is rendered from already-merged state, so any sink — including a
@@ -736,26 +724,19 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                 self.checkpoint_to(path)?;
             }
             let remaining = epochs.saturating_sub(epoch + 1);
-            let t = &self.tally;
             let event = EpochEvent {
                 epoch,
                 epochs,
                 rows,
-                total_rows: t.instances,
+                total_rows: self.tally.instances,
                 epoch_wall_s: wall,
                 payments_per_sec: if wall > 0.0 { rows as f64 / wall } else { 0.0 },
-                success: t.success,
-                refunds: t.refunds,
-                stuck: t.stuck,
-                violations: t.violations,
-                rejected: t.rejected,
-                failed: t.failed,
                 peak_rss_mb: peak_rss_mb(),
                 eta_s: (wall_total / epochs_timed as f64) * remaining as f64,
             };
             let stopping = stop_after_epoch.is_some_and(|k| epoch >= k);
             if (epoch + 1) % interval == 0 || self.is_done() || stopping {
-                sink.emit(&event.to_event());
+                sink.emit(&event.to_event(&self.tally));
                 if let Some(open) = &self.last_open {
                     open.emit(&[("epoch", epoch)], sink);
                 }
@@ -827,7 +808,7 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                 .with_u64("next_epoch", self.next_epoch)
                 .with_u64("instances", t.instances)
                 .with_u128("events", t.events),
-            t.outcomes(),
+            t.outcomes(Event::new("outcomes")),
         ];
         let seeds = t.failed_seeds.iter();
         records.extend(seeds.map(|&seed| Event::new("failed_seed").with_u64("seed", seed)));
@@ -1063,7 +1044,10 @@ impl CampaignReport {
             .with("epochs_run", self.epochs_run)
             .with("epochs", self.epochs)
             .with("instances", t.instances)
-            .with("outcomes", JsonObject::from_event(&t.outcomes()))
+            .with(
+                "outcomes",
+                JsonObject::from_event(&t.outcomes(Event::new("outcomes"))),
+            )
             .with("events", sat(t.events))
             .with("failed_seeds", t.failed_seeds.clone())
             .with("latency_ticks", sketch(&t.latency))
@@ -1092,4 +1076,45 @@ pub fn peak_rss_mb() -> Option<u64> {
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::InstanceFaults;
+    use crate::workload::TopologyFamily;
+    use anta::time::SimDuration;
+
+    /// A chunk boundary cannot change `failed_seeds`: 40 panic-isolated
+    /// rows, seeds descending in spec order, keep the 16 smallest seeds
+    /// whether they are folded as one part or as five parts of 8.
+    #[test]
+    fn failed_seeds_do_not_depend_on_chunking() {
+        let mut specs =
+            workload::generate(&WorkloadConfig::new(TopologyFamily::Linear { n: 2 }, 40, 3));
+        for (i, spec) in specs.iter_mut().enumerate() {
+            spec.seed = 1_000 - i as u64;
+        }
+        let failed = HarnessRun::never_ran(
+            InstanceOutcome::Failed,
+            InstanceFaults::NONE,
+            SimDuration::ZERO,
+        );
+        let fold = |chunk: &[PaymentSpec]| {
+            let mut part = CampaignTally::default();
+            for spec in chunk {
+                part.fold_row(spec, &failed);
+            }
+            part
+        };
+        let one = fold(&specs);
+        let mut five = CampaignTally::default();
+        for chunk in specs.chunks(8) {
+            five.absorb(fold(chunk));
+        }
+        let smallest: Vec<u64> = (961..=976).collect();
+        assert_eq!(one.failed_seeds, smallest);
+        assert_eq!(five.failed_seeds, smallest);
+        assert_eq!(one, five);
+    }
 }

@@ -303,7 +303,6 @@ struct ShardSim<'a, H: ProtocolHarness> {
     /// Per-member collateral demand (`VenueRoute::demand`).
     demands: Vec<Vec<(u32, u64)>>,
     results: Vec<Option<HarnessRun>>,
-    queue_high: usize,
     tally: GateTally,
     /// Live-routing state (`None` for static-route runs).
     routed: Option<RoutedState>,
@@ -341,7 +340,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 .map(|&si| specs[si].venues.demand(&specs[si].plan))
                 .collect(),
             results: members.iter().map(|_| None).collect(),
-            queue_high: 0,
             tally: GateTally::default(),
             routed,
         };
@@ -607,15 +605,13 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         }
         let mut legs = legs.into_iter();
         let first = legs.next().expect("a poll that admits yields a leg");
-        let mut r =
-            run_instance_isolated(self.harness, &first, self.plan, true, &mut self.queue_high);
+        let mut r = run_instance_isolated(self.harness, &first, self.plan, true);
         let mut route = match first {
             Cow::Borrowed(spec) => Cow::Borrowed(&spec.venues),
             Cow::Owned(spec) => Cow::Owned(spec.venues),
         };
         for leg in legs {
-            let lr =
-                run_instance_isolated(self.harness, &leg, self.plan, true, &mut self.queue_high);
+            let lr = run_instance_isolated(self.harness, &leg, self.plan, true);
             if severity(lr.outcome) > severity(r.outcome) {
                 r.outcome = lr.outcome;
             }

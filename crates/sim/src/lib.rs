@@ -10,10 +10,10 @@
 //! work is one deterministic run of one payment instance
 //! ([`protocol::run_harness_instance`]), whose [`protocol::HarnessRun`]
 //! is the only per-payment row: every report and tally folds it with the
-//! spec it came from. There are exactly two ways to run a batch:
+//! spec it came from. There are exactly two ways to run a spec list:
 //!
 //! * [`run_closed`]`(harness, specs, cfg)` → [`SimReport`]: every
-//!   instance in isolation, batched onto [`experiments::parallel_map`]
+//!   instance in isolation, chunked onto [`experiments::parallel_map`]
 //!   workers.
 //! * [`run_open`]`(harness, specs, cfg, liq, routing)` → ([`OpenReport`],
 //!   [`OpenTelemetry`]): one discrete-event simulation against finite
@@ -31,7 +31,7 @@
 //! ## Responsibility boundaries
 //!
 //! **In scope:**
-//! - batching instances onto workers, panic isolation (a harness that
+//! - chunking instances onto workers, panic isolation (a harness that
 //!   panics costs one [`InstanceOutcome::Failed`] row, not the batch),
 //!   and the deterministic merge of per-chunk rows ([`runner`]);
 //! - the open-system admission gate: its event order, venue sharding,

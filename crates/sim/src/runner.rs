@@ -1,16 +1,15 @@
 //! The Monte-Carlo driver: thousands-to-millions of concurrent payment
-//! instances, run in batches on the worker pool — generic over the
+//! instances, run in chunks on the worker pool — generic over the
 //! protocol under test.
 //!
 //! Each instance is one deterministic engine run — a pure function of its
 //! [`PaymentSpec`], the [`FaultPlan`] and the [`ProtocolHarness`] — so the
 //! aggregate report is **bit-identical across thread counts**; only the
-//! wall time moves. Batching matters for throughput: a worker runs its
-//! batch sequentially and carries the engine queue's high-water mark from
-//! instance to instance ([`anta::engine::Engine::reserve_capacity`]), so
-//! rebuilt engines skip the grow-by-doubling phase, and every run uses
-//! [`anta::trace::TraceMode::CountersOnly`] so no message payload is ever
-//! cloned into a trace.
+//! wall time moves. A worker runs its chunk of specs in order, each on a
+//! freshly built engine in [`anta::trace::TraceMode::CountersOnly`], so no
+//! message payload is ever cloned into a trace. The chunk size is worked
+//! out from the spec count alone, never from the thread count, and no
+//! report depends on it.
 //!
 //! There are two batch entry points, [`run_closed`] and [`run_open`].
 //! Both are generic over the harness and take a pre-generated spec list; a
@@ -37,11 +36,10 @@ pub struct SimConfig {
     pub faults: FaultPlan,
     /// Worker threads (0 ⇒ all available cores).
     pub threads: usize,
-    /// Instances per work batch. Larger batches amortise engine
-    /// pre-sizing; smaller batches balance better across workers.
-    pub batch: usize,
     /// Collect per-instance lock/unlock profiles and compute the
     /// workload-wide concurrency peaks (small extra memory per instance).
+    /// Only [`run_closed`] reads it: the open-system DES replays lock
+    /// events, so [`run_open`] always collects them.
     pub lock_profile: bool,
 }
 
@@ -53,7 +51,6 @@ impl SimConfig {
             workload,
             faults: FaultPlan::NONE,
             threads: 0,
-            batch: 64,
             lock_profile: true,
         }
     }
@@ -74,9 +71,8 @@ pub fn run_closed<H: ProtocolHarness>(
     SimReport::merge(specs.iter().zip(rows.iter().flatten()), cfg.lock_profile)
 }
 
-/// The one batch loop: `specs` chunked by `cfg.batch`, every instance of
-/// a chunk simulated in order on one worker (panic-isolated, the engine
-/// queue's high-water mark carried from instance to instance), and the
+/// The one batch loop: `specs` chunked by [`chunk_len`], every instance
+/// of a chunk simulated in order on one worker (panic-isolated), and the
 /// chunk handed to `fold` **on that worker** as `(specs, their rows)`.
 /// Folded chunks come back in spec order, so whatever the caller builds
 /// from them is bit-identical across thread counts — and a caller that
@@ -98,23 +94,21 @@ where
         harness.name(),
         cfg.workload.family,
     );
-    let batches: Vec<&[PaymentSpec]> = specs.chunks(cfg.batch.max(1)).collect();
-    parallel_map(&batches, cfg.threads, |chunk| {
-        let mut queue_high = 0usize;
+    let chunks: Vec<&[PaymentSpec]> = specs.chunks(chunk_len(specs.len())).collect();
+    parallel_map(&chunks, cfg.threads, |chunk| {
         let rows = chunk
             .iter()
-            .map(|spec| {
-                run_instance_isolated(
-                    harness,
-                    spec,
-                    &cfg.faults,
-                    cfg.lock_profile,
-                    &mut queue_high,
-                )
-            })
+            .map(|spec| run_instance_isolated(harness, spec, &cfg.faults, cfg.lock_profile))
             .collect();
         fold(chunk, rows)
     })
+}
+
+/// Specs per worker chunk, a function of the spec count alone: up to 512
+/// specs split into at most eight chunks (exactly eight from 57 specs
+/// on), and a longer list into chunks of 64.
+fn chunk_len(specs: usize) -> usize {
+    specs.div_ceil(8).clamp(1, 64)
 }
 
 /// [`run_harness_instance`] under panic isolation: a harness that panics
@@ -126,9 +120,7 @@ where
 /// layer surfaces those seeds in its report.
 ///
 /// The `Failed` row is [`HarnessRun::never_ran`]: no latency, no locked
-/// value, no lock profile, no fault attribution. `queue_high` is reset so
-/// a poisoned engine cannot leak a bogus high-water mark into the next
-/// instance's pre-sizing.
+/// value, no lock profile, no fault attribution.
 ///
 /// [`InstanceOutcome::Failed`]: crate::metrics::InstanceOutcome::Failed
 pub(crate) fn run_instance_isolated<H: ProtocolHarness>(
@@ -136,15 +128,12 @@ pub(crate) fn run_instance_isolated<H: ProtocolHarness>(
     spec: &PaymentSpec,
     plan: &FaultPlan,
     lock_profile: bool,
-    queue_high: &mut usize,
 ) -> HarnessRun {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let entry_high = *queue_high;
     catch_unwind(AssertUnwindSafe(|| {
-        run_harness_instance(harness, spec, plan, lock_profile, queue_high)
+        run_harness_instance(harness, spec, plan, lock_profile)
     }))
     .unwrap_or_else(|_| {
-        *queue_high = entry_high;
         HarnessRun::never_ran(
             protocol::ProtocolOutcome::Failed,
             crate::faults::InstanceFaults::NONE,
@@ -481,10 +470,7 @@ mod tests {
     }
 
     fn small(family: TopologyFamily, payments: usize, seed: u64) -> SimConfig {
-        SimConfig {
-            batch: 16,
-            ..SimConfig::new(WorkloadConfig::new(family, payments, seed))
-        }
+        SimConfig::new(WorkloadConfig::new(family, payments, seed))
     }
 
     #[test]
@@ -587,20 +573,12 @@ mod tests {
     fn single_instance_runner_is_reusable() {
         let specs =
             workload::generate(&WorkloadConfig::new(TopologyFamily::Linear { n: 2 }, 4, 11));
-        let mut queue_high = 0;
         for spec in &specs {
-            let r = run_harness_instance(
-                &TimeBoundedHarness,
-                spec,
-                &FaultPlan::NONE,
-                false,
-                &mut queue_high,
-            );
+            let r = run_harness_instance(&TimeBoundedHarness, spec, &FaultPlan::NONE, false);
             assert_eq!(r.outcome, InstanceOutcome::Success);
             assert!(r.lock_profile.is_empty(), "profiling off");
             assert!(r.events > 0);
         }
-        assert!(queue_high > 0, "high-water mark carried across runs");
     }
 
     #[test]

@@ -41,6 +41,14 @@ row '\b(run_instance_with|run_specs_with|run_open_specs_with|run_open_specs_with
     '^crates/sim/src/compat.rs:|^crates/sim/src/lib.rs:[0-9]+: +(run_[a-z_]+, ?)+$' \
     "only benchmark/ may name the compat presets (ROADMAP 1(iii) deletes them)"
 
+# The simulator keeps no engine pre-sizing: a payment runs on a freshly
+# built engine, and the chunk size is worked out from the spec count.
+row 'queue_high|reserve_capacity|queue_high_water' "$code" \
+    '^crates/anta/src/|^crates/sim/src/compat.rs:' \
+    "engine pre-sizing is anta's own API, called only from benchmark/ (and compat's ignored argument)"
+row '\bbatch:|\.batch\b' 'crates/sim crates/protocol tests examples' '' \
+    "deleted: SimConfig and CampaignConfig have no batch knob; simulate_specs chunks by spec count"
+
 # One row per payment: the harness's HarnessRun is what every report and
 # tally folds, beside the spec it came from.
 row '\bInstanceResult\b' "$code" '' \

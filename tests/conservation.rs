@@ -132,14 +132,12 @@ proptest! {
             ..WorkloadConfig::new(TopologyFamily::Linear { n }, 4, seed)
         };
         let specs = workload::generate(&config);
-        let mut queue_high = 0;
         for spec in &specs {
             let r = crosschain::protocol::run_harness_instance(
                 &TimeBoundedHarness,
                 spec,
                 &faults,
                 false,
-                &mut queue_high,
             );
             prop_assert!(
                 r.outcome != InstanceOutcome::Violation,

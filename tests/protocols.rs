@@ -66,7 +66,6 @@ fn every_protocol_report_is_identical_across_thread_counts() {
         let cfg = SimConfig {
             threads,
             faults: faulty_plan(),
-            batch: 32,
             lock_profile: false,
             ..SimConfig::new(WorkloadConfig::new(
                 TopologyFamily::Linear { n: 3 },

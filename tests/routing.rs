@@ -32,7 +32,6 @@ fn routed_cfg(family: TopologyFamily, payments: usize, seed: u64, threads: usize
     };
     SimConfig {
         threads,
-        batch: 16,
         ..SimConfig::new(workload)
     }
 }

@@ -16,10 +16,7 @@ use crosschain::sim::FamilyStats;
 use proptest::prelude::*;
 
 fn campaign(family: TopologyFamily, payments: usize, seed: u64) -> SimConfig {
-    SimConfig {
-        batch: 32,
-        ..SimConfig::new(WorkloadConfig::new(family, payments, seed))
-    }
+    SimConfig::new(WorkloadConfig::new(family, payments, seed))
 }
 
 /// `cfg`'s own workload through the time-bounded protocol, closed.
@@ -443,7 +440,6 @@ fn a_panicking_instance_degrades_to_one_failed_row_everywhere() {
     let one_epoch = |threads: usize| {
         let epoch_cfg = CampaignConfig {
             threads,
-            batch: 8,
             ..CampaignConfig::new(cfg.workload, 40, 40)
         };
         let poisoned_seed = crosschain::sim::workload::generate(&epoch_cfg.epoch_workload(0))
@@ -497,14 +493,11 @@ proptest! {
         patience_ms in 0u64..40,
         burst in 1usize..24,
     ) {
-        let mut cfg = SimConfig {
-            batch: 16,
-            ..SimConfig::new(WorkloadConfig::new(
-                TopologyFamily::HubAndSpoke { spokes },
-                payments,
-                seed,
-            ))
-        };
+        let mut cfg = SimConfig::new(WorkloadConfig::new(
+            TopologyFamily::HubAndSpoke { spokes },
+            payments,
+            seed,
+        ));
         cfg.workload.arrivals = ArrivalProcess::Bursty {
             burst,
             gap: SimDuration::from_millis(10),
@@ -552,14 +545,11 @@ proptest! {
         budget in 2_000u64..30_000,
         burst in 1usize..16,
     ) {
-        let mut cfg = SimConfig {
-            batch: 16,
-            ..SimConfig::new(WorkloadConfig::new(
-                TopologyFamily::Packetized { paths, hops },
-                payments,
-                seed,
-            ))
-        };
+        let mut cfg = SimConfig::new(WorkloadConfig::new(
+            TopologyFamily::Packetized { paths, hops },
+            payments,
+            seed,
+        ));
         cfg.workload.arrivals = ArrivalProcess::Bursty {
             burst,
             gap: SimDuration::from_millis(8),
