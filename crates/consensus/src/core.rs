@@ -272,23 +272,9 @@ impl<V: ConsensusValue> NotaryCore<V> {
         self.decided.as_ref().map(|(_, v)| v)
     }
 
-    /// Decision round, once decided.
-    pub fn decided_round(&self) -> Option<u32> {
-        self.decided.as_ref().map(|(r, _)| *r)
-    }
-
     /// Current round.
     pub fn round(&self) -> u32 {
         self.round
-    }
-
-    /// My committee index.
-    pub fn my_index(&self) -> usize {
-        self.cfg
-            .members
-            .iter()
-            .position(|k| *k == self.signer.id())
-            .expect("checked in new()")
     }
 
     /// Begins the instance (enters round 0).
@@ -739,9 +725,8 @@ mod tests {
             .collect();
         let inbox = start_all(&mut cores);
         pump(&mut cores, inbox);
-        for c in &cores {
-            assert_eq!(c.decided(), Some(&7), "notary {} undecided", c.my_index());
-            assert_eq!(c.decided_round(), Some(0));
+        for (i, c) in cores.iter().enumerate() {
+            assert_eq!(c.decided(), Some(&7), "notary {i} undecided");
         }
     }
 

@@ -42,12 +42,6 @@ impl WireWriter {
         self
     }
 
-    /// Appends a big-endian i64 (times, signed amounts in audits).
-    pub fn put_i64(&mut self, v: i64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, b: &[u8]) -> &mut Self {
         self.put_u64(b.len() as u64);
@@ -103,9 +97,9 @@ mod tests {
     #[test]
     fn integer_widths() {
         let mut w = WireWriter::new(b"");
-        w.put_u8(1).put_u32(2).put_u64(3).put_i64(-4);
-        // 8 (domain len) + 1 + 4 + 8 + 8
-        assert_eq!(w.as_slice().len(), 8 + 1 + 4 + 8 + 8);
+        w.put_u8(1).put_u32(2).put_u64(3);
+        // 8 (domain len) + 1 + 4 + 8
+        assert_eq!(w.as_slice().len(), 8 + 1 + 4 + 8);
     }
 
     #[test]

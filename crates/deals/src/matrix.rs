@@ -192,20 +192,6 @@ pub struct DealOutcome {
 }
 
 impl DealOutcome {
-    /// All arcs transferred.
-    pub fn all_executed(n_arcs: usize) -> Self {
-        DealOutcome {
-            executed: vec![true; n_arcs],
-        }
-    }
-
-    /// No arc transferred.
-    pub fn none_executed(n_arcs: usize) -> Self {
-        DealOutcome {
-            executed: vec![false; n_arcs],
-        }
-    }
-
     /// The acceptability predicate of \[3\] for `party` (see module docs):
     /// all incoming executed, or no outgoing executed.
     pub fn acceptable_for(&self, deal: &DealMatrix, party: Party) -> bool {
@@ -311,8 +297,12 @@ mod tests {
     #[test]
     fn acceptability_full_and_empty() {
         let d = swap();
-        let full = DealOutcome::all_executed(2);
-        let none = DealOutcome::none_executed(2);
+        let full = DealOutcome {
+            executed: vec![true; 2],
+        };
+        let none = DealOutcome {
+            executed: vec![false; 2],
+        };
         for p in 0..2 {
             assert!(full.acceptable_for(&d, p), "full deal acceptable for {p}");
             assert!(

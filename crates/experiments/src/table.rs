@@ -1,7 +1,7 @@
-//! Plain-text table rendering and CSV output for the experiment reports.
+//! Plain-text table rendering for the experiment reports.
 //!
 //! No dependencies: experiments print exactly the rows EXPERIMENTS.md
-//! records, and CSV lines that external plotting can consume.
+//! records.
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
@@ -79,32 +79,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (RFC-4180-ish; quotes cells containing commas).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a ratio as a percentage with one decimal.
@@ -141,15 +115,6 @@ mod tests {
         assert!(s.contains("name         value"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.row(&["x,y".to_owned(), "say \"hi\"".to_owned()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl HtlcChain {
         self.contracts.get(id)
     }
 
-    /// The preimage revealed on this chain, if any contract was claimed.
-    pub fn revealed_preimage(&self) -> Option<&[u8]> {
-        self.contracts.iter().find_map(|c| c.revealed.as_deref())
-    }
-
     /// Number of contracts ever opened.
     pub fn len(&self) -> usize {
         self.contracts.len()
@@ -224,7 +219,6 @@ mod tests {
         chain.claim(id, secret, t(500)).unwrap();
         assert_eq!(chain.contract(id).unwrap().state, HtlcState::Claimed);
         assert_eq!(chain.ledger().balance(b, CUR), 60);
-        assert_eq!(chain.revealed_preimage(), Some(secret.as_slice()));
         chain.ledger().check_conservation().unwrap();
     }
 

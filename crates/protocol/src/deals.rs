@@ -65,12 +65,8 @@ impl ProtocolHarness for DealsHarness {
     }
 
     fn byz_support(&self) -> ByzSupport {
-        ByzSupport {
-            crash: true,
-            late_bob: true,
-            forging_chloe: false,
-            thieving_escrow: false,
-        }
+        // Crash and late Bob.
+        ByzSupport::first(2)
     }
 
     fn instance(&self, spec: &PaymentSpec, faults: &InstanceFaults) -> DealCtx {

@@ -100,7 +100,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
     use crate::htlc::HtlcHarness;
-    use crate::interledger::InterledgerHarness;
+    use crate::interledger::IlpUntunedHarness;
     use crate::timebounded::TimeBoundedHarness;
     use crate::workload::{self, TopologyFamily, WorkloadConfig};
 
@@ -155,7 +155,7 @@ mod tests {
         let spec = one_spec(3);
         for threads in [1usize, 2] {
             let diff = explore_harness_differential(
-                &InterledgerHarness::untuned(),
+                &IlpUntunedHarness,
                 &spec,
                 &InstanceFaults::NONE,
                 ExploreConfig {

@@ -9,10 +9,12 @@
 //!   same run. This is what makes Monte-Carlo reports bit-identical across
 //!   thread counts and lets the explorer enumerate schedules.
 //! * **Shared fault draw** — the harness does not sample faults; the
-//!   driver draws one [`InstanceFaults`] from the instance's own seed
-//!   (after zeroing the Byzantine knobs the harness declares inapplicable
-//!   via [`ByzSupport`]) and the harness interprets the assignment in its
-//!   own terms. Network faults apply to every protocol unchanged.
+//!   driver draws one [`InstanceFaults`] from the instance's own seed,
+//!   after zeroing the Byzantine knobs past the harness's [`ByzSupport`]
+//!   prefix, and the harness interprets the assignment in its own terms.
+//!   A prefix keeps every earlier strategy's span of the draw in place, so
+//!   every protocol sees the same fault for an instance whenever it
+//!   supports that fault. Network faults apply to every protocol unchanged.
 //! * **Violation soundness** — `classify` must check money conservation
 //!   before anything else; a run in which an auditable book is out of
 //!   balance or a compliant party lost value is a
@@ -35,70 +37,47 @@ use rand::SeedableRng;
 /// already drives keys, oracle and clocks).
 pub const FAULT_SALT: u64 = 0xFA17_1A57_C0FF_EE00;
 
-/// Which Byzantine strategies of [`FaultPlan`] a protocol can interpret.
-/// Inapplicable knobs are zeroed before the per-instance draw, so a
-/// harness never sees a fault it has no semantics for — the graceful
-/// degradation the cross-protocol sweeps rely on.
+/// Which Byzantine strategies of [`FaultPlan`] a protocol can interpret:
+/// always the first `k` of [`FaultPlan::sample`]'s draw order (crash,
+/// late_bob, forging_chloe, thieving_escrow). Unsupported knobs are zeroed
+/// before the per-instance draw, so a harness never sees a fault it has no
+/// semantics for — the graceful degradation the cross-protocol sweeps rely
+/// on. Only a prefix can be expressed because `sample` maps one uniform
+/// draw through prefix-sum thresholds in that order: zeroing a suffix
+/// leaves every earlier span where it was, so every protocol sees the same
+/// seeded draw for each instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ByzSupport {
-    /// Fail-stop crashes of a protocol participant.
-    pub crash: bool,
-    /// A payee who sits on the receipt past its deadline.
-    pub late_bob: bool,
-    /// A connector forging the receipt instead of paying.
-    pub forging_chloe: bool,
-    /// An escrow that keeps the money.
-    pub thieving_escrow: bool,
+    len: usize,
 }
 
 impl ByzSupport {
     /// Every strategy applies.
-    pub const ALL: ByzSupport = ByzSupport {
-        crash: true,
-        late_bob: true,
-        forging_chloe: true,
-        thieving_escrow: true,
-    };
+    pub const ALL: ByzSupport = ByzSupport::first(4);
 
     /// No Byzantine strategy applies (network faults only).
-    pub const NONE: ByzSupport = ByzSupport {
-        crash: false,
-        late_bob: false,
-        forging_chloe: false,
-        thieving_escrow: false,
-    };
+    pub const NONE: ByzSupport = ByzSupport::first(0);
+
+    /// The first `k` strategies of the draw order; panics if `k > 4`.
+    pub const fn first(k: usize) -> ByzSupport {
+        assert!(k <= 4, "FaultPlan has four Byzantine strategies");
+        ByzSupport { len: k }
+    }
+
+    /// How many strategies, from the front of the draw order, apply.
+    pub fn prefix_len(&self) -> usize {
+        self.len
+    }
 
     /// Zeroes the unsupported Byzantine knobs of `plan`, keeping the
     /// network-fault layer untouched.
-    ///
-    /// Caveat for cross-protocol comparisons: [`FaultPlan::sample`] maps
-    /// one uniform draw through prefix-sum thresholds in the fixed order
-    /// (crash, late_bob, forging_chloe, thieving_escrow), so zeroing a
-    /// *middle* knob shifts every later span and two harnesses that both
-    /// support a late knob can receive different faults for the same
-    /// instance. The "same seeded draw no matter the protocol" guarantee
-    /// therefore holds when each harness's supported set is a **prefix**
-    /// of that order (possibly minus a suffix) — which every built-in
-    /// harness satisfies; `restrict_prefix_invariant_of_builtin_harnesses`
-    /// pins it down for the next adapter author.
     pub fn restrict(&self, plan: &FaultPlan) -> FaultPlan {
+        let keep = |pos: usize, permille: u32| if pos < self.len { permille } else { 0 };
         FaultPlan {
-            crash_permille: if self.crash { plan.crash_permille } else { 0 },
-            late_bob_permille: if self.late_bob {
-                plan.late_bob_permille
-            } else {
-                0
-            },
-            forging_chloe_permille: if self.forging_chloe {
-                plan.forging_chloe_permille
-            } else {
-                0
-            },
-            thieving_escrow_permille: if self.thieving_escrow {
-                plan.thieving_escrow_permille
-            } else {
-                0
-            },
+            crash_permille: keep(0, plan.crash_permille),
+            late_bob_permille: keep(1, plan.late_bob_permille),
+            forging_chloe_permille: keep(2, plan.forging_chloe_permille),
+            thieving_escrow_permille: keep(3, plan.thieving_escrow_permille),
             net: plan.net,
         }
     }
@@ -352,16 +331,19 @@ pub fn run_harness_instance<H: ProtocolHarness>(
     }
 }
 
+/// Whether `byz` can come out of a plan restricted to `s`: its strategy's
+/// position in the draw order is below `s.prefix_len()`. Forging
+/// downgrades to a crash on 1-escrow chains, which is earlier in the
+/// order, so a forging harness covers that crash too.
 fn applies(s: ByzSupport, byz: ByzFault) -> bool {
-    match byz {
-        ByzFault::None => true,
-        // Forging downgrades to a crash on 1-escrow chains, so a crash draw
-        // can originate from either knob.
-        ByzFault::CrashCustomer(_) | ByzFault::CrashEscrow(_) => s.crash || s.forging_chloe,
-        ByzFault::LateBob => s.late_bob,
-        ByzFault::ForgingChloe(_) => s.forging_chloe || s.crash,
-        ByzFault::ThievingEscrow(_) => s.thieving_escrow,
-    }
+    let pos = match byz {
+        ByzFault::None => return true,
+        ByzFault::CrashCustomer(_) | ByzFault::CrashEscrow(_) => 0,
+        ByzFault::LateBob => 1,
+        ByzFault::ForgingChloe(_) => 2,
+        ByzFault::ThievingEscrow(_) => 3,
+    };
+    pos < s.prefix_len()
 }
 
 #[cfg(test)]
@@ -381,47 +363,32 @@ mod tests {
                 ..NetFaults::NONE
             },
         };
-        let support = ByzSupport {
-            crash: true,
-            late_bob: false,
-            forging_chloe: false,
-            thieving_escrow: true,
+        let knobs = |p: &FaultPlan| {
+            [
+                p.crash_permille,
+                p.late_bob_permille,
+                p.forging_chloe_permille,
+                p.thieving_escrow_permille,
+            ]
         };
-        let r = support.restrict(&plan);
-        assert_eq!(r.crash_permille, 100);
-        assert_eq!(r.late_bob_permille, 0);
-        assert_eq!(r.forging_chloe_permille, 0);
-        assert_eq!(r.thieving_escrow_permille, 400);
-        assert_eq!(r.net, plan.net, "network faults always apply");
+        for k in 0..=4 {
+            let r = ByzSupport::first(k).restrict(&plan);
+            for (pos, (kept, full)) in knobs(&r).into_iter().zip(knobs(&plan)).enumerate() {
+                let want = if pos < k { full } else { 0 };
+                assert_eq!(kept, want, "prefix {k}, knob {pos}");
+            }
+            assert_eq!(r.net, plan.net, "network faults always apply");
+        }
         assert_eq!(ByzSupport::ALL.restrict(&plan), plan);
         assert!(ByzSupport::NONE.restrict(&plan).byz_is_none());
     }
 
     #[test]
-    fn restrict_prefix_invariant_of_builtin_harnesses() {
-        // See ByzSupport::restrict: the shared-draw guarantee across
-        // protocols relies on every harness supporting a *prefix* of the
-        // (crash, late_bob, forging_chloe, thieving_escrow) threshold
-        // order. A new adapter that breaks this silently invalidates
-        // exp9's same-fault-draws comparison — keep this test honest.
-        let prefix = |s: ByzSupport| {
-            let flags = [s.crash, s.late_bob, s.forging_chloe, s.thieving_escrow];
-            flags.windows(2).all(|w| w[0] || !w[1])
-        };
-        for (name, support) in [
-            ("timebounded", crate::TimeBoundedHarness.byz_support()),
-            ("htlc", crate::HtlcHarness.byz_support()),
-            (
-                "ilp-untuned",
-                crate::InterledgerHarness::untuned().byz_support(),
-            ),
-            (
-                "ilp-atomic",
-                crate::InterledgerHarness::atomic().byz_support(),
-            ),
-            ("deals", crate::DealsHarness.byz_support()),
-        ] {
-            assert!(prefix(support), "{name} supports a non-prefix set");
-        }
+    fn builtin_harnesses_support_pinned_prefixes() {
+        assert_eq!(crate::TimeBoundedHarness.byz_support().prefix_len(), 4);
+        assert_eq!(crate::IlpUntunedHarness.byz_support().prefix_len(), 4);
+        assert_eq!(crate::HtlcHarness.byz_support().prefix_len(), 2);
+        assert_eq!(crate::DealsHarness.byz_support().prefix_len(), 2);
+        assert_eq!(crate::IlpAtomicHarness.byz_support().prefix_len(), 1);
     }
 }

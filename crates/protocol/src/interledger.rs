@@ -1,31 +1,30 @@
-//! [`InterledgerHarness`] — the Thomas–Schwartz baselines behind the
-//! unified harness interface, in two variants:
+//! The Thomas–Schwartz baselines behind the unified harness interface, one
+//! harness each:
 //!
-//! * **untuned** ([`InterledgerHarness::untuned`]) — the universal
-//!   protocol with its drift-oblivious timeout schedule
-//!   ([`interledger::untuned_schedule`]): the same Figure 2 automata as
-//!   the time-bounded harness, but deadlines derived with `ρ = 0` and no
-//!   safety margin. Success guarantees are worst-case claims, so this
-//!   variant runs under the *adversary the synchrony model permits*:
-//!   every message takes the full δ and clocks sit at the extremes of the
-//!   drift envelope — conditions under which Theorem 1's schedule still
-//!   succeeds (the unit tests pin that down) but the untuned one fires
-//!   `now ≥ u + a_i` while χ is legitimately in flight. The classifier
-//!   reports the resulting strandings (a compliant party out of pocket,
-//!   or Bob's transferable receipt gone without payment) as
-//!   [`ProtocolOutcome::Violation`] — the "loses money" defect §1
-//!   attributes to \[4\].
-//! * **atomic** ([`InterledgerHarness::atomic`]) — the notary-deadline
-//!   protocol over the weak-liveness participants: safe under partial
-//!   synchrony but with **no success guarantees**; slow evidence makes an
-//!   honest run abort ([`ProtocolOutcome::Refund`]).
+//! * [`IlpUntunedHarness`] — the universal protocol with its
+//!   drift-oblivious timeout schedule ([`interledger::untuned_schedule`]):
+//!   the same Figure 2 automata as the time-bounded harness, but deadlines
+//!   derived with `ρ = 0` and no safety margin. Success guarantees are
+//!   worst-case claims, so this harness runs under the *adversary the
+//!   synchrony model permits*: every message takes the full δ and clocks
+//!   sit at the extremes of the drift envelope — conditions under which
+//!   Theorem 1's schedule still succeeds (the unit tests pin that down) but
+//!   the untuned one fires `now ≥ u + a_i` while χ is legitimately in
+//!   flight. The classifier reports the resulting strandings (a compliant
+//!   party out of pocket, or Bob's transferable receipt gone without
+//!   payment) as [`ProtocolOutcome::Violation`] — the "loses money" defect
+//!   §1 attributes to \[4\].
+//! * [`IlpAtomicHarness`] — the notary-deadline protocol over the
+//!   weak-liveness participants: safe under partial synchrony but with
+//!   **no success guarantees**; slow evidence makes an honest run abort
+//!   ([`ProtocolOutcome::Refund`]).
 
 use crate::faults::{ByzFault, InstanceFaults};
 use crate::harness::{
     layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness,
 };
 use crate::outcome::{LockProfile, ProtocolOutcome};
-use crate::timebounded::{classify_chain, ChainInstance, TimeBoundedHarness};
+use crate::timebounded::{build_chain_engine, classify_chain, ChainInstance, TimeBoundedHarness};
 use crate::workload::PaymentSpec;
 use anta::engine::Engine;
 use anta::net::SyncNet;
@@ -41,24 +40,87 @@ use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use payment::topology::Role;
 use payment::weak::{TmKind, WeakSetup};
 
-/// Which Interledger baseline the harness executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IlpMode {
-    /// Universal protocol, drift-oblivious schedule.
-    Untuned,
-    /// Atomic mode: a notary with a receipt deadline.
-    Atomic,
+/// The untuned universal protocol (the E5 baseline) as a
+/// [`ProtocolHarness`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IlpUntunedHarness;
+
+impl ProtocolHarness for IlpUntunedHarness {
+    type Msg = PMsg;
+    type Instance = ChainInstance;
+
+    fn name(&self) -> &'static str {
+        "ilp-untuned"
+    }
+
+    fn byz_support(&self) -> ByzSupport {
+        // Same automata and substitutions as the time-bounded chain.
+        ByzSupport::ALL
+    }
+
+    fn instance(&self, spec: &PaymentSpec, faults: &InstanceFaults) -> ChainInstance {
+        ChainInstance {
+            setup: ChainSetup::new(spec.n, spec.plan.clone(), spec.params, spec.seed)
+                .with_schedule(untuned_schedule(spec.n, &spec.params)),
+            faults: *faults,
+        }
+    }
+
+    /// The time-bounded chain under the adversary the synchrony model
+    /// permits — worst-case message delay (every message takes the full δ)
+    /// and clocks at the extremes of the drift envelope. Theorem 1's
+    /// schedule tolerates exactly this adversary; the untuned schedule is
+    /// tight only on perfect clocks, so this is where its failure region
+    /// lives.
+    fn build_engine(
+        &self,
+        inst: &ChainInstance,
+        spec: &PaymentSpec,
+        oracle: Box<dyn Oracle>,
+        trace_mode: TraceMode,
+    ) -> Engine<PMsg> {
+        build_chain_engine(
+            inst,
+            SyncNet::worst_case(spec.params.delta),
+            ClockPlan::Extremes,
+            oracle,
+            trace_mode,
+        )
+    }
+
+    fn classify(
+        &self,
+        eng: &Engine<PMsg>,
+        inst: &ChainInstance,
+        _spec: &PaymentSpec,
+        quiescent: bool,
+        truncated: bool,
+    ) -> ProtocolOutcome {
+        let outcome = ChainOutcome::extract(eng, &inst.setup, quiescent);
+        classify_untuned(&outcome, &inst.faults, truncated)
+    }
+
+    fn latency(
+        &self,
+        eng: &Engine<PMsg>,
+        inst: &ChainInstance,
+        spec: &PaymentSpec,
+        outcome: ProtocolOutcome,
+    ) -> SimDuration {
+        TimeBoundedHarness.latency(eng, inst, spec, outcome)
+    }
+
+    fn lock_events(
+        &self,
+        eng: &Engine<PMsg>,
+        inst: &ChainInstance,
+        spec: &PaymentSpec,
+    ) -> LockProfile {
+        TimeBoundedHarness.lock_events(eng, inst, spec)
+    }
 }
 
-/// Per-instance context for either variant.
-pub enum IlpInstance {
-    /// Untuned universal: a chain instance running the naive schedule.
-    Untuned(ChainInstance),
-    /// Atomic: the weak-protocol participants plus the deadline notary.
-    Atomic(AtomicInstance),
-}
-
-/// Per-instance context for the atomic variant.
+/// Per-instance context of [`IlpAtomicHarness`].
 pub struct AtomicInstance {
     /// The weak-protocol chain.
     pub setup: WeakSetup,
@@ -68,164 +130,115 @@ pub struct AtomicInstance {
     pub deadline: SimDuration,
 }
 
-/// The Interledger baselines as a [`ProtocolHarness`].
-#[derive(Debug, Clone, Copy)]
-pub struct InterledgerHarness {
-    mode: IlpMode,
-}
+/// The atomic (notary-deadline) protocol as a [`ProtocolHarness`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IlpAtomicHarness;
 
-impl InterledgerHarness {
-    /// The untuned universal protocol (the E5 baseline).
-    pub fn untuned() -> Self {
-        InterledgerHarness {
-            mode: IlpMode::Untuned,
-        }
-    }
-
-    /// The atomic (notary-deadline) protocol.
-    pub fn atomic() -> Self {
-        InterledgerHarness {
-            mode: IlpMode::Atomic,
-        }
-    }
-
-    /// The variant this harness runs.
-    pub fn mode(&self) -> IlpMode {
-        self.mode
-    }
-}
-
-impl ProtocolHarness for InterledgerHarness {
+impl ProtocolHarness for IlpAtomicHarness {
     type Msg = PMsg;
-    type Instance = IlpInstance;
+    type Instance = AtomicInstance;
 
     fn name(&self) -> &'static str {
-        match self.mode {
-            IlpMode::Untuned => "ilp-untuned",
-            IlpMode::Atomic => "ilp-atomic",
-        }
+        "ilp-atomic"
     }
 
     fn byz_support(&self) -> ByzSupport {
-        match self.mode {
-            // Same automata and substitutions as the time-bounded chain.
-            IlpMode::Untuned => ByzSupport::ALL,
-            // The weak participants have crash semantics; the other
-            // strategies target deadline machinery the atomic mode
-            // replaces with the notary.
-            IlpMode::Atomic => ByzSupport {
-                crash: true,
-                late_bob: false,
-                forging_chloe: false,
-                thieving_escrow: false,
-            },
+        // The weak participants have crash semantics; the other strategies
+        // target deadline machinery the atomic mode replaces with the
+        // notary.
+        ByzSupport::first(1)
+    }
+
+    fn instance(&self, spec: &PaymentSpec, faults: &InstanceFaults) -> AtomicInstance {
+        AtomicInstance {
+            setup: WeakSetup::new(spec.n, spec.plan.clone(), TmKind::Trusted, spec.seed),
+            faults: *faults,
+            // Generous for the synchronous evidence path (~O(n) sequential
+            // hops), tight enough that held-back messages abort the run —
+            // the atomic-mode trade.
+            deadline: spec.params.hop().saturating_mul(4 * spec.n as u64 + 12),
         }
     }
 
-    fn instance(&self, spec: &PaymentSpec, faults: &InstanceFaults) -> IlpInstance {
-        match self.mode {
-            IlpMode::Untuned => IlpInstance::Untuned(ChainInstance {
-                setup: ChainSetup::new(spec.n, spec.plan.clone(), spec.params, spec.seed)
-                    .with_schedule(untuned_schedule(spec.n, &spec.params)),
-                faults: *faults,
-            }),
-            IlpMode::Atomic => IlpInstance::Atomic(AtomicInstance {
-                setup: WeakSetup::new(spec.n, spec.plan.clone(), TmKind::Trusted, spec.seed),
-                faults: *faults,
-                // Generous for the synchronous evidence path (~O(n)
-                // sequential hops), tight enough that held-back messages
-                // abort the run — the atomic-mode trade.
-                deadline: spec.params.hop().saturating_mul(4 * spec.n as u64 + 12),
-            }),
-        }
-    }
-
+    /// Weak participants, a [`DeadlineTm`] notary in place of the patient
+    /// manager, crash substitutions where the fault draw says so.
     fn build_engine(
         &self,
-        inst: &IlpInstance,
+        inst: &AtomicInstance,
         spec: &PaymentSpec,
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) -> Engine<PMsg> {
-        match inst {
-            IlpInstance::Untuned(chain) => build_untuned_engine(chain, spec, oracle, trace_mode),
-            IlpInstance::Atomic(atomic) => build_atomic_engine(atomic, spec, oracle, trace_mode),
-        }
+        let setup = &inst.setup;
+        let net = layered_net(
+            Box::new(SyncNet::new(spec.params.delta, 16)),
+            inst.faults.net,
+        );
+        let mut cfg = setup.engine_config();
+        cfg.trace_mode = trace_mode;
+        cfg.max_real_time =
+            SimTime::ZERO + inst.deadline.saturating_mul(8) + SimDuration::from_secs(10);
+
+        let crash_role = match inst.faults.byz {
+            ByzFault::CrashCustomer(_) | ByzFault::CrashEscrow(_) => {
+                inst.faults.byz.role(setup.n())
+            }
+            _ => None,
+        };
+        let crash_at = SimDuration::from_ticks(inst.deadline.ticks() / 4);
+
+        setup.build_engine_cfg(
+            net,
+            oracle,
+            cfg,
+            |role| {
+                (crash_role == Some(role)).then(|| {
+                    Box::new(CrashAfter::new(setup.default_process(role), crash_at))
+                        as Box<dyn Process<PMsg>>
+                })
+            },
+            |i| {
+                (i == 0).then(|| {
+                    Box::new(DeadlineTm::new(setup, inst.deadline)) as Box<dyn Process<PMsg>>
+                })
+            },
+        )
     }
 
     fn classify(
         &self,
         eng: &Engine<PMsg>,
-        inst: &IlpInstance,
+        inst: &AtomicInstance,
         _spec: &PaymentSpec,
-        quiescent: bool,
+        _quiescent: bool,
         truncated: bool,
     ) -> ProtocolOutcome {
-        match inst {
-            IlpInstance::Untuned(chain) => {
-                let outcome = ChainOutcome::extract(eng, &chain.setup, quiescent);
-                classify_untuned(&outcome, &chain.faults, truncated)
-            }
-            IlpInstance::Atomic(atomic) => classify_atomic(eng, atomic, truncated),
-        }
+        classify_atomic(eng, inst, truncated)
     }
 
     fn latency(
         &self,
         eng: &Engine<PMsg>,
-        inst: &IlpInstance,
+        inst: &AtomicInstance,
         spec: &PaymentSpec,
         outcome: ProtocolOutcome,
     ) -> SimDuration {
-        match inst {
-            IlpInstance::Untuned(chain) => TimeBoundedHarness.latency(eng, chain, spec, outcome),
-            IlpInstance::Atomic(atomic) => {
-                payee_halt_latency(eng, atomic.setup.topo.customer_pid(spec.n), outcome)
-            }
-        }
+        payee_halt_latency(eng, inst.setup.topo.customer_pid(spec.n), outcome)
     }
 
     fn lock_events(
         &self,
         eng: &Engine<PMsg>,
-        inst: &IlpInstance,
+        _inst: &AtomicInstance,
         spec: &PaymentSpec,
     ) -> LockProfile {
-        match inst {
-            IlpInstance::Untuned(chain) => TimeBoundedHarness.lock_events(eng, chain, spec),
-            IlpInstance::Atomic(_) => plan_lock_events(
-                eng,
-                &spec.plan.amounts,
-                "weak_escrow_locked",
-                ["weak_escrow_released", "weak_escrow_refunded"],
-            ),
-        }
+        plan_lock_events(
+            eng,
+            &spec.plan.amounts,
+            "weak_escrow_locked",
+            ["weak_escrow_released", "weak_escrow_refunded"],
+        )
     }
-}
-
-/// Builds the untuned-variant engine: the same chain assembly as the
-/// time-bounded harness, but under the adversary the synchrony model
-/// permits — worst-case message delay (every message takes the full δ)
-/// and clocks at the extremes of the drift envelope. Theorem 1's schedule
-/// tolerates exactly this adversary; the untuned schedule is tight only
-/// on perfect clocks, so this is where its failure region lives.
-fn build_untuned_engine(
-    inst: &ChainInstance,
-    spec: &PaymentSpec,
-    oracle: Box<dyn Oracle>,
-    trace_mode: TraceMode,
-) -> Engine<PMsg> {
-    let setup = &inst.setup;
-    let net = layered_net(
-        Box::new(SyncNet::worst_case(spec.params.delta)),
-        inst.faults.net,
-    );
-    let mut engine_cfg = setup.engine_config();
-    engine_cfg.trace_mode = trace_mode;
-    let byz = inst.faults.byz;
-    setup.build_engine_cfg(net, oracle, ClockPlan::Extremes, engine_cfg, |role| {
-        byz.substitute(setup, role)
-    })
 }
 
 /// Chain classification with the stranding rule the untuned schedule needs:
@@ -268,49 +281,7 @@ fn classify_untuned(
     base
 }
 
-/// Builds the atomic-mode engine: weak participants, a [`DeadlineTm`]
-/// notary in place of the patient manager, crash substitutions where the
-/// fault draw says so.
-fn build_atomic_engine(
-    inst: &AtomicInstance,
-    spec: &PaymentSpec,
-    oracle: Box<dyn Oracle>,
-    trace_mode: TraceMode,
-) -> Engine<PMsg> {
-    let setup = &inst.setup;
-    let net = layered_net(
-        Box::new(SyncNet::new(spec.params.delta, 16)),
-        inst.faults.net,
-    );
-    let mut cfg = setup.engine_config();
-    cfg.trace_mode = trace_mode;
-    cfg.max_real_time =
-        SimTime::ZERO + inst.deadline.saturating_mul(8) + SimDuration::from_secs(10);
-
-    let crash_role = match inst.faults.byz {
-        ByzFault::CrashCustomer(_) | ByzFault::CrashEscrow(_) => inst.faults.byz.role(setup.n()),
-        _ => None,
-    };
-    let crash_at = SimDuration::from_ticks(inst.deadline.ticks() / 4);
-
-    setup.build_engine_cfg(
-        net,
-        oracle,
-        cfg,
-        |role| {
-            (crash_role == Some(role)).then(|| {
-                Box::new(CrashAfter::new(setup.default_process(role), crash_at))
-                    as Box<dyn Process<PMsg>>
-            })
-        },
-        |i| {
-            (i == 0)
-                .then(|| Box::new(DeadlineTm::new(setup, inst.deadline)) as Box<dyn Process<PMsg>>)
-        },
-    )
-}
-
-/// Classification for the atomic variant. Ordering matters: conservation
+/// Classification for the atomic protocol. Ordering matters: conservation
 /// and certificate consistency first, then *stuck* (locked capital that
 /// never settled — e.g. a dropped decision), then the verdict.
 fn classify_atomic(eng: &Engine<PMsg>, inst: &AtomicInstance, truncated: bool) -> ProtocolOutcome {
@@ -365,12 +336,7 @@ mod tests {
         let mut w = cfg(3, 10, 3);
         w.max_rho_ppm = (0, 0);
         for spec in &workload::generate(&w) {
-            let r = run_harness_instance(
-                &InterledgerHarness::untuned(),
-                spec,
-                &FaultPlan::NONE,
-                false,
-            );
+            let r = run_harness_instance(&IlpUntunedHarness, spec, &FaultPlan::NONE, false);
             assert_eq!(r.outcome, ProtocolOutcome::Success, "spec {}", spec.id);
         }
     }
@@ -382,12 +348,7 @@ mod tests {
         let mut violations = 0usize;
         let mut successes = 0usize;
         for spec in &workload::generate(&w) {
-            let r = run_harness_instance(
-                &InterledgerHarness::untuned(),
-                spec,
-                &FaultPlan::NONE,
-                false,
-            );
+            let r = run_harness_instance(&IlpUntunedHarness, spec, &FaultPlan::NONE, false);
             match r.outcome {
                 ProtocolOutcome::Violation => violations += 1,
                 ProtocolOutcome::Success => successes += 1,
@@ -420,8 +381,7 @@ mod tests {
     #[test]
     fn atomic_commits_when_faultless_and_stays_safe_under_net_faults() {
         for spec in &workload::generate(&cfg(2, 8, 9)) {
-            let r =
-                run_harness_instance(&InterledgerHarness::atomic(), spec, &FaultPlan::NONE, false);
+            let r = run_harness_instance(&IlpAtomicHarness, spec, &FaultPlan::NONE, false);
             assert_eq!(r.outcome, ProtocolOutcome::Success, "spec {}", spec.id);
         }
         let plan = FaultPlan {
@@ -435,7 +395,7 @@ mod tests {
         };
         let mut aborted = 0usize;
         for spec in &workload::generate(&cfg(3, 48, 10)) {
-            let r = run_harness_instance(&InterledgerHarness::atomic(), spec, &plan, false);
+            let r = run_harness_instance(&IlpAtomicHarness, spec, &plan, false);
             assert_ne!(
                 r.outcome,
                 ProtocolOutcome::Violation,

@@ -15,10 +15,12 @@
 //!   shared by every protocol so the comparison is apples-to-apples: the
 //!   same seeded draw decides each instance's faults no matter which
 //!   protocol executes it;
-//! * four adapters: [`timebounded::TimeBoundedHarness`] (the paper's
-//!   Theorem 1 protocol), [`htlc::HtlcHarness`] (two-chain atomic swap),
-//!   [`interledger::InterledgerHarness`] (untuned universal and atomic
-//!   variants of Thomas–Schwartz), and [`deals::DealsHarness`] (the
+//! * five harnesses, one type per protocol:
+//!   [`timebounded::TimeBoundedHarness`] (the paper's Theorem 1 protocol),
+//!   [`htlc::HtlcHarness`] (two-chain atomic swap),
+//!   [`interledger::IlpUntunedHarness`] and
+//!   [`interledger::IlpAtomicHarness`] (the untuned universal and the
+//!   atomic protocol of Thomas–Schwartz), and [`deals::DealsHarness`] (the
 //!   Herlihy–Liskov–Shrira certified commit protocol);
 //! * [`explore`] — schedule exploration generic over the harness, so the
 //!   E4-style exhaustive checker applies to every protocol;
@@ -28,9 +30,11 @@
 //!   collateral demand does not fit, making payments *contend* for escrow
 //!   capacity instead of running as independent instances.
 //!
-//! Fault plans degrade gracefully: a harness declares which Byzantine
-//! strategies apply to it ([`harness::ByzSupport`]); inapplicable knobs are
-//! zeroed before sampling and the network-fault layer applies everywhere.
+//! Fault plans degrade gracefully: a harness declares how many Byzantine
+//! strategies apply to it, always a prefix of the draw order
+//! ([`harness::ByzSupport`]); the knobs past it are zeroed before sampling,
+//! so every protocol sees the same draw, and the network-fault layer
+//! applies everywhere.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,14 +52,16 @@ pub mod timebounded;
 pub mod workload;
 
 /// The label of every built-in harness — each one's
-/// [`ProtocolHarness::name`] — in the order reports list them. Binaries
-/// take a protocol as a one-of-these flag and dispatch on it with
-/// [`with_harness!`].
+/// [`ProtocolHarness::name`], one per harness type — in the order reports
+/// list them. Binaries take a protocol as a one-of-these flag and dispatch
+/// on it with [`with_harness!`].
 pub const HARNESS_LABELS: [&str; 5] = ["timebounded", "htlc", "ilp-untuned", "ilp-atomic", "deals"];
 
-/// Evaluates `$body` with `$h` bound to the harness labelled `$label`.
-/// The harness trait has associated types, so this cannot be a table of
-/// trait objects: the body is instantiated once per harness type.
+/// Evaluates `$body` with `$h` bound to the harness labelled `$label`
+/// (`"ilp-untuned"` is [`IlpUntunedHarness`], `"ilp-atomic"`
+/// [`IlpAtomicHarness`]). The harness trait has associated types, so this
+/// cannot be a table of trait objects: the body is instantiated once per
+/// harness type, five in all.
 ///
 /// ```
 /// use protocol::ProtocolHarness;
@@ -78,11 +84,11 @@ macro_rules! with_harness {
                 $body
             }
             "ilp-untuned" => {
-                let $h = $crate::InterledgerHarness::untuned();
+                let $h = $crate::IlpUntunedHarness;
                 $body
             }
             "ilp-atomic" => {
-                let $h = $crate::InterledgerHarness::atomic();
+                let $h = $crate::IlpAtomicHarness;
                 $body
             }
             "deals" => {
@@ -104,7 +110,7 @@ pub use harness::{
     run_harness_instance, sample_instance_faults, ByzSupport, HarnessRun, ProtocolHarness,
 };
 pub use htlc::HtlcHarness;
-pub use interledger::InterledgerHarness;
+pub use interledger::{IlpAtomicHarness, IlpUntunedHarness};
 pub use liquidity::{AdmissionPolicy, LiquidityBook, LiquidityConfig, VenueSample};
 pub use network::{GraphFamily, Router, RoutingConfig, VenueGraph, MAX_NET_HOPS};
 pub use outcome::{LockProfile, ProtocolOutcome};

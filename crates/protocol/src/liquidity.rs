@@ -391,11 +391,6 @@ impl LiquidityBook {
         self.locked.iter().all(|&l| l == 0) && self.reserved.iter().all(|&r| r == 0)
     }
 
-    /// Currently locked value at `venue`.
-    pub fn locked_at(&self, venue: VenueId) -> i64 {
-        self.locked.get(venue as usize).copied().unwrap_or_default()
-    }
-
     /// Currently reserved collateral at `venue`.
     pub fn reserved_at(&self, venue: VenueId) -> u64 {
         self.reserved
@@ -561,7 +556,6 @@ mod tests {
         book.apply_lock(t(9), 0, -120);
         assert!(book.drained());
         assert_eq!(book.peak_locked_venue(), 120);
-        assert_eq!(book.locked_at(0), 0);
     }
 
     #[test]

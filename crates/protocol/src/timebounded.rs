@@ -55,7 +55,14 @@ impl ProtocolHarness for TimeBoundedHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) -> Engine<PMsg> {
-        build_chain_engine(inst, spec, oracle, trace_mode)
+        // 16 message-delay buckets in [0, δ]; clocks sampled from the seed.
+        build_chain_engine(
+            inst,
+            SyncNet::new(spec.params.delta, 16),
+            ClockPlan::Sampled { seed: spec.seed },
+            oracle,
+            trace_mode,
+        )
     }
 
     fn classify(
@@ -95,31 +102,26 @@ impl ProtocolHarness for TimeBoundedHarness {
     }
 }
 
-/// Builds the chain engine: synchronous base network (16 delay buckets),
-/// fault layer only when the instance carries network faults,
-/// counters-only-capable config derived from the setup, sampled clocks,
-/// Byzantine substitution per role.
+/// Builds a Figure 2 chain engine over the base network `net` and the
+/// clocks `clocks`: fault layer only when the instance carries network
+/// faults, counters-only-capable config derived from the setup, Byzantine
+/// substitution per role. The time-bounded harness and the untuned
+/// Interledger harness differ only in those two arguments.
 pub(crate) fn build_chain_engine(
     inst: &ChainInstance,
-    spec: &PaymentSpec,
+    net: SyncNet,
+    clocks: ClockPlan,
     oracle: Box<dyn Oracle>,
     trace_mode: TraceMode,
 ) -> Engine<PMsg> {
     let setup = &inst.setup;
-    let net = layered_net(
-        Box::new(SyncNet::new(spec.params.delta, 16)),
-        inst.faults.net,
-    );
+    let net = layered_net(Box::new(net), inst.faults.net);
     let mut engine_cfg = setup.engine_config();
     engine_cfg.trace_mode = trace_mode;
     let byz = inst.faults.byz;
-    setup.build_engine_cfg(
-        net,
-        oracle,
-        ClockPlan::Sampled { seed: spec.seed },
-        engine_cfg,
-        |role| byz.substitute(setup, role),
-    )
+    setup.build_engine_cfg(net, oracle, clocks, engine_cfg, |role| {
+        byz.substitute(setup, role)
+    })
 }
 
 /// Outcome classification; see [`ProtocolOutcome`] for the semantics.

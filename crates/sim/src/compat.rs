@@ -1,20 +1,39 @@
 //! The five batch names `benchmark/` still calls, each one call into
-//! [`run_closed`] or [`run_open`], and its old five-argument form of
+//! [`run_closed`] or [`run_open`]; its old five-argument form of
 //! [`protocol::run_harness_instance`], whose engine-queue high-water
-//! argument is ignored.
+//! argument is ignored; and its old name for the two Interledger
+//! harnesses, [`InterledgerHarness`], whose constructors return
+//! [`protocol::IlpUntunedHarness`] and [`protocol::IlpAtomicHarness`].
 //!
 //! This file exists **only** for `benchmark/`, which a change to library
-//! code may not edit. Nothing else may name these functions (CI greps
-//! for it). ROADMAP item 1(ii) ports `benchmark/src` to the two entry
-//! points; 1(iii) then removes this file and its re-export in `lib.rs`.
+//! code may not edit. Nothing else may name these items (CI greps for
+//! it). ROADMAP item 1(ii) ports `benchmark/src` to the two entry
+//! points and the two harness types; 1(iii) then removes this file and
+//! its re-exports in `lib.rs`.
 
 use crate::faults::FaultPlan;
 use crate::metrics::{OpenReport, OpenTelemetry, SimReport};
 use crate::runner::{run_closed, run_open, SimConfig};
 use crate::workload::PaymentSpec;
 use protocol::harness::{run_harness_instance, HarnessRun, ProtocolHarness};
+use protocol::interledger::{IlpAtomicHarness, IlpUntunedHarness};
 use protocol::liquidity::LiquidityConfig;
 use protocol::network::RoutingConfig;
+
+#[doc(hidden)]
+pub struct InterledgerHarness;
+
+impl InterledgerHarness {
+    #[doc(hidden)]
+    pub fn untuned() -> IlpUntunedHarness {
+        IlpUntunedHarness
+    }
+
+    #[doc(hidden)]
+    pub fn atomic() -> IlpAtomicHarness {
+        IlpAtomicHarness
+    }
+}
 
 #[doc(hidden)]
 pub fn run_instance_with<H: ProtocolHarness>(

@@ -116,11 +116,14 @@ pub use workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
 // so simulation campaigns can name harnesses without a separate import.
 pub use protocol;
 pub use protocol::{
-    AdmissionPolicy, DealsHarness, GraphFamily, HtlcHarness, InterledgerHarness, LiquidityBook,
-    LiquidityConfig, ProtocolHarness, Router, RoutingConfig, TimeBoundedHarness, VenueGraph,
+    AdmissionPolicy, DealsHarness, GraphFamily, HtlcHarness, IlpAtomicHarness, IlpUntunedHarness,
+    LiquidityBook, LiquidityConfig, ProtocolHarness, Router, RoutingConfig, TimeBoundedHarness,
+    VenueGraph,
 };
 
 // `benchmark/` only (see `compat.rs`); goes with it in ROADMAP 1(iii).
+#[doc(hidden)]
+pub use compat::InterledgerHarness;
 #[doc(hidden)]
 pub use compat::{
     run_instance_with, run_open_specs_routed_with, run_open_specs_routed_with_telemetry,
@@ -138,7 +141,8 @@ pub mod prelude {
     pub use crate::workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
     pub use anta::net::NetFaults;
     pub use protocol::{
-        AdmissionPolicy, DealsHarness, GraphFamily, HtlcHarness, InterledgerHarness, LiquidityBook,
-        LiquidityConfig, ProtocolHarness, Router, RoutingConfig, TimeBoundedHarness, VenueGraph,
+        AdmissionPolicy, DealsHarness, GraphFamily, HtlcHarness, IlpAtomicHarness,
+        IlpUntunedHarness, LiquidityBook, LiquidityConfig, ProtocolHarness, Router, RoutingConfig,
+        TimeBoundedHarness, VenueGraph,
     };
 }

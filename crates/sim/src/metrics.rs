@@ -319,16 +319,6 @@ impl LiquidityStats {
             self.goodput_value as f64 / secs
         }
     }
-
-    /// Fraction of offered payments admitted, in `[0, 1]` (1.0 when
-    /// nothing was offered).
-    pub fn admission_rate(&self) -> f64 {
-        if self.offered == 0 {
-            1.0
-        } else {
-            self.admitted as f64 / self.offered as f64
-        }
-    }
 }
 
 /// What the admission-time pathfinder did over one routed open-system

@@ -455,7 +455,9 @@ mod tests {
     use crate::workload::{self, ArrivalProcess, TopologyFamily};
     use anta::net::NetFaults;
     use anta::time::SimDuration;
-    use protocol::{DealsHarness, HtlcHarness, InterledgerHarness, TimeBoundedHarness};
+    use protocol::{
+        DealsHarness, HtlcHarness, IlpAtomicHarness, IlpUntunedHarness, TimeBoundedHarness,
+    };
 
     /// `cfg`'s own workload through `harness`, closed.
     fn closed_run<H: ProtocolHarness>(harness: &H, cfg: &SimConfig) -> SimReport {
@@ -619,8 +621,8 @@ mod tests {
         cfg.workload.max_rho_ppm = (0, 0);
         let tb = closed_run(&TimeBoundedHarness, &cfg);
         let htlc = closed_run(&HtlcHarness, &cfg);
-        let untuned = closed_run(&InterledgerHarness::untuned(), &cfg);
-        let atomic = closed_run(&InterledgerHarness::atomic(), &cfg);
+        let untuned = closed_run(&IlpUntunedHarness, &cfg);
+        let atomic = closed_run(&IlpAtomicHarness, &cfg);
         let deals = closed_run(&DealsHarness, &cfg);
         for (name, report) in [
             ("timebounded", &tb),
@@ -880,7 +882,7 @@ mod tests {
                 };
                 let open = open_run(&cfg, &LiquidityConfig::reject(20_000));
                 assert_eq!(open.liquidity.budget_violations, 0);
-                open.liquidity.admission_rate()
+                open.liquidity.admitted as f64 / open.liquidity.offered as f64
             })
             .collect();
         assert!(

@@ -10,7 +10,8 @@
 use crosschain::anta::net::NetFaults;
 use crosschain::anta::time::SimDuration;
 use crosschain::protocol::{
-    DealsHarness, HtlcHarness, InterledgerHarness, ProtocolHarness, TimeBoundedHarness,
+    DealsHarness, HtlcHarness, IlpAtomicHarness, IlpUntunedHarness, ProtocolHarness,
+    TimeBoundedHarness,
 };
 use crosschain::sim::prelude::*;
 
@@ -63,8 +64,8 @@ fn main() {
     );
     shoot(&TimeBoundedHarness, &specs, &cfg);
     shoot(&HtlcHarness, &specs, &cfg);
-    shoot(&InterledgerHarness::untuned(), &specs, &cfg);
-    shoot(&InterledgerHarness::atomic(), &specs, &cfg);
+    shoot(&IlpUntunedHarness, &specs, &cfg);
+    shoot(&IlpAtomicHarness, &specs, &cfg);
     shoot(&DealsHarness, &specs, &cfg);
     println!(
         "\nReading: only the time-bounded protocol combines high success with \

@@ -41,6 +41,15 @@ row '\b(run_instance_with|run_specs_with|run_open_specs_with|run_open_specs_with
     '^crates/sim/src/compat.rs:|^crates/sim/src/lib.rs:[0-9]+: +(run_[a-z_]+, ?)+$' \
     "only benchmark/ may name the compat presets (ROADMAP 1(iii) deletes them)"
 
+# One type per protocol harness: the two Interledger protocols are
+# IlpUntunedHarness and IlpAtomicHarness. benchmark/ still says
+# InterledgerHarness::{untuned,atomic}(); only sim's compat shim names it.
+row '\b(IlpMode|IlpInstance)\b' "$code" '' \
+    "deleted: each Interledger protocol is its own harness (IlpUntunedHarness, IlpAtomicHarness)"
+row '\bInterledgerHarness\b' "$code" \
+    '^crates/sim/src/compat.rs:|^crates/sim/src/lib.rs:[0-9]+:pub use compat::InterledgerHarness;$' \
+    "only benchmark/ may name InterledgerHarness (sim's compat shim); use IlpUntunedHarness / IlpAtomicHarness"
+
 # The simulator keeps no engine pre-sizing: a payment runs on a freshly
 # built engine, and the chunk size is worked out from the spec count.
 row 'queue_high|reserve_capacity|queue_high_water' "$code" \

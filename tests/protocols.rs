@@ -12,10 +12,9 @@ use crosschain::anta::trace::TraceMode;
 use crosschain::htlc::{ChainProcess, HtlcState};
 use crosschain::protocol::harness::sample_instance_faults;
 use crosschain::protocol::htlc::{CHAIN_A_PID, CHAIN_B_PID};
-use crosschain::protocol::interledger::IlpInstance;
 use crosschain::protocol::{
-    DealsHarness, HtlcHarness, InterledgerHarness, ProtocolHarness, ProtocolOutcome,
-    TimeBoundedHarness,
+    DealsHarness, HtlcHarness, IlpAtomicHarness, IlpUntunedHarness, ProtocolHarness,
+    ProtocolOutcome, TimeBoundedHarness,
 };
 use crosschain::sim::prelude::*;
 use crosschain::sim::FamilyStats;
@@ -84,11 +83,11 @@ fn every_protocol_report_is_identical_across_thread_counts() {
         ("htlc", Box::new(|cfg| closed_run(&HtlcHarness, cfg))),
         (
             "ilp-untuned",
-            Box::new(|cfg| closed_run(&InterledgerHarness::untuned(), cfg)),
+            Box::new(|cfg| closed_run(&IlpUntunedHarness, cfg)),
         ),
         (
             "ilp-atomic",
-            Box::new(|cfg| closed_run(&InterledgerHarness::atomic(), cfg)),
+            Box::new(|cfg| closed_run(&IlpAtomicHarness, cfg)),
         ),
         ("deals", Box::new(|cfg| closed_run(&DealsHarness, cfg))),
     ];
@@ -143,11 +142,7 @@ fn baseline_harness_reports_match_the_pinned_digests() {
     }
     let linear = TopologyFamily::Linear { n: 3 };
     check(&TimeBoundedHarness, linear, 0x7418_d066_711f_bcfa);
-    check(
-        &InterledgerHarness::untuned(),
-        linear,
-        0x5b81_215b_9782_23fe,
-    );
+    check(&IlpUntunedHarness, linear, 0x5b81_215b_9782_23fe);
     check(&HtlcHarness, linear, 0x6a13_728a_10b7_8723);
     check(
         &HtlcHarness,
@@ -155,7 +150,7 @@ fn baseline_harness_reports_match_the_pinned_digests() {
         0xeb7d_8688_c0ab_8633,
     );
     check(&DealsHarness, linear, 0x9357_4c26_d8a5_3bdd);
-    check(&InterledgerHarness::atomic(), linear, 0x9b95_bf97_abb4_f5f1);
+    check(&IlpAtomicHarness, linear, 0x9b95_bf97_abb4_f5f1);
 }
 
 /// The comparative claims as workspace assertions on a faulty drifted
@@ -181,7 +176,7 @@ fn comparative_claims_hold_on_a_faulty_cell() {
     assert_eq!(tb.violations, 0, "time-bounded never violates");
     let htlc = closed_run(&HtlcHarness, &cfg);
     assert!(htlc.griefed > 0, "HTLC must grief under abandonment faults");
-    let untuned = closed_run(&InterledgerHarness::untuned(), &cfg);
+    let untuned = closed_run(&IlpUntunedHarness, &cfg);
     assert!(
         untuned.violations > 0,
         "the untuned schedule must lose money under drift"
@@ -282,7 +277,7 @@ proptest! {
         let mut w = WorkloadConfig::new(TopologyFamily::Linear { n: 3 }, 3, seed);
         w.max_rho_ppm = (0, rho);
         for spec in &crosschain::sim::workload::generate(&w) {
-            let harness = InterledgerHarness::untuned();
+            let harness = IlpUntunedHarness;
             let faults = sample_instance_faults(&harness, spec, &plan);
             let inst = harness.instance(spec, &faults);
             let mut eng = harness.build_engine(
@@ -294,12 +289,9 @@ proptest! {
             let report = eng.run();
             let outcome =
                 harness.classify(&eng, &inst, spec, report.quiescent, report.truncated);
-            let IlpInstance::Untuned(chain) = &inst else {
-                panic!("untuned harness built an atomic instance")
-            };
             let o = crosschain::payment::timebounded::ChainOutcome::extract(
                 &eng,
-                &chain.setup,
+                &inst.setup,
                 report.quiescent,
             );
             if outcome == ProtocolOutcome::Success {
