@@ -14,6 +14,18 @@
 //!   (commit/abort decision certificates with single or committee
 //!   authority).
 //!
+//! ## Unsafe code
+//!
+//! The crate root denies `unsafe_code`, and exactly one private module
+//! opts back in: `sha256/x86.rs`, the SHA-256 compression function on the
+//! x86-64 SHA extensions. Its intrinsics need a CPU that has them, which
+//! only a run-time check can establish, and every signature, HMAC tag and
+//! certificate digest runs through that function, so it is where the
+//! handlers spend their time. A safe dispatcher runs it when the CPU
+//! reports the extensions and the portable kernel otherwise. Every other
+//! crate of the workspace forbids `unsafe_code`; `scripts/lint_names.sh`
+//! keeps both rules.
+//!
 //! ## Example
 //!
 //! ```
@@ -27,7 +39,7 @@
 //! assert!(chi.verify(&pki, bob_id));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cert;

@@ -96,4 +96,16 @@ row '\bparse_payload\b' "$code" '' \
 row 'fn (encode|decode)\b' 'crates/telemetry crates/sim' '' \
     "no private text codecs in telemetry or sim: serialise as a telemetry::Event (MergeableSketch::to_event)"
 
+# Unsafe code lives in one file: the SHA-NI kernel, behind a safe
+# dispatcher. xcrypto's root denies it (the kernel opts back in); every
+# other crate root forbids it outright.
+row '\bunsafe ?(\{|fn |impl |trait |extern )|(allow|expect|warn)\([^)]*\bunsafe_code' \
+    "$code shims" '^crates/crypto/src/sha256/x86.rs:' \
+    "unsafe code only in crates/crypto/src/sha256/x86.rs (the SHA-NI kernel); call sha256's safe API"
+n=$(grep -lxF '#![forbid(unsafe_code)]' crates/*/src/lib.rs | wc -l)
+if [ "$n" -ne 11 ] || ! grep -qxF '#![deny(unsafe_code)]' crates/crypto/src/lib.rs; then
+    echo "lint: $n of crates/*/src/lib.rs forbid unsafe_code (want 11: all but xcrypto, which denies it)"
+    bad=1
+fi
+
 exit $bad
