@@ -99,7 +99,7 @@ row 'fn (encode|decode)\b' 'crates/telemetry crates/sim' '' \
 # Unsafe code lives in one file: the SHA-NI kernel, behind a safe
 # dispatcher. xcrypto's root denies it (the kernel opts back in); every
 # other crate root forbids it outright.
-row '\bunsafe ?(\{|fn |impl |trait |extern )|(allow|expect|warn)\([^)]*\bunsafe_code' \
+row '\bunsafe ?(\{|fn\b|impl\b|trait\b|extern\b)|(allow|expect|warn)\([^)]*\bunsafe_code' \
     "$code shims" '^crates/crypto/src/sha256/x86.rs:' \
     "unsafe code only in crates/crypto/src/sha256/x86.rs (the SHA-NI kernel); call sha256's safe API"
 n=$(grep -lxF '#![forbid(unsafe_code)]' crates/*/src/lib.rs | wc -l)
