@@ -214,6 +214,30 @@ mod tests {
     }
 
     #[test]
+    fn a_chi_verified_by_six_parties_costs_one_sign() {
+        let count = |f: &dyn Fn()| {
+            let before = crate::sha256::compressions();
+            f();
+            crate::sha256::compressions() - before
+        };
+        let payment = pid(1);
+        let (_, twin) = setup();
+        let sign = count(&|| {
+            Receipt::issue(&twin[1], payment);
+        });
+        assert_eq!(sign, 3 + 2, "a receipt's frame, plus the key's first use");
+        let (pki, s) = setup();
+        let bob = &s[1];
+        let total = count(&|| {
+            let chi = Receipt::issue(bob, payment);
+            for _ in 0..6 {
+                assert!(chi.verify(&pki, bob.id()));
+            }
+        });
+        assert_eq!(total, sign, "3 escrows and 3 upstream customers verify χ");
+    }
+
+    #[test]
     fn receipt_wrong_issuer_rejected() {
         let (pki, s) = setup();
         let r = Receipt::issue(&s[2], pid(1));

@@ -9,7 +9,9 @@
 //! * [`wire`] — canonical deterministic byte encoding for signed payloads;
 //! * [`sig`] — the simulated PKI: structural unforgeability inside the
 //!   simulation (secrets never leave the crate; Byzantine code only ever
-//!   holds a [`sig::Signer`] for its *own* identity);
+//!   holds a [`sig::Signer`] for its *own* identity). Each identity has one
+//!   key, which remembers the first two frames it signs, so verifying one
+//!   of them is a byte compare, not a re-hash;
 //! * [`cert`] — the paper's certificates: χ (Bob's receipt) and χc/χa
 //!   (commit/abort decision certificates with single or committee
 //!   authority).
@@ -25,6 +27,15 @@
 //! reports the extensions and the portable kernel otherwise. Every other
 //! crate of the workspace forbids `unsafe_code`; `scripts/lint_names.sh`
 //! keeps both rules.
+//!
+//! ## State
+//!
+//! A tag is a pure function of (key, frame). The only state the crate
+//! keeps is in [`sig`]: each key's HMAC midstates and remembered frames,
+//! all write-once, so no verdict depends on what was signed or verified
+//! before. `scripts/lint_names.sh` keeps interior mutability out of the
+//! other modules, but for the test-only compression counter in
+//! [`mod@sha256`].
 //!
 //! ## Example
 //!

@@ -11,7 +11,8 @@
 //! * a signature is `HMAC-SHA256(secret, be64(|d|) ‖ d ‖ be64(|m|) ‖ m)`
 //!   for domain label `d` and message `m` — the length prefixes make every
 //!   `(d, m)` pair unambiguous, so `("ab", "c")` and `("a", "bc")` differ;
-//! * [`Pki::verify`] recomputes the tag and returns only a boolean.
+//! * [`Pki::verify`] accepts exactly the tag `HMAC-SHA256(secret, frame)`
+//!   and returns only a boolean.
 //!
 //! Byzantine process implementations in this workspace receive a `Signer`
 //! for *their own* identity and a shared `&Pki` for verification; the type
@@ -24,20 +25,34 @@
 //!
 //! ## Cost
 //!
-//! The frame is streamed straight into the MAC, and each key keeps its two
-//! HMAC midstates ([`HmacKey`]) once derived, so a sign or verify costs
+//! Each identity has one key, shared by its [`Pki`] entry, its [`Signer`]
+//! and every clone of that signer. A sign streams the frame straight into
+//! the key's HMAC midstates ([`HmacKey`]), so it costs
 //! `⌈(16 + |d| + |m| + 9) / 64⌉ + 1` SHA-256 compressions: 4 for a signed
-//! promise, 3 for a receipt. The midstates are derived lazily, on a key's
-//! first sign or verify (2 compressions, separately in the [`Signer`] and
-//! in the [`Pki`] entry), never in [`Pki::register`], which costs exactly
-//! the one compression that derives the secret. Set-up cost is why:
-//! registering the participants' keys is most of what setting up a payment
-//! instance costs, and deriving midstates there would triple that price
-//! for every key, whether or not it ever signs.
+//! promise, 3 for a receipt. The key also remembers the first two frames
+//! it signs, with their tags (a time-bounded escrow signs exactly two). A
+//! verify of a remembered frame is a byte compare of the frame and the
+//! tag: 0 compressions. Any other verify computes the tag, at a sign's
+//! cost. So Bob's χ, verified by every escrow and every upstream customer,
+//! is hashed once. Every verdict is the same pure function of (key, frame,
+//! tag) as when every verify recomputed: a remembered tag is the tag of
+//! its frame, and a frame that differs in any byte is recomputed.
+//!
+//! The midstates are derived lazily, on the key's first sign or
+//! non-remembered verify: 2 compressions, once per identity. Never in
+//! [`Pki::register`], which costs exactly the one compression that derives
+//! the secret. Set-up cost is why: registering the participants' keys is
+//! most of what setting up a payment instance costs, and deriving
+//! midstates there would triple that price for every key, whether or not
+//! it ever signs.
+//!
+//! The midstates and the remembered frames are write-once
+//! [`OnceLock`]s: the only state `xcrypto` keeps, and no lock is taken to
+//! read it.
 
 use crate::hmac::{verify_tag, HmacKey};
 use crate::sha256::{sha256_concat, Digest};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a registered key (and thereby a participant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,12 +73,22 @@ pub struct Signature {
     pub tag: Digest,
 }
 
-/// One key's secret and, from its first sign or verify on, its HMAC
-/// midstates.
-#[derive(Clone)]
+/// One identity's key, shared by its [`Pki`] entry, its [`Signer`] and
+/// every clone of that signer: the secret, its HMAC midstates from the
+/// key's first sign or verify on, and the first two frames it signed, each
+/// with its tag.
 struct Key {
     secret: Digest,
     mac: OnceLock<HmacKey>,
+    /// Two, because a time-bounded escrow signs exactly `G(d_i)` and
+    /// `P(a_i)`. Write-once, so a remembered tag can never change.
+    signed: [OnceLock<Signed>; 2],
+}
+
+/// A frame this key signed, and its tag.
+struct Signed {
+    frame: Box<[u8]>,
+    tag: Digest,
 }
 
 impl Key {
@@ -71,6 +96,7 @@ impl Key {
         Key {
             secret,
             mac: OnceLock::new(),
+            signed: [OnceLock::new(), OnceLock::new()],
         }
     }
 
@@ -84,15 +110,54 @@ impl Key {
         mac.update(msg);
         mac.finalize()
     }
+
+    /// Keeps (`domain`, `msg`)'s frame and `tag` in a free slot, if one is
+    /// left. Reads no remembered frame.
+    fn remember(&self, domain: &[u8], msg: &[u8], tag: Digest) {
+        if let Some(slot) = self.signed.iter().find(|s| s.get().is_none()) {
+            let frame = frame(domain, msg).into_boxed_slice();
+            // A racing sign may have filled the slot first: this frame is
+            // then simply not remembered.
+            let _ = slot.set(Signed { frame, tag });
+        }
+    }
+
+    /// The remembered tag of a frame byte-for-byte equal to
+    /// `be64(|d|) ‖ d ‖ be64(|m|) ‖ m`, if this key signed one.
+    fn recall(&self, domain: &[u8], msg: &[u8]) -> Option<Digest> {
+        let (d, m) = (domain.len(), msg.len());
+        self.signed.iter().find_map(|slot| {
+            let Signed { frame, tag } = slot.get()?;
+            (frame.len() == 16 + d + m
+                && frame[..8] == (d as u64).to_be_bytes()
+                && frame[8..8 + d] == *domain
+                && frame[8 + d..16 + d] == (m as u64).to_be_bytes()
+                && frame[16 + d..] == *msg)
+                .then_some(*tag)
+        })
+    }
+}
+
+/// `be64(|d|) ‖ d ‖ be64(|m|) ‖ m`.
+fn frame(domain: &[u8], msg: &[u8]) -> Vec<u8> {
+    [
+        &(domain.len() as u64).to_be_bytes()[..],
+        domain,
+        &(msg.len() as u64).to_be_bytes(),
+        msg,
+    ]
+    .concat()
 }
 
 /// Signing capability for one identity. Handed to the owning participant
 /// only; cloning is allowed (a participant may run several automata) but the
-/// secret never leaves the crypto crate.
+/// secret never leaves the crypto crate. Every clone shares one key with
+/// the identity's [`Pki`] entry, so the midstates are derived once per
+/// identity, and a frame any of them signs is remembered for all.
 #[derive(Clone)]
 pub struct Signer {
     id: KeyId,
-    key: Key,
+    key: Arc<Key>,
 }
 
 impl std::fmt::Debug for Signer {
@@ -115,9 +180,11 @@ impl Signer {
     /// Domain separation prevents cross-protocol replay: a tag produced for
     /// `b"xchain/receipt"` never verifies under `b"xchain/promise"`.
     pub fn sign(&self, domain: &[u8], msg: &[u8]) -> Signature {
+        let tag = self.key.tag(domain, msg);
+        self.key.remember(domain, msg, tag);
         Signature {
             signer: self.id,
-            tag: self.key.tag(domain, msg),
+            tag,
         }
     }
 }
@@ -126,7 +193,7 @@ impl Signer {
 ///
 /// Shared immutably (`&Pki`) among all participants for verification.
 pub struct Pki {
-    keys: Vec<Key>,
+    keys: Vec<Arc<Key>>,
     /// Separates independent simulation universes: per-key secrets derive
     /// from this seed, so runs with different seeds never cross-verify.
     base_seed: u64,
@@ -162,14 +229,9 @@ impl Pki {
             &self.base_seed.to_be_bytes(),
             &id.0.to_be_bytes(),
         ]);
-        self.keys.push(Key::new(secret));
-        (
-            id,
-            Signer {
-                id,
-                key: Key::new(secret),
-            },
-        )
+        let key = Arc::new(Key::new(secret));
+        self.keys.push(Arc::clone(&key));
+        (id, Signer { id, key })
     }
 
     /// Registers `n` identities at once.
@@ -188,11 +250,18 @@ impl Pki {
     }
 
     /// Verifies that `sig` is a valid signature over (`domain`, `msg`) by
-    /// `sig.signer`. Unknown signers verify as false.
+    /// `sig.signer`. Unknown signers verify as false. The tag `sig` must
+    /// carry is the one the signer's key remembers for this frame, if it
+    /// signed it, and is computed otherwise: the same tag either way.
     pub fn verify(&self, sig: &Signature, domain: &[u8], msg: &[u8]) -> bool {
         match self.keys.get(sig.signer.0 as usize) {
             None => false,
-            Some(key) => verify_tag(&key.tag(domain, msg), &sig.tag),
+            Some(key) => {
+                let want = key
+                    .recall(domain, msg)
+                    .unwrap_or_else(|| key.tag(domain, msg));
+                verify_tag(&want, &sig.tag)
+            }
         }
     }
 
@@ -331,17 +400,6 @@ mod tests {
         assert_eq!(s1[0].sign(b"d", b"m"), s2[0].sign(b"d", b"m"));
     }
 
-    /// `be64(|d|) ‖ d ‖ be64(|m|) ‖ m`.
-    fn frame(domain: &[u8], msg: &[u8]) -> Vec<u8> {
-        [
-            &(domain.len() as u64).to_be_bytes()[..],
-            domain,
-            &(msg.len() as u64).to_be_bytes(),
-            msg,
-        ]
-        .concat()
-    }
-
     /// Domain and message lengths around the 64-byte block boundaries.
     fn shapes() -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
@@ -374,33 +432,49 @@ mod tests {
     fn tags_do_not_depend_on_when_midstates_were_derived() {
         let (pki, signers) = setup(1);
         let cold = signers[0].clone();
+        assert!(Arc::ptr_eq(&cold.key, &pki.keys[0]), "one key per identity");
         assert!(cold.key.mac.get().is_none());
         let first = signers[0].sign(b"dom", b"msg");
-        let warm = signers[0].clone();
         assert!(
-            warm.key.mac.get().is_some(),
-            "a clone keeps derived midstates"
+            cold.key.mac.get().is_some(),
+            "a clone made before first use shares the midstates derived since"
         );
-        assert!(cold.key.mac.get().is_none(), "an earlier clone stays cold");
+        let (_, fresh) = setup(1);
         for (d, m) in shapes() {
             let tag = signers[0].sign(&d, &m);
             assert_eq!(cold.sign(&d, &m), tag);
-            assert_eq!(warm.sign(&d, &m), tag);
+            assert_eq!(fresh[0].sign(&d, &m), tag, "derived in another order");
         }
-        assert_eq!(cold.sign(b"dom", b"msg"), first);
 
         let mut forged = first;
         forged.tag[0] ^= 1;
-        assert!(pki.keys[0].mac.get().is_none());
-        assert!(!pki.verify(&forged, b"dom", b"msg"), "cold entry rejects");
-        assert!(pki.keys[0].mac.get().is_some());
-        assert!(!pki.verify(&forged, b"dom", b"msg"), "warm entry rejects");
+        let (cold_pki, _) = setup(1);
+        assert!(
+            !cold_pki.verify(&forged, b"dom", b"msg"),
+            "cold entry rejects"
+        );
+        assert!(cold_pki.keys[0].mac.get().is_some());
+        assert!(
+            !cold_pki.verify(&forged, b"dom", b"msg"),
+            "warm entry rejects"
+        );
+        assert!(
+            !pki.verify(&forged, b"dom", b"msg"),
+            "remembered frame rejects"
+        );
         let (cold_pki, _) = setup(1);
         assert!(
             cold_pki.verify(&first, b"dom", b"msg"),
             "cold entry accepts"
         );
-        assert!(pki.verify(&first, b"dom", b"msg"), "warm entry accepts");
+        assert!(
+            cold_pki.verify(&first, b"dom", b"msg"),
+            "warm entry accepts"
+        );
+        assert!(
+            pki.verify(&first, b"dom", b"msg"),
+            "remembered frame accepts"
+        );
     }
 
     /// SHA-256 compressions `f` runs on this thread.
@@ -410,32 +484,79 @@ mod tests {
         crate::sha256::compressions() - before
     }
 
+    /// What a sign costs once the key's midstates are derived.
+    fn sign_cost(d: &[u8], m: &[u8]) -> u64 {
+        (16 + d.len() as u64 + m.len() as u64 + 9).div_ceil(64) + 1
+    }
+
     #[test]
-    fn warm_sign_and_verify_cost_the_streamed_frame_plus_one() {
-        let (pki, signers) = setup(1);
-        let signer = &signers[0];
-        pki.verify(&signer.sign(b"", b""), b"", b"");
+    fn a_sign_costs_the_streamed_frame_plus_one_and_a_remembered_verify_none() {
         for (d, m) in shapes() {
-            let warm = (16 + d.len() as u64 + m.len() as u64 + 9).div_ceil(64) + 1;
-            let sig = signer.sign(&d, &m);
-            assert_eq!(compressions_in(|| signer.sign(&d, &m)), warm);
-            assert_eq!(compressions_in(|| pki.verify(&sig, &d, &m)), warm);
+            let (pki, signers) = setup(2);
+            let signer = &signers[0];
+            signer.sign(b"warm", b"up");
+            let mut sig = None;
+            assert_eq!(
+                compressions_in(|| sig = Some(signer.sign(&d, &m))),
+                sign_cost(&d, &m)
+            );
+            let sig = sig.unwrap();
+            assert_eq!(compressions_in(|| pki.verify(&sig, &d, &m)), 0);
+            let mut forged = sig;
+            forged.tag[31] ^= 0x80;
+            assert_eq!(compressions_in(|| pki.verify(&forged, &d, &m)), 0);
+            assert!(!pki.verify(&forged, &d, &m));
+
+            // Both slots are taken: a third frame is signed and verified at
+            // a sign's cost, as is a frame the key never signed.
+            let m3 = [&m[..], b"3"].concat();
+            let third = signer.sign(&d, &m3);
+            assert_eq!(compressions_in(|| signer.sign(&d, &m3)), sign_cost(&d, &m3));
+            assert_eq!(
+                compressions_in(|| assert!(pki.verify(&third, &d, &m3))),
+                sign_cost(&d, &m3)
+            );
+            let unsigned = Signature {
+                signer: signers[1].id(),
+                tag: sig.tag,
+            };
+            signers[1].sign(b"warm", b"up");
+            assert_eq!(
+                compressions_in(|| assert!(!pki.verify(&unsigned, &d, &m))),
+                sign_cost(&d, &m)
+            );
         }
     }
 
     #[test]
-    fn a_keys_first_use_costs_two_more() {
-        let (pki, signers) = setup(1);
-        signers[0].sign(b"", b"");
+    fn a_keys_first_use_costs_two_more_once_per_identity() {
         for (d, m) in shapes() {
-            let (cold_pki, cold_signers) = setup(1);
-            let warm = compressions_in(|| signers[0].sign(&d, &m));
-            let sig = signers[0].sign(&d, &m);
-            assert_eq!(compressions_in(|| cold_signers[0].sign(&d, &m)), warm + 2);
-            assert_eq!(compressions_in(|| cold_pki.verify(&sig, &d, &m)), warm + 2);
-            assert_eq!(compressions_in(|| cold_pki.verify(&sig, &d, &m)), warm);
-            pki.verify(&sig, &d, &m);
-            assert_eq!(compressions_in(|| pki.verify(&sig, &d, &m)), warm);
+            let warm = sign_cost(&d, &m);
+            let m2 = [&m[..], b"2"].concat();
+            let (_, twin) = setup(1);
+            let sig2 = twin[0].sign(&d, &m2);
+
+            // First use through a clone made before any use.
+            let (pki, signers) = setup(1);
+            let clone = signers[0].clone();
+            assert_eq!(compressions_in(|| clone.sign(&d, &m)), warm + 2);
+            assert_eq!(compressions_in(|| signers[0].sign(&d, &m)), warm);
+            assert_eq!(
+                compressions_in(|| assert!(pki.verify(&sig2, &d, &m2))),
+                sign_cost(&d, &m2),
+                "the PKI entry shares the midstates"
+            );
+
+            // First use through the PKI entry: a verify it must compute.
+            let (pki, signers) = setup(1);
+            let sig = twin[0].sign(&d, &m);
+            assert_eq!(
+                compressions_in(|| assert!(pki.verify(&sig, &d, &m))),
+                warm + 2
+            );
+            assert_eq!(compressions_in(|| assert!(pki.verify(&sig, &d, &m))), warm);
+            assert_eq!(compressions_in(|| signers[0].clone().sign(&d, &m)), warm);
+            assert_eq!(compressions_in(|| assert!(pki.verify(&sig, &d, &m))), 0);
         }
     }
 
@@ -449,5 +570,181 @@ mod tests {
             pki.keys.iter().all(|k| k.mac.get().is_none()),
             "midstates stay lazy"
         );
+        assert!(
+            pki.keys
+                .iter()
+                .all(|k| k.signed.iter().all(|s| s.get().is_none())),
+            "no frame is remembered before a sign"
+        );
+    }
+
+    /// Verifies of (`d`, `m`) under `sig` that must all be rejected once
+    /// `sig` is a genuine signature over it: each is a forgery of a frame
+    /// the key may remember. Returns (signature, domain, message) triples.
+    fn forgeries(
+        sig: Signature,
+        others: &[KeyId],
+        d: &[u8],
+        m: &[u8],
+    ) -> Vec<(Signature, Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        for byte in 0..32 {
+            let mut f = sig;
+            f.tag[byte] ^= 1 << (byte % 8);
+            out.push((f, d.to_vec(), m.to_vec()));
+        }
+        for &other in others {
+            out.push((
+                Signature {
+                    signer: other,
+                    tag: sig.tag,
+                },
+                d.to_vec(),
+                m.to_vec(),
+            ));
+        }
+        // The same bytes re-split, and re-split so that the bytes at the
+        // domain's and the message's positions equal the signed frame's.
+        let joined = [d, m].concat();
+        let framed = frame(d, m);
+        for k in (0..=joined.len()).filter(|&k| k != d.len()) {
+            out.push((sig, joined[..k].to_vec(), joined[k..].to_vec()));
+            if 16 + k <= framed.len() {
+                out.push((sig, framed[8..8 + k].to_vec(), framed[16 + k..].to_vec()));
+            }
+        }
+        for cut in 0..m.len() {
+            out.push((sig, d.to_vec(), m[..cut].to_vec()));
+        }
+        out.push((sig, d.to_vec(), [m, b"\0"].concat()));
+        out.push((sig, d.to_vec(), [m, b"x"].concat()));
+        out.push((sig, [d, b"x"].concat(), m.to_vec()));
+        out.push((sig, b"xchain/other".to_vec(), m.to_vec()));
+        if let Some((last, head)) = d.split_last() {
+            out.push((sig, [head, &[last ^ 1]].concat(), m.to_vec()));
+        }
+        out
+    }
+
+    #[test]
+    fn forgeries_over_a_remembered_frame_are_rejected() {
+        let cases: [(&[u8], &[u8]); 3] = [
+            (b"ab", b"c"),
+            (b"xchain/receipt", &[7; 40]),
+            (b"", b"\0\0\0\0\0\0\0\x01c"),
+        ];
+        for (d, m) in cases {
+            let (pki, signers) = setup(3);
+            let sig = signers[0].sign(d, m);
+            signers[1].sign(d, m); // another key remembers the same frame
+            assert_eq!(pki.keys[0].recall(d, m), Some(sig.tag));
+            assert!(pki.verify(&sig, d, m));
+            let others = [signers[1].id(), signers[2].id(), KeyId(3)];
+            for (f, fd, fm) in forgeries(sig, &others, d, m) {
+                assert!(
+                    !pki.verify(&f, &fd, &fm),
+                    "forgery of ({d:?}, {m:?}) accepted: {:?} over ({fd:?}, {fm:?})",
+                    f.signer
+                );
+            }
+            assert!(pki.verify(&sig, d, m), "still accepted after the forgeries");
+        }
+    }
+
+    #[test]
+    fn verdicts_equal_the_recomputed_hmac_over_random_steps() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let shapes = shapes();
+        let (mut pki, mut signers) = setup(3);
+        let mut signed: Vec<(Signature, Vec<u8>, Vec<u8>)> = Vec::new();
+        let (mut remembered, mut computed) = (0, 0);
+        for step in 0..12_000u64 {
+            if step % 60 == 0 {
+                // A fresh universe, so new frames take the slots.
+                pki = Pki::new(step);
+                signers = pki.register_many(3).into_iter().map(|(_, s)| s).collect();
+                signed.clear();
+            }
+            let roll = next() % 8;
+            if signed.is_empty() || roll < 3 {
+                let signer = &signers[(next() % 3) as usize];
+                let (d, mut m) = shapes[(next() % shapes.len() as u64) as usize].clone();
+                if let Some(b) = m.first_mut() {
+                    *b = next() as u8 % 4;
+                }
+                signed.push((signer.sign(&d, &m), d, m));
+                continue;
+            }
+            let (sig, d, m) = signed[(next() % signed.len() as u64) as usize].clone();
+            let (sig, d, m) = if roll < 5 {
+                (sig, d, m)
+            } else {
+                let others: Vec<KeyId> = (0..4).map(KeyId).filter(|&k| k != sig.signer).collect();
+                let mut all = forgeries(sig, &others, &d, &m);
+                all.swap_remove((next() % all.len() as u64) as usize)
+            };
+            let want = pki.keys.get(sig.signer.0 as usize).is_some_and(|key| {
+                verify_tag(
+                    &crate::hmac::hmac_sha256(&key.secret, &frame(&d, &m)),
+                    &sig.tag,
+                )
+            });
+            match pki.keys.get(sig.signer.0 as usize) {
+                Some(key) if key.recall(&d, &m).is_some() => remembered += 1,
+                _ => computed += 1,
+            }
+            assert_eq!(pki.verify(&sig, &d, &m), want, "step {step}");
+        }
+        assert!(
+            remembered > 1_000 && computed > 1_000,
+            "both paths exercised: {remembered} remembered, {computed} computed"
+        );
+    }
+
+    #[test]
+    fn verdicts_under_a_concurrent_signer_equal_the_single_threaded_ones() {
+        use std::sync::Barrier;
+        for round in 0..20u64 {
+            // The cases' signatures come from a twin universe, so only the
+            // signing thread fills this universe's slots.
+            let mut twin = Pki::new(round);
+            let twins = twin.register_many(3);
+            let mut cases = Vec::new();
+            for (i, (d, m)) in shapes().into_iter().step_by(7).enumerate() {
+                let sig = twins[i % 3].1.sign(&d, &m);
+                cases.extend(forgeries(sig, &[KeyId(((i + 1) % 3) as u32)], &d, &m));
+                cases.push((sig, d, m));
+            }
+            let want: Vec<bool> = cases.iter().map(|(s, d, m)| twin.verify(s, d, m)).collect();
+            assert!(want.iter().any(|&v| v) && want.iter().any(|&v| !v));
+
+            let mut pki = Pki::new(round);
+            let signers: Vec<Signer> = pki.register_many(3).into_iter().map(|(_, s)| s).collect();
+            let pki = Arc::new(pki);
+            let start = Barrier::new(5);
+            std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let (pki, cases, want, start) = (Arc::clone(&pki), &cases, &want, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for k in 0..cases.len() {
+                            let i = (k + t * 97) % cases.len();
+                            let (sig, d, m) = &cases[i];
+                            assert_eq!(pki.verify(sig, d, m), want[i], "round {round}, case {i}");
+                        }
+                    });
+                }
+                start.wait();
+                for ((sig, d, m), _) in cases.iter().zip(&want).filter(|(_, &ok)| ok) {
+                    signers[sig.signer.0 as usize].sign(d, m);
+                }
+            });
+        }
     }
 }

@@ -96,6 +96,13 @@ row '\bparse_payload\b' "$code" '' \
 row 'fn (encode|decode)\b' 'crates/telemetry crates/sim' '' \
     "no private text codecs in telemetry or sim: serialise as a telemetry::Event (MergeableSketch::to_event)"
 
+# A tag is a pure function of (key, frame): sig.rs holds the only state
+# xcrypto keeps, each key's write-once midstates and remembered frames.
+# The one other hit is sha256.rs's #[cfg(test)] compression counter.
+row 'OnceLock|Mutex|RwLock|RefCell|Cell<|thread_local' crates/crypto/src \
+    '^crates/crypto/src/sig.rs:|^crates/crypto/src/sha256.rs:[0-9]+:(thread_local! \{|    static COMPRESSIONS: std::cell::Cell<u64> = )' \
+    "interior mutability in xcrypto only in crates/crypto/src/sig.rs: a tag is a pure function of (key, frame)"
+
 # Unsafe code lives in one file: the SHA-NI kernel, behind a safe
 # dispatcher. xcrypto's root denies it (the kernel opts back in); every
 # other crate root forbids it outright.
