@@ -225,6 +225,7 @@ impl<M> Trace<M> {
             } => {
                 h.write_u64(6);
                 h.write_usize(*pid);
+                h.write_usize(label.len());
                 h.write_bytes(label.as_bytes());
                 h.write_i64(*value);
             }
@@ -476,6 +477,33 @@ mod tests {
         assert_eq!(tr.first_mark(1, "paid"), Some(t(5)));
         assert_eq!(tr.first_mark(1, "refund"), Some(t(11)));
         assert_eq!(tr.first_mark(3, "paid"), None);
+    }
+
+    /// Two mark streams that feed the same bytes when a label is fed
+    /// without its length: the second label spells out the first mark's
+    /// label, its value, the next mark's tag and pid, and its label.
+    #[test]
+    fn mark_labels_feed_their_length_first() {
+        let digest = |marks: &[(&'static str, i64)]| {
+            let mut tr: Trace<u32> = Trace::new();
+            tr.enable_digest();
+            for (pid, &(label, value)) in marks.iter().enumerate() {
+                let local = SimTime::ZERO;
+                tr.push(
+                    SimTime::ZERO,
+                    TraceKind::Mark {
+                        pid,
+                        local,
+                        label,
+                        value,
+                    },
+                );
+            }
+            tr.obs_digest().expect("digest enabled")
+        };
+        let split = digest(&[("a", i64::from_le_bytes(*b"bcdefghi")), ("j", 7)]);
+        let joined = digest(&[("abcdefghi\u{6}\0\0\0\0\0\0\0\u{1}\0\0\0\0\0\0\0j", 7)]);
+        assert_ne!(split, joined);
     }
 
     #[test]

@@ -257,6 +257,13 @@ impl Default for RoutingConfig {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Edges the search has relaxed on this thread, so unit tests can pin
+    /// which levels a search expands.
+    static RELAXATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Bounded-hop cheapest-feasible-path search with reusable scratch.
 ///
 /// The router runs a level-synchronous breadth-first search with cost
@@ -267,10 +274,17 @@ impl Default for RoutingConfig {
 /// ([`LiquidityBook::load_at`]), so among feasible routes the search
 /// prefers idle venues. Level `k` holds the nodes at feasible distance
 /// exactly `k` from the source, each labelled with its cheapest `k`-hop
-/// path; the search stops at the first level that contains the
-/// destination, or when a level comes up empty. Every edge is relaxed
-/// at most twice (once from each endpoint's level), so a search — a
-/// failing one included — costs O(E) whatever the hop cap.
+/// path. Before it expands level `k`, the search reads the destination's
+/// label straight from the destination's own adjacency: a neighbour on
+/// level `k − 1` behind a feasible edge puts the destination at distance
+/// `k`, and the search returns without building level `k`, the largest
+/// level it would otherwise build. It also returns `None` at the hop cap
+/// without building level `max_hops`, and when a level comes up empty.
+/// The level being built is a bitset over nodes, read out in ascending
+/// id as the next frontier, so no level is sorted. Every edge is relaxed
+/// at most twice (once from each endpoint's level) and the destination's
+/// adjacency is read once per level, so a search — a failing one
+/// included — costs O(E + hops · deg(dst) + hops · N / 64).
 ///
 /// # Deterministic tie-breaking contract
 ///
@@ -279,7 +293,7 @@ impl Default for RoutingConfig {
 /// a total preference order:
 ///
 /// 1. **fewest hops** — the search examines levels in increasing path
-///    length and returns at the first level containing the destination;
+///    length and returns at the first level adjacent to the destination;
 /// 2. **minimal total committed load** — within a level, labels keep the
 ///    cheapest predecessor (sum of [`LiquidityBook::load_at`] over the
 ///    path's venues);
@@ -299,12 +313,20 @@ impl Default for RoutingConfig {
 /// a shortest path and its `k`-th node lies at distance exactly `k`.
 /// The label of such a node is only ever improved from nodes at distance
 /// exactly `k − 1` (a closer predecessor would put it closer), scanned
-/// in ascending id — which is the sorted previous level — through the
-/// same adjacency order with the same strictly-better rule. Labels the
-/// walk relaxation also kept for nodes *closer* than their hop count
-/// are never on a returned route, so dropping them changes no route and
-/// no tie-break; the `#[cfg(test)]` reference keeps that relaxation and
-/// a differential proptest holds the two equal.
+/// in ascending id — which is the previous level as its bitset reads
+/// out — through the same adjacency order with the same strictly-better
+/// rule. Labels the walk relaxation also kept for nodes *closer* than
+/// their hop count are never on a returned route, so dropping them
+/// changes no route and no tie-break; the `#[cfg(test)]` reference keeps
+/// that relaxation and a differential proptest holds the two equal.
+///
+/// **Why the destination's label can be read from its own adjacency.**
+/// The sweep would label the destination from the candidates
+/// `(u, venue)` with `u` on level `k − 1` and `venue` a feasible edge
+/// `u — dst`, in ascending `u` and then ascending `venue`. The
+/// destination's adjacency holds exactly those edges, sorted by
+/// `(neighbour, venue)`: the same candidates in the same order, kept
+/// under the same strictly-better rule, give the same label.
 #[derive(Debug, Default)]
 pub struct Router {
     /// Per-node label of the running search: cost of the cheapest
@@ -318,8 +340,11 @@ pub struct Router {
     /// level being built means "still improvable": no per-call clearing.
     stamp: Vec<u64>,
     tick: u64,
+    /// The level being expanded, ascending by node id.
     frontier: Vec<u32>,
-    next: Vec<u32>,
+    /// The level being built, one bit per node; [`Router::drain_level`]
+    /// turns it into the next frontier.
+    level_bits: Vec<u64>,
     /// `banned[venue] == ban_epoch` marks a venue taken by an earlier leg
     /// of the running [`Router::route_multi`]; every entry point starts a
     /// new epoch, which lifts all bans at once.
@@ -340,6 +365,7 @@ impl Router {
             self.prev_node.resize(nodes, 0);
             self.prev_venue.resize(nodes, 0);
             self.stamp.resize(nodes, 0);
+            self.level_bits.resize(nodes.div_ceil(64), 0);
         }
     }
 
@@ -348,6 +374,32 @@ impl Router {
         self.ban_epoch += 1;
         if g.venues() > self.banned.len() {
             self.banned.resize(g.venues(), 0);
+        }
+    }
+
+    /// The cost of crossing `venue` with `amount` per hop, or `None` when
+    /// the venue is banned or the book cannot cover it. `book == None`
+    /// means "empty network": every unbanned venue fits at zero cost.
+    fn step(&self, venue: VenueId, amount: u64, book: Option<&LiquidityBook>) -> Option<u64> {
+        if self.banned[venue as usize] == self.ban_epoch {
+            return None;
+        }
+        match book {
+            Some(b) => b.fits(&[(venue, amount)]).then(|| b.load_at(venue)),
+            None => Some(0),
+        }
+    }
+
+    /// Moves the level marked in `level_bits` into `frontier`, ascending,
+    /// and clears the marks.
+    fn drain_level(&mut self, nodes: usize) {
+        self.frontier.clear();
+        for (w, word) in self.level_bits[..nodes.div_ceil(64)].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.frontier.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
         }
     }
 
@@ -375,31 +427,56 @@ impl Router {
         self.frontier.clear();
         self.frontier.push(src);
         for hops in 1..=max_hops {
+            // The frontier is level `hops - 1`: `dst` is at distance `hops`
+            // iff a frontier node reaches it by a feasible edge, and reading
+            // its adjacency gives the label the sweep below would assign.
+            let frontier_tick = self.tick;
+            let mut best: Option<(u32, VenueId)> = None;
+            let mut best_cost = 0;
+            for &(u, venue) in g.neighbors(dst) {
+                if self.stamp[u as usize] != frontier_tick {
+                    continue;
+                }
+                let Some(step) = self.step(venue, amount, book) else {
+                    continue;
+                };
+                let c = self.cost[u as usize].saturating_add(step);
+                if best.is_none() || c < best_cost {
+                    best = Some((u, venue));
+                    best_cost = c;
+                }
+            }
+            if let Some((last_node, last_venue)) = best {
+                let mut venues = vec![0; hops];
+                venues[hops - 1] = last_venue;
+                let mut node = last_node as usize;
+                for slot in venues[..hops - 1].iter_mut().rev() {
+                    *slot = self.prev_venue[node];
+                    node = self.prev_node[node] as usize;
+                }
+                debug_assert_eq!(node, src as usize, "labels chain back to the source");
+                return Some(VenueRoute::new(venues));
+            }
+            if hops == max_hops {
+                return None;
+            }
             self.tick += 1;
             let level = self.tick;
-            self.next.clear();
             for i in 0..self.frontier.len() {
                 let u = self.frontier[i];
                 let cu = self.cost[u as usize];
                 for &(nbr, venue) in g.neighbors(u) {
-                    if self.banned[venue as usize] == self.ban_epoch {
+                    #[cfg(test)]
+                    RELAXATIONS.with(|n| n.set(n.get() + 1));
+                    let Some(step) = self.step(venue, amount, book) else {
                         continue;
-                    }
-                    let step = match book {
-                        Some(b) => {
-                            if !b.fits(&[(venue, amount)]) {
-                                continue;
-                            }
-                            b.load_at(venue)
-                        }
-                        None => 0,
                     };
                     let v = nbr as usize;
                     let nc = cu.saturating_add(step);
                     let unlabelled = self.stamp[v] < first_tick;
                     if unlabelled {
                         self.stamp[v] = level;
-                        self.next.push(nbr);
+                        self.level_bits[v / 64] |= 1 << (v % 64);
                     }
                     if unlabelled || (self.stamp[v] == level && nc < self.cost[v]) {
                         self.cost[v] = nc;
@@ -408,21 +485,10 @@ impl Router {
                     }
                 }
             }
-            if self.stamp[dst as usize] == level {
-                let mut venues = vec![0; hops];
-                let mut node = dst as usize;
-                for slot in venues.iter_mut().rev() {
-                    *slot = self.prev_venue[node];
-                    node = self.prev_node[node] as usize;
-                }
-                debug_assert_eq!(node, src as usize, "labels chain back to the source");
-                return Some(VenueRoute::new(venues));
-            }
-            if self.next.is_empty() {
+            self.drain_level(nodes);
+            if self.frontier.is_empty() {
                 return None;
             }
-            self.next.sort_unstable();
-            std::mem::swap(&mut self.frontier, &mut self.next);
         }
         None
     }
@@ -516,21 +582,21 @@ impl Router {
         self.tick += 1;
         let t = self.tick;
         self.stamp[src as usize] = t;
-        let mut frontier = vec![src];
-        let mut next = Vec::new();
+        self.frontier.clear();
+        self.frontier.push(src);
         for _ in 0..max_hops {
-            for &u in &frontier {
-                for &(nbr, _) in g.neighbors(u) {
-                    if self.stamp[nbr as usize] != t {
-                        self.stamp[nbr as usize] = t;
+            for i in 0..self.frontier.len() {
+                for &(nbr, _) in g.neighbors(self.frontier[i]) {
+                    let v = nbr as usize;
+                    if self.stamp[v] != t {
+                        self.stamp[v] = t;
+                        self.level_bits[v / 64] |= 1 << (v % 64);
                         out.push(nbr);
-                        next.push(nbr);
                     }
                 }
             }
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut next);
-            if frontier.is_empty() {
+            self.drain_level(nodes);
+            if self.frontier.is_empty() {
                 break;
             }
         }
@@ -703,10 +769,12 @@ mod tests {
         /// and the bare search under arbitrary bans, on both graph
         /// families, under random reservations and spends, with amounts on
         /// both sides of what the budget can still cover and every hop cap.
+        /// Sizes reach 300 venues, so the graphs cross the level bitset's
+        /// 64- and 128-node word boundaries.
         #[test]
         fn bfs_search_equals_the_layered_relaxation(
             small_world in any::<bool>(),
-            size in 12usize..80,
+            size in 12usize..300,
             graph_seed in 0u64..10_000,
             load_seed in 1u64..u64::MAX,
             amount in 1u64..5_000,
@@ -779,6 +847,80 @@ mod tests {
         )
     }
 
+    /// A graph with the given edges; venue ids are edge indices.
+    fn from_edges(nodes: usize, edges: &[(u32, u32)]) -> VenueGraph {
+        let mut adj = vec![Vec::new(); nodes];
+        for (id, &(a, b)) in edges.iter().enumerate() {
+            adj[a as usize].push((b, id as VenueId));
+            adj[b as usize].push((a, id as VenueId));
+        }
+        for l in &mut adj {
+            l.sort_unstable();
+        }
+        VenueGraph {
+            nodes,
+            edges: edges.to_vec(),
+            adj,
+        }
+    }
+
+    /// Edges the search relaxed on this thread so far.
+    fn relaxations() -> u64 {
+        RELAXATIONS.with(std::cell::Cell::get)
+    }
+
+    /// The search reads `dst`'s label off the frontier before it expands
+    /// the next level. So a route found at distance k relaxes no edge out
+    /// of level k − 1, and a miss at the hop cap builds no level
+    /// `max_hops`: only the edges out of levels 0 ..= min(k, max_hops) − 2
+    /// are relaxed.
+    #[test]
+    fn search_expands_no_level_it_cannot_use() {
+        // The path 0 - 1 - 2 - 3: a route to 3 relaxes the edges out of
+        // 0 and 1 (1 + 2), not those out of 2; with a cap of 2 hops only
+        // the edge out of 0.
+        let path = from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let mut router = Router::new();
+        let before = relaxations();
+        assert_eq!(
+            router.shortest(&path, 0, 3, 8).unwrap().venues,
+            vec![0, 1, 2]
+        );
+        assert_eq!(relaxations() - before, 3);
+        let before = relaxations();
+        assert!(router.shortest(&path, 0, 3, 2).is_none());
+        assert_eq!(relaxations() - before, 1);
+
+        let g = scalefree(400, 5);
+        for src in [0u32, 7, 100] {
+            // Plain breadth-first distances from `src`.
+            let mut dist = vec![usize::MAX; g.nodes()];
+            dist[src as usize] = 0;
+            let mut queue = std::collections::VecDeque::from([src]);
+            while let Some(u) = queue.pop_front() {
+                for &(v, _) in g.neighbors(u) {
+                    if dist[v as usize] == usize::MAX {
+                        dist[v as usize] = dist[u as usize] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            for dst in (0..g.nodes() as u32).filter(|&d| d != src) {
+                for max_hops in [2, 3, MAX_NET_HOPS] {
+                    let reach = dist[dst as usize].min(max_hops);
+                    let expected: usize = (0..g.nodes())
+                        .filter(|&v| dist[v] + 2 <= reach)
+                        .map(|v| g.degree(v as u32))
+                        .sum();
+                    let before = relaxations();
+                    let found = router.shortest(&g, src, dst, max_hops);
+                    assert_eq!(found.is_some(), dist[dst as usize] <= max_hops);
+                    assert_eq!(relaxations() - before, expected as u64);
+                }
+            }
+        }
+    }
+
     #[test]
     fn generators_hit_exact_venue_counts_and_min_degree() {
         for seed in [1u64, 7, 42] {
@@ -832,21 +974,7 @@ mod tests {
     #[test]
     fn router_avoids_drained_venues() {
         // Square 0-1-2-3: venue 0 = (0,1), 1 = (1,2), 2 = (2,3), 3 = (3,0).
-        let g = VenueGraph {
-            nodes: 4,
-            edges: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-            adj: {
-                let mut adj = vec![Vec::new(); 4];
-                for (id, &(a, b)) in [(0u32, 1u32), (1, 2), (2, 3), (3, 0)].iter().enumerate() {
-                    adj[a as usize].push((b, id as VenueId));
-                    adj[b as usize].push((a, id as VenueId));
-                }
-                for l in &mut adj {
-                    l.sort_unstable();
-                }
-                adj
-            },
-        };
+        let g = from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mut book = LiquidityBook::new(&LiquidityConfig::reject(100), 4);
         let mut router = Router::new();
         // Empty book: 0 → 2 has two 2-hop paths; scan order picks the
@@ -869,21 +997,7 @@ mod tests {
 
     #[test]
     fn equal_cost_ties_break_by_scan_order_and_load_breaks_ties_first() {
-        let g = VenueGraph {
-            nodes: 4,
-            edges: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-            adj: {
-                let mut adj = vec![Vec::new(); 4];
-                for (id, &(a, b)) in [(0u32, 1u32), (1, 2), (2, 3), (3, 0)].iter().enumerate() {
-                    adj[a as usize].push((b, id as VenueId));
-                    adj[b as usize].push((a, id as VenueId));
-                }
-                for l in &mut adj {
-                    l.sort_unstable();
-                }
-                adj
-            },
-        };
+        let g = from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mut book = LiquidityBook::new(&LiquidityConfig::reject(100), 4);
         let mut router = Router::new();
         // Load venue 0 lightly: still feasible, but the idle side
