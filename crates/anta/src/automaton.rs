@@ -28,7 +28,7 @@
 //! destroy messages because the receiver is momentarily elsewhere; see e.g.
 //! Chloe, who may receive `G(d_i)` and `P(a_{i-1})` in either order).
 
-use crate::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
+use crate::fingerprint::fingerprint;
 use crate::process::{Ctx, Message, Pid, Process, TimerId};
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -50,7 +50,7 @@ pub enum StateKind {
 
 /// Variable store of one automaton: clock variables (`x := now`) and integer
 /// registers (for values carried by messages, e.g. a promise's deadline).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct VarStore {
     /// Clock variables (`x := now` targets).
     pub clocks: Vec<SimTime>,
@@ -393,9 +393,19 @@ impl<M> AutomatonSpec<M> {
 }
 
 /// Interprets an [`AutomatonSpec`] as an engine [`Process`].
+///
+/// The spec (guard and payload closures) is shared setup; everything else
+/// is run state.
 #[derive(Clone)]
 pub struct AutomatonProcess<M> {
     spec: Arc<AutomatonSpec<M>>,
+    st: AutomatonState<M>,
+}
+
+/// Clock variables are hashed as absolute instants, which is sound and
+/// forfeits only time-translation merges.
+#[derive(Clone, Hash)]
+struct AutomatonState<M> {
     state: StateId,
     store: VarStore,
     /// Messages not yet consumable in the current state (see module docs).
@@ -416,38 +426,40 @@ impl<M: Message> AutomatonProcess<M> {
         let initial = spec.initial;
         AutomatonProcess {
             spec,
-            state: initial,
-            store,
-            pending: VecDeque::new(),
-            epoch: 0,
-            halted: false,
+            st: AutomatonState {
+                state: initial,
+                store,
+                pending: VecDeque::new(),
+                epoch: 0,
+                halted: false,
+            },
         }
     }
 
     /// Current control state.
     pub fn state(&self) -> StateId {
-        self.state
+        self.st.state
     }
 
     /// Current control-state name.
     pub fn state_name(&self) -> &str {
-        self.spec.state_name(self.state)
+        self.spec.state_name(self.st.state)
     }
 
     /// The variable store (clocks and registers).
     pub fn store(&self) -> &VarStore {
-        &self.store
+        &self.st.store
     }
 
     /// True once a terminal state (no outgoing transitions) was reached.
     pub fn is_terminal(&self) -> bool {
-        self.halted
+        self.st.halted
     }
 
     fn fire(&mut self, idx: usize, now: SimTime, msg: Option<&M>, ctx: &mut Ctx<M>) {
         let t = self.spec.transitions[idx].clone();
         if let Some(assign) = &t.assign {
-            assign(&mut self.store, now, msg);
+            assign(&mut self.st.store, now, msg);
         }
         self.enter(t.to, ctx);
     }
@@ -456,35 +468,35 @@ impl<M: Message> AutomatonProcess<M> {
     /// its one message), then in the final white state arms timeout timers,
     /// re-offers buffered messages, and halts if terminal.
     fn enter(&mut self, state: StateId, ctx: &mut Ctx<M>) {
-        self.state = state;
-        self.epoch += 1;
+        self.st.state = state;
+        self.st.epoch += 1;
         ctx.mark("state", state.0 as i64);
         // Chain through grey states.
-        while matches!(self.spec.state_kinds[self.state.0], StateKind::Output) {
-            let out = self.spec.by_state[self.state.0][0];
+        while matches!(self.spec.state_kinds[self.st.state.0], StateKind::Output) {
+            let out = self.spec.by_state[self.st.state.0][0];
             let t = self.spec.transitions[out].clone();
             if let Action::Send { to, make } = &t.action {
-                let msg = make(&self.store);
+                let msg = make(&self.st.store);
                 ctx.send(*to, msg);
             }
             if let Some(assign) = &t.assign {
-                assign(&mut self.store, ctx.now(), None);
+                assign(&mut self.st.store, ctx.now(), None);
             }
-            self.state = t.to;
-            self.epoch += 1;
-            ctx.mark("state", self.state.0 as i64);
+            self.st.state = t.to;
+            self.st.epoch += 1;
+            ctx.mark("state", self.st.state.0 as i64);
         }
         // Arm timers for timeout transitions of the (white) state.
-        for &ti in &self.spec.by_state[self.state.0] {
+        for &ti in &self.spec.by_state[self.st.state.0] {
             if let Action::Timeout { var, delay } = self.spec.transitions[ti].action {
-                let deadline = self.store.clocks[var] + delay;
-                let id = (self.epoch << 16) | ti as u64;
+                let deadline = self.st.store.clocks[var] + delay;
+                let id = (self.st.epoch << 16) | ti as u64;
                 ctx.set_timer_at(id, deadline);
             }
         }
         // Terminal white state: protocol role complete.
-        if self.spec.by_state[self.state.0].is_empty() {
-            self.halted = true;
+        if self.spec.by_state[self.st.state.0].is_empty() {
+            self.st.halted = true;
             ctx.halt();
             return;
         }
@@ -494,13 +506,13 @@ impl<M: Message> AutomatonProcess<M> {
 
     fn drain_pending(&mut self, ctx: &mut Ctx<M>) {
         let mut i = 0;
-        while i < self.pending.len() {
-            if self.halted {
+        while i < self.st.pending.len() {
+            if self.st.halted {
                 return;
             }
-            let (from, msg) = self.pending[i].clone();
+            let (from, msg) = self.st.pending[i].clone();
             if let Some(idx) = self.match_receive(from, &msg) {
-                self.pending.remove(i);
+                self.st.pending.remove(i);
                 self.fire(idx, ctx.now(), Some(&msg), ctx);
                 // `fire` may have changed state; restart the scan.
                 i = 0;
@@ -511,11 +523,13 @@ impl<M: Message> AutomatonProcess<M> {
     }
 
     fn match_receive(&self, from: Pid, msg: &M) -> Option<usize> {
-        self.spec.by_state[self.state.0]
+        self.spec.by_state[self.st.state.0]
             .iter()
             .copied()
             .find(|&ti| match &self.spec.transitions[ti].action {
-                Action::Receive { from: want, guard } => *want == from && guard(msg, &self.store),
+                Action::Receive { from: want, guard } => {
+                    *want == from && guard(msg, &self.st.store)
+                }
                 _ => false,
             })
     }
@@ -528,7 +542,7 @@ impl<M: Message> Process<M> for AutomatonProcess<M> {
     }
 
     fn on_message(&mut self, from: Pid, msg: M, ctx: &mut Ctx<M>) {
-        if self.halted {
+        if self.st.halted {
             return;
         }
         if let Some(idx) = self.match_receive(from, &msg) {
@@ -536,48 +550,34 @@ impl<M: Message> Process<M> for AutomatonProcess<M> {
         } else {
             // Buffer: the asynchronous network holds messages until the
             // automaton reaches a state that can consume them.
-            self.pending.push_back((from, msg));
+            self.st.pending.push_back((from, msg));
         }
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<M>) {
-        if self.halted {
+        if self.st.halted {
             return;
         }
         let epoch = id >> 16;
         let ti = (id & 0xFFFF) as usize;
-        if epoch != self.epoch {
+        if epoch != self.st.epoch {
             return; // stale timer from a state we already left
         }
         // The timeout may still be in the future if the clock variable was
         // re-assigned; re-check the guard against the local clock.
         if let Action::Timeout { var, delay } = self.spec.transitions[ti].action {
-            let deadline = self.store.clocks[var] + delay;
+            let deadline = self.st.store.clocks[var] + delay;
             if ctx.now() >= deadline {
                 self.fire(ti, ctx.now(), None, ctx);
             } else {
-                let id = (self.epoch << 16) | ti as u64;
+                let id = (self.st.epoch << 16) | ti as u64;
                 ctx.set_timer_at(id, deadline);
             }
         }
     }
 
-    /// The spec (guard and payload closures) is shared wiring. Everything
-    /// else is state; clock variables are hashed as absolute instants,
-    /// which is sound and forfeits only time-translation merges.
     fn fp_digest(&self) -> u64 {
-        let AutomatonProcess {
-            spec: _,
-            state,
-            store: VarStore { clocks, regs },
-            pending,
-            epoch,
-            halted,
-        } = self;
-        let mut h = Fnv64::new();
-        (state.0, clocks, regs, epoch, halted).fingerprint(&mut h);
-        fingerprint_seq(pending.iter(), &mut h);
-        h.finish()
+        fingerprint(&self.st)
     }
 }
 
@@ -590,21 +590,11 @@ mod tests {
     use crate::oracle::RandomOracle;
 
     /// Test message alphabet.
-    #[derive(Debug, Clone, PartialEq)]
+    #[derive(Debug, Clone, PartialEq, Hash)]
     enum TMsg {
         Ping,
         Pong,
         Value(i64),
-    }
-
-    impl Fingerprint for TMsg {
-        fn fingerprint(&self, h: &mut Fnv64) {
-            match self {
-                TMsg::Ping => 0u8.fingerprint(h),
-                TMsg::Pong => 1u8.fingerprint(h),
-                TMsg::Value(v) => (2u8, v).fingerprint(h),
-            }
-        }
     }
 
     /// requester(0): send Ping to 1; await Pong with timeout; halt.

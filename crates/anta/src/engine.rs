@@ -27,6 +27,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceKind, TraceMode};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::hash::Hasher;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -267,7 +268,7 @@ impl<M: Message> Engine<M> {
     /// digest everything the run's *future* is a function of:
     ///
     /// * **per-process state** — each process's hand-written
-    ///   [`Process::fp_digest`] over its mutable fields (cached, recomputed
+    ///   [`Process::fp_digest`] over its run state (cached, recomputed
     ///   only for the pid the event touched) plus its engine-side `halted`
     ///   flag, plus any [`Process::fp_times`] instants folded as signed
     ///   residues against the process's *current* local clock;
@@ -277,9 +278,8 @@ impl<M: Message> Engine<M> {
     ///   can converge) but the fold order *is* the dispatch order,
     ///   including `seq` tie-breaks among equal times — two states with
     ///   equal folds dispatch equal events in the same order. Message
-    ///   payloads enter field by field via their
-    ///   [`Fingerprint`](crate::fingerprint::Fingerprint) impl (a bound of
-    ///   [`Message`]); timers via `(pid, id)`;
+    ///   payloads enter through their `Hash` impl (a bound of
+    ///   [`Message`]), fed into [`Fnv64`]; timers via `(pid, id)`;
     /// * **the observable trace** — counters (sent / delivered / per-pid
     ///   delivered / dropped) plus the rolling
     ///   [`Trace::obs_digest`](crate::trace::Trace::obs_digest) over
@@ -390,7 +390,7 @@ impl<M: Message> Engine<M> {
                 h.write_u64(2);
                 h.write_usize(*from);
                 h.write_usize(*to);
-                msg.fingerprint(&mut h);
+                msg.hash(&mut h);
             }
             EventKind::Timer { pid, id } => {
                 h.write_u64(3);
@@ -446,7 +446,7 @@ impl<M: Message> Engine<M> {
         }
         h.write_u64(trace.obs_digest().unwrap_or(0));
         for (slot, digest) in procs.iter().zip(&fp.proc_digests) {
-            h.write_bool(slot.halted);
+            h.write_u8(slot.halted as u8);
             h.write_u64(*digest);
             fp.times_scratch.clear();
             slot.proc.fp_times(&mut fp.times_scratch);

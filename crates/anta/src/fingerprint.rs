@@ -10,22 +10,25 @@
 //!
 //! What the digest covers — and why each piece is needed — is documented on
 //! [`crate::engine::Engine::enable_fingerprints`]; this module provides the
-//! hasher, [`Fnv64`], and the [`Fingerprint`] trait that feeds a value's
-//! fields into it. Messages implement [`Fingerprint`] (it is a bound of
-//! [`crate::process::Message`]); processes write
-//! [`crate::process::Process::fp_digest`] by destructuring themselves and
-//! fingerprinting their mutable fields. Nothing is formatted: a digest is a
-//! walk over integers and byte arrays.
+//! hasher, [`Fnv64`], the one-call digest [`fingerprint`], and [`Stamp`],
+//! a recorded instant that hashes only its presence. Values feed the hasher
+//! through [`std::hash::Hash`]: messages derive it (it is a bound of
+//! [`crate::process::Message`]), and each process derives it on the struct
+//! that holds its run state (see [`crate::process::Process::fp_digest`]).
+//! Nothing is formatted: a digest is a walk over integers and byte arrays.
+
+use crate::time::SimTime;
+use std::hash::{Hash, Hasher};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 /// Incremental 64-bit FNV-1a hasher.
 ///
-/// Deliberately *not* [`std::hash::Hasher`]: fingerprints are compared
+/// A fixed [`Hasher`], never `RandomState`: fingerprints are compared
 /// across runs, threads and (via violation paths) processes, so the digest
-/// must be a fixed function of the bytes fed in — never of `RandomState`
-/// seeds or platform defaults.
+/// must be a fixed function of the bytes fed in. Integers are fed as their
+/// little-endian bytes and `usize` as a `u64`, whatever the platform.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -40,9 +43,10 @@ impl Fnv64 {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Feeds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+impl Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
         let mut h = self.0;
         for &b in bytes {
             h ^= b as u64;
@@ -51,158 +55,65 @@ impl Fnv64 {
         self.0 = h;
     }
 
-    /// Feeds one `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+    fn write_u16(&mut self, v: u16) {
+        self.write(&v.to_le_bytes());
     }
 
-    /// Feeds one `usize`.
-    pub fn write_usize(&mut self, v: usize) {
+    fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
-    /// Feeds one `i64`.
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
-    /// Feeds one `bool`.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_bytes(&[v as u8]);
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
     }
 }
 
-/// A value that can feed its fields into an [`Fnv64`].
+/// The digest of one value: its [`Hash`] fed into a fresh [`Fnv64`].
 ///
-/// Equal values must feed equal byte streams; unequal values should feed
+/// Equal values feed equal byte streams; unequal values should feed
 /// unequal ones (a collision merges two states — see the collision note on
-/// [`crate::engine::Engine::enable_fingerprints`]). Variable-length values
-/// (slices, options) feed a length or tag first, so concatenations cannot
-/// alias. Implemented here for integers, `bool`, byte arrays, `Option`,
-/// slices, tuples and simulated time; protocol crates implement it for
-/// their message types, field by field.
-pub trait Fingerprint {
-    /// Feeds `self` into `h`.
-    fn fingerprint(&self, h: &mut Fnv64);
-}
-
-/// The digest of one value: [`Fingerprint::fingerprint`] into a fresh
-/// [`Fnv64`].
-pub fn fingerprint<T: Fingerprint + ?Sized>(value: &T) -> u64 {
+/// [`crate::engine::Engine::enable_fingerprints`]). The std impls feed a
+/// length before a slice or `Vec` and a tag before an enum variant, so
+/// concatenations cannot alias.
+pub fn fingerprint<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut h = Fnv64::new();
-    value.fingerprint(&mut h);
+    value.hash(&mut h);
     h.finish()
 }
 
-/// Feeds `items` exactly as a slice of them would be fed (length first) —
-/// for sequences whose elements need mapping to fingerprintable fields
-/// first, such as foreign types hashed through their public fields.
-pub fn fingerprint_seq<T: Fingerprint>(items: impl ExactSizeIterator<Item = T>, h: &mut Fnv64) {
-    h.write_usize(items.len());
-    for item in items {
-        item.fingerprint(h);
+/// A local-clock instant a process records only for post-run checkers (a
+/// "when did I pay" snapshot). Its [`Hash`] feeds whether it is set, never
+/// the instant: past times are abstracted out of the fingerprint (the
+/// time-robust checker contract on
+/// [`Engine::enable_fingerprints`](crate::engine::Engine::enable_fingerprints)).
+/// An instant the process's future still races against goes through
+/// [`crate::process::Process::fp_times`] as well.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stamp(Option<SimTime>);
+
+impl Stamp {
+    /// Records `at`.
+    pub fn set(&mut self, at: SimTime) {
+        self.0 = Some(at);
+    }
+
+    /// The recorded instant, if any.
+    pub fn get(self) -> Option<SimTime> {
+        self.0
     }
 }
 
-macro_rules! fingerprint_le_bytes {
-    ($($t:ty),*) => {$(
-        impl Fingerprint for $t {
-            fn fingerprint(&self, h: &mut Fnv64) {
-                h.write_bytes(&self.to_le_bytes());
-            }
-        }
-    )*};
-}
-
-fingerprint_le_bytes!(u8, u16, u32, u64, i32, i64);
-
-impl Fingerprint for usize {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        h.write_usize(*self);
-    }
-}
-
-impl Fingerprint for bool {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        h.write_bool(*self);
-    }
-}
-
-impl<const N: usize> Fingerprint for [u8; N] {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        h.write_bytes(self);
-    }
-}
-
-impl<T: Fingerprint> Fingerprint for Option<T> {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        match self {
-            None => h.write_bool(false),
-            Some(v) => {
-                h.write_bool(true);
-                v.fingerprint(h);
-            }
-        }
-    }
-}
-
-impl<T: Fingerprint> Fingerprint for [T] {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        h.write_usize(self.len());
-        for v in self {
-            v.fingerprint(h);
-        }
-    }
-}
-
-impl<T: Fingerprint> Fingerprint for Vec<T> {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        self.as_slice().fingerprint(h);
-    }
-}
-
-impl<T: Fingerprint + ?Sized> Fingerprint for &T {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        (**self).fingerprint(h);
-    }
-}
-
-macro_rules! fingerprint_tuple {
-    ($($name:ident),+) => {
-        impl<$($name: Fingerprint),+> Fingerprint for ($($name,)+) {
-            #[allow(non_snake_case)]
-            fn fingerprint(&self, h: &mut Fnv64) {
-                let ($($name,)+) = self;
-                $($name.fingerprint(h);)+
-            }
-        }
-    };
-}
-
-fingerprint_tuple!(A);
-fingerprint_tuple!(A, B);
-fingerprint_tuple!(A, B, C);
-fingerprint_tuple!(A, B, C, D);
-fingerprint_tuple!(A, B, C, D, E);
-fingerprint_tuple!(A, B, C, D, E, F);
-
-/// Absolute: a stored instant folded this way is a distinction, never a
-/// residue. Timeout anchors a process's future still races against go
-/// through [`crate::process::Process::fp_times`] instead.
-impl Fingerprint for crate::time::SimTime {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        h.write_u64(self.ticks());
-    }
-}
-
-impl Fingerprint for crate::time::SimDuration {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        h.write_u64(self.ticks());
+impl Hash for Stamp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.is_some().hash(state);
     }
 }
 
@@ -228,20 +139,22 @@ mod tests {
     #[test]
     fn fields_feed_in_order() {
         let mut h = Fnv64::new();
-        h.write_u64(1);
-        h.write_bool(true);
+        h.write(&1u64.to_le_bytes());
+        h.write(&[1]);
         assert_eq!(fingerprint(&(1u64, true)), h.finish());
-        assert_eq!(fingerprint(&[7u8; 3]), {
+        assert_eq!(fingerprint(&7usize), fingerprint(&7u64), "usize is a u64");
+        assert_eq!(fingerprint(&[7u8; 3][..]), {
             let mut h = Fnv64::new();
-            h.write_bytes(&[7, 7, 7]);
+            h.write(&3u64.to_le_bytes());
+            h.write(&[7, 7, 7]);
             h.finish()
         });
     }
 
     #[test]
     fn variable_length_values_do_not_alias() {
-        // Without length and tag prefixes these pairs would feed the same
-        // bytes.
+        // Without the derived impls' length and tag prefixes these pairs
+        // would feed the same bytes.
         assert_ne!(
             fingerprint(&(vec![1u8], vec![2u8, 3])),
             fingerprint(&(vec![1u8, 2], vec![3u8]))
@@ -251,5 +164,35 @@ mod tests {
             fingerprint(&(Some(1u8), None::<u8>))
         );
         assert_ne!(fingerprint(&Some(0u8)), fingerprint(&None::<u8>));
+        #[derive(Hash)]
+        enum E {
+            A(u8),
+            B(u8),
+        }
+        assert_ne!(fingerprint(&E::A(0)), fingerprint(&E::B(0)));
+    }
+
+    #[test]
+    fn a_stamp_hashes_its_presence_not_its_instant() {
+        #[derive(Hash, Default)]
+        struct State {
+            paid: bool,
+            paid_at: Stamp,
+        }
+        let at = |t: u64| {
+            let mut s = State {
+                paid: true,
+                ..State::default()
+            };
+            s.paid_at.set(SimTime::from_ticks(t));
+            s
+        };
+        assert_eq!(fingerprint(&at(5)), fingerprint(&at(9)));
+        let unset = State {
+            paid: true,
+            ..State::default()
+        };
+        assert_ne!(fingerprint(&at(5)), fingerprint(&unset));
+        assert_eq!(at(5).paid_at.get(), Some(SimTime::from_ticks(5)));
     }
 }

@@ -16,8 +16,9 @@
 //! * [`net`] — `Sync(δ)` / `PartialSync(GST, δ)` / adversarial models;
 //! * [`oracle`] — the single funnel for scheduler nondeterminism;
 //! * [`engine`] — the deterministic discrete-event simulator;
-//! * [`fingerprint`] — the explorer's state hasher and the
-//!   [`fingerprint::Fingerprint`] trait that feeds it field by field;
+//! * [`fingerprint`] — the explorer's state hasher, a fixed
+//!   [`std::hash::Hasher`] every message and process state feeds through
+//!   its derived `Hash`;
 //! * [`trace`] — run traces consumed by the property checkers;
 //! * [`explore`] — exhaustive schedule enumeration on small instances.
 //!
@@ -44,15 +45,9 @@
 //! use anta::prelude::*;
 //! use std::sync::Arc;
 //!
-//! #[derive(Debug, Clone, PartialEq)]
+//! // Messages feed the explorer's state fingerprint through `Hash`.
+//! #[derive(Debug, Clone, PartialEq, Hash)]
 //! enum Msg { Ping, Pong }
-//!
-//! // Messages feed their fields into the explorer's state fingerprint.
-//! impl Fingerprint for Msg {
-//!     fn fingerprint(&self, h: &mut Fnv64) {
-//!         h.write_bool(matches!(self, Msg::Pong));
-//!     }
-//! }
 //!
 //! // requester: grey "send ping" → white "await pong" (with timeout).
 //! let mut b = AutomatonBuilder::new("requester");
@@ -117,7 +112,7 @@ pub mod prelude {
         explore, explore_differential, explore_parallel, explore_parallel_with, replay,
         replay_pruned, DifferentialReport, ExploreConfig, ExploreMode, ExploreReport, Violation,
     };
-    pub use crate::fingerprint::{fingerprint, Fingerprint, Fnv64};
+    pub use crate::fingerprint::{fingerprint, Fnv64, Stamp};
     pub use crate::net::{
         AdversarialNet, Delivery, EnvelopeMeta, FaultyNet, NetFaults, NetModel, PartialSyncNet,
         PreGstPolicy, SyncNet,

@@ -19,9 +19,9 @@
 //! this trait; the data-driven [`crate::automaton`] interpreter is itself
 //! just one more `Process`.
 
-use crate::fingerprint::Fingerprint;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
+use std::hash::Hash;
 
 /// Index of a process within an engine. Dense, assigned in registration
 /// order — used directly as an arena index (perf-book idiom: no hashing on
@@ -34,8 +34,8 @@ pub type TimerId = u64;
 /// Messages must be cheaply clonable values that can feed their fields into
 /// the reduced explorer's state fingerprint (in-flight payloads are part of
 /// the state).
-pub trait Message: Clone + std::fmt::Debug + Fingerprint + 'static {}
-impl<T: Clone + std::fmt::Debug + Fingerprint + 'static> Message for T {}
+pub trait Message: Clone + std::fmt::Debug + Hash + 'static {}
+impl<T: Clone + std::fmt::Debug + Hash + 'static> Message for T {}
 
 /// Effects a process can request during a handler invocation. Collected by
 /// the [`Ctx`] and applied by the engine after the handler returns, so
@@ -155,12 +155,14 @@ impl<T: 'static> AsAny for T {
 ///
 /// The reduced schedule explorer fingerprints engine states (see
 /// [`crate::engine::Engine::enable_fingerprints`]), so every process writes
-/// [`Process::fp_digest`] by hand: there is no default, and a process
-/// without one does not compile. The idiom is to destructure `self`
-/// exhaustively, name wiring (pids, keys, bounds, shared registries — fixed
-/// from registration on) as `field: _`, and [`Fingerprint`] every field the
-/// process's future behaviour can read. A new field then does not compile
-/// until it is either hashed or named as wiring.
+/// [`Process::fp_digest`]: there is no default, and a process without one
+/// does not compile. The idiom is to split the process into its setup and
+/// its run state. The setup — pids, keys, bounds, shared registries, fixed
+/// from registration on — stays in plain fields of the process; everything
+/// its future behaviour can read goes into one `…State` struct that
+/// `#[derive(Hash)]`s, and `fp_digest` is
+/// [`fingerprint`](crate::fingerprint::fingerprint) of that struct. A new
+/// field is then hashed or ignored by the struct it goes in.
 ///
 /// A process is never cloned: the explorer replays a schedule by building a
 /// fresh engine and feeding it the recorded choices.
@@ -175,17 +177,16 @@ pub trait Process<M>: AsAny + 'static {
     /// A timer set earlier has fired (local clock ≥ its deadline).
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<M>);
 
-    /// Digest of the process's **time-free** mutable state, folded into the
+    /// Digest of the process's **time-free** run state, folded into the
     /// engine's state fingerprint — typically
-    /// [`fingerprint`](crate::fingerprint::fingerprint) of a tuple of the
-    /// behaviour-bearing fields. Hashing a field that cannot matter is
-    /// always sound (extra distinctions never merge states wrongly; they
-    /// only forfeit reduction), so when in doubt a field goes in. A
-    /// stateless process returns a constant.
+    /// [`fingerprint`](crate::fingerprint::fingerprint) of its `…State`
+    /// struct. Hashing a field that cannot matter is always sound (extra
+    /// distinctions never merge states wrongly; they only forfeit
+    /// reduction), so when in doubt a field goes in the state. A stateless
+    /// process returns a constant.
     ///
     /// Absolute local-clock instants (`ctx.now()` snapshots) need care: the
-    /// digest hashes whether they are set (an `is_some()` flag for optional
-    /// ones), and then each instant is either
+    /// state hashes whether they are set, and then each instant is either
     ///
     /// * pushed to [`Process::fp_times`], in a fixed order, if the
     ///   process's *future* behaviour still reads it (a live `now ≥ u + d`
@@ -193,16 +194,17 @@ pub trait Process<M>: AsAny + 'static {
     ///   current local clock, so states with the same pending-timeout
     ///   structure reached earlier or later fingerprint identically and
     ///   deduplicate; or
-    /// * omitted entirely if it is kept only for post-run checkers (a
-    ///   recorded "when did I pay" instant). Past times are deliberately
-    ///   abstracted out of the fingerprint — see the time-robust checker
-    ///   contract on
+    /// * kept only for post-run checkers (a recorded "when did I pay"
+    ///   instant). Past times are deliberately abstracted out of the
+    ///   fingerprint — see the time-robust checker contract on
     ///   [`Engine::enable_fingerprints`](crate::engine::Engine::enable_fingerprints).
     ///
-    /// Hashing an instant absolutely instead is sound too; it only forfeits
-    /// reduction. A wrapper process forwards both the inner digest and the
-    /// inner [`Process::fp_times`]: dropping the latter would lose a live
-    /// timeout anchor, which is unsound.
+    /// Both kinds sit in the state as a
+    /// [`Stamp`](crate::fingerprint::Stamp), whose `Hash` feeds only its
+    /// presence. Hashing an instant absolutely instead is sound too; it only
+    /// forfeits reduction. A wrapper process forwards both the inner digest
+    /// and the inner [`Process::fp_times`]: dropping the latter would lose a
+    /// live timeout anchor, which is unsound.
     fn fp_digest(&self) -> u64;
 
     /// Absolute local-clock instants this process's **future** behaviour

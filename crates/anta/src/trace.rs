@@ -9,6 +9,7 @@
 use crate::fingerprint::Fnv64;
 use crate::process::Pid;
 use crate::time::SimTime;
+use std::hash::Hasher;
 
 /// How much of a run the engine records.
 ///
@@ -226,7 +227,7 @@ impl<M> Trace<M> {
                 h.write_u64(6);
                 h.write_usize(*pid);
                 h.write_usize(label.len());
-                h.write_bytes(label.as_bytes());
+                h.write(label.as_bytes());
                 h.write_i64(*value);
             }
         }

@@ -31,11 +31,11 @@
 //! crate both drive this same core — one implementation, two transports.
 
 use crate::msg::{
-    fingerprint_sigs, propose_payload, sign_propose, sign_vote, vote_payload, ConsMsg,
-    ConsensusValue, ProofOfLock, VoteKind, DOM_VOTE,
+    propose_payload, sign_propose, sign_vote, vote_payload, ConsMsg, ConsensusValue, ProofOfLock,
+    VoteKind, DOM_VOTE,
 };
-use anta::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
 use anta::time::SimDuration;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use xcrypto::{KeyId, Pki, Signature, Signer};
 
@@ -126,7 +126,7 @@ fn token_phase(token: u64) -> u64 {
     token & 0b11
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct VoteRec<V> {
     round: u32,
     signer: KeyId,
@@ -134,7 +134,7 @@ struct VoteRec<V> {
     sig: Signature,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Lock<V> {
     round: u32,
     value: V,
@@ -143,12 +143,19 @@ struct Lock<V> {
     sigs: Vec<Signature>,
 }
 
-/// The notary core. Generic over the decided value type.
+/// The notary core. Generic over the decided value type. The
+/// configuration, signer and key registry are setup; everything else is
+/// run state, in `CoreState`.
 #[derive(Clone)]
 pub struct NotaryCore<V> {
     cfg: Config<V>,
     signer: Signer,
     pki: Arc<Pki>,
+    st: CoreState<V>,
+}
+
+#[derive(Debug, Clone, Hash)]
+struct CoreState<V> {
     input: V,
     round: u32,
     locked: Option<Lock<V>>,
@@ -162,77 +169,21 @@ pub struct NotaryCore<V> {
     decision_broadcast: bool,
 }
 
-/// Manual impl: all mutable protocol state is rendered; `cfg`, `signer`,
-/// and `pki` are shared immutable configuration (and hold closures/secret
-/// keys) so they are elided — secrets must never reach a Debug rendering.
+/// Manual impl: `cfg`, `signer` and `pki` hold closures and secret keys,
+/// so only the run state is rendered — secrets must never reach a Debug
+/// rendering.
 impl<V: ConsensusValue> std::fmt::Debug for NotaryCore<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NotaryCore")
-            .field("input", &self.input)
-            .field("round", &self.round)
-            .field("locked", &self.locked)
-            .field("proposals", &self.proposals)
-            .field("prevotes", &self.prevotes)
-            .field("precommits", &self.precommits)
-            .field("prevoted_rounds", &self.prevoted_rounds)
-            .field("precommitted_rounds", &self.precommitted_rounds)
-            .field("decided", &self.decided)
-            .field("decision_broadcast", &self.decision_broadcast)
-            .finish()
+            .field("state", &self.st)
+            .finish_non_exhaustive()
     }
 }
 
-impl<V: ConsensusValue> Fingerprint for VoteRec<V> {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let VoteRec {
-            round,
-            signer,
-            value,
-            sig,
-        } = self;
-        let value = value.as_ref().map(V::encode);
-        (round, signer.0, value, sig.signer.0, sig.tag).fingerprint(h);
-    }
-}
-
-impl<V: ConsensusValue> Fingerprint for Lock<V> {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let Lock { round, value, sigs } = self;
-        (round, value.encode()).fingerprint(h);
-        fingerprint_sigs(sigs, h);
-    }
-}
-
-/// The configuration, signer and key registry are wiring; every other
-/// field is protocol state. Values enter through their canonical
-/// [`ConsensusValue::encode`] bytes.
-impl<V: ConsensusValue> Fingerprint for NotaryCore<V> {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let NotaryCore {
-            cfg: _,
-            signer: _,
-            pki: _,
-            input,
-            round,
-            locked,
-            proposals,
-            prevotes,
-            precommits,
-            prevoted_rounds,
-            precommitted_rounds,
-            decided,
-            decision_broadcast,
-        } = self;
-        (input.encode(), round, locked, prevotes, precommits).fingerprint(h);
-        fingerprint_seq(proposals.iter().map(|(r, v)| (r, v.encode())), h);
-        let decided = decided.as_ref().map(|(r, v)| (r, v.encode()));
-        (
-            prevoted_rounds,
-            precommitted_rounds,
-            decided,
-            decision_broadcast,
-        )
-            .fingerprint(h);
+/// The setup is fixed from construction on; the run state is hashed.
+impl<V: Hash> Hash for NotaryCore<V> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.st.hash(state);
     }
 }
 
@@ -254,27 +205,29 @@ impl<V: ConsensusValue> NotaryCore<V> {
             cfg,
             signer,
             pki,
-            input,
-            round: 0,
-            locked: None,
-            proposals: Vec::new(),
-            prevotes: Vec::new(),
-            precommits: Vec::new(),
-            prevoted_rounds: Vec::new(),
-            precommitted_rounds: Vec::new(),
-            decided: None,
-            decision_broadcast: false,
+            st: CoreState {
+                input,
+                round: 0,
+                locked: None,
+                proposals: Vec::new(),
+                prevotes: Vec::new(),
+                precommits: Vec::new(),
+                prevoted_rounds: Vec::new(),
+                precommitted_rounds: Vec::new(),
+                decided: None,
+                decision_broadcast: false,
+            },
         }
     }
 
     /// The decided value, once any.
     pub fn decided(&self) -> Option<&V> {
-        self.decided.as_ref().map(|(_, v)| v)
+        self.st.decided.as_ref().map(|(_, v)| v)
     }
 
     /// Current round.
     pub fn round(&self) -> u32 {
-        self.round
+        self.st.round
     }
 
     /// Begins the instance (enters round 0).
@@ -295,23 +248,23 @@ impl<V: ConsensusValue> NotaryCore<V> {
     /// Handles a timeout token previously scheduled.
     pub fn on_timeout(&mut self, tok: u64) -> Vec<Output<V>> {
         let mut out = Vec::new();
-        if self.decided.is_some() {
+        if self.st.decided.is_some() {
             return out;
         }
         let r = token_round(tok);
-        if r != self.round {
+        if r != self.st.round {
             return out; // stale timer from an earlier round
         }
         match token_phase(tok) {
             PHASE_PROPOSE => {
                 // No acceptable proposal in time → prevote nil.
-                if !self.prevoted_rounds.contains(&r) {
+                if !self.st.prevoted_rounds.contains(&r) {
                     self.cast_prevote(r, None, &mut out);
                 }
             }
             PHASE_PREVOTE => {
                 // No prevote quorum in time → precommit nil.
-                if !self.precommitted_rounds.contains(&r) {
+                if !self.st.precommitted_rounds.contains(&r) {
                     self.cast_precommit(r, None, &mut out);
                 }
             }
@@ -333,7 +286,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
     }
 
     fn enter_round(&mut self, round: u32, out: &mut Vec<Output<V>>) {
-        self.round = round;
+        self.st.round = round;
         for phase in [PHASE_PROPOSE, PHASE_PREVOTE, PHASE_PRECOMMIT] {
             out.push(Output::Schedule {
                 token: token(round, phase),
@@ -342,7 +295,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
         }
         if self.cfg.leader(round) == self.signer.id() {
             // Propose the locked value if any (with its PoL), else my input.
-            let (value, pol) = match &self.locked {
+            let (value, pol) = match &self.st.locked {
                 Some(l) => (
                     l.value.clone(),
                     Some(ProofOfLock {
@@ -351,7 +304,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
                         sigs: l.sigs.clone(),
                     }),
                 ),
-                None => (self.input.clone(), None),
+                None => (self.st.input.clone(), None),
             };
             let sig = sign_propose(
                 &self.signer,
@@ -409,7 +362,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
         sig: Signature,
         out: &mut Vec<Output<V>>,
     ) {
-        if self.decided.is_some() || self.proposals.iter().any(|(r, _)| *r == round) {
+        if self.st.decided.is_some() || self.st.proposals.iter().any(|(r, _)| *r == round) {
             return;
         }
         // Authentic, from the right leader?
@@ -430,7 +383,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
             return;
         }
         // Acceptable w.r.t. my lock?
-        let acceptable = match (&self.locked, &pol) {
+        let acceptable = match (&self.st.locked, &pol) {
             (None, _) => true,
             (Some(l), _) if l.value == value => true,
             (Some(l), Some(p)) => p.round > l.round && self.pol_valid(p, &value),
@@ -439,7 +392,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
         if !acceptable {
             return;
         }
-        self.proposals.push((round, value));
+        self.st.proposals.push((round, value));
         self.maybe_prevote_current(out);
         self.try_progress(out);
     }
@@ -447,14 +400,14 @@ impl<V: ConsensusValue> NotaryCore<V> {
     /// Prevote for the current round's accepted proposal, if we have one
     /// and have not voted yet.
     fn maybe_prevote_current(&mut self, out: &mut Vec<Output<V>>) {
-        if self.decided.is_some() || self.prevoted_rounds.contains(&self.round) {
+        if self.st.decided.is_some() || self.st.prevoted_rounds.contains(&self.st.round) {
             return;
         }
-        let Some((_, v)) = self.proposals.iter().find(|(r, _)| *r == self.round) else {
+        let Some((_, v)) = self.st.proposals.iter().find(|(r, _)| *r == self.st.round) else {
             return;
         };
         let v = v.clone();
-        let round = self.round;
+        let round = self.st.round;
         self.cast_prevote(round, Some(v), out);
     }
 
@@ -478,7 +431,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
     }
 
     fn cast_prevote(&mut self, round: u32, value: Option<V>, out: &mut Vec<Output<V>>) {
-        self.prevoted_rounds.push(round);
+        self.st.prevoted_rounds.push(round);
         let sig = sign_vote(
             &self.signer,
             self.cfg.instance,
@@ -490,7 +443,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
     }
 
     fn cast_precommit(&mut self, round: u32, value: Option<V>, out: &mut Vec<Output<V>>) {
-        self.precommitted_rounds.push(round);
+        self.st.precommitted_rounds.push(round);
         let sig = sign_vote(
             &self.signer,
             self.cfg.instance,
@@ -509,15 +462,15 @@ impl<V: ConsensusValue> NotaryCore<V> {
         sig: Signature,
         out: &mut Vec<Output<V>>,
     ) {
-        if self.decided.is_some() {
+        if self.st.decided.is_some() {
             return;
         }
         if !self.cfg.members.contains(&sig.signer) {
             return;
         }
         let store = match kind {
-            VoteKind::Prevote => &self.prevotes,
-            VoteKind::Precommit => &self.precommits,
+            VoteKind::Prevote => &self.st.prevotes,
+            VoteKind::Precommit => &self.st.precommits,
         };
         // One vote per (kind, round, signer): equivocation is simply not
         // double-counted (first vote wins; cheap Byzantine containment).
@@ -538,14 +491,14 @@ impl<V: ConsensusValue> NotaryCore<V> {
             sig,
         };
         match kind {
-            VoteKind::Prevote => self.prevotes.push(rec),
-            VoteKind::Precommit => self.precommits.push(rec),
+            VoteKind::Prevote => self.st.prevotes.push(rec),
+            VoteKind::Precommit => self.st.precommits.push(rec),
         }
         self.try_progress(out);
     }
 
     fn on_decided(&mut self, round: u32, value: V, sigs: Vec<Signature>, out: &mut Vec<Output<V>>) {
-        if self.decided.is_some() {
+        if self.st.decided.is_some() {
             return;
         }
         let payload = vote_payload(self.cfg.instance, VoteKind::Precommit, round, Some(&value));
@@ -562,49 +515,52 @@ impl<V: ConsensusValue> NotaryCore<V> {
 
     /// Checks all quorum conditions after any state change.
     fn try_progress(&mut self, out: &mut Vec<Output<V>>) {
-        if self.decided.is_some() {
+        if self.st.decided.is_some() {
             return;
         }
         // 1. A precommit quorum for a value at any round decides.
-        if let Some((r, v, sigs)) = self.find_value_quorum(&self.precommits) {
+        if let Some((r, v, sigs)) = self.find_value_quorum(&self.st.precommits) {
             self.decide(r, v, sigs, out);
             return;
         }
         // 2. A prevote quorum for a value at my current round: lock it and
         //    precommit (once per round).
-        if !self.precommitted_rounds.contains(&self.round) {
-            if let Some((r, v, sigs)) = self.find_value_quorum_at(&self.prevotes, self.round) {
-                let better = self.locked.as_ref().map_or(true, |l| r >= l.round);
+        if !self.st.precommitted_rounds.contains(&self.st.round) {
+            if let Some((r, v, sigs)) = self.find_value_quorum_at(&self.st.prevotes, self.st.round)
+            {
+                let better = self.st.locked.as_ref().map_or(true, |l| r >= l.round);
                 if better {
-                    self.locked = Some(Lock {
+                    self.st.locked = Some(Lock {
                         round: r,
                         value: v.clone(),
                         sigs,
                     });
                 }
-                let round = self.round;
+                let round = self.st.round;
                 self.cast_precommit(round, Some(v), out);
             }
         }
         // 3. A full quorum of precommits at my round (mixed values / nils)
         //    without a decision: the round is dead — advance early.
         let at_round = self
+            .st
             .precommits
             .iter()
-            .filter(|p| p.round == self.round)
+            .filter(|p| p.round == self.st.round)
             .count();
-        if at_round >= self.cfg.quorum() && self.precommitted_rounds.contains(&self.round) {
-            let next = self.round + 1;
+        if at_round >= self.cfg.quorum() && self.st.precommitted_rounds.contains(&self.st.round) {
+            let next = self.st.round + 1;
             self.enter_round(next, out);
             return;
         }
         // 4. f+1 distinct voters in a higher round: they can't all be lying
         //    — jump forward (catch-up after partition).
         let mut higher: Vec<(u32, KeyId)> = self
+            .st
             .prevotes
             .iter()
-            .chain(self.precommits.iter())
-            .filter(|v| v.round > self.round)
+            .chain(self.st.precommits.iter())
+            .filter(|v| v.round > self.st.round)
             .map(|v| (v.round, v.signer))
             .collect();
         higher.sort();
@@ -652,14 +608,14 @@ impl<V: ConsensusValue> NotaryCore<V> {
     }
 
     fn decide(&mut self, round: u32, value: V, sigs: Vec<Signature>, out: &mut Vec<Output<V>>) {
-        self.decided = Some((round, value.clone()));
+        self.st.decided = Some((round, value.clone()));
         out.push(Output::Decide {
             round,
             value: value.clone(),
             sigs: sigs.clone(),
         });
-        if !self.decision_broadcast {
-            self.decision_broadcast = true;
+        if !self.st.decision_broadcast {
+            self.st.decision_broadcast = true;
             out.push(Output::Broadcast(ConsMsg::Decided { round, value, sigs }));
         }
     }
@@ -811,7 +767,11 @@ mod tests {
         let _ = core.on_message(v1);
         let _ = core.on_message(v2);
         assert_eq!(
-            core.prevotes.iter().filter(|v| v.signer == s0.id()).count(),
+            core.st
+                .prevotes
+                .iter()
+                .filter(|v| v.signer == s0.id())
+                .count(),
             1
         );
     }
@@ -828,7 +788,7 @@ mod tests {
             sig: sign_vote(&signers[0], cfg.instance, VoteKind::Prevote, 0, Some(&2u64)),
         };
         let _ = core.on_message(bad);
-        assert!(core.prevotes.iter().all(|v| v.signer != signers[0].id()));
+        assert!(core.st.prevotes.iter().all(|v| v.signer != signers[0].id()));
         // Outsider key.
         let mut pki2 = Pki::new(1234);
         let (_, outsider) = pki2.register();
@@ -838,7 +798,7 @@ mod tests {
             sig: sign_vote(&outsider, cfg.instance, VoteKind::Prevote, 0, Some(&1u64)),
         };
         let _ = core.on_message(alien);
-        assert!(core.prevotes.iter().all(|v| v.signer != outsider.id()));
+        assert!(core.st.prevotes.iter().all(|v| v.signer != outsider.id()));
     }
 
     #[test]
@@ -905,7 +865,7 @@ mod tests {
                 sig: sign_vote(s, cfg.instance, VoteKind::Prevote, 0, Some(&7u64)),
             });
         }
-        assert!(core.locked.is_some(), "prevote quorum must lock");
+        assert!(core.st.locked.is_some(), "prevote quorum must lock");
         // Round 1 leader (member 1) proposes 9 with a bogus PoL: only one
         // signature, and over the wrong value.
         let bogus_pol = crate::msg::ProofOfLock {
@@ -927,7 +887,7 @@ mod tests {
             sig,
         });
         assert!(
-            core.proposals.iter().all(|(r, _)| *r != 1),
+            core.st.proposals.iter().all(|(r, _)| *r != 1),
             "proposal with forged PoL must be rejected"
         );
         // A genuine PoL for 9 at a higher round IS accepted.
@@ -951,7 +911,7 @@ mod tests {
             sig: sig2,
         });
         assert!(
-            core.proposals.iter().any(|(r, v)| *r == 1 && *v == 9),
+            core.st.proposals.iter().any(|(r, v)| *r == 1 && *v == 9),
             "valid higher-round PoL must unlock acceptance"
         );
     }

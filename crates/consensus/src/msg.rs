@@ -4,7 +4,6 @@
 //! signatures, which doubles as the transferable certificate the
 //! transaction manager turns into χc/χa.
 
-use anta::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
 use xcrypto::wire::WireWriter;
 use xcrypto::{Signature, Signer};
 
@@ -13,7 +12,8 @@ pub const DOM_VOTE: &[u8] = b"xchain/consensus/vote";
 
 /// Values a committee can decide on. Implemented here for the certificate
 /// verdict (the transaction manager's use) and for primitive test values.
-pub trait ConsensusValue: Clone + Eq + std::fmt::Debug + 'static {
+/// `Hash` feeds a value into the explorer's state fingerprint.
+pub trait ConsensusValue: Clone + Eq + std::fmt::Debug + std::hash::Hash + 'static {
     /// Canonical byte encoding (must be injective).
     fn encode(&self) -> Vec<u8>;
 }
@@ -136,7 +136,7 @@ pub fn sign_propose<V: ConsensusValue>(
 /// Carried by proposals to unlock followers locked at earlier rounds —
 /// without it, a Byzantine leader could re-propose freely and break
 /// agreement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProofOfLock<V> {
     /// Consensus round number.
     pub round: u32,
@@ -146,22 +146,9 @@ pub struct ProofOfLock<V> {
     pub sigs: Vec<Signature>,
 }
 
-/// Feeds a signature list through each signature's public fields
-/// (`xcrypto` does not depend on `anta`).
-pub fn fingerprint_sigs(sigs: &[Signature], h: &mut Fnv64) {
-    fingerprint_seq(sigs.iter().map(|s| (s.signer.0, s.tag)), h);
-}
-
-impl<V: ConsensusValue> Fingerprint for ProofOfLock<V> {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let ProofOfLock { round, value, sigs } = self;
-        (round, value.encode()).fingerprint(h);
-        fingerprint_sigs(sigs, h);
-    }
-}
-
-/// Consensus wire messages for one instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Consensus wire messages for one instance. No `repr(u8)`: it would grow
+/// the enum by a word.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ConsMsg<V> {
     /// Round-`round` leader proposes `value`; `pol` justifies re-proposals.
     Propose {
@@ -201,32 +188,6 @@ pub enum ConsMsg<V> {
         /// Justifying signatures.
         sigs: Vec<Signature>,
     },
-}
-
-/// Values enter through their canonical [`ConsensusValue::encode`] bytes.
-impl<V: ConsensusValue> Fingerprint for ConsMsg<V> {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        match self {
-            ConsMsg::Propose {
-                round,
-                value,
-                pol,
-                sig,
-            } => (0u8, round, value.encode(), pol, sig.signer.0, sig.tag).fingerprint(h),
-            ConsMsg::Prevote { round, value, sig } => {
-                let value = value.as_ref().map(V::encode);
-                (1u8, round, value, sig.signer.0, sig.tag).fingerprint(h)
-            }
-            ConsMsg::Precommit { round, value, sig } => {
-                let value = value.as_ref().map(V::encode);
-                (2u8, round, value, sig.signer.0, sig.tag).fingerprint(h)
-            }
-            ConsMsg::Decided { round, value, sigs } => {
-                (3u8, round, value.encode()).fingerprint(h);
-                fingerprint_sigs(sigs, h);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -6,17 +6,23 @@
 //! experiments, adversarial for failure injection.
 
 use crate::core::{NotaryCore, Output};
-use crate::msg::{fingerprint_sigs, ConsMsg, ConsensusValue};
-use anta::fingerprint::{Fingerprint, Fnv64};
+use crate::msg::{ConsMsg, ConsensusValue};
+use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use xcrypto::Signature;
 
-/// A committee notary on the simulation engine.
+/// A committee notary on the simulation engine. The peer list is setup;
+/// the core and the decision record are run state.
 #[derive(Clone)]
 pub struct NotaryProcess<V> {
-    core: NotaryCore<V>,
     /// Engine pids of the *other* committee members.
     peers: Vec<Pid>,
+    st: NotaryState<V>,
+}
+
+#[derive(Clone, Hash)]
+struct NotaryState<V> {
+    core: NotaryCore<V>,
     /// The decision, once reached: `(round, value, justifying sigs)`.
     decision: Option<(u32, V, Vec<Signature>)>,
 }
@@ -25,25 +31,27 @@ impl<V: ConsensusValue> NotaryProcess<V> {
     /// Wraps a core; `peers` are the engine pids of the other members.
     pub fn new(core: NotaryCore<V>, peers: Vec<Pid>) -> Self {
         NotaryProcess {
-            core,
             peers,
-            decision: None,
+            st: NotaryState {
+                core,
+                decision: None,
+            },
         }
     }
 
     /// The decided value, if any.
     pub fn decided(&self) -> Option<&V> {
-        self.decision.as_ref().map(|(_, v, _)| v)
+        self.st.decision.as_ref().map(|(_, v, _)| v)
     }
 
     /// The full decision record, if any.
     pub fn decision(&self) -> Option<&(u32, V, Vec<Signature>)> {
-        self.decision.as_ref()
+        self.st.decision.as_ref()
     }
 
     /// Current round of the underlying core.
     pub fn round(&self) -> u32 {
-        self.core.round()
+        self.st.core.round()
     }
 
     fn apply(&mut self, outputs: Vec<Output<V>>, ctx: &mut Ctx<ConsMsg<V>>) {
@@ -56,9 +64,9 @@ impl<V: ConsensusValue> NotaryProcess<V> {
                 }
                 Output::Schedule { token, after } => ctx.set_timer_after(token, after),
                 Output::Decide { round, value, sigs } => {
-                    if self.decision.is_none() {
+                    if self.st.decision.is_none() {
                         ctx.mark("decided", round as i64);
-                        self.decision = Some((round, value, sigs));
+                        self.st.decision = Some((round, value, sigs));
                     }
                 }
             }
@@ -68,36 +76,23 @@ impl<V: ConsensusValue> NotaryProcess<V> {
 
 impl<V: ConsensusValue> Process<ConsMsg<V>> for NotaryProcess<V> {
     fn on_start(&mut self, ctx: &mut Ctx<ConsMsg<V>>) {
-        let out = self.core.start();
+        let out = self.st.core.start();
         self.apply(out, ctx);
     }
 
     fn on_message(&mut self, _from: Pid, msg: ConsMsg<V>, ctx: &mut Ctx<ConsMsg<V>>) {
         // Sender identity is taken from signatures, not transport.
-        let out = self.core.on_message(msg);
+        let out = self.st.core.on_message(msg);
         self.apply(out, ctx);
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<ConsMsg<V>>) {
-        let out = self.core.on_timeout(id);
+        let out = self.st.core.on_timeout(id);
         self.apply(out, ctx);
     }
 
-    /// The peer list is wiring; the core and the decision record are state.
     fn fp_digest(&self) -> u64 {
-        let NotaryProcess {
-            core,
-            peers: _,
-            decision,
-        } = self;
-        let mut h = Fnv64::new();
-        core.fingerprint(&mut h);
-        h.write_bool(decision.is_some());
-        if let Some((round, value, sigs)) = decision {
-            (round, value.encode()).fingerprint(&mut h);
-            fingerprint_sigs(sigs, &mut h);
-        }
-        h.finish()
+        fingerprint(&self.st)
     }
 }
 
@@ -177,16 +172,8 @@ impl<V: ConsensusValue> Process<ConsMsg<V>> for EquivocatorNotary<V> {
     fn on_message(&mut self, _f: Pid, _m: ConsMsg<V>, _c: &mut Ctx<ConsMsg<V>>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<ConsMsg<V>>) {}
 
-    /// Stateless after `on_start`: every field is wiring.
+    /// Stateless after `on_start`: every field is setup.
     fn fp_digest(&self) -> u64 {
-        let EquivocatorNotary {
-            signer: _,
-            instance: _,
-            peers: _,
-            value_a: _,
-            value_b: _,
-            rounds: _,
-        } = self;
         0
     }
 }

@@ -65,7 +65,7 @@ impl Process<PMsg> for CrashAfter {
         }
     }
 
-    /// `at` is wiring (the pending crash is a queued timer). The inner
+    /// `at` is setup (the pending crash is a queued timer). The inner
     /// digest is forwarded as it is, and so are the inner timeout anchors
     /// while the inner process can still act: dropping them would merge
     /// states whose live timeout races differ.
@@ -95,6 +95,12 @@ pub struct LateBob {
     signer: Signer,
     payment: PaymentId,
     delay: SimDuration,
+    st: LateBobState,
+}
+
+/// Whether he has started sitting on χ; the rest of [`LateBob`] is setup.
+#[derive(Debug, Clone, Hash)]
+struct LateBobState {
     issued: bool,
 }
 
@@ -109,7 +115,7 @@ impl LateBob {
             signer: setup.customer_signer(n).clone(),
             payment: setup.payment,
             delay,
-            issued: false,
+            st: LateBobState { issued: false },
         }
     }
 }
@@ -118,8 +124,8 @@ impl Process<PMsg> for LateBob {
     fn on_start(&mut self, _ctx: &mut Ctx<PMsg>) {}
 
     fn on_message(&mut self, from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
-        if from == self.escrow && matches!(msg, PMsg::Promise(_)) && !self.issued {
-            self.issued = true;
+        if from == self.escrow && matches!(msg, PMsg::Promise(_)) && !self.st.issued {
+            self.st.issued = true;
             ctx.set_timer_after(LATE_TIMER, self.delay);
         }
     }
@@ -133,14 +139,7 @@ impl Process<PMsg> for LateBob {
     }
 
     fn fp_digest(&self) -> u64 {
-        let LateBob {
-            escrow: _,
-            signer: _,
-            payment: _,
-            delay: _,
-            issued,
-        } = self;
-        fingerprint(issued)
+        fingerprint(&self.st)
     }
 }
 
@@ -152,6 +151,12 @@ pub struct ForgingChloe {
     up_escrow: Pid,
     signer: Signer,
     payment: PaymentId,
+    st: ForgingChloeState,
+}
+
+/// Whether she has sent her forgery; the rest of [`ForgingChloe`] is setup.
+#[derive(Debug, Clone, Hash)]
+struct ForgingChloeState {
     fired: bool,
 }
 
@@ -163,7 +168,7 @@ impl ForgingChloe {
             up_escrow: setup.topo.escrow_pid(i - 1),
             signer: setup.customer_signer(i).clone(),
             payment: setup.payment,
-            fired: false,
+            st: ForgingChloeState { fired: false },
         }
     }
 }
@@ -174,8 +179,8 @@ impl Process<PMsg> for ForgingChloe {
     fn on_message(&mut self, _from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
         // On the first promise she sees, she skips paying and immediately
         // sends a self-signed "certificate" upstream.
-        if matches!(msg, PMsg::Promise(_)) && !self.fired {
-            self.fired = true;
+        if matches!(msg, PMsg::Promise(_)) && !self.st.fired {
+            self.st.fired = true;
             let forged = Receipt::issue(&self.signer, self.payment);
             ctx.send(self.up_escrow, PMsg::Receipt(forged));
             ctx.mark("forged_chi_sent", 0);
@@ -185,13 +190,7 @@ impl Process<PMsg> for ForgingChloe {
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
     fn fp_digest(&self) -> u64 {
-        let ForgingChloe {
-            up_escrow: _,
-            signer: _,
-            payment: _,
-            fired,
-        } = self;
-        fingerprint(fired)
+        fingerprint(&self.st)
     }
 }
 
@@ -243,15 +242,8 @@ impl Process<PMsg> for ThievingEscrow {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
-    /// Stateless: every field is wiring.
+    /// Stateless: every field is setup.
     fn fp_digest(&self) -> u64 {
-        let ThievingEscrow {
-            up: _,
-            signer: _,
-            payment: _,
-            index: _,
-            d_bound: _,
-        } = self;
         0
     }
 }
@@ -300,14 +292,8 @@ impl Process<PMsg> for ImpersonatingAborter {
     fn on_message(&mut self, _f: Pid, _m: PMsg, _c: &mut Ctx<PMsg>) {}
     fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<PMsg>) {}
 
-    /// Stateless: every field is wiring.
+    /// Stateless: every field is setup.
     fn fp_digest(&self) -> u64 {
-        let ImpersonatingAborter {
-            tm_pids: _,
-            signer: _,
-            payment: _,
-            victim_index: _,
-        } = self;
         0
     }
 }

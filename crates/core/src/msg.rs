@@ -11,11 +11,9 @@
 //! Promises are signed by the issuing escrow so a Byzantine escrow cannot
 //! disown them and a Byzantine customer cannot fabricate them.
 
-use anta::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
 use anta::time::SimDuration;
-use consensus::msg::fingerprint_sigs;
 use consensus::ConsMsg;
-use ledger::{Asset, AuditEntry, Ledger};
+use ledger::Asset;
 use xcrypto::wire::WireWriter;
 use xcrypto::{DecisionCert, KeyId, PaymentId, Pki, Receipt, Signature, Signer, Verdict};
 
@@ -25,7 +23,8 @@ pub const DOM_PROMISE: &[u8] = b"xchain/payment/promise";
 pub const DOM_TM_INPUT: &[u8] = b"xchain/payment/tm-input";
 
 /// Which promise a signature covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum PromiseKind {
     /// `G(d)` — to the upstream customer: "if I receive $ from you at my
     /// local time w, I will send you either $ or χ by my local time w + d."
@@ -54,7 +53,7 @@ fn promise_payload(
 }
 
 /// A signed escrow promise (`G(d)` or `P(a)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SignedPromise {
     /// The event payload / input kind, per context.
     pub kind: PromiseKind,
@@ -100,7 +99,8 @@ impl SignedPromise {
 
 /// Weak-protocol inputs to the transaction manager, each signed by its
 /// originator so the manager's decision is justified by evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum TmInputKind {
     /// Escrow `e_i` reports that its deal is locked.
     Locked,
@@ -120,7 +120,7 @@ fn tm_input_payload(kind: TmInputKind, payment: &PaymentId, index: u64) -> Vec<u
 }
 
 /// A signed transaction-manager input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TmInput {
     /// The event payload / input kind, per context.
     pub kind: TmInputKind,
@@ -155,8 +155,10 @@ impl TmInput {
     }
 }
 
-/// Every message exchanged in the payment protocols.
-#[derive(Debug, Clone, PartialEq)]
+/// Every message exchanged in the payment protocols. No `repr(u8)`: the
+/// tag would no longer fit in a variant's padding, and every queued event
+/// would grow by a word.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum PMsg {
     /// `G(d_i)` or `P(a_i)` from an escrow.
     Promise(SignedPromise),
@@ -178,87 +180,6 @@ pub enum PMsg {
     Decision(DecisionCert),
     /// Weak protocol, notary-committee manager: embedded consensus traffic.
     Cons(ConsMsg<Verdict>),
-}
-
-impl Fingerprint for PromiseKind {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        (*self as u8).fingerprint(h);
-    }
-}
-
-impl Fingerprint for TmInputKind {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        (*self as u8).fingerprint(h);
-    }
-}
-
-impl Fingerprint for SignedPromise {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let SignedPromise {
-            kind,
-            payment,
-            escrow_index,
-            bound,
-            sig,
-        } = self;
-        (kind, payment.0, escrow_index, bound, sig.signer.0, sig.tag).fingerprint(h);
-    }
-}
-
-impl Fingerprint for TmInput {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let TmInput {
-            kind,
-            payment,
-            index,
-            sig,
-        } = self;
-        (kind, payment.0, index, sig.signer.0, sig.tag).fingerprint(h);
-    }
-}
-
-/// A receipt's public fields in fingerprint order (`xcrypto` does not
-/// depend on `anta`, so its types are hashed field by field at the use
-/// site).
-pub(crate) fn receipt_fields(chi: &Receipt) -> ([u8; 32], u32, [u8; 32]) {
-    (chi.payment.0, chi.sig.signer.0, chi.sig.tag)
-}
-
-/// Feeds a decision certificate (or share) through its public fields.
-pub(crate) fn fingerprint_cert(cert: &DecisionCert, h: &mut Fnv64) {
-    let DecisionCert {
-        payment,
-        verdict,
-        sigs,
-    } = cert;
-    (payment.0, *verdict == Verdict::Commit).fingerprint(h);
-    fingerprint_sigs(sigs, h);
-}
-
-/// Feeds an escrow's book through its audit log: the log records every
-/// mutation in order, so equal logs mean equal books (`ledger` does not
-/// depend on `anta` either).
-pub(crate) fn fingerprint_book(book: &Ledger, h: &mut Fnv64) {
-    fingerprint_seq(book.audit().iter().map(AuditEntry::fields), h);
-}
-
-impl Fingerprint for PMsg {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        match self {
-            PMsg::Promise(p) => (0u8, p).fingerprint(h),
-            PMsg::Money { payment, asset } => {
-                (1u8, payment.0, asset.currency.0, asset.amount).fingerprint(h)
-            }
-            PMsg::Receipt(chi) => (2u8, receipt_fields(chi)).fingerprint(h),
-            PMsg::TmInput(t) => (3u8, t).fingerprint(h),
-            PMsg::Accept(chi) => (4u8, receipt_fields(chi)).fingerprint(h),
-            PMsg::Decision(cert) => {
-                5u8.fingerprint(h);
-                fingerprint_cert(cert, h);
-            }
-            PMsg::Cons(m) => (6u8, m).fingerprint(h),
-        }
-    }
 }
 
 impl PMsg {

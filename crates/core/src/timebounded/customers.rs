@@ -17,8 +17,8 @@
 //! and (safely) never sends money.
 
 use super::scenario::ChainSetup;
-use crate::msg::{receipt_fields, PMsg, PromiseKind};
-use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
+use crate::msg::{PMsg, PromiseKind};
+use anta::fingerprint::{fingerprint, Stamp};
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimTime;
 use ledger::Asset;
@@ -26,7 +26,8 @@ use std::sync::Arc;
 use xcrypto::{KeyId, PaymentId, Pki, Receipt, Signer};
 
 /// Where a customer's run ended (for property checking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum CustomerOutcome {
     /// Still in protocol (non-terminated).
     Pending,
@@ -42,12 +43,6 @@ pub enum CustomerOutcome {
     Refused,
 }
 
-impl Fingerprint for CustomerOutcome {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        (*self as u8).fingerprint(h);
-    }
-}
-
 /// Alice — customer `c_0`.
 #[derive(Debug, Clone)]
 pub struct AliceProcess {
@@ -59,8 +54,18 @@ pub struct AliceProcess {
     asset: Asset,
     /// The `d_0` she expects `e_0` to promise.
     expected_d: anta::time::SimDuration,
+    st: AliceState,
+}
+
+/// Alice's run state; the rest of [`AliceProcess`] is setup (pids, keys,
+/// bounds). `sent_money_at` is a [`Stamp`]: her future behaviour never
+/// reads it (it exists for the post-run `T`-clause check, which the
+/// timeout calculus guarantees uniformly across schedules — the
+/// time-robust checker contract on `Engine::enable_fingerprints`).
+#[derive(Debug, Clone, Hash)]
+struct AliceState {
     sent_money: bool,
-    sent_money_at: Option<SimTime>,
+    sent_money_at: Stamp,
     outcome: CustomerOutcome,
     receipt: Option<Receipt>,
 }
@@ -76,31 +81,33 @@ impl AliceProcess {
             payment: setup.payment,
             asset: setup.plan.amounts[0],
             expected_d: setup.schedule.d[0],
-            sent_money: false,
-            sent_money_at: None,
-            outcome: CustomerOutcome::Pending,
-            receipt: None,
+            st: AliceState {
+                sent_money: false,
+                sent_money_at: Stamp::default(),
+                outcome: CustomerOutcome::Pending,
+                receipt: None,
+            },
         }
     }
 
     /// Final outcome.
     pub fn outcome(&self) -> CustomerOutcome {
-        self.outcome
+        self.st.outcome
     }
 
     /// The receipt χ, if she obtained it.
     pub fn receipt(&self) -> Option<&Receipt> {
-        self.receipt.as_ref()
+        self.st.receipt.as_ref()
     }
 
     /// Local time at which she sent the money (start of her T-bound clock).
     pub fn sent_money_at(&self) -> Option<SimTime> {
-        self.sent_money_at
+        self.st.sent_money_at.get()
     }
 
     /// Whether she parted with her money at all.
     pub fn sent_money(&self) -> bool {
-        self.sent_money
+        self.st.sent_money
     }
 }
 
@@ -108,11 +115,11 @@ impl Process<PMsg> for AliceProcess {
     fn on_start(&mut self, _ctx: &mut Ctx<PMsg>) {}
 
     fn on_message(&mut self, from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
-        if from != self.escrow || self.outcome != CustomerOutcome::Pending {
+        if from != self.escrow || self.st.outcome != CustomerOutcome::Pending {
             return;
         }
         match msg {
-            PMsg::Promise(p) if !self.sent_money => {
+            PMsg::Promise(p) if !self.st.sent_money => {
                 if p.kind != PromiseKind::Guarantee
                     || p.payment != self.payment
                     || !p.verify(&self.pki, self.escrow_key)
@@ -121,13 +128,13 @@ impl Process<PMsg> for AliceProcess {
                 }
                 if p.bound != self.expected_d {
                     // Off-schedule promise: refuse (never send money).
-                    self.outcome = CustomerOutcome::Refused;
+                    self.st.outcome = CustomerOutcome::Refused;
                     ctx.mark("alice_refused", 0);
                     ctx.halt();
                     return;
                 }
-                self.sent_money = true;
-                self.sent_money_at = Some(ctx.now());
+                self.st.sent_money = true;
+                self.st.sent_money_at.set(ctx.now());
                 ctx.send(
                     self.escrow,
                     PMsg::Money {
@@ -137,20 +144,20 @@ impl Process<PMsg> for AliceProcess {
                 );
                 ctx.mark("alice_paid_out", self.asset.amount as i64);
             }
-            PMsg::Money { payment, asset } if self.sent_money => {
+            PMsg::Money { payment, asset } if self.st.sent_money => {
                 if payment != self.payment || asset != self.asset {
                     return;
                 }
-                self.outcome = CustomerOutcome::Refunded;
+                self.st.outcome = CustomerOutcome::Refunded;
                 ctx.mark("alice_refunded", asset.amount as i64);
                 ctx.halt();
             }
-            PMsg::Receipt(chi) if self.sent_money => {
+            PMsg::Receipt(chi) if self.st.sent_money => {
                 if chi.payment != self.payment || !chi.verify(&self.pki, self.bob_key) {
                     return;
                 }
-                self.receipt = Some(chi);
-                self.outcome = CustomerOutcome::GotReceipt;
+                self.st.receipt = Some(chi);
+                self.st.outcome = CustomerOutcome::GotReceipt;
                 ctx.mark("alice_got_receipt", 0);
                 ctx.halt();
             }
@@ -160,29 +167,8 @@ impl Process<PMsg> for AliceProcess {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
-    /// Mutable state only — the wiring (pids, keys, bounds) is per-run
-    /// constant. `sent_money_at` is excluded entirely: her future behaviour
-    /// never reads it (it exists for the post-run `T`-clause check, which
-    /// the timeout calculus guarantees uniformly across schedules — the
-    /// time-robust checker contract on `Engine::enable_fingerprints`).
-    /// The destructuring is exhaustive: a new field does not compile until
-    /// it is digested here or named as wiring (`field: _`).
     fn fp_digest(&self) -> u64 {
-        let AliceProcess {
-            escrow: _,
-            escrow_key: _,
-            bob_key: _,
-            pki: _,
-            payment: _,
-            asset: _,
-            expected_d: _,
-            sent_money,
-            sent_money_at,
-            outcome,
-            receipt,
-        } = self;
-        let receipt = receipt.as_ref().map(receipt_fields);
-        fingerprint(&(sent_money, sent_money_at.is_some(), outcome, receipt))
+        fingerprint(&self.st)
     }
 }
 
@@ -204,6 +190,13 @@ pub struct ChloeProcess {
     recv_asset: Asset,
     expected_d: anta::time::SimDuration,
     expected_a_up: anta::time::SimDuration,
+    st: ChloeState,
+}
+
+/// Chloe's run state; the rest of [`ChloeProcess`] is setup (index, pids,
+/// keys, assets, bounds).
+#[derive(Debug, Clone, Hash)]
+struct ChloeState {
     got_g: bool,
     got_p: bool,
     sent_money: bool,
@@ -227,22 +220,24 @@ impl ChloeProcess {
             recv_asset: setup.plan.amounts[i - 1],
             expected_d: setup.schedule.d[i],
             expected_a_up: setup.schedule.a[i - 1],
-            got_g: false,
-            got_p: false,
-            sent_money: false,
-            forwarded_chi: false,
-            outcome: CustomerOutcome::Pending,
+            st: ChloeState {
+                got_g: false,
+                got_p: false,
+                sent_money: false,
+                forwarded_chi: false,
+                outcome: CustomerOutcome::Pending,
+            },
         }
     }
 
     /// Final outcome.
     pub fn outcome(&self) -> CustomerOutcome {
-        self.outcome
+        self.st.outcome
     }
 
     /// Whether she parted with her money.
     pub fn sent_money(&self) -> bool {
-        self.sent_money
+        self.st.sent_money
     }
 
     /// Chain index.
@@ -251,8 +246,8 @@ impl ChloeProcess {
     }
 
     fn maybe_send_money(&mut self, ctx: &mut Ctx<PMsg>) {
-        if self.got_g && self.got_p && !self.sent_money {
-            self.sent_money = true;
+        if self.st.got_g && self.st.got_p && !self.st.sent_money {
+            self.st.sent_money = true;
             ctx.send(
                 self.down_escrow,
                 PMsg::Money {
@@ -269,35 +264,37 @@ impl Process<PMsg> for ChloeProcess {
     fn on_start(&mut self, _ctx: &mut Ctx<PMsg>) {}
 
     fn on_message(&mut self, from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
-        if self.outcome != CustomerOutcome::Pending && self.outcome != CustomerOutcome::Refused {
+        if self.st.outcome != CustomerOutcome::Pending
+            && self.st.outcome != CustomerOutcome::Refused
+        {
             return;
         }
         match msg {
             PMsg::Promise(p) => {
                 match p.kind {
-                    PromiseKind::Guarantee if from == self.down_escrow && !self.got_g => {
+                    PromiseKind::Guarantee if from == self.down_escrow && !self.st.got_g => {
                         if p.payment != self.payment || !p.verify(&self.pki, self.down_escrow_key) {
                             return;
                         }
                         if p.bound != self.expected_d {
-                            self.outcome = CustomerOutcome::Refused;
+                            self.st.outcome = CustomerOutcome::Refused;
                             ctx.mark("chloe_refused", self.index as i64);
                             ctx.halt();
                             return;
                         }
-                        self.got_g = true;
+                        self.st.got_g = true;
                     }
-                    PromiseKind::Promise if from == self.up_escrow && !self.got_p => {
+                    PromiseKind::Promise if from == self.up_escrow && !self.st.got_p => {
                         if p.payment != self.payment || !p.verify(&self.pki, self.up_escrow_key) {
                             return;
                         }
                         if p.bound != self.expected_a_up {
-                            self.outcome = CustomerOutcome::Refused;
+                            self.st.outcome = CustomerOutcome::Refused;
                             ctx.mark("chloe_refused", self.index as i64);
                             ctx.halt();
                             return;
                         }
-                        self.got_p = true;
+                        self.st.got_p = true;
                     }
                     _ => return,
                 }
@@ -307,33 +304,33 @@ impl Process<PMsg> for ChloeProcess {
                 if payment != self.payment {
                     return;
                 }
-                if from == self.down_escrow && self.sent_money && !self.forwarded_chi {
+                if from == self.down_escrow && self.st.sent_money && !self.st.forwarded_chi {
                     // Refund from her own escrow: her work is done.
                     if asset != self.send_asset {
                         return;
                     }
-                    self.outcome = CustomerOutcome::Refunded;
+                    self.st.outcome = CustomerOutcome::Refunded;
                     ctx.mark("chloe_refunded", self.index as i64);
                     ctx.halt();
-                } else if from == self.up_escrow && self.forwarded_chi {
+                } else if from == self.up_escrow && self.st.forwarded_chi {
                     // Reimbursement (with commission) from upstream.
                     if asset != self.recv_asset {
                         return;
                     }
-                    self.outcome = CustomerOutcome::Reimbursed;
+                    self.st.outcome = CustomerOutcome::Reimbursed;
                     ctx.mark("chloe_reimbursed", self.index as i64);
                     ctx.halt();
                 }
             }
             PMsg::Receipt(chi) => {
-                if from != self.down_escrow || !self.sent_money || self.forwarded_chi {
+                if from != self.down_escrow || !self.st.sent_money || self.st.forwarded_chi {
                     return;
                 }
                 if chi.payment != self.payment || !chi.verify(&self.pki, self.bob_key) {
                     return;
                 }
                 // Forward χ upstream and await the money from e_{i-1}.
-                self.forwarded_chi = true;
+                self.st.forwarded_chi = true;
                 ctx.send(self.up_escrow, PMsg::Receipt(chi));
                 ctx.mark("chloe_forwarded_chi", self.index as i64);
             }
@@ -343,30 +340,8 @@ impl Process<PMsg> for ChloeProcess {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
-    /// Mutable state only: the wiring (index, pids, keys, assets, bounds)
-    /// is per-run constant. The destructuring is exhaustive: a new field
-    /// does not compile until it is digested here or named as wiring.
     fn fp_digest(&self) -> u64 {
-        let ChloeProcess {
-            index: _,
-            up_escrow: _,
-            down_escrow: _,
-            up_escrow_key: _,
-            down_escrow_key: _,
-            bob_key: _,
-            pki: _,
-            payment: _,
-            send_asset: _,
-            recv_asset: _,
-            expected_d: _,
-            expected_a_up: _,
-            got_g,
-            got_p,
-            sent_money,
-            forwarded_chi,
-            outcome,
-        } = self;
-        fingerprint(&(got_g, got_p, sent_money, forwarded_chi, outcome))
+        fingerprint(&self.st)
     }
 }
 
@@ -380,6 +355,12 @@ pub struct BobProcess {
     payment: PaymentId,
     asset: Asset,
     expected_a: anta::time::SimDuration,
+    st: BobState,
+}
+
+/// Bob's run state; the rest of [`BobProcess`] is setup.
+#[derive(Debug, Clone, Hash)]
+struct BobState {
     issued_chi: bool,
     outcome: CustomerOutcome,
 }
@@ -396,19 +377,21 @@ impl BobProcess {
             payment: setup.payment,
             asset: setup.plan.amounts[n - 1],
             expected_a: setup.schedule.a[n - 1],
-            issued_chi: false,
-            outcome: CustomerOutcome::Pending,
+            st: BobState {
+                issued_chi: false,
+                outcome: CustomerOutcome::Pending,
+            },
         }
     }
 
     /// Final outcome.
     pub fn outcome(&self) -> CustomerOutcome {
-        self.outcome
+        self.st.outcome
     }
 
     /// Whether Bob signed and sent χ.
     pub fn issued_chi(&self) -> bool {
-        self.issued_chi
+        self.st.issued_chi
     }
 }
 
@@ -416,11 +399,11 @@ impl Process<PMsg> for BobProcess {
     fn on_start(&mut self, _ctx: &mut Ctx<PMsg>) {}
 
     fn on_message(&mut self, from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
-        if from != self.escrow || self.outcome != CustomerOutcome::Pending {
+        if from != self.escrow || self.st.outcome != CustomerOutcome::Pending {
             return;
         }
         match msg {
-            PMsg::Promise(p) if !self.issued_chi => {
+            PMsg::Promise(p) if !self.st.issued_chi => {
                 if p.kind != PromiseKind::Promise
                     || p.payment != self.payment
                     || !p.verify(&self.pki, self.escrow_key)
@@ -428,7 +411,7 @@ impl Process<PMsg> for BobProcess {
                     return;
                 }
                 if p.bound != self.expected_a {
-                    self.outcome = CustomerOutcome::Refused;
+                    self.st.outcome = CustomerOutcome::Refused;
                     ctx.mark("bob_refused", 0);
                     ctx.halt();
                     return;
@@ -436,15 +419,15 @@ impl Process<PMsg> for BobProcess {
                 // Issue χ: Bob's signed statement that Alice's obligation
                 // is met (it will be, by the escrow chain, once χ lands).
                 let chi = Receipt::issue(&self.signer, self.payment);
-                self.issued_chi = true;
+                self.st.issued_chi = true;
                 ctx.send(self.escrow, PMsg::Receipt(chi));
                 ctx.mark("bob_issued_chi", 0);
             }
-            PMsg::Money { payment, asset } if self.issued_chi => {
+            PMsg::Money { payment, asset } if self.st.issued_chi => {
                 if payment != self.payment || asset != self.asset {
                     return;
                 }
-                self.outcome = CustomerOutcome::Paid;
+                self.st.outcome = CustomerOutcome::Paid;
                 ctx.mark("bob_paid", asset.amount as i64);
                 ctx.halt();
             }
@@ -454,20 +437,7 @@ impl Process<PMsg> for BobProcess {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
-    /// Mutable state only; the destructuring is exhaustive (see
-    /// [`ChloeProcess`]'s digest).
     fn fp_digest(&self) -> u64 {
-        let BobProcess {
-            escrow: _,
-            escrow_key: _,
-            signer: _,
-            pki: _,
-            payment: _,
-            asset: _,
-            expected_a: _,
-            issued_chi,
-            outcome,
-        } = self;
-        fingerprint(&(issued_chi, outcome))
+        fingerprint(&self.st)
     }
 }

@@ -16,8 +16,8 @@
 //! automaton in [`super::fig2`]; the integration tests cross-check the two.
 
 use super::scenario::ChainSetup;
-use crate::msg::{fingerprint_book, PMsg, PromiseKind, SignedPromise};
-use anta::fingerprint::{Fingerprint, Fnv64};
+use crate::msg::{PMsg, PromiseKind, SignedPromise};
+use anta::fingerprint::{fingerprint, Stamp};
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimTime;
 use ledger::{Asset, DealId, Ledger};
@@ -26,7 +26,8 @@ use xcrypto::{KeyId, PaymentId, Pki, Signer};
 
 /// Escrow control states (Figure 2's white states; the grey states are
 /// transient within a single handler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum EscrowState {
     /// Waiting for $ from the upstream customer (after sending `G(d_i)`).
     AwaitMoney,
@@ -38,12 +39,6 @@ pub enum EscrowState {
     Paid,
     /// Timed out: money refunded upstream.
     Refunded,
-}
-
-impl Fingerprint for EscrowState {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        (*self as u8).fingerprint(h);
-    }
 }
 
 const TIMER_CHI: TimerId = 1;
@@ -69,12 +64,21 @@ pub struct EscrowProcess {
     /// Promise bounds from the timeout calculus.
     a_i: anta::time::SimDuration,
     d_i: anta::time::SimDuration,
+    st: EscrowProcessState,
+}
+
+/// The escrow's run state; the rest of [`EscrowProcess`] is setup (pids,
+/// keys, bounds, payment id). `u` is a [`Stamp`], hashed by presence:
+/// [`Process::fp_times`] feeds it while the `now ≥ u + a_i` race is live,
+/// as a clock residue rather than an absolute instant.
+#[derive(Debug, Clone, Hash)]
+struct EscrowProcessState {
     /// The escrow's book (funded with the upstream customer's capital).
     ledger: Ledger,
     state: EscrowState,
     deal: Option<DealId>,
     /// `u := now` — local issuance time of `P(a_i)`.
-    u: Option<SimTime>,
+    u: Stamp,
 }
 
 impl EscrowProcess {
@@ -95,21 +99,23 @@ impl EscrowProcess {
             asset: setup.plan.amounts[i],
             a_i: setup.schedule.a[i],
             d_i: setup.schedule.d[i],
-            ledger,
-            state: EscrowState::AwaitMoney,
-            deal: None,
-            u: None,
+            st: EscrowProcessState {
+                ledger,
+                state: EscrowState::AwaitMoney,
+                deal: None,
+                u: Stamp::default(),
+            },
         }
     }
 
     /// Current control state.
     pub fn state(&self) -> EscrowState {
-        self.state
+        self.st.state
     }
 
     /// The escrow's book (for conservation audits and balance assertions).
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+        &self.st.ledger
     }
 
     /// Chain index of this escrow.
@@ -120,8 +126,9 @@ impl EscrowProcess {
     fn resolve_paid(&mut self, chi: xcrypto::Receipt, ctx: &mut Ctx<PMsg>) {
         // Grey-state chain of Figure 2: s(c_i, χ) then s(c_{i+1}, $).
         ctx.send(self.up, PMsg::Receipt(chi));
-        let deal = self.deal.expect("AwaitChi implies a locked deal");
-        self.ledger
+        let deal = self.st.deal.expect("AwaitChi implies a locked deal");
+        self.st
+            .ledger
             .release(deal)
             .expect("locked deal releases exactly once");
         ctx.send(
@@ -131,14 +138,15 @@ impl EscrowProcess {
                 asset: self.asset,
             },
         );
-        self.state = EscrowState::Paid;
+        self.st.state = EscrowState::Paid;
         ctx.mark("escrow_released", self.index as i64);
         ctx.halt();
     }
 
     fn resolve_refund(&mut self, ctx: &mut Ctx<PMsg>) {
-        let deal = self.deal.expect("AwaitChi implies a locked deal");
-        self.ledger
+        let deal = self.st.deal.expect("AwaitChi implies a locked deal");
+        self.st
+            .ledger
             .refund(deal)
             .expect("locked deal refunds exactly once");
         ctx.send(
@@ -148,7 +156,7 @@ impl EscrowProcess {
                 asset: self.asset,
             },
         );
-        self.state = EscrowState::Refunded;
+        self.st.state = EscrowState::Refunded;
         ctx.mark("escrow_refunded", self.index as i64);
         ctx.halt();
     }
@@ -169,16 +177,16 @@ impl Process<PMsg> for EscrowProcess {
     }
 
     fn on_message(&mut self, from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
-        match (self.state, msg) {
+        match (self.st.state, msg) {
             (EscrowState::AwaitMoney, PMsg::Money { payment, asset }) => {
                 if from != self.up || payment != self.payment || asset != self.asset {
                     return; // wrong party or wrong deal: an abiding escrow ignores it
                 }
                 // Lock the value. A customer without cover is not abiding;
                 // the escrow simply does not proceed (and owes nothing).
-                match self.ledger.lock(self.up_key, self.down_key, asset) {
+                match self.st.ledger.lock(self.up_key, self.down_key, asset) {
                     Ok(deal) => {
-                        self.deal = Some(deal);
+                        self.st.deal = Some(deal);
                         ctx.mark("escrow_locked", self.index as i64);
                     }
                     Err(_) => {
@@ -188,7 +196,7 @@ impl Process<PMsg> for EscrowProcess {
                 }
                 // Grey state: issue P(a_i) downstream; u := now.
                 let u = ctx.now();
-                self.u = Some(u);
+                self.st.u.set(u);
                 let p = SignedPromise::issue(
                     &self.signer,
                     PromiseKind::Promise,
@@ -200,7 +208,7 @@ impl Process<PMsg> for EscrowProcess {
                 ctx.mark("escrow_sent_p", self.index as i64);
                 // Arm the time-out `now ≥ u + a_i`.
                 ctx.set_timer_at(TIMER_CHI, u + self.a_i);
-                self.state = EscrowState::AwaitChi;
+                self.st.state = EscrowState::AwaitChi;
             }
             (EscrowState::AwaitChi, PMsg::Receipt(chi)) => {
                 if from != self.down {
@@ -213,7 +221,7 @@ impl Process<PMsg> for EscrowProcess {
                 }
                 // Timeliness: the P(a) promise covers χ received at local
                 // time v < u + a_i only.
-                let u = self.u.expect("AwaitChi implies P was issued");
+                let u = self.st.u.get().expect("AwaitChi implies P was issued");
                 if ctx.now() >= u + self.a_i {
                     ctx.mark("escrow_late_chi", self.index as i64);
                     return; // the timer will refund
@@ -225,47 +233,20 @@ impl Process<PMsg> for EscrowProcess {
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<PMsg>) {
-        if id == TIMER_CHI && self.state == EscrowState::AwaitChi {
+        if id == TIMER_CHI && self.st.state == EscrowState::AwaitChi {
             self.resolve_refund(ctx);
         }
     }
 
-    /// Digests the mutable state only — the wiring (pids, keys, bounds,
-    /// payment id) is per-run constant, and `u` goes through
-    /// [`Process::fp_times`] so the `now ≥ u + a_i` race fingerprints as a
-    /// clock residue rather than an absolute instant. The destructuring is
-    /// exhaustive: a new field does not compile until it is digested here
-    /// or named as wiring (`field: _`).
     fn fp_digest(&self) -> u64 {
-        let EscrowProcess {
-            index: _,
-            up: _,
-            down: _,
-            up_key: _,
-            down_key: _,
-            bob_key: _,
-            signer: _,
-            pki: _,
-            payment: _,
-            asset: _,
-            a_i: _,
-            d_i: _,
-            ledger,
-            state,
-            deal,
-            u,
-        } = self;
-        let mut h = Fnv64::new();
-        fingerprint_book(ledger, &mut h);
-        (state, deal.map(|d| d.0), u.is_some()).fingerprint(&mut h);
-        h.finish()
+        fingerprint(&self.st)
     }
 
     /// `u` is future-relevant only while the `now ≥ u + a_i` race is live;
     /// once resolved it is a past time, abstracted out of the fingerprint.
     fn fp_times(&self, out: &mut Vec<SimTime>) {
-        if self.state == EscrowState::AwaitChi {
-            out.extend(self.u);
+        if self.st.state == EscrowState::AwaitChi {
+            out.extend(self.st.u.get());
         }
     }
 }
@@ -487,7 +468,7 @@ mod tests {
         let eng = run(&r, up, down);
         let e = eng.process_as::<EscrowProcess>(2).unwrap();
         assert_eq!(e.state(), EscrowState::AwaitMoney, "still waiting");
-        assert_eq!(e.deal, None);
+        assert_eq!(e.st.deal, None);
     }
 
     #[test]

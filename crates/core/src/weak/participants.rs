@@ -22,11 +22,10 @@
 //! synchrony: no step depends on a wall-clock deadline.
 
 use super::scenario::WeakSetup;
-use crate::msg::{fingerprint_book, PMsg, TmInput, TmInputKind};
-use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
+use crate::msg::{PMsg, TmInput, TmInputKind};
+use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
-use consensus::msg::fingerprint_sigs;
 use ledger::{Asset, DealId, Ledger};
 use std::sync::Arc;
 use xcrypto::{
@@ -37,7 +36,7 @@ use xcrypto::{
 /// against the authority (a single-signer authority verifies on the first
 /// valid share; a committee authority once `2f+1` distinct notary
 /// signatures have arrived).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct CertCollector {
     commit: Vec<Signature>,
     abort: Vec<Signature>,
@@ -78,19 +77,6 @@ impl CertCollector {
     /// The verdict this participant accepted, if any.
     pub fn accepted(&self) -> Option<Verdict> {
         self.accepted
-    }
-}
-
-impl Fingerprint for CertCollector {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let CertCollector {
-            commit,
-            abort,
-            accepted,
-        } = self;
-        fingerprint_sigs(commit, h);
-        fingerprint_sigs(abort, h);
-        accepted.map(|v| v == Verdict::Commit).fingerprint(h);
     }
 }
 
@@ -151,6 +137,14 @@ pub struct WeakCustomer {
     asset: Asset,
     authority: Authority,
     patience: Patience,
+    st: WeakCustomerState,
+}
+
+/// A weak customer's run state: the progress flags and the collected
+/// certificate shares. The rest of [`WeakCustomer`] is setup (index, pids,
+/// keys, asset, authority, patience).
+#[derive(Debug, Clone, Hash)]
+struct WeakCustomerState {
     acted: bool,
     abort_requested: bool,
     certs: CertCollector,
@@ -174,9 +168,11 @@ impl WeakCustomer {
             asset: setup.plan.amounts[hop],
             authority: setup.authority.clone(),
             patience: setup.patience[i],
-            acted: false,
-            abort_requested: false,
-            certs: CertCollector::default(),
+            st: WeakCustomerState {
+                acted: false,
+                abort_requested: false,
+                certs: CertCollector::default(),
+            },
         }
     }
 
@@ -186,24 +182,24 @@ impl WeakCustomer {
 
     /// The verdict this customer accepted (χc or χa), if any.
     pub fn verdict(&self) -> Option<Verdict> {
-        self.certs.accepted()
+        self.st.certs.accepted()
     }
 
     /// Whether this customer staged money / sent acceptance.
     pub fn acted(&self) -> bool {
-        self.acted
+        self.st.acted
     }
 
     /// Whether this customer requested an abort.
     pub fn abort_requested(&self) -> bool {
-        self.abort_requested
+        self.st.abort_requested
     }
 
     fn act(&mut self, ctx: &mut Ctx<PMsg>) {
-        if self.acted || self.certs.accepted().is_some() {
+        if self.st.acted || self.st.certs.accepted().is_some() {
             return;
         }
-        self.acted = true;
+        self.st.acted = true;
         if self.is_bob() {
             let chi = Receipt::issue(&self.signer, self.payment);
             for &tm in &self.tm_pids {
@@ -236,6 +232,7 @@ impl Process<PMsg> for WeakCustomer {
     fn on_message(&mut self, _from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
         if let PMsg::Decision(cert) = msg {
             if let Some(v) = self
+                .st
                 .certs
                 .offer(&cert, self.payment, &self.pki, &self.authority)
             {
@@ -254,8 +251,8 @@ impl Process<PMsg> for WeakCustomer {
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<PMsg>) {
         match id {
             TIMER_ACT => self.act(ctx),
-            TIMER_ABORT if self.certs.accepted().is_none() && !self.abort_requested => {
-                self.abort_requested = true;
+            TIMER_ABORT if self.st.certs.accepted().is_none() && !self.st.abort_requested => {
+                self.st.abort_requested = true;
                 let req = TmInput::issue(
                     &self.signer,
                     TmInputKind::AbortRequest,
@@ -271,26 +268,8 @@ impl Process<PMsg> for WeakCustomer {
         }
     }
 
-    /// The wiring (index, pids, keys, asset, authority, patience) is fixed
-    /// from registration on; the progress flags and the collected
-    /// certificate shares are state.
     fn fp_digest(&self) -> u64 {
-        let WeakCustomer {
-            index: _,
-            n: _,
-            own_escrow: _,
-            tm_pids: _,
-            signer: _,
-            pki: _,
-            payment: _,
-            asset: _,
-            authority: _,
-            patience: _,
-            acted,
-            abort_requested,
-            certs,
-        } = self;
-        fingerprint(&(acted, abort_requested, certs))
+        fingerprint(&self.st)
     }
 }
 
@@ -309,6 +288,13 @@ pub struct WeakEscrow {
     payment: PaymentId,
     asset: Asset,
     authority: Authority,
+    st: WeakEscrowState,
+}
+
+/// A weak escrow's run state: the book, the deal and the collected
+/// shares. The rest of [`WeakEscrow`] is setup.
+#[derive(Debug, Clone, Hash)]
+struct WeakEscrowState {
     ledger: Ledger,
     deal: Option<DealId>,
     certs: CertCollector,
@@ -332,28 +318,31 @@ impl WeakEscrow {
             payment: setup.payment,
             asset: setup.plan.amounts[i],
             authority: setup.authority.clone(),
-            ledger: setup.plan.escrow_book(i, up_key, down_key),
-            deal: None,
-            certs: CertCollector::default(),
+            st: WeakEscrowState {
+                ledger: setup.plan.escrow_book(i, up_key, down_key),
+                deal: None,
+                certs: CertCollector::default(),
+            },
         }
     }
 
     /// The escrow's book.
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+        &self.st.ledger
     }
 
     /// The verdict this escrow settled on, if any.
     pub fn verdict(&self) -> Option<Verdict> {
-        self.certs.accepted()
+        self.st.certs.accepted()
     }
 
     /// Whether value is currently locked here.
     pub fn locked(&self) -> bool {
-        self.deal.is_some()
+        self.st.deal.is_some()
             && self
+                .st
                 .deal
-                .and_then(|d| self.ledger.deal(d))
+                .and_then(|d| self.st.ledger.deal(d))
                 .is_some_and(|d| d.state == ledger::DealState::Locked)
     }
 }
@@ -367,14 +356,14 @@ impl Process<PMsg> for WeakEscrow {
                 if from != self.up
                     || payment != self.payment
                     || asset != self.asset
-                    || self.deal.is_some()
-                    || self.certs.accepted().is_some()
+                    || self.st.deal.is_some()
+                    || self.st.certs.accepted().is_some()
                 {
                     return;
                 }
-                match self.ledger.lock(self.up_key, self.down_key, asset) {
+                match self.st.ledger.lock(self.up_key, self.down_key, asset) {
                     Ok(deal) => {
-                        self.deal = Some(deal);
+                        self.st.deal = Some(deal);
                         ctx.mark("weak_escrow_locked", self.index as i64);
                         let notice = TmInput::issue(
                             &self.signer,
@@ -391,14 +380,16 @@ impl Process<PMsg> for WeakEscrow {
             }
             PMsg::Decision(cert) => {
                 let Some(v) = self
+                    .st
                     .certs
                     .offer(&cert, self.payment, &self.pki, &self.authority)
                 else {
                     return;
                 };
-                match (v, self.deal) {
+                match (v, self.st.deal) {
                     (Verdict::Commit, Some(deal)) => {
-                        self.ledger
+                        self.st
+                            .ledger
                             .release(deal)
                             .expect("locked deal releases once");
                         ctx.send(
@@ -411,7 +402,10 @@ impl Process<PMsg> for WeakEscrow {
                         ctx.mark("weak_escrow_released", self.index as i64);
                     }
                     (Verdict::Abort, Some(deal)) => {
-                        self.ledger.refund(deal).expect("locked deal refunds once");
+                        self.st
+                            .ledger
+                            .refund(deal)
+                            .expect("locked deal refunds once");
                         ctx.send(
                             self.up,
                             PMsg::Money {
@@ -435,29 +429,8 @@ impl Process<PMsg> for WeakEscrow {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
-    /// The book, the deal and the collected shares are state; everything
-    /// else is wiring.
     fn fp_digest(&self) -> u64 {
-        let WeakEscrow {
-            index: _,
-            up: _,
-            down: _,
-            up_key: _,
-            down_key: _,
-            tm_pids: _,
-            signer: _,
-            pki: _,
-            payment: _,
-            asset: _,
-            authority: _,
-            ledger,
-            deal,
-            certs,
-        } = self;
-        let mut h = Fnv64::new();
-        fingerprint_book(ledger, &mut h);
-        (deal.map(|d| d.0), certs).fingerprint(&mut h);
-        h.finish()
+        fingerprint(&self.st)
     }
 }
 

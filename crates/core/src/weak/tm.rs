@@ -15,23 +15,37 @@
 
 use super::scenario::{TmKind, WeakSetup};
 use crate::msg::{PMsg, TmInput, TmInputKind};
-use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
+use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use consensus::{Config as ConsConfig, ConsMsg, NotaryCore, Output as ConsOutput};
 use ledger::SimChain;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use xcrypto::{DecisionCert, KeyId, PaymentId, Pki, Receipt, Signer, Verdict};
 
-/// Verified evidence gathered from the participants.
+/// Verified evidence gathered from the participants. The payment and the
+/// keys are setup; what has been gathered so far is state, and is all its
+/// `Hash` feeds.
 #[derive(Debug, Clone)]
 pub struct Evidence {
     payment: PaymentId,
     escrow_keys: Vec<KeyId>,
     customer_keys: Vec<KeyId>,
     bob_key: KeyId,
+    st: EvidenceState,
+}
+
+#[derive(Debug, Clone, Hash)]
+struct EvidenceState {
     locks: Vec<bool>,
     accept: bool,
     abort: bool,
+}
+
+impl Hash for Evidence {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.st.hash(state);
+    }
 }
 
 impl Evidence {
@@ -44,9 +58,11 @@ impl Evidence {
             escrow_keys,
             customer_keys,
             bob_key,
-            locks: vec![false; n],
-            accept: false,
-            abort: false,
+            st: EvidenceState {
+                locks: vec![false; n],
+                accept: false,
+                abort: false,
+            },
         }
     }
 
@@ -64,13 +80,13 @@ impl Evidence {
             TmInputKind::Locked => {
                 let i = input.index as usize;
                 if i < self.escrow_keys.len() && input.verify(pki, self.escrow_keys[i]) {
-                    self.locks[i] = true;
+                    self.st.locks[i] = true;
                 }
             }
             TmInputKind::AbortRequest => {
                 let i = input.index as usize;
                 if i < self.customer_keys.len() && input.verify(pki, self.customer_keys[i]) {
-                    self.abort = true;
+                    self.st.abort = true;
                 }
             }
         }
@@ -79,18 +95,18 @@ impl Evidence {
     /// Ingests Bob's acceptance.
     pub fn ingest_accept(&mut self, chi: &Receipt, pki: &Pki) {
         if chi.payment == self.payment && chi.verify(pki, self.bob_key) {
-            self.accept = true;
+            self.st.accept = true;
         }
     }
 
     /// All locks plus Bob's acceptance.
     pub fn commit_ready(&self) -> bool {
-        self.accept && self.locks.iter().all(|&l| l)
+        self.st.accept && self.st.locks.iter().all(|&l| l)
     }
 
     /// Some verified abort request exists.
     pub fn abort_ready(&self) -> bool {
-        self.abort
+        self.st.abort
     }
 
     /// The verdict this evidence justifies right now, preferring the abort
@@ -106,31 +122,22 @@ impl Evidence {
     }
 }
 
-/// The payment and the keys are wiring; the evidence gathered so far is
-/// state.
-impl Fingerprint for Evidence {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let Evidence {
-            payment: _,
-            escrow_keys: _,
-            customer_keys: _,
-            bob_key: _,
-            locks,
-            accept,
-            abort,
-        } = self;
-        (locks, accept, abort).fingerprint(h);
-    }
-}
-
 /// A single trusted transaction manager.
 #[derive(Debug, Clone)]
 pub struct TrustedTm {
     signer: Signer,
     pki: Arc<Pki>,
-    evidence: Evidence,
     /// Everyone who must learn the decision (customers + escrows).
     participants: Vec<Pid>,
+    st: TrustedTmState,
+}
+
+/// The manager's run state; the signer, key registry and participant list
+/// are setup. The contract log is hashed through its head hash, which
+/// chains every entry.
+#[derive(Debug, Clone, Hash)]
+struct TrustedTmState {
+    evidence: Evidence,
     decided: Option<Verdict>,
     /// Optional hash-linked public log (the "smart contract on a
     /// blockchain" variant records everything here).
@@ -145,39 +152,41 @@ impl TrustedTm {
         TrustedTm {
             signer: setup.tm_signer(0).clone(),
             pki: setup.pki.clone(),
-            evidence: setup.evidence(),
             participants: setup.participant_pids(),
-            decided: None,
-            chain: (setup.tm_kind == TmKind::Contract).then(SimChain::new),
+            st: TrustedTmState {
+                evidence: setup.evidence(),
+                decided: None,
+                chain: (setup.tm_kind == TmKind::Contract).then(SimChain::new),
+            },
         }
     }
 
     /// The decision, if made.
     pub fn decided(&self) -> Option<Verdict> {
-        self.decided
+        self.st.decided
     }
 
     /// The contract's public log (contract variant only).
     pub fn chain(&self) -> Option<&SimChain> {
-        self.chain.as_ref()
+        self.st.chain.as_ref()
     }
 
     fn record(&mut self, payload: Vec<u8>) {
-        if let Some(chain) = &mut self.chain {
+        if let Some(chain) = &mut self.st.chain {
             chain.append(payload);
         }
     }
 
     fn try_decide(&mut self, ctx: &mut Ctx<PMsg>) {
-        if self.decided.is_some() {
+        if self.st.decided.is_some() {
             return;
         }
-        let Some(v) = self.evidence.verdict() else {
+        let Some(v) = self.st.evidence.verdict() else {
             return;
         };
-        self.decided = Some(v);
-        let cert = DecisionCert::issue_single(&self.signer, self.evidence.payment, v);
-        self.record(DecisionCert::payload(&self.evidence.payment, v));
+        self.st.decided = Some(v);
+        let cert = DecisionCert::issue_single(&self.signer, self.st.evidence.payment, v);
+        self.record(DecisionCert::payload(&self.st.evidence.payment, v));
         ctx.mark(
             match v {
                 Verdict::Commit => "tm_commit",
@@ -198,7 +207,7 @@ impl Process<PMsg> for TrustedTm {
     fn on_message(&mut self, _from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
         match msg {
             PMsg::TmInput(input) => {
-                self.evidence.ingest_input(&input, &self.pki);
+                self.st.evidence.ingest_input(&input, &self.pki);
                 self.record(vec![
                     match input.kind {
                         TmInputKind::Locked => 1u8,
@@ -208,7 +217,7 @@ impl Process<PMsg> for TrustedTm {
                 ]);
             }
             PMsg::Accept(chi) => {
-                self.evidence.ingest_accept(&chi, &self.pki);
+                self.st.evidence.ingest_accept(&chi, &self.pki);
                 self.record(vec![3u8]);
             }
             _ => return,
@@ -218,20 +227,8 @@ impl Process<PMsg> for TrustedTm {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
-    /// The signer, key registry and participant list are wiring. The
-    /// contract log enters through its head hash, which chains every entry.
     fn fp_digest(&self) -> u64 {
-        let TrustedTm {
-            signer: _,
-            pki: _,
-            evidence,
-            participants: _,
-            decided,
-            chain,
-        } = self;
-        let decided = decided.map(|v| v == Verdict::Commit);
-        let head = chain.as_ref().map(|c| c.head());
-        fingerprint(&(evidence, decided, head))
+        fingerprint(&self.st)
     }
 }
 
@@ -245,11 +242,18 @@ impl Process<PMsg> for TrustedTm {
 pub struct NotaryTm {
     signer: Signer,
     pki: Arc<Pki>,
-    evidence: Evidence,
     participants: Vec<Pid>,
     /// Other notaries (engine pids).
     peers: Vec<Pid>,
     cons_cfg: ConsConfig<Verdict>,
+    st: NotaryTmState,
+}
+
+/// A notary's run state; the signer, key registry, pid lists and consensus
+/// configuration are setup.
+#[derive(Debug, Clone, Hash)]
+struct NotaryTmState {
+    evidence: Evidence,
     core: Option<NotaryCore<Verdict>>,
     /// Consensus traffic received before activation.
     buffered: Vec<ConsMsg<Verdict>>,
@@ -267,7 +271,6 @@ impl NotaryTm {
         NotaryTm {
             signer: setup.tm_signer(i).clone(),
             pki: setup.pki.clone(),
-            evidence: setup.evidence(),
             participants: setup.participant_pids(),
             peers: pids.iter().copied().filter(|&p| p != pids[i]).collect(),
             cons_cfg: ConsConfig {
@@ -277,23 +280,26 @@ impl NotaryTm {
                 base_timeout: setup.cons_base_timeout,
                 validity: Arc::new(|_: &Verdict| true),
             },
-            core: None,
-            buffered: Vec::new(),
-            pending_props: Vec::new(),
-            decided: None,
+            st: NotaryTmState {
+                evidence: setup.evidence(),
+                core: None,
+                buffered: Vec::new(),
+                pending_props: Vec::new(),
+                decided: None,
+            },
         }
     }
 
     /// The verdict this notary's consensus instance decided, if any.
     pub fn decided(&self) -> Option<Verdict> {
-        self.decided
+        self.st.decided
     }
 
     fn maybe_activate(&mut self, ctx: &mut Ctx<PMsg>) {
-        if self.core.is_some() {
+        if self.st.core.is_some() {
             return;
         }
-        let Some(input) = self.evidence.verdict() else {
+        let Some(input) = self.st.evidence.verdict() else {
             return;
         };
         let mut core = NotaryCore::new(
@@ -303,14 +309,14 @@ impl NotaryTm {
             input,
         );
         let mut outputs = core.start();
-        for msg in std::mem::take(&mut self.buffered) {
-            if Self::admissible_static(&self.evidence, &msg) {
+        for msg in std::mem::take(&mut self.st.buffered) {
+            if Self::admissible_static(&self.st.evidence, &msg) {
                 outputs.extend(core.on_message(msg));
             } else {
-                self.pending_props.push(msg);
+                self.st.pending_props.push(msg);
             }
         }
-        self.core = Some(core);
+        self.st.core = Some(core);
         self.apply(outputs, ctx);
     }
 
@@ -329,18 +335,18 @@ impl NotaryTm {
 
     /// Re-offers gated proposals after evidence improved.
     fn retry_pending(&mut self, ctx: &mut Ctx<PMsg>) {
-        if self.core.is_none() || self.pending_props.is_empty() {
+        if self.st.core.is_none() || self.st.pending_props.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut self.pending_props);
+        let pending = std::mem::take(&mut self.st.pending_props);
         let mut outputs = Vec::new();
         for msg in pending {
-            if Self::admissible_static(&self.evidence, &msg) {
-                if let Some(core) = self.core.as_mut() {
+            if Self::admissible_static(&self.st.evidence, &msg) {
+                if let Some(core) = self.st.core.as_mut() {
                     outputs.extend(core.on_message(msg));
                 }
             } else {
-                self.pending_props.push(msg);
+                self.st.pending_props.push(msg);
             }
         }
         self.apply(outputs, ctx);
@@ -356,8 +362,8 @@ impl NotaryTm {
                 }
                 ConsOutput::Schedule { token, after } => ctx.set_timer_after(token, after),
                 ConsOutput::Decide { value, .. } => {
-                    if self.decided.is_none() {
-                        self.decided = Some(value);
+                    if self.st.decided.is_none() {
+                        self.st.decided = Some(value);
                         ctx.mark(
                             match value {
                                 Verdict::Commit => "notary_commit",
@@ -366,9 +372,9 @@ impl NotaryTm {
                             0,
                         );
                         // Sign a certificate share for the participants.
-                        let payload = DecisionCert::payload(&self.evidence.payment, value);
+                        let payload = DecisionCert::payload(&self.st.evidence.payment, value);
                         let share = DecisionCert::assemble(
-                            self.evidence.payment,
+                            self.st.evidence.payment,
                             value,
                             vec![self.signer.sign(xcrypto::cert::DOM_DECISION, &payload)],
                         );
@@ -388,55 +394,39 @@ impl Process<PMsg> for NotaryTm {
     fn on_message(&mut self, _from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
         match msg {
             PMsg::TmInput(input) => {
-                self.evidence.ingest_input(&input, &self.pki);
+                self.st.evidence.ingest_input(&input, &self.pki);
                 self.maybe_activate(ctx);
                 self.retry_pending(ctx);
             }
             PMsg::Accept(chi) => {
-                self.evidence.ingest_accept(&chi, &self.pki);
+                self.st.evidence.ingest_accept(&chi, &self.pki);
                 self.maybe_activate(ctx);
                 self.retry_pending(ctx);
             }
-            PMsg::Cons(m) => match self.core.as_mut() {
+            PMsg::Cons(m) => match self.st.core.as_mut() {
                 Some(core) => {
-                    if Self::admissible_static(&self.evidence, &m) {
+                    if Self::admissible_static(&self.st.evidence, &m) {
                         let out = core.on_message(m);
                         self.apply(out, ctx);
                     } else {
-                        self.pending_props.push(m);
+                        self.st.pending_props.push(m);
                     }
                 }
-                None => self.buffered.push(m),
+                None => self.st.buffered.push(m),
             },
             _ => {}
         }
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<PMsg>) {
-        if let Some(core) = self.core.as_mut() {
+        if let Some(core) = self.st.core.as_mut() {
             let out = core.on_timeout(id);
             self.apply(out, ctx);
         }
     }
 
-    /// The signer, key registry, pid lists and consensus configuration are
-    /// wiring; the evidence, the consensus core and both message buffers
-    /// are state.
     fn fp_digest(&self) -> u64 {
-        let NotaryTm {
-            signer: _,
-            pki: _,
-            evidence,
-            participants: _,
-            peers: _,
-            cons_cfg: _,
-            core,
-            buffered,
-            pending_props,
-            decided,
-        } = self;
-        let decided = decided.map(|v| v == Verdict::Commit);
-        fingerprint(&(evidence, core, buffered, pending_props, decided))
+        fingerprint(&self.st)
     }
 }
 
@@ -495,7 +485,7 @@ mod tests {
         assert_eq!(ev.verdict(), None);
         // Accept signed by a non-Bob key.
         ev.ingest_accept(&Receipt::issue(&customers[0], payment), &pki);
-        assert!(!ev.accept);
+        assert!(!ev.st.accept);
         // Out-of-range indices are ignored.
         ev.ingest_input(
             &TmInput::issue(&escrows[0], TmInputKind::Locked, payment, 99),

@@ -17,6 +17,7 @@
 use crate::sha256::{sha256, Digest};
 use crate::sig::{KeyId, Pki, Signature, Signer};
 use crate::wire::WireWriter;
+use std::hash::{Hash, Hasher};
 
 /// Domain labels (never reuse across payload kinds).
 pub const DOM_RECEIPT: &[u8] = b"xchain/cert/receipt";
@@ -25,8 +26,16 @@ pub const DOM_DECISION: &[u8] = b"xchain/cert/decision";
 
 /// Globally unique identifier of one payment instance: in practice the hash
 /// of the setup agreement (participants, values, session nonce).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PaymentId(pub Digest);
+
+/// Fed without the length prefix an array's `Hash` writes: an id is always
+/// 32 bytes.
+impl Hash for PaymentId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
 
 impl PaymentId {
     /// Derives a payment id from a session seed and participant list.
@@ -47,7 +56,7 @@ impl PaymentId {
 }
 
 /// χ — Bob's signed statement that Alice's obligation to him is met.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Receipt {
     /// The payment instance this belongs to.
     pub payment: PaymentId,
@@ -80,6 +89,7 @@ impl Receipt {
 
 /// The transaction manager's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum Verdict {
     /// χc — the payment is committed; escrows must release downstream.
     Commit,
@@ -136,7 +146,7 @@ impl Authority {
 }
 
 /// χc / χa — a decision certificate for one payment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DecisionCert {
     /// The payment instance this belongs to.
     pub payment: PaymentId,

@@ -52,6 +52,7 @@
 
 use crate::hmac::{verify_tag, HmacKey};
 use crate::sha256::{sha256_concat, Digest};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Identifies a registered key (and thereby a participant).
@@ -65,12 +66,21 @@ impl std::fmt::Display for KeyId {
 }
 
 /// A signature: the claimed signer plus the authentication tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Signature {
     /// The claimed signing key.
     pub signer: KeyId,
     /// The authentication tag.
     pub tag: Digest,
+}
+
+/// The tag is fed without the length prefix an array's `Hash` writes: it
+/// is always 32 bytes.
+impl Hash for Signature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.signer.hash(state);
+        state.write(&self.tag);
+    }
 }
 
 /// One identity's key, shared by its [`Pki`] entry, its [`Signer`] and

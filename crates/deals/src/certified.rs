@@ -12,12 +12,10 @@
 //! which is why §5 calls the two lines of work related.
 
 use crate::matrix::{DealOutcome, Party};
-use crate::timelock::{
-    commit_payload, fingerprint_book, fingerprint_keys, DMsg, DealInstance, DOM_DEAL_COMMIT,
-};
+use crate::timelock::{commit_payload, DMsg, DealInstance, DOM_DEAL_COMMIT};
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
-use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
+use anta::fingerprint::fingerprint;
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
@@ -81,6 +79,14 @@ pub struct CertifiedChain {
     party_keys: Vec<KeyId>,
     /// Escrows and parties that follow the verdict.
     subscribers: Vec<Pid>,
+    st: CertifiedChainState,
+}
+
+/// The chain's run state: the votes, the verdict and the public log
+/// (hashed through its head hash, which chains every entry). The rest of
+/// [`CertifiedChain`] is setup (deal id, keys, subscribers).
+#[derive(Debug, Clone, Hash)]
+struct CertifiedChainState {
     votes: Vec<KeyId>,
     verdict: Option<bool>,
     log: SimChain,
@@ -95,28 +101,30 @@ impl CertifiedChain {
             pki: inst.pki.clone(),
             party_keys: inst.party_keys.clone(),
             subscribers: (0..inst.next_free_pid()).collect(),
-            votes: Vec::new(),
-            verdict: None,
-            log: SimChain::new(),
+            st: CertifiedChainState {
+                votes: Vec::new(),
+                verdict: None,
+                log: SimChain::new(),
+            },
         }
     }
 
     /// The recorded verdict, if any (`true` = commit).
     pub fn verdict(&self) -> Option<bool> {
-        self.verdict
+        self.st.verdict
     }
 
     /// The public log (integrity-checkable).
     pub fn log(&self) -> &SimChain {
-        &self.log
+        &self.st.log
     }
 
     fn certify(&mut self, commit: bool, ctx: &mut Ctx<DMsg>) {
-        if self.verdict.is_some() {
+        if self.st.verdict.is_some() {
             return;
         }
-        self.verdict = Some(commit);
-        self.log.append(vec![if commit { 1 } else { 0 }]);
+        self.st.verdict = Some(commit);
+        self.st.log.append(vec![if commit { 1 } else { 0 }]);
         ctx.mark(if commit { "cbc_commit" } else { "cbc_abort" }, 0);
         for &s in &self.subscribers {
             ctx.send(s, DMsg::CbcDecision { commit });
@@ -131,23 +139,23 @@ impl Process<DMsg> for CertifiedChain {
     fn on_message(&mut self, _from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
         match msg {
             DMsg::CommitVote { sig } => {
-                if self.verdict.is_some()
+                if self.st.verdict.is_some()
                     || !self.party_keys.contains(&sig.signer)
-                    || self.votes.contains(&sig.signer)
+                    || self.st.votes.contains(&sig.signer)
                     || !self
                         .pki
                         .verify(&sig, DOM_DEAL_COMMIT, &commit_payload(&self.deal_id))
                 {
                     return;
                 }
-                self.votes.push(sig.signer);
-                self.log.append(sig.signer.0.to_be_bytes().to_vec());
-                if self.votes.len() == self.party_keys.len() {
+                self.st.votes.push(sig.signer);
+                self.st.log.append(sig.signer.0.to_be_bytes().to_vec());
+                if self.st.votes.len() == self.party_keys.len() {
                     self.certify(true, ctx);
                 }
             }
             DMsg::AbortVote { sig } => {
-                if self.verdict.is_some()
+                if self.st.verdict.is_some()
                     || !self.party_keys.contains(&sig.signer)
                     || !self
                         .pki
@@ -163,23 +171,8 @@ impl Process<DMsg> for CertifiedChain {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
 
-    /// The deal id, keys and subscribers are wiring; the votes, the verdict
-    /// and the public log (through its head hash, which chains every
-    /// entry) are state.
     fn fp_digest(&self) -> u64 {
-        let CertifiedChain {
-            deal_id: _,
-            pki: _,
-            party_keys: _,
-            subscribers: _,
-            votes,
-            verdict,
-            log,
-        } = self;
-        let mut h = Fnv64::new();
-        fingerprint_keys(votes, &mut h);
-        (verdict, log.head()).fingerprint(&mut h);
-        h.finish()
+        fingerprint(&self.st)
     }
 }
 
@@ -193,10 +186,17 @@ pub struct CertifiedEscrow {
     beneficiary_key: KeyId,
     depositor_pid: Pid,
     party_pids: Vec<Pid>,
+    st: CertifiedEscrowState,
+}
+
+/// An arc escrow's run state: the book, the deal and the settlement. The
+/// rest of [`CertifiedEscrow`] is setup (arc, keys, pids).
+#[derive(Debug, Clone, Hash)]
+struct CertifiedEscrowState {
     ledger: Ledger,
     deal: Option<DealId>,
     /// `Some(true)` released, `Some(false)` returned.
-    pub settled: Option<bool>,
+    settled: Option<bool>,
 }
 
 impl CertifiedEscrow {
@@ -210,15 +210,22 @@ impl CertifiedEscrow {
             beneficiary_key: inst.party_keys[a.to],
             depositor_pid: inst.party_pid(a.from),
             party_pids: (0..inst.deal.parties()).collect(),
-            ledger: inst.arc_book(arc),
-            deal: None,
-            settled: None,
+            st: CertifiedEscrowState {
+                ledger: inst.arc_book(arc),
+                deal: None,
+                settled: None,
+            },
         }
     }
 
     /// The escrow's book.
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+        &self.st.ledger
+    }
+
+    /// `Some(true)` released, `Some(false)` returned, `None` unsettled.
+    pub fn settled(&self) -> Option<bool> {
+        self.st.settled
     }
 }
 
@@ -227,16 +234,17 @@ impl Process<DMsg> for CertifiedEscrow {
 
     fn on_message(&mut self, from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
         match msg {
-            DMsg::Deposit { arc } if arc == self.arc && self.deal.is_none() => {
+            DMsg::Deposit { arc } if arc == self.arc && self.st.deal.is_none() => {
                 if from != self.depositor_pid {
                     return;
                 }
                 match self
+                    .st
                     .ledger
                     .lock(self.depositor_key, self.beneficiary_key, self.asset)
                 {
                     Ok(deal) => {
-                        self.deal = Some(deal);
+                        self.st.deal = Some(deal);
                         ctx.mark("arc_escrowed", self.arc as i64);
                         for &p in &self.party_pids {
                             ctx.send(p, DMsg::Escrowed { arc: self.arc });
@@ -245,20 +253,20 @@ impl Process<DMsg> for CertifiedEscrow {
                     Err(_) => ctx.mark("arc_lock_rejected", self.arc as i64),
                 }
             }
-            DMsg::CbcDecision { commit } if self.settled.is_none() => {
-                let Some(deal) = self.deal else {
+            DMsg::CbcDecision { commit } if self.st.settled.is_none() => {
+                let Some(deal) = self.st.deal else {
                     // Nothing locked here: the verdict costs nothing.
-                    self.settled = Some(false);
+                    self.st.settled = Some(false);
                     ctx.halt();
                     return;
                 };
                 if commit {
-                    self.ledger.release(deal).expect("locked releases once");
-                    self.settled = Some(true);
+                    self.st.ledger.release(deal).expect("locked releases once");
+                    self.st.settled = Some(true);
                     ctx.mark("arc_released", self.arc as i64);
                 } else {
-                    self.ledger.refund(deal).expect("locked refunds once");
-                    self.settled = Some(false);
+                    self.st.ledger.refund(deal).expect("locked refunds once");
+                    self.st.settled = Some(false);
                     ctx.mark("arc_returned", self.arc as i64);
                 }
                 ctx.halt();
@@ -269,24 +277,8 @@ impl Process<DMsg> for CertifiedEscrow {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
 
-    /// The arc, keys and pids are wiring; the book, the deal and the
-    /// settlement are state.
     fn fp_digest(&self) -> u64 {
-        let CertifiedEscrow {
-            arc: _,
-            asset: _,
-            depositor_key: _,
-            beneficiary_key: _,
-            depositor_pid: _,
-            party_pids: _,
-            ledger,
-            deal,
-            settled,
-        } = self;
-        let mut h = Fnv64::new();
-        fingerprint_book(ledger, &mut h);
-        (deal.map(|d| d.0), settled).fingerprint(&mut h);
-        h.finish()
+        fingerprint(&self.st)
     }
 }
 
@@ -302,12 +294,21 @@ pub struct CertifiedParty {
     deal_id: PaymentId,
     my_deposits: Vec<(usize, Pid)>,
     cbc: Pid,
-    escrowed_seen: Vec<bool>,
-    voted: bool,
-    /// `None`: infinitely patient.
+    /// `None`: infinitely patient (a pending patience expiry is a queued
+    /// timer).
     pub patience: Option<SimDuration>,
     /// A withholding party never deposits nor votes.
     pub participate: bool,
+    st: CertifiedPartyState,
+}
+
+/// A party's run state: what it has seen, voted and learnt. The rest of
+/// [`CertifiedParty`] — identity, pids and the `patience` / `participate`
+/// policy — is setup.
+#[derive(Debug, Clone, Hash)]
+struct CertifiedPartyState {
+    escrowed_seen: Vec<bool>,
+    voted: bool,
     decided: bool,
 }
 
@@ -326,11 +327,13 @@ impl CertifiedParty {
             deal_id: inst.deal_id,
             my_deposits,
             cbc: inst.next_free_pid(),
-            escrowed_seen: vec![false; inst.deal.arcs().len()],
-            voted: false,
             patience: None,
             participate: true,
-            decided: false,
+            st: CertifiedPartyState {
+                escrowed_seen: vec![false; inst.deal.arcs().len()],
+                voted: false,
+                decided: false,
+            },
         }
     }
 }
@@ -351,9 +354,9 @@ impl Process<DMsg> for CertifiedParty {
     fn on_message(&mut self, _from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
         match msg {
             DMsg::Escrowed { arc } => {
-                self.escrowed_seen[arc] = true;
-                if !self.voted && self.escrowed_seen.iter().all(|&e| e) {
-                    self.voted = true;
+                self.st.escrowed_seen[arc] = true;
+                if !self.st.voted && self.st.escrowed_seen.iter().all(|&e| e) {
+                    self.st.voted = true;
                     let sig = self
                         .signer
                         .sign(DOM_DEAL_COMMIT, &commit_payload(&self.deal_id));
@@ -361,8 +364,8 @@ impl Process<DMsg> for CertifiedParty {
                     ctx.mark("party_voted", self.me as i64);
                 }
             }
-            DMsg::CbcDecision { .. } if !self.decided => {
-                self.decided = true;
+            DMsg::CbcDecision { .. } if !self.st.decided => {
+                self.st.decided = true;
                 ctx.halt();
             }
             _ => {}
@@ -370,7 +373,7 @@ impl Process<DMsg> for CertifiedParty {
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<DMsg>) {
-        if id == TIMER_PATIENCE && !self.decided {
+        if id == TIMER_PATIENCE && !self.st.decided {
             let sig = self
                 .signer
                 .sign(DOM_DEAL_ABORT, &abort_payload(&self.deal_id));
@@ -379,23 +382,8 @@ impl Process<DMsg> for CertifiedParty {
         }
     }
 
-    /// Identity, pids and the `patience` / `participate` policy are fixed
-    /// from registration on (a pending patience expiry is a queued timer);
-    /// what the party has seen, voted and learnt is state.
     fn fp_digest(&self) -> u64 {
-        let CertifiedParty {
-            me: _,
-            signer: _,
-            deal_id: _,
-            my_deposits: _,
-            cbc: _,
-            escrowed_seen,
-            voted,
-            patience: _,
-            participate: _,
-            decided,
-        } = self;
-        fingerprint(&(escrowed_seen, voted, decided))
+        fingerprint(&self.st)
     }
 }
 
@@ -407,7 +395,7 @@ pub fn extract_certified_outcome(
     let executed = (0..inst.deal.arcs().len())
         .map(|k| {
             eng.process_as::<CertifiedEscrow>(inst.escrow_pid(k))
-                .and_then(|e| e.settled)
+                .and_then(CertifiedEscrow::settled)
                 .unwrap_or(false)
         })
         .collect();

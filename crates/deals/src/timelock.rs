@@ -22,12 +22,12 @@
 use crate::matrix::{DealMatrix, DealOutcome, Party};
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
-use anta::fingerprint::{fingerprint, fingerprint_seq, Fingerprint, Fnv64};
+use anta::fingerprint::fingerprint;
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
-use ledger::{AuditEntry, DealId, Ledger};
+use ledger::{DealId, Ledger};
 use std::sync::Arc as StdArc;
 use xcrypto::wire::WireWriter;
 use xcrypto::{KeyId, PaymentId, Pki, Signature, Signer};
@@ -43,7 +43,8 @@ pub fn commit_payload(deal_id: &PaymentId) -> Vec<u8> {
 }
 
 /// Messages of the deal protocols.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
+#[repr(u8)]
 pub enum DMsg {
     /// Depositor asks arc-escrow to lock its asset.
     Deposit {
@@ -71,32 +72,6 @@ pub enum DMsg {
         /// True for COMMIT, false for ABORT.
         commit: bool,
     },
-}
-
-/// Signatures enter through their public fields (`xcrypto` does not
-/// depend on `anta`).
-impl Fingerprint for DMsg {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        match self {
-            DMsg::Deposit { arc } => (0u8, arc).fingerprint(h),
-            DMsg::Escrowed { arc } => (1u8, arc).fingerprint(h),
-            DMsg::CommitVote { sig } => (2u8, sig.signer.0, sig.tag).fingerprint(h),
-            DMsg::AbortVote { sig } => (3u8, sig.signer.0, sig.tag).fingerprint(h),
-            DMsg::CbcDecision { commit } => (4u8, commit).fingerprint(h),
-        }
-    }
-}
-
-/// Feeds an escrow's book through its audit log: the log records every
-/// mutation in order, so equal logs mean equal books (`ledger` does not
-/// depend on `anta`).
-pub(crate) fn fingerprint_book(book: &Ledger, h: &mut Fnv64) {
-    fingerprint_seq(book.audit().iter().map(AuditEntry::fields), h);
-}
-
-/// Feeds a list of keys (a vote record) by their ids.
-pub(crate) fn fingerprint_keys(keys: &[KeyId], h: &mut Fnv64) {
-    fingerprint_seq(keys.iter().map(|k| k.0), h);
 }
 
 /// Shared immutable description of a deal instance.
@@ -195,13 +170,22 @@ pub struct TimelockEscrow {
     party_keys: Vec<KeyId>,
     pki: StdArc<Pki>,
     deal_id: PaymentId,
-    /// Local-clock patience after the deposit.
+    /// Local-clock patience after the deposit (the pending deadline is a
+    /// queued timer).
     timelock: SimDuration,
+    st: TimelockEscrowState,
+}
+
+/// An arc escrow's run state: the book, the deal, the votes and the
+/// settlement. The rest of [`TimelockEscrow`] is setup (arc, keys, pids,
+/// timelock).
+#[derive(Debug, Clone, Hash)]
+struct TimelockEscrowState {
     ledger: Ledger,
     deal: Option<DealId>,
     votes: Vec<KeyId>,
     /// `Some(true)` released, `Some(false)` returned.
-    pub settled: Option<bool>,
+    settled: Option<bool>,
 }
 
 impl TimelockEscrow {
@@ -221,27 +205,35 @@ impl TimelockEscrow {
             pki: inst.pki.clone(),
             deal_id: inst.deal_id,
             timelock,
-            ledger,
-            deal: None,
-            votes: Vec::new(),
-            settled: None,
+            st: TimelockEscrowState {
+                ledger,
+                deal: None,
+                votes: Vec::new(),
+                settled: None,
+            },
         }
     }
 
     /// The escrow's book.
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+        &self.st.ledger
+    }
+
+    /// `Some(true)` released, `Some(false)` returned, `None` unsettled.
+    pub fn settled(&self) -> Option<bool> {
+        self.st.settled
     }
 
     fn maybe_release(&mut self, ctx: &mut Ctx<DMsg>) {
-        if self.settled.is_some() || self.deal.is_none() {
+        if self.st.settled.is_some() || self.st.deal.is_none() {
             return;
         }
-        if self.votes.len() == self.party_keys.len() {
-            self.ledger
-                .release(self.deal.expect("checked"))
+        if self.st.votes.len() == self.party_keys.len() {
+            self.st
+                .ledger
+                .release(self.st.deal.expect("checked"))
                 .expect("locked releases once");
-            self.settled = Some(true);
+            self.st.settled = Some(true);
             ctx.mark("arc_released", self.arc as i64);
             ctx.halt();
         }
@@ -253,7 +245,7 @@ impl Process<DMsg> for TimelockEscrow {
 
     fn on_message(&mut self, from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
         match msg {
-            DMsg::Deposit { arc } if arc == self.arc && self.deal.is_none() => {
+            DMsg::Deposit { arc } if arc == self.arc && self.st.deal.is_none() => {
                 // Only the depositor party may lock, and only with cover.
                 let depositor_pid = self
                     .party_keys
@@ -264,11 +256,12 @@ impl Process<DMsg> for TimelockEscrow {
                     return;
                 }
                 match self
+                    .st
                     .ledger
                     .lock(self.depositor_key, self.beneficiary_key, self.asset)
                 {
                     Ok(deal) => {
-                        self.deal = Some(deal);
+                        self.st.deal = Some(deal);
                         ctx.set_timer_after(TIMER_DEADLINE, self.timelock);
                         ctx.mark("arc_escrowed", self.arc as i64);
                         for &p in &self.party_pids {
@@ -279,10 +272,10 @@ impl Process<DMsg> for TimelockEscrow {
                 }
             }
             DMsg::CommitVote { sig } => {
-                if self.settled.is_some() {
+                if self.st.settled.is_some() {
                     return;
                 }
-                if !self.party_keys.contains(&sig.signer) || self.votes.contains(&sig.signer) {
+                if !self.party_keys.contains(&sig.signer) || self.st.votes.contains(&sig.signer) {
                     return;
                 }
                 if !self
@@ -291,7 +284,7 @@ impl Process<DMsg> for TimelockEscrow {
                 {
                     return;
                 }
-                self.votes.push(sig.signer);
+                self.st.votes.push(sig.signer);
                 self.maybe_release(ctx);
             }
             _ => {}
@@ -299,40 +292,18 @@ impl Process<DMsg> for TimelockEscrow {
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<DMsg>) {
-        if id == TIMER_DEADLINE && self.settled.is_none() {
-            if let Some(deal) = self.deal {
-                self.ledger.refund(deal).expect("locked refunds once");
-                self.settled = Some(false);
+        if id == TIMER_DEADLINE && self.st.settled.is_none() {
+            if let Some(deal) = self.st.deal {
+                self.st.ledger.refund(deal).expect("locked refunds once");
+                self.st.settled = Some(false);
                 ctx.mark("arc_returned", self.arc as i64);
                 ctx.halt();
             }
         }
     }
 
-    /// The arc, keys, pids and timelock are wiring (the pending deadline
-    /// is a queued timer); the book, the deal, the votes and the
-    /// settlement are state.
     fn fp_digest(&self) -> u64 {
-        let TimelockEscrow {
-            arc: _,
-            asset: _,
-            depositor_key: _,
-            beneficiary_key: _,
-            party_pids: _,
-            party_keys: _,
-            pki: _,
-            deal_id: _,
-            timelock: _,
-            ledger,
-            deal,
-            votes,
-            settled,
-        } = self;
-        let mut h = Fnv64::new();
-        fingerprint_book(ledger, &mut h);
-        fingerprint_keys(votes, &mut h);
-        (deal.map(|d| d.0), settled).fingerprint(&mut h);
-        h.finish()
+        fingerprint(&self.st)
     }
 }
 
@@ -347,12 +318,20 @@ pub struct TimelockParty {
     /// All escrow pids (votes go everywhere).
     all_escrows: Vec<Pid>,
     n_arcs: usize,
-    escrowed_seen: Vec<bool>,
-    voted: bool,
     /// A withholding party never deposits; a silent one never votes.
     pub deposit: bool,
     /// See [`TimelockParty::deposit`].
     pub vote: bool,
+    st: TimelockPartyState,
+}
+
+/// A party's run state: which arcs it has seen escrowed and whether it
+/// voted. The rest of [`TimelockParty`] — identity, pids and the `deposit`
+/// / `vote` policy — is setup.
+#[derive(Debug, Clone, Hash)]
+struct TimelockPartyState {
+    escrowed_seen: Vec<bool>,
+    voted: bool,
 }
 
 impl TimelockParty {
@@ -373,10 +352,12 @@ impl TimelockParty {
             my_deposits,
             all_escrows,
             n_arcs: inst.deal.arcs().len(),
-            escrowed_seen: vec![false; inst.deal.arcs().len()],
-            voted: false,
             deposit: true,
             vote: true,
+            st: TimelockPartyState {
+                escrowed_seen: vec![false; inst.deal.arcs().len()],
+                voted: false,
+            },
         }
     }
 }
@@ -397,9 +378,9 @@ impl Process<DMsg> for TimelockParty {
 
     fn on_message(&mut self, _from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
         if let DMsg::Escrowed { arc } = msg {
-            self.escrowed_seen[arc] = true;
-            if !self.voted && self.vote && self.escrowed_seen.iter().all(|&e| e) {
-                self.voted = true;
+            self.st.escrowed_seen[arc] = true;
+            if !self.st.voted && self.vote && self.st.escrowed_seen.iter().all(|&e| e) {
+                self.st.voted = true;
                 let sig = self
                     .signer
                     .sign(DOM_DEAL_COMMIT, &commit_payload(&self.deal_id));
@@ -413,23 +394,8 @@ impl Process<DMsg> for TimelockParty {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
 
-    /// Identity, pids and the `deposit` / `vote` policy are fixed from
-    /// registration on; what the party has seen and whether it voted are
-    /// state.
     fn fp_digest(&self) -> u64 {
-        let TimelockParty {
-            me: _,
-            signer: _,
-            deal_id: _,
-            my_deposits: _,
-            all_escrows: _,
-            n_arcs: _,
-            escrowed_seen,
-            voted,
-            deposit: _,
-            vote: _,
-        } = self;
-        fingerprint(&(escrowed_seen, voted))
+        fingerprint(&self.st)
     }
 }
 
@@ -441,7 +407,7 @@ pub fn extract_timelock_outcome(
     let executed = (0..inst.deal.arcs().len())
         .map(|k| {
             eng.process_as::<TimelockEscrow>(inst.escrow_pid(k))
-                .and_then(|e| e.settled)
+                .and_then(TimelockEscrow::settled)
                 .unwrap_or(false)
         })
         .collect();

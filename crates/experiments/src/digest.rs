@@ -15,12 +15,13 @@
 //!   fails the CRC and the campaign falls back to the previous epoch.
 
 use anta::fingerprint::Fnv64;
+use std::hash::Hasher;
 
 /// 64-bit FNV-1a over `bytes` — the explorer's state hasher
 /// ([`anta::fingerprint::Fnv64`]) fed one byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
-    h.write_bytes(bytes);
+    h.write(bytes);
     h.finish()
 }
 

@@ -8,14 +8,14 @@
 //! comparison experiments quantify the difference (griefing windows,
 //! locked-capital time, no χ-style receipt for the payer).
 
-use anta::fingerprint::{fingerprint_seq, Fingerprint, Fnv64};
 use anta::time::SimTime;
-use ledger::{Asset, AuditEntry, DealId, Ledger, LedgerError};
+use ledger::{Asset, DealId, Ledger, LedgerError};
 use xcrypto::sha256::{sha256, Digest};
 use xcrypto::KeyId;
 
 /// Status of an HTLC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum HtlcState {
     /// Funds locked, claimable with the preimage until the timelock.
     Open,
@@ -26,7 +26,7 @@ pub enum HtlcState {
 }
 
 /// One hashed-timelock contract (wrapping an escrow deal on the ledger).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Htlc {
     /// The deal matrix / escrow deal id, per context.
     pub deal: DealId,
@@ -72,8 +72,9 @@ impl From<LedgerError> for HtlcError {
 
 /// A chain (ledger) extended with HTLC semantics. Time is supplied by the
 /// caller — in the simulation, the chain's escrow process passes its local
-/// clock, modelling per-chain clocks that need not agree.
-#[derive(Debug, Clone)]
+/// clock, modelling per-chain clocks that need not agree. Its `Hash` feeds
+/// the book (through its audit log) and every contract.
+#[derive(Debug, Clone, Hash)]
 pub struct HtlcChain {
     ledger: Ledger,
     contracts: Vec<Htlc>,
@@ -163,32 +164,6 @@ impl HtlcChain {
     /// True if no contracts were opened.
     pub fn is_empty(&self) -> bool {
         self.contracts.is_empty()
-    }
-}
-
-/// The book enters through its audit log, which records every mutation in
-/// order; `ledger` and `xcrypto` do not depend on `anta`, so their types
-/// are hashed through their public fields.
-impl Fingerprint for HtlcChain {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        let HtlcChain { ledger, contracts } = self;
-        fingerprint_seq(ledger.audit().iter().map(AuditEntry::fields), h);
-        h.write_usize(contracts.len());
-        for c in contracts {
-            let Htlc {
-                deal,
-                depositor,
-                beneficiary,
-                asset,
-                hashlock,
-                timelock,
-                state,
-                revealed,
-            } = c;
-            let asset = (asset.currency.0, asset.amount);
-            let ids = (deal.0, depositor.0, beneficiary.0);
-            (ids, asset, hashlock, timelock, *state as u8, revealed).fingerprint(h);
-        }
     }
 }
 

@@ -17,7 +17,7 @@
 use crate::contract::HtlcChain;
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
-use anta::fingerprint::{fingerprint, Fingerprint, Fnv64};
+use anta::fingerprint::fingerprint;
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
@@ -102,7 +102,8 @@ impl SwapSetup {
 
 /// Messages between swap parties and chains. Chain events are broadcast to
 /// both parties, modelling public on-chain state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
+#[repr(u8)]
 pub enum HMsg {
     /// Customer asks the chain to open an HTLC.
     Open {
@@ -150,34 +151,6 @@ pub enum HMsg {
         /// Identifier (contract/timer id, per context).
         id: usize,
     },
-}
-
-/// Keys and assets enter through their public fields (`ledger` and
-/// `xcrypto` do not depend on `anta`).
-impl Fingerprint for HMsg {
-    fn fingerprint(&self, h: &mut Fnv64) {
-        match self {
-            HMsg::Open {
-                depositor,
-                beneficiary,
-                asset,
-                hashlock,
-                timelock,
-            } => {
-                let asset = (asset.currency.0, asset.amount);
-                (0u8, depositor.0, beneficiary.0, asset, hashlock, timelock).fingerprint(h)
-            }
-            HMsg::Opened {
-                id,
-                hashlock,
-                timelock,
-            } => (1u8, id, hashlock, timelock).fingerprint(h),
-            HMsg::Claim { id, preimage } => (2u8, id, preimage).fingerprint(h),
-            HMsg::Claimed { id, preimage } => (3u8, id, preimage).fingerprint(h),
-            HMsg::Reclaim { id } => (4u8, id).fingerprint(h),
-            HMsg::Reclaimed { id } => (5u8, id).fingerprint(h),
-        }
-    }
 }
 
 /// A chain process: executes HTLC operations on its own clock and
@@ -258,9 +231,9 @@ impl Process<HMsg> for ChainProcess {
 
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<HMsg>) {}
 
+    /// The chain is the whole process, and all of it is run state.
     fn fp_digest(&self) -> u64 {
-        let ChainProcess { chain } = self;
-        fingerprint(chain)
+        fingerprint(&self.chain)
     }
 }
 
@@ -271,14 +244,21 @@ const TIMER_RECLAIM: TimerId = 1;
 pub struct SwapInitiator {
     offer: Asset,
     secret: Vec<u8>,
+    /// The pending reclaim is a queued timer.
     timelock_a: SimTime,
-    my_contract: Option<usize>,
-    claimed_b: bool,
-    done: bool,
     /// An abandoning initiator locks on chain A (and reclaims at `2T`) but
     /// never claims Bob's counter-lock, so `s` is never revealed — the
     /// crash-fault interpretation for Alice.
     abandons: bool,
+    st: InitiatorState,
+}
+
+/// Alice's progress; her offer, secret, timelock and behaviour are setup.
+#[derive(Debug, Clone, Hash)]
+struct InitiatorState {
+    my_contract: Option<usize>,
+    claimed_b: bool,
+    done: bool,
 }
 
 impl SwapInitiator {
@@ -288,10 +268,12 @@ impl SwapInitiator {
             offer,
             secret,
             timelock_a,
-            my_contract: None,
-            claimed_b: false,
-            done: false,
             abandons: false,
+            st: InitiatorState {
+                my_contract: None,
+                claimed_b: false,
+                done: false,
+            },
         }
     }
 
@@ -320,17 +302,17 @@ impl Process<HMsg> for SwapInitiator {
         match msg {
             HMsg::Opened { id, hashlock, .. }
                 if from == CHAIN_A_PID
-                    && self.my_contract.is_none()
+                    && self.st.my_contract.is_none()
                     && hashlock == self.hashlock() =>
             {
-                self.my_contract = Some(id);
+                self.st.my_contract = Some(id);
             }
             HMsg::Opened { id, hashlock, .. }
                 if from == CHAIN_B_PID && !self.abandons
                 // Bob's counter-lock under my hash: claim it (revealing s).
-                && !self.claimed_b && hashlock == self.hashlock() =>
+                && !self.st.claimed_b && hashlock == self.hashlock() =>
             {
-                self.claimed_b = true;
+                self.st.claimed_b = true;
                 ctx.send(
                     CHAIN_B_PID,
                     HMsg::Claim {
@@ -340,8 +322,8 @@ impl Process<HMsg> for SwapInitiator {
                 );
                 ctx.mark("alice_claimed_b", id as i64);
             }
-            HMsg::Claimed { .. } if from == CHAIN_B_PID && !self.abandons && !self.done => {
-                self.done = true;
+            HMsg::Claimed { .. } if from == CHAIN_B_PID && !self.abandons && !self.st.done => {
+                self.st.done = true;
                 ctx.mark("alice_swap_done", 0);
                 ctx.halt();
             }
@@ -350,8 +332,8 @@ impl Process<HMsg> for SwapInitiator {
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
-        if id == TIMER_RECLAIM && !self.done {
-            if let Some(cid) = self.my_contract {
+        if id == TIMER_RECLAIM && !self.st.done {
+            if let Some(cid) = self.st.my_contract {
                 ctx.send(CHAIN_A_PID, HMsg::Reclaim { id: cid });
                 ctx.mark("alice_reclaimed", cid as i64);
             }
@@ -359,19 +341,8 @@ impl Process<HMsg> for SwapInitiator {
         }
     }
 
-    /// Her offer, secret, timelock and behaviour are wiring (the pending
-    /// reclaim is a queued timer); her progress is state.
     fn fp_digest(&self) -> u64 {
-        let SwapInitiator {
-            offer: _,
-            secret: _,
-            timelock_a: _,
-            my_contract,
-            claimed_b,
-            done,
-            abandons: _,
-        } = self;
-        fingerprint(&(my_contract, claimed_b, done))
+        fingerprint(&self.st)
     }
 }
 
@@ -380,13 +351,20 @@ impl Process<HMsg> for SwapInitiator {
 #[derive(Debug, Clone)]
 pub struct SwapResponder {
     offer: Asset,
+    /// The pending reclaim is a queued timer.
     timelock_b: SimTime,
+    /// A griefing responder never counter-locks.
+    participate: bool,
+    st: ResponderState,
+}
+
+/// Bob's progress; his offer, timelock and behaviour are setup.
+#[derive(Debug, Clone, Hash)]
+struct ResponderState {
     my_contract: Option<usize>,
     their_contract: Option<usize>,
     claimed_a: bool,
     done: bool,
-    /// A griefing responder never counter-locks.
-    participate: bool,
 }
 
 impl SwapResponder {
@@ -395,11 +373,13 @@ impl SwapResponder {
         SwapResponder {
             offer,
             timelock_b,
-            my_contract: None,
-            their_contract: None,
-            claimed_a: false,
-            done: false,
             participate: true,
+            st: ResponderState {
+                my_contract: None,
+                their_contract: None,
+                claimed_a: false,
+                done: false,
+            },
         }
     }
 }
@@ -414,9 +394,9 @@ impl Process<HMsg> for SwapResponder {
             HMsg::Opened { id, hashlock, .. }
                 if from == CHAIN_A_PID
                 // Alice's lock appeared: counter-lock under the same hash.
-                && self.their_contract.is_none() && self.participate =>
+                && self.st.their_contract.is_none() && self.participate =>
             {
-                self.their_contract = Some(id);
+                self.st.their_contract = Some(id);
                 ctx.send(
                     CHAIN_B_PID,
                     HMsg::Open {
@@ -428,13 +408,13 @@ impl Process<HMsg> for SwapResponder {
                     },
                 );
             }
-            HMsg::Opened { id, .. } if from == CHAIN_B_PID && self.my_contract.is_none() => {
-                self.my_contract = Some(id);
+            HMsg::Opened { id, .. } if from == CHAIN_B_PID && self.st.my_contract.is_none() => {
+                self.st.my_contract = Some(id);
             }
-            HMsg::Claimed { preimage, .. } if from == CHAIN_B_PID && !self.claimed_a => {
+            HMsg::Claimed { preimage, .. } if from == CHAIN_B_PID && !self.st.claimed_a => {
                 // Alice revealed s: replay it on chain A.
-                if let Some(their) = self.their_contract {
-                    self.claimed_a = true;
+                if let Some(their) = self.st.their_contract {
+                    self.st.claimed_a = true;
                     ctx.send(
                         CHAIN_A_PID,
                         HMsg::Claim {
@@ -445,8 +425,8 @@ impl Process<HMsg> for SwapResponder {
                     ctx.mark("bob_claimed_a", their as i64);
                 }
             }
-            HMsg::Claimed { .. } if from == CHAIN_A_PID && self.claimed_a && !self.done => {
-                self.done = true;
+            HMsg::Claimed { .. } if from == CHAIN_A_PID && self.st.claimed_a && !self.st.done => {
+                self.st.done = true;
                 ctx.mark("bob_swap_done", 0);
                 ctx.halt();
             }
@@ -455,8 +435,8 @@ impl Process<HMsg> for SwapResponder {
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
-        if id == TIMER_RECLAIM && !self.done && !self.claimed_a {
-            if let Some(cid) = self.my_contract {
+        if id == TIMER_RECLAIM && !self.st.done && !self.st.claimed_a {
+            if let Some(cid) = self.st.my_contract {
                 ctx.send(CHAIN_B_PID, HMsg::Reclaim { id: cid });
                 ctx.mark("bob_reclaimed", cid as i64);
             }
@@ -465,19 +445,8 @@ impl Process<HMsg> for SwapResponder {
         }
     }
 
-    /// His offer, timelock and behaviour are wiring (the pending reclaim is
-    /// a queued timer); his progress is state.
     fn fp_digest(&self) -> u64 {
-        let SwapResponder {
-            offer: _,
-            timelock_b: _,
-            my_contract,
-            their_contract,
-            claimed_a,
-            done,
-            participate: _,
-        } = self;
-        fingerprint(&(my_contract, their_contract, claimed_a, done))
+        fingerprint(&self.st)
     }
 }
 

@@ -32,10 +32,17 @@ const DEADLINE_TIMER: TimerId = 99;
 pub struct DeadlineTm {
     signer: Signer,
     pki: Arc<Pki>,
-    evidence: Evidence,
     participants: Vec<Pid>,
-    /// Local-clock deadline for the complete evidence.
+    /// Local-clock deadline for the complete evidence (the pending deadline
+    /// is a queued timer).
     deadline: SimDuration,
+    st: DeadlineTmState,
+}
+
+/// The evidence and the decision; the rest of [`DeadlineTm`] is setup.
+#[derive(Debug, Clone, Hash)]
+struct DeadlineTmState {
+    evidence: Evidence,
     decided: Option<Verdict>,
 }
 
@@ -48,24 +55,26 @@ impl DeadlineTm {
         DeadlineTm {
             signer: setup.tm_signer(0).clone(),
             pki: setup.pki.clone(),
-            evidence: setup.evidence(),
             participants: setup.participant_pids(),
             deadline,
-            decided: None,
+            st: DeadlineTmState {
+                evidence: setup.evidence(),
+                decided: None,
+            },
         }
     }
 
     /// The decision, if made.
     pub fn decided(&self) -> Option<Verdict> {
-        self.decided
+        self.st.decided
     }
 
     fn decide(&mut self, v: Verdict, ctx: &mut Ctx<PMsg>) {
-        if self.decided.is_some() {
+        if self.st.decided.is_some() {
             return;
         }
-        self.decided = Some(v);
-        let cert = DecisionCert::issue_single(&self.signer, self.evidence.payment(), v);
+        self.st.decided = Some(v);
+        let cert = DecisionCert::issue_single(&self.signer, self.st.evidence.payment(), v);
         ctx.mark(
             match v {
                 Verdict::Commit => "atomic_tm_commit",
@@ -87,11 +96,11 @@ impl Process<PMsg> for DeadlineTm {
 
     fn on_message(&mut self, _from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
         match msg {
-            PMsg::TmInput(input) => self.evidence.ingest_input(&input, &self.pki),
-            PMsg::Accept(chi) => self.evidence.ingest_accept(&chi, &self.pki),
+            PMsg::TmInput(input) => self.st.evidence.ingest_input(&input, &self.pki),
+            PMsg::Accept(chi) => self.st.evidence.ingest_accept(&chi, &self.pki),
             _ => return,
         }
-        if self.evidence.commit_ready() {
+        if self.st.evidence.commit_ready() {
             self.decide(Verdict::Commit, ctx);
         }
     }
@@ -103,19 +112,8 @@ impl Process<PMsg> for DeadlineTm {
         }
     }
 
-    /// The signer, key registry, participants and deadline are wiring (the
-    /// pending deadline is a queued timer); the evidence and the decision
-    /// are state.
     fn fp_digest(&self) -> u64 {
-        let DeadlineTm {
-            signer: _,
-            pki: _,
-            evidence,
-            participants: _,
-            deadline: _,
-            decided,
-        } = self;
-        fingerprint(&(evidence, decided.map(|v| v == Verdict::Commit)))
+        fingerprint(&self.st)
     }
 }
 

@@ -12,6 +12,7 @@
 //! decision history* — the only property the paper's argument needs from a
 //! blockchain.
 
+use std::hash::{Hash, Hasher};
 use xcrypto::sha256::{sha256_concat, Digest};
 
 /// One entry of the chain.
@@ -35,6 +36,15 @@ fn entry_hash(index: u64, prev_hash: &Digest, payload: &[u8]) -> Digest {
 #[derive(Debug, Clone, Default)]
 pub struct SimChain {
     entries: Vec<ChainEntry>,
+}
+
+/// A chain is hashed through its length and head hash: the head commits
+/// to every entry.
+impl Hash for SimChain {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        state.write(&self.head().unwrap_or_default());
+    }
 }
 
 impl SimChain {

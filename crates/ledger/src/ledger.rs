@@ -16,6 +16,7 @@
 
 use crate::asset::{Asset, CurrencyId};
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use xcrypto::KeyId;
 
 /// Identifies an escrow deal within one ledger.
@@ -51,7 +52,8 @@ pub struct EscrowDeal {
 }
 
 /// Everything that mutates a ledger is recorded here, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum AuditEntry {
     /// A new account was opened.
     OpenAccount {
@@ -95,36 +97,6 @@ pub enum AuditEntry {
         /// The deal matrix / escrow deal id, per context.
         deal: DealId,
     },
-}
-
-impl AuditEntry {
-    /// The entry as one flat tuple — variant tag, deal id, first and second
-    /// key, currency, amount, with 0 where the variant has no such field —
-    /// so a book can be hashed entry by entry without knowing the variants.
-    pub fn fields(&self) -> (u8, u64, u32, u32, u32, u64) {
-        match *self {
-            AuditEntry::OpenAccount { owner } => (0, 0, owner.0, 0, 0, 0),
-            AuditEntry::Mint { to, asset } => (1, 0, to.0, 0, asset.currency.0, asset.amount),
-            AuditEntry::Transfer { from, to, asset } => {
-                (2, 0, from.0, to.0, asset.currency.0, asset.amount)
-            }
-            AuditEntry::Lock {
-                deal,
-                depositor,
-                beneficiary,
-                asset,
-            } => (
-                3,
-                deal.0,
-                depositor.0,
-                beneficiary.0,
-                asset.currency.0,
-                asset.amount,
-            ),
-            AuditEntry::Release { deal } => (4, deal.0, 0, 0, 0, 0),
-            AuditEntry::Refund { deal } => (5, deal.0, 0, 0, 0, 0),
-        }
-    }
 }
 
 /// Ledger operation errors. The protocols treat these as *refusals* — an
@@ -181,6 +153,14 @@ pub struct Ledger {
     log: Vec<AuditEntry>,
     /// Total ever minted per currency (the conservation baseline).
     minted: BTreeMap<CurrencyId, u64>,
+}
+
+/// A book is hashed through its audit log: the log records every mutation
+/// in order, so equal logs mean equal books.
+impl Hash for Ledger {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.log.hash(state);
+    }
 }
 
 impl Ledger {

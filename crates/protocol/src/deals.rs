@@ -169,7 +169,7 @@ impl ProtocolHarness for DealsHarness {
                 .trace()
                 .marks("arc_escrowed")
                 .any(|(_, _, _, v)| v == k as i64);
-            match escrow.settled {
+            match escrow.settled() {
                 Some(true) => any_released = true,
                 Some(false) => {
                     if escrowed {

@@ -81,11 +81,13 @@ row 'too_many_arguments' 'crates/core crates/consensus' '' \
 row '\b(Fig2Params|DecisionLog|SilentNotary)\b' crates '' \
     "deleted: Fig2Params (use ChainSetup), DecisionLog (CC is WeakOutcome::cc_ok), SilentNotary (use InertProcess)"
 
-# Explorer states are hashed by their fields, and an oracle draw is an
-# option count and nothing else. Sleep sets, which need to know which
+# Explorer states are hashed through std::hash::Hash, and an oracle draw
+# is an option count and nothing else. Sleep sets, which need to know which
 # process a choice touches, bring a tag back with the code that reads it.
 row 'debug_digest' crates '' \
-    "hash fields through anta::fingerprint::Fingerprint instead"
+    "derive Hash on the value (a process: on its …State struct) and feed it to anta::fingerprint::Fnv64 instead"
+row '\bFingerprint\b|fingerprint_(seq|cert|sigs|keys|book)|receipt_fields' "$code" '' \
+    "deleted: the Fingerprint trait and its field-by-field helpers; derive Hash and hash through anta::fingerprint::fingerprint"
 row 'ChoiceTag|ChoiceKind|choose_for|set_fingerprint_probe|was_deduped' crates '' \
     "draw with Oracle::choose and probe through Engine::run_probed"
 

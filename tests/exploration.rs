@@ -6,7 +6,7 @@ use crosschain::anta::engine::{Engine, EngineConfig};
 use crosschain::anta::explore::{
     explore, explore_parallel, replay, replay_pruned, ExploreConfig, ExploreMode, ExploreReport,
 };
-use crosschain::anta::fingerprint::fingerprint;
+use crosschain::anta::fingerprint::{fingerprint, Fnv64};
 use crosschain::anta::net::SyncNet;
 use crosschain::anta::oracle::Oracle;
 use crosschain::anta::process::{Ctx, Pid, Process, TimerId};
@@ -21,6 +21,7 @@ use crosschain::payment::{SyncParams, ValuePlan};
 use crosschain::telemetry::NullSink;
 use crosschain::xcrypto::{DecisionCert, KeyId, PaymentId, Receipt, Signature, Verdict};
 use proptest::prelude::*;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 #[test]
@@ -397,7 +398,8 @@ fn pmsg_from(kind: u8, f: (u8, u8, u8, u8)) -> PMsg {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Message fingerprints distinguish exactly what `==` distinguishes.
+    /// A message's `Hash`, fed into the explorer's `Fnv64`, distinguishes
+    /// exactly what `==` distinguishes.
     /// The second message is the first with at most one field or the kind
     /// redrawn from a domain of three, so equal pairs and pairs one field
     /// apart both occur often.
@@ -416,7 +418,12 @@ proptest! {
             i => g[i] = v,
         }
         let b = pmsg_from(kind_b, (g[0], g[1], g[2], g[3]));
-        prop_assert_eq!(a == b, fingerprint(&a) == fingerprint(&b), "{:?} vs {:?}", a, b);
+        let fnv = |m: &PMsg| {
+            let mut h = Fnv64::new();
+            m.hash(&mut h);
+            h.finish()
+        };
+        prop_assert_eq!(a == b, fnv(&a) == fnv(&b), "{:?} vs {:?}", a, b);
     }
 }
 
