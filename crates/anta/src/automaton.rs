@@ -451,11 +451,6 @@ impl<M: Message> AutomatonProcess<M> {
         &self.st.store
     }
 
-    /// True once a terminal state (no outgoing transitions) was reached.
-    pub fn is_terminal(&self) -> bool {
-        self.st.halted
-    }
-
     fn fire(&mut self, idx: usize, now: SimTime, msg: Option<&M>, ctx: &mut Ctx<M>) {
         let t = self.spec.transitions[idx].clone();
         if let Some(assign) = &t.assign {
@@ -653,7 +648,10 @@ mod tests {
         let (eng, req, rsp) = run_pair(SimDuration::from_ticks(10), SimDuration::from_ticks(1_000));
         let r = eng.process_as::<AutomatonProcess<TMsg>>(req).unwrap();
         assert_eq!(r.state_name(), "done");
-        assert!(r.is_terminal());
+        assert!(
+            eng.trace().halt_time(req).is_some(),
+            "a terminal state halts"
+        );
         let s = eng.process_as::<AutomatonProcess<TMsg>>(rsp).unwrap();
         assert_eq!(s.state_name(), "done");
     }

@@ -113,12 +113,6 @@ impl DriftClock {
         Some(SimTime::ZERO + t)
     }
 
-    /// Converts a *local* duration to the longest real duration it can span
-    /// (slow clock ⇒ local deadline takes longer in real time).
-    pub fn real_duration_upper(&self, local: SimDuration) -> SimDuration {
-        local.scale_ceil(self.rate_den, self.rate_num)
-    }
-
     /// The clock's rate as (numerator, denominator).
     pub fn rate(&self) -> (u64, u64) {
         (self.rate_num, self.rate_den)
@@ -205,11 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn real_duration_upper_is_pessimistic() {
+    fn slow_clock_reaches_a_local_deadline_late() {
         let slow = DriftClock::slowest(100_000); // -10%: local d takes d/0.9 real
-        let local = SimDuration::from_ticks(900_000);
-        let real = slow.real_duration_upper(local);
-        assert_eq!(real, SimDuration::from_ticks(1_000_000));
+        let local = SimTime::from_ticks(900_000);
+        assert_eq!(
+            slow.real_when_local(local),
+            Some(SimTime::from_ticks(1_000_000))
+        );
     }
 
     proptest! {

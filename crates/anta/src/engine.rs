@@ -230,11 +230,6 @@ impl<M: Message> Engine<M> {
         (*self.procs[pid].proc).as_any().downcast_ref::<T>()
     }
 
-    /// Whether `pid` has halted.
-    pub fn is_halted(&self, pid: Pid) -> bool {
-        self.procs[pid].halted
-    }
-
     /// The trace recorded so far.
     pub fn trace(&self) -> &Trace<M> {
         &self.trace
@@ -1029,7 +1024,7 @@ mod tests {
         let quitter = eng.add_process(Box::new(QuitsEarly::default()), DriftClock::perfect());
         eng.add_process(Box::new(Sender), DriftClock::perfect());
         eng.run();
-        assert!(eng.is_halted(quitter));
+        assert!(eng.trace().halt_time(quitter).is_some());
         assert!(
             !eng.process_as::<QuitsEarly>(quitter)
                 .unwrap()

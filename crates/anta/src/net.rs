@@ -126,13 +126,6 @@ pub enum PreGstPolicy {
         /// Delay quantisation (1 means always the maximum).
         buckets: usize,
     },
-    /// Delay only messages between the given ordered pairs to the maximum;
-    /// everything else behaves synchronously. Used for targeted partition
-    /// witnesses (e.g. "cut Bob off until GST").
-    TargetPairs {
-        /// Directed (from, to) pairs the adversary targets.
-        pairs: Vec<(Pid, Pid)>,
-    },
 }
 
 /// Partially synchronous network in the DLS "unknown GST" formulation:
@@ -170,16 +163,6 @@ impl PartialSyncNet {
         }
     }
 
-    /// Targeted partition of specific directed pairs until GST.
-    pub fn partition(gst: SimTime, delta: SimDuration, pairs: Vec<(Pid, Pid)>) -> Self {
-        PartialSyncNet {
-            gst,
-            delta,
-            policy: PreGstPolicy::TargetPairs { pairs },
-            buckets: 1,
-        }
-    }
-
     /// The DLS delivery deadline for a message sent at `t`.
     pub fn deadline(&self, sent_at: SimTime) -> SimTime {
         sent_at.max(self.gst) + self.delta
@@ -199,14 +182,6 @@ impl<M: 'static> NetModel<M> for PartialSyncNet {
             PreGstPolicy::Quantised { buckets } => {
                 let span = deadline - meta.sent_at;
                 meta.sent_at + quantised_delay(SimDuration::ZERO, span, *buckets, oracle)
-            }
-            PreGstPolicy::TargetPairs { pairs } => {
-                if pairs.contains(&(meta.from, meta.to)) {
-                    deadline
-                } else {
-                    let d = quantised_delay(SimDuration::ZERO, self.delta, self.buckets, oracle);
-                    meta.sent_at + d
-                }
             }
         };
         Delivery::At(at)
@@ -228,21 +203,6 @@ impl<M> AdversarialNet<M> {
         AdversarialNet {
             rule: Box::new(rule),
         }
-    }
-
-    /// Drops every message matching `pred`; the rest behave synchronously
-    /// with bound `delta`.
-    pub fn dropping(
-        delta: SimDuration,
-        pred: impl Fn(&EnvelopeMeta, &M) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        Self::new(move |meta, msg, _o| {
-            if pred(meta, msg) {
-                Delivery::Never
-            } else {
-                Delivery::At(meta.sent_at + delta)
-            }
-        })
     }
 
     /// Delays every message matching `pred` by `extra` beyond `delta`.
@@ -469,36 +429,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn partial_sync_partition_targets_only_pairs() {
-        let gst = SimTime::from_ticks(1_000);
-        let delta = SimDuration::from_ticks(10);
-        let mut net = PartialSyncNet::partition(gst, delta, vec![(0, 1)]);
-        let mut o = RandomOracle::seeded(4);
-        // Targeted pair: held until GST + δ.
-        match NetModel::<u32>::route(&mut net, &meta(0), &0u32, &mut o) {
-            Delivery::At(t) => assert_eq!(t, SimTime::from_ticks(1_010)),
-            _ => unreachable!(),
-        }
-        // Other direction: prompt.
-        let back = EnvelopeMeta {
-            from: 1,
-            to: 0,
-            sent_at: SimTime::ZERO,
-            seq: 1,
-        };
-        match NetModel::<u32>::route(&mut net, &back, &0u32, &mut o) {
-            Delivery::At(t) => assert!(t <= SimTime::from_ticks(10)),
-            _ => unreachable!(),
-        }
+    /// Drops every message to pid 9; the rest arrive after 5 ticks.
+    fn drop_to_9() -> AdversarialNet<u32> {
+        AdversarialNet::new(|m: &EnvelopeMeta, _: &u32, _o| {
+            if m.to == 9 {
+                Delivery::Never
+            } else {
+                Delivery::At(m.sent_at + SimDuration::from_ticks(5))
+            }
+        })
     }
 
     #[test]
     fn adversarial_drop_and_delay() {
-        let mut dropper =
-            AdversarialNet::dropping(SimDuration::from_ticks(5), |m: &EnvelopeMeta, _: &u32| {
-                m.to == 9
-            });
+        let mut dropper = drop_to_9();
         let mut o = RandomOracle::seeded(5);
         let victim = EnvelopeMeta {
             from: 0,
@@ -616,10 +560,7 @@ mod tests {
             extra_delay: SimDuration::from_ticks(9),
             ..NetFaults::NONE
         };
-        let inner =
-            AdversarialNet::dropping(SimDuration::from_ticks(5), |m: &EnvelopeMeta, _: &u32| {
-                m.to == 9
-            });
+        let inner = drop_to_9();
         let mut net = FaultyNet::new(Box::new(inner), faults);
         let mut o = RandomOracle::seeded(5);
         let victim = EnvelopeMeta {

@@ -4,7 +4,7 @@
 //! patience for χ) and `d_i` (its resolution guarantee to the upstream
 //! customer) as parameters and defers their calculation to the full paper.
 //! This module reconstructs that calculation from the synchrony model
-//! (DESIGN.md §4 derives the inequalities):
+//! (the bullets below derive the inequalities):
 //!
 //! * `δ` — maximum message delay; `σ` — maximum grey-state computation
 //!   time; `ρ` — clock-rate drift bound; `h = δ + σ` is one hop.
@@ -77,12 +77,6 @@ impl SyncParams {
     /// deadlines).
     pub fn inflate(&self, d: SimDuration) -> SimDuration {
         d.scale_ceil(PPM + self.rho_ppm, PPM)
-    }
-
-    /// Scales a duration by `1/(1+ρ)`, rounding down (pessimistic for
-    /// budgets).
-    pub fn deflate(&self, d: SimDuration) -> SimDuration {
-        d.scale_floor(PPM, PPM + self.rho_ppm)
     }
 }
 
@@ -264,15 +258,16 @@ mod tests {
     }
 
     #[test]
-    fn inflate_deflate_are_pessimistic_inverses() {
+    fn inflate_scales_by_one_plus_rho_rounding_up() {
         let p = params(10, 1, 50_000); // 5% drift
-        let d = SimDuration::from_millis(100);
-        let up = p.inflate(d);
-        assert!(up >= d);
-        let down = p.deflate(up);
-        assert!(down <= up);
-        // deflate(inflate(d)) ≥ d − 1 tick (rounding).
-        assert!(down.ticks() + 1 >= d.ticks());
+        assert_eq!(
+            p.inflate(SimDuration::from_millis(100)),
+            SimDuration::from_millis(105)
+        );
+        assert_eq!(
+            p.inflate(SimDuration::from_ticks(1)),
+            SimDuration::from_ticks(2)
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Customers and escrows of the weak-liveness protocol (Theorem 3).
 //!
-//! Protocol shape (reconstructed from §3's description; DESIGN.md §5):
+//! Protocol shape (reconstructed from §3's description):
 //!
 //! 1. every customer *may wait as long as she likes* (her patience) before
 //!    staging money: Alice and each Chloe eventually lock their hop's value

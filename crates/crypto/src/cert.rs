@@ -48,11 +48,6 @@ impl PaymentId {
         }
         PaymentId(sha256(&w.finish()))
     }
-
-    /// Short printable prefix for logs.
-    pub fn short(&self) -> String {
-        crate::sha256::to_hex(&self.0[..4])
-    }
 }
 
 /// χ — Bob's signed statement that Alice's obligation to him is met.

@@ -76,7 +76,7 @@ pub type FlagTable = [&'static [Flag]];
 /// The flags every grid binary takes; the default `--seed` is the one
 /// value that differs between them.
 #[rustfmt::skip]
-pub const fn common(default_seed: u64) -> [Flag; 7] {
+pub const fn common(default_seed: u64) -> [Flag; 6] {
     [
         Flag::new("--quick", Kind::Bool, "shrink the sweep to CI-smoke size"),
         Flag::new("--threads", Kind::size(Some(0), 0), "worker threads (0 = all cores); never changes a report"),
@@ -84,7 +84,6 @@ pub const fn common(default_seed: u64) -> [Flag; 7] {
         Flag::new("--payments", Kind::size(Some(0), 0), "payments per grid cell (0 = the mode's default)"),
         Flag::new("--json", Kind::Str, "write the machine-readable artifact to this file"),
         Flag::new("--telemetry", Kind::Str, "write the JSONL telemetry stream to this file"),
-        Flag::new("--telemetry-interval", Kind::int(Some(1), 1), "campaign mode: emit epoch events every N epochs"),
     ]
 }
 
@@ -121,14 +120,14 @@ pub const EXP4: &FlagTable = &[&[
 ]];
 
 /// The sweeps that take one optional positional seed count
-/// (`exp1`, `exp3`, `exp5`, `exp6`, `expall`).
+/// (`exp1`, `exp3`, `exp5`, `exp6`).
 pub const SEEDS: &FlagTable = &[&[Flag::new(
     "SEEDS",
     Kind::int(None, 1),
     "seeds per sweep point",
 )]];
 
-/// The binaries that take no arguments (`exp2`, `exp7`, `expperf`).
+/// The binaries that take no arguments (`exp2`, `exp7`).
 pub const NO_FLAGS: &FlagTable = &[];
 
 /// Why a command line was refused: one line naming the flag and the

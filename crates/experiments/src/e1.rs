@@ -38,6 +38,8 @@ pub struct E1Cell {
     /// Alice's termination time as a fraction of the a-priori bound
     /// (ticks of measured / ticks of bound, sampled per run, ×1000).
     pub bound_usage_permille: Summary,
+    /// Messages sent per run (`Trace::sent_count`).
+    pub messages: Summary,
 }
 
 /// Runs one cell.
@@ -50,6 +52,7 @@ pub fn run_cell(p: &E1Params) -> E1Cell {
     let mut success = Rate::default();
     let mut props_ok = Rate::default();
     let mut usage = Vec::with_capacity(p.seeds as usize);
+    let mut messages = Vec::with_capacity(p.seeds as usize);
     for seed in 0..p.seeds {
         let mut eng = setup.build_engine(
             Box::new(SyncNet::new(params.delta, 64)),
@@ -57,6 +60,7 @@ pub fn run_cell(p: &E1Params) -> E1Cell {
             ClockPlan::Sampled { seed },
         );
         let report = eng.run();
+        messages.push(eng.trace().sent_count() as u64);
         let outcome = ChainOutcome::extract(&eng, &setup, report.quiescent);
         success.record(outcome.bob_paid());
         let verdicts = check_definition1(&outcome, &setup, &Compliance::all_compliant());
@@ -73,6 +77,7 @@ pub fn run_cell(p: &E1Params) -> E1Cell {
         success,
         props_ok,
         bound_usage_permille: Summary::of(&usage).expect("alice always engages"),
+        messages: Summary::of(&messages).expect("at least one seed"),
     }
 }
 
@@ -102,7 +107,7 @@ impl E1Report {
         })
     }
 
-    /// Renders the table EXPERIMENTS.md records.
+    /// Renders the E1 table and its claim line.
     pub fn render(&self) -> String {
         let mut t = Table::new(
             "E1 — Theorem 1: time-bounded protocol under synchrony",
@@ -113,6 +118,7 @@ impl E1Report {
                 "Bob paid",
                 "Def.1 holds",
                 "T-bound use p50/p99/max (‰)",
+                "msgs",
             ],
         );
         for c in &self.cells {
@@ -128,6 +134,10 @@ impl E1Report {
                     c.bound_usage_permille.p99,
                     c.bound_usage_permille.max
                 ),
+                match (c.messages.min, c.messages.max) {
+                    (lo, hi) if lo == hi => lo.to_string(),
+                    (lo, hi) => format!("{lo}–{hi}"),
+                },
             ]);
         }
         format!(

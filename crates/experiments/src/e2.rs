@@ -18,34 +18,10 @@ use payment::impossibility::{
     indistinguishability_pair, no_timeout_never_terminates, WitnessReport,
 };
 
-/// One row of the violation matrix.
-#[derive(Debug, Clone)]
-pub struct ViolationRow {
-    /// Which candidate protocol was attacked.
-    pub candidate: &'static str,
-    /// Which property the attack targets.
-    pub violated: &'static str,
-    /// Whether the run actually broke that property.
-    pub witnessed: bool,
-    /// Human-readable account of the witness run.
-    pub description: String,
-}
-
-impl From<WitnessReport> for ViolationRow {
-    fn from(w: WitnessReport) -> Self {
-        ViolationRow {
-            candidate: w.candidate,
-            violated: w.violated,
-            witnessed: w.witnessed,
-            description: w.description,
-        }
-    }
-}
-
 /// Attacks the HLS timelock deal protocol under partial synchrony (vote
 /// delayed to one escrow) — its Safety falls, completing the matrix with
 /// a non-payment candidate.
-pub fn timelock_deal_violation() -> ViolationRow {
+pub fn timelock_deal_violation() -> WitnessReport {
     timelock_deal_witness(|inst| {
         let target = inst.escrow_pid(1);
         Box::new(AdversarialNet::new(
@@ -76,10 +52,10 @@ fn synchronous(_: &DealInstance) -> Box<dyn NetModel<DMsg>> {
 /// payoff.
 fn timelock_deal_witness(
     net: impl FnOnce(&DealInstance) -> Box<dyn NetModel<DMsg>>,
-) -> ViolationRow {
+) -> WitnessReport {
     let (inst, outcome) = run_timelock_deal(net);
     let victim = (0..2).find(|&p| !outcome.acceptable_for(&inst.deal, p));
-    ViolationRow {
+    WitnessReport {
         candidate: "HLS timelock commit (deal protocol)",
         violated: "Safety [3]",
         witnessed: victim.is_some(),
@@ -122,7 +98,7 @@ fn run_timelock_deal(
 /// The full E2 report.
 pub struct E2Report {
     /// The violation matrix rows.
-    pub rows: Vec<ViolationRow>,
+    pub rows: Vec<WitnessReport>,
     /// Both halves of the indistinguishability argument checked out.
     pub indistinguishability_ok: bool,
     /// The deciding escrow's identical view in both runs.
@@ -132,9 +108,9 @@ pub struct E2Report {
 /// Runs every witness.
 pub fn run() -> E2Report {
     let rows = vec![
-        cs2_violation_under_partial_synchrony(2, 100).into(),
-        cs3_violation_under_partial_synchrony(3, 100).into(),
-        no_timeout_never_terminates(2, 100).into(),
+        cs2_violation_under_partial_synchrony(2, 100),
+        cs3_violation_under_partial_synchrony(3, 100),
+        no_timeout_never_terminates(2, 100),
         timelock_deal_violation(),
     ];
     let w = indistinguishability_pair(2, 100);

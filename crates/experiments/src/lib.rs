@@ -2,7 +2,8 @@
 //!
 //! The brief announcement contains two figures, three theorems, and two
 //! implicit comparison tables (§1's baseline criticisms and §5's property
-//! correspondence). Each has an experiment here (DESIGN.md §6 maps them):
+//! correspondence). Each has an experiment here (README "Quickstart" runs
+//! them all):
 //!
 //! | id | artefact | module |
 //! |----|----------|--------|
@@ -13,12 +14,12 @@
 //! | E5 | §1 baselines (drift sweep vs \[4\]; HTLC griefing) | [`e5`] |
 //! | E6 | timeout-calculus ablation ("d_i calculated in \[5\]") | [`e6`] |
 //! | E7 | §5 relation with cross-chain deals \[3\] | [`e7`] |
-//! | P  | engineering performance | [`perf`] |
 //! | E8–E11 | Monte-Carlo traffic, protocol comparison, liquidity, routing | `xchain-sim` (binaries `exp8`…`exp11`) |
 //!
-//! Binaries `exp1`…`exp7`, `expperf` and `expall` print the tables that
-//! EXPERIMENTS.md records (E8–E11 live in the `xchain-sim` crate, which
-//! builds on this one). Every experiment binary of the workspace parses
+//! Binaries `exp1`…`exp7` print the experiments' tables and exit 1 when a
+//! claim line reads `NO` (E8–E11 live in the `xchain-sim` crate, which
+//! builds on this one). [`perf`] holds the engine workload the repo
+//! benchmark times. Every experiment binary of the workspace parses
 //! its command line against a declared flag table and reports its exit
 //! criteria through one ledger — both in [`cli`]. Sweeps parallelise over
 //! seeds/parameters with crossbeam scoped threads ([`sweep`]; re-exported

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the experiment reports.
 //!
-//! No dependencies: experiments print exactly the rows EXPERIMENTS.md
-//! records.
+//! No dependencies: every experiment binary prints its report through
+//! this one renderer.
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]

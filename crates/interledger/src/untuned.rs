@@ -25,15 +25,6 @@ pub fn untuned_schedule(n: usize, p: &SyncParams) -> TimeoutSchedule {
     TimeoutSchedule::derive(n, &naive)
 }
 
-/// How much shorter the un-tuned deadlines are than the drift-safe ones:
-/// `(tuned_a0 − untuned_a0)` in ticks — the calibration gap the paper's
-/// fine-tuning adds back.
-pub fn tuning_gap(n: usize, p: &SyncParams) -> SimDuration {
-    let tuned = TimeoutSchedule::derive(n, p);
-    let untuned = untuned_schedule(n, p);
-    SimDuration::from_ticks(tuned.a[0].ticks().saturating_sub(untuned.a[0].ticks()))
-}
-
 /// The smallest drift (ppm) at which the un-tuned schedule for `n` escrows
 /// stops satisfying the chaining inequality — a closed-form predictor for
 /// where E5's empirical failures begin.
@@ -147,6 +138,9 @@ mod tests {
 
     #[test]
     fn tuning_gap_grows_with_chain_length_and_drift() {
+        // How much shorter the un-tuned a_0 is than the drift-safe one.
+        let tuning_gap =
+            |n, p: &SyncParams| TimeoutSchedule::derive(n, p).a[0] - untuned_schedule(n, p).a[0];
         let p = SyncParams::baseline();
         let g2 = tuning_gap(2, &p);
         let g6 = tuning_gap(6, &p);

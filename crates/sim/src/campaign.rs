@@ -674,7 +674,7 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
     /// completed (0-based) — the programmatic stand-in for a kill between
     /// epochs, used by the resume smoke tests.
     ///
-    /// [`run_to_end_with_telemetry`] with a [`NullSink`], every epoch.
+    /// [`run_to_end_with_telemetry`] with a [`NullSink`].
     ///
     /// [`run_to_end_with_telemetry`]: Self::run_to_end_with_telemetry
     pub fn run_to_end<F: FnMut(&EpochEvent)>(
@@ -683,17 +683,16 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         stop_after_epoch: Option<u64>,
         progress: F,
     ) -> io::Result<()> {
-        self.run_to_end_with_telemetry(checkpoint, stop_after_epoch, &mut NullSink, 1, progress)
+        self.run_to_end_with_telemetry(checkpoint, stop_after_epoch, &mut NullSink, progress)
     }
 
     /// [`run_to_end`](Self::run_to_end) with a telemetry sink attached.
     ///
     /// After every epoch the runner builds an [`EpochEvent`] (throughput,
-    /// peak RSS, ETA) and hands it to `progress`; every `interval`-th
-    /// epoch (and always the last) the event with the cumulative outcome
+    /// peak RSS, ETA), emits it into `sink` with the cumulative outcome
     /// counters — plus, for open-system campaigns, the per-venue `venue` /
-    /// `venue_des` series scoped by `epoch` — is emitted into `sink`. When
-    /// the loop ends, the `phase_profile` event follows and the sink is
+    /// `venue_des` series scoped by `epoch` — and hands it to `progress`.
+    /// When the loop ends, the `phase_profile` event follows and the sink is
     /// flushed.
     ///
     /// The sink lives on this (orchestrating) thread only and every event
@@ -705,10 +704,8 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         checkpoint: Option<&Path>,
         stop_after_epoch: Option<u64>,
         sink: &mut dyn TelemetrySink,
-        interval: u64,
         mut progress: F,
     ) -> io::Result<()> {
-        let interval = interval.max(1);
         let mut wall_total = 0.0f64;
         let mut epochs_timed = 0u64;
         let epochs = self.cfg.epochs();
@@ -734,15 +731,12 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                 peak_rss_mb: peak_rss_mb(),
                 eta_s: (wall_total / epochs_timed as f64) * remaining as f64,
             };
-            let stopping = stop_after_epoch.is_some_and(|k| epoch >= k);
-            if (epoch + 1) % interval == 0 || self.is_done() || stopping {
-                sink.emit(&event.to_event(&self.tally));
-                if let Some(open) = &self.last_open {
-                    open.emit(&[("epoch", epoch)], sink);
-                }
+            sink.emit(&event.to_event(&self.tally));
+            if let Some(open) = &self.last_open {
+                open.emit(&[("epoch", epoch)], sink);
             }
             progress(&event);
-            if stopping {
+            if stop_after_epoch.is_some_and(|k| epoch >= k) {
                 break;
             }
         }

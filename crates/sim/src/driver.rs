@@ -53,10 +53,10 @@ const FAMILY: Flag = Flag::new(
     Kind::OneOf(&FAMILY_LABELS),
     "campaign mode: topology family",
 );
-const COMMON_E8: [Flag; 7] = common(0xE8);
-const COMMON_E9: [Flag; 7] = common(0xE9);
-const COMMON_E10: [Flag; 7] = common(0xE10);
-const COMMON_E11: [Flag; 7] = common(0xE11);
+const COMMON_E8: [Flag; 6] = common(0xE8);
+const COMMON_E9: [Flag; 6] = common(0xE9);
+const COMMON_E10: [Flag; 6] = common(0xE10);
+const COMMON_E11: [Flag; 6] = common(0xE11);
 
 /// `exp8`'s flags.
 pub const EXP8: &FlagTable = &[&COMMON_E8, cli::CAMPAIGN, cli::RSS_GATE, &[FAMILY]];
@@ -156,7 +156,6 @@ pub fn drive<H: ProtocolHarness>(
             checkpoint,
             args.opt_u64("--stop-after-epoch"),
             sink.as_mut(),
-            args.u64("--telemetry-interval"),
             |e| {
                 last_rss = e.peak_rss_mb;
                 eprintln!("{}", e.progress_line());

@@ -91,6 +91,13 @@ row '\bFingerprint\b|fingerprint_(seq|cert|sigs|keys|book)|receipt_fields' "$cod
 row 'ChoiceTag|ChoiceKind|choose_for|set_fingerprint_probe|was_deduped' crates '' \
     "draw with Oracle::choose and probe through Engine::run_probed"
 
+# The paper's message and event counts are exact tests
+# (tests/protocol_cost.rs) and E1's msgs column; E2's rows are
+# WitnessReports; campaigns emit an epoch event after every epoch.
+row '\b(expperf|expall|chain_cost|consensus_cost|PerfReport|ViolationRow|TargetPairs)\b|telemetry-interval' \
+    "$code .github" '' \
+    "deleted: expperf, expall and experiments::perf's tables (tests/protocol_cost.rs pins the counts), ViolationRow (use WitnessReport), PreGstPolicy::TargetPairs, --telemetry-interval"
+
 # Campaign checkpoints are telemetry events: one JSON codec reads
 # everything the repo writes and reads back.
 row '\bparse_payload\b' "$code" '' \

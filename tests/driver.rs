@@ -13,7 +13,7 @@ use crosschain::sim::prelude::*;
 use crosschain::telemetry::{Event, JsonObject};
 
 /// Every experiment binary and the table it parses its arguments with.
-const BINARIES: [(&str, &FlagTable); 13] = [
+const BINARIES: [(&str, &FlagTable); 11] = [
     ("exp1", cli::SEEDS),
     ("exp2", cli::NO_FLAGS),
     ("exp3", cli::SEEDS),
@@ -25,8 +25,6 @@ const BINARIES: [(&str, &FlagTable); 13] = [
     ("exp9", driver::EXP9),
     ("exp10", driver::EXP10),
     ("exp11", driver::EXP11),
-    ("expall", cli::SEEDS),
-    ("expperf", cli::NO_FLAGS),
 ];
 
 fn parse(table: &FlagTable, args: &[&str]) -> Result<cli::Parsed, cli::CliError> {

@@ -75,7 +75,7 @@ fn assert_sinks_do_not_perturb(make: &dyn Fn() -> CampaignConfig, tag: &str) -> 
     let expect = off.report();
 
     let mut null = CampaignRunner::new(TimeBoundedHarness, make());
-    null.run_to_end_with_telemetry(None, None, &mut NullSink, 1, |_| {})
+    null.run_to_end_with_telemetry(None, None, &mut NullSink, |_| {})
         .unwrap();
     assert_eq!(null.report().digest, expect.digest, "{tag}: NullSink");
     assert_eq!(null.report().tally, expect.tally);
@@ -84,7 +84,7 @@ fn assert_sinks_do_not_perturb(make: &dyn Fn() -> CampaignConfig, tag: &str) -> 
     let mut sink = JsonlSink::create(&file.0).unwrap();
     let mut jsonl = CampaignRunner::new(TimeBoundedHarness, make());
     jsonl
-        .run_to_end_with_telemetry(None, None, &mut sink, 1, |_| {})
+        .run_to_end_with_telemetry(None, None, &mut sink, |_| {})
         .unwrap();
     assert_eq!(sink.io_errors(), 0);
     drop(sink);
@@ -130,14 +130,14 @@ fn resumed_campaign_with_telemetry_is_bit_identical() {
         let mut ring = RingSink::new(64);
         let mut first = CampaignRunner::new(TimeBoundedHarness, closed_cfg(threads));
         first
-            .run_to_end_with_telemetry(Some(&ckpt.0), Some(1), &mut ring, 1, |_| {})
+            .run_to_end_with_telemetry(Some(&ckpt.0), Some(1), &mut ring, |_| {})
             .unwrap();
         drop(first); // the "kill": only the checkpoint survives
 
         let mut resumed =
             CampaignRunner::resume(TimeBoundedHarness, closed_cfg(threads), &ckpt.0).unwrap();
         resumed
-            .run_to_end_with_telemetry(Some(&ckpt.0), None, &mut ring, 1, |_| {})
+            .run_to_end_with_telemetry(Some(&ckpt.0), None, &mut ring, |_| {})
             .unwrap();
         assert_eq!(resumed.report().digest, expect.digest, "threads {threads}");
         assert_eq!(resumed.report().tally, expect.tally);
@@ -155,7 +155,7 @@ fn open_campaign_emits_venue_series_and_epoch_counters() {
     let mut sink = JsonlSink::create(&file.0).unwrap();
     let mut runner = CampaignRunner::new(TimeBoundedHarness, open_cfg(2));
     runner
-        .run_to_end_with_telemetry(None, None, &mut sink, 1, |_| {})
+        .run_to_end_with_telemetry(None, None, &mut sink, |_| {})
         .unwrap();
     drop(sink);
     let report = runner.report();
@@ -192,7 +192,7 @@ fn jsonl_schema_round_trips_exactly() {
     let mut sink = JsonlSink::create(&file.0).unwrap();
     let mut runner = CampaignRunner::new(TimeBoundedHarness, open_cfg(1));
     runner
-        .run_to_end_with_telemetry(None, None, &mut sink, 1, |_| {})
+        .run_to_end_with_telemetry(None, None, &mut sink, |_| {})
         .unwrap();
     drop(sink);
 
@@ -217,7 +217,7 @@ fn campaign_stream() -> Vec<u8> {
     let mut sink = JsonlSink::create(&file.0).unwrap();
     let mut runner = CampaignRunner::new(TimeBoundedHarness, open_cfg(1));
     runner
-        .run_to_end_with_telemetry(None, None, &mut sink, 1, |_| {})
+        .run_to_end_with_telemetry(None, None, &mut sink, |_| {})
         .unwrap();
     drop(sink);
     std::fs::read(&file.0).unwrap()
