@@ -115,7 +115,7 @@ pub mod prelude {
     pub use crate::fingerprint::{fingerprint, Fnv64, Stamp};
     pub use crate::net::{
         AdversarialNet, Delivery, EnvelopeMeta, FaultyNet, NetFaults, NetModel, PartialSyncNet,
-        PreGstPolicy, SyncNet,
+        SyncNet,
     };
     pub use crate::oracle::{FixedOracle, Oracle, RandomOracle, ReplayOracle};
     pub use crate::process::{Ctx, Effect, Message, Pid, Process, TimerId};

@@ -115,42 +115,26 @@ impl<M: 'static> NetModel<M> for SyncNet {
     }
 }
 
-/// What the adversary does with a message sent before GST.
-#[derive(Debug, Clone)]
-pub enum PreGstPolicy {
-    /// Hold every pre-GST message until the last permitted moment
-    /// (`max(sent, GST) + δ`) — the canonical DLS adversary.
-    MaxDelay,
-    /// Choose a delay bucket in `[0, (GST − sent) + δ]` per message.
-    Quantised {
-        /// Delay quantisation (1 means always the maximum).
-        buckets: usize,
-    },
-}
-
 /// Partially synchronous network in the DLS "unknown GST" formulation:
 /// a message sent at `t` is delivered no later than `max(t, GST) + δ`.
+/// Its delay is a bucket of `[0, deadline − t]`: before GST the adversary
+/// holds a message up to GST + δ, after it the network is synchronous
+/// with bound δ.
 #[derive(Debug, Clone)]
 pub struct PartialSyncNet {
     /// Global Stabilisation Time: from here on, delays are bounded.
     pub gst: SimTime,
     /// Post-GST delivery bound.
     pub delta: SimDuration,
-    /// What the adversary does with pre-GST messages.
-    pub policy: PreGstPolicy,
-    /// Resolution for post-GST delays.
+    /// Delay quantisation (1 means always the deadline).
     pub buckets: usize,
 }
 
 impl PartialSyncNet {
-    /// Canonical worst-case adversary: everything pre-GST held to the limit.
+    /// Canonical worst-case adversary: every message held to its deadline
+    /// (the DLS adversary before GST, δ exactly after it).
     pub fn new(gst: SimTime, delta: SimDuration) -> Self {
-        PartialSyncNet {
-            gst,
-            delta,
-            policy: PreGstPolicy::MaxDelay,
-            buckets: 1,
-        }
+        Self::randomized(gst, delta, 1)
     }
 
     /// Randomised pre- and post-GST delays at the given resolution.
@@ -158,7 +142,6 @@ impl PartialSyncNet {
         PartialSyncNet {
             gst,
             delta,
-            policy: PreGstPolicy::Quantised { buckets },
             buckets,
         }
     }
@@ -171,20 +154,8 @@ impl PartialSyncNet {
 
 impl<M: 'static> NetModel<M> for PartialSyncNet {
     fn route(&mut self, meta: &EnvelopeMeta, _msg: &M, oracle: &mut dyn Oracle) -> Delivery {
-        let deadline = self.deadline(meta.sent_at);
-        if meta.sent_at >= self.gst {
-            // After GST the network is synchronous with bound δ.
-            let d = quantised_delay(SimDuration::ZERO, self.delta, self.buckets, oracle);
-            return Delivery::At(meta.sent_at + d);
-        }
-        let at = match &self.policy {
-            PreGstPolicy::MaxDelay => deadline,
-            PreGstPolicy::Quantised { buckets } => {
-                let span = deadline - meta.sent_at;
-                meta.sent_at + quantised_delay(SimDuration::ZERO, span, *buckets, oracle)
-            }
-        };
-        Delivery::At(at)
+        let span = self.deadline(meta.sent_at) - meta.sent_at;
+        Delivery::At(meta.sent_at + quantised_delay(SimDuration::ZERO, span, self.buckets, oracle))
     }
 }
 

@@ -51,7 +51,7 @@ pub enum Effect<M> {
     },
     /// Request `on_timer(id)` once the local clock reads ≥ `at_local`.
     SetTimer {
-        /// Identifier (contract/timer id, per context).
+        /// The timer's id, handed back to `on_timer`.
         id: TimerId,
         /// Local-clock deadline.
         at_local: SimTime,
@@ -62,7 +62,7 @@ pub enum Effect<M> {
     Mark {
         /// Static annotation label.
         label: &'static str,
-        /// Annotation value / voted value, per context.
+        /// The annotation's value.
         value: i64,
     },
 }

@@ -38,7 +38,7 @@ pub enum TraceMode {
 pub struct TraceEvent<M> {
     /// Real (global) simulation time of the event.
     pub real: SimTime,
-    /// The event payload / input kind, per context.
+    /// What happened.
     pub kind: TraceKind<M>,
 }
 
@@ -76,7 +76,7 @@ pub enum TraceKind<M> {
     TimerFired {
         /// The acting process.
         pid: Pid,
-        /// Identifier (contract/timer id, per context).
+        /// The timer's id.
         id: u64,
     },
     /// `pid` halted (terminated its protocol role).
@@ -94,7 +94,7 @@ pub enum TraceKind<M> {
         local: SimTime,
         /// Static annotation label.
         label: &'static str,
-        /// Annotation value / voted value, per context.
+        /// The annotation's value.
         value: i64,
     },
 }

@@ -17,10 +17,13 @@
 //!   `2f+1`; two quorums intersect in an honest notary, and re-proposals
 //!   must carry a verifiable proof-of-lock, so a decided value can never
 //!   lose its lock.
-//! * **Validity** — honest notaries only prevote values passing the
-//!   pluggable validity predicate, so only valid values can gather a
-//!   quorum (external validity, which is what the transaction manager
-//!   needs: χc only with all locks + Bob's acceptance in evidence).
+//! * **Validity** — the core itself accepts any authentic proposal whose
+//!   proof-of-lock, if attached, verifies and which its lock allows.
+//!   External validity (χc only with all locks + Bob's acceptance in
+//!   evidence) is enforced by the payment crate's `NotaryTm`: its gate
+//!   holds back every fresh proposal its evidence does not justify and
+//!   hands it to the core only once the evidence arrives, so an unjustified
+//!   value never gathers an honest prevote.
 //! * **Termination after GST** — timeouts grow linearly with the round
 //!   number, so once the network stabilises, the first honest leader's
 //!   round completes within its timeouts and every honest notary decides.
@@ -40,8 +43,8 @@ use std::sync::Arc;
 use xcrypto::{KeyId, Pki, Signature, Signer};
 
 /// Static configuration of one consensus instance.
-#[derive(Clone)]
-pub struct Config<V> {
+#[derive(Debug, Clone)]
+pub struct Config {
     /// Distinguishes concurrent instances (e.g. one per payment).
     pub instance: u64,
     /// Committee member keys, in index order. `members.len() = n ≥ 3f+1`.
@@ -50,26 +53,9 @@ pub struct Config<V> {
     pub f: usize,
     /// Base timeout unit; round `r` waits `(r+1)·base` per phase.
     pub base_timeout: SimDuration,
-    /// External validity predicate: honest notaries only prevote values
-    /// satisfying it.
-    pub validity: Arc<dyn Fn(&V) -> bool + Send + Sync>,
 }
 
-/// Manual impl: the external validity predicate is a closure and is elided
-/// — configuration is immutable, so nothing behaviour-relevant to the
-/// engine's fingerprinting contract is lost.
-impl<V> std::fmt::Debug for Config<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Config")
-            .field("instance", &self.instance)
-            .field("members", &self.members)
-            .field("f", &self.f)
-            .field("base_timeout", &self.base_timeout)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<V> Config<V> {
+impl Config {
     /// Quorum size `2f+1`.
     pub fn quorum(&self) -> usize {
         2 * self.f + 1
@@ -102,7 +88,7 @@ pub enum Output<V> {
     Decide {
         /// Consensus round number.
         round: u32,
-        /// Annotation value / voted value, per context.
+        /// The decided value.
         value: V,
         /// Justifying signatures.
         sigs: Vec<Signature>,
@@ -148,7 +134,7 @@ struct Lock<V> {
 /// run state, in `CoreState`.
 #[derive(Clone)]
 pub struct NotaryCore<V> {
-    cfg: Config<V>,
+    cfg: Config,
     signer: Signer,
     pki: Arc<Pki>,
     st: CoreState<V>,
@@ -159,7 +145,7 @@ struct CoreState<V> {
     input: V,
     round: u32,
     locked: Option<Lock<V>>,
-    /// Accepted proposal per round (leader-signed, validity-checked).
+    /// Accepted proposal per round (leader-signed, lock-consistent).
     proposals: Vec<(u32, V)>,
     prevotes: Vec<VoteRec<V>>,
     precommits: Vec<VoteRec<V>>,
@@ -169,9 +155,8 @@ struct CoreState<V> {
     decision_broadcast: bool,
 }
 
-/// Manual impl: `cfg`, `signer` and `pki` hold closures and secret keys,
-/// so only the run state is rendered — secrets must never reach a Debug
-/// rendering.
+/// Manual impl: `signer` holds a secret key, so only the run state is
+/// rendered — secrets must never reach a Debug rendering.
 impl<V: ConsensusValue> std::fmt::Debug for NotaryCore<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NotaryCore")
@@ -190,7 +175,7 @@ impl<V: Hash> Hash for NotaryCore<V> {
 impl<V: ConsensusValue> NotaryCore<V> {
     /// Creates a notary with the given input value (its vote if nothing is
     /// locked yet).
-    pub fn new(cfg: Config<V>, signer: Signer, pki: Arc<Pki>, input: V) -> Self {
+    pub fn new(cfg: Config, signer: Signer, pki: Arc<Pki>, input: V) -> Self {
         assert!(
             cfg.n() > 3 * cfg.f,
             "committee of {} cannot tolerate f = {}",
@@ -378,14 +363,13 @@ impl<V: ConsensusValue> NotaryCore<V> {
         if !self.pki.verify(&sig, DOM_VOTE, &payload) {
             return;
         }
-        // Externally valid?
-        if !(self.cfg.validity)(&value) {
-            return;
-        }
-        // Acceptable w.r.t. my lock?
+        // Acceptable w.r.t. my lock? An attached proof-of-lock must verify
+        // even when I hold no lock: the transaction manager's validity gate
+        // lets a proposal that carries one through.
         let acceptable = match (&self.st.locked, &pol) {
-            (None, _) => true,
             (Some(l), _) if l.value == value => true,
+            (None, None) => true,
+            (None, Some(p)) => self.pol_valid(p, &value),
             (Some(l), Some(p)) => p.round > l.round && self.pol_valid(p, &value),
             (Some(_), None) => false,
         };
@@ -625,7 +609,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
 mod tests {
     use super::*;
 
-    fn setup(n: usize, f: usize) -> (Arc<Pki>, Vec<Signer>, Config<u64>) {
+    fn setup(n: usize, f: usize) -> (Arc<Pki>, Vec<Signer>, Config) {
         let mut pki = Pki::new(99);
         let pairs = pki.register_many(n);
         let members: Vec<KeyId> = pairs.iter().map(|(k, _)| *k).collect();
@@ -635,7 +619,6 @@ mod tests {
             members,
             f,
             base_timeout: SimDuration::from_millis(10),
-            validity: Arc::new(|_| true),
         };
         (Arc::new(pki), signers, cfg)
     }
@@ -700,39 +683,6 @@ mod tests {
         let first = decisions[0].expect("decided");
         for d in &decisions {
             assert_eq!(d.unwrap(), first, "agreement violated: {decisions:?}");
-        }
-    }
-
-    #[test]
-    fn validity_predicate_blocks_invalid_values() {
-        let (pki, signers, mut cfg) = setup(4, 1);
-        cfg.validity = Arc::new(|v: &u64| *v < 100);
-        // Leader of round 0 proposes an invalid value (input 500); nobody
-        // prevotes it, the round times out, round 1's leader (input 7) wins.
-        let inputs = [500u64, 7, 7, 7];
-        let mut cores: Vec<NotaryCore<u64>> = signers
-            .iter()
-            .zip(inputs)
-            .map(|(s, inp)| NotaryCore::new(cfg.clone(), s.clone(), pki.clone(), inp))
-            .collect();
-        let inbox = start_all(&mut cores);
-        pump(&mut cores, inbox);
-        // Nobody decided yet (round 0 stalls without timeouts firing).
-        assert!(cores.iter().all(|c| c.decided().is_none()));
-        // Fire round-0 timeouts on everyone: propose, prevote, precommit.
-        let mut inbox = Vec::new();
-        for phase in [PHASE_PROPOSE, PHASE_PREVOTE, PHASE_PRECOMMIT] {
-            for (i, core) in cores.iter_mut().enumerate() {
-                for o in core.on_timeout(token(0, phase)) {
-                    if let Output::Broadcast(m) = o {
-                        inbox.push((i, m));
-                    }
-                }
-            }
-            pump(&mut cores, std::mem::take(&mut inbox));
-        }
-        for c in &cores {
-            assert_eq!(c.decided(), Some(&7), "decided an invalid value or stalled");
         }
     }
 
@@ -855,7 +805,7 @@ mod tests {
         // from too few / invalid signatures; a follower locked on a
         // different value must not accept it.
         let (pki, signers, cfg) = setup(4, 1);
-        let mut core = NotaryCore::new(cfg.clone(), signers[2].clone(), pki, 7);
+        let mut core = NotaryCore::new(cfg.clone(), signers[2].clone(), pki.clone(), 7);
         let _ = core.start();
         // Lock core on value 7 at round 0 via a genuine prevote quorum.
         for s in signers.iter().take(3) {
@@ -880,15 +830,24 @@ mod tests {
             )],
         };
         let sig = crate::msg::sign_propose(&signers[1], cfg.instance, 1, &9u64, Some(2));
-        let _ = core.on_message(ConsMsg::Propose {
+        let bogus = ConsMsg::Propose {
             round: 1,
             value: 9,
             pol: Some(bogus_pol),
             sig,
-        });
+        };
+        let _ = core.on_message(bogus.clone());
         assert!(
             core.st.proposals.iter().all(|(r, _)| *r != 1),
             "proposal with forged PoL must be rejected"
+        );
+        // A follower with no lock rejects it too.
+        let mut unlocked = NotaryCore::new(cfg.clone(), signers[3].clone(), pki.clone(), 7);
+        let _ = unlocked.start();
+        let _ = unlocked.on_message(bogus);
+        assert!(
+            unlocked.st.proposals.iter().all(|(r, _)| *r != 1),
+            "an unlocked follower must reject a forged PoL"
         );
         // A genuine PoL for 9 at a higher round IS accepted.
         let payload_sigs: Vec<Signature> = signers

@@ -17,6 +17,12 @@
 //!
 //! The same [`core::NotaryCore`] is embedded by the payment crate's
 //! notary-committee transaction manager; here it is exercised in isolation.
+//! The core decides any value an authentic leader proposes consistently
+//! with its lock and with the proof-of-lock it attaches. External validity
+//! — χc only once every lock and Bob's acceptance are in evidence — is the
+//! manager's (`NotaryTm`'s) gate: it holds each fresh proposal its
+//! evidence does not yet justify and hands it to the core when the
+//! evidence arrives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -140,7 +140,7 @@ pub fn sign_propose<V: ConsensusValue>(
 pub struct ProofOfLock<V> {
     /// Consensus round number.
     pub round: u32,
-    /// Annotation value / voted value, per context.
+    /// The locked value the quorum prevoted.
     pub value: V,
     /// Justifying signatures.
     pub sigs: Vec<Signature>,
@@ -154,7 +154,7 @@ pub enum ConsMsg<V> {
     Propose {
         /// Consensus round number.
         round: u32,
-        /// Annotation value / voted value, per context.
+        /// The proposed value.
         value: V,
         /// Optional proof-of-lock justifying a re-proposal.
         pol: Option<ProofOfLock<V>>,
@@ -165,7 +165,7 @@ pub enum ConsMsg<V> {
     Prevote {
         /// Consensus round number.
         round: u32,
-        /// Annotation value / voted value, per context.
+        /// The voted value (`None` = nil).
         value: Option<V>,
         /// The issuer's signature.
         sig: Signature,
@@ -174,7 +174,7 @@ pub enum ConsMsg<V> {
     Precommit {
         /// Consensus round number.
         round: u32,
-        /// Annotation value / voted value, per context.
+        /// The voted value (`None` = nil).
         value: Option<V>,
         /// The issuer's signature.
         sig: Signature,
@@ -183,7 +183,7 @@ pub enum ConsMsg<V> {
     Decided {
         /// Consensus round number.
         round: u32,
-        /// Annotation value / voted value, per context.
+        /// The decided value.
         value: V,
         /// Justifying signatures.
         sigs: Vec<Signature>,

@@ -209,13 +209,12 @@ mod tests {
         }
     }
 
-    fn config(c: &Committee, f: usize) -> Config<u64> {
+    fn config(c: &Committee, f: usize) -> Config {
         Config {
             instance: 1,
             members: c.members.clone(),
             f,
             base_timeout: SimDuration::from_millis(50),
-            validity: Arc::new(|_| true),
         }
     }
 
@@ -412,7 +411,6 @@ mod tests {
             members: c.members.clone(),
             f: 2,
             base_timeout: SimDuration::from_millis(50),
-            validity: Arc::new(|_| true),
         };
         let mut eng: Engine<ConsMsg<u64>> = Engine::new(
             Box::new(SyncNet::new(SimDuration::from_millis(3), 8)),

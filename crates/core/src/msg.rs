@@ -55,7 +55,7 @@ fn promise_payload(
 /// A signed escrow promise (`G(d)` or `P(a)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SignedPromise {
-    /// The event payload / input kind, per context.
+    /// Which promise the signature covers.
     pub kind: PromiseKind,
     /// The payment instance this belongs to.
     pub payment: PaymentId,
@@ -122,7 +122,7 @@ fn tm_input_payload(kind: TmInputKind, payment: &PaymentId, index: u64) -> Vec<u
 /// A signed transaction-manager input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TmInput {
-    /// The event payload / input kind, per context.
+    /// A lock report or an abort request.
     pub kind: TmInputKind,
     /// The payment instance this belongs to.
     pub payment: PaymentId,

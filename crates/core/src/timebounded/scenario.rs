@@ -62,7 +62,7 @@ impl ClockPlan {
 pub struct ChainSetup {
     /// The Figure 1 chain topology.
     pub topo: ChainTopology,
-    /// The value plan / patience plan, per context.
+    /// The amount each escrow hop carries.
     pub plan: ValuePlan,
     /// The cell's parameters.
     pub params: SyncParams,
@@ -232,7 +232,7 @@ pub struct CustomerView {
 /// Everything the property checkers need from a finished run.
 #[derive(Debug, Clone)]
 pub struct ChainOutcome {
-    /// Number of escrows in the chain / sample size, per context.
+    /// Number of escrows in the chain.
     pub n: usize,
     /// Views for customers `c_0..=c_n`; `None` where the process was
     /// substituted (Byzantine) and exposes no compliant view.

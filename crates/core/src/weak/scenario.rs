@@ -10,7 +10,7 @@ use anta::engine::{Engine, EngineConfig};
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Pid, Process};
-use anta::time::{SimDuration, SimTime};
+use anta::time::SimTime;
 use std::sync::Arc;
 use xcrypto::{Authority, KeyId, PaymentId, Pki, Signer, Verdict};
 
@@ -34,7 +34,7 @@ pub enum TmKind {
 pub struct WeakSetup {
     /// The Figure 1 chain topology.
     pub topo: ChainTopology,
-    /// The value plan / patience plan, per context.
+    /// The amount each escrow hop carries.
     pub plan: ValuePlan,
     /// The payment instance this belongs to.
     pub payment: PaymentId,
@@ -46,8 +46,6 @@ pub struct WeakSetup {
     pub authority: Authority,
     /// Per-customer patience, index `0..=n`.
     pub patience: Vec<Patience>,
-    /// Base consensus timeout (committee manager).
-    pub cons_base_timeout: SimDuration,
     customers: Vec<Signer>,
     escrows: Vec<Signer>,
     tms: Vec<Signer>,
@@ -80,7 +78,6 @@ impl WeakSetup {
             tm_kind,
             authority,
             patience: vec![Patience::patient(); n + 1],
-            cons_base_timeout: SimDuration::from_millis(50),
             customers: keys.customers,
             escrows: keys.escrows,
             tms,
@@ -229,7 +226,7 @@ impl WeakSetup {
 /// End-of-run extraction for the weak protocol.
 #[derive(Debug, Clone)]
 pub struct WeakOutcome {
-    /// Number of escrows in the chain / sample size, per context.
+    /// Number of escrows in the chain.
     pub n: usize,
     /// Verdict each compliant customer accepted (outer `None`: substituted
     /// process; inner `None`: no verdict accepted).
@@ -360,6 +357,7 @@ mod tests {
     use super::*;
     use anta::net::{PartialSyncNet, SyncNet};
     use anta::oracle::RandomOracle;
+    use anta::time::SimDuration;
 
     fn run(setup: &WeakSetup, seed: u64) -> WeakOutcome {
         let mut eng = setup.build_engine(

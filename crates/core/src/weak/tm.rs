@@ -17,6 +17,7 @@ use super::scenario::{TmKind, WeakSetup};
 use crate::msg::{PMsg, TmInput, TmInputKind};
 use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
+use anta::time::SimDuration;
 use consensus::{Config as ConsConfig, ConsMsg, NotaryCore, Output as ConsOutput};
 use ledger::SimChain;
 use std::hash::{Hash, Hasher};
@@ -232,12 +233,24 @@ impl Process<PMsg> for TrustedTm {
     }
 }
 
+/// The committee's base consensus timeout: round `r` waits `(r+1)·50 ms`
+/// per phase.
+const CONS_BASE_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+
 /// One member of the notary-committee transaction manager. Gathers the
 /// same evidence as [`TrustedTm`]; once its evidence justifies a verdict it
 /// activates an embedded [`NotaryCore`] consensus instance with that
 /// verdict as input. When consensus decides, the notary signs a decision
 /// certificate *share*; participants accept once `2f+1` distinct shares
 /// verify (see `CertCollector`).
+///
+/// External validity lives here, not in the core: the notary's gate holds
+/// every consensus message until the core runs, and a proposal without a
+/// proof-of-lock until the evidence justifies its value. A proposal with
+/// one passes, and the core accepts it only if the proof verifies: a
+/// prevote quorum means some honest notary's evidence justified the value.
+/// So an honest notary never prevotes χc before χc is justified by every
+/// lock and Bob's acceptance, nor χa before a signed abort request.
 #[derive(Debug, Clone)]
 pub struct NotaryTm {
     signer: Signer,
@@ -245,7 +258,7 @@ pub struct NotaryTm {
     participants: Vec<Pid>,
     /// Other notaries (engine pids).
     peers: Vec<Pid>,
-    cons_cfg: ConsConfig<Verdict>,
+    cons_cfg: ConsConfig,
     st: NotaryTmState,
 }
 
@@ -255,10 +268,8 @@ pub struct NotaryTm {
 struct NotaryTmState {
     evidence: Evidence,
     core: Option<NotaryCore<Verdict>>,
-    /// Consensus traffic received before activation.
-    buffered: Vec<ConsMsg<Verdict>>,
-    /// Proposals withheld pending local evidence (validity gating).
-    pending_props: Vec<ConsMsg<Verdict>>,
+    /// Consensus traffic the gate holds, in arrival order.
+    held: Vec<ConsMsg<Verdict>>,
     decided: Option<Verdict>,
 }
 
@@ -277,14 +288,12 @@ impl NotaryTm {
                 instance: 0,
                 members: (0..k).map(|j| setup.tm_signer(j).id()).collect(),
                 f: k.saturating_sub(1) / 3,
-                base_timeout: setup.cons_base_timeout,
-                validity: Arc::new(|_: &Verdict| true),
+                base_timeout: CONS_BASE_TIMEOUT,
             },
             st: NotaryTmState {
                 evidence: setup.evidence(),
                 core: None,
-                buffered: Vec::new(),
-                pending_props: Vec::new(),
+                held: Vec::new(),
                 decided: None,
             },
         }
@@ -308,45 +317,42 @@ impl NotaryTm {
             self.pki.clone(),
             input,
         );
-        let mut outputs = core.start();
-        for msg in std::mem::take(&mut self.st.buffered) {
-            if Self::admissible_static(&self.st.evidence, &msg) {
-                outputs.extend(core.on_message(msg));
-            } else {
-                self.st.pending_props.push(msg);
-            }
-        }
+        let outputs = core.start();
         self.st.core = Some(core);
         self.apply(outputs, ctx);
     }
 
-    fn admissible_static(evidence: &Evidence, msg: &ConsMsg<Verdict>) -> bool {
-        match msg {
-            ConsMsg::Propose { value, pol, .. } => {
-                pol.is_some()
-                    || match value {
-                        Verdict::Commit => evidence.commit_ready(),
-                        Verdict::Abort => evidence.abort_ready(),
-                    }
+    /// The gate: nothing reaches the core before it runs, and a proposal
+    /// without a proof-of-lock only once the evidence justifies its value
+    /// (the core verifies a proof-of-lock itself).
+    fn admits(&self, msg: &ConsMsg<Verdict>) -> bool {
+        self.st.core.is_some()
+            && match msg {
+                ConsMsg::Propose { value, pol, .. } => {
+                    pol.is_some()
+                        || match value {
+                            Verdict::Commit => self.st.evidence.commit_ready(),
+                            Verdict::Abort => self.st.evidence.abort_ready(),
+                        }
+                }
+                _ => true,
             }
-            _ => true,
-        }
     }
 
-    /// Re-offers gated proposals after evidence improved.
-    fn retry_pending(&mut self, ctx: &mut Ctx<PMsg>) {
-        if self.st.core.is_none() || self.st.pending_props.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.st.pending_props);
+    /// Hands the core every held message the gate admits, in arrival
+    /// order; the rest stay held.
+    fn release(&mut self, ctx: &mut Ctx<PMsg>) {
         let mut outputs = Vec::new();
-        for msg in pending {
-            if Self::admissible_static(&self.st.evidence, &msg) {
-                if let Some(core) = self.st.core.as_mut() {
-                    outputs.extend(core.on_message(msg));
-                }
+        for msg in std::mem::take(&mut self.st.held) {
+            if self.admits(&msg) {
+                let core = self
+                    .st
+                    .core
+                    .as_mut()
+                    .expect("the gate admits once the core runs");
+                outputs.extend(core.on_message(msg));
             } else {
-                self.st.pending_props.push(msg);
+                self.st.held.push(msg);
             }
         }
         self.apply(outputs, ctx);
@@ -396,26 +402,15 @@ impl Process<PMsg> for NotaryTm {
             PMsg::TmInput(input) => {
                 self.st.evidence.ingest_input(&input, &self.pki);
                 self.maybe_activate(ctx);
-                self.retry_pending(ctx);
             }
             PMsg::Accept(chi) => {
                 self.st.evidence.ingest_accept(&chi, &self.pki);
                 self.maybe_activate(ctx);
-                self.retry_pending(ctx);
             }
-            PMsg::Cons(m) => match self.st.core.as_mut() {
-                Some(core) => {
-                    if Self::admissible_static(&self.st.evidence, &m) {
-                        let out = core.on_message(m);
-                        self.apply(out, ctx);
-                    } else {
-                        self.st.pending_props.push(m);
-                    }
-                }
-                None => self.st.buffered.push(m),
-            },
-            _ => {}
+            PMsg::Cons(m) => self.st.held.push(m),
+            _ => return,
         }
+        self.release(ctx);
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<PMsg>) {

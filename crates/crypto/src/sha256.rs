@@ -272,21 +272,6 @@ pub fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Parses lowercase/uppercase hex into bytes. Returns `None` on bad input.
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for pair in bytes.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,12 +357,9 @@ mod tests {
     }
 
     #[test]
-    fn hex_roundtrip() {
-        let d = sha256(b"roundtrip");
-        let s = to_hex(&d);
-        assert_eq!(from_hex(&s).unwrap(), d.to_vec());
-        assert_eq!(from_hex("zz"), None);
-        assert_eq!(from_hex("abc"), None, "odd length rejected");
+    fn to_hex_is_lowercase_two_digits_per_byte() {
+        assert_eq!(to_hex(&[0x00, 0x0f, 0xa5, 0xff]), "000fa5ff");
+        assert_eq!(to_hex(&[]), "");
     }
 
     #[test]

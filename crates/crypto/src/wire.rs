@@ -49,19 +49,9 @@ impl WireWriter {
         self
     }
 
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) -> &mut Self {
-        self.put_bytes(s.as_bytes())
-    }
-
     /// Finishes, yielding the canonical bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Borrows the bytes encoded so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
     }
 }
 
@@ -72,9 +62,9 @@ mod tests {
     #[test]
     fn deterministic() {
         let mut a = WireWriter::new(b"d");
-        a.put_u32(7).put_str("x").put_u64(9);
+        a.put_u32(7).put_bytes(b"x").put_u64(9);
         let mut b = WireWriter::new(b"d");
-        b.put_u32(7).put_str("x").put_u64(9);
+        b.put_u32(7).put_bytes(b"x").put_u64(9);
         assert_eq!(a.finish(), b.finish());
     }
 
@@ -99,7 +89,7 @@ mod tests {
         let mut w = WireWriter::new(b"");
         w.put_u8(1).put_u32(2).put_u64(3);
         // 8 (domain len) + 1 + 4 + 8
-        assert_eq!(w.as_slice().len(), 8 + 1 + 4 + 8);
+        assert_eq!(w.finish().len(), 8 + 1 + 4 + 8);
     }
 
     #[test]
@@ -118,13 +108,9 @@ mod tests {
                 .put_u64(2)
                 .put_u32(3)
                 .put_u32(4);
-            assert_eq!(w.as_slice().len(), 8 + domain.len() + 64);
-            assert_eq!(
-                w.finish().capacity(),
-                start,
-                "domain of {} bytes",
-                domain.len()
-            );
+            let bytes = w.finish();
+            assert_eq!(bytes.len(), 8 + domain.len() + 64);
+            assert_eq!(bytes.capacity(), start, "domain of {} bytes", domain.len());
         }
     }
 }

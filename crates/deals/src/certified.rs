@@ -286,7 +286,9 @@ const TIMER_PATIENCE: TimerId = 5;
 
 /// A party under the certified protocol: deposits, votes commit to the
 /// CBC once everything is escrowed, and (optionally) votes abort when its
-/// patience runs out.
+/// patience runs out. A withholding party is not a setting of this one: it
+/// is a different process (`anta::process::InertProcess`) registered in its
+/// place through [`DealInstance::certified_engine`]'s `party` hook.
 #[derive(Debug, Clone)]
 pub struct CertifiedParty {
     me: Party,
@@ -297,14 +299,11 @@ pub struct CertifiedParty {
     /// `None`: infinitely patient (a pending patience expiry is a queued
     /// timer).
     pub patience: Option<SimDuration>,
-    /// A withholding party never deposits nor votes.
-    pub participate: bool,
     st: CertifiedPartyState,
 }
 
 /// A party's run state: what it has seen, voted and learnt. The rest of
-/// [`CertifiedParty`] — identity, pids and the `patience` / `participate`
-/// policy — is setup.
+/// [`CertifiedParty`] — identity, pids and its `patience` — is setup.
 #[derive(Debug, Clone, Hash)]
 struct CertifiedPartyState {
     escrowed_seen: Vec<bool>,
@@ -328,7 +327,6 @@ impl CertifiedParty {
             my_deposits,
             cbc: inst.next_free_pid(),
             patience: None,
-            participate: true,
             st: CertifiedPartyState {
                 escrowed_seen: vec![false; inst.deal.arcs().len()],
                 voted: false,
@@ -340,9 +338,6 @@ impl CertifiedParty {
 
 impl Process<DMsg> for CertifiedParty {
     fn on_start(&mut self, ctx: &mut Ctx<DMsg>) {
-        if !self.participate {
-            return;
-        }
         for &(arc, escrow) in &self.my_deposits {
             ctx.send(escrow, DMsg::Deposit { arc });
         }
@@ -408,6 +403,7 @@ mod tests {
     use crate::matrix::DealMatrix;
     use anta::net::{PartialSyncNet, SyncNet};
     use anta::oracle::RandomOracle;
+    use anta::process::InertProcess;
     use anta::time::SimTime;
     use ledger::{Asset, CurrencyId};
 
@@ -418,10 +414,22 @@ mod tests {
         d
     }
 
+    /// Runs `deal`; party `p` gets the given patience, if any.
     fn build(
         deal: DealMatrix,
         net: Box<dyn anta::net::NetModel<DMsg>>,
-        tweak: impl Fn(usize, &mut CertifiedParty),
+        patience: impl Fn(Party) -> Option<SimDuration>,
+    ) -> (Engine<DMsg>, DealInstance) {
+        build_with(deal, net, |p, mut party| {
+            party.patience = patience(p);
+            Box::new(party)
+        })
+    }
+
+    fn build_with(
+        deal: DealMatrix,
+        net: Box<dyn anta::net::NetModel<DMsg>>,
+        party: impl FnMut(Party, CertifiedParty) -> Box<dyn Process<DMsg>>,
     ) -> (Engine<DMsg>, DealInstance) {
         let (inst, signers) = DealInstance::generate(deal, 17);
         let mut eng = inst.certified_engine(
@@ -430,10 +438,7 @@ mod tests {
             Box::new(RandomOracle::seeded(2)),
             EngineConfig::default(),
             |_| DriftClock::perfect(),
-            |p, mut party| {
-                tweak(p, &mut party);
-                Box::new(party)
-            },
+            party,
         );
         eng.run_until(SimTime::from_secs(120));
         (eng, inst)
@@ -444,7 +449,7 @@ mod tests {
         let (eng, inst) = build(
             swap_deal(),
             Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
-            |_, _| {},
+            |_| None,
         );
         let o = extract_certified_outcome(&eng, &inst);
         assert!(o.is_full_commit(), "{o:?}");
@@ -467,7 +472,7 @@ mod tests {
                 SimTime::from_millis(2_000),
                 SimDuration::from_millis(2),
             )),
-            |_, _| {},
+            |_| None,
         );
         let o = extract_certified_outcome(&eng, &inst);
         assert!(o.is_full_commit(), "{o:?}");
@@ -484,11 +489,7 @@ mod tests {
                 SimTime::from_millis(5_000),
                 SimDuration::from_millis(2),
             )),
-            |p, party| {
-                if p == 1 {
-                    party.patience = Some(SimDuration::from_millis(100));
-                }
-            },
+            |p| (p == 1).then(|| SimDuration::from_millis(100)),
         );
         let o = extract_certified_outcome(&eng, &inst);
         assert!(o.is_full_abort(), "{o:?}");
@@ -501,15 +502,16 @@ mod tests {
 
     #[test]
     fn withholding_party_plus_patience_aborts_safely() {
-        let (eng, inst) = build(
+        // Party 0 crashed before depositing: it never votes either.
+        let (eng, inst) = build_with(
             swap_deal(),
             Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
-            |p, party| {
+            |p, mut party| -> Box<dyn Process<DMsg>> {
                 if p == 0 {
-                    party.participate = false;
-                } else {
-                    party.patience = Some(SimDuration::from_millis(300));
+                    return Box::new(InertProcess);
                 }
+                party.patience = Some(SimDuration::from_millis(300));
+                Box::new(party)
             },
         );
         let o = extract_certified_outcome(&eng, &inst);
@@ -523,11 +525,7 @@ mod tests {
             let (eng, inst) = build(
                 swap_deal(),
                 Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
-                |p, party| {
-                    if impatient && p == 0 {
-                        party.patience = Some(SimDuration::from_ticks(1));
-                    }
-                },
+                |p| (impatient && p == 0).then(|| SimDuration::from_ticks(1)),
             );
             for k in 0..2 {
                 let e = eng

@@ -18,7 +18,10 @@
 //!   [`DealInstance::certified_engine`] are the one place that decides
 //!   the pids, the registration order, the funded arc books and the
 //!   clocks. The `deals` harness, experiments E2 and E7 and the tests all
-//!   build through them;
+//!   build through them. Both take a `party` hook that turns each
+//!   compliant party into the process registered at its pid; a
+//!   withholding or silent party is another process put in its place
+//!   there, not a switch on the compliant one;
 //! - §5 itself: payment↔deal encodings and the executable
 //!   counterexamples showing neither subsumes the other ([`relation`]).
 //!

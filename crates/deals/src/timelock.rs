@@ -76,7 +76,7 @@ pub enum DMsg {
 
 /// Shared immutable description of a deal instance.
 pub struct DealInstance {
-    /// The deal matrix / escrow deal id, per context.
+    /// The deal matrix: who pays whom what.
     pub deal: DealMatrix,
     /// Canonical identifier of this deal instance.
     pub deal_id: PaymentId,
@@ -130,8 +130,9 @@ impl DealInstance {
     /// Builds the timelock protocol: the parties (signing with `signers`,
     /// in party order), then one [`TimelockEscrow`] per arc with a
     /// `timelock` of local patience after its deposit, all on perfect
-    /// clocks. `tweak` adjusts each compliant party before it registers
-    /// (a withholding or silent party).
+    /// clocks. `party(p, compliant)` turns the compliant party into the
+    /// process registered at its pid: the party itself, or a withholding
+    /// or silent process in its place.
     pub fn timelock_engine(
         &self,
         signers: &[Signer],
@@ -139,13 +140,12 @@ impl DealInstance {
         net: Box<dyn NetModel<DMsg>>,
         oracle: Box<dyn Oracle>,
         cfg: EngineConfig,
-        mut tweak: impl FnMut(Party, &mut TimelockParty),
+        mut party: impl FnMut(Party, TimelockParty) -> Box<dyn Process<DMsg>>,
     ) -> Engine<DMsg> {
         let mut eng = Engine::new(net, oracle, cfg);
         for (p, signer) in signers.iter().enumerate() {
-            let mut party = TimelockParty::new(self, p, signer.clone());
-            tweak(p, &mut party);
-            eng.add_process(Box::new(party), DriftClock::perfect());
+            let compliant = TimelockParty::new(self, p, signer.clone());
+            eng.add_process(party(p, compliant), DriftClock::perfect());
         }
         for k in 0..self.deal.arcs().len() {
             eng.add_process(
@@ -318,16 +318,11 @@ pub struct TimelockParty {
     /// All escrow pids (votes go everywhere).
     all_escrows: Vec<Pid>,
     n_arcs: usize,
-    /// A withholding party never deposits; a silent one never votes.
-    pub deposit: bool,
-    /// See [`TimelockParty::deposit`].
-    pub vote: bool,
     st: TimelockPartyState,
 }
 
 /// A party's run state: which arcs it has seen escrowed and whether it
-/// voted. The rest of [`TimelockParty`] — identity, pids and the `deposit`
-/// / `vote` policy — is setup.
+/// voted. The rest of [`TimelockParty`] — identity and pids — is setup.
 #[derive(Debug, Clone, Hash)]
 struct TimelockPartyState {
     escrowed_seen: Vec<bool>,
@@ -352,8 +347,6 @@ impl TimelockParty {
             my_deposits,
             all_escrows,
             n_arcs: inst.deal.arcs().len(),
-            deposit: true,
-            vote: true,
             st: TimelockPartyState {
                 escrowed_seen: vec![false; inst.deal.arcs().len()],
                 voted: false,
@@ -364,9 +357,6 @@ impl TimelockParty {
 
 impl Process<DMsg> for TimelockParty {
     fn on_start(&mut self, ctx: &mut Ctx<DMsg>) {
-        if !self.deposit {
-            return;
-        }
         for &(arc, escrow) in &self.my_deposits {
             ctx.send(escrow, DMsg::Deposit { arc });
         }
@@ -379,7 +369,7 @@ impl Process<DMsg> for TimelockParty {
     fn on_message(&mut self, _from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
         if let DMsg::Escrowed { arc } = msg {
             self.st.escrowed_seen[arc] = true;
-            if !self.st.voted && self.vote && self.st.escrowed_seen.iter().all(|&e| e) {
+            if !self.st.voted && self.st.escrowed_seen.iter().all(|&e| e) {
                 self.st.voted = true;
                 let sig = self
                     .signer
@@ -419,6 +409,7 @@ mod tests {
     use super::*;
     use anta::net::{AdversarialNet, Delivery, EnvelopeMeta, SyncNet};
     use anta::oracle::RandomOracle;
+    use anta::process::InertProcess;
     use anta::time::SimTime;
     use ledger::{Asset, CurrencyId};
 
@@ -437,11 +428,32 @@ mod tests {
         d
     }
 
+    fn compliant(_: Party, party: TimelockParty) -> Box<dyn Process<DMsg>> {
+        Box::new(party)
+    }
+
+    /// A silent voter: deposits its one arc at its escrow, then never votes.
+    struct DepositsOnly {
+        arc: usize,
+        escrow: Pid,
+    }
+
+    impl Process<DMsg> for DepositsOnly {
+        fn on_start(&mut self, ctx: &mut Ctx<DMsg>) {
+            ctx.send(self.escrow, DMsg::Deposit { arc: self.arc });
+        }
+        fn on_message(&mut self, _from: Pid, _msg: DMsg, _ctx: &mut Ctx<DMsg>) {}
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
+        fn fp_digest(&self) -> u64 {
+            0
+        }
+    }
+
     fn build(
         deal: DealMatrix,
         timelock_ms: u64,
         net: Box<dyn anta::net::NetModel<DMsg>>,
-        tweak: impl Fn(usize, &mut TimelockParty),
+        party: impl FnMut(Party, TimelockParty) -> Box<dyn Process<DMsg>>,
     ) -> (Engine<DMsg>, DealInstance) {
         let (inst, signers) = DealInstance::generate(deal, 9);
         let mut eng = inst.timelock_engine(
@@ -450,7 +462,7 @@ mod tests {
             net,
             Box::new(RandomOracle::seeded(4)),
             EngineConfig::default(),
-            tweak,
+            party,
         );
         eng.run_until(SimTime::from_secs(60));
         (eng, inst)
@@ -462,7 +474,7 @@ mod tests {
             swap_deal(),
             200,
             Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
-            |_, _| {},
+            compliant,
         );
         let o = extract_timelock_outcome(&eng, &inst);
         assert!(o.is_full_commit(), "{o:?}");
@@ -475,7 +487,7 @@ mod tests {
             three_cycle(),
             200,
             Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
-            |_, _| {},
+            compliant,
         );
         let o = extract_timelock_outcome(&eng, &inst);
         assert!(o.is_full_commit(), "{o:?}");
@@ -489,10 +501,11 @@ mod tests {
             three_cycle(),
             100,
             Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
-            |p, party| {
+            |p, party| -> Box<dyn Process<DMsg>> {
                 if p == 1 {
-                    party.deposit = false;
+                    return Box::new(InertProcess);
                 }
+                Box::new(party)
             },
         );
         let o = extract_timelock_outcome(&eng, &inst);
@@ -506,10 +519,12 @@ mod tests {
             swap_deal(),
             100,
             Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
-            |p, party| {
+            |p, party| -> Box<dyn Process<DMsg>> {
                 if p == 0 {
-                    party.vote = false;
+                    // Party 0 funds arc 0, whose escrow is pid 2.
+                    return Box::new(DepositsOnly { arc: 0, escrow: 2 });
                 }
+                Box::new(party)
             },
         );
         let o = extract_timelock_outcome(&eng, &inst);
@@ -534,7 +549,7 @@ mod tests {
                 _ => Delivery::At(m.sent_at + base),
             }
         });
-        let (eng, inst) = build(swap_deal(), 200, Box::new(net), |_, _| {});
+        let (eng, inst) = build(swap_deal(), 200, Box::new(net), compliant);
         let o = extract_timelock_outcome(&eng, &inst);
         assert_eq!(o.executed, vec![true, false], "{o:?}");
         assert!(
@@ -550,7 +565,7 @@ mod tests {
             three_cycle(),
             200,
             Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
-            |_, _| {},
+            compliant,
         );
         for k in 0..3 {
             let e = eng

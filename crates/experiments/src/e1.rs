@@ -18,7 +18,7 @@ use payment::{SyncParams, ValuePlan};
 /// Parameters of one E1 cell.
 #[derive(Debug, Clone, Copy)]
 pub struct E1Params {
-    /// Number of escrows in the chain / sample size, per context.
+    /// Number of escrows in the chain.
     pub n: usize,
     /// Clock-drift bound in parts-per-million.
     pub rho_ppm: u64,

@@ -88,7 +88,7 @@ fn run_timelock_deal(
         net(&inst),
         Box::new(RandomOracle::seeded(1)),
         EngineConfig::default(),
-        |_, _| {},
+        |_, party| Box::new(party),
     );
     eng.run_until(SimTime::from_secs(300));
     let outcome = extract_timelock_outcome(&eng, &inst);

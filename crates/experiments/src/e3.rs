@@ -59,11 +59,11 @@ impl PatiencePlan {
 /// One cell of the E3 grid.
 #[derive(Debug, Clone, Copy)]
 pub struct E3Params {
-    /// Number of escrows in the chain / sample size, per context.
+    /// Number of escrows in the chain.
     pub n: usize,
     /// Transaction-manager kind under test.
     pub tm: TmKind,
-    /// The value plan / patience plan, per context.
+    /// Who is patient and who is not.
     pub plan: PatiencePlan,
     /// Whether one committee notary is crashed.
     pub silent_notary: bool,

@@ -21,7 +21,7 @@ use payment::{SyncParams, ValuePlan};
 /// One drift×n cell comparing tuned vs untuned schedules.
 #[derive(Debug, Clone, Copy)]
 pub struct E5Params {
-    /// Number of escrows in the chain / sample size, per context.
+    /// Number of escrows in the chain.
     pub n: usize,
     /// Clock-drift bound in parts-per-million.
     pub rho_ppm: u64,

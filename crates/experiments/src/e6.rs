@@ -25,7 +25,7 @@ use payment::{SyncParams, TimeoutSchedule, ValuePlan};
 /// One ablation cell.
 #[derive(Debug, Clone, Copy)]
 pub struct E6Params {
-    /// Number of escrows in the chain / sample size, per context.
+    /// Number of escrows in the chain.
     pub n: usize,
     /// Ticks subtracted from every `a_i`.
     pub cut: SimDuration,

@@ -4,7 +4,7 @@
 /// ticks, message counts…).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
-    /// Number of escrows in the chain / sample size, per context.
+    /// Sample size.
     pub n: usize,
     /// Smallest sample.
     pub min: u64,

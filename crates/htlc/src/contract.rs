@@ -28,7 +28,7 @@ pub enum HtlcState {
 /// One hashed-timelock contract (wrapping an escrow deal on the ledger).
 #[derive(Debug, Clone, Hash)]
 pub struct Htlc {
-    /// The deal matrix / escrow deal id, per context.
+    /// The escrow deal the contract wraps on the chain's ledger.
     pub deal: DealId,
     /// Who funded the contract.
     pub depositor: KeyId,

@@ -120,7 +120,7 @@ pub enum HMsg {
     },
     /// Chain event: contract `id` opened.
     Opened {
-        /// Identifier (contract/timer id, per context).
+        /// The contract's id on its chain.
         id: usize,
         /// SHA-256 digest the preimage must match.
         hashlock: Digest,
@@ -129,26 +129,26 @@ pub enum HMsg {
     },
     /// Customer claims with a preimage.
     Claim {
-        /// Identifier (contract/timer id, per context).
+        /// The contract's id on its chain.
         id: usize,
         /// The revealed hashlock preimage.
         preimage: Vec<u8>,
     },
     /// Chain event: contract `id` claimed; the preimage is now public.
     Claimed {
-        /// Identifier (contract/timer id, per context).
+        /// The contract's id on its chain.
         id: usize,
         /// The revealed hashlock preimage.
         preimage: Vec<u8>,
     },
     /// Customer reclaims after expiry.
     Reclaim {
-        /// Identifier (contract/timer id, per context).
+        /// The contract's id on its chain.
         id: usize,
     },
     /// Chain event: contract `id` reclaimed by its depositor.
     Reclaimed {
-        /// Identifier (contract/timer id, per context).
+        /// The contract's id on its chain.
         id: usize,
     },
 }

@@ -39,7 +39,7 @@ pub enum DealState {
 /// An escrow deal: `depositor` placed `asset` in escrow for `beneficiary`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EscrowDeal {
-    /// Identifier (contract/timer id, per context).
+    /// The deal's index in this ledger.
     pub id: DealId,
     /// Who funded the contract.
     pub depositor: KeyId,
@@ -51,7 +51,9 @@ pub struct EscrowDeal {
     pub state: DealState,
 }
 
-/// Everything that mutates a ledger is recorded here, in order.
+/// Everything that mutates a ledger is recorded here, in order. The
+/// explicit discriminants are the tag bytes a ledger's hash feeds, pinned
+/// so that removing or adding a variant moves no other variant's tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum AuditEntry {
@@ -59,26 +61,17 @@ pub enum AuditEntry {
     OpenAccount {
         /// The account holder.
         owner: KeyId,
-    },
+    } = 0,
     /// New value entered circulation (scenario setup).
     Mint {
-        /// Recipient process id.
+        /// The account credited.
         to: KeyId,
         /// The value at stake.
         asset: Asset,
-    },
-    /// Direct transfer between two customers of this escrow.
-    Transfer {
-        /// Sender process id.
-        from: KeyId,
-        /// Recipient process id.
-        to: KeyId,
-        /// The value at stake.
-        asset: Asset,
-    },
+    } = 1,
     /// Value placed in escrow.
     Lock {
-        /// The deal matrix / escrow deal id, per context.
+        /// The escrow deal opened.
         deal: DealId,
         /// Who funded the contract.
         depositor: KeyId,
@@ -86,17 +79,17 @@ pub enum AuditEntry {
         beneficiary: KeyId,
         /// The value at stake.
         asset: Asset,
-    },
+    } = 3,
     /// Escrowed value paid out to the beneficiary.
     Release {
-        /// The deal matrix / escrow deal id, per context.
+        /// The escrow deal settled.
         deal: DealId,
-    },
+    } = 4,
     /// Escrowed value returned to the depositor.
     Refund {
-        /// The deal matrix / escrow deal id, per context.
+        /// The escrow deal settled.
         deal: DealId,
-    },
+    } = 5,
 }
 
 /// Ledger operation errors. The protocols treat these as *refusals* — an
@@ -222,21 +215,6 @@ impl Ledger {
             .checked_add(asset.amount)
             .ok_or(LedgerError::Overflow)?;
         self.log.push(AuditEntry::Mint { to, asset });
-        Ok(())
-    }
-
-    /// Direct transfer between two customers *of this escrow* (the paper
-    /// assumes value moves only between customers of the same escrow).
-    pub fn transfer(&mut self, from: KeyId, to: KeyId, asset: Asset) -> Result<(), LedgerError> {
-        if !self.has_account(from) {
-            return Err(LedgerError::UnknownAccount(from));
-        }
-        if !self.has_account(to) {
-            return Err(LedgerError::UnknownAccount(to));
-        }
-        self.debit(from, asset)?;
-        self.credit(to, asset)?;
-        self.log.push(AuditEntry::Transfer { from, to, asset });
         Ok(())
     }
 
@@ -422,33 +400,14 @@ mod tests {
     }
 
     #[test]
-    fn transfer_moves_value() {
-        let (mut l, alice, bob) = setup();
-        l.transfer(alice, bob, Asset::new(CUR, 30)).unwrap();
-        assert_eq!(l.balance(alice, CUR), 70);
-        assert_eq!(l.balance(bob, CUR), 30);
-        l.check_conservation().unwrap();
-    }
-
-    #[test]
-    fn transfer_insufficient_funds() {
-        let (mut l, alice, bob) = setup();
-        let err = l.transfer(alice, bob, Asset::new(CUR, 101)).unwrap_err();
-        assert!(matches!(err, LedgerError::InsufficientFunds { .. }));
-        // Nothing moved.
-        assert_eq!(l.balance(alice, CUR), 100);
-        assert_eq!(l.balance(bob, CUR), 0);
-    }
-
-    #[test]
-    fn transfer_unknown_party() {
+    fn lock_unknown_party() {
         let (mut l, alice, _) = setup();
         assert!(matches!(
-            l.transfer(alice, KeyId(7), Asset::new(CUR, 1)),
+            l.lock(alice, KeyId(7), Asset::new(CUR, 1)),
             Err(LedgerError::UnknownAccount(_))
         ));
         assert!(matches!(
-            l.transfer(KeyId(7), alice, Asset::new(CUR, 1)),
+            l.lock(KeyId(7), alice, Asset::new(CUR, 1)),
             Err(LedgerError::UnknownAccount(_))
         ));
     }
@@ -509,6 +468,9 @@ mod tests {
             l.lock(alice, bob, Asset::new(CUR, 200)),
             Err(LedgerError::InsufficientFunds { .. })
         ));
+        // Nothing moved.
+        assert_eq!(l.balance(alice, CUR), 100);
+        assert_eq!(l.locked_total(CUR), 0);
         l.check_conservation().unwrap();
     }
 
@@ -530,7 +492,8 @@ mod tests {
         let (mut l, alice, bob) = setup();
         let eur = CurrencyId(1);
         l.mint(bob, Asset::new(eur, 50)).unwrap();
-        l.transfer(bob, alice, Asset::new(eur, 20)).unwrap();
+        let deal = l.lock(bob, alice, Asset::new(eur, 20)).unwrap();
+        l.release(deal).unwrap();
         assert_eq!(l.balance(alice, CUR), 100);
         assert_eq!(l.balance(alice, eur), 20);
         assert_eq!(l.balance(bob, eur), 30);
@@ -548,7 +511,6 @@ mod tests {
             .map(|e| match e {
                 AuditEntry::OpenAccount { .. } => "open",
                 AuditEntry::Mint { .. } => "mint",
-                AuditEntry::Transfer { .. } => "transfer",
                 AuditEntry::Lock { .. } => "lock",
                 AuditEntry::Release { .. } => "release",
                 AuditEntry::Refund { .. } => "refund",
@@ -557,11 +519,41 @@ mod tests {
         assert_eq!(kinds, vec!["open", "open", "mint", "lock", "release"]);
     }
 
+    #[test]
+    fn audit_tags_are_pinned() {
+        /// Records the bytes `Hash` feeds.
+        struct Bytes(Vec<u8>);
+        impl Hasher for Bytes {
+            fn write(&mut self, b: &[u8]) {
+                self.0.extend_from_slice(b);
+            }
+            fn finish(&self) -> u64 {
+                0
+            }
+        }
+        let tag = |e: AuditEntry| {
+            let mut h = Bytes(Vec::new());
+            e.hash(&mut h);
+            h.0[0]
+        };
+        let (k, asset, deal) = (KeyId(1), Asset::new(CUR, 1), DealId(0));
+        assert_eq!(tag(AuditEntry::OpenAccount { owner: k }), 0);
+        assert_eq!(tag(AuditEntry::Mint { to: k, asset }), 1);
+        let lock = AuditEntry::Lock {
+            deal,
+            depositor: k,
+            beneficiary: k,
+            asset,
+        };
+        assert_eq!(tag(lock), 3);
+        assert_eq!(tag(AuditEntry::Release { deal }), 4);
+        assert_eq!(tag(AuditEntry::Refund { deal }), 5);
+    }
+
     /// Random operation sequences preserve conservation and never panic.
     #[derive(Debug, Clone)]
     enum Op {
         Mint(u8, u32),
-        Transfer(u8, u8, u32),
         Lock(u8, u8, u32),
         Release(u8),
         Refund(u8),
@@ -570,7 +562,6 @@ mod tests {
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             (any::<u8>(), any::<u32>()).prop_map(|(a, v)| Op::Mint(a, v)),
-            (any::<u8>(), any::<u8>(), any::<u32>()).prop_map(|(a, b, v)| Op::Transfer(a, b, v)),
             (any::<u8>(), any::<u8>(), any::<u32>()).prop_map(|(a, b, v)| Op::Lock(a, b, v)),
             any::<u8>().prop_map(Op::Release),
             any::<u8>().prop_map(Op::Refund),
@@ -589,9 +580,6 @@ mod tests {
                 // Errors are fine (refusals); panics or conservation breaks are not.
                 let _ = match op {
                     Op::Mint(a, v) => l.mint(acct(a), Asset::new(CUR, v as u64)).err(),
-                    Op::Transfer(a, b, v) => {
-                        l.transfer(acct(a), acct(b), Asset::new(CUR, v as u64)).err()
-                    }
                     Op::Lock(a, b, v) => {
                         l.lock(acct(a), acct(b), Asset::new(CUR, v as u64)).err().map(|_| LedgerError::Overflow)
                     }

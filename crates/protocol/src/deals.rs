@@ -131,8 +131,8 @@ impl ProtocolHarness for DealsHarness {
                 if ctx.withholds == Some(p) {
                     // A crashed party neither deposits nor votes — without
                     // its commit vote the CBC can only ever certify ABORT.
-                    // (The stock `CertifiedParty::participate` flag only
-                    // skips the deposits; it still votes commit.)
+                    // `CertifiedParty` has no withholding switch: a party
+                    // that withholds is this other process in its place.
                     return Box::new(InertProcess);
                 }
                 party.patience = Some(if ctx.impatient == Some(p) {

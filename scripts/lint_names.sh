@@ -98,6 +98,15 @@ row '\b(expperf|expall|chain_cost|consensus_cost|PerfReport|ViolationRow|TargetP
     "$code .github" '' \
     "deleted: expperf, expall and experiments::perf's tables (tests/protocol_cost.rs pins the counts), ViolationRow (use WitnessReport), PreGstPolicy::TargetPairs, --telemetry-interval"
 
+# Each decision has one home: the notary's gate enforces external
+# validity, a withholding or silent deal party is a substituted process,
+# one delay rule serves both PartialSyncNet constructors, and the
+# committee's base timeout is a constant. HTLC's private `participate`
+# (SwapBehaviour::BobGriefs) stays.
+row '\b(PreGstPolicy|cons_base_timeout)\b|AuditEntry::Transfer|\bvalidity:|\.validity\b|^[[:space:]]*(pub )?(participate|deposit|vote):|\.(participate|deposit|vote)\b' \
+    "$code" '^crates/htlc/src/' \
+    "deleted: PreGstPolicy, WeakSetup::cons_base_timeout, consensus::Config::validity (NotaryTm's gate), the deal parties' participate/deposit/vote switches (substitute a process through the engine builder's party hook), AuditEntry::Transfer"
+
 # Campaign checkpoints are telemetry events: one JSON codec reads
 # everything the repo writes and reads back.
 row '\bparse_payload\b' "$code" '' \

@@ -4,14 +4,17 @@
 
 use crosschain::anta::net::{PartialSyncNet, SyncNet};
 use crosschain::anta::oracle::RandomOracle;
+use crosschain::anta::process::{Ctx, Pid, Process, TimerId};
 use crosschain::anta::time::{SimDuration, SimTime};
+use crosschain::consensus::msg::sign_propose;
+use crosschain::consensus::{ConsMsg, ProofOfLock};
 use crosschain::payment::properties::{
     check_definition1, check_definition2, Compliance, PropCheck,
 };
 use crosschain::payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use crosschain::payment::weak::{Patience, TmKind, WeakOutcome, WeakSetup};
-use crosschain::payment::{SyncParams, ValuePlan};
-use crosschain::xcrypto::Verdict;
+use crosschain::payment::{PMsg, SyncParams, ValuePlan};
+use crosschain::xcrypto::{Signer, Verdict};
 
 #[test]
 fn time_bounded_protocol_many_seeds_many_sizes() {
@@ -98,6 +101,83 @@ fn weak_protocol_abort_path_is_lossless_everywhere() {
             assert_eq!(*p, Some(0), "{kind:?}: customer {i} must end whole");
         }
         assert!(o.cc_ok);
+    }
+}
+
+/// A round-0 leader that proposes χc, validly signed, before any evidence
+/// justifies it, and then falls silent. `pol` is the proof-of-lock it
+/// attaches, if any.
+struct CommitPusher {
+    signer: Signer,
+    peers: Vec<Pid>,
+    pol: Option<ProofOfLock<Verdict>>,
+}
+
+impl Process<PMsg> for CommitPusher {
+    fn on_start(&mut self, ctx: &mut Ctx<PMsg>) {
+        let pol_round = self.pol.as_ref().map(|p| p.round);
+        let sig = sign_propose(&self.signer, 0, 0, &Verdict::Commit, pol_round);
+        for &p in &self.peers {
+            ctx.send(
+                p,
+                PMsg::Cons(ConsMsg::Propose {
+                    round: 0,
+                    value: Verdict::Commit,
+                    pol: self.pol.clone(),
+                    sig,
+                }),
+            );
+        }
+    }
+    fn on_message(&mut self, _from: Pid, _msg: PMsg, _ctx: &mut Ctx<PMsg>) {}
+    fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
+    fn fp_digest(&self) -> u64 {
+        0
+    }
+}
+
+/// External validity is the notary's gate: Bob never accepts, so χc is
+/// never justified, and a leader's authentic χc proposal must not gather
+/// the honest notaries' prevotes — bare, or behind a proof-of-lock with
+/// no signatures. They decide the χa Alice asked for.
+#[test]
+fn committee_withholds_an_unjustified_commit_proposal() {
+    let setup = WeakSetup::new(2, ValuePlan::uniform(2, 60), TmKind::Committee { k: 4 }, 41)
+        .with_patience(2, Patience::absent())
+        .with_patience(
+            0,
+            Patience {
+                act_at: None,
+                abort_at: Some(SimDuration::from_millis(1)),
+            },
+        );
+    let peers = setup.tm_pids()[1..].to_vec();
+    let empty_pol = ProofOfLock {
+        round: 0,
+        value: Verdict::Commit,
+        sigs: Vec::new(),
+    };
+    for (seed, pol) in (0..4u64).flat_map(|s| [(s, None), (s, Some(empty_pol.clone()))]) {
+        let mut eng = setup.build_engine_with(
+            Box::new(SyncNet::new(SimDuration::from_millis(5), 8)),
+            Box::new(RandomOracle::seeded(seed)),
+            |_| None,
+            |i| {
+                (i == 0).then(|| {
+                    Box::new(CommitPusher {
+                        signer: setup.tm_signer(0).clone(),
+                        peers: peers.clone(),
+                        pol: pol.clone(),
+                    }) as Box<dyn Process<PMsg>>
+                })
+            },
+        );
+        eng.run();
+        let o = WeakOutcome::extract(&eng, &setup);
+        let case = format!("seed {seed}, pol {}", pol.is_some());
+        assert_eq!(o.verdict(), Some(Verdict::Abort), "{case}: {o:?}");
+        let v = check_definition2(&o, &Compliance::all_compliant(), false);
+        assert!(v.all_ok(), "{case}: {:?}", v.violations());
     }
 }
 

@@ -59,7 +59,6 @@ fn committee_run(k: usize) -> (u32, usize) {
         members,
         f: (k - 1) / 3,
         base_timeout: SimDuration::from_millis(50),
-        validity: Arc::new(|_: &u64| true),
     };
     let mut eng: Engine<ConsMsg<u64>> = Engine::new(
         Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
