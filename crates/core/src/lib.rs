@@ -22,8 +22,10 @@
 //! Figure 2 gives one automaton per participant, a function of its index
 //! `i` and its chain. The code builds every participant the same way: from
 //! its setup ([`ChainSetup`] or [`weak::WeakSetup`]) and its index — e.g.
-//! `EscrowProcess::new(&setup, i, book)`, `WeakCustomer::new(&setup, i)`,
-//! `fig2::escrow_spec(&setup, i)` or `ForgingChloe::new(&setup, i)`. The
+//! `CustomerProcess::new(&setup, i)` and `WeakCustomer::new(&setup, i)`,
+//! one type each for every customer `c_0…c_n`,
+//! `EscrowProcess::new(&setup, i, book)`, `fig2::escrow_spec(&setup, i)`
+//! or `ForgingChloe::new(&setup, i)`. The
 //! constructor copies its neighbours' pids, its keys, its value and its
 //! `a_i`/`d_i` bounds out of the setup; nothing else derives them.
 //! `default_process(role)` picks the compliant process for a role, and

@@ -13,7 +13,9 @@
 //! c_{i+1}."*
 //!
 //! The control structure is mirrored one-for-one by the declarative
-//! automaton in [`super::fig2`]; the integration tests cross-check the two.
+//! automaton in [`super::fig2`]. Only `experiments::e4::cross_check`
+//! compares the two, and only on the send skeleton of one worst-case
+//! schedule.
 
 use super::scenario::ChainSetup;
 use crate::msg::{PMsg, PromiseKind, SignedPromise};

@@ -7,7 +7,7 @@
 //! substitutions. Runs are pure functions of `(setup, net, oracle, clocks)`.
 
 use crate::msg::PMsg;
-use crate::timebounded::customers::{AliceProcess, BobProcess, ChloeProcess, CustomerOutcome};
+use crate::timebounded::customers::{CustomerOutcome, CustomerProcess};
 use crate::timebounded::escrow::{EscrowProcess, EscrowState};
 use crate::timing::{SyncParams, TimeoutSchedule};
 use crate::topology::{ChainKeys, ChainTopology, Role, ValuePlan};
@@ -140,12 +140,13 @@ impl ChainSetup {
 
     /// The default (compliant) process for a role.
     pub fn default_process(&self, role: Role) -> Box<dyn Process<PMsg>> {
-        match role {
-            Role::Alice => Box::new(AliceProcess::new(self)),
-            Role::Chloe(i) => Box::new(ChloeProcess::new(self, i)),
-            Role::Bob => Box::new(BobProcess::new(self)),
-            Role::Escrow(i) => Box::new(EscrowProcess::new(self, i, self.escrow_book(i))),
-        }
+        let i = match role {
+            Role::Alice => 0,
+            Role::Chloe(i) => i,
+            Role::Bob => self.n(),
+            Role::Escrow(i) => return Box::new(EscrowProcess::new(self, i, self.escrow_book(i))),
+        };
+        Box::new(CustomerProcess::new(self, i))
     }
 
     /// Builds an engine with compliant participants everywhere.
@@ -258,43 +259,18 @@ impl ChainOutcome {
     pub fn extract(eng: &Engine<PMsg>, setup: &ChainSetup, quiescent: bool) -> Self {
         let n = setup.n();
         let topo = &setup.topo;
-        let mut customers = Vec::with_capacity(n + 1);
-        let mut bob_issued_chi = None;
-        let mut alice_sent_local = None;
-        for i in 0..=n {
-            let pid = topo.customer_pid(i);
-            let halted_at = eng.trace().halt_time(pid);
-            let halted_local = eng.trace().halt_local_time(pid);
-            let view = if i == 0 {
-                eng.process_as::<AliceProcess>(pid).map(|a| {
-                    alice_sent_local = a.sent_money_at();
-                    CustomerView {
-                        outcome: a.outcome(),
-                        sent_money: a.sent_money(),
-                        halted_at,
-                        halted_local,
-                    }
-                })
-            } else if i == n {
-                eng.process_as::<BobProcess>(pid).map(|b| {
-                    bob_issued_chi = Some(b.issued_chi());
-                    CustomerView {
-                        outcome: b.outcome(),
-                        sent_money: false,
-                        halted_at,
-                        halted_local,
-                    }
-                })
-            } else {
-                eng.process_as::<ChloeProcess>(pid).map(|c| CustomerView {
+        let customer = |i| eng.process_as::<CustomerProcess>(topo.customer_pid(i));
+        let customers = (0..=n)
+            .map(|i| {
+                let pid = topo.customer_pid(i);
+                customer(i).map(|c| CustomerView {
                     outcome: c.outcome(),
                     sent_money: c.sent_money(),
-                    halted_at,
-                    halted_local,
+                    halted_at: eng.trace().halt_time(pid),
+                    halted_local: eng.trace().halt_local_time(pid),
                 })
-            };
-            customers.push(view);
-        }
+            })
+            .collect();
         let mut escrow_states = Vec::with_capacity(n);
         let mut conservation = Vec::with_capacity(n);
         for i in 0..n {
@@ -320,8 +296,8 @@ impl ChainOutcome {
             escrow_states,
             conservation,
             net_positions,
-            bob_issued_chi,
-            alice_sent_local,
+            bob_issued_chi: customer(n).map(CustomerProcess::forwarded_chi),
+            alice_sent_local: customer(0).and_then(CustomerProcess::sent_money_at),
             quiescent,
         }
     }

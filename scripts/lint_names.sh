@@ -78,6 +78,8 @@ row 'Evidence::new\(' \
 # Each chain participant is built from its setup and its index.
 row 'too_many_arguments' 'crates/core crates/consensus' '' \
     "build the participant from its setup and its index"
+row '\b(AliceProcess|ChloeProcess|BobProcess)\b' "$code" '' \
+    "deleted: every time-bounded customer c_0…c_n is CustomerProcess::new(&setup, i)"
 row '\b(Fig2Params|DecisionLog|SilentNotary)\b' crates '' \
     "deleted: Fig2Params (use ChainSetup), DecisionLog (CC is WeakOutcome::cc_ok), SilentNotary (use InertProcess)"
 

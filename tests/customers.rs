@@ -6,8 +6,11 @@
 //!   `Refused`: the customer halts and sends neither $ nor χ;
 //! * a message from the wrong sender, for the wrong payment or amount,
 //!   under a bad signature, a duplicate promise, and χ or money that
-//!   arrives before the customer has paid are all ignored: the customer
-//!   pays exactly once, against the honest promises, and stays pending.
+//!   arrives before the customer has paid are all ignored: alone they
+//!   move the customer to nothing, and among the honest promises it pays
+//!   exactly once and stays pending;
+//! * a connector forwards χ once, and then only `e_{i-1}`'s payment ends
+//!   its run.
 
 use crosschain::anta::engine::Engine;
 use crosschain::anta::net::SyncNet;
@@ -230,6 +233,11 @@ fn hostile_inputs_are_ignored_and_the_customer_pays_once() {
             forged.bound = p.bound;
             steps.push((e, i, PMsg::Promise(forged)));
         }
+        // Alone, none of it moves the customer.
+        let (eng, o) = run(&s, steps.clone());
+        assert_eq!(sent_by(&eng, &s, i), vec![], "c_{i} acts on hostile input");
+        let view = o.customers[i].expect("compliant customer");
+        assert_eq!(view.outcome, CustomerOutcome::Pending, "c_{i}");
         // The honest promises, each followed by a duplicate that is off
         // the schedule: a promise already in is not read again.
         for honest_step in honest(&s, i) {
@@ -237,8 +245,8 @@ fn hostile_inputs_are_ignored_and_the_customer_pays_once() {
             steps.push(honest_step);
             steps.push(dup);
         }
-        // After paying: a refund of the wrong amount or payment, and χ
-        // not signed by Bob.
+        // After paying: a refund of the wrong amount or payment, χ not
+        // signed by Bob, and Bob's χ for another payment.
         if i < N {
             let wrong_amount = PMsg::Money {
                 payment: s.payment,
@@ -252,7 +260,8 @@ fn hostile_inputs_are_ignored_and_the_customer_pays_once() {
                 asset: s.plan.amounts[i],
             };
             let bad_chi = PMsg::Receipt(Receipt::issue(s.customer_signer(i), s.payment));
-            for msg in [wrong_amount, wrong_payment, bad_chi] {
+            let other_chi = PMsg::Receipt(Receipt::issue(s.customer_signer(N), other_payment(&s)));
+            for msg in [wrong_amount, wrong_payment, bad_chi, other_chi] {
                 steps.push((i, i, msg));
             }
         }
@@ -280,4 +289,23 @@ fn hostile_inputs_are_ignored_and_the_customer_pays_once() {
             assert_eq!(o.bob_issued_chi, Some(true));
         }
     }
+}
+
+#[test]
+fn a_connector_forwards_chi_once_and_then_waits_for_upstream() {
+    let s = setup();
+    let mut steps = honest(&s, 1);
+    // χ from e_1 is forwarded to e_0; after that, neither a second χ nor
+    // a refund from e_1 is read, and only e_0's payment ends the run.
+    steps.push((1, 1, chi(&s)));
+    steps.push((1, 1, chi(&s)));
+    steps.push((1, 1, money(&s, 1)));
+    steps.push((0, 1, money(&s, 0)));
+    let (eng, o) = run(&s, steps);
+    let view = o.customers[1].expect("compliant customer");
+    assert_eq!(view.outcome, CustomerOutcome::Reimbursed);
+    assert_eq!(
+        sent_by(&eng, &s, 1),
+        vec![payment_of(&s, 1), (s.topo.escrow_pid(0), chi(&s))]
+    );
 }

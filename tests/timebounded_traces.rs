@@ -65,8 +65,9 @@ fn digest(n: usize, clocks: ClockPlan, byz: ByzFault) -> u64 {
     fnv1a64(format!("{:?}\n{outcome:?}", eng.trace()).as_bytes())
 }
 
-/// `(n, clock plan, fault, digest)`, recorded before the three customer
-/// types became one.
+/// `(n, clock plan, fault, digest)`, recorded while Alice, the connectors
+/// and Bob were still three separate process types; `CustomerProcess`
+/// reproduces every one.
 const PINS: &[(usize, &str, &str, u64)] = &[
     (1, "perfect", "none", 0xafa9536120961471),
     (1, "perfect", "crash c0", 0x62e063b9e717e64e),
