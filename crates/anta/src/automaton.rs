@@ -22,6 +22,12 @@
 //! diagram (state reachability, transition coverage) and lets the schedule
 //! explorer enumerate its behaviours.
 //!
+//! The store holds clock variables only. A grey state's send is built
+//! from the store and the message whose receipt entered the grey chain
+//! (its *trigger*), which is how the paper's `r(id, m)` followed by
+//! `s(id', m)` forwards the `m` it received — a connector passes on Bob's
+//! χ, it does not sign one.
+//!
 //! Message buffering: deliveries that no transition of the *current* state
 //! can consume are buffered and re-offered after every state change — the
 //! standard asynchronous-network reading of `r(id, m)` (the network does not
@@ -48,23 +54,22 @@ pub enum StateKind {
     Output,
 }
 
-/// Variable store of one automaton: clock variables (`x := now`) and integer
-/// registers (for values carried by messages, e.g. a promise's deadline).
+/// Variable store of one automaton: its clock variables (`x := now`).
 #[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct VarStore {
     /// Clock variables (`x := now` targets).
     pub clocks: Vec<SimTime>,
-    /// Integer registers (values carried by messages).
-    pub regs: Vec<i64>,
 }
 
 /// Guard over an incoming message.
 pub type GuardFn<M> = Arc<dyn Fn(&M, &VarStore) -> bool + Send + Sync>;
-/// Assignment executed when a transition fires: receives the store, the
-/// local `now`, and the consumed message (for receive transitions).
-pub type AssignFn<M> = Arc<dyn Fn(&mut VarStore, SimTime, Option<&M>) + Send + Sync>;
-/// Constructor of an outgoing message from the variable store.
-pub type MakeFn<M> = Arc<dyn Fn(&VarStore) -> M + Send + Sync>;
+/// Assignment executed when a transition fires: receives the store and the
+/// local `now`.
+pub type AssignFn = Arc<dyn Fn(&mut VarStore, SimTime) + Send + Sync>;
+/// Constructor of an outgoing message from the variable store and the
+/// trigger: the message whose receipt entered the chain of grey states
+/// (`None` when a time-out or the start entered it).
+pub type MakeFn<M> = Arc<dyn Fn(&VarStore, Option<&M>) -> M + Send + Sync>;
 
 /// A transition's triggering action.
 #[derive(Clone)]
@@ -83,11 +88,11 @@ pub enum Action<M> {
         /// Offset added to the clock variable.
         delay: SimDuration,
     },
-    /// `s(to, make(store))` — only from output states.
+    /// `s(to, make(store, trigger))` — only from output states.
     Send {
         /// Recipient process id.
         to: Pid,
-        /// Constructs the outgoing message from the variable store.
+        /// Constructs the outgoing message (see [`MakeFn`]).
         make: MakeFn<M>,
     },
 }
@@ -111,8 +116,8 @@ pub struct Transition<M> {
     pub to: StateId,
     /// The triggering action.
     pub action: Action<M>,
-    /// Optional `x := now` / register assignments on firing.
-    pub assign: Option<AssignFn<M>>,
+    /// Optional `x := now` assignments on firing.
+    pub assign: Option<AssignFn>,
 }
 
 /// A complete automaton specification.
@@ -127,7 +132,6 @@ pub struct AutomatonSpec<M> {
     by_state: Vec<Vec<usize>>,
     initial: StateId,
     n_clocks: usize,
-    n_regs: usize,
 }
 
 /// Errors detected by [`AutomatonBuilder::build`].
@@ -175,7 +179,6 @@ pub struct AutomatonBuilder<M> {
     transitions: Vec<Transition<M>>,
     initial: StateId,
     n_clocks: usize,
-    n_regs: usize,
 }
 
 impl<M> AutomatonBuilder<M> {
@@ -188,7 +191,6 @@ impl<M> AutomatonBuilder<M> {
             transitions: Vec::new(),
             initial: StateId(0),
             n_clocks: 0,
-            n_regs: 0,
         }
     }
 
@@ -218,12 +220,6 @@ impl<M> AutomatonBuilder<M> {
         self
     }
 
-    /// Declares `n` integer registers.
-    pub fn regs(&mut self, n: usize) -> &mut Self {
-        self.n_regs = n;
-        self
-    }
-
     /// Adds `r(from, m)` guarded by `guard`, with optional assignment.
     pub fn receive(
         &mut self,
@@ -231,7 +227,7 @@ impl<M> AutomatonBuilder<M> {
         to_state: StateId,
         sender: Pid,
         guard: impl Fn(&M, &VarStore) -> bool + Send + Sync + 'static,
-        assign: Option<AssignFn<M>>,
+        assign: Option<AssignFn>,
     ) -> &mut Self {
         self.transitions.push(Transition {
             from: from_state,
@@ -252,7 +248,7 @@ impl<M> AutomatonBuilder<M> {
         to_state: StateId,
         var: usize,
         delay: SimDuration,
-        assign: Option<AssignFn<M>>,
+        assign: Option<AssignFn>,
     ) -> &mut Self {
         self.transitions.push(Transition {
             from: from_state,
@@ -263,14 +259,14 @@ impl<M> AutomatonBuilder<M> {
         self
     }
 
-    /// Adds `s(to, make(store))` leaving a grey state.
+    /// Adds `s(to, make(store, trigger))` leaving a grey state.
     pub fn send(
         &mut self,
         from_state: StateId,
         to_state: StateId,
         to: Pid,
-        make: impl Fn(&VarStore) -> M + Send + Sync + 'static,
-        assign: Option<AssignFn<M>>,
+        make: impl Fn(&VarStore, Option<&M>) -> M + Send + Sync + 'static,
+        assign: Option<AssignFn>,
     ) -> &mut Self {
         self.transitions.push(Transition {
             from: from_state,
@@ -335,7 +331,6 @@ impl<M> AutomatonBuilder<M> {
             by_state,
             initial: self.initial,
             n_clocks: self.n_clocks,
-            n_regs: self.n_regs,
         })
     }
 }
@@ -421,7 +416,6 @@ impl<M: Message> AutomatonProcess<M> {
     pub fn new(spec: Arc<AutomatonSpec<M>>) -> Self {
         let store = VarStore {
             clocks: vec![SimTime::ZERO; spec.n_clocks],
-            regs: vec![0; spec.n_regs],
         };
         let initial = spec.initial;
         AutomatonProcess {
@@ -446,7 +440,7 @@ impl<M: Message> AutomatonProcess<M> {
         self.spec.state_name(self.st.state)
     }
 
-    /// The variable store (clocks and registers).
+    /// The variable store (its clock variables).
     pub fn store(&self) -> &VarStore {
         &self.st.store
     }
@@ -454,15 +448,17 @@ impl<M: Message> AutomatonProcess<M> {
     fn fire(&mut self, idx: usize, now: SimTime, msg: Option<&M>, ctx: &mut Ctx<M>) {
         let t = self.spec.transitions[idx].clone();
         if let Some(assign) = &t.assign {
-            assign(&mut self.st.store, now, msg);
+            assign(&mut self.st.store, now);
         }
-        self.enter(t.to, ctx);
+        self.enter(t.to, msg, ctx);
     }
 
-    /// Enters `state`: performs the whole chain of grey states (each sends
-    /// its one message), then in the final white state arms timeout timers,
-    /// re-offers buffered messages, and halts if terminal.
-    fn enter(&mut self, state: StateId, ctx: &mut Ctx<M>) {
+    /// Enters `state`, on receipt of `trigger` if a receive led here:
+    /// performs the whole chain of grey states (each sends its one message,
+    /// built from the store and `trigger`), then in the final white state
+    /// arms timeout timers, re-offers buffered messages, and halts if
+    /// terminal.
+    fn enter(&mut self, state: StateId, trigger: Option<&M>, ctx: &mut Ctx<M>) {
         self.st.state = state;
         self.st.epoch += 1;
         ctx.mark("state", state.0 as i64);
@@ -471,11 +467,11 @@ impl<M: Message> AutomatonProcess<M> {
             let out = self.spec.by_state[self.st.state.0][0];
             let t = self.spec.transitions[out].clone();
             if let Action::Send { to, make } = &t.action {
-                let msg = make(&self.st.store);
+                let msg = make(&self.st.store, trigger);
                 ctx.send(*to, msg);
             }
             if let Some(assign) = &t.assign {
-                assign(&mut self.st.store, ctx.now(), None);
+                assign(&mut self.st.store, ctx.now());
             }
             self.st.state = t.to;
             self.st.epoch += 1;
@@ -533,7 +529,7 @@ impl<M: Message> AutomatonProcess<M> {
 impl<M: Message> Process<M> for AutomatonProcess<M> {
     fn on_start(&mut self, ctx: &mut Ctx<M>) {
         let init = self.spec.initial;
-        self.enter(init, ctx);
+        self.enter(init, None, ctx);
     }
 
     fn on_message(&mut self, from: Pid, msg: M, ctx: &mut Ctx<M>) {
@@ -583,6 +579,7 @@ mod tests {
     use crate::engine::{Engine, EngineConfig};
     use crate::net::SyncNet;
     use crate::oracle::RandomOracle;
+    use crate::trace::TraceKind;
 
     /// Test message alphabet.
     #[derive(Debug, Clone, PartialEq, Hash)]
@@ -605,8 +602,8 @@ mod tests {
             send,
             wait,
             peer,
-            |_| TMsg::Ping,
-            Some(Arc::new(|st: &mut VarStore, now, _| st.clocks[0] = now)),
+            |_, _| TMsg::Ping,
+            Some(Arc::new(|st: &mut VarStore, now| st.clocks[0] = now)),
         );
         b.receive(wait, done, peer, |m, _| matches!(m, TMsg::Pong), None);
         b.timeout(wait, gave_up, 0, patience, None);
@@ -621,7 +618,7 @@ mod tests {
         let done = b.input_state("done");
         b.initial(wait);
         b.receive(wait, reply, peer, |m, _| matches!(m, TMsg::Ping), None);
-        b.send(reply, done, peer, |_| TMsg::Pong, None);
+        b.send(reply, done, peer, |_, _| TMsg::Pong, None);
         b.build().unwrap()
     }
 
@@ -684,7 +681,8 @@ mod tests {
     #[test]
     fn early_messages_are_buffered() {
         // An automaton expecting Value(1) then Value(2), fed in reverse
-        // order, must still complete thanks to buffering.
+        // order, must still complete thanks to buffering, and its grey
+        // state then echoes the buffered Value(2) that entered it.
         #[derive(Debug, Clone)]
         struct Feeder {
             peer: Pid,
@@ -703,21 +701,12 @@ mod tests {
         let mut b = AutomatonBuilder::new("orderly");
         let s1 = b.input_state("want_one");
         let s2 = b.input_state("want_two");
+        let echo = b.output_state("echo");
         let done = b.input_state("done");
         b.initial(s1);
-        b.regs(1);
         b.receive(s1, s2, 0, |m, _| matches!(m, TMsg::Value(1)), None);
-        b.receive(
-            s2,
-            done,
-            0,
-            |m, _| matches!(m, TMsg::Value(2)),
-            Some(Arc::new(|st: &mut VarStore, _, m| {
-                if let Some(TMsg::Value(v)) = m {
-                    st.regs[0] = *v;
-                }
-            })),
-        );
+        b.receive(s2, echo, 0, |m, _| matches!(m, TMsg::Value(2)), None);
+        b.send(echo, done, 0, |_, m| m.cloned().expect("a receive"), None);
         let spec = b.build().unwrap();
 
         // Deliver Value(2) strictly before Value(1): the first send goes out
@@ -737,11 +726,17 @@ mod tests {
         eng.run();
         let a = eng.process_as::<AutomatonProcess<TMsg>>(orderly).unwrap();
         assert_eq!(a.state_name(), "done");
-        assert_eq!(
-            a.store().regs[0],
-            2,
-            "assignment captured the message value"
-        );
+        let echoed = eng.trace().events.iter().any(|e| {
+            matches!(
+                &e.kind,
+                TraceKind::Sent {
+                    from: 1,
+                    to: 0,
+                    msg: TMsg::Value(2)
+                }
+            )
+        });
+        assert!(echoed, "the grey send sees the message that entered it");
     }
 
     #[test]
@@ -774,7 +769,7 @@ mod tests {
         let mut b2 = AutomatonBuilder::<TMsg>::new("bad2");
         let w = b2.input_state("white_with_send");
         let w2 = b2.input_state("white2");
-        b2.send(w, w2, 0, |_| TMsg::Ping, None);
+        b2.send(w, w2, 0, |_, _| TMsg::Ping, None);
         assert!(matches!(
             b2.build(),
             Err(AutomatonError::SendFromInputState(_))

@@ -12,7 +12,7 @@
 //! * [`clock`] — per-process drifting clocks `C(t) = offset + rate·t`;
 //! * [`process`] — the [`process::Process`] trait protocol code implements;
 //! * [`automaton`] — data-driven timed automata (white/grey states, guards,
-//!   `x := now` assignments) interpreting Figure 2 directly;
+//!   `x := now` clocks, sends that see their trigger) interpreting Figure 2;
 //! * [`net`] — `Sync(δ)` / `PartialSync(GST, δ)` / adversarial models;
 //! * [`oracle`] — the single funnel for scheduler nondeterminism;
 //! * [`engine`] — the deterministic discrete-event simulator;
@@ -57,8 +57,9 @@
 //! let late = b.input_state("gave_up");
 //! b.clock_vars(1);
 //! b.initial(send);
-//! b.send(send, wait, 1, |_| Msg::Ping,
-//!        Some(Arc::new(|st: &mut VarStore, now, _| st.clocks[0] = now)));
+//! // A send sees the clocks and the message that led into it (none here).
+//! b.send(send, wait, 1, |_, _| Msg::Ping,
+//!        Some(Arc::new(|st: &mut VarStore, now| st.clocks[0] = now)));
 //! b.receive(wait, done, 1, |m, _| matches!(m, Msg::Pong), None);
 //! b.timeout(wait, late, 0, SimDuration::from_millis(5), None);
 //! let requester = b.build().unwrap();
@@ -69,7 +70,7 @@
 //! let fin = b.input_state("done");
 //! b.initial(wait);
 //! b.receive(wait, reply, 0, |m, _| matches!(m, Msg::Ping), None);
-//! b.send(reply, fin, 0, |_| Msg::Pong, None);
+//! b.send(reply, fin, 0, |_, _ping| Msg::Pong, None);
 //! let responder = b.build().unwrap();
 //!
 //! let mut eng = Engine::new(

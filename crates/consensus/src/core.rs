@@ -152,7 +152,6 @@ struct CoreState<V> {
     prevoted_rounds: Vec<u32>,
     precommitted_rounds: Vec<u32>,
     decided: Option<(u32, V)>,
-    decision_broadcast: bool,
 }
 
 /// Manual impl: `signer` holds a secret key, so only the run state is
@@ -200,7 +199,6 @@ impl<V: ConsensusValue> NotaryCore<V> {
                 prevoted_rounds: Vec::new(),
                 precommitted_rounds: Vec::new(),
                 decided: None,
-                decision_broadcast: false,
             },
         }
     }
@@ -591,6 +589,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
         None
     }
 
+    /// Runs once: every caller returns early once `decided` is set.
     fn decide(&mut self, round: u32, value: V, sigs: Vec<Signature>, out: &mut Vec<Output<V>>) {
         self.st.decided = Some((round, value.clone()));
         out.push(Output::Decide {
@@ -598,10 +597,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
             value: value.clone(),
             sigs: sigs.clone(),
         });
-        if !self.st.decision_broadcast {
-            self.st.decision_broadcast = true;
-            out.push(Output::Broadcast(ConsMsg::Decided { round, value, sigs }));
-        }
+        out.push(Output::Broadcast(ConsMsg::Decided { round, value, sigs }));
     }
 }
 

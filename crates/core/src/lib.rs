@@ -24,7 +24,7 @@
 //! its setup ([`ChainSetup`] or [`weak::WeakSetup`]) and its index — e.g.
 //! `CustomerProcess::new(&setup, i)` and `WeakCustomer::new(&setup, i)`,
 //! one type each for every customer `c_0…c_n`,
-//! `EscrowProcess::new(&setup, i, book)`, `fig2::escrow_spec(&setup, i)`
+//! `EscrowProcess::new(&setup, i, book)`, `fig2::spec(&setup, role)`
 //! or `ForgingChloe::new(&setup, i)`. The
 //! constructor copies its neighbours' pids, its keys, its value and its
 //! `a_i`/`d_i` bounds out of the setup; nothing else derives them.

@@ -13,9 +13,10 @@
 //! c_{i+1}."*
 //!
 //! The control structure is mirrored one-for-one by the declarative
-//! automaton in [`super::fig2`]. Only `experiments::e4::cross_check`
-//! compares the two, and only on the send skeleton of one worst-case
-//! schedule.
+//! automaton in [`super::fig2`], which forwards the χ it received just as
+//! this process does. [`ChainSetup::build_engine_with`] assembles both
+//! chains alike. Only `experiments::e4::cross_check` compares the two, and
+//! only on the send skeleton of one worst-case schedule.
 
 use super::scenario::ChainSetup;
 use crate::msg::{PMsg, PromiseKind, SignedPromise};

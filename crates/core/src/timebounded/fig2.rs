@@ -2,9 +2,13 @@
 //!
 //! These specs mirror the executable processes of [`super::escrow`] and
 //! [`super::customers`] state-for-state, but carry no ledger — they are the
-//! paper's diagram, executable as automata. Each is built from the same
-//! [`ChainSetup`] as the executable chain and the participant's index, so
-//! the two share every pid, key, value and bound. Experiment E4 uses them to
+//! paper's diagram, executable as automata. [`spec`] builds each from the
+//! same [`ChainSetup`] as the executable chain and the participant's role,
+//! and [`ChainSetup::build_engine_with`] assembles both chains: one engine
+//! configuration, network and clock plan, every pid, key, value and bound
+//! shared. Each process signs with its own key only: an escrow or a
+//! connector forwards the χ it received (`r(id, χ)` then `s(id', χ)`), so
+//! Bob's signer is used by Bob's automaton alone. Experiment E4 uses them to
 //! (a) regenerate Figure 2 as Graphviz DOT and (b) compare them with the
 //! executable protocol. That comparison is narrow:
 //! `experiments::e4::cross_check` runs both on one worst-case
@@ -14,6 +18,7 @@
 
 use super::scenario::ChainSetup;
 use crate::msg::{PMsg, PromiseKind, SignedPromise};
+use crate::topology::Role;
 use anta::automaton::{AutomatonBuilder, AutomatonSpec, VarStore};
 use anta::process::Pid;
 use ledger::Asset;
@@ -32,17 +37,22 @@ fn is_promise(m: &PMsg, kind: PromiseKind, payment: PaymentId) -> bool {
     matches!(m, PMsg::Promise(p) if p.kind == kind && p.payment == payment)
 }
 
+/// The χ whose receipt entered a forwarding state, passed on as received.
+fn forward(_: &VarStore, chi: Option<&PMsg>) -> PMsg {
+    chi.cloned().expect("entered on a χ receive")
+}
+
 /// The escrow `e_i` automaton of Figure 2.
 ///
 /// ```text
 /// ● send G(d_i) → ○ await $ → ● send P(a_i), u := now → ○ await χ
 ///      (from c_i)                    (to c_{i+1})          │  \
 ///                                      χ in time ──────────┘   \ now ≥ u + a_i
-///                                      ● send χ to c_i          ● send $ to c_i
+///                                      ● forward χ to c_i       ● send $ to c_i
 ///                                      ● send $ to c_{i+1}      ○ refunded
 ///                                      ○ done
 /// ```
-pub fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
+fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
     let up: Pid = setup.topo.customer_pid(i);
     let down: Pid = setup.topo.customer_pid(i + 1);
     let payment = setup.payment;
@@ -71,7 +81,7 @@ pub fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
         send_g,
         await_money,
         up,
-        move |_| {
+        move |_, _| {
             PMsg::Promise(SignedPromise::issue(
                 &signer,
                 PromiseKind::Guarantee,
@@ -93,7 +103,7 @@ pub fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
         send_p,
         await_chi,
         down,
-        move |_| {
+        move |_, _| {
             PMsg::Promise(SignedPromise::issue(
                 &signer2,
                 PromiseKind::Promise,
@@ -103,42 +113,21 @@ pub fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
             ))
         },
         // u := now — on leaving the grey state, per Figure 2.
-        Some(Arc::new(|st: &mut VarStore, now, _| st.clocks[0] = now)),
+        Some(Arc::new(|st: &mut VarStore, now| st.clocks[0] = now)),
     );
     b.receive(
         await_chi,
         fwd_chi,
         down,
         move |m, _| is_valid_chi(m, payment, &pki, bob),
-        // Remember χ so the grey states can forward it. Registers hold
-        // i64, so we stash nothing — the forward closure re-issues from
-        // the captured receipt… but χ must be BOB's signature, so the
-        // forwarding states clone the received message instead: see
-        // `reg[0]` trick below (set to 1 when χ captured).
-        Some(Arc::new(|st: &mut VarStore, _, _| {
-            if !st.regs.is_empty() {
-                st.regs[0] = 1;
-            }
-        })),
-    );
-    b.regs(1);
-    // Forwarding χ: the automaton cannot re-sign Bob's certificate, and the
-    // declarative layer has no message store; we model the forwarded χ as a
-    // fresh `Receipt` value signed by Bob's key, which is byte-identical to
-    // the real one (deterministic signature over the same payload).
-    let bob_signer = setup.customer_signer(setup.n()).clone();
-    b.send(
-        fwd_chi,
-        pay_down,
-        up,
-        move |_| PMsg::Receipt(Receipt::issue(&bob_signer, payment)),
         None,
     );
+    b.send(fwd_chi, pay_down, up, forward, None);
     b.send(
         pay_down,
         done,
         down,
-        move |_| PMsg::Money { payment, asset },
+        move |_, _| PMsg::Money { payment, asset },
         None,
     );
     b.timeout(await_chi, refund, 0, a_i, None);
@@ -146,14 +135,14 @@ pub fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
         refund,
         refunded,
         up,
-        move |_| PMsg::Money { payment, asset },
+        move |_, _| PMsg::Money { payment, asset },
         None,
     );
     b.build().expect("escrow spec is well-formed")
 }
 
 /// Alice's automaton (`c_0`).
-pub fn alice_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
+fn alice_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
     let escrow = setup.topo.escrow_pid(0);
     let payment = setup.payment;
     let asset = setup.plan.amounts[0];
@@ -183,7 +172,7 @@ pub fn alice_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
         pay,
         await_outcome,
         escrow,
-        move |_| PMsg::Money { payment, asset },
+        move |_, _| PMsg::Money { payment, asset },
         None,
     );
     b.receive(
@@ -204,8 +193,8 @@ pub fn alice_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
 }
 
 /// Chloe_i's automaton (`c_i`, `0 < i < n`). Promises may arrive in either
-/// order (diamond at the start).
-pub fn chloe_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
+/// order (diamond at the start); she forwards the χ she received.
+fn chloe_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
     let up_escrow = setup.topo.escrow_pid(i - 1);
     let down_escrow = setup.topo.escrow_pid(i);
     let payment = setup.payment;
@@ -236,7 +225,7 @@ pub fn chloe_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
         pay,
         await_outcome,
         down_escrow,
-        move |_| PMsg::Money {
+        move |_, _| PMsg::Money {
             payment,
             asset: send_asset,
         },
@@ -257,14 +246,7 @@ pub fn chloe_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
         move |m, _| is_valid_chi(m, payment, &pki3, bob),
         None,
     );
-    let bob_signer = setup.customer_signer(setup.n()).clone();
-    b.send(
-        fwd,
-        await_reimb,
-        up_escrow,
-        move |_| PMsg::Receipt(Receipt::issue(&bob_signer, payment)),
-        None,
-    );
+    b.send(fwd, await_reimb, up_escrow, forward, None);
     b.receive(
         await_reimb,
         reimbursed,
@@ -275,8 +257,8 @@ pub fn chloe_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
     b.build().expect("chloe spec is well-formed")
 }
 
-/// Bob's automaton (`c_n`).
-pub fn bob_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
+/// Bob's automaton (`c_n`): the one χ signer.
+fn bob_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
     let n = setup.n();
     let escrow = setup.topo.escrow_pid(n - 1);
     let payment = setup.payment;
@@ -300,7 +282,7 @@ pub fn bob_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
         send_chi,
         await_money,
         escrow,
-        move |_| PMsg::Receipt(Receipt::issue(&bob_signer, payment)),
+        move |_, _| PMsg::Receipt(Receipt::issue(&bob_signer, payment)),
         None,
     );
     b.receive(
@@ -313,59 +295,63 @@ pub fn bob_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
     b.build().expect("bob spec is well-formed")
 }
 
-/// Builds all Figure 2 specs for a chain, in pid order
-/// (customers `c_0..=c_n`, then escrows `e_0..e_{n-1}`).
+/// The Figure 2 automaton of `role` in `setup`'s chain.
+pub fn spec(setup: &ChainSetup, role: Role) -> AutomatonSpec<PMsg> {
+    match role {
+        Role::Alice => alice_spec(setup),
+        Role::Chloe(i) => chloe_spec(setup, i),
+        Role::Bob => bob_spec(setup),
+        Role::Escrow(i) => escrow_spec(setup, i),
+    }
+}
+
+/// All Figure 2 specs for a chain, in pid order (customers `c_0..=c_n`,
+/// then escrows `e_0..e_{n-1}`).
 pub fn all_specs(setup: &ChainSetup) -> Vec<AutomatonSpec<PMsg>> {
-    let n = setup.n();
-    let mut specs = Vec::with_capacity(2 * n + 1);
-    specs.push(alice_spec(setup));
-    for i in 1..n {
-        specs.push(chloe_spec(setup, i));
-    }
-    specs.push(bob_spec(setup));
-    for i in 0..n {
-        specs.push(escrow_spec(setup, i));
-    }
-    specs
+    (0..setup.topo.participants())
+        .map(|pid| spec(setup, setup.topo.role_of(pid).expect("chain pid")))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timebounded::ClockPlan;
     use crate::timing::SyncParams;
     use crate::topology::ValuePlan;
     use anta::automaton::AutomatonProcess;
-    use anta::clock::DriftClock;
-    use anta::engine::{Engine, EngineConfig};
+    use anta::engine::Engine;
     use anta::net::SyncNet;
     use anta::oracle::RandomOracle;
-    use anta::time::SimTime;
+    use anta::process::{InertProcess, Process};
 
     fn params(n: usize) -> ChainSetup {
         ChainSetup::new(n, ValuePlan::uniform(n, 100), SyncParams::baseline(), 5)
     }
 
-    fn build_engine(p: &ChainSetup, seed: u64) -> Engine<PMsg> {
-        let mut eng = Engine::new(
-            Box::new(SyncNet::new(SyncParams::baseline().delta, 8)),
+    /// The declarative chain, assembled like the executable one, with
+    /// `silent`'s automaton replaced by an inert process.
+    fn declarative(p: &ChainSetup, net: SyncNet, seed: u64, silent: Option<Role>) -> Engine<PMsg> {
+        p.build_engine_with(
+            Box::new(net),
             Box::new(RandomOracle::seeded(seed)),
-            EngineConfig::default(),
-        );
-        for spec in all_specs(p) {
-            eng.add_process(
-                Box::new(AutomatonProcess::new(Arc::new(spec))),
-                DriftClock::perfect(),
-            );
-        }
-        eng
+            ClockPlan::Perfect,
+            |role| -> Option<Box<dyn Process<PMsg>>> {
+                Some(if silent == Some(role) {
+                    Box::new(InertProcess)
+                } else {
+                    Box::new(AutomatonProcess::new(Arc::new(spec(p, role))))
+                })
+            },
+        )
     }
 
     #[test]
     fn declarative_chain_completes_happy_path() {
         for n in 1..=4 {
             let p = params(n);
-            let mut eng = build_engine(&p, 3);
-            eng.run_until(SimTime::from_secs(3_600));
+            let mut eng = declarative(&p, SyncNet::new(SyncParams::baseline().delta, 8), 3, None);
+            eng.run();
             // Alice ends in got_chi, Bob in paid, escrows in done.
             let alice = eng.process_as::<AutomatonProcess<PMsg>>(0).unwrap();
             assert_eq!(alice.state_name(), "got_chi", "n = {n}");
@@ -401,7 +387,7 @@ mod tests {
             );
         }
         // The escrow automaton has the paper's 9 states and 8 transitions.
-        let e = escrow_spec(&p, 0);
+        let e = spec(&p, Role::Escrow(0));
         assert_eq!(e.n_states(), 9);
         assert_eq!(e.n_transitions(), 8);
     }
@@ -411,24 +397,9 @@ mod tests {
         // Drop Bob (replace with an inert process): escrows refund, Alice
         // ends refunded.
         let p = params(2);
-        let mut eng = Engine::new(
-            Box::new(SyncNet::worst_case(SyncParams::baseline().delta)),
-            Box::new(RandomOracle::seeded(1)),
-            EngineConfig::default(),
-        );
-        let specs = all_specs(&p);
-        let bob_pid = p.topo.customer_pid(2);
-        for (pid, spec) in specs.into_iter().enumerate() {
-            if pid == bob_pid {
-                eng.add_process(Box::new(anta::process::InertProcess), DriftClock::perfect());
-            } else {
-                eng.add_process(
-                    Box::new(AutomatonProcess::new(Arc::new(spec))),
-                    DriftClock::perfect(),
-                );
-            }
-        }
-        eng.run_until(SimTime::from_secs(3_600));
+        let net = SyncNet::worst_case(SyncParams::baseline().delta);
+        let mut eng = declarative(&p, net, 1, Some(Role::Bob));
+        eng.run();
         let alice = eng.process_as::<AutomatonProcess<PMsg>>(0).unwrap();
         assert_eq!(alice.state_name(), "refunded");
         let chloe = eng.process_as::<AutomatonProcess<PMsg>>(1).unwrap();

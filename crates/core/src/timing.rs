@@ -150,9 +150,10 @@ impl TimeoutSchedule {
     /// money descent and χ's full climb back:
     /// `a_i > (1+ρ)·2h·(2(n−1−i)+1)`. Strict for the same reason as
     /// [`Self::check_chaining`]: acceptance is `v < u + a_i`, so a χ whose
-    /// worst-case local arrival equals `a_i` is refused. The unit test
-    /// `chaining_and_forward_checks_are_strict_at_need` holds both checks
-    /// to this boundary. Returns the first violating index.
+    /// worst-case local arrival equals `a_i` is refused. The root test
+    /// `tests/property.rs::chaining_and_forward_checks_are_strict_at_need`
+    /// holds both checks to this boundary. Returns the first violating
+    /// index.
     pub fn check_forward(&self, p: &SyncParams) -> Result<(), usize> {
         let two_h = p.hop() * 2;
         let n = self.n();
@@ -279,33 +280,6 @@ mod tests {
         assert!(broken.validate(&p).is_err());
         // Cutting nothing keeps it valid.
         assert!(s.shortened(SimDuration::ZERO).validate(&p).is_ok());
-    }
-
-    /// Both χ-race checks are strict: an `a_i` equal to its `need` fails at
-    /// index `i`, one tick above it passes.
-    #[test]
-    fn chaining_and_forward_checks_are_strict_at_need() {
-        let p = SyncParams::baseline();
-        let n = 4;
-        let s = TimeoutSchedule::derive(n, &p);
-        let tick = SimDuration::from_ticks(1);
-        for i in 0..n - 1 {
-            let need = p.inflate(p.inflate(s.a[i + 1]) + p.hop() * 4);
-            let mut at = s.clone();
-            at.a[i] = need;
-            assert_eq!(at.check_chaining(&p), Err(i), "chaining at a[{i}] = need");
-            at.a[i] = need + tick;
-            assert_eq!(at.check_chaining(&p), Ok(()), "chaining at need + 1");
-        }
-        for i in 0..n {
-            let k = 2 * (n - 1 - i) as u64 + 1;
-            let need = p.inflate((p.hop() * 2).saturating_mul(k));
-            let mut at = s.clone();
-            at.a[i] = need;
-            assert_eq!(at.check_forward(&p), Err(i), "forward at a[{i}] = need");
-            at.a[i] = need + tick;
-            assert_eq!(at.check_forward(&p), Ok(()), "forward at need + 1");
-        }
     }
 
     #[test]

@@ -179,12 +179,18 @@ impl TrustedTm {
     }
 
     fn try_decide(&mut self, ctx: &mut Ctx<PMsg>) {
+        if let Some(v) = self.st.evidence.verdict() {
+            self.decide(v, ctx);
+        }
+    }
+
+    /// Issues `v` unless a decision exists: signs χc or χa, logs it, sends
+    /// it to every participant and halts. A baseline with another decision
+    /// rule (Interledger's deadline notary) calls this itself.
+    pub fn decide(&mut self, v: Verdict, ctx: &mut Ctx<PMsg>) {
         if self.st.decided.is_some() {
             return;
         }
-        let Some(v) = self.st.evidence.verdict() else {
-            return;
-        };
         self.st.decided = Some(v);
         let cert = DecisionCert::issue_single(&self.signer, self.st.evidence.payment, v);
         self.record(DecisionCert::payload(&self.st.evidence.payment, v));

@@ -3,25 +3,25 @@
 //! * renders Figure 1 (the chain topology) as ASCII and DOT for any `n`;
 //! * renders every Figure 2 automaton as DOT;
 //! * cross-checks the declarative Figure 2 automata against the executable
-//!   protocol: both are built from one [`ChainSetup`] ([`e4_setup`]), and
-//!   under identical deterministic schedules the two produce the same
-//!   message-kind sequence;
+//!   protocol: both are built from one [`ChainSetup`] ([`e4_setup`]) by
+//!   one assembly, and under identical deterministic schedules the two
+//!   produce the same message-kind sequence;
 //! * exhaustively explores all schedules of a small instance (n = 1,
 //!   two delay buckets per message) and checks the safety clauses on every
 //!   single one.
 
 use crate::table::{check, Table};
 use anta::automaton::AutomatonProcess;
-use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig, RunReport};
 use anta::explore::{
     explore_differential, explore_parallel_with, DifferentialReport, ExploreConfig, ExploreReport,
 };
 use anta::net::SyncNet;
 use anta::oracle::{FixedOracle, Oracle};
+use anta::process::Process;
 use anta::trace::{TraceKind, TraceMode};
 use payment::msg::PMsg;
-use payment::timebounded::fig2::all_specs;
+use payment::timebounded::fig2::{self, all_specs};
 use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use payment::{SyncParams, ValuePlan};
 use std::sync::Arc;
@@ -52,29 +52,27 @@ fn message_skeleton(eng: &Engine<PMsg>) -> Skeleton {
 }
 
 /// Cross-check: the executable and the declarative protocol, both built
-/// from [`e4_setup`]`(n)`, under the identical worst-case deterministic
+/// from [`e4_setup`]`(n)` by one assembly — same engine configuration,
+/// network and clocks — under the identical worst-case deterministic
 /// schedule. Returns both skeletons.
 pub fn cross_check(n: usize) -> (Skeleton, Skeleton) {
     let setup = e4_setup(n);
-    let mut exec_eng = setup.build_engine(
-        Box::new(SyncNet::worst_case(setup.params.delta)),
-        Box::new(FixedOracle::maximal()),
-        ClockPlan::Perfect,
-    );
-    exec_eng.run();
-    let mut decl_eng = Engine::new(
-        Box::new(SyncNet::worst_case(setup.params.delta)),
-        Box::new(FixedOracle::maximal()),
-        EngineConfig::default(),
-    );
-    for spec in all_specs(&setup) {
-        decl_eng.add_process(
-            Box::new(AutomatonProcess::new(Arc::new(spec))),
-            DriftClock::perfect(),
+    let skeleton = |declarative: bool| {
+        let mut eng = setup.build_engine_with(
+            Box::new(SyncNet::worst_case(setup.params.delta)),
+            Box::new(FixedOracle::maximal()),
+            ClockPlan::Perfect,
+            |role| {
+                declarative.then(|| {
+                    Box::new(AutomatonProcess::new(Arc::new(fig2::spec(&setup, role))))
+                        as Box<dyn Process<PMsg>>
+                })
+            },
         );
-    }
-    decl_eng.run_until(anta::time::SimTime::from_secs(3_600));
-    (message_skeleton(&exec_eng), message_skeleton(&decl_eng))
+        eng.run();
+        message_skeleton(&eng)
+    };
+    (skeleton(false), skeleton(true))
 }
 
 /// Explores every schedule of an `n`-escrow instance — 2-bucket delays for
@@ -302,7 +300,7 @@ mod tests {
 
     #[test]
     fn skeletons_match_for_small_chains() {
-        for n in 1..=3 {
+        for n in 1..=5 {
             let (exec, decl) = cross_check(n);
             assert_eq!(exec, decl, "n = {n}");
             // Expected message count for a successful run:

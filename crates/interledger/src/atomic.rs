@@ -8,84 +8,47 @@
 //! receipt is slow simply aborts — safety holds, but there are **no
 //! success guarantees** (the criticism in §1).
 //!
-//! Implementation: the weak-protocol participants are reused unchanged;
-//! only the transaction manager differs — [`DeadlineTm`] commits iff the
-//! full evidence (all locks + acceptance) arrives before its local
-//! deadline, and aborts at the deadline otherwise. The structural
-//! difference to Theorem 3's manager is exactly one line of semantics:
-//! a clock in the decision rule.
+//! Implementation: the weak-protocol participants are reused unchanged,
+//! and so is Theorem 3's manager. [`DeadlineTm`] wraps a
+//! [`TrustedTm`] and writes down only the difference — a clock in the
+//! decision rule: it drops abort requests, so the manager commits iff the
+//! full evidence (all locks + acceptance) arrives, and when its local
+//! deadline passes first it has the manager decide χa.
 
-use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
-use payment::msg::PMsg;
-use payment::weak::{Evidence, WeakSetup};
-use std::sync::Arc;
-use xcrypto::{DecisionCert, Pki, Signer, Verdict};
+use payment::msg::{PMsg, TmInputKind};
+use payment::weak::{TrustedTm, WeakSetup};
+use xcrypto::Verdict;
 
 const DEADLINE_TIMER: TimerId = 99;
 
-/// A transaction manager with a receipt deadline (the atomic-mode notary,
-/// collapsed to a single trusted process; the committee version composes
-/// the same rule with the consensus crate exactly as `NotaryTm` does).
+/// Theorem 3's trusted manager with a receipt deadline (the atomic-mode
+/// notary, collapsed to a single trusted process; the committee version
+/// composes the same rule with the consensus crate exactly as `NotaryTm`
+/// does).
 #[derive(Debug, Clone)]
 pub struct DeadlineTm {
-    signer: Signer,
-    pki: Arc<Pki>,
-    participants: Vec<Pid>,
+    tm: TrustedTm,
     /// Local-clock deadline for the complete evidence (the pending deadline
     /// is a queued timer).
     deadline: SimDuration,
-    st: DeadlineTmState,
-}
-
-/// The evidence and the decision; the rest of [`DeadlineTm`] is setup.
-#[derive(Debug, Clone, Hash)]
-struct DeadlineTmState {
-    evidence: Evidence,
-    decided: Option<Verdict>,
 }
 
 impl DeadlineTm {
     /// The deadline manager for `setup`'s payment, in place of its manager
-    /// process 0: it signs under that manager's key — the authority the
-    /// setup's participants verify — decides on the setup's evidence, and
-    /// sends its certificate to every participant.
+    /// process 0: `setup`'s own [`TrustedTm`] — same key, evidence and
+    /// recipients — under the deadline rule.
     pub fn new(setup: &WeakSetup, deadline: SimDuration) -> Self {
         DeadlineTm {
-            signer: setup.tm_signer(0).clone(),
-            pki: setup.pki.clone(),
-            participants: setup.participant_pids(),
+            tm: TrustedTm::new(setup),
             deadline,
-            st: DeadlineTmState {
-                evidence: setup.evidence(),
-                decided: None,
-            },
         }
     }
 
     /// The decision, if made.
     pub fn decided(&self) -> Option<Verdict> {
-        self.st.decided
-    }
-
-    fn decide(&mut self, v: Verdict, ctx: &mut Ctx<PMsg>) {
-        if self.st.decided.is_some() {
-            return;
-        }
-        self.st.decided = Some(v);
-        let cert = DecisionCert::issue_single(&self.signer, self.st.evidence.payment(), v);
-        ctx.mark(
-            match v {
-                Verdict::Commit => "atomic_tm_commit",
-                Verdict::Abort => "atomic_tm_abort",
-            },
-            0,
-        );
-        for &p in &self.participants {
-            ctx.send(p, PMsg::Decision(cert.clone()));
-        }
-        ctx.halt();
+        self.tm.decided()
     }
 }
 
@@ -94,26 +57,22 @@ impl Process<PMsg> for DeadlineTm {
         ctx.set_timer_after(DEADLINE_TIMER, self.deadline);
     }
 
-    fn on_message(&mut self, _from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
-        match msg {
-            PMsg::TmInput(input) => self.st.evidence.ingest_input(&input, &self.pki),
-            PMsg::Accept(chi) => self.st.evidence.ingest_accept(&chi, &self.pki),
-            _ => return,
-        }
-        if self.st.evidence.commit_ready() {
-            self.decide(Verdict::Commit, ctx);
+    fn on_message(&mut self, from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
+        // Nobody may ask out: only the deadline aborts.
+        if !matches!(&msg, PMsg::TmInput(input) if input.kind == TmInputKind::AbortRequest) {
+            self.tm.on_message(from, msg, ctx);
         }
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<PMsg>) {
         if id == DEADLINE_TIMER {
             // Deadline passed without complete evidence: roll back.
-            self.decide(Verdict::Abort, ctx);
+            self.tm.decide(Verdict::Abort, ctx);
         }
     }
 
     fn fp_digest(&self) -> u64 {
-        fingerprint(&self.st)
+        self.tm.fp_digest()
     }
 }
 

@@ -19,14 +19,13 @@
 //! - the atomic protocol's notary: transfers commit or roll back on a
 //!   receipt-before-deadline rule ([`atomic`]). It is safe under partial
 //!   synchrony but aborts spuriously — "no success guarantees".
-//!   [`DeadlineTm::new`] is the one place that decides how the notary
-//!   joins a weak-protocol setup: whose key it signs under, what evidence
-//!   it decides on and whom it tells.
+//!   [`DeadlineTm`] is Theorem 3's `TrustedTm` for the same setup with a
+//!   deadline in its decision rule; it writes down only that difference.
 //!
 //! **Out of scope:**
-//! - the chain participants: both baselines reuse the paper's automata
-//!   unchanged (`payment::timebounded`, `payment::weak`), so only a
-//!   schedule or a manager differs;
+//! - the chain participants and the manager: both baselines reuse the
+//!   paper's processes unchanged (`payment::timebounded`,
+//!   `payment::weak`), so only a schedule or a decision rule differs;
 //! - fault mapping and classification: the harness owns both
 //!   (`protocol::interledger`);
 //! - a notary committee: the deadline rule runs in one trusted process.

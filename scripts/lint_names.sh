@@ -83,6 +83,18 @@ row '\b(AliceProcess|ChloeProcess|BobProcess)\b' "$code" '' \
 row '\b(Fig2Params|DecisionLog|SilentNotary)\b' crates '' \
     "deleted: Fig2Params (use ChainSetup), DecisionLog (CC is WeakOutcome::cc_ok), SilentNotary (use InertProcess)"
 
+# A variant is written as its difference: the atomic notary wraps
+# Theorem 3's TrustedTm, and a Figure 2 automaton forwards the message that
+# entered its grey state instead of storing it. Each model process signs
+# with its own key only, so fig2.rs issues exactly one χ: Bob's.
+row '\bDeadlineTmState\b|atomic_tm_(commit|abort)|\bn_regs\b|\.regs\(|regs:' "$code" '' \
+    "deleted: DeadlineTm wraps payment::weak::TrustedTm; automaton sends see their trigger, so there are no registers"
+n=$(grep -c 'Receipt::issue' crates/core/src/timebounded/fig2.rs)
+if [ "$n" -ne 1 ]; then
+    echo "lint: fig2.rs calls Receipt::issue $n times (want 1: Bob's own χ; others forward the χ they received)"
+    bad=1
+fi
+
 # Explorer states are hashed through std::hash::Hash, and an oracle draw
 # is an option count and nothing else. Sleep sets, which need to know which
 # process a choice touches, bring a tag back with the code that reads it.

@@ -208,3 +208,31 @@ proptest! {
         prop_assert_ne!(chain.head(), rebuilt.head(), "any tamper changes the head hash");
     }
 }
+
+/// Both χ-race checks are strict: an `a_i` equal to its `need` fails at
+/// index `i`, one tick above it passes.
+#[test]
+fn chaining_and_forward_checks_are_strict_at_need() {
+    use crosschain::payment::TimeoutSchedule;
+    let p = SyncParams::baseline();
+    let n = 4;
+    let s = TimeoutSchedule::derive(n, &p);
+    let tick = SimDuration::from_ticks(1);
+    for i in 0..n - 1 {
+        let need = p.inflate(p.inflate(s.a[i + 1]) + p.hop() * 4);
+        let mut at = s.clone();
+        at.a[i] = need;
+        assert_eq!(at.check_chaining(&p), Err(i), "chaining at a[{i}] = need");
+        at.a[i] = need + tick;
+        assert_eq!(at.check_chaining(&p), Ok(()), "chaining at need + 1");
+    }
+    for i in 0..n {
+        let k = 2 * (n - 1 - i) as u64 + 1;
+        let need = p.inflate((p.hop() * 2).saturating_mul(k));
+        let mut at = s.clone();
+        at.a[i] = need;
+        assert_eq!(at.check_forward(&p), Err(i), "forward at a[{i}] = need");
+        at.a[i] = need + tick;
+        assert_eq!(at.check_forward(&p), Ok(()), "forward at need + 1");
+    }
+}
