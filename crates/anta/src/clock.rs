@@ -22,7 +22,8 @@
 //! like everything else in the simulator — is deterministic integer math.
 
 use crate::time::{SimDuration, SimTime};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Parts-per-million denominator for clock rates.
 pub const PPM: u64 = 1_000_000;
@@ -83,6 +84,16 @@ impl DriftClock {
             SimDuration::from_ticks(rng.gen_range(0..=max_offset.ticks()))
         };
         Self::with_drift_ppm(drift, offset)
+    }
+
+    /// The clock [`DriftClock::sample`] draws for participant `index` of
+    /// the run seeded `seed`. Each participant gets its own generator,
+    /// seeded with `seed · 0x9E37_79B9 + index`, so its clock does not
+    /// depend on the order in which clocks are built.
+    pub fn seeded(seed: u64, index: usize, rho_ppm: u64, max_offset: SimDuration) -> Self {
+        let mut rng =
+            StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(index as u64));
+        Self::sample(rho_ppm, max_offset, &mut rng)
     }
 
     /// The extreme clocks of the envelope — the adversary's best choices.

@@ -336,8 +336,8 @@ mod tests {
     #[test]
     fn crashed_bob_everyone_else_safe() {
         let setup = tb_setup(3);
-        let (outcome, compliance) = run_with(&setup, 1, vec![Role::Bob], |role| {
-            (role == Role::Bob).then(|| Box::new(InertProcess) as Box<dyn Process<PMsg>>)
+        let (outcome, compliance) = run_with(&setup, 1, vec![Role::Customer(3)], |role| {
+            (role == Role::Customer(3)).then(|| Box::new(InertProcess) as Box<dyn Process<PMsg>>)
         });
         let v = check_definition1(&outcome, &setup, &compliance);
         assert!(v.all_ok(), "{:?}", v.violations());
@@ -363,8 +363,8 @@ mod tests {
     fn late_bob_hurts_only_himself() {
         let setup = tb_setup(2);
         let delay = setup.schedule.a[1] + setup.params.delta * 4;
-        let (outcome, compliance) = run_with(&setup, 2, vec![Role::Bob], |role| {
-            (role == Role::Bob)
+        let (outcome, compliance) = run_with(&setup, 2, vec![Role::Customer(2)], |role| {
+            (role == Role::Customer(2))
                 .then(|| Box::new(LateBob::new(&setup, delay)) as Box<dyn Process<PMsg>>)
         });
         let v = check_definition1(&outcome, &setup, &compliance);
@@ -380,8 +380,8 @@ mod tests {
     #[test]
     fn withholding_alice_harms_nobody() {
         let setup = tb_setup(2);
-        let (outcome, compliance) = run_with(&setup, 3, vec![Role::Alice], |role| {
-            (role == Role::Alice).then(|| Box::new(InertProcess) as Box<dyn Process<PMsg>>)
+        let (outcome, compliance) = run_with(&setup, 3, vec![Role::Customer(0)], |role| {
+            (role == Role::Customer(0)).then(|| Box::new(InertProcess) as Box<dyn Process<PMsg>>)
         });
         let v = check_definition1(&outcome, &setup, &compliance);
         assert!(v.all_ok(), "{:?}", v.violations());
@@ -394,8 +394,8 @@ mod tests {
     #[test]
     fn forging_chloe_steals_nothing() {
         let setup = tb_setup(3);
-        let (outcome, compliance) = run_with(&setup, 4, vec![Role::Chloe(1)], |role| {
-            (role == Role::Chloe(1))
+        let (outcome, compliance) = run_with(&setup, 4, vec![Role::Customer(1)], |role| {
+            (role == Role::Customer(1))
                 .then(|| Box::new(ForgingChloe::new(&setup, 1)) as Box<dyn Process<PMsg>>)
         });
         let v = check_definition1(&outcome, &setup, &compliance);
@@ -457,11 +457,7 @@ mod tests {
         // compliant parties keep every guarantee.
         let setup = tb_setup(3);
         for victim in 0..=3usize {
-            let role = match victim {
-                0 => Role::Alice,
-                3 => Role::Bob,
-                i => Role::Chloe(i),
-            };
+            let role = Role::Customer(victim);
             let (outcome, compliance) = run_with(&setup, 6, vec![role], |r| {
                 (r == role).then(|| {
                     let inner = setup.default_process(role);
@@ -485,7 +481,7 @@ mod tests {
             Box::new(RandomOracle::seeded(7)),
             |role| {
                 // Chloe1 pretends to be Alice.
-                (role == Role::Chloe(1)).then(|| {
+                (role == Role::Customer(1)).then(|| {
                     Box::new(ImpersonatingAborter::new(&s, 1, 0)) as Box<dyn Process<PMsg>>
                 })
             },
@@ -494,7 +490,11 @@ mod tests {
         eng.run();
         let o = WeakOutcome::extract(&eng, &s);
         assert_eq!(o.verdict(), None, "forged abort must not produce χa: {o:?}");
-        let v = check_definition2(&o, &Compliance::with_byzantine(vec![Role::Chloe(1)]), true);
+        let v = check_definition2(
+            &o,
+            &Compliance::with_byzantine(vec![Role::Customer(1)]),
+            true,
+        );
         assert!(v.cc.ok() && v.es.ok(), "{:?}", v.violations());
     }
 }

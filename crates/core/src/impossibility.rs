@@ -136,7 +136,7 @@ pub fn no_timeout_never_terminates(n: usize, value: u64) -> WitnessReport {
         Box::new(SyncNet::worst_case(setup.params.delta)),
         Box::new(FixedOracle::maximal()),
         ClockPlan::Perfect,
-        |role| (role == Role::Bob).then(|| Box::new(InertProcess) as Box<_>),
+        |role| (role == Role::Customer(n)).then(|| Box::new(InertProcess) as Box<_>),
     );
     // Even a generous horizon (an hour of simulated time) sees no
     // progress: the money is escrowed, Alice unresolved.
@@ -181,7 +181,7 @@ pub fn indistinguishability_pair(n: usize, value: u64) -> IndistinguishabilityWi
         Box::new(SyncNet::worst_case(delta)),
         Box::new(FixedOracle::maximal()),
         ClockPlan::Perfect,
-        |role| (role == Role::Bob).then(|| Box::new(InertProcess) as Box<_>),
+        |role| (role == Role::Customer(n)).then(|| Box::new(InertProcess) as Box<_>),
     );
     let report_a = eng_a.run();
 

@@ -28,8 +28,11 @@
 //! or `ForgingChloe::new(&setup, i)`. The
 //! constructor copies its neighbours' pids, its keys, its value and its
 //! `a_i`/`d_i` bounds out of the setup; nothing else derives them.
-//! `default_process(role)` picks the compliant process for a role, and
-//! `build_engine_with` lets a caller substitute any of them.
+//! A position is a [`Role`]: `Role::Customer(i)` or `Role::Escrow(i)`.
+//! `default_process(role)` picks the compliant process for a position, and
+//! `build_engine_with` lets a caller substitute any of them. Trust follows
+//! position too: [`properties::Compliance::protects`] is the one place that
+//! says which escrows customer `c_i`'s clauses rely on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

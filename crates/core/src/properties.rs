@@ -72,6 +72,33 @@ impl Compliance {
     pub fn all_abide(&self) -> bool {
         self.byzantine.is_empty()
     }
+
+    /// The trust rule: customer `c_i` of an `n`-escrow chain abides, and so
+    /// does every escrow she trusts (`e_{i-1}` if `i > 0`, `e_i` if
+    /// `i < n`). Each customer clause holds only "provided her escrow(s)
+    /// abide by the protocol".
+    pub fn protects(&self, i: usize, n: usize) -> bool {
+        self.abides(Role::Customer(i))
+            && (i == 0 || self.abides(Role::Escrow(i - 1)))
+            && (i == n || self.abides(Role::Escrow(i)))
+    }
+}
+
+/// ES — no abiding escrow loses money. `conservation[i]` is escrow `e_i`'s
+/// book audit, `None` where its state could not be read.
+fn escrow_security(conservation: &[Option<bool>], compliance: &Compliance) -> PropCheck {
+    let mut es = PropCheck::NotApplicable;
+    for (i, audit) in conservation.iter().enumerate() {
+        if !compliance.abides(Role::Escrow(i)) {
+            continue;
+        }
+        es = es.and_also(match audit {
+            Some(true) => PropCheck::Holds,
+            Some(false) => PropCheck::Violated(format!("escrow {i} lost money")),
+            None => PropCheck::Violated(format!("escrow {i} state unreadable")),
+        });
+    }
+    es
 }
 
 /// Verdicts for every clause of Definition 1 (time-bounded problem).
@@ -128,22 +155,10 @@ pub fn check_definition1(
     compliance: &Compliance,
 ) -> Definition1Verdicts {
     let n = outcome.n;
+    let es = escrow_security(&outcome.conservation, compliance);
 
-    // ES — conservation at every abiding escrow.
-    let mut es = PropCheck::NotApplicable;
-    for i in 0..n {
-        if !compliance.abides(Role::Escrow(i)) {
-            continue;
-        }
-        es = es.and_also(match outcome.conservation[i] {
-            Some(true) => PropCheck::Holds,
-            Some(false) => PropCheck::Violated(format!("escrow {i} lost money")),
-            None => PropCheck::Violated(format!("escrow {i} state unreadable")),
-        });
-    }
-
-    // CS1 — Alice (needs Alice and e_0 abiding).
-    let cs1 = if compliance.abides(Role::Alice) && compliance.abides(Role::Escrow(0)) {
+    // CS1 — Alice.
+    let cs1 = if compliance.protects(0, n) {
         match outcome.customers[0] {
             Some(view) => match (view.sent_money, view.halted_at.is_some(), view.outcome) {
                 (false, _, _) => PropCheck::Holds, // never parted with money
@@ -161,8 +176,8 @@ pub fn check_definition1(
         PropCheck::NotApplicable
     };
 
-    // CS2 — Bob (needs Bob and e_{n-1} abiding).
-    let cs2 = if compliance.abides(Role::Bob) && compliance.abides(Role::Escrow(n - 1)) {
+    // CS2 — Bob.
+    let cs2 = if compliance.protects(n, n) {
         match (outcome.customers[n], outcome.bob_issued_chi) {
             (Some(view), Some(issued)) => {
                 if view.halted_at.is_some() || outcome.quiescent {
@@ -181,15 +196,9 @@ pub fn check_definition1(
         PropCheck::NotApplicable
     };
 
-    // CS3 — each connector (needs her and both her escrows abiding).
+    // CS3 — each connector.
     let mut cs3 = PropCheck::NotApplicable;
-    for i in 1..n {
-        if !(compliance.abides(Role::Chloe(i))
-            && compliance.abides(Role::Escrow(i - 1))
-            && compliance.abides(Role::Escrow(i)))
-        {
-            continue;
-        }
+    for i in (1..n).filter(|&i| compliance.protects(i, n)) {
         let check = match outcome.customers[i] {
             Some(view) => match (view.sent_money, view.halted_at.is_some(), view.outcome) {
                 (false, _, _) => PropCheck::Holds,
@@ -216,28 +225,7 @@ pub fn check_definition1(
     // horizon, not the protocol, stopped the clock).
     let t = if outcome.quiescent {
         let mut t = PropCheck::NotApplicable;
-        for i in 0..=n {
-            let role = if i == 0 {
-                Role::Alice
-            } else if i == n {
-                Role::Bob
-            } else {
-                Role::Chloe(i)
-            };
-            if !compliance.abides(role) {
-                continue;
-            }
-            let escrows_ok = match role {
-                Role::Alice => compliance.abides(Role::Escrow(0)),
-                Role::Bob => compliance.abides(Role::Escrow(n - 1)),
-                Role::Chloe(i) => {
-                    compliance.abides(Role::Escrow(i - 1)) && compliance.abides(Role::Escrow(i))
-                }
-                Role::Escrow(_) => unreachable!(),
-            };
-            if !escrows_ok {
-                continue;
-            }
+        for i in (0..=n).filter(|&i| compliance.protects(i, n)) {
             // The T clause covers customers that made a payment or issued
             // a certificate.
             let engaged = match outcome.customers[i] {
@@ -256,7 +244,7 @@ pub fn check_definition1(
         }
         // Alice's time bound.
         if let (Some(view), Some(sent)) = (outcome.customers[0], outcome.alice_sent_local) {
-            if compliance.abides(Role::Alice) && compliance.abides(Role::Escrow(0)) {
+            if compliance.protects(0, n) {
                 if let Some(halt_local) = view.halted_local {
                     let elapsed = halt_local.saturating_since(sent);
                     if elapsed > setup.schedule.alice_bound {
@@ -364,20 +352,10 @@ pub fn check_definition2(
         PropCheck::Violated("both χc and χa were accepted".into())
     };
 
-    let mut es = PropCheck::NotApplicable;
-    for i in 0..n {
-        if !compliance.abides(Role::Escrow(i)) {
-            continue;
-        }
-        es = es.and_also(match outcome.conservation[i] {
-            Some(true) => PropCheck::Holds,
-            Some(false) => PropCheck::Violated(format!("escrow {i} lost money")),
-            None => PropCheck::Violated(format!("escrow {i} state unreadable")),
-        });
-    }
+    let es = escrow_security(&outcome.conservation, compliance);
 
     // CS1 (weak): upon termination Alice has her money back or holds χc.
-    let cs1 = if compliance.abides(Role::Alice) && compliance.abides(Role::Escrow(0)) {
+    let cs1 = if compliance.protects(0, n) {
         match (outcome.customer_verdicts[0], outcome.net_positions[0]) {
             (Some(Some(Verdict::Commit)), _) => PropCheck::Holds, // holds χc
             (Some(Some(Verdict::Abort)), Some(net)) => {
@@ -398,7 +376,7 @@ pub fn check_definition2(
     };
 
     // CS2 (weak): Bob ends paid or holding χa.
-    let cs2 = if compliance.abides(Role::Bob) && compliance.abides(Role::Escrow(n - 1)) {
+    let cs2 = if compliance.protects(n, n) {
         match outcome.customer_verdicts[n] {
             Some(Some(Verdict::Commit)) => {
                 if outcome.bob_paid {
@@ -416,13 +394,7 @@ pub fn check_definition2(
     };
 
     let mut cs3 = PropCheck::NotApplicable;
-    for i in 1..n {
-        if !(compliance.abides(Role::Chloe(i))
-            && compliance.abides(Role::Escrow(i - 1))
-            && compliance.abides(Role::Escrow(i)))
-        {
-            continue;
-        }
+    for i in (1..n).filter(|&i| compliance.protects(i, n)) {
         let check = match (outcome.customer_verdicts[i], outcome.net_positions[i]) {
             (Some(Some(_)), Some(net)) if net >= 0 => PropCheck::Holds,
             (Some(Some(_)), Some(net)) => {
@@ -435,17 +407,11 @@ pub fn check_definition2(
     }
 
     // T: abiding customers terminate eventually (all of ours do, on the
-    // decision certificate).
-    let t = if (0..=n).all(|i| {
-        let role = if i == 0 {
-            Role::Alice
-        } else if i == n {
-            Role::Bob
-        } else {
-            Role::Chloe(i)
-        };
-        !compliance.abides(role) || outcome.customer_verdicts[i].is_none()
-    }) {
+    // decision certificate). The manager, not an escrow, sends that
+    // certificate, so this clause asks only that the customer abides.
+    let t = if (0..=n)
+        .all(|i| !compliance.abides(Role::Customer(i)) || outcome.customer_verdicts[i].is_none())
+    {
         PropCheck::NotApplicable
     } else if outcome.all_customers_terminated {
         PropCheck::Holds

@@ -298,9 +298,9 @@ fn bob_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
 /// The Figure 2 automaton of `role` in `setup`'s chain.
 pub fn spec(setup: &ChainSetup, role: Role) -> AutomatonSpec<PMsg> {
     match role {
-        Role::Alice => alice_spec(setup),
-        Role::Chloe(i) => chloe_spec(setup, i),
-        Role::Bob => bob_spec(setup),
+        Role::Customer(0) => alice_spec(setup),
+        Role::Customer(i) if i == setup.n() => bob_spec(setup),
+        Role::Customer(i) => chloe_spec(setup, i),
         Role::Escrow(i) => escrow_spec(setup, i),
     }
 }
@@ -398,7 +398,7 @@ mod tests {
         // ends refunded.
         let p = params(2);
         let net = SyncNet::worst_case(SyncParams::baseline().delta);
-        let mut eng = declarative(&p, net, 1, Some(Role::Bob));
+        let mut eng = declarative(&p, net, 1, Some(Role::Customer(2)));
         eng.run();
         let alice = eng.process_as::<AutomatonProcess<PMsg>>(0).unwrap();
         assert_eq!(alice.state_name(), "refunded");

@@ -17,8 +17,6 @@ use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Pid, Process};
 use anta::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 use xcrypto::{PaymentId, Pki};
 
@@ -43,13 +41,7 @@ impl ClockPlan {
     fn clock_for(&self, pid: Pid, topo: &ChainTopology, p: &SyncParams) -> DriftClock {
         match self {
             ClockPlan::Perfect => DriftClock::perfect(),
-            ClockPlan::Sampled { seed } => {
-                // Derive per-pid deterministically so runs are reproducible
-                // regardless of construction order.
-                let mut rng =
-                    StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(pid as u64));
-                DriftClock::sample(p.rho_ppm, p.hop(), &mut rng)
-            }
+            ClockPlan::Sampled { seed } => DriftClock::seeded(*seed, pid, p.rho_ppm, p.hop()),
             ClockPlan::Extremes => match topo.role_of(pid) {
                 Some(Role::Escrow(_)) => DriftClock::fastest(p.rho_ppm),
                 _ => DriftClock::slowest(p.rho_ppm),
@@ -140,13 +132,10 @@ impl ChainSetup {
 
     /// The default (compliant) process for a role.
     pub fn default_process(&self, role: Role) -> Box<dyn Process<PMsg>> {
-        let i = match role {
-            Role::Alice => 0,
-            Role::Chloe(i) => i,
-            Role::Bob => self.n(),
-            Role::Escrow(i) => return Box::new(EscrowProcess::new(self, i, self.escrow_book(i))),
-        };
-        Box::new(CustomerProcess::new(self, i))
+        match role {
+            Role::Customer(i) => Box::new(CustomerProcess::new(self, i)),
+            Role::Escrow(i) => Box::new(EscrowProcess::new(self, i, self.escrow_book(i))),
+        }
     }
 
     /// Builds an engine with compliant participants everywhere.

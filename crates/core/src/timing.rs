@@ -32,9 +32,10 @@
 //!
 //! Every run of experiment E1 checks the resulting schedule empirically
 //! (success under all drifts/delays within the envelope); experiment E6
-//! sweeps `margin` below zero to exhibit the failure crossover, which is
-//! exactly the gap between the paper's fine-tuned protocol (Theorem 1) and
-//! the drift-oblivious Interledger universal protocol it repairs.
+//! shortens every `a_i` by a growing cut ([`TimeoutSchedule::shortened`]),
+//! past the margin, to exhibit the failure crossover, which is exactly the
+//! gap between the paper's fine-tuned protocol (Theorem 1) and the
+//! drift-oblivious Interledger universal protocol it repairs.
 
 use anta::clock::PPM;
 use anta::time::SimDuration;
@@ -49,8 +50,9 @@ pub struct SyncParams {
     /// Clock-rate drift bound ρ, in parts-per-million.
     pub rho_ppm: u64,
     /// Safety slack added to every derived bound. The default of one hop
-    /// absorbs quantisation; experiment E6 sweeps it (including below
-    /// zero, where the protocol must start failing).
+    /// absorbs quantisation. It cannot go below zero; experiment E6
+    /// under-provisions a schedule by shortening every `a_i` instead
+    /// ([`TimeoutSchedule::shortened`]).
     pub margin: SimDuration,
 }
 

@@ -18,28 +18,17 @@ use anta::process::Pid;
 use ledger::{Asset, CurrencyId, Ledger};
 use xcrypto::{KeyId, PaymentId, Pki, Signer};
 
-/// A participant role in the chain.
+/// A participant's position in the chain: customer `c_i` or escrow `e_i`.
+///
+/// `Customer(0)` is Alice, `Customer(n)` is Bob and the customers in
+/// between are the connectors. Trust follows position: `c_i` trusts
+/// `e_{i-1}` (when `i > 0`) and `e_i` (when `i < n`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
-    /// Customer `c_0`.
-    Alice,
-    /// Connector `c_i`, `0 < i < n`.
-    Chloe(usize),
-    /// Customer `c_n`.
-    Bob,
-    /// Escrow `e_i`.
+    /// Customer `c_i`, `0 ≤ i ≤ n`.
+    Customer(usize),
+    /// Escrow `e_i`, `0 ≤ i < n`.
     Escrow(usize),
-}
-
-impl std::fmt::Display for Role {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Role::Alice => write!(f, "c0 (Alice)"),
-            Role::Chloe(i) => write!(f, "c{i} (Chloe{i})"),
-            Role::Bob => write!(f, "cn (Bob)"),
-            Role::Escrow(i) => write!(f, "e{i}"),
-        }
-    }
 }
 
 /// The chain topology and pid/key layout for one payment instance.
@@ -89,12 +78,8 @@ impl ChainTopology {
 
     /// The role of a chain pid.
     pub fn role_of(&self, pid: Pid) -> Option<Role> {
-        if pid == 0 {
-            Some(Role::Alice)
-        } else if pid < self.n {
-            Some(Role::Chloe(pid))
-        } else if pid == self.n {
-            Some(Role::Bob)
+        if pid <= self.n {
+            Some(Role::Customer(pid))
         } else if pid <= 2 * self.n {
             Some(Role::Escrow(pid - self.n - 1))
         } else {
@@ -368,16 +353,6 @@ impl ChainKeys {
             payment,
         }
     }
-
-    /// Key of escrow `e_i`.
-    pub fn escrow_key(&self, i: usize) -> KeyId {
-        self.escrows[i].id()
-    }
-
-    /// Bob's key (`c_n`).
-    pub fn bob_key(&self) -> KeyId {
-        self.customers.last().expect("n ≥ 1").id()
-    }
 }
 
 #[cfg(test)]
@@ -398,10 +373,10 @@ mod tests {
     #[test]
     fn roles() {
         let t = ChainTopology::new(3);
-        assert_eq!(t.role_of(0), Some(Role::Alice));
-        assert_eq!(t.role_of(1), Some(Role::Chloe(1)));
-        assert_eq!(t.role_of(2), Some(Role::Chloe(2)));
-        assert_eq!(t.role_of(3), Some(Role::Bob));
+        assert_eq!(t.role_of(0), Some(Role::Customer(0)));
+        assert_eq!(t.role_of(1), Some(Role::Customer(1)));
+        assert_eq!(t.role_of(2), Some(Role::Customer(2)));
+        assert_eq!(t.role_of(3), Some(Role::Customer(3)));
         assert_eq!(t.role_of(4), Some(Role::Escrow(0)));
         assert_eq!(t.role_of(6), Some(Role::Escrow(2)));
         assert_eq!(t.role_of(7), None);
@@ -506,7 +481,7 @@ mod tests {
         let k1 = ChainKeys::generate(&t, 9);
         let k2 = ChainKeys::generate(&t, 9);
         assert_eq!(k1.payment, k2.payment);
-        assert_eq!(k1.bob_key(), k2.bob_key());
+        assert_eq!(k1.customers[2].id(), k2.customers[2].id());
         let k3 = ChainKeys::generate(&t, 10);
         assert_ne!(k1.payment, k3.payment);
         // All keys distinct.

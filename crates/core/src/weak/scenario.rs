@@ -147,9 +147,7 @@ impl WeakSetup {
     /// The default (compliant) process for a chain role.
     pub fn default_process(&self, role: Role) -> Box<dyn Process<PMsg>> {
         match role {
-            Role::Alice => Box::new(WeakCustomer::new(self, 0)),
-            Role::Chloe(i) => Box::new(WeakCustomer::new(self, i)),
-            Role::Bob => Box::new(WeakCustomer::new(self, self.n())),
+            Role::Customer(i) => Box::new(WeakCustomer::new(self, i)),
             Role::Escrow(i) => Box::new(WeakEscrow::new(self, i)),
         }
     }

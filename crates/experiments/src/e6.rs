@@ -12,6 +12,16 @@
 //! The experiment shows the crossover where both flip — schedules the
 //! calculus accepts never fail, and schedules it rejects start failing —
 //! i.e. the calculus is sound and usefully tight.
+//!
+//! The cuts are multiples of half a hop, and the grid lands on one strict
+//! boundary of the validator only: the zero-margin cut of one hop leaves
+//! `a_{n-1}` exactly at the forward check's `need`. The validator rejects
+//! that cell, and at n = 4 it loses a run, so a forward check that
+//! admitted `a_i = need` would fail E6's soundness claim. No cut lands on
+//! the chaining check's boundary, so E6 cannot tell that check's
+//! `a_i > need` from `a_i ≥ need`.
+//! `tests/property.rs::chaining_and_forward_checks_are_strict_at_need`
+//! holds both checks to their boundaries.
 
 use crate::stats::Rate;
 use crate::sweep::parallel_map;

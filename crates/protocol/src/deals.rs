@@ -30,8 +30,6 @@ use anta::trace::TraceMode;
 use deals::certified::CertifiedEscrow;
 use deals::matrix::{DealMatrix, Party};
 use deals::timelock::DealInstance;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use xcrypto::Signer;
 
 /// Per-instance deal context.
@@ -116,11 +114,8 @@ impl ProtocolHarness for DealsHarness {
         };
         // Parties keep drifting local clocks (patience is a local policy);
         // escrows and the CBC settle on messages, not clocks.
-        let party_clock = |p: Party| {
-            let mut rng =
-                StdRng::seed_from_u64(spec.seed.wrapping_mul(0x9E37_79B9).wrapping_add(p as u64));
-            DriftClock::sample(spec.params.rho_ppm, spec.params.hop(), &mut rng)
-        };
+        let party_clock =
+            |p: Party| DriftClock::seeded(spec.seed, p, spec.params.rho_ppm, spec.params.hop());
         ctx.inst.certified_engine(
             &ctx.signers,
             net,

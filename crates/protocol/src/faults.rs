@@ -166,13 +166,9 @@ impl ByzFault {
     pub fn role(&self, n: usize) -> Option<Role> {
         match *self {
             ByzFault::None => None,
-            ByzFault::CrashCustomer(0) => Some(Role::Alice),
-            ByzFault::CrashCustomer(i) if i == n => Some(Role::Bob),
-            ByzFault::CrashCustomer(i) => Some(Role::Chloe(i)),
-            ByzFault::CrashEscrow(i) => Some(Role::Escrow(i)),
-            ByzFault::LateBob => Some(Role::Bob),
-            ByzFault::ForgingChloe(i) => Some(Role::Chloe(i)),
-            ByzFault::ThievingEscrow(i) => Some(Role::Escrow(i)),
+            ByzFault::CrashCustomer(i) | ByzFault::ForgingChloe(i) => Some(Role::Customer(i)),
+            ByzFault::LateBob => Some(Role::Customer(n)),
+            ByzFault::CrashEscrow(i) | ByzFault::ThievingEscrow(i) => Some(Role::Escrow(i)),
         }
     }
 
@@ -301,12 +297,12 @@ mod tests {
         use payment::{SyncParams, ValuePlan};
         let setup = ChainSetup::new(3, ValuePlan::uniform(3, 100), SyncParams::baseline(), 5);
         let cases = [
-            (ByzFault::CrashCustomer(0), Role::Alice),
-            (ByzFault::CrashCustomer(3), Role::Bob),
-            (ByzFault::CrashCustomer(2), Role::Chloe(2)),
+            (ByzFault::CrashCustomer(0), Role::Customer(0)),
+            (ByzFault::CrashCustomer(3), Role::Customer(3)),
+            (ByzFault::CrashCustomer(2), Role::Customer(2)),
             (ByzFault::CrashEscrow(1), Role::Escrow(1)),
-            (ByzFault::LateBob, Role::Bob),
-            (ByzFault::ForgingChloe(1), Role::Chloe(1)),
+            (ByzFault::LateBob, Role::Customer(3)),
+            (ByzFault::ForgingChloe(1), Role::Customer(1)),
             (ByzFault::ThievingEscrow(2), Role::Escrow(2)),
         ];
         for (fault, role) in cases {

@@ -33,8 +33,6 @@ use anta::trace::{TraceKind, TraceMode};
 use htlc::contract::HtlcState;
 use htlc::swap::{ChainProcess, HMsg, SwapBehaviour, SwapSetup};
 pub use htlc::swap::{ALICE_PID, BOB_PID, CHAIN_A_PID, CHAIN_B_PID};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Maps a sampled chain fault onto the nearest swap behaviour.
 fn swap_behaviour(byz: ByzFault) -> SwapBehaviour {
@@ -132,8 +130,7 @@ impl ProtocolHarness for HtlcHarness {
         // would manufacture stuck contracts that say nothing about the
         // protocol — HTLC's defect under this model is griefing, not
         // drift.)
-        let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0x9E37_79B9));
-        let clock = DriftClock::sample(spec.params.rho_ppm, spec.params.hop(), &mut rng);
+        let clock = DriftClock::seeded(spec.seed, 0, spec.params.rho_ppm, spec.params.hop());
         inst.setup
             .build_engine(net, oracle, cfg, clock, inst.behaviour)
     }

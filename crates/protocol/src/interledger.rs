@@ -258,9 +258,7 @@ fn classify_untuned(
     // The substituted participant (if a customer) may legitimately end
     // negative; everyone else is compliant and must not.
     let excluded = match faults.byz.role(outcome.n) {
-        Some(Role::Alice) => Some(0),
-        Some(Role::Chloe(i)) => Some(i),
-        Some(Role::Bob) => Some(outcome.n),
+        Some(Role::Customer(i)) => Some(i),
         _ => None,
     };
     let stranded = outcome

@@ -27,7 +27,9 @@ fn main() {
         Box::new(SyncNet::new(setup.params.delta, 16)),
         Box::new(RandomOracle::seeded(2)),
         ClockPlan::Sampled { seed: 2 },
-        |role| (role == Role::Chloe(1)).then(|| Box::new(ForgingChloe::new(&setup, 1)) as Box<_>),
+        |role| {
+            (role == Role::Customer(1)).then(|| Box::new(ForgingChloe::new(&setup, 1)) as Box<_>)
+        },
     );
     let report = engine.run();
     let forgeries = engine.trace().marks("forged_chi_sent").count();
@@ -42,7 +44,7 @@ fn main() {
     );
     println!("Net positions (known):       {:?}", outcome.net_positions);
 
-    let compliance = Compliance::with_byzantine(vec![Role::Chloe(1)]);
+    let compliance = Compliance::with_byzantine(vec![Role::Customer(1)]);
     let verdicts = check_definition1(&outcome, &setup, &compliance);
     assert!(verdicts.all_ok(), "{:?}", verdicts.violations());
     assert_eq!(

@@ -61,17 +61,13 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    // Message-sequence chart of the whole run (one column per process).
-    let names: Vec<String> = (0..setup.topo.participants())
-        .map(|pid| setup.topo.role_of(pid).unwrap().to_string())
-        .collect();
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    // Message-sequence chart of the whole run: one column per process, in
+    // pid order (customers c_0..=c_n, then escrows).
+    let names = ["c0 (Alice)", "c1 (Chloe1)", "cn (Bob)", "e0", "e1"];
     println!("\nMessage sequence chart:");
     print!(
         "{}",
-        engine
-            .trace()
-            .render_msc(&name_refs, |m| m.kind().to_string())
+        engine.trace().render_msc(&names, |m| m.kind().to_string())
     );
 
     let verdicts = check_definition1(&outcome, &setup, &Compliance::all_compliant());

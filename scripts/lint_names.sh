@@ -80,6 +80,8 @@ row 'too_many_arguments' 'crates/core crates/consensus' '' \
     "build the participant from its setup and its index"
 row '\b(AliceProcess|ChloeProcess|BobProcess)\b' "$code" '' \
     "deleted: every time-bounded customer c_0…c_n is CustomerProcess::new(&setup, i)"
+row 'Role::(Alice|Chloe|Bob)\b' "$code" '' \
+    "deleted: a chain position is Role::Customer(i) or Role::Escrow(i) (c_0 is Alice, c_n is Bob)"
 row '\b(Fig2Params|DecisionLog|SilentNotary)\b' crates '' \
     "deleted: Fig2Params (use ChainSetup), DecisionLog (CC is WeakOutcome::cc_ok), SilentNotary (use InertProcess)"
 

@@ -91,11 +91,11 @@ fn late_bob_plus_drift_still_safe_for_chain() {
         Box::new(SyncNet::new(s.params.delta, 8)),
         Box::new(RandomOracle::seeded(4)),
         ClockPlan::Extremes,
-        |r| (r == Role::Bob).then(|| Box::new(LateBob::new(&s, delay)) as Box<_>),
+        |r| (r == Role::Customer(2)).then(|| Box::new(LateBob::new(&s, delay)) as Box<_>),
     );
     let report = eng.run();
     let o = ChainOutcome::extract(&eng, &s, report.quiescent);
-    let v = check_definition1(&o, &s, &Compliance::with_byzantine(vec![Role::Bob]));
+    let v = check_definition1(&o, &s, &Compliance::with_byzantine(vec![Role::Customer(2)]));
     assert!(v.all_ok(), "{:?}", v.violations());
     assert_eq!(o.customers[0].unwrap().outcome, CustomerOutcome::Refunded);
 }
@@ -109,7 +109,7 @@ fn two_simultaneous_byzantine_customers() {
         Box::new(RandomOracle::seeded(6)),
         ClockPlan::Sampled { seed: 6 },
         |r| match r {
-            Role::Alice | Role::Bob => Some(Box::new(InertProcess) as Box<_>),
+            Role::Customer(0) | Role::Customer(3) => Some(Box::new(InertProcess) as Box<_>),
             _ => None,
         },
     );
@@ -118,7 +118,7 @@ fn two_simultaneous_byzantine_customers() {
     let v = check_definition1(
         &o,
         &s,
-        &Compliance::with_byzantine(vec![Role::Alice, Role::Bob]),
+        &Compliance::with_byzantine(vec![Role::Customer(0), Role::Customer(3)]),
     );
     assert!(v.all_ok(), "{:?}", v.violations());
     for i in 1..3 {

@@ -61,9 +61,7 @@ proptest! {
     ) {
         let setup = ChainSetup::new(n, ValuePlan::uniform(n, 100), SyncParams::baseline(), seed);
         let roles: Vec<Role> = (0..=n)
-            .map(|i| {
-                if i == 0 { Role::Alice } else if i == n { Role::Bob } else { Role::Chloe(i) }
-            })
+            .map(Role::Customer)
             .chain((0..n).map(Role::Escrow))
             .collect();
         let role = roles[victim % roles.len()];
