@@ -250,9 +250,10 @@ const PINNED: [u64; 3] = [
 
 /// One campaign of the benchmark's `routed_net` shape — 400 bursty
 /// payments over a 1 024-venue scale-free network, queueing with 10 ms
-/// rebalancing — with its routing work counters gated at zero tolerance.
-/// `pathfind_calls` counts searches executed: before the gate memo this
-/// campaign ran 2 426 of them for the same admissions.
+/// rebalancing — with its routing work counters gated at zero tolerance
+/// and its whole report pinned by digest. `pathfind_calls` counts
+/// searches executed: before the gate memo this campaign ran 2 426 of
+/// them for the same admissions.
 #[test]
 fn routed_campaign_work_counters_are_pinned_exactly() {
     let family = TopologyFamily::ScaleFree {
@@ -286,6 +287,12 @@ fn routed_campaign_work_counters_are_pinned_exactly() {
             rebalances: 26,
             restored_value: 1_196_685,
         })
+    );
+    // The whole report, route choice included: the only tier-1 pin of the
+    // pathfinder's exact routes on a graph of the benchmark's size.
+    assert_eq!(
+        crosschain::experiments::digest::fnv1a64(format!("{report:?}").as_bytes()),
+        0xb1cc_4258_91d2_759d
     );
 }
 
