@@ -259,32 +259,63 @@ impl Default for RoutingConfig {
 
 #[cfg(test)]
 thread_local! {
-    /// Edges the search has relaxed on this thread, so unit tests can pin
-    /// which levels a search expands.
-    static RELAXATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Adjacency entries the search has read on this thread while growing
+    /// either ball or sweeping labels (the destination's final label read
+    /// aside), so unit tests can pin how much of the graph a search reads.
+    static ADJACENCY_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one adjacency entry read by the search (unit tests only).
+#[inline(always)]
+fn count_read() {
+    #[cfg(test)]
+    ADJACENCY_READS.with(|n| n.set(n.get() + 1));
 }
 
 /// Bounded-hop cheapest-feasible-path search with reusable scratch.
 ///
-/// The router runs a level-synchronous breadth-first search with cost
-/// labels over the *feasible subgraph*: an edge is feasible when the
-/// liquidity book can cover the payment's per-hop amount at that venue
+/// The router searches the *feasible subgraph*: an edge is feasible when
+/// the liquidity book can cover the payment's per-hop amount at that venue
 /// right now ([`LiquidityBook::fits`]) and the venue is not banned by an
 /// earlier leg of a split; its *cost* is the venue's committed load
 /// ([`LiquidityBook::load_at`]), so among feasible routes the search
-/// prefers idle venues. Level `k` holds the nodes at feasible distance
-/// exactly `k` from the source, each labelled with its cheapest `k`-hop
-/// path. Before it expands level `k`, the search reads the destination's
-/// label straight from the destination's own adjacency: a neighbour on
-/// level `k − 1` behind a feasible edge puts the destination at distance
-/// `k`, and the search returns without building level `k`, the largest
-/// level it would otherwise build. It also returns `None` at the hop cap
-/// without building level `max_hops`, and when a level comes up empty.
-/// The level being built is a bitset over nodes, read out in ascending
-/// id as the next frontier, so no level is sorted. Every edge is relaxed
-/// at most twice (once from each endpoint's level) and the destination's
-/// adjacency is read once per level, so a search — a failing one
-/// included — costs O(E + hops · deg(dst) + hops · N / 64).
+/// prefers idle venues. Feasibility does not depend on the direction an
+/// edge is crossed in, so the search works from both ends:
+///
+/// 1. **Meet in the middle.** It grows a breadth-first ball from the
+///    source and one from the destination, one level at a time: first
+///    each end's own adjacency (the smaller first), then always the side
+///    whose frontier has the smaller degree sum (the source's side on
+///    ties). Reading both ends first bounds a search whose source or
+///    destination has no feasible edge by `deg(src) + deg(dst)`
+///    adjacency entries. The forward ball's level `k` holds the nodes at
+///    feasible distance exactly `k` from the source, each labelled with the
+///    cost and last hop of its cheapest `k`-hop path; the backward ball
+///    records each node's distance to the destination. While the balls are
+///    disjoint the distance exceeds the sum of their radii (a shortest path
+///    would have a node in both), so at the first level where they share a
+///    node the forward radius `rf` plus the backward radius `rb` is the
+///    hop distance `h`. The search returns `None` when a side's new level
+///    comes up empty, and when the radii reach the hop cap unmet.
+/// 2. **Sweep only the shortest-path levels.** The forward sweep goes on
+///    from level `rf` to level `h − 1`, but from level `k` it sweeps only
+///    the nodes at backward distance exactly `h − k` and labels only their
+///    neighbours at backward distance `h − k − 1`: the nodes that lie on a
+///    shortest path.
+/// 3. **Read the destination's label from its own adjacency**: its
+///    cheapest neighbour on level `h − 1` behind a feasible edge. When the
+///    forward sweep reached the destination itself (`rb = 0`), the label it
+///    gave is that one.
+///
+/// The level being built is a bitset over nodes, read out in ascending id
+/// as the next frontier, so no level is sorted. Each ball reads an
+/// adjacency list at most once, the pruned sweep reads only shortest-path
+/// nodes' and the destination's is read once more for its label, so a
+/// search costs O(E + deg(dst) + h · N / 64) at worst. What it saves is
+/// the typical case: two balls of radius about `h / 2` instead of the one
+/// of radius `h − 2` around the source that a one-sided sweep reads, and
+/// on a miss the cheaper side running dry instead of the source's whole
+/// feasible component.
 ///
 /// # Deterministic tie-breaking contract
 ///
@@ -292,8 +323,8 @@ thread_local! {
 /// choice is a pure function of `(graph, book, src, dst, amount)` under
 /// a total preference order:
 ///
-/// 1. **fewest hops** — the search examines levels in increasing path
-///    length and returns at the first level adjacent to the destination;
+/// 1. **fewest hops** — the search returns a path of exactly the hop
+///    distance `h`;
 /// 2. **minimal total committed load** — within a level, labels keep the
 ///    cheapest predecessor (sum of [`LiquidityBook::load_at`] over the
 ///    path's venues);
@@ -304,7 +335,8 @@ thread_local! {
 ///
 /// Rule 3 makes the choice independent of anything but the inputs —
 /// no hashing, no iteration-order dependence — which is what the
-/// 1-vs-4-thread digest tests pin.
+/// 1-vs-4-thread digest tests pin. The backward ball and the degree sums
+/// decide only how far each side grows, never a label.
 ///
 /// **Why one label per node is the same search as one per (hop count,
 /// node).** A relaxation over walks of exactly `k` hops (Bellman–Ford
@@ -319,6 +351,18 @@ thread_local! {
 /// their hop count are never on a returned route, so dropping them
 /// changes no route and no tie-break; the `#[cfg(test)]` reference keeps
 /// that relaxation and a differential proptest holds the two equal.
+///
+/// **Why sweeping only the shortest-path levels changes no label.** A
+/// node `v` on a shortest path at level `k` is labelled from its feasible
+/// neighbours `u` on level `k − 1`. Through `v`, such a `u` is at most
+/// `h − k + 1` from the destination, and it is at least that far, or a
+/// path shorter than `h` would exist: so `u` lies on a shortest path too,
+/// and the pruned sweep scans it. Every shortest-path node thus sees all
+/// of its candidates, in the same ascending order through the same
+/// adjacency order under the same strictly-better rule, and a node on no
+/// shortest path is on no returned route. The backward distances the
+/// pruned sweep asks for are at most `rb`, so the backward ball holds
+/// them exactly.
 ///
 /// **Why the destination's label can be read from its own adjacency.**
 /// The sweep would label the destination from the candidates
@@ -340,7 +384,15 @@ pub struct Router {
     /// level being built means "still improvable": no per-call clearing.
     stamp: Vec<u64>,
     tick: u64,
-    /// The level being expanded, ascending by node id.
+    /// `back_stamp[v]` equals the running search's first tick when `v`
+    /// lies in the backward ball, and `back_dist[v]` is then its feasible
+    /// distance to the destination.
+    back_stamp: Vec<u64>,
+    back_dist: Vec<u32>,
+    /// The backward ball's nodes in breadth-first order; its last level is
+    /// the backward frontier.
+    back: Vec<u32>,
+    /// The forward level being expanded, ascending by node id.
     frontier: Vec<u32>,
     /// The level being built, one bit per node; [`Router::drain_level`]
     /// turns it into the next frontier.
@@ -365,6 +417,8 @@ impl Router {
             self.prev_node.resize(nodes, 0);
             self.prev_venue.resize(nodes, 0);
             self.stamp.resize(nodes, 0);
+            self.back_stamp.resize(nodes, 0);
+            self.back_dist.resize(nodes, 0);
             self.level_bits.resize(nodes.div_ceil(64), 0);
         }
     }
@@ -403,6 +457,111 @@ impl Router {
         }
     }
 
+    /// Whether `v` lies in the backward ball of the search that started at
+    /// `first_tick`, exactly `dist` hops from the destination.
+    fn back_at(&self, v: usize, first_tick: u64, dist: u32) -> bool {
+        self.back_stamp[v] == first_tick && self.back_dist[v] == dist
+    }
+
+    /// Builds the next forward level from the frontier by the labelling
+    /// sweep and makes it the frontier. With `on_path == Some(j)` only
+    /// frontier nodes at backward distance `j` are swept and only nodes at
+    /// backward distance `j − 1` are labelled. Returns the new level's
+    /// degree sum — zero exactly when the level is empty, as each of its
+    /// nodes has the edge it was reached by — and whether the level
+    /// touches the backward ball.
+    fn sweep(
+        &mut self,
+        g: &VenueGraph,
+        amount: u64,
+        book: Option<&LiquidityBook>,
+        first_tick: u64,
+        on_path: Option<u32>,
+    ) -> (usize, bool) {
+        self.tick += 1;
+        let level = self.tick;
+        let (mut degrees, mut met) = (0, false);
+        for i in 0..self.frontier.len() {
+            let u = self.frontier[i];
+            if on_path.is_some_and(|j| !self.back_at(u as usize, first_tick, j)) {
+                continue;
+            }
+            let cu = self.cost[u as usize];
+            for &(nbr, venue) in g.neighbors(u) {
+                count_read();
+                let v = nbr as usize;
+                let labelled = self.stamp[v] >= first_tick;
+                if labelled && self.stamp[v] != level {
+                    continue; // closer to the source: labelled on an earlier level
+                }
+                if on_path.is_some_and(|j| !self.back_at(v, first_tick, j - 1)) {
+                    continue;
+                }
+                let Some(step) = self.step(venue, amount, book) else {
+                    continue;
+                };
+                let nc = cu.saturating_add(step);
+                if !labelled {
+                    self.stamp[v] = level;
+                    self.level_bits[v / 64] |= 1 << (v % 64);
+                    degrees += g.degree(nbr);
+                    met |= self.back_stamp[v] == first_tick;
+                }
+                if !labelled || nc < self.cost[v] {
+                    self.cost[v] = nc;
+                    self.prev_node[v] = u;
+                    self.prev_venue[v] = venue;
+                }
+            }
+        }
+        self.drain_level(g.nodes());
+        (degrees, met)
+    }
+
+    /// Grows the backward ball by the level at distance `dist` from the
+    /// destination, out of the frontier `back[start..]`. Returns the new
+    /// level's degree sum and whether it touches the forward ball.
+    fn grow_back(
+        &mut self,
+        g: &VenueGraph,
+        amount: u64,
+        book: Option<&LiquidityBook>,
+        first_tick: u64,
+        start: usize,
+        dist: u32,
+    ) -> (usize, bool) {
+        let (mut degrees, mut met) = (0, false);
+        for i in start..self.back.len() {
+            for &(nbr, venue) in g.neighbors(self.back[i]) {
+                count_read();
+                let v = nbr as usize;
+                if self.back_stamp[v] == first_tick || self.step(venue, amount, book).is_none() {
+                    continue;
+                }
+                self.back_stamp[v] = first_tick;
+                self.back_dist[v] = dist;
+                self.back.push(nbr);
+                degrees += g.degree(nbr);
+                met |= self.stamp[v] >= first_tick;
+            }
+        }
+        (degrees, met)
+    }
+
+    /// The route of `hops` venues ending in the hop `last_node — last_venue`,
+    /// its earlier hops read back through the labels to `src`.
+    fn trace_back(&self, src: u32, hops: usize, last_node: u32, last_venue: VenueId) -> VenueRoute {
+        let mut venues = vec![0; hops];
+        venues[hops - 1] = last_venue;
+        let mut node = last_node as usize;
+        for slot in venues[..hops - 1].iter_mut().rev() {
+            *slot = self.prev_venue[node];
+            node = self.prev_node[node] as usize;
+        }
+        debug_assert_eq!(node, src as usize, "labels chain back to the source");
+        VenueRoute::new(venues)
+    }
+
     /// The search core. `book == None` means "empty network" (every edge
     /// feasible at zero cost), which is how static shortest paths are
     /// computed at workload-generation time.
@@ -426,71 +585,75 @@ impl Router {
         self.cost[src as usize] = 0;
         self.frontier.clear();
         self.frontier.push(src);
-        for hops in 1..=max_hops {
-            // The frontier is level `hops - 1`: `dst` is at distance `hops`
-            // iff a frontier node reaches it by a feasible edge, and reading
-            // its adjacency gives the label the sweep below would assign.
-            let frontier_tick = self.tick;
-            let mut best: Option<(u32, VenueId)> = None;
-            let mut best_cost = 0;
-            for &(u, venue) in g.neighbors(dst) {
-                if self.stamp[u as usize] != frontier_tick {
-                    continue;
-                }
-                let Some(step) = self.step(venue, amount, book) else {
-                    continue;
-                };
-                let c = self.cost[u as usize].saturating_add(step);
-                if best.is_none() || c < best_cost {
-                    best = Some((u, venue));
-                    best_cost = c;
-                }
-            }
-            if let Some((last_node, last_venue)) = best {
-                let mut venues = vec![0; hops];
-                venues[hops - 1] = last_venue;
-                let mut node = last_node as usize;
-                for slot in venues[..hops - 1].iter_mut().rev() {
-                    *slot = self.prev_venue[node];
-                    node = self.prev_node[node] as usize;
-                }
-                debug_assert_eq!(node, src as usize, "labels chain back to the source");
-                return Some(VenueRoute::new(venues));
-            }
-            if hops == max_hops {
+        self.back_stamp[dst as usize] = first_tick;
+        self.back_dist[dst as usize] = 0;
+        self.back.clear();
+        self.back.push(dst);
+        // The balls' radii and frontier degree sums; the backward frontier
+        // is `back[back_start..]`.
+        let (mut rf, mut rb, mut back_start) = (0, 0, 0);
+        let (mut fwd_degrees, mut back_degrees) = (g.degree(src), g.degree(dst));
+        loop {
+            if rf + rb == max_hops {
                 return None;
             }
-            self.tick += 1;
-            let level = self.tick;
-            for i in 0..self.frontier.len() {
-                let u = self.frontier[i];
-                let cu = self.cost[u as usize];
-                for &(nbr, venue) in g.neighbors(u) {
-                    #[cfg(test)]
-                    RELAXATIONS.with(|n| n.set(n.get() + 1));
-                    let Some(step) = self.step(venue, amount, book) else {
-                        continue;
-                    };
-                    let v = nbr as usize;
-                    let nc = cu.saturating_add(step);
-                    let unlabelled = self.stamp[v] < first_tick;
-                    if unlabelled {
-                        self.stamp[v] = level;
-                        self.level_bits[v / 64] |= 1 << (v % 64);
-                    }
-                    if unlabelled || (self.stamp[v] == level && nc < self.cost[v]) {
-                        self.cost[v] = nc;
-                        self.prev_node[v] = u;
-                        self.prev_venue[v] = venue;
-                    }
-                }
+            // Both ends' own adjacency is read before either ball grows a
+            // second level, so a dead end costs at most deg(src) + deg(dst).
+            let forward = if (rf == 0) != (rb == 0) {
+                rf == 0
+            } else {
+                fwd_degrees <= back_degrees
+            };
+            let (degrees, met) = if forward {
+                rf += 1;
+                let grown = self.sweep(g, amount, book, first_tick, None);
+                fwd_degrees = grown.0;
+                grown
+            } else {
+                rb += 1;
+                let end = self.back.len();
+                let grown = self.grow_back(g, amount, book, first_tick, back_start, rb as u32);
+                back_start = end;
+                back_degrees = grown.0;
+                grown
+            };
+            if met {
+                break;
             }
-            self.drain_level(nodes);
-            if self.frontier.is_empty() {
+            if degrees == 0 {
                 return None;
             }
         }
-        None
+        let hops = rf + rb;
+        if rb == 0 {
+            // The forward sweep reached `dst` itself; it labelled it from
+            // the candidates the adjacency read below would scan.
+            let d = dst as usize;
+            return Some(self.trace_back(src, hops, self.prev_node[d], self.prev_venue[d]));
+        }
+        for k in rf..hops - 1 {
+            self.sweep(g, amount, book, first_tick, Some((hops - k) as u32));
+        }
+        // The frontier is level `hops - 1`: reading the destination's
+        // adjacency gives the label the sweep would assign it.
+        let frontier_tick = self.tick;
+        let mut best: Option<(u32, VenueId)> = None;
+        let mut best_cost = 0;
+        for &(u, venue) in g.neighbors(dst) {
+            if self.stamp[u as usize] != frontier_tick {
+                continue;
+            }
+            let Some(step) = self.step(venue, amount, book) else {
+                continue;
+            };
+            let c = self.cost[u as usize].saturating_add(step);
+            if best.is_none() || c < best_cost {
+                best = Some((u, venue));
+                best_cost = c;
+            }
+        }
+        let (node, venue) = best.expect("the balls met, so a shortest path enters dst");
+        Some(self.trace_back(src, hops, node, venue))
     }
 
     /// The cheapest feasible path from `src` to `dst` for a payment
@@ -763,14 +926,16 @@ mod tests {
     }
 
     proptest! {
-        /// The breadth-first search and the layered relaxation it replaced
+        /// The two-ended search and the layered relaxation it replaced
         /// return the identical route — same venues in the same order, same
         /// shares, same `None`s — for `route`, `route_multi`, `shortest`
         /// and the bare search under arbitrary bans, on both graph
         /// families, under random reservations and spends, with amounts on
         /// both sides of what the budget can still cover and every hop cap.
         /// Sizes reach 300 venues, so the graphs cross the level bitset's
-        /// 64- and 128-node word boundaries.
+        /// 64- and 128-node word boundaries; one case in eight runs on the
+        /// benchmark's own graph shape instead, 1 024 scale-free venues
+        /// attached two at a time, where routes run up to the hop cap.
         #[test]
         fn bfs_search_equals_the_layered_relaxation(
             small_world in any::<bool>(),
@@ -778,10 +943,13 @@ mod tests {
             graph_seed in 0u64..10_000,
             load_seed in 1u64..u64::MAX,
             amount in 1u64..5_000,
-            max_hops in 1usize..9,
+            max_hops in 1usize..=MAX_NET_HOPS,
+            benchmark_shape in 0u32..8,
         ) {
             const BUDGET: u64 = 4_000;
-            let family = if small_world {
+            let family = if benchmark_shape == 0 {
+                GraphFamily::ScaleFree { venues: 1_024, attach: 2 }
+            } else if small_world {
                 GraphFamily::SmallWorld { nodes: size / 2, rewire_permille: 150 }
             } else {
                 GraphFamily::ScaleFree { venues: size, attach: 1 + size % 3 }
@@ -864,59 +1032,155 @@ mod tests {
         }
     }
 
-    /// Edges the search relaxed on this thread so far.
-    fn relaxations() -> u64 {
-        RELAXATIONS.with(std::cell::Cell::get)
+    /// Adjacency entries the search read on this thread so far.
+    fn reads() -> u64 {
+        ADJACENCY_READS.with(std::cell::Cell::get)
     }
 
-    /// The search reads `dst`'s label off the frontier before it expands
-    /// the next level. So a route found at distance k relaxes no edge out
-    /// of level k − 1, and a miss at the hop cap builds no level
-    /// `max_hops`: only the edges out of levels 0 ..= min(k, max_hops) − 2
-    /// are relaxed.
+    /// Plain breadth-first hop distances from `from` over every edge;
+    /// `usize::MAX` marks a node it cannot reach.
+    fn hop_distances(g: &VenueGraph, from: u32) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; g.nodes()];
+        dist[from as usize] = 0;
+        let mut queue = std::collections::VecDeque::from([from]);
+        while let Some(u) = queue.pop_front() {
+            for &(v, _) in g.neighbors(u) {
+                if dist[v as usize] == usize::MAX {
+                    dist[v as usize] = dist[u as usize] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
+    }
+
+    /// What a search on the empty network must read, modelled on plain
+    /// hop distances `ds` from the source and `dt` to the destination:
+    /// both ends' adjacency first, then the ball whose frontier has the
+    /// smaller degree sum grows until the balls share a node, then the
+    /// shortest-path nodes of levels `rf ..= h − 2` are swept. Returns the
+    /// adjacency entries read and the hop distance found.
+    fn expected_reads(
+        g: &VenueGraph,
+        ds: &[usize],
+        dt: &[usize],
+        max_hops: usize,
+    ) -> (u64, Option<usize>) {
+        // The degree sum of the nodes `keep` selects.
+        let degrees = |keep: &dyn Fn(usize) -> bool| -> usize {
+            (0..g.nodes())
+                .filter(|&v| keep(v))
+                .map(|v| g.degree(v as u32))
+                .sum()
+        };
+        let (mut rf, mut rb, mut read) = (0, 0, 0);
+        loop {
+            if rf + rb == max_hops {
+                return (read as u64, None);
+            }
+            let forward = if (rf == 0) != (rb == 0) {
+                rf == 0
+            } else {
+                degrees(&|v| ds[v] == rf) <= degrees(&|v| dt[v] == rb)
+            };
+            let (d, r) = if forward {
+                read += degrees(&|v| ds[v] == rf);
+                rf += 1;
+                (ds, rf)
+            } else {
+                read += degrees(&|v| dt[v] == rb);
+                rb += 1;
+                (dt, rb)
+            };
+            if (0..g.nodes()).any(|v| ds[v] <= rf && dt[v] <= rb) {
+                break;
+            }
+            if !d.contains(&r) {
+                return (read as u64, None);
+            }
+        }
+        let h = rf + rb;
+        if rb > 0 {
+            for k in rf..h - 1 {
+                read += degrees(&|v| ds[v] == k && dt[v] == h - k);
+            }
+        }
+        (read as u64, Some(h))
+    }
+
+    /// The search reads both ends' adjacency, grows the cheaper ball until
+    /// the two meet and then sweeps only the shortest-path nodes of the
+    /// levels the forward ball has not reached: pinned exactly against a
+    /// model of that rule over plain breadth-first distances. The
+    /// one-sided sweep it replaced read 3 and 1 on the path graph and
+    /// 99 817 over the scale-free cases; the new search is not cheaper on
+    /// every tiny graph, so only equalities are asserted.
     #[test]
-    fn search_expands_no_level_it_cannot_use() {
-        // The path 0 - 1 - 2 - 3: a route to 3 relaxes the edges out of
-        // 0 and 1 (1 + 2), not those out of 2; with a cap of 2 hops only
-        // the edge out of 0.
+    fn search_reads_both_ends_and_only_the_shortest_path_levels() {
+        // The path 0 - 1 - 2 - 3: the edge out of 0, the edge out of 3,
+        // then the two out of 1, whose level holds 2, where the balls meet.
+        // With a cap of 2 hops the radii reach it after the first two.
         let path = from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut router = Router::new();
-        let before = relaxations();
+        let before = reads();
         assert_eq!(
             router.shortest(&path, 0, 3, 8).unwrap().venues,
             vec![0, 1, 2]
         );
-        assert_eq!(relaxations() - before, 3);
-        let before = relaxations();
+        assert_eq!(reads() - before, 4);
+        let before = reads();
         assert!(router.shortest(&path, 0, 3, 2).is_none());
-        assert_eq!(relaxations() - before, 1);
+        assert_eq!(reads() - before, 2);
 
         let g = scalefree(400, 5);
+        let dist: Vec<Vec<usize>> = (0..g.nodes() as u32)
+            .map(|n| hop_distances(&g, n))
+            .collect();
+        let mut total = 0;
         for src in [0u32, 7, 100] {
-            // Plain breadth-first distances from `src`.
-            let mut dist = vec![usize::MAX; g.nodes()];
-            dist[src as usize] = 0;
-            let mut queue = std::collections::VecDeque::from([src]);
-            while let Some(u) = queue.pop_front() {
-                for &(v, _) in g.neighbors(u) {
-                    if dist[v as usize] == usize::MAX {
-                        dist[v as usize] = dist[u as usize] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
+            let ds = &dist[src as usize];
             for dst in (0..g.nodes() as u32).filter(|&d| d != src) {
                 for max_hops in [2, 3, MAX_NET_HOPS] {
-                    let reach = dist[dst as usize].min(max_hops);
-                    let expected: usize = (0..g.nodes())
-                        .filter(|&v| dist[v] + 2 <= reach)
-                        .map(|v| g.degree(v as u32))
-                        .sum();
-                    let before = relaxations();
+                    let distance = ds[dst as usize];
+                    let (expected, hops) = expected_reads(&g, ds, &dist[dst as usize], max_hops);
+                    assert_eq!(hops, (distance <= max_hops).then_some(distance));
+                    let before = reads();
                     let found = router.shortest(&g, src, dst, max_hops);
-                    assert_eq!(found.is_some(), dist[dst as usize] <= max_hops);
-                    assert_eq!(relaxations() - before, expected as u64);
+                    assert_eq!(found.map(|p| p.hops()), hops);
+                    assert_eq!(reads() - before, expected);
+                    total += expected;
                 }
+            }
+        }
+        assert_eq!(total, 66_986);
+    }
+
+    /// A destination with no feasible edge costs at most the two ends'
+    /// adjacency: the first two expansions read it (the smaller end first)
+    /// and the backward ball comes up empty. The one-sided sweep swept the
+    /// source's whole feasible component up to the hop cap instead.
+    #[test]
+    fn a_dead_destination_costs_at_most_both_ends_adjacency() {
+        let g = scalefree(1_024, 42);
+        let mut router = Router::new();
+        for dst in 0..g.nodes() as u32 {
+            let mut book = LiquidityBook::new(&LiquidityConfig::reject(100), g.venues());
+            for &(_, venue) in g.neighbors(dst) {
+                book.reserve(venue, 100);
+            }
+            let dead = g.degree(dst);
+            for src in (0..g.nodes() as u32).filter(|&s| s != dst) {
+                let before = reads();
+                assert!(router.route(&g, src, dst, 1, MAX_NET_HOPS, &book).is_none());
+                let read = (reads() - before) as usize;
+                assert!(read <= g.degree(src) + dead);
+                let src_live = g.neighbors(src).iter().any(|&(v, _)| v != dst);
+                let exact = match (g.degree(src) <= dead, src_live) {
+                    (false, _) => dead,
+                    (true, true) => g.degree(src) + dead,
+                    (true, false) => g.degree(src),
+                };
+                assert_eq!(read, exact);
             }
         }
     }

@@ -56,8 +56,11 @@
 //! exact in both modes and for splits, and cross-checked by a
 //! `debug_assert!` that re-runs every skipped poll.
 //! [`RoutingStats::pathfind_calls`] therefore counts searches executed.
-//! What a routed run still pays beyond a static one is the protocol
-//! instance, run inline on the DES thread at admission.
+//! What a routed run still pays beyond a static one is its searches and
+//! the protocol instance, run inline on the DES thread at admission. A
+//! search grows balls from both ends and meets in the middle (see
+//! [`Router`]): on 1 024-venue scale-free networks it reads ≈ 117
+//! adjacency entries, where a one-sided sweep read ≈ 499.
 
 use crate::faults::FaultPlan;
 use crate::metrics::{LiquidityStats, OpenTelemetry, RoutingStats, VenueEvents};
