@@ -1,18 +1,18 @@
 //! The HLS **certified blockchain commit protocol** — the partially
-//! synchronous deal protocol of \[3\].
+//! synchronous deal protocol of \[3\] — as its rule: parties send their
+//! votes to a designated *certified blockchain* (CBC), and every arc
+//! escrow settles on the CBC's verdict alone.
 //!
-//! Instead of per-escrow deadlines, a designated *certified blockchain*
-//! (CBC) totally orders the parties' votes: once it has recorded a commit
-//! vote from **every** party, it certifies COMMIT; if any party's signed
-//! abort vote arrives first, it certifies ABORT. Every arc escrow settles
-//! solely on the CBC's verdict — no clocks in the decision path, so
-//! safety and termination survive partial synchrony. What is lost is
-//! strong liveness: an impatient (or slow-looking) party can push an
-//! honest run into ABORT — the same trade the paper's Theorem 3 makes,
+//! The CBC totally orders the votes: once it has recorded a commit vote
+//! from **every** party, it certifies COMMIT; if any party's signed abort
+//! vote arrives first, it certifies ABORT. No clocks sit in the decision
+//! path, so safety and termination survive partial synchrony. What is
+//! lost is strong liveness: an impatient (or slow-looking) party can push
+//! an honest run into ABORT — the same trade the paper's Theorem 3 makes,
 //! which is why §5 calls the two lines of work related.
 
-use crate::matrix::{DealOutcome, Party};
-use crate::timelock::{commit_payload, DMsg, DealInstance, DOM_DEAL_COMMIT};
+use crate::deal::{ArcEscrow, DMsg, DealInstance, DealParty, Rule, VoteCheck, DOM_DEAL_COMMIT};
+use crate::matrix::Party;
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
 use anta::fingerprint::fingerprint;
@@ -20,10 +20,8 @@ use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
-use ledger::{DealId, Ledger, SimChain};
-use std::sync::Arc as StdArc;
-use xcrypto::wire::WireWriter;
-use xcrypto::{KeyId, PaymentId, Pki, Signer};
+use ledger::SimChain;
+use xcrypto::{KeyId, Signer};
 
 impl DealInstance {
     /// Builds the certified protocol: the parties (signing with `signers`,
@@ -44,18 +42,26 @@ impl DealInstance {
         mut party: impl FnMut(Party, CertifiedParty) -> Box<dyn Process<DMsg>>,
     ) -> Engine<DMsg> {
         let mut eng = Engine::new(net, oracle, cfg);
+        let cbc = self.next_free_pid();
         for (p, signer) in signers.iter().enumerate() {
             let clock = party_clock(p);
-            let compliant = CertifiedParty::new(self, p, signer.clone());
+            let compliant = CertifiedParty {
+                party: DealParty::new(self, p, signer.clone(), vec![cbc]),
+                cbc,
+                patience: None,
+            };
             eng.add_process(party(p, compliant), clock);
         }
         for k in 0..self.deal.arcs().len() {
-            eng.add_process(
-                Box::new(CertifiedEscrow::new(self, k)),
-                DriftClock::perfect(),
-            );
+            let escrow = ArcEscrow::new(self, k, CertifiedRule { cbc });
+            eng.add_process(Box::new(escrow), DriftClock::perfect());
         }
-        eng.add_process(Box::new(CertifiedChain::new(self)), DriftClock::perfect());
+        let chain = CertifiedChain {
+            check: self.vote_check(),
+            subscribers: (0..cbc).collect(),
+            st: CertifiedChainState::default(),
+        };
+        eng.add_process(Box::new(chain), DriftClock::perfect());
         eng
     }
 }
@@ -63,20 +69,11 @@ impl DealInstance {
 /// Domain label for abort votes on deals.
 pub const DOM_DEAL_ABORT: &[u8] = b"xchain/deals/abort";
 
-/// Canonical payload of an abort vote.
-pub fn abort_payload(deal_id: &PaymentId) -> Vec<u8> {
-    let mut w = WireWriter::new(DOM_DEAL_ABORT);
-    w.put_bytes(&deal_id.0);
-    w.finish()
-}
-
 /// The certified blockchain: orders votes, certifies one verdict, and
 /// keeps a hash-linked public log of everything it saw.
 #[derive(Debug, Clone)]
 pub struct CertifiedChain {
-    deal_id: PaymentId,
-    pki: StdArc<Pki>,
-    party_keys: Vec<KeyId>,
+    check: VoteCheck,
     /// Escrows and parties that follow the verdict.
     subscribers: Vec<Pid>,
     st: CertifiedChainState,
@@ -84,8 +81,8 @@ pub struct CertifiedChain {
 
 /// The chain's run state: the votes, the verdict and the public log
 /// (hashed through its head hash, which chains every entry). The rest of
-/// [`CertifiedChain`] is setup (deal id, keys, subscribers).
-#[derive(Debug, Clone, Hash)]
+/// [`CertifiedChain`] is setup (the vote check, subscribers).
+#[derive(Debug, Clone, Default, Hash)]
 struct CertifiedChainState {
     votes: Vec<KeyId>,
     verdict: Option<bool>,
@@ -93,22 +90,6 @@ struct CertifiedChainState {
 }
 
 impl CertifiedChain {
-    /// Builds the CBC for a deal instance; every party and escrow learns
-    /// the verdict.
-    pub fn new(inst: &DealInstance) -> Self {
-        CertifiedChain {
-            deal_id: inst.deal_id,
-            pki: inst.pki.clone(),
-            party_keys: inst.party_keys.clone(),
-            subscribers: (0..inst.next_free_pid()).collect(),
-            st: CertifiedChainState {
-                votes: Vec::new(),
-                verdict: None,
-                log: SimChain::new(),
-            },
-        }
-    }
-
     /// The recorded verdict, if any (`true` = commit).
     pub fn verdict(&self) -> Option<bool> {
         self.st.verdict
@@ -119,10 +100,9 @@ impl CertifiedChain {
         &self.st.log
     }
 
+    /// Records and announces the verdict, and halts: the chain certifies
+    /// once.
     fn certify(&mut self, commit: bool, ctx: &mut Ctx<DMsg>) {
-        if self.st.verdict.is_some() {
-            return;
-        }
         self.st.verdict = Some(commit);
         self.st.log.append(vec![if commit { 1 } else { 0 }]);
         ctx.mark(if commit { "cbc_commit" } else { "cbc_abort" }, 0);
@@ -139,28 +119,18 @@ impl Process<DMsg> for CertifiedChain {
     fn on_message(&mut self, _from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
         match msg {
             DMsg::CommitVote { sig } => {
-                if self.st.verdict.is_some()
-                    || !self.party_keys.contains(&sig.signer)
-                    || self.st.votes.contains(&sig.signer)
-                    || !self
-                        .pki
-                        .verify(&sig, DOM_DEAL_COMMIT, &commit_payload(&self.deal_id))
+                if self.st.votes.contains(&sig.signer) || !self.check.accepts(&sig, DOM_DEAL_COMMIT)
                 {
                     return;
                 }
                 self.st.votes.push(sig.signer);
                 self.st.log.append(sig.signer.0.to_be_bytes().to_vec());
-                if self.st.votes.len() == self.party_keys.len() {
+                if self.st.votes.len() == self.check.parties() {
                     self.certify(true, ctx);
                 }
             }
             DMsg::AbortVote { sig } => {
-                if self.st.verdict.is_some()
-                    || !self.party_keys.contains(&sig.signer)
-                    || !self
-                        .pki
-                        .verify(&sig, DOM_DEAL_ABORT, &abort_payload(&self.deal_id))
-                {
+                if !self.check.accepts(&sig, DOM_DEAL_ABORT) {
                     return;
                 }
                 self.certify(false, ctx);
@@ -176,111 +146,27 @@ impl Process<DMsg> for CertifiedChain {
     }
 }
 
+/// The certified rule: settle on the verdict of the chain at `cbc`, and
+/// on no one else's word.
+#[derive(Debug, Clone)]
+pub struct CertifiedRule {
+    cbc: Pid,
+}
+
+impl Rule for CertifiedRule {
+    type State = ();
+
+    fn on_message(&self, _: &mut (), _: bool, from: Pid, msg: DMsg) -> Option<bool> {
+        match msg {
+            DMsg::CbcDecision { commit } if from == self.cbc => Some(commit),
+            _ => None,
+        }
+    }
+}
+
 /// An arc escrow under the certified protocol: no deadline — it settles
 /// exclusively on the CBC verdict.
-#[derive(Debug, Clone)]
-pub struct CertifiedEscrow {
-    arc: usize,
-    asset: ledger::Asset,
-    depositor_key: KeyId,
-    beneficiary_key: KeyId,
-    depositor_pid: Pid,
-    party_pids: Vec<Pid>,
-    st: CertifiedEscrowState,
-}
-
-/// An arc escrow's run state: the book, the deal and the settlement. The
-/// rest of [`CertifiedEscrow`] is setup (arc, keys, pids).
-#[derive(Debug, Clone, Hash)]
-struct CertifiedEscrowState {
-    ledger: Ledger,
-    deal: Option<DealId>,
-    /// `Some(true)` released, `Some(false)` returned.
-    settled: Option<bool>,
-}
-
-impl CertifiedEscrow {
-    /// Builds the escrow for `arc` of `inst`, funding the depositor.
-    pub fn new(inst: &DealInstance, arc: usize) -> Self {
-        let a = inst.deal.arcs()[arc];
-        CertifiedEscrow {
-            arc,
-            asset: a.asset,
-            depositor_key: inst.party_keys[a.from],
-            beneficiary_key: inst.party_keys[a.to],
-            depositor_pid: inst.party_pid(a.from),
-            party_pids: (0..inst.deal.parties()).collect(),
-            st: CertifiedEscrowState {
-                ledger: inst.arc_book(arc),
-                deal: None,
-                settled: None,
-            },
-        }
-    }
-
-    /// The escrow's book.
-    pub fn ledger(&self) -> &Ledger {
-        &self.st.ledger
-    }
-
-    /// `Some(true)` released, `Some(false)` returned, `None` unsettled.
-    pub fn settled(&self) -> Option<bool> {
-        self.st.settled
-    }
-}
-
-impl Process<DMsg> for CertifiedEscrow {
-    fn on_start(&mut self, _ctx: &mut Ctx<DMsg>) {}
-
-    fn on_message(&mut self, from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
-        match msg {
-            DMsg::Deposit { arc } if arc == self.arc && self.st.deal.is_none() => {
-                if from != self.depositor_pid {
-                    return;
-                }
-                match self
-                    .st
-                    .ledger
-                    .lock(self.depositor_key, self.beneficiary_key, self.asset)
-                {
-                    Ok(deal) => {
-                        self.st.deal = Some(deal);
-                        ctx.mark("arc_escrowed", self.arc as i64);
-                        for &p in &self.party_pids {
-                            ctx.send(p, DMsg::Escrowed { arc: self.arc });
-                        }
-                    }
-                    Err(_) => ctx.mark("arc_lock_rejected", self.arc as i64),
-                }
-            }
-            DMsg::CbcDecision { commit } if self.st.settled.is_none() => {
-                let Some(deal) = self.st.deal else {
-                    // Nothing locked here: the verdict costs nothing.
-                    self.st.settled = Some(false);
-                    ctx.halt();
-                    return;
-                };
-                if commit {
-                    self.st.ledger.release(deal).expect("locked releases once");
-                    self.st.settled = Some(true);
-                    ctx.mark("arc_released", self.arc as i64);
-                } else {
-                    self.st.ledger.refund(deal).expect("locked refunds once");
-                    self.st.settled = Some(false);
-                    ctx.mark("arc_returned", self.arc as i64);
-                }
-                ctx.halt();
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
-
-    fn fp_digest(&self) -> u64 {
-        fingerprint(&self.st)
-    }
-}
+pub type CertifiedEscrow = ArcEscrow<CertifiedRule>;
 
 const TIMER_PATIENCE: TimerId = 5;
 
@@ -291,110 +177,42 @@ const TIMER_PATIENCE: TimerId = 5;
 /// place through [`DealInstance::certified_engine`]'s `party` hook.
 #[derive(Debug, Clone)]
 pub struct CertifiedParty {
-    me: Party,
-    signer: Signer,
-    deal_id: PaymentId,
-    my_deposits: Vec<(usize, Pid)>,
+    party: DealParty,
     cbc: Pid,
     /// `None`: infinitely patient (a pending patience expiry is a queued
     /// timer).
     pub patience: Option<SimDuration>,
-    st: CertifiedPartyState,
-}
-
-/// A party's run state: what it has seen, voted and learnt. The rest of
-/// [`CertifiedParty`] — identity, pids and its `patience` — is setup.
-#[derive(Debug, Clone, Hash)]
-struct CertifiedPartyState {
-    escrowed_seen: Vec<bool>,
-    voted: bool,
-    decided: bool,
-}
-
-impl CertifiedParty {
-    /// Builds party `me`, who votes to the certified chain at
-    /// [`DealInstance::next_free_pid`].
-    pub fn new(inst: &DealInstance, me: Party, signer: Signer) -> Self {
-        let my_deposits: Vec<(usize, Pid)> = inst
-            .deal
-            .outgoing(me)
-            .map(|k| (k, inst.escrow_pid(k)))
-            .collect();
-        CertifiedParty {
-            me,
-            signer,
-            deal_id: inst.deal_id,
-            my_deposits,
-            cbc: inst.next_free_pid(),
-            patience: None,
-            st: CertifiedPartyState {
-                escrowed_seen: vec![false; inst.deal.arcs().len()],
-                voted: false,
-                decided: false,
-            },
-        }
-    }
 }
 
 impl Process<DMsg> for CertifiedParty {
     fn on_start(&mut self, ctx: &mut Ctx<DMsg>) {
-        for &(arc, escrow) in &self.my_deposits {
-            ctx.send(escrow, DMsg::Deposit { arc });
-        }
+        self.party.fund(ctx);
         if let Some(p) = self.patience {
             ctx.set_timer_after(TIMER_PATIENCE, p);
         }
     }
 
-    fn on_message(&mut self, _from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
+    fn on_message(&mut self, from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
         match msg {
-            DMsg::Escrowed { arc } => {
-                self.st.escrowed_seen[arc] = true;
-                if !self.st.voted && self.st.escrowed_seen.iter().all(|&e| e) {
-                    self.st.voted = true;
-                    let sig = self
-                        .signer
-                        .sign(DOM_DEAL_COMMIT, &commit_payload(&self.deal_id));
-                    ctx.send(self.cbc, DMsg::CommitVote { sig });
-                    ctx.mark("party_voted", self.me as i64);
-                }
-            }
-            DMsg::CbcDecision { .. } if !self.st.decided => {
-                self.st.decided = true;
-                ctx.halt();
-            }
+            DMsg::Escrowed { arc } => self.party.escrowed(from, arc, ctx),
+            // The verdict ends the party's run (a halted process receives
+            // nothing more).
+            DMsg::CbcDecision { .. } if from == self.cbc => ctx.halt(),
             _ => {}
         }
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<DMsg>) {
-        if id == TIMER_PATIENCE && !self.st.decided {
-            let sig = self
-                .signer
-                .sign(DOM_DEAL_ABORT, &abort_payload(&self.deal_id));
+        if id == TIMER_PATIENCE {
+            let sig = self.party.sign(DOM_DEAL_ABORT);
             ctx.send(self.cbc, DMsg::AbortVote { sig });
-            ctx.mark("party_aborted", self.me as i64);
+            ctx.mark("party_aborted", self.party.me as i64);
         }
     }
 
     fn fp_digest(&self) -> u64 {
-        fingerprint(&self.st)
+        self.party.fp_digest()
     }
-}
-
-/// Extracts the [`DealOutcome`] from a finished certified run.
-pub fn extract_certified_outcome(
-    eng: &anta::engine::Engine<DMsg>,
-    inst: &DealInstance,
-) -> DealOutcome {
-    let executed = (0..inst.deal.arcs().len())
-        .map(|k| {
-            eng.process_as::<CertifiedEscrow>(inst.escrow_pid(k))
-                .and_then(CertifiedEscrow::settled)
-                .unwrap_or(false)
-        })
-        .collect();
-    DealOutcome { executed }
 }
 
 #[cfg(test)]
@@ -451,7 +269,7 @@ mod tests {
             Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
             |_| None,
         );
-        let o = extract_certified_outcome(&eng, &inst);
+        let o = inst.outcome(&eng);
         assert!(o.is_full_commit(), "{o:?}");
         let cbc = eng
             .process_as::<CertifiedChain>(inst.next_free_pid())
@@ -474,7 +292,7 @@ mod tests {
             )),
             |_| None,
         );
-        let o = extract_certified_outcome(&eng, &inst);
+        let o = inst.outcome(&eng);
         assert!(o.is_full_commit(), "{o:?}");
         assert!(o.safe_for(&inst.deal, &[0, 1]));
     }
@@ -491,7 +309,7 @@ mod tests {
             )),
             |p| (p == 1).then(|| SimDuration::from_millis(100)),
         );
-        let o = extract_certified_outcome(&eng, &inst);
+        let o = inst.outcome(&eng);
         assert!(o.is_full_abort(), "{o:?}");
         assert!(o.safe_for(&inst.deal, &[0, 1]));
         let cbc = eng
@@ -514,7 +332,7 @@ mod tests {
                 Box::new(party)
             },
         );
-        let o = extract_certified_outcome(&eng, &inst);
+        let o = inst.outcome(&eng);
         assert!(o.is_full_abort(), "{o:?}");
         assert!(o.safe_for(&inst.deal, &[1]));
     }
@@ -534,5 +352,117 @@ mod tests {
                 e.ledger().check_conservation().unwrap();
             }
         }
+    }
+
+    /// A party that deposits nothing and, once party 0's arc is escrowed,
+    /// tells that arc's escrow the CBC committed.
+    struct ForgesVerdict;
+
+    impl Process<DMsg> for ForgesVerdict {
+        fn on_start(&mut self, _ctx: &mut Ctx<DMsg>) {}
+        fn on_message(&mut self, from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
+            if msg == (DMsg::Escrowed { arc: 0 }) {
+                ctx.send(from, DMsg::CbcDecision { commit: true });
+            }
+        }
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
+        fn fp_digest(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn an_escrow_ignores_a_verdict_the_chain_did_not_send() {
+        let (eng, inst) = build_with(
+            swap_deal(),
+            Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
+            |p, mut party| -> Box<dyn Process<DMsg>> {
+                if p == 1 {
+                    return Box::new(ForgesVerdict);
+                }
+                party.patience = Some(SimDuration::from_millis(300));
+                Box::new(party)
+            },
+        );
+        let o = inst.outcome(&eng);
+        assert!(o.is_full_abort(), "{o:?}");
+        assert!(o.safe_for(&inst.deal, &[0]));
+    }
+
+    /// Funds nothing, tells party 0 that arc 1 is escrowed, and otherwise
+    /// votes as the compliant party would.
+    struct ClaimsArcOne(CertifiedParty);
+
+    impl Process<DMsg> for ClaimsArcOne {
+        fn on_start(&mut self, ctx: &mut Ctx<DMsg>) {
+            ctx.send(0, DMsg::Escrowed { arc: 1 });
+            // Arc 1's escrow is pid 3: the forger believes itself.
+            self.0.on_message(3, DMsg::Escrowed { arc: 1 }, ctx);
+        }
+        fn on_message(&mut self, from: Pid, msg: DMsg, ctx: &mut Ctx<DMsg>) {
+            self.0.on_message(from, msg, ctx);
+        }
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
+        fn fp_digest(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_party_believes_only_the_arcs_own_escrow() {
+        let (eng, inst) = build_with(
+            swap_deal(),
+            Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
+            |p, mut party| -> Box<dyn Process<DMsg>> {
+                if p == 1 {
+                    return Box::new(ClaimsArcOne(party));
+                }
+                party.patience = Some(SimDuration::from_millis(300));
+                Box::new(party)
+            },
+        );
+        let o = inst.outcome(&eng);
+        assert!(o.is_full_abort(), "{o:?}");
+        assert!(o.safe_for(&inst.deal, &[0]));
+    }
+
+    /// Tells party 0, as it starts, that the CBC aborted.
+    struct ClaimsAbort;
+
+    impl Process<DMsg> for ClaimsAbort {
+        fn on_start(&mut self, ctx: &mut Ctx<DMsg>) {
+            ctx.send(0, DMsg::CbcDecision { commit: false });
+        }
+        fn on_message(&mut self, _from: Pid, _msg: DMsg, _ctx: &mut Ctx<DMsg>) {}
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<DMsg>) {}
+        fn fp_digest(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_party_waits_for_the_chains_own_verdict() {
+        // Had party 0 halted on the forged verdict, its patience would
+        // never fire, the chain would never decide and arc 0 would stay
+        // locked: no termination.
+        let (eng, inst) = build_with(
+            swap_deal(),
+            Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
+            |p, mut party| -> Box<dyn Process<DMsg>> {
+                if p == 1 {
+                    return Box::new(ClaimsAbort);
+                }
+                party.patience = Some(SimDuration::from_millis(300));
+                Box::new(party)
+            },
+        );
+        let escrow = eng
+            .process_as::<CertifiedEscrow>(inst.escrow_pid(0))
+            .unwrap();
+        assert_eq!(escrow.settled(), Some(false));
+        let cbc = eng
+            .process_as::<CertifiedChain>(inst.next_free_pid())
+            .unwrap();
+        assert_eq!(cbc.verdict(), Some(false));
     }
 }

@@ -10,17 +10,20 @@
 //! **In scope:**
 //! - the deal matrix / digraph model, Tarjan well-formedness (strong
 //!   connectivity) and the acceptable-payoff predicate ([`matrix`]);
+//! - what both HLS commit protocols share ([`deal`]): the messages, the
+//!   instance, the vote check, the arc-escrow and party cores, and the
+//!   one outcome of a run ([`DealInstance::outcome`]);
 //! - the timelock commit protocol — requires synchrony; Safety,
 //!   Termination and Strong liveness ([`timelock`]);
 //! - the certified-blockchain commit protocol — partial synchrony;
 //!   Safety and Termination, no strong liveness ([`certified`]);
 //! - assembling either protocol: [`DealInstance::timelock_engine`] and
-//!   [`DealInstance::certified_engine`] are the one place that decides
-//!   the pids, the registration order, the funded arc books and the
-//!   clocks. The `deals` harness, experiments E2 and E7 and the tests all
-//!   build through them. Both take a `party` hook that turns each
-//!   compliant party into the process registered at its pid; a
-//!   withholding or silent party is another process put in its place
+//!   [`DealInstance::certified_engine`] are the only way in. They decide
+//!   the pids, the registration order, the funded arc books, the clocks
+//!   and where the votes go. The `deals` harness, experiments E2 and E7
+//!   and the tests all build through them. Both take a `party` hook that
+//!   turns each compliant party into the process registered at its pid;
+//!   a withholding or silent party is another process put in its place
 //!   there, not a switch on the compliant one;
 //! - §5 itself: payment↔deal encodings and the executable
 //!   counterexamples showing neither subsumes the other ([`relation`]).
@@ -35,11 +38,13 @@
 #![warn(missing_docs)]
 
 pub mod certified;
+pub mod deal;
 pub mod matrix;
 pub mod relation;
 pub mod timelock;
 
 pub use certified::{CertifiedChain, CertifiedEscrow, CertifiedParty};
+pub use deal::{DMsg, DealInstance};
 pub use matrix::{Arc, DealMatrix, DealOutcome, Party};
 pub use relation::{deal_as_payment, payment_as_deal, NotAPayment};
-pub use timelock::{DMsg, DealInstance, TimelockEscrow, TimelockParty};
+pub use timelock::{TimelockEscrow, TimelockParty};

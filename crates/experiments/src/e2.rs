@@ -10,8 +10,7 @@ use anta::engine::EngineConfig;
 use anta::net::{AdversarialNet, Delivery, EnvelopeMeta, NetModel, SyncNet};
 use anta::oracle::RandomOracle;
 use anta::time::{SimDuration, SimTime};
-use deals::timelock::{extract_timelock_outcome, DMsg, DealInstance};
-use deals::{DealMatrix, DealOutcome};
+use deals::{DMsg, DealInstance, DealMatrix, DealOutcome};
 use ledger::{Asset, CurrencyId};
 use payment::impossibility::{
     cs2_violation_under_partial_synchrony, cs3_violation_under_partial_synchrony,
@@ -91,7 +90,7 @@ fn run_timelock_deal(
         |_, party| Box::new(party),
     );
     eng.run_until(SimTime::from_secs(300));
-    let outcome = extract_timelock_outcome(&eng, &inst);
+    let outcome = inst.outcome(&eng);
     (inst, outcome)
 }
 

@@ -13,10 +13,8 @@ use crate::table::{check, Table};
 use anta::net::{PartialSyncNet, SyncNet};
 use anta::oracle::RandomOracle;
 use anta::time::{SimDuration, SimTime};
-use deals::certified::{extract_certified_outcome, CertifiedChain};
 use deals::relation::{deal_as_payment, payment_as_deal, property_correspondence, NotAPayment};
-use deals::timelock::DealInstance;
-use deals::{DealMatrix, DealOutcome};
+use deals::{CertifiedChain, DealInstance, DealMatrix, DealOutcome};
 use ledger::{Asset, CurrencyId};
 
 fn swap_deal() -> DealMatrix {
@@ -55,7 +53,7 @@ pub fn run_certified(
         },
     );
     eng.run_until(SimTime::from_secs(120));
-    let outcome = extract_certified_outcome(&eng, &inst);
+    let outcome = inst.outcome(&eng);
     let integrity = eng
         .process_as::<CertifiedChain>(inst.next_free_pid())
         .map(|c| c.log().verify_integrity().is_ok())

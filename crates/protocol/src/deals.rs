@@ -27,9 +27,7 @@ use anta::oracle::Oracle;
 use anta::process::{InertProcess, Process};
 use anta::time::{SimDuration, SimTime};
 use anta::trace::TraceMode;
-use deals::certified::CertifiedEscrow;
-use deals::matrix::{DealMatrix, Party};
-use deals::timelock::DealInstance;
+use deals::{CertifiedEscrow, DealInstance, DealMatrix, Party};
 use xcrypto::Signer;
 
 /// Per-instance deal context.
@@ -55,7 +53,7 @@ pub struct DealCtx {
 pub struct DealsHarness;
 
 impl ProtocolHarness for DealsHarness {
-    type Msg = deals::timelock::DMsg;
+    type Msg = deals::DMsg;
     type Instance = DealCtx;
 
     fn name(&self) -> &'static str {
@@ -160,22 +158,11 @@ impl ProtocolHarness for DealsHarness {
             if escrow.ledger().check_conservation().is_err() {
                 return ProtocolOutcome::Violation;
             }
-            let escrowed = eng
-                .trace()
-                .marks("arc_escrowed")
-                .any(|(_, _, _, v)| v == k as i64);
-            match escrow.settled() {
-                Some(true) => any_released = true,
-                Some(false) => {
-                    if escrowed {
-                        any_returned = true;
-                    }
-                }
-                None => {
-                    if escrowed {
-                        locked_unsettled = true;
-                    }
-                }
+            match (escrow.escrowed(), escrow.settled()) {
+                (_, Some(true)) => any_released = true,
+                (true, Some(false)) => any_returned = true,
+                (true, None) => locked_unsettled = true,
+                (false, _) => {}
             }
         }
         // Two different settlements among escrowed arcs means two CBC

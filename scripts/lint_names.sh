@@ -71,6 +71,11 @@ row 'ChainProcess::new\(|SwapInitiator::new\(|SwapResponder::new\(|HtlcChain::ne
 row 'CertifiedParty::new\(|CertifiedEscrow::new\(|CertifiedChain::new\(|TimelockParty::new\(|TimelockEscrow::new\(' \
     "$code" '^crates/deals/src/' \
     "only crates/deals/src builds the deal processes; use DealInstance::{timelock,certified}_engine"
+# The two HLS deal protocols share one module (deals::deal): one vote
+# payload over the domain, one arc-escrow core and one outcome.
+row 'extract_timelock_outcome|extract_certified_outcome|commit_payload|abort_payload|arc_book|party_pid' \
+    "$code" '' \
+    "deleted: the deal outcome is DealInstance::outcome, a vote's payload is deals::deal::vote_payload(domain, deal_id), an arc's book is built by its escrow, party p is pid p"
 row 'Evidence::new\(' \
     "$code" '^(crates/core/src|crates/interledger/src)/' \
     "only crates/core/src and crates/interledger/src build Evidence"
