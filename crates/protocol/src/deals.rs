@@ -272,6 +272,106 @@ mod tests {
         assert!(refunds > 0, "patience turns withholding into safe aborts");
     }
 
+    /// The compliant party `inner`, told at its start that the arcs in
+    /// `told` are escrowed (as if their escrows had said so), and funding
+    /// nothing unless `funds`.
+    struct Told {
+        inner: deals::CertifiedParty,
+        told: Vec<(anta::process::Pid, usize)>,
+        funds: bool,
+    }
+
+    impl Process<deals::DMsg> for Told {
+        fn on_start(&mut self, ctx: &mut anta::process::Ctx<deals::DMsg>) {
+            if self.funds {
+                self.inner.on_start(ctx);
+            }
+            for &(escrow, arc) in &self.told {
+                self.inner
+                    .on_message(escrow, deals::DMsg::Escrowed { arc }, ctx);
+            }
+        }
+        fn on_message(
+            &mut self,
+            from: anta::process::Pid,
+            msg: deals::DMsg,
+            ctx: &mut anta::process::Ctx<deals::DMsg>,
+        ) {
+            self.inner.on_message(from, msg, ctx);
+        }
+        fn on_timer(
+            &mut self,
+            id: anta::process::TimerId,
+            ctx: &mut anta::process::Ctx<deals::DMsg>,
+        ) {
+            self.inner.on_timer(id, ctx);
+        }
+        fn fp_digest(&self) -> u64 {
+            self.inner.fp_digest()
+        }
+    }
+
+    /// Runs `spec`'s deal with every party built by `party` (given the
+    /// instance and the compliant, infinitely patient party) and
+    /// classifies the run.
+    fn classify_with(
+        spec: &PaymentSpec,
+        mut party: impl FnMut(
+            &DealInstance,
+            Party,
+            deals::CertifiedParty,
+        ) -> Box<dyn Process<deals::DMsg>>,
+    ) -> ProtocolOutcome {
+        let ctx = DealsHarness.instance(spec, &crate::faults::InstanceFaults::NONE);
+        let cfg = EngineConfig {
+            max_real_time: ctx.horizon,
+            ..EngineConfig::default()
+        };
+        let mut eng = ctx.inst.certified_engine(
+            &ctx.signers,
+            Box::new(SyncNet::worst_case(spec.params.delta)),
+            Box::new(anta::oracle::RandomOracle::seeded(1)),
+            cfg,
+            |_| DriftClock::perfect(),
+            |p, compliant| party(&ctx.inst, p, compliant),
+        );
+        let report = eng.run();
+        DealsHarness.classify(&eng, &ctx, spec, report.quiescent, report.truncated)
+    }
+
+    /// An arc that never locked moved nothing: whether its escrow never
+    /// settled or settled with nothing to return, it is neither locked
+    /// capital nor a return.
+    #[test]
+    fn classify_ignores_arcs_that_never_locked() {
+        // A silent depositor and a silent chain: party 0 never deposits,
+        // party 1 waits forever, so nothing locks and the CBC never
+        // decides. Nothing is stranded: a refund, not a stuck run.
+        let spec = &specs(1, 1, 24)[0];
+        let outcome = classify_with(spec, |_, p, compliant| {
+            if p == 0 {
+                Box::new(InertProcess)
+            } else {
+                Box::new(compliant)
+            }
+        });
+        assert_eq!(outcome, ProtocolOutcome::Refund);
+
+        // Party 0 never deposits, yet every party is told arc 0 is
+        // escrowed, so all vote commit. Arc 1 is released; arc 0's escrow
+        // halts on the commit with nothing to return. One verdict, acted
+        // on once: a success, not a mixed (violating) settlement.
+        let spec = &specs(2, 1, 24)[0];
+        let outcome = classify_with(spec, |inst, p, compliant| {
+            Box::new(Told {
+                inner: compliant,
+                told: vec![(inst.escrow_pid(0), 0)],
+                funds: p != 0,
+            })
+        });
+        assert_eq!(outcome, ProtocolOutcome::Success);
+    }
+
     #[test]
     fn impatient_payee_aborts_cleanly() {
         let plan = FaultPlan {

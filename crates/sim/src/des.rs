@@ -919,6 +919,7 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
 mod tests {
     use super::*;
     use crate::workload::{self, TopologyFamily, WorkloadConfig};
+    use anta::time::SimDuration;
 
     fn t(ticks: u64) -> SimTime {
         SimTime::from_ticks(ticks)
@@ -969,6 +970,149 @@ mod tests {
             ..ev(5, RANK_LOCK, 3)
         };
         assert_eq!(a, ev(5, RANK_LOCK, 3));
+    }
+
+    /// One shard of `members` over `specs` under `liq`, routed when
+    /// `routing` is given.
+    fn shard<'a>(
+        specs: &'a [PaymentSpec],
+        members: &'a [usize],
+        family: TopologyFamily,
+        liq: &LiquidityConfig,
+        routing: Option<RoutingConfig>,
+    ) -> ShardSim<'a, protocol::TimeBoundedHarness> {
+        let template = LiquidityBook::new(liq, family.venues());
+        let routed = routing.map(|rc| {
+            let graph = family
+                .graph()
+                .expect("a routed shard needs a network family");
+            RoutedState::new(graph, 5, rc, members.len())
+        });
+        ShardSim::new(
+            &protocol::TimeBoundedHarness,
+            specs,
+            members,
+            &FaultPlan::NONE,
+            liq.policy,
+            &template,
+            routed,
+        )
+    }
+
+    /// Everything that can happen at one instant `T`. The gate reads the
+    /// book only through venue loads, so where an arrival falls among the
+    /// instant's events shows in what its first poll sees: a routed poll
+    /// that fails at arrival counts one `no_path`. Book events never move
+    /// a load, so their place relative to an arrival cannot show in any
+    /// outcome; their own order shows in the audit (an unlock before a
+    /// lock keeps the venue's peak at zero).
+    #[test]
+    fn one_instant_dispatches_returns_then_arrivals_in_spec_order_then_expiries() {
+        let family = TopologyFamily::ScaleFree {
+            venues: 64,
+            attach: 2,
+        };
+        let at_t = t(1_000_000);
+        let patience = SimDuration::from_ticks(1_000);
+        let budget = 1 << 40;
+        let liq = LiquidityConfig::queue(budget, patience);
+        let venues = family.venues() as u32;
+        let mut specs = workload::generate(&WorkloadConfig::new(family, 2, 5));
+        specs[0].arrival = SimTime::from_ticks(at_t.ticks() - patience.ticks());
+        specs[1].arrival = at_t;
+        let never = RoutingConfig::new();
+
+        // An arrival sees the instant's reservation returns.
+        let mut sim = shard(&specs, &[1], family, &liq, Some(never));
+        for venue in 0..venues {
+            sim.book.reserve(venue, budget);
+            sim.push(
+                at_t,
+                RANK_UNRESERVE,
+                EventKind::Unreserve {
+                    venue,
+                    amount: budget,
+                    consume: 0,
+                },
+            );
+        }
+        let out = sim.run();
+        assert_eq!(out.routing.unwrap().no_path, 0, "returns come first");
+        assert_eq!(out.results[0].1.outcome, ProtocolOutcome::Success);
+        assert_eq!(out.tally.queued, 0);
+
+        // An arrival sees the instant's rebalancing flow.
+        let period = RoutingConfig::with_rebalance(SimDuration::from_ticks(1 << 40));
+        let mut sim = shard(&specs, &[1], family, &liq, Some(period));
+        for venue in 0..venues {
+            sim.book.reserve(venue, budget);
+            sim.book.settle(venue, budget, budget);
+        }
+        sim.push(at_t, RANK_REBALANCE, EventKind::Rebalance);
+        let out = sim.run();
+        let stats = out.routing.unwrap();
+        assert_eq!(stats.no_path, 0, "the rebalance comes first");
+        assert_eq!(stats.rebalances, 1);
+        assert_eq!(out.results[0].1.outcome, ProtocolOutcome::Success);
+
+        // A queued head expires at `T` after the arrival at `T` joined the
+        // gate behind it: the arrival's one poll is a re-poll, not its own.
+        // Nothing is admitted, so the audit shows the instant's unlock
+        // went before its lock.
+        let mut sim = shard(&specs, &[0, 1], family, &liq, Some(never));
+        for venue in 0..venues {
+            sim.book.reserve(venue, budget);
+        }
+        sim.push(at_t, RANK_LOCK, EventKind::Book { venue: 0, delta: 5 });
+        sim.push(
+            at_t,
+            RANK_UNLOCK,
+            EventKind::Book {
+                venue: 0,
+                delta: -5,
+            },
+        );
+        let out = sim.run();
+        assert_eq!(out.routing.unwrap().no_path, 1, "the expiry comes last");
+        assert_eq!(out.tally.rejected, 2);
+        assert_eq!(out.tally.rejected_waits, vec![patience.ticks(); 2]);
+        assert_eq!(out.book.peak_locked_venue(), 0, "unlock before lock");
+
+        // Two arrivals at `T` with room for one: the first in spec order
+        // is admitted.
+        let family = TopologyFamily::Linear { n: 2 };
+        let one = workload::generate(&WorkloadConfig::new(family, 1, 5)).remove(0);
+        let room = one
+            .venues
+            .demand(&one.plan)
+            .iter()
+            .map(|d| d.1)
+            .max()
+            .unwrap();
+        let specs = vec![
+            one.clone(),
+            PaymentSpec {
+                id: one.id + 1,
+                ..one
+            },
+        ];
+        let out = shard(
+            &specs,
+            &[0, 1],
+            family,
+            &LiquidityConfig::reject(room),
+            None,
+        )
+        .run();
+        let outcomes: Vec<(usize, ProtocolOutcome)> =
+            out.results.iter().map(|(si, r)| (*si, r.outcome)).collect();
+        assert_eq!(
+            outcomes,
+            vec![
+                (0, ProtocolOutcome::Success),
+                (1, ProtocolOutcome::Rejected)
+            ]
+        );
     }
 
     #[test]
