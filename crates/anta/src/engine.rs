@@ -14,19 +14,19 @@
 //!   invocation that sends messages;
 //! * message transit is decided by the pluggable [`NetModel`].
 //!
-//! Determinism: the priority queue orders events by `(real_time, seq)` where
-//! `seq` is a global monotone counter, so runs are bit-reproducible given
-//! the same oracle; all randomness flows through [`Oracle`].
+//! Determinism: events wait in an [`EventQueue`] at rank 0, so they
+//! dispatch in real-time order and, at one instant, in the order they were
+//! scheduled; runs are bit-reproducible given the same oracle, and all
+//! randomness flows through [`Oracle`].
 
 use crate::clock::DriftClock;
 use crate::fingerprint::Fnv64;
 use crate::net::{Delivery, EnvelopeMeta, NetModel};
 use crate::oracle::{FixedOracle, Oracle};
 use crate::process::{Ctx, Effect, Message, Pid, Process, TimerId};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceKind, TraceMode};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hash::Hasher;
 
 /// Engine tuning knobs.
@@ -90,33 +90,11 @@ enum EventKind<M> {
 }
 
 struct Event<M> {
-    at: SimTime,
-    seq: u64,
     kind: EventKind<M>,
     /// Content hash of `kind` (pids, timer id, payload digest — **not**
-    /// `seq`), computed once at push time. Zero unless fingerprinting is
-    /// enabled. Excluding `seq` lets two schedules that created the same
-    /// in-flight messages in a different order converge to equal state
-    /// fingerprints; the queue fold preserves `(at, seq)` order, so equal
-    /// hashes still imply the same future dispatch order of equal events.
+    /// the queue's `seq`; see [`Engine::enable_fingerprints`]), computed
+    /// once at push time. Zero unless fingerprinting is enabled.
     ehash: u64,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// State-fingerprinting machinery, present only after
@@ -139,8 +117,7 @@ pub struct Engine<M: Message> {
     procs: Vec<ProcSlot<M>>,
     net: Box<dyn NetModel<M>>,
     oracle: Box<dyn Oracle>,
-    queue: BinaryHeap<Reverse<Event<M>>>,
-    seq: u64,
+    queue: EventQueue<Event<M>>,
     now: SimTime,
     trace: Trace<M>,
     cfg: EngineConfig,
@@ -184,8 +161,7 @@ impl<M: Message> Engine<M> {
             procs: Vec::new(),
             net,
             oracle,
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::default(),
             now: SimTime::ZERO,
             trace,
             cfg,
@@ -268,7 +244,8 @@ impl<M: Message> Engine<M> {
     ///   flag, plus any [`Process::fp_times`] instants folded as signed
     ///   residues against the process's *current* local clock;
     /// * **in-flight events** — every queued `(at, seq, content-hash)`
-    ///   triple, folded in `(at, seq)` order as `(at − now, content-hash)`.
+    ///   triple (`seq` is the [`EventQueue`]'s push counter), folded in
+    ///   `(at, seq)` order as `(at − now, content-hash)`.
     ///   The content hash excludes `seq` (so differently-ordered histories
     ///   can converge) but the fold order *is* the dispatch order,
     ///   including `seq` tie-breaks among equal times — two states with
@@ -456,8 +433,9 @@ impl<M: Message> Engine<M> {
             }
         }
         fp.scratch.clear();
-        for Reverse(ev) in queue.iter() {
-            fp.scratch.push((ev.at, ev.seq, ev.ehash));
+        // Every event sits at rank 0, so the second key word is its `seq`.
+        for (at, seq, ev) in queue.iter() {
+            fp.scratch.push((at, seq, ev.ehash));
         }
         fp.scratch.sort_unstable();
         for &(at, _seq, ehash) in fp.scratch.iter() {
@@ -471,19 +449,12 @@ impl<M: Message> Engine<M> {
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
         let ehash = if self.fp.is_some() {
             Self::event_hash(&kind)
         } else {
             0
         };
-        self.queue.push(Reverse(Event {
-            at,
-            seq,
-            kind,
-            ehash,
-        }));
+        self.queue.push(at, 0, Event { kind, ehash });
         self.queue_high = self.queue_high.max(self.queue.len());
     }
 
@@ -518,16 +489,16 @@ impl<M: Message> Engine<M> {
         }
         let mut events = 0u64;
         let mut truncated = false;
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            if ev.at > self.cfg.max_real_time || events >= self.cfg.max_events {
+        while let Some((at, _, _)) = self.queue.peek() {
+            if at > self.cfg.max_real_time || events >= self.cfg.max_events {
+                // Stop with the event still queued, so callers can resume
+                // with a larger horizon.
                 truncated = true;
-                // Put it back conceptually; we simply stop (the queue keeps
-                // its contents so callers can resume with a larger horizon).
-                self.queue.push(Reverse(ev));
                 break;
             }
-            debug_assert!(ev.at >= self.now, "time went backwards");
-            self.now = ev.at;
+            let (at, ev) = self.queue.pop().expect("peeked");
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
             events += 1;
             let fp_pid = self.fp.as_ref().map(|_| Self::target_pid(&ev.kind));
             self.dispatch(ev.kind);
@@ -561,37 +532,29 @@ impl<M: Message> Engine<M> {
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) {
-        match kind {
-            EventKind::Start(pid) => {
-                if self.procs[pid].halted {
-                    return;
-                }
-                let local = self.procs[pid].clock.local_at(self.now);
-                let mut ctx = Ctx::recycled(pid, local, std::mem::take(&mut self.fx_buf));
-                self.procs[pid].proc.on_start(&mut ctx);
-                self.apply_effects(pid, ctx.into_effects());
+        let pid = Self::target_pid(&kind);
+        if self.procs[pid].halted {
+            return;
+        }
+        match &kind {
+            EventKind::Start(_) => {}
+            EventKind::Deliver { from, msg, .. } => {
+                self.trace.record_delivered(self.now, *from, pid, msg);
             }
-            EventKind::Deliver { from, to, msg } => {
-                if self.procs[to].halted {
-                    return;
-                }
-                self.trace.record_delivered(self.now, from, to, &msg);
-                let local = self.procs[to].clock.local_at(self.now);
-                let mut ctx = Ctx::recycled(to, local, std::mem::take(&mut self.fx_buf));
-                self.procs[to].proc.on_message(from, msg, &mut ctx);
-                self.apply_effects(to, ctx.into_effects());
-            }
-            EventKind::Timer { pid, id } => {
-                if self.procs[pid].halted {
-                    return;
-                }
+            EventKind::Timer { id, .. } => {
+                let id = *id;
                 self.trace.push(self.now, TraceKind::TimerFired { pid, id });
-                let local = self.procs[pid].clock.local_at(self.now);
-                let mut ctx = Ctx::recycled(pid, local, std::mem::take(&mut self.fx_buf));
-                self.procs[pid].proc.on_timer(id, &mut ctx);
-                self.apply_effects(pid, ctx.into_effects());
             }
         }
+        let local = self.procs[pid].clock.local_at(self.now);
+        let mut ctx = Ctx::recycled(pid, local, std::mem::take(&mut self.fx_buf));
+        let proc = &mut self.procs[pid].proc;
+        match kind {
+            EventKind::Start(_) => proc.on_start(&mut ctx),
+            EventKind::Deliver { from, msg, .. } => proc.on_message(from, msg, &mut ctx),
+            EventKind::Timer { id, .. } => proc.on_timer(id, &mut ctx),
+        }
+        self.apply_effects(pid, ctx.into_effects());
     }
 
     fn apply_effects(&mut self, pid: Pid, mut effects: Vec<Effect<M>>) {
@@ -627,12 +590,11 @@ impl<M: Message> Engine<M> {
             match eff {
                 Effect::Send { to, msg } => {
                     let sent_at = self.now + compute;
-                    let seq = self.seq;
                     let meta = EnvelopeMeta {
                         from: pid,
                         to,
                         sent_at,
-                        seq,
+                        seq: self.queue.pushed(),
                     };
                     self.trace.record_sent(sent_at, pid, to, &msg);
                     let delivery = if prune && self.procs[to].halted {

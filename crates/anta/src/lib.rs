@@ -16,6 +16,7 @@
 //! * [`net`] — `Sync(δ)` / `PartialSync(GST, δ)` / adversarial models;
 //! * [`oracle`] — the single funnel for scheduler nondeterminism;
 //! * [`engine`] — the deterministic discrete-event simulator;
+//! * [`queue`] — the `(time, rank, seq)` event queue under both engines;
 //! * [`fingerprint`] — the explorer's state hasher, a fixed
 //!   [`std::hash::Hasher`] every message and process state feeds through
 //!   its derived `Hash`;
@@ -99,6 +100,7 @@ pub mod fingerprint;
 pub mod net;
 pub mod oracle;
 pub mod process;
+pub mod queue;
 pub mod time;
 pub mod trace;
 

@@ -119,7 +119,8 @@ impl HtlcChain {
         Ok(self.contracts.len() - 1)
     }
 
-    /// Claims contract `id` with `preimage` at chain time `now`.
+    /// Claims contract `id` with `preimage` at chain time `now`; anyone
+    /// may, since the asset goes only to the beneficiary.
     pub fn claim(&mut self, id: usize, preimage: &[u8], now: SimTime) -> Result<(), HtlcError> {
         let c = self.contracts.get_mut(id).ok_or(HtlcError::Unknown)?;
         if c.state != HtlcState::Open {
@@ -137,7 +138,8 @@ impl HtlcChain {
         Ok(())
     }
 
-    /// Depositor reclaims contract `id` after expiry.
+    /// Depositor reclaims contract `id` after expiry; anyone may submit
+    /// it, since the asset goes only back to the depositor.
     pub fn reclaim(&mut self, id: usize, now: SimTime) -> Result<(), HtlcError> {
         let c = self.contracts.get_mut(id).ok_or(HtlcError::Unknown)?;
         if c.state != HtlcState::Open {

@@ -87,9 +87,10 @@ impl SwapSetup {
         alice.abandons = behaviour == SwapBehaviour::AliceAbandons;
         let mut bob = SwapResponder::new(self.offer_b, self.timelock_b);
         bob.participate = behaviour != SwapBehaviour::BobGriefs;
+        let accounts = vec![(ALICE_KEY, ALICE_PID), (BOB_KEY, BOB_PID)];
         let chain = |holder: KeyId, offer: Asset| -> Box<dyn Process<HMsg>> {
             let book = Ledger::funded(&[ALICE_KEY, BOB_KEY], holder, offer);
-            Box::new(ChainProcess::new(HtlcChain::new(book)))
+            Box::new(ChainProcess::new(HtlcChain::new(book), accounts.clone()))
         };
         let mut eng = Engine::new(net, oracle, cfg);
         eng.add_process(Box::new(alice), clock);
@@ -154,16 +155,22 @@ pub enum HMsg {
 }
 
 /// A chain process: executes HTLC operations on its own clock and
-/// broadcasts resulting events to both parties.
+/// broadcasts resulting events to both parties. It opens a contract only
+/// on an `Open` from the depositor's own pid, or Bob could lock Alice's
+/// asset for himself under his own hashlock and claim it; `Claim` and
+/// `Reclaim` are open to anyone (see [`HtlcChain::claim`]).
 #[derive(Debug, Clone)]
 pub struct ChainProcess {
     chain: HtlcChain,
+    /// Which pid speaks for each account.
+    accounts: Vec<(KeyId, Pid)>,
 }
 
 impl ChainProcess {
-    /// Wraps a funded [`HtlcChain`].
-    pub fn new(chain: HtlcChain) -> Self {
-        ChainProcess { chain }
+    /// Wraps a funded [`HtlcChain`] whose accounts are spoken for by the
+    /// pids in `accounts`.
+    pub fn new(chain: HtlcChain, accounts: Vec<(KeyId, Pid)>) -> Self {
+        ChainProcess { chain, accounts }
     }
 
     /// The chain state (for assertions).
@@ -185,7 +192,7 @@ impl Process<HMsg> for ChainProcess {
     // claim/reclaim calls inside pattern dispatch; guards must stay
     // side-effect-free.
     #[allow(clippy::collapsible_match)]
-    fn on_message(&mut self, _from: Pid, msg: HMsg, ctx: &mut Ctx<HMsg>) {
+    fn on_message(&mut self, from: Pid, msg: HMsg, ctx: &mut Ctx<HMsg>) {
         let now = ctx.now();
         match msg {
             HMsg::Open {
@@ -194,7 +201,7 @@ impl Process<HMsg> for ChainProcess {
                 asset,
                 hashlock,
                 timelock,
-            } => {
+            } if self.accounts.contains(&(depositor, from)) => {
                 if let Ok(id) = self
                     .chain
                     .open(depositor, beneficiary, asset, hashlock, timelock)
@@ -224,7 +231,8 @@ impl Process<HMsg> for ChainProcess {
                     self.broadcast(HMsg::Reclaimed { id }, ctx);
                 }
             }
-            // Chain events sent to us by mistake are ignored.
+            // Chain events sent to us by mistake, and opens by anyone but
+            // the depositor, are ignored.
             _ => {}
         }
     }

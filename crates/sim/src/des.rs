@@ -21,10 +21,10 @@
 //!
 //! Event ordering is total and payload-free: `(time, rank, seq)` with
 //! ranks unlock < unreserve < rebalance < lock < arrival < expiry, and
-//! `seq` — push order within the shard — the *sole* remaining
-//! tiebreaker. Same-time same-rank events therefore pop in insertion
-//! order, never in venue/amount order (see
-//! `same_tick_same_rank_pops_in_insertion_order`).
+//! `seq` (push order) the sole remaining tiebreaker. In-flight events
+//! wait in an [`EventQueue`], keyed by two packed words. Arrivals are a
+//! cursor over the arrival-sorted members, merged with the queue on
+//! `(time, rank)`: no queued event has the arrival rank, so none ties.
 //!
 //! **One gate, two ways to poll it.** An arrival at an empty gate, and
 //! the gate's head on every reservation return, expiry and rebalance,
@@ -66,6 +66,7 @@ use crate::faults::FaultPlan;
 use crate::metrics::{LiquidityStats, OpenTelemetry, RoutingStats, VenueEvents};
 use crate::runner::{run_instance_isolated, SimConfig};
 use crate::workload::{PaymentSpec, ValuePlan, VenueRoute};
+use anta::queue::EventQueue;
 use anta::time::SimTime;
 use experiments::parallel_map;
 use experiments::stats::Summary;
@@ -74,8 +75,7 @@ use protocol::liquidity::{AdmissionPolicy, LiquidityBook, LiquidityConfig};
 use protocol::network::{GraphFamily, Router, RoutingConfig, VenueGraph};
 use protocol::ProtocolOutcome;
 use std::borrow::Cow;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Same-instant event ranks: actual unlocks settle first (the audit never
 /// overstates a venue's simultaneous locked value), reservation returns
@@ -91,7 +91,7 @@ pub(crate) const RANK_LOCK: u8 = 3;
 const RANK_ARRIVAL: u8 = 4;
 const RANK_EXPIRY: u8 = 5;
 
-/// What a popped event does to its shard.
+/// What a queued event does to its shard.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventKind {
     /// Audited lock (`delta > 0`) or unlock (`delta < 0`) at a venue.
@@ -113,11 +113,6 @@ pub(crate) enum EventKind {
         /// collateral as returning intact).
         consume: u64,
     },
-    /// A payment (shard-local index) reaches the admission gate.
-    Arrival {
-        /// Index into the shard's member list.
-        local: u32,
-    },
     /// A queued payment's patience runs out.
     Expiry {
         /// Index into the shard's member list.
@@ -127,38 +122,6 @@ pub(crate) enum EventKind {
     /// liquidity and reschedules itself one period later (routed mode
     /// only, and only while undecided payments remain).
     Rebalance,
-}
-
-/// One pending shard event. Ordering is **total on `(time, rank, seq)`
-/// and nothing else** — the payload is deliberately excluded, so
-/// same-time same-rank events pop in push order (`seq`), never in
-/// venue/amount order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Event {
-    pub(crate) time: SimTime,
-    pub(crate) rank: u8,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.rank, self.seq) == (other.time, other.rank, other.seq)
-    }
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.rank, self.seq).cmp(&(other.time, other.rank, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Partitions the specs into venue-disjoint shards: union-find over each
@@ -281,8 +244,8 @@ impl RoutedState {
     }
 }
 
-/// One shard's live simulation state: an event heap, the FIFO admission
-/// gate and a shard-local liquidity view.
+/// One shard's live simulation state: the arrival cursor, the in-flight
+/// event queue, the FIFO admission gate and a shard-local liquidity view.
 struct ShardSim<'a, H: ProtocolHarness> {
     harness: &'a H,
     specs: &'a [PaymentSpec],
@@ -291,8 +254,9 @@ struct ShardSim<'a, H: ProtocolHarness> {
     plan: &'a FaultPlan,
     policy: AdmissionPolicy,
     book: LiquidityBook,
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    /// The next member to arrive: `members[arrived..]` have not.
+    arrived: usize,
+    events: EventQueue<EventKind>,
     /// FIFO admission gate: shard-local indices of waiting payments.
     queue: VecDeque<u32>,
     /// The gate memo: the head whose poll last failed, and the book's
@@ -333,8 +297,8 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             plan,
             policy,
             book: template.shard_view(),
-            heap: BinaryHeap::with_capacity(members.len() * 4),
-            seq: 0,
+            arrived: 0,
+            events: EventQueue::default(),
             queue: VecDeque::new(),
             blocked: None,
             decided: vec![false; members.len()],
@@ -346,15 +310,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             tally: GateTally::default(),
             routed,
         };
-        for (local, &si) in members.iter().enumerate() {
-            sim.push(
-                specs[si].arrival,
-                RANK_ARRIVAL,
-                EventKind::Arrival {
-                    local: local as u32,
-                },
-            );
-        }
         if let Some(rt) = &sim.routed {
             let period = rt.cfg.rebalance_period;
             if !period.is_zero() {
@@ -369,28 +324,38 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     }
 
     fn push(&mut self, time: SimTime, rank: u8, kind: EventKind) {
-        self.heap.push(Reverse(Event {
-            time,
-            rank,
-            seq: self.seq,
-            kind,
-        }));
-        self.seq += 1;
+        self.events.push(time, rank, kind);
     }
 
-    /// Drives the shard to quiescence and reports.
+    /// Drives the shard to quiescence and reports. The next arrival
+    /// dispatches unless a queued event sorts before it on `(time, rank)`.
     fn run(mut self) -> ShardOutcome {
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            match ev.kind {
+        loop {
+            let arrival = self
+                .members
+                .get(self.arrived)
+                .map(|&si| self.specs[si].arrival);
+            let queued = self.events.peek().map(|(time, rank, _)| (time, rank));
+            match (arrival, queued) {
+                (Some(at), q) if q.map_or(true, |q| (at, RANK_ARRIVAL) < q) => {
+                    self.arrived += 1;
+                    self.on_arrival(self.arrived as u32 - 1, at);
+                    continue;
+                }
+                (_, None) => break,
+                _ => {}
+            }
+            let (time, kind) = self.events.pop().expect("peeked");
+            match kind {
                 EventKind::Book { venue, delta } => {
-                    self.book.apply_lock(ev.time, venue, delta);
+                    self.book.apply_lock(time, venue, delta);
                     let ve = self.tally.venue_events.entry(venue).or_default();
                     if delta < 0 {
                         ve.releases += 1;
                     } else {
                         ve.locks += 1;
                     }
-                    self.tally.horizon = self.tally.horizon.max(ev.time);
+                    self.tally.horizon = self.tally.horizon.max(time);
                 }
                 EventKind::Unreserve {
                     venue,
@@ -401,13 +366,12 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                     // venue: `consume` of it stays spent until a
                     // rebalancing flow restores it.
                     self.book.settle(venue, amount, consume);
-                    self.tally.horizon = self.tally.horizon.max(ev.time);
+                    self.tally.horizon = self.tally.horizon.max(time);
                     // Capacity may have come back: the gate's head may now fit.
-                    self.drain_queue(ev.time);
+                    self.drain_queue(time);
                 }
-                EventKind::Arrival { local } => self.on_arrival(local, ev.time),
-                EventKind::Expiry { local } => self.on_expiry(local, ev.time),
-                EventKind::Rebalance => self.on_rebalance(ev.time),
+                EventKind::Expiry { local } => self.on_expiry(local, time),
+                EventKind::Rebalance => self.on_rebalance(time),
             }
         }
         debug_assert!(
@@ -423,7 +387,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 .map(|(&si, r)| {
                     (
                         si,
-                        r.expect("the heap drained: every arrival admitted, rejected or expired"),
+                        r.expect("the events drained: every arrival admitted, rejected or expired"),
                     )
                 })
                 .collect(),
@@ -923,53 +887,6 @@ mod tests {
 
     fn t(ticks: u64) -> SimTime {
         SimTime::from_ticks(ticks)
-    }
-
-    /// Satellite regression: two venues releasing at the same tick pop in
-    /// insertion order — `seq` is the sole tiebreaker after `(time,
-    /// rank)`, the payload (venue, amount) never orders events.
-    #[test]
-    fn same_tick_same_rank_pops_in_insertion_order() {
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        // Push venue 9 before venue 2: venue order would pop 2 first,
-        // insertion order must pop 9 first.
-        for (seq, venue) in [(0u64, 9u32), (1, 2)] {
-            heap.push(Reverse(Event {
-                time: t(100),
-                rank: RANK_UNLOCK,
-                seq,
-                kind: EventKind::Book {
-                    venue,
-                    delta: -(venue as i64),
-                },
-            }));
-        }
-        let order: Vec<u32> = std::iter::from_fn(|| heap.pop())
-            .map(|Reverse(ev)| match ev.kind {
-                EventKind::Book { venue, .. } => venue,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![9, 2], "insertion order, not venue order");
-    }
-
-    #[test]
-    fn event_order_is_time_then_rank_then_seq() {
-        let ev = |time, rank, seq| Event {
-            time: t(time),
-            rank,
-            seq,
-            kind: EventKind::Arrival { local: 0 },
-        };
-        assert!(ev(5, RANK_EXPIRY, 0) < ev(6, RANK_UNLOCK, 1));
-        assert!(ev(5, RANK_UNLOCK, 7) < ev(5, RANK_UNRESERVE, 0));
-        assert!(ev(5, RANK_LOCK, 3) < ev(5, RANK_LOCK, 4));
-        // Equality ignores the payload entirely.
-        let a = Event {
-            kind: EventKind::Book { venue: 1, delta: 5 },
-            ..ev(5, RANK_LOCK, 3)
-        };
-        assert_eq!(a, ev(5, RANK_LOCK, 3));
     }
 
     /// One shard of `members` over `specs` under `liq`, routed when

@@ -227,36 +227,34 @@ pub fn run_open<H: ProtocolHarness>(
 #[cfg(test)]
 pub(crate) mod legacy {
     use super::*;
-    use crate::des::{Event, EventKind, RANK_LOCK, RANK_UNLOCK, RANK_UNRESERVE};
+    use crate::des::{EventKind, RANK_LOCK, RANK_UNLOCK, RANK_UNRESERVE};
     use crate::metrics::LiquidityStats;
+    use anta::queue::EventQueue;
     use anta::time::SimTime;
     use experiments::stats::Summary;
     use protocol::liquidity::LiquidityBook;
     use protocol::ProtocolOutcome;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
     /// Applies every pending event with time ≤ `until` to the book,
     /// advancing `horizon` past the last applied event. Same-instant
     /// ties resolve on `(rank, seq)` — insertion order within a rank,
-    /// never venue/amount order ([`Event`]'s ordering is payload-free).
+    /// never venue/amount order ([`EventQueue`] never orders on payloads).
     fn apply_until(
-        heap: &mut BinaryHeap<Reverse<Event>>,
+        heap: &mut EventQueue<EventKind>,
         book: &mut LiquidityBook,
         until: SimTime,
         horizon: &mut SimTime,
     ) {
-        while let Some(&Reverse(ev)) = heap.peek() {
-            if ev.time > until {
+        while let Some((time, _, _)) = heap.peek() {
+            if time > until {
                 break;
             }
-            heap.pop();
-            match ev.kind {
+            match heap.pop().expect("peeked").1 {
                 EventKind::Unreserve { venue, amount, .. } => book.settle(venue, amount, 0),
-                EventKind::Book { venue, delta } => book.apply_lock(ev.time, venue, delta),
+                EventKind::Book { venue, delta } => book.apply_lock(time, venue, delta),
                 _ => unreachable!("the two-phase sweep only schedules book events"),
             }
-            *horizon = (*horizon).max(ev.time);
+            *horizon = (*horizon).max(time);
         }
     }
 
@@ -288,8 +286,7 @@ pub(crate) mod legacy {
         // liquidity state.
         let policy = liq.policy;
         let mut book = LiquidityBook::new(liq, cfg.workload.family.venues());
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut heap: EventQueue<EventKind> = EventQueue::default();
         // The FIFO admission gate's clock: a queued payment advances it,
         // so later arrivals wait behind (head-of-line) — deterministic
         // and faithful to one global admission ledger.
@@ -326,9 +323,9 @@ pub(crate) mod legacy {
                         }
                         // Wait for the next release within patience.
                         match heap.peek() {
-                            Some(&Reverse(ev)) if ev.time <= deadline => {
-                                apply_until(&mut heap, &mut book, ev.time, &mut horizon_end);
-                                t_now = ev.time;
+                            Some((time, _, _)) if time <= deadline => {
+                                apply_until(&mut heap, &mut book, time, &mut horizon_end);
+                                t_now = time;
                             }
                             _ => break None,
                         }
@@ -366,29 +363,21 @@ pub(crate) mod legacy {
                         e.1 = e.1.max(e.0);
                         e.2 = e.2.max(t);
                         let rank = if dv < 0 { RANK_UNLOCK } else { RANK_LOCK };
-                        heap.push(Reverse(Event {
-                            time: t,
-                            rank,
-                            seq,
-                            kind: EventKind::Book { venue, delta: dv },
-                        }));
-                        seq += 1;
+                        heap.push(t, rank, EventKind::Book { venue, delta: dv });
                     }
                     if policy.bounded() {
                         for (&venue, &(_, peak, last)) in &per_venue {
                             if peak > 0 {
                                 book.reserve(venue, peak as u64);
-                                heap.push(Reverse(Event {
-                                    time: last,
-                                    rank: RANK_UNRESERVE,
-                                    seq,
-                                    kind: EventKind::Unreserve {
+                                heap.push(
+                                    last,
+                                    RANK_UNRESERVE,
+                                    EventKind::Unreserve {
                                         venue,
                                         amount: peak as u64,
                                         consume: 0,
                                     },
-                                }));
-                                seq += 1;
+                                );
                             }
                         }
                     }

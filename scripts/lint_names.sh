@@ -128,6 +128,14 @@ row '\b(PreGstPolicy|cons_base_timeout)\b|AuditEntry::Transfer|\bvalidity:|\.val
     "$code" '^crates/htlc/src/' \
     "deleted: PreGstPolicy, WeakSetup::cons_base_timeout, consensus::Config::validity (NotaryTm's gate), the deal parties' participate/deposit/vote switches (substitute a process through the engine builder's party hook), AuditEntry::Transfer"
 
+# One timed-event queue: anta::queue::EventQueue, keyed by (time, rank,
+# seq), runs under both the anta engine and the open-system DES, whose
+# arrivals are a cursor over the arrival-sorted members, not events.
+row '\bBinaryHeap\b' "$code" '^crates/anta/src/queue.rs:' \
+    "one timed-event queue: use anta::queue::EventQueue"
+row 'EventKind::Arrival' "$code" '' \
+    "deleted: DES arrivals are a cursor over the shard's arrival-sorted members, merged with the event queue on (time, rank)"
+
 # Campaign checkpoints are telemetry events: one JSON codec reads
 # everything the repo writes and reads back.
 row '\bparse_payload\b' "$code" '' \

@@ -8,7 +8,7 @@ use crosschain::anta::clock::DriftClock;
 use crosschain::anta::engine::{Engine, EngineConfig};
 use crosschain::anta::net::{NetModel, PartialSyncNet, SyncNet};
 use crosschain::anta::oracle::RandomOracle;
-use crosschain::anta::process::Process;
+use crosschain::anta::process::{Ctx, Pid, Process, TimerId};
 use crosschain::anta::time::{SimDuration, SimTime};
 use crosschain::htlc::contract::{HtlcChain, HtlcState};
 use crosschain::htlc::swap::{
@@ -20,6 +20,7 @@ use crosschain::payment::msg::PMsg;
 use crosschain::payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use crosschain::payment::weak::{TmKind, WeakOutcome, WeakSetup};
 use crosschain::payment::{SyncParams, ValuePlan};
+use crosschain::xcrypto::sha256::sha256;
 use crosschain::xcrypto::Verdict;
 
 const CUR_A: CurrencyId = CurrencyId(0);
@@ -98,6 +99,66 @@ fn htlc_griefing_timeout_refund() {
         reclaimed_at >= SimTime::from_millis(2 * t_ms),
         "capital stayed frozen for the whole griefing window, not until {reclaimed_at}"
     );
+}
+
+/// Bob's hand in a process of its own. At `at` it asks chain A to lock
+/// Alice's asset for Bob under a hashlock of its own, then claims that
+/// contract, the chain's second, with the preimage.
+struct HtlcThief {
+    secret: Vec<u8>,
+    at: SimTime,
+}
+
+impl Process<HMsg> for HtlcThief {
+    fn on_start(&mut self, ctx: &mut Ctx<HMsg>) {
+        ctx.set_timer_at(0, self.at);
+        ctx.set_timer_at(1, self.at + SimDuration::from_millis(100));
+    }
+
+    fn on_message(&mut self, _from: Pid, _msg: HMsg, _ctx: &mut Ctx<HMsg>) {}
+
+    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<HMsg>) {
+        let msg = if id == 0 {
+            HMsg::Open {
+                depositor: ALICE_KEY,
+                beneficiary: BOB_KEY,
+                asset: Asset::new(CUR_A, 100),
+                hashlock: sha256(&self.secret),
+                timelock: SimTime::from_secs(5),
+            }
+        } else {
+            let preimage = self.secret.clone();
+            HMsg::Claim { id: 1, preimage }
+        };
+        ctx.send(CHAIN_A_PID, msg);
+    }
+
+    fn fp_digest(&self) -> u64 {
+        0
+    }
+}
+
+/// A chain opens a contract only on its depositor's word. A griefing Bob
+/// never counter-locks; after Alice has reclaimed her lock at 2T, a
+/// process on his side names her as the depositor of a contract for him
+/// under its own hashlock. Chain A must not lock her asset for that, so
+/// the claim finds nothing to take.
+#[test]
+fn htlc_chain_opens_only_for_the_depositor() {
+    let t_ms = 500u64;
+    let mut eng = swap_engine(t_ms, SwapBehaviour::BobGriefs);
+    let thief = HtlcThief {
+        secret: b"bob's own secret".to_vec(),
+        at: SimTime::from_millis(2 * t_ms + 100),
+    };
+    eng.add_process(Box::new(thief), DriftClock::perfect());
+    eng.run_until(SimTime::from_secs(10));
+    let (a, _) = chains(&eng);
+    assert_eq!(a.len(), 1, "chain A holds only Alice's own lock");
+    assert_eq!(a.contract(0).unwrap().state, HtlcState::Reclaimed);
+    assert_eq!(a.ledger().balance(ALICE_KEY, CUR_A), 100, "nothing stolen");
+    assert_eq!(a.ledger().balance(BOB_KEY, CUR_A), 0);
+    a.ledger().check_conservation().unwrap();
 }
 
 /// Weak-protocol chain with the transaction manager swapped for the
