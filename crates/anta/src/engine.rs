@@ -541,8 +541,7 @@ impl<M: Message> Engine<M> {
             EventKind::Deliver { from, msg, .. } => {
                 self.trace.record_delivered(self.now, *from, pid, msg);
             }
-            EventKind::Timer { id, .. } => {
-                let id = *id;
+            &EventKind::Timer { id, .. } => {
                 self.trace.push(self.now, TraceKind::TimerFired { pid, id });
             }
         }
