@@ -89,14 +89,6 @@ enum EventKind<M> {
     Timer { pid: Pid, id: TimerId },
 }
 
-struct Event<M> {
-    kind: EventKind<M>,
-    /// Content hash of `kind` (pids, timer id, payload digest — **not**
-    /// the queue's `seq`; see [`Engine::enable_fingerprints`]), computed
-    /// once at push time. Zero unless fingerprinting is enabled.
-    ehash: u64,
-}
-
 /// State-fingerprinting machinery, present only after
 /// [`Engine::enable_fingerprints`]. Kept out of the hot path entirely when
 /// absent.
@@ -117,7 +109,11 @@ pub struct Engine<M: Message> {
     procs: Vec<ProcSlot<M>>,
     net: Box<dyn NetModel<M>>,
     oracle: Box<dyn Oracle>,
-    queue: EventQueue<Event<M>>,
+    /// In-flight events, each with its content hash (pids, timer id,
+    /// payload digest — **not** the queue's `seq`; see
+    /// [`Engine::enable_fingerprints`]), computed once at push time and
+    /// zero unless fingerprinting is enabled.
+    queue: EventQueue<(EventKind<M>, u64)>,
     now: SimTime,
     trace: Trace<M>,
     cfg: EngineConfig,
@@ -434,9 +430,8 @@ impl<M: Message> Engine<M> {
         }
         fp.scratch.clear();
         // Every event sits at rank 0, so the second key word is its `seq`.
-        for (at, seq, ev) in queue.iter() {
-            fp.scratch.push((at, seq, ev.ehash));
-        }
+        let keyed = queue.iter().map(|(at, seq, &(_, ehash))| (at, seq, ehash));
+        fp.scratch.extend(keyed);
         fp.scratch.sort_unstable();
         for &(at, _seq, ehash) in fp.scratch.iter() {
             // Offset from the current instant, not the absolute time: two
@@ -454,7 +449,7 @@ impl<M: Message> Engine<M> {
         } else {
             0
         };
-        self.queue.push(at, 0, Event { kind, ehash });
+        self.queue.push(at, 0, (kind, ehash));
         self.queue_high = self.queue_high.max(self.queue.len());
     }
 
@@ -491,17 +486,16 @@ impl<M: Message> Engine<M> {
         let mut truncated = false;
         while let Some((at, _, _)) = self.queue.peek() {
             if at > self.cfg.max_real_time || events >= self.cfg.max_events {
-                // Stop with the event still queued, so callers can resume
-                // with a larger horizon.
+                // Leave it queued: a caller may resume with a larger horizon.
                 truncated = true;
                 break;
             }
-            let (at, ev) = self.queue.pop().expect("peeked");
+            let (at, (kind, _)) = self.queue.pop().expect("peeked");
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             events += 1;
-            let fp_pid = self.fp.as_ref().map(|_| Self::target_pid(&ev.kind));
-            self.dispatch(ev.kind);
+            let fp_pid = self.fp.as_ref().map(|_| Self::target_pid(&kind));
+            self.dispatch(kind);
             if let Some(pid) = fp_pid {
                 let digest = self.procs[pid].proc.fp_digest();
                 let fp = self.fp.as_mut().expect("fp present");

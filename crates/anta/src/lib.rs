@@ -15,8 +15,7 @@
 //!   `x := now` clocks, sends that see their trigger) interpreting Figure 2;
 //! * [`net`] — `Sync(δ)` / `PartialSync(GST, δ)` / adversarial models;
 //! * [`oracle`] — the single funnel for scheduler nondeterminism;
-//! * [`engine`] — the deterministic discrete-event simulator;
-//! * [`queue`] — the `(time, rank, seq)` event queue under both engines;
+//! * [`engine`] — the deterministic discrete-event simulator, over [`queue`];
 //! * [`fingerprint`] — the explorer's state hasher, a fixed
 //!   [`std::hash::Hasher`] every message and process state feeds through
 //!   its derived `Hash`;

@@ -1,9 +1,7 @@
 //! The timed-event queue under both engines, [`crate::engine::Engine`]
-//! and the `sim` crate's open-system DES. Entries pop in `(time, rank,
-//! seq)` order, where `seq` is the queue's own push counter, so entries
-//! of one instant and rank pop in push order; the payload never orders
-//! anything. The key is packed into two words, `(time, rank << 56 |
-//! seq)`, and kept beside the payload, so a sift compares two integers.
+//! and the `sim` crate's open-system DES: entries pop in `(time, rank,
+//! seq)` order, `seq` being the queue's push counter; the payload never
+//! orders anything.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -12,8 +10,8 @@ use std::collections::BinaryHeap;
 /// Bits of the key's second word that hold `seq`; `rank` takes the rest.
 const SEQ_BITS: u32 = 56;
 
-/// A key and its payload, ordered by the key alone and in reverse, so
-/// the max-heap pops the least key.
+/// A payload under its key `(time, rank << 56 | seq)`, ordered by the key
+/// alone and reversed: the max-heap pops the least key, comparing two words.
 struct Entry<T>((SimTime, u64), T);
 
 impl<T> PartialEq for Entry<T> {
@@ -36,7 +34,6 @@ impl<T> Ord for Entry<T> {
 /// A min-queue of timed payloads, ordered by `(time, rank, seq)`.
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
-    /// Entries pushed so far: the `seq` of the next push.
     pushed: u64,
 }
 
@@ -67,8 +64,7 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|Entry((time, _), item)| (time, item))
     }
 
-    /// Every entry as `(time, rank << 56 | seq, payload)`, unordered;
-    /// sorted on the first two fields, they are in pop order.
+    /// Every entry as `(time, rank << 56 | seq, payload)`; sorted on the key, that is pop order.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &T)> {
         self.heap
             .iter()

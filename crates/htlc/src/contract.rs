@@ -119,8 +119,7 @@ impl HtlcChain {
         Ok(self.contracts.len() - 1)
     }
 
-    /// Claims contract `id` with `preimage` at chain time `now`; anyone
-    /// may, since the asset goes only to the beneficiary.
+    /// Claims contract `id` with `preimage` at `now`; anyone may, as only the beneficiary gains.
     pub fn claim(&mut self, id: usize, preimage: &[u8], now: SimTime) -> Result<(), HtlcError> {
         let c = self.contracts.get_mut(id).ok_or(HtlcError::Unknown)?;
         if c.state != HtlcState::Open {
@@ -138,8 +137,7 @@ impl HtlcChain {
         Ok(())
     }
 
-    /// Depositor reclaims contract `id` after expiry; anyone may submit
-    /// it, since the asset goes only back to the depositor.
+    /// Reclaims contract `id` after expiry; anyone may, as only the depositor gains.
     pub fn reclaim(&mut self, id: usize, now: SimTime) -> Result<(), HtlcError> {
         let c = self.contracts.get_mut(id).ok_or(HtlcError::Unknown)?;
         if c.state != HtlcState::Open {

@@ -41,6 +41,8 @@ pub const CHAIN_B_PID: Pid = 3;
 pub const ALICE_KEY: KeyId = KeyId(0);
 /// Bob's account on both chains.
 pub const BOB_KEY: KeyId = KeyId(1);
+/// The pid that speaks for each account: the only one whose `Open` a chain takes.
+const ACCOUNTS: [(KeyId, Pid); 2] = [(ALICE_KEY, ALICE_PID), (BOB_KEY, BOB_PID)];
 
 /// How the two parties behave in a swap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,10 +89,9 @@ impl SwapSetup {
         alice.abandons = behaviour == SwapBehaviour::AliceAbandons;
         let mut bob = SwapResponder::new(self.offer_b, self.timelock_b);
         bob.participate = behaviour != SwapBehaviour::BobGriefs;
-        let accounts = vec![(ALICE_KEY, ALICE_PID), (BOB_KEY, BOB_PID)];
         let chain = |holder: KeyId, offer: Asset| -> Box<dyn Process<HMsg>> {
             let book = Ledger::funded(&[ALICE_KEY, BOB_KEY], holder, offer);
-            Box::new(ChainProcess::new(HtlcChain::new(book), accounts.clone()))
+            Box::new(ChainProcess::new(HtlcChain::new(book)))
         };
         let mut eng = Engine::new(net, oracle, cfg);
         eng.add_process(Box::new(alice), clock);
@@ -155,22 +156,18 @@ pub enum HMsg {
 }
 
 /// A chain process: executes HTLC operations on its own clock and
-/// broadcasts resulting events to both parties. It opens a contract only
-/// on an `Open` from the depositor's own pid, or Bob could lock Alice's
-/// asset for himself under his own hashlock and claim it; `Claim` and
-/// `Reclaim` are open to anyone (see [`HtlcChain::claim`]).
+/// broadcasts resulting events to both parties. It takes an `Open` only
+/// from the depositor's own pid, lest Bob lock Alice's asset for himself;
+/// anyone may `Claim` or `Reclaim` (see [`HtlcChain::claim`]).
 #[derive(Debug, Clone)]
 pub struct ChainProcess {
     chain: HtlcChain,
-    /// Which pid speaks for each account.
-    accounts: Vec<(KeyId, Pid)>,
 }
 
 impl ChainProcess {
-    /// Wraps a funded [`HtlcChain`] whose accounts are spoken for by the
-    /// pids in `accounts`.
-    pub fn new(chain: HtlcChain, accounts: Vec<(KeyId, Pid)>) -> Self {
-        ChainProcess { chain, accounts }
+    /// Wraps a funded [`HtlcChain`].
+    pub fn new(chain: HtlcChain) -> Self {
+        ChainProcess { chain }
     }
 
     /// The chain state (for assertions).
@@ -201,7 +198,7 @@ impl Process<HMsg> for ChainProcess {
                 asset,
                 hashlock,
                 timelock,
-            } if self.accounts.contains(&(depositor, from)) => {
+            } if ACCOUNTS.contains(&(depositor, from)) => {
                 if let Ok(id) = self
                     .chain
                     .open(depositor, beneficiary, asset, hashlock, timelock)
@@ -231,8 +228,7 @@ impl Process<HMsg> for ChainProcess {
                     self.broadcast(HMsg::Reclaimed { id }, ctx);
                 }
             }
-            // Chain events sent to us by mistake, and opens by anyone but
-            // the depositor, are ignored.
+            // Chain events sent to us by mistake, and others' opens, are ignored.
             _ => {}
         }
     }

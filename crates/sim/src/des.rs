@@ -310,42 +310,30 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             tally: GateTally::default(),
             routed,
         };
-        if let Some(rt) = &sim.routed {
-            let period = rt.cfg.rebalance_period;
-            if !period.is_zero() {
-                sim.push(
-                    SimTime::from_ticks(period.ticks()),
-                    RANK_REBALANCE,
-                    EventKind::Rebalance,
-                );
-            }
+        let period = sim.routed.as_ref().map(|rt| rt.cfg.rebalance_period);
+        if let Some(period) = period.filter(|p| !p.is_zero()) {
+            let first = SimTime::ZERO + period;
+            sim.events.push(first, RANK_REBALANCE, EventKind::Rebalance);
         }
         sim
-    }
-
-    fn push(&mut self, time: SimTime, rank: u8, kind: EventKind) {
-        self.events.push(time, rank, kind);
     }
 
     /// Drives the shard to quiescence and reports. The next arrival
     /// dispatches unless a queued event sorts before it on `(time, rank)`.
     fn run(mut self) -> ShardOutcome {
         loop {
-            let arrival = self
-                .members
-                .get(self.arrived)
-                .map(|&si| self.specs[si].arrival);
             let queued = self.events.peek().map(|(time, rank, _)| (time, rank));
-            match (arrival, queued) {
-                (Some(at), q) if q.map_or(true, |q| (at, RANK_ARRIVAL) < q) => {
+            if let Some(&si) = self.members.get(self.arrived) {
+                let at = self.specs[si].arrival;
+                if queued.map_or(true, |q| (at, RANK_ARRIVAL) < q) {
                     self.arrived += 1;
                     self.on_arrival(self.arrived as u32 - 1, at);
                     continue;
                 }
-                (_, None) => break,
-                _ => {}
             }
-            let (time, kind) = self.events.pop().expect("peeked");
+            let Some((time, kind)) = self.events.pop() else {
+                break;
+            };
             match kind {
                 EventKind::Book { venue, delta } => {
                     self.book.apply_lock(time, venue, delta);
@@ -384,12 +372,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 .members
                 .iter()
                 .zip(self.results)
-                .map(|(&si, r)| {
-                    (
-                        si,
-                        r.expect("the events drained: every arrival admitted, rejected or expired"),
-                    )
-                })
+                .map(|(&si, r)| (si, r.expect("every member admitted, rejected or expired")))
                 .collect(),
             book: self.book,
             tally: self.tally,
@@ -439,8 +422,9 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         if can_help && !patience.is_zero() {
             self.queue.push_back(local);
             let arrival = self.specs[self.members[local as usize]].arrival;
-            let deadline = SimTime::from_ticks(arrival.ticks().saturating_add(patience.ticks()));
-            self.push(deadline, RANK_EXPIRY, EventKind::Expiry { local });
+            let deadline = arrival.saturating_add(patience);
+            self.events
+                .push(deadline, RANK_EXPIRY, EventKind::Expiry { local });
         } else {
             self.reject(local, t);
         }
@@ -464,11 +448,8 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             rt.stats.restored_value += restored;
         }
         self.drain_queue(t);
-        self.push(
-            SimTime::from_ticks(t.ticks().saturating_add(period.ticks())),
-            RANK_REBALANCE,
-            EventKind::Rebalance,
-        );
+        let next = t.saturating_add(period);
+        self.events.push(next, RANK_REBALANCE, EventKind::Rebalance);
     }
 
     /// The legs member `li` would run if admitted against the current
@@ -642,7 +623,8 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             e.1 = e.1.max(e.0);
             e.2 = e.2.max(te);
             let rank = if dv < 0 { RANK_UNLOCK } else { RANK_LOCK };
-            self.push(te, rank, EventKind::Book { venue, delta: dv });
+            self.events
+                .push(te, rank, EventKind::Book { venue, delta: dv });
         }
         let mut count = |venue: u32| {
             let ve = self.tally.venue_events.entry(venue).or_default();
@@ -662,7 +644,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             for (&venue, &(_, peak, last)) in &per_venue {
                 if peak > 0 {
                     self.book.reserve(venue, peak as u64);
-                    self.push(
+                    self.events.push(
                         last,
                         RANK_UNRESERVE,
                         EventKind::Unreserve {
@@ -794,7 +776,7 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
         harness.name(),
         cfg.workload.family,
     );
-    debug_assert!(
+    assert!(
         specs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "open-system admission needs arrival-ordered specs"
     );
@@ -943,7 +925,7 @@ mod tests {
         let mut sim = shard(&specs, &[1], family, &liq, Some(never));
         for venue in 0..venues {
             sim.book.reserve(venue, budget);
-            sim.push(
+            sim.events.push(
                 at_t,
                 RANK_UNRESERVE,
                 EventKind::Unreserve {
@@ -965,7 +947,7 @@ mod tests {
             sim.book.reserve(venue, budget);
             sim.book.settle(venue, budget, budget);
         }
-        sim.push(at_t, RANK_REBALANCE, EventKind::Rebalance);
+        sim.events.push(at_t, RANK_REBALANCE, EventKind::Rebalance);
         let out = sim.run();
         let stats = out.routing.unwrap();
         assert_eq!(stats.no_path, 0, "the rebalance comes first");
@@ -980,8 +962,9 @@ mod tests {
         for venue in 0..venues {
             sim.book.reserve(venue, budget);
         }
-        sim.push(at_t, RANK_LOCK, EventKind::Book { venue: 0, delta: 5 });
-        sim.push(
+        sim.events
+            .push(at_t, RANK_LOCK, EventKind::Book { venue: 0, delta: 5 });
+        sim.events.push(
             at_t,
             RANK_UNLOCK,
             EventKind::Book {
@@ -1030,6 +1013,23 @@ mod tests {
                 (1, ProtocolOutcome::Rejected)
             ]
         );
+    }
+
+    /// The arrival cursor dispatches members in spec order, so a campaign
+    /// whose specs are not arrival-sorted is refused in every build rather
+    /// than run with time going backwards.
+    #[test]
+    #[should_panic(expected = "arrival-ordered specs")]
+    fn unsorted_arrivals_are_refused() {
+        let workload = WorkloadConfig::new(TopologyFamily::HubAndSpoke { spokes: 4 }, 8, 3);
+        let mut specs = workload::generate(&workload);
+        specs[0].arrival = specs[7].arrival + SimDuration::from_ticks(1);
+        let cfg = SimConfig {
+            threads: 1,
+            ..SimConfig::new(workload)
+        };
+        let liq = LiquidityConfig::reject(1 << 40);
+        run_open_specs_raw(&protocol::TimeBoundedHarness, &specs, &cfg, &liq, None);
     }
 
     #[test]

@@ -146,8 +146,8 @@ pub(crate) fn run_instance_isolated<H: ProtocolHarness>(
 /// finite escrow liquidity: payments are admitted in arrival order
 /// against per-venue collateral budgets, so success becomes a function of
 /// offered load, not only of faults and drift. `specs` must be in
-/// nondecreasing arrival order — [`crate::workload::generate`] produces
-/// exactly that.
+/// nondecreasing arrival order (it panics otherwise) —
+/// [`crate::workload::generate`] produces exactly that.
 ///
 /// The campaign is one **discrete-event simulation**: arrivals, FIFO
 /// admission/queueing, the lock/release audit stream and patience
@@ -265,7 +265,7 @@ pub(crate) mod legacy {
         cfg: &SimConfig,
         liq: &LiquidityConfig,
     ) -> OpenReport {
-        debug_assert!(
+        assert!(
             specs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "open-system admission needs arrival-ordered specs"
         );
