@@ -109,11 +109,11 @@ const LATE_TIMER: TimerId = 7;
 impl LateBob {
     /// Builds `setup`'s Bob, sitting on χ for `delay`.
     pub fn new(setup: &ChainSetup, delay: SimDuration) -> Self {
-        let n = setup.n();
+        let n = setup.chain.n();
         LateBob {
-            escrow: setup.topo.escrow_pid(n - 1),
-            signer: setup.customer_signer(n).clone(),
-            payment: setup.payment,
+            escrow: setup.chain.topo.escrow_pid(n - 1),
+            signer: setup.chain.customer_signer(n).clone(),
+            payment: setup.chain.payment,
             delay,
             st: LateBobState { issued: false },
         }
@@ -165,9 +165,9 @@ impl ForgingChloe {
     /// upstream escrow `e_{i-1}` directly).
     pub fn new(setup: &ChainSetup, i: usize) -> Self {
         ForgingChloe {
-            up_escrow: setup.topo.escrow_pid(i - 1),
-            signer: setup.customer_signer(i).clone(),
-            payment: setup.payment,
+            up_escrow: setup.chain.topo.escrow_pid(i - 1),
+            signer: setup.chain.customer_signer(i).clone(),
+            payment: setup.chain.payment,
             st: ForgingChloeState { fired: false },
         }
     }
@@ -212,9 +212,9 @@ impl ThievingEscrow {
     /// normal-looking `G(d_i)` so the upstream customer engages.
     pub fn new(setup: &ChainSetup, i: usize) -> Self {
         ThievingEscrow {
-            up: setup.topo.customer_pid(i),
-            signer: setup.escrow_signer(i).clone(),
-            payment: setup.payment,
+            up: setup.chain.topo.customer_pid(i),
+            signer: setup.chain.escrow_signer(i).clone(),
+            payment: setup.chain.payment,
             index: i,
             d_bound: setup.schedule.d[i],
         }
@@ -266,8 +266,8 @@ impl ImpersonatingAborter {
     pub fn new(setup: &WeakSetup, i: usize, victim: usize) -> Self {
         ImpersonatingAborter {
             tm_pids: setup.tm_pids(),
-            signer: setup.customer_signer(i).clone(),
-            payment: setup.payment,
+            signer: setup.chain.customer_signer(i).clone(),
+            payment: setup.chain.payment,
             victim_index: victim as u64,
         }
     }

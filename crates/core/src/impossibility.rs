@@ -49,8 +49,8 @@ pub struct WitnessReport {
 pub fn cs2_violation_under_partial_synchrony(n: usize, value: u64) -> WitnessReport {
     let setup = ChainSetup::new(n, ValuePlan::uniform(n, value), SyncParams::baseline(), 77);
     let delta = setup.params.delta;
-    let bob_pid = setup.topo.customer_pid(n);
-    let escrow_pid = setup.topo.escrow_pid(n - 1);
+    let bob_pid = setup.chain.topo.customer_pid(n);
+    let escrow_pid = setup.chain.topo.escrow_pid(n - 1);
     // Delay only Bob→e_{n-1} χ traffic by more than the whole schedule —
     // legal before GST in a partially synchronous network.
     let extra = setup.schedule.d[0] * 4;
@@ -87,8 +87,8 @@ pub fn cs3_violation_under_partial_synchrony(n: usize, value: u64) -> WitnessRep
     assert!(n >= 2, "needs a connector");
     let setup = ChainSetup::new(n, ValuePlan::uniform(n, value), SyncParams::baseline(), 78);
     let delta = setup.params.delta;
-    let chloe_pid = setup.topo.customer_pid(n - 1);
-    let up_escrow_pid = setup.topo.escrow_pid(n - 2);
+    let chloe_pid = setup.chain.topo.customer_pid(n - 1);
+    let up_escrow_pid = setup.chain.topo.escrow_pid(n - 2);
     let extra = setup.schedule.d[0] * 4;
     let net = AdversarialNet::delaying(delta, extra, move |m: &EnvelopeMeta, msg: &PMsg| {
         m.from == chloe_pid && m.to == up_escrow_pid && matches!(msg, PMsg::Receipt(_))
@@ -172,8 +172,8 @@ pub fn indistinguishability_pair(n: usize, value: u64) -> IndistinguishabilityWi
         || ChainSetup::new(n, ValuePlan::uniform(n, value), SyncParams::baseline(), 80);
     let setup_a = make_setup();
     let setup_b = make_setup();
-    let bob_pid = setup_a.topo.customer_pid(n);
-    let escrow_pid = setup_a.topo.escrow_pid(n - 1);
+    let bob_pid = setup_a.chain.topo.customer_pid(n);
+    let escrow_pid = setup_a.chain.topo.escrow_pid(n - 1);
     let delta = setup_a.params.delta;
 
     // Run A: Bob has crashed. Fully synchronous network.

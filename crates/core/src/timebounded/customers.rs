@@ -103,19 +103,19 @@ impl CustomerProcess {
     /// Builds customer `c_i` (`i ≤ n`) between `e_{i-1}` and `e_i`.
     pub fn new(setup: &ChainSetup, i: usize) -> Self {
         let side = |e: usize, bound: SimDuration| Side {
-            escrow: setup.topo.escrow_pid(e),
-            key: setup.escrow_signer(e).id(),
+            escrow: setup.chain.topo.escrow_pid(e),
+            key: setup.chain.escrow_signer(e).id(),
             bound,
-            asset: setup.plan.amounts[e],
+            asset: setup.chain.plan.amounts[e],
         };
         CustomerProcess {
             index: i,
             up: (i > 0).then(|| side(i - 1, setup.schedule.a[i - 1])),
-            down: (i < setup.n()).then(|| side(i, setup.schedule.d[i])),
-            signer: setup.customer_signer(i).clone(),
-            bob_key: setup.bob_key(),
-            pki: setup.pki.clone(),
-            payment: setup.payment,
+            down: (i < setup.chain.n()).then(|| side(i, setup.schedule.d[i])),
+            signer: setup.chain.customer_signer(i).clone(),
+            bob_key: setup.chain.bob_key(),
+            pki: setup.chain.pki.clone(),
+            payment: setup.chain.payment,
             st: CustomerState::default(),
         }
     }

@@ -1,5 +1,7 @@
 //! Escrow `e_i` of the time-bounded protocol — the executable counterpart
-//! of Figure 2's escrow automaton, with the real ledger attached.
+//! of Figure 2's escrow automaton: the escrow core both protocols share
+//! (the book, the guarded lock on `$` from `c_i`, release and refund) plus
+//! this protocol's rule, the race of χ against `u + a_i`.
 //!
 //! The paper's description (§4): *"An escrow e_i first sends promise G(d_i)
 //! to its (upstream) customer c_i. … Then it awaits receipt of the
@@ -12,27 +14,26 @@
 //! certificate to customer c_i, and forwarding the money to customer
 //! c_{i+1}."*
 //!
-//! The control structure is mirrored one-for-one by the declarative
-//! automaton in [`super::fig2`], which forwards the χ it received just as
-//! this process does. [`ChainSetup::build_engine_with`] assembles both
-//! chains alike. Only `experiments::e4::cross_check` compares the two, and
-//! only on the send skeleton of one worst-case schedule.
+//! [`super::fig2`]'s automaton mirrors it one-for-one and forwards the χ it
+//! received just as this process does. Only `experiments::e4::cross_check`
+//! compares the two, on the send skeleton of one worst-case schedule.
 
 use super::scenario::ChainSetup;
+use crate::escrow::{EscrowCore, Marks};
 use crate::msg::{PMsg, PromiseKind, SignedPromise};
 use anta::fingerprint::{fingerprint, Stamp};
 use anta::process::{Ctx, Pid, Process, TimerId};
-use anta::time::SimTime;
-use ledger::{Asset, DealId, Ledger};
-use std::sync::Arc;
-use xcrypto::{KeyId, PaymentId, Pki, Signer};
+use anta::time::{SimDuration, SimTime};
+use ledger::Ledger;
+use xcrypto::KeyId;
 
 /// Escrow control states (Figure 2's white states; the grey states are
 /// transient within a single handler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EscrowState {
     /// Waiting for $ from the upstream customer (after sending `G(d_i)`).
+    #[default]
     AwaitMoney,
     /// Waiting for χ from the downstream customer (after sending `P(a_i)`),
     /// racing the timeout `now ≥ u + a_i`.
@@ -46,40 +47,31 @@ pub enum EscrowState {
 
 const TIMER_CHI: TimerId = 1;
 
-/// The executable escrow.
+const MARKS: Marks = Marks {
+    locked: "escrow_locked",
+    lock_rejected: "escrow_lock_rejected",
+    released: "escrow_released",
+    refunded: "escrow_refunded",
+};
+
+/// The executable escrow: the shared escrow core plus the χ race.
 #[derive(Debug, Clone)]
 pub struct EscrowProcess {
-    /// Chain index `i` of this escrow `e_i`.
-    index: usize,
-    /// Engine pid of upstream customer `c_i`.
-    up: Pid,
-    /// Engine pid of downstream customer `c_{i+1}`.
-    down: Pid,
-    /// Account keys of the two customers.
-    up_key: KeyId,
-    down_key: KeyId,
+    core: EscrowCore<RaceState>,
+    /// The key χ must verify under.
     bob_key: KeyId,
-    signer: Signer,
-    pki: Arc<Pki>,
-    payment: PaymentId,
-    /// The value this hop carries.
-    asset: Asset,
     /// Promise bounds from the timeout calculus.
-    a_i: anta::time::SimDuration,
-    d_i: anta::time::SimDuration,
-    st: EscrowProcessState,
+    a_i: SimDuration,
+    d_i: SimDuration,
 }
 
-/// The escrow's run state; the rest of [`EscrowProcess`] is setup (pids,
-/// keys, bounds, payment id). `u` is a [`Stamp`], hashed by presence:
-/// [`Process::fp_times`] feeds it while the `now ≥ u + a_i` race is live,
-/// as a clock residue rather than an absolute instant.
-#[derive(Debug, Clone, Hash)]
-struct EscrowProcessState {
-    /// The escrow's book (funded with the upstream customer's capital).
-    ledger: Ledger,
+/// The χ race's run state, kept in the core beside the book. `u` is a
+/// [`Stamp`], hashed by presence: [`Process::fp_times`] feeds it while the
+/// `now ≥ u + a_i` race is live, as a clock residue rather than an
+/// absolute instant.
+#[derive(Debug, Clone, Default, Hash)]
+struct RaceState {
     state: EscrowState,
-    deal: Option<DealId>,
     /// `u := now` — local issuance time of `P(a_i)`.
     u: Stamp,
 }
@@ -87,169 +79,101 @@ struct EscrowProcessState {
 impl EscrowProcess {
     /// Builds escrow `e_i` of `setup`'s chain. `ledger` must already hold
     /// accounts for `c_i` and `c_{i+1}`; an abiding `c_i` is funded to
-    /// cover `v_i` ([`ChainSetup::escrow_book`]).
+    /// cover `v_i` ([`Chain::escrow_book`](crate::topology::Chain::escrow_book)).
     pub fn new(setup: &ChainSetup, i: usize, ledger: Ledger) -> Self {
         EscrowProcess {
-            index: i,
-            up: setup.topo.customer_pid(i),
-            down: setup.topo.customer_pid(i + 1),
-            up_key: setup.customer_signer(i).id(),
-            down_key: setup.customer_signer(i + 1).id(),
-            bob_key: setup.bob_key(),
-            signer: setup.escrow_signer(i).clone(),
-            pki: setup.pki.clone(),
-            payment: setup.payment,
-            asset: setup.plan.amounts[i],
+            core: EscrowCore::new(&setup.chain, i, ledger, &MARKS, RaceState::default()),
+            bob_key: setup.chain.bob_key(),
             a_i: setup.schedule.a[i],
             d_i: setup.schedule.d[i],
-            st: EscrowProcessState {
-                ledger,
-                state: EscrowState::AwaitMoney,
-                deal: None,
-                u: Stamp::default(),
-            },
         }
     }
 
     /// Current control state.
     pub fn state(&self) -> EscrowState {
-        self.st.state
+        self.core.st.rule.state
     }
 
     /// The escrow's book (for conservation audits and balance assertions).
     pub fn ledger(&self) -> &Ledger {
-        &self.st.ledger
+        &self.core.st.ledger
     }
 
-    /// Chain index of this escrow.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    fn resolve_paid(&mut self, chi: xcrypto::Receipt, ctx: &mut Ctx<PMsg>) {
-        // Grey-state chain of Figure 2: s(c_i, χ) then s(c_{i+1}, $).
-        ctx.send(self.up, PMsg::Receipt(chi));
-        let deal = self.st.deal.expect("AwaitChi implies a locked deal");
-        self.st
-            .ledger
-            .release(deal)
-            .expect("locked deal releases exactly once");
-        ctx.send(
-            self.down,
-            PMsg::Money {
-                payment: self.payment,
-                asset: self.asset,
-            },
-        );
-        self.st.state = EscrowState::Paid;
-        ctx.mark("escrow_released", self.index as i64);
-        ctx.halt();
-    }
-
-    fn resolve_refund(&mut self, ctx: &mut Ctx<PMsg>) {
-        let deal = self.st.deal.expect("AwaitChi implies a locked deal");
-        self.st
-            .ledger
-            .refund(deal)
-            .expect("locked deal refunds exactly once");
-        ctx.send(
-            self.up,
-            PMsg::Money {
-                payment: self.payment,
-                asset: self.asset,
-            },
-        );
-        self.st.state = EscrowState::Refunded;
-        ctx.mark("escrow_refunded", self.index as i64);
-        ctx.halt();
+    fn promise(&self, kind: PromiseKind, bound: SimDuration) -> PMsg {
+        let c = &self.core;
+        PMsg::Promise(SignedPromise::issue(
+            &c.signer, kind, c.payment, c.index, bound,
+        ))
     }
 }
 
 impl Process<PMsg> for EscrowProcess {
     fn on_start(&mut self, ctx: &mut Ctx<PMsg>) {
         // Grey state: issue G(d_i) to the upstream customer.
-        let g = SignedPromise::issue(
-            &self.signer,
-            PromiseKind::Guarantee,
-            self.payment,
-            self.index,
-            self.d_i,
-        );
-        ctx.send(self.up, PMsg::Promise(g));
-        ctx.mark("escrow_sent_g", self.index as i64);
+        ctx.send(self.core.up, self.promise(PromiseKind::Guarantee, self.d_i));
+        ctx.mark("escrow_sent_g", self.core.index as i64);
     }
 
     fn on_message(&mut self, from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
-        match (self.st.state, msg) {
-            (EscrowState::AwaitMoney, PMsg::Money { payment, asset }) => {
-                if from != self.up || payment != self.payment || asset != self.asset {
-                    return; // wrong party or wrong deal: an abiding escrow ignores it
-                }
-                // Lock the value. A customer without cover is not abiding;
-                // the escrow simply does not proceed (and owes nothing).
-                match self.st.ledger.lock(self.up_key, self.down_key, asset) {
-                    Ok(deal) => {
-                        self.st.deal = Some(deal);
-                        ctx.mark("escrow_locked", self.index as i64);
-                    }
-                    Err(_) => {
-                        ctx.mark("escrow_lock_rejected", self.index as i64);
-                        return;
-                    }
+        let index = self.core.index as i64;
+        match msg {
+            PMsg::Money { payment, asset } => {
+                if !self.core.lock(from, payment, asset, ctx) {
+                    return;
                 }
                 // Grey state: issue P(a_i) downstream; u := now.
                 let u = ctx.now();
-                self.st.u.set(u);
-                let p = SignedPromise::issue(
-                    &self.signer,
-                    PromiseKind::Promise,
-                    self.payment,
-                    self.index,
-                    self.a_i,
-                );
-                ctx.send(self.down, PMsg::Promise(p));
-                ctx.mark("escrow_sent_p", self.index as i64);
+                self.core.st.rule.u.set(u);
+                ctx.send(self.core.down, self.promise(PromiseKind::Promise, self.a_i));
+                ctx.mark("escrow_sent_p", index);
                 // Arm the time-out `now ≥ u + a_i`.
                 ctx.set_timer_at(TIMER_CHI, u + self.a_i);
-                self.st.state = EscrowState::AwaitChi;
+                self.core.st.rule.state = EscrowState::AwaitChi;
             }
-            (EscrowState::AwaitChi, PMsg::Receipt(chi)) => {
-                if from != self.down {
+            PMsg::Receipt(chi) if self.state() == EscrowState::AwaitChi => {
+                if from != self.core.down {
                     return;
                 }
                 // Authenticity: χ must be Bob's signature over this payment.
-                if chi.payment != self.payment || !chi.verify(&self.pki, self.bob_key) {
-                    ctx.mark("escrow_bad_chi", self.index as i64);
+                if chi.payment != self.core.payment || !chi.verify(&self.core.pki, self.bob_key) {
+                    ctx.mark("escrow_bad_chi", index);
                     return;
                 }
                 // Timeliness: the P(a) promise covers χ received at local
                 // time v < u + a_i only.
-                let u = self.st.u.get().expect("AwaitChi implies P was issued");
+                let u = self.core.st.rule.u.get();
+                let u = u.expect("AwaitChi is entered with u := now");
                 if ctx.now() >= u + self.a_i {
-                    ctx.mark("escrow_late_chi", self.index as i64);
+                    ctx.mark("escrow_late_chi", index);
                     return; // the timer will refund
                 }
-                self.resolve_paid(chi, ctx);
+                // Grey-state chain of Figure 2: s(c_i, χ) then s(c_{i+1}, $).
+                ctx.send(self.core.up, PMsg::Receipt(chi));
+                self.core.settle(true, ctx);
+                self.core.st.rule.state = EscrowState::Paid;
+                ctx.halt();
             }
             _ => {} // anything else is out of protocol; an abiding escrow ignores it
         }
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<PMsg>) {
-        if id == TIMER_CHI && self.st.state == EscrowState::AwaitChi {
-            self.resolve_refund(ctx);
+        if id == TIMER_CHI && self.state() == EscrowState::AwaitChi {
+            self.core.settle(false, ctx);
+            self.core.st.rule.state = EscrowState::Refunded;
+            ctx.halt();
         }
     }
 
     fn fp_digest(&self) -> u64 {
-        fingerprint(&self.st)
+        fingerprint(&self.core.st)
     }
 
     /// `u` is future-relevant only while the `now ≥ u + a_i` race is live;
     /// once resolved it is a past time, abstracted out of the fingerprint.
     fn fp_times(&self, out: &mut Vec<SimTime>) {
-        if self.st.state == EscrowState::AwaitChi {
-            out.extend(self.st.u.get());
+        if self.state() == EscrowState::AwaitChi {
+            out.extend(self.core.st.rule.u.get());
         }
     }
 }
@@ -264,9 +188,8 @@ mod tests {
     use anta::net::SyncNet;
     use anta::oracle::RandomOracle;
     use anta::process::InertProcess;
-    use anta::time::SimDuration;
-    use ledger::CurrencyId;
-    use xcrypto::Receipt;
+    use ledger::{Asset, CurrencyId};
+    use xcrypto::{PaymentId, Receipt, Signer};
 
     /// Harness: a one-escrow chain carrying 50 — the escrow `e_0` at
     /// pid 2, its customers scripted at pids 0 (up, Alice) and 1 (down,
@@ -282,16 +205,16 @@ mod tests {
     fn rig() -> Rig {
         let setup = ChainSetup::new(1, ValuePlan::uniform(1, 50), SyncParams::baseline(), 11);
         Rig {
-            up_signer: setup.customer_signer(0).clone(),
-            down_signer: setup.customer_signer(1).clone(),
-            payment: setup.payment,
-            asset: setup.plan.amounts[0],
+            up_signer: setup.chain.customer_signer(0).clone(),
+            down_signer: setup.chain.customer_signer(1).clone(),
+            payment: setup.chain.payment,
+            asset: setup.chain.plan.amounts[0],
             setup,
         }
     }
 
     fn escrow_of(r: &Rig) -> EscrowProcess {
-        EscrowProcess::new(&r.setup, 0, r.setup.escrow_book(0))
+        EscrowProcess::new(&r.setup, 0, r.setup.chain.escrow_book(0))
     }
 
     /// A scripted customer that sends a canned sequence of messages at
@@ -471,7 +394,7 @@ mod tests {
         let eng = run(&r, up, down);
         let e = eng.process_as::<EscrowProcess>(2).unwrap();
         assert_eq!(e.state(), EscrowState::AwaitMoney, "still waiting");
-        assert_eq!(e.st.deal, None);
+        assert!(!e.core.locked());
     }
 
     #[test]

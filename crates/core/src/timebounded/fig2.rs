@@ -1,20 +1,20 @@
 //! Figure 2 as *data*: the declarative ANTA automata for every participant.
 //!
 //! These specs mirror the executable processes of [`super::escrow`] and
-//! [`super::customers`] state-for-state, but carry no ledger — they are the
-//! paper's diagram, executable as automata. [`spec`] builds each from the
-//! same [`ChainSetup`] as the executable chain and the participant's role,
-//! and [`ChainSetup::build_engine_with`] assembles both chains: one engine
-//! configuration, network and clock plan, every pid, key, value and bound
-//! shared. Each process signs with its own key only: an escrow or a
-//! connector forwards the χ it received (`r(id, χ)` then `s(id', χ)`), so
-//! Bob's signer is used by Bob's automaton alone. Experiment E4 uses them to
-//! (a) regenerate Figure 2 as Graphviz DOT and (b) compare them with the
-//! executable protocol. That comparison is narrow:
-//! `experiments::e4::cross_check` runs both on one worst-case
-//! deterministic schedule and compares their `(from, to, kind)` send
-//! skeletons, nothing more. No code explores the automata's schedules or
-//! checks their safety outcomes.
+//! [`super::customers`] state-for-state but carry no ledger: the paper's
+//! diagram, executable as automata. [`spec`] builds each from the
+//! participant's role and the same [`ChainSetup`] as the executable chain
+//! (one [`Chain`](crate::Chain) of pids, keys and values, one schedule of
+//! bounds), and [`ChainSetup::build_engine_with`] assembles both chains
+//! through the one assembly loop, under one engine configuration, network
+//! and clock plan. Each process signs with its own key only: an escrow or
+//! a connector forwards the χ it received (`r(id, χ)` then `s(id', χ)`), so
+//! Bob's signer is used by Bob's automaton alone. Experiment E4 uses them
+//! to (a) regenerate Figure 2 as Graphviz DOT and (b) compare them with
+//! the executable protocol, narrowly: `experiments::e4::cross_check` runs
+//! both on one worst-case deterministic schedule and compares their
+//! `(from, to, kind)` send skeletons. No code explores the automata's
+//! schedules or checks their safety outcomes.
 
 use super::scenario::ChainSetup;
 use crate::msg::{PMsg, PromiseKind, SignedPromise};
@@ -53,16 +53,16 @@ fn forward(_: &VarStore, chi: Option<&PMsg>) -> PMsg {
 ///                                      ○ done
 /// ```
 fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
-    let up: Pid = setup.topo.customer_pid(i);
-    let down: Pid = setup.topo.customer_pid(i + 1);
-    let payment = setup.payment;
-    let asset = setup.plan.amounts[i];
+    let up: Pid = setup.chain.topo.customer_pid(i);
+    let down: Pid = setup.chain.topo.customer_pid(i + 1);
+    let payment = setup.chain.payment;
+    let asset = setup.chain.plan.amounts[i];
     let a_i = setup.schedule.a[i];
     let d_i = setup.schedule.d[i];
-    let signer = setup.escrow_signer(i).clone();
+    let signer = setup.chain.escrow_signer(i).clone();
     let signer2 = signer.clone();
-    let pki = setup.pki.clone();
-    let bob = setup.bob_key();
+    let pki = setup.chain.pki.clone();
+    let bob = setup.chain.bob_key();
 
     let mut b = AutomatonBuilder::new(format!("escrow_{i}"));
     let send_g = b.output_state("send_G");
@@ -143,13 +143,13 @@ fn escrow_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
 
 /// Alice's automaton (`c_0`).
 fn alice_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
-    let escrow = setup.topo.escrow_pid(0);
-    let payment = setup.payment;
-    let asset = setup.plan.amounts[0];
-    let pki = setup.pki.clone();
-    let pki2 = setup.pki.clone();
-    let bob = setup.bob_key();
-    let e0_key = setup.escrow_signer(0).id();
+    let escrow = setup.chain.topo.escrow_pid(0);
+    let payment = setup.chain.payment;
+    let asset = setup.chain.plan.amounts[0];
+    let pki = setup.chain.pki.clone();
+    let pki2 = setup.chain.pki.clone();
+    let bob = setup.chain.bob_key();
+    let e0_key = setup.chain.escrow_signer(0).id();
 
     let mut b = AutomatonBuilder::new("alice");
     let await_g = b.input_state("await_G");
@@ -195,13 +195,13 @@ fn alice_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
 /// Chloe_i's automaton (`c_i`, `0 < i < n`). Promises may arrive in either
 /// order (diamond at the start); she forwards the χ she received.
 fn chloe_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
-    let up_escrow = setup.topo.escrow_pid(i - 1);
-    let down_escrow = setup.topo.escrow_pid(i);
-    let payment = setup.payment;
-    let send_asset = setup.plan.amounts[i];
-    let recv_asset = setup.plan.amounts[i - 1];
-    let pki = setup.pki.clone();
-    let bob = setup.bob_key();
+    let up_escrow = setup.chain.topo.escrow_pid(i - 1);
+    let down_escrow = setup.chain.topo.escrow_pid(i);
+    let payment = setup.chain.payment;
+    let send_asset = setup.chain.plan.amounts[i];
+    let recv_asset = setup.chain.plan.amounts[i - 1];
+    let pki = setup.chain.pki.clone();
+    let bob = setup.chain.bob_key();
 
     let mut b = AutomatonBuilder::new(format!("chloe_{i}"));
     let start = b.input_state("await_promises");
@@ -259,11 +259,11 @@ fn chloe_spec(setup: &ChainSetup, i: usize) -> AutomatonSpec<PMsg> {
 
 /// Bob's automaton (`c_n`): the one χ signer.
 fn bob_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
-    let n = setup.n();
-    let escrow = setup.topo.escrow_pid(n - 1);
-    let payment = setup.payment;
-    let asset = setup.plan.amounts[n - 1];
-    let bob_signer = setup.customer_signer(n).clone();
+    let n = setup.chain.n();
+    let escrow = setup.chain.topo.escrow_pid(n - 1);
+    let payment = setup.chain.payment;
+    let asset = setup.chain.plan.amounts[n - 1];
+    let bob_signer = setup.chain.customer_signer(n).clone();
 
     let mut b = AutomatonBuilder::new("bob");
     let await_p = b.input_state("await_P");
@@ -299,7 +299,7 @@ fn bob_spec(setup: &ChainSetup) -> AutomatonSpec<PMsg> {
 pub fn spec(setup: &ChainSetup, role: Role) -> AutomatonSpec<PMsg> {
     match role {
         Role::Customer(0) => alice_spec(setup),
-        Role::Customer(i) if i == setup.n() => bob_spec(setup),
+        Role::Customer(i) if i == setup.chain.n() => bob_spec(setup),
         Role::Customer(i) => chloe_spec(setup, i),
         Role::Escrow(i) => escrow_spec(setup, i),
     }
@@ -308,8 +308,11 @@ pub fn spec(setup: &ChainSetup, role: Role) -> AutomatonSpec<PMsg> {
 /// All Figure 2 specs for a chain, in pid order (customers `c_0..=c_n`,
 /// then escrows `e_0..e_{n-1}`).
 pub fn all_specs(setup: &ChainSetup) -> Vec<AutomatonSpec<PMsg>> {
-    (0..setup.topo.participants())
-        .map(|pid| spec(setup, setup.topo.role_of(pid).expect("chain pid")))
+    (0..setup.chain.topo.participants())
+        .map(|pid| {
+            let role = setup.chain.topo.role_of(pid);
+            spec(setup, role.expect("pids 0..2n+1 are the chain's"))
+        })
         .collect()
 }
 
@@ -356,18 +359,18 @@ mod tests {
             let alice = eng.process_as::<AutomatonProcess<PMsg>>(0).unwrap();
             assert_eq!(alice.state_name(), "got_chi", "n = {n}");
             let bob = eng
-                .process_as::<AutomatonProcess<PMsg>>(p.topo.customer_pid(n))
+                .process_as::<AutomatonProcess<PMsg>>(p.chain.topo.customer_pid(n))
                 .unwrap();
             assert_eq!(bob.state_name(), "paid", "n = {n}");
             for i in 0..n {
                 let e = eng
-                    .process_as::<AutomatonProcess<PMsg>>(p.topo.escrow_pid(i))
+                    .process_as::<AutomatonProcess<PMsg>>(p.chain.topo.escrow_pid(i))
                     .unwrap();
                 assert_eq!(e.state_name(), "done", "escrow {i}, n = {n}");
             }
             for i in 1..n {
                 let c = eng
-                    .process_as::<AutomatonProcess<PMsg>>(p.topo.customer_pid(i))
+                    .process_as::<AutomatonProcess<PMsg>>(p.chain.topo.customer_pid(i))
                     .unwrap();
                 assert_eq!(c.state_name(), "reimbursed", "chloe {i}, n = {n}");
             }
@@ -406,7 +409,7 @@ mod tests {
         assert_eq!(chloe.state_name(), "refunded");
         for i in 0..2 {
             let e = eng
-                .process_as::<AutomatonProcess<PMsg>>(p.topo.escrow_pid(i))
+                .process_as::<AutomatonProcess<PMsg>>(p.chain.topo.escrow_pid(i))
                 .unwrap();
             assert_eq!(e.state_name(), "refunded", "escrow {i}");
         }

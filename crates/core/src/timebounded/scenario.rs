@@ -1,24 +1,23 @@
 //! Assembly of complete time-bounded protocol instances, and outcome
 //! extraction for the property checkers.
 //!
-//! A [`ChainSetup`] owns everything a run needs — topology, keys, value
-//! plan, synchrony parameters, derived timeout schedule — and builds
-//! engines under any network model, clock plan, and set of Byzantine
-//! substitutions. Runs are pure functions of `(setup, net, oracle, clocks)`.
+//! A [`ChainSetup`] owns everything a run needs — the [`Chain`]
+//! (topology, keys, value plan), the synchrony parameters and the derived
+//! timeout schedule — and builds engines under any network model, clock
+//! plan, and set of Byzantine substitutions. Runs are pure functions of
+//! `(setup, net, oracle, clocks)`.
 
 use crate::msg::PMsg;
 use crate::timebounded::customers::{CustomerOutcome, CustomerProcess};
 use crate::timebounded::escrow::{EscrowProcess, EscrowState};
 use crate::timing::{SyncParams, TimeoutSchedule};
-use crate::topology::{ChainKeys, ChainTopology, Role, ValuePlan};
+use crate::topology::{Chain, ChainTopology, Role, ValuePlan};
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Pid, Process};
 use anta::time::{SimDuration, SimTime};
-use std::sync::Arc;
-use xcrypto::{PaymentId, Pki};
 
 /// How local clocks are assigned to participants.
 #[derive(Debug, Clone, Copy)]
@@ -50,27 +49,15 @@ impl ClockPlan {
     }
 }
 
-/// One complete payment-instance configuration.
+/// One complete payment-instance configuration: the chain, plus the
+/// synchrony parameters and the timeout schedule derived from them.
 pub struct ChainSetup {
-    /// The Figure 1 chain topology.
-    pub topo: ChainTopology,
-    /// The amount each escrow hop carries.
-    pub plan: ValuePlan,
+    /// The Figure 1 chain: topology, value plan, payment id and keys.
+    pub chain: Chain,
     /// The cell's parameters.
     pub params: SyncParams,
     /// The derived timeout schedule.
     pub schedule: TimeoutSchedule,
-    /// The payment instance this belongs to.
-    pub payment: PaymentId,
-    /// Shared verification registry.
-    pub pki: Arc<Pki>,
-    keys: ChainKeysLite,
-}
-
-/// Keys kept after PKI is frozen behind an `Arc`.
-struct ChainKeysLite {
-    customers: Vec<xcrypto::Signer>,
-    escrows: Vec<xcrypto::Signer>,
 }
 
 impl ChainSetup {
@@ -78,63 +65,25 @@ impl ChainSetup {
     /// `params`; use [`ChainSetup::with_schedule`] to override it (e.g. the
     /// E6 ablations run deliberately broken schedules).
     pub fn new(n: usize, plan: ValuePlan, params: SyncParams, seed: u64) -> Self {
-        assert_eq!(plan.hops(), n, "value plan must cover every escrow");
-        let topo = ChainTopology::new(n);
-        let keys = ChainKeys::generate(&topo, seed);
-        let schedule = TimeoutSchedule::derive(n, &params);
         ChainSetup {
-            topo,
-            plan,
+            chain: Chain::new(n, plan, seed, 0).0,
+            schedule: TimeoutSchedule::derive(n, &params),
             params,
-            schedule,
-            payment: keys.payment,
-            pki: Arc::new(keys.pki),
-            keys: ChainKeysLite {
-                customers: keys.customers,
-                escrows: keys.escrows,
-            },
         }
     }
 
     /// Replaces the timeout schedule (ablation experiments).
     pub fn with_schedule(mut self, schedule: TimeoutSchedule) -> Self {
-        assert_eq!(schedule.n(), self.topo.n);
+        assert_eq!(schedule.n(), self.chain.n());
         self.schedule = schedule;
         self
-    }
-
-    /// Number of escrows.
-    pub fn n(&self) -> usize {
-        self.topo.n
-    }
-
-    /// Bob's key.
-    pub fn bob_key(&self) -> xcrypto::KeyId {
-        self.keys.customers[self.topo.n].id()
-    }
-
-    /// Signer of customer `c_i`.
-    pub fn customer_signer(&self, i: usize) -> &xcrypto::Signer {
-        &self.keys.customers[i]
-    }
-
-    /// Signer of escrow `e_i`.
-    pub fn escrow_signer(&self, i: usize) -> &xcrypto::Signer {
-        &self.keys.escrows[i]
-    }
-
-    /// Escrow `e_i`'s opening book: accounts for `c_i` and `c_{i+1}`, with
-    /// `c_i` funded to cover `v_i`.
-    pub fn escrow_book(&self, i: usize) -> ledger::Ledger {
-        let key = |c: usize| self.keys.customers[c].id();
-        self.plan.escrow_book(i, key(i), key(i + 1))
     }
 
     /// The default (compliant) process for a role.
     pub fn default_process(&self, role: Role) -> Box<dyn Process<PMsg>> {
         match role {
             Role::Customer(i) => Box::new(CustomerProcess::new(self, i)),
-            Role::Escrow(i) => Box::new(EscrowProcess::new(self, i, self.escrow_book(i))),
+            Role::Escrow(i) => Box::new(EscrowProcess::new(self, i, self.chain.escrow_book(i))),
         }
     }
 
@@ -192,16 +141,16 @@ impl ChainSetup {
         oracle: Box<dyn Oracle>,
         clocks: ClockPlan,
         cfg: EngineConfig,
-        mut override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
+        override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
     ) -> Engine<PMsg> {
         let mut eng = Engine::new(net, oracle, cfg);
-        for pid in 0..self.topo.participants() {
-            let role = self.topo.role_of(pid).expect("chain pid");
-            let proc = override_for(role).unwrap_or_else(|| self.default_process(role));
-            let clock = clocks.clock_for(pid, &self.topo, &self.params);
-            let got = eng.add_process(proc, clock);
-            debug_assert_eq!(got, pid);
-        }
+        let topo = &self.chain.topo;
+        self.chain.assemble(
+            &mut eng,
+            override_for,
+            |role| self.default_process(role),
+            |pid| clocks.clock_for(pid, topo, &self.params),
+        );
         eng
     }
 }
@@ -246,9 +195,9 @@ pub struct ChainOutcome {
 impl ChainOutcome {
     /// Extracts the outcome from a finished engine.
     pub fn extract(eng: &Engine<PMsg>, setup: &ChainSetup, quiescent: bool) -> Self {
-        let n = setup.n();
-        let topo = &setup.topo;
+        let (n, topo) = (setup.chain.n(), &setup.chain.topo);
         let customer = |i| eng.process_as::<CustomerProcess>(topo.customer_pid(i));
+        let escrow = |i| eng.process_as::<EscrowProcess>(topo.escrow_pid(i));
         let customers = (0..=n)
             .map(|i| {
                 let pid = topo.customer_pid(i);
@@ -260,25 +209,11 @@ impl ChainOutcome {
                 })
             })
             .collect();
-        let mut escrow_states = Vec::with_capacity(n);
-        let mut conservation = Vec::with_capacity(n);
-        for i in 0..n {
-            let pid = topo.escrow_pid(i);
-            match eng.process_as::<EscrowProcess>(pid) {
-                Some(e) => {
-                    escrow_states.push(Some(e.state()));
-                    conservation.push(Some(e.ledger().check_conservation().is_ok()));
-                }
-                None => {
-                    escrow_states.push(None);
-                    conservation.push(None);
-                }
-            }
-        }
-        let net_positions = setup.plan.net_positions(&setup.keys.customers, |i| {
-            eng.process_as::<EscrowProcess>(topo.escrow_pid(i))
-                .map(EscrowProcess::ledger)
-        });
+        let escrow_states = (0..n)
+            .map(|i| escrow(i).map(EscrowProcess::state))
+            .collect();
+        let (conservation, net_positions) =
+            setup.chain.audit(|i| escrow(i).map(EscrowProcess::ledger));
         ChainOutcome {
             n,
             customers,

@@ -14,8 +14,12 @@
 //! keeping her commission), and can render the figure for any `n`
 //! (experiment E4).
 
-use anta::process::Pid;
+use crate::msg::PMsg;
+use anta::clock::DriftClock;
+use anta::engine::Engine;
+use anta::process::{Pid, Process};
 use ledger::{Asset, CurrencyId, Ledger};
+use std::sync::Arc;
 use xcrypto::{KeyId, PaymentId, Pki, Signer};
 
 /// A participant's position in the chain: customer `c_i` or escrow `e_i`.
@@ -251,41 +255,6 @@ impl ValuePlan {
         self.amounts.len()
     }
 
-    /// Escrow `e_i`'s opening book: accounts for `c_i` (`up`) and `c_{i+1}`
-    /// (`down`), with `v_i` minted to `c_i` — the upstream customer's
-    /// working capital lives at her downstream escrow.
-    pub fn escrow_book(&self, i: usize, up: KeyId, down: KeyId) -> Ledger {
-        Ledger::funded(&[up, down], up, self.amounts[i])
-    }
-
-    /// Net value change of every customer `c_0..=c_n` (signers in index
-    /// order), read from the escrows' final books: `c_i`'s balances at
-    /// `e_{i-1}` and `e_i`, less the capital [`ValuePlan::escrow_book`]
-    /// minted to her at `e_i`. `book(i)` is `e_i`'s ledger, `None` where the
-    /// escrow was substituted; a position next to such an escrow is `None`.
-    /// Only meaningful for single-currency plans.
-    pub fn net_positions<'a>(
-        &self,
-        customers: &[Signer],
-        book: impl Fn(usize) -> Option<&'a Ledger>,
-    ) -> Vec<Option<i64>> {
-        let n = self.hops();
-        (0..=n)
-            .map(|i| {
-                let key = customers[i].id();
-                let mut worth: i64 = 0;
-                if i < n {
-                    worth += book(i)?.balance(key, self.amounts[i].currency) as i64;
-                    worth -= self.amounts[i].amount as i64;
-                }
-                if i > 0 {
-                    worth += book(i - 1)?.balance(key, self.amounts[i - 1].currency) as i64;
-                }
-                Some(worth)
-            })
-            .collect()
-    }
-
     /// Splits the plan into `k` parallel sub-plans carrying the same total
     /// value per hop — packetized payments in the sense of Dubovitskaya et
     /// al. (arXiv:2103.02056): one logical payment travels as `k`
@@ -320,38 +289,130 @@ impl ValuePlan {
     }
 }
 
-/// Keys and identities for one payment instance: a PKI universe with one
-/// key per participant (plus optional TM/notary keys added by scenarios).
-pub struct ChainKeys {
-    /// Shared verification registry.
-    pub pki: Pki,
-    /// Customer signers, index `0..=n` (Alice … Bob).
-    pub customers: Vec<Signer>,
-    /// Escrow signers, index `0..n`.
-    pub escrows: Vec<Signer>,
-    /// The derived payment identifier.
+/// One payment's Figure 1 chain, as both payment protocols run it: the
+/// topology, the value plan, the payment id, the frozen key registry and
+/// every customer's and escrow's signer. Theorem 1's
+/// [`ChainSetup`](crate::ChainSetup) and Theorem 3's
+/// [`WeakSetup`](crate::weak::WeakSetup) each hold one, add what their
+/// protocol needs, and assemble and audit their engines through it.
+pub struct Chain {
+    /// The pid layout.
+    pub topo: ChainTopology,
+    /// The amount each escrow hop carries.
+    pub plan: ValuePlan,
+    /// The payment instance, derived from the seed and every chain key.
     pub payment: PaymentId,
+    /// Shared verification registry, frozen once every key is in.
+    pub pki: Arc<Pki>,
+    /// Signers of `c_0..=c_n` (Alice … Bob).
+    customers: Vec<Signer>,
+    /// Signers of `e_0..e_{n-1}`.
+    escrows: Vec<Signer>,
 }
 
-impl ChainKeys {
-    /// Registers keys for every participant of `topo`, deterministically
-    /// from `seed`.
-    pub fn generate(topo: &ChainTopology, seed: u64) -> Self {
+impl Chain {
+    /// The chain of `n` escrows carrying `plan`, its keys drawn from
+    /// `seed` in one order: customers `c_0..=c_n`, escrows, then `extra`
+    /// more (the weak protocol's managers), which come back beside the
+    /// chain. Every key is registered before the registry is frozen, so
+    /// each [`KeyId`] and the [`PaymentId`] depend on `(n, seed)` alone.
+    pub fn new(n: usize, plan: ValuePlan, seed: u64, extra: usize) -> (Self, Vec<Signer>) {
+        assert_eq!(plan.hops(), n, "value plan must cover every escrow");
+        let topo = ChainTopology::new(n);
         let mut pki = Pki::new(seed);
-        let customers: Vec<Signer> = (0..=topo.n).map(|_| pki.register().1).collect();
-        let escrows: Vec<Signer> = (0..topo.n).map(|_| pki.register().1).collect();
-        let all: Vec<KeyId> = customers
-            .iter()
-            .map(|s| s.id())
-            .chain(escrows.iter().map(|s| s.id()))
-            .collect();
-        let payment = PaymentId::derive(seed, &all);
-        ChainKeys {
-            pki,
+        let mut register = |k: usize| -> Vec<Signer> { (0..k).map(|_| pki.register().1).collect() };
+        let (customers, escrows, extra) = (register(n + 1), register(n), register(extra));
+        let ids: Vec<KeyId> = customers.iter().chain(&escrows).map(Signer::id).collect();
+        let chain = Chain {
+            topo,
+            plan,
+            payment: PaymentId::derive(seed, &ids),
+            pki: Arc::new(pki),
             customers,
             escrows,
-            payment,
+        };
+        (chain, extra)
+    }
+
+    /// Number of escrows.
+    pub fn n(&self) -> usize {
+        self.topo.n
+    }
+
+    /// Signer of customer `c_i`.
+    pub fn customer_signer(&self, i: usize) -> &Signer {
+        &self.customers[i]
+    }
+
+    /// Signer of escrow `e_i`.
+    pub fn escrow_signer(&self, i: usize) -> &Signer {
+        &self.escrows[i]
+    }
+
+    /// Bob's key: the one χ must verify under.
+    pub fn bob_key(&self) -> KeyId {
+        self.customers[self.topo.n].id()
+    }
+
+    /// Escrow `e_i`'s opening book: accounts for `c_i` and `c_{i+1}`, with
+    /// `v_i` minted to `c_i` — the upstream customer's working capital
+    /// lives at her downstream escrow.
+    pub fn escrow_book(&self, i: usize) -> Ledger {
+        let (up, down) = (self.customers[i].id(), self.customers[i + 1].id());
+        Ledger::funded(&[up, down], up, self.plan.amounts[i])
+    }
+
+    /// Registers one process per chain pid in `eng`, in pid order: the
+    /// one `override_for` returns for the pid's role, else `default`'s,
+    /// on the clock `clock` gives the pid.
+    pub fn assemble(
+        &self,
+        eng: &mut Engine<PMsg>,
+        mut override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
+        default: impl Fn(Role) -> Box<dyn Process<PMsg>>,
+        clock: impl Fn(Pid) -> DriftClock,
+    ) {
+        for pid in 0..self.topo.participants() {
+            let role = self
+                .topo
+                .role_of(pid)
+                .expect("pids 0..2n+1 are the chain's");
+            let proc = override_for(role).unwrap_or_else(|| default(role));
+            let got = eng.add_process(proc, clock(pid));
+            debug_assert_eq!(got, pid);
         }
+    }
+
+    /// The escrow audit both protocols' outcomes carry. `book(i)` is
+    /// `e_i`'s final ledger, `None` where the escrow was substituted.
+    /// Returns, per escrow, whether its book conserves value, and per
+    /// customer `c_0..=c_n` her net value change: her balances at
+    /// `e_{i-1}` and `e_i`, less the capital [`Chain::escrow_book`] minted
+    /// to her at `e_i`. A position next to a substituted escrow is `None`.
+    /// Net positions are only meaningful for single-currency plans.
+    pub fn audit<'a>(
+        &self,
+        book: impl Fn(usize) -> Option<&'a Ledger>,
+    ) -> (Vec<Option<bool>>, Vec<Option<i64>>) {
+        let n = self.topo.n;
+        let conservation = (0..n)
+            .map(|i| book(i).map(|l| l.check_conservation().is_ok()))
+            .collect();
+        let amounts = &self.plan.amounts;
+        let net = (0..=n)
+            .map(|i| {
+                let key = self.customers[i].id();
+                let held = |e: usize| Some(book(e)?.balance(key, amounts[e].currency) as i64);
+                let down = if i < n {
+                    held(i)? - amounts[i].amount as i64
+                } else {
+                    0
+                };
+                let up = if i > 0 { held(i - 1)? } else { 0 };
+                Some(down + up)
+            })
+            .collect();
+        (conservation, net)
     }
 }
 
@@ -477,22 +538,20 @@ mod tests {
 
     #[test]
     fn keys_are_deterministic_and_distinct() {
-        let t = ChainTopology::new(2);
-        let k1 = ChainKeys::generate(&t, 9);
-        let k2 = ChainKeys::generate(&t, 9);
+        let chain = |seed| Chain::new(2, ValuePlan::uniform(2, 1), seed, 1);
+        let ((k1, x1), (k2, x2)) = (chain(9), chain(9));
         assert_eq!(k1.payment, k2.payment);
-        assert_eq!(k1.customers[2].id(), k2.customers[2].id());
-        let k3 = ChainKeys::generate(&t, 10);
-        assert_ne!(k1.payment, k3.payment);
-        // All keys distinct.
-        let mut all: Vec<KeyId> = k1
-            .customers
-            .iter()
-            .chain(k1.escrows.iter())
-            .map(|s| s.id())
+        assert_eq!(k1.customer_signer(2).id(), k2.customer_signer(2).id());
+        assert_eq!(x1[0].id(), x2[0].id());
+        assert_ne!(k1.payment, chain(10).0.payment);
+        // All keys distinct, the extra one included.
+        let mut all: Vec<KeyId> = (0..3)
+            .map(|i| k1.customer_signer(i).id())
+            .chain((0..2).map(|i| k1.escrow_signer(i).id()))
+            .chain([x1[0].id()])
             .collect();
         all.sort();
         all.dedup();
-        assert_eq!(all.len(), 5);
+        assert_eq!(all.len(), 6);
     }
 }

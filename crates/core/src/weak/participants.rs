@@ -22,15 +22,14 @@
 //! synchrony: no step depends on a wall-clock deadline.
 
 use super::scenario::WeakSetup;
+use crate::escrow::{EscrowCore, Marks};
 use crate::msg::{PMsg, TmInput, TmInputKind};
 use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
-use ledger::{Asset, DealId, Ledger};
+use ledger::{Asset, Ledger};
 use std::sync::Arc;
-use xcrypto::{
-    Authority, DecisionCert, KeyId, PaymentId, Pki, Receipt, Signature, Signer, Verdict,
-};
+use xcrypto::{Authority, DecisionCert, PaymentId, Pki, Receipt, Signature, Signer, Verdict};
 
 /// Accumulates decision-certificate shares until one verdict verifies
 /// against the authority (a single-signer authority verifies on the first
@@ -154,18 +153,18 @@ impl WeakCustomer {
     /// Builds customer `c_i` of `setup`'s chain, with her patience from
     /// the setup.
     pub fn new(setup: &WeakSetup, i: usize) -> Self {
-        let n = setup.n();
+        let (chain, n) = (&setup.chain, setup.chain.n());
         // Bob stages nothing; his escrow and asset are never read.
         let hop = i.min(n - 1);
         WeakCustomer {
             index: i,
             n,
-            own_escrow: setup.topo.escrow_pid(hop),
+            own_escrow: chain.topo.escrow_pid(hop),
             tm_pids: setup.tm_pids(),
-            signer: setup.customer_signer(i).clone(),
-            pki: setup.pki.clone(),
-            payment: setup.payment,
-            asset: setup.plan.amounts[hop],
+            signer: chain.customer_signer(i).clone(),
+            pki: chain.pki.clone(),
+            payment: chain.payment,
+            asset: chain.plan.amounts[hop],
             authority: setup.authority.clone(),
             patience: setup.patience[i],
             st: WeakCustomerState {
@@ -273,77 +272,43 @@ impl Process<PMsg> for WeakCustomer {
     }
 }
 
-/// An escrow in the weak protocol: locks on the customer's instruction,
-/// reports to the manager, settles on the certificate.
+/// An escrow in the weak protocol: the shared escrow core, plus the
+/// certificate rule — report the lock to the manager, settle on the
+/// decision.
 #[derive(Debug, Clone)]
 pub struct WeakEscrow {
-    index: usize,
-    up: Pid,
-    down: Pid,
-    up_key: KeyId,
-    down_key: KeyId,
+    core: EscrowCore<CertCollector>,
     tm_pids: Vec<Pid>,
-    signer: Signer,
-    pki: Arc<Pki>,
-    payment: PaymentId,
-    asset: Asset,
     authority: Authority,
-    st: WeakEscrowState,
 }
 
-/// A weak escrow's run state: the book, the deal and the collected
-/// shares. The rest of [`WeakEscrow`] is setup.
-#[derive(Debug, Clone, Hash)]
-struct WeakEscrowState {
-    ledger: Ledger,
-    deal: Option<DealId>,
-    certs: CertCollector,
-}
+const MARKS: Marks = Marks {
+    locked: "weak_escrow_locked",
+    lock_rejected: "weak_escrow_lock_rejected",
+    released: "weak_escrow_released",
+    refunded: "weak_escrow_refunded",
+};
 
 impl WeakEscrow {
     /// Builds weak escrow `e_i` of `setup`'s chain, its book holding both
     /// customer accounts with the upstream one funded.
     pub fn new(setup: &WeakSetup, i: usize) -> Self {
-        let up_key = setup.customer_signer(i).id();
-        let down_key = setup.customer_signer(i + 1).id();
+        let (chain, book) = (&setup.chain, setup.chain.escrow_book(i));
         WeakEscrow {
-            index: i,
-            up: setup.topo.customer_pid(i),
-            down: setup.topo.customer_pid(i + 1),
-            up_key,
-            down_key,
+            core: EscrowCore::new(chain, i, book, &MARKS, CertCollector::default()),
             tm_pids: setup.tm_pids(),
-            signer: setup.escrow_signer(i).clone(),
-            pki: setup.pki.clone(),
-            payment: setup.payment,
-            asset: setup.plan.amounts[i],
             authority: setup.authority.clone(),
-            st: WeakEscrowState {
-                ledger: setup.plan.escrow_book(i, up_key, down_key),
-                deal: None,
-                certs: CertCollector::default(),
-            },
         }
     }
 
     /// The escrow's book.
     pub fn ledger(&self) -> &Ledger {
-        &self.st.ledger
+        &self.core.st.ledger
     }
 
     /// The verdict this escrow settled on, if any.
     pub fn verdict(&self) -> Option<Verdict> {
-        self.st.certs.accepted()
-    }
-
-    /// Whether value is currently locked here.
-    pub fn locked(&self) -> bool {
-        self.st.deal.is_some()
-            && self
-                .st
-                .deal
-                .and_then(|d| self.st.ledger.deal(d))
-                .is_some_and(|d| d.state == ledger::DealState::Locked)
+        self.core.st.rule.accepted()
     }
 }
 
@@ -351,75 +316,30 @@ impl Process<PMsg> for WeakEscrow {
     fn on_start(&mut self, _ctx: &mut Ctx<PMsg>) {}
 
     fn on_message(&mut self, from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
+        let c = &mut self.core;
         match msg {
             PMsg::Money { payment, asset } => {
-                if from != self.up
-                    || payment != self.payment
-                    || asset != self.asset
-                    || self.st.deal.is_some()
-                    || self.st.certs.accepted().is_some()
-                {
+                if !c.lock(from, payment, asset, ctx) {
                     return;
                 }
-                match self.st.ledger.lock(self.up_key, self.down_key, asset) {
-                    Ok(deal) => {
-                        self.st.deal = Some(deal);
-                        ctx.mark("weak_escrow_locked", self.index as i64);
-                        let notice = TmInput::issue(
-                            &self.signer,
-                            TmInputKind::Locked,
-                            self.payment,
-                            self.index as u64,
-                        );
-                        for &tm in &self.tm_pids {
-                            ctx.send(tm, PMsg::TmInput(notice));
-                        }
-                    }
-                    Err(_) => ctx.mark("weak_escrow_lock_rejected", self.index as i64),
+                let notice =
+                    TmInput::issue(&c.signer, TmInputKind::Locked, c.payment, c.index as u64);
+                for &tm in &self.tm_pids {
+                    ctx.send(tm, PMsg::TmInput(notice));
                 }
             }
             PMsg::Decision(cert) => {
-                let Some(v) = self
-                    .st
-                    .certs
-                    .offer(&cert, self.payment, &self.pki, &self.authority)
-                else {
+                let Some(v) = c.st.rule.offer(&cert, c.payment, &c.pki, &self.authority) else {
                     return;
                 };
-                match (v, self.st.deal) {
-                    (Verdict::Commit, Some(deal)) => {
-                        self.st
-                            .ledger
-                            .release(deal)
-                            .expect("locked deal releases once");
-                        ctx.send(
-                            self.down,
-                            PMsg::Money {
-                                payment: self.payment,
-                                asset: self.asset,
-                            },
-                        );
-                        ctx.mark("weak_escrow_released", self.index as i64);
-                    }
-                    (Verdict::Abort, Some(deal)) => {
-                        self.st
-                            .ledger
-                            .refund(deal)
-                            .expect("locked deal refunds once");
-                        ctx.send(
-                            self.up,
-                            PMsg::Money {
-                                payment: self.payment,
-                                asset: self.asset,
-                            },
-                        );
-                        ctx.mark("weak_escrow_refunded", self.index as i64);
-                    }
+                if c.locked() {
+                    c.settle(v == Verdict::Commit, ctx);
+                } else {
                     // Nothing locked: nothing to settle (χa before any
                     // money, or a χc that — with an honest manager —
                     // cannot precede our lock; either way we hold no
                     // funds, so no-one loses anything).
-                    (_, None) => ctx.mark("weak_escrow_no_deal", self.index as i64),
+                    ctx.mark("weak_escrow_no_deal", c.index as i64);
                 }
                 ctx.halt();
             }
@@ -430,13 +350,14 @@ impl Process<PMsg> for WeakEscrow {
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<PMsg>) {}
 
     fn fp_digest(&self) -> u64 {
-        fingerprint(&self.st)
+        fingerprint(&self.core.st)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xcrypto::KeyId;
 
     #[test]
     fn cert_collector_single_authority() {

@@ -2,17 +2,16 @@
 
 use crate::msg::PMsg;
 use crate::timing::SyncParams;
-use crate::topology::{ChainKeys, ChainTopology, Role, ValuePlan};
+use crate::topology::{Chain, Role, ValuePlan};
 use crate::weak::participants::{Patience, WeakCustomer, WeakEscrow};
-use crate::weak::tm::{Evidence, NotaryTm, TrustedTm};
+use crate::weak::tm::{NotaryTm, TrustedTm};
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
 use anta::net::NetModel;
 use anta::oracle::Oracle;
 use anta::process::{Pid, Process};
 use anta::time::SimTime;
-use std::sync::Arc;
-use xcrypto::{Authority, KeyId, PaymentId, Pki, Signer, Verdict};
+use xcrypto::{Authority, Signer, Verdict};
 
 /// Which transaction manager to deploy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,56 +29,38 @@ pub enum TmKind {
     },
 }
 
-/// One complete weak-protocol configuration.
+/// One complete weak-protocol configuration: the chain, plus its
+/// transaction manager and every customer's patience.
 pub struct WeakSetup {
-    /// The Figure 1 chain topology.
-    pub topo: ChainTopology,
-    /// The amount each escrow hop carries.
-    pub plan: ValuePlan,
-    /// The payment instance this belongs to.
-    pub payment: PaymentId,
-    /// Shared verification registry.
-    pub pki: Arc<Pki>,
+    /// The Figure 1 chain: topology, value plan, payment id and keys.
+    pub chain: Chain,
     /// Which transaction manager is deployed.
     pub tm_kind: TmKind,
     /// Who vouches for decision certificates.
     pub authority: Authority,
     /// Per-customer patience, index `0..=n`.
     pub patience: Vec<Patience>,
-    customers: Vec<Signer>,
-    escrows: Vec<Signer>,
     tms: Vec<Signer>,
 }
 
 impl WeakSetup {
     /// Creates a setup with all customers fully patient.
     pub fn new(n: usize, plan: ValuePlan, tm_kind: TmKind, seed: u64) -> Self {
-        assert_eq!(plan.hops(), n);
-        let topo = ChainTopology::new(n);
-        let keys = ChainKeys::generate(&topo, seed);
-        let mut pki = keys.pki;
-        let tm_count = match tm_kind {
+        let k = match tm_kind {
             TmKind::Trusted | TmKind::Contract => 1,
-            TmKind::Committee { k } => {
-                assert!(k >= 1, "empty committee");
-                k
-            }
+            TmKind::Committee { k } => k,
         };
-        let tms: Vec<Signer> = (0..tm_count).map(|_| pki.register().1).collect();
+        assert!(k >= 1, "empty committee");
+        let (chain, tms) = Chain::new(n, plan, seed, k);
         let authority = match tm_kind {
             TmKind::Trusted | TmKind::Contract => Authority::Single(tms[0].id()),
-            TmKind::Committee { .. } => Authority::committee(tms.iter().map(|s| s.id()).collect()),
+            TmKind::Committee { .. } => Authority::committee(tms.iter().map(Signer::id).collect()),
         };
         WeakSetup {
-            topo,
-            plan,
-            payment: keys.payment,
-            pki: Arc::new(pki),
+            chain,
             tm_kind,
             authority,
             patience: vec![Patience::patient(); n + 1],
-            customers: keys.customers,
-            escrows: keys.escrows,
             tms,
         }
     }
@@ -90,30 +71,10 @@ impl WeakSetup {
         self
     }
 
-    /// Number of escrows.
-    pub fn n(&self) -> usize {
-        self.topo.n
-    }
-
-    /// Number of manager processes.
-    pub fn tm_count(&self) -> usize {
-        self.tms.len()
-    }
-
     /// Engine pids of the manager processes.
     pub fn tm_pids(&self) -> Vec<Pid> {
-        let base = self.topo.next_free_pid();
-        (0..self.tm_count()).map(|i| base + i).collect()
-    }
-
-    /// Signer of customer `c_i`.
-    pub fn customer_signer(&self, i: usize) -> &Signer {
-        &self.customers[i]
-    }
-
-    /// Signer of escrow `e_i`.
-    pub fn escrow_signer(&self, i: usize) -> &Signer {
-        &self.escrows[i]
+        let base = self.chain.topo.next_free_pid();
+        (base..base + self.tms.len()).collect()
     }
 
     /// Signer of manager process `i` — exposed so baseline variants (e.g.
@@ -123,25 +84,9 @@ impl WeakSetup {
         &self.tms[i]
     }
 
-    /// Keys of all escrows, in index order.
-    pub fn escrow_keys(&self) -> Vec<KeyId> {
-        self.escrows.iter().map(|s| s.id()).collect()
-    }
-
-    /// Keys of all customers, in index order.
-    pub fn customer_keys(&self) -> Vec<KeyId> {
-        self.customers.iter().map(|s| s.id()).collect()
-    }
-
-    /// A fresh evidence collector for this payment — what every manager,
-    /// including a baseline's substitute, decides on.
-    pub fn evidence(&self) -> Evidence {
-        Evidence::new(self.payment, self.escrow_keys(), self.customer_keys())
-    }
-
     /// Everyone who must learn the decision.
     pub fn participant_pids(&self) -> Vec<Pid> {
-        (0..self.topo.participants()).collect()
+        (0..self.chain.topo.participants()).collect()
     }
 
     /// The default (compliant) process for a chain role.
@@ -195,15 +140,16 @@ impl WeakSetup {
         net: Box<dyn NetModel<PMsg>>,
         oracle: Box<dyn Oracle>,
         cfg: EngineConfig,
-        mut override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
+        override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
         mut override_tm: impl FnMut(usize) -> Option<Box<dyn Process<PMsg>>>,
     ) -> Engine<PMsg> {
         let mut eng = Engine::new(net, oracle, cfg);
-        for pid in 0..self.topo.participants() {
-            let role = self.topo.role_of(pid).expect("chain pid");
-            let proc = override_for(role).unwrap_or_else(|| self.default_process(role));
-            eng.add_process(proc, DriftClock::perfect());
-        }
+        self.chain.assemble(
+            &mut eng,
+            override_for,
+            |role| self.default_process(role),
+            |_| DriftClock::perfect(),
+        );
         for (i, proc) in self.tm_processes().into_iter().enumerate() {
             let proc = override_tm(i).unwrap_or(proc);
             eng.add_process(proc, DriftClock::perfect());
@@ -251,71 +197,37 @@ pub struct WeakOutcome {
 impl WeakOutcome {
     /// Extracts the outcome from a finished engine.
     pub fn extract(eng: &Engine<PMsg>, setup: &WeakSetup) -> Self {
-        let n = setup.n();
-        let topo = &setup.topo;
-        let mut customer_verdicts = Vec::with_capacity(n + 1);
-        let mut abort_requested = Vec::with_capacity(n + 1);
-        let mut all_terminated = true;
-        for i in 0..=n {
-            let pid = topo.customer_pid(i);
-            match eng.process_as::<WeakCustomer>(pid) {
-                Some(c) => {
-                    customer_verdicts.push(Some(c.verdict()));
-                    abort_requested.push(Some(c.abort_requested()));
-                    if eng.trace().halt_time(pid).is_none() {
-                        all_terminated = false;
-                    }
-                }
-                None => {
-                    customer_verdicts.push(None);
-                    abort_requested.push(None);
-                }
-            }
-        }
-        let mut escrow_verdicts = Vec::with_capacity(n);
-        let mut conservation = Vec::with_capacity(n);
-        for i in 0..n {
-            match eng.process_as::<WeakEscrow>(topo.escrow_pid(i)) {
-                Some(e) => {
-                    escrow_verdicts.push(Some(e.verdict()));
-                    conservation.push(Some(e.ledger().check_conservation().is_ok()));
-                }
-                None => {
-                    escrow_verdicts.push(None);
-                    conservation.push(None);
-                }
-            }
-        }
-        let net_positions = setup.plan.net_positions(&setup.customers, |i| {
-            eng.process_as::<WeakEscrow>(topo.escrow_pid(i))
-                .map(WeakEscrow::ledger)
-        });
-        let bob_paid = eng
-            .process_as::<WeakEscrow>(topo.escrow_pid(n - 1))
-            .map(|e| {
-                e.ledger()
-                    .balance(setup.customers[n].id(), setup.plan.amounts[n - 1].currency)
-                    == setup.plan.amounts[n - 1].amount
-            })
-            .unwrap_or(false);
-        // CC: gather every accepted verdict; all must agree.
-        let mut verdicts: Vec<Verdict> = customer_verdicts
-            .iter()
-            .flatten()
-            .flatten()
-            .copied()
-            .chain(escrow_verdicts.iter().flatten().flatten().copied())
+        let chain = &setup.chain;
+        let (n, topo) = (chain.n(), &chain.topo);
+        let customer = |i| eng.process_as::<WeakCustomer>(topo.customer_pid(i));
+        let customer_verdicts: Vec<_> = (0..=n)
+            .map(|i| customer(i).map(WeakCustomer::verdict))
             .collect();
-        verdicts.dedup();
-        verdicts.sort_by_key(|v| matches!(v, Verdict::Abort));
-        verdicts.dedup();
-        let cc_ok = verdicts.len() <= 1;
-        // Contract chain integrity.
-        let chain_integrity = setup.tm_pids().first().and_then(|&pid| {
-            eng.process_as::<TrustedTm>(pid)
-                .and_then(|tm| tm.chain())
-                .map(|c| c.verify_integrity().is_ok())
+        let abort_requested = (0..=n)
+            .map(|i| customer(i).map(WeakCustomer::abort_requested))
+            .collect();
+        let all_terminated = (0..=n).all(|i| {
+            customer(i).is_none() || eng.trace().halt_time(topo.customer_pid(i)).is_some()
         });
+        let escrow = |i| eng.process_as::<WeakEscrow>(topo.escrow_pid(i));
+        let escrow_verdicts: Vec<_> = (0..n).map(|i| escrow(i).map(WeakEscrow::verdict)).collect();
+        let (conservation, net_positions) = chain.audit(|i| escrow(i).map(WeakEscrow::ledger));
+        let last = chain.plan.amounts[n - 1];
+        let bob_paid = escrow(n - 1)
+            .is_some_and(|e| e.ledger().balance(chain.bob_key(), last.currency) == last.amount);
+        // CC: every accepted verdict agrees with the first.
+        let mut accepted = customer_verdicts
+            .iter()
+            .chain(&escrow_verdicts)
+            .flatten()
+            .flatten();
+        let first = accepted.next();
+        let cc_ok = accepted.all(|v| Some(v) == first);
+        // Contract chain integrity.
+        let chain_integrity = eng
+            .process_as::<TrustedTm>(topo.next_free_pid())
+            .and_then(|tm| tm.chain())
+            .map(|c| c.verify_integrity().is_ok());
         WeakOutcome {
             n,
             customer_verdicts,
@@ -333,20 +245,8 @@ impl WeakOutcome {
     /// The single verdict of the run, if any compliant participant
     /// accepted one.
     pub fn verdict(&self) -> Option<Verdict> {
-        self.customer_verdicts
-            .iter()
-            .flatten()
-            .flatten()
-            .copied()
-            .next()
-            .or_else(|| {
-                self.escrow_verdicts
-                    .iter()
-                    .flatten()
-                    .flatten()
-                    .copied()
-                    .next()
-            })
+        let accepted = self.customer_verdicts.iter().chain(&self.escrow_verdicts);
+        accepted.flatten().flatten().copied().next()
     }
 }
 

@@ -15,6 +15,7 @@
 
 use super::scenario::{TmKind, WeakSetup};
 use crate::msg::{PMsg, TmInput, TmInputKind};
+use crate::topology::Chain;
 use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
@@ -50,15 +51,15 @@ impl Hash for Evidence {
 }
 
 impl Evidence {
-    /// Fresh evidence tracker for a chain of `escrow_keys.len()` hops.
-    pub fn new(payment: PaymentId, escrow_keys: Vec<KeyId>, customer_keys: Vec<KeyId>) -> Self {
-        let bob_key = *customer_keys.last().expect("n+1 customers");
-        let n = escrow_keys.len();
+    /// Fresh evidence tracker for `chain`'s payment — what every manager,
+    /// including a baseline's substitute, decides on.
+    pub fn new(chain: &Chain) -> Self {
+        let n = chain.n();
         Evidence {
-            payment,
-            escrow_keys,
-            customer_keys,
-            bob_key,
+            payment: chain.payment,
+            escrow_keys: (0..n).map(|i| chain.escrow_signer(i).id()).collect(),
+            customer_keys: (0..=n).map(|i| chain.customer_signer(i).id()).collect(),
+            bob_key: chain.bob_key(),
             st: EvidenceState {
                 locks: vec![false; n],
                 accept: false,
@@ -152,10 +153,10 @@ impl TrustedTm {
     pub fn new(setup: &WeakSetup) -> Self {
         TrustedTm {
             signer: setup.tm_signer(0).clone(),
-            pki: setup.pki.clone(),
+            pki: setup.chain.pki.clone(),
             participants: setup.participant_pids(),
             st: TrustedTmState {
-                evidence: setup.evidence(),
+                evidence: Evidence::new(&setup.chain),
                 decided: None,
                 chain: (setup.tm_kind == TmKind::Contract).then(SimChain::new),
             },
@@ -283,11 +284,11 @@ impl NotaryTm {
     /// Builds notary `i` of `setup`'s committee: its consensus instance
     /// spans every manager process and tolerates `f = ⌊(k−1)/3⌋` of them.
     pub fn new(setup: &WeakSetup, i: usize) -> Self {
-        let k = setup.tm_count();
         let pids = setup.tm_pids();
+        let k = pids.len();
         NotaryTm {
             signer: setup.tm_signer(i).clone(),
-            pki: setup.pki.clone(),
+            pki: setup.chain.pki.clone(),
             participants: setup.participant_pids(),
             peers: pids.iter().copied().filter(|&p| p != pids[i]).collect(),
             cons_cfg: ConsConfig {
@@ -297,7 +298,7 @@ impl NotaryTm {
                 base_timeout: CONS_BASE_TIMEOUT,
             },
             st: NotaryTmState {
-                evidence: setup.evidence(),
+                evidence: Evidence::new(&setup.chain),
                 core: None,
                 held: Vec::new(),
                 decided: None,
@@ -434,74 +435,68 @@ impl Process<PMsg> for NotaryTm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::ValuePlan;
 
-    fn evidence_rig() -> (Pki, Vec<Signer>, Vec<Signer>, Evidence) {
-        let mut pki = Pki::new(4);
-        let customers: Vec<Signer> = pki.register_many(3).into_iter().map(|(_, s)| s).collect();
-        let escrows: Vec<Signer> = pki.register_many(2).into_iter().map(|(_, s)| s).collect();
-        let payment = PaymentId::derive(1, &customers.iter().map(|s| s.id()).collect::<Vec<_>>());
-        let ev = Evidence::new(
-            payment,
-            escrows.iter().map(|s| s.id()).collect(),
-            customers.iter().map(|s| s.id()).collect(),
-        );
-        (pki, customers, escrows, ev)
+    fn evidence_rig() -> (Chain, Evidence) {
+        let (chain, _) = Chain::new(2, ValuePlan::uniform(2, 1), 4, 0);
+        let ev = Evidence::new(&chain);
+        (chain, ev)
     }
 
     #[test]
     fn evidence_commit_requires_all_locks_and_accept() {
-        let (pki, customers, escrows, mut ev) = evidence_rig();
+        let (c, mut ev) = evidence_rig();
         assert_eq!(ev.verdict(), None);
         let payment = ev.payment();
         ev.ingest_input(
-            &TmInput::issue(&escrows[0], TmInputKind::Locked, payment, 0),
-            &pki,
+            &TmInput::issue(c.escrow_signer(0), TmInputKind::Locked, payment, 0),
+            &c.pki,
         );
         assert!(!ev.commit_ready());
         ev.ingest_input(
-            &TmInput::issue(&escrows[1], TmInputKind::Locked, payment, 1),
-            &pki,
+            &TmInput::issue(c.escrow_signer(1), TmInputKind::Locked, payment, 1),
+            &c.pki,
         );
         assert!(!ev.commit_ready(), "needs Bob's acceptance too");
-        ev.ingest_accept(&Receipt::issue(&customers[2], payment), &pki);
+        ev.ingest_accept(&Receipt::issue(c.customer_signer(2), payment), &c.pki);
         assert!(ev.commit_ready());
         assert_eq!(ev.verdict(), Some(Verdict::Commit));
     }
 
     #[test]
     fn evidence_rejects_forged_inputs() {
-        let (pki, customers, escrows, mut ev) = evidence_rig();
+        let (c, mut ev) = evidence_rig();
         let payment = ev.payment();
         // A customer signing a Locked notice is not an escrow.
         ev.ingest_input(
-            &TmInput::issue(&customers[0], TmInputKind::Locked, payment, 0),
-            &pki,
+            &TmInput::issue(c.customer_signer(0), TmInputKind::Locked, payment, 0),
+            &c.pki,
         );
         assert!(!ev.commit_ready());
         // Wrong escrow index.
         ev.ingest_input(
-            &TmInput::issue(&escrows[1], TmInputKind::Locked, payment, 0),
-            &pki,
+            &TmInput::issue(c.escrow_signer(1), TmInputKind::Locked, payment, 0),
+            &c.pki,
         );
         assert_eq!(ev.verdict(), None);
         // Accept signed by a non-Bob key.
-        ev.ingest_accept(&Receipt::issue(&customers[0], payment), &pki);
+        ev.ingest_accept(&Receipt::issue(c.customer_signer(0), payment), &c.pki);
         assert!(!ev.st.accept);
         // Out-of-range indices are ignored.
         ev.ingest_input(
-            &TmInput::issue(&escrows[0], TmInputKind::Locked, payment, 99),
-            &pki,
+            &TmInput::issue(c.escrow_signer(0), TmInputKind::Locked, payment, 99),
+            &c.pki,
         );
         assert_eq!(ev.verdict(), None);
     }
 
     #[test]
     fn evidence_abort_from_any_customer() {
-        let (pki, customers, _escrows, mut ev) = evidence_rig();
+        let (c, mut ev) = evidence_rig();
         let payment = ev.payment();
         ev.ingest_input(
-            &TmInput::issue(&customers[1], TmInputKind::AbortRequest, payment, 1),
-            &pki,
+            &TmInput::issue(c.customer_signer(1), TmInputKind::AbortRequest, payment, 1),
+            &c.pki,
         );
         assert!(ev.abort_ready());
         assert_eq!(ev.verdict(), Some(Verdict::Abort));
@@ -509,20 +504,20 @@ mod tests {
 
     #[test]
     fn evidence_prefers_abort_when_both_ready() {
-        let (pki, customers, escrows, mut ev) = evidence_rig();
+        let (c, mut ev) = evidence_rig();
         let payment = ev.payment();
         ev.ingest_input(
-            &TmInput::issue(&escrows[0], TmInputKind::Locked, payment, 0),
-            &pki,
+            &TmInput::issue(c.escrow_signer(0), TmInputKind::Locked, payment, 0),
+            &c.pki,
         );
         ev.ingest_input(
-            &TmInput::issue(&escrows[1], TmInputKind::Locked, payment, 1),
-            &pki,
+            &TmInput::issue(c.escrow_signer(1), TmInputKind::Locked, payment, 1),
+            &c.pki,
         );
-        ev.ingest_accept(&Receipt::issue(&customers[2], payment), &pki);
+        ev.ingest_accept(&Receipt::issue(c.customer_signer(2), payment), &c.pki);
         ev.ingest_input(
-            &TmInput::issue(&customers[0], TmInputKind::AbortRequest, payment, 0),
-            &pki,
+            &TmInput::issue(c.customer_signer(0), TmInputKind::AbortRequest, payment, 0),
+            &c.pki,
         );
         assert_eq!(ev.verdict(), Some(Verdict::Abort));
     }

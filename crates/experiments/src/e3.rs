@@ -47,7 +47,7 @@ impl PatiencePlan {
                 setup
             }
             PatiencePlan::WithholderPlusGuard => {
-                let n = setup.n();
+                let n = setup.chain.n();
                 setup = setup.with_patience(n, Patience::absent()); // Bob never accepts
                 setup = setup.with_patience(0, Patience::until(SimDuration::from_millis(400)));
                 setup

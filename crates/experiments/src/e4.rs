@@ -240,8 +240,8 @@ pub fn run(n: usize) -> E4Report {
     // exploration, just faster.
     let exploration = explore_instance_opts(1, 0, 100_000, 4);
     E4Report {
-        figure1_ascii: setup.topo.render_figure1(),
-        figure1_dot: setup.topo.to_dot(),
+        figure1_ascii: setup.chain.topo.render_figure1(),
+        figure1_dot: setup.chain.topo.to_dot(),
         figure2_dots,
         skeletons_match: exec_skel == decl_skel,
         exec_skeleton_len: exec_skel.len(),

@@ -177,7 +177,7 @@ impl ByzFault {
     /// the first guarantee bound — early enough to hit every protocol
     /// phase across instances, late enough that the run has begun.
     pub fn substitute(&self, setup: &ChainSetup, role: Role) -> Option<Box<dyn Process<PMsg>>> {
-        let n = setup.n();
+        let n = setup.chain.n();
         if self.role(n) != Some(role) {
             return None;
         }

@@ -181,7 +181,7 @@ impl ProtocolHarness for IlpAtomicHarness {
 
         let crash_role = match inst.faults.byz {
             ByzFault::CrashCustomer(_) | ByzFault::CrashEscrow(_) => {
-                inst.faults.byz.role(setup.n())
+                inst.faults.byz.role(setup.chain.n())
             }
             _ => None,
         };
@@ -223,7 +223,7 @@ impl ProtocolHarness for IlpAtomicHarness {
         spec: &PaymentSpec,
         outcome: ProtocolOutcome,
     ) -> SimDuration {
-        payee_halt_latency(eng, inst.setup.topo.customer_pid(spec.n), outcome)
+        payee_halt_latency(eng, inst.setup.chain.topo.customer_pid(spec.n), outcome)
     }
 
     fn lock_events(

@@ -84,7 +84,7 @@ impl ProtocolHarness for TimeBoundedHarness {
         spec: &PaymentSpec,
         outcome: ProtocolOutcome,
     ) -> SimDuration {
-        payee_halt_latency(eng, inst.setup.topo.customer_pid(spec.n), outcome)
+        payee_halt_latency(eng, inst.setup.chain.topo.customer_pid(spec.n), outcome)
     }
 
     fn lock_events(

@@ -20,7 +20,7 @@ use crosschain::payment::{Role, SyncParams, ValuePlan};
 fn main() {
     let n = 3;
     let setup = ChainSetup::new(n, ValuePlan::uniform(n, 500), SyncParams::baseline(), 8);
-    println!("{}", setup.topo.render_figure1());
+    println!("{}", setup.chain.topo.render_figure1());
     println!("Chloe1 is Byzantine: she will forge χ instead of paying.\n");
 
     let mut engine = setup.build_engine_with(

@@ -26,7 +26,7 @@ fn run(label: &str, setup: &ChainSetup) -> ChainOutcome {
     let report = engine.run();
     let outcome = ChainOutcome::extract(&engine, setup, report.quiescent);
     println!("[{label}]");
-    println!("  a_0 … a_{}: {:?}", setup.n() - 1, setup.schedule.a);
+    println!("  a_0 … a_{}: {:?}", setup.chain.n() - 1, setup.schedule.a);
     println!("  Bob paid: {}", outcome.bob_paid());
     for (i, c) in outcome.customers.iter().enumerate() {
         println!("  c{i}: {:?}", c.unwrap().outcome);

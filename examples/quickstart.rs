@@ -21,7 +21,7 @@ fn main() {
     let params = SyncParams::baseline(); // δ = 10 ms, σ = 1 ms, ρ = 100 ppm
     let setup = ChainSetup::new(n, ValuePlan::with_commission(n, 1_000, 5), params, 42);
 
-    println!("{}", setup.topo.render_figure1());
+    println!("{}", setup.chain.topo.render_figure1());
     println!("Derived timeout schedule (Theorem 1 calculus):");
     for i in 0..n {
         println!(

@@ -90,6 +90,14 @@ row 'Role::(Alice|Chloe|Bob)\b' "$code" '' \
 row '\b(Fig2Params|DecisionLog|SilentNotary)\b' crates '' \
     "deleted: Fig2Params (use ChainSetup), DecisionLog (CC is WeakOutcome::cc_ok), SilentNotary (use InertProcess)"
 
+# Both payment protocols run on one Figure 1 chain: payment::topology::Chain
+# holds the keys (registered once, before the registry is frozen), and both
+# setups hold one Chain.
+row '\bChainKeys\b' "$code" '' \
+    "deleted: a setup's keys live in its payment::topology::Chain (Chain::new registers customers, escrows, then any manager keys)"
+row '\bChainKeysLite\b' "$code" '' \
+    "deleted: ChainSetup holds one payment::topology::Chain, whose PKI is frozen behind an Arc"
+
 # A variant is written as its difference: the atomic notary wraps
 # Theorem 3's TrustedTm, and a Figure 2 automaton forwards the message that
 # entered its grey state instead of storing it. Each model process signs

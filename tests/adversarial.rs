@@ -21,8 +21,8 @@ fn crash_matrix_every_role_every_phase() {
     // parties must keep Definition 1 in all 3 × (2n+1) runs.
     let s = setup(2);
     let phases = [5u64, 25, 60]; // ms: during setup, mid-flow, settlement
-    for victim_pid in 0..s.topo.participants() {
-        let role = s.topo.role_of(victim_pid).unwrap();
+    for victim_pid in 0..s.chain.topo.participants() {
+        let role = s.chain.topo.role_of(victim_pid).unwrap();
         for (pi, at_ms) in phases.iter().enumerate() {
             let mut eng = s.build_engine_with(
                 Box::new(SyncNet::new(s.params.delta, 8)),

@@ -69,7 +69,7 @@ fn table() -> String {
         eng.run();
         let weak_outcome = WeakOutcome::extract(&eng, &weak);
 
-        for (who, compliance) in markings(&tb.topo) {
+        for (who, compliance) in markings(&tb.chain.topo) {
             let d1 = check_definition1(&chain, &tb, &compliance);
             let d2 = check_definition2(&weak_outcome, &compliance, true);
             let d1: String = [&d1.es, &d1.cs1, &d1.cs2, &d1.cs3, &d1.t, &d1.l]

@@ -66,7 +66,7 @@ fn run(s: &ChainSetup, steps: Vec<Step>) -> (Engine<PMsg>, ChainOutcome) {
     let mut scripts: Vec<Vec<(u64, Pid, PMsg)>> = vec![Vec::new(); N];
     for (k, (e, i, msg)) in steps.into_iter().enumerate() {
         let at = 1_000 * (k as u64 + 1);
-        scripts[e].push((at, s.topo.customer_pid(i), msg));
+        scripts[e].push((at, s.chain.topo.customer_pid(i), msg));
     }
     let mut scripts = scripts.into_iter().map(Some).collect::<Vec<_>>();
     let mut eng = s.build_engine_with(
@@ -88,7 +88,7 @@ fn run(s: &ChainSetup, steps: Vec<Step>) -> (Engine<PMsg>, ChainOutcome) {
 
 /// Everything customer `i` sent, as `(recipient pid, message)`.
 fn sent_by(eng: &Engine<PMsg>, s: &ChainSetup, i: usize) -> Vec<(Pid, PMsg)> {
-    let pid = s.topo.customer_pid(i);
+    let pid = s.chain.topo.customer_pid(i);
     eng.trace()
         .events
         .iter()
@@ -101,9 +101,9 @@ fn sent_by(eng: &Engine<PMsg>, s: &ChainSetup, i: usize) -> Vec<(Pid, PMsg)> {
 
 fn promise(s: &ChainSetup, signer: usize, kind: PromiseKind, e: usize, bound: SimDuration) -> PMsg {
     PMsg::Promise(SignedPromise::issue(
-        s.escrow_signer(signer),
+        s.chain.escrow_signer(signer),
         kind,
-        s.payment,
+        s.chain.payment,
         e,
         bound,
     ))
@@ -141,17 +141,17 @@ fn off_bound(s: &ChainSetup, step: &Step, by: i64) -> Step {
 
 fn money(s: &ChainSetup, hop: usize) -> PMsg {
     PMsg::Money {
-        payment: s.payment,
-        asset: s.plan.amounts[hop],
+        payment: s.chain.payment,
+        asset: s.chain.plan.amounts[hop],
     }
 }
 
 fn chi(s: &ChainSetup) -> PMsg {
-    PMsg::Receipt(Receipt::issue(s.customer_signer(N), s.payment))
+    PMsg::Receipt(Receipt::issue(s.chain.customer_signer(N), s.chain.payment))
 }
 
 fn other_payment(s: &ChainSetup) -> PaymentId {
-    let mut id = s.payment;
+    let mut id = s.chain.payment;
     id.0[0] ^= 1;
     id
 }
@@ -160,9 +160,9 @@ fn other_payment(s: &ChainSetup) -> PaymentId {
 /// `e_i`, or Bob's χ to `e_{n-1}`.
 fn payment_of(s: &ChainSetup, i: usize) -> (Pid, PMsg) {
     if i < N {
-        (s.topo.escrow_pid(i), money(s, i))
+        (s.chain.topo.escrow_pid(i), money(s, i))
     } else {
-        (s.topo.escrow_pid(N - 1), chi(s))
+        (s.chain.topo.escrow_pid(N - 1), chi(s))
     }
 }
 
@@ -217,16 +217,21 @@ fn hostile_inputs_are_ignored_and_the_customer_pays_once() {
             // Wrong sender: the honest promise from the other escrow.
             steps.push((other, i, honest_step.2.clone()));
             // Wrong payment, honestly signed.
-            let wrong =
-                SignedPromise::issue(s.escrow_signer(e), p.kind, other_payment(&s), e, p.bound);
+            let wrong = SignedPromise::issue(
+                s.chain.escrow_signer(e),
+                p.kind,
+                other_payment(&s),
+                e,
+                p.bound,
+            );
             steps.push((e, i, PMsg::Promise(wrong)));
             // Bad signatures: the other escrow's key, and a bound that
             // is not the one signed.
             steps.push((e, i, promise(&s, other, p.kind, e, p.bound)));
             let mut forged = SignedPromise::issue(
-                s.escrow_signer(e),
+                s.chain.escrow_signer(e),
                 p.kind,
-                s.payment,
+                s.chain.payment,
                 e,
                 p.bound + SimDuration::from_ticks(1),
             );
@@ -249,28 +254,32 @@ fn hostile_inputs_are_ignored_and_the_customer_pays_once() {
         // signed by Bob, and Bob's χ for another payment.
         if i < N {
             let wrong_amount = PMsg::Money {
-                payment: s.payment,
+                payment: s.chain.payment,
                 asset: Asset {
-                    amount: s.plan.amounts[i].amount + 1,
-                    ..s.plan.amounts[i]
+                    amount: s.chain.plan.amounts[i].amount + 1,
+                    ..s.chain.plan.amounts[i]
                 },
             };
             let wrong_payment = PMsg::Money {
                 payment: other_payment(&s),
-                asset: s.plan.amounts[i],
+                asset: s.chain.plan.amounts[i],
             };
-            let bad_chi = PMsg::Receipt(Receipt::issue(s.customer_signer(i), s.payment));
-            let other_chi = PMsg::Receipt(Receipt::issue(s.customer_signer(N), other_payment(&s)));
+            let bad_chi =
+                PMsg::Receipt(Receipt::issue(s.chain.customer_signer(i), s.chain.payment));
+            let other_chi = PMsg::Receipt(Receipt::issue(
+                s.chain.customer_signer(N),
+                other_payment(&s),
+            ));
             for msg in [wrong_amount, wrong_payment, bad_chi, other_chi] {
                 steps.push((i, i, msg));
             }
         }
         if i > 0 {
             let wrong_amount = PMsg::Money {
-                payment: s.payment,
+                payment: s.chain.payment,
                 asset: Asset {
-                    amount: s.plan.amounts[i - 1].amount + 1,
-                    ..s.plan.amounts[i - 1]
+                    amount: s.chain.plan.amounts[i - 1].amount + 1,
+                    ..s.chain.plan.amounts[i - 1]
                 },
             };
             steps.push((i - 1, i, wrong_amount));
@@ -306,6 +315,6 @@ fn a_connector_forwards_chi_once_and_then_waits_for_upstream() {
     assert_eq!(view.outcome, CustomerOutcome::Reimbursed);
     assert_eq!(
         sent_by(&eng, &s, 1),
-        vec![payment_of(&s, 1), (s.topo.escrow_pid(0), chi(&s))]
+        vec![payment_of(&s, 1), (s.chain.topo.escrow_pid(0), chi(&s))]
     );
 }
