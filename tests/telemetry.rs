@@ -262,3 +262,67 @@ proptest! {
         }
     }
 }
+
+/// The DES's per-venue counters, summed over venues, with the number of
+/// venues that saw any activity and a digest of the rows: for the routed
+/// campaign of `tests/routing.rs`'s
+/// `routed_campaign_work_counters_are_pinned_exactly` and for one bounded
+/// hub campaign of the benchmark's `open_hub` shape. No report digest
+/// covers the `OpenTelemetry` sidecar, so this is the one exact pin of
+/// what the `venue_des` series counts.
+#[test]
+fn venue_des_counters_are_pinned_exactly() {
+    let bursty = ArrivalProcess::Bursty {
+        burst: 32,
+        gap: SimDuration::from_millis(20),
+    };
+    let family = TopologyFamily::ScaleFree {
+        venues: 1_024,
+        attach: 2,
+    };
+    let mut routed = WorkloadConfig::new(family, 400, 42);
+    routed.amount = (100, 2_000);
+    routed.max_commission = 0;
+    routed.arrivals = bursty;
+    let mut hub = WorkloadConfig::new(TopologyFamily::HubAndSpoke { spokes: 8 }, 1_024, 42);
+    hub.arrivals = bursty;
+    let rebalance = RoutingConfig::with_rebalance(SimDuration::from_millis(10));
+    let cases = [(routed, 2_500, Some(&rebalance)), (hub, 30_000, None)];
+    let pinned = cases.map(|(workload, budget, routing)| {
+        let cfg = SimConfig {
+            threads: 1,
+            ..SimConfig::new(workload)
+        };
+        let specs = crosschain::sim::workload::generate(&workload);
+        let liq = LiquidityConfig::queue(budget, SimDuration::from_millis(25));
+        let (_, telemetry) = run_open(&TimeBoundedHarness, &specs, &cfg, &liq, routing);
+        let mut sum = VenueEvents::default();
+        for (_, ev) in &telemetry.venue_events {
+            sum.absorb(ev);
+        }
+        let rows = format!("{:?}", telemetry.venue_events);
+        (
+            [
+                sum.admitted,
+                sum.rejected,
+                sum.queued,
+                sum.expired,
+                sum.locks,
+                sum.releases,
+            ],
+            telemetry.venue_events.len(),
+            crosschain::experiments::digest::fnv1a64(rows.as_bytes()),
+        )
+    });
+    assert_eq!(
+        pinned,
+        [
+            (
+                [1_723, 42, 1_022, 42, 1_723, 1_723],
+                851,
+                0x473f_f455_8ef1_d280
+            ),
+            ([810, 1_238, 798, 1_238, 810, 810], 8, 0xfc70_39a0_a073_9ab9),
+        ]
+    );
+}
