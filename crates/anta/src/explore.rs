@@ -600,16 +600,15 @@ where
         budget_hit: AtomicBool::new(false),
         seen: reduced.then(|| Seen::new(if workers > 1 { 64 } else { 1 })),
     };
-    let per_worker: Vec<WorkerTotals> = crossbeam::scope(|scope| {
+    let per_worker: Vec<WorkerTotals> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|_| scope.spawn(|_| queue_worker(&build, &check, &sh)))
+            .map(|_| scope.spawn(|| queue_worker(&build, &check, &sh)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("explorer worker panicked"))
             .collect()
-    })
-    .expect("explorer worker panicked");
+    });
 
     let mode = if reduced { "reduced" } else { "full" };
     let mut report = ExploreReport {

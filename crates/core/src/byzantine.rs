@@ -253,7 +253,7 @@ impl Process<PMsg> for ThievingEscrow {
 /// abort right is unaffected.
 #[derive(Debug, Clone)]
 pub struct ImpersonatingAborter {
-    tm_pids: Vec<Pid>,
+    tm_pids: std::ops::Range<Pid>,
     signer: Signer,
     payment: PaymentId,
     /// The customer index she pretends to be.
@@ -283,7 +283,7 @@ impl Process<PMsg> for ImpersonatingAborter {
             self.payment,
             self.victim_index,
         );
-        for &tm in &self.tm_pids {
+        for tm in self.tm_pids.clone() {
             ctx.send(tm, PMsg::TmInput(forged));
         }
         ctx.mark("impersonated_abort_sent", self.victim_index as i64);

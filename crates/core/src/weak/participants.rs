@@ -129,7 +129,7 @@ pub struct WeakCustomer {
     /// Escrow to stage money at (`e_i` for `c_i`, `i < n`; unused for Bob).
     own_escrow: Pid,
     /// All transaction-manager pids (1 for single TM, k for a committee).
-    tm_pids: Vec<Pid>,
+    tm_pids: std::ops::Range<Pid>,
     signer: Signer,
     pki: Arc<Pki>,
     payment: PaymentId,
@@ -201,7 +201,7 @@ impl WeakCustomer {
         self.st.acted = true;
         if self.is_bob() {
             let chi = Receipt::issue(&self.signer, self.payment);
-            for &tm in &self.tm_pids {
+            for tm in self.tm_pids.clone() {
                 ctx.send(tm, PMsg::Accept(chi));
             }
             ctx.mark("weak_bob_accept", 0);
@@ -258,7 +258,7 @@ impl Process<PMsg> for WeakCustomer {
                     self.payment,
                     self.index as u64,
                 );
-                for &tm in &self.tm_pids {
+                for tm in self.tm_pids.clone() {
                     ctx.send(tm, PMsg::TmInput(req));
                 }
                 ctx.mark("weak_abort_requested", self.index as i64);
@@ -278,7 +278,7 @@ impl Process<PMsg> for WeakCustomer {
 #[derive(Debug, Clone)]
 pub struct WeakEscrow {
     core: EscrowCore<CertCollector>,
-    tm_pids: Vec<Pid>,
+    tm_pids: std::ops::Range<Pid>,
     authority: Authority,
 }
 
@@ -324,7 +324,7 @@ impl Process<PMsg> for WeakEscrow {
                 }
                 let notice =
                     TmInput::issue(&c.signer, TmInputKind::Locked, c.payment, c.index as u64);
-                for &tm in &self.tm_pids {
+                for tm in self.tm_pids.clone() {
                     ctx.send(tm, PMsg::TmInput(notice));
                 }
             }

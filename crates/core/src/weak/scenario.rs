@@ -72,9 +72,9 @@ impl WeakSetup {
     }
 
     /// Engine pids of the manager processes.
-    pub fn tm_pids(&self) -> Vec<Pid> {
+    pub fn tm_pids(&self) -> std::ops::Range<Pid> {
         let base = self.chain.topo.next_free_pid();
-        (base..base + self.tms.len()).collect()
+        base..base + self.tms.len()
     }
 
     /// Signer of manager process `i` — exposed so baseline variants (e.g.
@@ -85,8 +85,8 @@ impl WeakSetup {
     }
 
     /// Everyone who must learn the decision.
-    pub fn participant_pids(&self) -> Vec<Pid> {
-        (0..self.chain.topo.participants()).collect()
+    pub fn participant_pids(&self) -> std::ops::Range<Pid> {
+        0..self.chain.topo.participants()
     }
 
     /// The default (compliant) process for a chain role.

@@ -73,32 +73,29 @@ impl Evidence {
         self.payment
     }
 
-    /// Ingests a signed TM input; ignores anything that fails verification.
-    pub fn ingest_input(&mut self, input: &TmInput, pki: &Pki) {
-        if input.payment != self.payment {
-            return;
-        }
-        match input.kind {
-            TmInputKind::Locked => {
-                let i = input.index as usize;
-                if i < self.escrow_keys.len() && input.verify(pki, self.escrow_keys[i]) {
-                    self.st.locks[i] = true;
-                }
-            }
-            TmInputKind::AbortRequest => {
-                let i = input.index as usize;
-                if i < self.customer_keys.len() && input.verify(pki, self.customer_keys[i]) {
-                    self.st.abort = true;
-                }
+    /// Ingests a signed TM input; ignores anything that fails
+    /// verification. Returns whether the input verified and counts.
+    pub fn ingest_input(&mut self, input: &TmInput, pki: &Pki) -> bool {
+        let i = input.index as usize;
+        let keys = match input.kind {
+            TmInputKind::Locked => &self.escrow_keys,
+            TmInputKind::AbortRequest => &self.customer_keys,
+        };
+        let counts = input.payment == self.payment && i < keys.len() && input.verify(pki, keys[i]);
+        if counts {
+            match input.kind {
+                TmInputKind::Locked => self.st.locks[i] = true,
+                TmInputKind::AbortRequest => self.st.abort = true,
             }
         }
+        counts
     }
 
-    /// Ingests Bob's acceptance.
-    pub fn ingest_accept(&mut self, chi: &Receipt, pki: &Pki) {
-        if chi.payment == self.payment && chi.verify(pki, self.bob_key) {
-            self.st.accept = true;
-        }
+    /// Ingests Bob's acceptance. Returns whether it verified and counts.
+    pub fn ingest_accept(&mut self, chi: &Receipt, pki: &Pki) -> bool {
+        let counts = chi.payment == self.payment && chi.verify(pki, self.bob_key);
+        self.st.accept |= counts;
+        counts
     }
 
     /// All locks plus Bob's acceptance.
@@ -130,7 +127,7 @@ pub struct TrustedTm {
     signer: Signer,
     pki: Arc<Pki>,
     /// Everyone who must learn the decision (customers + escrows).
-    participants: Vec<Pid>,
+    participants: std::ops::Range<Pid>,
     st: TrustedTmState,
 }
 
@@ -202,7 +199,7 @@ impl TrustedTm {
             },
             0,
         );
-        for &p in &self.participants {
+        for p in self.participants.clone() {
             ctx.send(p, PMsg::Decision(cert.clone()));
         }
         ctx.halt();
@@ -214,19 +211,22 @@ impl Process<PMsg> for TrustedTm {
 
     fn on_message(&mut self, _from: Pid, msg: PMsg, ctx: &mut Ctx<PMsg>) {
         match msg {
+            // The contract logs only evidence that verified.
             PMsg::TmInput(input) => {
-                self.st.evidence.ingest_input(&input, &self.pki);
-                self.record(vec![
-                    match input.kind {
-                        TmInputKind::Locked => 1u8,
-                        TmInputKind::AbortRequest => 2,
-                    },
-                    input.index as u8,
-                ]);
+                if self.st.evidence.ingest_input(&input, &self.pki) {
+                    self.record(vec![
+                        match input.kind {
+                            TmInputKind::Locked => 1u8,
+                            TmInputKind::AbortRequest => 2,
+                        },
+                        input.index as u8,
+                    ]);
+                }
             }
             PMsg::Accept(chi) => {
-                self.st.evidence.ingest_accept(&chi, &self.pki);
-                self.record(vec![3u8]);
+                if self.st.evidence.ingest_accept(&chi, &self.pki) {
+                    self.record(vec![3u8]);
+                }
             }
             _ => return,
         }
@@ -262,7 +262,7 @@ const CONS_BASE_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 pub struct NotaryTm {
     signer: Signer,
     pki: Arc<Pki>,
-    participants: Vec<Pid>,
+    participants: std::ops::Range<Pid>,
     /// Other notaries (engine pids).
     peers: Vec<Pid>,
     cons_cfg: ConsConfig,
@@ -285,12 +285,12 @@ impl NotaryTm {
     /// spans every manager process and tolerates `f = ⌊(k−1)/3⌋` of them.
     pub fn new(setup: &WeakSetup, i: usize) -> Self {
         let pids = setup.tm_pids();
-        let k = pids.len();
+        let (k, own) = (pids.len(), pids.start + i);
         NotaryTm {
             signer: setup.tm_signer(i).clone(),
             pki: setup.chain.pki.clone(),
             participants: setup.participant_pids(),
-            peers: pids.iter().copied().filter(|&p| p != pids[i]).collect(),
+            peers: pids.filter(|&p| p != own).collect(),
             cons_cfg: ConsConfig {
                 instance: 0,
                 members: (0..k).map(|j| setup.tm_signer(j).id()).collect(),
@@ -391,7 +391,7 @@ impl NotaryTm {
                             value,
                             vec![self.signer.sign(xcrypto::cert::DOM_DECISION, &payload)],
                         );
-                        for &p in &self.participants {
+                        for p in self.participants.clone() {
                             ctx.send(p, PMsg::Decision(share.clone()));
                         }
                     }

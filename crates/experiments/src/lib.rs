@@ -22,7 +22,7 @@
 //! benchmark times. Every experiment binary of the workspace parses
 //! its command line against a declared flag table and reports its exit
 //! criteria through one ledger — both in [`cli`]. Sweeps parallelise over
-//! seeds/parameters with crossbeam scoped threads ([`sweep`]; re-exported
+//! seeds/parameters on `std::thread::scope` threads ([`sweep`]; re-exported
 //! as [`parallel_map`] for downstream crates).
 
 #![forbid(unsafe_code)]

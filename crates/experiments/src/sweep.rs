@@ -1,4 +1,4 @@
-//! Parallel parameter sweeps with crossbeam scoped threads.
+//! Parallel parameter sweeps on scoped threads (`std::thread::scope`).
 //!
 //! Each simulation run is single-threaded and deterministic; sweeps over
 //! (parameters × seeds) are embarrassingly parallel. Following the
@@ -54,10 +54,10 @@ where
     let run_item = |i: usize| -> Result<O, String> {
         catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|p| payload_message(p.as_ref()))
     };
-    let gathered: Vec<(usize, Result<O, String>)> = crossbeam::scope(|scope| {
+    let gathered: Vec<(usize, Result<O, String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     // Disjoint per-worker buffer: no result-side contention,
                     // items are claimed via the lock-free cursor only.
                     let mut local: Vec<(usize, Result<O, String>)> = Vec::new();
@@ -76,8 +76,7 @@ where
             .into_iter()
             .flat_map(|h| h.join().expect("sweep worker died outside an item"))
             .collect()
-    })
-    .expect("sweep worker died outside an item");
+    });
     let mut results: Vec<Option<Result<O, String>>> = (0..items.len()).map(|_| None).collect();
     for (i, o) in gathered {
         results[i] = Some(o);

@@ -169,7 +169,7 @@ pub trait ProtocolHarness: Sync {
 /// per-payment record the simulator keeps. Every report and tally folds
 /// these rows together with the spec each came from, which supplies the
 /// family, packet and route. A new per-payment measurement is one field
-/// here plus the folds that read it.
+/// here, its line in [`HarnessRun::join`], and the reports that read it.
 #[derive(Debug, Clone)]
 pub struct HarnessRun {
     /// Outcome class.
@@ -208,6 +208,21 @@ impl HarnessRun {
             events: 0,
             lock_profile: Vec::new(),
         }
+    }
+
+    /// Joins `leg`, another path of the same split payment, into this row:
+    /// the [`ProtocolOutcome::worst`] outcome, the slower latency, summed
+    /// peaks and events, griefing ORed, and `leg`'s lock events appended
+    /// with their hops offset by `hops`, the legs already joined.
+    pub fn join(&mut self, leg: HarnessRun, hops: u32) {
+        self.outcome = self.outcome.worst(leg.outcome);
+        self.griefed |= leg.griefed;
+        self.latency = self.latency.max(leg.latency);
+        self.peak_locked += leg.peak_locked;
+        self.events += leg.events;
+        let shifted = leg.lock_profile.into_iter();
+        self.lock_profile
+            .extend(shifted.map(|(t, hop, dv)| (t, hop + hops, dv)));
     }
 }
 

@@ -111,7 +111,7 @@ pub use harness::{
 };
 pub use htlc::HtlcHarness;
 pub use interledger::{IlpAtomicHarness, IlpUntunedHarness};
-pub use liquidity::{AdmissionPolicy, LiquidityBook, LiquidityConfig, VenueSample};
+pub use liquidity::{AdmissionPolicy, LiquidityBook, LiquidityConfig, VenueEvents, VenueSample};
 pub use network::{GraphFamily, Router, RoutingConfig, VenueGraph, MAX_NET_HOPS};
 pub use outcome::{LockProfile, ProtocolOutcome};
 pub use timebounded::TimeBoundedHarness;

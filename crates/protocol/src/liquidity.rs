@@ -13,7 +13,8 @@
 //! ([`crate::ProtocolOutcome::Rejected`]) and a bounded wait in the
 //! admission queue.
 //!
-//! The book keeps two parallel accounts per venue:
+//! The book keeps one account per venue: everything the simulator counts
+//! about it. Two balances and their peaks:
 //!
 //! * **reserved** — admission-time commitments: the sum of admitted
 //!   in-flight payments' per-venue peak demand. Admission checks run
@@ -26,15 +27,19 @@
 //!   instant — [`LiquidityBook::violations`] counts the moments it does
 //!   not, and a nonzero count fails the `exp10` experiment.
 //!
-//! Routed open-system runs (see `protocol::network`) add a third
-//! account, **spent**: liquidity a *successful* payment permanently
+//! Routed open-system runs (see `protocol::network`) use the third
+//! balance, **spent**: liquidity a *successful* payment permanently
 //! moved through a venue (the `consume` part of
 //! [`LiquidityBook::settle`]). Spent liquidity
 //! counts against the budget in [`LiquidityBook::fits`] — a drained
 //! venue stays drained and the pathfinder routes around it — until a
 //! rebalancing flow calls [`LiquidityBook::restore_all`]. Non-routed
-//! runs never consume, so the account stays zero and admission behaves
+//! runs never consume, so the balance stays zero and admission behaves
 //! exactly as before.
+//!
+//! The account's [`VenueEvents`] are counted where they happen: the gate
+//! counts admissions and rejections ([`LiquidityBook::events_mut`]), and
+//! [`LiquidityBook::apply_lock`] the locks and releases it applies.
 //!
 //! Admission reads a venue only through its **committed load**,
 //! `reserved + spent` ([`LiquidityBook::load_at`]): a static-route poll
@@ -186,6 +191,58 @@ impl LiquidityConfig {
     }
 }
 
+/// What the open-system gate and the audit did at one venue, kept in
+/// the venue's account of the [`LiquidityBook`]. A payment touching `k`
+/// venues counts at all `k`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VenueEvents {
+    /// Payments admitted whose route demands collateral at this venue.
+    pub admitted: u64,
+    /// Payments rejected whose route demands collateral at this venue.
+    pub rejected: u64,
+    /// Admitted payments that waited at the gate before starting here.
+    pub queued: u64,
+    /// Rejected payments that queued here and ran out of patience.
+    pub expired: u64,
+    /// Audited lock events (locked value increased) at this venue.
+    pub locks: u64,
+    /// Audited release events (locked value decreased) at this venue.
+    pub releases: u64,
+}
+
+impl VenueEvents {
+    /// Fold another counter set into this one (element-wise add).
+    pub fn absorb(&mut self, other: &VenueEvents) {
+        self.admitted += other.admitted;
+        self.rejected += other.rejected;
+        self.queued += other.queued;
+        self.expired += other.expired;
+        self.locks += other.locks;
+        self.releases += other.releases;
+    }
+}
+
+/// One venue's account (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Account {
+    reserved: u64,
+    spent: u64,
+    locked: i64,
+    peak_locked: i64,
+    peak_reserved: u64,
+    events: VenueEvents,
+}
+
+impl Account {
+    fn load(&self) -> u64 {
+        self.reserved.saturating_add(self.spent)
+    }
+
+    fn drained(&self) -> bool {
+        self.locked == 0 && self.reserved == 0
+    }
+}
+
 /// Per-venue collateral accounting for one simulation campaign.
 ///
 /// All mutating calls must be fed in nondecreasing time order (the
@@ -193,17 +250,11 @@ impl LiquidityConfig {
 /// [`LiquidityBook::apply_lock`] debug-asserts it.
 #[derive(Debug, Clone)]
 pub struct LiquidityBook {
-    budget: u64,
-    bounded: bool,
-    reserved: Vec<u64>,
-    /// Liquidity consumed by settled routed payments; see
-    /// [`LiquidityBook::settle`]. Always zero in non-routed runs.
-    spent: Vec<u64>,
+    cfg: LiquidityConfig,
+    /// One account per venue id; grows to any venue a call names.
+    accounts: Vec<Account>,
     /// See [`LiquidityBook::load_version`].
     load_version: u64,
-    locked: Vec<i64>,
-    peak_locked: Vec<i64>,
-    peak_reserved: Vec<u64>,
     violations: usize,
     /// Time of the last applied lock event (audit stream clock).
     now: SimTime,
@@ -218,14 +269,9 @@ impl LiquidityBook {
     /// A fresh book over `venues` venues under `cfg`.
     pub fn new(cfg: &LiquidityConfig, venues: usize) -> Self {
         LiquidityBook {
-            budget: cfg.budget,
-            bounded: cfg.policy.bounded(),
-            reserved: vec![0; venues],
-            spent: vec![0; venues],
+            cfg: *cfg,
+            accounts: vec![Account::default(); venues],
             load_version: 0,
-            locked: vec![0; venues],
-            peak_locked: vec![0; venues],
-            peak_reserved: vec![0; venues],
             violations: 0,
             now: SimTime::ZERO,
             locked_total: 0,
@@ -235,46 +281,41 @@ impl LiquidityBook {
 
     /// Number of venues the book covers.
     pub fn venues(&self) -> usize {
-        self.reserved.len()
+        self.accounts.len()
     }
 
     /// The per-venue budget.
     pub fn budget(&self) -> u64 {
-        self.budget
+        self.cfg.budget
     }
 
-    fn slot(&mut self, venue: VenueId) -> usize {
+    fn bounded(&self) -> bool {
+        self.cfg.policy.bounded()
+    }
+
+    fn account(&mut self, venue: VenueId) -> &mut Account {
         let i = venue as usize;
-        if i >= self.reserved.len() {
-            self.reserved.resize(i + 1, 0);
-            self.spent.resize(i + 1, 0);
-            self.locked.resize(i + 1, 0);
-            self.peak_locked.resize(i + 1, 0);
-            self.peak_reserved.resize(i + 1, 0);
+        if i >= self.accounts.len() {
+            self.accounts.resize(i + 1, Account::default());
         }
-        i
+        &mut self.accounts[i]
     }
 
     /// Whether every `(venue, amount)` of `demand` fits its venue's
     /// remaining (unreserved, unspent) budget. Always true for an
     /// unbounded book.
     pub fn fits(&self, demand: &[(VenueId, u64)]) -> bool {
-        if !self.bounded {
-            return true;
-        }
-        demand.iter().all(|&(venue, amount)| {
-            let i = venue as usize;
-            let already = self.reserved.get(i).copied().unwrap_or_default();
-            let spent = self.spent.get(i).copied().unwrap_or_default();
-            already.saturating_add(spent).saturating_add(amount) <= self.budget
-        })
+        !self.bounded()
+            || demand
+                .iter()
+                .all(|&(venue, amount)| self.load_at(venue).saturating_add(amount) <= self.budget())
     }
 
     /// Whether `demand` could fit this book even when completely empty —
     /// `false` means the payment can *never* be admitted under this
     /// budget, no matter how long it waits for releases.
     pub fn could_ever_fit(&self, demand: &[(VenueId, u64)]) -> bool {
-        !self.bounded || demand.iter().all(|&(_, amount)| amount <= self.budget)
+        !self.bounded() || demand.iter().all(|&(_, amount)| amount <= self.budget())
     }
 
     /// A counter that moves whenever some venue's committed load
@@ -302,9 +343,9 @@ impl LiquidityBook {
     /// and the over-commitment is surfaced by the collateral audit
     /// ([`LiquidityBook::apply_lock`] counts the budget violations).
     pub fn reserve(&mut self, venue: VenueId, amount: u64) {
-        let i = self.slot(venue);
-        self.reserved[i] += amount;
-        self.peak_reserved[i] = self.peak_reserved[i].max(self.reserved[i]);
+        let a = self.account(venue);
+        a.reserved += amount;
+        a.peak_reserved = a.peak_reserved.max(a.reserved);
         self.load_version += u64::from(amount > 0);
     }
 
@@ -318,24 +359,19 @@ impl LiquidityBook {
     /// back on settlement — and everything else with `consume == 0`:
     /// collateral returns intact.
     pub fn settle(&mut self, venue: VenueId, amount: u64, consume: u64) {
-        let i = self.slot(venue);
-        debug_assert!(self.reserved[i] >= amount, "settle exceeds reservation");
-        let before = self.load_at(venue);
-        self.reserved[i] = self.reserved[i].saturating_sub(amount);
-        self.spent[i] = self.spent[i].saturating_add(consume);
-        self.load_version += u64::from(self.load_at(venue) != before);
-    }
-
-    /// Liquidity spent at `venue` since the last rebalance.
-    pub fn spent_at(&self, venue: VenueId) -> u64 {
-        self.spent.get(venue as usize).copied().unwrap_or_default()
+        let a = self.account(venue);
+        debug_assert!(a.reserved >= amount, "settle exceeds reservation");
+        let before = a.load();
+        a.reserved = a.reserved.saturating_sub(amount);
+        a.spent = a.spent.saturating_add(consume);
+        self.load_version += u64::from(a.load() != before);
     }
 
     /// The venue's committed load — reserved plus spent — which is the
     /// scarcity signal the pathfinder minimises when it ranks candidate
     /// routes of equal hop count.
     pub fn load_at(&self, venue: VenueId) -> u64 {
-        self.reserved_at(venue).saturating_add(self.spent_at(venue))
+        self.accounts.get(venue as usize).map_or(0, Account::load)
     }
 
     /// A network-wide rebalancing flow: every venue's spent liquidity is
@@ -343,34 +379,43 @@ impl LiquidityBook {
     /// the total value restored across venues.
     pub fn restore_all(&mut self) -> u64 {
         let mut restored = 0u64;
-        for s in &mut self.spent {
-            restored = restored.saturating_add(*s);
-            *s = 0;
+        for a in &mut self.accounts {
+            restored = restored.saturating_add(std::mem::take(&mut a.spent));
         }
         self.load_version += u64::from(restored > 0);
         restored
     }
 
     /// Replays one audited lock event: `delta` of actual value locked (+)
-    /// or released (−) at `venue`, at time `at`. Advances the utilization
-    /// integral and counts a budget violation whenever a bounded venue's
-    /// locked value exceeds its budget.
+    /// or released (−) at `venue`, at time `at`, and counts it in the
+    /// venue's [`VenueEvents`]. Advances the utilization integral and
+    /// counts a budget violation whenever a bounded venue's locked value
+    /// exceeds its budget.
     pub fn apply_lock(&mut self, at: SimTime, venue: VenueId, delta: i64) {
         debug_assert!(at >= self.now, "lock events must be time-ordered");
-        let dt = at.saturating_since(self.now).ticks();
-        self.locked_integral += self.locked_total.max(0) as u128 * dt as u128;
-        self.now = at;
-
-        let i = self.slot(venue);
-        self.locked[i] += delta;
+        self.finish(at);
         self.locked_total += delta;
-        self.peak_locked[i] = self.peak_locked[i].max(self.locked[i]);
-        if self.bounded && self.locked[i].max(0) as u64 > self.budget {
-            self.violations += 1;
+
+        let (bounded, budget) = (self.bounded(), self.budget());
+        let a = self.account(venue);
+        a.locked += delta;
+        a.peak_locked = a.peak_locked.max(a.locked);
+        if delta < 0 {
+            a.events.releases += 1;
+        } else {
+            a.events.locks += 1;
         }
+        let over = bounded && a.locked.max(0) as u64 > budget;
+        self.violations += usize::from(over);
     }
 
-    /// Closes the utilization integral at the campaign horizon.
+    /// Venue `venue`'s counters, for the gate to count a decision in.
+    pub fn events_mut(&mut self, venue: VenueId) -> &mut VenueEvents {
+        &mut self.account(venue).events
+    }
+
+    /// Advances the utilization integral to `at` (an earlier instant
+    /// changes nothing); closes it at the campaign horizon.
     pub fn finish(&mut self, at: SimTime) {
         if at > self.now {
             let dt = at.saturating_since(self.now).ticks();
@@ -388,39 +433,30 @@ impl LiquidityBook {
     /// True when every venue's locked value is back to zero and every
     /// reservation has been returned — the end-of-campaign drain check.
     pub fn drained(&self) -> bool {
-        self.locked.iter().all(|&l| l == 0) && self.reserved.iter().all(|&r| r == 0)
-    }
-
-    /// Currently reserved collateral at `venue`.
-    pub fn reserved_at(&self, venue: VenueId) -> u64 {
-        self.reserved
-            .get(venue as usize)
-            .copied()
-            .unwrap_or_default()
+        self.accounts.iter().all(Account::drained)
     }
 
     /// The largest audited locked value any single venue ever held.
     pub fn peak_locked_venue(&self) -> u64 {
-        self.peak_locked
-            .iter()
-            .map(|&p| p.max(0) as u64)
-            .max()
-            .unwrap_or(0)
+        let peaks = self.accounts.iter().map(|a| a.peak_locked.max(0) as u64);
+        peaks.max().unwrap_or(0)
     }
 
     /// The largest reservation level any single venue ever held.
     pub fn peak_reserved_venue(&self) -> u64 {
-        self.peak_reserved.iter().copied().max().unwrap_or(0)
+        let peaks = self.accounts.iter().map(|a| a.peak_reserved);
+        peaks.max().unwrap_or(0)
     }
 
     /// Time-averaged utilization of the network's total collateral in
     /// parts per million: `∫ locked dt / (horizon × budget × venues)`.
     /// `None` when the horizon is empty or the budget unbounded.
     pub fn utilization_ppm(&self, horizon: SimDuration) -> Option<u64> {
-        if !self.bounded || horizon.is_zero() || self.venues() == 0 || self.budget == 0 {
+        let budget = self.budget();
+        if !self.bounded() || horizon.is_zero() || self.venues() == 0 || budget == 0 {
             return None;
         }
-        let capacity = self.budget as u128 * self.venues() as u128 * horizon.ticks() as u128;
+        let capacity = budget as u128 * self.venues() as u128 * horizon.ticks() as u128;
         Some((self.locked_integral.saturating_mul(1_000_000) / capacity) as u64)
     }
 
@@ -430,20 +466,30 @@ impl LiquidityBook {
     /// layer reads on epoch boundaries to build per-venue utilization
     /// and drain time-series.
     pub fn venue_samples(&self) -> Vec<VenueSample> {
-        (0..self.venues())
-            .map(|i| {
-                let peak_locked = self.peak_locked[i].max(0) as u64;
+        let budget = (self.bounded() && self.budget() > 0).then_some(self.budget() as u128);
+        let venues = self.accounts.iter().enumerate();
+        venues
+            .map(|(i, a)| {
+                let peak_locked = a.peak_locked.max(0) as u64;
                 VenueSample {
                     venue: i as VenueId,
-                    locked: self.locked[i],
-                    reserved: self.reserved[i],
+                    locked: a.locked,
+                    reserved: a.reserved,
                     peak_locked,
-                    peak_reserved: self.peak_reserved[i],
-                    utilization_ppm: (self.bounded && self.budget > 0)
-                        .then(|| ((peak_locked as u128 * 1_000_000) / self.budget as u128) as u64),
-                    drained: self.locked[i] == 0 && self.reserved[i] == 0,
+                    peak_reserved: a.peak_reserved,
+                    utilization_ppm: budget.map(|b| (peak_locked as u128 * 1_000_000 / b) as u64),
+                    drained: a.drained(),
                 }
             })
+            .collect()
+    }
+
+    /// The counters of every venue with any, in venue-id order.
+    pub fn venue_events(&self) -> Vec<(VenueId, VenueEvents)> {
+        let touched = self.accounts.iter().enumerate();
+        touched
+            .filter(|(_, a)| a.events != VenueEvents::default())
+            .map(|(i, a)| (i as VenueId, a.events))
             .collect()
     }
 
@@ -459,52 +505,31 @@ impl LiquidityBook {
         true
     }
 
-    /// A shard-local view: a fresh book over the same venue-id space and
-    /// the same budget/policy, with no activity yet. Disjoint shards of a
-    /// sharded discrete-event run each mutate their own view and the
-    /// driver folds them back together with [`LiquidityBook::merge`].
-    pub fn shard_view(&self) -> LiquidityBook {
-        LiquidityBook {
-            budget: self.budget,
-            bounded: self.bounded,
-            reserved: vec![0; self.reserved.len()],
-            spent: vec![0; self.spent.len()],
-            load_version: 0,
-            locked: vec![0; self.locked.len()],
-            peak_locked: vec![0; self.peak_locked.len()],
-            peak_reserved: vec![0; self.peak_reserved.len()],
-            violations: 0,
-            now: SimTime::ZERO,
-            locked_total: 0,
-            locked_integral: 0,
-        }
-    }
-
-    /// Folds a shard-local view back into this book.
+    /// Folds a shard's own book of the same config into this book.
     ///
     /// Sound only when the two books were driven over **disjoint venue
-    /// sets** (the sharded runner's invariant): per-venue accounts and
-    /// peaks merge element-wise, the utilization integrals add (the
-    /// integral of a sum over disjoint venues is the sum of integrals),
-    /// violation counts add, and the audit clock advances to the later
-    /// of the two. Debug builds assert the disjointness.
+    /// sets** (the sharded runner's invariant): per-venue accounts merge
+    /// element-wise, the utilization
+    /// integrals add (the integral of a sum over disjoint venues is the
+    /// sum of integrals), violation counts add, and the audit clock
+    /// advances to the later of the two. Debug builds assert the
+    /// disjointness.
     pub fn merge(&mut self, other: &LiquidityBook) {
-        debug_assert_eq!(self.budget, other.budget, "merging different budgets");
-        debug_assert_eq!(self.bounded, other.bounded, "merging different policies");
+        debug_assert_eq!(self.cfg, other.cfg, "merging different budgets or policies");
         if other.venues() > self.venues() {
-            self.slot(other.venues() as VenueId - 1);
+            self.accounts.resize(other.venues(), Account::default());
         }
-        for i in 0..other.reserved.len() {
+        for (i, (a, b)) in self.accounts.iter_mut().zip(&other.accounts).enumerate() {
             debug_assert!(
-                self.peak_locked[i] == 0 && self.peak_reserved[i] == 0
-                    || other.peak_locked[i] == 0 && other.peak_reserved[i] == 0,
+                *a == Account::default() || *b == Account::default(),
                 "venue {i} was driven by both sides of a shard merge"
             );
-            self.reserved[i] += other.reserved[i];
-            self.spent[i] += other.spent[i];
-            self.locked[i] += other.locked[i];
-            self.peak_locked[i] = self.peak_locked[i].max(other.peak_locked[i]);
-            self.peak_reserved[i] = self.peak_reserved[i].max(other.peak_reserved[i]);
+            a.reserved += b.reserved;
+            a.spent += b.spent;
+            a.locked += b.locked;
+            a.peak_locked = a.peak_locked.max(b.peak_locked);
+            a.peak_reserved = a.peak_reserved.max(b.peak_reserved);
+            a.events.absorb(&b.events);
         }
         self.load_version += 1;
         self.violations += other.violations;
@@ -530,7 +555,7 @@ mod tests {
         // venue 2 is empty.
         assert!(!book.try_admit(&[(0, 50), (2, 10)]));
         assert!(book.try_admit(&[(0, 40), (2, 100)]));
-        assert_eq!(book.reserved_at(0), 100);
+        assert_eq!(book.load_at(0), 100);
         assert_eq!(book.peak_reserved_venue(), 100);
         book.settle(0, 60, 0);
         assert!(book.try_admit(&[(0, 50)]));
@@ -600,8 +625,8 @@ mod tests {
         let cfg = LiquidityConfig::reject(100);
         let mut root = LiquidityBook::new(&cfg, 4);
         // Two shards over disjoint venue pairs {0,1} and {2,3}.
-        let mut a = root.shard_view();
-        let mut b = root.shard_view();
+        let mut a = LiquidityBook::new(&cfg, 4);
+        let mut b = LiquidityBook::new(&cfg, 4);
         assert!(a.try_admit(&[(0, 60), (1, 40)]));
         a.apply_lock(t(0), 0, 60);
         a.apply_lock(t(10), 0, -60);
@@ -631,8 +656,8 @@ mod tests {
     fn merge_accumulates_violations_and_grows_the_venue_space() {
         let cfg = LiquidityConfig::reject(50);
         let mut root = LiquidityBook::new(&cfg, 1);
-        let mut shard = root.shard_view();
-        shard.apply_lock(t(0), 6, 80); // grows the view; 80 > 50: one violation
+        let mut shard = LiquidityBook::new(&cfg, 1);
+        shard.apply_lock(t(0), 6, 80); // grows the book; 80 > 50: one violation
         shard.apply_lock(t(4), 6, -80);
         root.merge(&shard);
         assert_eq!(root.venues(), 7);
@@ -677,7 +702,7 @@ mod tests {
         // Settlement converts the reservation into spend: the budget
         // stays consumed even though nothing is reserved any more.
         book.settle(0, 70, 70);
-        assert_eq!(book.spent_at(0), 70);
+        assert_eq!(book.venue_samples()[0].reserved, 0);
         assert_eq!(book.load_at(0), 70);
         assert!(!book.fits(&[(0, 40)]));
         assert!(book.fits(&[(0, 30), (1, 100)]));
@@ -685,7 +710,7 @@ mod tests {
         assert!(book.drained(), "spend is not outstanding collateral");
         // A rebalancing flow returns the spent value network-wide.
         assert_eq!(book.restore_all(), 70);
-        assert_eq!(book.spent_at(0), 0);
+        assert_eq!(book.load_at(0), 0);
         assert!(book.fits(&[(0, 100)]));
     }
 
@@ -724,11 +749,11 @@ mod tests {
     fn merge_sums_spent_liquidity() {
         let cfg = LiquidityConfig::reject(100);
         let mut root = LiquidityBook::new(&cfg, 2);
-        let mut shard = root.shard_view();
+        let mut shard = LiquidityBook::new(&cfg, 2);
         assert!(shard.try_admit(&[(1, 50)]));
         shard.settle(1, 50, 50);
         root.merge(&shard);
-        assert_eq!(root.spent_at(1), 50);
+        assert_eq!(root.load_at(1), 50, "spent, not reserved");
         assert!(!root.fits(&[(1, 60)]));
     }
 
@@ -737,7 +762,7 @@ mod tests {
         let mut book = LiquidityBook::new(&LiquidityConfig::reject(10), 0);
         assert!(book.try_admit(&[(7, 10)]));
         assert_eq!(book.venues(), 8);
-        assert_eq!(book.reserved_at(7), 10);
-        assert_eq!(book.reserved_at(3), 0);
+        assert_eq!(book.load_at(7), 10);
+        assert_eq!(book.load_at(3), 0);
     }
 }

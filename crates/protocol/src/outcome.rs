@@ -45,6 +45,25 @@ pub enum ProtocolOutcome {
     Failed,
 }
 
+impl ProtocolOutcome {
+    /// The worse of two outcomes, `self` on a tie: Violation, Failed,
+    /// Stuck, Refund, then Success and Rejected. A split payment's legs
+    /// join on it ([`crate::HarnessRun::join`]).
+    pub fn worst(self, other: ProtocolOutcome) -> ProtocolOutcome {
+        use ProtocolOutcome::*;
+        let rank = |o| {
+            [Refund, Stuck, Failed, Violation]
+                .iter()
+                .position(|&w| w == o)
+        };
+        if rank(other) > rank(self) {
+            other
+        } else {
+            self
+        }
+    }
+}
+
 /// The locked-value event series of one run: `(time, hop, delta)` triples
 /// where `hop` is the local escrow index the value moved at and `delta`
 /// is the signed change in simultaneously locked value. Times are

@@ -39,7 +39,7 @@ fn run(args: &cli::Parsed) -> std::io::Result<i32> {
             |report, gates| {
                 gates.require(
                     "money conserved in every instance",
-                    report.tally.violations == 0,
+                    report.tally.outcomes.violations == 0,
                     "",
                 );
             },

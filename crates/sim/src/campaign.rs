@@ -66,7 +66,7 @@
 
 use crate::des;
 use crate::faults::FaultPlan;
-use crate::metrics::{InstanceOutcome, OpenTelemetry};
+use crate::metrics::{InstanceOutcome, OpenTelemetry, OutcomeCounts};
 use crate::runner::{simulate_specs, SimConfig};
 use crate::sketch::MergeableSketch;
 use crate::workload::{self, PaymentSpec, WorkloadConfig};
@@ -283,7 +283,7 @@ impl LiquidityTally {
     }
 }
 
-/// The campaign's whole aggregated state: exact outcome counters plus
+/// The campaign's whole aggregated state: exact counters plus
 /// constant-memory sketches. This — not a `Vec` of instances — is what
 /// the checkpoint persists and the final report renders.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -291,23 +291,9 @@ pub struct CampaignTally {
     /// Rows simulated (≥ `total_payments` only through the documented
     /// packetized overshoot).
     pub instances: u64,
-    /// Successful payments.
-    pub success: u64,
-    /// Clean refunds.
-    pub refunds: u64,
-    /// Stuck instances (liveness lost).
-    pub stuck: u64,
-    /// Money-conservation violations — the campaign's core gate.
-    pub violations: u64,
-    /// Admission rejections (open-system mode only).
-    pub rejected: u64,
-    /// Panic-isolated instances ([`InstanceOutcome::Failed`]): the
-    /// harness panicked on these. Their seeds are in `failed_seeds`.
-    pub failed: u64,
-    /// Instances that griefed a compliant party.
-    pub griefed: u64,
-    /// Instances with a Byzantine substitution.
-    pub byzantine: u64,
+    /// The outcome counters. `violations` is the campaign's core gate;
+    /// the seeds of the `failed` rows are in `failed_seeds`.
+    pub outcomes: OutcomeCounts,
     /// Engine events dispatched, summed.
     pub events: u128,
     /// Latency sketch over successful payments (ticks).
@@ -323,41 +309,14 @@ pub struct CampaignTally {
 }
 
 impl CampaignTally {
-    /// `e` with the outcome counters appended: on `Event::new("outcomes")`
-    /// the checkpoint's record and the `--json` artifact's `outcomes`
-    /// object, and the tail of every `epoch` event.
-    fn outcomes(&self, e: Event) -> Event {
-        e.with_u64("success", self.success)
-            .with_u64("refunds", self.refunds)
-            .with_u64("stuck", self.stuck)
-            .with_u64("violations", self.violations)
-            .with_u64("rejected", self.rejected)
-            .with_u64("failed", self.failed)
-            .with_u64("griefed", self.griefed)
-            .with_u64("byzantine", self.byzantine)
-    }
-
     fn fold_row(&mut self, spec: &PaymentSpec, r: &HarnessRun) {
         self.instances += 1;
-        match r.outcome {
-            InstanceOutcome::Success => {
-                self.success += 1;
-                self.latency.record(r.latency.ticks());
-            }
-            InstanceOutcome::Refund => self.refunds += 1,
-            InstanceOutcome::Stuck => self.stuck += 1,
-            InstanceOutcome::Violation => self.violations += 1,
-            InstanceOutcome::Rejected => self.rejected += 1,
-            InstanceOutcome::Failed => {
-                self.failed += 1;
-                self.keep_failed_seeds([spec.seed]);
-            }
+        self.outcomes.count(r);
+        if r.outcome == InstanceOutcome::Success {
+            self.latency.record(r.latency.ticks());
         }
-        if r.griefed {
-            self.griefed += 1;
-        }
-        if r.faults.byz != crate::faults::ByzFault::None {
-            self.byzantine += 1;
+        if r.outcome == InstanceOutcome::Failed {
+            self.keep_failed_seeds([spec.seed]);
         }
         self.peak_locked.record(r.peak_locked);
         self.events += r.events as u128;
@@ -381,14 +340,7 @@ impl CampaignTally {
     /// merge order.
     fn absorb(&mut self, part: CampaignTally) {
         self.instances += part.instances;
-        self.success += part.success;
-        self.refunds += part.refunds;
-        self.stuck += part.stuck;
-        self.violations += part.violations;
-        self.rejected += part.rejected;
-        self.failed += part.failed;
-        self.griefed += part.griefed;
-        self.byzantine += part.byzantine;
+        self.outcomes.absorb(&part.outcomes);
         self.events += part.events;
         self.latency.merge(&part.latency);
         self.peak_locked.merge(&part.peak_locked);
@@ -462,7 +414,7 @@ impl EpochEvent {
             .with_u64("total_rows", self.total_rows)
             .with_f64("epoch_wall_s", self.epoch_wall_s)
             .with_f64("payments_per_sec", self.payments_per_sec);
-        let mut e = tally.outcomes(e).with_f64("eta_s", self.eta_s);
+        let mut e = tally.outcomes.with_fields(e).with_f64("eta_s", self.eta_s);
         if let Some(mb) = self.peak_rss_mb {
             e = e.with_u64("peak_rss_mb", mb);
         }
@@ -802,7 +754,7 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
                 .with_u64("next_epoch", self.next_epoch)
                 .with_u64("instances", t.instances)
                 .with_u128("events", t.events),
-            t.outcomes(Event::new("outcomes")),
+            t.outcomes.with_fields(Event::new("outcomes")),
         ];
         let seeds = t.failed_seeds.iter();
         records.extend(seeds.map(|&seed| Event::new("failed_seed").with_u64("seed", seed)));
@@ -852,17 +804,9 @@ fn read_state(payload: &str, expected_config: u64) -> Result<(u64, CampaignTally
         ));
     }
     let next_epoch = field(&c, "next_epoch", Event::u64_field)?;
-    let o = next_record(&mut r, "outcomes")?;
     let mut t = CampaignTally {
         instances: field(&c, "instances", Event::u64_field)?,
-        success: field(&o, "success", Event::u64_field)?,
-        refunds: field(&o, "refunds", Event::u64_field)?,
-        stuck: field(&o, "stuck", Event::u64_field)?,
-        violations: field(&o, "violations", Event::u64_field)?,
-        rejected: field(&o, "rejected", Event::u64_field)?,
-        failed: field(&o, "failed", Event::u64_field)?,
-        griefed: field(&o, "griefed", Event::u64_field)?,
-        byzantine: field(&o, "byzantine", Event::u64_field)?,
+        outcomes: OutcomeCounts::from_event(&next_record(&mut r, "outcomes")?)?,
         events: field(&c, "events", Event::u128_field)?,
         failed_seeds: std::iter::from_fn(|| r.next_if(|e| e.kind() == "failed_seed"))
             .map(|e| field(&e, "seed", Event::u64_field))
@@ -891,14 +835,11 @@ fn read_state(payload: &str, expected_config: u64) -> Result<(u64, CampaignTally
     if let Some(e) = r.next() {
         return Err(format!("unexpected {:?} record after the last", e.kind()));
     }
-    let rows = [t.refunds, t.stuck, t.violations, t.rejected, t.failed]
-        .iter()
-        .try_fold(t.success, |sum, &n| sum.checked_add(n));
-    if rows != Some(t.instances) {
+    if t.outcomes.rows() != Some(t.instances) {
         return Err("outcomes: the six outcome counters do not sum to instances".to_owned());
     }
     let seeds = t.failed_seeds.len();
-    if seeds > FAILED_SEEDS_CAP || seeds as u64 > t.failed {
+    if seeds > FAILED_SEEDS_CAP || seeds as u64 > t.outcomes.failed {
         return Err(format!(
             "failed_seed: {seeds} records, over {FAILED_SEEDS_CAP} or failed"
         ));
@@ -931,6 +872,7 @@ impl CampaignReport {
     /// Renders the human-readable report block.
     pub fn render(&self) -> String {
         let t = &self.tally;
+        let o = &t.outcomes;
         let mut out = String::new();
         out.push_str(&format!(
             "campaign: {} over {} — epoch {}/{} — {} rows\n",
@@ -946,15 +888,15 @@ impl CampaignReport {
         out.push_str(&format!(
             "outcomes: success {} ({:.1}%) refund {} stuck {} violation {} rejected {} \
              failed {} | griefed {} byzantine {}\n",
-            t.success,
-            pct(t.success),
-            t.refunds,
-            t.stuck,
-            t.violations,
-            t.rejected,
-            t.failed,
-            t.griefed,
-            t.byzantine
+            o.success,
+            pct(o.success),
+            o.refunds,
+            o.stuck,
+            o.violations,
+            o.rejected,
+            o.failed,
+            o.griefed,
+            o.byzantine
         ));
         if !t.failed_seeds.is_empty() {
             out.push_str(&format!("failed seeds: {:?}\n", t.failed_seeds));
@@ -1040,7 +982,7 @@ impl CampaignReport {
             .with("instances", t.instances)
             .with(
                 "outcomes",
-                JsonObject::from_event(&t.outcomes(Event::new("outcomes"))),
+                JsonObject::from_event(&t.outcomes.with_fields(Event::new("outcomes"))),
             )
             .with("events", sat(t.events))
             .with("failed_seeds", t.failed_seeds.clone())

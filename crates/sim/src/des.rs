@@ -10,12 +10,13 @@
 //! partitioned into connected components of the "routes overlap" graph
 //! (union-find over every spec's [`VenueRoute`]); each component is one
 //! *shard* with its own event heap, FIFO admission gate and
-//! [`LiquidityBook::shard_view`]. Shards share nothing, so they run on
+//! [`LiquidityBook`]. Shards share nothing, so they run on
 //! the worker pool ([`experiments::parallel_map`]) and merge
 //! deterministically — shard order is first-arrival order, per-spec
 //! results go back to spec order, and [`LiquidityBook::merge`] sums the
-//! disjoint per-venue columns — which keeps the report **bit-identical
-//! across thread counts**. A hub workload is one shard (every route
+//! disjoint per-venue accounts, the venues' [`protocol::VenueEvents`]
+//! included — which keeps the report **bit-identical across thread
+//! counts**. A hub workload is one shard (every route
 //! crosses the hub: contention is genuinely sequential); packetized
 //! workloads split into one shard per path and scale near-linearly.
 //!
@@ -37,9 +38,10 @@
 //! path against the *current* book, then for a venue-disjoint split, so
 //! payments route around drained venues, and each path is a leg.
 //! Everything after the poll is shared — an admission runs one protocol
-//! instance per leg and folds them onto the first, a failed poll queues
-//! or rejects. The mode still decides settlement: a successful routed
-//! payment *consumes* the liquidity it moved, until an optional periodic
+//! instance per leg and joins them onto the first
+//! ([`HarnessRun::join`]), a failed poll queues or rejects. The mode
+//! still decides settlement: a successful routed payment *consumes* the
+//! liquidity it moved, until an optional periodic
 //! [`EventKind::Rebalance`] flow restores it. Dynamic routes destroy
 //! venue-disjointness, so a routed run is one shard — trivially
 //! bit-identical across thread counts, with the router's deterministic
@@ -63,7 +65,7 @@
 //! adjacency entries, where a one-sided sweep read ≈ 499.
 
 use crate::faults::FaultPlan;
-use crate::metrics::{LiquidityStats, OpenTelemetry, RoutingStats, VenueEvents};
+use crate::metrics::{LiquidityStats, OpenTelemetry, RoutingStats};
 use crate::runner::{run_instance_isolated, SimConfig};
 use crate::workload::{PaymentSpec, ValuePlan, VenueRoute};
 use anta::queue::EventQueue;
@@ -172,38 +174,23 @@ pub(crate) fn shard_specs(specs: &[PaymentSpec], venues_hint: usize) -> Vec<Vec<
 }
 
 /// What the admission gate counts: one per shard, folded in shard order
-/// by [`GateTally::absorb`] for the run.
+/// by [`GateTally::absorb`] for the run. A wait list's length counts its
+/// payments; every other member was admitted without waiting.
 #[derive(Default)]
 struct GateTally {
-    admitted: usize,
-    rejected: usize,
-    queued: usize,
     /// Gate waits of admitted queued payments (ticks).
     waits: Vec<u64>,
-    /// Wasted waits of rejected payments (ticks).
+    /// Wasted waits of rejected payments (ticks), one per rejection.
     rejected_waits: Vec<u64>,
     /// Last event or decision instant.
     horizon: SimTime,
-    goodput_value: u64,
-    offered_value: u64,
-    /// Per-venue activity counters, keyed by global venue id. Shards are
-    /// venue-disjoint, so absorbing one is a plain union.
-    venue_events: BTreeMap<u32, VenueEvents>,
 }
 
 impl GateTally {
     fn absorb(&mut self, other: GateTally) {
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.queued += other.queued;
         self.waits.extend(other.waits);
         self.rejected_waits.extend(other.rejected_waits);
         self.horizon = self.horizon.max(other.horizon);
-        self.goodput_value += other.goodput_value;
-        self.offered_value += other.offered_value;
-        for (venue, ev) in other.venue_events {
-            self.venue_events.entry(venue).or_default().absorb(&ev);
-        }
     }
 }
 
@@ -286,8 +273,8 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         specs: &'a [PaymentSpec],
         members: &'a [usize],
         plan: &'a FaultPlan,
-        policy: AdmissionPolicy,
-        template: &LiquidityBook,
+        liq: &LiquidityConfig,
+        venues: usize,
         routed: Option<RoutedState>,
     ) -> Self {
         let mut sim = ShardSim {
@@ -295,8 +282,8 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             specs,
             members,
             plan,
-            policy,
-            book: template.shard_view(),
+            policy: liq.policy,
+            book: LiquidityBook::new(liq, venues),
             arrived: 0,
             events: EventQueue::default(),
             queue: VecDeque::new(),
@@ -337,12 +324,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             match kind {
                 EventKind::Book { venue, delta } => {
                     self.book.apply_lock(time, venue, delta);
-                    let ve = self.tally.venue_events.entry(venue).or_default();
-                    if delta < 0 {
-                        ve.releases += 1;
-                    } else {
-                        ve.locks += 1;
-                    }
                     self.tally.horizon = self.tally.horizon.max(time);
                 }
                 EventKind::Unreserve {
@@ -385,7 +366,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     /// means the head gets the next shot at the book, not this arrival.
     fn on_arrival(&mut self, local: u32, t: SimTime) {
         let li = local as usize;
-        self.tally.offered_value += delivered(&self.specs[self.members[li]]);
         if self.queue.is_empty() {
             if let Some(legs) = self.poll(li, true) {
                 self.admit(local, t, legs);
@@ -525,14 +505,11 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         legs
     }
 
-    /// Runs an admitted payment: one deterministic instance per leg,
-    /// folded onto the first leg's result — Success only when every leg
-    /// succeeds, worst outcome otherwise; latency is the slowest leg,
-    /// peaks and event counts sum, lock events concatenate with each
-    /// leg's hops offset past the previous legs' (matching the combined
-    /// route, so the venue lookup stays a plain index). A single leg is
-    /// its own result. Only then are the book events scheduled, because
-    /// the settlement's `consume` depends on the folded outcome.
+    /// Runs an admitted payment: one deterministic instance per leg, each
+    /// joined onto the first leg's row by [`HarnessRun::join`] behind the
+    /// combined route, so the venue lookup stays a plain index. A single
+    /// leg is its own result. Only then are the book events scheduled,
+    /// because the settlement's `consume` depends on the joined outcome.
     fn admit(&mut self, local: u32, t: SimTime, legs: Vec<Cow<'a, PaymentSpec>>) {
         if let Some(rt) = self.routed.as_mut() {
             rt.stats.routed += 1;
@@ -540,15 +517,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 rt.stats.split += 1;
             } else if legs[0].venues != self.specs[self.members[local as usize]].venues {
                 rt.stats.rerouted += 1;
-            }
-        }
-        fn severity(o: ProtocolOutcome) -> u8 {
-            match o {
-                ProtocolOutcome::Violation => 4,
-                ProtocolOutcome::Failed => 3,
-                ProtocolOutcome::Stuck => 2,
-                ProtocolOutcome::Refund => 1,
-                _ => 0,
             }
         }
         let mut legs = legs.into_iter();
@@ -559,21 +527,11 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             Cow::Owned(spec) => Cow::Owned(spec.venues),
         };
         for leg in legs {
-            let lr = run_instance_isolated(self.harness, &leg, self.plan, true);
-            if severity(lr.outcome) > severity(r.outcome) {
-                r.outcome = lr.outcome;
-            }
-            r.griefed |= lr.griefed;
-            r.latency = r.latency.max(lr.latency);
-            r.peak_locked += lr.peak_locked;
-            r.events += lr.events;
             let venues = &mut route.to_mut().venues;
-            let offset = venues.len() as u32;
-            let shifted = lr
-                .lock_profile
-                .iter()
-                .map(|&(te, hop, dv)| (te, hop + offset, dv));
-            r.lock_profile.extend(shifted);
+            r.join(
+                run_instance_isolated(self.harness, &leg, self.plan, true),
+                venues.len() as u32,
+            );
             venues.extend_from_slice(&leg.venues.venues);
         }
         self.commit_admission(local, t, &route, r);
@@ -587,21 +545,19 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     ///
     /// The mode decides the rest. A settled reservation of a *successful*
     /// payment stays spent (routed) or returns intact (static). The
-    /// admission counts in [`VenueEvents`] at every venue of the spec's
-    /// static demand — what a static poll decided on — or, routed, at
-    /// every venue that saw a lock event.
+    /// admission counts in the book's [`protocol::VenueEvents`] at every
+    /// venue of the spec's static demand — what a static poll decided on
+    /// — or, routed, at every venue that saw a lock event.
     fn commit_admission(&mut self, local: u32, t: SimTime, route: &VenueRoute, mut r: HarnessRun) {
         let li = local as usize;
         let routed = self.routed.is_some();
         self.decided[li] = true;
-        self.tally.admitted += 1;
         self.tally.horizon = self.tally.horizon.max(t);
         self.note_decided();
         let spec = &self.specs[self.members[li]];
         let wait = t.saturating_since(spec.arrival);
         let waited = !wait.is_zero();
         if waited {
-            self.tally.queued += 1;
             self.tally.waits.push(wait.ticks());
             // A delayed start shifts the whole (deterministic) run by the
             // wait, payer-visible latency included.
@@ -627,19 +583,16 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                 .push(te, rank, EventKind::Book { venue, delta: dv });
         }
         let mut count = |venue: u32| {
-            let ve = self.tally.venue_events.entry(venue).or_default();
+            let ve = self.book.events_mut(venue);
             ve.admitted += 1;
-            if waited {
-                ve.queued += 1;
-            }
+            ve.queued += u64::from(waited);
         };
         if routed {
             per_venue.keys().for_each(|&venue| count(venue));
         } else {
             self.demands[li].iter().for_each(|&(venue, _)| count(venue));
         }
-        let success = r.outcome == ProtocolOutcome::Success;
-        let spends = success && routed;
+        let spends = routed && r.outcome == ProtocolOutcome::Success;
         if self.policy.bounded() {
             for (&venue, &(_, peak, last)) in &per_venue {
                 if peak > 0 {
@@ -655,9 +608,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
                     );
                 }
             }
-        }
-        if success {
-            self.tally.goodput_value += delivered(spec);
         }
         self.results[li] = Some(r);
     }
@@ -710,7 +660,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     fn reject(&mut self, local: u32, t: SimTime) {
         let li = local as usize;
         self.decided[li] = true;
-        self.tally.rejected += 1;
         self.tally.horizon = self.tally.horizon.max(t);
         self.note_decided();
         let spec = &self.specs[self.members[li]];
@@ -718,11 +667,9 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         // *actual* wasted patience (zero for an on-the-spot refusal).
         let wasted = t.saturating_since(spec.arrival).min(self.policy.max_wait());
         for &(venue, _) in &self.demands[li] {
-            let ve = self.tally.venue_events.entry(venue).or_default();
+            let ve = self.book.events_mut(venue);
             ve.rejected += 1;
-            if !wasted.is_zero() {
-                ve.expired += 1;
-            }
+            ve.expired += u64::from(!wasted.is_zero());
         }
         self.tally.rejected_waits.push(wasted.ticks());
         self.results[li] = Some(HarnessRun::never_ran(
@@ -788,26 +735,16 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
     } else {
         shard_specs(specs, venues)
     };
-    let template = LiquidityBook::new(liq, venues);
     let seed = cfg.workload.seed;
     let outcomes: Vec<ShardOutcome> = parallel_map(&members, cfg.threads, |shard| {
         let routed = routed_cfg.map(|(rc, fam)| RoutedState::new(fam, seed, rc, shard.len()));
-        ShardSim::new(
-            harness,
-            specs,
-            shard,
-            &cfg.faults,
-            liq.policy,
-            &template,
-            routed,
-        )
-        .run()
+        ShardSim::new(harness, specs, shard, &cfg.faults, liq, venues, routed).run()
     });
 
     // Deterministic merge: shard outcomes arrive in shard order whatever
     // the thread count, per-spec results go back to spec order, and the
     // venue-disjoint book columns sum.
-    let mut book = template;
+    let mut book = LiquidityBook::new(liq, venues);
     let mut per_spec: Vec<Option<HarnessRun>> = specs.iter().map(|_| None).collect();
     let mut tally = GateTally::default();
     let mut routing_stats: Option<RoutingStats> = routed_cfg.map(|_| RoutingStats::default());
@@ -824,12 +761,18 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
     }
     book.finish(tally.horizon);
 
+    let results: Vec<HarnessRun> = per_spec
+        .into_iter()
+        .map(|r| r.expect("the shards partition the specs and each decides all its members"))
+        .collect();
+    let served = specs.iter().zip(&results);
+    let served = served.filter(|(_, r)| r.outcome == ProtocolOutcome::Success);
     let horizon = tally.horizon.saturating_since(SimTime::ZERO);
     let liquidity = LiquidityStats {
         offered: specs.len(),
-        admitted: tally.admitted,
-        rejected: tally.rejected,
-        queued: tally.queued,
+        admitted: specs.len() - tally.rejected_waits.len(),
+        rejected: tally.rejected_waits.len(),
+        queued: tally.waits.len(),
         wait: Summary::of(&tally.waits),
         rejected_wait: Summary::of(&tally.rejected_waits),
         shards: members.len(),
@@ -841,13 +784,9 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
         utilization_ppm: book.utilization_ppm(horizon),
         budget_violations: book.violations(),
         drained: book.drained(),
-        goodput_value: tally.goodput_value,
-        offered_value: tally.offered_value,
+        goodput_value: served.map(|(spec, _)| delivered(spec)).sum(),
+        offered_value: specs.iter().map(delivered).sum(),
     };
-    let results: Vec<HarnessRun> = per_spec
-        .into_iter()
-        .map(|r| r.expect("the shards partition the specs and each decides all its members"))
-        .collect();
     OpenRaw {
         results,
         liquidity,
@@ -855,7 +794,7 @@ pub(crate) fn run_open_specs_raw<H: ProtocolHarness>(
         rejected_waits: tally.rejected_waits,
         telemetry: OpenTelemetry {
             venues: book.venue_samples(),
-            venue_events: tally.venue_events.into_iter().collect(),
+            venue_events: book.venue_events(),
             routing: routing_stats,
         },
     }
@@ -880,7 +819,6 @@ mod tests {
         liq: &LiquidityConfig,
         routing: Option<RoutingConfig>,
     ) -> ShardSim<'a, protocol::TimeBoundedHarness> {
-        let template = LiquidityBook::new(liq, family.venues());
         let routed = routing.map(|rc| {
             let graph = family
                 .graph()
@@ -892,8 +830,8 @@ mod tests {
             specs,
             members,
             &FaultPlan::NONE,
-            liq.policy,
-            &template,
+            liq,
+            family.venues(),
             routed,
         )
     }
@@ -938,7 +876,7 @@ mod tests {
         let out = sim.run();
         assert_eq!(out.routing.unwrap().no_path, 0, "returns come first");
         assert_eq!(out.results[0].1.outcome, ProtocolOutcome::Success);
-        assert_eq!(out.tally.queued, 0);
+        assert!(out.tally.waits.is_empty(), "nothing queued");
 
         // An arrival sees the instant's rebalancing flow.
         let period = RoutingConfig::with_rebalance(SimDuration::from_ticks(1 << 40));
@@ -974,7 +912,6 @@ mod tests {
         );
         let out = sim.run();
         assert_eq!(out.routing.unwrap().no_path, 1, "the expiry comes last");
-        assert_eq!(out.tally.rejected, 2);
         assert_eq!(out.tally.rejected_waits, vec![patience.ticks(); 2]);
         assert_eq!(out.book.peak_locked_venue(), 0, "unlock before lock");
 

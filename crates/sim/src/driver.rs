@@ -182,8 +182,8 @@ pub fn drive<H: ProtocolHarness>(
     audit(&report, &mut gates);
     gates.require(
         "every instance ran to a verdict (none panic-isolated)",
-        report.tally.failed == 0,
-        &format!("{} failed", report.tally.failed),
+        report.tally.outcomes.failed == 0,
+        &format!("{} failed", report.tally.outcomes.failed),
     );
     // `exp9`'s table has no RSS gate.
     let limit = args
@@ -216,7 +216,7 @@ pub fn audit_collateral(report: &CampaignReport, gates: &mut Gates) {
     );
     gates.require(
         "money conserved in every instance",
-        report.tally.violations == 0,
+        report.tally.outcomes.violations == 0,
         "",
     );
 }

@@ -105,8 +105,8 @@ pub use telemetry::sketch;
 pub use campaign::{CampaignConfig, CampaignReport, CampaignRunner, CampaignTally, EpochEvent};
 pub use faults::{ByzFault, FaultPlan, InstanceFaults};
 pub use metrics::{
-    FamilyStats, InstanceOutcome, LiquidityStats, OpenReport, OpenTelemetry, PacketStats,
-    RoutingStats, SimReport, VenueEvents,
+    FamilyStats, InstanceOutcome, LiquidityStats, OpenReport, OpenTelemetry, OutcomeCounts,
+    PacketStats, RoutingStats, SimReport,
 };
 pub use runner::{run_closed, run_open, SimConfig};
 pub use sketch::MergeableSketch;
@@ -118,7 +118,7 @@ pub use protocol;
 pub use protocol::{
     AdmissionPolicy, DealsHarness, GraphFamily, HtlcHarness, IlpAtomicHarness, IlpUntunedHarness,
     LiquidityBook, LiquidityConfig, ProtocolHarness, Router, RoutingConfig, TimeBoundedHarness,
-    VenueGraph,
+    VenueEvents, VenueGraph,
 };
 
 // `benchmark/` only (see `compat.rs`); goes with it in ROADMAP 1(iii).
@@ -134,8 +134,8 @@ pub use compat::{
 pub mod prelude {
     pub use crate::faults::{ByzFault, FaultPlan, InstanceFaults};
     pub use crate::metrics::{
-        FamilyStats, InstanceOutcome, LiquidityStats, OpenReport, OpenTelemetry, PacketStats,
-        RoutingStats, SimReport, VenueEvents,
+        FamilyStats, InstanceOutcome, LiquidityStats, OpenReport, OpenTelemetry, OutcomeCounts,
+        PacketStats, RoutingStats, SimReport,
     };
     pub use crate::runner::{run_closed, run_open, SimConfig};
     pub use crate::workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
@@ -143,6 +143,6 @@ pub mod prelude {
     pub use protocol::{
         AdmissionPolicy, DealsHarness, GraphFamily, HtlcHarness, IlpAtomicHarness,
         IlpUntunedHarness, LiquidityBook, LiquidityConfig, ProtocolHarness, Router, RoutingConfig,
-        TimeBoundedHarness, VenueGraph,
+        TimeBoundedHarness, VenueEvents, VenueGraph,
     };
 }

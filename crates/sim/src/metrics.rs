@@ -12,19 +12,26 @@
 //! them with their specs, in spec order, into a [`SimReport`] after the
 //! parallel phase — the same discipline as [`experiments::parallel_map`],
 //! which the runner drives.
+//!
+//! Each count has one owner: a split payment's legs are one row before
+//! any report sees them ([`protocol::HarnessRun::join`]), one `match` in
+//! [`OutcomeCounts`] counts a row's outcome for every report, and a
+//! venue's counters live in its [`protocol::LiquidityBook`] account.
 
 use crate::faults::ByzFault;
 use crate::workload::PaymentSpec;
 use anta::time::{SimDuration, SimTime};
 use experiments::stats::{Rate, Summary};
-use protocol::HarnessRun;
+use protocol::{HarnessRun, VenueEvents};
 use std::collections::BTreeMap;
+use telemetry::Event;
 
 /// How one payment instance ended — the protocol layer's shared outcome
 /// vocabulary (see [`protocol::ProtocolOutcome`] for the semantics).
 pub use protocol::ProtocolOutcome as InstanceOutcome;
 
-/// Aggregated statistics for one topology family.
+/// Aggregated statistics for one topology family; `success` to
+/// `byzantine` are a view of its [`OutcomeCounts`].
 #[derive(Debug, Clone)]
 pub struct FamilyStats {
     /// Family label.
@@ -64,6 +71,97 @@ pub struct FamilyStats {
     /// payment touched have no entry, so `n` is the count of gateways
     /// that actually served traffic and `min`/`max` span only those.
     pub spoke_load: Option<Summary>,
+}
+
+/// The eight outcome counters every report keeps: one per outcome class
+/// of [`InstanceOutcome`], then griefed and Byzantine rows. A
+/// [`FamilyStats`] is read off one, and a [`crate::CampaignTally`] holds
+/// one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutcomeCounts {
+    /// Successful payments (Bob paid).
+    pub success: u64,
+    /// Clean refunds.
+    pub refunds: u64,
+    /// Stuck instances (liveness lost).
+    pub stuck: u64,
+    /// Money-conservation violations — must be zero.
+    pub violations: u64,
+    /// Admission rejections (open-system runs only).
+    pub rejected: u64,
+    /// Panic-isolated instances ([`InstanceOutcome::Failed`]).
+    pub failed: u64,
+    /// Instances that griefed a compliant party.
+    pub griefed: u64,
+    /// Instances with a Byzantine substitution.
+    pub byzantine: u64,
+}
+
+impl OutcomeCounts {
+    /// Counts one row.
+    pub(crate) fn count(&mut self, r: &HarnessRun) {
+        let class = match r.outcome {
+            InstanceOutcome::Success => &mut self.success,
+            InstanceOutcome::Refund => &mut self.refunds,
+            InstanceOutcome::Stuck => &mut self.stuck,
+            InstanceOutcome::Violation => &mut self.violations,
+            InstanceOutcome::Rejected => &mut self.rejected,
+            InstanceOutcome::Failed => &mut self.failed,
+        };
+        *class += 1;
+        self.griefed += u64::from(r.griefed);
+        self.byzantine += u64::from(r.faults.byz != ByzFault::None);
+    }
+
+    /// Each counter with its record name, in field order: the six
+    /// outcome classes first.
+    fn fields(&mut self) -> [(&'static str, &mut u64); 8] {
+        [
+            ("success", &mut self.success),
+            ("refunds", &mut self.refunds),
+            ("stuck", &mut self.stuck),
+            ("violations", &mut self.violations),
+            ("rejected", &mut self.rejected),
+            ("failed", &mut self.failed),
+            ("griefed", &mut self.griefed),
+            ("byzantine", &mut self.byzantine),
+        ]
+    }
+
+    /// Folds another counter set into this one (element-wise add).
+    pub(crate) fn absorb(&mut self, other: &OutcomeCounts) {
+        let mut other = *other;
+        for ((_, a), (_, b)) in self.fields().into_iter().zip(other.fields()) {
+            *a += *b;
+        }
+    }
+
+    /// The rows counted: the six outcome classes summed, `None` when the
+    /// sum overflows.
+    pub(crate) fn rows(&self) -> Option<u64> {
+        let mut counts = *self;
+        let mut classes = counts.fields().into_iter().take(6);
+        classes.try_fold(0u64, |sum, (_, n)| sum.checked_add(*n))
+    }
+
+    /// `e` with the eight counters appended, in field order: the
+    /// campaign checkpoint's `outcomes` record, the `--json` artifact's
+    /// `outcomes` object and the tail of every `epoch` event.
+    pub(crate) fn with_fields(&self, e: Event) -> Event {
+        let mut counts = *self;
+        let fields = counts.fields().into_iter();
+        fields.fold(e, |e, (name, n)| e.with_u64(name, *n))
+    }
+
+    /// Reads the counters [`OutcomeCounts::with_fields`] wrote into `e`.
+    pub(crate) fn from_event(e: &Event) -> Result<OutcomeCounts, String> {
+        let mut counts = OutcomeCounts::default();
+        for (name, n) in counts.fields() {
+            let bad = || format!("{}: missing or malformed {name}", e.kind());
+            *n = e.u64_field(name).ok_or_else(bad)?;
+        }
+        Ok(counts)
+    }
 }
 
 /// Packet-level accounting for packetized payments.
@@ -121,29 +219,15 @@ impl SimReport {
         // workload-wide concurrency peaks.
         let mut deltas: Vec<(SimTime, i64, i64)> = Vec::new();
         for (family, rs) in by_family {
-            let mut success = Rate::default();
-            let (mut refunds, mut stuck, mut violations, mut byz) =
-                (0usize, 0usize, 0usize, 0usize);
-            let (mut griefed, mut rejected, mut failed) = (0usize, 0usize, 0usize);
+            let mut counts = OutcomeCounts::default();
             let mut latencies: Vec<u64> = Vec::new();
             let mut peaks: Vec<u64> = Vec::with_capacity(rs.len());
             let mut packets: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
             let mut spokes: BTreeMap<usize, u64> = BTreeMap::new();
             for &(spec, r) in &rs {
-                success.record(r.outcome == InstanceOutcome::Success);
-                match r.outcome {
-                    InstanceOutcome::Success => latencies.push(r.latency.ticks()),
-                    InstanceOutcome::Refund => refunds += 1,
-                    InstanceOutcome::Stuck => stuck += 1,
-                    InstanceOutcome::Violation => violations += 1,
-                    InstanceOutcome::Rejected => rejected += 1,
-                    InstanceOutcome::Failed => failed += 1,
-                }
-                if r.griefed {
-                    griefed += 1;
-                }
-                if r.faults.byz != ByzFault::None {
-                    byz += 1;
+                counts.count(r);
+                if r.outcome == InstanceOutcome::Success {
+                    latencies.push(r.latency.ticks());
                 }
                 peaks.push(r.peak_locked);
                 if let Some((pid, paths)) = spec.packet {
@@ -184,17 +268,21 @@ impl SimReport {
                 }
             });
             let spoke_counts: Vec<u64> = spokes.into_values().collect();
+            let n = |count: u64| count as usize;
             families.push(FamilyStats {
                 family,
                 instances: rs.len(),
-                success,
-                refunds,
-                stuck,
-                violations,
-                rejected,
-                failed,
-                griefed,
-                byzantine: byz,
+                success: Rate {
+                    hits: n(counts.success),
+                    total: rs.len(),
+                },
+                refunds: n(counts.refunds),
+                stuck: n(counts.stuck),
+                violations: n(counts.violations),
+                rejected: n(counts.rejected),
+                failed: n(counts.failed),
+                griefed: n(counts.griefed),
+                byzantine: n(counts.byzantine),
                 latency: Summary::of(&latencies),
                 peak_locked: Summary::of(&peaks),
                 packets: packet_stats,
@@ -373,40 +461,6 @@ pub struct OpenReport {
     pub routing: Option<RoutingStats>,
 }
 
-/// Per-venue activity counters collected by the discrete-event engine.
-///
-/// Each liquidity shard counts its own venues during the run; shards are
-/// venue-disjoint, so the post-run merge (in shard order) is a plain union
-/// and the counters are bit-identical at any worker count. A payment
-/// touching `k` venues contributes to all `k` rows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VenueEvents {
-    /// Payments admitted whose route demands collateral at this venue.
-    pub admitted: u64,
-    /// Payments rejected whose route demands collateral at this venue.
-    pub rejected: u64,
-    /// Admitted payments that waited at the gate before starting here.
-    pub queued: u64,
-    /// Rejected payments that queued here and ran out of patience.
-    pub expired: u64,
-    /// Audited lock events (locked value increased) at this venue.
-    pub locks: u64,
-    /// Audited release events (locked value decreased) at this venue.
-    pub releases: u64,
-}
-
-impl VenueEvents {
-    /// Fold another counter set into this one (element-wise add).
-    pub fn absorb(&mut self, other: &VenueEvents) {
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.queued += other.queued;
-        self.expired += other.expired;
-        self.locks += other.locks;
-        self.releases += other.releases;
-    }
-}
-
 /// Deterministic telemetry sidecar of one open-system run: the per-venue
 /// end-state samples and DES activity counters, in venue-id order.
 ///
@@ -419,7 +473,8 @@ pub struct OpenTelemetry {
     /// Per-venue end-of-run samples (utilization, peaks, drain), in
     /// venue-id order. See [`protocol::liquidity::VenueSample`].
     pub venues: Vec<protocol::VenueSample>,
-    /// Per-venue DES counters, in venue-id order.
+    /// Per-venue DES counters of every venue the run touched, in
+    /// venue-id order ([`protocol::LiquidityBook::venue_events`]).
     pub venue_events: Vec<(u32, VenueEvents)>,
     /// Pathfinder counters, for routed runs only.
     pub routing: Option<RoutingStats>,

@@ -170,4 +170,28 @@ if [ "$n" -ne 11 ] || ! grep -qxF '#![deny(unsafe_code)]' crates/crypto/src/lib.
     bad=1
 fi
 
+# Each count has one owner. A split payment's legs join in
+# HarnessRun::join; the eight outcome counters are sim::OutcomeCounts,
+# which a CampaignTally holds as `outcomes`; a venue's DES counters live
+# in its LiquidityBook account (protocol::VenueEvents, re-exported as
+# sim::VenueEvents).
+row '\.tally(\(\))?\.(success|refunds|stuck|violations|rejected|failed|griefed|byzantine)\b' \
+    "$code" '^crates/sim/src/des.rs:' \
+    "moved: a CampaignTally's outcome counters are its outcomes field, a sim::OutcomeCounts (the DES's own GateTally keeps its gate counts)"
+row 'metrics::(\{[^}]*)?\bVenueEvents\b' "$code" '' \
+    "moved: VenueEvents is protocol::liquidity::VenueEvents (sim::VenueEvents), kept in the book's per-venue account"
+row '\bshard_view\b' "$code" '' \
+    "deleted: each DES shard drives LiquidityBook::new(liq, venues), merged with LiquidityBook::merge"
+row '\bspent_at\b' "$code" '' \
+    "deleted: admission reads a venue's spend only through LiquidityBook::load_at"
+row '\breserved_at\b' "$code" '' \
+    "deleted: read a venue's reservation through LiquidityBook::load_at or venue_samples"
+row 'BTreeMap<u32, VenueEvents>|\bseverity\b' crates/sim/src '' \
+    "the DES keeps no venue counters or outcome order of its own: LiquidityBook::events_mut / apply_lock count, HarnessRun::join folds legs"
+
+# Scoped threads are std::thread::scope. The crossbeam shim and its two
+# Cargo edges stay until ROADMAP 1(ii) regenerates benchmark/Cargo.lock.
+row 'crossbeam::' crates '' \
+    "use std::thread::scope"
+
 exit $bad

@@ -119,5 +119,15 @@ row crates/htlc/src/swap.rs 's/ if ACCOUNTS\.contains\(&\(depositor, from\)\)//'
     "cargo test -q --offline --test baselines htlc_chain_opens_only_for_the_depositor" \
     "anyone opens a contract on the depositor's balance (baselines::htlc_chain_opens_only_for_the_depositor)"
 
+# Each count has one owner: a split payment's legs join on the worst
+# outcome, and the book counts a venue's locks and releases where it
+# applies them.
+row crates/protocol/src/outcome.rs 's/\[Refund, Stuck, Failed, Violation\]/[Violation, Refund, Stuck, Failed]/' \
+    "cargo test -q --offline --test routing split_legs_join_into_one_row" \
+    "a split payment's join ranks Violation below Refund (routing::split_legs_join_into_one_row)"
+row crates/protocol/src/liquidity.rs 's/a\.events\.releases \+= 1/a.events.locks += 1/' \
+    "cargo test -q --offline --test telemetry venue_des_counters_are_pinned_exactly" \
+    "apply_lock counts a release as a lock (telemetry::venue_des_counters_are_pinned_exactly)"
+
 echo "mutants: $((SECONDS - start)) s"
 exit $bad

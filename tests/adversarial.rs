@@ -129,3 +129,44 @@ fn two_simultaneous_byzantine_customers() {
         assert_eq!(o.net_positions[i], Some(0));
     }
 }
+
+/// Under `TmKind::Contract` the manager publishes only evidence that
+/// verified: an abort request forged in `c_0`'s name by `c_1` leaves no
+/// `[2, 0]` entry in the contract log, while `c_1`'s own signed abort
+/// request is logged as `[2, 1]`.
+#[test]
+fn contract_log_records_only_verified_abort_requests() {
+    use crosschain::anta::process::Process;
+    use crosschain::payment::byzantine::ImpersonatingAborter;
+    use crosschain::payment::weak::{TmKind, TrustedTm, WeakSetup};
+
+    let s = WeakSetup::new(2, ValuePlan::uniform(2, 60), TmKind::Contract, 31);
+    let log = |victim: usize| {
+        let mut eng = s.build_engine_with(
+            Box::new(SyncNet::new(SimDuration::from_millis(5), 8)),
+            Box::new(RandomOracle::seeded(7)),
+            |role| {
+                (role == Role::Customer(1)).then(|| {
+                    Box::new(ImpersonatingAborter::new(&s, 1, victim)) as Box<dyn Process<PMsg>>
+                })
+            },
+            |_| None,
+        );
+        eng.run();
+        let tm = eng.process_as::<TrustedTm>(s.tm_pids().start);
+        let chain = tm.and_then(TrustedTm::chain).expect("the contract's log");
+        assert!(chain.verify_integrity().is_ok());
+        let entries = chain.entries().iter().map(|e| e.payload.clone());
+        entries.collect::<Vec<Vec<u8>>>()
+    };
+    let forged = log(0);
+    assert!(
+        !forged.contains(&vec![2, 0]),
+        "a forged abort is logged: {forged:?}"
+    );
+    let own = log(1);
+    assert!(
+        own.contains(&vec![2, 1]),
+        "a verified abort is not logged: {own:?}"
+    );
+}

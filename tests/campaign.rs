@@ -103,7 +103,7 @@ fn assert_resume_bit_identical(family: TopologyFamily, threads: usize, tag: &str
     oneshot.run_to_end(None, None, |_| {}).unwrap();
     let expect = oneshot.report();
     assert!(expect.tally.instances >= 2_000);
-    assert_eq!(expect.tally.violations, 0);
+    assert_eq!(expect.tally.outcomes.violations, 0);
 
     let epochs = cfg(family, threads).epochs();
     for k in 0..epochs {
@@ -312,8 +312,8 @@ fn checkpoint_with_impossible_tally_is_refused() {
     let mut runner = CampaignRunner::new(TimeBoundedHarness, closed);
     runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
     let payload = String::from_utf8(payload_of(&ckpt.0)).unwrap();
-    assert_eq!(runner.tally().failed, 0);
-    assert!(runner.tally().success > 20);
+    assert_eq!(runner.tally().outcomes.failed, 0);
+    assert!(runner.tally().outcomes.success > 20);
 
     let seventeen: Vec<u64> = (1..=17).collect();
     for (forged, field) in [
@@ -517,13 +517,13 @@ fn sketch_quantiles_match_exact_percentiles_within_bound() {
         assert_eq!(t.instances, report.instances as u64, "threads {threads}");
         assert_eq!(
             [
-                t.success,
-                t.refunds,
-                t.stuck,
-                t.violations,
-                t.failed,
-                t.griefed,
-                t.byzantine
+                t.outcomes.success,
+                t.outcomes.refunds,
+                t.outcomes.stuck,
+                t.outcomes.violations,
+                t.outcomes.failed,
+                t.outcomes.griefed,
+                t.outcomes.byzantine
             ],
             [
                 f.success.hits,
@@ -538,7 +538,7 @@ fn sketch_quantiles_match_exact_percentiles_within_bound() {
             "threads {threads}"
         );
         assert!(
-            t.refunds > 0 && t.byzantine > 0 && t.success > 0,
+            t.outcomes.refunds > 0 && t.outcomes.byzantine > 0 && t.outcomes.success > 0,
             "the fault plan must bite for the equalities to mean much: {t:?}"
         );
         assert_eq!(t.events, events, "threads {threads}");

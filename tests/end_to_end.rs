@@ -151,7 +151,7 @@ fn committee_withholds_an_unjustified_commit_proposal() {
                 abort_at: Some(SimDuration::from_millis(1)),
             },
         );
-    let peers = setup.tm_pids()[1..].to_vec();
+    let peers: Vec<_> = setup.tm_pids().skip(1).collect();
     let empty_pol = ProofOfLock {
         round: 0,
         value: Verdict::Commit,

@@ -296,6 +296,63 @@ fn routed_campaign_work_counters_are_pinned_exactly() {
     );
 }
 
+/// A split payment's legs join into one row by `HarnessRun::join`: the
+/// worst outcome wins, latency is the slower leg's, peaks and events add,
+/// griefing ORs, and the second leg's lock events follow the first's with
+/// their hops offset past the first leg's.
+#[test]
+fn split_legs_join_into_one_row() {
+    use crosschain::protocol::HarnessRun;
+    let t = crosschain::anta::time::SimTime::from_ticks;
+    let row = |outcome, latency, peak, events, griefed| {
+        let mut r = HarnessRun::never_ran(
+            outcome,
+            InstanceFaults::NONE,
+            SimDuration::from_ticks(latency),
+        );
+        (r.peak_locked, r.events, r.griefed) = (peak, events, griefed);
+        r
+    };
+    let mut first = row(InstanceOutcome::Refund, 70, 100, 12, false);
+    first.lock_profile = vec![(t(0), 0, 100), (t(5), 1, 100), (t(9), 0, -100)];
+    let mut leg = row(InstanceOutcome::Success, 90, 40, 8, true);
+    leg.lock_profile = vec![(t(2), 0, 40), (t(7), 1, -40)];
+    first.join(leg, 2);
+    assert_eq!(first.outcome, InstanceOutcome::Refund);
+    assert_eq!(first.latency, SimDuration::from_ticks(90));
+    assert_eq!((first.peak_locked, first.events), (140, 20));
+    assert!(first.griefed);
+    assert_eq!(
+        first.lock_profile,
+        vec![
+            (t(0), 0, 100),
+            (t(5), 1, 100),
+            (t(9), 0, -100),
+            (t(2), 2, 40),
+            (t(7), 3, -40)
+        ]
+    );
+
+    // Worst first: every pair joins to the later one of this list, in
+    // either order.
+    let order = [
+        InstanceOutcome::Success,
+        InstanceOutcome::Refund,
+        InstanceOutcome::Stuck,
+        InstanceOutcome::Failed,
+        InstanceOutcome::Violation,
+    ];
+    for (i, &a) in order.iter().enumerate() {
+        for &b in &order[i..] {
+            for (x, y) in [(a, b), (b, a)] {
+                let mut r = row(x, 0, 0, 0, false);
+                r.join(row(y, 0, 0, 0, false), 0);
+                assert_eq!(r.outcome, b, "{x:?} joined with {y:?}");
+            }
+        }
+    }
+}
+
 /// Successful payments across every family of a report.
 fn successes(r: &crosschain::sim::OpenReport) -> usize {
     r.sim.families.iter().map(|f| f.success.hits).sum()

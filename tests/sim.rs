@@ -448,13 +448,13 @@ fn a_panicking_instance_degrades_to_one_failed_row_everywhere() {
         let mut runner = CampaignRunner::new(PoisonedHarness, epoch_cfg);
         runner.run_to_end(None, None, |_| {}).unwrap();
         let report = runner.report();
-        assert_eq!(report.tally.failed, 1, "threads {threads}");
+        assert_eq!(report.tally.outcomes.failed, 1, "threads {threads}");
         assert_eq!(
             report.tally.failed_seeds,
             [poisoned_seed],
             "threads {threads}"
         );
-        assert_eq!(report.tally.success, 39, "threads {threads}");
+        assert_eq!(report.tally.outcomes.success, 39, "threads {threads}");
         report.digest
     };
     assert_eq!(one_epoch(1), one_epoch(4));

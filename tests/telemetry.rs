@@ -175,7 +175,7 @@ fn open_campaign_emits_venue_series_and_epoch_counters() {
         .expect("epoch events");
     assert_eq!(
         last_epoch.u64_field("success"),
-        Some(report.tally.success),
+        Some(report.tally.outcomes.success),
         "cumulative counters in the final epoch event match the report"
     );
     assert_eq!(
