@@ -289,8 +289,9 @@ impl LiquidityBook {
         self.cfg.budget
     }
 
-    fn bounded(&self) -> bool {
-        self.cfg.policy.bounded()
+    /// The admission policy applied when a budget is exhausted.
+    pub fn policy(&self) -> AdmissionPolicy {
+        self.cfg.policy
     }
 
     fn account(&mut self, venue: VenueId) -> &mut Account {
@@ -305,7 +306,7 @@ impl LiquidityBook {
     /// remaining (unreserved, unspent) budget. Always true for an
     /// unbounded book.
     pub fn fits(&self, demand: &[(VenueId, u64)]) -> bool {
-        !self.bounded()
+        !self.policy().bounded()
             || demand
                 .iter()
                 .all(|&(venue, amount)| self.load_at(venue).saturating_add(amount) <= self.budget())
@@ -315,7 +316,7 @@ impl LiquidityBook {
     /// `false` means the payment can *never* be admitted under this
     /// budget, no matter how long it waits for releases.
     pub fn could_ever_fit(&self, demand: &[(VenueId, u64)]) -> bool {
-        !self.bounded() || demand.iter().all(|&(_, amount)| amount <= self.budget())
+        !self.policy().bounded() || demand.iter().all(|&(_, amount)| amount <= self.budget())
     }
 
     /// A counter that moves whenever some venue's committed load
@@ -396,7 +397,7 @@ impl LiquidityBook {
         self.finish(at);
         self.locked_total += delta;
 
-        let (bounded, budget) = (self.bounded(), self.budget());
+        let (bounded, budget) = (self.policy().bounded(), self.budget());
         let a = self.account(venue);
         a.locked += delta;
         a.peak_locked = a.peak_locked.max(a.locked);
@@ -453,7 +454,7 @@ impl LiquidityBook {
     /// `None` when the horizon is empty or the budget unbounded.
     pub fn utilization_ppm(&self, horizon: SimDuration) -> Option<u64> {
         let budget = self.budget();
-        if !self.bounded() || horizon.is_zero() || self.venues() == 0 || budget == 0 {
+        if !self.policy().bounded() || horizon.is_zero() || self.venues() == 0 || budget == 0 {
             return None;
         }
         let capacity = budget as u128 * self.venues() as u128 * horizon.ticks() as u128;
@@ -466,7 +467,8 @@ impl LiquidityBook {
     /// layer reads on epoch boundaries to build per-venue utilization
     /// and drain time-series.
     pub fn venue_samples(&self) -> Vec<VenueSample> {
-        let budget = (self.bounded() && self.budget() > 0).then_some(self.budget() as u128);
+        let budget =
+            (self.policy().bounded() && self.budget() > 0).then_some(self.budget() as u128);
         let venues = self.accounts.iter().enumerate();
         venues
             .map(|(i, a)| {
@@ -556,6 +558,7 @@ mod tests {
         assert!(!book.try_admit(&[(0, 50), (2, 10)]));
         assert!(book.try_admit(&[(0, 40), (2, 100)]));
         assert_eq!(book.load_at(0), 100);
+        assert_eq!(book.venue_samples()[0].reserved, 100, "reserved, not spent");
         assert_eq!(book.peak_reserved_venue(), 100);
         book.settle(0, 60, 0);
         assert!(book.try_admit(&[(0, 50)]));
@@ -753,8 +756,10 @@ mod tests {
         assert!(shard.try_admit(&[(1, 50)]));
         shard.settle(1, 50, 50);
         root.merge(&shard);
-        assert_eq!(root.load_at(1), 50, "spent, not reserved");
+        assert_eq!(root.load_at(1), 50);
+        assert_eq!(root.venue_samples()[1].reserved, 0, "spent, not reserved");
         assert!(!root.fits(&[(1, 60)]));
+        assert_eq!(root.restore_all(), 50);
     }
 
     #[test]
@@ -763,6 +768,7 @@ mod tests {
         assert!(book.try_admit(&[(7, 10)]));
         assert_eq!(book.venues(), 8);
         assert_eq!(book.load_at(7), 10);
+        assert_eq!(book.venue_samples()[7].reserved, 10);
         assert_eq!(book.load_at(3), 0);
     }
 }

@@ -73,7 +73,7 @@ use anta::time::SimTime;
 use experiments::parallel_map;
 use experiments::stats::Summary;
 use protocol::harness::{sample_instance_faults, HarnessRun, ProtocolHarness};
-use protocol::liquidity::{AdmissionPolicy, LiquidityBook, LiquidityConfig};
+use protocol::liquidity::{LiquidityBook, LiquidityConfig};
 use protocol::network::{GraphFamily, Router, RoutingConfig, VenueGraph};
 use protocol::ProtocolOutcome;
 use std::borrow::Cow;
@@ -239,7 +239,6 @@ struct ShardSim<'a, H: ProtocolHarness> {
     /// Spec indices of this shard's payments, in arrival order.
     members: &'a [usize],
     plan: &'a FaultPlan,
-    policy: AdmissionPolicy,
     book: LiquidityBook,
     /// The next member to arrive: `members[arrived..]` have not.
     arrived: usize,
@@ -282,7 +281,6 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             specs,
             members,
             plan,
-            policy: liq.policy,
             book: LiquidityBook::new(liq, venues),
             arrived: 0,
             events: EventQueue::default(),
@@ -385,11 +383,11 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     /// of a routed payment.
     fn can_wait(&self, li: usize) -> bool {
         let Some(rt) = &self.routed else {
-            return self.policy.bounded() && self.book.could_ever_fit(&self.demands[li]);
+            return self.book.policy().bounded() && self.book.could_ever_fit(&self.demands[li]);
         };
         let amount = delivered(&self.specs[self.members[li]]);
         let min_share = amount.div_ceil(rt.cfg.max_split.max(1) as u64);
-        (self.policy.bounded() || !rt.cfg.rebalance_period.is_zero())
+        (self.book.policy().bounded() || !rt.cfg.rebalance_period.is_zero())
             && self.book.could_ever_fit(&[(0, min_share)])
     }
 
@@ -398,7 +396,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
     /// gate with an expiry at arrival + patience; otherwise be refused
     /// now, with zero wasted wait.
     fn enqueue_or_reject(&mut self, local: u32, t: SimTime, can_help: bool) {
-        let patience = self.policy.max_wait();
+        let patience = self.book.policy().max_wait();
         if can_help && !patience.is_zero() {
             self.queue.push_back(local);
             let arrival = self.specs[self.members[local as usize]].arrival;
@@ -593,7 +591,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             self.demands[li].iter().for_each(|&(venue, _)| count(venue));
         }
         let spends = routed && r.outcome == ProtocolOutcome::Success;
-        if self.policy.bounded() {
+        if self.book.policy().bounded() {
             for (&venue, &(_, peak, last)) in &per_venue {
                 if peak > 0 {
                     self.book.reserve(venue, peak as u64);
@@ -665,7 +663,9 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         let spec = &self.specs[self.members[li]];
         // The payment never starts: no locks, no run, only the payer's
         // *actual* wasted patience (zero for an on-the-spot refusal).
-        let wasted = t.saturating_since(spec.arrival).min(self.policy.max_wait());
+        let wasted = t
+            .saturating_since(spec.arrival)
+            .min(self.book.policy().max_wait());
         for &(venue, _) in &self.demands[li] {
             let ve = self.book.events_mut(venue);
             ve.rejected += 1;

@@ -113,9 +113,9 @@ impl OutcomeCounts {
         self.byzantine += u64::from(r.faults.byz != ByzFault::None);
     }
 
-    /// Each counter with its record name, in field order: the six
-    /// outcome classes first.
-    fn fields(&mut self) -> [(&'static str, &mut u64); 8] {
+    /// Each counter with its record name, in field order: the one table
+    /// the record is written and read by.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 8] {
         [
             ("success", &mut self.success),
             ("refunds", &mut self.refunds),
@@ -128,35 +128,39 @@ impl OutcomeCounts {
         ]
     }
 
+    /// [`OutcomeCounts::fields_mut`], read-only.
+    fn fields(&self) -> [(&'static str, u64); 8] {
+        let mut counts = *self;
+        counts.fields_mut().map(|(name, n)| (name, *n))
+    }
+
     /// Folds another counter set into this one (element-wise add).
     pub(crate) fn absorb(&mut self, other: &OutcomeCounts) {
-        let mut other = *other;
-        for ((_, a), (_, b)) in self.fields().into_iter().zip(other.fields()) {
-            *a += *b;
+        for ((_, a), (_, b)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *a += b;
         }
     }
 
     /// The rows counted: the six outcome classes summed, `None` when the
     /// sum overflows.
     pub(crate) fn rows(&self) -> Option<u64> {
-        let mut counts = *self;
-        let mut classes = counts.fields().into_iter().take(6);
-        classes.try_fold(0u64, |sum, (_, n)| sum.checked_add(*n))
+        let classes = [self.success, self.refunds, self.stuck, self.violations];
+        let mut classes = classes.into_iter().chain([self.rejected, self.failed]);
+        classes.try_fold(0u64, u64::checked_add)
     }
 
     /// `e` with the eight counters appended, in field order: the
     /// campaign checkpoint's `outcomes` record, the `--json` artifact's
     /// `outcomes` object and the tail of every `epoch` event.
     pub(crate) fn with_fields(&self, e: Event) -> Event {
-        let mut counts = *self;
-        let fields = counts.fields().into_iter();
-        fields.fold(e, |e, (name, n)| e.with_u64(name, *n))
+        let fields = self.fields().into_iter();
+        fields.fold(e, |e, (name, n)| e.with_u64(name, n))
     }
 
     /// Reads the counters [`OutcomeCounts::with_fields`] wrote into `e`.
     pub(crate) fn from_event(e: &Event) -> Result<OutcomeCounts, String> {
         let mut counts = OutcomeCounts::default();
-        for (name, n) in counts.fields() {
+        for (name, n) in counts.fields_mut() {
             let bad = || format!("{}: missing or malformed {name}", e.kind());
             *n = e.u64_field(name).ok_or_else(bad)?;
         }

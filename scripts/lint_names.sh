@@ -176,8 +176,8 @@ fi
 # in its LiquidityBook account (protocol::VenueEvents, re-exported as
 # sim::VenueEvents).
 row '\.tally(\(\))?\.(success|refunds|stuck|violations|rejected|failed|griefed|byzantine)\b' \
-    "$code" '^crates/sim/src/des.rs:' \
-    "moved: a CampaignTally's outcome counters are its outcomes field, a sim::OutcomeCounts (the DES's own GateTally keeps its gate counts)"
+    "$code" '' \
+    "moved: a CampaignTally's outcome counters are its outcomes field, a sim::OutcomeCounts"
 row 'metrics::(\{[^}]*)?\bVenueEvents\b' "$code" '' \
     "moved: VenueEvents is protocol::liquidity::VenueEvents (sim::VenueEvents), kept in the book's per-venue account"
 row '\bshard_view\b' "$code" '' \
