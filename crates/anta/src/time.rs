@@ -100,19 +100,31 @@ impl SimDuration {
     ///
     /// Deadline arithmetic always rounds pessimistically: a deadline scaled
     /// by a drift factor must never come out shorter than the true bound.
-    /// Uses a 128-bit intermediate, so no overflow for any realistic input.
+    /// Exact for every input, saturating at `u64::MAX`: the product is a
+    /// `u64` when it fits (every drift clock's case, and no 128-bit
+    /// division) and a `u128` past that.
     pub fn scale_ceil(self, num: u64, den: u64) -> SimDuration {
         assert!(den != 0, "scale_ceil: zero denominator");
-        let prod = self.0 as u128 * num as u128;
-        let out = prod.div_ceil(den as u128);
-        SimDuration(u64::try_from(out).unwrap_or(u64::MAX))
+        match self.0.checked_mul(num) {
+            Some(prod) => SimDuration(prod.div_ceil(den)),
+            None => {
+                let out = (self.0 as u128 * num as u128).div_ceil(den as u128);
+                SimDuration(u64::try_from(out).unwrap_or(u64::MAX))
+            }
+        }
     }
 
-    /// Multiplies by `num/den`, rounding **down** (for lower bounds).
+    /// Multiplies by `num/den`, rounding **down** (for lower bounds). Exact
+    /// and saturating, as [`SimDuration::scale_ceil`].
     pub fn scale_floor(self, num: u64, den: u64) -> SimDuration {
         assert!(den != 0, "scale_floor: zero denominator");
-        let prod = self.0 as u128 * num as u128;
-        SimDuration(u64::try_from(prod / den as u128).unwrap_or(u64::MAX))
+        match self.0.checked_mul(num) {
+            Some(prod) => SimDuration(prod / den),
+            None => {
+                let out = self.0 as u128 * num as u128 / den as u128;
+                SimDuration(u64::try_from(out).unwrap_or(u64::MAX))
+            }
+        }
     }
 
     /// Saturating addition.
@@ -286,6 +298,64 @@ mod tests {
         assert!(scaled.ticks() > d.ticks());
     }
 
+    /// `scale_floor` / `scale_ceil` as one 128-bit formula, saturating.
+    fn scaled_u128(t: u64, num: u64, den: u64, ceil: bool) -> u64 {
+        let prod = t as u128 * num as u128;
+        let q = if ceil {
+            prod.div_ceil(den as u128)
+        } else {
+            prod / den as u128
+        };
+        u64::try_from(q).unwrap_or(u64::MAX)
+    }
+
+    fn assert_scales_as_u128(t: u64, num: u64, den: u64) {
+        let d = SimDuration::from_ticks(t);
+        assert_eq!(
+            d.scale_floor(num, den).ticks(),
+            scaled_u128(t, num, den, false),
+            "floor({t} × {num} / {den})"
+        );
+        assert_eq!(
+            d.scale_ceil(num, den).ticks(),
+            scaled_u128(t, num, den, true),
+            "ceil({t} × {num} / {den})"
+        );
+    }
+
+    /// Products at the edge of the `u64` path: 2^64 − 1 (the largest that
+    /// takes it), 2^64 and 2^64 + 1 (the smallest that do not), at 0, 1 and
+    /// `u64::MAX` on either side.
+    #[test]
+    fn scaling_equals_the_u128_formula_at_the_u64_edge() {
+        const M: u64 = u64::MAX;
+        // 2^64 − 1 = 3 · 5 · 17 · 257 · 641 · 65537 · 6700417, and
+        // 2^64 + 1 = 274177 · 67280421310721.
+        let pairs = [
+            (0, 0),
+            (0, M),
+            (M, 0),
+            (1, 1),
+            (1, M),
+            (M, 1),
+            (M, M),
+            (3, M / 3),
+            (641, M / 641),
+            (65537, M / 65537),
+            (1 << 32, 1 << 32),
+            (2, 1 << 63),
+            (274177, 67280421310721),
+            (1 << 32, (1 << 32) + 1),
+        ];
+        for (t, num) in pairs {
+            for (a, b) in [(t, num), (num, t)] {
+                for den in [1, 2, 3, 7, 1_000_000, 1 << 32, M - 1, M] {
+                    assert_scales_as_u128(a, b, den);
+                }
+            }
+        }
+    }
+
     #[test]
     fn display_formatting() {
         assert_eq!(SimDuration::from_ticks(512).to_string(), "512µs");
@@ -309,6 +379,13 @@ mod tests {
                 SimDuration::from_ticks(lo).scale_ceil(num, 1_000_000)
                     <= SimDuration::from_ticks(hi).scale_ceil(num, 1_000_000)
             );
+        }
+
+        #[test]
+        fn prop_scale_equals_the_u128_formula(t in any::<u64>(), num in any::<u64>(), den in 1u64..u64::MAX, shift in 0u32..64) {
+            // Shifts spread the magnitudes, so both paths are drawn.
+            assert_scales_as_u128(t >> shift, num >> (63 - shift), den);
+            assert_scales_as_u128(t >> shift, num, den >> shift | 1);
         }
 
         #[test]

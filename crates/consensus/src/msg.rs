@@ -4,7 +4,7 @@
 //! signatures, which doubles as the transferable certificate the
 //! transaction manager turns into χc/χa.
 
-use xcrypto::wire::WireWriter;
+use xcrypto::wire::Payload;
 use xcrypto::{Signature, Signer};
 
 /// Domain label for consensus votes.
@@ -14,28 +14,29 @@ pub const DOM_VOTE: &[u8] = b"xchain/consensus/vote";
 /// verdict (the transaction manager's use) and for primitive test values.
 /// `Hash` feeds a value into the explorer's state fingerprint.
 pub trait ConsensusValue: Clone + Eq + std::fmt::Debug + std::hash::Hash + 'static {
-    /// Canonical byte encoding (must be injective).
-    fn encode(&self) -> Vec<u8>;
+    /// Appends the value's canonical byte encoding (must be injective) to
+    /// `out` as one length-prefixed byte string.
+    fn encode(&self, out: &mut Payload);
 }
 
 impl ConsensusValue for u64 {
-    fn encode(&self) -> Vec<u8> {
-        self.to_be_bytes().to_vec()
+    fn encode(&self, out: &mut Payload) {
+        out.put_bytes(&self.to_be_bytes());
     }
 }
 
 impl ConsensusValue for bool {
-    fn encode(&self) -> Vec<u8> {
-        vec![u8::from(*self)]
+    fn encode(&self, out: &mut Payload) {
+        out.put_bytes(&[u8::from(*self)]);
     }
 }
 
 impl ConsensusValue for xcrypto::Verdict {
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            xcrypto::Verdict::Commit => vec![1],
-            xcrypto::Verdict::Abort => vec![2],
-        }
+    fn encode(&self, out: &mut Payload) {
+        out.put_bytes(match self {
+            xcrypto::Verdict::Commit => &[1],
+            xcrypto::Verdict::Abort => &[2],
+        });
     }
 }
 
@@ -64,21 +65,16 @@ pub fn vote_payload<V: ConsensusValue>(
     kind: VoteKind,
     round: u32,
     value: Option<&V>,
-) -> Vec<u8> {
-    let mut w = WireWriter::new(DOM_VOTE);
-    w.put_u64(instance);
-    w.put_u8(kind.tag());
-    w.put_u32(round);
+) -> Payload {
+    let mut w = Payload::new(DOM_VOTE);
+    w.put_u64(instance).put_u8(kind.tag()).put_u32(round);
     match value {
-        Some(v) => {
-            w.put_u8(1);
-            w.put_bytes(&v.encode());
-        }
+        Some(v) => v.encode(w.put_u8(1)),
         None => {
             w.put_u8(0);
         }
     }
-    w.finish()
+    w
 }
 
 /// Signs a vote.
@@ -100,22 +96,20 @@ pub fn propose_payload<V: ConsensusValue>(
     round: u32,
     value: &V,
     pol_round: Option<u32>,
-) -> Vec<u8> {
-    let mut w = WireWriter::new(DOM_VOTE);
-    w.put_u64(instance);
-    w.put_u8(3); // distinct from VoteKind tags
-    w.put_u32(round);
-    w.put_bytes(&value.encode());
+) -> Payload {
+    let mut w = Payload::new(DOM_VOTE);
+    // 3 is distinct from the VoteKind tags.
+    w.put_u64(instance).put_u8(3).put_u32(round);
+    value.encode(&mut w);
     match pol_round {
         Some(r) => {
-            w.put_u8(1);
-            w.put_u32(r);
+            w.put_u8(1).put_u32(r);
         }
         None => {
             w.put_u8(0);
         }
     }
-    w.finish()
+    w
 }
 
 /// Signs a proposal.
@@ -220,6 +214,11 @@ mod tests {
     #[test]
     fn verdict_encoding_distinct() {
         use xcrypto::Verdict;
-        assert_ne!(Verdict::Commit.encode(), Verdict::Abort.encode());
+        let encoded = |v: Verdict| {
+            let mut w = Payload::new(b"");
+            v.encode(&mut w);
+            w
+        };
+        assert_ne!(encoded(Verdict::Commit), encoded(Verdict::Abort));
     }
 }

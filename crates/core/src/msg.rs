@@ -14,7 +14,7 @@
 use anta::time::SimDuration;
 use consensus::ConsMsg;
 use ledger::Asset;
-use xcrypto::wire::WireWriter;
+use xcrypto::wire::Payload;
 use xcrypto::{DecisionCert, KeyId, PaymentId, Pki, Receipt, Signature, Signer, Verdict};
 
 /// Domain label for escrow promises.
@@ -35,21 +35,23 @@ pub enum PromiseKind {
     Promise,
 }
 
-fn promise_payload(
+/// Canonical signing payload of escrow `e_i`'s promise: 87 bytes, the
+/// longest payload the workspace signs.
+pub fn promise_payload(
     kind: PromiseKind,
     payment: &PaymentId,
     escrow_index: usize,
     bound: SimDuration,
-) -> Vec<u8> {
-    let mut w = WireWriter::new(DOM_PROMISE);
+) -> Payload {
+    let mut w = Payload::new(DOM_PROMISE);
     w.put_u8(match kind {
         PromiseKind::Guarantee => 1,
         PromiseKind::Promise => 2,
-    });
-    w.put_bytes(&payment.0);
-    w.put_u64(escrow_index as u64);
-    w.put_u64(bound.ticks());
-    w.finish()
+    })
+    .put_bytes(&payment.0)
+    .put_u64(escrow_index as u64)
+    .put_u64(bound.ticks());
+    w
 }
 
 /// A signed escrow promise (`G(d)` or `P(a)`).
@@ -108,15 +110,16 @@ pub enum TmInputKind {
     AbortRequest,
 }
 
-fn tm_input_payload(kind: TmInputKind, payment: &PaymentId, index: u64) -> Vec<u8> {
-    let mut w = WireWriter::new(DOM_TM_INPUT);
+/// Canonical signing payload of a transaction-manager input.
+pub fn tm_input_payload(kind: TmInputKind, payment: &PaymentId, index: u64) -> Payload {
+    let mut w = Payload::new(DOM_TM_INPUT);
     w.put_u8(match kind {
         TmInputKind::Locked => 1,
         TmInputKind::AbortRequest => 2,
-    });
-    w.put_bytes(&payment.0);
-    w.put_u64(index);
-    w.finish()
+    })
+    .put_bytes(&payment.0)
+    .put_u64(index);
+    w
 }
 
 /// A signed transaction-manager input.

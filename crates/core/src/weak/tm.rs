@@ -170,9 +170,10 @@ impl TrustedTm {
         self.st.chain.as_ref()
     }
 
-    fn record(&mut self, payload: Vec<u8>) {
+    /// Appends a copy of `payload` to the contract's log.
+    fn record(&mut self, payload: &[u8]) {
         if let Some(chain) = &mut self.st.chain {
-            chain.append(payload);
+            chain.append(payload.to_vec());
         }
     }
 
@@ -191,7 +192,7 @@ impl TrustedTm {
         }
         self.st.decided = Some(v);
         let cert = DecisionCert::issue_single(&self.signer, self.st.evidence.payment, v);
-        self.record(DecisionCert::payload(&self.st.evidence.payment, v));
+        self.record(&DecisionCert::payload(&self.st.evidence.payment, v));
         ctx.mark(
             match v {
                 Verdict::Commit => "tm_commit",
@@ -214,7 +215,7 @@ impl Process<PMsg> for TrustedTm {
             // The contract logs only evidence that verified.
             PMsg::TmInput(input) => {
                 if self.st.evidence.ingest_input(&input, &self.pki) {
-                    self.record(vec![
+                    self.record(&[
                         match input.kind {
                             TmInputKind::Locked => 1u8,
                             TmInputKind::AbortRequest => 2,
@@ -225,7 +226,7 @@ impl Process<PMsg> for TrustedTm {
             }
             PMsg::Accept(chi) => {
                 if self.st.evidence.ingest_accept(&chi, &self.pki) {
-                    self.record(vec![3u8]);
+                    self.record(&[3u8]);
                 }
             }
             _ => return,

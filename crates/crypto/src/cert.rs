@@ -14,9 +14,9 @@
 //! certificate's authority is either one signature or a quorum
 //! ([`Authority`]).
 
-use crate::sha256::{sha256, Digest};
+use crate::sha256::{Digest, Sha256};
 use crate::sig::{KeyId, Pki, Signature, Signer};
-use crate::wire::WireWriter;
+use crate::wire::Payload;
 use std::hash::{Hash, Hasher};
 
 /// Domain labels (never reuse across payload kinds).
@@ -38,15 +38,19 @@ impl Hash for PaymentId {
 }
 
 impl PaymentId {
-    /// Derives a payment id from a session seed and participant list.
+    /// Derives a payment id from a session seed and participant list: the
+    /// SHA-256 of a [`Payload`] (label, seed, count) followed by each
+    /// participant's `be32` id, streamed, so any number of participants
+    /// hashes without an allocation.
     pub fn derive(seed: u64, participants: &[KeyId]) -> Self {
-        let mut w = WireWriter::new(b"xchain/payment-id");
-        w.put_u64(seed);
-        w.put_u64(participants.len() as u64);
+        let mut head = Payload::new(b"xchain/payment-id");
+        head.put_u64(seed).put_u64(participants.len() as u64);
+        let mut h = Sha256::new();
+        h.update(&head);
         for p in participants {
-            w.put_u32(p.0);
+            h.update(&p.0.to_be_bytes());
         }
-        PaymentId(sha256(&w.finish()))
+        PaymentId(h.finalize())
     }
 }
 
@@ -60,10 +64,11 @@ pub struct Receipt {
 }
 
 impl Receipt {
-    fn payload(payment: &PaymentId) -> Vec<u8> {
-        let mut w = WireWriter::new(DOM_RECEIPT);
+    /// Canonical signing payload for χ over `payment`.
+    pub fn payload(payment: &PaymentId) -> Payload {
+        let mut w = Payload::new(DOM_RECEIPT);
         w.put_bytes(&payment.0);
-        w.finish()
+        w
     }
 
     /// Bob issues χ for `payment`.
@@ -153,11 +158,10 @@ pub struct DecisionCert {
 
 impl DecisionCert {
     /// Canonical signing payload for a (payment, verdict) pair.
-    pub fn payload(payment: &PaymentId, verdict: Verdict) -> Vec<u8> {
-        let mut w = WireWriter::new(DOM_DECISION);
-        w.put_bytes(&payment.0);
-        w.put_u8(verdict.wire_tag());
-        w.finish()
+    pub fn payload(payment: &PaymentId, verdict: Verdict) -> Payload {
+        let mut w = Payload::new(DOM_DECISION);
+        w.put_bytes(&payment.0).put_u8(verdict.wire_tag());
+        w
     }
 
     /// A single-authority certificate (trusted TM / smart contract).

@@ -7,15 +7,30 @@
 //!
 //! An [`HmacKey`] is a key with its two keyed chaining states precomputed:
 //! SHA-256's state after the one block `key ⊕ ipad`, and after `key ⊕ opad`.
-//! Deriving them costs two compressions; every MAC [`HmacKey::begin`] starts
+//! Deriving them costs two compressions; every MAC the key computes
 //! afterwards skips both, so a key that is used more than once pays them
 //! once. [`hmac_sha256`] is the one-shot form and derives them per call.
+//!
+//! [`HmacKey::mac`] is the one-shot MAC of a message given in parts: a
+//! message of at most [`ONESHOT_MAX`] bytes is written and padded in stack
+//! blocks and compressed straight from the inner midstate, and the outer
+//! pass's one block is built from the inner digest in place. Longer
+//! messages stream through [`HmacKey::begin`]. Both paths run the same
+//! compressions and give the same tag.
 
-use crate::sha256::{Digest, Sha256, DIGEST_LEN};
+use crate::sha256::{compress_blocks, pad_parts, state_digest, Digest, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
+
+/// Blocks in the stack buffer of [`HmacKey::mac`]'s one-shot path.
+const ONESHOT_BLOCKS: usize = 4;
+
+/// The longest message [`HmacKey::mac`] pads and compresses in its stack
+/// buffer: four blocks less SHA-256's nine bytes of padding. Every frame
+/// the workspace signs is shorter.
+pub const ONESHOT_MAX: usize = ONESHOT_BLOCKS * BLOCK_LEN - 9;
 
 /// An HMAC-SHA256 key, held as its inner and outer keyed midstates.
 #[derive(Clone)]
@@ -50,6 +65,34 @@ impl HmacKey {
             outer: self.outer,
         }
     }
+
+    /// The MAC of the concatenation of `parts`, in one shot when it is at
+    /// most [`ONESHOT_MAX`] bytes and streamed otherwise. The same tag as
+    /// [`HmacKey::begin`] fed the parts, at the same
+    /// `⌈(|parts| + 9) / 64⌉ + 1` compressions.
+    pub fn mac(&self, parts: &[&[u8]]) -> Digest {
+        let mut buf = [0u8; ONESHOT_BLOCKS * BLOCK_LEN];
+        let Some(blocks) = pad_parts(&mut buf, parts, BLOCK_LEN as u64) else {
+            let mut h = self.begin();
+            for p in parts {
+                h.update(p);
+            }
+            return h.finalize();
+        };
+        let mut inner = self.inner;
+        compress_blocks(&mut inner, blocks);
+        outer_pass(self.outer, &state_digest(&inner))
+    }
+}
+
+/// The outer hash from the key's outer midstate: one block, the inner
+/// digest padded in place.
+fn outer_pass(mut state: [u32; 8], inner: &Digest) -> Digest {
+    let mut block = [0u8; BLOCK_LEN];
+    let blocks = pad_parts(&mut block, &[inner], BLOCK_LEN as u64)
+        .expect("a digest and its padding fit one block");
+    compress_blocks(&mut state, blocks);
+    state_digest(&state)
 }
 
 /// One incremental HMAC-SHA256 computation, started by [`HmacKey::begin`].
@@ -77,9 +120,7 @@ impl HmacSha256 {
 
 /// One-shot HMAC-SHA256.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
-    let mut h = HmacKey::new(key).begin();
-    h.update(msg);
-    h.finalize()
+    HmacKey::new(key).mac(&[msg])
 }
 
 /// Constant-time comparison of two digests.
@@ -195,6 +236,29 @@ mod tests {
                     "key {key_len}, msg {msg_len}"
                 );
             }
+        }
+    }
+
+    const _: () = assert!(ONESHOT_MAX < 300, "the test below crosses the fallback");
+
+    /// Every message length from 0 to 300 bytes: the inner hash's padding
+    /// boundaries at 55/56 and 119/120, the one-shot buffer's end at
+    /// `ONESHOT_MAX` and the streaming fallback past it. Split into parts
+    /// several ways, the one-shot MAC equals the streamed one.
+    #[test]
+    fn oneshot_mac_equals_the_streamed_mac_at_every_length() {
+        let hk = HmacKey::new(b"differential");
+        let data: Vec<u8> = (0..300u16).map(|i| (i * 31 % 251) as u8).collect();
+        for len in 0..=300 {
+            let msg = &data[..len];
+            let mut h = hk.begin();
+            h.update(msg);
+            let want = h.finalize();
+            let (a, b) = msg.split_at(len / 3);
+            let (b, c) = b.split_at(b.len() / 2);
+            assert_eq!(hk.mac(&[msg]), want, "len {len}");
+            assert_eq!(hk.mac(&[a, b, c]), want, "len {len}, three parts");
+            assert_eq!(hk.mac(&[&[], msg, &[]]), want, "len {len}, empty parts");
         }
     }
 

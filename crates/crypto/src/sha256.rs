@@ -27,7 +27,10 @@
 //! ≈ 275 ns portable, ≈ 67 ns SHA-NI.
 //!
 //! The streaming [`Sha256`] state never allocates, and [`sha256`] is a
-//! one-shot convenience wrapper.
+//! one-shot convenience wrapper. Short inputs skip the streaming buffer:
+//! [`sha256_concat`] of one block's worth, and the HMAC's one-shot path,
+//! write their message and its padding into stack blocks and compress them
+//! in place.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -123,14 +126,9 @@ impl Sha256 {
             }
         }
         // Whole blocks straight from the input, no copy into `buf`.
-        let mut blocks = rest.chunks_exact(64);
-        for block in &mut blocks {
-            let block = block
-                .try_into()
-                .expect("chunks_exact(64) yields 64-byte blocks");
-            compress(&mut self.state, block);
-        }
-        rest = blocks.remainder();
+        let whole = rest.len() / 64 * 64;
+        compress_blocks(&mut self.state, &rest[..whole]);
+        rest = &rest[whole..];
         if !rest.is_empty() {
             self.buf[..rest.len()].copy_from_slice(rest);
             self.buf_len = rest.len();
@@ -151,11 +149,7 @@ impl Sha256 {
         }
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &self.buf);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        state_digest(&self.state)
     }
 
     /// The chaining state after compressing the single 64-byte `block` from
@@ -177,6 +171,55 @@ impl Sha256 {
             total_len: 64,
         }
     }
+}
+
+/// Writes `parts` back to back at the front of `buf` and pads them in
+/// place as the end of a message that follows `prior` bytes already
+/// compressed: `0x80`, zeros, and the bit length of all `prior + |parts|`
+/// bytes in the last 8 bytes of the last block. `buf` must be all zeros (a
+/// fresh `[0; N]`): its zeros are the padding's, so none are written.
+/// Returns the padded whole blocks, or `None` when they do not fit in
+/// `buf`: the caller then streams.
+pub(crate) fn pad_parts<'a>(buf: &'a mut [u8], parts: &[&[u8]], prior: u64) -> Option<&'a [u8]> {
+    debug_assert!(
+        buf.iter().all(|&b| b == 0),
+        "pad_parts takes a zeroed buffer"
+    );
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let end = (len + 9).div_ceil(64) * 64;
+    if end > buf.len() {
+        return None;
+    }
+    let mut at = 0;
+    for p in parts {
+        buf[at..at + p.len()].copy_from_slice(p);
+        at += p.len();
+    }
+    buf[len] = 0x80;
+    let bits = (prior + len as u64).wrapping_mul(8);
+    buf[end - 8..end].copy_from_slice(&bits.to_be_bytes());
+    Some(&buf[..end])
+}
+
+/// Compresses whole 64-byte `blocks` into `state`, in order.
+pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        compress(
+            state,
+            block
+                .try_into()
+                .expect("chunks_exact(64) yields 64-byte blocks"),
+        );
+    }
+}
+
+/// The digest a final chaining state stands for: its words, big-endian.
+pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// The FIPS 180-4 compression function over one 512-bit block, on the
@@ -253,7 +296,16 @@ pub fn sha256(data: &[u8]) -> Digest {
 }
 
 /// Hashes the concatenation of several byte slices without allocating.
+/// Parts that fit one block with their padding (≤ 55 bytes; a key
+/// registration's 29) are written and padded in a stack block and
+/// compressed in place; longer ones stream.
 pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
+    let mut block = [0u8; 64];
+    if let Some(blocks) = pad_parts(&mut block, parts, 0) {
+        let mut state = H0;
+        compress_blocks(&mut state, blocks);
+        return state_digest(&state);
+    }
     let mut h = Sha256::new();
     for p in parts {
         h.update(p);
@@ -354,6 +406,12 @@ mod tests {
         let b = b"world".as_slice();
         assert_eq!(sha256_concat(&[a, b]), sha256(b"hello world"));
         assert_eq!(sha256_concat(&[]), sha256(b""));
+        // Across the one-block path's end (55 bytes) and into streaming.
+        let data: Vec<u8> = (0..130u8).collect();
+        for len in 0..data.len() {
+            let (x, y) = data[..len].split_at(len / 2);
+            assert_eq!(sha256_concat(&[x, y]), sha256(&data[..len]), "len {len}");
+        }
     }
 
     #[test]

@@ -26,17 +26,23 @@
 //! ## Cost
 //!
 //! Each identity has one key, shared by its [`Pki`] entry, its [`Signer`]
-//! and every clone of that signer. A sign streams the frame straight into
-//! the key's HMAC midstates ([`HmacKey`]), so it costs
-//! `⌈(16 + |d| + |m| + 9) / 64⌉ + 1` SHA-256 compressions: 4 for a signed
-//! promise, 3 for a receipt. The key also remembers the first two frames
-//! it signs, with their tags (a time-bounded escrow signs exactly two). A
-//! verify of a remembered frame is a byte compare of the frame and the
-//! tag: 0 compressions. Any other verify computes the tag, at a sign's
-//! cost. So Bob's χ, verified by every escrow and every upstream customer,
-//! is hashed once. Every verdict is the same pure function of (key, frame,
-//! tag) as when every verify recomputed: a remembered tag is the tag of
-//! its frame, and a frame that differs in any byte is recomputed.
+//! and every clone of that signer. A sign writes the frame and its SHA-256
+//! padding into stack blocks and compresses them straight from the key's
+//! inner HMAC midstate, then hashes the one outer block built from the
+//! inner digest ([`HmacKey::mac`]). It costs
+//! `⌈(16 + |d| + |m| + 9) / 64⌉ + 1` SHA-256 compressions, 4 for a signed
+//! promise and 3 for a receipt, and allocates nothing: the payloads are
+//! stack [`Payload`](crate::wire::Payload)s too. A frame longer than
+//! [`FRAME_CAP`] (none the protocols sign) streams through the midstates
+//! at the same count. The key also remembers the first two frames of at
+//! most [`FRAME_CAP`] bytes it signs, with their tags (a time-bounded
+//! escrow signs exactly two), inline in the key. A verify of a remembered
+//! frame is a byte compare of the frame and the tag: 0 compressions. Any
+//! other verify computes the tag, at a sign's cost. So Bob's χ, verified
+//! by every escrow and every upstream customer, is hashed once. Every
+//! verdict is the same pure function of (key, frame, tag) as when every
+//! verify recomputed: a remembered tag is the tag of its frame, and a frame
+//! that differs in any byte is recomputed.
 //!
 //! The midstates are derived lazily, on the key's first sign or
 //! non-remembered verify: 2 compressions, once per identity. Never in
@@ -50,10 +56,15 @@
 //! [`OnceLock`]s: the only state `xcrypto` keeps, and no lock is taken to
 //! read it.
 
-use crate::hmac::{verify_tag, HmacKey};
+use crate::hmac::{verify_tag, HmacKey, ONESHOT_MAX};
 use crate::sha256::{sha256_concat, Digest};
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
+
+/// The longest frame `be64(|d|) ‖ d ‖ be64(|m|) ‖ m` a sign hashes in one
+/// shot and a key remembers: the one-shot HMAC's [`ONESHOT_MAX`].
+pub const FRAME_CAP: usize = ONESHOT_MAX;
 
 /// Identifies a registered key (and thereby a participant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,7 +97,7 @@ impl Hash for Signature {
 /// One identity's key, shared by its [`Pki`] entry, its [`Signer`] and
 /// every clone of that signer: the secret, its HMAC midstates from the
 /// key's first sign or verify on, and the first two frames it signed, each
-/// with its tag.
+/// with its tag, inline: one allocation per identity, the `Arc`.
 struct Key {
     secret: Digest,
     mac: OnceLock<HmacKey>,
@@ -97,8 +108,21 @@ struct Key {
 
 /// A frame this key signed, and its tag.
 struct Signed {
-    frame: Box<[u8]>,
+    frame: Frame,
     tag: Digest,
+}
+
+/// A frame of at most [`FRAME_CAP`] bytes, held inline. Reads as its bytes.
+struct Frame {
+    bytes: [u8; FRAME_CAP],
+    len: usize,
+}
+
+impl Deref for Frame {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 impl Key {
@@ -110,25 +134,30 @@ impl Key {
         }
     }
 
-    /// The tag over (`domain`, `msg`): the length-prefixed frame streamed
-    /// into the MAC, never hashed or copied first.
+    /// The tag over (`domain`, `msg`): the one-shot MAC of the
+    /// length-prefixed frame, written straight into the MAC's blocks.
     fn tag(&self, domain: &[u8], msg: &[u8]) -> Digest {
-        let mut mac = self.mac.get_or_init(|| HmacKey::new(&self.secret)).begin();
-        mac.update(&(domain.len() as u64).to_be_bytes());
-        mac.update(domain);
-        mac.update(&(msg.len() as u64).to_be_bytes());
-        mac.update(msg);
-        mac.finalize()
+        self.mac.get_or_init(|| HmacKey::new(&self.secret)).mac(&[
+            &(domain.len() as u64).to_be_bytes(),
+            domain,
+            &(msg.len() as u64).to_be_bytes(),
+            msg,
+        ])
     }
 
     /// Keeps (`domain`, `msg`)'s frame and `tag` in a free slot, if one is
-    /// left. Reads no remembered frame.
+    /// left and the frame fits [`FRAME_CAP`]. Reads no remembered frame.
     fn remember(&self, domain: &[u8], msg: &[u8], tag: Digest) {
+        if 16 + domain.len() + msg.len() > FRAME_CAP {
+            return;
+        }
         if let Some(slot) = self.signed.iter().find(|s| s.get().is_none()) {
-            let frame = frame(domain, msg).into_boxed_slice();
             // A racing sign may have filled the slot first: this frame is
             // then simply not remembered.
-            let _ = slot.set(Signed { frame, tag });
+            let _ = slot.set(Signed {
+                frame: frame(domain, msg),
+                tag,
+            });
         }
     }
 
@@ -148,15 +177,22 @@ impl Key {
     }
 }
 
-/// `be64(|d|) ‖ d ‖ be64(|m|) ‖ m`.
-fn frame(domain: &[u8], msg: &[u8]) -> Vec<u8> {
-    [
+/// `be64(|d|) ‖ d ‖ be64(|m|) ‖ m`, inline. Panics past [`FRAME_CAP`].
+fn frame(domain: &[u8], msg: &[u8]) -> Frame {
+    let mut f = Frame {
+        bytes: [0; FRAME_CAP],
+        len: 0,
+    };
+    for part in [
         &(domain.len() as u64).to_be_bytes()[..],
         domain,
         &(msg.len() as u64).to_be_bytes(),
         msg,
-    ]
-    .concat()
+    ] {
+        f.bytes[f.len..f.len + part.len()].copy_from_slice(part);
+        f.len += part.len();
+    }
+    f
 }
 
 /// Signing capability for one identity. Handed to the owning participant

@@ -14,17 +14,17 @@ use ledger::{Asset, DealId, Ledger};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::Arc as StdArc;
-use xcrypto::wire::WireWriter;
+use xcrypto::wire::Payload;
 use xcrypto::{KeyId, PaymentId, Pki, Signature, Signer};
 
 /// Domain label for deal-commit votes.
 pub const DOM_DEAL_COMMIT: &[u8] = b"xchain/deals/commit";
 
 /// Canonical payload of a vote under `domain` on deal `deal_id`.
-pub(crate) fn vote_payload(domain: &[u8], deal_id: &PaymentId) -> Vec<u8> {
-    let mut w = WireWriter::new(domain);
+pub fn vote_payload(domain: &[u8], deal_id: &PaymentId) -> Payload {
+    let mut w = Payload::new(domain);
     w.put_bytes(&deal_id.0);
-    w.finish()
+    w
 }
 
 /// Messages of the deal protocols.

@@ -158,17 +158,26 @@ row 'OnceLock|Mutex|RwLock|RefCell|Cell<|thread_local' crates/crypto/src \
     '^crates/crypto/src/sig.rs:|^crates/crypto/src/sha256.rs:[0-9]+:(thread_local! \{|    static COMPRESSIONS: std::cell::Cell<u64> = )' \
     "interior mutability in xcrypto only in crates/crypto/src/sig.rs: a tag is a pure function of (key, frame)"
 
-# Unsafe code lives in one file: the SHA-NI kernel, behind a safe
+# Unsafe code lives in one library file: the SHA-NI kernel, behind a safe
 # dispatcher. xcrypto's root denies it (the kernel opts back in); every
-# other crate root forbids it outright.
+# other crate root forbids it outright. The one test file with unsafe code
+# is the allocation counter's `GlobalAlloc` impl, in its own test binary.
 row '\bunsafe ?(\{|fn\b|impl\b|trait\b|extern\b)|(allow|expect|warn)\([^)]*\bunsafe_code' \
-    "$code shims" '^crates/crypto/src/sha256/x86.rs:' \
-    "unsafe code only in crates/crypto/src/sha256/x86.rs (the SHA-NI kernel); call sha256's safe API"
+    "$code shims" '^crates/crypto/src/sha256/x86.rs:|^tests/alloc_counts.rs:' \
+    "unsafe code only in crates/crypto/src/sha256/x86.rs (the SHA-NI kernel; call sha256's safe API) and tests/alloc_counts.rs (its counting #[global_allocator])"
 n=$(grep -lxF '#![forbid(unsafe_code)]' crates/*/src/lib.rs | wc -l)
 if [ "$n" -ne 11 ] || ! grep -qxF '#![deny(unsafe_code)]' crates/crypto/src/lib.rs; then
     echo "lint: $n of crates/*/src/lib.rs forbid unsafe_code (want 11: all but xcrypto, which denies it)"
     bad=1
 fi
+
+# Signing allocates nothing: every signed payload is an
+# xcrypto::wire::Payload on the stack, and a key remembers its frames
+# inline.
+row '[-]> Vec<u8>' 'crates/crypto/src crates/core/src crates/deals/src crates/consensus/src' '' \
+    "a payload builder returns an xcrypto::wire::Payload (a stack buffer), not a Vec<u8>"
+row 'Box<\[u8\]>' crates/crypto/src '' \
+    "a key's remembered frames are inline sig::Frames, not boxed"
 
 # Each count has one owner. A split payment's legs join in
 # HarnessRun::join; the eight outcome counters are sim::OutcomeCounts,
