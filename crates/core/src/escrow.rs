@@ -10,18 +10,9 @@
 use crate::msg::PMsg;
 use crate::topology::Chain;
 use anta::process::{Ctx, Pid};
-use ledger::{Asset, DealId, Ledger};
+use ledger::{Asset, DealId, Ledger, Marks};
 use std::sync::Arc;
 use xcrypto::{KeyId, PaymentId, Pki, Signer};
-
-/// The trace labels one protocol's escrow marks its steps with.
-#[derive(Debug)]
-pub(crate) struct Marks {
-    pub(crate) locked: &'static str,
-    pub(crate) lock_rejected: &'static str,
-    pub(crate) released: &'static str,
-    pub(crate) refunded: &'static str,
-}
 
 /// Escrow `e_i`'s neighbours, keys, asset, book and deal; `S` is the
 /// rule's run state.

@@ -20,14 +20,22 @@
 //!    safety in B, waiting breaks termination in A. The
 //!    [`indistinguishability_pair`] function executes both runs and checks
 //!    the prefix equality and the conflicting obligations machine-side.
+//!
+//! Every witness is one of the argument's two runs, each built in one
+//! place: run A (`bob_crashed`) replaces Bob with an inert process on a
+//! worst-case synchronous network, and run B (`chi_delayed`) lets every
+//! process abide while the network holds one customer's χ to one escrow
+//! for 4·d₀. Witnesses 1a and 1b are run B (Bob's χ, then a connector's),
+//! witness 2 is run A under a schedule that never times out.
 
 use crate::msg::PMsg;
-use crate::timebounded::{ChainOutcome, ChainSetup, ClockPlan, CustomerOutcome};
+use crate::timebounded::{ChainOutcome, ChainSetup, ClockPlan, CustomerOutcome, ESCROW_MARKS};
 use crate::timing::{SyncParams, TimeoutSchedule};
 use crate::topology::{Role, ValuePlan};
+use anta::engine::Engine;
 use anta::net::{AdversarialNet, EnvelopeMeta, SyncNet};
 use anta::oracle::FixedOracle;
-use anta::process::InertProcess;
+use anta::process::{InertProcess, Pid};
 use anta::time::{SimDuration, SimTime};
 use anta::trace::TraceKind;
 
@@ -44,24 +52,51 @@ pub struct WitnessReport {
     pub description: String,
 }
 
+/// The chain every witness attacks: `n` hops of `value`, baseline
+/// synchrony bounds, keys from `seed`.
+fn chain(n: usize, value: u64, seed: u64) -> ChainSetup {
+    ChainSetup::new(
+        n,
+        ValuePlan::uniform(n, value),
+        SyncParams::baseline(),
+        seed,
+    )
+}
+
+/// Run A: Bob (`c_n`) has crashed, on a worst-case synchronous network.
+/// The engine is returned unrun.
+fn bob_crashed(setup: &ChainSetup) -> Engine<PMsg> {
+    let bob = Role::Customer(setup.chain.topo.n);
+    setup.build_engine_with(
+        Box::new(SyncNet::worst_case(setup.params.delta)),
+        Box::new(FixedOracle::maximal()),
+        ClockPlan::Perfect,
+        |role| (role == bob).then(|| Box::new(InertProcess) as Box<_>),
+    )
+}
+
+/// Run B: everyone abides, but the network holds the χ that `from` sends
+/// to escrow `to` for 4·d₀, longer than the whole schedule (legal before
+/// GST in a partially synchronous network). Returns the unrun engine and
+/// the hold.
+fn chi_delayed(setup: &ChainSetup, from: Pid, to: Pid) -> (Engine<PMsg>, SimDuration) {
+    let hold = setup.schedule.d[0] * 4;
+    let net = AdversarialNet::delaying(setup.params.delta, hold, move |m: &EnvelopeMeta, msg| {
+        m.from == from && m.to == to && matches!(msg, PMsg::Receipt(_))
+    });
+    let oracle = Box::new(FixedOracle::maximal());
+    (
+        setup.build_engine(Box::new(net), oracle, ClockPlan::Perfect),
+        hold,
+    )
+}
+
 /// Witness 1a: the time-bounded protocol under a partially synchronous
 /// adversary that delays Bob's χ beyond `a_{n-1}` — CS2 falls.
 pub fn cs2_violation_under_partial_synchrony(n: usize, value: u64) -> WitnessReport {
-    let setup = ChainSetup::new(n, ValuePlan::uniform(n, value), SyncParams::baseline(), 77);
-    let delta = setup.params.delta;
-    let bob_pid = setup.chain.topo.customer_pid(n);
-    let escrow_pid = setup.chain.topo.escrow_pid(n - 1);
-    // Delay only Bob→e_{n-1} χ traffic by more than the whole schedule —
-    // legal before GST in a partially synchronous network.
-    let extra = setup.schedule.d[0] * 4;
-    let net = AdversarialNet::delaying(delta, extra, move |m: &EnvelopeMeta, msg: &PMsg| {
-        m.from == bob_pid && m.to == escrow_pid && matches!(msg, PMsg::Receipt(_))
-    });
-    let mut eng = setup.build_engine(
-        Box::new(net),
-        Box::new(FixedOracle::maximal()),
-        ClockPlan::Perfect,
-    );
+    let setup = chain(n, value, 77);
+    let topo = &setup.chain.topo;
+    let (mut eng, extra) = chi_delayed(&setup, topo.customer_pid(n), topo.escrow_pid(n - 1));
     let report = eng.run();
     let outcome = ChainOutcome::extract(&eng, &setup, report.quiescent);
     let issued = outcome.bob_issued_chi == Some(true);
@@ -85,19 +120,9 @@ pub fn cs2_violation_under_partial_synchrony(n: usize, value: u64) -> WitnessRep
 /// Requires `n ≥ 2`.
 pub fn cs3_violation_under_partial_synchrony(n: usize, value: u64) -> WitnessReport {
     assert!(n >= 2, "needs a connector");
-    let setup = ChainSetup::new(n, ValuePlan::uniform(n, value), SyncParams::baseline(), 78);
-    let delta = setup.params.delta;
-    let chloe_pid = setup.chain.topo.customer_pid(n - 1);
-    let up_escrow_pid = setup.chain.topo.escrow_pid(n - 2);
-    let extra = setup.schedule.d[0] * 4;
-    let net = AdversarialNet::delaying(delta, extra, move |m: &EnvelopeMeta, msg: &PMsg| {
-        m.from == chloe_pid && m.to == up_escrow_pid && matches!(msg, PMsg::Receipt(_))
-    });
-    let mut eng = setup.build_engine(
-        Box::new(net),
-        Box::new(FixedOracle::maximal()),
-        ClockPlan::Perfect,
-    );
+    let setup = chain(n, value, 78);
+    let topo = &setup.chain.topo;
+    let (mut eng, _) = chi_delayed(&setup, topo.customer_pid(n - 1), topo.escrow_pid(n - 2));
     let report = eng.run();
     let outcome = ChainOutcome::extract(&eng, &setup, report.quiescent);
     // The run substitutes no process, so Chloe and both her escrows are
@@ -122,7 +147,6 @@ pub fn cs3_violation_under_partial_synchrony(n: usize, value: u64) -> WitnessRep
 /// Witness 2: strip the timeouts (an "eventually terminating" candidate
 /// that never gives up) and crash Bob — termination falls.
 pub fn no_timeout_never_terminates(n: usize, value: u64) -> WitnessReport {
-    let params = SyncParams::baseline();
     // A schedule with absurdly long deadlines models the protocol variant
     // that "waits forever" (within any finite horizon we run).
     let forever = TimeoutSchedule {
@@ -131,13 +155,8 @@ pub fn no_timeout_never_terminates(n: usize, value: u64) -> WitnessReport {
         epsilon: SimDuration::from_secs(1),
         alice_bound: SimDuration::from_secs(10_000_002),
     };
-    let setup = ChainSetup::new(n, ValuePlan::uniform(n, value), params, 79).with_schedule(forever);
-    let mut eng = setup.build_engine_with(
-        Box::new(SyncNet::worst_case(setup.params.delta)),
-        Box::new(FixedOracle::maximal()),
-        ClockPlan::Perfect,
-        |role| (role == Role::Customer(n)).then(|| Box::new(InertProcess) as Box<_>),
-    );
+    let setup = chain(n, value, 79).with_schedule(forever);
+    let mut eng = bob_crashed(&setup);
     // Even a generous horizon (an hour of simulated time) sees no
     // progress: the money is escrowed, Alice unresolved.
     let _ = eng.run_until(SimTime::from_secs(3_600));
@@ -168,74 +187,39 @@ pub struct IndistinguishabilityWitness {
 
 /// Runs the two indistinguishable executions and checks the dilemma.
 pub fn indistinguishability_pair(n: usize, value: u64) -> IndistinguishabilityWitness {
-    let make_setup =
-        || ChainSetup::new(n, ValuePlan::uniform(n, value), SyncParams::baseline(), 80);
-    let setup_a = make_setup();
-    let setup_b = make_setup();
-    let bob_pid = setup_a.chain.topo.customer_pid(n);
-    let escrow_pid = setup_a.chain.topo.escrow_pid(n - 1);
-    let delta = setup_a.params.delta;
-
-    // Run A: Bob has crashed. Fully synchronous network.
-    let mut eng_a = setup_a.build_engine_with(
-        Box::new(SyncNet::worst_case(delta)),
-        Box::new(FixedOracle::maximal()),
-        ClockPlan::Perfect,
-        |role| (role == Role::Customer(n)).then(|| Box::new(InertProcess) as Box<_>),
-    );
+    let setup = chain(n, value, 80);
+    let bob_pid = setup.chain.topo.customer_pid(n);
+    let escrow_pid = setup.chain.topo.escrow_pid(n - 1);
+    let mut eng_a = bob_crashed(&setup);
     let report_a = eng_a.run();
-
-    // Run B: Bob abides; the (partially synchronous) network delays his χ
-    // beyond the deadline.
-    let extra = setup_b.schedule.d[0] * 4;
-    let net_b = AdversarialNet::delaying(delta, extra, move |m: &EnvelopeMeta, msg: &PMsg| {
-        m.from == bob_pid && m.to == escrow_pid && matches!(msg, PMsg::Receipt(_))
-    });
-    let mut eng_b = setup_b.build_engine(
-        Box::new(net_b),
-        Box::new(FixedOracle::maximal()),
-        ClockPlan::Perfect,
-    );
+    let (mut eng_b, _) = chi_delayed(&setup, bob_pid, escrow_pid);
     let report_b = eng_b.run();
 
-    // The deliveries e_{n-1} saw before its timeout fired, as
+    // The deliveries e_{n-1} saw up to its refund on timeout, as
     // (sender, message-kind) pairs.
-    let deadline_of = |eng: &anta::engine::Engine<PMsg>| {
-        eng.trace()
-            .events
-            .iter()
-            .find_map(|e| match e.kind {
-                TraceKind::TimerFired { pid, .. } if pid == escrow_pid => Some(e.real),
-                _ => None,
-            })
-            .expect("escrow timeout fired")
+    let prefix_of = |eng: &Engine<PMsg>| {
+        let trace = eng.trace();
+        let deadline = trace.first_mark(escrow_pid, ESCROW_MARKS.refunded);
+        let deadline = deadline.expect("the escrow refunds on timeout");
+        let seen = trace.events.iter().filter(|e| e.real <= deadline);
+        seen.filter_map(|e| match &e.kind {
+            TraceKind::Delivered { from, to, msg } if *to == escrow_pid => {
+                Some(format!("r({from}, {})", msg.kind()))
+            }
+            _ => None,
+        })
+        .collect::<Vec<String>>()
     };
-    let prefix_of = |eng: &anta::engine::Engine<PMsg>, until: SimTime| {
-        eng.trace()
-            .events
-            .iter()
-            .filter(|e| e.real <= until)
-            .filter_map(|e| match &e.kind {
-                TraceKind::Delivered { from, to, msg } if *to == escrow_pid => {
-                    Some(format!("r({from}, {})", msg.kind()))
-                }
-                _ => None,
-            })
-            .collect::<Vec<String>>()
-    };
-    let t_a = deadline_of(&eng_a);
-    let t_b = deadline_of(&eng_b);
-    let prefix_a = prefix_of(&eng_a, t_a);
-    let prefix_b = prefix_of(&eng_b, t_b);
+    let prefix_a = prefix_of(&eng_a);
     assert_eq!(
         prefix_a,
-        prefix_b,
+        prefix_of(&eng_b),
         "the two runs must be indistinguishable at e_{} up to its deadline",
         n - 1
     );
 
-    let outcome_a = ChainOutcome::extract(&eng_a, &setup_a, report_a.quiescent);
-    let outcome_b = ChainOutcome::extract(&eng_b, &setup_b, report_b.quiescent);
+    let outcome_a = ChainOutcome::extract(&eng_a, &setup, report_a.quiescent);
+    let outcome_b = ChainOutcome::extract(&eng_b, &setup, report_b.quiescent);
     // Run A: refund is the right call — every compliant customer whole.
     let a_ok = outcome_a.customers[0]
         .map(|v| v.outcome == CustomerOutcome::Refunded)

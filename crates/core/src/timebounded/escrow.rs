@@ -19,12 +19,12 @@
 //! compares the two, on the send skeleton of one worst-case schedule.
 
 use super::scenario::ChainSetup;
-use crate::escrow::{EscrowCore, Marks};
+use crate::escrow::EscrowCore;
 use crate::msg::{PMsg, PromiseKind, SignedPromise};
 use anta::fingerprint::{fingerprint, Stamp};
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::{SimDuration, SimTime};
-use ledger::Ledger;
+use ledger::{Ledger, Marks};
 use xcrypto::KeyId;
 
 /// Escrow control states (Figure 2's white states; the grey states are
@@ -47,7 +47,8 @@ pub enum EscrowState {
 
 const TIMER_CHI: TimerId = 1;
 
-const MARKS: Marks = Marks {
+/// The time-bounded escrow's lifecycle labels.
+pub const ESCROW_MARKS: Marks = Marks {
     locked: "escrow_locked",
     lock_rejected: "escrow_lock_rejected",
     released: "escrow_released",
@@ -82,7 +83,7 @@ impl EscrowProcess {
     /// cover `v_i` ([`Chain::escrow_book`](crate::topology::Chain::escrow_book)).
     pub fn new(setup: &ChainSetup, i: usize, ledger: Ledger) -> Self {
         EscrowProcess {
-            core: EscrowCore::new(&setup.chain, i, ledger, &MARKS, RaceState::default()),
+            core: EscrowCore::new(&setup.chain, i, ledger, &ESCROW_MARKS, RaceState::default()),
             bob_key: setup.chain.bob_key(),
             a_i: setup.schedule.a[i],
             d_i: setup.schedule.d[i],

@@ -32,5 +32,5 @@ pub mod fig2;
 pub mod scenario;
 
 pub use customers::{CustomerOutcome, CustomerProcess};
-pub use escrow::{EscrowProcess, EscrowState};
+pub use escrow::{EscrowProcess, EscrowState, ESCROW_MARKS};
 pub use scenario::{ChainOutcome, ChainSetup, ClockPlan, CustomerView};

@@ -10,7 +10,7 @@
 use crate::msg::PMsg;
 use crate::timebounded::customers::{CustomerOutcome, CustomerProcess};
 use crate::timebounded::escrow::{EscrowProcess, EscrowState};
-use crate::timing::{SyncParams, TimeoutSchedule};
+use crate::timing::{SyncParams, TimeoutSchedule, SIGMA_BUCKETS};
 use crate::topology::{Chain, ChainTopology, Role, ValuePlan};
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
@@ -113,7 +113,7 @@ impl ChainSetup {
             .saturating_add(SimDuration::from_secs(10));
         EngineConfig {
             sigma_max: self.params.sigma,
-            sigma_buckets: 4,
+            sigma_buckets: SIGMA_BUCKETS,
             max_real_time: SimTime::ZERO + worst,
             ..EngineConfig::default()
         }

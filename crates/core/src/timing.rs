@@ -40,6 +40,11 @@
 use anta::clock::PPM;
 use anta::time::SimDuration;
 
+/// How many values a sending handler's computation time takes in
+/// `[0, σ]` in every payment engine the setups and protocol harnesses
+/// build (the engine's `sigma_buckets`).
+pub const SIGMA_BUCKETS: usize = 4;
+
 /// The synchrony-model parameters of Theorem 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncParams {

@@ -34,6 +34,6 @@ pub mod participants;
 pub mod scenario;
 pub mod tm;
 
-pub use participants::{CertCollector, Patience, WeakCustomer, WeakEscrow};
+pub use participants::{CertCollector, Patience, WeakCustomer, WeakEscrow, ESCROW_MARKS};
 pub use scenario::{TmKind, WeakOutcome, WeakSetup};
 pub use tm::{Evidence, NotaryTm, TrustedTm};

@@ -22,12 +22,12 @@
 //! synchrony: no step depends on a wall-clock deadline.
 
 use super::scenario::WeakSetup;
-use crate::escrow::{EscrowCore, Marks};
+use crate::escrow::EscrowCore;
 use crate::msg::{PMsg, TmInput, TmInputKind};
 use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
-use ledger::{Asset, Ledger};
+use ledger::{Asset, Ledger, Marks};
 use std::sync::Arc;
 use xcrypto::{Authority, DecisionCert, PaymentId, Pki, Receipt, Signature, Signer, Verdict};
 
@@ -282,7 +282,8 @@ pub struct WeakEscrow {
     authority: Authority,
 }
 
-const MARKS: Marks = Marks {
+/// The weak escrow's lifecycle labels.
+pub const ESCROW_MARKS: Marks = Marks {
     locked: "weak_escrow_locked",
     lock_rejected: "weak_escrow_lock_rejected",
     released: "weak_escrow_released",
@@ -295,7 +296,7 @@ impl WeakEscrow {
     pub fn new(setup: &WeakSetup, i: usize) -> Self {
         let (chain, book) = (&setup.chain, setup.chain.escrow_book(i));
         WeakEscrow {
-            core: EscrowCore::new(chain, i, book, &MARKS, CertCollector::default()),
+            core: EscrowCore::new(chain, i, book, &ESCROW_MARKS, CertCollector::default()),
             tm_pids: setup.tm_pids(),
             authority: setup.authority.clone(),
         }

@@ -1,7 +1,7 @@
 //! Assembly and outcome extraction for weak-liveness protocol instances.
 
 use crate::msg::PMsg;
-use crate::timing::SyncParams;
+use crate::timing::{SyncParams, SIGMA_BUCKETS};
 use crate::topology::{Chain, Role, ValuePlan};
 use crate::weak::participants::{Patience, WeakCustomer, WeakEscrow};
 use crate::weak::tm::{NotaryTm, TrustedTm};
@@ -114,7 +114,7 @@ impl WeakSetup {
         EngineConfig {
             max_real_time: SimTime::from_secs(3_600),
             sigma_max: SyncParams::baseline().sigma,
-            sigma_buckets: 4,
+            sigma_buckets: SIGMA_BUCKETS,
             ..Default::default()
         }
     }

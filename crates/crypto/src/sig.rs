@@ -312,8 +312,10 @@ impl Pki {
     }
 
     /// Verifies a quorum of signatures over the same (`domain`, `msg`):
-    /// at least `threshold` *distinct* signers, all drawn from `eligible`,
-    /// every tag valid. Used for notary-committee certificates.
+    /// at least `threshold` members of `eligible` each with at least one
+    /// valid signature in `sigs`. `eligible` must hold distinct keys. A
+    /// member counts once however many of its signatures verify, an
+    /// outsider never. Used for notary-committee certificates.
     pub fn verify_quorum(
         &self,
         sigs: &[Signature],
@@ -322,21 +324,11 @@ impl Pki {
         eligible: &[KeyId],
         threshold: usize,
     ) -> bool {
-        let mut seen: Vec<KeyId> = Vec::with_capacity(sigs.len());
-        let mut valid = 0usize;
-        for sig in sigs {
-            if seen.contains(&sig.signer) {
-                continue; // duplicates never count twice
-            }
-            if !eligible.contains(&sig.signer) {
-                continue; // outsiders never count
-            }
-            if self.verify(sig, domain, msg) {
-                seen.push(sig.signer);
-                valid += 1;
-            }
-        }
-        valid >= threshold
+        let signed = |member: &KeyId| {
+            sigs.iter()
+                .any(|sig| sig.signer == *member && self.verify(sig, domain, msg))
+        };
+        eligible.iter().filter(|member| signed(member)).count() >= threshold
     }
 }
 
@@ -437,6 +429,13 @@ mod tests {
         let good = signers[1].sign(b"q", b"m");
         assert!(!pki.verify_quorum(&[outsider, forged, good], b"q", b"m", &eligible, 2));
         assert!(pki.verify_quorum(&[outsider, forged, good], b"q", b"m", &eligible, 1));
+        // A forgery followed by a valid signature from the same member
+        // counts that member once.
+        let honest = signers[0].sign(b"q", b"m");
+        let sigs = [forged, honest, good];
+        assert!(pki.verify_quorum(&sigs, b"q", b"m", &eligible, 2));
+        assert!(!pki.verify_quorum(&sigs, b"q", b"m", &eligible, 3));
+        assert!(!pki.verify_quorum(&[forged, honest, honest], b"q", b"m", &eligible, 2));
     }
 
     #[test]

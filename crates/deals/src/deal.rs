@@ -10,12 +10,20 @@ use crate::matrix::{DealMatrix, DealOutcome, Party};
 use anta::engine::Engine;
 use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
-use ledger::{Asset, DealId, Ledger};
+use ledger::{Asset, DealId, Ledger, Marks};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::Arc as StdArc;
 use xcrypto::wire::Payload;
 use xcrypto::{KeyId, PaymentId, Pki, Signature, Signer};
+
+/// An arc escrow's lifecycle labels; each mark's value is the arc index.
+pub const ESCROW_MARKS: Marks = Marks {
+    locked: "arc_escrowed",
+    lock_rejected: "arc_lock_rejected",
+    released: "arc_released",
+    refunded: "arc_returned",
+};
 
 /// Domain label for deal-commit votes.
 pub const DOM_DEAL_COMMIT: &[u8] = b"xchain/deals/commit";
@@ -101,10 +109,10 @@ impl DealInstance {
     }
 
     /// The outcome of a finished run of either protocol: arc `k` executed
-    /// iff its escrow released it, which it marks `arc_released` with `k`.
+    /// iff its escrow marked `ESCROW_MARKS.released` with `k`.
     pub fn outcome(&self, eng: &Engine<DMsg>) -> DealOutcome {
         let mut executed = vec![false; self.deal.arcs().len()];
-        for (_, _, _, arc) in eng.trace().marks("arc_released") {
+        for (_, _, _, arc) in eng.trace().marks(ESCROW_MARKS.released) {
             executed[arc as usize] = true;
         }
         DealOutcome { executed }
@@ -233,10 +241,10 @@ impl<R: Rule> ArcEscrow<R> {
         if let Some(deal) = self.st.deal {
             if commit {
                 self.st.ledger.release(deal).expect("locked releases once");
-                ctx.mark("arc_released", self.arc as i64);
+                ctx.mark(ESCROW_MARKS.released, self.arc as i64);
             } else {
                 self.st.ledger.refund(deal).expect("locked refunds once");
-                ctx.mark("arc_returned", self.arc as i64);
+                ctx.mark(ESCROW_MARKS.refunded, self.arc as i64);
             }
         }
         self.st.settled = Some(commit && self.st.deal.is_some());
@@ -261,12 +269,12 @@ impl<R: Rule> Process<DMsg> for ArcEscrow<R> {
                     Ok(deal) => {
                         self.st.deal = Some(deal);
                         self.rule.on_lock(ctx);
-                        ctx.mark("arc_escrowed", self.arc as i64);
+                        ctx.mark(ESCROW_MARKS.locked, self.arc as i64);
                         for p in 0..self.parties {
                             ctx.send(p, DMsg::Escrowed { arc: self.arc });
                         }
                     }
-                    Err(_) => ctx.mark("arc_lock_rejected", self.arc as i64),
+                    Err(_) => ctx.mark(ESCROW_MARKS.lock_rejected, self.arc as i64),
                 }
             }
             msg => {

@@ -7,6 +7,7 @@ fn main() {
     print!("{}", r.render());
     let mut gates = Gates::new();
     gates.check(r.rows.iter().all(|row| row.witnessed));
-    gates.check(r.indistinguishability_ok);
+    gates.check(r.pair.run_a_refund_correct);
+    gates.check(r.pair.run_b_cs2_violated);
     std::process::exit(gates.finish("E2"));
 }

@@ -14,7 +14,8 @@ use deals::{DMsg, DealInstance, DealMatrix, DealOutcome};
 use ledger::{Asset, CurrencyId};
 use payment::impossibility::{
     cs2_violation_under_partial_synchrony, cs3_violation_under_partial_synchrony,
-    indistinguishability_pair, no_timeout_never_terminates, WitnessReport,
+    indistinguishability_pair, no_timeout_never_terminates, IndistinguishabilityWitness,
+    WitnessReport,
 };
 
 /// Attacks the HLS timelock deal protocol under partial synchrony (vote
@@ -98,10 +99,9 @@ fn run_timelock_deal(
 pub struct E2Report {
     /// The violation matrix rows.
     pub rows: Vec<WitnessReport>,
-    /// Both halves of the indistinguishability argument checked out.
-    pub indistinguishability_ok: bool,
-    /// The deciding escrow's identical view in both runs.
-    pub shared_prefix: Vec<String>,
+    /// The indistinguishability pair: the deciding escrow's identical
+    /// view and what the refund meant in each run.
+    pub pair: IndistinguishabilityWitness,
 }
 
 /// Runs every witness.
@@ -112,11 +112,9 @@ pub fn run() -> E2Report {
         no_timeout_never_terminates(2, 100),
         timelock_deal_violation(),
     ];
-    let w = indistinguishability_pair(2, 100);
     E2Report {
         rows,
-        indistinguishability_ok: w.run_a_refund_correct && w.run_b_cs2_violated,
-        shared_prefix: w.shared_prefix,
+        pair: indistinguishability_pair(2, 100),
     }
 }
 
@@ -137,9 +135,9 @@ impl E2Report {
         format!(
             "{}\nIndistinguishability pair (e_(n-1)'s view up to its deadline: {:?}):\n  run A (Bob crashed): refund correct — {}\n  run B (χ merely delayed): identical prefix forces the same refund, violating CS2 — {}\n",
             t.render(),
-            self.shared_prefix,
-            check(self.indistinguishability_ok),
-            check(self.indistinguishability_ok),
+            self.pair.shared_prefix,
+            check(self.pair.run_a_refund_correct),
+            check(self.pair.run_b_cs2_violated),
         )
     }
 }
@@ -153,7 +151,8 @@ mod tests {
         let r = run();
         assert_eq!(r.rows.len(), 4);
         assert!(r.rows.iter().all(|row| row.witnessed), "{}", r.render());
-        assert!(r.indistinguishability_ok);
+        assert!(r.pair.run_a_refund_correct, "{}", r.render());
+        assert!(r.pair.run_b_cs2_violated, "{}", r.render());
         let rendered = r.render();
         assert!(rendered.contains("CS2"));
         assert!(rendered.contains("CS3"));

@@ -127,7 +127,7 @@ pub fn htlc_comparison() -> HtlcComparison {
 
     // Weak protocol: Alice stages, Bob withholds, Alice aborts at 40 ms —
     // the whole thing resolves in ~an RTT after her patience runs out.
-    use payment::weak::{Patience, TmKind, WeakOutcome, WeakSetup};
+    use payment::weak::{Patience, TmKind, WeakOutcome, WeakSetup, ESCROW_MARKS};
     let setup = WeakSetup::new(2, ValuePlan::uniform(2, 100), TmKind::Trusted, 0xE5)
         .with_patience(2, Patience::absent())
         .with_patience(0, Patience::until(SimDuration::from_millis(40)));
@@ -140,7 +140,7 @@ pub fn htlc_comparison() -> HtlcComparison {
     assert_eq!(o.verdict(), Some(xcrypto::Verdict::Abort));
     let abort_done = eng2
         .trace()
-        .marks("weak_escrow_refunded")
+        .marks(ESCROW_MARKS.refunded)
         .map(|(_, real, _, _)| real)
         .max()
         .expect("refund happened");

@@ -26,6 +26,13 @@ use ledger::{Asset, Ledger};
 use xcrypto::sha256::{sha256, Digest};
 use xcrypto::KeyId;
 
+/// The label a chain marks a contract's opening with (value: its id).
+pub const MARK_OPENED: &str = "htlc_opened";
+/// The label a chain marks a claimed contract with.
+pub const MARK_CLAIMED: &str = "htlc_claimed";
+/// The label a chain marks a reclaimed contract with.
+pub const MARK_RECLAIMED: &str = "htlc_reclaimed";
+
 // The swap processes address each other and name their accounts by these
 // constants; `SwapSetup::build_engine` registers them to match.
 
@@ -203,7 +210,7 @@ impl Process<HMsg> for ChainProcess {
                     .chain
                     .open(depositor, beneficiary, asset, hashlock, timelock)
                 {
-                    ctx.mark("htlc_opened", id as i64);
+                    ctx.mark(MARK_OPENED, id as i64);
                     self.broadcast(
                         HMsg::Opened {
                             id,
@@ -218,13 +225,13 @@ impl Process<HMsg> for ChainProcess {
                 // The ledger mutation stays in the arm body: guards must
                 // remain side-effect-free around funds movement.
                 if self.chain.claim(id, &preimage, now).is_ok() {
-                    ctx.mark("htlc_claimed", id as i64);
+                    ctx.mark(MARK_CLAIMED, id as i64);
                     self.broadcast(HMsg::Claimed { id, preimage }, ctx);
                 }
             }
             HMsg::Reclaim { id } => {
                 if self.chain.reclaim(id, now).is_ok() {
-                    ctx.mark("htlc_reclaimed", id as i64);
+                    ctx.mark(MARK_RECLAIMED, id as i64);
                     self.broadcast(HMsg::Reclaimed { id }, ctx);
                 }
             }

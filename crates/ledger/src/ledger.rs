@@ -36,6 +36,20 @@ pub enum DealState {
     Refunded,
 }
 
+/// The trace labels an escrow family marks its deals' lifecycle with,
+/// declared once per family and read by every harness and report.
+#[derive(Debug)]
+pub struct Marks {
+    /// A deal was locked.
+    pub locked: &'static str,
+    /// A lock was refused (the depositor lacked cover).
+    pub lock_rejected: &'static str,
+    /// A locked deal was released to the beneficiary.
+    pub released: &'static str,
+    /// A locked deal went back to the depositor.
+    pub refunded: &'static str,
+}
+
 /// An escrow deal: `depositor` placed `asset` in escrow for `beneficiary`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EscrowDeal {

@@ -40,4 +40,4 @@ pub mod ledger;
 
 pub use asset::{Asset, CurrencyId};
 pub use chain::{ChainEntry, SimChain};
-pub use ledger::{AuditEntry, DealId, DealState, EscrowDeal, Ledger, LedgerError};
+pub use ledger::{AuditEntry, DealId, DealState, EscrowDeal, Ledger, LedgerError, Marks};

@@ -17,7 +17,7 @@
 //! a CBC that verifies signatures, and are declared unsupported.
 
 use crate::faults::{ByzFault, InstanceFaults};
-use crate::harness::{layered_net, plan_lock_events, ByzSupport, ProtocolHarness};
+use crate::harness::{layered_net, plan_lock_events, ByzSupport, ProtocolHarness, DELAY_BUCKETS};
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::PaymentSpec;
 use anta::clock::DriftClock;
@@ -27,7 +27,9 @@ use anta::oracle::Oracle;
 use anta::process::{InertProcess, Process};
 use anta::time::{SimDuration, SimTime};
 use anta::trace::TraceMode;
+use deals::deal::ESCROW_MARKS;
 use deals::{CertifiedEscrow, DealInstance, DealMatrix, Party};
+use payment::timing::SIGMA_BUCKETS;
 use xcrypto::Signer;
 
 /// Per-instance deal context.
@@ -102,11 +104,14 @@ impl ProtocolHarness for DealsHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) -> Engine<Self::Msg> {
-        let net = layered_net(Box::new(SyncNet::new(spec.params.delta, 16)), ctx.net);
+        let net = layered_net(
+            Box::new(SyncNet::new(spec.params.delta, DELAY_BUCKETS)),
+            ctx.net,
+        );
         let cfg = EngineConfig {
             max_real_time: ctx.horizon,
             sigma_max: spec.params.sigma,
-            sigma_buckets: 4,
+            sigma_buckets: SIGMA_BUCKETS,
             trace_mode,
             ..EngineConfig::default()
         };
@@ -198,7 +203,7 @@ impl ProtocolHarness for DealsHarness {
         let at = match outcome {
             ProtocolOutcome::Success => eng
                 .trace()
-                .marks("arc_released")
+                .marks(ESCROW_MARKS.released)
                 .map(|(_, real, _, _)| real)
                 .max()
                 .unwrap_or(end),
@@ -215,12 +220,7 @@ impl ProtocolHarness for DealsHarness {
     ) -> LockProfile {
         // `instance` adds one arc per plan hop, so arc k escrows hop k's
         // value and the arc index is the hop index.
-        plan_lock_events(
-            eng,
-            &spec.plan.amounts,
-            "arc_escrowed",
-            ["arc_released", "arc_returned"],
-        )
+        plan_lock_events(eng, &spec.plan.amounts, &ESCROW_MARKS)
     }
 }
 

@@ -29,7 +29,7 @@ use anta::oracle::{Oracle, RandomOracle};
 use anta::process::{Message, Pid};
 use anta::time::{SimDuration, SimTime};
 use anta::trace::{TraceKind, TraceMode};
-use ledger::Asset;
+use ledger::{Asset, Marks};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -257,21 +257,26 @@ pub(crate) fn payee_halt_latency<M: Message>(
     at.saturating_since(SimTime::ZERO)
 }
 
+/// How many values a message delay takes in `[0, δ]` on the synchronous
+/// network under every harness that runs on one (all but ilp-untuned,
+/// whose network is the worst case).
+pub(crate) const DELAY_BUCKETS: usize = 16;
+
 /// Reconstructs a plan-indexed instance's locked-value time series from its
-/// escrow marks (retained in counters-only traces): a mark's value is the
-/// hop index, `lock` adds and either of `unlocks` removes `amounts[hop]`.
+/// escrows' lifecycle `marks` (retained in counters-only traces): a mark's
+/// value is the hop index, `locked` adds and `released` or `refunded`
+/// removes `amounts[hop]`.
 pub(crate) fn plan_lock_events<M: Message>(
     eng: &Engine<M>,
     amounts: &[Asset],
-    lock: &str,
-    unlocks: [&str; 2],
+    marks: &Marks,
 ) -> LockProfile {
     let mut profile = LockProfile::new();
     for e in &eng.trace().events {
         if let TraceKind::Mark { label, value, .. } = e.kind {
-            let sign = if label == lock {
+            let sign = if label == marks.locked {
                 1
-            } else if unlocks.contains(&label) {
+            } else if label == marks.released || label == marks.refunded {
                 -1
             } else {
                 continue;

@@ -21,7 +21,7 @@
 //! counterpart and are declared unsupported.
 
 use crate::faults::{ByzFault, InstanceFaults};
-use crate::harness::{layered_net, ByzSupport, ProtocolHarness};
+use crate::harness::{layered_net, ByzSupport, ProtocolHarness, DELAY_BUCKETS};
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::{PaymentSpec, TopologyFamily, WorkloadConfig};
 use anta::clock::DriftClock;
@@ -31,8 +31,11 @@ use anta::oracle::Oracle;
 use anta::time::{SimDuration, SimTime};
 use anta::trace::{TraceKind, TraceMode};
 use htlc::contract::HtlcState;
-use htlc::swap::{ChainProcess, HMsg, SwapBehaviour, SwapSetup};
+use htlc::swap::{
+    ChainProcess, HMsg, SwapBehaviour, SwapSetup, MARK_CLAIMED, MARK_OPENED, MARK_RECLAIMED,
+};
 pub use htlc::swap::{ALICE_PID, BOB_PID, CHAIN_A_PID, CHAIN_B_PID};
+use payment::timing::SIGMA_BUCKETS;
 
 /// Maps a sampled chain fault onto the nearest swap behaviour.
 fn swap_behaviour(byz: ByzFault) -> SwapBehaviour {
@@ -115,11 +118,14 @@ impl ProtocolHarness for HtlcHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) -> Engine<HMsg> {
-        let net = layered_net(Box::new(SyncNet::new(spec.params.delta, 16)), inst.net);
+        let net = layered_net(
+            Box::new(SyncNet::new(spec.params.delta, DELAY_BUCKETS)),
+            inst.net,
+        );
         let cfg = EngineConfig {
             max_real_time: inst.horizon,
             sigma_max: spec.params.sigma,
-            sigma_buckets: 4,
+            sigma_buckets: SIGMA_BUCKETS,
             trace_mode,
             ..EngineConfig::default()
         };
@@ -178,7 +184,7 @@ impl ProtocolHarness for HtlcHarness {
         // Any non-success after capital was locked means a party sat
         // through (at least) a full timelock window to recover it — the
         // HTLC griefing cost.
-        outcome != ProtocolOutcome::Success && eng.trace().marks("htlc_opened").next().is_some()
+        outcome != ProtocolOutcome::Success && eng.trace().marks(MARK_OPENED).next().is_some()
     }
 
     fn latency(
@@ -218,8 +224,8 @@ impl ProtocolHarness for HtlcHarness {
                     _ => continue,
                 };
                 let delta = match label {
-                    "htlc_opened" => amount,
-                    "htlc_claimed" | "htlc_reclaimed" => -amount,
+                    MARK_OPENED => amount,
+                    MARK_CLAIMED | MARK_RECLAIMED => -amount,
                     _ => continue,
                 };
                 profile.push(e.real, hop, delta);

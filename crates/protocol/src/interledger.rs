@@ -21,7 +21,7 @@
 
 use crate::faults::{ByzFault, InstanceFaults};
 use crate::harness::{
-    layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness,
+    layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness, DELAY_BUCKETS,
 };
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::timebounded::{build_chain_engine, classify_chain, ChainInstance, TimeBoundedHarness};
@@ -38,7 +38,7 @@ use payment::byzantine::CrashAfter;
 use payment::msg::PMsg;
 use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use payment::topology::Role;
-use payment::weak::{TmKind, WeakSetup};
+use payment::weak::{TmKind, WeakSetup, ESCROW_MARKS};
 
 /// The untuned universal protocol (the E5 baseline) as a
 /// [`ProtocolHarness`].
@@ -170,10 +170,8 @@ impl ProtocolHarness for IlpAtomicHarness {
         trace_mode: TraceMode,
     ) -> Engine<PMsg> {
         let setup = &inst.setup;
-        let net = layered_net(
-            Box::new(SyncNet::new(spec.params.delta, 16)),
-            inst.faults.net,
-        );
+        let net = SyncNet::new(spec.params.delta, DELAY_BUCKETS);
+        let net = layered_net(Box::new(net), inst.faults.net);
         let mut cfg = setup.engine_config();
         cfg.trace_mode = trace_mode;
         cfg.max_real_time =
@@ -232,12 +230,7 @@ impl ProtocolHarness for IlpAtomicHarness {
         _inst: &AtomicInstance,
         spec: &PaymentSpec,
     ) -> LockProfile {
-        plan_lock_events(
-            eng,
-            &spec.plan.amounts,
-            "weak_escrow_locked",
-            ["weak_escrow_released", "weak_escrow_refunded"],
-        )
+        plan_lock_events(eng, &spec.plan.amounts, &ESCROW_MARKS)
     }
 }
 
@@ -293,9 +286,9 @@ fn classify_atomic(eng: &Engine<PMsg>, inst: &AtomicInstance, truncated: bool) -
     // Stuck before the zero-sum audit: capital still locked in an escrow
     // (e.g. a dropped decision message) is in limbo, not lost — the net
     // positions cannot balance until it settles.
-    let locked = eng.trace().marks("weak_escrow_locked").count();
-    let settled = eng.trace().marks("weak_escrow_released").count()
-        + eng.trace().marks("weak_escrow_refunded").count();
+    let count = |label| eng.trace().marks(label).count();
+    let locked = count(ESCROW_MARKS.locked);
+    let settled = count(ESCROW_MARKS.released) + count(ESCROW_MARKS.refunded);
     if locked > settled {
         return ProtocolOutcome::Stuck;
     }

@@ -5,7 +5,7 @@
 
 use crate::faults::InstanceFaults;
 use crate::harness::{
-    layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness,
+    layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness, DELAY_BUCKETS,
 };
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::PaymentSpec;
@@ -15,7 +15,7 @@ use anta::oracle::Oracle;
 use anta::time::SimDuration;
 use anta::trace::TraceMode;
 use payment::msg::PMsg;
-use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan, CustomerOutcome};
+use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan, CustomerOutcome, ESCROW_MARKS};
 
 /// Per-instance context: the assembled chain plus the fault assignment.
 pub struct ChainInstance {
@@ -55,10 +55,10 @@ impl ProtocolHarness for TimeBoundedHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) -> Engine<PMsg> {
-        // 16 message-delay buckets in [0, δ]; clocks sampled from the seed.
+        // Clocks sampled from the seed.
         build_chain_engine(
             inst,
-            SyncNet::new(spec.params.delta, 16),
+            SyncNet::new(spec.params.delta, DELAY_BUCKETS),
             ClockPlan::Sampled { seed: spec.seed },
             oracle,
             trace_mode,
@@ -93,12 +93,7 @@ impl ProtocolHarness for TimeBoundedHarness {
         _inst: &ChainInstance,
         spec: &PaymentSpec,
     ) -> LockProfile {
-        plan_lock_events(
-            eng,
-            &spec.plan.amounts,
-            "escrow_locked",
-            ["escrow_released", "escrow_refunded"],
-        )
+        plan_lock_events(eng, &spec.plan.amounts, &ESCROW_MARKS)
     }
 }
 

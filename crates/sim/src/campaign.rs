@@ -39,9 +39,11 @@
 //! state is checked too: outcome counters must sum to `instances`, at
 //! most 16 and at most `failed` seeds may be carried, and a `liquidity`
 //! record must be present exactly when [`CampaignConfig::liquidity`] is
-//! set. The thread count is deliberately **not** part of the digest: it
-//! is a performance knob, and the workspace invariant is that it never
-//! changes a report. Neither does how an epoch is chunked onto workers.
+//! set, and equal to the record its tally writes, gate counts
+//! ([`CampaignTally::gate_counts`]) included. The thread count is
+//! deliberately **not** part of the digest: it is a performance knob, and
+//! the workspace invariant is that it never changes a report. Neither
+//! does how an epoch is chunked onto workers.
 //!
 //! ## Resume is bit-identical
 //!
@@ -190,19 +192,13 @@ impl CampaignConfig {
 /// Cumulative liquidity-side state of an open-system campaign — the
 /// carried [`LiquidityBook`] audit rolled up across epochs (each epoch is
 /// an independent admission timeline against fresh budgets; the campaign
-/// carries the cumulative audit, not live reservations).
+/// carries the cumulative audit, not live reservations). The gate's
+/// counts are not here: the campaign tally owns them
+/// ([`CampaignTally::gate_counts`]).
 ///
 /// [`LiquidityBook`]: protocol::liquidity::LiquidityBook
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiquidityTally {
-    /// Payments offered / admitted / rejected / queued, summed.
-    pub offered: u64,
-    /// Admitted payments.
-    pub admitted: u64,
-    /// Rejected payments.
-    pub rejected: u64,
-    /// Admitted payments that waited at the gate.
-    pub queued: u64,
     /// `locked > budget` audit violations, summed — must stay zero.
     pub budget_violations: u64,
     /// True while every epoch's venues drained to zero.
@@ -226,10 +222,6 @@ pub struct LiquidityTally {
 impl Default for LiquidityTally {
     fn default() -> Self {
         LiquidityTally {
-            offered: 0,
-            admitted: 0,
-            rejected: 0,
-            queued: 0,
             budget_violations: 0,
             drained_all: true,
             peak_locked_venue: 0,
@@ -244,15 +236,12 @@ impl Default for LiquidityTally {
 }
 
 impl LiquidityTally {
-    /// The `liquidity` checkpoint record; the two wait sketches are
-    /// records of their own.
-    fn to_event(&self) -> Event {
-        Event::new("liquidity")
-            .with_u64("offered", self.offered)
-            .with_u64("admitted", self.admitted)
-            .with_u64("rejected", self.rejected)
-            .with_u64("queued", self.queued)
-            .with_u64("budget_violations", self.budget_violations)
+    /// The `liquidity` checkpoint record, which opens with the tally's
+    /// `gate_counts`; the two wait sketches are records of their own.
+    fn to_event(&self, gate_counts: [(&str, u64); 4]) -> Event {
+        let counts = gate_counts.iter();
+        let e = counts.fold(Event::new("liquidity"), |e, &(name, v)| e.with_u64(name, v));
+        e.with_u64("budget_violations", self.budget_violations)
             .with_bool("drained_all", self.drained_all)
             .with_u64("peak_locked_venue", self.peak_locked_venue)
             .with_u64("peak_reserved_venue", self.peak_reserved_venue)
@@ -263,10 +252,6 @@ impl LiquidityTally {
 
     fn fold_epoch(&mut self, raw: &des::OpenRaw) {
         let l = &raw.liquidity;
-        self.offered += l.offered as u64;
-        self.admitted += l.admitted as u64;
-        self.rejected += l.rejected as u64;
-        self.queued += l.queued as u64;
         self.budget_violations += l.budget_violations as u64;
         self.drained_all &= l.drained;
         self.peak_locked_venue = self.peak_locked_venue.max(l.peak_locked_venue);
@@ -309,6 +294,20 @@ pub struct CampaignTally {
 }
 
 impl CampaignTally {
+    /// An open campaign's gate counts, named as its `liquidity` record,
+    /// report and artifact name them: every row was offered, the gate
+    /// admitted the rows it did not reject, and each admitted row that
+    /// waited left one gate-wait sample.
+    pub fn gate_counts(&self, l: &LiquidityTally) -> [(&'static str, u64); 4] {
+        let rejected = self.outcomes.rejected;
+        [
+            ("offered", self.instances),
+            ("admitted", self.instances - rejected),
+            ("rejected", rejected),
+            ("queued", l.wait.count()),
+        ]
+    }
+
     fn fold_row(&mut self, spec: &PaymentSpec, r: &HarnessRun) {
         self.instances += 1;
         self.outcomes.count(r);
@@ -518,20 +517,14 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
             )));
         }
         let mut runner = Self::new(harness, cfg);
-        let (next_epoch, tally) =
-            read_state(payload, runner.cfg.digest(runner.harness.name())).map_err(bad)?;
+        let digest = runner.cfg.digest(runner.harness.name());
+        let open = runner.cfg.liquidity.is_some();
+        let (next_epoch, tally) = read_state(payload, digest, open).map_err(bad)?;
         if next_epoch > runner.cfg.epochs() {
             return Err(bad(format!(
                 "checkpoint is at epoch {next_epoch} of a {}-epoch campaign",
                 runner.cfg.epochs()
             )));
-        }
-        // The CRC only catches accidents. `step` relies on the tally's
-        // liquidity side existing exactly when the campaign is open.
-        if tally.liquidity.is_some() != runner.cfg.liquidity.is_some() {
-            return Err(bad(
-                "checkpoint's liquidity record disagrees with this campaign's config".to_owned(),
-            ));
         }
         runner.next_epoch = next_epoch;
         runner.tally = tally;
@@ -761,7 +754,7 @@ impl<H: ProtocolHarness> CampaignRunner<H> {
         records.push(t.latency.to_event("latency"));
         records.push(t.peak_locked.to_event("peak_locked"));
         if let Some(l) = &t.liquidity {
-            records.push(l.to_event());
+            records.push(l.to_event(t.gate_counts(l)));
             records.push(l.wait.to_event("lq_wait"));
             records.push(l.rejected_wait.to_event("lq_rejected_wait"));
         }
@@ -786,9 +779,10 @@ fn field<T>(e: &Event, name: &str, get: fn(&Event, &str) -> Option<T>) -> Result
     get(e, name).ok_or_else(|| format!("{}: missing or malformed {name}", e.kind()))
 }
 
-/// Reads a CRC-verified checkpoint payload back; `expected_config` is the
-/// resuming configuration's digest. Refuses a tally no run can produce.
-fn read_state(payload: &str, expected_config: u64) -> Result<(u64, CampaignTally), String> {
+/// Reads a CRC-verified checkpoint payload back; `digest` is the resuming
+/// configuration's digest and `open` whether it is an open campaign.
+/// Refuses a tally no run can produce.
+fn read_state(payload: &str, digest: u64, open: bool) -> Result<(u64, CampaignTally), String> {
     let records = payload.lines().map(Event::parse);
     let mut r = records
         .collect::<Result<Vec<_>, _>>()?
@@ -796,11 +790,11 @@ fn read_state(payload: &str, expected_config: u64) -> Result<(u64, CampaignTally
         .peekable();
     let c = next_record(&mut r, "campaign")?;
     let config = field(&c, "config", |e, name| e.str_field(name).map(str::to_owned))?;
-    if config != hex16(expected_config) {
+    if config != hex16(digest) {
         return Err(format!(
             "checkpoint was written by a different campaign config \
              (checkpoint {config}, this config {}); refusing to resume",
-            hex16(expected_config)
+            hex16(digest)
         ));
     }
     let next_epoch = field(&c, "next_epoch", Event::u64_field)?;
@@ -815,19 +809,23 @@ fn read_state(payload: &str, expected_config: u64) -> Result<(u64, CampaignTally
         peak_locked: sketch(&mut r, "peak_locked")?,
         liquidity: None,
     };
-    if let Some(l) = r.next_if(|e| e.kind() == "liquidity") {
+    let liquidity = r.next_if(|e| e.kind() == "liquidity");
+    // The CRC only catches accidents. `step` relies on the tally's
+    // liquidity side existing exactly when the campaign is open.
+    if liquidity.is_some() != open {
+        return Err(
+            "checkpoint's liquidity record disagrees with this campaign's config".to_owned(),
+        );
+    }
+    if let Some(l) = &liquidity {
         t.liquidity = Some(LiquidityTally {
-            offered: field(&l, "offered", Event::u64_field)?,
-            admitted: field(&l, "admitted", Event::u64_field)?,
-            rejected: field(&l, "rejected", Event::u64_field)?,
-            queued: field(&l, "queued", Event::u64_field)?,
-            budget_violations: field(&l, "budget_violations", Event::u64_field)?,
-            drained_all: field(&l, "drained_all", Event::bool_field)?,
-            peak_locked_venue: field(&l, "peak_locked_venue", Event::u64_field)?,
-            peak_reserved_venue: field(&l, "peak_reserved_venue", Event::u64_field)?,
-            goodput_value: field(&l, "goodput_value", Event::u128_field)?,
-            offered_value: field(&l, "offered_value", Event::u128_field)?,
-            horizon_ticks: field(&l, "horizon_ticks", Event::u128_field)?,
+            budget_violations: field(l, "budget_violations", Event::u64_field)?,
+            drained_all: field(l, "drained_all", Event::bool_field)?,
+            peak_locked_venue: field(l, "peak_locked_venue", Event::u64_field)?,
+            peak_reserved_venue: field(l, "peak_reserved_venue", Event::u64_field)?,
+            goodput_value: field(l, "goodput_value", Event::u128_field)?,
+            offered_value: field(l, "offered_value", Event::u128_field)?,
+            horizon_ticks: field(l, "horizon_ticks", Event::u128_field)?,
             wait: sketch(&mut r, "lq_wait")?,
             rejected_wait: sketch(&mut r, "lq_rejected_wait")?,
         });
@@ -843,6 +841,11 @@ fn read_state(payload: &str, expected_config: u64) -> Result<(u64, CampaignTally
         return Err(format!(
             "failed_seed: {seeds} records, over {FAILED_SEEDS_CAP} or failed"
         ));
+    }
+    if let (Some(record), Some(l)) = (&liquidity, &t.liquidity) {
+        if *record != l.to_event(t.gate_counts(l)) {
+            return Err("liquidity: the record is not the one its tally writes".to_owned());
+        }
     }
     Ok((next_epoch, t))
 }
@@ -911,14 +914,11 @@ impl CampaignReport {
         out.push_str(&sketch_line("latency(ticks)", &t.latency));
         out.push_str(&sketch_line("peak_locked", &t.peak_locked));
         if let Some(l) = &t.liquidity {
+            let counts = t.gate_counts(l).map(|(name, v)| format!("{name} {v}"));
             out.push_str(&format!(
-                "liquidity: offered {} admitted {} rejected {} queued {} | \
-                 budget violations {} drained {} | peak locked/venue {} reserved {} | \
-                 goodput {}/{}\n",
-                l.offered,
-                l.admitted,
-                l.rejected,
-                l.queued,
+                "liquidity: {} | budget violations {} drained {} | \
+                 peak locked/venue {} reserved {} | goodput {}/{}\n",
+                counts.join(" "),
                 l.budget_violations,
                 if l.drained_all { "yes" } else { "NO" },
                 l.peak_locked_venue,
@@ -956,11 +956,9 @@ impl CampaignReport {
         // run for centuries, so saturating loses nothing real.
         let sat = |x: u128| u64::try_from(x).unwrap_or(u64::MAX);
         let liquidity = t.liquidity.as_ref().map(|l| {
-            JsonObject::new()
-                .with("offered", l.offered)
-                .with("admitted", l.admitted)
-                .with("rejected", l.rejected)
-                .with("queued", l.queued)
+            let counts = t.gate_counts(l).into_iter();
+            counts
+                .fold(JsonObject::new(), |o, (name, v)| o.with(name, v))
                 .with("budget_violations", l.budget_violations)
                 .with("drained_all", l.drained_all)
                 .with("peak_locked_venue", l.peak_locked_venue)

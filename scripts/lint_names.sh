@@ -197,6 +197,20 @@ row '\breserved_at\b' "$code" '' \
     "deleted: read a venue's reservation through LiquidityBook::load_at or venue_samples"
 row 'BTreeMap<u32, VenueEvents>|\bseverity\b' crates/sim/src '' \
     "the DES keeps no venue counters or outcome order of its own: LiquidityBook::events_mut / apply_lock count, HarnessRun::join folds legs"
+# An open campaign's four gate counts are the tally's: rows offered,
+# rejected outcomes, and the gate-wait sketch's samples.
+row '^ *pub (offered|admitted|rejected|queued):' crates/sim/src/campaign.rs '' \
+    "deleted: LiquidityTally's offered/admitted/rejected/queued; the tally owns them (CampaignTally::gate_counts)"
+row 'tally(\(\))?\.liquidity\b.*\.(offered|admitted|rejected|queued)\b' "$code" '' \
+    "deleted: LiquidityTally's offered/admitted/rejected/queued; read CampaignTally::gate_counts"
+
+# Each escrow family declares its lifecycle labels once: payment's two
+# escrows and the deals' arc escrow as a ledger::Marks, the HTLC chain as
+# three consts. Readers name the declaration; tests keep their literals,
+# because they pin the labels themselves.
+row '"(weak_)?escrow_(locked|lock_rejected|released|refunded)"|"arc_(escrowed|lock_rejected|released|returned)"|"htlc_(opened|claimed|reclaimed)"' \
+    crates '^crates/core/src/timebounded/escrow.rs:|^crates/core/src/weak/participants.rs:|^crates/deals/src/deal.rs:|^crates/htlc/src/swap.rs:|^crates/[a-z]+/tests/' \
+    "name the escrow family's declaration (payment::{timebounded,weak}::ESCROW_MARKS, deals::deal::ESCROW_MARKS, htlc::swap::MARK_*), not the label"
 
 # Scoped threads are std::thread::scope. The crossbeam shim and its two
 # Cargo edges stay until ROADMAP 1(ii) regenerates benchmark/Cargo.lock.

@@ -129,6 +129,19 @@ row crates/protocol/src/liquidity.rs 's/a\.events\.releases \+= 1/a.events.locks
     "cargo test -q --offline --test telemetry venue_des_counters_are_pinned_exactly" \
     "apply_lock counts a release as a lock (telemetry::venue_des_counters_are_pinned_exactly)"
 
+# The certified deal harness counts only arcs that locked: an arc that
+# never locked is neither stuck nor returned.
+classify="cargo test -q --offline -p xchain-protocol --lib deals::tests::classify_ignores_arcs_that_never_locked"
+row crates/protocol/src/deals.rs 's/\(true, None\) => locked_unsettled/(_, None) => locked_unsettled/' "$classify" \
+    "an arc that never locked counts as stuck (protocol deals::tests::classify_ignores_arcs_that_never_locked)"
+row crates/protocol/src/deals.rs 's/\(true, Some\(false\)\) => any_returned/(_, Some(false)) => any_returned/' "$classify" \
+    "an arc that never locked counts as returned (protocol deals::tests::classify_ignores_arcs_that_never_locked)"
+
+# A resumed open campaign's liquidity record agrees with its tally.
+row crates/sim/src/campaign.rs 's/if \*record != l\.to_event\(t\.gate_counts\(l\)\) \{/if false {/' \
+    "cargo test -q --offline --test campaign checkpoint_with_disagreeing_gate_counts_is_refused" \
+    "a liquidity record's gate counts are adopted unchecked (campaign::checkpoint_with_disagreeing_gate_counts_is_refused)"
+
 # The one-shot HMAC and hash pad their stack blocks themselves.
 oneshot='cargo test -q --offline -p xcrypto --lib hmac::tests::oneshot_mac_equals_the_streamed_mac_at_every_length'
 row crates/crypto/src/sha256.rs 's/buf\[end - 8\.\.end\]/buf[end - 16..end - 8]/' "$oneshot" \

@@ -23,7 +23,7 @@ use crosschain::sim::workload;
 use crosschain::xcrypto::cert::{DOM_DECISION, DOM_RECEIPT};
 use crosschain::xcrypto::sig::FRAME_CAP;
 use crosschain::xcrypto::wire::{Payload, PAYLOAD_CAP};
-use crosschain::xcrypto::{DecisionCert, KeyId, PaymentId, Pki, Receipt, Verdict};
+use crosschain::xcrypto::{Authority, DecisionCert, KeyId, PaymentId, Pki, Receipt, Verdict};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -173,6 +173,20 @@ fn signing_and_verifying_allocate_nothing() {
         ));
     });
     assert_eq!(signed, 0, "signs and verifies allocate nothing");
+
+    // A committee certificate: every member signed, two must verify.
+    let decision = DecisionCert::payload(&payment, Verdict::Commit);
+    let sigs = keys.iter().map(|(_, s)| s.sign(DOM_DECISION, &decision));
+    let cert = DecisionCert::assemble(payment, Verdict::Commit, sigs.collect());
+    let committee = Authority::Committee {
+        members: ids.clone(),
+        threshold: 2,
+    };
+    assert_eq!(
+        allocations_in(|| assert!(cert.verify(&pki, &committee))),
+        0,
+        "verifying a committee certificate"
+    );
 }
 
 #[test]

@@ -173,7 +173,10 @@ fn open_system_campaign_resumes_bit_identical() {
     oneshot.run_to_end(None, None, |_| {}).unwrap();
     let expect = oneshot.report();
     let l = expect.tally.liquidity.as_ref().expect("liquidity tally");
-    assert!(l.rejected > 0, "budget must bite for the test to mean much");
+    assert!(
+        expect.tally.outcomes.rejected > 0,
+        "budget must bite for the test to mean much"
+    );
     assert_eq!(l.budget_violations, 0);
     assert!(l.drained_all);
 
@@ -332,6 +335,37 @@ fn checkpoint_with_impossible_tally_is_refused() {
     std::fs::write(&ckpt.0, sealed(&forge_outcomes(&payload, 2, 0, &[9, 3]))).unwrap();
     let resumed = CampaignRunner::resume(TimeBoundedHarness, closed, &ckpt.0).unwrap();
     assert_eq!(resumed.tally().failed_seeds, [9, 3]);
+}
+
+/// An open campaign's `liquidity` record carries four gate counts that
+/// the tally already owns (`CampaignTally::gate_counts`). A sealed
+/// checkpoint whose record is off by one on any of them is refused with
+/// an error naming the record.
+#[test]
+fn checkpoint_with_disagreeing_gate_counts_is_refused() {
+    let open = open_cfg(120, 40);
+    let ckpt = ScratchCkpt::new("gate-counts");
+    let mut runner = CampaignRunner::new(TimeBoundedHarness, open);
+    runner.run_to_end(Some(&ckpt.0), Some(0), |_| {}).unwrap();
+    let tally = runner.tally();
+    let counts = tally.gate_counts(tally.liquidity.as_ref().expect("open campaign"));
+    let payload = String::from_utf8(payload_of(&ckpt.0)).unwrap();
+    let at = payload
+        .find("{\"kind\":\"liquidity\"")
+        .expect("open payload");
+    let (head, records) = payload.split_at(at);
+    for (name, v) in counts {
+        let off_by_one = format!("\"{name}\":{},", v + 1);
+        let forged =
+            head.to_owned() + &records.replacen(&format!("\"{name}\":{v},"), &off_by_one, 1);
+        assert_ne!(forged, payload, "{name} is in the liquidity record");
+        std::fs::write(&ckpt.0, sealed(forged.as_bytes())).unwrap();
+        let err = CampaignRunner::resume(TimeBoundedHarness, open, &ckpt.0)
+            .err()
+            .expect("a liquidity record that disagrees with its tally must not resume");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("liquidity"), "{err}");
+    }
 }
 
 /// A checkpoint of the older schema is refused with a one-line reason
