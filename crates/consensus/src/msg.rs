@@ -211,6 +211,53 @@ mod tests {
         assert!(!pki.verify(&sig, DOM_VOTE, &other));
     }
 
+    /// The exact bytes a notary signs for a vote, a proposal and a decision
+    /// certificate share: the commit/abort byte is 1 / 2 in all three, and
+    /// a consensus payload writes it as a one-byte string.
+    #[test]
+    fn verdict_payloads_are_pinned() {
+        use xcrypto::{DecisionCert, PaymentId, Verdict};
+        const VOTE: &[u8] = b"\0\0\0\0\0\0\0\x15xchain/consensus/vote";
+        const DECISION: &[u8] = b"\0\0\0\0\0\0\0\x14xchain/cert/decision";
+        const INSTANCE_7: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 7];
+        const ROUND_3: &[u8] = &[0, 0, 0, 3];
+        const COMMIT: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 1, 1];
+        const ABORT: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 1, 2];
+        let prevote = |value: &[u8]| [VOTE, INSTANCE_7, &[1], ROUND_3, value].concat();
+        assert_eq!(
+            *vote_payload(7, VoteKind::Prevote, 3, None::<&Verdict>),
+            *prevote(&[0])
+        );
+        assert_eq!(
+            *vote_payload(7, VoteKind::Prevote, 3, Some(&Verdict::Commit)),
+            *prevote(&[[1].as_slice(), COMMIT].concat())
+        );
+        assert_eq!(
+            *vote_payload(7, VoteKind::Prevote, 3, Some(&Verdict::Abort)),
+            *prevote(&[[1].as_slice(), ABORT].concat())
+        );
+        let propose = |pol: &[u8]| [VOTE, INSTANCE_7, &[3], ROUND_3, COMMIT, pol].concat();
+        assert_eq!(
+            *propose_payload(7, 3, &Verdict::Commit, None),
+            *propose(&[0])
+        );
+        assert_eq!(
+            *propose_payload(7, 3, &Verdict::Commit, Some(2)),
+            *propose(&[1, 0, 0, 0, 2])
+        );
+        let payment = PaymentId([0xAB; 32]);
+        let decision =
+            |tag: u8| [DECISION, &[0, 0, 0, 0, 0, 0, 0, 32], &[0xAB; 32], &[tag]].concat();
+        assert_eq!(
+            *DecisionCert::payload(&payment, Verdict::Commit),
+            *decision(1)
+        );
+        assert_eq!(
+            *DecisionCert::payload(&payment, Verdict::Abort),
+            *decision(2)
+        );
+    }
+
     #[test]
     fn verdict_encoding_distinct() {
         use xcrypto::Verdict;
