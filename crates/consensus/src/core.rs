@@ -34,13 +34,13 @@
 //! crate both drive this same core — one implementation, two transports.
 
 use crate::msg::{
-    propose_payload, sign_propose, sign_vote, vote_payload, ConsMsg, ConsensusValue, ProofOfLock,
-    VoteKind, DOM_VOTE,
+    propose_payload, sign_propose, sign_vote, vote_payload, ConsMsg, ProofOfLock, VoteKind,
+    DOM_VOTE,
 };
 use anta::time::SimDuration;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use xcrypto::{KeyId, Pki, Signature, Signer};
+use xcrypto::{KeyId, Pki, Signature, Signer, Verdict};
 
 /// Static configuration of one consensus instance.
 #[derive(Debug, Clone)]
@@ -74,9 +74,9 @@ impl Config {
 
 /// Effects requested by the state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Output<V> {
+pub enum Output {
     /// Send to every committee member (the core already self-applied it).
-    Broadcast(ConsMsg<V>),
+    Broadcast(ConsMsg),
     /// Ask for `on_timeout(token)` after `after` of local time.
     Schedule {
         /// Timeout token handed back via on_timeout.
@@ -84,14 +84,13 @@ pub enum Output<V> {
         /// Local-time delay until the timeout fires.
         after: SimDuration,
     },
-    /// The instance has decided (fires exactly once).
+    /// The instance has decided (fires exactly once). The justifying
+    /// precommit quorum travels in the `Decided` broadcast that follows.
     Decide {
         /// Consensus round number.
         round: u32,
         /// The decided value.
-        value: V,
-        /// Justifying signatures.
-        sigs: Vec<Signature>,
+        value: Verdict,
     },
 }
 
@@ -113,50 +112,50 @@ fn token_phase(token: u64) -> u64 {
 }
 
 #[derive(Debug, Clone, Hash)]
-struct VoteRec<V> {
+struct VoteRec {
     round: u32,
     signer: KeyId,
-    value: Option<V>,
+    value: Option<Verdict>,
     sig: Signature,
 }
 
 #[derive(Debug, Clone, Hash)]
-struct Lock<V> {
+struct Lock {
     round: u32,
-    value: V,
+    value: Verdict,
     /// The prevote quorum that justified this lock (becomes the PoL when
     /// this notary later leads a round).
     sigs: Vec<Signature>,
 }
 
-/// The notary core. Generic over the decided value type. The
-/// configuration, signer and key registry are setup; everything else is
-/// run state, in `CoreState`.
+/// The notary core: decides χc or χa. The configuration, signer and key
+/// registry are setup; everything else is run state, in `CoreState`, which
+/// alone records the decision.
 #[derive(Clone)]
-pub struct NotaryCore<V> {
+pub struct NotaryCore {
     cfg: Config,
     signer: Signer,
     pki: Arc<Pki>,
-    st: CoreState<V>,
+    st: CoreState,
 }
 
 #[derive(Debug, Clone, Hash)]
-struct CoreState<V> {
-    input: V,
+struct CoreState {
+    input: Verdict,
     round: u32,
-    locked: Option<Lock<V>>,
+    locked: Option<Lock>,
     /// Accepted proposal per round (leader-signed, lock-consistent).
-    proposals: Vec<(u32, V)>,
-    prevotes: Vec<VoteRec<V>>,
-    precommits: Vec<VoteRec<V>>,
+    proposals: Vec<(u32, Verdict)>,
+    prevotes: Vec<VoteRec>,
+    precommits: Vec<VoteRec>,
     prevoted_rounds: Vec<u32>,
     precommitted_rounds: Vec<u32>,
-    decided: Option<(u32, V)>,
+    decided: Option<(u32, Verdict)>,
 }
 
 /// Manual impl: `signer` holds a secret key, so only the run state is
 /// rendered — secrets must never reach a Debug rendering.
-impl<V: ConsensusValue> std::fmt::Debug for NotaryCore<V> {
+impl std::fmt::Debug for NotaryCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NotaryCore")
             .field("state", &self.st)
@@ -165,16 +164,16 @@ impl<V: ConsensusValue> std::fmt::Debug for NotaryCore<V> {
 }
 
 /// The setup is fixed from construction on; the run state is hashed.
-impl<V: Hash> Hash for NotaryCore<V> {
+impl Hash for NotaryCore {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.st.hash(state);
     }
 }
 
-impl<V: ConsensusValue> NotaryCore<V> {
+impl NotaryCore {
     /// Creates a notary with the given input value (its vote if nothing is
     /// locked yet).
-    pub fn new(cfg: Config, signer: Signer, pki: Arc<Pki>, input: V) -> Self {
+    pub fn new(cfg: Config, signer: Signer, pki: Arc<Pki>, input: Verdict) -> Self {
         assert!(
             cfg.n() > 3 * cfg.f,
             "committee of {} cannot tolerate f = {}",
@@ -204,17 +203,17 @@ impl<V: ConsensusValue> NotaryCore<V> {
     }
 
     /// The decided value, once any.
-    pub fn decided(&self) -> Option<&V> {
-        self.st.decided.as_ref().map(|(_, v)| v)
+    pub fn decided(&self) -> Option<Verdict> {
+        self.st.decided.map(|(_, v)| v)
     }
 
-    /// Current round.
-    pub fn round(&self) -> u32 {
-        self.st.round
+    /// The decision and the round it was decided in, once any.
+    pub fn decision(&self) -> Option<(u32, Verdict)> {
+        self.st.decided
     }
 
     /// Begins the instance (enters round 0).
-    pub fn start(&mut self) -> Vec<Output<V>> {
+    pub fn start(&mut self) -> Vec<Output> {
         let mut out = Vec::new();
         self.enter_round(0, &mut out);
         out
@@ -222,14 +221,14 @@ impl<V: ConsensusValue> NotaryCore<V> {
 
     /// Handles a consensus message (sender identity comes from signatures,
     /// not transport).
-    pub fn on_message(&mut self, msg: ConsMsg<V>) -> Vec<Output<V>> {
+    pub fn on_message(&mut self, msg: ConsMsg) -> Vec<Output> {
         let mut out = Vec::new();
         self.handle(msg, &mut out);
         out
     }
 
     /// Handles a timeout token previously scheduled.
-    pub fn on_timeout(&mut self, tok: u64) -> Vec<Output<V>> {
+    pub fn on_timeout(&mut self, tok: u64) -> Vec<Output> {
         let mut out = Vec::new();
         if self.st.decided.is_some() {
             return out;
@@ -268,7 +267,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
             .saturating_mul((phase + 1) * (round as u64 + 1))
     }
 
-    fn enter_round(&mut self, round: u32, out: &mut Vec<Output<V>>) {
+    fn enter_round(&mut self, round: u32, out: &mut Vec<Output>) {
         self.st.round = round;
         for phase in [PHASE_PROPOSE, PHASE_PREVOTE, PHASE_PRECOMMIT] {
             out.push(Output::Schedule {
@@ -280,20 +279,20 @@ impl<V: ConsensusValue> NotaryCore<V> {
             // Propose the locked value if any (with its PoL), else my input.
             let (value, pol) = match &self.st.locked {
                 Some(l) => (
-                    l.value.clone(),
+                    l.value,
                     Some(ProofOfLock {
                         round: l.round,
-                        value: l.value.clone(),
+                        value: l.value,
                         sigs: l.sigs.clone(),
                     }),
                 ),
-                None => (self.st.input.clone(), None),
+                None => (self.st.input, None),
             };
             let sig = sign_propose(
                 &self.signer,
                 self.cfg.instance,
                 round,
-                &value,
+                value,
                 pol.as_ref().map(|p| p.round),
             );
             self.emit(
@@ -314,12 +313,12 @@ impl<V: ConsensusValue> NotaryCore<V> {
 
     /// Broadcasts a message and applies it to self (committee semantics:
     /// a notary counts its own votes).
-    fn emit(&mut self, msg: ConsMsg<V>, out: &mut Vec<Output<V>>) {
+    fn emit(&mut self, msg: ConsMsg, out: &mut Vec<Output>) {
         out.push(Output::Broadcast(msg.clone()));
         self.handle(msg, out);
     }
 
-    fn handle(&mut self, msg: ConsMsg<V>, out: &mut Vec<Output<V>>) {
+    fn handle(&mut self, msg: ConsMsg, out: &mut Vec<Output>) {
         match msg {
             ConsMsg::Propose {
                 round,
@@ -340,10 +339,10 @@ impl<V: ConsensusValue> NotaryCore<V> {
     fn on_propose(
         &mut self,
         round: u32,
-        value: V,
-        pol: Option<ProofOfLock<V>>,
+        value: Verdict,
+        pol: Option<ProofOfLock>,
         sig: Signature,
-        out: &mut Vec<Output<V>>,
+        out: &mut Vec<Output>,
     ) {
         if self.st.decided.is_some() || self.st.proposals.iter().any(|(r, _)| *r == round) {
             return;
@@ -355,7 +354,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
         let payload = propose_payload(
             self.cfg.instance,
             round,
-            &value,
+            value,
             pol.as_ref().map(|p| p.round),
         );
         if !self.pki.verify(&sig, DOM_VOTE, &payload) {
@@ -367,8 +366,8 @@ impl<V: ConsensusValue> NotaryCore<V> {
         let acceptable = match (&self.st.locked, &pol) {
             (Some(l), _) if l.value == value => true,
             (None, None) => true,
-            (None, Some(p)) => self.pol_valid(p, &value),
-            (Some(l), Some(p)) => p.round > l.round && self.pol_valid(p, &value),
+            (None, Some(p)) => self.pol_valid(p, value),
+            (Some(l), Some(p)) => p.round > l.round && self.pol_valid(p, value),
             (Some(_), None) => false,
         };
         if !acceptable {
@@ -381,27 +380,26 @@ impl<V: ConsensusValue> NotaryCore<V> {
 
     /// Prevote for the current round's accepted proposal, if we have one
     /// and have not voted yet.
-    fn maybe_prevote_current(&mut self, out: &mut Vec<Output<V>>) {
+    fn maybe_prevote_current(&mut self, out: &mut Vec<Output>) {
         if self.st.decided.is_some() || self.st.prevoted_rounds.contains(&self.st.round) {
             return;
         }
-        let Some((_, v)) = self.st.proposals.iter().find(|(r, _)| *r == self.st.round) else {
+        let Some(&(_, v)) = self.st.proposals.iter().find(|(r, _)| *r == self.st.round) else {
             return;
         };
-        let v = v.clone();
         let round = self.st.round;
         self.cast_prevote(round, Some(v), out);
     }
 
-    fn pol_valid(&self, pol: &ProofOfLock<V>, proposed: &V) -> bool {
-        if pol.value != *proposed {
+    fn pol_valid(&self, pol: &ProofOfLock, proposed: Verdict) -> bool {
+        if pol.value != proposed {
             return false;
         }
         let payload = vote_payload(
             self.cfg.instance,
             VoteKind::Prevote,
             pol.round,
-            Some(&pol.value),
+            Some(pol.value),
         );
         self.pki.verify_quorum(
             &pol.sigs,
@@ -412,26 +410,26 @@ impl<V: ConsensusValue> NotaryCore<V> {
         )
     }
 
-    fn cast_prevote(&mut self, round: u32, value: Option<V>, out: &mut Vec<Output<V>>) {
+    fn cast_prevote(&mut self, round: u32, value: Option<Verdict>, out: &mut Vec<Output>) {
         self.st.prevoted_rounds.push(round);
         let sig = sign_vote(
             &self.signer,
             self.cfg.instance,
             VoteKind::Prevote,
             round,
-            value.as_ref(),
+            value,
         );
         self.emit(ConsMsg::Prevote { round, value, sig }, out);
     }
 
-    fn cast_precommit(&mut self, round: u32, value: Option<V>, out: &mut Vec<Output<V>>) {
+    fn cast_precommit(&mut self, round: u32, value: Option<Verdict>, out: &mut Vec<Output>) {
         self.st.precommitted_rounds.push(round);
         let sig = sign_vote(
             &self.signer,
             self.cfg.instance,
             VoteKind::Precommit,
             round,
-            value.as_ref(),
+            value,
         );
         self.emit(ConsMsg::Precommit { round, value, sig }, out);
     }
@@ -440,9 +438,9 @@ impl<V: ConsensusValue> NotaryCore<V> {
         &mut self,
         kind: VoteKind,
         round: u32,
-        value: Option<V>,
+        value: Option<Verdict>,
         sig: Signature,
-        out: &mut Vec<Output<V>>,
+        out: &mut Vec<Output>,
     ) {
         if self.st.decided.is_some() {
             return;
@@ -462,7 +460,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
         {
             return;
         }
-        let payload = vote_payload(self.cfg.instance, kind, round, value.as_ref());
+        let payload = vote_payload(self.cfg.instance, kind, round, value);
         if !self.pki.verify(&sig, DOM_VOTE, &payload) {
             return;
         }
@@ -479,11 +477,17 @@ impl<V: ConsensusValue> NotaryCore<V> {
         self.try_progress(out);
     }
 
-    fn on_decided(&mut self, round: u32, value: V, sigs: Vec<Signature>, out: &mut Vec<Output<V>>) {
+    fn on_decided(
+        &mut self,
+        round: u32,
+        value: Verdict,
+        sigs: Vec<Signature>,
+        out: &mut Vec<Output>,
+    ) {
         if self.st.decided.is_some() {
             return;
         }
-        let payload = vote_payload(self.cfg.instance, VoteKind::Precommit, round, Some(&value));
+        let payload = vote_payload(self.cfg.instance, VoteKind::Precommit, round, Some(value));
         if self.pki.verify_quorum(
             &sigs,
             DOM_VOTE,
@@ -496,7 +500,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
     }
 
     /// Checks all quorum conditions after any state change.
-    fn try_progress(&mut self, out: &mut Vec<Output<V>>) {
+    fn try_progress(&mut self, out: &mut Vec<Output>) {
         if self.st.decided.is_some() {
             return;
         }
@@ -514,7 +518,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
                 if better {
                     self.st.locked = Some(Lock {
                         round: r,
-                        value: v.clone(),
+                        value: v,
                         sigs,
                     });
                 }
@@ -554,7 +558,7 @@ impl<V: ConsensusValue> NotaryCore<V> {
     }
 
     /// Finds a `2f+1` same-value quorum at any round (highest round wins).
-    fn find_value_quorum(&self, votes: &[VoteRec<V>]) -> Option<(u32, V, Vec<Signature>)> {
+    fn find_value_quorum(&self, votes: &[VoteRec]) -> Option<(u32, Verdict, Vec<Signature>)> {
         let mut rounds: Vec<u32> = votes.iter().map(|v| v.round).collect();
         rounds.sort_unstable();
         rounds.dedup();
@@ -568,35 +572,30 @@ impl<V: ConsensusValue> NotaryCore<V> {
 
     fn find_value_quorum_at(
         &self,
-        votes: &[VoteRec<V>],
+        votes: &[VoteRec],
         round: u32,
-    ) -> Option<(u32, V, Vec<Signature>)> {
-        let at: Vec<&VoteRec<V>> = votes
+    ) -> Option<(u32, Verdict, Vec<Signature>)> {
+        let at: Vec<&VoteRec> = votes
             .iter()
             .filter(|v| v.round == round && v.value.is_some())
             .collect();
         for candidate in &at {
-            let v = candidate.value.as_ref().expect("filtered");
             let sigs: Vec<Signature> = at
                 .iter()
-                .filter(|rec| rec.value.as_ref() == Some(v))
+                .filter(|rec| rec.value == candidate.value)
                 .map(|rec| rec.sig)
                 .collect();
             if sigs.len() >= self.cfg.quorum() {
-                return Some((round, v.clone(), sigs));
+                return Some((round, candidate.value.expect("filtered"), sigs));
             }
         }
         None
     }
 
     /// Runs once: every caller returns early once `decided` is set.
-    fn decide(&mut self, round: u32, value: V, sigs: Vec<Signature>, out: &mut Vec<Output<V>>) {
-        self.st.decided = Some((round, value.clone()));
-        out.push(Output::Decide {
-            round,
-            value: value.clone(),
-            sigs: sigs.clone(),
-        });
+    fn decide(&mut self, round: u32, value: Verdict, sigs: Vec<Signature>, out: &mut Vec<Output>) {
+        self.st.decided = Some((round, value));
+        out.push(Output::Decide { round, value });
         out.push(Output::Broadcast(ConsMsg::Decided { round, value, sigs }));
     }
 }
@@ -621,7 +620,7 @@ mod tests {
 
     /// Drives a set of cores to quiescence by synchronously delivering all
     /// broadcasts (no timeouts fire). Returns outputs count processed.
-    fn pump(cores: &mut [NotaryCore<u64>], mut inbox: Vec<(usize, ConsMsg<u64>)>) {
+    fn pump(cores: &mut [NotaryCore], mut inbox: Vec<(usize, ConsMsg)>) {
         let mut guard = 0;
         while let Some((origin, msg)) = inbox.pop() {
             guard += 1;
@@ -639,7 +638,7 @@ mod tests {
         }
     }
 
-    fn start_all(cores: &mut [NotaryCore<u64>]) -> Vec<(usize, ConsMsg<u64>)> {
+    fn start_all(cores: &mut [NotaryCore]) -> Vec<(usize, ConsMsg)> {
         let mut inbox = Vec::new();
         for (i, core) in cores.iter_mut().enumerate() {
             for o in core.start() {
@@ -654,28 +653,31 @@ mod tests {
     #[test]
     fn unanimous_committee_decides_leader_value() {
         let (pki, signers, cfg) = setup(4, 1);
-        let mut cores: Vec<NotaryCore<u64>> = signers
+        let mut cores: Vec<NotaryCore> = signers
             .iter()
-            .map(|s| NotaryCore::new(cfg.clone(), s.clone(), pki.clone(), 7))
+            .map(|s| NotaryCore::new(cfg.clone(), s.clone(), pki.clone(), Verdict::Commit))
             .collect();
         let inbox = start_all(&mut cores);
         pump(&mut cores, inbox);
         for (i, c) in cores.iter().enumerate() {
-            assert_eq!(c.decided(), Some(&7), "notary {i} undecided");
+            assert_eq!(c.decided(), Some(Verdict::Commit), "notary {i} undecided");
         }
     }
 
     #[test]
     fn split_inputs_still_agree() {
         let (pki, signers, cfg) = setup(4, 1);
-        let mut cores: Vec<NotaryCore<u64>> = signers
+        let mut cores: Vec<NotaryCore> = signers
             .iter()
             .enumerate()
-            .map(|(i, s)| NotaryCore::new(cfg.clone(), s.clone(), pki.clone(), i as u64 % 2))
+            .map(|(i, s)| {
+                let input = [Verdict::Commit, Verdict::Abort][i % 2];
+                NotaryCore::new(cfg.clone(), s.clone(), pki.clone(), input)
+            })
             .collect();
         let inbox = start_all(&mut cores);
         pump(&mut cores, inbox);
-        let decisions: Vec<Option<&u64>> = cores.iter().map(|c| c.decided()).collect();
+        let decisions: Vec<Option<Verdict>> = cores.iter().map(|c| c.decided()).collect();
         let first = decisions[0].expect("decided");
         for d in &decisions {
             assert_eq!(d.unwrap(), first, "agreement violated: {decisions:?}");
@@ -685,7 +687,7 @@ mod tests {
     #[test]
     fn stale_timeouts_ignored() {
         let (pki, signers, cfg) = setup(4, 1);
-        let mut core = NotaryCore::new(cfg, signers[1].clone(), pki, 3);
+        let mut core = NotaryCore::new(cfg, signers[1].clone(), pki, Verdict::Commit);
         let _ = core.start();
         // Round advances to 2 via catch-up; then an old round-0 token fires.
         let out = core.on_timeout(token(5, PHASE_PRECOMMIT));
@@ -697,18 +699,24 @@ mod tests {
         let (pki, signers, cfg) = setup(4, 1);
         // Core 3 receives two conflicting prevotes from signer 0 at round 0;
         // only the first is stored.
-        let mut core = NotaryCore::new(cfg.clone(), signers[3].clone(), pki, 9);
+        let mut core = NotaryCore::new(cfg.clone(), signers[3].clone(), pki, Verdict::Commit);
         let _ = core.start();
         let s0 = &signers[0];
         let v1 = ConsMsg::Prevote {
             round: 0,
-            value: Some(1u64),
-            sig: sign_vote(s0, cfg.instance, VoteKind::Prevote, 0, Some(&1u64)),
+            value: Some(Verdict::Commit),
+            sig: sign_vote(
+                s0,
+                cfg.instance,
+                VoteKind::Prevote,
+                0,
+                Some(Verdict::Commit),
+            ),
         };
         let v2 = ConsMsg::Prevote {
             round: 0,
-            value: Some(2u64),
-            sig: sign_vote(s0, cfg.instance, VoteKind::Prevote, 0, Some(&2u64)),
+            value: Some(Verdict::Abort),
+            sig: sign_vote(s0, cfg.instance, VoteKind::Prevote, 0, Some(Verdict::Abort)),
         };
         let _ = core.on_message(v1);
         let _ = core.on_message(v2);
@@ -725,13 +733,24 @@ mod tests {
     #[test]
     fn forged_votes_rejected() {
         let (pki, signers, cfg) = setup(4, 1);
-        let mut core = NotaryCore::new(cfg.clone(), signers[3].clone(), pki.clone(), 9);
+        let mut core = NotaryCore::new(
+            cfg.clone(),
+            signers[3].clone(),
+            pki.clone(),
+            Verdict::Commit,
+        );
         let _ = core.start();
         // Signature over a different value than claimed.
         let bad = ConsMsg::Prevote {
             round: 0,
-            value: Some(1u64),
-            sig: sign_vote(&signers[0], cfg.instance, VoteKind::Prevote, 0, Some(&2u64)),
+            value: Some(Verdict::Commit),
+            sig: sign_vote(
+                &signers[0],
+                cfg.instance,
+                VoteKind::Prevote,
+                0,
+                Some(Verdict::Abort),
+            ),
         };
         let _ = core.on_message(bad);
         assert!(core.st.prevotes.iter().all(|v| v.signer != signers[0].id()));
@@ -740,8 +759,14 @@ mod tests {
         let (_, outsider) = pki2.register();
         let alien = ConsMsg::Prevote {
             round: 0,
-            value: Some(1u64),
-            sig: sign_vote(&outsider, cfg.instance, VoteKind::Prevote, 0, Some(&1u64)),
+            value: Some(Verdict::Commit),
+            sig: sign_vote(
+                &outsider,
+                cfg.instance,
+                VoteKind::Prevote,
+                0,
+                Some(Verdict::Commit),
+            ),
         };
         let _ = core.on_message(alien);
         assert!(core.st.prevotes.iter().all(|v| v.signer != outsider.id()));
@@ -750,38 +775,51 @@ mod tests {
     #[test]
     fn decided_message_with_quorum_convinces() {
         let (pki, signers, cfg) = setup(4, 1);
-        let mut core = NotaryCore::new(cfg.clone(), signers[3].clone(), pki, 9);
+        // The quorum's value is not the core's input: the core adopts it.
+        let mut core = NotaryCore::new(cfg.clone(), signers[3].clone(), pki, Verdict::Abort);
         let _ = core.start();
-        let payload_val = 42u64;
+        let payload_val = Verdict::Commit;
         let sigs: Vec<Signature> = signers
             .iter()
             .take(3)
-            .map(|s| sign_vote(s, cfg.instance, VoteKind::Precommit, 5, Some(&payload_val)))
+            .map(|s| sign_vote(s, cfg.instance, VoteKind::Precommit, 5, Some(payload_val)))
             .collect();
         let out = core.on_message(ConsMsg::Decided {
             round: 5,
             value: payload_val,
             sigs,
         });
-        assert_eq!(core.decided(), Some(&42));
-        assert!(out
-            .iter()
-            .any(|o| matches!(o, Output::Decide { value: 42, .. })));
+        assert_eq!(core.decided(), Some(Verdict::Commit));
+        assert!(out.iter().any(|o| matches!(
+            o,
+            Output::Decide {
+                value: Verdict::Commit,
+                ..
+            }
+        )));
     }
 
     #[test]
     fn decided_message_without_quorum_ignored() {
         let (pki, signers, cfg) = setup(4, 1);
-        let mut core = NotaryCore::new(cfg.clone(), signers[3].clone(), pki, 9);
+        let mut core = NotaryCore::new(cfg.clone(), signers[3].clone(), pki, Verdict::Abort);
         let _ = core.start();
         let sigs: Vec<Signature> = signers
             .iter()
             .take(2) // below 2f+1 = 3
-            .map(|s| sign_vote(s, cfg.instance, VoteKind::Precommit, 5, Some(&42u64)))
+            .map(|s| {
+                sign_vote(
+                    s,
+                    cfg.instance,
+                    VoteKind::Precommit,
+                    5,
+                    Some(Verdict::Commit),
+                )
+            })
             .collect();
         let _ = core.on_message(ConsMsg::Decided {
             round: 5,
-            value: 42u64,
+            value: Verdict::Commit,
             sigs,
         });
         assert_eq!(core.decided(), None);
@@ -792,7 +830,7 @@ mod tests {
     fn undersized_committee_rejected() {
         let (pki, signers, mut cfg) = setup(4, 1);
         cfg.f = 2; // would need n ≥ 7
-        let _ = NotaryCore::new(cfg, signers[0].clone(), pki, 0);
+        let _ = NotaryCore::new(cfg, signers[0].clone(), pki, Verdict::Commit);
     }
 
     #[test]
@@ -801,34 +839,35 @@ mod tests {
         // from too few / invalid signatures; a follower locked on a
         // different value must not accept it.
         let (pki, signers, cfg) = setup(4, 1);
-        let mut core = NotaryCore::new(cfg.clone(), signers[2].clone(), pki.clone(), 7);
+        let (commit, abort) = (Verdict::Commit, Verdict::Abort);
+        let mut core = NotaryCore::new(cfg.clone(), signers[2].clone(), pki.clone(), commit);
         let _ = core.start();
-        // Lock core on value 7 at round 0 via a genuine prevote quorum.
+        // Lock core on χc at round 0 via a genuine prevote quorum.
         for s in signers.iter().take(3) {
             let _ = core.on_message(ConsMsg::Prevote {
                 round: 0,
-                value: Some(7u64),
-                sig: sign_vote(s, cfg.instance, VoteKind::Prevote, 0, Some(&7u64)),
+                value: Some(commit),
+                sig: sign_vote(s, cfg.instance, VoteKind::Prevote, 0, Some(commit)),
             });
         }
         assert!(core.st.locked.is_some(), "prevote quorum must lock");
-        // Round 1 leader (member 1) proposes 9 with a bogus PoL: only one
+        // Round 1 leader (member 1) proposes χa with a bogus PoL: only one
         // signature, and over the wrong value.
         let bogus_pol = crate::msg::ProofOfLock {
             round: 2,
-            value: 9u64,
+            value: abort,
             sigs: vec![sign_vote(
                 &signers[0],
                 cfg.instance,
                 VoteKind::Prevote,
                 2,
-                Some(&8u64),
+                Some(commit),
             )],
         };
-        let sig = crate::msg::sign_propose(&signers[1], cfg.instance, 1, &9u64, Some(2));
+        let sig = crate::msg::sign_propose(&signers[1], cfg.instance, 1, abort, Some(2));
         let bogus = ConsMsg::Propose {
             round: 1,
-            value: 9,
+            value: abort,
             pol: Some(bogus_pol),
             sig,
         };
@@ -838,35 +877,38 @@ mod tests {
             "proposal with forged PoL must be rejected"
         );
         // A follower with no lock rejects it too.
-        let mut unlocked = NotaryCore::new(cfg.clone(), signers[3].clone(), pki.clone(), 7);
+        let mut unlocked = NotaryCore::new(cfg.clone(), signers[3].clone(), pki.clone(), commit);
         let _ = unlocked.start();
         let _ = unlocked.on_message(bogus);
         assert!(
             unlocked.st.proposals.iter().all(|(r, _)| *r != 1),
             "an unlocked follower must reject a forged PoL"
         );
-        // A genuine PoL for 9 at a higher round IS accepted.
+        // A genuine PoL for χa at a higher round IS accepted.
         let payload_sigs: Vec<Signature> = signers
             .iter()
             .take(3)
-            .map(|s| sign_vote(s, cfg.instance, VoteKind::Prevote, 2, Some(&9u64)))
+            .map(|s| sign_vote(s, cfg.instance, VoteKind::Prevote, 2, Some(abort)))
             .collect();
         let good_pol = crate::msg::ProofOfLock {
             round: 2,
-            value: 9u64,
+            value: abort,
             sigs: payload_sigs,
         };
         // Jump the core to round 3 so member 3 leads… simpler: leader of
         // round 1 re-proposes with the valid PoL.
-        let sig2 = crate::msg::sign_propose(&signers[1], cfg.instance, 1, &9u64, Some(2));
+        let sig2 = crate::msg::sign_propose(&signers[1], cfg.instance, 1, abort, Some(2));
         let _ = core.on_message(ConsMsg::Propose {
             round: 1,
-            value: 9,
+            value: abort,
             pol: Some(good_pol),
             sig: sig2,
         });
         assert!(
-            core.st.proposals.iter().any(|(r, v)| *r == 1 && *v == 9),
+            core.st
+                .proposals
+                .iter()
+                .any(|(r, v)| *r == 1 && *v == abort),
             "valid higher-round PoL must unlock acceptance"
         );
     }

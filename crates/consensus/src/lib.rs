@@ -15,10 +15,14 @@
 //! * [`process`] — the ANTA engine adapter plus an equivocating Byzantine
 //!   notary (a crashed notary is `anta::process::InertProcess`).
 //!
-//! The same [`core::NotaryCore`] is embedded by the payment crate's
-//! notary-committee transaction manager; here it is exercised in isolation.
-//! The core decides any value an authentic leader proposes consistently
-//! with its lock and with the proof-of-lock it attaches. External validity
+//! The committee decides an [`xcrypto::Verdict`]: the manager only ever
+//! outputs χc or χa, and every consensus payload signs the verdict's
+//! [`wire_tag`](xcrypto::Verdict::wire_tag), the byte a decision
+//! certificate signs. The same [`core::NotaryCore`] is embedded by the
+//! payment crate's notary-committee transaction manager; here it is
+//! exercised in isolation. The core alone records the decision, and
+//! decides any verdict an authentic leader proposes consistently with its
+//! lock and with the proof-of-lock it attaches. External validity
 //! — χc only once every lock and Bob's acceptance are in evidence — is the
 //! manager's (`NotaryTm`'s) gate: it holds each fresh proposal its
 //! evidence does not yet justify and hands it to the core when the
@@ -32,5 +36,5 @@ pub mod msg;
 pub mod process;
 
 pub use crate::core::{Config, NotaryCore, Output};
-pub use msg::{ConsMsg, ConsensusValue, ProofOfLock, VoteKind};
+pub use msg::{ConsMsg, ProofOfLock, VoteKind};
 pub use process::{EquivocatorNotary, NotaryProcess};

@@ -5,40 +5,10 @@
 //! transaction manager turns into χc/χa.
 
 use xcrypto::wire::Payload;
-use xcrypto::{Signature, Signer};
+use xcrypto::{Signature, Signer, Verdict};
 
 /// Domain label for consensus votes.
 pub const DOM_VOTE: &[u8] = b"xchain/consensus/vote";
-
-/// Values a committee can decide on. Implemented here for the certificate
-/// verdict (the transaction manager's use) and for primitive test values.
-/// `Hash` feeds a value into the explorer's state fingerprint.
-pub trait ConsensusValue: Clone + Eq + std::fmt::Debug + std::hash::Hash + 'static {
-    /// Appends the value's canonical byte encoding (must be injective) to
-    /// `out` as one length-prefixed byte string.
-    fn encode(&self, out: &mut Payload);
-}
-
-impl ConsensusValue for u64 {
-    fn encode(&self, out: &mut Payload) {
-        out.put_bytes(&self.to_be_bytes());
-    }
-}
-
-impl ConsensusValue for bool {
-    fn encode(&self, out: &mut Payload) {
-        out.put_bytes(&[u8::from(*self)]);
-    }
-}
-
-impl ConsensusValue for xcrypto::Verdict {
-    fn encode(&self, out: &mut Payload) {
-        out.put_bytes(match self {
-            xcrypto::Verdict::Commit => &[1],
-            xcrypto::Verdict::Abort => &[2],
-        });
-    }
-}
 
 /// Vote phases (wire tags for signing payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,16 +30,13 @@ impl VoteKind {
 
 /// The canonical bytes a notary signs for a vote. `value = None` is the
 /// "nil" vote (no proposal seen in time).
-pub fn vote_payload<V: ConsensusValue>(
-    instance: u64,
-    kind: VoteKind,
-    round: u32,
-    value: Option<&V>,
-) -> Payload {
+pub fn vote_payload(instance: u64, kind: VoteKind, round: u32, value: Option<Verdict>) -> Payload {
     let mut w = Payload::new(DOM_VOTE);
     w.put_u64(instance).put_u8(kind.tag()).put_u32(round);
     match value {
-        Some(v) => v.encode(w.put_u8(1)),
+        Some(v) => {
+            w.put_u8(1).put_bytes(&[v.wire_tag()]);
+        }
         None => {
             w.put_u8(0);
         }
@@ -78,12 +45,12 @@ pub fn vote_payload<V: ConsensusValue>(
 }
 
 /// Signs a vote.
-pub fn sign_vote<V: ConsensusValue>(
+pub fn sign_vote(
     signer: &Signer,
     instance: u64,
     kind: VoteKind,
     round: u32,
-    value: Option<&V>,
+    value: Option<Verdict>,
 ) -> Signature {
     signer.sign(DOM_VOTE, &vote_payload(instance, kind, round, value))
 }
@@ -91,16 +58,18 @@ pub fn sign_vote<V: ConsensusValue>(
 /// The canonical bytes a round leader signs for a proposal. Binds the
 /// instance, round, proposed value and (if any) the proof-of-lock round, so
 /// a proposal cannot be replayed with a different PoL attached.
-pub fn propose_payload<V: ConsensusValue>(
+pub fn propose_payload(
     instance: u64,
     round: u32,
-    value: &V,
+    value: Verdict,
     pol_round: Option<u32>,
 ) -> Payload {
     let mut w = Payload::new(DOM_VOTE);
     // 3 is distinct from the VoteKind tags.
-    w.put_u64(instance).put_u8(3).put_u32(round);
-    value.encode(&mut w);
+    w.put_u64(instance)
+        .put_u8(3)
+        .put_u32(round)
+        .put_bytes(&[value.wire_tag()]);
     match pol_round {
         Some(r) => {
             w.put_u8(1).put_u32(r);
@@ -113,11 +82,11 @@ pub fn propose_payload<V: ConsensusValue>(
 }
 
 /// Signs a proposal.
-pub fn sign_propose<V: ConsensusValue>(
+pub fn sign_propose(
     signer: &Signer,
     instance: u64,
     round: u32,
-    value: &V,
+    value: Verdict,
     pol_round: Option<u32>,
 ) -> Signature {
     signer.sign(
@@ -131,11 +100,11 @@ pub fn sign_propose<V: ConsensusValue>(
 /// without it, a Byzantine leader could re-propose freely and break
 /// agreement.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ProofOfLock<V> {
+pub struct ProofOfLock {
     /// Consensus round number.
     pub round: u32,
     /// The locked value the quorum prevoted.
-    pub value: V,
+    pub value: Verdict,
     /// Justifying signatures.
     pub sigs: Vec<Signature>,
 }
@@ -143,15 +112,15 @@ pub struct ProofOfLock<V> {
 /// Consensus wire messages for one instance. No `repr(u8)`: it would grow
 /// the enum by a word.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ConsMsg<V> {
+pub enum ConsMsg {
     /// Round-`round` leader proposes `value`; `pol` justifies re-proposals.
     Propose {
         /// Consensus round number.
         round: u32,
         /// The proposed value.
-        value: V,
+        value: Verdict,
         /// Optional proof-of-lock justifying a re-proposal.
-        pol: Option<ProofOfLock<V>>,
+        pol: Option<ProofOfLock>,
         /// The issuer's signature.
         sig: Signature,
     },
@@ -160,7 +129,7 @@ pub enum ConsMsg<V> {
         /// Consensus round number.
         round: u32,
         /// The voted value (`None` = nil).
-        value: Option<V>,
+        value: Option<Verdict>,
         /// The issuer's signature.
         sig: Signature,
     },
@@ -169,7 +138,7 @@ pub enum ConsMsg<V> {
         /// Consensus round number.
         round: u32,
         /// The voted value (`None` = nil).
-        value: Option<V>,
+        value: Option<Verdict>,
         /// The issuer's signature.
         sig: Signature,
     },
@@ -178,7 +147,7 @@ pub enum ConsMsg<V> {
         /// Consensus round number.
         round: u32,
         /// The decided value.
-        value: V,
+        value: Verdict,
         /// Justifying signatures.
         sigs: Vec<Signature>,
     },
@@ -191,23 +160,28 @@ mod tests {
 
     #[test]
     fn payload_injective_in_all_fields() {
-        let base = vote_payload(7, VoteKind::Prevote, 3, Some(&42u64));
-        assert_ne!(base, vote_payload(8, VoteKind::Prevote, 3, Some(&42u64)));
-        assert_ne!(base, vote_payload(7, VoteKind::Precommit, 3, Some(&42u64)));
-        assert_ne!(base, vote_payload(7, VoteKind::Prevote, 4, Some(&42u64)));
-        assert_ne!(base, vote_payload(7, VoteKind::Prevote, 3, Some(&43u64)));
-        assert_ne!(base, vote_payload::<u64>(7, VoteKind::Prevote, 3, None));
+        let commit = Some(Verdict::Commit);
+        let base = vote_payload(7, VoteKind::Prevote, 3, commit);
+        assert_ne!(base, vote_payload(8, VoteKind::Prevote, 3, commit));
+        assert_ne!(base, vote_payload(7, VoteKind::Precommit, 3, commit));
+        assert_ne!(base, vote_payload(7, VoteKind::Prevote, 4, commit));
+        assert_ne!(
+            base,
+            vote_payload(7, VoteKind::Prevote, 3, Some(Verdict::Abort))
+        );
+        assert_ne!(base, vote_payload(7, VoteKind::Prevote, 3, None));
     }
 
     #[test]
     fn sign_verify_roundtrip() {
         let mut pki = Pki::new(1);
         let (_, signer) = pki.register();
-        let sig = sign_vote(&signer, 1, VoteKind::Precommit, 0, Some(&true));
-        let payload = vote_payload(1, VoteKind::Precommit, 0, Some(&true));
+        let commit = Some(Verdict::Commit);
+        let sig = sign_vote(&signer, 1, VoteKind::Precommit, 0, commit);
+        let payload = vote_payload(1, VoteKind::Precommit, 0, commit);
         assert!(pki.verify(&sig, DOM_VOTE, &payload));
         // A different round does not verify.
-        let other = vote_payload(1, VoteKind::Precommit, 1, Some(&true));
+        let other = vote_payload(1, VoteKind::Precommit, 1, commit);
         assert!(!pki.verify(&sig, DOM_VOTE, &other));
     }
 
@@ -224,25 +198,22 @@ mod tests {
         const COMMIT: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 1, 1];
         const ABORT: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 1, 2];
         let prevote = |value: &[u8]| [VOTE, INSTANCE_7, &[1], ROUND_3, value].concat();
+        assert_eq!(*vote_payload(7, VoteKind::Prevote, 3, None), *prevote(&[0]));
         assert_eq!(
-            *vote_payload(7, VoteKind::Prevote, 3, None::<&Verdict>),
-            *prevote(&[0])
-        );
-        assert_eq!(
-            *vote_payload(7, VoteKind::Prevote, 3, Some(&Verdict::Commit)),
+            *vote_payload(7, VoteKind::Prevote, 3, Some(Verdict::Commit)),
             *prevote(&[[1].as_slice(), COMMIT].concat())
         );
         assert_eq!(
-            *vote_payload(7, VoteKind::Prevote, 3, Some(&Verdict::Abort)),
+            *vote_payload(7, VoteKind::Prevote, 3, Some(Verdict::Abort)),
             *prevote(&[[1].as_slice(), ABORT].concat())
         );
         let propose = |pol: &[u8]| [VOTE, INSTANCE_7, &[3], ROUND_3, COMMIT, pol].concat();
         assert_eq!(
-            *propose_payload(7, 3, &Verdict::Commit, None),
+            *propose_payload(7, 3, Verdict::Commit, None),
             *propose(&[0])
         );
         assert_eq!(
-            *propose_payload(7, 3, &Verdict::Commit, Some(2)),
+            *propose_payload(7, 3, Verdict::Commit, Some(2)),
             *propose(&[1, 0, 0, 0, 2])
         );
         let payment = PaymentId([0xAB; 32]);
@@ -260,12 +231,7 @@ mod tests {
 
     #[test]
     fn verdict_encoding_distinct() {
-        use xcrypto::Verdict;
-        let encoded = |v: Verdict| {
-            let mut w = Payload::new(b"");
-            v.encode(&mut w);
-            w
-        };
-        assert_ne!(encoded(Verdict::Commit), encoded(Verdict::Abort));
+        let proposed = |v: Verdict| propose_payload(0, 0, v, None);
+        assert_ne!(proposed(Verdict::Commit), proposed(Verdict::Abort));
     }
 }

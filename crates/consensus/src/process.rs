@@ -6,55 +6,37 @@
 //! experiments, adversarial for failure injection.
 
 use crate::core::{NotaryCore, Output};
-use crate::msg::{ConsMsg, ConsensusValue};
+use crate::msg::{sign_vote, ConsMsg, VoteKind};
 use anta::fingerprint::fingerprint;
 use anta::process::{Ctx, Pid, Process, TimerId};
-use xcrypto::Signature;
+use xcrypto::Verdict;
 
 /// A committee notary on the simulation engine. The peer list is setup;
-/// the core and the decision record are run state.
+/// the core, which records the decision, is the whole run state.
 #[derive(Clone)]
-pub struct NotaryProcess<V> {
+pub struct NotaryProcess {
     /// Engine pids of the *other* committee members.
     peers: Vec<Pid>,
-    st: NotaryState<V>,
+    core: NotaryCore,
 }
 
-#[derive(Clone, Hash)]
-struct NotaryState<V> {
-    core: NotaryCore<V>,
-    /// The decision, once reached: `(round, value, justifying sigs)`.
-    decision: Option<(u32, V, Vec<Signature>)>,
-}
-
-impl<V: ConsensusValue> NotaryProcess<V> {
+impl NotaryProcess {
     /// Wraps a core; `peers` are the engine pids of the other members.
-    pub fn new(core: NotaryCore<V>, peers: Vec<Pid>) -> Self {
-        NotaryProcess {
-            peers,
-            st: NotaryState {
-                core,
-                decision: None,
-            },
-        }
+    pub fn new(core: NotaryCore, peers: Vec<Pid>) -> Self {
+        NotaryProcess { peers, core }
     }
 
     /// The decided value, if any.
-    pub fn decided(&self) -> Option<&V> {
-        self.st.decision.as_ref().map(|(_, v, _)| v)
+    pub fn decided(&self) -> Option<Verdict> {
+        self.core.decided()
     }
 
-    /// The full decision record, if any.
-    pub fn decision(&self) -> Option<&(u32, V, Vec<Signature>)> {
-        self.st.decision.as_ref()
+    /// The decision and the round it was decided in, if any.
+    pub fn decision(&self) -> Option<(u32, Verdict)> {
+        self.core.decision()
     }
 
-    /// Current round of the underlying core.
-    pub fn round(&self) -> u32 {
-        self.st.core.round()
-    }
-
-    fn apply(&mut self, outputs: Vec<Output<V>>, ctx: &mut Ctx<ConsMsg<V>>) {
+    fn apply(&mut self, outputs: Vec<Output>, ctx: &mut Ctx<ConsMsg>) {
         for o in outputs {
             match o {
                 Output::Broadcast(msg) => {
@@ -63,114 +45,82 @@ impl<V: ConsensusValue> NotaryProcess<V> {
                     }
                 }
                 Output::Schedule { token, after } => ctx.set_timer_after(token, after),
-                Output::Decide { round, value, sigs } => {
-                    if self.st.decision.is_none() {
-                        ctx.mark("decided", round as i64);
-                        self.st.decision = Some((round, value, sigs));
-                    }
-                }
+                Output::Decide { round, .. } => ctx.mark("decided", round as i64),
             }
         }
     }
 }
 
-impl<V: ConsensusValue> Process<ConsMsg<V>> for NotaryProcess<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<ConsMsg<V>>) {
-        let out = self.st.core.start();
+impl Process<ConsMsg> for NotaryProcess {
+    fn on_start(&mut self, ctx: &mut Ctx<ConsMsg>) {
+        let out = self.core.start();
         self.apply(out, ctx);
     }
 
-    fn on_message(&mut self, _from: Pid, msg: ConsMsg<V>, ctx: &mut Ctx<ConsMsg<V>>) {
+    fn on_message(&mut self, _from: Pid, msg: ConsMsg, ctx: &mut Ctx<ConsMsg>) {
         // Sender identity is taken from signatures, not transport.
-        let out = self.st.core.on_message(msg);
+        let out = self.core.on_message(msg);
         self.apply(out, ctx);
     }
 
-    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<ConsMsg<V>>) {
-        let out = self.st.core.on_timeout(id);
+    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<ConsMsg>) {
+        let out = self.core.on_timeout(id);
         self.apply(out, ctx);
     }
 
+    /// The core's digest: it holds all the run state.
     fn fp_digest(&self) -> u64 {
-        fingerprint(&self.st)
+        fingerprint(&self.core)
     }
 }
 
 /// An equivocating Byzantine notary: sends conflicting prevotes and
-/// precommits for the first rounds to different halves of the committee.
-/// Counts towards `f`; with honest quorums of `2f+1` its double votes can
-/// never both reach a quorum.
+/// precommits for the first rounds to different halves of the committee,
+/// χc to the even-indexed peers and χa to the odd. Counts towards `f`; with
+/// honest quorums of `2f+1` its double votes can never both reach a quorum.
 #[derive(Clone)]
-pub struct EquivocatorNotary<V> {
+pub struct EquivocatorNotary {
     signer: xcrypto::Signer,
     instance: u64,
     peers: Vec<Pid>,
-    value_a: V,
-    value_b: V,
     rounds: u32,
 }
 
-impl<V: ConsensusValue> EquivocatorNotary<V> {
-    /// Builds an equivocator pushing `value_a` to one half and `value_b` to
-    /// the other, for rounds `0..rounds`.
-    pub fn new(
-        signer: xcrypto::Signer,
-        instance: u64,
-        peers: Vec<Pid>,
-        value_a: V,
-        value_b: V,
-        rounds: u32,
-    ) -> Self {
+impl EquivocatorNotary {
+    /// Builds an equivocator for rounds `0..rounds`.
+    pub fn new(signer: xcrypto::Signer, instance: u64, peers: Vec<Pid>, rounds: u32) -> Self {
         EquivocatorNotary {
             signer,
             instance,
             peers,
-            value_a,
-            value_b,
             rounds,
         }
     }
 }
 
-impl<V: ConsensusValue> Process<ConsMsg<V>> for EquivocatorNotary<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<ConsMsg<V>>) {
-        use crate::msg::{sign_vote, VoteKind};
+impl Process<ConsMsg> for EquivocatorNotary {
+    fn on_start(&mut self, ctx: &mut Ctx<ConsMsg>) {
         for round in 0..self.rounds {
             for (i, &p) in self.peers.iter().enumerate() {
-                let v = if i % 2 == 0 {
-                    self.value_a.clone()
-                } else {
-                    self.value_b.clone()
-                };
+                let v = Some([Verdict::Commit, Verdict::Abort][i % 2]);
+                let sign = |kind| sign_vote(&self.signer, self.instance, kind, round, v);
                 let pv = ConsMsg::Prevote {
                     round,
-                    value: Some(v.clone()),
-                    sig: sign_vote(
-                        &self.signer,
-                        self.instance,
-                        VoteKind::Prevote,
-                        round,
-                        Some(&v),
-                    ),
+                    value: v,
+                    sig: sign(VoteKind::Prevote),
                 };
                 ctx.send(p, pv);
                 let pc = ConsMsg::Precommit {
                     round,
-                    value: Some(v.clone()),
-                    sig: sign_vote(
-                        &self.signer,
-                        self.instance,
-                        VoteKind::Precommit,
-                        round,
-                        Some(&v),
-                    ),
+                    value: v,
+                    sig: sign(VoteKind::Precommit),
                 };
                 ctx.send(p, pc);
             }
         }
     }
-    fn on_message(&mut self, _f: Pid, _m: ConsMsg<V>, _c: &mut Ctx<ConsMsg<V>>) {}
-    fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<ConsMsg<V>>) {}
+    fn on_message(&mut self, _f: Pid, _m: ConsMsg, _c: &mut Ctx<ConsMsg>) {}
+    fn on_timer(&mut self, _i: TimerId, _c: &mut Ctx<ConsMsg>) {}
 
     /// Stateless after `on_start`: every field is setup.
     fn fp_digest(&self) -> u64 {
@@ -222,12 +172,22 @@ mod tests {
         (0..n).filter(|&i| i != me).collect()
     }
 
+    /// Member `i`'s input when only round `round`'s leader holds χc: every
+    /// other member holds χa, so a χc decision is the leader's value.
+    fn leader_commits(i: usize, round: usize) -> Verdict {
+        if i == round {
+            Verdict::Commit
+        } else {
+            Verdict::Abort
+        }
+    }
+
     /// All-honest committee over a synchronous network.
     #[test]
     fn engine_all_honest_agree_on_leader_value() {
         let c = committee(4);
         let cfg = config(&c, 1);
-        let mut eng: Engine<ConsMsg<u64>> = Engine::new(
+        let mut eng: Engine<ConsMsg> = Engine::new(
             Box::new(SyncNet::new(SimDuration::from_millis(1), 8)),
             Box::new(RandomOracle::seeded(11)),
             EngineConfig::default(),
@@ -237,7 +197,7 @@ mod tests {
                 cfg.clone(),
                 c.signers[i].clone(),
                 c.pki.clone(),
-                100 + i as u64,
+                leader_commits(i, 0),
             );
             eng.add_process(
                 Box::new(NotaryProcess::new(core, peers(4, i))),
@@ -247,8 +207,12 @@ mod tests {
         let report = eng.run();
         assert!(report.quiescent || report.truncated);
         for i in 0..4 {
-            let p = eng.process_as::<NotaryProcess<u64>>(i).unwrap();
-            assert_eq!(p.decided(), Some(&100), "round-0 leader's value wins");
+            let p = eng.process_as::<NotaryProcess>(i).unwrap();
+            assert_eq!(
+                p.decided(),
+                Some(Verdict::Commit),
+                "round-0 leader's value wins"
+            );
         }
     }
 
@@ -256,7 +220,7 @@ mod tests {
     fn engine_crashed_leader_recovers_next_round() {
         let c = committee(4);
         let cfg = config(&c, 1);
-        let mut eng: Engine<ConsMsg<u64>> = Engine::new(
+        let mut eng: Engine<ConsMsg> = Engine::new(
             Box::new(SyncNet::new(SimDuration::from_millis(1), 4)),
             Box::new(RandomOracle::seeded(3)),
             EngineConfig::default(),
@@ -268,7 +232,7 @@ mod tests {
                 cfg.clone(),
                 c.signers[i].clone(),
                 c.pki.clone(),
-                100 + i as u64,
+                leader_commits(i, 1),
             );
             eng.add_process(
                 Box::new(NotaryProcess::new(core, peers(4, i))),
@@ -278,11 +242,11 @@ mod tests {
         eng.run();
         let mut decisions = Vec::new();
         for i in 1..4 {
-            let p = eng.process_as::<NotaryProcess<u64>>(i).unwrap();
-            decisions.push(*p.decided().expect("liveness despite crashed leader"));
+            let p = eng.process_as::<NotaryProcess>(i).unwrap();
+            decisions.push(p.decided().expect("liveness despite crashed leader"));
         }
         assert!(decisions.windows(2).all(|w| w[0] == w[1]), "{decisions:?}");
-        assert_eq!(decisions[0], 101, "round-1 leader's value");
+        assert_eq!(decisions[0], Verdict::Commit, "round-1 leader's value");
     }
 
     #[test]
@@ -290,14 +254,19 @@ mod tests {
         let c = committee(4);
         let cfg = config(&c, 1);
         for seed in 0..10u64 {
-            let mut eng: Engine<ConsMsg<u64>> = Engine::new(
+            let mut eng: Engine<ConsMsg> = Engine::new(
                 Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
                 Box::new(RandomOracle::seeded(seed)),
                 EngineConfig::default(),
             );
-            // pid 3 (committee member 3) equivocates between 666 and 667.
+            // pid 3 (committee member 3) equivocates between χc and χa.
             for i in 0..3 {
-                let core = NotaryCore::new(cfg.clone(), c.signers[i].clone(), c.pki.clone(), 7);
+                let core = NotaryCore::new(
+                    cfg.clone(),
+                    c.signers[i].clone(),
+                    c.pki.clone(),
+                    Verdict::Abort,
+                );
                 eng.add_process(
                     Box::new(NotaryProcess::new(core, peers(4, i))),
                     DriftClock::perfect(),
@@ -308,8 +277,6 @@ mod tests {
                     c.signers[3].clone(),
                     cfg.instance,
                     peers(4, 3),
-                    666u64,
-                    667u64,
                     3,
                 )),
                 DriftClock::perfect(),
@@ -317,9 +284,9 @@ mod tests {
             eng.run();
             let mut decided = Vec::new();
             for i in 0..3 {
-                let p = eng.process_as::<NotaryProcess<u64>>(i).unwrap();
+                let p = eng.process_as::<NotaryProcess>(i).unwrap();
                 if let Some(v) = p.decided() {
-                    decided.push(*v);
+                    decided.push(v);
                 }
             }
             assert!(!decided.is_empty(), "seed {seed}: nobody decided");
@@ -335,13 +302,18 @@ mod tests {
         let c = committee(4);
         let cfg = config(&c, 1);
         let gst = SimTime::from_millis(400);
-        let mut eng: Engine<ConsMsg<u64>> = Engine::new(
+        let mut eng: Engine<ConsMsg> = Engine::new(
             Box::new(PartialSyncNet::new(gst, SimDuration::from_millis(1))),
             Box::new(RandomOracle::seeded(5)),
             EngineConfig::default(),
         );
         for i in 0..4 {
-            let core = NotaryCore::new(cfg.clone(), c.signers[i].clone(), c.pki.clone(), 9);
+            let core = NotaryCore::new(
+                cfg.clone(),
+                c.signers[i].clone(),
+                c.pki.clone(),
+                Verdict::Commit,
+            );
             eng.add_process(
                 Box::new(NotaryProcess::new(core, peers(4, i))),
                 DriftClock::perfect(),
@@ -349,8 +321,12 @@ mod tests {
         }
         eng.run_until(SimTime::from_secs(60));
         for i in 0..4 {
-            let p = eng.process_as::<NotaryProcess<u64>>(i).unwrap();
-            assert_eq!(p.decided(), Some(&9), "notary {i} undecided after GST");
+            let p = eng.process_as::<NotaryProcess>(i).unwrap();
+            assert_eq!(
+                p.decided(),
+                Some(Verdict::Commit),
+                "notary {i} undecided after GST"
+            );
         }
         // At least one notary could only decide after GST.
         let any_decide_mark = eng
@@ -370,7 +346,7 @@ mod tests {
         let c = committee(4);
         let cfg = config(&c, 1);
         for seed in 0..25u64 {
-            let mut eng: Engine<ConsMsg<u64>> = Engine::new(
+            let mut eng: Engine<ConsMsg> = Engine::new(
                 Box::new(SyncNet::new(SimDuration::from_millis(40), 16)),
                 Box::new(RandomOracle::seeded(seed)),
                 EngineConfig::default(),
@@ -380,7 +356,7 @@ mod tests {
                     cfg.clone(),
                     c.signers[i].clone(),
                     c.pki.clone(),
-                    (seed % 3) + i as u64 % 2,
+                    [Verdict::Commit, Verdict::Abort][(seed as usize + i) % 2],
                 );
                 eng.add_process(
                     Box::new(NotaryProcess::new(core, peers(4, i))),
@@ -390,9 +366,9 @@ mod tests {
             eng.run_until(SimTime::from_secs(120));
             let mut decided = Vec::new();
             for i in 0..4 {
-                let p = eng.process_as::<NotaryProcess<u64>>(i).unwrap();
+                let p = eng.process_as::<NotaryProcess>(i).unwrap();
                 decided.push(
-                    *p.decided()
+                    p.decided()
                         .unwrap_or_else(|| panic!("seed {seed}: notary {i} stalled")),
                 );
             }
@@ -412,21 +388,26 @@ mod tests {
             f: 2,
             base_timeout: SimDuration::from_millis(50),
         };
-        let mut eng: Engine<ConsMsg<u64>> = Engine::new(
+        let mut eng: Engine<ConsMsg> = Engine::new(
             Box::new(SyncNet::new(SimDuration::from_millis(3), 8)),
             Box::new(RandomOracle::seeded(21)),
             EngineConfig::default(),
         );
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
         for i in 0..7 {
-            let core = NotaryCore::new(cfg.clone(), c.signers[i].clone(), c.pki.clone(), 55);
+            let core = NotaryCore::new(
+                cfg.clone(),
+                c.signers[i].clone(),
+                c.pki.clone(),
+                Verdict::Abort,
+            );
             let clock = DriftClock::sample(20_000, SimDuration::from_millis(1), &mut rng);
             eng.add_process(Box::new(NotaryProcess::new(core, peers(7, i))), clock);
         }
         eng.run();
         for i in 0..7 {
-            let p = eng.process_as::<NotaryProcess<u64>>(i).unwrap();
-            assert_eq!(p.decided(), Some(&55));
+            let p = eng.process_as::<NotaryProcess>(i).unwrap();
+            assert_eq!(p.decided(), Some(Verdict::Abort));
         }
     }
 }

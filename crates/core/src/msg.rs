@@ -182,7 +182,7 @@ pub enum PMsg {
     /// Weak protocol: the decision certificate χc / χa.
     Decision(DecisionCert),
     /// Weak protocol, notary-committee manager: embedded consensus traffic.
-    Cons(ConsMsg<Verdict>),
+    Cons(ConsMsg),
 }
 
 impl PMsg {

@@ -119,33 +119,38 @@ pub struct Definition1Verdicts {
 }
 
 impl Definition1Verdicts {
-    /// True when no clause is violated.
-    pub fn all_ok(&self) -> bool {
-        self.es.ok()
-            && self.cs1.ok()
-            && self.cs2.ok()
-            && self.cs3.ok()
-            && self.t.ok()
-            && self.l.ok()
-    }
-
-    /// All violations, labelled.
-    pub fn violations(&self) -> Vec<(&'static str, String)> {
-        let mut out = Vec::new();
-        for (name, check) in [
+    /// Every clause, labelled, in the Definition's order.
+    pub fn clauses(&self) -> [(&'static str, &PropCheck); 6] {
+        [
             ("ES", &self.es),
             ("CS1", &self.cs1),
             ("CS2", &self.cs2),
             ("CS3", &self.cs3),
             ("T", &self.t),
             ("L", &self.l),
-        ] {
-            if let PropCheck::Violated(why) = check {
-                out.push((name, why.clone()));
-            }
-        }
-        out
+        ]
     }
+
+    /// True when no clause is violated.
+    pub fn all_ok(&self) -> bool {
+        self.clauses().iter().all(|(_, check)| check.ok())
+    }
+
+    /// All violations, labelled.
+    pub fn violations(&self) -> Vec<(&'static str, String)> {
+        violated(&self.clauses())
+    }
+}
+
+/// The violated clauses among `clauses`, labelled, in order.
+fn violated(clauses: &[(&'static str, &PropCheck)]) -> Vec<(&'static str, String)> {
+    clauses
+        .iter()
+        .filter_map(|&(name, check)| match check {
+            PropCheck::Violated(why) => Some((name, why.clone())),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Checks Definition 1 against a finished time-bounded run.
@@ -304,21 +309,9 @@ pub struct Definition2Verdicts {
 }
 
 impl Definition2Verdicts {
-    /// True when no clause is violated.
-    pub fn all_ok(&self) -> bool {
-        self.cc.ok()
-            && self.es.ok()
-            && self.cs1.ok()
-            && self.cs2.ok()
-            && self.cs3.ok()
-            && self.t.ok()
-            && self.weak_l.ok()
-    }
-
-    /// All violations, labelled.
-    pub fn violations(&self) -> Vec<(&'static str, String)> {
-        let mut out = Vec::new();
-        for (name, check) in [
+    /// Every clause, labelled, in the Definition's order.
+    pub fn clauses(&self) -> [(&'static str, &PropCheck); 7] {
+        [
             ("CC", &self.cc),
             ("ES", &self.es),
             ("CS1w", &self.cs1),
@@ -326,12 +319,17 @@ impl Definition2Verdicts {
             ("CS3", &self.cs3),
             ("T", &self.t),
             ("weakL", &self.weak_l),
-        ] {
-            if let PropCheck::Violated(why) = check {
-                out.push((name, why.clone()));
-            }
-        }
-        out
+        ]
+    }
+
+    /// True when no clause is violated.
+    pub fn all_ok(&self) -> bool {
+        self.clauses().iter().all(|(_, check)| check.ok())
+    }
+
+    /// All violations, labelled.
+    pub fn violations(&self) -> Vec<(&'static str, String)> {
+        violated(&self.clauses())
     }
 }
 

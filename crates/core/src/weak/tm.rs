@@ -275,10 +275,11 @@ pub struct NotaryTm {
 #[derive(Debug, Clone, Hash)]
 struct NotaryTmState {
     evidence: Evidence,
-    core: Option<NotaryCore<Verdict>>,
+    /// The consensus instance, once the evidence justifies an input; it
+    /// alone records the decision.
+    core: Option<NotaryCore>,
     /// Consensus traffic the gate holds, in arrival order.
-    held: Vec<ConsMsg<Verdict>>,
-    decided: Option<Verdict>,
+    held: Vec<ConsMsg>,
 }
 
 impl NotaryTm {
@@ -302,14 +303,13 @@ impl NotaryTm {
                 evidence: Evidence::new(&setup.chain),
                 core: None,
                 held: Vec::new(),
-                decided: None,
             },
         }
     }
 
     /// The verdict this notary's consensus instance decided, if any.
     pub fn decided(&self) -> Option<Verdict> {
-        self.st.decided
+        self.st.core.as_ref().and_then(NotaryCore::decided)
     }
 
     fn maybe_activate(&mut self, ctx: &mut Ctx<PMsg>) {
@@ -333,7 +333,7 @@ impl NotaryTm {
     /// The gate: nothing reaches the core before it runs, and a proposal
     /// without a proof-of-lock only once the evidence justifies its value
     /// (the core verifies a proof-of-lock itself).
-    fn admits(&self, msg: &ConsMsg<Verdict>) -> bool {
+    fn admits(&self, msg: &ConsMsg) -> bool {
         self.st.core.is_some()
             && match msg {
                 ConsMsg::Propose { value, pol, .. } => {
@@ -366,7 +366,7 @@ impl NotaryTm {
         self.apply(outputs, ctx);
     }
 
-    fn apply(&mut self, outputs: Vec<ConsOutput<Verdict>>, ctx: &mut Ctx<PMsg>) {
+    fn apply(&mut self, outputs: Vec<ConsOutput>, ctx: &mut Ctx<PMsg>) {
         for o in outputs {
             match o {
                 ConsOutput::Broadcast(m) => {
@@ -375,26 +375,24 @@ impl NotaryTm {
                     }
                 }
                 ConsOutput::Schedule { token, after } => ctx.set_timer_after(token, after),
+                // The core decides once: sign a certificate share for the
+                // participants.
                 ConsOutput::Decide { value, .. } => {
-                    if self.st.decided.is_none() {
-                        self.st.decided = Some(value);
-                        ctx.mark(
-                            match value {
-                                Verdict::Commit => "notary_commit",
-                                Verdict::Abort => "notary_abort",
-                            },
-                            0,
-                        );
-                        // Sign a certificate share for the participants.
-                        let payload = DecisionCert::payload(&self.st.evidence.payment, value);
-                        let share = DecisionCert::assemble(
-                            self.st.evidence.payment,
-                            value,
-                            vec![self.signer.sign(xcrypto::cert::DOM_DECISION, &payload)],
-                        );
-                        for p in self.participants.clone() {
-                            ctx.send(p, PMsg::Decision(share.clone()));
-                        }
+                    ctx.mark(
+                        match value {
+                            Verdict::Commit => "notary_commit",
+                            Verdict::Abort => "notary_abort",
+                        },
+                        0,
+                    );
+                    let payload = DecisionCert::payload(&self.st.evidence.payment, value);
+                    let share = DecisionCert::assemble(
+                        self.st.evidence.payment,
+                        value,
+                        vec![self.signer.sign(xcrypto::cert::DOM_DECISION, &payload)],
+                    );
+                    for p in self.participants.clone() {
+                        ctx.send(p, PMsg::Decision(share.clone()));
                     }
                 }
             }

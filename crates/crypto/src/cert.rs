@@ -98,7 +98,9 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    fn wire_tag(self) -> u8 {
+    /// The verdict's one signed byte: 1 for χc, 2 for χa. Decision
+    /// certificates and the committee's consensus payloads both write it.
+    pub fn wire_tag(self) -> u8 {
         match self {
             Verdict::Commit => 1,
             Verdict::Abort => 2,

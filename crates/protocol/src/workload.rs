@@ -299,6 +299,14 @@ impl RoutingTree {
 /// bounds both run time and the deadline magnitudes.
 pub const MAX_TREE_HOPS: usize = 8;
 
+/// Two distinct endpoints of `0..k` (`k ≥ 2`): `a` uniformly, then `b`
+/// uniformly from the other `k − 1`.
+fn two_endpoints(rng: &mut StdRng, k: usize) -> (usize, usize) {
+    let a = rng.gen_range(0..k);
+    let b = rng.gen_range(0..k - 1);
+    (a, if b >= a { b + 1 } else { b })
+}
+
 /// Generates the workload's payment specs, deterministically from the
 /// config.
 pub fn generate(cfg: &WorkloadConfig) -> Vec<PaymentSpec> {
@@ -398,24 +406,13 @@ pub fn generate(cfg: &WorkloadConfig) -> Vec<PaymentSpec> {
                         // Distinct sender/receiver spokes; the route is
                         // always spoke → hub → spoke (two escrows), each
                         // hop locking at its gateway's venue.
-                        let spokes = spokes.max(2);
-                        let s = rng.gen_range(0..spokes);
-                        let mut r = rng.gen_range(0..spokes - 1);
-                        if r >= s {
-                            r += 1;
-                        }
-                        debug_assert_ne!(s, r);
+                        let (s, r) = two_endpoints(&mut rng, spokes.max(2));
                         route = Some((s, r));
                         (2, VenueRoute::new(vec![s as VenueId, r as VenueId]))
                     }
                     TopologyFamily::RandomTree { nodes } => {
                         let tree = tree.as_ref().expect("sampled up front for RandomTree");
-                        let nodes = nodes.max(2);
-                        let a = rng.gen_range(0..nodes);
-                        let mut b = rng.gen_range(0..nodes - 1);
-                        if b >= a {
-                            b += 1;
-                        }
+                        let (a, b) = two_endpoints(&mut rng, nodes.max(2));
                         // Edge e(child) gets venue id child − 1, keeping
                         // venue ids dense in 0..nodes−1. Routes longer
                         // than MAX_TREE_HOPS keep their first hops.
@@ -429,12 +426,8 @@ pub fn generate(cfg: &WorkloadConfig) -> Vec<PaymentSpec> {
                     }
                     TopologyFamily::ScaleFree { .. } | TopologyFamily::SmallWorld { .. } => {
                         let g = graph.as_ref().expect("built up front: graph() is Some");
-                        let nodes = g.nodes();
-                        let a = rng.gen_range(0..nodes) as u32;
-                        let mut b = rng.gen_range(0..nodes - 1) as u32;
-                        if b >= a {
-                            b += 1;
-                        }
+                        let (a, b) = two_endpoints(&mut rng, g.nodes());
+                        let (a, mut b) = (a as u32, b as u32);
                         let path = match router.shortest(g, a, b, MAX_NET_HOPS) {
                             Some(p) => p,
                             None => {

@@ -217,4 +217,9 @@ row '"(weak_)?escrow_(locked|lock_rejected|released|refunded)"|"arc_(escrowed|lo
 row 'crossbeam::' crates '' \
     "use std::thread::scope"
 
+# The notary committee decides an xcrypto::Verdict: consensus has no
+# value type parameter, and its payloads write Verdict::wire_tag.
+row '\bConsensusValue\b' 'crates src tests' '' \
+    "deleted: the committee decides an xcrypto::Verdict (consensus payloads write Verdict::wire_tag)"
+
 exit $bad

@@ -149,5 +149,11 @@ row crates/crypto/src/sha256.rs 's/buf\[end - 8\.\.end\]/buf[end - 16..end - 8]/
 row crates/crypto/src/sha256.rs 's/\(len \+ 9\)\.div_ceil\(64\)/(len + 8).div_ceil(64)/' "$oneshot" \
     "a message of 56 mod 64 bytes is padded into one block too few (hmac::tests::oneshot_mac_equals_the_streamed_mac_at_every_length)"
 
+# The verdict's one signed byte has one owner, Verdict::wire_tag: decision
+# certificates and the committee's consensus payloads both write it.
+row crates/crypto/src/cert.rs 's/Verdict::Commit => 1,(\s+)Verdict::Abort => 2,/Verdict::Commit => 2,$1Verdict::Abort => 1,/' \
+    "cargo test -q --offline -p consensus" \
+    "χc and χa swap their signed byte (consensus msg::tests::verdict_payloads_are_pinned)"
+
 echo "mutants: $((SECONDS - start)) s"
 exit $bad

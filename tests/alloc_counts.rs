@@ -158,10 +158,10 @@ fn signing_and_verifying_allocate_nothing() {
         let forged = Receipt::issue(&forger, payment);
         assert!(!forged.verify(&pki, ids[0]));
         // Consensus and deal votes.
-        let v = sign_vote(notary, 1, VoteKind::Precommit, 0, Some(&Verdict::Commit));
-        let payload = vote_payload(1, VoteKind::Precommit, 0, Some(&Verdict::Commit));
+        let v = sign_vote(notary, 1, VoteKind::Precommit, 0, Some(Verdict::Commit));
+        let payload = vote_payload(1, VoteKind::Precommit, 0, Some(Verdict::Commit));
         assert!(pki.verify(&v, DOM_VOTE, &payload));
-        sign_propose(notary, 1, 0, &Verdict::Abort, Some(0));
+        sign_propose(notary, 1, 0, Verdict::Abort, Some(0));
         let d = notary.sign(
             DOM_DEAL_COMMIT,
             &deal::vote_payload(DOM_DEAL_COMMIT, &payment),
@@ -223,12 +223,17 @@ fn every_signed_payload_and_frame_fits_the_stack_buffers() {
         (
             "consensus vote",
             DOM_VOTE,
-            vote_payload(u64::MAX, VoteKind::Precommit, u32::MAX, Some(&u64::MAX)),
+            vote_payload(
+                u64::MAX,
+                VoteKind::Precommit,
+                u32::MAX,
+                Some(Verdict::Commit),
+            ),
         ),
         (
             "consensus proposal",
             DOM_VOTE,
-            propose_payload(u64::MAX, u32::MAX, &u64::MAX, Some(u32::MAX)),
+            propose_payload(u64::MAX, u32::MAX, Verdict::Commit, Some(u32::MAX)),
         ),
     ];
     let mut longest = 0;

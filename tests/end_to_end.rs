@@ -110,13 +110,13 @@ fn weak_protocol_abort_path_is_lossless_everywhere() {
 struct CommitPusher {
     signer: Signer,
     peers: Vec<Pid>,
-    pol: Option<ProofOfLock<Verdict>>,
+    pol: Option<ProofOfLock>,
 }
 
 impl Process<PMsg> for CommitPusher {
     fn on_start(&mut self, ctx: &mut Ctx<PMsg>) {
         let pol_round = self.pol.as_ref().map(|p| p.round);
-        let sig = sign_propose(&self.signer, 0, 0, &Verdict::Commit, pol_round);
+        let sig = sign_propose(&self.signer, 0, 0, Verdict::Commit, pol_round);
         for &p in &self.peers {
             ctx.send(
                 p,

@@ -13,7 +13,7 @@ use crosschain::anta::time::SimDuration;
 use crosschain::consensus::{Config, ConsMsg, NotaryCore, NotaryProcess};
 use crosschain::payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
 use crosschain::payment::{SyncParams, ValuePlan};
-use crosschain::xcrypto::{KeyId, Pki};
+use crosschain::xcrypto::{KeyId, Pki, Verdict};
 use std::sync::Arc;
 
 #[test]
@@ -60,14 +60,14 @@ fn committee_run(k: usize) -> (u32, usize) {
         f: (k - 1) / 3,
         base_timeout: SimDuration::from_millis(50),
     };
-    let mut eng: Engine<ConsMsg<u64>> = Engine::new(
+    let mut eng: Engine<ConsMsg> = Engine::new(
         Box::new(SyncNet::new(SimDuration::from_millis(2), 8)),
         Box::new(RandomOracle::seeded(2)),
         EngineConfig::default(),
     );
     for (i, (_, signer)) in pairs.iter().enumerate() {
         let peers: Vec<usize> = (0..k).filter(|&p| p != i).collect();
-        let core = NotaryCore::new(cfg.clone(), signer.clone(), pki.clone(), 42u64);
+        let core = NotaryCore::new(cfg.clone(), signer.clone(), pki.clone(), Verdict::Commit);
         eng.add_process(
             Box::new(NotaryProcess::new(core, peers)),
             DriftClock::perfect(),
@@ -76,8 +76,8 @@ fn committee_run(k: usize) -> (u32, usize) {
     eng.run();
     let mut round = 0;
     for i in 0..k {
-        let p = eng.process_as::<NotaryProcess<u64>>(i).expect("notary");
-        assert_eq!(p.decided(), Some(&42), "k = {k}, notary {i}");
+        let p = eng.process_as::<NotaryProcess>(i).expect("notary");
+        assert_eq!(p.decided(), Some(Verdict::Commit), "k = {k}, notary {i}");
         round = round.max(p.decision().expect("decided").0);
     }
     (round, eng.trace().sent_count())
