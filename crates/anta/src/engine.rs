@@ -149,6 +149,31 @@ pub struct Engine<M: Message> {
     dead_branch_prunes: u64,
 }
 
+/// The network and oracle of an engine that [`Engine::reset`] has not
+/// given a run yet. An engine without processes has no events, so
+/// neither is ever asked anything.
+struct Unset;
+
+impl<M: 'static> NetModel<M> for Unset {
+    fn route(&mut self, _: &EnvelopeMeta, _: &M, _: &mut dyn Oracle) -> Delivery {
+        unreachable!("a default engine routes only after reset() gives it a network")
+    }
+}
+
+impl Oracle for Unset {
+    fn choose(&mut self, _: usize) -> usize {
+        unreachable!("a default engine chooses only after reset() gives it an oracle")
+    }
+}
+
+/// An engine with no processes, no network and no oracle, for
+/// [`Engine::reset`] to ready for each run it is reused for.
+impl<M: Message> Default for Engine<M> {
+    fn default() -> Self {
+        Engine::new(Box::new(Unset), Box::new(Unset), EngineConfig::default())
+    }
+}
+
 impl<M: Message> Engine<M> {
     /// Creates an engine over a network model and an oracle.
     pub fn new(net: Box<dyn NetModel<M>>, oracle: Box<dyn Oracle>, cfg: EngineConfig) -> Self {
@@ -168,6 +193,31 @@ impl<M: Message> Engine<M> {
             prune_dead_sends: false,
             dead_branch_prunes: 0,
         }
+    }
+
+    /// Readies this engine for a new run over `net` and `oracle` under
+    /// `cfg`, as [`Engine::new`] would build it: no processes, an empty
+    /// queue at time zero, a fresh trace, fingerprinting and dead-branch
+    /// elision off, not started. The process slots, the queue, the trace
+    /// and the effects buffer keep their capacity, so a run on a reset
+    /// engine allocates only what outgrows the runs before it. An engine
+    /// whose last run panicked resets like any other.
+    pub fn reset(&mut self, net: Box<dyn NetModel<M>>, oracle: Box<dyn Oracle>, cfg: EngineConfig) {
+        let mut procs = std::mem::take(&mut self.procs);
+        procs.clear();
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        let mut trace = std::mem::take(&mut self.trace);
+        trace.reset(cfg.trace_mode);
+        let mut fx_buf = std::mem::take(&mut self.fx_buf);
+        fx_buf.clear();
+        *self = Engine {
+            procs,
+            queue,
+            trace,
+            fx_buf,
+            ..Engine::new(net, oracle, cfg)
+        };
     }
 
     /// Registers a process with its local clock; returns its [`Pid`]
@@ -210,7 +260,7 @@ impl<M: Message> Engine<M> {
     /// Largest number of events the queue held at any point so far — the
     /// capacity a repeat of a comparable run needs. Its only caller is the
     /// repo benchmark (`benchmark/`), until ROADMAP item 1(ii) ports it;
-    /// the simulator builds every engine fresh.
+    /// the simulator reuses its engines through [`Engine::reset`] instead.
     pub fn queue_high_water(&self) -> usize {
         self.queue_high
     }
@@ -681,13 +731,20 @@ mod tests {
     }
 
     fn ping_pong_engine_mode(seed: u64, sigma: SimDuration, trace_mode: TraceMode) -> Engine<u32> {
+        let mut eng = Engine::default();
+        ping_pong_into(&mut eng, seed, sigma, trace_mode);
+        eng
+    }
+
+    /// Resets `eng` for a ping-pong run.
+    fn ping_pong_into(eng: &mut Engine<u32>, seed: u64, sigma: SimDuration, trace_mode: TraceMode) {
         let cfg = EngineConfig {
             sigma_max: sigma,
             sigma_buckets: 4,
             trace_mode,
             ..Default::default()
         };
-        let mut eng = Engine::new(
+        eng.reset(
             Box::new(SyncNet::new(SimDuration::from_ticks(100), 8)),
             Box::new(RandomOracle::seeded(seed)),
             cfg,
@@ -710,11 +767,46 @@ mod tests {
             }),
             DriftClock::perfect(),
         );
-        eng
     }
 
     fn ping_pong_engine(seed: u64, sigma: SimDuration) -> Engine<u32> {
         ping_pong_engine_mode(seed, sigma, TraceMode::Full)
+    }
+
+    #[test]
+    fn a_reset_engine_runs_as_a_new_one_does() {
+        // What a run leaves to read: its report, its trace with every
+        // counter and digest, its fingerprint and its processes.
+        let seen = |eng: &mut Engine<u32>, fp: bool| {
+            if fp {
+                eng.enable_fingerprints();
+            }
+            let report = eng.run();
+            let pingers: Vec<u32> = (0..eng.len())
+                .map(|pid| eng.process_as::<Pinger>(pid).unwrap().last_seen)
+                .collect();
+            let fingerprint = eng.state_fingerprint();
+            format!("{report:?} {:?} {fingerprint:?} {pingers:?}", eng.trace())
+        };
+        let sigma = SimDuration::from_ticks(7);
+        let mut reused = Engine::default();
+        for (seed, mode, fp) in [
+            (1, TraceMode::Full, true),
+            (2, TraceMode::CountersOnly, false),
+            (3, TraceMode::Full, false),
+            (4, TraceMode::CountersOnly, true),
+            (5, TraceMode::CountersOnly, false),
+        ] {
+            ping_pong_into(&mut reused, seed, sigma, mode);
+            let want = seen(&mut ping_pong_engine_mode(seed, sigma, mode), fp);
+            assert_eq!(seen(&mut reused, fp), want, "seed {seed}");
+        }
+        // A run cut short leaves events queued; a reset drops them too.
+        ping_pong_into(&mut reused, 6, sigma, TraceMode::Full);
+        reused.run_until(SimTime::from_ticks(250));
+        ping_pong_into(&mut reused, 7, sigma, TraceMode::Full);
+        let want = seen(&mut ping_pong_engine(7, sigma), false);
+        assert_eq!(seen(&mut reused, false), want);
     }
 
     #[test]

@@ -86,6 +86,12 @@ impl<T> EventQueue<T> {
         self.pushed
     }
 
+    /// Empties the queue and restarts `seq` at 0, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.pushed = 0;
+    }
+
     /// Makes room for `additional` more entries.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);

@@ -149,6 +149,22 @@ impl<M> Trace<M> {
         }
     }
 
+    /// Empties the trace for a new run recorded in `mode`: no events, every
+    /// counter zero, no digest. The buffers keep their capacity.
+    pub(crate) fn reset(&mut self, mode: TraceMode) {
+        let (mut events, mut delivered_to) = (
+            std::mem::take(&mut self.events),
+            std::mem::take(&mut self.delivered_to),
+        );
+        events.clear();
+        delivered_to.clear();
+        *self = Trace {
+            events,
+            delivered_to,
+            ..Self::with_mode(mode)
+        };
+    }
+
     /// The recording mode.
     pub fn mode(&self) -> TraceMode {
         self.mode

@@ -14,7 +14,8 @@
 //!
 //! * **Agreement** — no two honest notaries decide differently, under any
 //!   message timing and up to `f < n/3` Byzantine members. Quorum size is
-//!   `2f+1`; two quorums intersect in an honest notary, and re-proposals
+//!   `n − f` ([`xcrypto::committee_quorum`]); two quorums intersect in an
+//!   honest notary, and re-proposals
 //!   must carry a verifiable proof-of-lock, so a decided value can never
 //!   lose its lock.
 //! * **Validity** — the core itself accepts any authentic proposal whose
@@ -56,9 +57,10 @@ pub struct Config {
 }
 
 impl Config {
-    /// Quorum size `2f+1`.
+    /// Quorum size `n − f`: [`xcrypto::committee_quorum`], the threshold
+    /// the committee's decision certificates verify under too.
     pub fn quorum(&self) -> usize {
-        2 * self.f + 1
+        xcrypto::committee_quorum(self.n(), self.f)
     }
 
     /// Committee size.
@@ -557,7 +559,7 @@ impl NotaryCore {
         }
     }
 
-    /// Finds a `2f+1` same-value quorum at any round (highest round wins).
+    /// Finds a same-value quorum at any round (highest round wins).
     fn find_value_quorum(&self, votes: &[VoteRec]) -> Option<(u32, Verdict, Vec<Signature>)> {
         let mut rounds: Vec<u32> = votes.iter().map(|v| v.round).collect();
         rounds.sort_unstable();
@@ -772,6 +774,80 @@ mod tests {
         assert!(core.st.prevotes.iter().all(|v| v.signer != outsider.id()));
     }
 
+    /// A committee of `k` whose round-0 leader (member 0) is Byzantine and
+    /// whose honest members are cut into two groups that do not hear each
+    /// other: the leader proposes, prevotes and precommits χc to `group_c`
+    /// and χa to the rest. Returns each honest member's decision.
+    fn split_by_a_byzantine_leader(k: usize, group_c: usize) -> Vec<Option<Verdict>> {
+        let f = (k - 1) / 3;
+        let (pki, signers, cfg) = setup(k, f);
+        let leader = &signers[0];
+        let mut cores: Vec<NotaryCore> = signers[1..]
+            .iter()
+            .map(|s| NotaryCore::new(cfg.clone(), s.clone(), pki.clone(), Verdict::Commit))
+            .collect();
+        let group = |i: usize| i < group_c;
+        let mut inbox = start_all(&mut cores);
+        for (i, core) in cores.iter_mut().enumerate() {
+            let value = if group(i) {
+                Verdict::Commit
+            } else {
+                Verdict::Abort
+            };
+            let vote = |kind| sign_vote(leader, cfg.instance, kind, 0, Some(value));
+            let from_leader = [
+                ConsMsg::Propose {
+                    round: 0,
+                    value,
+                    pol: None,
+                    sig: sign_propose(leader, cfg.instance, 0, value, None),
+                },
+                ConsMsg::Prevote {
+                    round: 0,
+                    value: Some(value),
+                    sig: vote(VoteKind::Prevote),
+                },
+                ConsMsg::Precommit {
+                    round: 0,
+                    value: Some(value),
+                    sig: vote(VoteKind::Precommit),
+                },
+            ];
+            for msg in from_leader {
+                for o in core.on_message(msg) {
+                    if let Output::Broadcast(m) = o {
+                        inbox.push((i, m));
+                    }
+                }
+            }
+        }
+        // Deliver every honest broadcast within its sender's group only.
+        while let Some((origin, msg)) = inbox.pop() {
+            for (i, core) in cores.iter_mut().enumerate() {
+                if i == origin || group(i) != group(origin) {
+                    continue;
+                }
+                for o in core.on_message(msg.clone()) {
+                    if let Output::Broadcast(m) = o {
+                        inbox.push((i, m));
+                    }
+                }
+            }
+        }
+        cores.iter().map(NotaryCore::decided).collect()
+    }
+
+    #[test]
+    fn a_byzantine_leader_cannot_split_a_committee() {
+        for (k, group_c) in [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3)] {
+            let decided = split_by_a_byzantine_leader(k, group_c);
+            let both = [Verdict::Commit, Verdict::Abort]
+                .iter()
+                .all(|v| decided.contains(&Some(*v)));
+            assert!(!both, "k = {k}: honest notaries decided {decided:?}");
+        }
+    }
+
     #[test]
     fn decided_message_with_quorum_convinces() {
         let (pki, signers, cfg) = setup(4, 1);
@@ -806,7 +882,7 @@ mod tests {
         let _ = core.start();
         let sigs: Vec<Signature> = signers
             .iter()
-            .take(2) // below 2f+1 = 3
+            .take(2) // below the quorum, 3
             .map(|s| {
                 sign_vote(
                     s,

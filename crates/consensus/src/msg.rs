@@ -95,7 +95,7 @@ pub fn sign_propose(
     )
 }
 
-/// A proof-of-lock: `2f+1` prevote signatures for `value` at `round`.
+/// A proof-of-lock: a quorum of prevote signatures for `value` at `round`.
 /// Carried by proposals to unlock followers locked at earlier rounds —
 /// without it, a Byzantine leader could re-propose freely and break
 /// agreement.

@@ -77,7 +77,7 @@ impl Process<ConsMsg> for NotaryProcess {
 /// An equivocating Byzantine notary: sends conflicting prevotes and
 /// precommits for the first rounds to different halves of the committee,
 /// χc to the even-indexed peers and χa to the odd. Counts towards `f`; with
-/// honest quorums of `2f+1` its double votes can never both reach a quorum.
+/// quorums of `n − f` its double votes can never both reach a quorum.
 #[derive(Clone)]
 pub struct EquivocatorNotary {
     signer: xcrypto::Signer,

@@ -144,14 +144,26 @@ impl ChainSetup {
         override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
     ) -> Engine<PMsg> {
         let mut eng = Engine::new(net, oracle, cfg);
+        self.assemble(&mut eng, clocks, override_for);
+        eng
+    }
+
+    /// Registers the chain's processes, substituted as in
+    /// [`ChainSetup::build_engine_with`], in `eng`: a new engine, or one
+    /// [`Engine::reset`] readied for this run.
+    pub fn assemble(
+        &self,
+        eng: &mut Engine<PMsg>,
+        clocks: ClockPlan,
+        override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
+    ) {
         let topo = &self.chain.topo;
         self.chain.assemble(
-            &mut eng,
+            eng,
             override_for,
             |role| self.default_process(role),
             |pid| clocks.clock_for(pid, topo, &self.params),
         );
-        eng
     }
 }
 

@@ -304,10 +304,9 @@ pub struct Chain {
     pub payment: PaymentId,
     /// Shared verification registry, frozen once every key is in.
     pub pki: Arc<Pki>,
-    /// Signers of `c_0..=c_n` (Alice … Bob).
-    customers: Vec<Signer>,
-    /// Signers of `e_0..e_{n-1}`.
-    escrows: Vec<Signer>,
+    /// Keys and signers of `c_0..=c_n` (Alice … Bob), then of
+    /// `e_0..e_{n-1}`: one registration batch.
+    signers: Vec<(KeyId, Signer)>,
 }
 
 impl Chain {
@@ -320,18 +319,17 @@ impl Chain {
         assert_eq!(plan.hops(), n, "value plan must cover every escrow");
         let topo = ChainTopology::new(n);
         let mut pki = Pki::new(seed);
-        let mut register = |k: usize| -> Vec<Signer> { (0..k).map(|_| pki.register().1).collect() };
-        let (customers, escrows, extra) = (register(n + 1), register(n), register(extra));
-        let ids: Vec<KeyId> = customers.iter().chain(&escrows).map(Signer::id).collect();
+        let mut signers = pki.register_many(2 * n + 1 + extra);
+        let extra = signers.split_off(2 * n + 1);
+        let ids: Vec<KeyId> = signers.iter().map(|&(id, _)| id).collect();
         let chain = Chain {
             topo,
             plan,
             payment: PaymentId::derive(seed, &ids),
             pki: Arc::new(pki),
-            customers,
-            escrows,
+            signers,
         };
-        (chain, extra)
+        (chain, extra.into_iter().map(|(_, s)| s).collect())
     }
 
     /// Number of escrows.
@@ -341,24 +339,24 @@ impl Chain {
 
     /// Signer of customer `c_i`.
     pub fn customer_signer(&self, i: usize) -> &Signer {
-        &self.customers[i]
+        &self.signers[i].1
     }
 
     /// Signer of escrow `e_i`.
     pub fn escrow_signer(&self, i: usize) -> &Signer {
-        &self.escrows[i]
+        &self.signers[self.topo.n + 1 + i].1
     }
 
     /// Bob's key: the one χ must verify under.
     pub fn bob_key(&self) -> KeyId {
-        self.customers[self.topo.n].id()
+        self.signers[self.topo.n].0
     }
 
     /// Escrow `e_i`'s opening book: accounts for `c_i` and `c_{i+1}`, with
     /// `v_i` minted to `c_i` — the upstream customer's working capital
     /// lives at her downstream escrow.
     pub fn escrow_book(&self, i: usize) -> Ledger {
-        let (up, down) = (self.customers[i].id(), self.customers[i + 1].id());
+        let (up, down) = (self.signers[i].0, self.signers[i + 1].0);
         Ledger::funded(&[up, down], up, self.plan.amounts[i])
     }
 
@@ -401,7 +399,7 @@ impl Chain {
         let amounts = &self.plan.amounts;
         let net = (0..=n)
             .map(|i| {
-                let key = self.customers[i].id();
+                let key = self.signers[i].0;
                 let held = |e: usize| Some(book(e)?.balance(key, amounts[e].currency) as i64);
                 let down = if i < n {
                     held(i)? - amounts[i].amount as i64

@@ -33,7 +33,7 @@ use xcrypto::{Authority, DecisionCert, PaymentId, Pki, Receipt, Signature, Signe
 
 /// Accumulates decision-certificate shares until one verdict verifies
 /// against the authority (a single-signer authority verifies on the first
-/// valid share; a committee authority once `2f+1` distinct notary
+/// valid share; a committee authority once a quorum of distinct notary
 /// signatures have arrived).
 #[derive(Debug, Clone, Default, Hash)]
 pub struct CertCollector {

@@ -97,13 +97,11 @@ impl WeakSetup {
         }
     }
 
-    /// The manager process(es).
-    pub fn tm_processes(&self) -> Vec<Box<dyn Process<PMsg>>> {
+    /// The default (compliant) manager process `i`.
+    pub fn tm_process(&self, i: usize) -> Box<dyn Process<PMsg>> {
         match self.tm_kind {
-            TmKind::Trusted | TmKind::Contract => vec![Box::new(TrustedTm::new(self))],
-            TmKind::Committee { k } => (0..k)
-                .map(|i| Box::new(NotaryTm::new(self, i)) as Box<dyn Process<PMsg>>)
-                .collect(),
+            TmKind::Trusted | TmKind::Contract => Box::new(TrustedTm::new(self)),
+            TmKind::Committee { .. } => Box::new(NotaryTm::new(self, i)),
         }
     }
 
@@ -141,20 +139,32 @@ impl WeakSetup {
         oracle: Box<dyn Oracle>,
         cfg: EngineConfig,
         override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
-        mut override_tm: impl FnMut(usize) -> Option<Box<dyn Process<PMsg>>>,
+        override_tm: impl FnMut(usize) -> Option<Box<dyn Process<PMsg>>>,
     ) -> Engine<PMsg> {
         let mut eng = Engine::new(net, oracle, cfg);
+        self.assemble(&mut eng, override_for, override_tm);
+        eng
+    }
+
+    /// Registers the chain's and the managers' processes, substituted as
+    /// in [`WeakSetup::build_engine_with`], in `eng`: a new engine, or one
+    /// [`Engine::reset`] readied for this run.
+    pub fn assemble(
+        &self,
+        eng: &mut Engine<PMsg>,
+        override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
+        mut override_tm: impl FnMut(usize) -> Option<Box<dyn Process<PMsg>>>,
+    ) {
         self.chain.assemble(
-            &mut eng,
+            eng,
             override_for,
             |role| self.default_process(role),
             |_| DriftClock::perfect(),
         );
-        for (i, proc) in self.tm_processes().into_iter().enumerate() {
-            let proc = override_tm(i).unwrap_or(proc);
+        for i in 0..self.tms.len() {
+            let proc = override_tm(i).unwrap_or_else(|| self.tm_process(i));
             eng.add_process(proc, DriftClock::perfect());
         }
-        eng
     }
 
     /// Builds the engine with compliant participants everywhere.

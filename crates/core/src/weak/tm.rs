@@ -249,7 +249,7 @@ const CONS_BASE_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 /// same evidence as [`TrustedTm`]; once its evidence justifies a verdict it
 /// activates an embedded [`NotaryCore`] consensus instance with that
 /// verdict as input. When consensus decides, the notary signs a decision
-/// certificate *share*; participants accept once `2f+1` distinct shares
+/// certificate *share*; participants accept once a quorum of distinct shares
 /// verify (see `CertCollector`).
 ///
 /// External validity lives here, not in the core: the notary's gate holds

@@ -124,7 +124,8 @@ pub enum Authority {
     Single(KeyId),
     /// A notary committee: certificate is valid with ≥ `threshold` distinct
     /// member signatures. The paper requires < 1/3 unreliable notaries, so
-    /// for `k` notaries the threshold is `k - floor((k-1)/3)` ≥ 2f+1.
+    /// for `k` notaries the threshold is [`committee_quorum`]`(k, f)` =
+    /// `k − f` with `f = ⌊(k−1)/3⌋`.
     Committee {
         /// Committee member keys.
         members: Vec<KeyId>,
@@ -133,16 +134,26 @@ pub enum Authority {
     },
 }
 
+/// The quorum of a committee of `k` members of which at most `f` are
+/// Byzantine: `k − f`. Two quorums share at least `k − 2f` members, more
+/// than `f` since `k > 3f`, so at least one honest member, who votes for
+/// one value only; and the `k − f` honest members make a quorum by
+/// themselves. It is `2f + 1` exactly when `k = 3f + 1`. Panics unless
+/// `k > 3f`: no quorum size gives a smaller committee agreement.
+pub fn committee_quorum(k: usize, f: usize) -> usize {
+    assert!(k > 3 * f, "a committee of {k} cannot tolerate f = {f}");
+    k - f
+}
+
 impl Authority {
-    /// Standard BFT threshold for a committee of `k` notaries tolerating
-    /// `f = floor((k-1)/3)` Byzantine members: `2f + 1` honest-majority
-    /// signatures among `k`.
+    /// The threshold of a committee of `k` notaries tolerating
+    /// `f = ⌊(k−1)/3⌋` Byzantine members: [`committee_quorum`]`(k, f)`.
     pub fn committee(members: Vec<KeyId>) -> Self {
         let k = members.len();
         let f = k.saturating_sub(1) / 3;
         Authority::Committee {
             members,
-            threshold: 2 * f + 1,
+            threshold: committee_quorum(k, f),
         }
     }
 }
@@ -295,8 +306,18 @@ mod tests {
 
     #[test]
     fn committee_threshold_math() {
-        // k=4 → f=1 → threshold 3; k=7 → f=2 → threshold 5; k=1 → f=0 → 1.
-        for (k, want) in [(1usize, 1usize), (2, 1), (3, 1), (4, 3), (7, 5), (10, 7)] {
+        // k − f with f = ⌊(k−1)/3⌋: k=4 → 3; k=5 → 4; k=7 → 5; k=1 → 1.
+        // A committee of 2 or 3 tolerates no fault, so every member signs.
+        for (k, want) in [
+            (1usize, 1usize),
+            (2, 2),
+            (3, 3),
+            (4, 3),
+            (5, 4),
+            (6, 5),
+            (7, 5),
+            (10, 7),
+        ] {
             let members: Vec<KeyId> = (0..k as u32).map(KeyId).collect();
             match Authority::committee(members) {
                 Authority::Committee { threshold, .. } => {

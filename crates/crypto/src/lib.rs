@@ -59,6 +59,6 @@ pub mod sha256;
 pub mod sig;
 pub mod wire;
 
-pub use cert::{Authority, DecisionCert, PaymentId, Receipt, Verdict};
+pub use cert::{committee_quorum, Authority, DecisionCert, PaymentId, Receipt, Verdict};
 pub use sha256::{sha256, Digest};
 pub use sig::{KeyId, Pki, Signature, Signer};

@@ -26,7 +26,10 @@
 //! ## Cost
 //!
 //! Each identity has one key, shared by its [`Pki`] entry, its [`Signer`]
-//! and every clone of that signer. A sign writes the frame and its SHA-256
+//! and every clone of that signer. [`Pki::register_many`] puts its keys in
+//! one shared slab, so a registration batch costs one allocation however
+//! many identities it registers ([`Pki::register`] is a batch of one), and
+//! each entry and signer holds the slab and its key's index. A sign writes the frame and its SHA-256
 //! padding into stack blocks and compresses them straight from the key's
 //! inner HMAC midstate, then hashes the one outer block built from the
 //! inner digest ([`HmacKey::mac`]). It costs
@@ -97,7 +100,7 @@ impl Hash for Signature {
 /// One identity's key, shared by its [`Pki`] entry, its [`Signer`] and
 /// every clone of that signer: the secret, its HMAC midstates from the
 /// key's first sign or verify on, and the first two frames it signed, each
-/// with its tag, inline: one allocation per identity, the `Arc`.
+/// with its tag, inline. Keys live in their registration batch's slab.
 struct Key {
     secret: Digest,
     mac: OnceLock<HmacKey>,
@@ -177,6 +180,21 @@ impl Key {
     }
 }
 
+/// One key of a registration batch: the batch's shared slab and the key's
+/// index in it. Reads as the key.
+#[derive(Clone)]
+struct SlabKey {
+    slab: Arc<[Key]>,
+    index: usize,
+}
+
+impl Deref for SlabKey {
+    type Target = Key;
+    fn deref(&self) -> &Key {
+        &self.slab[self.index]
+    }
+}
+
 /// `be64(|d|) ‖ d ‖ be64(|m|) ‖ m`, inline. Panics past [`FRAME_CAP`].
 fn frame(domain: &[u8], msg: &[u8]) -> Frame {
     let mut f = Frame {
@@ -203,7 +221,7 @@ fn frame(domain: &[u8], msg: &[u8]) -> Frame {
 #[derive(Clone)]
 pub struct Signer {
     id: KeyId,
-    key: Arc<Key>,
+    key: SlabKey,
 }
 
 impl std::fmt::Debug for Signer {
@@ -216,6 +234,13 @@ impl std::fmt::Debug for Signer {
 }
 
 impl Signer {
+    fn new(id: KeyId, slab: Arc<[Key]>, index: usize) -> Self {
+        Signer {
+            id,
+            key: SlabKey { slab, index },
+        }
+    }
+
     /// The identity this capability signs for.
     pub fn id(&self) -> KeyId {
         self.id
@@ -239,7 +264,7 @@ impl Signer {
 ///
 /// Shared immutably (`&Pki`) among all participants for verification.
 pub struct Pki {
-    keys: Vec<Arc<Key>>,
+    keys: Vec<SlabKey>,
     /// Separates independent simulation universes: per-key secrets derive
     /// from this seed, so runs with different seeds never cross-verify.
     base_seed: u64,
@@ -270,19 +295,40 @@ impl Pki {
     /// Registers a new identity, returning its id and signing capability.
     pub fn register(&mut self) -> (KeyId, Signer) {
         let id = KeyId(self.keys.len() as u32);
-        let secret = sha256_concat(&[
-            b"xchain/pki/secret",
-            &self.base_seed.to_be_bytes(),
-            &id.0.to_be_bytes(),
-        ]);
-        let key = Arc::new(Key::new(secret));
-        self.keys.push(Arc::clone(&key));
-        (id, Signer { id, key })
+        let slab = self.push_slab(1);
+        (id, Signer::new(id, slab, 0))
     }
 
-    /// Registers `n` identities at once.
+    /// Registers `n` identities at once, their keys in one slab.
     pub fn register_many(&mut self, n: usize) -> Vec<(KeyId, Signer)> {
-        (0..n).map(|_| self.register()).collect()
+        let first = self.keys.len();
+        let slab = self.push_slab(n);
+        (0..n)
+            .map(|index| {
+                let id = KeyId((first + index) as u32);
+                (id, Signer::new(id, Arc::clone(&slab), index))
+            })
+            .collect()
+    }
+
+    /// Derives the next `n` keys' secrets into one new slab and registers
+    /// each of its keys.
+    fn push_slab(&mut self, n: usize) -> Arc<[Key]> {
+        let (first, seed) = (self.keys.len() as u32, self.base_seed);
+        let slab: Arc<[Key]> = (0..n as u32)
+            .map(|i| {
+                Key::new(sha256_concat(&[
+                    b"xchain/pki/secret",
+                    &seed.to_be_bytes(),
+                    &(first + i).to_be_bytes(),
+                ]))
+            })
+            .collect();
+        self.keys.extend((0..n).map(|index| SlabKey {
+            slab: Arc::clone(&slab),
+            index,
+        }));
+        slab
     }
 
     /// Number of registered keys.
@@ -477,7 +523,10 @@ mod tests {
     fn tags_do_not_depend_on_when_midstates_were_derived() {
         let (pki, signers) = setup(1);
         let cold = signers[0].clone();
-        assert!(Arc::ptr_eq(&cold.key, &pki.keys[0]), "one key per identity");
+        assert!(
+            std::ptr::eq(&*cold.key, &*pki.keys[0]),
+            "one key per identity"
+        );
         assert!(cold.key.mac.get().is_none());
         let first = signers[0].sign(b"dom", b"msg");
         assert!(
@@ -621,6 +670,38 @@ mod tests {
                 .all(|k| k.signed.iter().all(|s| s.get().is_none())),
             "no frame is remembered before a sign"
         );
+    }
+
+    #[test]
+    fn a_batch_shares_one_slab_and_ids_run_on_across_batches() {
+        let mut pki = Pki::new(3);
+        let (first, _) = pki.register();
+        let batch = pki.register_many(3);
+        let (last, _) = pki.register();
+        let ids: Vec<u32> = batch
+            .iter()
+            .map(|(id, s)| {
+                assert_eq!(*id, s.id());
+                id.0
+            })
+            .collect();
+        assert_eq!((first.0, ids, last.0), (0, vec![1, 2, 3], 4));
+        let slab = |k: usize| &pki.keys[k].slab;
+        assert!(Arc::ptr_eq(slab(1), slab(3)), "one slab per batch");
+        assert!(!Arc::ptr_eq(slab(0), slab(1)) && !Arc::ptr_eq(slab(3), slab(4)));
+        assert!(
+            Arc::ptr_eq(&batch[1].1.key.slab, slab(2)),
+            "signers share it"
+        );
+        // Each key's secret is the one a batch of one would derive.
+        let mut single = Pki::new(3);
+        for k in 0..5 {
+            assert_eq!(
+                single.register().1.key.secret,
+                pki.keys[k].secret,
+                "key {k}"
+            );
+        }
     }
 
     /// Verifies of (`d`, `m`) under `sig` that must all be rejected once

@@ -38,10 +38,24 @@ impl DealInstance {
         net: Box<dyn NetModel<DMsg>>,
         oracle: Box<dyn Oracle>,
         cfg: EngineConfig,
-        mut party_clock: impl FnMut(Party) -> DriftClock,
-        mut party: impl FnMut(Party, CertifiedParty) -> Box<dyn Process<DMsg>>,
+        party_clock: impl FnMut(Party) -> DriftClock,
+        party: impl FnMut(Party, CertifiedParty) -> Box<dyn Process<DMsg>>,
     ) -> Engine<DMsg> {
         let mut eng = Engine::new(net, oracle, cfg);
+        self.certified_assemble(&mut eng, signers, party_clock, party);
+        eng
+    }
+
+    /// Registers the certified protocol's processes, as
+    /// [`DealInstance::certified_engine`] does, in `eng`: a new engine, or
+    /// one [`Engine::reset`] readied for this run.
+    pub fn certified_assemble(
+        &self,
+        eng: &mut Engine<DMsg>,
+        signers: &[Signer],
+        mut party_clock: impl FnMut(Party) -> DriftClock,
+        mut party: impl FnMut(Party, CertifiedParty) -> Box<dyn Process<DMsg>>,
+    ) {
         let cbc = self.next_free_pid();
         for (p, signer) in signers.iter().enumerate() {
             let clock = party_clock(p);
@@ -62,7 +76,6 @@ impl DealInstance {
             st: CertifiedChainState::default(),
         };
         eng.add_process(Box::new(chain), DriftClock::perfect());
-        eng
     }
 }
 

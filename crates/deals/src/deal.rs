@@ -84,8 +84,8 @@ impl DealInstance {
     /// Builds keys and an id for `deal`, deterministically from `seed`.
     pub fn generate(deal: DealMatrix, seed: u64) -> (Self, Vec<Signer>) {
         let mut pki = Pki::new(seed);
-        let signers: Vec<Signer> = (0..deal.parties()).map(|_| pki.register().1).collect();
-        let party_keys: Vec<KeyId> = signers.iter().map(|s| s.id()).collect();
+        let (party_keys, signers): (Vec<KeyId>, Vec<Signer>) =
+            pki.register_many(deal.parties()).into_iter().unzip();
         let deal_id = PaymentId::derive(seed, &party_keys);
         (
             DealInstance {

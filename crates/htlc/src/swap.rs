@@ -92,6 +92,15 @@ impl SwapSetup {
         clock: DriftClock,
         behaviour: SwapBehaviour,
     ) -> Engine<HMsg> {
+        let mut eng = Engine::new(net, oracle, cfg);
+        self.assemble(&mut eng, clock, behaviour);
+        eng
+    }
+
+    /// Registers the swap's processes, as [`SwapSetup::build_engine`]
+    /// does, in `eng`: a new engine, or one [`Engine::reset`] readied for
+    /// this run.
+    pub fn assemble(&self, eng: &mut Engine<HMsg>, clock: DriftClock, behaviour: SwapBehaviour) {
         let mut alice = SwapInitiator::new(self.offer_a, self.secret.clone(), self.timelock_a);
         alice.abandons = behaviour == SwapBehaviour::AliceAbandons;
         let mut bob = SwapResponder::new(self.offer_b, self.timelock_b);
@@ -100,12 +109,10 @@ impl SwapSetup {
             let book = Ledger::funded(&[ALICE_KEY, BOB_KEY], holder, offer);
             Box::new(ChainProcess::new(HtlcChain::new(book)))
         };
-        let mut eng = Engine::new(net, oracle, cfg);
         eng.add_process(Box::new(alice), clock);
         eng.add_process(Box::new(bob), clock);
         eng.add_process(chain(ALICE_KEY, self.offer_a), clock);
         eng.add_process(chain(BOB_KEY, self.offer_b), clock);
-        eng
     }
 }
 

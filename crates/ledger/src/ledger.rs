@@ -7,15 +7,17 @@
 //! are met, either complete the transfer to the second customer, or return
 //! the value to the first one."*
 //!
-//! A [`Ledger`] is one escrow's book: customer accounts, escrow deals
-//! (locked value), a complete audit log, and a per-currency conservation
-//! invariant (`minted = circulating + locked`). The **ES (escrow security)**
-//! property of Definition 1 — *an escrow that abides by the protocol does
-//! not lose money* — is checked against exactly this invariant plus the
-//! at-most-once settlement discipline of [`DealState`].
+//! A [`Ledger`] is one escrow's book, kept as its audit log alone:
+//! accounts, mints, escrow deals (locked value) and their settlements are
+//! entries, and every balance, deal state and total is a fold over them.
+//! The per-currency conservation invariant (`minted = circulating +
+//! locked`) sums the accounts' folded balances against the folded mints
+//! and locks. The **ES (escrow security)** property of Definition 1 —
+//! *an escrow that abides by the protocol does not lose money* — is
+//! checked against exactly this invariant plus the at-most-once
+//! settlement discipline of [`DealState`].
 
 use crate::asset::{Asset, CurrencyId};
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use xcrypto::KeyId;
 
@@ -149,17 +151,12 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// One escrow's book of accounts and deals.
+/// One escrow's book of accounts and deals: its audit log and nothing
+/// else. Every query folds the log, which a book of a few accounts and one
+/// or two deals keeps a handful of entries long.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
-    /// Account balances: `(owner, currency) → amount`. BTreeMap keeps audit
-    /// output and conservation sums deterministic.
-    balances: BTreeMap<(KeyId, CurrencyId), u64>,
-    accounts: Vec<KeyId>,
-    deals: Vec<EscrowDeal>,
     log: Vec<AuditEntry>,
-    /// Total ever minted per currency (the conservation baseline).
-    minted: BTreeMap<CurrencyId, u64>,
 }
 
 /// A book is hashed through its audit log: the log records every mutation
@@ -178,10 +175,13 @@ impl Ledger {
 
     /// A fresh book with one account per key of `owners`, opened in that
     /// order, and `asset` minted to `holder` — the funded escrow book every
-    /// protocol starts from. Panics if `owners` repeats a key or does not
+    /// protocol starts from. Its log has room for one deal's lock and
+    /// settlement too. Panics if `owners` repeats a key or does not
     /// contain `holder`: both are assembly bugs, not runtime conditions.
     pub fn funded(owners: &[KeyId], holder: KeyId, asset: Asset) -> Self {
-        let mut book = Ledger::new();
+        let mut book = Ledger {
+            log: Vec::with_capacity(owners.len() + 3),
+        };
         for &owner in owners {
             book.open_account(owner)
                 .expect("funded book: owners are distinct");
@@ -193,27 +193,62 @@ impl Ledger {
 
     /// Opens an account for `owner`.
     pub fn open_account(&mut self, owner: KeyId) -> Result<(), LedgerError> {
-        if self.accounts.contains(&owner) {
+        if self.has_account(owner) {
             return Err(LedgerError::DuplicateAccount(owner));
         }
-        self.accounts.push(owner);
         self.log.push(AuditEntry::OpenAccount { owner });
         Ok(())
     }
 
     /// True if `owner` has an account here.
     pub fn has_account(&self, owner: KeyId) -> bool {
-        self.accounts.contains(&owner)
+        self.accounts().any(|k| k == owner)
     }
 
     /// The account owners, in opening order.
-    pub fn accounts(&self) -> &[KeyId] {
-        &self.accounts
+    pub fn accounts(&self) -> impl Iterator<Item = KeyId> + '_ {
+        self.log.iter().filter_map(|e| match *e {
+            AuditEntry::OpenAccount { owner } => Some(owner),
+            _ => None,
+        })
     }
 
-    /// Balance of `who` in `currency` (zero if none).
+    /// Balance of `who` in `currency` (zero if none): what was minted to
+    /// it, less what it locked, plus what settled to it.
     pub fn balance(&self, who: KeyId, currency: CurrencyId) -> u64 {
-        self.balances.get(&(who, currency)).copied().unwrap_or(0)
+        // In log order every partial sum is a balance the book once held,
+        // so nothing under- or overflows.
+        self.log.iter().fold(0, |bal, e| {
+            let (to, asset, credit) = match *e {
+                AuditEntry::OpenAccount { .. } => return bal,
+                AuditEntry::Mint { to, asset } => (to, asset, true),
+                AuditEntry::Lock {
+                    depositor, asset, ..
+                } => (depositor, asset, false),
+                AuditEntry::Release { deal } | AuditEntry::Refund { deal } => {
+                    let d = self.locked(deal).expect("a settlement follows its lock");
+                    let released = matches!(e, AuditEntry::Release { .. });
+                    let to = if released { d.beneficiary } else { d.depositor };
+                    (to, d.asset, true)
+                }
+            };
+            match (to == who && asset.currency == currency, credit) {
+                (false, _) => bal,
+                (true, true) => bal + asset.amount,
+                (true, false) => bal - asset.amount,
+            }
+        })
+    }
+
+    /// Total ever minted in `currency`: the conservation baseline.
+    pub fn minted_total(&self, currency: CurrencyId) -> u64 {
+        self.log
+            .iter()
+            .map(|e| match *e {
+                AuditEntry::Mint { asset, .. } if asset.currency == currency => asset.amount,
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Creates new value in `to`'s account (scenario setup only; audited so
@@ -222,10 +257,9 @@ impl Ledger {
         if !self.has_account(to) {
             return Err(LedgerError::UnknownAccount(to));
         }
-        let bal = self.balances.entry((to, asset.currency)).or_insert(0);
-        *bal = bal.checked_add(asset.amount).ok_or(LedgerError::Overflow)?;
-        let total = self.minted.entry(asset.currency).or_insert(0);
-        *total = total
+        // No balance exceeds its currency's minted total, so this one check
+        // covers the credit too.
+        self.minted_total(asset.currency)
             .checked_add(asset.amount)
             .ok_or(LedgerError::Overflow)?;
         self.log.push(AuditEntry::Mint { to, asset });
@@ -245,62 +279,91 @@ impl Ledger {
         if !self.has_account(beneficiary) {
             return Err(LedgerError::UnknownAccount(beneficiary));
         }
-        self.debit(depositor, asset)?;
-        let id = DealId(self.deals.len() as u64);
-        self.deals.push(EscrowDeal {
-            id,
-            depositor,
-            beneficiary,
-            asset,
-            state: DealState::Locked,
-        });
+        let have = self.balance(depositor, asset.currency);
+        if have < asset.amount {
+            return Err(LedgerError::InsufficientFunds {
+                who: depositor,
+                need: asset,
+                have,
+            });
+        }
+        let locks = self
+            .log
+            .iter()
+            .filter(|e| matches!(e, AuditEntry::Lock { .. }));
+        let deal = DealId(locks.count() as u64);
         self.log.push(AuditEntry::Lock {
-            deal: id,
+            deal,
             depositor,
             beneficiary,
             asset,
         });
-        Ok(id)
+        Ok(deal)
     }
 
     /// Completes the transfer to the beneficiary.
     pub fn release(&mut self, deal: DealId) -> Result<(), LedgerError> {
-        let (beneficiary, asset) = {
-            let d = self.deal_mut(deal)?;
-            if d.state != DealState::Locked {
-                return Err(LedgerError::AlreadySettled(deal));
-            }
-            d.state = DealState::Released;
-            (d.beneficiary, d.asset)
-        };
-        self.credit(beneficiary, asset)?;
+        self.settle(deal)?;
         self.log.push(AuditEntry::Release { deal });
         Ok(())
     }
 
     /// Returns the value to the depositor.
     pub fn refund(&mut self, deal: DealId) -> Result<(), LedgerError> {
-        let (depositor, asset) = {
-            let d = self.deal_mut(deal)?;
-            if d.state != DealState::Locked {
-                return Err(LedgerError::AlreadySettled(deal));
-            }
-            d.state = DealState::Refunded;
-            (d.depositor, d.asset)
-        };
-        self.credit(depositor, asset)?;
+        self.settle(deal)?;
         self.log.push(AuditEntry::Refund { deal });
         Ok(())
     }
 
+    /// Checks that `deal` may settle: it exists and is still locked. The
+    /// credit that follows cannot overflow: the payee's balance plus the
+    /// locked amount is at most the currency's minted total.
+    fn settle(&self, deal: DealId) -> Result<(), LedgerError> {
+        match self.deal(deal) {
+            None => Err(LedgerError::UnknownDeal(deal)),
+            Some(d) if d.state != DealState::Locked => Err(LedgerError::AlreadySettled(deal)),
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// `deal` as its lock entry recorded it, still [`DealState::Locked`].
+    fn locked(&self, deal: DealId) -> Option<EscrowDeal> {
+        self.log.iter().find_map(|e| match *e {
+            AuditEntry::Lock {
+                deal: id,
+                depositor,
+                beneficiary,
+                asset,
+            } if id == deal => Some(EscrowDeal {
+                id,
+                depositor,
+                beneficiary,
+                asset,
+                state: DealState::Locked,
+            }),
+            _ => None,
+        })
+    }
+
     /// Looks up a deal.
-    pub fn deal(&self, deal: DealId) -> Option<&EscrowDeal> {
-        self.deals.get(deal.0 as usize)
+    pub fn deal(&self, deal: DealId) -> Option<EscrowDeal> {
+        let mut d = self.locked(deal)?;
+        for e in &self.log {
+            match *e {
+                AuditEntry::Release { deal: id } if id == deal => d.state = DealState::Released,
+                AuditEntry::Refund { deal: id } if id == deal => d.state = DealState::Refunded,
+                _ => {}
+            }
+        }
+        Some(d)
     }
 
     /// All deals, in creation order.
-    pub fn deals(&self) -> &[EscrowDeal] {
-        &self.deals
+    pub fn deals(&self) -> impl Iterator<Item = EscrowDeal> + '_ {
+        self.log.iter().filter_map(|e| match *e {
+            AuditEntry::Lock { deal, .. } => self.deal(deal),
+            _ => None,
+        })
     }
 
     /// The audit log, in order.
@@ -310,8 +373,7 @@ impl Ledger {
 
     /// Value currently locked in unsettled deals, per currency.
     pub fn locked_total(&self, currency: CurrencyId) -> u64 {
-        self.deals
-            .iter()
+        self.deals()
             .filter(|d| d.state == DealState::Locked && d.asset.currency == currency)
             .map(|d| d.asset.amount)
             .sum()
@@ -319,19 +381,28 @@ impl Ledger {
 
     /// Sum of all account balances in `currency`.
     pub fn circulating_total(&self, currency: CurrencyId) -> u64 {
-        self.balances
-            .iter()
-            .filter(|((_, c), _)| *c == currency)
-            .map(|(_, amount)| *amount)
-            .sum()
+        self.accounts().map(|k| self.balance(k, currency)).sum()
     }
 
     /// The conservation invariant: for every currency,
     /// `minted = circulating + locked`. An escrow that abides by the
     /// protocol maintains this at every step (ES); any discrepancy is a
-    /// bug in the escrow, not in a customer.
+    /// bug in the escrow, not in a customer. Currencies are checked in
+    /// ascending order.
     pub fn check_conservation(&self) -> Result<(), String> {
-        for (&currency, &minted) in &self.minted {
+        let minted_after = |floor: Option<CurrencyId>| {
+            self.log
+                .iter()
+                .filter_map(|e| match *e {
+                    AuditEntry::Mint { asset, .. } => Some(asset.currency),
+                    _ => None,
+                })
+                .filter(|&c| floor.map_or(true, |f| c > f))
+                .min()
+        };
+        let mut next = minted_after(None);
+        while let Some(currency) = next {
+            let minted = self.minted_total(currency);
             let circ = self.circulating_total(currency);
             let locked = self.locked_total(currency);
             let have = circ
@@ -342,32 +413,8 @@ impl Ledger {
                     "currency {currency}: minted {minted} ≠ circulating {circ} + locked {locked}"
                 ));
             }
+            next = minted_after(Some(currency));
         }
-        Ok(())
-    }
-
-    fn deal_mut(&mut self, deal: DealId) -> Result<&mut EscrowDeal, LedgerError> {
-        self.deals
-            .get_mut(deal.0 as usize)
-            .ok_or(LedgerError::UnknownDeal(deal))
-    }
-
-    fn debit(&mut self, who: KeyId, asset: Asset) -> Result<(), LedgerError> {
-        let bal = self.balances.entry((who, asset.currency)).or_insert(0);
-        if *bal < asset.amount {
-            return Err(LedgerError::InsufficientFunds {
-                who,
-                need: asset,
-                have: *bal,
-            });
-        }
-        *bal -= asset.amount;
-        Ok(())
-    }
-
-    fn credit(&mut self, who: KeyId, asset: Asset) -> Result<(), LedgerError> {
-        let bal = self.balances.entry((who, asset.currency)).or_insert(0);
-        *bal = bal.checked_add(asset.amount).ok_or(LedgerError::Overflow)?;
         Ok(())
     }
 }
@@ -376,6 +423,7 @@ impl Ledger {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     const CUR: CurrencyId = CurrencyId(0);
 
@@ -391,7 +439,7 @@ mod tests {
         assert!(l.has_account(alice));
         assert_eq!(l.balance(alice, CUR), 100);
         assert_eq!(l.balance(bob, CUR), 0);
-        assert_eq!(l.accounts(), &[alice, bob]);
+        assert_eq!(l.accounts().collect::<Vec<_>>(), [alice, bob]);
         l.check_conservation().unwrap();
     }
 
@@ -564,6 +612,147 @@ mod tests {
         assert_eq!(tag(AuditEntry::Refund { deal }), 5);
     }
 
+    #[test]
+    fn a_refused_mint_moves_nothing() {
+        let (mut l, alice, bob) = setup();
+        l.mint(bob, Asset::new(CUR, u64::MAX - 100)).unwrap();
+        // Alice's balance would fit, the currency's minted total would not.
+        let before = l.audit().len();
+        assert_eq!(
+            l.mint(alice, Asset::new(CUR, 1)),
+            Err(LedgerError::Overflow)
+        );
+        assert_eq!(l.audit().len(), before);
+        assert_eq!(l.balance(alice, CUR), 100);
+        l.check_conservation().unwrap();
+    }
+
+    /// The book as maps: balances and mints in `BTreeMap`s, accounts and
+    /// deals in `Vec`s, updated in place by each operation. The reference
+    /// [`Ledger`]'s log folds are checked against. A refused mint moves
+    /// nothing here either: both overflow checks come before any update.
+    #[derive(Default)]
+    struct MapBook {
+        balances: BTreeMap<(KeyId, CurrencyId), u64>,
+        accounts: Vec<KeyId>,
+        deals: Vec<EscrowDeal>,
+        minted: BTreeMap<CurrencyId, u64>,
+    }
+
+    impl MapBook {
+        fn open_account(&mut self, owner: KeyId) -> Result<(), LedgerError> {
+            if self.accounts.contains(&owner) {
+                return Err(LedgerError::DuplicateAccount(owner));
+            }
+            self.accounts.push(owner);
+            Ok(())
+        }
+
+        fn balance(&self, who: KeyId, currency: CurrencyId) -> u64 {
+            self.balances.get(&(who, currency)).copied().unwrap_or(0)
+        }
+
+        fn mint(&mut self, to: KeyId, asset: Asset) -> Result<(), LedgerError> {
+            if !self.accounts.contains(&to) {
+                return Err(LedgerError::UnknownAccount(to));
+            }
+            let bal = self.balance(to, asset.currency).checked_add(asset.amount);
+            let total = self.minted.get(&asset.currency).copied().unwrap_or(0);
+            let total = total.checked_add(asset.amount);
+            let (Some(bal), Some(total)) = (bal, total) else {
+                return Err(LedgerError::Overflow);
+            };
+            self.balances.insert((to, asset.currency), bal);
+            self.minted.insert(asset.currency, total);
+            Ok(())
+        }
+
+        fn lock(&mut self, from: KeyId, to: KeyId, asset: Asset) -> Result<DealId, LedgerError> {
+            for k in [from, to] {
+                if !self.accounts.contains(&k) {
+                    return Err(LedgerError::UnknownAccount(k));
+                }
+            }
+            let bal = self.balances.entry((from, asset.currency)).or_insert(0);
+            if *bal < asset.amount {
+                return Err(LedgerError::InsufficientFunds {
+                    who: from,
+                    need: asset,
+                    have: *bal,
+                });
+            }
+            *bal -= asset.amount;
+            let id = DealId(self.deals.len() as u64);
+            self.deals.push(EscrowDeal {
+                id,
+                depositor: from,
+                beneficiary: to,
+                asset,
+                state: DealState::Locked,
+            });
+            Ok(id)
+        }
+
+        fn settle(&mut self, deal: DealId, release: bool) -> Result<(), LedgerError> {
+            let d = self
+                .deals
+                .get_mut(deal.0 as usize)
+                .ok_or(LedgerError::UnknownDeal(deal))?;
+            if d.state != DealState::Locked {
+                return Err(LedgerError::AlreadySettled(deal));
+            }
+            let (state, payee) = if release {
+                (DealState::Released, d.beneficiary)
+            } else {
+                (DealState::Refunded, d.depositor)
+            };
+            d.state = state;
+            let asset = d.asset;
+            let bal = self.balances.entry((payee, asset.currency)).or_insert(0);
+            *bal = bal.checked_add(asset.amount).ok_or(LedgerError::Overflow)?;
+            Ok(())
+        }
+
+        fn locked_total(&self, currency: CurrencyId) -> u64 {
+            let locked = self.deals.iter().filter(|d| d.state == DealState::Locked);
+            locked
+                .filter(|d| d.asset.currency == currency)
+                .map(|d| d.asset.amount)
+                .sum()
+        }
+    }
+
+    /// An operation on a book of up to six keys and three currencies.
+    #[derive(Debug, Clone)]
+    enum BookOp {
+        Open(u8),
+        Mint(u8, u8, u64),
+        Lock(u8, u8, u8, u64),
+        Release(u8),
+        Refund(u8),
+    }
+
+    /// Amounts mostly small, sometimes near `u64::MAX`, so refused mints
+    /// (overflow) and refused locks (insufficient funds) both happen.
+    fn amount() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (0u64..1_000).prop_map(|v| v),
+            any::<u32>().prop_map(u64::from),
+            (0u64..1_000).prop_map(|v| u64::MAX - v),
+        ]
+    }
+
+    fn book_op() -> impl Strategy<Value = BookOp> {
+        prop_oneof![
+            any::<u8>().prop_map(BookOp::Open),
+            (any::<u8>(), any::<u8>(), amount()).prop_map(|(a, c, v)| BookOp::Mint(a, c, v)),
+            (any::<u8>(), any::<u8>(), any::<u8>(), amount())
+                .prop_map(|(a, b, c, v)| BookOp::Lock(a, b, c, v)),
+            any::<u8>().prop_map(BookOp::Release),
+            any::<u8>().prop_map(BookOp::Refund),
+        ]
+    }
+
     /// Random operation sequences preserve conservation and never panic.
     #[derive(Debug, Clone)]
     enum Op {
@@ -600,6 +789,50 @@ mod tests {
                     Op::Release(d) => l.release(DealId(d as u64)).err(),
                     Op::Refund(d) => l.refund(DealId(d as u64)).err(),
                 };
+                prop_assert!(l.check_conservation().is_ok());
+            }
+        }
+
+        #[test]
+        fn prop_log_folds_agree_with_the_map_book(ops in proptest::collection::vec(book_op(), 1..120)) {
+            let (mut l, mut m) = (Ledger::new(), MapBook::default());
+            let key = |x: u8| KeyId((x % 6) as u32);
+            let cur = |x: u8| CurrencyId((x % 3) as u32);
+            for op in ops {
+                let (got, want) = match op {
+                    BookOp::Open(a) => (l.open_account(key(a)), m.open_account(key(a))),
+                    BookOp::Mint(a, c, v) => {
+                        let asset = Asset::new(cur(c), v);
+                        (l.mint(key(a), asset), m.mint(key(a), asset))
+                    }
+                    BookOp::Lock(a, b, c, v) => {
+                        let asset = Asset::new(cur(c), v);
+                        let got = l.lock(key(a), key(b), asset);
+                        let want = m.lock(key(a), key(b), asset);
+                        prop_assert_eq!(got, want);
+                        (Ok(()), Ok(()))
+                    }
+                    BookOp::Release(d) => {
+                        let d = DealId(u64::from(d % 8));
+                        (l.release(d), m.settle(d, true))
+                    }
+                    BookOp::Refund(d) => {
+                        let d = DealId(u64::from(d % 8));
+                        (l.refund(d), m.settle(d, false))
+                    }
+                };
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(l.accounts().collect::<Vec<_>>(), m.accounts.clone());
+                prop_assert_eq!(l.deals().collect::<Vec<_>>(), m.deals.clone());
+                for c in (0..3).map(CurrencyId) {
+                    for k in (0..6).map(KeyId) {
+                        prop_assert_eq!(l.balance(k, c), m.balance(k, c));
+                    }
+                    prop_assert_eq!(l.minted_total(c), m.minted.get(&c).copied().unwrap_or(0));
+                    prop_assert_eq!(l.locked_total(c), m.locked_total(c));
+                    let circ: u64 = m.balances.iter().filter(|((_, cc), _)| *cc == c).map(|(_, v)| v).sum();
+                    prop_assert_eq!(l.circulating_total(c), circ);
+                }
                 prop_assert!(l.check_conservation().is_ok());
             }
         }

@@ -5,10 +5,11 @@
 //!
 //! * [`asset`] — currencies and checked amounts (commissions mean the
 //!   values differ hop by hop, possibly in different currencies);
-//! * [`ledger`] — one escrow's book: accounts, direct transfers, escrow
-//!   deals with `Locked → Released | Refunded` lifecycle, a full audit log,
-//!   and the per-currency conservation invariant backing the **ES**
-//!   (escrow security) property;
+//! * [`ledger`] — one escrow's book, which is its audit log: accounts,
+//!   mints and escrow deals with `Locked → Released | Refunded` lifecycle
+//!   are log entries, every balance and total is a fold over the log, and
+//!   the per-currency conservation invariant backs the **ES** (escrow
+//!   security) property;
 //! * [`chain`] — a SHA-256 hash-linked append-only log modelling the
 //!   "permissionless blockchain" on which the smart-contract transaction
 //!   manager of Theorem 3 publishes its decision.

@@ -97,13 +97,14 @@ impl ProtocolHarness for DealsHarness {
         }
     }
 
-    fn build_engine(
+    fn assemble(
         &self,
+        eng: &mut Engine<Self::Msg>,
         ctx: &DealCtx,
         spec: &PaymentSpec,
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
-    ) -> Engine<Self::Msg> {
+    ) {
         let net = layered_net(
             Box::new(SyncNet::new(spec.params.delta, DELAY_BUCKETS)),
             ctx.net,
@@ -119,11 +120,10 @@ impl ProtocolHarness for DealsHarness {
         // escrows and the CBC settle on messages, not clocks.
         let party_clock =
             |p: Party| DriftClock::seeded(spec.seed, p, spec.params.rho_ppm, spec.params.hop());
-        ctx.inst.certified_engine(
+        eng.reset(net, oracle, cfg);
+        ctx.inst.certified_assemble(
+            eng,
             &ctx.signers,
-            net,
-            oracle,
-            cfg,
             party_clock,
             |p, mut party| -> Box<dyn Process<Self::Msg>> {
                 if ctx.withholds == Some(p) {
@@ -140,7 +140,7 @@ impl ProtocolHarness for DealsHarness {
                 });
                 Box::new(party)
             },
-        )
+        );
     }
 
     fn classify(

@@ -4,9 +4,10 @@
 //!
 //! The contract every adapter obeys:
 //!
-//! * **Determinism** — `build_engine` must be a pure function of
+//! * **Determinism** — `assemble` must be a pure function of
 //!   `(instance, spec, oracle behaviour)`: same spec, same oracle choices,
-//!   same run. This is what makes Monte-Carlo reports bit-identical across
+//!   same run, whether the engine it readies is new or ran other payments
+//!   before. This is what makes Monte-Carlo reports bit-identical across
 //!   thread counts and lets the explorer enumerate schedules.
 //! * **Shared fault draw** — the harness does not sample faults; the
 //!   driver draws one [`InstanceFaults`] from the instance's own seed,
@@ -108,15 +109,33 @@ pub trait ProtocolHarness: Sync {
     /// assignment.
     fn instance(&self, spec: &PaymentSpec, faults: &InstanceFaults) -> Self::Instance;
 
-    /// Builds a ready-to-run engine. Must be deterministic given the
-    /// oracle; all run-to-run variation flows through `oracle`.
+    /// Readies `eng` for this instance's run: [`Engine::reset`] with the
+    /// instance's network, `oracle` and engine configuration, then its
+    /// processes. Must be deterministic given the oracle; all run-to-run
+    /// variation flows through `oracle`, none from the runs `eng` made
+    /// before.
+    fn assemble(
+        &self,
+        eng: &mut Engine<Self::Msg>,
+        inst: &Self::Instance,
+        spec: &PaymentSpec,
+        oracle: Box<dyn Oracle>,
+        trace_mode: TraceMode,
+    );
+
+    /// A new engine, [`assemble`](ProtocolHarness::assemble)d and ready
+    /// to run.
     fn build_engine(
         &self,
         inst: &Self::Instance,
         spec: &PaymentSpec,
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
-    ) -> Engine<Self::Msg>;
+    ) -> Engine<Self::Msg> {
+        let mut eng = Engine::default();
+        self.assemble(&mut eng, inst, spec, oracle, trace_mode);
+        eng
+    }
 
     /// Classifies a finished run. `quiescent` / `truncated` come from the
     /// engine's [`anta::engine::RunReport`].
@@ -302,13 +321,28 @@ pub fn sample_instance_faults<H: ProtocolHarness>(
     restricted.sample(spec.n, &mut fault_rng)
 }
 
-/// Runs one payment instance end to end through `harness` and extracts its
-/// metrics. The fault assignment is drawn from the instance's own seed
-/// after restricting `plan` to the harness's supported strategies, so the
-/// draw — and therefore the whole run — is a pure function of
-/// `(harness, spec, plan)`.
+/// Runs one payment instance end to end through `harness` on a new engine
+/// and extracts its metrics. The fault assignment is drawn from the
+/// instance's own seed after restricting `plan` to the harness's supported
+/// strategies, so the draw — and therefore the whole run — is a pure
+/// function of `(harness, spec, plan)`.
 pub fn run_harness_instance<H: ProtocolHarness>(
     harness: &H,
+    spec: &PaymentSpec,
+    plan: &FaultPlan,
+    collect_lock_profile: bool,
+) -> HarnessRun {
+    let mut eng = Engine::default();
+    run_harness_instance_in(harness, &mut eng, spec, plan, collect_lock_profile)
+}
+
+/// [`run_harness_instance`] on `eng`, which the harness resets for the
+/// run: the same row whatever `eng` ran before, a run that panicked
+/// included. A batch that reuses one engine allocates only what a payment
+/// keeps.
+pub fn run_harness_instance_in<H: ProtocolHarness>(
+    harness: &H,
+    eng: &mut Engine<H::Msg>,
     spec: &PaymentSpec,
     plan: &FaultPlan,
     collect_lock_profile: bool,
@@ -321,7 +355,8 @@ pub fn run_harness_instance<H: ProtocolHarness>(
     );
 
     let inst = harness.instance(spec, &faults);
-    let mut eng = harness.build_engine(
+    harness.assemble(
+        eng,
         &inst,
         spec,
         Box::new(RandomOracle::seeded(spec.seed)),
@@ -329,10 +364,10 @@ pub fn run_harness_instance<H: ProtocolHarness>(
     );
     let report = eng.run();
 
-    let outcome = harness.classify(&eng, &inst, spec, report.quiescent, report.truncated);
-    let griefed = harness.griefed(&eng, &inst, outcome);
-    let latency = harness.latency(&eng, &inst, spec, outcome);
-    let profile = harness.lock_events(&eng, &inst, spec);
+    let outcome = harness.classify(eng, &inst, spec, report.quiescent, report.truncated);
+    let griefed = harness.griefed(eng, &inst, outcome);
+    let latency = harness.latency(eng, &inst, spec, outcome);
+    let profile = harness.lock_events(eng, &inst, spec);
     let peak_locked = profile.peak();
     let lock_profile = if collect_lock_profile {
         profile.shifted(spec.arrival)

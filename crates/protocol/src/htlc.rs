@@ -111,13 +111,14 @@ impl ProtocolHarness for HtlcHarness {
         }
     }
 
-    fn build_engine(
+    fn assemble(
         &self,
+        eng: &mut Engine<HMsg>,
         inst: &SwapInstance,
         spec: &PaymentSpec,
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
-    ) -> Engine<HMsg> {
+    ) {
         let net = layered_net(
             Box::new(SyncNet::new(spec.params.delta, DELAY_BUCKETS)),
             inst.net,
@@ -137,8 +138,8 @@ impl ProtocolHarness for HtlcHarness {
         // protocol — HTLC's defect under this model is griefing, not
         // drift.)
         let clock = DriftClock::seeded(spec.seed, 0, spec.params.rho_ppm, spec.params.hop());
-        inst.setup
-            .build_engine(net, oracle, cfg, clock, inst.behaviour)
+        eng.reset(net, oracle, cfg);
+        inst.setup.assemble(eng, clock, inst.behaviour);
     }
 
     fn classify(

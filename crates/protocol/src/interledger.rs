@@ -24,7 +24,7 @@ use crate::harness::{
     layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness, DELAY_BUCKETS,
 };
 use crate::outcome::{LockProfile, ProtocolOutcome};
-use crate::timebounded::{build_chain_engine, classify_chain, ChainInstance, TimeBoundedHarness};
+use crate::timebounded::{assemble_chain, classify_chain, ChainInstance, TimeBoundedHarness};
 use crate::workload::PaymentSpec;
 use anta::engine::Engine;
 use anta::net::SyncNet;
@@ -72,20 +72,22 @@ impl ProtocolHarness for IlpUntunedHarness {
     /// schedule tolerates exactly this adversary; the untuned schedule is
     /// tight only on perfect clocks, so this is where its failure region
     /// lives.
-    fn build_engine(
+    fn assemble(
         &self,
+        eng: &mut Engine<PMsg>,
         inst: &ChainInstance,
         spec: &PaymentSpec,
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
-    ) -> Engine<PMsg> {
-        build_chain_engine(
+    ) {
+        assemble_chain(
+            eng,
             inst,
             SyncNet::worst_case(spec.params.delta),
             ClockPlan::Extremes,
             oracle,
             trace_mode,
-        )
+        );
     }
 
     fn classify(
@@ -162,13 +164,14 @@ impl ProtocolHarness for IlpAtomicHarness {
 
     /// Weak participants, a [`DeadlineTm`] notary in place of the patient
     /// manager, crash substitutions where the fault draw says so.
-    fn build_engine(
+    fn assemble(
         &self,
+        eng: &mut Engine<PMsg>,
         inst: &AtomicInstance,
         spec: &PaymentSpec,
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
-    ) -> Engine<PMsg> {
+    ) {
         let setup = &inst.setup;
         let net = SyncNet::new(spec.params.delta, DELAY_BUCKETS);
         let net = layered_net(Box::new(net), inst.faults.net);
@@ -185,10 +188,9 @@ impl ProtocolHarness for IlpAtomicHarness {
         };
         let crash_at = SimDuration::from_ticks(inst.deadline.ticks() / 4);
 
-        setup.build_engine_cfg(
-            net,
-            oracle,
-            cfg,
+        eng.reset(net, oracle, cfg);
+        setup.assemble(
+            eng,
             |role| {
                 (crash_role == Some(role)).then(|| {
                     Box::new(CrashAfter::new(setup.default_process(role), crash_at))
@@ -200,7 +202,7 @@ impl ProtocolHarness for IlpAtomicHarness {
                     Box::new(DeadlineTm::new(setup, inst.deadline)) as Box<dyn Process<PMsg>>
                 })
             },
-        )
+        );
     }
 
     fn classify(

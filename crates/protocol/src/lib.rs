@@ -107,7 +107,8 @@ pub use deals::DealsHarness;
 pub use explore::explore_harness;
 pub use faults::{ByzFault, FaultPlan, InstanceFaults};
 pub use harness::{
-    run_harness_instance, sample_instance_faults, ByzSupport, HarnessRun, ProtocolHarness,
+    run_harness_instance, run_harness_instance_in, sample_instance_faults, ByzSupport, HarnessRun,
+    ProtocolHarness,
 };
 pub use htlc::HtlcHarness;
 pub use interledger::{IlpAtomicHarness, IlpUntunedHarness};

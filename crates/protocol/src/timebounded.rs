@@ -48,15 +48,17 @@ impl ProtocolHarness for TimeBoundedHarness {
         }
     }
 
-    fn build_engine(
+    fn assemble(
         &self,
+        eng: &mut Engine<PMsg>,
         inst: &ChainInstance,
         spec: &PaymentSpec,
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
-    ) -> Engine<PMsg> {
+    ) {
         // Clocks sampled from the seed.
-        build_chain_engine(
+        assemble_chain(
+            eng,
             inst,
             SyncNet::new(spec.params.delta, DELAY_BUCKETS),
             ClockPlan::Sampled { seed: spec.seed },
@@ -97,26 +99,26 @@ impl ProtocolHarness for TimeBoundedHarness {
     }
 }
 
-/// Builds a Figure 2 chain engine over the base network `net` and the
-/// clocks `clocks`: fault layer only when the instance carries network
+/// Readies `eng` for a Figure 2 chain over the base network `net` and
+/// the clocks `clocks`: fault layer only when the instance carries network
 /// faults, counters-only-capable config derived from the setup, Byzantine
 /// substitution per role. The time-bounded harness and the untuned
 /// Interledger harness differ only in those two arguments.
-pub(crate) fn build_chain_engine(
+pub(crate) fn assemble_chain(
+    eng: &mut Engine<PMsg>,
     inst: &ChainInstance,
     net: SyncNet,
     clocks: ClockPlan,
     oracle: Box<dyn Oracle>,
     trace_mode: TraceMode,
-) -> Engine<PMsg> {
+) {
     let setup = &inst.setup;
     let net = layered_net(Box::new(net), inst.faults.net);
     let mut engine_cfg = setup.engine_config();
     engine_cfg.trace_mode = trace_mode;
+    eng.reset(net, oracle, engine_cfg);
     let byz = inst.faults.byz;
-    setup.build_engine_cfg(net, oracle, clocks, engine_cfg, |role| {
-        byz.substitute(setup, role)
-    })
+    setup.assemble(eng, clocks, |role| byz.substitute(setup, role));
 }
 
 /// Outcome classification; see [`ProtocolOutcome`] for the semantics.

@@ -68,6 +68,7 @@ use crate::faults::FaultPlan;
 use crate::metrics::{LiquidityStats, OpenTelemetry, RoutingStats};
 use crate::runner::{run_instance_isolated, SimConfig};
 use crate::workload::{PaymentSpec, ValuePlan, VenueRoute};
+use anta::engine::Engine;
 use anta::queue::EventQueue;
 use anta::time::SimTime;
 use experiments::parallel_map;
@@ -259,6 +260,8 @@ struct ShardSim<'a, H: ProtocolHarness> {
     tally: GateTally,
     /// Live-routing state (`None` for static-route runs).
     routed: Option<RoutedState>,
+    /// The engine every admitted leg runs on, reset for each.
+    engine: Engine<H::Msg>,
 }
 
 /// The payee-visible value of a payment (its final-hop amount).
@@ -294,6 +297,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
             results: members.iter().map(|_| None).collect(),
             tally: GateTally::default(),
             routed,
+            engine: Engine::default(),
         };
         let period = sim.routed.as_ref().map(|rt| rt.cfg.rebalance_period);
         if let Some(period) = period.filter(|p| !p.is_zero()) {
@@ -519,7 +523,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         }
         let mut legs = legs.into_iter();
         let first = legs.next().expect("a poll that admits yields a leg");
-        let mut r = run_instance_isolated(self.harness, &first, self.plan, true);
+        let mut r = run_instance_isolated(self.harness, &mut self.engine, &first, self.plan, true);
         let mut route = match first {
             Cow::Borrowed(spec) => Cow::Borrowed(&spec.venues),
             Cow::Owned(spec) => Cow::Owned(spec.venues),
@@ -527,7 +531,7 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
         for leg in legs {
             let venues = &mut route.to_mut().venues;
             r.join(
-                run_instance_isolated(self.harness, &leg, self.plan, true),
+                run_instance_isolated(self.harness, &mut self.engine, &leg, self.plan, true),
                 venues.len() as u32,
             );
             venues.extend_from_slice(&leg.venues.venues);

@@ -5,25 +5,29 @@
 //! Each instance is one deterministic engine run — a pure function of its
 //! [`PaymentSpec`], the [`FaultPlan`] and the [`ProtocolHarness`] — so the
 //! aggregate report is **bit-identical across thread counts**; only the
-//! wall time moves. A worker runs its chunk of specs in order, each on a
-//! freshly built engine in [`anta::trace::TraceMode::CountersOnly`], so no
-//! message payload is ever cloned into a trace. The chunk size is worked
-//! out from the spec count alone, never from the thread count, and no
-//! report depends on it.
+//! wall time moves. A worker runs its chunk of specs in order on one
+//! engine, which the harness resets for each payment
+//! ([`anta::engine::Engine::reset`]), so a payment allocates only what it
+//! keeps and the engine's buffers are sized once per chunk. The engine
+//! records in [`anta::trace::TraceMode::CountersOnly`], so no message
+//! payload is ever cloned into a trace. The chunk size is worked out from
+//! the spec count alone, never from the thread count, and no report
+//! depends on it.
 //!
 //! There are two batch entry points, [`run_closed`] and [`run_open`].
 //! Both are generic over the harness and take a pre-generated spec list; a
 //! caller that has only a [`SimConfig`] passes
 //! `&workload::generate(&cfg.workload)`. One payment runs through
-//! [`protocol::run_harness_instance`], and its [`protocol::HarnessRun`] is
+//! [`protocol::run_harness_instance_in`], and its [`protocol::HarnessRun`] is
 //! the row every report and tally folds, beside the spec it came from.
 
 use crate::des;
 use crate::faults::FaultPlan;
 use crate::metrics::{OpenReport, OpenTelemetry, SimReport};
 use crate::workload::{PaymentSpec, WorkloadConfig};
+use anta::engine::Engine;
 use experiments::parallel_map;
-use protocol::harness::{run_harness_instance, HarnessRun, ProtocolHarness};
+use protocol::harness::{run_harness_instance_in, HarnessRun, ProtocolHarness};
 use protocol::liquidity::LiquidityConfig;
 use protocol::network::RoutingConfig;
 
@@ -72,7 +76,8 @@ pub fn run_closed<H: ProtocolHarness>(
 }
 
 /// The one batch loop: `specs` chunked by [`chunk_len`], every instance
-/// of a chunk simulated in order on one worker (panic-isolated), and the
+/// of a chunk simulated in order on one worker and one engine
+/// (panic-isolated), and the
 /// chunk handed to `fold` **on that worker** as `(specs, their rows)`.
 /// Folded chunks come back in spec order, so whatever the caller builds
 /// from them is bit-identical across thread counts — and a caller that
@@ -96,9 +101,12 @@ where
     );
     let chunks: Vec<&[PaymentSpec]> = specs.chunks(chunk_len(specs.len())).collect();
     parallel_map(&chunks, cfg.threads, |chunk| {
+        let mut eng = Engine::default();
         let rows = chunk
             .iter()
-            .map(|spec| run_instance_isolated(harness, spec, &cfg.faults, cfg.lock_profile))
+            .map(|spec| {
+                run_instance_isolated(harness, &mut eng, spec, &cfg.faults, cfg.lock_profile)
+            })
             .collect();
         fold(chunk, rows)
     })
@@ -111,7 +119,7 @@ fn chunk_len(specs: usize) -> usize {
     specs.div_ceil(8).clamp(1, 64)
 }
 
-/// [`run_harness_instance`] under panic isolation: a harness that panics
+/// [`run_harness_instance_in`] under panic isolation: a harness that panics
 /// degrades the instance to a counted [`InstanceOutcome::Failed`] row
 /// instead of tearing down the whole campaign. There is no retry: a run
 /// is a pure function of `(spec, plan)`, so a second attempt would panic
@@ -120,18 +128,20 @@ fn chunk_len(specs: usize) -> usize {
 /// layer surfaces those seeds in its report.
 ///
 /// The `Failed` row is [`HarnessRun::never_ran`]: no latency, no locked
-/// value, no lock profile, no fault attribution.
+/// value, no lock profile, no fault attribution. `eng` stays usable: the
+/// next payment's harness resets it.
 ///
 /// [`InstanceOutcome::Failed`]: crate::metrics::InstanceOutcome::Failed
 pub(crate) fn run_instance_isolated<H: ProtocolHarness>(
     harness: &H,
+    eng: &mut Engine<H::Msg>,
     spec: &PaymentSpec,
     plan: &FaultPlan,
     lock_profile: bool,
 ) -> HarnessRun {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     catch_unwind(AssertUnwindSafe(|| {
-        run_harness_instance(harness, spec, plan, lock_profile)
+        run_harness_instance_in(harness, eng, spec, plan, lock_profile)
     }))
     .unwrap_or_else(|_| {
         HarnessRun::never_ran(
@@ -445,7 +455,8 @@ mod tests {
     use anta::net::NetFaults;
     use anta::time::SimDuration;
     use protocol::{
-        DealsHarness, HtlcHarness, IlpAtomicHarness, IlpUntunedHarness, TimeBoundedHarness,
+        run_harness_instance, DealsHarness, HtlcHarness, IlpAtomicHarness, IlpUntunedHarness,
+        TimeBoundedHarness,
     };
 
     /// `cfg`'s own workload through `harness`, closed.

@@ -50,13 +50,24 @@ row '\bInterledgerHarness\b' "$code" \
     '^crates/sim/src/compat.rs:|^crates/sim/src/lib.rs:[0-9]+:pub use compat::InterledgerHarness;$' \
     "only benchmark/ may name InterledgerHarness (sim's compat shim); use IlpUntunedHarness / IlpAtomicHarness"
 
-# The simulator keeps no engine pre-sizing: a payment runs on a freshly
-# built engine, and the chunk size is worked out from the spec count.
+# The simulator keeps no engine pre-sizing: a payment runs on an engine
+# its harness resets (Engine::reset keeps the buffers the chunk's earlier
+# payments grew), and the chunk size is worked out from the spec count.
 row 'queue_high|reserve_capacity|queue_high_water' "$code" \
     '^crates/anta/src/|^crates/sim/src/compat.rs:' \
     "engine pre-sizing is anta's own API, called only from benchmark/ (and compat's ignored argument)"
 row '\bbatch:|\.batch\b' 'crates/sim crates/protocol tests examples' '' \
     "deleted: SimConfig and CampaignConfig have no batch knob; simulate_specs chunks by spec count"
+
+# A payment allocates what it keeps: a registration batch's keys share one
+# slab, and an escrow's book is its audit log, every query a fold over it
+# (the tests' reference book, after `#[cfg(test)]`, keeps its maps).
+row 'Arc<Key>' 'crates/crypto/src' '' \
+    "a key lives in its registration batch's slab (Arc<[Key]>), not in an Arc of its own"
+if sed '/^#\[cfg(test)\]/,$d' crates/ledger/src/ledger.rs | grep -nE '\bBTreeMap\b'; then
+    echo "lint: crates/ledger/src/ledger.rs keeps no map: a Ledger is its audit log"
+    bad=1
+fi
 
 # One row per payment: the harness's HarnessRun is what every report and
 # tally folds, beside the spec it came from.

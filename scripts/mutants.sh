@@ -155,5 +155,22 @@ row crates/crypto/src/cert.rs 's/Verdict::Commit => 1,(\s+)Verdict::Abort => 2,/
     "cargo test -q --offline -p consensus" \
     "χc and χa swap their signed byte (consensus msg::tests::verdict_payloads_are_pinned)"
 
+# A reset engine forgets its last run: fingerprinting and the trace's
+# counters go with it, or a reused engine's next payment reads them.
+reuse='cargo test -q --offline --test engine_reuse'
+row crates/anta/src/engine.rs 's/fx_buf,(\s+)\.\.Engine::new\(net, oracle, cfg\)/fx_buf,$1fp: self.fp.take(),$1..Engine::new(net, oracle, cfg)/' \
+    "$reuse" "reset keeps the last run's fingerprinting on (engine_reuse::a_reused_engine_runs_every_payment_as_a_new_one_does)"
+row crates/anta/src/trace.rs 's/delivered_to,(\s+)\.\.Self::with_mode\(mode\)/delivered_to,$1sent: self.sent,$1delivered: self.delivered,$1..Self::with_mode(mode)/' \
+    "$reuse" "reset keeps the trace's sent and delivered counts (engine_reuse::a_reused_engine_runs_every_payment_as_a_new_one_does)"
+
+# A book is its audit log: a refund's fold credits the depositor.
+row crates/ledger/src/ledger.rs 's/let to = if released \{ d\.beneficiary \} else \{ d\.depositor \};/let to = d.beneficiary;/' \
+    "$tier1" "a refund is credited to the beneficiary (tier-1: baselines::htlc_griefing_timeout_refund, the pinned time-bounded traces and baseline digests, …)"
+
+# A committee's quorum is k − f: two quorums share an honest member.
+row crates/crypto/src/cert.rs 's/    k - f\n/    2 * f + 1\n/' \
+    "cargo test -q --offline -p consensus --lib core::tests::a_byzantine_leader_cannot_split_a_committee" \
+    "a committee of 5 or 6 decides on quorums of 2f + 1 (consensus core::tests::a_byzantine_leader_cannot_split_a_committee)"
+
 echo "mutants: $((SECONDS - start)) s"
 exit $bad

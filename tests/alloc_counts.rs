@@ -6,6 +6,7 @@
 //! pinned here per harness. Signing and verifying allocate nothing: every
 //! signed payload and frame fits its stack buffer.
 
+use crosschain::anta::engine::Engine;
 use crosschain::anta::net::NetFaults;
 use crosschain::anta::time::SimDuration;
 use crosschain::consensus::msg::{
@@ -17,7 +18,7 @@ use crosschain::payment::msg::{
     promise_payload, tm_input_payload, PromiseKind, SignedPromise, TmInput, TmInputKind,
     DOM_PROMISE, DOM_TM_INPUT,
 };
-use crosschain::protocol::{run_harness_instance, with_harness, HARNESS_LABELS};
+use crosschain::protocol::{run_harness_instance_in, with_harness, HARNESS_LABELS};
 use crosschain::sim::prelude::*;
 use crosschain::sim::workload;
 use crosschain::xcrypto::cert::{DOM_DECISION, DOM_RECEIPT};
@@ -90,8 +91,9 @@ fn mixed_faults() -> FaultPlan {
     }
 }
 
-/// Allocations of `run_harness_instance` on 96 linear-3 specs (seed 42)
-/// under the mixed fault plan, per harness of `HARNESS_LABELS`.
+/// Allocations of 96 linear-3 payments (seed 42) under the mixed fault
+/// plan, per harness of `HARNESS_LABELS`, on the runner's path: one engine
+/// reused for every payment through `run_harness_instance_in`.
 #[test]
 fn payment_instances_allocate_exactly_the_pinned_counts() {
     let specs = workload::generate(&WorkloadConfig::new(
@@ -104,19 +106,20 @@ fn payment_instances_allocate_exactly_the_pinned_counts() {
         .iter()
         .map(|&label| {
             let total = with_harness!(label, |h| allocations_in(|| {
+                let mut eng = Engine::default();
                 for spec in &specs {
-                    run_harness_instance(&h, spec, &plan, false);
+                    run_harness_instance_in(&h, &mut eng, spec, &plan, false);
                 }
             }));
             (label, total)
         })
         .collect();
     let want = [
-        ("timebounded", 5_703),
-        ("htlc", 3_586),
-        ("ilp-untuned", 5_870),
-        ("ilp-atomic", 9_088),
-        ("deals", 7_078),
+        ("timebounded", 2_597),
+        ("htlc", 1_906),
+        ("ilp-untuned", 2_784),
+        ("ilp-atomic", 5_285),
+        ("deals", 4_134),
     ];
     assert_eq!(
         got,

@@ -358,14 +358,15 @@ impl ProtocolHarness for PoisonedHarness {
         TimeBoundedHarness.instance(spec, faults)
     }
 
-    fn build_engine(
+    fn assemble(
         &self,
+        eng: &mut Engine<Self::Msg>,
         inst: &Self::Instance,
         spec: &PaymentSpec,
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
-    ) -> Engine<Self::Msg> {
-        TimeBoundedHarness.build_engine(inst, spec, oracle, trace_mode)
+    ) {
+        TimeBoundedHarness.assemble(eng, inst, spec, oracle, trace_mode)
     }
 
     fn classify(
