@@ -252,17 +252,19 @@ impl NetFaults {
 
 /// Fault-injecting wrapper around any [`NetModel`]: first the inner model
 /// decides the nominal delivery, then bounded extra delay and message
-/// drops are applied on top, driven by the oracle per [`NetFaults`].
-pub struct FaultyNet<M> {
-    inner: Box<dyn NetModel<M>>,
+/// drops are applied on top, driven by the oracle per [`NetFaults`]. It
+/// holds the inner model by value, so a faulty network is one allocation
+/// when boxed for an engine.
+pub struct FaultyNet<N> {
+    inner: N,
     faults: NetFaults,
 }
 
-impl<M: 'static> FaultyNet<M> {
+impl<N> FaultyNet<N> {
     /// Layers `faults` over `inner`. Panics if a probability exceeds
     /// 1000‰ — a silent clamp would turn a per-cent/per-mille mix-up into
     /// an always-firing fault.
-    pub fn new(inner: Box<dyn NetModel<M>>, faults: NetFaults) -> Self {
+    pub fn new(inner: N, faults: NetFaults) -> Self {
         assert!(
             faults.drop_permille <= 1000 && faults.delay_permille <= 1000,
             "NetFaults probabilities are per-mille (0..=1000): {faults:?}"
@@ -276,7 +278,7 @@ impl<M: 'static> FaultyNet<M> {
     }
 }
 
-impl<M: 'static> NetModel<M> for FaultyNet<M> {
+impl<M, N: NetModel<M>> NetModel<M> for FaultyNet<N> {
     fn route(&mut self, meta: &EnvelopeMeta, msg: &M, oracle: &mut dyn Oracle) -> Delivery {
         let nominal = self.inner.route(meta, msg, oracle);
         let at = match nominal {
@@ -446,7 +448,7 @@ mod tests {
     fn faulty_net_none_is_transparent() {
         let delta = SimDuration::from_ticks(70);
         let mut plain = SyncNet::worst_case(delta);
-        let mut wrapped = FaultyNet::new(Box::new(SyncNet::worst_case(delta)), NetFaults::NONE);
+        let mut wrapped = FaultyNet::new(SyncNet::worst_case(delta), NetFaults::NONE);
         assert!(NetFaults::NONE.is_none());
         let mut o1 = RandomOracle::seeded(1);
         let mut o2 = RandomOracle::seeded(1);
@@ -468,7 +470,7 @@ mod tests {
             delay_buckets: 8,
         };
         assert!(!faults.is_none());
-        let mut net = FaultyNet::new(Box::new(SyncNet::worst_case(delta)), faults);
+        let mut net = FaultyNet::new(SyncNet::worst_case(delta), faults);
         let mut o = RandomOracle::seeded(7);
         let (mut dropped, mut delayed, total) = (0usize, 0usize, 4_000u64);
         for i in 0..total {
@@ -499,10 +501,7 @@ mod tests {
             delay_buckets: 4,
         };
         let run = |seed: u64| -> Vec<Delivery> {
-            let mut net = FaultyNet::new(
-                Box::new(SyncNet::new(SimDuration::from_ticks(20), 8)),
-                faults,
-            );
+            let mut net = FaultyNet::new(SyncNet::new(SimDuration::from_ticks(20), 8), faults);
             let mut o = RandomOracle::seeded(seed);
             (0..200)
                 .map(|i| net.route(&meta(i), &0u32, &mut o))
@@ -515,8 +514,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "per-mille")]
     fn faulty_net_rejects_out_of_range_probabilities() {
-        let _ = FaultyNet::<u32>::new(
-            Box::new(SyncNet::worst_case(SimDuration::from_ticks(1))),
+        let _ = FaultyNet::new(
+            SyncNet::worst_case(SimDuration::from_ticks(1)),
             NetFaults {
                 drop_permille: 10_000,
                 ..NetFaults::NONE
@@ -532,7 +531,7 @@ mod tests {
             ..NetFaults::NONE
         };
         let inner = drop_to_9();
-        let mut net = FaultyNet::new(Box::new(inner), faults);
+        let mut net = FaultyNet::new(inner, faults);
         let mut o = RandomOracle::seeded(5);
         let victim = EnvelopeMeta {
             from: 0,

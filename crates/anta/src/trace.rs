@@ -346,20 +346,18 @@ impl<M> Trace<M> {
             .map(|(_, real, _, _)| real)
     }
 
-    /// Real halt time of `pid`, if it halted.
-    pub fn halt_time(&self, pid: Pid) -> Option<SimTime> {
-        self.events.iter().find_map(|e| match e.kind {
-            TraceKind::Halted { pid: p, .. } if p == pid => Some(e.real),
+    /// Every `Halted` event, as `(pid, real, local)`, in order: one pass
+    /// answers the halts of every process.
+    pub fn halts(&self) -> impl Iterator<Item = (Pid, SimTime, SimTime)> + '_ {
+        self.events.iter().filter_map(|e| match e.kind {
+            TraceKind::Halted { pid, local } => Some((pid, e.real, local)),
             _ => None,
         })
     }
 
-    /// Local clock reading at which `pid` halted.
-    pub fn halt_local_time(&self, pid: Pid) -> Option<SimTime> {
-        self.events.iter().find_map(|e| match e.kind {
-            TraceKind::Halted { pid: p, local } if p == pid => Some(local),
-            _ => None,
-        })
+    /// Real halt time of `pid`, if it halted.
+    pub fn halt_time(&self, pid: Pid) -> Option<SimTime> {
+        self.halts().find(|h| h.0 == pid).map(|h| h.1)
     }
 
     /// Number of messages delivered to `to` (any sender). O(1): maintained
@@ -562,7 +560,7 @@ mod tests {
         assert_eq!(tr.delivered_count(0), 0);
         assert_eq!(tr.dropped_count(), 1);
         assert_eq!(tr.halt_time(1), Some(t(3)));
-        assert_eq!(tr.halt_local_time(1), Some(t(4)));
+        assert_eq!(tr.halts().collect::<Vec<_>>(), [(1, t(3), t(4))]);
         assert_eq!(tr.halt_time(0), None);
         assert_eq!(tr.end_time(), t(3));
     }

@@ -283,7 +283,7 @@ impl Process<PMsg> for ImpersonatingAborter {
             self.payment,
             self.victim_index,
         );
-        for tm in self.tm_pids.clone() {
+        for tm in self.tm_pids.start..self.tm_pids.end {
             ctx.send(tm, PMsg::TmInput(forged));
         }
         ctx.mark("impersonated_abort_sent", self.victim_index as i64);

@@ -14,6 +14,7 @@
 use anta::time::SimDuration;
 use consensus::ConsMsg;
 use ledger::Asset;
+use std::sync::Arc;
 use xcrypto::wire::Payload;
 use xcrypto::{DecisionCert, KeyId, PaymentId, Pki, Receipt, Signature, Signer, Verdict};
 
@@ -179,8 +180,9 @@ pub enum PMsg {
     /// Weak protocol: Bob's signed acceptance sent to the TM (χ addressed
     /// to the manager rather than up the chain).
     Accept(Receipt),
-    /// Weak protocol: the decision certificate χc / χa.
-    Decision(DecisionCert),
+    /// Weak protocol: the decision certificate χc / χa, shared by every
+    /// copy a manager sends.
+    Decision(Arc<DecisionCert>),
     /// Weak protocol, notary-committee manager: embedded consensus traffic.
     Cons(ConsMsg),
 }
@@ -291,7 +293,11 @@ mod tests {
         assert_eq!(m.kind(), "$");
         let chi = PMsg::Receipt(Receipt::issue(&s[3], payment));
         assert_eq!(chi.kind(), "chi");
-        let d = PMsg::Decision(DecisionCert::issue_single(&s[0], payment, Verdict::Abort));
+        let d = PMsg::Decision(Arc::new(DecisionCert::issue_single(
+            &s[0],
+            payment,
+            Verdict::Abort,
+        )));
         assert_eq!(d.kind(), "chi-a");
     }
 }

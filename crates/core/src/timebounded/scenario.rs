@@ -205,22 +205,31 @@ pub struct ChainOutcome {
 }
 
 impl ChainOutcome {
-    /// Extracts the outcome from a finished engine.
+    /// Extracts the outcome from a finished engine: one pass over the
+    /// trace for every customer's halt, one fold per escrow book.
     pub fn extract(eng: &Engine<PMsg>, setup: &ChainSetup, quiescent: bool) -> Self {
         let (n, topo) = (setup.chain.n(), &setup.chain.topo);
         let customer = |i| eng.process_as::<CustomerProcess>(topo.customer_pid(i));
         let escrow = |i| eng.process_as::<EscrowProcess>(topo.escrow_pid(i));
-        let customers = (0..=n)
+        let mut customers: Vec<_> = (0..=n)
             .map(|i| {
-                let pid = topo.customer_pid(i);
                 customer(i).map(|c| CustomerView {
                     outcome: c.outcome(),
                     sent_money: c.sent_money(),
-                    halted_at: eng.trace().halt_time(pid),
-                    halted_local: eng.trace().halt_local_time(pid),
+                    halted_at: None,
+                    halted_local: None,
                 })
             })
             .collect();
+        for (pid, real, local) in eng.trace().halts() {
+            let Some(Role::Customer(i)) = topo.role_of(pid) else {
+                continue;
+            };
+            // The engine records one halt per process.
+            if let Some(v) = customers[i].as_mut() {
+                (v.halted_at, v.halted_local) = (Some(real), Some(local));
+            }
+        }
         let escrow_states = (0..n)
             .map(|i| escrow(i).map(EscrowProcess::state))
             .collect();

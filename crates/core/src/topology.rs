@@ -321,11 +321,10 @@ impl Chain {
         let mut pki = Pki::new(seed);
         let mut signers = pki.register_many(2 * n + 1 + extra);
         let extra = signers.split_off(2 * n + 1);
-        let ids: Vec<KeyId> = signers.iter().map(|&(id, _)| id).collect();
         let chain = Chain {
             topo,
             plan,
-            payment: PaymentId::derive(seed, &ids),
+            payment: PaymentId::derive(seed, signers.iter().map(|(id, _)| id)),
             pki: Arc::new(pki),
             signers,
         };
@@ -387,29 +386,27 @@ impl Chain {
     /// customer `c_0..=c_n` her net value change: her balances at
     /// `e_{i-1}` and `e_i`, less the capital [`Chain::escrow_book`] minted
     /// to her at `e_i`. A position next to a substituted escrow is `None`.
-    /// Net positions are only meaningful for single-currency plans.
+    /// Net positions are only meaningful for single-currency plans. Each
+    /// book is folded once ([`Ledger::fold`]).
     pub fn audit<'a>(
         &self,
         book: impl Fn(usize) -> Option<&'a Ledger>,
     ) -> (Vec<Option<bool>>, Vec<Option<i64>>) {
         let n = self.topo.n;
-        let conservation = (0..n)
-            .map(|i| book(i).map(|l| l.check_conservation().is_ok()))
-            .collect();
-        let amounts = &self.plan.amounts;
-        let net = (0..=n)
-            .map(|i| {
-                let key = self.signers[i].0;
-                let held = |e: usize| Some(book(e)?.balance(key, amounts[e].currency) as i64);
-                let down = if i < n {
-                    held(i)? - amounts[i].amount as i64
-                } else {
-                    0
-                };
-                let up = if i > 0 { held(i - 1)? } else { 0 };
-                Some(down + up)
-            })
-            .collect();
+        let mut conservation = Vec::with_capacity(n);
+        let mut net = vec![Some(0i64); n + 1];
+        for (e, asset) in self.plan.amounts.iter().enumerate() {
+            let fold = book(e).map(Ledger::fold);
+            conservation.push(fold.as_ref().map(|f| f.check_conservation().is_ok()));
+            // e_e holds c_e's downstream side, less the capital minted to
+            // her there, and c_{e+1}'s upstream side.
+            for (i, minted) in [(e, asset.amount as i64), (e + 1, 0)] {
+                let held = fold
+                    .as_ref()
+                    .map(|f| f.balance(self.signers[i].0, asset.currency) as i64);
+                net[i] = net[i].zip(held).map(|(v, h)| v + h - minted);
+            }
+        }
         (conservation, net)
     }
 }

@@ -64,8 +64,7 @@ impl CertCollector {
                 bucket.push(*sig);
             }
         }
-        let assembled = DecisionCert::assemble(payment, cert.verdict, bucket.clone());
-        if assembled.verify(pki, authority) {
+        if DecisionCert::verify_sigs(&payment, cert.verdict, bucket, pki, authority) {
             self.accepted = Some(cert.verdict);
             self.accepted
         } else {
@@ -201,7 +200,7 @@ impl WeakCustomer {
         self.st.acted = true;
         if self.is_bob() {
             let chi = Receipt::issue(&self.signer, self.payment);
-            for tm in self.tm_pids.clone() {
+            for tm in self.tm_pids.start..self.tm_pids.end {
                 ctx.send(tm, PMsg::Accept(chi));
             }
             ctx.mark("weak_bob_accept", 0);
@@ -258,7 +257,7 @@ impl Process<PMsg> for WeakCustomer {
                     self.payment,
                     self.index as u64,
                 );
-                for tm in self.tm_pids.clone() {
+                for tm in self.tm_pids.start..self.tm_pids.end {
                     ctx.send(tm, PMsg::TmInput(req));
                 }
                 ctx.mark("weak_abort_requested", self.index as i64);
@@ -325,7 +324,7 @@ impl Process<PMsg> for WeakEscrow {
                 }
                 let notice =
                     TmInput::issue(&c.signer, TmInputKind::Locked, c.payment, c.index as u64);
-                for tm in self.tm_pids.clone() {
+                for tm in self.tm_pids.start..self.tm_pids.end {
                     ctx.send(tm, PMsg::TmInput(notice));
                 }
             }

@@ -216,9 +216,14 @@ impl WeakOutcome {
         let abort_requested = (0..=n)
             .map(|i| customer(i).map(WeakCustomer::abort_requested))
             .collect();
-        let all_terminated = (0..=n).all(|i| {
-            customer(i).is_none() || eng.trace().halt_time(topo.customer_pid(i)).is_some()
-        });
+        // The engine records one halt per process, so one pass over the
+        // halts counts the compliant customers that terminated.
+        let compliant = |pid| match topo.role_of(pid) {
+            Some(Role::Customer(i)) => customer_verdicts[i].is_some(),
+            _ => false,
+        };
+        let halted = eng.trace().halts().filter(|&(pid, ..)| compliant(pid));
+        let all_terminated = halted.count() == customer_verdicts.iter().flatten().count();
         let escrow = |i| eng.process_as::<WeakEscrow>(topo.escrow_pid(i));
         let escrow_verdicts: Vec<_> = (0..n).map(|i| escrow(i).map(WeakEscrow::verdict)).collect();
         let (conservation, net_positions) = chain.audit(|i| escrow(i).map(WeakEscrow::ledger));

@@ -191,7 +191,11 @@ impl TrustedTm {
             return;
         }
         self.st.decided = Some(v);
-        let cert = DecisionCert::issue_single(&self.signer, self.st.evidence.payment, v);
+        let cert = Arc::new(DecisionCert::issue_single(
+            &self.signer,
+            self.st.evidence.payment,
+            v,
+        ));
         self.record(&DecisionCert::payload(&self.st.evidence.payment, v));
         ctx.mark(
             match v {
@@ -200,7 +204,7 @@ impl TrustedTm {
             },
             0,
         );
-        for p in self.participants.clone() {
+        for p in self.participants.start..self.participants.end {
             ctx.send(p, PMsg::Decision(cert.clone()));
         }
         ctx.halt();
@@ -386,12 +390,12 @@ impl NotaryTm {
                         0,
                     );
                     let payload = DecisionCert::payload(&self.st.evidence.payment, value);
-                    let share = DecisionCert::assemble(
+                    let share = Arc::new(DecisionCert::assemble(
                         self.st.evidence.payment,
                         value,
                         vec![self.signer.sign(xcrypto::cert::DOM_DECISION, &payload)],
-                    );
-                    for p in self.participants.clone() {
+                    ));
+                    for p in self.participants.start..self.participants.end {
                         ctx.send(p, PMsg::Decision(share.clone()));
                     }
                 }

@@ -42,7 +42,12 @@ impl PaymentId {
     /// SHA-256 of a [`Payload`] (label, seed, count) followed by each
     /// participant's `be32` id, streamed, so any number of participants
     /// hashes without an allocation.
-    pub fn derive(seed: u64, participants: &[KeyId]) -> Self {
+    pub fn derive<'a, I>(seed: u64, participants: I) -> Self
+    where
+        I: IntoIterator<Item = &'a KeyId>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let participants = participants.into_iter();
         let mut head = Payload::new(b"xchain/payment-id");
         head.put_u64(seed).put_u64(participants.len() as u64);
         let mut h = Sha256::new();
@@ -200,14 +205,25 @@ impl DecisionCert {
 
     /// Verifies the certificate against an authority spec.
     pub fn verify(&self, pki: &Pki, authority: &Authority) -> bool {
-        let payload = Self::payload(&self.payment, self.verdict);
+        Self::verify_sigs(&self.payment, self.verdict, &self.sigs, pki, authority)
+    }
+
+    /// Whether `sigs` would make a certificate of `verdict` on `payment`
+    /// that [`DecisionCert::verify`] accepts, without assembling one.
+    pub fn verify_sigs(
+        payment: &PaymentId,
+        verdict: Verdict,
+        sigs: &[Signature],
+        pki: &Pki,
+        authority: &Authority,
+    ) -> bool {
+        let payload = Self::payload(payment, verdict);
         match authority {
-            Authority::Single(id) => self
-                .sigs
+            Authority::Single(id) => sigs
                 .iter()
                 .any(|s| s.signer == *id && pki.verify(s, DOM_DECISION, &payload)),
             Authority::Committee { members, threshold } => {
-                pki.verify_quorum(&self.sigs, DOM_DECISION, &payload, members, *threshold)
+                pki.verify_quorum(sigs, DOM_DECISION, &payload, members, *threshold)
             }
         }
     }

@@ -27,7 +27,9 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs `f` over every item, using up to `threads` worker threads (0 ⇒
 /// all available cores). Results are returned in input order. `f` must be
-/// deterministic per item for reproducible sweeps.
+/// deterministic per item for reproducible sweeps. When that is one
+/// worker (`threads == 1`, or a single item), it runs on the calling
+/// thread.
 ///
 /// A panicking item does not stop its siblings: every other item still
 /// runs to completion and merges, and only then does `parallel_map` panic,
@@ -54,29 +56,32 @@ where
     let run_item = |i: usize| -> Result<O, String> {
         catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|p| payload_message(p.as_ref()))
     };
-    let gathered: Vec<(usize, Result<O, String>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    // Disjoint per-worker buffer: no result-side contention,
-                    // items are claimed via the lock-free cursor only.
-                    let mut local: Vec<(usize, Result<O, String>)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, run_item(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker died outside an item"))
-            .collect()
-    });
+    // One worker's loop: items are claimed through the lock-free cursor
+    // and gathered in the worker's own buffer, so results never contend.
+    let work = || {
+        let mut local: Vec<(usize, Result<O, String>)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            local.push((i, run_item(i)));
+        }
+        local
+    };
+    // A single worker runs on the calling thread: a one-thread sweep
+    // spawns nothing.
+    let gathered: Vec<(usize, Result<O, String>)> = if threads == 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep worker died outside an item"))
+                .collect()
+        })
+    };
     let mut results: Vec<Option<Result<O, String>>> = (0..items.len()).map(|_| None).collect();
     for (i, o) in gathered {
         results[i] = Some(o);
@@ -175,6 +180,36 @@ mod tests {
             assert!(msg.contains("poisoned seed 17"), "{msg}");
             assert_eq!(finished.load(Ordering::SeqCst), 49, "threads {threads}");
         }
+    }
+
+    /// One worker runs on the calling thread, with the same panic
+    /// isolation: a poisoned item still lets its siblings finish and is
+    /// reported after the merge.
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..6).collect();
+        for (threads, items) in [(1, &items[..]), (4, &items[..1])] {
+            let ids = parallel_map(items, threads, |_| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id == caller), "threads {threads}");
+        }
+        let finished = AtomicUsize::new(0);
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(&items, 1, |&x| {
+                assert_eq!(std::thread::current().id(), caller);
+                if x == 2 {
+                    panic!("poisoned on the caller");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                x
+            })
+        }));
+        let msg = payload_message(r.expect_err("must propagate").as_ref());
+        assert!(
+            msg.contains("item 2") && msg.contains("poisoned on the caller"),
+            "{msg}"
+        );
+        assert_eq!(finished.load(Ordering::SeqCst), 5);
     }
 
     /// A panicking item fails the sweep, but only after the full merge,

@@ -9,15 +9,19 @@
 //!
 //! A [`Ledger`] is one escrow's book, kept as its audit log alone:
 //! accounts, mints, escrow deals (locked value) and their settlements are
-//! entries, and every balance, deal state and total is a fold over them.
-//! The per-currency conservation invariant (`minted = circulating +
-//! locked`) sums the accounts' folded balances against the folded mints
-//! and locks. The **ES (escrow security)** property of Definition 1 —
+//! entries. One pass over them, [`Ledger::fold`], yields every balance,
+//! deal state and total at once; the book's totals and its conservation
+//! check are views of that fold, and the three questions its own
+//! mutations ask (a balance, a currency's minted total, a deal) read only
+//! the entries they need. The per-currency conservation invariant
+//! (`minted = circulating + locked`) sums the accounts' folded balances
+//! against the folded mints and locks. The **ES (escrow security)** property of Definition 1 —
 //! *an escrow that abides by the protocol does not lose money* — is
 //! checked against exactly this invariant plus the at-most-once
 //! settlement discipline of [`DealState`].
 
 use crate::asset::{Asset, CurrencyId};
+use crate::small::Small;
 use std::hash::{Hash, Hasher};
 use xcrypto::KeyId;
 
@@ -153,17 +157,27 @@ impl std::error::Error for LedgerError {}
 
 /// One escrow's book of accounts and deals: its audit log and nothing
 /// else. Every query folds the log, which a book of a few accounts and one
-/// or two deals keeps a handful of entries long.
-#[derive(Debug, Clone, Default)]
+/// or two deals keeps a handful of entries long: a book of two accounts
+/// and one deal keeps its whole log inline.
+#[derive(Debug, Clone)]
 pub struct Ledger {
-    log: Vec<AuditEntry>,
+    log: Small<AuditEntry, 5>,
+}
+
+impl Default for Ledger {
+    fn default() -> Self {
+        // The filler only occupies the log's unused slots.
+        Ledger {
+            log: Small::new(AuditEntry::OpenAccount { owner: KeyId(0) }),
+        }
+    }
 }
 
 /// A book is hashed through its audit log: the log records every mutation
 /// in order, so equal logs mean equal books.
 impl Hash for Ledger {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.log.hash(state);
+        self.audit().hash(state);
     }
 }
 
@@ -175,13 +189,10 @@ impl Ledger {
 
     /// A fresh book with one account per key of `owners`, opened in that
     /// order, and `asset` minted to `holder` — the funded escrow book every
-    /// protocol starts from. Its log has room for one deal's lock and
-    /// settlement too. Panics if `owners` repeats a key or does not
+    /// protocol starts from. Panics if `owners` repeats a key or does not
     /// contain `holder`: both are assembly bugs, not runtime conditions.
     pub fn funded(owners: &[KeyId], holder: KeyId, asset: Asset) -> Self {
-        let mut book = Ledger {
-            log: Vec::with_capacity(owners.len() + 3),
-        };
+        let mut book = Ledger::new();
         for &owner in owners {
             book.open_account(owner)
                 .expect("funded book: owners are distinct");
@@ -213,8 +224,56 @@ impl Ledger {
         })
     }
 
+    /// Every balance, deal and total of the book, from one pass over its
+    /// log. A caller asking several questions of a book folds it once.
+    pub fn fold(&self) -> Fold {
+        let mut f = Fold::new();
+        // In log order every partial sum is a balance the book once held,
+        // so nothing under- or overflows.
+        for e in self.audit() {
+            match *e {
+                AuditEntry::OpenAccount { .. } => {}
+                AuditEntry::Mint { to, asset } => {
+                    *row(&mut f.balances, (to, asset.currency)) += asset.amount;
+                    *row(&mut f.minted, asset.currency) += asset.amount;
+                }
+                AuditEntry::Lock {
+                    deal,
+                    depositor,
+                    beneficiary,
+                    asset,
+                } => {
+                    *row(&mut f.balances, (depositor, asset.currency)) -= asset.amount;
+                    f.deals.push(EscrowDeal {
+                        id: deal,
+                        depositor,
+                        beneficiary,
+                        asset,
+                        state: DealState::Locked,
+                    });
+                }
+                AuditEntry::Release { deal } | AuditEntry::Refund { deal } => {
+                    let d = f.deals.iter_mut().find(|d| d.id == deal);
+                    let d = d.expect("a settlement follows its lock");
+                    let payee = if matches!(e, AuditEntry::Release { .. }) {
+                        d.state = DealState::Released;
+                        d.beneficiary
+                    } else {
+                        d.state = DealState::Refunded;
+                        d.depositor
+                    };
+                    let asset = d.asset;
+                    *row(&mut f.balances, (payee, asset.currency)) += asset.amount;
+                }
+            }
+        }
+        f
+    }
+
     /// Balance of `who` in `currency` (zero if none): what was minted to
-    /// it, less what it locked, plus what settled to it.
+    /// it, less what it locked, plus what settled to it. Like
+    /// [`Ledger::minted_total`] and [`Ledger::deal`], a question the book's
+    /// own mutations ask, so it reads only the entries it needs.
     pub fn balance(&self, who: KeyId, currency: CurrencyId) -> u64 {
         // In log order every partial sum is a balance the book once held,
         // so nothing under- or overflows.
@@ -348,7 +407,7 @@ impl Ledger {
     /// Looks up a deal.
     pub fn deal(&self, deal: DealId) -> Option<EscrowDeal> {
         let mut d = self.locked(deal)?;
-        for e in &self.log {
+        for e in self.audit() {
             match *e {
                 AuditEntry::Release { deal: id } if id == deal => d.state = DealState::Released,
                 AuditEntry::Refund { deal: id } if id == deal => d.state = DealState::Refunded,
@@ -360,10 +419,8 @@ impl Ledger {
 
     /// All deals, in creation order.
     pub fn deals(&self) -> impl Iterator<Item = EscrowDeal> + '_ {
-        self.log.iter().filter_map(|e| match *e {
-            AuditEntry::Lock { deal, .. } => self.deal(deal),
-            _ => None,
-        })
+        let deals = self.fold().deals;
+        (0..deals.len()).map(move |i| deals[i])
     }
 
     /// The audit log, in order.
@@ -373,15 +430,12 @@ impl Ledger {
 
     /// Value currently locked in unsettled deals, per currency.
     pub fn locked_total(&self, currency: CurrencyId) -> u64 {
-        self.deals()
-            .filter(|d| d.state == DealState::Locked && d.asset.currency == currency)
-            .map(|d| d.asset.amount)
-            .sum()
+        self.fold().locked_total(currency)
     }
 
     /// Sum of all account balances in `currency`.
     pub fn circulating_total(&self, currency: CurrencyId) -> u64 {
-        self.accounts().map(|k| self.balance(k, currency)).sum()
+        self.fold().circulating_total(currency)
     }
 
     /// The conservation invariant: for every currency,
@@ -390,19 +444,85 @@ impl Ledger {
     /// bug in the escrow, not in a customer. Currencies are checked in
     /// ascending order.
     pub fn check_conservation(&self) -> Result<(), String> {
-        let minted_after = |floor: Option<CurrencyId>| {
-            self.log
-                .iter()
-                .filter_map(|e| match *e {
-                    AuditEntry::Mint { asset, .. } => Some(asset.currency),
-                    _ => None,
-                })
-                .filter(|&c| floor.map_or(true, |f| c > f))
-                .min()
-        };
-        let mut next = minted_after(None);
-        while let Some(currency) = next {
-            let minted = self.minted_total(currency);
+        self.fold().check_conservation()
+    }
+}
+
+/// One pass over a [`Ledger`]'s log ([`Ledger::fold`]): every account's
+/// balance per currency, each currency's minted total, and every deal with
+/// its state. The book's totals and its conservation check are views of
+/// this fold. Mint and lock refuse keys without an account, so every key
+/// the log credits or debits holds one.
+#[derive(Debug, Clone)]
+pub struct Fold {
+    /// One row per (account, currency) pair the log moved value of.
+    balances: Small<((KeyId, CurrencyId), u64), 4>,
+    /// One row per currency the log minted.
+    minted: Small<(CurrencyId, u64), 2>,
+    /// In creation order.
+    deals: Small<EscrowDeal, 2>,
+}
+
+/// The value of `key`'s row, pushed as 0 when it has none.
+fn row<K: Copy + PartialEq, const N: usize>(rows: &mut Small<(K, u64), N>, key: K) -> &mut u64 {
+    let at = rows.iter().position(|r| r.0 == key).unwrap_or_else(|| {
+        rows.push((key, 0));
+        rows.len() - 1
+    });
+    &mut rows[at].1
+}
+
+impl Fold {
+    fn new() -> Self {
+        // Fillers only occupy the unused slots.
+        let (key, currency) = (KeyId(0), CurrencyId(0));
+        Fold {
+            balances: Small::new(((key, currency), 0)),
+            minted: Small::new((currency, 0)),
+            deals: Small::new(EscrowDeal {
+                id: DealId(0),
+                depositor: key,
+                beneficiary: key,
+                asset: Asset::new(currency, 0),
+                state: DealState::Locked,
+            }),
+        }
+    }
+
+    /// Balance of `who` in `currency` (zero if none).
+    pub fn balance(&self, who: KeyId, currency: CurrencyId) -> u64 {
+        let r = self.balances.iter().find(|r| r.0 == (who, currency));
+        r.map_or(0, |r| r.1)
+    }
+
+    /// Total ever minted in `currency`.
+    pub fn minted_total(&self, currency: CurrencyId) -> u64 {
+        let r = self.minted.iter().find(|r| r.0 == currency);
+        r.map_or(0, |r| r.1)
+    }
+
+    /// Value locked in unsettled deals in `currency`.
+    pub fn locked_total(&self, currency: CurrencyId) -> u64 {
+        let locked = self.deals.iter().filter(|d| d.state == DealState::Locked);
+        let locked = locked.filter(|d| d.asset.currency == currency);
+        locked.map(|d| d.asset.amount).sum()
+    }
+
+    /// Sum of all account balances in `currency`.
+    pub fn circulating_total(&self, currency: CurrencyId) -> u64 {
+        let rows = self.balances.iter().filter(|r| r.0 .1 == currency);
+        rows.map(|r| r.1).sum()
+    }
+
+    /// A deal and its state.
+    pub fn deal(&self, deal: DealId) -> Option<EscrowDeal> {
+        self.deals.iter().find(|d| d.id == deal).copied()
+    }
+
+    /// [`Ledger::check_conservation`]: `minted = circulating + locked` for
+    /// every minted currency, the lowest failing currency reported.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let check = |&(currency, minted): &(CurrencyId, u64)| {
             let circ = self.circulating_total(currency);
             let locked = self.locked_total(currency);
             let have = circ
@@ -413,9 +533,10 @@ impl Ledger {
                     "currency {currency}: minted {minted} ≠ circulating {circ} + locked {locked}"
                 ));
             }
-            next = minted_after(Some(currency));
-        }
-        Ok(())
+            Ok(())
+        };
+        let failing = self.minted.iter().filter(|r| check(r).is_err());
+        failing.min_by_key(|r| r.0).map_or(Ok(()), check)
     }
 }
 
@@ -834,6 +955,55 @@ mod tests {
                     prop_assert_eq!(l.circulating_total(c), circ);
                 }
                 prop_assert!(l.check_conservation().is_ok());
+            }
+        }
+
+        #[test]
+        fn prop_one_fold_agrees_with_the_map_book(ops in proptest::collection::vec(book_op(), 1..120)) {
+            let (mut l, mut m) = (Ledger::new(), MapBook::default());
+            let key = |x: u8| KeyId((x % 6) as u32);
+            let cur = |x: u8| CurrencyId((x % 3) as u32);
+            for op in ops {
+                let (got, want) = match op {
+                    BookOp::Open(a) => (l.open_account(key(a)).is_ok(), m.open_account(key(a)).is_ok()),
+                    BookOp::Mint(a, c, v) => {
+                        let asset = Asset::new(cur(c), v);
+                        (l.mint(key(a), asset).is_ok(), m.mint(key(a), asset).is_ok())
+                    }
+                    BookOp::Lock(a, b, c, v) => {
+                        let asset = Asset::new(cur(c), v);
+                        (l.lock(key(a), key(b), asset).is_ok(), m.lock(key(a), key(b), asset).is_ok())
+                    }
+                    BookOp::Release(d) => {
+                        let d = DealId(u64::from(d % 8));
+                        (l.release(d).is_ok(), m.settle(d, true).is_ok())
+                    }
+                    BookOp::Refund(d) => {
+                        let d = DealId(u64::from(d % 8));
+                        (l.refund(d).is_ok(), m.settle(d, false).is_ok())
+                    }
+                };
+                prop_assert_eq!(got, want);
+                let fold = l.fold();
+                // The fold agrees with the map book and with the book's own
+                // single-question passes.
+                for (i, d) in m.deals.iter().enumerate() {
+                    prop_assert_eq!(fold.deal(DealId(i as u64)), Some(*d));
+                    prop_assert_eq!(l.deal(DealId(i as u64)), Some(*d));
+                }
+                prop_assert_eq!(fold.deal(DealId(m.deals.len() as u64)), None);
+                for c in (0..3).map(CurrencyId) {
+                    for k in (0..6).map(KeyId) {
+                        prop_assert_eq!(fold.balance(k, c), m.balance(k, c));
+                        prop_assert_eq!(l.balance(k, c), m.balance(k, c));
+                    }
+                    prop_assert_eq!(fold.minted_total(c), m.minted.get(&c).copied().unwrap_or(0));
+                    prop_assert_eq!(l.minted_total(c), fold.minted_total(c));
+                    prop_assert_eq!(fold.locked_total(c), m.locked_total(c));
+                    let circ: u64 = m.balances.iter().filter(|((_, cc), _)| *cc == c).map(|(_, v)| v).sum();
+                    prop_assert_eq!(fold.circulating_total(c), circ);
+                }
+                prop_assert!(fold.check_conservation().is_ok());
             }
         }
 

@@ -105,10 +105,7 @@ impl ProtocolHarness for DealsHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) {
-        let net = layered_net(
-            Box::new(SyncNet::new(spec.params.delta, DELAY_BUCKETS)),
-            ctx.net,
-        );
+        let net = layered_net(SyncNet::new(spec.params.delta, DELAY_BUCKETS), ctx.net);
         let cfg = EngineConfig {
             max_real_time: ctx.horizon,
             sigma_max: spec.params.sigma,

@@ -249,12 +249,9 @@ impl HarnessRun {
 /// shared construction every adapter's `build_engine` uses: a fault-free
 /// instance keeps the bare base model, anything else is wrapped in
 /// [`FaultyNet`].
-pub fn layered_net<M: 'static>(
-    base: Box<dyn NetModel<M>>,
-    faults: NetFaults,
-) -> Box<dyn NetModel<M>> {
+pub fn layered_net<M: 'static>(base: impl NetModel<M>, faults: NetFaults) -> Box<dyn NetModel<M>> {
     if faults.is_none() {
-        base
+        Box::new(base)
     } else {
         Box::new(FaultyNet::new(base, faults))
     }

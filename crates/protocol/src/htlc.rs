@@ -119,10 +119,7 @@ impl ProtocolHarness for HtlcHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) {
-        let net = layered_net(
-            Box::new(SyncNet::new(spec.params.delta, DELAY_BUCKETS)),
-            inst.net,
-        );
+        let net = layered_net(SyncNet::new(spec.params.delta, DELAY_BUCKETS), inst.net);
         let cfg = EngineConfig {
             max_real_time: inst.horizon,
             sigma_max: spec.params.sigma,

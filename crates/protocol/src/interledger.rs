@@ -31,7 +31,7 @@ use anta::net::SyncNet;
 use anta::oracle::Oracle;
 use anta::process::Process;
 use anta::time::{SimDuration, SimTime};
-use anta::trace::TraceMode;
+use anta::trace::{TraceKind, TraceMode};
 use interledger::atomic::DeadlineTm;
 use interledger::untuned_schedule;
 use payment::byzantine::CrashAfter;
@@ -174,7 +174,7 @@ impl ProtocolHarness for IlpAtomicHarness {
     ) {
         let setup = &inst.setup;
         let net = SyncNet::new(spec.params.delta, DELAY_BUCKETS);
-        let net = layered_net(Box::new(net), inst.faults.net);
+        let net = layered_net(net, inst.faults.net);
         let mut cfg = setup.engine_config();
         cfg.trace_mode = trace_mode;
         cfg.max_real_time =
@@ -288,9 +288,16 @@ fn classify_atomic(eng: &Engine<PMsg>, inst: &AtomicInstance, truncated: bool) -
     // Stuck before the zero-sum audit: capital still locked in an escrow
     // (e.g. a dropped decision message) is in limbo, not lost — the net
     // positions cannot balance until it settles.
-    let count = |label| eng.trace().marks(label).count();
-    let locked = count(ESCROW_MARKS.locked);
-    let settled = count(ESCROW_MARKS.released) + count(ESCROW_MARKS.refunded);
+    let (mut locked, mut settled) = (0, 0);
+    for e in &eng.trace().events {
+        if let TraceKind::Mark { label, .. } = e.kind {
+            if label == ESCROW_MARKS.locked {
+                locked += 1;
+            } else if label == ESCROW_MARKS.released || label == ESCROW_MARKS.refunded {
+                settled += 1;
+            }
+        }
+    }
     if locked > settled {
         return ProtocolOutcome::Stuck;
     }

@@ -9,6 +9,7 @@
 //! venue of the instance's [`payment::VenueRoute`].
 
 use anta::time::SimTime;
+use ledger::Small;
 
 /// How one payment instance ended, in protocol-neutral terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,12 +69,14 @@ impl ProtocolOutcome {
 /// where `hop` is the local escrow index the value moved at and `delta`
 /// is the signed change in simultaneously locked value. Times are
 /// run-relative; [`LockProfile::shifted`] rebases them onto the
-/// instance's arrival time for workload-wide concurrency accounting.
+/// instance's arrival time for workload-wide concurrency accounting. A
+/// run of up to four hops, each locking and settling once, keeps its
+/// profile inline.
 #[derive(Debug, Clone, Default)]
 pub struct LockProfile {
     /// Lock (+) and unlock (−) deltas in run-relative real time, in event
     /// order, each tagged with the local escrow (hop) index it hit.
-    pub deltas: Vec<(SimTime, u32, i64)>,
+    pub deltas: Small<(SimTime, u32, i64), 8>,
 }
 
 impl LockProfile {

@@ -113,7 +113,7 @@ pub(crate) fn assemble_chain(
     trace_mode: TraceMode,
 ) {
     let setup = &inst.setup;
-    let net = layered_net(Box::new(net), inst.faults.net);
+    let net = layered_net(net, inst.faults.net);
     let mut engine_cfg = setup.engine_config();
     engine_cfg.trace_mode = trace_mode;
     eng.reset(net, oracle, engine_cfg);

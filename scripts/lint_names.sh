@@ -233,4 +233,9 @@ row 'crossbeam::' crates '' \
 row '\bConsensusValue\b' 'crates src tests' '' \
     "deleted: the committee decides an xcrypto::Verdict (consensus payloads write Verdict::wire_tag)"
 
+# A send loop reads its recipients where they are: cloning a field to
+# loop over it copies a collection per send.
+row 'for .+ in self\.[a-z_]+\.clone\(\)' 'crates/*/src' '' \
+    "loop over the field by reference (a pid range as start..end), not over a clone of it"
+
 exit $bad

@@ -166,6 +166,10 @@ row crates/anta/src/trace.rs 's/delivered_to,(\s+)\.\.Self::with_mode\(mode\)/de
 # A book is its audit log: a refund's fold credits the depositor.
 row crates/ledger/src/ledger.rs 's/let to = if released \{ d\.beneficiary \} else \{ d\.depositor \};/let to = d.beneficiary;/' \
     "$tier1" "a refund is credited to the beneficiary (tier-1: baselines::htlc_griefing_timeout_refund, the pinned time-bounded traces and baseline digests, …)"
+# The one fold (Ledger::fold) credits a refund to the depositor too.
+row crates/ledger/src/ledger.rs 's/(DealState::Refunded;\s+)d\.depositor/$1d.beneficiary/' \
+    "cargo test -q --offline -p ledger --lib tests::prop_one_fold_agrees_with_the_map_book" \
+    "the one fold credits a refund to the beneficiary (ledger tests::prop_one_fold_agrees_with_the_map_book)"
 
 # A committee's quorum is k − f: two quorums share an honest member.
 row crates/crypto/src/cert.rs 's/    k - f\n/    2 * f + 1\n/' \

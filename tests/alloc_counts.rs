@@ -115,11 +115,11 @@ fn payment_instances_allocate_exactly_the_pinned_counts() {
         })
         .collect();
     let want = [
-        ("timebounded", 2_597),
-        ("htlc", 1_906),
-        ("ilp-untuned", 2_784),
-        ("ilp-atomic", 5_285),
-        ("deals", 4_134),
+        ("timebounded", 1_841),
+        ("htlc", 1_522),
+        ("ilp-untuned", 2_033),
+        ("ilp-atomic", 3_277),
+        ("deals", 3_468),
     ];
     assert_eq!(
         got,
@@ -129,6 +129,23 @@ fn payment_instances_allocate_exactly_the_pinned_counts() {
             .map(|&(l, n)| (l, n as f64 / specs.len() as f64))
             .collect::<Vec<_>>()
     );
+}
+
+/// A chain's 2n + 1 keys are one registration batch into a new registry,
+/// which holds its first slab inline: the slab and the returned signers,
+/// whatever n.
+#[test]
+fn registering_a_chains_keys_allocates_twice() {
+    for n in [1, 3, 8, 32] {
+        let mut keys = None;
+        let allocations = allocations_in(|| {
+            let mut pki = Pki::new(n as u64);
+            keys = Some((pki.register_many(2 * n + 1), pki));
+        });
+        assert_eq!(allocations, 2, "n = {n}");
+        let (signers, pki) = keys.unwrap();
+        assert_eq!((signers.len(), pki.len()), (2 * n + 1, 2 * n + 1));
+    }
 }
 
 #[test]

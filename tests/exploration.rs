@@ -370,11 +370,11 @@ fn pmsg_from(kind: u8, f: (u8, u8, u8, u8)) -> PMsg {
             sig,
         }),
         4 => PMsg::Accept(Receipt { payment, sig }),
-        5 => PMsg::Decision(DecisionCert {
+        5 => PMsg::Decision(std::sync::Arc::new(DecisionCert {
             payment,
             verdict,
             sigs: vec![sig; b as usize],
-        }),
+        })),
         _ => PMsg::Cons(match d {
             0 => ConsMsg::Prevote {
                 round: a as u32,
