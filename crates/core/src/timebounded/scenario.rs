@@ -10,7 +10,7 @@
 use crate::msg::PMsg;
 use crate::timebounded::customers::{CustomerOutcome, CustomerProcess};
 use crate::timebounded::escrow::{EscrowProcess, EscrowState};
-use crate::timing::{SyncParams, TimeoutSchedule, SIGMA_BUCKETS};
+use crate::timing::{SyncParams, TimeoutSchedule};
 use crate::topology::{Chain, ChainTopology, Role, ValuePlan};
 use anta::clock::DriftClock;
 use anta::engine::{Engine, EngineConfig};
@@ -97,26 +97,20 @@ impl ChainSetup {
         self.build_engine_with(net, oracle, clocks, |_| None)
     }
 
-    /// The engine configuration this setup derives: σ from the cell's
-    /// parameters, horizon generously beyond every deadline in the
-    /// schedule. Callers may tweak it (e.g. counters-only tracing for
-    /// exhaustive exploration) and pass it to
+    /// The engine configuration this setup derives
+    /// ([`SyncParams::engine_config`]): σ from the cell's parameters,
+    /// run until [`ChainSetup::horizon`]. Callers may tweak it (e.g.
+    /// counters-only tracing for exhaustive exploration) and pass it to
     /// [`ChainSetup::build_engine_cfg`].
     pub fn engine_config(&self) -> EngineConfig {
-        let worst = self
-            .schedule
-            .d
-            .first()
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
-            .saturating_mul(8)
-            .saturating_add(SimDuration::from_secs(10));
-        EngineConfig {
-            sigma_max: self.params.sigma,
-            sigma_buckets: SIGMA_BUCKETS,
-            max_real_time: SimTime::ZERO + worst,
-            ..EngineConfig::default()
-        }
+        self.params.engine_config(self.horizon())
+    }
+
+    /// How long a run of this chain may last: generously beyond every
+    /// deadline in the schedule, 8·d₀ + 10 s.
+    pub fn horizon(&self) -> SimTime {
+        let (d0, slack) = (self.schedule.d.first(), SimDuration::from_secs(10));
+        SimTime::ZERO + d0.map_or(slack, |d| d.saturating_mul(8).saturating_add(slack))
     }
 
     /// Builds an engine, substituting the processes for which `override_for`

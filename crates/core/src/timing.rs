@@ -38,11 +38,13 @@
 //! drift-oblivious Interledger universal protocol it repairs.
 
 use anta::clock::PPM;
-use anta::time::SimDuration;
+use anta::engine::EngineConfig;
+use anta::time::{SimDuration, SimTime};
 
 /// How many values a sending handler's computation time takes in
 /// `[0, σ]` in every payment engine the setups and protocol harnesses
-/// build (the engine's `sigma_buckets`).
+/// build (the engine's `sigma_buckets`; read only by
+/// [`SyncParams::engine_config`]).
 pub const SIGMA_BUCKETS: usize = 4;
 
 /// The synchrony-model parameters of Theorem 1.
@@ -84,6 +86,19 @@ impl SyncParams {
     /// deadlines).
     pub fn inflate(&self, d: SimDuration) -> SimDuration {
         d.scale_ceil(PPM + self.rho_ppm, PPM)
+    }
+
+    /// The engine configuration of a payment under these parameters that
+    /// runs until `horizon`: a sending handler's computation time takes
+    /// one of [`SIGMA_BUCKETS`] values in `[0, σ]`. Every payment engine
+    /// the setups and protocol harnesses build starts here.
+    pub fn engine_config(&self, horizon: SimTime) -> EngineConfig {
+        EngineConfig {
+            max_real_time: horizon,
+            sigma_max: self.sigma,
+            sigma_buckets: SIGMA_BUCKETS,
+            ..EngineConfig::default()
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Assembly and outcome extraction for weak-liveness protocol instances.
 
 use crate::msg::PMsg;
-use crate::timing::{SyncParams, SIGMA_BUCKETS};
+use crate::timing::SyncParams;
 use crate::topology::{Chain, Role, ValuePlan};
 use crate::weak::participants::{Patience, WeakCustomer, WeakEscrow};
 use crate::weak::tm::{NotaryTm, TrustedTm};
@@ -105,16 +105,13 @@ impl WeakSetup {
         }
     }
 
-    /// The engine configuration this setup derives. Callers may tweak it
-    /// (e.g. counters-only tracing or a tighter horizon for Monte-Carlo
-    /// sweeps) and pass it to [`WeakSetup::build_engine_cfg`].
+    /// The engine configuration this setup derives
+    /// ([`SyncParams::engine_config`]): the baseline σ, run for an hour.
+    /// Callers may tweak it (e.g. counters-only tracing or a tighter
+    /// horizon for Monte-Carlo sweeps), pass it to [`Engine::new`] and
+    /// [`WeakSetup::assemble`] the processes.
     pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            max_real_time: SimTime::from_secs(3_600),
-            sigma_max: SyncParams::baseline().sigma,
-            sigma_buckets: SIGMA_BUCKETS,
-            ..Default::default()
-        }
+        SyncParams::baseline().engine_config(SimTime::from_secs(3_600))
     }
 
     /// Builds the engine with compliant participants, substituting where
@@ -128,20 +125,7 @@ impl WeakSetup {
         override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
         override_tm: impl FnMut(usize) -> Option<Box<dyn Process<PMsg>>>,
     ) -> Engine<PMsg> {
-        self.build_engine_cfg(net, oracle, self.engine_config(), override_for, override_tm)
-    }
-
-    /// Builds the engine under an explicit engine configuration (see
-    /// [`WeakSetup::build_engine_with`] for the substitution semantics).
-    pub fn build_engine_cfg(
-        &self,
-        net: Box<dyn NetModel<PMsg>>,
-        oracle: Box<dyn Oracle>,
-        cfg: EngineConfig,
-        override_for: impl FnMut(Role) -> Option<Box<dyn Process<PMsg>>>,
-        override_tm: impl FnMut(usize) -> Option<Box<dyn Process<PMsg>>>,
-    ) -> Engine<PMsg> {
-        let mut eng = Engine::new(net, oracle, cfg);
+        let mut eng = Engine::new(net, oracle, self.engine_config());
         self.assemble(&mut eng, override_for, override_tm);
         eng
     }

@@ -14,41 +14,24 @@
 use crate::deal::{ArcEscrow, DMsg, DealInstance, DealParty, Rule, VoteCheck, DOM_DEAL_COMMIT};
 use crate::matrix::Party;
 use anta::clock::DriftClock;
-use anta::engine::{Engine, EngineConfig};
+use anta::engine::Engine;
 use anta::fingerprint::fingerprint;
-use anta::net::NetModel;
-use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimDuration;
 use ledger::SimChain;
 use xcrypto::{KeyId, Signer};
 
 impl DealInstance {
-    /// Builds the certified protocol: the parties (signing with `signers`,
-    /// in party order), then one [`CertifiedEscrow`] per arc, then the
-    /// certified blockchain at [`DealInstance::next_free_pid`], which sends
-    /// its verdict to every party and escrow. Party `p` runs on
-    /// `party_clock(p)` — patience is a local policy — while escrows and
-    /// the chain settle on messages and keep perfect clocks. `party(p,
-    /// compliant)` turns the compliant party into the process registered
-    /// at its pid: it may set the party's patience, or replace it outright.
-    pub fn certified_engine(
-        &self,
-        signers: &[Signer],
-        net: Box<dyn NetModel<DMsg>>,
-        oracle: Box<dyn Oracle>,
-        cfg: EngineConfig,
-        party_clock: impl FnMut(Party) -> DriftClock,
-        party: impl FnMut(Party, CertifiedParty) -> Box<dyn Process<DMsg>>,
-    ) -> Engine<DMsg> {
-        let mut eng = Engine::new(net, oracle, cfg);
-        self.certified_assemble(&mut eng, signers, party_clock, party);
-        eng
-    }
-
-    /// Registers the certified protocol's processes, as
-    /// [`DealInstance::certified_engine`] does, in `eng`: a new engine, or
-    /// one [`Engine::reset`] readied for this run.
+    /// Registers the certified protocol's processes in `eng` (a new
+    /// engine, or one [`Engine::reset`] readied for this run): the parties
+    /// (signing with `signers`, in party order), then one
+    /// [`CertifiedEscrow`] per arc, then the certified blockchain at
+    /// [`DealInstance::next_free_pid`], which sends its verdict to every
+    /// party and escrow. Party `p` runs on `party_clock(p)` — patience is a
+    /// local policy — while escrows and the chain settle on messages and
+    /// keep perfect clocks. `party(p, compliant)` turns the compliant party
+    /// into the process registered at its pid: it may set the party's
+    /// patience, or replace it outright.
     pub fn certified_assemble(
         &self,
         eng: &mut Engine<DMsg>,
@@ -187,7 +170,7 @@ const TIMER_PATIENCE: TimerId = 5;
 /// CBC once everything is escrowed, and (optionally) votes abort when its
 /// patience runs out. A withholding party is not a setting of this one: it
 /// is a different process (`anta::process::InertProcess`) registered in its
-/// place through [`DealInstance::certified_engine`]'s `party` hook.
+/// place through [`DealInstance::certified_assemble`]'s `party` hook.
 #[derive(Debug, Clone)]
 pub struct CertifiedParty {
     party: DealParty,
@@ -232,6 +215,7 @@ impl Process<DMsg> for CertifiedParty {
 mod tests {
     use super::*;
     use crate::matrix::DealMatrix;
+    use anta::engine::EngineConfig;
     use anta::net::{PartialSyncNet, SyncNet};
     use anta::oracle::RandomOracle;
     use anta::process::InertProcess;
@@ -263,14 +247,12 @@ mod tests {
         party: impl FnMut(Party, CertifiedParty) -> Box<dyn Process<DMsg>>,
     ) -> (Engine<DMsg>, DealInstance) {
         let (inst, signers) = DealInstance::generate(deal, 17);
-        let mut eng = inst.certified_engine(
-            &signers,
+        let mut eng = Engine::new(
             net,
             Box::new(RandomOracle::seeded(2)),
             EngineConfig::default(),
-            |_| DriftClock::perfect(),
-            party,
         );
+        inst.certified_assemble(&mut eng, &signers, |_| DriftClock::perfect(), party);
         eng.run_until(SimTime::from_secs(120));
         (eng, inst)
     }

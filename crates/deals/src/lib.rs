@@ -18,7 +18,7 @@
 //! - the certified-blockchain commit protocol — partial synchrony;
 //!   Safety and Termination, no strong liveness ([`certified`]);
 //! - assembling either protocol: [`DealInstance::timelock_engine`] and
-//!   [`DealInstance::certified_engine`] are the only way in. They decide
+//!   [`DealInstance::certified_assemble`] are the only way in. They decide
 //!   the pids, the registration order, the funded arc books, the clocks
 //!   and where the votes go. The `deals` harness, experiments E2 and E7
 //!   and the tests all build through them. Both take a `party` hook that

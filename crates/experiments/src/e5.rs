@@ -109,13 +109,13 @@ pub fn htlc_comparison() -> HtlcComparison {
         timelock_a: SimTime::from_millis(2 * t_ms),
         timelock_b: SimTime::from_millis(t_ms),
     };
-    let mut eng = swap.build_engine(
+    let mut eng = anta::engine::Engine::new(
         Box::new(SyncNet::worst_case(SimDuration::from_millis(2))),
         Box::new(RandomOracle::seeded(5)),
         anta::engine::EngineConfig::default(),
-        anta::clock::DriftClock::perfect(),
-        SwapBehaviour::BobGriefs,
     );
+    let clock = anta::clock::DriftClock::perfect();
+    swap.assemble(&mut eng, clock, SwapBehaviour::BobGriefs);
     eng.run_until(SimTime::from_secs(30));
     let reclaim = eng
         .trace()

@@ -39,11 +39,11 @@ pub fn run_certified(
     } else {
         Box::new(SyncNet::new(SimDuration::from_millis(2), 8))
     };
-    let mut eng = inst.certified_engine(
+    let cfg = anta::engine::EngineConfig::default();
+    let mut eng = anta::engine::Engine::new(net, Box::new(RandomOracle::seeded(3)), cfg);
+    inst.certified_assemble(
+        &mut eng,
         &signers,
-        net,
-        Box::new(RandomOracle::seeded(3)),
-        anta::engine::EngineConfig::default(),
         |_| anta::clock::DriftClock::perfect(),
         |p, mut party| {
             if impatient && p == 0 {

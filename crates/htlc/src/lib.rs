@@ -16,10 +16,10 @@
 //!   claim and reclaim ([`contract`]);
 //! - the two-chain swap as engine processes, with the two abandonment
 //!   strategies of [`SwapBehaviour`] ([`swap`]);
-//! - assembling a swap: [`SwapSetup::build_engine`] is the one place
+//! - assembling a swap: [`SwapSetup::assemble`] is the one place
 //!   that decides the pids, the registration order, the funded books and
 //!   each party's behaviour. The `htlc` harness, experiment E5 and the
-//!   tests all build through it.
+//!   tests all assemble through it.
 //!
 //! **Out of scope:**
 //! - multi-hop HTLC routing (payment channels): a swap is two parties on

@@ -9,17 +9,15 @@
 //! waiting out a timelock with capital frozen. Experiment E5 measures
 //! those locked-capital windows against the paper's protocols.
 //!
-//! [`SwapSetup::build_engine`] is the one place a swap is assembled: the
+//! [`SwapSetup::assemble`] is the one place a swap is assembled: the
 //! registration order that puts each process at its pid constant, the
 //! funded books and the parties' behaviour are decided there and nowhere
 //! else.
 
 use crate::contract::HtlcChain;
 use anta::clock::DriftClock;
-use anta::engine::{Engine, EngineConfig};
+use anta::engine::Engine;
 use anta::fingerprint::fingerprint;
-use anta::net::NetModel;
-use anta::oracle::Oracle;
 use anta::process::{Ctx, Pid, Process, TimerId};
 use anta::time::SimTime;
 use ledger::{Asset, Ledger};
@@ -34,7 +32,7 @@ pub const MARK_CLAIMED: &str = "htlc_claimed";
 pub const MARK_RECLAIMED: &str = "htlc_reclaimed";
 
 // The swap processes address each other and name their accounts by these
-// constants; `SwapSetup::build_engine` registers them to match.
+// constants; `SwapSetup::assemble` registers them to match.
 
 /// Alice's process id in every swap engine.
 pub const ALICE_PID: Pid = 0;
@@ -80,26 +78,12 @@ pub struct SwapSetup {
 }
 
 impl SwapSetup {
-    /// Builds the swap: Alice, Bob, chain A and chain B, registered at
-    /// [`ALICE_PID`]…[`CHAIN_B_PID`] in that order, all on `clock`. Each
-    /// chain's book opens accounts for [`ALICE_KEY`] and [`BOB_KEY`] and
-    /// holds its owner's offer; both parties watch both chains.
-    pub fn build_engine(
-        &self,
-        net: Box<dyn NetModel<HMsg>>,
-        oracle: Box<dyn Oracle>,
-        cfg: EngineConfig,
-        clock: DriftClock,
-        behaviour: SwapBehaviour,
-    ) -> Engine<HMsg> {
-        let mut eng = Engine::new(net, oracle, cfg);
-        self.assemble(&mut eng, clock, behaviour);
-        eng
-    }
-
-    /// Registers the swap's processes, as [`SwapSetup::build_engine`]
-    /// does, in `eng`: a new engine, or one [`Engine::reset`] readied for
-    /// this run.
+    /// Registers the swap's processes in `eng` (a new engine, or one
+    /// [`Engine::reset`] readied for this run): Alice, Bob, chain A and
+    /// chain B, at [`ALICE_PID`]…[`CHAIN_B_PID`] in that order, all on
+    /// `clock`. Each chain's book opens accounts for [`ALICE_KEY`] and
+    /// [`BOB_KEY`] and holds its owner's offer; both parties watch both
+    /// chains.
     pub fn assemble(&self, eng: &mut Engine<HMsg>, clock: DriftClock, behaviour: SwapBehaviour) {
         let mut alice = SwapInitiator::new(self.offer_a, self.secret.clone(), self.timelock_a);
         alice.abandons = behaviour == SwapBehaviour::AliceAbandons;
@@ -472,6 +456,7 @@ impl Process<HMsg> for SwapResponder {
 mod tests {
     use super::*;
     use crate::contract::HtlcState;
+    use anta::engine::EngineConfig;
     use anta::net::SyncNet;
     use anta::oracle::RandomOracle;
     use anta::time::SimDuration;
@@ -482,6 +467,11 @@ mod tests {
 
     /// Alice's 100 A against Bob's 200 B, with timelocks `2t` / `t` ms.
     fn build(t: u64, secret: &[u8], behaviour: SwapBehaviour) -> Engine<HMsg> {
+        let mut eng = Engine::new(
+            Box::new(SyncNet::worst_case(SimDuration::from_millis(2))),
+            Box::new(RandomOracle::seeded(1)),
+            EngineConfig::default(),
+        );
         SwapSetup {
             offer_a: Asset::new(CUR_A, 100),
             offer_b: Asset::new(CUR_B, 200),
@@ -489,13 +479,8 @@ mod tests {
             timelock_a: SimTime::from_millis(2 * t),
             timelock_b: SimTime::from_millis(t),
         }
-        .build_engine(
-            Box::new(SyncNet::worst_case(SimDuration::from_millis(2))),
-            Box::new(RandomOracle::seeded(1)),
-            EngineConfig::default(),
-            DriftClock::perfect(),
-            behaviour,
-        )
+        .assemble(&mut eng, DriftClock::perfect(), behaviour);
+        eng
     }
 
     fn chains(eng: &Engine<HMsg>) -> (&HtlcChain, &HtlcChain) {

@@ -17,19 +17,18 @@
 //! a CBC that verifies signatures, and are declared unsupported.
 
 use crate::faults::{ByzFault, InstanceFaults};
-use crate::harness::{layered_net, plan_lock_events, ByzSupport, ProtocolHarness, DELAY_BUCKETS};
+use crate::harness::{plan_lock_events, ready_engine, ByzSupport, ProtocolHarness};
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::PaymentSpec;
 use anta::clock::DriftClock;
-use anta::engine::{Engine, EngineConfig};
-use anta::net::{NetFaults, SyncNet};
+use anta::engine::Engine;
+use anta::net::NetFaults;
 use anta::oracle::Oracle;
 use anta::process::{InertProcess, Process};
 use anta::time::{SimDuration, SimTime};
 use anta::trace::TraceMode;
 use deals::deal::ESCROW_MARKS;
 use deals::{CertifiedEscrow, DealInstance, DealMatrix, Party};
-use payment::timing::SIGMA_BUCKETS;
 use xcrypto::Signer;
 
 /// Per-instance deal context.
@@ -105,19 +104,11 @@ impl ProtocolHarness for DealsHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) {
-        let net = layered_net(SyncNet::new(spec.params.delta, DELAY_BUCKETS), ctx.net);
-        let cfg = EngineConfig {
-            max_real_time: ctx.horizon,
-            sigma_max: spec.params.sigma,
-            sigma_buckets: SIGMA_BUCKETS,
-            trace_mode,
-            ..EngineConfig::default()
-        };
         // Parties keep drifting local clocks (patience is a local policy);
         // escrows and the CBC settle on messages, not clocks.
         let party_clock =
             |p: Party| DriftClock::seeded(spec.seed, p, spec.params.rho_ppm, spec.params.hop());
-        eng.reset(net, oracle, cfg);
+        ready_engine(eng, spec, false, ctx.net, ctx.horizon, oracle, trace_mode);
         ctx.inst.certified_assemble(
             eng,
             &ctx.signers,
@@ -320,19 +311,18 @@ mod tests {
         ) -> Box<dyn Process<deals::DMsg>>,
     ) -> ProtocolOutcome {
         let ctx = DealsHarness.instance(spec, &crate::faults::InstanceFaults::NONE);
-        let cfg = EngineConfig {
-            max_real_time: ctx.horizon,
-            ..EngineConfig::default()
-        };
-        let mut eng = ctx.inst.certified_engine(
-            &ctx.signers,
-            Box::new(SyncNet::worst_case(spec.params.delta)),
+        let mut eng = Engine::new(
+            Box::new(anta::net::SyncNet::worst_case(spec.params.delta)),
             Box::new(anta::oracle::RandomOracle::seeded(1)),
-            cfg,
+            anta::engine::EngineConfig::default(),
+        );
+        ctx.inst.certified_assemble(
+            &mut eng,
+            &ctx.signers,
             |_| DriftClock::perfect(),
             |p, compliant| party(&ctx.inst, p, compliant),
         );
-        let report = eng.run();
+        let report = eng.run_until(ctx.horizon);
         DealsHarness.classify(&eng, &ctx, spec, report.quiescent, report.truncated)
     }
 

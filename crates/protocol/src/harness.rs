@@ -25,7 +25,7 @@ use crate::faults::{ByzFault, FaultPlan, InstanceFaults};
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::{PaymentSpec, WorkloadConfig};
 use anta::engine::Engine;
-use anta::net::{FaultyNet, NetFaults, NetModel};
+use anta::net::{FaultyNet, NetFaults, NetModel, SyncNet};
 use anta::oracle::{Oracle, RandomOracle};
 use anta::process::{Message, Pid};
 use anta::time::{SimDuration, SimTime};
@@ -245,16 +245,35 @@ impl HarnessRun {
     }
 }
 
-/// Layers an instance's network faults over a base network model — the
-/// shared construction every adapter's `build_engine` uses: a fault-free
-/// instance keeps the bare base model, anything else is wrapped in
-/// [`FaultyNet`].
-pub fn layered_net<M: 'static>(base: impl NetModel<M>, faults: NetFaults) -> Box<dyn NetModel<M>> {
-    if faults.is_none() {
+/// Readies `eng` for one payment of `spec`, the one place a harness's
+/// engine is chosen: [`Engine::reset`] on the synchronous network under
+/// the spec's δ (each delay one of [`DELAY_BUCKETS`] values in `[0, δ]`, or
+/// the full δ when `worst_case`), wrapped in [`FaultyNet`] only when the
+/// instance has network `faults`, with σ from the spec
+/// ([`payment::timing::SyncParams::engine_config`]), `horizon`, `oracle`
+/// and `trace_mode`. The harness then adds its clocks and processes.
+pub(crate) fn ready_engine<M: Message>(
+    eng: &mut Engine<M>,
+    spec: &PaymentSpec,
+    worst_case: bool,
+    faults: NetFaults,
+    horizon: SimTime,
+    oracle: Box<dyn Oracle>,
+    trace_mode: TraceMode,
+) {
+    let base = if worst_case {
+        SyncNet::worst_case(spec.params.delta)
+    } else {
+        SyncNet::new(spec.params.delta, DELAY_BUCKETS)
+    };
+    let net: Box<dyn NetModel<M>> = if faults.is_none() {
         Box::new(base)
     } else {
         Box::new(FaultyNet::new(base, faults))
-    }
+    };
+    let mut cfg = spec.params.engine_config(horizon);
+    cfg.trace_mode = trace_mode;
+    eng.reset(net, oracle, cfg);
 }
 
 /// End-to-end latency of a plan-indexed chain: the payee's halt time on
@@ -274,8 +293,8 @@ pub(crate) fn payee_halt_latency<M: Message>(
 }
 
 /// How many values a message delay takes in `[0, δ]` on the synchronous
-/// network under every harness that runs on one (all but ilp-untuned,
-/// whose network is the worst case).
+/// network of every harness but ilp-untuned, whose network is the worst
+/// case (read only by [`ready_engine`]).
 pub(crate) const DELAY_BUCKETS: usize = 16;
 
 /// Reconstructs a plan-indexed instance's locked-value time series from its

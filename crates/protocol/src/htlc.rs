@@ -21,12 +21,12 @@
 //! counterpart and are declared unsupported.
 
 use crate::faults::{ByzFault, InstanceFaults};
-use crate::harness::{layered_net, ByzSupport, ProtocolHarness, DELAY_BUCKETS};
+use crate::harness::{ready_engine, ByzSupport, ProtocolHarness};
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::{PaymentSpec, TopologyFamily, WorkloadConfig};
 use anta::clock::DriftClock;
-use anta::engine::{Engine, EngineConfig};
-use anta::net::{NetFaults, SyncNet};
+use anta::engine::Engine;
+use anta::net::NetFaults;
 use anta::oracle::Oracle;
 use anta::time::{SimDuration, SimTime};
 use anta::trace::{TraceKind, TraceMode};
@@ -35,7 +35,6 @@ use htlc::swap::{
     ChainProcess, HMsg, SwapBehaviour, SwapSetup, MARK_CLAIMED, MARK_OPENED, MARK_RECLAIMED,
 };
 pub use htlc::swap::{ALICE_PID, BOB_PID, CHAIN_A_PID, CHAIN_B_PID};
-use payment::timing::SIGMA_BUCKETS;
 
 /// Maps a sampled chain fault onto the nearest swap behaviour.
 fn swap_behaviour(byz: ByzFault) -> SwapBehaviour {
@@ -119,14 +118,6 @@ impl ProtocolHarness for HtlcHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) {
-        let net = layered_net(SyncNet::new(spec.params.delta, DELAY_BUCKETS), inst.net);
-        let cfg = EngineConfig {
-            max_real_time: inst.horizon,
-            sigma_max: spec.params.sigma,
-            sigma_buckets: SIGMA_BUCKETS,
-            trace_mode,
-            ..EngineConfig::default()
-        };
         // One drifting clock shared by parties and chains, sampled from
         // the instance seed: absolute time uncertainty within the drift
         // envelope. (The stock swap processes never retry a rejected
@@ -135,7 +126,7 @@ impl ProtocolHarness for HtlcHarness {
         // protocol — HTLC's defect under this model is griefing, not
         // drift.)
         let clock = DriftClock::seeded(spec.seed, 0, spec.params.rho_ppm, spec.params.hop());
-        eng.reset(net, oracle, cfg);
+        ready_engine(eng, spec, false, inst.net, inst.horizon, oracle, trace_mode);
         inst.setup.assemble(eng, clock, inst.behaviour);
     }
 

@@ -21,13 +21,12 @@
 
 use crate::faults::{ByzFault, InstanceFaults};
 use crate::harness::{
-    layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness, DELAY_BUCKETS,
+    payee_halt_latency, plan_lock_events, ready_engine, ByzSupport, ProtocolHarness,
 };
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::timebounded::{assemble_chain, classify_chain, ChainInstance, TimeBoundedHarness};
 use crate::workload::PaymentSpec;
 use anta::engine::Engine;
-use anta::net::SyncNet;
 use anta::oracle::Oracle;
 use anta::process::Process;
 use anta::time::{SimDuration, SimTime};
@@ -36,7 +35,7 @@ use interledger::atomic::DeadlineTm;
 use interledger::untuned_schedule;
 use payment::byzantine::CrashAfter;
 use payment::msg::PMsg;
-use payment::timebounded::{ChainOutcome, ChainSetup, ClockPlan};
+use payment::timebounded::{ChainOutcome, ChainSetup};
 use payment::topology::Role;
 use payment::weak::{TmKind, WeakSetup, ESCROW_MARKS};
 
@@ -80,14 +79,7 @@ impl ProtocolHarness for IlpUntunedHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) {
-        assemble_chain(
-            eng,
-            inst,
-            SyncNet::worst_case(spec.params.delta),
-            ClockPlan::Extremes,
-            oracle,
-            trace_mode,
-        );
+        assemble_chain(eng, inst, spec, true, oracle, trace_mode);
     }
 
     fn classify(
@@ -173,12 +165,7 @@ impl ProtocolHarness for IlpAtomicHarness {
         trace_mode: TraceMode,
     ) {
         let setup = &inst.setup;
-        let net = SyncNet::new(spec.params.delta, DELAY_BUCKETS);
-        let net = layered_net(net, inst.faults.net);
-        let mut cfg = setup.engine_config();
-        cfg.trace_mode = trace_mode;
-        cfg.max_real_time =
-            SimTime::ZERO + inst.deadline.saturating_mul(8) + SimDuration::from_secs(10);
+        let horizon = SimTime::ZERO + inst.deadline.saturating_mul(8) + SimDuration::from_secs(10);
 
         let crash_role = match inst.faults.byz {
             ByzFault::CrashCustomer(_) | ByzFault::CrashEscrow(_) => {
@@ -188,7 +175,8 @@ impl ProtocolHarness for IlpAtomicHarness {
         };
         let crash_at = SimDuration::from_ticks(inst.deadline.ticks() / 4);
 
-        eng.reset(net, oracle, cfg);
+        let faults = inst.faults.net;
+        ready_engine(eng, spec, false, faults, horizon, oracle, trace_mode);
         setup.assemble(
             eng,
             |role| {

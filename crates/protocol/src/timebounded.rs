@@ -5,12 +5,11 @@
 
 use crate::faults::InstanceFaults;
 use crate::harness::{
-    layered_net, payee_halt_latency, plan_lock_events, ByzSupport, ProtocolHarness, DELAY_BUCKETS,
+    payee_halt_latency, plan_lock_events, ready_engine, ByzSupport, ProtocolHarness,
 };
 use crate::outcome::{LockProfile, ProtocolOutcome};
 use crate::workload::PaymentSpec;
 use anta::engine::Engine;
-use anta::net::SyncNet;
 use anta::oracle::Oracle;
 use anta::time::SimDuration;
 use anta::trace::TraceMode;
@@ -56,15 +55,7 @@ impl ProtocolHarness for TimeBoundedHarness {
         oracle: Box<dyn Oracle>,
         trace_mode: TraceMode,
     ) {
-        // Clocks sampled from the seed.
-        assemble_chain(
-            eng,
-            inst,
-            SyncNet::new(spec.params.delta, DELAY_BUCKETS),
-            ClockPlan::Sampled { seed: spec.seed },
-            oracle,
-            trace_mode,
-        )
+        assemble_chain(eng, inst, spec, false, oracle, trace_mode)
     }
 
     fn classify(
@@ -99,25 +90,29 @@ impl ProtocolHarness for TimeBoundedHarness {
     }
 }
 
-/// Readies `eng` for a Figure 2 chain over the base network `net` and
-/// the clocks `clocks`: fault layer only when the instance carries network
-/// faults, counters-only-capable config derived from the setup, Byzantine
-/// substitution per role. The time-bounded harness and the untuned
-/// Interledger harness differ only in those two arguments.
+/// Readies `eng` for a Figure 2 chain ([`ready_engine`] until the setup's
+/// horizon) and adds its processes, substituted per role as the fault draw
+/// says. The time-bounded harness runs it on quantised delays and clocks
+/// sampled from the seed; the untuned Interledger harness runs it
+/// `worst_case`, under the adversary the synchrony model permits: every
+/// message takes the full δ and clocks sit at the extremes of the drift
+/// envelope.
 pub(crate) fn assemble_chain(
     eng: &mut Engine<PMsg>,
     inst: &ChainInstance,
-    net: SyncNet,
-    clocks: ClockPlan,
+    spec: &PaymentSpec,
+    worst_case: bool,
     oracle: Box<dyn Oracle>,
     trace_mode: TraceMode,
 ) {
-    let setup = &inst.setup;
-    let net = layered_net(net, inst.faults.net);
-    let mut engine_cfg = setup.engine_config();
-    engine_cfg.trace_mode = trace_mode;
-    eng.reset(net, oracle, engine_cfg);
-    let byz = inst.faults.byz;
+    let (setup, net, byz) = (&inst.setup, inst.faults.net, inst.faults.byz);
+    let horizon = setup.horizon();
+    ready_engine(eng, spec, worst_case, net, horizon, oracle, trace_mode);
+    let clocks = if worst_case {
+        ClockPlan::Extremes
+    } else {
+        ClockPlan::Sampled { seed: spec.seed }
+    };
     setup.assemble(eng, clocks, |role| byz.substitute(setup, role));
 }
 

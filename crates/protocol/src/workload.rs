@@ -704,5 +704,25 @@ mod tests {
             assert!((50..=60).contains(&v0));
             assert!(s.plan.amounts.iter().all(|a| a.amount >= 1));
         }
+        // Only ρ is drawn: every spec carries the baseline δ, σ and
+        // margin, which the harnesses' engines read from it.
+        for family in [
+            TopologyFamily::Linear { n: 2 },
+            TopologyFamily::HubAndSpoke { spokes: 4 },
+            TopologyFamily::Packetized { paths: 3, hops: 2 },
+            TopologyFamily::ScaleFree {
+                venues: 64,
+                attach: 2,
+            },
+        ] {
+            for s in generate(&base(family)) {
+                let rho_ppm = s.params.rho_ppm;
+                let baseline = SyncParams {
+                    rho_ppm,
+                    ..SyncParams::baseline()
+                };
+                assert_eq!(s.params, baseline, "{}", s.family);
+            }
+        }
     }
 }

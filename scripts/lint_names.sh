@@ -74,14 +74,14 @@ fi
 row '\bInstanceResult\b' "$code" '' \
     "deleted: a payment's row is protocol::HarnessRun, folded with its PaymentSpec"
 
-# Each baseline is assembled in its own crate: SwapSetup,
-# DealInstance::{timelock,certified}_engine and DeadlineTm::new.
+# Each baseline is assembled in its own crate: SwapSetup::assemble,
+# DealInstance::{timelock_engine,certified_assemble} and DeadlineTm::new.
 row 'ChainProcess::new\(|SwapInitiator::new\(|SwapResponder::new\(|HtlcChain::new\(' \
     "$code" '^crates/htlc/src/' \
     "only crates/htlc/src builds the HTLC processes and chains; use htlc::SwapSetup"
 row 'CertifiedParty::new\(|CertifiedEscrow::new\(|CertifiedChain::new\(|TimelockParty::new\(|TimelockEscrow::new\(' \
     "$code" '^crates/deals/src/' \
-    "only crates/deals/src builds the deal processes; use DealInstance::{timelock,certified}_engine"
+    "only crates/deals/src builds the deal processes; use DealInstance::{timelock_engine,certified_assemble}"
 # The two HLS deal protocols share one module (deals::deal): one vote
 # payload over the domain, one arc-escrow core and one outcome.
 row 'extract_timelock_outcome|extract_certified_outcome|commit_payload|abort_payload|arc_book|party_pid' \
@@ -232,6 +232,20 @@ row 'crossbeam::' crates '' \
 # value type parameter, and its payloads write Verdict::wire_tag.
 row '\bConsensusValue\b' 'crates src tests' '' \
     "deleted: the committee decides an xcrypto::Verdict (consensus payloads write Verdict::wire_tag)"
+
+# One owner for a payment's engine in each crate: the quantised config
+# (σ in SIGMA_BUCKETS steps) is payment::timing::SyncParams::engine_config,
+# and the network (δ in DELAY_BUCKETS steps, the fault layer) and the reset
+# are protocol::harness::ready_engine. Comments may name them. An
+# `assemble` is the one builder: an engine-returning twin beside it is
+# Engine::new plus that assemble (ChainSetup::build_engine_cfg stays for
+# benchmark/).
+row '\b(SIGMA_BUCKETS|DELAY_BUCKETS)\b|FaultyNet::new|sigma_buckets:' 'crates/core/src crates/protocol/src' \
+    '^crates/core/src/timing.rs:|^crates/protocol/src/harness.rs:|^[^:]+:[0-9]+: *//' \
+    "a payment's engine is chosen once per crate: SyncParams::engine_config (σ) and protocol::harness::ready_engine (network, faults, reset)"
+row '\b(SwapSetup::build_engine|certified_engine|build_engine_cfg)\b' "$code" \
+    '^crates/core/src/timebounded/scenario.rs:|ChainSetup::build_engine_cfg|fn build_engine_cfg\b|^(crates/experiments/src/e4.rs|tests/timebounded_traces.rs):[0-9]+: .*setup\.build_engine_cfg\(' \
+    "deleted: SwapSetup::build_engine, DealInstance::certified_engine and WeakSetup::build_engine_cfg; write Engine::new, then assemble (SwapSetup::assemble, certified_assemble, WeakSetup::assemble)"
 
 # A send loop reads its recipients where they are: cloning a field to
 # loop over it copies a collection per send.

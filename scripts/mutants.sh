@@ -176,5 +176,10 @@ row crates/crypto/src/cert.rs 's/    k - f\n/    2 * f + 1\n/' \
     "cargo test -q --offline -p consensus --lib core::tests::a_byzantine_leader_cannot_split_a_committee" \
     "a committee of 5 or 6 decides on quorums of 2f + 1 (consensus core::tests::a_byzantine_leader_cannot_split_a_committee)"
 
+# A payment's σ is split in one place: both setups and all five harnesses
+# read their engine configuration from SyncParams::engine_config.
+row crates/core/src/timing.rs 's/sigma_buckets: SIGMA_BUCKETS,/sigma_buckets: 1,/' "$tier1" \
+    "every payment engine charges the full σ (tier-1: protocols::baseline_harness_reports_match_the_pinned_digests, timebounded_traces::time_bounded_traces_match_their_pins, alloc_counts, …)"
+
 echo "mutants: $((SECONDS - start)) s"
 exit $bad

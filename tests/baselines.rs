@@ -28,6 +28,11 @@ const CUR_B: CurrencyId = CurrencyId(1);
 
 /// Alice's 100 A against Bob's 200 B with timelocks `2·t_ms` / `t_ms`.
 fn swap_engine(t_ms: u64, behaviour: SwapBehaviour) -> Engine<HMsg> {
+    let mut eng = Engine::new(
+        Box::new(SyncNet::worst_case(SimDuration::from_millis(2))),
+        Box::new(RandomOracle::seeded(7)),
+        EngineConfig::default(),
+    );
     SwapSetup {
         offer_a: Asset::new(CUR_A, 100),
         offer_b: Asset::new(CUR_B, 200),
@@ -35,13 +40,8 @@ fn swap_engine(t_ms: u64, behaviour: SwapBehaviour) -> Engine<HMsg> {
         timelock_a: SimTime::from_millis(2 * t_ms),
         timelock_b: SimTime::from_millis(t_ms),
     }
-    .build_engine(
-        Box::new(SyncNet::worst_case(SimDuration::from_millis(2))),
-        Box::new(RandomOracle::seeded(7)),
-        EngineConfig::default(),
-        DriftClock::perfect(),
-        behaviour,
-    )
+    .assemble(&mut eng, DriftClock::perfect(), behaviour);
+    eng
 }
 
 fn chains(eng: &Engine<HMsg>) -> (&HtlcChain, &HtlcChain) {

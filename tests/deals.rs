@@ -104,23 +104,25 @@ fn build(
                 Box::new(party)
             },
         ),
-        Protocol::Certified(ms) => inst.certified_engine(
-            signers,
-            net,
-            oracle,
-            cfg,
-            |p| match drift {
-                Some(seed) => DriftClock::seeded(seed, p, 20_000, SimDuration::from_millis(1)),
-                None => DriftClock::perfect(),
-            },
-            |p, mut party| -> Box<dyn Process<DMsg>> {
-                if silent == Some(p) {
-                    return Box::new(InertProcess);
-                }
-                party.patience = Some(SimDuration::from_millis(ms));
-                Box::new(party)
-            },
-        ),
+        Protocol::Certified(ms) => {
+            let mut eng = Engine::new(net, oracle, cfg);
+            inst.certified_assemble(
+                &mut eng,
+                signers,
+                |p| match drift {
+                    Some(seed) => DriftClock::seeded(seed, p, 20_000, SimDuration::from_millis(1)),
+                    None => DriftClock::perfect(),
+                },
+                |p, mut party| -> Box<dyn Process<DMsg>> {
+                    if silent == Some(p) {
+                        return Box::new(InertProcess);
+                    }
+                    party.patience = Some(SimDuration::from_millis(ms));
+                    Box::new(party)
+                },
+            );
+            eng
+        }
     }
 }
 

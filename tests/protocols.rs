@@ -107,7 +107,7 @@ fn every_protocol_report_is_identical_across_thread_counts() {
 /// benchmark's mixed fault plan (crash, late Bob, forging Chloe, thieving
 /// escrow, drops, extra delay) at 1 and 4 threads. Each protocol is
 /// assembled in one place — `ChainSetup` with `ByzFault::substitute`,
-/// `SwapSetup`, `DealInstance::certified_engine`, `DeadlineTm::new` — so
+/// `SwapSetup`, `DealInstance::certified_assemble`, `DeadlineTm::new` — so
 /// moving a pid, a registration or a clock there moves these digests.
 #[test]
 fn baseline_harness_reports_match_the_pinned_digests() {
